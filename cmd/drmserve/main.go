@@ -48,7 +48,7 @@ func main() {
 		shards    = flag.Int("shards", 2, "sparse shard count")
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
 		modelFile = flag.String("model-file", "", "load a serialized model (from shardtool -save-model) instead of building")
-		shardFile = flag.String("shard-file", "", "sparse role: serve directly from a shard file (shardtool -export-shards)")
+		shardFile = flag.String("shard-file", "", "sparse role: serve directly from one shard file, mmap-backed (shardtool -export-shards)")
 		shardDir  = flag.String("shard-dir", "", "sparse role: serve from the v2 shard file <dir>/<model>.shardN, mmap-backed (shardtool export-v2)")
 		peers     = flag.String("peers", "", "main role: comma-separated sparseN=host:port bindings; repeat a name to add hedge replicas")
 		netDelay  = flag.Bool("netsim", false, "inject data-center link latency")
@@ -75,8 +75,8 @@ func main() {
 		moveBudget = flag.Int("move-budget", 4, "max table moves per rebalance pass")
 
 		// Online model freshness (main role): periodically publish a
-		// versioned delta set to every sparse peer over the
-		// sparse.update.* control plane.
+		// versioned delta set to every sparse peer as a staged
+		// transaction.
 		publishEvery = flag.Duration("publish-every", 0, "main role: publish an identity delta set (freshness load, no score impact) at this interval (0 disables)")
 		publishRows  = flag.Int("publish-rows", 16, "rows republished per table per publish tick")
 
@@ -181,11 +181,11 @@ func main() {
 	switch *role {
 	case "sparse":
 		if *shardDir != "" {
-			srv, shutdown, err = serveSparseFromDir(*shardDir, modelName, *shardNum, *listen, *netDelay, tier, reg)
+			srv, shutdown, err = serveSparseFromFile(core.ShardFilePath(*shardDir, modelName, *shardNum), *shardNum, *listen, *netDelay, tier, reg)
 			break
 		}
 		if *shardFile != "" {
-			srv, err = serveSparseFromFile(*shardFile, *listen, *netDelay, tier, reg)
+			srv, shutdown, err = serveSparseFromFile(*shardFile, 0, *listen, *netDelay, tier, reg)
 			break
 		}
 		srv, err = serveSparse(m, plan, *shardNum, *listen, *netDelay, tier, reg)
@@ -288,53 +288,26 @@ func buildTier(cfg *model.Config, cacheMB float64, coldPrec string, errBudget fl
 	}, nil
 }
 
-// serveSparseFromDir boots a sparse shard from its v2 shard file inside
-// dir, serving lookups out of mmap-backed storage where the platform
-// allows — the paper's publish-then-load flow without regenerating the
-// model. The returned shutdown releases the mapping (after the server).
-func serveSparseFromDir(dir, modelName string, shard int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, func(), error) {
-	path := core.ShardFilePath(dir, modelName, shard)
-	rec := trace.NewRecorder(core.ServiceName(shard), 1<<16)
-	sh, got, closer, err := core.OpenShardFile(path, rec)
+// serveSparseFromFile boots a sparse shard straight from its shard file,
+// serving lookups out of mmap-backed storage where the format and
+// platform allow — the paper's publish-then-load flow: the shard never
+// materializes the rest of the model. A nonzero want must match the
+// shard number in the file. The returned shutdown releases the mapping
+// (after the server).
+func serveSparseFromFile(path string, want int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, func(), error) {
+	name := "sparse"
+	if want != 0 {
+		name = core.ServiceName(want)
+	}
+	rec := trace.NewRecorder(name, 1<<16)
+	sh, shard, closer, err := core.OpenShardFile(path, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	if got != shard {
+	if want != 0 && shard != want {
 		sh.Close()
 		closer.Close()
-		return nil, nil, fmt.Errorf("%s holds shard %d, -shard says %d", path, got, shard)
-	}
-	if tier != nil {
-		sh.SetTier(tier)
-	}
-	sh.SetObs(reg)
-	cfg := rpc.ServerConfig{Recorder: rec, BoilerplateCost: platform.BaseBoilerplate}
-	if sim {
-		cfg.ResponseLink = platform.SCLarge().Network(int64(shard)).Response
-	}
-	fmt.Printf("drmserve: %s mapped from %s: %d tables/parts, %.1f MiB\n",
-		sh.ShardName, path, sh.NumTables(), float64(sh.Bytes())/(1<<20))
-	srv, err := rpc.NewServer(listen, sh, cfg)
-	if err != nil {
-		sh.Close()
-		closer.Close()
-		return nil, nil, err
-	}
-	return srv, func() { closer.Close() }, nil
-}
-
-// serveSparseFromFile boots a sparse shard straight from a shard file —
-// the shard never materializes the rest of the model.
-func serveSparseFromFile(path, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rec := trace.NewRecorder("sparse", 1<<16)
-	sh, shard, err := core.ImportShard(f, rec)
-	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("%s holds shard %d, -shard says %d", path, shard, want)
 	}
 	if tier != nil {
 		sh.SetTier(tier)
@@ -346,7 +319,13 @@ func serveSparseFromFile(path, listen string, sim bool, tier *core.TierConfig, r
 	}
 	fmt.Printf("drmserve: %s loaded from %s: %d tables/parts, %.1f MiB\n",
 		sh.ShardName, path, sh.NumTables(), float64(sh.Bytes())/(1<<20))
-	return rpc.NewServer(listen, sh, cfg)
+	srv, err := rpc.NewServer(listen, sh, cfg)
+	if err != nil {
+		sh.Close()
+		closer.Close()
+		return nil, nil, err
+	}
+	return srv, func() { closer.Close() }, nil
 }
 
 func serveSparse(m *model.Model, plan *sharding.Plan, shard int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, error) {
@@ -504,8 +483,14 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 		emit("rpc.main.overloads", s.Overloads)
 	})
 
+	// The control-plane drivers both change shard table sets in several
+	// wire steps, so they run from one loop and never interleave: a
+	// publish landing between a migration's reads and its cutover would
+	// be missing from the moved copy.
+	var mg *core.Migrator
+	var pub *core.Publisher
 	if opts.rebalanceEvery > 0 && plan.IsDistributed() {
-		mg := &core.Migrator{Engine: eng, Rec: rec, Shards: make(map[int]core.ShardEndpoint)}
+		mg = &core.Migrator{Engine: eng, Rec: rec, Shards: make(map[int]core.ShardEndpoint)}
 		for i := 1; i <= plan.NumShards; i++ {
 			name := core.ServiceName(i)
 			addrs := peerAddrs[name]
@@ -526,7 +511,7 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 			}
 			// Control-plane calls go over a dedicated plain connection to
 			// the primary: the serving caller may be hedged, and hedging a
-			// migrate.commit would re-issue it against the same store.
+			// stage.commit would re-issue it against the same store.
 			ctrl, err := rpc.DialPool(addrs[0], nil, 1)
 			if err != nil {
 				shutdown()
@@ -535,31 +520,11 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 			}
 			mg.Shards[i] = core.ShardEndpoint{Service: name, Addr: addrs[0], Caller: ctrl}
 		}
-		stop := make(chan struct{})
-		go func() {
-			ticker := time.NewTicker(opts.rebalanceEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					report, err := mg.Rebalance(sharding.RebalanceOptions{MoveBudget: opts.moveBudget})
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "drmserve: rebalance:", err)
-						continue
-					}
-					fmt.Println("drmserve:", report)
-				}
-			}
-		}()
-		prev := shutdown
-		shutdown = func() { close(stop); prev() }
 		fmt.Printf("drmserve: online resharding every %v (move budget %d)\n", opts.rebalanceEvery, opts.moveBudget)
 	}
 
 	if opts.publishEvery > 0 && plan.IsDistributed() {
-		pub := &core.Publisher{Engine: eng, Rec: rec, Obs: opts.obs, Shards: make(map[int][]core.ShardEndpoint)}
+		pub = &core.Publisher{Engine: eng, Rec: rec, Obs: opts.obs, Shards: make(map[int][]core.ShardEndpoint)}
 		for i := 1; i <= plan.NumShards; i++ {
 			name := core.ServiceName(i)
 			addrs := peerAddrs[name]
@@ -571,7 +536,7 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 			// Every address gets its own delta stream: standalone replicas
 			// are separate processes with separate table stores, and a
 			// publish must make all of them fresh. Connections are
-			// dedicated and plain — hedging an update.commit would
+			// dedicated and plain — hedging a stage.commit would
 			// re-issue it against a store that already took the version.
 			for _, addr := range addrs {
 				ctrl, err := rpc.DialPool(addr, nil, 1)
@@ -583,31 +548,54 @@ func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bo
 				pub.Shards[i] = append(pub.Shards[i], core.ShardEndpoint{Service: name, Addr: addr, Caller: ctrl})
 			}
 		}
-		stop := make(chan struct{})
-		go func() {
-			ticker := time.NewTicker(opts.publishEvery)
-			defer ticker.Stop()
-			version := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					version++
-					report, err := pub.Publish(identityDelta(m, version, opts.publishRows))
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "drmserve: publish:", err)
-						continue
-					}
-					fmt.Println("drmserve:", report)
-				}
-			}
-		}()
-		prev := shutdown
-		shutdown = func() { close(stop); prev() }
 		fmt.Printf("drmserve: publishing identity deltas every %v (%d rows/table)\n", opts.publishEvery, opts.publishRows)
 	}
+	if mg != nil || pub != nil {
+		stop := make(chan struct{})
+		go controlLoop(stop, mg, pub, m, opts)
+		prev := shutdown
+		shutdown = func() { close(stop); prev() }
+	}
 	return srv, shutdown, nil
+}
+
+// controlLoop runs the periodic control-plane drivers — rebalance passes
+// and identity-delta publishes — one at a time until stop closes. A nil
+// driver's ticker channel stays nil and never fires.
+func controlLoop(stop <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m *model.Model, opts mainOptions) {
+	var rebalance, publish <-chan time.Time
+	if mg != nil {
+		t := time.NewTicker(opts.rebalanceEvery)
+		defer t.Stop()
+		rebalance = t.C
+	}
+	if pub != nil {
+		t := time.NewTicker(opts.publishEvery)
+		defer t.Stop()
+		publish = t.C
+	}
+	version := uint64(0)
+	for {
+		select {
+		case <-stop:
+			return
+		case <-rebalance:
+			report, err := mg.Rebalance(sharding.RebalanceOptions{MoveBudget: opts.moveBudget})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "drmserve: rebalance:", err)
+				continue
+			}
+			fmt.Println("drmserve:", report)
+		case <-publish:
+			version++
+			report, err := pub.Publish(identityDelta(m, version, opts.publishRows))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "drmserve: publish:", err)
+				continue
+			}
+			fmt.Println("drmserve:", report)
+		}
+	}
 }
 
 // identityDelta builds a delta set that republishes rows already being

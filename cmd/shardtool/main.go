@@ -113,7 +113,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if err := core.ExportShard(m, plans[0], shard, f); err != nil {
+			if err := core.ExportShardV2(m, plans[0], shard, f, nil); err != nil {
 				f.Close()
 				fatal(err)
 			}

@@ -140,7 +140,7 @@ type Cluster struct {
 	shards  []*core.SparseShard
 	clients map[string]rpc.Caller
 	// ctrlClients are plain (never hedged) connections the rebalancer's
-	// control plane uses: hedging a migrate.commit would re-issue it to a
+	// control plane uses: hedging a stage.commit would re-issue it to a
 	// replica sharing the same table store and trip the protocol's
 	// commit-without-begin guard.
 	ctrlClients map[string]*rpc.Client
@@ -163,13 +163,15 @@ type Cluster struct {
 	// replicaMu serializes failure injection and recovery against each
 	// other and against Close.
 	replicaMu sync.Mutex
-	// rebalanceMu serializes Rebalance passes (concurrent passes would
-	// plan against each other's in-flight moves).
-	rebalanceMu sync.Mutex
+	// ctrlMu serializes the control-plane drivers that change shard table
+	// sets — Rebalance, Publish, ReplaceReplica, SetActiveReplicas — each
+	// of which reads a table set in one step and commits against it in a
+	// later one: a publish landing between a migration's reads and its
+	// cutover would be missing from the moved copy, a rebuild mid-pass
+	// would snapshot tables later commits no longer reach. Taken before
+	// replicaMu.
+	ctrlMu sync.Mutex
 
-	// publishMu serializes Publish calls: concurrent publishes of the
-	// same version would race their begin/commit pairs on shared stores.
-	publishMu sync.Mutex
 	// pubVersion is the highest delta-set version this cluster has
 	// published (monotonic); the freshness probe reports each store's lag
 	// behind it.
@@ -602,8 +604,8 @@ func (c *Cluster) refreshRegistry(shard int) {
 // tracks the target so later passes (and introspection) see the current
 // placement.
 func (c *Cluster) Rebalance(opts sharding.RebalanceOptions) (*core.RebalanceReport, error) {
-	c.rebalanceMu.Lock()
-	defer c.rebalanceMu.Unlock()
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
 	mg, err := c.Migrator()
 	if err != nil {
 		return nil, err

@@ -16,8 +16,8 @@ import (
 // hung server presents and the one health ejection exists for. Recovery
 // is either a revive (a new server over the shard's shared store — the
 // process restarted) or a replace (a fresh, empty store rebuilt
-// byte-identically from a healthy peer over the sparse.snapshot.*
-// surface — the machine was lost).
+// byte-identically from a healthy peer in one staged transaction — the
+// machine was lost).
 
 // replica validates indices and returns the addressed replica. Caller
 // holds replicaMu.
@@ -83,18 +83,18 @@ func (c *Cluster) ReviveReplica(shard, idx int) error {
 
 // ReplaceReplica stands up a replacement for a killed replica whose
 // storage is gone: a fresh, empty table store rebuilds itself from a
-// healthy peer replica of the same shard over the snapshot protocol
+// healthy peer replica of the same shard in one staged transaction
 // (byte-identical, cold-cached), then a new server over it splices into
 // the slot. The replacement has its own store from here on — the
 // rebuild path is exactly what a standalone drmserve replacement
 // process would run.
 func (c *Cluster) ReplaceReplica(shard, idx int) (core.RebuildStats, error) {
-	// Serialize against Rebalance (same order: rebalanceMu before
+	// Serialize against Rebalance and Publish (same order: ctrlMu before
 	// replicaMu): rebuilding from a peer whose tables are mid-migration
 	// would snapshot a table set later commits no longer update, and the
 	// Migrator's homogeneous-fleet guard only protects future passes.
-	c.rebalanceMu.Lock()
-	defer c.rebalanceMu.Unlock()
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
 	var st core.RebuildStats
@@ -118,9 +118,9 @@ func (c *Cluster) ReplaceReplica(shard, idx int) (core.RebuildStats, error) {
 }
 
 // rebuildFromPeer streams a fresh, private table store for rep from a
-// live peer replica of the same shard over the snapshot protocol and
-// installs it as rep's store (tracked in c.rebuilt). The caller owns
-// starting a server over it. Caller holds rebalanceMu and replicaMu.
+// live peer replica of the same shard and installs it as rep's store
+// (tracked in c.rebuilt). The caller owns starting a server over it.
+// Caller holds ctrlMu and replicaMu.
 func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildStats, error) {
 	var st core.RebuildStats
 	var peer *sparseReplica
@@ -147,7 +147,7 @@ func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildSt
 		fresh.Close()
 		return st, fmt.Errorf("cluster: dialing rebuild peer for %s: %w", rep.store.ShardName, err)
 	}
-	st, err = fresh.RebuildFromPeer(ctrl, 0)
+	st, err = fresh.RebuildFromPeer(ctrl)
 	ctrl.Close()
 	if err != nil {
 		fresh.Close()

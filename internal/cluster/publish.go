@@ -13,8 +13,8 @@ import (
 // endpoints cover one live server per distinct store of every shard
 // (replicas sharing a store receive the delta through it; a replica
 // rebuilt from a peer after failure gets its own stream). Connections
-// are dedicated control-plane clients, never hedged: hedging an
-// update.commit would re-issue it against a store that already consumed
+// are dedicated control-plane clients, never hedged: hedging a
+// stage.commit would re-issue it against a store that already consumed
 // the version.
 //
 // A killed replica holding a private store gets no stream (nothing
@@ -63,11 +63,12 @@ func (c *Cluster) Publisher() (*core.Publisher, error) {
 // Publish streams one delta set to every table store in the deployment
 // and swaps dense weights on the engine, usable mid-replay: requests
 // keep flowing while rows stage and each store's cutover is atomic.
-// Publishes serialize against each other; events accumulate on the
-// cluster's freshness timeline.
+// Publishes serialize against each other and against the other
+// control-plane drivers (ctrlMu); events accumulate on the cluster's
+// freshness timeline.
 func (c *Cluster) Publish(ds *core.DeltaSet) (*core.PublishReport, error) {
-	c.publishMu.Lock()
-	defer c.publishMu.Unlock()
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
 	// Rebuilt per publish: replicas killed, revived, or replaced since
 	// the last call changed which endpoints cover the store set.
 	pub, err := c.Publisher()

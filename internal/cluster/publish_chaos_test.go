@@ -16,7 +16,7 @@ import (
 // TestPublishChaosIdentity is the freshness control plane's chaos check:
 // a replicated, tiered deployment replays a skewed scored stream from
 // concurrent clients while a publisher hammers identity delta sets
-// through the sparse.update.* epoch cutover, a live Rebalance migrates
+// through the stage.commit epoch cutover, a live Rebalance migrates
 // tables between shards, and a replica is then torn down and rebuilt
 // from a surviving peer. Every score must stay byte-identical to an
 // undisturbed control — a publish racing a migration may fail and retry

@@ -12,7 +12,7 @@ import (
 // co-serving scheduler pulls. A cluster booted with parked slots
 // (Options.ActiveReplicas < SparseReplicas) holds reclaimable headroom;
 // SetActiveReplicas grows into it by rebuilding each shard's next parked
-// replica from a healthy peer over the snapshot protocol — the same
+// replica from a healthy peer in a staged transaction — the same
 // machinery ReplaceReplica runs, because physically the move is the
 // same: a server newly assigned to this model must stream the model's
 // embedding tables before it can serve — or shrinks by draining and
@@ -48,12 +48,12 @@ func (c *Cluster) ReplicaSlots() int {
 // private stores. n is clamped to at least one serving replica; growth
 // past the booted slot count is an error.
 func (c *Cluster) SetActiveReplicas(n int) ([]core.RebuildStats, error) {
-	// Same order as ReplaceReplica: rebalanceMu before replicaMu. A
+	// Same order as ReplaceReplica: ctrlMu before replicaMu. A
 	// rebuild mid-migration would snapshot tables later commits no
 	// longer update, and concurrent resizes would plan against each
 	// other's in-flight moves.
-	c.rebalanceMu.Lock()
-	defer c.rebalanceMu.Unlock()
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
 	c.replicaMu.Lock()
 
 	if len(c.replicas) == 0 {
@@ -81,7 +81,7 @@ func (c *Cluster) SetActiveReplicas(n int) ([]core.RebuildStats, error) {
 }
 
 // growTo activates slots cur..n-1 on every shard. Caller holds
-// rebalanceMu and replicaMu.
+// ctrlMu and replicaMu.
 func (c *Cluster) growTo(n int) ([]core.RebuildStats, error) {
 	var stats []core.RebuildStats
 	for idx := c.active; idx < n; idx++ {
@@ -112,7 +112,7 @@ func (c *Cluster) growTo(n int) ([]core.RebuildStats, error) {
 }
 
 // shrinkTo parks slots n..cur-1 on every shard: disable, drain, tear
-// down, reclaim. Caller holds rebalanceMu and replicaMu; shrinkTo
+// down, reclaim. Caller holds ctrlMu and replicaMu; shrinkTo
 // releases replicaMu across the drain grace and returns with it
 // released.
 func (c *Cluster) shrinkTo(n int) error {
@@ -131,7 +131,7 @@ func (c *Cluster) shrinkTo(n int) error {
 	// Drain grace: disabled slots take no new calls, but calls already
 	// dispatched need a moment to finish before their server closes
 	// under them (a late casualty would fail over, so this is about
-	// tail latency, not correctness). rebalanceMu is still held, so no
+	// tail latency, not correctness). ctrlMu is still held, so no
 	// concurrent resize can re-enable these slots mid-drain.
 	grace := 2 * c.opts.HedgeDelay
 	if grace < 5*time.Millisecond {

@@ -189,7 +189,7 @@ func (e *Engine) Reroute(plan *sharding.Plan) error {
 // recompiling the current plan — the dense-weight half of a model
 // freshness publish. Requests already executing finish on the old
 // program; the next request sees the new weights. Embedding deltas
-// travel separately through sparse.update.*.
+// travel separately as staged transactions (Publisher).
 func (e *Engine) SwapDense(params []model.NetParams) error {
 	e.rerouteMu.Lock()
 	defer e.rerouteMu.Unlock()

@@ -89,7 +89,7 @@ func TestTieredMigrationKernelIdentity(t *testing.T) {
 			// Migrate the table while the vector kernels are active: the
 			// wire stream carries encoded rows verbatim, so the committed
 			// copy must be kernel-independent too.
-			f.migrateTableEnc(t, id)
+			f.migrateTable(t, id, 5)
 			if got, err := src.Handle(ctx, MethodSparseRun, body); err != nil || !bytes.Equal(want, got) {
 				t.Fatalf("vector double-read during cutover diverged (err %v)", err)
 			}

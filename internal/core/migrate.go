@@ -5,19 +5,19 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
 
 // Migrator drives online resharding over the ordinary RPC channel: it
 // collects measured load summaries from every sparse shard, asks the
-// rebalancer for an incremental migration plan, streams each move's rows
-// from source to destination while both keep serving, swaps the engine's
-// routing, and finally installs forwards at the sources so requests
-// compiled against the old plan stay correct. Because every step is a
-// wire call, the same driver reshards an in-process cluster and a fleet
-// of standalone drmserve processes.
+// rebalancer for an incremental migration plan, copies each move's table
+// from source to destination in a staged transaction of its own
+// (stage.go) while both keep serving, swaps the engine's routing, and
+// finally installs forwards at the sources so requests compiled against
+// the old plan stay correct. Because every step is a wire call, the same
+// driver reshards an in-process cluster and a fleet of standalone
+// drmserve processes.
 type Migrator struct {
 	// Engine is the main shard's engine, rerouted at cutover.
 	Engine *Engine
@@ -27,17 +27,6 @@ type Migrator struct {
 	Rec *trace.Recorder
 	// ChunkRows bounds rows per streamed chunk (default 4096).
 	ChunkRows int
-}
-
-// ShardEndpoint addresses one sparse shard's primary server.
-type ShardEndpoint struct {
-	// Service is the registry name ("sparse3").
-	Service string
-	// Addr is the server's dialable address, handed to sources so they
-	// can forward straggler lookups to destinations.
-	Addr string
-	// Caller issues control-plane RPCs to the shard.
-	Caller rpc.Caller
 }
 
 // RebalanceReport summarizes one rebalance pass.
@@ -66,23 +55,13 @@ func (r *RebalanceReport) String() string {
 		r.Plan.MaxLoadBefore, r.Plan.MaxLoadAfter, r.Duration.Round(time.Millisecond))
 }
 
-func (mg *Migrator) call(ep ShardEndpoint, method string, body []byte) ([]byte, error) {
-	resp, err := rpc.SyncCall(ep.Caller, &rpc.Request{
-		Method: method, CallID: mg.Rec.NextID(), Body: body,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s %s: %w", ep.Service, method, err)
-	}
-	return resp.Body, nil
-}
-
 // CollectLoad fetches and merges every shard's load summary; reset
 // clears the shards' accumulators so the next window starts fresh.
 func (mg *Migrator) CollectLoad(reset bool) (*sharding.LoadSummary, error) {
 	merged := sharding.NewLoadSummary()
-	body := EncodeLoadRequest(&LoadRequest{Reset: reset})
+	body := encodeMsg(&LoadRequest{Reset: reset})
 	for _, shard := range sortedShardNums(mg.Shards) {
-		out, err := mg.call(mg.Shards[shard], MethodSparseLoad, body)
+		out, err := mg.Shards[shard].call(mg.Rec)(MethodSparseLoad, body)
 		if err != nil {
 			return nil, err
 		}
@@ -114,19 +93,14 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 		return report, nil
 	}
 
-	// Phase 1: stream every move's rows into destination staging while
-	// both shards keep serving under the current plan. On failure,
-	// best-effort abort the failed move's staging so the destination
-	// does not strand a table-sized buffer (committed moves stay: they
+	// Phase 1: copy every move's table into its destination and commit it
+	// there, while both shards keep serving under the current plan. A
+	// failed move aborts its own transaction; committed moves stay (they
 	// are live tables the next pass can plan around).
 	for _, mv := range mp.Moves {
-		n, err := mg.streamMove(mv)
+		n, err := mg.move(mv)
 		report.BytesMoved += n
 		if err != nil {
-			if dst, ok := mg.Shards[mv.To]; ok {
-				abort := EncodeMigrateCommit(&MigrateCommit{TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex)})
-				_, _ = mg.call(dst, MethodMigrateAbort, abort)
-			}
 			return nil, err
 		}
 	}
@@ -143,11 +117,11 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 	}
 	for _, mv := range mp.Moves {
 		src, dst := mg.Shards[mv.From], mg.Shards[mv.To]
-		fwd := &MigrateForward{
+		fwd := &TableForward{
 			TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex),
 			Service: dst.Service, Addr: dst.Addr, Release: true,
 		}
-		if _, err := mg.call(src, MethodMigrateForward, EncodeMigrateForward(fwd)); err != nil {
+		if _, err := src.call(mg.Rec)(MethodTableForward, encodeMsg(fwd)); err != nil {
 			return nil, err
 		}
 	}
@@ -155,95 +129,43 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 	return report, nil
 }
 
-// streamMove copies one placement unit source→destination: probe shape,
-// allocate staging, stream row ranges, commit. Returns bytes streamed.
-func (mg *Migrator) streamMove(mv sharding.Move) (int64, error) {
-	src, ok := mg.Shards[mv.From]
+// move copies one placement unit source→destination in a transaction of
+// its own and commits it. Returns bytes streamed.
+func (mg *Migrator) move(mv sharding.Move) (int64, error) {
+	srcEp, ok := mg.Shards[mv.From]
 	if !ok {
 		return 0, fmt.Errorf("core: move %v: no endpoint for source shard %d", mv, mv.From)
 	}
-	dst, ok := mg.Shards[mv.To]
+	dstEp, ok := mg.Shards[mv.To]
 	if !ok {
 		return 0, fmt.Errorf("core: move %v: no endpoint for destination shard %d", mv, mv.To)
 	}
-	chunkRows := mg.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = 4096
-	}
-	tid, part := int32(mv.TableID), int32(mv.PartIndex)
-	migStart := mg.Rec.Now()
+	src, dst := srcEp.call(mg.Rec), dstEp.call(mg.Rec)
+	start := mg.Rec.Now()
 
-	// Probe the source for the unit's actual shape (partition row counts
-	// depend on the modulus split; the source knows).
-	out, err := mg.call(src, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: tid, PartIndex: part}))
+	// The source knows the unit's actual shape (partition row counts
+	// depend on the modulus split) and encoding.
+	held, err := listTables(src)
 	if err != nil {
 		return 0, err
 	}
-	shape, err := DecodeMigrateReadResponse(out)
+	shape, ok := findShape(held, mv.TableID, mv.PartIndex)
+	if !ok {
+		return 0, fmt.Errorf("core: move %v: %s does not hold the table", mv, srcEp.Service)
+	}
+	txn := anonTxn | mg.Rec.NextID()
+	moved, err := copyTable(src, dst, txn, shape, mg.ChunkRows)
+	if err == nil {
+		_, err = commitTxn(dst, txn)
+	}
 	if err != nil {
-		return 0, err
-	}
-
-	begin := &MigrateBegin{
-		TableID: tid, PartIndex: part, NumParts: int32(mv.NumParts),
-		Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	}
-	if _, err := mg.call(dst, MethodMigrateBegin, EncodeMigrateBegin(begin)); err != nil {
-		return 0, err
-	}
-	rawStride := 0
-	if shape.Enc != TierEncFP32 {
-		if rawStride, err = tierEncStride(shape.Enc, shape.Dim); err != nil {
-			return 0, fmt.Errorf("core: move %v: %w", mv, err)
-		}
-	}
-
-	var moved int64
-	for row := int32(0); row < shape.Rows; row += int32(chunkRows) {
-		count := int32(chunkRows)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
-		}
-		out, err := mg.call(src, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: tid, PartIndex: part, RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			return moved, err
-		}
-		chunk, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			return moved, err
-		}
-		if chunk.Enc != shape.Enc {
-			return moved, fmt.Errorf("core: move %v: encoding changed %d -> %d mid-stream", mv, shape.Enc, chunk.Enc)
-		}
-		if shape.Enc == TierEncFP32 {
-			if int32(len(chunk.Data)) != count*shape.Dim {
-				return moved, fmt.Errorf("core: move %v: read %d values for %d rows", mv, len(chunk.Data), count)
-			}
-			moved += int64(len(chunk.Data)) * 4
-		} else {
-			if len(chunk.Raw) != int(count)*rawStride {
-				return moved, fmt.Errorf("core: move %v: read %d raw bytes for %d rows", mv, len(chunk.Raw), count)
-			}
-			moved += int64(len(chunk.Raw))
-		}
-		push := &MigrateChunk{
-			TableID: tid, PartIndex: part, RowStart: row,
-			Dim: shape.Dim, Enc: shape.Enc, Data: chunk.Data, Raw: chunk.Raw,
-		}
-		if _, err := mg.call(dst, MethodMigrateChunk, EncodeMigrateChunk(push)); err != nil {
-			return moved, err
-		}
-	}
-
-	if _, err := mg.call(dst, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: tid, PartIndex: part})); err != nil {
+		abortTxn(dst, txn)
 		return moved, err
 	}
 	mg.Rec.Record(trace.Span{
 		Layer: trace.LayerMigration,
-		Name:  fmt.Sprintf("migrate/move/t%d.%d/%s->%s", mv.TableID, mv.PartIndex, src.Service, dst.Service),
-		Start: migStart, Dur: mg.Rec.Now().Sub(migStart),
+		Name:  fmt.Sprintf("migrate/move/t%d.%d/%s->%s", mv.TableID, mv.PartIndex, srcEp.Service, dstEp.Service),
+		Start: start, Dur: mg.Rec.Now().Sub(start),
 	})
 	return moved, nil
 }

@@ -97,49 +97,52 @@ func hashBags(bags []embedding.Bag, rows int) []embedding.Bag {
 	return out
 }
 
-// migrateTable drives the full wire protocol for one whole table from
-// shard 1 to shard 2.
-func (f *migrationFixture) migrateTable(t *testing.T, id int) {
+// handleCall adapts a shard's Handle into the drivers' shardCall, so the
+// tests drive the same client helpers the Migrator does with no server.
+func handleCall(sh *SparseShard) shardCall {
+	return func(method string, body []byte) ([]byte, error) {
+		return sh.Handle(trace.Context{}, method, body)
+	}
+}
+
+// heldShape probes a shard for one held table's shape.
+func heldShape(t *testing.T, sh *SparseShard, id, part int) TableShape {
 	t.Helper()
-	src, dst := f.shards[0], f.shards[1]
-	ctx := trace.Context{}
-	probe, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
+	held, err := listTables(handleCall(sh))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape, err := DecodeMigrateReadResponse(probe)
+	shape, ok := findShape(held, id, part)
+	if !ok {
+		t.Fatalf("%s does not list table %d part %d", sh.ShardName, id, part)
+	}
+	return shape
+}
+
+// migrateTable drives the full wire protocol for one whole table from
+// shard 1 to shard 2 in a transaction of its own — table.list probe,
+// stage.begin(empty), table.read → stage.put in chunkRows-row chunks
+// (pick a non-divisor of Rows), stage.commit — carrying the source's
+// cold-tier encoding.
+func (f *migrationFixture) migrateTable(t *testing.T, id, chunkRows int) {
+	t.Helper()
+	src, dst := handleCall(f.shards[0]), handleCall(f.shards[1])
+	shape := heldShape(t, f.shards[0], id, 0)
+	txn := anonTxn | uint64(id+1)
+	moved, err := copyTable(src, dst, txn, shape, chunkRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim,
-	})); err != nil {
+	stride, _ := tierEncStride(shape.Enc, shape.Dim)
+	if want := int64(shape.Rows) * int64(stride); moved != want {
+		t.Fatalf("copied %d bytes of table %d, want %d", moved, id, want)
+	}
+	ack, err := commitTxn(dst, txn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	const chunk = 7 // deliberately not a divisor of Rows
-	for row := int32(0); row < shape.Rows; row += chunk {
-		count := int32(chunk)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
-		}
-		out, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(id), RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-			TableID: int32(id), RowStart: row, Dim: shape.Dim, Data: rr.Data,
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatal(err)
+	if ack.Tables != 1 || ack.Version != 0 {
+		t.Fatalf("commit ack %+v, want 1 table and no model version from an anonymous txn", ack)
 	}
 }
 
@@ -160,7 +163,7 @@ func TestMigrationMidCutoverIdentity(t *testing.T) {
 	}
 
 	epoch0 := dst.Epoch()
-	f.migrateTable(t, id)
+	f.migrateTable(t, id, 7)
 	if dst.Epoch() <= epoch0 {
 		t.Fatal("commit must advance the destination epoch")
 	}
@@ -215,15 +218,15 @@ func TestMigrationForwardOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.migrateTable(t, id)
-	out, err := src.Handle(ctx, MethodMigrateForward, EncodeMigrateForward(&MigrateForward{
+	f.migrateTable(t, id, 7)
+	out, err := src.Handle(ctx, MethodTableForward, encodeMsg(&TableForward{
 		TableID: int32(id), Service: "sparse2", Addr: f.srvs[1].Addr(), Release: true,
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep, err := DecodeEpochResponse(out); err != nil || ep.Epoch == 0 {
-		t.Fatalf("epoch response = %v, %v", ep, err)
+	if ack, err := decodeMsg[CutoverAck](out); err != nil || ack.Epoch == 0 {
+		t.Fatalf("forward ack = %v, %v", ack, err)
 	}
 	after, err := src.Handle(ctx, MethodSparseRun, body)
 	if err != nil {
@@ -234,28 +237,30 @@ func TestMigrationForwardOverWire(t *testing.T) {
 	}
 }
 
-// TestMigrationProtocolErrors pins the control plane's failure modes.
-func TestMigrationProtocolErrors(t *testing.T) {
+// TestStageProtocolErrors pins the control plane's failure modes.
+func TestStageProtocolErrors(t *testing.T) {
 	f := newMigrationFixture(t)
 	src, dst := f.shards[0], f.shards[1]
 	id := f.plan.Shards[0].Tables[0]
 	ctx := trace.Context{}
+	const txn = anonTxn | 1
+	end := encodeMsg(&StageEnd{Txn: txn})
 
-	if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-		TableID: int32(id), Dim: 4, Data: make([]float32, 4),
+	if _, err := dst.Handle(ctx, MethodStagePut, encodeMsg(&StagePut{
+		Txn: txn, TableID: int32(id), Rows: make([]byte, 16),
 	})); err == nil || !strings.Contains(err.Error(), "without begin") {
-		t.Fatalf("chunk without begin: %v", err)
+		t.Fatalf("put without begin: %v", err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err == nil || !strings.Contains(err.Error(), "without begin") {
+	if _, err := dst.Handle(ctx, MethodStageCommit, end); err == nil || !strings.Contains(err.Error(), "without begin") {
 		t.Fatalf("commit without begin: %v", err)
 	}
-	if _, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
+	if _, err := src.Handle(ctx, MethodTableRead, encodeMsg(&TableRead{
 		TableID: int32(id), RowStart: 1 << 20, RowCount: 8,
 	})); err == nil {
 		t.Fatal("out-of-range read must fail")
 	}
-	if _, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: 9999})); err == nil {
-		t.Fatal("read of unheld table must fail")
+	if _, err := src.Handle(ctx, MethodTableRead, encodeMsg(&TableRead{TableID: 9999, RowCount: 1})); err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("read of unheld table: %v", err)
 	}
 	if _, err := src.Handle(ctx, "sparse.nope", nil); err == nil || !strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("unknown method: %v", err)
@@ -263,20 +268,43 @@ func TestMigrationProtocolErrors(t *testing.T) {
 
 	// Abort drops staged storage: a commit after begin+abort must fail
 	// exactly like a commit that was never begun, and aborting an
-	// unknown key is a no-op.
-	if _, err := dst.Handle(ctx, MethodMigrateAbort, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatalf("abort of unknown key must be a no-op: %v", err)
+	// unknown transaction is a no-op.
+	if _, err := dst.Handle(ctx, MethodStageAbort, end); err != nil {
+		t.Fatalf("abort of unknown txn must be a no-op: %v", err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: 8, Dim: 4,
-	})); err != nil {
+	shape := TableShape{TableID: int32(id), Rows: 8, Dim: 4}
+	begin := encodeMsg(&StageBegin{Txn: txn, Shape: shape, Base: StageEmpty})
+	if _, err := dst.Handle(ctx, MethodStageBegin, begin); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateAbort, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
+	if _, err := dst.Handle(ctx, MethodStageAbort, end); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err == nil || !strings.Contains(err.Error(), "without begin") {
+	if _, err := dst.Handle(ctx, MethodStageCommit, end); err == nil || !strings.Contains(err.Error(), "without begin") {
 		t.Fatalf("commit after abort: %v", err)
+	}
+
+	// A put outside the staged shape is refused: rows past the end, and
+	// payloads that are not whole rows of the staged encoding.
+	if _, err := dst.Handle(ctx, MethodStageBegin, begin); err != nil {
+		t.Fatal(err)
+	}
+	for name, put := range map[string]*StagePut{
+		"past the end":  {Txn: txn, TableID: int32(id), RowStart: 7, Rows: make([]byte, 2*16)},
+		"partial row":   {Txn: txn, TableID: int32(id), Rows: make([]byte, 15)},
+		"other table":   {Txn: txn, TableID: int32(id) + 1, Rows: make([]byte, 16)},
+		"other txn":     {Txn: txn + 1, TableID: int32(id), Rows: make([]byte, 16)},
+		"whole + extra": {Txn: txn, TableID: int32(id), Rows: make([]byte, 9*16)},
+	} {
+		if _, err := dst.Handle(ctx, MethodStagePut, encodeMsg(put)); err == nil {
+			t.Errorf("put %s accepted", name)
+		}
+	}
+	if _, err := dst.Handle(ctx, MethodStageAbort, end); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dst.staging); n != 0 {
+		t.Fatalf("%d transactions still staged after abort", n)
 	}
 }
 
@@ -306,7 +334,7 @@ func TestSparseLoadAccounting(t *testing.T) {
 	if _, err := src.Handle(ctx, MethodSparseRun, body); err != nil {
 		t.Fatal(err)
 	}
-	out, err := src.Handle(ctx, MethodSparseLoad, EncodeLoadRequest(&LoadRequest{Reset: true}))
+	out, err := src.Handle(ctx, MethodSparseLoad, encodeMsg(&LoadRequest{Reset: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +356,7 @@ func TestSparseLoadAccounting(t *testing.T) {
 	}
 
 	// Reset semantics: the next snapshot is empty.
-	out, err = src.Handle(ctx, MethodSparseLoad, EncodeLoadRequest(&LoadRequest{}))
+	out, err = src.Handle(ctx, MethodSparseLoad, encodeMsg(&LoadRequest{}))
 	if err != nil {
 		t.Fatal(err)
 	}

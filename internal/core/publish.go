@@ -5,10 +5,10 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/quant"
-	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -17,25 +17,23 @@ import (
 // online continuation of the paper's publishing flow (Section III-A1:
 // parameters "serialized from parameter servers to the respective
 // inference shard"). Embedding row deltas route through the current
-// sharding plan to every endpoint of every affected shard over the
-// sparse.update.* protocol; dense-weight swaps go to the co-located
-// engine. Delta rows travel as fp32 and are re-encoded per-row into each
-// table's cold-tier precision — row-wise quantization is independent per
-// row, so a republished row is bit-identical to the same row in a full
-// export.
+// sharding plan to every endpoint of every affected shard as one staged
+// transaction per endpoint (stage.go): transaction id = model version,
+// every touched table staged as a clone of the held copy, delta rows put
+// over it, one commit. Dense-weight swaps go to the co-located engine.
+// Delta rows arrive as fp32 and are re-encoded per-row into each table's
+// cold-tier precision — row-wise quantization is independent per row, so
+// a republished row is bit-identical to the same row in a full export.
 type Publisher struct {
 	// Engine is the main shard's engine: its live plan routes deltas and
 	// its dense parameters are swapped in-process.
 	Engine *Engine
 	// Shards maps 1-based shard numbers to every endpoint that must
-	// receive deltas (every replica store's server). Endpoints must be
-	// plain control-plane connections, never hedged: hedging an
-	// update.commit would re-issue it against a store that already
-	// consumed the version.
+	// receive deltas (every replica store's server).
 	Shards map[int][]ShardEndpoint
 	// Rec allocates call IDs for the control-plane RPCs.
 	Rec *trace.Recorder
-	// ChunkRows bounds rows per update.rows call (default 4096).
+	// ChunkRows bounds rows per stage.put call (default 4096).
 	ChunkRows int
 	// Obs, when non-nil, receives publish gauges: publish.version (high
 	// water), publish.count, publish.rows, publish.bytes.
@@ -190,38 +188,31 @@ func (s byLocalRow) Swap(i, j int) {
 // encodeDeltaRows re-encodes a contiguous run of fp32 rows into a
 // table's cold-tier wire encoding. Row-wise codecs are independent per
 // row, so the bytes match a full-table encode of the same values.
-func encodeDeltaRows(enc int32, rows []float32, n, dim int) (data []float32, raw []byte, err error) {
+func encodeDeltaRows(enc int32, rows []float32, n, dim int) ([]byte, error) {
 	switch enc {
 	case TierEncFP32:
-		return rows, nil, nil
+		return (&embedding.Dense{RowsN: n, DimN: dim, Data: rows}).AppendRowRange(nil, 0, n), nil
 	case TierEncFP16:
-		return nil, quant.EncodeFP16Rows(rows, n, dim).AppendRowRange(nil, 0, n), nil
+		return quant.EncodeFP16Rows(rows, n, dim).AppendRowRange(nil, 0, n), nil
 	case TierEncInt8:
-		return nil, quant.QuantizeRows(rows, n, dim, quant.Bits8).AppendRowRange(nil, 0, n), nil
+		return quant.QuantizeRows(rows, n, dim, quant.Bits8).AppendRowRange(nil, 0, n), nil
 	case TierEncInt4:
-		return nil, quant.QuantizeRows(rows, n, dim, quant.Bits4).AppendRowRange(nil, 0, n), nil
+		return quant.QuantizeRows(rows, n, dim, quant.Bits4).AppendRowRange(nil, 0, n), nil
 	}
-	return nil, nil, fmt.Errorf("core: publish: unknown encoding %d", enc)
-}
-
-func (p *Publisher) call(ep ShardEndpoint, method string, body []byte) ([]byte, error) {
-	resp, err := rpc.SyncCall(ep.Caller, &rpc.Request{
-		Method: method, CallID: p.Rec.NextID(), Body: body,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: publish %s %s: %w", ep.Service, method, err)
-	}
-	return resp.Body, nil
+	return nil, fmt.Errorf("core: publish: unknown encoding %d", enc)
 }
 
 // Publish streams one delta set to every endpoint of every affected
 // shard, committing per endpoint, then swaps dense weights. On a stream
-// error the failed endpoint's staging is aborted (best effort) and the
-// error returned; endpoints already committed stay fresh — the publisher
-// retries the version against the rest, and commit is idempotent in
-// effect because republished rows are value-identical.
+// error the failed endpoint's transaction is aborted (best effort) and
+// the error returned; endpoints already committed stay fresh — the
+// publisher retries the version against the rest, and commit is
+// idempotent in effect because republished rows are value-identical.
 func (p *Publisher) Publish(ds *DeltaSet) (*PublishReport, error) {
 	start := time.Now() //lint:allow determinism publish wall time is operator telemetry, not model input
+	if ds.Version >= anonTxn {
+		return nil, fmt.Errorf("core: publish: version %d outside the model-version id space", ds.Version)
+	}
 	report := &PublishReport{Version: ds.Version}
 	byShard, err := p.unitsForCurrentPlan(ds)
 	if err != nil {
@@ -240,8 +231,7 @@ func (p *Publisher) Publish(ds *DeltaSet) (*PublishReport, error) {
 		for _, ep := range eps {
 			ev, err := p.publishToEndpoint(ep, shard, ds.Version, byShard[shard])
 			if err != nil {
-				abort := EncodeUpdateCommit(&UpdateCommit{Version: ds.Version})
-				_, _ = p.call(ep, MethodUpdateAbort, abort)
+				abortTxn(ep.call(p.Rec), ds.Version)
 				return nil, err
 			}
 			report.Events = append(report.Events, *ev)
@@ -274,27 +264,22 @@ func (p *Publisher) unitsForCurrentPlan(ds *DeltaSet) (map[int][]*deltaUnit, err
 	return planUnitsFor(p.Engine.Plan(), ds.Tables)
 }
 
-// publishToEndpoint streams every unit's delta rows into one endpoint's
-// version staging and commits.
+// publishToEndpoint stages every unit's table as a clone in one
+// endpoint's transaction, puts the delta rows over it, and commits.
 func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint64, units []*deltaUnit) (*PublishEvent, error) {
 	evStart := time.Now() //lint:allow determinism event duration is freshness-timeline telemetry
 	ev := &PublishEvent{Version: version, Shard: shard, Service: ep.Service, Addr: ep.Addr}
-	chunkRows := p.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = 4096
+	call := ep.call(p.Rec)
+	// Probe the endpoint's actual shapes and encodings: replicas may
+	// serve rebuilt stores, so trust each endpoint's own report.
+	held, err := listTables(call)
+	if err != nil {
+		return nil, err
 	}
 	for _, u := range units {
-		// Probe the endpoint's actual shape and encoding: replicas may
-		// serve rebuilt stores, so trust each endpoint's own report.
-		out, err := p.call(ep, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-		}))
-		if err != nil {
-			return nil, err
-		}
-		shape, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			return nil, err
+		shape, ok := findShape(held, u.tableID, u.partIndex)
+		if !ok {
+			return nil, fmt.Errorf("core: publish: %s does not hold table %d part %d", ep.Service, u.tableID, u.partIndex)
 		}
 		if int(shape.Dim) != u.dim {
 			return nil, fmt.Errorf("core: publish: table %d part %d dim %d at %s, delta has %d",
@@ -304,23 +289,15 @@ func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint6
 			return nil, fmt.Errorf("core: publish: table %d part %d row %d outside %d rows at %s",
 				u.tableID, u.partIndex, last, shape.Rows, ep.Service)
 		}
-		begin := &UpdateBegin{
-			Version: version, TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-			Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-		}
-		if _, err := p.call(ep, MethodUpdateBegin, EncodeUpdateBegin(begin)); err != nil {
+		if _, err := call(MethodStageBegin, encodeMsg(&StageBegin{Txn: version, Shape: shape, Base: StageClone})); err != nil {
 			return nil, err
 		}
-		if err := p.streamUnit(ep, version, u, shape.Enc, chunkRows, ev); err != nil {
+		if err := p.putUnit(call, version, u, shape.Enc, ev); err != nil {
 			return nil, err
 		}
 		ev.Tables++
 	}
-	out, err := p.call(ep, MethodUpdateCommit, EncodeUpdateCommit(&UpdateCommit{Version: version}))
-	if err != nil {
-		return nil, err
-	}
-	ack, err := DecodeUpdateCommitResponse(out)
+	ack, err := commitTxn(call, version)
 	if err != nil {
 		return nil, err
 	}
@@ -329,9 +306,13 @@ func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint6
 	return ev, nil
 }
 
-// streamUnit sends one unit's delta rows as runs of consecutive local
-// rows, re-encoded into the endpoint's cold-tier encoding.
-func (p *Publisher) streamUnit(ep ShardEndpoint, version uint64, u *deltaUnit, enc int32, chunkRows int, ev *PublishEvent) error {
+// putUnit sends one unit's delta rows as runs of consecutive local rows,
+// re-encoded into the endpoint's cold-tier encoding.
+func (p *Publisher) putUnit(call shardCall, version uint64, u *deltaUnit, enc int32, ev *PublishEvent) error {
+	chunkRows := p.ChunkRows
+	if chunkRows <= 0 {
+		chunkRows = defaultChunkRows
+	}
 	i := 0
 	for i < len(u.localRows) {
 		// Extend the run while local rows stay consecutive.
@@ -345,23 +326,18 @@ func (p *Publisher) streamUnit(ep ShardEndpoint, version uint64, u *deltaUnit, e
 			src := int(u.srcRows[i+k]) * u.dim
 			copy(buf[k*u.dim:(k+1)*u.dim], u.data[src:src+u.dim])
 		}
-		data, raw, err := encodeDeltaRows(enc, buf, n, u.dim)
+		rows, err := encodeDeltaRows(enc, buf, n, u.dim)
 		if err != nil {
 			return err
 		}
-		chunk := &UpdateRows{
-			Version: version,
-			Chunk: MigrateChunk{
-				TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
-				RowStart: u.localRows[i], Dim: int32(u.dim), Enc: enc,
-				Data: data, Raw: raw,
-			},
-		}
-		if _, err := p.call(ep, MethodUpdateRows, EncodeUpdateRows(chunk)); err != nil {
+		if _, err := call(MethodStagePut, encodeMsg(&StagePut{
+			Txn: version, TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
+			RowStart: u.localRows[i], Rows: rows,
+		})); err != nil {
 			return err
 		}
 		ev.RowsSent += n
-		ev.Bytes += int64(4*len(data) + len(raw))
+		ev.Bytes += int64(len(rows))
 		i = j
 	}
 	return nil

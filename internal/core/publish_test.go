@@ -77,7 +77,7 @@ func TestPublisherStreamsAndCommits(t *testing.T) {
 	for si := range f.plan.Shards {
 		id := f.plan.Shards[si].Tables[0]
 		// Non-consecutive logical rows split the stream into several
-		// update.rows runs under ChunkRows=2.
+		// stage.put runs under ChunkRows=2.
 		rows := []int32{0, 1, 2, 4, int32(f.m.Config.Tables[id].Rows - 1)}
 		ds.Tables = append(ds.Tables, TableDelta{TableID: id, Rows: rows, Data: modelRows(f.m, id, rows)})
 	}
@@ -164,6 +164,9 @@ func TestPublisherRejectsMalformedDeltas(t *testing.T) {
 		{"dim mismatch", &DeltaSet{Version: 9, Tables: []TableDelta{
 			{TableID: id, Rows: []int32{0}, Data: make([]float32, dim*2)},
 		}}, "dim"},
+		{"version outside the model-version id space", &DeltaSet{Version: anonTxn, Tables: []TableDelta{
+			{TableID: id, Rows: []int32{0}, Data: make([]float32, dim)},
+		}}, "id space"},
 	}
 	for _, tc := range cases {
 		if _, err := pub.Publish(tc.ds); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -173,6 +176,12 @@ func TestPublisherRejectsMalformedDeltas(t *testing.T) {
 	for _, sh := range f.shards {
 		if sh.ModelVersion() != 0 {
 			t.Fatalf("%s committed version %d from a rejected delta", sh.ShardName, sh.ModelVersion())
+		}
+		sh.mu.RLock()
+		open := len(sh.staging)
+		sh.mu.RUnlock()
+		if open != 0 {
+			t.Fatalf("%s still stages %d transactions from rejected deltas", sh.ShardName, open)
 		}
 	}
 }

@@ -2,108 +2,85 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
 
-func TestSnapshotListRoundTrip(t *testing.T) {
-	in := &SnapshotList{Entries: []SnapshotEntry{
+func TestTableListRoundTrip(t *testing.T) {
+	in := &TableList{Tables: []TableShape{
 		{TableID: 3, PartIndex: 0, Rows: 128, Dim: 16, Enc: TierEncFP32},
 		{TableID: 7, PartIndex: 2, Rows: 64, Dim: 32, Enc: TierEncInt8},
 	}}
-	out, err := DecodeSnapshotList(EncodeSnapshotList(in))
+	out, err := decodeMsg[TableList](encodeMsg(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Entries) != len(in.Entries) {
-		t.Fatalf("entries = %d, want %d", len(out.Entries), len(in.Entries))
+	if len(out.Tables) != len(in.Tables) {
+		t.Fatalf("entries = %d, want %d", len(out.Tables), len(in.Tables))
 	}
-	for i := range in.Entries {
-		if out.Entries[i] != in.Entries[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, out.Entries[i], in.Entries[i])
+	for i := range in.Tables {
+		if out.Tables[i] != in.Tables[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, out.Tables[i], in.Tables[i])
 		}
 	}
-	empty, err := DecodeSnapshotList(EncodeSnapshotList(&SnapshotList{}))
-	if err != nil || len(empty.Entries) != 0 {
+	empty, err := decodeMsg[TableList](encodeMsg(&TableList{}))
+	if err != nil || len(empty.Tables) != 0 {
 		t.Fatalf("empty round trip = %+v, %v", empty, err)
 	}
-	if _, err := DecodeSnapshotList([]byte{1, 2}); err == nil {
+	if _, err := decodeMsg[TableList]([]byte{1, 2}); err == nil {
 		t.Error("truncated manifest must not decode")
 	}
 }
 
-// rebuildFixture rebuilds a fresh, empty replacement shard from shard 1
-// of the fixture via the snapshot protocol (in-process caller) and
-// returns it.
-func rebuildFromShard(t *testing.T, peer *SparseShard, tier *TierConfig, chunkRows int) (*SparseShard, RebuildStats) {
+// rebuildFromShard rebuilds a fresh, empty replacement shard from peer
+// (in-process caller) and returns it.
+func rebuildFromShard(t *testing.T, peer *SparseShard, tier *TierConfig) (*SparseShard, RebuildStats) {
 	t.Helper()
 	fresh := NewSparseShard(peer.ShardName, trace.NewRecorder(peer.ShardName+"-rebuilt", 1<<14))
 	if tier != nil {
 		fresh.SetTier(tier)
 	}
 	t.Cleanup(fresh.Close)
-	st, err := fresh.RebuildFromPeer(&localCaller{h: peer}, chunkRows)
+	st, err := fresh.RebuildFromPeer(&localCaller{h: peer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fresh, st
 }
 
-// snapshotReadAll streams a shard's full content for one manifest entry.
-func snapshotReadAll(t *testing.T, sh *SparseShard, e SnapshotEntry) *MigrateReadResponse {
-	t.Helper()
-	out, err := sh.Handle(trace.Context{}, MethodSnapshotRead, EncodeMigrateRead(&MigrateRead{
-		TableID: e.TableID, PartIndex: e.PartIndex, RowCount: e.Rows,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeMigrateReadResponse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
 // requireShardsByteIdentical compares two shards' full table sets via
-// the snapshot surface.
+// table.list and table.read.
 func requireShardsByteIdentical(t *testing.T, a, b *SparseShard) {
 	t.Helper()
-	am, err := a.Handle(trace.Context{}, MethodSnapshotList, nil)
+	am, err := a.Handle(trace.Context{}, MethodTableList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm, err := b.Handle(trace.Context{}, MethodSnapshotList, nil)
+	bm, err := b.Handle(trace.Context{}, MethodTableList, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(am, bm) {
 		t.Fatalf("manifests differ:\n%x\n%x", am, bm)
 	}
-	list, err := DecodeSnapshotList(am)
+	list, err := decodeMsg[TableList](am)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Entries) == 0 {
+	if len(list.Tables) == 0 {
 		t.Fatal("empty manifest proves nothing")
 	}
-	for _, e := range list.Entries {
-		ra, rb := snapshotReadAll(t, a, e), snapshotReadAll(t, b, e)
-		if ra.Enc != rb.Enc {
-			t.Fatalf("table %d part %d: enc %d vs %d", e.TableID, e.PartIndex, ra.Enc, rb.Enc)
-		}
-		if !bytes.Equal(float32Bits(ra.Data), float32Bits(rb.Data)) || !bytes.Equal(ra.Raw, rb.Raw) {
+	for _, e := range list.Tables {
+		ra := readTableRows(t, a, int(e.TableID), int(e.PartIndex))
+		rb := readTableRows(t, b, int(e.TableID), int(e.PartIndex))
+		if !bytes.Equal(ra.Rows, rb.Rows) {
 			t.Fatalf("table %d part %d: row data differs after rebuild", e.TableID, e.PartIndex)
 		}
 	}
-}
-
-func float32Bits(xs []float32) []byte {
-	var w buffer
-	w.f32s(xs)
-	return w.b
 }
 
 // TestRebuildFromPeerFP32 rebuilds an fp32 shard and checks the
@@ -112,10 +89,17 @@ func float32Bits(xs []float32) []byte {
 func TestRebuildFromPeerFP32(t *testing.T) {
 	f := newMigrationFixture(t)
 	src := f.shards[0]
-	// A small chunk size forces multi-chunk streams.
-	rebuilt, st := rebuildFromShard(t, src, nil, 7)
-	if st.Tables != src.NumTables() || st.Bytes == 0 {
-		t.Fatalf("stats = %+v for %d tables", st, src.NumTables())
+	epoch := src.Epoch()
+	rebuilt, st := rebuildFromShard(t, src, nil)
+	if st.Tables != src.NumTables() || st.Bytes != src.Bytes() {
+		t.Fatalf("stats = %+v for %d tables of %d bytes", st, src.NumTables(), src.Bytes())
+	}
+	if rebuilt.Epoch() != 1 || src.Epoch() != epoch {
+		t.Fatalf("rebuild must cut the whole set over at one epoch and leave the peer alone: rebuilt %d, peer %d -> %d",
+			rebuilt.Epoch(), epoch, src.Epoch())
+	}
+	if rebuilt.ModelVersion() != 0 || len(rebuilt.staging) != 0 {
+		t.Fatalf("rebuild left model version %d, %d open transactions", rebuilt.ModelVersion(), len(rebuilt.staging))
 	}
 	requireShardsByteIdentical(t, src, rebuilt)
 
@@ -142,7 +126,7 @@ func TestRebuildFromPeerEncodedTiers(t *testing.T) {
 	f := newTieredMigrationFixture(t, sharding.PrecisionInt8, 0.25)
 	src := f.shards[0]
 	cfg := tinyConfig()
-	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionInt8, 0.25), 5)
+	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionInt8, 0.25))
 	requireShardsByteIdentical(t, src, rebuilt)
 
 	ts := rebuilt.TierSnapshot()
@@ -176,14 +160,26 @@ func TestRebuildFromPeerErrors(t *testing.T) {
 	defer empty.Close()
 	fresh := NewSparseShard("sparse9", trace.NewRecorder("sparse9b", 1<<12))
 	defer fresh.Close()
-	st, err := fresh.RebuildFromPeer(&localCaller{h: empty}, 0)
+	st, err := fresh.RebuildFromPeer(&localCaller{h: empty})
 	if err != nil || st.Tables != 0 {
 		t.Fatalf("empty-peer rebuild = %+v, %v", st, err)
 	}
 
-	// A read for a table the peer dropped mid-rebuild must surface an
-	// error, not a partial install.
-	if _, err := empty.Handle(trace.Context{}, MethodSnapshotRead, EncodeMigrateRead(&MigrateRead{TableID: 3, RowCount: 4})); err == nil {
-		t.Error("snapshot read of an absent table must fail")
+	// A peer that drops a table mid-rebuild must surface an error, not a
+	// partial install: the transaction aborts and nothing is held.
+	f := newMigrationFixture(t)
+	peer := f.shards[0]
+	dropped := f.plan.Shards[0].Tables[len(f.plan.Shards[0].Tables)-1]
+	flaky := rpc.HandlerFunc(func(ctx trace.Context, method string, body []byte) ([]byte, error) {
+		if m, err := decodeMsg[TableRead](body); method == MethodTableRead && err == nil && int(m.TableID) == dropped {
+			peer.ReleaseTable(dropped, 0)
+		}
+		return peer.Handle(ctx, method, body)
+	})
+	if _, err := fresh.RebuildFromPeer(&localCaller{h: flaky}); err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("rebuild from a peer that dropped a table: %v", err)
+	}
+	if fresh.NumTables() != 0 || len(fresh.staging) != 0 {
+		t.Fatalf("failed rebuild left %d tables, %d open transactions", fresh.NumTables(), len(fresh.staging))
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,14 +18,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Version-2 shard files: the persistent-table half of the model-freshness
-// refactor. Where v1 is a plain fp32 row stream a shard must copy into
-// heap tables at boot, v2 lays every table section out page-aligned with
-// a per-section CRC, in the table's *serving* encoding (fp32, fp16, or
-// int8 via the quant codecs) — so a booting shard memory-maps the file
-// and serves lookups straight from the page cache. Boot becomes
-// mmap-and-serve instead of regenerate-everything, and the bytes on disk
-// are bit-identical to what MaterializeShardsTiered would have built.
+// Per-shard model files — the publishing flow of Section III-A1: "After
+// training, during model publishing, parameters are resharded and
+// serialized from parameter servers to the respective inference shard
+// based on a prior partitioning phase." A shard file holds exactly the
+// tables (and row-partitions) one sparse shard serves, so a shard process
+// loads megabytes instead of the whole model.
+//
+// Two versions exist on disk. v1 (read-only here: nothing writes it any
+// more) is a plain fp32 row stream — magic "DRSH" | u32 version=1 | shard
+// | entry count | entries of (tableID, partIndex, numParts, rows, dim,
+// row data) — that must be copied into heap tables at boot. v2, the
+// format every exporter writes, lays every table section out
+// page-aligned with a per-section CRC, in the table's *serving* encoding
+// (fp32, fp16, or int8 via the quant codecs) — so a booting shard
+// memory-maps the file and serves lookups straight from the page cache.
+// Boot becomes mmap-and-serve instead of regenerate-everything, and the
+// bytes on disk are bit-identical to what MaterializeShardsTiered would
+// have built.
 //
 // Layout (all integers little-endian):
 //
@@ -40,10 +50,14 @@ import (
 //	    int8: hdr  = rows fp16 scales ++ rows fp16 biases
 //	          data = rows×stride packed codes
 const (
+	shardMagic        = "DRSH"
+	shardVersion      = 1
 	shardVersion2     = 2
 	shardAlign        = 4096
 	shardDirEntrySize = 64
 )
+
+var errBadShardFile = errors.New("core: malformed shard file")
 
 // alignUp rounds off up to the next section boundary.
 func alignUp(off int64) int64 { return (off + shardAlign - 1) &^ int64(shardAlign-1) }
@@ -320,8 +334,7 @@ func parseShardV2(data []byte, views bool) (*ShardFileData, error) {
 		dataLen := int64(binary.LittleEndian.Uint64(ent[48:]))
 		hdrCRC := binary.LittleEndian.Uint32(ent[56:])
 		dataCRC := binary.LittleEndian.Uint32(ent[60:])
-		if t.Rows <= 0 || t.Dim <= 0 || t.Rows > 1<<28 || t.Dim > 1<<12 ||
-			t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
+		if !validTableShape(t.Rows, t.Dim) || t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
 			return nil, fmt.Errorf("%w: entry %d shape %dx%d part %d/%d", errBadShardFile, i, t.Rows, t.Dim, t.PartIndex, t.NumParts)
 		}
 		wantHdr, wantData, err := sectionSizes(t.Enc, t.Rows, t.Dim)
@@ -448,8 +461,7 @@ func parseShardV1(data []byte) (*ShardFileData, error) {
 			Enc:       TierEncFP32,
 		}
 		off += 20
-		if t.Rows <= 0 || t.Dim <= 0 || t.Rows > 1<<28 || t.Dim > 1<<12 ||
-			t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
+		if !validTableShape(t.Rows, t.Dim) || t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
 			return nil, fmt.Errorf("%w: entry %d shape %dx%d part %d/%d", errBadShardFile, i, t.Rows, t.Dim, t.PartIndex, t.NumParts)
 		}
 		n := 4 * t.Rows * t.Dim
@@ -481,7 +493,7 @@ func LoadShardFile(data []byte) (*ShardFileData, error) {
 }
 
 // nopCloser is the closer OpenShardFile returns when the shard's tables
-// own their storage (heap decode or v1 import).
+// own their storage (heap decode).
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
@@ -501,14 +513,13 @@ func OpenShardFile(path string, rec *trace.Recorder) (sh *SparseShard, shard int
 		return nil, 0, nil, fmt.Errorf("%w: bad magic", errBadShardFile)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != shardVersion2 {
-		// v1 (or future versions ImportShard learns first): decode into
-		// the heap; the mapping is not needed after import.
+		// v1: decode into the heap; the mapping is not needed after.
 		defer mf.Close()
-		sh, shard, err = ImportShard(bytes.NewReader(data), rec)
+		sf, err := LoadShardFile(data)
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		return sh, shard, nopCloser{}, nil
+		return sf.NewShard(rec), sf.Shard, nopCloser{}, nil
 	}
 	views := mmapfile.ViewsUsable()
 	sf, err := parseShardV2(data, views)

@@ -52,6 +52,24 @@ func compareShards(t *testing.T, cfg *model.Config, a *sharding.Assignment, got,
 	}
 }
 
+// The committed v1 fixtures (testdata/shardv1): shards 1 (whole tables)
+// and 4 (one row-partition) of v1FixtureConfig under NSBP×4, written by
+// the v1 exporter before it was deleted. v1 has no writer any more, so
+// these files are the only way tests exercise the v1 read path.
+const (
+	v1TablesFixture = "testdata/shardv1/DRM3.shard1"
+	v1PartFixture   = "testdata/shardv1/DRM3.shard4"
+)
+
+func v1FixtureConfig() model.Config {
+	cfg := model.DRM3()
+	cfg.Tables[0].Rows = 64
+	for i := 1; i < len(cfg.Tables); i++ {
+		cfg.Tables[i].Rows = 4
+	}
+	return cfg
+}
+
 func bitsEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -94,14 +112,19 @@ func TestExportImportShardV2Identity(t *testing.T) {
 				if err := ExportShardV2(m, plan, shard, &buf, tier.Plan); err != nil {
 					t.Fatal(err)
 				}
-				sh, gotShard, err := ImportShard(bytes.NewReader(buf.Bytes()), trace.NewRecorder("x", 64))
+				sf, err := LoadShardFile(buf.Bytes())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotShard != shard {
-					t.Fatalf("imported shard %d, want %d", gotShard, shard)
+				if sf.Shard != shard {
+					t.Fatalf("imported shard %d, want %d", sf.Shard, shard)
 				}
-				compareShards(t, &cfg, &plan.Shards[shard-1], sh, want[shard-1])
+				sh := sf.NewShard(trace.NewRecorder("x", 64))
+				a := &plan.Shards[shard-1]
+				if sh.NumTables() != sharding.ShardTableCount(a) {
+					t.Fatalf("shard %d holds %d tables, want %d", shard, sh.NumTables(), sharding.ShardTableCount(a))
+				}
+				compareShards(t, &cfg, a, sh, want[shard-1])
 			}
 		})
 	}
@@ -117,9 +140,7 @@ func TestOpenShardFileMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := tierConfigFor(&cfg, sharding.PrecisionInt8, 0)
-	dir := t.TempDir()
-
-	v2path := filepath.Join(dir, "v2.shard1")
+	v2path := filepath.Join(t.TempDir(), "v2.shard1")
 	f, err := os.Create(v2path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +155,7 @@ func TestOpenShardFileMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, _, err := ImportShard(bytes.NewReader(raw), trace.NewRecorder("x", 64))
+	heap, err := LoadShardFile(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,37 +167,81 @@ func TestOpenShardFileMmap(t *testing.T) {
 	if shard != 1 {
 		t.Fatalf("opened shard %d, want 1", shard)
 	}
-	compareShards(t, &cfg, &plan.Shards[0], sh, heap)
+	compareShards(t, &cfg, &plan.Shards[0], sh, heap.NewShard(trace.NewRecorder("x", 64)))
 
-	// v1 files open through the same entry point (heap decode).
-	v1path := filepath.Join(dir, "v1.shard2")
-	f, err = os.Create(v1path)
+	// v1 files open through the same entry point (heap decode) and serve
+	// what materializing the same model and plan serves — whole tables
+	// and a row partition alike.
+	v1cfg := v1FixtureConfig()
+	v1plan, err := sharding.NSBP(&v1cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExportShard(m, plan, 2, f); err != nil {
-		t.Fatal(err)
+	recs := make([]*trace.Recorder, v1plan.NumShards)
+	for i := range recs {
+		recs[i] = trace.NewRecorder(ServiceName(i+1), 64)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	shV1, shardV1, closerV1, err := OpenShardFile(v1path, trace.NewRecorder("x", 64))
+	want, err := MaterializeShards(model.Build(v1cfg), v1plan, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closerV1.Close()
-	if shardV1 != 2 {
-		t.Fatalf("opened shard %d, want 2", shardV1)
+	for path, wantShard := range map[string]int{v1TablesFixture: 1, v1PartFixture: 4} {
+		shV1, shardV1, closerV1, err := OpenShardFile(path, trace.NewRecorder("x", 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closerV1.Close()
+		a := &v1plan.Shards[wantShard-1]
+		if shardV1 != wantShard || shV1.NumTables() != sharding.ShardTableCount(a) {
+			t.Fatalf("%s: opened shard %d with %d tables, want shard %d with %d",
+				path, shardV1, shV1.NumTables(), wantShard, sharding.ShardTableCount(a))
+		}
+		compareShards(t, &v1cfg, a, shV1, want[wantShard-1])
+	}
+	if len(v1plan.Shards[3].Parts) == 0 || len(v1plan.Shards[0].Tables) == 0 {
+		t.Fatal("v1 fixtures no longer cover both a partition and whole tables")
+	}
+}
+
+// TestShardFileV1RejectsCorruption: the v1 reader refuses a bad magic
+// and every truncation (header, entry meta, row data).
+func TestShardFileV1RejectsCorruption(t *testing.T) {
+	full, err := os.ReadFile(v1TablesFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardFile(full); err != nil {
+		t.Fatalf("pristine fixture rejected: %v", err)
+	}
+	bad := append([]byte(nil), full...)
+	bad[0] = 'X'
+	if _, err := LoadShardFile(bad); err == nil {
+		t.Error("bad magic accepted")
+	}
+	for _, cut := range []int{4, 15, 40, len(full) - 7} {
+		if _, err := LoadShardFile(full[:cut]); err == nil {
+			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+func TestExportShardV2Errors(t *testing.T) {
+	cfg := tinyConfig()
+	m := model.Build(cfg)
+	plan, err := sharding.CapacityBalanced(&cfg, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ExportShard(m, plan, 2, &buf); err != nil {
-		t.Fatal(err)
+	if err := ExportShardV2(m, sharding.Singular(&cfg), 1, &buf, nil); err == nil {
+		t.Error("singular export should fail")
 	}
-	heapV1, _, err := ImportShard(&buf, trace.NewRecorder("x", 64))
-	if err != nil {
-		t.Fatal(err)
+	if err := ExportShardV2(m, plan, 0, &buf, nil); err == nil {
+		t.Error("shard 0 should fail")
 	}
-	compareShards(t, &cfg, &plan.Shards[1], shV1, heapV1)
+	if err := ExportShardV2(m, plan, 3, &buf, nil); err == nil {
+		t.Error("out-of-range shard should fail")
+	}
 }
 
 // TestShardFileV2RejectsCorruption flips bytes across the file and
@@ -195,7 +260,6 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	rec := trace.NewRecorder("x", 4)
 
 	if _, err := LoadShardFile(full); err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
@@ -208,9 +272,6 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 		if _, err := LoadShardFile(bad); err == nil {
 			t.Errorf("corruption at byte %d accepted", pos)
 		}
-		if _, _, err := ImportShard(bytes.NewReader(bad), rec); err == nil {
-			t.Errorf("ImportShard accepted corruption at byte %d", pos)
-		}
 	}
 	for _, cut := range []int{15, 40, shardAlign + 5, len(full) - 3} {
 		if _, err := LoadShardFile(full[:cut]); err == nil {
@@ -220,41 +281,46 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 }
 
 // TestLoadShardFileVersions checks the tooling loader reads both
-// versions into the same structured form.
+// versions into the same structured form: each committed v1 fixture
+// against a v2 export of the same model, plan and shard.
 func TestLoadShardFileVersions(t *testing.T) {
-	cfg := tinyConfig()
+	cfg := v1FixtureConfig()
 	m := model.Build(cfg)
-	plan, err := sharding.CapacityBalanced(&cfg, 2)
+	plan, err := sharding.NSBP(&cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := ExportShard(m, plan, 1, &v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExportShardV2(m, plan, 1, &v2, nil); err != nil {
-		t.Fatal(err)
-	}
-	a, err := LoadShardFile(v1.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadShardFile(v2.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Shard != b.Shard || len(a.Tables) != len(b.Tables) {
-		t.Fatalf("v1 %d tables shard %d, v2 %d tables shard %d", len(a.Tables), a.Shard, len(b.Tables), b.Shard)
-	}
-	for i := range a.Tables {
-		ta, tb := a.Tables[i], b.Tables[i]
-		if ta.TableID != tb.TableID || ta.Rows != tb.Rows || ta.Dim != tb.Dim || ta.Enc != tb.Enc {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, ta, tb)
+	for path, shard := range map[string]int{v1TablesFixture: 1, v1PartFixture: 4} {
+		v1, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		da := ta.Table.(*embedding.Dense)
-		db := tb.Table.(*embedding.Dense)
-		if !bitsEqual(da.Data, db.Data) {
-			t.Fatalf("entry %d rows differ between versions", i)
+		var v2 bytes.Buffer
+		if err := ExportShardV2(m, plan, shard, &v2, nil); err != nil {
+			t.Fatal(err)
+		}
+		a, err := LoadShardFile(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadShardFile(v2.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Shard != b.Shard || len(a.Tables) != len(b.Tables) {
+			t.Fatalf("v1 %d tables shard %d, v2 %d tables shard %d", len(a.Tables), a.Shard, len(b.Tables), b.Shard)
+		}
+		for i := range a.Tables {
+			ta, tb := a.Tables[i], b.Tables[i]
+			if ta.TableID != tb.TableID || ta.PartIndex != tb.PartIndex || ta.NumParts != tb.NumParts ||
+				ta.Rows != tb.Rows || ta.Dim != tb.Dim || ta.Enc != tb.Enc {
+				t.Fatalf("entry %d differs: %+v vs %+v", i, ta, tb)
+			}
+			da := ta.Table.(*embedding.Dense)
+			db := tb.Table.(*embedding.Dense)
+			if !bitsEqual(da.Data, db.Data) {
+				t.Fatalf("entry %d rows differ between versions", i)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,22 @@ func (k tableKey) loadKey() sharding.TableLoadKey {
 	return sharding.TableLoadKey{TableID: k.id, PartIndex: k.part}
 }
 
+// sortedTableKeys returns m's keys in (id, part) order, for walks whose
+// outcome must not depend on map iteration order.
+func sortedTableKeys[V any](m map[tableKey]V) []tableKey {
+	keys := make([]tableKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].id != keys[j].id {
+			return keys[i].id < keys[j].id
+		}
+		return keys[i].part < keys[j].part
+	})
+	return keys
+}
+
 // forwardTarget routes lookups for a migrated-away table to the shard
 // that now holds it.
 type forwardTarget struct {
@@ -36,11 +53,10 @@ type forwardTarget struct {
 // partitions) a sharding plan assigns to it. Table storage is immutable
 // once installed — the property Section III-A1 requires so shards can be
 // replicated and restarted freely — but the *set* of tables a shard
-// holds changes under online resharding: the migration protocol streams
-// row ranges into a staging area, commits them at a new forwarding
-// epoch, and the source either double-reads its retained copy or
-// forwards stragglers, so lookups in flight across a cutover are never
-// wrong.
+// holds changes through staged transactions (stage.go): a driver fills
+// shadow copies and commits them at a new forwarding epoch, and a
+// migration source either double-reads its retained copy or forwards
+// stragglers, so lookups in flight across a cutover are never wrong.
 type SparseShard struct {
 	// ShardName labels spans ("sparse3").
 	ShardName string
@@ -52,13 +68,12 @@ type SparseShard struct {
 	// destination (tests inject in-process callers); nil uses rpc.Dial.
 	DialForward func(addr string) (rpc.Caller, error)
 
-	mu       sync.RWMutex
-	tables   map[tableKey]embedding.Table
-	staging  map[tableKey]*stagedTable
+	mu     sync.RWMutex
+	tables map[tableKey]embedding.Table
+	// staging holds every open transaction's shadow copies, committed or
+	// aborted as a set (stage.go).
+	staging  map[uint64]map[tableKey]*stagedTable
 	forwards map[tableKey]*forwardTarget
-	// updates holds per-version freshness staging (sparse.update.*):
-	// cloned cold tiers with delta rows overlaid, committed as a set.
-	updates map[uint64]map[tableKey]*stagedTable
 	// tier, when non-nil, enables the tiered store: tables install behind
 	// a hot-row cache over a (possibly quantized) cold tier. Guarded by mu.
 	tier *TierConfig
@@ -67,8 +82,8 @@ type SparseShard struct {
 	fwdClients map[string]rpc.Caller
 
 	epoch atomic.Uint64
-	// modelVersion is the highest committed update version — the
-	// freshness gauge exported as "<shard>.model_version".
+	// modelVersion is the highest committed model-version transaction —
+	// the freshness gauge exported as "<shard>.model_version".
 	modelVersion atomic.Uint64
 
 	// met holds the shard's metric handles (nil no-ops until SetObs).
@@ -88,9 +103,8 @@ func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 		ShardName:  name,
 		rec:        rec,
 		tables:     make(map[tableKey]embedding.Table),
-		staging:    make(map[tableKey]*stagedTable),
+		staging:    make(map[uint64]map[tableKey]*stagedTable),
 		forwards:   make(map[tableKey]*forwardTarget),
-		updates:    make(map[uint64]map[tableKey]*stagedTable),
 		fwdClients: make(map[string]rpc.Caller),
 		load:       sharding.NewLoadSummary(),
 	}
@@ -104,38 +118,30 @@ type shardMetrics struct {
 	opNs     *obs.Histogram // local pooling-net execution time
 	forwards *obs.Counter   // forward calls issued to destination shards
 
-	migrateBegins  *obs.Counter
-	migrateChunks  *obs.Counter
-	migrateBytes   *obs.Counter // streamed chunk payload bytes received
-	migrateCommits *obs.Counter
-	snapshotReads  *obs.Counter // migrate/snapshot row-range reads served
-
-	updateBegins  *obs.Counter
-	updateRows    *obs.Counter
-	updateBytes   *obs.Counter // delta row payload bytes received
-	updateCommits *obs.Counter
+	// served counts control-plane calls per method, for the methods the
+	// method table gives a counter name.
+	served     map[string]*obs.Counter
+	stageBytes *obs.Counter // stage.put row payload bytes received
 }
 
 // SetObs attaches a metrics registry: counters and histograms under the
-// shard's name ("sparse1.sparse.run_ns", "sparse1.migrate.chunks", ...)
+// shard's name ("sparse1.sparse.run_ns", "sparse1.stage.puts", ...)
 // plus a probe group exporting the tiered store's state at snapshot
 // time. Call before serving begins.
 func (s *SparseShard) SetObs(reg *obs.Registry) {
 	p := s.ShardName + "."
 	s.met = shardMetrics{
-		runCalls:       reg.Counter(p + "sparse.calls"),
-		runNs:          reg.Histogram(p + "sparse.run_ns"),
-		opNs:           reg.Histogram(p + "sparse.op_ns"),
-		forwards:       reg.Counter(p + "sparse.forwards"),
-		migrateBegins:  reg.Counter(p + "migrate.begins"),
-		migrateChunks:  reg.Counter(p + "migrate.chunks"),
-		migrateBytes:   reg.Counter(p + "migrate.bytes"),
-		migrateCommits: reg.Counter(p + "migrate.commits"),
-		snapshotReads:  reg.Counter(p + "snapshot.reads"),
-		updateBegins:   reg.Counter(p + "update.begins"),
-		updateRows:     reg.Counter(p + "update.rows"),
-		updateBytes:    reg.Counter(p + "update.bytes"),
-		updateCommits:  reg.Counter(p + "update.commits"),
+		runCalls:   reg.Counter(p + "sparse.calls"),
+		runNs:      reg.Histogram(p + "sparse.run_ns"),
+		opNs:       reg.Histogram(p + "sparse.op_ns"),
+		forwards:   reg.Counter(p + "sparse.forwards"),
+		served:     make(map[string]*obs.Counter),
+		stageBytes: reg.Counter(p + "stage.bytes"),
+	}
+	for _, m := range shardMethods {
+		if m.counter != "" {
+			s.met.served[m.name] = reg.Counter(p + m.counter)
+		}
 	}
 	reg.RegisterProbeGroup(func(emit func(string, int64)) {
 		ts := s.TierSnapshot()
@@ -171,7 +177,6 @@ func (s *SparseShard) InstallTable(id, part int, t embedding.Table) {
 	key := tableKey{id: id, part: part}
 	s.tables[key] = s.tierWrap(id, t)
 	delete(s.forwards, key)
-	delete(s.staging, key)
 	s.mu.Unlock()
 	s.epoch.Add(1)
 	s.retier()
@@ -257,41 +262,53 @@ func (s *SparseShard) Close() {
 	}
 }
 
-// Handle implements rpc.Handler: the serving path ("sparse.run") plus
-// the online-resharding control plane (load collection and the live
-// migration protocol).
+// shardMethod is one row of the shard's wire surface.
+type shardMethod struct {
+	name   string
+	handle func(*SparseShard, trace.Context, []byte) ([]byte, error)
+	// control marks control-plane methods: Handle wraps them in a
+	// LayerMigration span named after the method and prefixes their
+	// errors. The serving path records its own serde and operator spans.
+	control bool
+	// counter names the per-shard counter of served calls ("" = none).
+	counter string
+}
+
+// shardMethods is everything a sparse shard serves: the serving path,
+// load collection, and the staged table-set transaction.
+var shardMethods = []shardMethod{
+	{MethodSparseRun, (*SparseShard).handleRun, false, ""},
+	{MethodSparseLoad, (*SparseShard).handleLoad, true, ""},
+	{MethodStageBegin, (*SparseShard).handleStageBegin, true, "stage.begins"},
+	{MethodStagePut, (*SparseShard).handleStagePut, true, "stage.puts"},
+	{MethodStageCommit, (*SparseShard).handleStageCommit, true, "stage.commits"},
+	{MethodStageAbort, (*SparseShard).handleStageAbort, true, ""},
+	{MethodTableList, (*SparseShard).handleTableList, true, ""},
+	{MethodTableRead, (*SparseShard).handleTableRead, true, "table.reads"},
+	{MethodTableForward, (*SparseShard).handleTableForward, true, ""},
+}
+
+// Handle implements rpc.Handler by dispatching through shardMethods.
 func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]byte, error) {
-	switch method {
-	case MethodSparseRun:
-		return s.handleRun(ctx, body)
-	case MethodSparseLoad:
-		return s.handleLoad(body)
-	case MethodMigrateBegin:
-		return s.handleMigrateBegin(ctx, body)
-	case MethodMigrateRead:
-		return s.handleMigrateRead(ctx, body)
-	case MethodMigrateChunk:
-		return s.handleMigrateChunk(ctx, body)
-	case MethodMigrateCommit:
-		return s.handleMigrateCommit(ctx, body)
-	case MethodMigrateAbort:
-		return s.handleMigrateAbort(body)
-	case MethodMigrateForward:
-		return s.handleMigrateForward(body)
-	case MethodUpdateBegin:
-		return s.handleUpdateBegin(ctx, body)
-	case MethodUpdateRows:
-		return s.handleUpdateRows(ctx, body)
-	case MethodUpdateCommit:
-		return s.handleUpdateCommit(ctx, body)
-	case MethodUpdateAbort:
-		return s.handleUpdateAbort(body)
-	case MethodSnapshotList:
-		return s.handleSnapshotList(body)
-	case MethodSnapshotRead:
-		// Snapshot reads are migration reads over the whole table set:
-		// same codec, same encoding-aware row streaming.
-		return s.handleMigrateRead(ctx, body)
+	for i := range shardMethods {
+		m := &shardMethods[i]
+		if m.name != method {
+			continue
+		}
+		if !m.control {
+			return m.handle(s, ctx, body)
+		}
+		start := s.rec.Now()
+		out, err := m.handle(s, ctx, body)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %s: %w", s.ShardName, method, err)
+		}
+		s.rec.Record(trace.Span{
+			TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerMigration,
+			Name: method, Start: start, Dur: s.rec.Now().Sub(start),
+		})
+		s.met.served[method].Inc()
+		return out, nil
 	}
 	return nil, fmt.Errorf("core: %s: unknown method %q", s.ShardName, method)
 }
@@ -500,10 +517,10 @@ func (s *SparseShard) issueForwards(ctx trace.Context, net string, forwarded []r
 	}
 }
 
-func (s *SparseShard) handleLoad(body []byte) ([]byte, error) {
-	req, err := DecodeLoadRequest(body)
+func (s *SparseShard) handleLoad(_ trace.Context, body []byte) ([]byte, error) {
+	req, err := decodeMsg[LoadRequest](body)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
+		return nil, err
 	}
 	out := EncodeLoadSummary(s.LoadSnapshot(req.Reset))
 	if req.Reset {
@@ -514,179 +531,6 @@ func (s *SparseShard) handleLoad(body []byte) ([]byte, error) {
 		s.retier()
 	}
 	return out, nil
-}
-
-func (s *SparseShard) handleMigrateBegin(ctx trace.Context, body []byte) ([]byte, error) {
-	m, err := DecodeMigrateBegin(body)
-	if err != nil {
-		return nil, err
-	}
-	if m.Rows <= 0 || m.Dim <= 0 {
-		return nil, fmt.Errorf("core: %s: migrate begin with shape %dx%d", s.ShardName, m.Rows, m.Dim)
-	}
-	start := s.rec.Now()
-	stage, err := newStaged(m.Enc, m.Rows, m.Dim)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
-	}
-	s.mu.Lock()
-	s.staging[tableKey{id: int(m.TableID), part: int(m.PartIndex)}] = stage
-	s.mu.Unlock()
-	s.rec.Record(trace.Span{
-		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerMigration,
-		Name:  fmt.Sprintf("migrate/begin/t%d.%d", m.TableID, m.PartIndex),
-		Start: start, Dur: s.rec.Now().Sub(start),
-	})
-	s.met.migrateBegins.Inc()
-	return nil, nil
-}
-
-func (s *SparseShard) handleMigrateRead(ctx trace.Context, body []byte) ([]byte, error) {
-	m, err := DecodeMigrateRead(body)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	tab, ok := s.tables[tableKey{id: int(m.TableID), part: int(m.PartIndex)}]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, m.TableID, m.PartIndex)
-	}
-	cold := coldOf(tab)
-	enc, err := tableEnc(tab)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: table %d part %d: %w", s.ShardName, m.TableID, m.PartIndex, err)
-	}
-	resp := &MigrateReadResponse{Rows: int32(cold.NumRows()), Dim: int32(cold.Dim()), Enc: enc}
-	if m.RowCount > 0 {
-		lo, hi := int(m.RowStart), int(m.RowStart+m.RowCount)
-		if lo < 0 || hi > cold.NumRows() || lo >= hi {
-			return nil, fmt.Errorf("core: %s: migrate read rows [%d, %d) of %d", s.ShardName, lo, hi, cold.NumRows())
-		}
-		start := s.rec.Now()
-		// Stream the cold tier's native encoding: fp32 rows as float32
-		// payload (the original protocol), encoded tiers as verbatim
-		// bytes, so the destination's copy is bit-identical.
-		switch ct := cold.(type) {
-		case *embedding.Dense:
-			resp.Data = append([]float32(nil), ct.Data[lo*ct.Dim():hi*ct.Dim()]...)
-		case *embedding.FP16:
-			resp.Raw = ct.Encoding().AppendRowRange(nil, lo, hi)
-		case *embedding.Quantized:
-			resp.Raw = ct.Encoding().AppendRowRange(nil, lo, hi)
-		}
-		s.rec.Record(trace.Span{
-			TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerMigration,
-			Name:  fmt.Sprintf("migrate/read/t%d.%d", m.TableID, m.PartIndex),
-			Start: start, Dur: s.rec.Now().Sub(start),
-		})
-		s.met.snapshotReads.Inc()
-	}
-	return EncodeMigrateReadResponse(resp), nil
-}
-
-func (s *SparseShard) handleMigrateChunk(ctx trace.Context, body []byte) ([]byte, error) {
-	m, err := DecodeMigrateChunk(body)
-	if err != nil {
-		return nil, err
-	}
-	key := tableKey{id: int(m.TableID), part: int(m.PartIndex)}
-	s.mu.RLock()
-	stage, ok := s.staging[key]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: %s: migrate chunk for table %d part %d without begin", s.ShardName, m.TableID, m.PartIndex)
-	}
-	if int(m.Dim) != stage.dim() {
-		return nil, fmt.Errorf("core: %s: migrate chunk dim %d for staged dim %d", s.ShardName, m.Dim, stage.dim())
-	}
-	if m.Enc != stage.enc {
-		return nil, fmt.Errorf("core: %s: migrate chunk encoding %d for staged encoding %d", s.ShardName, m.Enc, stage.enc)
-	}
-	start := s.rec.Now()
-	// Chunks target disjoint row ranges of preallocated staging storage,
-	// so copies need no lock; the staging map itself is read-locked.
-	if stage.enc == TierEncFP32 {
-		if err := stage.writeF32(int(m.RowStart), m.Data); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
-		}
-	} else if _, err := stage.writeRaw(int(m.RowStart), m.Raw); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
-	}
-	s.rec.Record(trace.Span{
-		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerMigration,
-		Name:  fmt.Sprintf("migrate/chunk/t%d.%d", m.TableID, m.PartIndex),
-		Start: start, Dur: s.rec.Now().Sub(start),
-	})
-	s.met.migrateChunks.Inc()
-	s.met.migrateBytes.Add(int64(4*len(m.Data) + len(m.Raw)))
-	return nil, nil
-}
-
-func (s *SparseShard) handleMigrateCommit(ctx trace.Context, body []byte) ([]byte, error) {
-	m, err := DecodeMigrateCommit(body)
-	if err != nil {
-		return nil, err
-	}
-	key := tableKey{id: int(m.TableID), part: int(m.PartIndex)}
-	s.mu.Lock()
-	stage, ok := s.staging[key]
-	var tab embedding.Table
-	if ok {
-		var err error
-		if tab, err = stage.table(); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("core: %s: migrate commit: %w", s.ShardName, err)
-		}
-		delete(s.staging, key)
-		// The committed copy starts with a cold cache: tierWrap fronts it
-		// with an empty one (nothing from the source's cache can leak in),
-		// and keeps the streamed encoding as-is.
-		s.tables[key] = s.tierWrap(key.id, tab)
-		delete(s.forwards, key)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: %s: migrate commit for table %d part %d without begin", s.ShardName, m.TableID, m.PartIndex)
-	}
-	epoch := s.epoch.Add(1)
-	s.retier()
-	s.met.migrateCommits.Inc()
-	s.rec.Record(trace.Span{
-		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerMigration,
-		Name:  fmt.Sprintf("migrate/commit/t%d.%d", m.TableID, m.PartIndex),
-		Start: s.rec.Now(),
-	})
-	return EncodeEpochResponse(&EpochResponse{Epoch: epoch}), nil
-}
-
-// handleMigrateAbort discards staged storage for a move the
-// orchestrator gave up on, so a failed stream does not strand a
-// table-sized staging buffer. Aborting a key that was never begun (or
-// already committed) is a no-op, making the cleanup safe to fire
-// unconditionally.
-func (s *SparseShard) handleMigrateAbort(body []byte) ([]byte, error) {
-	m, err := DecodeMigrateCommit(body)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	delete(s.staging, tableKey{id: int(m.TableID), part: int(m.PartIndex)})
-	s.mu.Unlock()
-	return nil, nil
-}
-
-func (s *SparseShard) handleMigrateForward(body []byte) ([]byte, error) {
-	m, err := DecodeMigrateForward(body)
-	if err != nil {
-		return nil, err
-	}
-	caller, err := s.forwardCaller(m.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: dialing forward %s (%s): %w", s.ShardName, m.Service, m.Addr, err)
-	}
-	s.BeginForward(int(m.TableID), int(m.PartIndex), m.Service, caller, m.Release)
-	return EncodeEpochResponse(&EpochResponse{Epoch: s.Epoch()}), nil
 }
 
 // forwardCaller returns a cached (or freshly dialed) caller for a

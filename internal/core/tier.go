@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/embedding"
 	"repro/internal/quant"
@@ -24,7 +23,7 @@ import (
 // source that releases its copy drops the cache with it; the double-read
 // grace window keeps serving from the retained copy's cache, which stays
 // valid because table storage is immutable. Encoded (fp16/int8) tables
-// stream their cold-tier bytes verbatim through sparse.migrate.*, so a
+// stream their cold-tier bytes verbatim (table.read → stage.put), so a
 // moved table is bit-identical to the source's — the PR-2 double-read
 // identity guarantee holds with tiering enabled.
 
@@ -38,7 +37,7 @@ type TierConfig struct {
 	Plan *sharding.TierPlan
 }
 
-// Cold-tier encodings on the migration wire (MigrateBegin.Enc et al).
+// Cold-tier encodings on the wire (TableShape.Enc).
 const (
 	TierEncFP32 int32 = 0
 	TierEncFP16 int32 = 1
@@ -54,27 +53,12 @@ func coldOf(t embedding.Table) embedding.Table {
 	return t
 }
 
-// tableEnc classifies a table's cold-tier encoding for the wire.
-func tableEnc(t embedding.Table) (int32, error) {
-	switch cold := coldOf(t).(type) {
-	case *embedding.Dense:
-		return TierEncFP32, nil
-	case *embedding.FP16:
-		return TierEncFP16, nil
-	case *embedding.Quantized:
-		if cold.Encoding().Bits == quant.Bits4 {
-			return TierEncInt4, nil
-		}
-		return TierEncInt8, nil
-	default:
-		return 0, fmt.Errorf("core: cannot stream rows of %T", t)
-	}
-}
-
-// tierEncStride returns the wire bytes per row of an encoded (non-fp32)
-// tier at the given dim.
+// tierEncStride returns the wire bytes per row of a cold tier at the
+// given dim — fp32 is simply the 4·dim case.
 func tierEncStride(enc, dim int32) (int, error) {
 	switch enc {
+	case TierEncFP32:
+		return 4 * int(dim), nil
 	case TierEncFP16:
 		return 2 * int(dim), nil
 	case TierEncInt8:
@@ -82,82 +66,81 @@ func tierEncStride(enc, dim int32) (int, error) {
 	case TierEncInt4:
 		return 4 + (int(dim)+1)/2, nil
 	}
-	return 0, fmt.Errorf("core: no raw row stride for encoding %d", enc)
+	return 0, fmt.Errorf("core: unknown cold-tier encoding %d", enc)
 }
 
-// stagedTable is migration staging storage in the destination's native
-// cold-tier encoding: chunks land as verbatim encoded bytes, so the
-// committed table is bit-identical to the source's.
-type stagedTable struct {
-	enc   int32
-	dense *embedding.Dense
-	fp16  *quant.FP16Rows
-	q     *quant.RowQuantized
+// rowStore is cold-tier storage that reads and writes row ranges in its
+// wire encoding: the one form table rows take between shards, so a
+// streamed table is bit-identical to its source at every precision.
+type rowStore interface {
+	AppendRowRange(dst []byte, lo, hi int) []byte
+	SetRowRange(lo int, raw []byte) (int, error)
 }
 
-func newStaged(enc, rows, dim int32) (*stagedTable, error) {
-	st := &stagedTable{enc: enc}
-	switch enc {
+// rowsOf exposes a table's cold tier as a rowStore and classifies its
+// wire encoding.
+func rowsOf(t embedding.Table) (rowStore, int32, error) {
+	switch cold := coldOf(t).(type) {
+	case *embedding.Dense:
+		return cold, TierEncFP32, nil
+	case *embedding.FP16:
+		return cold.Encoding(), TierEncFP16, nil
+	case *embedding.Quantized:
+		if cold.Encoding().Bits == quant.Bits4 {
+			return cold.Encoding(), TierEncInt4, nil
+		}
+		return cold.Encoding(), TierEncInt8, nil
+	}
+	return nil, 0, fmt.Errorf("core: cannot stream rows of %T", t)
+}
+
+// newRowStore allocates zeroed storage for a shape.
+func newRowStore(sh TableShape) (rowStore, error) {
+	rows, dim := int(sh.Rows), int(sh.Dim)
+	switch sh.Enc {
 	case TierEncFP32:
-		st.dense = embedding.NewDense(int(rows), int(dim))
+		return embedding.NewDense(rows, dim), nil
 	case TierEncFP16:
-		st.fp16 = quant.NewFP16Rows(int(rows), int(dim))
+		return quant.NewFP16Rows(rows, dim), nil
 	case TierEncInt8:
-		st.q = quant.NewRowQuantizedEmpty(int(rows), int(dim), quant.Bits8)
+		return quant.NewRowQuantizedEmpty(rows, dim, quant.Bits8), nil
 	case TierEncInt4:
-		st.q = quant.NewRowQuantizedEmpty(int(rows), int(dim), quant.Bits4)
-	default:
-		return nil, fmt.Errorf("core: migrate begin with unknown encoding %d", enc)
+		return quant.NewRowQuantizedEmpty(rows, dim, quant.Bits4), nil
 	}
-	return st, nil
+	return nil, fmt.Errorf("core: unknown cold-tier encoding %d", sh.Enc)
 }
 
-func (st *stagedTable) dim() int {
-	switch st.enc {
-	case TierEncFP32:
-		return st.dense.Dim()
-	case TierEncFP16:
-		return st.fp16.Cols
-	default:
-		return st.q.Cols
+// cloneRows copies storage into the heap in the same encoding. The
+// source may be mmap-backed and is never written through.
+func cloneRows(src rowStore) rowStore {
+	switch s := src.(type) {
+	case *embedding.Dense:
+		return &embedding.Dense{RowsN: s.RowsN, DimN: s.DimN, Data: append([]float32(nil), s.Data...)}
+	case *quant.FP16Rows:
+		c := quant.NewFP16Rows(s.Rows, s.Cols)
+		copy(c.Data, s.Data)
+		return c
+	case *quant.RowQuantized:
+		c := quant.NewRowQuantizedEmpty(s.Rows, s.Cols, s.Bits)
+		copy(c.Scales, s.Scales)
+		copy(c.Biases, s.Biases)
+		copy(c.Packed, s.Packed)
+		return c
 	}
+	panic(fmt.Sprintf("core: cloneRows of %T", src))
 }
 
-// writeF32 lands an fp32 chunk (the original protocol's payload).
-func (st *stagedTable) writeF32(lo int, data []float32) error {
-	if st.enc != TierEncFP32 {
-		return fmt.Errorf("core: fp32 chunk for encoding %d staging", st.enc)
+// tableOf materializes storage as a serving table.
+func tableOf(rows rowStore) (embedding.Table, error) {
+	switch s := rows.(type) {
+	case *embedding.Dense:
+		return s, nil
+	case *quant.FP16Rows:
+		return embedding.FP16FromEncoding(s), nil
+	case *quant.RowQuantized:
+		return embedding.QuantizedFromEncoding(s.Rows, s.Cols, int(s.Bits), s.Scales, s.Biases, s.Packed)
 	}
-	d := st.dense.Dim()
-	rows := len(data) / d
-	if lo < 0 || lo+rows > st.dense.NumRows() {
-		return fmt.Errorf("core: migrate chunk rows [%d, %d) of %d", lo, lo+rows, st.dense.NumRows())
-	}
-	copy(st.dense.Data[lo*d:(lo+rows)*d], data)
-	return nil
-}
-
-// writeRaw lands an encoded chunk, returning the rows written.
-func (st *stagedTable) writeRaw(lo int, raw []byte) (int, error) {
-	switch st.enc {
-	case TierEncFP16:
-		return st.fp16.SetRowRange(lo, raw)
-	case TierEncInt8, TierEncInt4:
-		return st.q.SetRowRange(lo, raw)
-	}
-	return 0, fmt.Errorf("core: raw chunk for encoding %d staging", st.enc)
-}
-
-// table materializes the staged storage as a serving table.
-func (st *stagedTable) table() (embedding.Table, error) {
-	switch st.enc {
-	case TierEncFP32:
-		return st.dense, nil
-	case TierEncFP16:
-		return embedding.FP16FromEncoding(st.fp16), nil
-	default:
-		return embedding.QuantizedFromEncoding(st.q.Rows, st.q.Cols, int(st.q.Bits), st.q.Scales, st.q.Biases, st.q.Packed)
-	}
+	return nil, fmt.Errorf("core: no table over %T", rows)
 }
 
 // SetTier enables tiered storage, re-wrapping any already-installed
@@ -176,7 +159,7 @@ func (s *SparseShard) SetTier(cfg *TierConfig) {
 // tierWrap applies the shard's tier config to a table about to be
 // installed: encode a dense cold tier to the planned precision, then
 // front it with a (initially empty) hot-row cache when a budget exists.
-// Already-encoded tables (migration staging output) keep their encoding.
+// Already-encoded tables (staged-commit output) keep their encoding.
 func (s *SparseShard) tierWrap(id int, t embedding.Table) embedding.Table {
 	if s.tier == nil {
 		return t
@@ -220,31 +203,23 @@ func (s *SparseShard) retier() {
 	s.loadMu.Unlock()
 
 	type cacheTab struct {
-		key    sharding.TableLoadKey
 		tt     *embedding.TieredTable
 		weight float64
 		bytes  float64
 	}
-	var tabs []cacheTab
-	s.mu.RLock()
-	for key, tab := range s.tables {
-		tt, ok := tab.(*embedding.TieredTable)
-		if !ok {
-			continue
-		}
-		lk := key.loadKey()
-		tabs = append(tabs, cacheTab{key: lk, tt: tt, weight: load.Weight(lk), bytes: float64(tt.Cold().Bytes())})
-	}
-	s.mu.RUnlock()
 	// The budget split below is float arithmetic: apportion in table-key
 	// order so every run of the same table set computes identical sizes
 	// regardless of map iteration order.
-	sort.Slice(tabs, func(i, j int) bool {
-		if tabs[i].key.TableID != tabs[j].key.TableID {
-			return tabs[i].key.TableID < tabs[j].key.TableID
+	var tabs []cacheTab
+	s.mu.RLock()
+	for _, key := range sortedTableKeys(s.tables) {
+		tt, ok := s.tables[key].(*embedding.TieredTable)
+		if !ok {
+			continue
 		}
-		return tabs[i].key.PartIndex < tabs[j].key.PartIndex
-	})
+		tabs = append(tabs, cacheTab{tt: tt, weight: load.Weight(key.loadKey()), bytes: float64(tt.Cold().Bytes())})
+	}
+	s.mu.RUnlock()
 	var total, totalBytes float64
 	for _, ct := range tabs {
 		total += ct.weight

@@ -65,56 +65,6 @@ func newTieredMigrationFixture(t *testing.T, prec sharding.Precision, cacheMB fl
 	return f
 }
 
-// migrateTableEnc drives the full wire protocol for one whole table from
-// shard 1 to shard 2, carrying the source's cold-tier encoding.
-func (f *migrationFixture) migrateTableEnc(t *testing.T, id int) {
-	t.Helper()
-	src, dst := f.shards[0], f.shards[1]
-	ctx := trace.Context{}
-	probe, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	})); err != nil {
-		t.Fatal(err)
-	}
-	const chunk = 5 // deliberately not a divisor of Rows
-	for row := int32(0); row < shape.Rows; row += chunk {
-		count := int32(chunk)
-		if row+count > shape.Rows {
-			count = shape.Rows - row
-		}
-		out, err := src.Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{
-			TableID: int32(id), RowStart: row, RowCount: count,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := DecodeMigrateReadResponse(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rr.Enc != shape.Enc {
-			t.Fatalf("encoding changed mid-stream: %d -> %d", shape.Enc, rr.Enc)
-		}
-		if _, err := dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-			TableID: int32(id), RowStart: row, Dim: shape.Dim, Enc: shape.Enc,
-			Data: rr.Data, Raw: rr.Raw,
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := dst.Handle(ctx, MethodMigrateCommit, EncodeMigrateCommit(&MigrateCommit{TableID: int32(id)})); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTieredMigrationIdentity walks an encoded (int8 + cached) table
 // through the cutover states and requires byte-identical pooled results
 // throughout: encoded rows stream verbatim, the committed copy starts
@@ -139,7 +89,7 @@ func TestTieredMigrationIdentity(t *testing.T) {
 				t.Fatalf("warm-cache replay diverged (err %v)", err)
 			}
 
-			f.migrateTableEnc(t, id)
+			f.migrateTable(t, id, 5)
 
 			// The committed copy's encoding must match the source's.
 			srcStats, dstStats := src.TierSnapshot(), dst.TierSnapshot()
@@ -320,8 +270,6 @@ func TestRetierFloorSeedsNewcomer(t *testing.T) {
 	}
 }
 
-// TestStagedTableErrors covers the staging guards: unknown encodings,
-// chunk encoding mismatches, and raw writes against fp32 staging.
 // TestRetierDeterministic pins the cache-budget split to table order:
 // building the same shard with the same measured load must size every
 // cache identically run after run, not drift with map iteration order
@@ -366,52 +314,57 @@ func TestRetierDeterministic(t *testing.T) {
 	}
 }
 
+// TestStagedTableErrors covers the staging guards: unknown encodings,
+// and rows whose bytes are not whole rows of the staged encoding — the
+// form an encoding mismatch between driver and stage takes now that
+// rows travel as bytes.
 func TestStagedTableErrors(t *testing.T) {
-	if _, err := newStaged(99, 4, 4); err == nil {
+	if _, err := newRowStore(TableShape{Rows: 4, Dim: 4, Enc: 99}); err == nil {
 		t.Fatal("unknown encoding accepted")
 	}
-	st, err := newStaged(TierEncFP32, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.writeRaw(0, make([]byte, 8)); err == nil {
-		t.Fatal("raw write into fp32 staging accepted")
-	}
-	qst, err := newStaged(TierEncInt8, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := qst.writeF32(0, make([]float32, 4)); err == nil {
-		t.Fatal("fp32 write into int8 staging accepted")
+	for _, enc := range []int32{TierEncFP32, TierEncFP16, TierEncInt8, TierEncInt4} {
+		st, err := newRowStore(TableShape{Rows: 4, Dim: 6, Enc: enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride, _ := tierEncStride(enc, 6)
+		if n, err := st.SetRowRange(1, make([]byte, 2*stride)); err != nil || n != 2 {
+			t.Fatalf("enc %d: two whole rows: %d, %v", enc, n, err)
+		}
+		if _, err := st.SetRowRange(0, make([]byte, stride+1)); err == nil {
+			t.Fatalf("enc %d: partial row accepted", enc)
+		}
+		if _, err := st.SetRowRange(3, make([]byte, 2*stride)); err == nil {
+			t.Fatalf("enc %d: rows past the end accepted", enc)
+		}
 	}
 
-	// Wire-level: a chunk whose encoding disagrees with begin is refused.
+	// Wire-level: fp32 rows put into an int8 stage are refused (4·dim
+	// bytes are not whole 4+dim-byte rows), and a clone begin that names
+	// the wrong encoding never opens a stage.
 	f := newTieredMigrationFixture(t, sharding.PrecisionInt8, 0)
 	dst := f.shards[1]
 	id := f.plan.Shards[0].Tables[0]
 	ctx := trace.Context{}
-	probe, err := f.shards[0].Handle(ctx, MethodMigrateRead, EncodeMigrateRead(&MigrateRead{TableID: int32(id)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape, err := DecodeMigrateReadResponse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shape := heldShape(t, f.shards[0], id, 0)
 	if shape.Enc != TierEncInt8 {
 		t.Fatalf("int8 fixture reports encoding %d", shape.Enc)
 	}
-	if _, err := dst.Handle(ctx, MethodMigrateBegin, EncodeMigrateBegin(&MigrateBegin{
-		TableID: int32(id), NumParts: 1, Rows: shape.Rows, Dim: shape.Dim, Enc: shape.Enc,
-	})); err != nil {
+	const txn = anonTxn | 3
+	if _, err := dst.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: txn, Shape: shape, Base: StageEmpty})); err != nil {
 		t.Fatal(err)
 	}
-	_, err = dst.Handle(ctx, MethodMigrateChunk, EncodeMigrateChunk(&MigrateChunk{
-		TableID: int32(id), RowStart: 0, Dim: shape.Dim, Enc: TierEncFP32,
-		Data: make([]float32, int(shape.Dim)),
+	_, err := dst.Handle(ctx, MethodStagePut, encodeMsg(&StagePut{
+		Txn: txn, TableID: int32(id), Rows: make([]byte, 4*int(shape.Dim)),
 	}))
-	if err == nil || !strings.Contains(err.Error(), "encoding") {
-		t.Fatalf("mismatched chunk encoding accepted (err %v)", err)
+	if err == nil || !strings.Contains(err.Error(), "stride") {
+		t.Fatalf("fp32 rows into int8 staging accepted (err %v)", err)
+	}
+	asFP32 := shape
+	asFP32.Enc = TierEncFP32
+	_, err = f.shards[0].Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: txn, Shape: asFP32, Base: StageClone}))
+	if err == nil || !strings.Contains(err.Error(), "held as") {
+		t.Fatalf("clone begin with mismatched encoding accepted (err %v)", err)
 	}
 }
 
@@ -429,15 +382,31 @@ func TestTableEncClassification(t *testing.T) {
 		{embedding.NewTiered(d.Quantize(quant.Bits8), 2), TierEncInt8},
 	}
 	for i, c := range cases {
-		got, err := tableEnc(c.tab)
+		rows, got, err := rowsOf(c.tab)
 		if err != nil || got != c.want {
 			t.Fatalf("case %d: enc %d err %v, want %d", i, got, err, c.want)
 		}
+		// The classified storage round-trips through the wire form and
+		// back into an equivalent serving table.
+		stride, _ := tierEncStride(got, 4)
+		if wire := rows.AppendRowRange(nil, 0, 4); len(wire) != 4*stride {
+			t.Fatalf("case %d: %d wire bytes for 4 rows of stride %d", i, len(wire), stride)
+		}
+		tab, err := tableOf(cloneRows(rows))
+		if err != nil || tab.NumRows() != 4 || tab.Dim() != 4 {
+			t.Fatalf("case %d: clone materialized as %v, %v", i, tab, err)
+		}
 	}
-	if _, err := tierEncStride(TierEncFP32, 4); err == nil {
-		t.Fatal("fp32 has no raw stride")
+	if _, _, err := rowsOf(struct{ embedding.Table }{d}); err == nil {
+		t.Fatal("a backend with no wire encoding classified")
+	}
+	if s, err := tierEncStride(TierEncFP32, 4); err != nil || s != 16 {
+		t.Fatalf("fp32 stride %d err %v", s, err)
 	}
 	if s, err := tierEncStride(TierEncInt4, 5); err != nil || s != 4+3 {
 		t.Fatalf("int4 stride %d err %v", s, err)
+	}
+	if _, err := tierEncStride(99, 4); err == nil {
+		t.Fatal("unknown encoding has a stride")
 	}
 }

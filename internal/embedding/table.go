@@ -9,7 +9,9 @@
 package embedding
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/quant"
@@ -75,6 +77,41 @@ func (t *Dense) AccumulateRow(acc []float32, idx int) {
 
 // Bytes implements Table.
 func (t *Dense) Bytes() int64 { return int64(len(t.Data)) * 4 }
+
+// RowRangeStride returns the wire bytes per row when streaming row ranges.
+func (t *Dense) RowRangeStride() int { return 4 * t.DimN }
+
+// AppendRowRange appends rows [lo, hi) in the wire layout (little-endian
+// float32 bits per value) — the fp32 case of the encoded row stream the
+// quant backends expose under the same method names.
+func (t *Dense) AppendRowRange(dst []byte, lo, hi int) []byte {
+	if lo < 0 || hi > t.RowsN || lo > hi {
+		panic(fmt.Sprintf("embedding: row range [%d, %d) of %d", lo, hi, t.RowsN))
+	}
+	off := len(dst)
+	dst = append(dst, make([]byte, (hi-lo)*t.RowRangeStride())...)
+	for i, v := range t.Data[lo*t.DimN : hi*t.DimN] {
+		binary.LittleEndian.PutUint32(dst[off+4*i:], math.Float32bits(v))
+	}
+	return dst
+}
+
+// SetRowRange writes raw wire-layout rows starting at row lo and returns
+// how many rows it decoded.
+func (t *Dense) SetRowRange(lo int, raw []byte) (int, error) {
+	stride := t.RowRangeStride()
+	if len(raw)%stride != 0 {
+		return 0, fmt.Errorf("embedding: %d raw bytes not a multiple of row stride %d", len(raw), stride)
+	}
+	rows := len(raw) / stride
+	if lo < 0 || lo+rows > t.RowsN {
+		return 0, fmt.Errorf("embedding: row range [%d, %d) of %d", lo, lo+rows, t.RowsN)
+	}
+	for i := range rows * t.DimN {
+		t.Data[lo*t.DimN+i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return rows, nil
+}
 
 // Quantize returns a quantized backend encoding this table at the given
 // width, leaving the receiver unmodified.

@@ -19,7 +19,7 @@ import (
 // with replicated sparse shards replays a fixed scored stream while one
 // (or more) of shard 1's replicas is killed mid-run — server torn down,
 // connection gone silent — and later replaced by a fresh replica that
-// rebuilds its table set from the surviving peer over sparse.snapshot.*.
+// rebuilds its table set from the surviving peer (table.read → stage.put).
 // The sweep crosses failure size (replicas killed) × replica count ×
 // hedge delay, with health ejection on and off, and reports the SLA
 // verdict, fallback and late rates, time to eject, rebuild cost, and
