@@ -17,6 +17,10 @@
 // When a name repeats — `go test -bench -count=N` — the best (minimum)
 // ns/op wins: the minimum estimates the workload's true cost, while the
 // other runs mostly measure scheduler noise on a shared CI box.
+// Benchmarks that report memory (b.ReportAllocs or -benchmem) also carry
+// B/op and allocs/op into the manifest, and allocs/op is gated at
+// baseline × 1.10 whatever -threshold says: an allocation count is a
+// property of the code, not of the runner, so it gets the tight bound.
 // Benchmarks present on only one side are reported but never fail the
 // gate — adding or retiring a benchmark is not a regression.
 package main
@@ -37,10 +41,23 @@ import (
 // benchLine matches e.g. "BenchmarkFoo-8   123   4567 ns/op   89 B/op".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
 
-// Result is one benchmark's manifest entry.
+// memFields match the memory columns of a line that has them; custom
+// metrics (MB/s, GFLOP/s) may sit between them and ns/op.
+var (
+	bytesField  = regexp.MustCompile(`\s([\d.]+) B/op`)
+	allocsField = regexp.MustCompile(`\s([\d.]+) allocs/op`)
+)
+
+// allocsThreshold is how far allocs/op may exceed its baseline.
+const allocsThreshold = 1.10
+
+// Result is one benchmark's manifest entry. The memory fields are absent
+// for benchmarks that do not report them.
 type Result struct {
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
+	Iterations  int      `json:"iterations"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 func main() {
@@ -119,8 +136,10 @@ func main() {
 
 // compare gates current against base: a benchmark regresses when its
 // ns/op strictly exceeds baseline × threshold (landing exactly on the
-// threshold passes), improves when it beats baseline ÷ threshold, and a
-// name present on only one side is reported but never fails the gate.
+// threshold passes) or, where both sides report it, its allocs/op
+// strictly exceeds baseline × allocsThreshold; it improves when it beats
+// baseline ÷ threshold; and a name present on only one side is reported
+// but never fails the gate.
 func compare(current, base map[string]Result, threshold float64) (regressions, improved, onlyOne []string) {
 	for _, name := range sortedNames(current) {
 		cur := current[name]
@@ -136,6 +155,10 @@ func compare(current, base map[string]Result, threshold float64) (regressions, i
 				name, b.NsPerOp, cur.NsPerOp, ratio, threshold))
 		case ratio < 1/threshold:
 			improved = append(improved, fmt.Sprintf("%s: %.2fx faster", name, 1/ratio))
+		}
+		if cur.AllocsPerOp != nil && b.AllocsPerOp != nil && *cur.AllocsPerOp > *b.AllocsPerOp*allocsThreshold {
+			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f allocs/op (> %.2fx)",
+				name, *b.AllocsPerOp, *cur.AllocsPerOp, allocsThreshold))
 		}
 	}
 	for _, name := range sortedNames(base) {
@@ -192,9 +215,26 @@ func parse(f io.Reader) (map[string]Result, error) {
 		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
 			continue
 		}
-		out[m[1]] = Result{Iterations: iters, NsPerOp: ns}
+		out[m[1]] = Result{
+			Iterations: iters, NsPerOp: ns,
+			BytesPerOp: memField(bytesField, sc.Text()), AllocsPerOp: memField(allocsField, sc.Text()),
+		}
 	}
 	return out, sc.Err()
+}
+
+// memField extracts one memory column from a benchmark line, nil when
+// the line has none.
+func memField(re *regexp.Regexp, line string) *float64 {
+	m := re.FindStringSubmatch(line)
+	if m == nil {
+		return nil
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		return nil
+	}
+	return &v
 }
 
 func readManifest(path string) (map[string]Result, error) {

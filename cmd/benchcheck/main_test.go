@@ -35,6 +35,48 @@ PASS
 	}
 }
 
+func TestParseMemoryColumns(t *testing.T) {
+	out := `
+BenchmarkRoundTrip-8     5000    210042 ns/op    41216 B/op    97 allocs/op
+BenchmarkThroughput-8    1000    1000 ns/op    512.00 MB/s    0 B/op    0 allocs/op
+BenchmarkTimeOnly-8      100     5000 ns/op
+`
+	got, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got["BenchmarkRoundTrip"]; r.BytesPerOp == nil || *r.BytesPerOp != 41216 || r.AllocsPerOp == nil || *r.AllocsPerOp != 97 {
+		t.Fatalf("BenchmarkRoundTrip = %+v, want 41216 B/op and 97 allocs/op", r)
+	}
+	if r := got["BenchmarkThroughput"]; r.AllocsPerOp == nil || *r.AllocsPerOp != 0 || *r.BytesPerOp != 0 {
+		t.Fatalf("BenchmarkThroughput = %+v, want a reported 0 allocs/op past the MB/s column", r)
+	}
+	if r := got["BenchmarkTimeOnly"]; r.BytesPerOp != nil || r.AllocsPerOp != nil {
+		t.Fatalf("BenchmarkTimeOnly = %+v, want no memory fields", r)
+	}
+}
+
+func TestCompareGatesAllocs(t *testing.T) {
+	allocs := func(ns, n float64) Result { return Result{Iterations: 1, NsPerOp: ns, AllocsPerOp: &n} }
+	base := map[string]Result{
+		"BenchmarkAtBound": allocs(100, 100),
+		"BenchmarkOver":    allocs(100, 100),
+		"BenchmarkFromNil": {Iterations: 1, NsPerOp: 100}, // baseline predates allocs gating
+		"BenchmarkZero":    allocs(100, 0),
+	}
+	cur := map[string]Result{
+		"BenchmarkAtBound": allocs(100, 110), // exactly ×1.10 passes
+		"BenchmarkOver":    allocs(90, 111),  // faster, but allocates more
+		"BenchmarkFromNil": allocs(100, 5000),
+		"BenchmarkZero":    allocs(100, 1), // a 0-alloc path that starts allocating
+	}
+	regressions, _, _ := compare(cur, base, 1.25)
+	if len(regressions) != 2 || !strings.Contains(regressions[0], "BenchmarkOver") || !strings.Contains(regressions[0], "allocs/op") ||
+		!strings.Contains(regressions[1], "BenchmarkZero") {
+		t.Fatalf("regressions = %v, want BenchmarkOver and BenchmarkZero on allocs/op", regressions)
+	}
+}
+
 func TestParseBestOfN(t *testing.T) {
 	// `go test -bench -count=3` repeats each name; the gate keys on the
 	// best (minimum) ns/op so one noisy run cannot fail CI.

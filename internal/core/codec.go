@@ -16,8 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -75,51 +74,36 @@ type RankingResponse struct {
 
 var errTruncated = errors.New("core: truncated payload")
 
-// buffer is a minimal append-only encoder.
-type buffer struct{ b []byte }
+// Every encoder below computes its message's size first and fills one
+// buffer of exactly that capacity, so the append helpers never grow it;
+// every decoder bounds each wire count by the bytes left before it
+// allocates, and decodes all of a message's bags into one flat index
+// array behind one header slice.
 
-func (w *buffer) u32(v uint32) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+
+func appendStr(b []byte, s string) []byte {
+	return append(appendU32(b, uint32(len(s))), s...)
 }
-func (w *buffer) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	w.b = append(w.b, tmp[:]...)
+
+func bagsSize(bags []embedding.Bag) int {
+	return 4 + 4*len(bags) + 4*embedding.TotalLookups(bags)
 }
-func (w *buffer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *buffer) f32s(xs []float32) {
-	w.u32(uint32(len(xs)))
-	off := len(w.b)
-	w.b = append(w.b, make([]byte, 4*len(xs))...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(w.b[off+4*i:], math.Float32bits(x))
-	}
-}
-func (w *buffer) i32s(xs []int32) {
-	w.u32(uint32(len(xs)))
-	off := len(w.b)
-	w.b = append(w.b, make([]byte, 4*len(xs))...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(w.b[off+4*i:], uint32(x))
-	}
-}
-func (w *buffer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.b = append(w.b, b...)
-}
-func (w *buffer) bags(bags []embedding.Bag) {
-	w.u32(uint32(len(bags)))
+
+// appendBags writes indices one at a time: bags average under one index,
+// so a bulk copy per bag would cost more than it moves.
+func appendBags(b []byte, bags []embedding.Bag) []byte {
+	b = appendU32(b, uint32(len(bags)))
 	for _, bag := range bags {
-		w.i32s(bag.Indices)
+		b = appendU32(b, uint32(len(bag.Indices)))
+		for _, idx := range bag.Indices {
+			b = appendU32(b, uint32(idx))
+		}
 	}
+	return b
 }
 
-// reader is the matching decoder.
+// reader decodes a payload front to back.
 type reader struct{ b []byte }
 
 func (r *reader) u32() (uint32, error) {
@@ -130,6 +114,7 @@ func (r *reader) u32() (uint32, error) {
 	r.b = r.b[4:]
 	return v, nil
 }
+
 func (r *reader) u64() (uint64, error) {
 	if len(r.b) < 8 {
 		return 0, errTruncated
@@ -138,79 +123,123 @@ func (r *reader) u64() (uint64, error) {
 	r.b = r.b[8:]
 	return v, nil
 }
+
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at elemBytes each — before anything is sized by it.
+func (r *reader) count(elemBytes int) (int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(elemBytes) > uint64(len(r.b)) {
+		return 0, errTruncated
+	}
+	return int(n), nil
+}
+
+// take returns the next n bytes.
+func (r *reader) take(n int) []byte {
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
 func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil || uint32(len(r.b)) < n {
-		return "", errTruncated
+	n, err := r.count(1)
+	if err != nil {
+		return "", err
 	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
+	return string(r.take(n)), nil
 }
-func (r *reader) f32s() ([]float32, error) {
-	n, err := r.u32()
-	if err != nil || uint64(len(r.b)) < uint64(n)*4 {
-		return nil, errTruncated
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[4*i:]))
-	}
-	r.b = r.b[4*n:]
-	return out, nil
-}
-func (r *reader) i32s() ([]int32, error) {
-	n, err := r.u32()
-	if err != nil || uint64(len(r.b)) < uint64(n)*4 {
-		return nil, errTruncated
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(r.b[4*i:]))
-	}
-	r.b = r.b[4*n:]
-	return out, nil
-}
-func (r *reader) bytes() ([]byte, error) {
-	n, err := r.u32()
-	if err != nil || uint32(len(r.b)) < n {
-		return nil, errTruncated
-	}
-	out := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return out, nil
-}
-func (r *reader) bags() ([]embedding.Bag, error) {
-	n, err := r.u32()
+
+// f32Region reads a float count and returns the wire bytes of that many
+// floats, undecoded.
+func (r *reader) f32Region() ([]byte, error) {
+	n, err := r.count(4)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]embedding.Bag, n)
-	for i := range out {
-		idx, err := r.i32s()
+	return r.take(4 * n), nil
+}
+
+// skipBags walks one bag list without decoding it and reports how many
+// bags and indices it holds.
+func (r *reader) skipBags() (bags, indices int, err error) {
+	if bags, err = r.count(4); err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i < bags; i++ {
+		k, err := r.count(4)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		if len(idx) > 0 {
-			out[i].Indices = idx
+		r.b = r.b[4*k:]
+		indices += k
+	}
+	return bags, indices, nil
+}
+
+// bagSlab backs every bag a message decodes: one header slice and one
+// flat index array, handed out as capacity-capped sub-slices so no bag
+// can grow into its neighbour.
+type bagSlab struct {
+	bags []embedding.Bag
+	idx  []int32
+}
+
+func newBagSlab(bags, indices int) bagSlab {
+	return bagSlab{bags: make([]embedding.Bag, bags), idx: make([]int32, indices)}
+}
+
+// decode reads one bag list — already measured by skipBags, so counts
+// fit the slab — leaving empty bags with nil indices.
+func (s *bagSlab) decode(r *reader) ([]embedding.Bag, error) {
+	n, err := r.count(4)
+	if err != nil || n > len(s.bags) {
+		return nil, errTruncated
+	}
+	out := s.bags[:n:n]
+	s.bags = s.bags[n:]
+	for i := range out {
+		k, err := r.count(4)
+		if err != nil || k > len(s.idx) {
+			return nil, errTruncated
 		}
+		if k == 0 {
+			continue
+		}
+		dst := s.idx[:k:k]
+		s.idx = s.idx[k:]
+		for j := range dst {
+			dst[j] = int32(binary.LittleEndian.Uint32(r.b[4*j:]))
+		}
+		r.b = r.b[4*k:]
+		out[i].Indices = dst
 	}
 	return out, nil
 }
 
 // EncodeSparseRequest serializes a sparse RPC request.
 func EncodeSparseRequest(req *SparseRequest) []byte {
-	var w buffer
-	w.str(req.Net)
-	w.u32(uint32(len(req.Entries)))
-	for _, e := range req.Entries {
-		w.u32(uint32(e.TableID))
-		w.u32(uint32(e.PartIndex))
-		w.u32(uint32(e.NumParts))
-		w.bags(e.Bags)
+	size := 4 + len(req.Net) + 4
+	for i := range req.Entries {
+		size += 12 + bagsSize(req.Entries[i].Bags)
 	}
-	return w.b
+	b := appendStr(make([]byte, 0, size), req.Net)
+	b = appendU32(b, uint32(len(req.Entries)))
+	for i := range req.Entries {
+		e := &req.Entries[i]
+		b = appendU32(b, uint32(e.TableID))
+		b = appendU32(b, uint32(e.PartIndex))
+		b = appendU32(b, uint32(e.NumParts))
+		b = appendBags(b, e.Bags)
+	}
+	return b
 }
+
+// sparseEntryMin is the least an entry occupies: three ids and a bag
+// count.
+const sparseEntryMin = 16
 
 // DecodeSparseRequest parses a sparse RPC request.
 func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
@@ -219,104 +248,201 @@ func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sparse request net: %w", err)
 	}
-	n, err := r.u32()
+	n, err := r.count(sparseEntryMin)
 	if err != nil {
 		return nil, err
 	}
+	// Measure, then decode into exactly-sized slabs.
+	measure := r
+	var bags, indices int
+	for i := 0; i < n; i++ {
+		if len(measure.b) < 12 {
+			return nil, errTruncated
+		}
+		measure.b = measure.b[12:]
+		nb, ni, err := measure.skipBags()
+		if err != nil {
+			return nil, err
+		}
+		bags, indices = bags+nb, indices+ni
+	}
+	slab := newBagSlab(bags, indices)
 	out := &SparseRequest{Net: net, Entries: make([]SparseEntry, n)}
 	for i := range out.Entries {
 		e := &out.Entries[i]
-		var v uint32
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.TableID = int32(v)
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.PartIndex = int32(v)
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.NumParts = int32(v)
-		if e.Bags, err = r.bags(); err != nil {
+		e.TableID = int32(binary.LittleEndian.Uint32(r.b))
+		e.PartIndex = int32(binary.LittleEndian.Uint32(r.b[4:]))
+		e.NumParts = int32(binary.LittleEndian.Uint32(r.b[8:]))
+		r.b = r.b[12:]
+		if e.Bags, err = slab.decode(&r); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// pooledSlot is one entry of a sparse response being laid out or read:
+// its header, and where its pooled rows sit in the body.
+type pooledSlot struct {
+	TableID, PartIndex int32
+	Rows, Cols         int32
+	// n is how many floats the entry carries: Rows×Cols in every
+	// response a shard builds and in every one a decoder accepts.
+	n int
+	// off is the byte offset of those floats in the body.
+	off int
+}
+
+// pooledHeader is an entry's fixed part: four ids and the float count.
+const pooledHeader = 20
+
+// layoutSparseResponse allocates a response body for the given entry
+// shapes — once, exactly sized, 4-byte aligned, float regions zeroed —
+// writes the entry count and every entry header in place, and records
+// each slot's region offset. The shard pools straight into the regions
+// (handleRun); EncodeSparseResponse copies into them.
+func layoutSparseResponse(slots []pooledSlot) []byte {
+	size := 4
+	for i := range slots {
+		size += pooledHeader + 4*slots[i].n
+	}
+	body := alignedBytes(size)
+	binary.LittleEndian.PutUint32(body, uint32(len(slots)))
+	off := 4
+	for i := range slots {
+		s := &slots[i]
+		binary.LittleEndian.PutUint32(body[off:], uint32(s.TableID))
+		binary.LittleEndian.PutUint32(body[off+4:], uint32(s.PartIndex))
+		binary.LittleEndian.PutUint32(body[off+8:], uint32(s.Rows))
+		binary.LittleEndian.PutUint32(body[off+12:], uint32(s.Cols))
+		binary.LittleEndian.PutUint32(body[off+16:], uint32(s.n))
+		s.off = off + pooledHeader
+		off = s.off + 4*s.n
+	}
+	return body
+}
+
+// region is the slot's float bytes within body.
+func (s *pooledSlot) region(body []byte) []byte {
+	return body[s.off : s.off+4*s.n]
+}
+
+// pooledReader walks a sparse response's entries in place: each next
+// yields one header and the undecoded wire bytes of its pooled rows, so
+// the main shard moves them from the response to the embedding matrix
+// in one copy (rpcOp) and a forwarding shard into its own response.
+type pooledReader struct {
+	r reader
+	// left is how many entries remain.
+	left int
+}
+
+func readPooled(b []byte) (pooledReader, error) {
+	p := pooledReader{r: reader{b: b}}
+	var err error
+	p.left, err = p.r.count(pooledHeader)
+	return p, err
+}
+
+func (p *pooledReader) next() (pooledSlot, []byte, error) {
+	if len(p.r.b) < pooledHeader-4 {
+		return pooledSlot{}, nil, errTruncated
+	}
+	s := pooledSlot{
+		TableID:   int32(binary.LittleEndian.Uint32(p.r.b)),
+		PartIndex: int32(binary.LittleEndian.Uint32(p.r.b[4:])),
+		Rows:      int32(binary.LittleEndian.Uint32(p.r.b[8:])),
+		Cols:      int32(binary.LittleEndian.Uint32(p.r.b[12:])),
+	}
+	p.r.b = p.r.b[16:]
+	region, err := p.r.f32Region()
+	if err != nil {
+		return pooledSlot{}, nil, err
+	}
+	s.n = len(region) / 4
+	// 64-bit: a hostile rows×cols must not wrap into a match.
+	if s.Rows < 0 || s.Cols < 0 || int64(s.n) != int64(s.Rows)*int64(s.Cols) {
+		return pooledSlot{}, nil, fmt.Errorf("core: pooled entry has %d values for %dx%d", s.n, s.Rows, s.Cols)
+	}
+	p.left--
+	return s, region, nil
+}
+
 // EncodeSparseResponse serializes pooled results.
 func EncodeSparseResponse(resp *SparseResponse) []byte {
-	var w buffer
-	w.u32(uint32(len(resp.Entries)))
-	for _, e := range resp.Entries {
-		w.u32(uint32(e.TableID))
-		w.u32(uint32(e.PartIndex))
-		w.u32(uint32(e.Rows))
-		w.u32(uint32(e.Cols))
-		w.f32s(e.Data)
+	slots := make([]pooledSlot, len(resp.Entries))
+	for i, e := range resp.Entries {
+		slots[i] = pooledSlot{TableID: e.TableID, PartIndex: e.PartIndex, Rows: e.Rows, Cols: e.Cols, n: len(e.Data)}
 	}
-	return w.b
+	body := layoutSparseResponse(slots)
+	for i := range slots {
+		putF32s(slots[i].region(body), resp.Entries[i].Data)
+	}
+	return body
 }
 
 // DecodeSparseResponse parses pooled results.
 func DecodeSparseResponse(b []byte) (*SparseResponse, error) {
-	r := reader{b: b}
-	n, err := r.u32()
+	measure, err := readPooled(b)
 	if err != nil {
 		return nil, err
 	}
+	n, total := measure.left, 0
+	for i := 0; i < n; i++ {
+		s, _, err := measure.next()
+		if err != nil {
+			return nil, err
+		}
+		total += s.n
+	}
 	out := &SparseResponse{Entries: make([]PooledEntry, n)}
+	flat := make([]float32, total)
+	p, _ := readPooled(b)
 	for i := range out.Entries {
-		e := &out.Entries[i]
-		var v uint32
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.TableID = int32(v)
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.PartIndex = int32(v)
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.Rows = int32(v)
-		if v, err = r.u32(); err != nil {
-			return nil, err
-		}
-		e.Cols = int32(v)
-		if e.Data, err = r.f32s(); err != nil {
-			return nil, err
-		}
-		if int32(len(e.Data)) != e.Rows*e.Cols {
-			return nil, fmt.Errorf("core: pooled entry %d has %d values for %dx%d", i, len(e.Data), e.Rows, e.Cols)
-		}
+		s, region, _ := p.next() // validated by the measuring walk
+		data := flat[:s.n:s.n]
+		flat = flat[s.n:]
+		getF32s(data, region)
+		out.Entries[i] = PooledEntry{TableID: s.TableID, PartIndex: s.PartIndex, Rows: s.Rows, Cols: s.Cols, Data: data}
 	}
 	return out, nil
 }
 
 // EncodeRankingRequest serializes a ranking request.
 func EncodeRankingRequest(req *RankingRequest) []byte {
-	var w buffer
-	w.u64(req.ID)
-	w.u32(uint32(req.Items))
-	w.u32(uint32(len(req.Dense)))
-	for _, name := range sortedKeys(req.Dense) {
+	nets, tids := sortedKeys(req.Dense), sortedBagKeys(req.Bags)
+	size := 8 + 4 + 4 + 4
+	for _, name := range nets {
+		size += 4 + len(name) + 12 + 4*len(req.Dense[name].Data)
+	}
+	for _, tid := range tids {
+		size += 4 + bagsSize(req.Bags[tid])
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, size), req.ID)
+	b = appendU32(b, uint32(req.Items))
+	b = appendU32(b, uint32(len(nets)))
+	for _, name := range nets {
 		m := req.Dense[name]
-		w.str(name)
-		w.u32(uint32(m.Rows))
-		w.u32(uint32(m.Cols))
-		w.f32s(m.Data)
+		b = appendStr(b, name)
+		b = appendU32(b, uint32(m.Rows))
+		b = appendU32(b, uint32(m.Cols))
+		b = appendU32(b, uint32(len(m.Data)))
+		b = appendF32s(b, m.Data)
 	}
-	w.u32(uint32(len(req.Bags)))
-	for _, tid := range sortedBagKeys(req.Bags) {
-		w.u32(uint32(tid))
-		w.bags(req.Bags[tid])
+	b = appendU32(b, uint32(len(tids)))
+	for _, tid := range tids {
+		b = appendU32(b, uint32(tid))
+		b = appendBags(b, req.Bags[tid])
 	}
-	return w.b
+	return b
 }
+
+// Least bytes a dense net (name length, shape, float count) and a
+// table's bag list (id, bag count) occupy.
+const (
+	rankDenseMin = 16
+	rankTableMin = 8
+)
 
 // DecodeRankingRequest parses a ranking request.
 func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
@@ -329,12 +455,12 @@ func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &RankingRequest{ID: id, Items: int32(items), Dense: map[string]*tensor.Matrix{}, Bags: map[int32][]embedding.Bag{}}
-	nd, err := r.u32()
+	nd, err := r.count(rankDenseMin)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nd; i++ {
+	out := &RankingRequest{ID: id, Items: int32(items), Dense: make(map[string]*tensor.Matrix, nd)}
+	for i := 0; i < nd; i++ {
 		name, err := r.str()
 		if err != nil {
 			return nil, err
@@ -347,47 +473,62 @@ func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := r.f32s()
+		region, err := r.f32Region()
 		if err != nil {
 			return nil, err
 		}
-		if uint32(len(data)) != rows*cols {
-			return nil, fmt.Errorf("core: dense %q has %d values for %dx%d", name, len(data), rows, cols)
+		if uint64(len(region)/4) != uint64(rows)*uint64(cols) {
+			return nil, fmt.Errorf("core: dense %q has %d values for %dx%d", name, len(region)/4, rows, cols)
 		}
+		data := make([]float32, len(region)/4)
+		getF32s(data, region)
 		out.Dense[name] = tensor.FromSlice(int(rows), int(cols), data)
 	}
-	nb, err := r.u32()
+	nb, err := r.count(rankTableMin)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nb; i++ {
+	measure := r
+	var bags, indices int
+	for i := 0; i < nb; i++ {
+		if _, err := measure.u32(); err != nil {
+			return nil, err
+		}
+		n, k, err := measure.skipBags()
+		if err != nil {
+			return nil, err
+		}
+		bags, indices = bags+n, indices+k
+	}
+	slab := newBagSlab(bags, indices)
+	out.Bags = make(map[int32][]embedding.Bag, nb)
+	for i := 0; i < nb; i++ {
 		tid, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		bags, err := r.bags()
-		if err != nil {
+		if out.Bags[int32(tid)], err = slab.decode(&r); err != nil {
 			return nil, err
 		}
-		out.Bags[int32(tid)] = bags
 	}
 	return out, nil
 }
 
 // EncodeRankingResponse serializes scores.
 func EncodeRankingResponse(resp *RankingResponse) []byte {
-	var w buffer
-	w.f32s(resp.Scores)
-	return w.b
+	b := appendU32(make([]byte, 0, 4+4*len(resp.Scores)), uint32(len(resp.Scores)))
+	return appendF32s(b, resp.Scores)
 }
 
 // DecodeRankingResponse parses scores.
 func DecodeRankingResponse(b []byte) (*RankingResponse, error) {
 	r := reader{b: b}
-	scores, err := r.f32s()
+	region, err := r.f32Region()
 	if err != nil {
 		return nil, err
 	}
+	scores := make([]float32, len(region)/4)
+	getF32s(scores, region)
 	return &RankingResponse{Scores: scores}, nil
 }
 
@@ -396,7 +537,7 @@ func sortedKeys(m map[string]*tensor.Matrix) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -405,6 +546,6 @@ func sortedBagKeys(m map[int32][]embedding.Bag) []int32 {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,12 +27,16 @@ func tinyConfig() model.Config {
 	return cfg
 }
 
+// wireF32s is pooled rows as a collector receives them: the wire bytes of
+// a float matrix.
+func wireF32s(vals ...float32) []byte { return appendF32s(nil, vals) }
+
 func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 	asm := newEmbAssembler(2, 5, 1)
 	inter := nn.NewFuture()
 	c := newCollector(1, 2, 3, asm, 1, inter)
 	m := tensor.FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	c.deliver(m, nil)
+	c.deliver(0, wireF32s(m.Data...), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +49,7 @@ func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 		t.Fatal("columns outside the table range must stay zero")
 	}
 	got, err := inter.Wait()
-	if err != nil || got != m {
+	if err != nil || got.Rows != m.Rows || got.Cols != m.Cols || !slices.Equal(got.Data, m.Data) {
 		t.Fatalf("interact future: %v, %v", got, err)
 	}
 }
@@ -52,9 +57,9 @@ func TestCollectorSingleSourceIntoEmb(t *testing.T) {
 func TestCollectorMergesPartials(t *testing.T) {
 	asm := newEmbAssembler(1, 2, 1)
 	c := newCollector(3, 1, 2, asm, 0, nil)
-	c.deliver(tensor.FromSlice(1, 2, []float32{1, 10}), nil)
-	c.deliver(nil, nil) // skipped source contributes zeros
-	c.deliver(tensor.FromSlice(1, 2, []float32{2, 20}), nil)
+	c.deliver(2, wireF32s(1, 10), nil)
+	c.deliver(0, nil, nil) // skipped source contributes zeros
+	c.deliver(1, wireF32s(2, 20), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +72,8 @@ func TestCollectorMergesPartials(t *testing.T) {
 func TestCollectorAllSkippedZeroFills(t *testing.T) {
 	asm := newEmbAssembler(3, 4, 1)
 	c := newCollector(2, 3, 4, asm, 0, nil)
-	c.deliver(nil, nil)
-	c.deliver(nil, nil)
+	c.deliver(0, nil, nil)
+	c.deliver(1, nil, nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +89,8 @@ func TestCollectorErrorWins(t *testing.T) {
 	asm := newEmbAssembler(1, 1, 1)
 	inter := nn.NewFuture()
 	c := newCollector(2, 1, 1, asm, 0, inter)
-	c.deliver(nil, errors.New("shard down"))
-	c.deliver(tensor.New(1, 1), nil) // late success ignored
+	c.deliver(0, nil, errors.New("shard down"))
+	c.deliver(1, wireF32s(0), nil) // late success ignored
 	if _, err := asm.future.Wait(); err == nil {
 		t.Fatal("error should propagate to the emb future")
 	}
@@ -97,7 +102,7 @@ func TestCollectorErrorWins(t *testing.T) {
 func TestCollectorShapeMismatch(t *testing.T) {
 	asm := newEmbAssembler(1, 2, 1)
 	c := newCollector(2, 1, 2, asm, 0, nil)
-	c.deliver(tensor.New(1, 3), nil)
+	c.deliver(0, wireF32s(0, 0, 0), nil)
 	if _, err := asm.future.Wait(); err == nil {
 		t.Fatal("shape mismatch should fail")
 	}
@@ -107,13 +112,13 @@ func TestEmbAssemblerWaitsForAllTables(t *testing.T) {
 	asm := newEmbAssembler(1, 4, 2)
 	c1 := newCollector(1, 1, 2, asm, 0, nil)
 	c2 := newCollector(1, 1, 2, asm, 2, nil)
-	c1.deliver(tensor.FromSlice(1, 2, []float32{1, 2}), nil)
+	c1.deliver(0, wireF32s(1, 2), nil)
 	select {
 	case <-futureDone(asm.future):
 		t.Fatal("emb future completed before all tables delivered")
 	default:
 	}
-	c2.deliver(tensor.FromSlice(1, 2, []float32{3, 4}), nil)
+	c2.deliver(0, wireF32s(3, 4), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)

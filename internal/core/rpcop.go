@@ -54,12 +54,16 @@ func (a *embAssembler) fail(err error) {
 	a.future.Complete(nil, err)
 }
 
-// collector merges pooled contributions for one table. Whole tables have
-// one source; row-partitioned tables have one source per part, and the
-// partial pools are summed (sum pooling distributes over row partitions,
-// so the merge is exact). When the last source delivers, the collector
-// writes its columns into the batch's fused embedding matrix and, for
-// interaction features, completes the table's standalone pooled future.
+// collector merges pooled contributions for one table. Contributions
+// arrive as the wire bytes of a rows×cols float matrix, still inside the
+// sparse response that carried them. A whole table has one source and
+// its rows are decoded straight into the table's columns of the batch's
+// fused embedding matrix — the only copy they see on the main shard. A
+// row-partitioned table has one source per part; the parts are held (as
+// views, nothing is copied) until the last one lands and then summed in
+// ascending part order, so the float32 result does not depend on which
+// shard answered first. Interaction features additionally complete the
+// table's standalone pooled future with a view of the same bytes.
 type collector struct {
 	rows, cols int
 	asm        *embAssembler
@@ -70,24 +74,37 @@ type collector struct {
 
 	mu      sync.Mutex
 	pending int
-	acc     *tensor.Matrix
-	failed  bool
+	// parts holds a partitioned table's contributions by part index (nil:
+	// none yet, or a source with no hits); unused with a single source.
+	parts  [][]byte
+	failed bool
 }
 
 func newCollector(sources, rows, cols int, asm *embAssembler, colOff int, interact *nn.Future) *collector {
-	return &collector{
+	c := &collector{
 		rows: rows, cols: cols, asm: asm, colOff: colOff, interact: interact,
 		pending: sources,
 	}
+	if sources > 1 {
+		c.parts = make([][]byte, sources)
+	}
+	return c
 }
 
-// deliver merges one contribution; a nil matrix with nil error means "no
-// hits on this source" (skipped empty call) and contributes zeros.
-func (c *collector) deliver(m *tensor.Matrix, err error) {
+// deliver merges part's contribution: pooled is rows×cols floats in wire
+// form, or nil with a nil error for "no hits on this source" (a skipped
+// empty call), which contributes zeros.
+func (c *collector) deliver(part int, pooled []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed {
 		return
+	}
+	if err == nil && pooled != nil && len(pooled) != 4*c.rows*c.cols {
+		err = fmt.Errorf("core: partial pool of %d bytes, want %dx%d floats", len(pooled), c.rows, c.cols)
+	}
+	if err == nil && c.parts != nil && (part < 0 || part >= len(c.parts)) {
+		err = fmt.Errorf("core: partial pool for part %d of %d", part, len(c.parts))
 	}
 	if err != nil {
 		c.failed = true
@@ -97,45 +114,66 @@ func (c *collector) deliver(m *tensor.Matrix, err error) {
 		}
 		return
 	}
-	if m != nil {
-		if m.Rows != c.rows || m.Cols != c.cols {
-			c.deliverErrLocked(fmt.Errorf("core: partial pool shape %dx%d, want %dx%d", m.Rows, m.Cols, c.rows, c.cols))
-			return
-		}
-		if c.acc == nil {
-			c.acc = m
-		} else {
-			for i, v := range m.Data {
-				c.acc.Data[i] += v
-			}
-		}
+	if c.parts != nil {
+		c.parts[part] = pooled
 	}
 	c.pending--
 	if c.pending > 0 {
 		return
 	}
-	if c.acc == nil {
-		// Every source was skipped (no hits): the pooled result is a
-		// zero matrix, exactly what in-line SLS of empty bags yields.
-		c.acc = tensor.New(c.rows, c.cols)
-	}
 	// Column ranges are disjoint across collectors, so writing without
 	// the assembler's lock is safe; completion ordering is serialized by
-	// tableDone.
-	for b := 0; b < c.rows; b++ {
-		copy(c.asm.emb.Row(b)[c.colOff:c.colOff+c.cols], c.acc.Row(b))
+	// tableDone. The matrix starts zeroed: a table nobody hit is done.
+	emb := c.asm.emb
+	var m *tensor.Matrix // the table's own pooled matrix, for the interaction
+	switch {
+	case c.parts != nil:
+		c.sumParts(emb)
+	case pooled != nil:
+		stride := 4 * c.cols
+		for b := 0; b < c.rows; b++ {
+			getF32s(emb.Row(b)[c.colOff:c.colOff+c.cols], pooled[b*stride:])
+		}
+		if c.interact != nil {
+			m = tensor.FromSlice(c.rows, c.cols, viewF32s(pooled))
+		}
 	}
 	if c.interact != nil {
-		c.interact.Complete(c.acc, nil)
+		if m == nil {
+			// Summed from parts, or all zeros: read the columns back.
+			m = tensor.New(c.rows, c.cols)
+			for b := 0; b < c.rows; b++ {
+				copy(m.Row(b), emb.Row(b)[c.colOff:c.colOff+c.cols])
+			}
+		}
+		c.interact.Complete(m, nil)
 	}
 	c.asm.tableDone()
 }
 
-func (c *collector) deliverErrLocked(err error) {
-	c.failed = true
-	c.asm.fail(err)
-	if c.interact != nil {
-		c.interact.Complete(nil, err)
+// sumParts adds the held partial pools into the table's columns in
+// ascending part order (sum pooling distributes over row partitions, so
+// the merge is exact up to float32 rounding, and the fixed order makes
+// that rounding the same on every run).
+func (c *collector) sumParts(emb *tensor.Matrix) {
+	first := true
+	for _, part := range c.parts {
+		if part == nil {
+			continue
+		}
+		vals := viewF32s(part)
+		for b := 0; b < c.rows; b++ {
+			dst := emb.Row(b)[c.colOff : c.colOff+c.cols]
+			src := vals[b*c.cols : (b+1)*c.cols]
+			if first {
+				copy(dst, src)
+				continue
+			}
+			for i, v := range src {
+				dst[i] += v
+			}
+		}
+		first = false
 	}
 }
 
@@ -182,16 +220,12 @@ func (o *rpcOp) Name() string { return o.name }
 func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 
 // Run implements nn.Op. It gathers this shard's bags from the workspace
-// synchronously (cheap slice bookkeeping), then does serialization,
-// network, and merge work asynchronously.
+// and serializes them synchronously, then leaves waiting for the
+// response and moving its pooled rows into place to a goroutine.
 func (o *rpcOp) Run(ws *nn.Workspace) error {
-	type entryBags struct {
-		e    groupEntry
-		bags []embedding.Bag
-	}
-	work := make([]entryBags, 0, len(o.entries))
+	sreq := &SparseRequest{Net: o.net, Entries: make([]SparseEntry, len(o.entries))}
 	anyHits := false
-	for _, e := range o.entries {
+	for i, e := range o.entries {
 		bags, err := ws.Bags(o.hashedNames[e.tableID])
 		if err != nil {
 			return fmt.Errorf("%s: %w", o.name, err)
@@ -199,10 +233,12 @@ func (o *rpcOp) Run(ws *nn.Workspace) error {
 		if e.numParts > 1 {
 			bags = localizeBags(bags, e.partIndex, e.numParts)
 		}
-		if embedding.TotalLookups(bags) > 0 {
+		if !anyHits && embedding.TotalLookups(bags) > 0 {
 			anyHits = true
 		}
-		work = append(work, entryBags{e: e, bags: bags})
+		sreq.Entries[i] = SparseEntry{
+			TableID: int32(e.tableID), PartIndex: int32(e.partIndex), NumParts: int32(e.numParts), Bags: bags,
+		}
 	}
 
 	if !anyHits {
@@ -210,23 +246,12 @@ func (o *rpcOp) Run(ws *nn.Workspace) error {
 		// table: only one part matches the request's user). Skip the call
 		// entirely — the paper's "only two shards would be accessed" —
 		// and satisfy collectors with zero contributions.
-		for _, wk := range work {
-			o.collectors[wk.e.tableID].deliver(nil, nil)
-		}
+		o.deliverAll(nil)
 		return nil
 	}
 
 	// Serialize on the scheduling thread (counted in this op's span,
 	// which the analyzer books as RPC Ser/De), then issue.
-	sreq := &SparseRequest{Net: o.net}
-	for _, wk := range work {
-		sreq.Entries = append(sreq.Entries, SparseEntry{
-			TableID:   int32(wk.e.tableID),
-			PartIndex: int32(wk.e.partIndex),
-			NumParts:  int32(wk.e.numParts),
-			Bags:      wk.bags,
-		})
-	}
 	body := EncodeSparseRequest(sreq)
 	callID := o.rec.NextID()
 	issue := o.rec.Now()
@@ -244,41 +269,57 @@ func (o *rpcOp) Run(ws *nn.Workspace) error {
 			Net: o.net, Name: o.name, Start: issue, Dur: outstanding,
 		})
 		if call.Err != nil {
-			err := fmt.Errorf("core: %s → %s: %w", o.name, o.service, call.Err)
-			for _, wk := range work {
-				o.collectors[wk.e.tableID].deliver(nil, err)
-			}
+			o.deliverAll(fmt.Errorf("core: %s → %s: %w", o.name, o.service, call.Err))
 			return
 		}
 
-		// Deserialize (RPC Ser/De at the main shard).
+		// Deserialize (RPC Ser/De at the main shard): walk the response
+		// in place and move each entry's rows from the response bytes to
+		// the embedding matrix — no decoded intermediate.
 		decStart := o.rec.Now()
-		resp, err := DecodeSparseResponse(call.Resp.Body)
+		o.scatter(call.Resp.Body)
 		o.rec.Record(trace.Span{
 			TraceID: o.ctx.TraceID, CallID: callID, Layer: trace.LayerSerDe, Net: o.net,
 			Name: o.name + "/decode", Start: decStart, Dur: o.rec.Now().Sub(decStart),
 		})
-		if err == nil && len(resp.Entries) != len(work) {
-			err = fmt.Errorf("core: %s returned %d entries for %d requested", o.service, len(resp.Entries), len(work))
-		}
-		if err != nil {
-			for _, wk := range work {
-				o.collectors[wk.e.tableID].deliver(nil, err)
-			}
-			return
-		}
-		for i, pe := range resp.Entries {
-			e := work[i].e
-			if int(pe.TableID) != e.tableID || int(pe.Rows) != o.batchItems || int(pe.Cols) != e.dim {
-				o.collectors[e.tableID].deliver(nil, fmt.Errorf(
-					"core: %s entry %d mismatched (table %d rows %d cols %d; want %d/%d/%d)",
-					o.service, i, pe.TableID, pe.Rows, pe.Cols, e.tableID, o.batchItems, e.dim))
-				continue
-			}
-			o.collectors[e.tableID].deliver(tensor.FromSlice(int(pe.Rows), int(pe.Cols), pe.Data), nil)
-		}
 	}()
 	return nil
+}
+
+// deliverAll hands every entry's collector the same outcome: an error,
+// or (nil) a zero contribution.
+func (o *rpcOp) deliverAll(err error) {
+	for _, e := range o.entries {
+		o.collectors[e.tableID].deliver(e.partIndex, nil, err)
+	}
+}
+
+// scatter delivers a sparse response's entries to their collectors. An
+// entry that does not answer what was asked fails its own table; a
+// response that cannot be walked fails every table not yet delivered.
+func (o *rpcOp) scatter(resp []byte) {
+	pooled, err := readPooled(resp)
+	if err == nil && pooled.left != len(o.entries) {
+		err = fmt.Errorf("core: %s returned %d entries for %d requested", o.service, pooled.left, len(o.entries))
+	}
+	for i, e := range o.entries {
+		var got pooledSlot
+		var rows []byte
+		if err == nil {
+			got, rows, err = pooled.next()
+		}
+		if err != nil {
+			o.collectors[e.tableID].deliver(e.partIndex, nil, err)
+			continue
+		}
+		if int(got.TableID) != e.tableID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.batchItems || int(got.Cols) != e.dim {
+			o.collectors[e.tableID].deliver(e.partIndex, nil, fmt.Errorf(
+				"core: %s entry %d mismatched (table %d part %d rows %d cols %d; want %d/%d/%d/%d)",
+				o.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, e.tableID, e.partIndex, o.batchItems, e.dim))
+			continue
+		}
+		o.collectors[e.tableID].deliver(e.partIndex, rows, nil)
+	}
 }
 
 // localizeBags filters bag indices to one modulus partition and rebases

@@ -47,6 +47,11 @@ func sortedTableKeys[V any](m map[tableKey]V) []tableKey {
 type forwardTarget struct {
 	service string
 	caller  rpc.Caller
+	// dim is the moved table's row width, kept from the copy the shard
+	// held when the forward began: a response is laid out before the
+	// destination answers, so a forwarded entry's shape must be known
+	// here. 0 means the shard never held the table.
+	dim int
 }
 
 // SparseShard serves pooled embedding lookups for the tables (and table
@@ -60,7 +65,9 @@ type forwardTarget struct {
 type SparseShard struct {
 	// ShardName labels spans ("sparse3").
 	ShardName string
-	rec       *trace.Recorder
+	// slsName names the pooling operator's spans ("sls_sparse3").
+	slsName string
+	rec     *trace.Recorder
 	// OpComputeScale stretches sparse-op time to model slower platforms
 	// (burned as real CPU); 0 or 1 means no scaling.
 	OpComputeScale float64
@@ -101,6 +108,7 @@ type SparseShard struct {
 func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 	return &SparseShard{
 		ShardName:  name,
+		slsName:    "sls_" + name,
 		rec:        rec,
 		tables:     make(map[tableKey]embedding.Table),
 		staging:    make(map[uint64]map[tableKey]*stagedTable),
@@ -190,7 +198,13 @@ func (s *SparseShard) InstallTable(id, part int, t embedding.Table) {
 func (s *SparseShard) BeginForward(id, part int, service string, caller rpc.Caller, release bool) {
 	s.mu.Lock()
 	key := tableKey{id: id, part: part}
-	s.forwards[key] = &forwardTarget{service: service, caller: caller}
+	fwd := &forwardTarget{service: service, caller: caller}
+	if t, ok := s.tables[key]; ok {
+		fwd.dim = t.Dim()
+	} else if prev, ok := s.forwards[key]; ok {
+		fwd.dim = prev.dim // re-pointing a forward for a copy already released
+	}
+	s.forwards[key] = fwd
 	if release {
 		delete(s.tables, key)
 	}
@@ -314,15 +328,21 @@ func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]b
 }
 
 // runEntry is one sparse-request entry resolved against the shard's
-// current table set: served locally, or forwarded to the shard that now
-// holds the table.
+// current table set: pooled locally, or by the shard that now holds the
+// table.
 type runEntry struct {
-	idx     int // position in the request (response order)
-	entry   SparseEntry
-	table   embedding.Table // non-nil → serve locally
+	table   embedding.Table // non-nil → pool locally
 	forward *forwardTarget  // used when table is nil
+	lookups int             // local entries: rows read, for load accounting
 }
 
+// handleRun serves one sparse.run call. The response body is laid out
+// once, from the request's entry shapes, before any pooling: entry
+// headers are written in place and the SLS operator accumulates straight
+// into each entry's float region, so the pooled rows are never copied or
+// re-encoded on their way to the rpc layer. The body crosses the
+// rpc.Handler boundary and is therefore a plain garbage-collected
+// allocation nothing here touches again.
 func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) {
 	s.met.runCalls.Inc()
 	runStart := time.Now() //lint:allow determinism stage latency histogram; never reaches response bytes
@@ -342,49 +362,67 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	// Resolve every entry against one consistent snapshot of the table
 	// set: a cutover landing mid-request flips routing for the *next*
 	// request, never within one.
-	local := make([]runEntry, 0, len(req.Entries))
-	var forwarded []runEntry
+	run := make([]runEntry, len(req.Entries))
+	slots := make([]pooledSlot, len(req.Entries))
+	var nLocal int
+	var floats int64
 	s.mu.RLock()
-	for i, e := range req.Entries {
+	for i := range req.Entries {
+		e := &req.Entries[i]
 		key := tableKey{id: int(e.TableID), part: int(e.PartIndex)}
+		var dim int
 		if tab, ok := s.tables[key]; ok {
-			local = append(local, runEntry{idx: i, entry: e, table: tab})
-			continue
+			run[i].table, dim = tab, tab.Dim()
+			nLocal++
+		} else if fwd, ok := s.forwards[key]; ok && fwd.dim > 0 {
+			run[i].forward, dim = fwd, fwd.dim
+		} else {
+			s.mu.RUnlock()
+			return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
 		}
-		if fwd, ok := s.forwards[key]; ok {
-			forwarded = append(forwarded, runEntry{idx: i, entry: e, forward: fwd})
-			continue
+		slots[i] = pooledSlot{
+			TableID: e.TableID, PartIndex: e.PartIndex,
+			Rows: int32(len(e.Bags)), Cols: int32(dim), n: len(e.Bags) * dim,
 		}
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
+		floats += int64(len(e.Bags)) * int64(dim)
 	}
 	s.mu.RUnlock()
+	if 4*floats > rpc.MaxFrameSize {
+		// A few request bytes per empty bag buy dim×4 response bytes;
+		// refuse what could never be framed before allocating it.
+		return nil, fmt.Errorf("core: %s: pooling %d values exceeds the frame limit", s.ShardName, floats)
+	}
 
-	results := make([]PooledEntry, len(req.Entries))
+	// Lay the response out (RPC Ser/De at the sparse shard): all that is
+	// left of serialization is this allocation and its headers.
+	encStart := s.rec.Now()
+	out := layoutSparseResponse(slots)
+	encDur := s.rec.Now().Sub(encStart)
 
 	// Issue forwarded entries first so the destination pools while this
 	// shard runs its local net.
-	fwdCall := s.issueForwards(ctx, req.Net, forwarded)
+	var fwdWait func() error
+	if nLocal < len(run) {
+		fwdWait = s.issueForwards(ctx, req, run, slots, out)
+	}
 
-	if len(local) > 0 {
+	if nLocal > 0 {
 		// Build and run the pooling net: one fused SLS over the locally
 		// held entries, executed through the framework so Net Overhead and
 		// operator spans are attributed exactly like the main shard's.
-		ws := nn.NewWorkspace()
-		sls := &nn.MultiSLS{OpName: "sls_" + s.ShardName}
-		for _, le := range local {
-			bagsName := fmt.Sprintf("bags_%d", le.idx)
-			ws.SetBags(bagsName, le.entry.Bags)
+		sls := &nn.MultiSLS{OpName: s.slsName, Entries: make([]nn.SLSEntry, 0, nLocal)}
+		for i := range run {
+			if run[i].table == nil {
+				continue
+			}
 			sls.Entries = append(sls.Entries, nn.SLSEntry{
-				Table:     le.table,
-				InputBags: bagsName,
-				Output:    fmt.Sprintf("pooled_%d", le.idx),
+				Table: run[i].table, Bags: req.Entries[i].Bags, Out: floatsOver(slots[i].region(out)),
 			})
 		}
 		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
 		net := &nn.Net{NetName: req.Net, Ops: []nn.Op{sls}}
 		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
-		if err := net.Run(ws, netObs); err != nil {
+		if err := net.Run(nil, netObs); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
 		}
 		if s.OpComputeScale > 1 {
@@ -392,125 +430,130 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		}
 		opDur := time.Since(opStart) //lint:allow determinism measured latency goes to histograms and load accounting only
 		s.met.opNs.Observe(int64(opDur))
-		s.accountLoad(local, opDur)
+		s.accountLoad(req.Entries, run, opDur)
 
-		for _, le := range local {
-			m, err := ws.Blob(fmt.Sprintf("pooled_%d", le.idx))
-			if err != nil {
-				return nil, err
+		if !wireNative {
+			// The conversion pass a host of the other byte order owes.
+			convStart := s.rec.Now()
+			k := 0
+			for i := range run {
+				if run[i].table != nil {
+					putF32s(slots[i].region(out), sls.Entries[k].Out)
+					k++
+				}
 			}
-			results[le.idx] = PooledEntry{
-				TableID:   le.entry.TableID,
-				PartIndex: le.entry.PartIndex,
-				Rows:      int32(m.Rows),
-				Cols:      int32(m.Cols),
-				Data:      m.Data,
-			}
+			encDur += s.rec.Now().Sub(convStart)
 		}
 	}
 
-	if fwdCall != nil {
-		if err := fwdCall(results); err != nil {
+	if fwdWait != nil {
+		if err := fwdWait(); err != nil {
 			return nil, err
 		}
 	}
-
-	// Serialize (RPC Ser/De at the sparse shard).
-	encStart := s.rec.Now()
-	out := EncodeSparseResponse(&SparseResponse{Entries: results})
 	s.rec.Record(trace.Span{
 		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerSerDe,
-		Name: "sparse/encode", Start: encStart, Dur: s.rec.Now().Sub(encStart),
+		Name: "sparse/encode", Start: encStart, Dur: encDur,
 	})
 	return out, nil
 }
 
 // accountLoad folds one call's locally served entries into the live load
 // summary, apportioning the call's sparse-op time by lookup share.
-func (s *SparseShard) accountLoad(local []runEntry, opDur time.Duration) {
+func (s *SparseShard) accountLoad(entries []SparseEntry, run []runEntry, opDur time.Duration) {
 	total := 0
-	lookups := make([]int, len(local))
-	for i, le := range local {
-		lookups[i] = embedding.TotalLookups(le.entry.Bags)
-		total += lookups[i]
+	for i := range run {
+		if run[i].table != nil {
+			run[i].lookups = embedding.TotalLookups(entries[i].Bags)
+			total += run[i].lookups
+		}
 	}
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
-	for i, le := range local {
+	for i := range run {
+		if run[i].table == nil {
+			continue
+		}
 		var svc time.Duration
 		if total > 0 {
-			svc = time.Duration(float64(opDur) * float64(lookups[i]) / float64(total))
+			svc = time.Duration(float64(opDur) * float64(run[i].lookups) / float64(total))
 		}
-		key := tableKey{id: int(le.entry.TableID), part: int(le.entry.PartIndex)}
+		key := tableKey{id: int(entries[i].TableID), part: int(entries[i].PartIndex)}
 		s.load.Add(key.loadKey(), sharding.TableLoad{
-			Lookups: int64(lookups[i]), ServiceTime: svc, Calls: 1,
+			Lookups: int64(run[i].lookups), ServiceTime: svc, Calls: 1,
 		})
 	}
 }
 
-// issueForwards sends forwarded entries to their destination shards and
-// returns a wait function that splices the pooled results into the
-// response slice, or nil when nothing was forwarded.
-func (s *SparseShard) issueForwards(ctx trace.Context, net string, forwarded []runEntry) func([]PooledEntry) error {
-	if len(forwarded) == 0 {
-		return nil
-	}
+// issueForwards sends the request's forwarded entries to the shards that
+// now hold their tables and returns a wait function that copies each
+// answer's pooled rows — still wire bytes — into its region of out.
+func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run []runEntry, slots []pooledSlot, out []byte) func() error {
 	// Group entries per destination caller so one straggler batch costs
 	// one hop per destination.
 	type group struct {
-		target  *forwardTarget
-		entries []runEntry
+		target *forwardTarget
+		idx    []int // positions in the request
+		call   *rpc.Call
+		issue  time.Time
 	}
-	var groups []group
-	byCaller := make(map[rpc.Caller]int)
-	for _, fe := range forwarded {
-		gi, ok := byCaller[fe.forward.caller]
-		if !ok {
-			gi = len(groups)
-			byCaller[fe.forward.caller] = gi
-			groups = append(groups, group{target: fe.forward})
+	var groups []*group
+	byCaller := make(map[rpc.Caller]*group)
+	for i := range run {
+		fwd := run[i].forward
+		if fwd == nil {
+			continue
 		}
-		groups[gi].entries = append(groups[gi].entries, fe)
+		g := byCaller[fwd.caller]
+		if g == nil {
+			g = &group{target: fwd}
+			byCaller[fwd.caller] = g
+			groups = append(groups, g)
+		}
+		g.idx = append(g.idx, i)
 	}
-	type pending struct {
-		g     group
-		call  *rpc.Call
-		issue time.Time
-	}
-	calls := make([]pending, 0, len(groups))
 	for _, g := range groups {
-		sreq := &SparseRequest{Net: net}
-		for _, fe := range g.entries {
-			sreq.Entries = append(sreq.Entries, fe.entry)
+		sreq := &SparseRequest{Net: req.Net, Entries: make([]SparseEntry, len(g.idx))}
+		for k, i := range g.idx {
+			sreq.Entries[k] = req.Entries[i]
 		}
-		issue := s.rec.Now()
-		call := g.target.caller.Go(&rpc.Request{
+		g.issue = s.rec.Now()
+		g.call = g.target.caller.Go(&rpc.Request{
 			Method: MethodSparseRun, TraceID: ctx.TraceID, CallID: s.rec.NextID(),
 			Body: EncodeSparseRequest(sreq),
 		})
 		s.met.forwards.Inc()
-		calls = append(calls, pending{g: g, call: call, issue: issue})
 	}
-	return func(results []PooledEntry) error {
-		for _, p := range calls {
-			<-p.call.Done
+	return func() error {
+		for _, g := range groups {
+			<-g.call.Done
 			s.rec.Record(trace.Span{
-				TraceID: ctx.TraceID, CallID: p.call.Req.CallID, Layer: trace.LayerMigration,
-				Net: net, Name: "forward/" + p.g.target.service,
-				Start: p.issue, Dur: s.rec.Now().Sub(p.issue),
+				TraceID: ctx.TraceID, CallID: g.call.Req.CallID, Layer: trace.LayerMigration,
+				Net: req.Net, Name: "forward/" + g.target.service,
+				Start: g.issue, Dur: s.rec.Now().Sub(g.issue),
 			})
-			if p.call.Err != nil {
-				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, p.g.target.service, p.call.Err)
+			if g.call.Err != nil {
+				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, g.call.Err)
 			}
-			resp, err := DecodeSparseResponse(p.call.Resp.Body)
+			pooled, err := readPooled(g.call.Resp.Body)
 			if err != nil {
-				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, p.g.target.service, err)
+				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, err)
 			}
-			if len(resp.Entries) != len(p.g.entries) {
-				return fmt.Errorf("core: %s forward returned %d entries for %d", s.ShardName, len(resp.Entries), len(p.g.entries))
+			if pooled.left != len(g.idx) {
+				return fmt.Errorf("core: %s forward returned %d entries for %d", s.ShardName, pooled.left, len(g.idx))
 			}
-			for i, fe := range p.g.entries {
-				results[fe.idx] = resp.Entries[i]
+			for _, i := range g.idx {
+				got, rows, err := pooled.next()
+				if err != nil {
+					return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, err)
+				}
+				want := &slots[i]
+				if got.TableID != want.TableID || got.PartIndex != want.PartIndex || got.Rows != want.Rows || got.Cols != want.Cols {
+					return fmt.Errorf("core: %s forward to %s answered table %d part %d as %dx%d, want table %d part %d as %dx%d",
+						s.ShardName, g.target.service, got.TableID, got.PartIndex, got.Rows, got.Cols,
+						want.TableID, want.PartIndex, want.Rows, want.Cols)
+				}
+				copy(want.region(out), rows)
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -169,40 +170,37 @@ type checker interface {
 	check() error
 }
 
-func encodeMsg(m wireMsg) []byte {
-	var w buffer
-	w.msg(m)
-	return w.b
-}
+func encodeMsg(m wireMsg) []byte { return appendMsg(nil, m) }
 
-func (w *buffer) msg(m wireMsg) {
+func appendMsg(b []byte, m wireMsg) []byte {
 	for _, f := range m.fields() {
 		switch f := f.(type) {
 		case *uint64:
-			w.u64(*f)
+			b = binary.LittleEndian.AppendUint64(b, *f)
 		case *int32:
-			w.u32(uint32(*f))
+			b = appendU32(b, uint32(*f))
 		case *bool:
 			if *f {
-				w.u32(1)
+				b = appendU32(b, 1)
 			} else {
-				w.u32(0)
+				b = appendU32(b, 0)
 			}
 		case *string:
-			w.str(*f)
+			b = appendStr(b, *f)
 		case *[]byte:
-			w.bytes(*f)
+			b = append(appendU32(b, uint32(len(*f))), *f...)
 		case *[]TableShape:
-			w.u32(uint32(len(*f)))
+			b = appendU32(b, uint32(len(*f)))
 			for i := range *f {
-				w.msg(&(*f)[i])
+				b = appendMsg(b, &(*f)[i])
 			}
 		case wireMsg:
-			w.msg(f)
+			b = appendMsg(b, f)
 		default:
 			panic(fmt.Sprintf("core: no wire form for field %T of %T", f, m))
 		}
 	}
+	return b
 }
 
 // decodeMsg parses b as a message of type T.
@@ -235,8 +233,11 @@ func (r *reader) msg(m wireMsg) error {
 		case *string:
 			*f, err = r.str()
 		case *[]byte:
-			// bytes bounds the length prefix by what is left to read.
-			*f, err = r.bytes()
+			// count bounds the length prefix by what is left to read.
+			var n int
+			if n, err = r.count(1); err == nil {
+				*f = append([]byte(nil), r.take(n)...)
+			}
 		case *[]TableShape:
 			var n uint32
 			if n, err = r.u32(); err == nil && uint64(n)*tableShapeWireSize > uint64(len(r.b)) {
@@ -330,18 +331,17 @@ func (m *TableForward) fields() []any {
 // EncodeLoadSummary serializes a load summary in deterministic key
 // order.
 func EncodeLoadSummary(s *sharding.LoadSummary) []byte {
-	var w buffer
 	keys := s.Keys()
-	w.u32(uint32(len(keys)))
+	b := appendU32(make([]byte, 0, 4+32*len(keys)), uint32(len(keys)))
 	for _, k := range keys {
 		l := s.Tables[k]
-		w.u32(uint32(k.TableID))
-		w.u32(uint32(k.PartIndex))
-		w.u64(uint64(l.Lookups))
-		w.u64(uint64(l.ServiceTime))
-		w.u64(uint64(l.Calls))
+		b = appendU32(b, uint32(k.TableID))
+		b = appendU32(b, uint32(k.PartIndex))
+		b = binary.LittleEndian.AppendUint64(b, uint64(l.Lookups))
+		b = binary.LittleEndian.AppendUint64(b, uint64(l.ServiceTime))
+		b = binary.LittleEndian.AppendUint64(b, uint64(l.Calls))
 	}
-	return w.b
+	return b
 }
 
 // DecodeLoadSummary parses a load summary.

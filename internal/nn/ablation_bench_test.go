@@ -51,17 +51,20 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 
 	b.Run("per-table+concat", func(b *testing.B) {
 		ws := mkWS()
-		sls := &MultiSLS{OpName: "multi"}
+		sls := &MultiSLS{OpName: "multi", Entries: make([]SLSEntry, nTables)}
 		concat := &ConcatOp{OpName: "concat", Output: "emb"}
 		for ti := 0; ti < nTables; ti++ {
-			out := fmt.Sprintf("pooled_%d", ti)
-			sls.Entries = append(sls.Entries, SLSEntry{
-				Table: tables[ti], InputBags: fmt.Sprintf("bags_%d", ti), Output: out,
-			})
-			concat.Inputs = append(concat.Inputs, out)
+			concat.Inputs = append(concat.Inputs, fmt.Sprintf("pooled_%d", ti))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			// The naive graph materializes one output blob per table.
+			for ti := range sls.Entries {
+				bagSet, _ := ws.Bags(fmt.Sprintf("bags_%d", ti))
+				out := tensor.New(bags, dim)
+				sls.Entries[ti] = SLSEntry{Table: tables[ti], Bags: bagSet, Out: out.Data}
+				ws.SetBlob(concat.Inputs[ti], out)
+			}
 			if err := sls.Run(ws); err != nil {
 				b.Fatal(err)
 			}

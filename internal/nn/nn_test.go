@@ -3,6 +3,7 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,38 @@ func TestSLSOp(t *testing.T) {
 	}
 	if op.Kind() != KindSparse {
 		t.Error("SLS kind should be Sparse")
+	}
+}
+
+// TestMultiSLSPoolsIntoCallerStorage: the op overwrites the storage it is
+// handed (stale contents must not leak into the sums), needs no
+// workspace, and a net turns its operand faults into errors.
+func TestMultiSLSPoolsIntoCallerStorage(t *testing.T) {
+	tab := embedding.NewDense(4, 2)
+	copy(tab.Data, []float32{1, 1, 2, 2, 3, 3, 4, 4})
+	out := []float32{9, 9, 9, 9, 9, 9}
+	op := &MultiSLS{OpName: "multi", Entries: []SLSEntry{{
+		Table: tab, Out: out,
+		Bags: []embedding.Bag{{Indices: []int32{0, 3}}, {}, {Indices: []int32{2}}},
+	}}}
+	net := &Net{NetName: "n", Ops: []Op{op}}
+	if err := net.Run(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{5, 5, 0, 0, 3, 3}; !slices.Equal(out, want) {
+		t.Errorf("pooled = %v, want %v", out, want)
+	}
+	if op.Kind() != KindSparse {
+		t.Error("MultiSLS kind should be Sparse")
+	}
+	op.Entries[0].Out = out[:4]
+	if err := net.Run(nil, nil); err == nil || !strings.Contains(err.Error(), "multi") {
+		t.Errorf("short output storage: err = %v, want the operator's failure", err)
+	}
+	op.Entries[0].Out = out
+	op.Entries[0].Bags[1].Indices = []int32{4}
+	if err := net.Run(nil, nil); err == nil {
+		t.Error("out-of-range index must fail the net")
 	}
 }
 

@@ -4,23 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/embedding"
-	"repro/internal/tensor"
 )
 
-// SLSEntry is one table's lookup inside a fused MultiSLS op.
+// SLSEntry is one table's lookup inside a MultiSLS op: the bags to pool
+// and the len(Bags)×Dim floats the pooled rows are written to.
 type SLSEntry struct {
-	Table     embedding.Table
-	InputBags string
-	Output    string
+	Table embedding.Table
+	Bags  []embedding.Bag
+	Out   []float32
 }
 
 // MultiSLS executes SparseLengthsSum for a group of tables in one
-// operator. The work is identical to a sequence of SLSOp instances (the
-// tables still pool sequentially, as Caffe2 schedules them), but the
-// group records a single trace span, keeping span volume proportional to
-// operator *groups* rather than the 257 tables of DRM1. The singular
-// configuration uses one MultiSLS per net; sparse shards use one per
-// request.
+// operator, recording a single trace span so span volume tracks operator
+// *groups* rather than the 257 tables of DRM1. Sparse shards run one per
+// request, and hand it bags and output storage directly instead of
+// through named workspace blobs: the outputs are regions of the response
+// being built, so pooling writes the wire bytes' final resting place.
 type MultiSLS struct {
 	OpName  string
 	Entries []SLSEntry
@@ -32,18 +31,13 @@ func (o *MultiSLS) Name() string { return o.OpName }
 // Kind implements Op.
 func (o *MultiSLS) Kind() OpKind { return KindSparse }
 
-// Run implements Op.
-func (o *MultiSLS) Run(ws *Workspace) error {
+// Run implements Op. A wrongly sized Out or an out-of-range index panics
+// inside embedding.SLS; the net scheduler turns that into the request's
+// error.
+func (o *MultiSLS) Run(*Workspace) error {
 	for i := range o.Entries {
 		e := &o.Entries[i]
-		bags, err := ws.Bags(e.InputBags)
-		if err != nil {
-			return fmt.Errorf("%s[%d]: %w", o.OpName, i, err)
-		}
-		dim := e.Table.Dim()
-		out := tensor.New(len(bags), dim)
-		embedding.SLS(out.Data, e.Table, bags)
-		ws.SetBlob(e.Output, out)
+		embedding.SLS(e.Out, e.Table, e.Bags)
 	}
 	return nil
 }

@@ -124,7 +124,12 @@ func (ws *Workspace) WaitBlob(name string) (*tensor.Matrix, error) {
 
 // WaitAll resolves every outstanding future, returning the first error.
 // The scheduler calls this at net exit so no goroutine leaks past a run.
+// A nil workspace — a net whose operators carry their own operands — has
+// none.
 func (ws *Workspace) WaitAll() error {
+	if ws == nil {
+		return nil
+	}
 	var firstErr error
 	for name, f := range ws.futures {
 		m, err := f.Wait()

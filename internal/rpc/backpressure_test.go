@@ -57,6 +57,11 @@ func TestServerShedsBeyondMaxInFlight(t *testing.T) {
 	if ok != 1 || shed != n-1 {
 		t.Fatalf("ok=%d shed=%d, want 1/%d", ok, shed, n-1)
 	}
+	// The admitted request's slot is released after its answer is
+	// written, so the client can get here first.
+	for srv.Stats().InFlight != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	st := srv.Stats()
 	if st.Overloads != n-1 || st.PeakInFlight != 1 || st.InFlight != 0 {
 		t.Errorf("stats = %+v", st)

@@ -70,9 +70,9 @@ const DefaultPoolSize = 4
 type Client struct {
 	subs []*clientConn
 	next atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
+	// closed is read on every Go — 21 times per request on the sparse
+	// fan-out — so it is a flag, not a lock.
+	closed atomic.Bool
 }
 
 // clientConn is one pooled connection.
@@ -114,13 +114,9 @@ func DialPool(addr string, requestLink *netsim.Link, size int) (*Client, error) 
 
 // Close tears down all connections and fails all pending calls.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	var firstErr error
 	for _, sub := range c.subs {
 		if err := sub.close(); err != nil && firstErr == nil {
@@ -133,10 +129,7 @@ func (c *Client) Close() error {
 // Go issues req asynchronously on the next pooled connection. The
 // returned Call's Done channel closes on completion.
 func (c *Client) Go(req *Request) *Call {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed || len(c.subs) == 0 {
+	if c.closed.Load() || len(c.subs) == 0 {
 		call := &Call{Req: req, Done: make(chan struct{})}
 		call.finish(nil, ErrClientClosed)
 		return call
@@ -187,7 +180,7 @@ func (s *clientConn) failPending(err error) {
 func (s *clientConn) readLoop() {
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, responseBodyPad)
 		if err != nil {
 			// Mark closed before failing pending calls so a racing issue()
 			// cannot register a call that nothing will ever complete.
@@ -234,11 +227,13 @@ func (s *clientConn) issue(req *Request) *Call {
 		call.finish(nil, err)
 		return call
 	}
-	// Encode into a pooled buffer; it is returned once the frame write
-	// runs (write() executes exactly once, inline or on the timer
-	// wheel) or on the paths below where the write never happens.
-	bp := getFrameBuf(size)
-	payload := encodeRequestInto(*bp, req)
+	// Header and body are laid down once, behind the length prefix, in
+	// the pooled buffer the socket write reads from. It is returned once
+	// the frame write runs (write() executes exactly once, inline or on
+	// the timer wheel) or on the paths below where the write never
+	// happens.
+	bp, msg := newFrame(size)
+	encodeRequestInto(msg, req)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -261,9 +256,8 @@ func (s *clientConn) issue(req *Request) *Call {
 	// transmit without parking an extra goroutine per message.
 	write := func() {
 		s.writeMu.Lock()
-		err := writeFrame(s.conn, payload)
+		err := sendFrame(s.conn, bp)
 		s.writeMu.Unlock()
-		putFrameBuf(bp)
 		if err != nil {
 			s.mu.Lock()
 			_, stillPending := s.pending[req.CallID]
@@ -277,7 +271,7 @@ func (s *clientConn) issue(req *Request) *Call {
 	if s.requestLink == nil {
 		write()
 	} else {
-		netsim.AfterFunc(s.requestLink.Delay(len(payload)), write)
+		netsim.AfterFunc(s.requestLink.Delay(size), write)
 	}
 	return call
 }

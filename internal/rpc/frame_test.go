@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// writeFrame frames an arbitrary message the way the client and server
+// frame theirs.
+func writeFrame(w io.Writer, msg []byte) error {
+	frame, space := newFrame(len(msg))
+	copy(space, msg)
+	return sendFrame(w, frame)
+}
+
 // TestClientCorruptResponseFailsDeterministically regresses the bug
 // where a response frame that framed correctly but failed to decode was
 // silently skipped, leaving its call hanging until the client was
@@ -92,7 +100,7 @@ func BenchmarkFrameWrite(b *testing.B) {
 
 // BenchmarkClientRoundTrip measures allocations across a full
 // client→server echo round trip, the number the request-path pooling
-// (encodeRequestInto + writeFrame reuse) actually moves.
+// (one pooled frame per message) actually moves.
 func BenchmarkClientRoundTrip(b *testing.B) {
 	s, err := NewServer("127.0.0.1:0", HandlerFunc(echoHandler), ServerConfig{})
 	if err != nil {

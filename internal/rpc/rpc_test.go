@@ -90,7 +90,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := readFrame(&buf, 0)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("frame round trip: %q, %v", got, err)
 	}
@@ -100,7 +100,7 @@ func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	// Forged oversized length prefix.
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err != ErrFrameTooLarge {
+	if _, err := readFrame(&buf, 0); err != ErrFrameTooLarge {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }

@@ -177,7 +177,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var writeMu sync.Mutex
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, 0)
 		if err != nil {
 			return // connection closed or corrupt
 		}
@@ -217,10 +217,12 @@ func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
 		// are actually within the bound.
 		s.inFlight.Add(-1)
 		s.overloads.Add(1)
-		s.answer(conn, writeMu, &Response{
+		// The rejection bypasses the handler but not the response link: a
+		// shed answer rides the same wire home.
+		s.writeOut(conn, writeMu, frameResponse(&Response{
 			CallID: req.CallID,
 			Err:    fmt.Sprintf("%s %d requests in flight (max %d)", OverloadMsgPrefix, n, max),
-		})
+		}))
 		return
 	}
 	defer s.inFlight.Add(-1)
@@ -240,11 +242,7 @@ func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
 		resp.Err = herr.Error()
 		resp.Body = nil
 	}
-	out, err := EncodeResponse(resp)
-	if err != nil {
-		log.Printf("rpc: encode response: %v", err)
-		return
-	}
+	frame := frameResponse(resp)
 	postDur := time.Since(postStart)
 
 	if rec != nil {
@@ -264,28 +262,34 @@ func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
 		})
 	}
 
-	s.writeOut(conn, writeMu, out)
+	s.writeOut(conn, writeMu, frame)
 }
 
-// answer encodes and writes one response frame directly, bypassing the
-// handler path — the overload rejection's exit. The response link's
-// delay still applies: a shed answer rides the same wire home.
-func (s *Server) answer(conn net.Conn, writeMu *sync.Mutex, resp *Response) {
-	out, err := EncodeResponse(resp)
+// frameResponse lays resp's header and body down once, behind the length
+// prefix, in the pooled buffer the socket write will read from; the
+// handler's own slice is left exactly as it was returned. A response
+// that cannot be framed is answered with the reason instead, so the
+// caller fails now rather than waiting on a frame that never comes.
+func frameResponse(resp *Response) *[]byte {
+	size, err := responseWireSize(resp)
 	if err != nil {
-		log.Printf("rpc: encode response: %v", err)
-		return
+		log.Printf("rpc: framing response: %v", err)
+		resp = &Response{CallID: resp.CallID, Err: "rpc: response not sent: " + err.Error()}
+		size, _ = responseWireSize(resp)
 	}
-	s.writeOut(conn, writeMu, out)
+	frame, msg := newFrame(size)
+	encodeResponseInto(msg, resp)
+	return frame
 }
 
-// writeOut writes one encoded response frame, applying the response
-// link's delay when configured — the single exit path for normal and
-// shed answers alike.
-func (s *Server) writeOut(conn net.Conn, writeMu *sync.Mutex, out []byte) {
+// writeOut writes one framed response, applying the response link's
+// delay when configured — the single exit path for normal and shed
+// answers alike.
+func (s *Server) writeOut(conn net.Conn, writeMu *sync.Mutex, frame *[]byte) {
+	size := len(*frame) - frameHeader
 	write := func() {
 		writeMu.Lock()
-		err := writeFrame(conn, out)
+		err := sendFrame(conn, frame)
 		writeMu.Unlock()
 		if err != nil {
 			log.Printf("rpc: write response: %v", err)
@@ -295,7 +299,7 @@ func (s *Server) writeOut(conn net.Conn, writeMu *sync.Mutex, out []byte) {
 		write()
 		return
 	}
-	netsim.AfterFunc(s.cfg.ResponseLink.Delay(len(out)), write)
+	netsim.AfterFunc(s.cfg.ResponseLink.Delay(size), write)
 }
 
 func (s *Server) scaledBoilerplate() time.Duration {

@@ -55,10 +55,11 @@ type Response struct {
 // ErrFrameTooLarge reports a frame exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
-// frameBufPool recycles the header+payload scratch buffers writeFrame
-// assembles. At serving rates every request and response frame used to
-// allocate one; the pool drops that to zero steady-state allocations
-// (see BenchmarkFrameRoundTrip).
+// frameBufPool recycles frame scratch: the [length | message] buffers a
+// frame is assembled in and written from. Nothing pooled ever crosses the
+// Handler or Caller boundary — request and response bodies are copied in
+// here once and the buffer goes back as soon as its Write returns — so a
+// wrapper that retains a body it was handed never sees it change.
 var frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getFrameBuf returns a pooled buffer of length n. The capacity grows
@@ -75,26 +76,37 @@ func getFrameBuf(n int) *[]byte {
 
 func putFrameBuf(bp *[]byte) { frameBufPool.Put(bp) }
 
-// writeFrame writes a 4-byte big-endian length prefix followed by
-// payload as a single Write: syscalls dominate small-message cost on
-// sandboxed kernels, so the header is never written separately. The
-// scratch buffer is pooled; net.Conn.Write has fully consumed it by the
-// time it returns, so returning it immediately is safe.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	bp := getFrameBuf(frameHeader + len(payload))
-	buf := *bp
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeader:], payload)
-	_, err := w.Write(buf)
-	putFrameBuf(bp)
+// newFrame starts a frame for an n-byte message (n ≤ MaxFrameSize, which
+// the wire-size functions enforce): a pooled buffer with the 4-byte
+// big-endian length prefix written, and the message space after it for
+// the caller to encode into — header and body are laid down once, in the
+// buffer the socket write reads from.
+func newFrame(n int) (frame *[]byte, msg []byte) {
+	frame = getFrameBuf(frameHeader + n)
+	binary.BigEndian.PutUint32(*frame, uint32(n))
+	return frame, (*frame)[frameHeader:]
+}
+
+// sendFrame writes a frame as a single Write — syscalls dominate
+// small-message cost on sandboxed kernels, so the prefix never goes
+// separately — and returns its buffer to the pool: net.Conn.Write has
+// fully consumed it by the time it returns.
+func sendFrame(w io.Writer, frame *[]byte) error {
+	_, err := w.Write(*frame)
+	putFrameBuf(frame)
 	return err
 }
 
-// readFrame reads one length-prefixed payload from a buffered reader.
-func readFrame(r io.Reader) ([]byte, error) {
+// responseBodyPad is the slack readFrame leaves before a response
+// message so that the body of an error-free response — 15 bytes in —
+// starts on a 4-byte boundary, letting the receiver read the pooled
+// floats it carries in place.
+const responseBodyPad = 1
+
+// readFrame reads one length-prefixed message from a buffered reader
+// into a fresh allocation (the caller hands sub-slices of it to code
+// that may keep them), pad bytes into that allocation.
+func readFrame(r io.Reader, pad int) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -103,11 +115,11 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	msg := make([]byte, pad+int(n))[pad:]
+	if _, err := io.ReadFull(r, msg); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return msg, nil
 }
 
 // EncodeRequest serializes a request into a frame payload.
@@ -124,12 +136,15 @@ func requestWireSize(req *Request) (int, error) {
 	if len(req.Method) > 0xffff {
 		return 0, fmt.Errorf("rpc: method name too long (%d bytes)", len(req.Method))
 	}
-	return 1 + 8 + 8 + 2 + len(req.Method) + 4 + len(req.Body), nil
+	n := 1 + 8 + 8 + 2 + len(req.Method) + 4 + len(req.Body)
+	if n > MaxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	return n, nil
 }
 
 // encodeRequestInto serializes req into buf, which must be exactly
-// requestWireSize bytes — the pooled-buffer path the client's issue()
-// uses to avoid a per-call allocation.
+// requestWireSize bytes.
 func encodeRequestInto(buf []byte, req *Request) []byte {
 	buf[0] = msgRequest
 	binary.LittleEndian.PutUint64(buf[1:], req.TraceID)
@@ -166,18 +181,35 @@ func DecodeRequest(buf []byte) (*Request, error) {
 
 // EncodeResponse serializes a response into a frame payload.
 func EncodeResponse(resp *Response) ([]byte, error) {
+	n, err := responseWireSize(resp)
+	if err != nil {
+		return nil, err
+	}
+	return encodeResponseInto(make([]byte, n), resp), nil
+}
+
+// responseWireSize returns the encoded size of resp, validating bounds.
+func responseWireSize(resp *Response) (int, error) {
 	if len(resp.Err) > 0xffff {
-		return nil, fmt.Errorf("rpc: error message too long (%d bytes)", len(resp.Err))
+		return 0, fmt.Errorf("rpc: error message too long (%d bytes)", len(resp.Err))
 	}
 	n := 1 + 8 + 2 + len(resp.Err) + 4 + len(resp.Body)
-	buf := make([]byte, n)
+	if n > MaxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	return n, nil
+}
+
+// encodeResponseInto serializes resp into buf, which must be exactly
+// responseWireSize bytes.
+func encodeResponseInto(buf []byte, resp *Response) []byte {
 	buf[0] = msgResponse
 	binary.LittleEndian.PutUint64(buf[1:], resp.CallID)
 	binary.LittleEndian.PutUint16(buf[9:], uint16(len(resp.Err)))
 	off := 11 + copy(buf[11:], resp.Err)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(resp.Body)))
 	copy(buf[off+4:], resp.Body)
-	return buf, nil
+	return buf
 }
 
 // DecodeResponse parses a frame payload into a Response.
