@@ -24,13 +24,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/frontend"
+	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 var (
@@ -258,6 +262,45 @@ func BenchmarkFusedFC(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEngineDistributedDRM1 measures one DRM1 ranking request
+// through the engine of an in-process 4-shard load-balanced deployment:
+// hashing, the sparse.run round trips over loopback TCP (netsim links
+// on), scatter and the dense nets. calls/op is the sparse fan-out — one
+// call per shard per request whatever the batch size — and allocs/op is
+// gated by cmd/benchcheck.
+func BenchmarkEngineDistributedDRM1(b *testing.B) {
+	cfg := model.ByName("DRM1")
+	m := model.Build(cfg)
+	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: 1, Obs: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	gen := workload.NewGenerator(cfg, 1)
+	reqs := make([]*core.RankingRequest, 20)
+	for i := range reqs {
+		reqs[i] = core.FromWorkload(gen.Next())
+	}
+	calls := reg.Counter("engine.rpc.calls")
+	before := calls.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Engine.Execute(trace.Context{TraceID: uint64(i + 1)}, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+		if cl.MainRec.Len() > 1<<17 {
+			cl.ResetTraces()
+		}
+	}
+	b.ReportMetric(float64(calls.Load()-before)/float64(b.N), "calls/op")
 }
 
 // nopExec is a zero-cost executor isolating the serving frontend's own

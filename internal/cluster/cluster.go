@@ -31,6 +31,9 @@ import (
 type Options struct {
 	// BatchSize overrides the model's default batch size (0 keeps it).
 	BatchSize int
+	// PaperSchedule is core.EngineConfig.PaperSchedule: per-batch, per-net
+	// sparse calls, for internal/experiments' paper figures only.
+	PaperSchedule bool
 	// SparsePlatform selects the sparse shards' server class; defaults to
 	// SC-Large as in the paper's apples-to-apples runs.
 	SparsePlatform *platform.Platform
@@ -379,9 +382,10 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 	}
 
 	eng, err := core.NewEngine(m, plan, core.EngineConfig{
-		BatchSize: opts.BatchSize,
-		Recorder:  c.MainRec,
-		Obs:       c.Obs,
+		BatchSize:     opts.BatchSize,
+		PaperSchedule: opts.PaperSchedule,
+		Recorder:      c.MainRec,
+		Obs:           c.Obs,
 		ClientFor: func(service string) (rpc.Caller, error) {
 			cl, ok := c.clients[service]
 			if !ok {

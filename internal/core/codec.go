@@ -6,10 +6,10 @@
 // This is the Go analogue of the paper's customized Thrift + Caffe2 stack
 // (Section III-C): the engine compiles a model.Model plus a sharding.Plan
 // into per-net programs; requests are split into batches executed in
-// parallel; each batch's RPC operators fan out asynchronously to the
-// sparse shards holding that net's tables and the pooled results are
-// merged (for row-partitioned tables, partial pools are summed — exact,
-// because sum pooling distributes over row partitions).
+// parallel; each request's RPC operators fan out asynchronously — one
+// call per sparse shard, issued at admission — and the pooled results
+// are merged (for row-partitioned tables, partial pools are summed —
+// exact, because sum pooling distributes over row partitions).
 package core
 
 import (
@@ -23,20 +23,22 @@ import (
 )
 
 // SparseEntry identifies one table (or one row-partition of a table) in a
-// sparse RPC, together with the bags to pool. PartIndex/NumParts are
-// (0, 1) for whole tables; for partitions, bag indices are already
-// localized (logical/NumParts) by the caller.
+// sparse RPC, together with the bags to pool. Net indexes the request's
+// Nets. PartIndex/NumParts are (0, 1) for whole tables; for partitions,
+// bag indices are already localized (logical/NumParts) by the caller.
 type SparseEntry struct {
+	Net       int32
 	TableID   int32
 	PartIndex int32
 	NumParts  int32
 	Bags      []embedding.Bag
 }
 
-// SparseRequest asks one sparse shard to pool a set of entries belonging
-// to one net.
+// SparseRequest asks one sparse shard to pool a set of entries, each
+// belonging to one of the nets it names: the shard pools every net's
+// entries as that net's operator, so its spans still split by net.
 type SparseRequest struct {
-	Net     string
+	Nets    []string
 	Entries []SparseEntry
 }
 
@@ -221,14 +223,21 @@ func (s *bagSlab) decode(r *reader) ([]embedding.Bag, error) {
 
 // EncodeSparseRequest serializes a sparse RPC request.
 func EncodeSparseRequest(req *SparseRequest) []byte {
-	size := 4 + len(req.Net) + 4
-	for i := range req.Entries {
-		size += 12 + bagsSize(req.Entries[i].Bags)
+	size := 4 + 4
+	for _, net := range req.Nets {
+		size += 4 + len(net)
 	}
-	b := appendStr(make([]byte, 0, size), req.Net)
+	for i := range req.Entries {
+		size += sparseEntryHeader + bagsSize(req.Entries[i].Bags)
+	}
+	b := appendU32(make([]byte, 0, size), uint32(len(req.Nets)))
+	for _, net := range req.Nets {
+		b = appendStr(b, net)
+	}
 	b = appendU32(b, uint32(len(req.Entries)))
 	for i := range req.Entries {
 		e := &req.Entries[i]
+		b = appendU32(b, uint32(e.Net))
 		b = appendU32(b, uint32(e.TableID))
 		b = appendU32(b, uint32(e.PartIndex))
 		b = appendU32(b, uint32(e.NumParts))
@@ -237,18 +246,24 @@ func EncodeSparseRequest(req *SparseRequest) []byte {
 	return b
 }
 
-// sparseEntryMin is the least an entry occupies: three ids and a bag
-// count.
-const sparseEntryMin = 16
+// sparseEntryHeader is an entry's fixed part, four ids; with its bag
+// count that is the least an entry occupies.
+const sparseEntryHeader = 16
 
 // DecodeSparseRequest parses a sparse RPC request.
 func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
 	r := reader{b: b}
-	net, err := r.str()
+	nets, err := r.count(4)
 	if err != nil {
-		return nil, fmt.Errorf("core: sparse request net: %w", err)
+		return nil, fmt.Errorf("core: sparse request nets: %w", err)
 	}
-	n, err := r.count(sparseEntryMin)
+	out := &SparseRequest{Nets: make([]string, nets)}
+	for i := range out.Nets {
+		if out.Nets[i], err = r.str(); err != nil {
+			return nil, fmt.Errorf("core: sparse request nets: %w", err)
+		}
+	}
+	n, err := r.count(sparseEntryHeader + 4)
 	if err != nil {
 		return nil, err
 	}
@@ -256,10 +271,10 @@ func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
 	measure := r
 	var bags, indices int
 	for i := 0; i < n; i++ {
-		if len(measure.b) < 12 {
+		if len(measure.b) < sparseEntryHeader {
 			return nil, errTruncated
 		}
-		measure.b = measure.b[12:]
+		measure.b = measure.b[sparseEntryHeader:]
 		nb, ni, err := measure.skipBags()
 		if err != nil {
 			return nil, err
@@ -267,13 +282,17 @@ func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
 		bags, indices = bags+nb, indices+ni
 	}
 	slab := newBagSlab(bags, indices)
-	out := &SparseRequest{Net: net, Entries: make([]SparseEntry, n)}
+	out.Entries = make([]SparseEntry, n)
 	for i := range out.Entries {
 		e := &out.Entries[i]
-		e.TableID = int32(binary.LittleEndian.Uint32(r.b))
-		e.PartIndex = int32(binary.LittleEndian.Uint32(r.b[4:]))
-		e.NumParts = int32(binary.LittleEndian.Uint32(r.b[8:]))
-		r.b = r.b[12:]
+		e.Net = int32(binary.LittleEndian.Uint32(r.b))
+		e.TableID = int32(binary.LittleEndian.Uint32(r.b[4:]))
+		e.PartIndex = int32(binary.LittleEndian.Uint32(r.b[8:]))
+		e.NumParts = int32(binary.LittleEndian.Uint32(r.b[12:]))
+		r.b = r.b[sparseEntryHeader:]
+		if uint32(e.Net) >= uint32(nets) {
+			return nil, fmt.Errorf("core: sparse request entry %d names net %d of %d", i, e.Net, nets)
+		}
 		if e.Bags, err = slab.decode(&r); err != nil {
 			return nil, err
 		}

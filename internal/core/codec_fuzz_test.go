@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/embedding"
@@ -50,10 +51,17 @@ func FuzzSparseRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := DecodeSparseRequest(b); err == nil {
-			if len(req.Net)+16*len(req.Entries) > len(b) {
-				t.Fatalf("decoded %d entries and a %d-byte net from %d bytes", len(req.Entries), len(req.Net), len(b))
+			size := 20 * len(req.Entries)
+			for _, net := range req.Nets {
+				size += 4 + len(net)
+			}
+			if size > len(b) {
+				t.Fatalf("decoded %d entries and %d nets from %d bytes", len(req.Entries), len(req.Nets), len(b))
 			}
 			for _, e := range req.Entries {
+				if e.Net < 0 || int(e.Net) >= len(req.Nets) {
+					t.Fatalf("decoder accepted net %d of %d", e.Net, len(req.Nets))
+				}
 				bagCounts(t, e.Bags, b)
 			}
 			// The request grammar is prefix-free and order-preserving:
@@ -64,20 +72,20 @@ func FuzzSparseRequest(f *testing.F) {
 		}
 
 		bags := fuzzBags(b)
-		req := &SparseRequest{Net: string(b[:min(len(b), 5)]), Entries: []SparseEntry{
+		req := &SparseRequest{Nets: []string{string(b[:min(len(b), 5)]), "net2"}, Entries: []SparseEntry{
 			{TableID: int32(len(b)), NumParts: 1, Bags: bags},
-			{TableID: 7, PartIndex: 1, NumParts: 3, Bags: bags[:len(bags)/2]},
+			{Net: 1, TableID: 7, PartIndex: 1, NumParts: 3, Bags: bags[:len(bags)/2]},
 		}}
 		got, err := DecodeSparseRequest(EncodeSparseRequest(req))
 		if err != nil {
 			t.Fatalf("round trip of %+v: %v", req, err)
 		}
-		if got.Net != req.Net || len(got.Entries) != len(req.Entries) {
+		if !slices.Equal(got.Nets, req.Nets) || len(got.Entries) != len(req.Entries) {
 			t.Fatalf("round trip: %+v -> %+v", req, got)
 		}
 		for i, e := range req.Entries {
 			g := got.Entries[i]
-			if g.TableID != e.TableID || g.PartIndex != e.PartIndex || g.NumParts != e.NumParts || !bagsEqual(g.Bags, e.Bags) {
+			if g.Net != e.Net || g.TableID != e.TableID || g.PartIndex != e.PartIndex || g.NumParts != e.NumParts || !bagsEqual(g.Bags, e.Bags) {
 				t.Fatalf("round trip entry %d: %+v -> %+v", i, e, g)
 			}
 		}

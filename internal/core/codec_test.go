@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -39,23 +40,23 @@ func bagsEqual(a, b []embedding.Bag) bool {
 func TestSparseRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	req := &SparseRequest{
-		Net: "net1",
+		Nets: []string{"net1", "net2"},
 		Entries: []SparseEntry{
 			{TableID: 3, PartIndex: 0, NumParts: 1, Bags: randomBags(rng, 4)},
 			{TableID: 9, PartIndex: 2, NumParts: 4, Bags: randomBags(rng, 4)},
-			{TableID: 11, PartIndex: 0, NumParts: 1, Bags: []embedding.Bag{{}, {}}},
+			{Net: 1, TableID: 11, PartIndex: 0, NumParts: 1, Bags: []embedding.Bag{{}, {}}},
 		},
 	}
 	got, err := DecodeSparseRequest(EncodeSparseRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Net != req.Net || len(got.Entries) != len(req.Entries) {
+	if !slices.Equal(got.Nets, req.Nets) || len(got.Entries) != len(req.Entries) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	for i := range req.Entries {
 		a, b := req.Entries[i], got.Entries[i]
-		if a.TableID != b.TableID || a.PartIndex != b.PartIndex || a.NumParts != b.NumParts || !bagsEqual(a.Bags, b.Bags) {
+		if a.Net != b.Net || a.TableID != b.TableID || a.PartIndex != b.PartIndex || a.NumParts != b.NumParts || !bagsEqual(a.Bags, b.Bags) {
 			t.Errorf("entry %d mismatch", i)
 		}
 	}
@@ -130,7 +131,7 @@ func TestRankingResponseRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	req := &SparseRequest{Net: "n", Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: randomBags(rng, 2)}}}
+	req := &SparseRequest{Nets: []string{"n"}, Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: randomBags(rng, 2)}}}
 	full := EncodeSparseRequest(req)
 	for cut := 1; cut < len(full); cut += 3 {
 		if _, err := DecodeSparseRequest(full[:cut]); err == nil {
@@ -149,7 +150,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestSparseRequestPropertyRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		req := &SparseRequest{Net: "net2"}
+		req := &SparseRequest{Nets: []string{"net2"}}
 		for i, n := 0, rng.Intn(5); i < n; i++ {
 			req.Entries = append(req.Entries, SparseEntry{
 				TableID:   int32(rng.Intn(100)),
@@ -159,7 +160,7 @@ func TestSparseRequestPropertyRoundTrip(t *testing.T) {
 			})
 		}
 		got, err := DecodeSparseRequest(EncodeSparseRequest(req))
-		if err != nil || got.Net != req.Net || len(got.Entries) != len(req.Entries) {
+		if err != nil || !slices.Equal(got.Nets, req.Nets) || len(got.Entries) != len(req.Entries) {
 			return false
 		}
 		for i := range req.Entries {

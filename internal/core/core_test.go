@@ -170,7 +170,7 @@ func TestSparseShardHandle(t *testing.T) {
 		t.Fatal("shard accounting wrong")
 	}
 
-	req := &SparseRequest{Net: "net1", Entries: []SparseEntry{{
+	req := &SparseRequest{Nets: []string{"net1"}, Entries: []SparseEntry{{
 		TableID: 5, NumParts: 1,
 		Bags: []embedding.Bag{{Indices: []int32{1, 2}}, {Indices: []int32{7}}},
 	}}}
@@ -211,7 +211,7 @@ func TestSparseShardHandle(t *testing.T) {
 
 func TestSparseShardRejectsUnknownTable(t *testing.T) {
 	sh := NewSparseShard("s", trace.NewRecorder("s", 64))
-	req := &SparseRequest{Net: "n", Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: []embedding.Bag{{}}}}}
+	req := &SparseRequest{Nets: []string{"n"}, Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: []embedding.Bag{{}}}}}
 	if _, err := sh.Handle(trace.Context{}, "sparse.run", EncodeSparseRequest(req)); err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Errorf("err = %v", err)
 	}

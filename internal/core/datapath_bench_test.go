@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/embedding"
+	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/rpc"
 	"repro/internal/tensor"
@@ -14,11 +15,9 @@ import (
 // drm1Call is one sparse.run call shaped like DRM1's: 64 tables of dim
 // 16 on one shard, a 16-item batch, bags averaging under one index.
 type drm1Call struct {
-	tables      []embedding.Table
-	bags        [][]embedding.Bag
-	entries     []groupEntry
-	hashedNames []string
-	embCols     int
+	tables []embedding.Table
+	bags   [][]embedding.Bag
+	np     *netProgram
 }
 
 const (
@@ -29,7 +28,7 @@ const (
 
 func newDRM1Call() *drm1Call {
 	rng := rand.New(rand.NewSource(11))
-	c := &drm1Call{embCols: drm1Entries * drm1Dim}
+	c := &drm1Call{np: &netProgram{spec: model.NetSpec{Name: "net1"}, embCols: drm1Entries * drm1Dim}}
 	for id := 0; id < drm1Entries; id++ {
 		c.tables = append(c.tables, embedding.NewDenseRandom(rng, 4096, drm1Dim, 1))
 		bags := make([]embedding.Bag, drm1Batch)
@@ -39,14 +38,15 @@ func newDRM1Call() *drm1Call {
 			}
 		}
 		c.bags = append(c.bags, bags)
-		c.entries = append(c.entries, groupEntry{tableID: id, numParts: 1, rows: 4096, dim: drm1Dim})
-		c.hashedNames = append(c.hashedNames, "hashed_"+string(rune('A'+id)))
+		c.np.tables = append(c.np.tables, netTable{
+			TableSpec: model.TableSpec{ID: id, Rows: 4096, Dim: drm1Dim}, colOff: id * drm1Dim, sources: 1,
+		})
 	}
 	return c
 }
 
 func (c *drm1Call) request() *SparseRequest {
-	req := &SparseRequest{Net: "net1"}
+	req := &SparseRequest{Nets: []string{"net1"}}
 	for id, bags := range c.bags {
 		req.Entries = append(req.Entries, SparseEntry{TableID: int32(id), NumParts: 1, Bags: bags})
 	}
@@ -57,7 +57,7 @@ func (c *drm1Call) request() *SparseRequest {
 // hop chain for one call over loopback TCP: the main shard's RPC
 // operator serializes the bags and issues the call, the shard decodes,
 // pools and answers, and the operator's goroutine moves the pooled rows
-// into the batch's embedding matrix. allocs/op is the gated number
+// into the fetch's embedding matrix. allocs/op is the gated number
 // (cmd/benchcheck): every hop is meant to make one allocation.
 func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	c := newDRM1Call()
@@ -77,31 +77,28 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	}
 	defer client.Close()
 
-	ws := nn.NewWorkspace()
+	plan := &callPlan{nets: []*netProgram{c.np}, names: []string{"net1"}, label: "net1"}
+	group := remoteGroupSpec{service: "sparse1", op: "rpc_net1_sparse1", client: client}
+	hash := &nn.HashAllBags{}
 	for id, bags := range c.bags {
-		ws.SetBags(c.hashedNames[id], bags)
+		group.entries = append(group.entries, groupEntry{slot: id, numParts: 1})
+		hash.Entries = append(hash.Entries, nn.HashEntry{Out: bags})
 	}
-	mainRec := trace.NewRecorder("main", 1<<10)
+	plan.groups = []remoteGroupSpec{group}
+	eng := &Engine{cfg: EngineConfig{Recorder: trace.NewRecorder("main", 1<<10)}}
 	var sink *tensor.Matrix
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		asm := newEmbAssembler(drm1Batch, c.embCols, drm1Entries)
-		collectors := make(map[int]*collector, drm1Entries)
-		for id := range c.entries {
-			collectors[id] = newCollector(1, drm1Batch, drm1Dim, asm, id*drm1Dim, nil)
-		}
-		op := &rpcOp{
-			name: "rpc_net1_sparse1", net: "net1", service: "sparse1", client: client,
-			entries: c.entries, collectors: collectors, rec: mainRec,
-			ctx: trace.Context{TraceID: uint64(i + 1)}, batchItems: drm1Batch, hashedNames: c.hashedNames,
-		}
-		if err := op.Run(ws); err != nil {
+		x := &execution{e: eng, ctx: trace.Context{TraceID: uint64(i + 1)}, hash: hash}
+		f := x.newFetch(plan, 0, drm1Batch)
+		if err := f.ops()[0].Run(nil); err != nil {
 			b.Fatal(err)
 		}
-		if sink, err = asm.future.Wait(); err != nil {
+		if sink, err = f.nets[0].future.Wait(); err != nil {
 			b.Fatal(err)
 		}
+		x.inflight.Wait()
 	}
 	_ = sink
 }
@@ -140,8 +137,8 @@ func TestCodecAllocCeilings(t *testing.T) {
 	}{
 		// the body
 		{"EncodeSparseRequest", 1, func() { EncodeSparseRequest(sreq) }},
-		// request, net name, entries, bag headers, indices
-		{"DecodeSparseRequest", 5, func() { DecodeSparseRequest(sreqBytes) }},
+		// request, net table, net name, entries, bag headers, indices
+		{"DecodeSparseRequest", 6, func() { DecodeSparseRequest(sreqBytes) }},
 		// slots, the body
 		{"EncodeSparseResponse", 2, func() { EncodeSparseResponse(sresp) }},
 		// response, entries, values

@@ -11,9 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/rpc"
-	"repro/internal/sharding"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // referenceSparseResponse is what a shard must answer a request with,
@@ -72,31 +70,6 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 	bothWirePaths(t, func(t *testing.T) { check(t, "one entry forwarded") })
 }
 
-// distributedEngine wires an engine to in-process shards of plan.
-func distributedEngine(t *testing.T, m *model.Model, plan *sharding.Plan) *Engine {
-	t.Helper()
-	recs := make([]*trace.Recorder, plan.NumShards)
-	for i := range recs {
-		recs[i] = trace.NewRecorder(ServiceName(i+1), 1<<12)
-	}
-	shards, err := MaterializeShards(m, plan, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]rpc.Caller)
-	for _, sh := range shards {
-		byName[sh.ShardName] = &localCaller{h: sh}
-	}
-	eng, err := NewEngine(m, plan, EngineConfig{
-		Recorder:  trace.NewRecorder("main", 1<<14),
-		ClientFor: func(svc string) (rpc.Caller, error) { return byName[svc], nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
 func sameBits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -107,68 +80,6 @@ func sameBits(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// TestDistributedScoresOnBothPaths runs whole requests through the
-// rank → sparse.run → scatter round trip: with whole-table sharding the
-// scores must equal the singular engine's bit for bit on either path
-// (pooled rows are moved, never re-summed), and with a row-partitioned
-// table the two paths must agree with each other.
-func TestDistributedScoresOnBothPaths(t *testing.T) {
-	t.Run("whole tables", func(t *testing.T) {
-		cfg := tinyConfig()
-		m := model.Build(cfg)
-		plan, err := sharding.LoadBalanced(&cfg, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := FromWorkload(workload.NewGenerator(cfg, 5).Next())
-		singular, err := NewEngine(m, sharding.Singular(&cfg), EngineConfig{Recorder: trace.NewRecorder("main", 1<<14)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := singular.Execute(trace.Context{TraceID: 1}, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := distributedEngine(t, m, plan)
-		bothWirePaths(t, func(t *testing.T) {
-			got, err := eng.Execute(trace.Context{TraceID: 2}, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(got, want) {
-				t.Fatalf("distributed scores %v, singular %v", got, want)
-			}
-		})
-	})
-	t.Run("row partitions", func(t *testing.T) {
-		cfg := model.DRM3()
-		for i := range cfg.Tables {
-			cfg.Tables[i].Rows = 16
-		}
-		cfg.Tables[0].Rows = 1024
-		cfg.MeanItems = 4
-		m := model.Build(cfg)
-		plan, err := sharding.NSBP(&cfg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := FromWorkload(workload.NewGenerator(cfg, 5).Next())
-		eng := distributedEngine(t, m, plan)
-		var first []float32
-		bothWirePaths(t, func(t *testing.T) {
-			got, err := eng.Execute(trace.Context{TraceID: 3}, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first == nil {
-				first = got
-			} else if !sameBits(got, first) {
-				t.Fatalf("conversion path scores %v, in-place %v", got, first)
-			}
-		})
-	})
 }
 
 // TestCollectorSumsPartsInPartOrder: a table split into three row
@@ -220,7 +131,7 @@ func TestCollectorSumsPartsInPartOrder(t *testing.T) {
 func TestSparseRunRefusesUnframeableResponse(t *testing.T) {
 	sh := NewSparseShard("s", trace.NewRecorder("s", 64))
 	sh.AddTable(1, embedding.NewDense(4, 4096))
-	req := &SparseRequest{Net: "n", Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: make([]embedding.Bag, rpc.MaxFrameSize/(4*4096)+1)}}}
+	req := &SparseRequest{Nets: []string{"n"}, Entries: []SparseEntry{{TableID: 1, NumParts: 1, Bags: make([]embedding.Bag, rpc.MaxFrameSize/(4*4096)+1)}}}
 	_, err := sh.Handle(trace.Context{}, MethodSparseRun, EncodeSparseRequest(req))
 	if err == nil {
 		t.Fatal("a response beyond the frame limit must be refused")
@@ -238,7 +149,7 @@ func TestSparseRunSpanNames(t *testing.T) {
 	sh := NewSparseShard("sparse1", rec)
 	id := f.plan.Shards[0].Tables[0]
 	sh.AddTable(id, f.m.Tables[id])
-	req := &SparseRequest{Net: "net1", Entries: []SparseEntry{{TableID: int32(id), NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{1}}}}}}
+	req := &SparseRequest{Nets: []string{"net1"}, Entries: []SparseEntry{{TableID: int32(id), NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{1}}}}}}
 	if _, err := sh.Handle(trace.Context{TraceID: 1, CallID: 2}, MethodSparseRun, EncodeSparseRequest(req)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +23,17 @@ func ServiceName(shard int) string { return fmt.Sprintf("sparse%d", shard) }
 // EngineConfig configures a main-shard engine.
 type EngineConfig struct {
 	// BatchSize overrides the model's production-default batch size; 0
-	// keeps the default. Section VI-F's single-batch experiments set this
-	// to a value at or above the largest request.
+	// keeps the default. It cuts the dense work into parallel batches and
+	// nothing else: the sparse calls cover the whole request. Section
+	// VI-F's single-batch experiments set this to a value at or above the
+	// largest request.
 	BatchSize int
+	// PaperSchedule issues sparse calls where the paper's Caffe2 nets do:
+	// every batch makes its own call per net per shard, after the net's
+	// bottom MLP, so the batch size sets the RPC count — the quantity
+	// Figs. 6–16 vary. Only internal/experiments sets it; the default is
+	// one call per shard per request, issued at admission.
+	PaperSchedule bool
 	// Recorder receives main-shard spans; required.
 	Recorder *trace.Recorder
 	// ClientFor resolves a sparse shard service name to a connected RPC
@@ -49,6 +59,7 @@ type engineMetrics struct {
 
 	rpcCalls         *obs.Counter   // sparse RPC calls issued
 	rpcOutstandingNs *obs.Histogram // per-call outstanding time at the main shard
+	rpcCallsPerReq   *obs.Histogram // sparse RPC calls issued per execution (0 when singular)
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -62,12 +73,14 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		batchItems:       r.Histogram("engine.batch_items"),
 		rpcCalls:         r.Counter("engine.rpc.calls"),
 		rpcOutstandingNs: r.Histogram("engine.rpc.outstanding_ns"),
+		rpcCallsPerReq:   r.Histogram("engine.rpc.calls_per_request"),
 	}
 }
 
 // Engine executes ranking requests for one model under one sharding plan.
 // It is the main shard: dense layers run locally; sparse operators either
-// run in-line (singular) or fan out through asynchronous RPC operators.
+// run in-line (singular) or fan out through asynchronous RPC operators,
+// one per sparse shard per request.
 // Engines are safe for concurrent Execute calls, and the plan can be
 // swapped live via Reroute: each request reads the program pointer once,
 // so a rebalance cutover flips routing between requests, never within
@@ -83,9 +96,8 @@ type Engine struct {
 	// atomically under rerouteMu.
 	prog      atomic.Pointer[engineProgram]
 	rerouteMu sync.Mutex
-	// rawNames[tid] / hashedNames[tid] are the workspace bag blob names,
-	// precomputed so per-batch op assembly does no string formatting.
-	rawNames    []string
+	// hashedNames[tid] names table tid's hashed bags in a singular batch's
+	// workspace, precomputed so per-batch setup does no string formatting.
 	hashedNames []string
 	// combined recycles the coalesced-request buffers ExecuteBatch
 	// assembles (batch.go); shapes depend only on the model, so the pool
@@ -108,28 +120,20 @@ type engineProgram struct {
 }
 
 // netProgram is the compiled form of one net under the plan. Static
-// operators (dense layers, hashing, in-line SLS) are built once and
-// shared across batches — they are stateless against the workspace; only
-// the asynchronous RPC operators are constructed per batch because they
-// carry the batch's trace context and collectors.
+// operators (dense layers, in-line SLS) are built once and shared across
+// batches — they are stateless against the workspace; the hash and the
+// asynchronous RPC operators are constructed per request because they
+// carry its bags, trace context and collectors.
 type netProgram struct {
 	spec   model.NetSpec
 	params model.NetParams
-	tables []model.TableSpec // this net's tables, ID order
-	// embCols and colOff lay the tables out in the fused embedding
-	// matrix.
+	tables []netTable // this net's tables, ID order
+	// embCols is the width of the fused embedding matrix.
 	embCols int
-	colOff  map[int]int
-	// interactSet marks tables joining the pairwise interaction.
-	interactSet map[int]bool
-	// pooledNames[tid] names the standalone pooled blob of an
-	// interaction table.
-	pooledNames map[int]string
-	// remote groups tables by serving shard for distributed plans.
-	remote []remoteGroupSpec
-	// sources counts pooling contributors per table ID (1 for whole
-	// tables, NumParts for partitioned ones).
-	sources map[int]int
+	// call is the sparse call plan covering this net under a distributed
+	// plan, and callPos the net's position in it.
+	call    *callPlan
+	callPos int
 	// preOps run before embedding access; postOps after. Both are shared
 	// across batches. slsOp is the singular in-line fused op (nil when
 	// distributed).
@@ -141,8 +145,23 @@ type netProgram struct {
 	lastNet bool
 }
 
+// netTable is one of a net's tables as the program lays it out.
+type netTable struct {
+	model.TableSpec
+	// colOff is where the table's columns start in the fused embedding
+	// matrix.
+	colOff int
+	// pooled names the table's standalone pooled blob; set only for tables
+	// joining the pairwise interaction.
+	pooled string
+	// sources counts pooling contributors (1 for a whole table, NumParts
+	// for a partitioned one).
+	sources int
+}
+
 type remoteGroupSpec struct {
 	service string
+	op      string // the group's RPC operator and span name
 	client  rpc.Caller
 	entries []groupEntry
 }
@@ -154,10 +173,8 @@ func NewEngine(m *model.Model, plan *sharding.Plan, cfg EngineConfig) (*Engine, 
 		return nil, fmt.Errorf("core: engine requires a recorder")
 	}
 	e := &Engine{model: m, cfg: cfg, params: m.NetParams, met: newEngineMetrics(cfg.Obs)}
-	e.rawNames = make([]string, len(m.Config.Tables))
 	e.hashedNames = make([]string, len(m.Config.Tables))
 	for i := range m.Config.Tables {
-		e.rawNames[i] = fmt.Sprintf("raw_%d", i)
 		e.hashedNames[i] = fmt.Sprintf("hashed_%d", i)
 	}
 	prog, err := e.compile(plan)
@@ -251,42 +268,40 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 	prevOut := ""
 	for i, ns := range m.Config.Nets {
 		np := &netProgram{
-			spec:        ns,
-			params:      e.params[i],
-			tables:      m.Config.NetTables(ns.Name),
-			sources:     make(map[int]int),
-			colOff:      make(map[int]int),
-			interactSet: make(map[int]bool),
-			pooledNames: make(map[int]string),
-			embBlob:     "emb_" + ns.Name,
-			outBlob:     "out_" + ns.Name,
-			lastNet:     i == len(m.Config.Nets)-1,
+			spec:    ns,
+			params:  e.params[i],
+			embBlob: "emb_" + ns.Name,
+			outBlob: "out_" + ns.Name,
+			lastNet: i == len(m.Config.Nets)-1,
 		}
-		off := 0
-		for _, t := range np.tables {
-			np.colOff[t.ID] = off
-			off += t.Dim
-		}
-		np.embCols = off
-		for _, id := range pickInteract(np.tables, ns.InteractFeatures) {
-			np.interactSet[id] = true
-			np.pooledNames[id] = fmt.Sprintf("pooled_%s_%d", ns.Name, id)
-		}
-		if plan.IsDistributed() {
-			if e.cfg.ClientFor == nil {
-				return nil, fmt.Errorf("core: distributed plan requires ClientFor")
+		specs := m.Config.NetTables(ns.Name)
+		interact := pickInteract(specs, ns.InteractFeatures)
+		for _, t := range specs {
+			nt := netTable{TableSpec: t, colOff: np.embCols}
+			if slices.Contains(interact, t.ID) {
+				nt.pooled = fmt.Sprintf("pooled_%s_%d", ns.Name, t.ID)
 			}
-			if err := compileRemote(np, plan, e.cfg.ClientFor); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, t := range np.tables {
-				np.sources[t.ID] = 1
-			}
+			np.tables = append(np.tables, nt)
+			np.embCols += t.Dim
 		}
 		e.compileOps(plan, np, prevOut)
 		prevOut = np.outBlob
 		prog.nets = append(prog.nets, np)
+	}
+	if plan.IsDistributed() {
+		if e.cfg.ClientFor == nil {
+			return nil, fmt.Errorf("core: distributed plan requires ClientFor")
+		}
+		// One call plan over every net, or the paper's one per net.
+		per := len(prog.nets)
+		if e.cfg.PaperSchedule {
+			per = 1
+		}
+		for i := 0; i < len(prog.nets); i += per {
+			if err := compileCall(prog.nets[i:i+per], plan, e.cfg.ClientFor); err != nil {
+				return nil, err
+			}
+		}
 	}
 	sched, err := buildSchedule(prog)
 	if err != nil {
@@ -316,42 +331,52 @@ func pickInteract(tables []model.TableSpec, k int) []int {
 	return out
 }
 
-func compileRemote(np *netProgram, plan *sharding.Plan, clientFor func(string) (rpc.Caller, error)) error {
-	inNet := make(map[int]model.TableSpec, len(np.tables))
-	for _, t := range np.tables {
-		inNet[t.ID] = t
+// compileCall builds the call plan covering nets: per sparse shard, the
+// entries of those nets the shard serves, net by net.
+func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string) (rpc.Caller, error)) error {
+	cp := &callPlan{nets: nets}
+	slotOf := make([]map[int]int, len(nets)) // per net: table ID → index in np.tables
+	for pos, np := range nets {
+		np.call, np.callPos = cp, pos
+		cp.names = append(cp.names, np.spec.Name)
+		slotOf[pos] = make(map[int]int, len(np.tables))
+		for slot, t := range np.tables {
+			slotOf[pos][t.ID] = slot
+		}
 	}
+	cp.label = strings.Join(cp.names, "+")
 	for i := range plan.Shards {
 		a := &plan.Shards[i]
 		var entries []groupEntry
-		for _, id := range a.Tables {
-			if t, ok := inNet[id]; ok {
-				entries = append(entries, groupEntry{tableID: id, partIndex: 0, numParts: 1, rows: t.Rows, dim: t.Dim})
-				np.sources[id]++
+		for pos, np := range nets {
+			add := func(id, partIndex, numParts int) {
+				if slot, ok := slotOf[pos][id]; ok {
+					entries = append(entries, groupEntry{net: pos, slot: slot, partIndex: partIndex, numParts: numParts})
+					np.tables[slot].sources++
+				}
 			}
-		}
-		for _, pr := range a.Parts {
-			if t, ok := inNet[pr.TableID]; ok {
-				entries = append(entries, groupEntry{
-					tableID: pr.TableID, partIndex: pr.PartIndex, numParts: pr.NumParts,
-					rows: t.Rows, dim: t.Dim,
-				})
-				np.sources[pr.TableID]++
+			for _, id := range a.Tables {
+				add(id, 0, 1)
+			}
+			for _, pr := range a.Parts {
+				add(pr.TableID, pr.PartIndex, pr.NumParts)
 			}
 		}
 		if len(entries) == 0 {
-			continue // shard holds no tables of this net
+			continue // shard holds no tables of these nets
 		}
 		svc := ServiceName(a.Shard)
 		client, err := clientFor(svc)
 		if err != nil {
 			return fmt.Errorf("core: resolving %s: %w", svc, err)
 		}
-		np.remote = append(np.remote, remoteGroupSpec{service: svc, client: client, entries: entries})
+		cp.groups = append(cp.groups, remoteGroupSpec{service: svc, op: "rpc_" + cp.label + "_" + svc, client: client, entries: entries})
 	}
-	for _, t := range np.tables {
-		if np.sources[t.ID] == 0 {
-			return fmt.Errorf("core: table %d of %s unserved by plan", t.ID, np.spec.Name)
+	for _, np := range nets {
+		for _, t := range np.tables {
+			if t.sources == 0 {
+				return fmt.Errorf("core: table %d of %s unserved by plan", t.ID, np.spec.Name)
+			}
 		}
 	}
 	return nil
@@ -361,7 +386,7 @@ func compileRemote(np *netProgram, plan *sharding.Plan, clientFor func(string) (
 func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string) {
 	netName := np.spec.Name
 
-	// --- preOps: dense preprocessing, bottom MLP, hashing. ---
+	// --- preOps: dense preprocessing and the bottom MLP. ---
 	var pre []nn.Op
 	pre = append(pre, &nn.ScaleClip{
 		OpName: "scaleclip_" + netName, Scale: 1.0 / 8, Lo: -4, Hi: 4, Blob: "dense_" + netName,
@@ -383,15 +408,6 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 		cur = out
 	}
 	bottom := cur
-	hash := &nn.HashAllBags{OpName: "hash_" + netName}
-	for _, t := range np.tables {
-		hash.Entries = append(hash.Entries, nn.HashEntry{
-			Buckets: int32(t.Rows),
-			Input:   e.rawNames[t.ID],
-			Output:  e.hashedNames[t.ID],
-		})
-	}
-	pre = append(pre, hash)
 	np.preOps = pre
 
 	// --- in-line fused SLS for the singular configuration. The output
@@ -399,7 +415,7 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	// so storage cost attributes to Fill rather than Sparse. ---
 	if !plan.IsDistributed() {
 		np.preOps = append(np.preOps, &nn.AllocEmb{
-			OpName: "fill_emb_" + netName, RowsFrom: e.rawNames[np.tables[0].ID],
+			OpName: "fill_emb_" + netName, RowsFrom: e.hashedNames[np.tables[0].ID],
 			Cols: np.embCols, Output: np.embBlob,
 		})
 		sls := &nn.FusedSLS{OpName: "sls_" + netName, Output: np.embBlob, Cols: np.embCols}
@@ -407,10 +423,8 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 			entry := nn.FusedSLSEntry{
 				Table:     e.model.Tables[t.ID],
 				InputBags: e.hashedNames[t.ID],
-				ColOffset: np.colOff[t.ID],
-			}
-			if np.interactSet[t.ID] {
-				entry.CopyOut = np.pooledNames[t.ID]
+				ColOffset: t.colOff,
+				CopyOut:   t.pooled,
 			}
 			sls.Entries = append(sls.Entries, entry)
 		}
@@ -425,8 +439,8 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	post = append(post, &nn.FusedFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
 	inter := &nn.Interaction{OpName: "interact_" + netName, Passthrough: bottom, Output: "int_" + netName}
 	for _, t := range np.tables {
-		if np.interactSet[t.ID] {
-			inter.Features = append(inter.Features, np.pooledNames[t.ID])
+		if t.pooled != "" {
+			inter.Features = append(inter.Features, t.pooled)
 		}
 	}
 	post = append(post, inter)
@@ -505,10 +519,11 @@ func (e *Engine) Validate(req *RankingRequest) error {
 	return nil
 }
 
-// Execute runs one ranking request: the request is split into
+// Execute runs one ranking request: its bags are hashed and its sparse
+// calls issued once, at admission; the dense work is split into
 // ⌈items/batch⌉ batches executed in parallel (the paper's batch-level
-// parallelism), each batch running the model's nets sequentially. It
-// returns one score per item.
+// parallelism), each batch running the model's nets sequentially over
+// its row range of the request. It returns one score per item.
 func (e *Engine) Execute(ctx trace.Context, req *RankingRequest) ([]float32, error) {
 	if err := e.Validate(req); err != nil {
 		return nil, err
@@ -516,37 +531,54 @@ func (e *Engine) Execute(ctx trace.Context, req *RankingRequest) ([]float32, err
 	return e.executeValidated(ctx, req)
 }
 
-// executeValidated is Execute after shape validation: batch-level
-// parallel execution of one (possibly coalesced) request.
+// execution is what the batches of one (possibly coalesced) request
+// share.
+type execution struct {
+	e    *Engine
+	prog *engineProgram
+	ctx  trace.Context
+	req  *RankingRequest
+	obs  *trace.NetObserver
+	// hash.Entries[tid].Out is table tid's hashed bags, one per item.
+	hash *nn.HashAllBags
+	// admitted is the request-level sparse fetch; nil for a singular plan
+	// and under PaperSchedule, where each batch fetches for itself.
+	admitted *sparseFetch
+	// calls counts sparse calls issued; inflight their completion
+	// goroutines.
+	calls    atomic.Int64
+	inflight sync.WaitGroup
+}
+
+// executeValidated is Execute after shape validation.
 func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]float32, error) {
 	e.met.requests.Inc()
-	// One program load per request: every batch of this request routes
-	// under the same plan generation even if Reroute lands mid-flight.
-	prog := e.prog.Load()
+	// One program load per request: every call and batch of this request
+	// routes under the same plan generation even if Reroute lands
+	// mid-flight.
+	x := &execution{e: e, prog: e.prog.Load(), ctx: ctx, req: req, obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
+	// Scores or an error, no call's goroutine outlives the request.
+	defer x.inflight.Wait()
 	items := int(req.Items)
+	if err := x.admit(items); err != nil {
+		return nil, fmt.Errorf("core: request %d: %w", req.ID, err)
+	}
 	b := e.BatchSize()
 	nb := (items + b - 1) / b
 	scores := make([]float32, items)
 	errs := make([]error, nb)
 	var wg sync.WaitGroup
 	for bi := 0; bi < nb; bi++ {
-		start, end := bi*b, (bi+1)*b
-		if end > items {
-			end = items
-		}
+		start, end := bi*b, min((bi+1)*b, items)
 		wg.Add(1)
-		go func(bi, start, end int) {
+		go func(bi int) {
 			defer wg.Done()
 			e.met.batches.Inc()
-			out, err := e.runBatch(prog, ctx, req, start, end)
-			if err != nil {
-				errs[bi] = err
-				return
-			}
-			copy(scores[start:end], out)
-		}(bi, start, end)
+			errs[bi] = x.runBatch(scores[start:end], start)
+		}(bi)
 	}
 	wg.Wait()
+	e.met.rpcCallsPerReq.Observe(x.calls.Load())
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -555,106 +587,90 @@ func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]flo
 	return scores, nil
 }
 
-// runBatch executes one batch (items [start, end) of the request) through
-// all nets sequentially, under one routing generation.
-func (e *Engine) runBatch(prog *engineProgram, ctx trace.Context, req *RankingRequest, start, end int) ([]float32, error) {
+// admit runs the request-level work ahead of the batches: every table's
+// bags are hashed once, into one slab, and — bags being request inputs
+// that wait on no dense compute — the request's sparse calls are issued
+// right away, so the round trip overlaps every net's dense work up to
+// its first consumer of pooled rows.
+func (x *execution) admit(items int) error {
+	tables := x.e.model.Config.Tables
+	x.hash = &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(tables))}
+	for _, t := range tables {
+		x.hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: x.req.Bags[int32(t.ID)]}
+	}
+	ops := []nn.Op{x.hash}
+	if x.prog.plan.IsDistributed() && !x.e.cfg.PaperSchedule {
+		x.admitted = x.newFetch(x.prog.nets[0].call, 0, items)
+		ops = append(ops, x.admitted.ops()...)
+	}
+	return (&nn.Net{NetName: "admit", Ops: ops}).Run(nil, x.obs)
+}
+
+// runBatch executes one batch (items [start, start+len(scores)) of the
+// request) through all nets sequentially, writing its scores.
+func (x *execution) runBatch(scores []float32, start int) error {
+	e, prog, end := x.e, x.prog, start+len(scores)
 	ws := nn.NewWorkspace()
-	obs := &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}
-	batchItems := end - start
 
 	// One pooled arena per batch backs every scheduled dense blob; it is
 	// recycled after the scores are copied out, so steady-state dense
 	// execution allocates nothing. Nothing drawn from the arena may
 	// escape this function.
-	if arena := prog.arenas.Get(batchItems); arena != nil {
+	if arena := prog.arenas.Get(len(scores)); arena != nil {
 		ws.SetArena(arena)
 		defer prog.arenas.Put(arena)
 	}
 
 	for _, ns := range e.model.Config.Nets {
-		m := req.Dense[ns.Name]
+		m := x.req.Dense[ns.Name]
 		// ScaleClip mutates in place; copy this batch's rows (into the
 		// arena when scheduled) so concurrent batches do not stomp the
 		// shared request tensor.
-		dst := ws.AllocBlob("dense_"+ns.Name, batchItems, m.Cols)
+		dst := ws.AllocBlob("dense_"+ns.Name, len(scores), m.Cols)
 		copy(dst.Data, m.Data[start*m.Cols:end*m.Cols])
 		ws.SetBlob("dense_"+ns.Name, dst)
 	}
-	for _, t := range e.model.Config.Tables {
-		ws.SetBags(e.rawNames[t.ID], req.Bags[int32(t.ID)][start:end])
+	if !prog.plan.IsDistributed() {
+		for tid, name := range e.hashedNames {
+			ws.SetBags(name, x.hash.Entries[tid].Out[start:end])
+		}
 	}
 
 	var finalOut string
 	for _, np := range prog.nets {
-		ops := make([]nn.Op, 0, len(np.preOps)+len(np.remote)+1+len(np.postOps))
+		ops := make([]nn.Op, 0, len(np.preOps)+len(np.postOps)+2)
 		ops = append(ops, np.preOps...)
 		if np.slsOp != nil {
 			ops = append(ops, np.slsOp)
 		} else {
-			ops = append(ops, e.buildRPCOps(ws, np, ctx, batchItems)...)
-			blobs := []string{np.embBlob}
-			for _, t := range np.tables {
-				if np.interactSet[t.ID] {
-					blobs = append(blobs, np.pooledNames[t.ID])
-				}
+			f := x.admitted
+			if f == nil {
+				// The paper's schedule: the batch fetches this net's rows
+				// itself, where the asynchronous operators sat.
+				f = x.newFetch(np.call, start, end)
+				ops = append(ops, f.ops()...)
 			}
-			ops = append(ops, &waitOp{name: "wait_" + np.spec.Name, blobs: blobs})
+			ops = append(ops, &waitOp{
+				name: "wait_" + np.spec.Name, np: np, asm: f.nets[np.callPos], from: start - f.start, rows: len(scores),
+			})
 		}
 		ops = append(ops, np.postOps...)
 		net := &nn.Net{NetName: np.spec.Name, Ops: ops}
-		if err := net.Run(ws, obs); err != nil {
-			return nil, fmt.Errorf("core: request %d %s: %w", req.ID, np.spec.Name, err)
+		if err := net.Run(ws, x.obs); err != nil {
+			return fmt.Errorf("core: request %d %s: %w", x.req.ID, np.spec.Name, err)
 		}
 		finalOut = np.outBlob
 	}
 
 	final, err := ws.Blob(finalOut)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if final.Cols != 1 || final.Rows != batchItems {
-		return nil, fmt.Errorf("core: final output is %dx%d, want %dx1", final.Rows, final.Cols, batchItems)
+	if final.Cols != 1 || final.Rows != len(scores) {
+		return fmt.Errorf("core: final output is %dx%d, want %dx1", final.Rows, final.Cols, len(scores))
 	}
-	out := make([]float32, batchItems)
-	for r := 0; r < batchItems; r++ {
-		out[r] = final.At(r, 0)
-	}
-	return out, nil
-}
-
-// buildRPCOps constructs the per-batch asynchronous RPC operators plus
-// the collectors that assemble the fused embedding matrix, registering
-// its future (and per-interaction-table futures) on the workspace.
-func (e *Engine) buildRPCOps(ws *nn.Workspace, np *netProgram, ctx trace.Context, batchItems int) []nn.Op {
-	asm := newEmbAssembler(batchItems, np.embCols, len(np.tables))
-	ws.RegisterFuture(np.embBlob, asm.future)
-	collectors := make(map[int]*collector, len(np.tables))
-	for _, t := range np.tables {
-		var interact *nn.Future
-		if np.interactSet[t.ID] {
-			interact = nn.NewFuture()
-			ws.RegisterFuture(np.pooledNames[t.ID], interact)
-		}
-		collectors[t.ID] = newCollector(np.sources[t.ID], batchItems, t.Dim, asm, np.colOff[t.ID], interact)
-	}
-	ops := make([]nn.Op, 0, len(np.remote))
-	for _, g := range np.remote {
-		ops = append(ops, &rpcOp{
-			name:        "rpc_" + np.spec.Name + "_" + g.service,
-			net:         np.spec.Name,
-			service:     g.service,
-			client:      g.client,
-			entries:     g.entries,
-			collectors:  collectors,
-			rec:         e.cfg.Recorder,
-			ctx:         ctx,
-			batchItems:  batchItems,
-			hashedNames: e.hashedNames,
-			calls:       e.met.rpcCalls,
-			outNs:       e.met.rpcOutstandingNs,
-		})
-	}
-	return ops
+	copy(scores, final.Data)
+	return nil
 }
 
 // renameOp aliases a blob under the net's canonical output name.

@@ -70,9 +70,9 @@ func (f *migrationFixture) runRequest(t *testing.T, seed int64) []byte {
 	t.Helper()
 	gen := workload.NewGenerator(f.m.Config, seed)
 	wreq := gen.Next()
-	req := &SparseRequest{Net: f.m.Config.Nets[0].Name}
+	req := &SparseRequest{Nets: []string{f.m.Config.Nets[0].Name}}
 	for _, id := range f.plan.Shards[0].Tables {
-		if f.m.Config.Tables[id].Net != req.Net {
+		if f.m.Config.Tables[id].Net != req.Nets[0] {
 			continue
 		}
 		req.Entries = append(req.Entries, SparseEntry{

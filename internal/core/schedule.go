@@ -6,9 +6,9 @@ import (
 
 // buildSchedule compiles the program's dense-blob liveness into an
 // nn.BlobSchedule so batch execution draws output blobs from a pooled
-// arena instead of allocating. It walks the exact op sequence runBatch
-// assembles (preOps, then the in-line SLS or the per-batch RPC ops plus
-// their wait, then postOps, per net in order), records for every
+// arena instead of allocating. It walks the op sequence runBatch
+// assembles (preOps, then the in-line SLS or the wait on the request's
+// sparse fetch, then postOps, per net in order), records for every
 // statically-shaped dense blob the op index that defines it and the last
 // index that reads it, and lets the interval packer overlap dead blobs.
 //
@@ -124,10 +124,11 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 		if np.slsOp != nil {
 			scan(np.slsOp)
 		} else {
-			// Per-batch RPC ops plus their wait op occupy these indices at
-			// run time; they define future-backed blobs the schedule
-			// ignores.
-			idx += len(np.remote) + 1
+			// The sparse stage — the wait op, behind the batch's own RPC ops
+			// under PaperSchedule — installs future-backed blobs the
+			// schedule ignores; one index keeps pre- and post-op intervals
+			// apart.
+			idx++
 		}
 		for _, op := range np.postOps {
 			scan(op)

@@ -16,7 +16,7 @@ import (
 // the bitwise fingerprint the identity tests compare across boot paths.
 func shardLookup(t *testing.T, sh *SparseShard, net string, tableID, partIndex, numParts int, idx []int32) []float32 {
 	t.Helper()
-	req := &SparseRequest{Net: net, Entries: []SparseEntry{{
+	req := &SparseRequest{Nets: []string{net}, Entries: []SparseEntry{{
 		TableID: int32(tableID), PartIndex: int32(partIndex), NumParts: int32(numParts),
 		Bags: []embedding.Bag{{Indices: idx}},
 	}}}

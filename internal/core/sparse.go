@@ -333,14 +333,16 @@ func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]b
 type runEntry struct {
 	table   embedding.Table // non-nil → pool locally
 	forward *forwardTarget  // used when table is nil
+	out     []float32       // local entries: where the pooled rows accumulate
 	lookups int             // local entries: rows read, for load accounting
 }
 
-// handleRun serves one sparse.run call. The response body is laid out
-// once, from the request's entry shapes, before any pooling: entry
-// headers are written in place and the SLS operator accumulates straight
-// into each entry's float region, so the pooled rows are never copied or
-// re-encoded on their way to the rpc layer. The body crosses the
+// handleRun serves one sparse.run call — by default a whole request's
+// worth of this shard's tables, every net's. The response body is laid
+// out once, from the request's entry shapes, before any pooling: entry
+// headers are written in place and each net's SLS operator accumulates
+// straight into its entries' float regions, so the pooled rows are never
+// copied or re-encoded on their way to the rpc layer. The body crosses the
 // rpc.Handler boundary and is therefore a plain garbage-collected
 // allocation nothing here touches again.
 func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) {
@@ -407,23 +409,29 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	}
 
 	if nLocal > 0 {
-		// Build and run the pooling net: one fused SLS over the locally
-		// held entries, executed through the framework so Net Overhead and
-		// operator spans are attributed exactly like the main shard's.
-		sls := &nn.MultiSLS{OpName: s.slsName, Entries: make([]nn.SLSEntry, 0, nLocal)}
-		for i := range run {
-			if run[i].table == nil {
+		// Build and run the pooling nets: per net named in the request,
+		// one fused SLS over its locally held entries, executed through
+		// the framework so Net Overhead and operator spans are attributed
+		// exactly like the main shard's, net by net.
+		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
+		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
+		entries := make([]nn.SLSEntry, 0, nLocal)
+		for k, name := range req.Nets {
+			first := len(entries)
+			for i := range run {
+				if run[i].table == nil || int(req.Entries[i].Net) != k {
+					continue
+				}
+				run[i].out = floatsOver(slots[i].region(out))
+				entries = append(entries, nn.SLSEntry{Table: run[i].table, Bags: req.Entries[i].Bags, Out: run[i].out})
+			}
+			if len(entries) == first {
 				continue
 			}
-			sls.Entries = append(sls.Entries, nn.SLSEntry{
-				Table: run[i].table, Bags: req.Entries[i].Bags, Out: floatsOver(slots[i].region(out)),
-			})
-		}
-		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
-		net := &nn.Net{NetName: req.Net, Ops: []nn.Op{sls}}
-		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
-		if err := net.Run(nil, netObs); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
+			sls := &nn.MultiSLS{OpName: s.slsName, Entries: entries[first:]}
+			if err := (&nn.Net{NetName: name, Ops: []nn.Op{sls}}).Run(nil, netObs); err != nil {
+				return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
+			}
 		}
 		if s.OpComputeScale > 1 {
 			burnFor(time.Duration(float64(time.Since(opStart)) * (s.OpComputeScale - 1))) //lint:allow determinism scaled burn models a slower platform; results unchanged
@@ -435,11 +443,9 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		if !wireNative {
 			// The conversion pass a host of the other byte order owes.
 			convStart := s.rec.Now()
-			k := 0
 			for i := range run {
 				if run[i].table != nil {
-					putF32s(slots[i].region(out), sls.Entries[k].Out)
-					k++
+					putF32s(slots[i].region(out), run[i].out)
 				}
 			}
 			encDur += s.rec.Now().Sub(convStart)
@@ -513,7 +519,7 @@ func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run [
 		g.idx = append(g.idx, i)
 	}
 	for _, g := range groups {
-		sreq := &SparseRequest{Net: req.Net, Entries: make([]SparseEntry, len(g.idx))}
+		sreq := &SparseRequest{Nets: req.Nets, Entries: make([]SparseEntry, len(g.idx))}
 		for k, i := range g.idx {
 			sreq.Entries[k] = req.Entries[i]
 		}
@@ -529,8 +535,7 @@ func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run [
 			<-g.call.Done
 			s.rec.Record(trace.Span{
 				TraceID: ctx.TraceID, CallID: g.call.Req.CallID, Layer: trace.LayerMigration,
-				Net: req.Net, Name: "forward/" + g.target.service,
-				Start: g.issue, Dur: s.rec.Now().Sub(g.issue),
+				Name: "forward/" + g.target.service, Start: g.issue, Dur: s.rec.Now().Sub(g.issue),
 			})
 			if g.call.Err != nil {
 				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, g.call.Err)

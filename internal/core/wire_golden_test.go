@@ -12,11 +12,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// The golden messages below were encoded by the parent commit's codecs
-// (the append-and-grow buffer encoders this package no longer has) into
-// testdata/wire/*.bin. The wire format is a contract with every deployed
-// peer: the presized encoders must reproduce those bytes exactly and the
-// flat decoders must read them, on the in-place and the conversion path.
+// The golden messages below were encoded into testdata/wire/*.bin by the
+// codecs of the commit before the presized encoders (the append-and-grow
+// buffer encoders this package no longer has). The wire format is a
+// contract with every deployed peer: the encoders must reproduce those
+// bytes exactly and the flat decoders must read them, on the in-place and
+// the conversion path. sparse_request.bin alone was regenerated since,
+// deliberately: the request-level sparse.run call names its nets up front
+// and tags every entry with one (a net count and names where the single
+// net name was, a fourth id per entry) — a format change, written out
+// field by field from that layout, not by the encoder under test.
 
 func goldenBags(spec ...[]int32) []embedding.Bag {
 	out := make([]embedding.Bag, len(spec))
@@ -29,10 +34,10 @@ func goldenBags(spec ...[]int32) []embedding.Bag {
 }
 
 func goldenSparseRequest() *SparseRequest {
-	return &SparseRequest{Net: "net1", Entries: []SparseEntry{
-		{TableID: 3, PartIndex: 0, NumParts: 1, Bags: goldenBags([]int32{7, 1 << 20, 0}, nil, []int32{2147483647})},
-		{TableID: 9, PartIndex: 2, NumParts: 4, Bags: goldenBags(nil, nil, nil)},
-		{TableID: 256, PartIndex: 0, NumParts: 1, Bags: goldenBags([]int32{5}, []int32{6, 6}, []int32{-1})},
+	return &SparseRequest{Nets: []string{"net1", "net2"}, Entries: []SparseEntry{
+		{Net: 0, TableID: 3, PartIndex: 0, NumParts: 1, Bags: goldenBags([]int32{7, 1 << 20, 0}, nil, []int32{2147483647})},
+		{Net: 0, TableID: 9, PartIndex: 2, NumParts: 4, Bags: goldenBags(nil, nil, nil)},
+		{Net: 1, TableID: 256, PartIndex: 0, NumParts: 1, Bags: goldenBags([]int32{5}, []int32{6, 6}, []int32{-1})},
 	}}
 }
 

@@ -26,7 +26,7 @@ func (r *Runner) Fig3(w io.Writer) error {
 		return err
 	}
 	// Deliberate clock skew proves the visualizer's realignment.
-	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: r.P.Seed, ClockSkew: true})
+	cl, err := cluster.Boot(m, plan, cluster.Options{PaperSchedule: true, Seed: r.P.Seed, ClockSkew: true})
 	if err != nil {
 		return err
 	}

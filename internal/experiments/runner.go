@@ -132,8 +132,11 @@ func (r *Runner) measure(name string, plan *sharding.Plan, mode runMode) (*runRe
 	m := r.Model(name)
 	opts := cluster.Options{
 		BatchSize: mode.batchOverride,
-		Seed:      r.P.Seed,
-		ClockSkew: true,
+		// The figures measured here vary the RPC count with the batch
+		// size and the net split, as the paper's per-batch calls do.
+		PaperSchedule: true,
+		Seed:          r.P.Seed,
+		ClockSkew:     true,
 	}
 	if mode.smallPlatform {
 		p := platform.SCSmall()

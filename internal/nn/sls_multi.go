@@ -44,16 +44,21 @@ func (o *MultiSLS) Run(*Workspace) error {
 
 // HashAllBags hashes a group of raw-ID bag inputs into table-bucket
 // index bags, one table per entry, in a single fused operator (same
-// span-volume rationale as MultiSLS).
+// span-volume rationale as MultiSLS). Like MultiSLS it is handed its
+// operands directly: the engine runs one per request, at admission,
+// before any batch workspace exists, and every batch reads row ranges of
+// the result.
 type HashAllBags struct {
 	OpName  string
 	Entries []HashEntry
 }
 
-// HashEntry is one feature's hashing task.
+// HashEntry is one feature's hashing task: In's raw IDs hashed into
+// [0, Buckets). Run sets Out to len(In) bags; empty bags keep nil
+// indices.
 type HashEntry struct {
-	Buckets       int32
-	Input, Output string
+	Buckets int32
+	In, Out []embedding.Bag
 }
 
 // Name implements Op.
@@ -62,37 +67,35 @@ func (o *HashAllBags) Name() string { return o.OpName }
 // Kind implements Op.
 func (o *HashAllBags) Kind() OpKind { return KindHash }
 
-// Run implements Op.
-func (o *HashAllBags) Run(ws *Workspace) error {
+// Run implements Op. Every entry's output shares one header slice and
+// one flat index array, handed out as capacity-capped sub-slices: the
+// op runs over every table of every request, so an allocation per table
+// (let alone per bag) would dominate its cost.
+func (o *HashAllBags) Run(*Workspace) error {
+	bags, indices := 0, 0
 	for i := range o.Entries {
 		e := &o.Entries[i]
 		if e.Buckets <= 0 {
 			return fmt.Errorf("%s[%d]: buckets %d <= 0", o.OpName, i, e.Buckets)
 		}
-		in, err := ws.Bags(e.Input)
-		if err != nil {
-			return fmt.Errorf("%s[%d]: %w", o.OpName, i, err)
-		}
-		// One flat allocation per table, sub-sliced per bag: the hash op
-		// runs for every table on every batch, so per-bag allocations
-		// would dominate its cost.
-		total := 0
-		for _, bag := range in {
-			total += len(bag.Indices)
-		}
-		flat := make([]int32, 0, total)
-		out := make([]embedding.Bag, len(in))
-		for b, bag := range in {
-			if len(bag.Indices) == 0 {
+		bags += len(e.In)
+		indices += embedding.TotalLookups(e.In)
+	}
+	out := make([]embedding.Bag, bags)
+	flat := make([]int32, indices)
+	for i := range o.Entries {
+		e := &o.Entries[i]
+		e.Out, out = out[:len(e.In):len(e.In)], out[len(e.In):]
+		for b, bag := range e.In {
+			k := len(bag.Indices)
+			if k == 0 {
 				continue
 			}
-			lo := len(flat)
-			for _, id := range bag.Indices {
-				flat = append(flat, hash32(id)%e.Buckets)
+			e.Out[b].Indices, flat = flat[:k:k], flat[k:]
+			for j, id := range bag.Indices {
+				e.Out[b].Indices[j] = hash32(id) % e.Buckets
 			}
-			out[b].Indices = flat[lo:len(flat):len(flat)]
 		}
-		ws.SetBags(e.Output, out)
 	}
 	return nil
 }

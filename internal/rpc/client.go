@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -178,7 +177,7 @@ func (s *clientConn) failPending(err error) {
 }
 
 func (s *clientConn) readLoop() {
-	br := bufio.NewReaderSize(s.conn, 64<<10)
+	br := newFrameReader(s.conn)
 	for {
 		payload, err := readFrame(br, responseBodyPad)
 		if err != nil {

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log"
@@ -175,7 +174,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var writeMu sync.Mutex
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := newFrameReader(conn)
 	for {
 		payload, err := readFrame(br, 0)
 		if err != nil {

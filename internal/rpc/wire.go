@@ -11,6 +11,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,9 +104,23 @@ func sendFrame(w io.Writer, frame *[]byte) error {
 // floats it carries in place.
 const responseBodyPad = 1
 
-// readFrame reads one length-prefixed message from a buffered reader
-// into a fresh allocation (the caller hands sub-slices of it to code
-// that may keep them), pad bytes into that allocation.
+// frameReader reads a connection's frames: headers through a buffer, so
+// the read that fetches a header usually brings a small frame with it,
+// and whatever of a body that read did not bring straight from the
+// connection into the message — a large body is not staged through the
+// buffer chunk by chunk.
+type frameReader struct {
+	*bufio.Reader
+	conn io.Reader
+}
+
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{Reader: bufio.NewReaderSize(conn, 64<<10), conn: conn}
+}
+
+// readFrame reads one length-prefixed message into a fresh allocation
+// (the caller hands sub-slices of it to code that may keep them), pad
+// bytes into that allocation.
 func readFrame(r io.Reader, pad int) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -116,7 +131,14 @@ func readFrame(r io.Reader, pad int) ([]byte, error) {
 		return nil, ErrFrameTooLarge
 	}
 	msg := make([]byte, pad+int(n))[pad:]
-	if _, err := io.ReadFull(r, msg); err != nil {
+	rest := msg
+	if fr, ok := r.(*frameReader); ok {
+		// Buffered bytes are copied out without touching the connection;
+		// the remainder has no reason to pass through the buffer.
+		k, _ := fr.Read(msg[:min(fr.Buffered(), len(msg))])
+		rest, r = msg[k:], fr.conn
+	}
+	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, err
 	}
 	return msg, nil

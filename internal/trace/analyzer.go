@@ -18,7 +18,7 @@ type RequestBreakdown struct {
 	// Main-shard latency stack components (Fig. 8a).
 	DenseOps        time.Duration // non-sparse operator time at the main shard
 	SparseOpsLocal  time.Duration // in-line SLS time at the main shard (singular only)
-	EmbeddedPortion time.Duration // singular: SparseOpsLocal; distributed: Σ per-net bounding RPC outstanding
+	EmbeddedPortion time.Duration // singular: SparseOpsLocal; distributed: Σ per-net time blocked on sparse results
 	MainSerDe       time.Duration
 	MainService     time.Duration
 	MainNetOverhead time.Duration // includes async RPC scheduling cost
@@ -95,8 +95,10 @@ func analyzeTrace(id uint64, spans []Span, mainShard string) (RequestBreakdown, 
 	}
 	// Index sparse-side spans by call id for bounding-call attribution.
 	calleeByCall := make(map[uint64][]Span)
-	// Per-net bounding outstanding time at the main shard.
-	perNetBound := make(map[string]Span)
+	// Per net, the longest a batch blocked on its pooled results; and the
+	// slowest remote call of the request.
+	perNetWait := make(map[string]time.Duration)
+	var bounding Span
 
 	foundE2E := false
 	for _, s := range spans {
@@ -112,8 +114,12 @@ func analyzeTrace(id uint64, spans []Span, mainShard string) (RequestBreakdown, 
 		case LayerOp:
 			if s.Kind == "Wait" {
 				// Synchronization on asynchronous results: this time is
-				// the embedded portion, measured via LayerRPCCall spans;
-				// counting it as operator compute would double-book it.
+				// the embedded portion, not operator compute. A net's
+				// batches wait in parallel, so the longest one is what the
+				// request saw.
+				if atMain {
+					perNetWait[s.Net] = max(perNetWait[s.Net], s.Dur)
+				}
 				continue
 			}
 			b.PerShardOpTime[s.Shard] += s.Dur
@@ -165,8 +171,8 @@ func analyzeTrace(id uint64, spans []Span, mainShard string) (RequestBreakdown, 
 		case LayerRPCCall:
 			if atMain {
 				b.RPCCalls++
-				if cur, ok := perNetBound[s.Net]; !ok || s.Dur > cur.Dur {
-					perNetBound[s.Net] = s
+				if s.Dur > bounding.Dur {
+					bounding = s
 				}
 			}
 		}
@@ -176,16 +182,15 @@ func analyzeTrace(id uint64, spans []Span, mainShard string) (RequestBreakdown, 
 	}
 
 	// Embedded portion: singular requests pool in-line; distributed
-	// requests wait on the slowest call of each (sequential) net.
-	if len(perNetBound) == 0 {
+	// requests block, net after net, on whatever of their sparse calls
+	// the dense work ahead of each net's first consumer did not hide. One
+	// call may serve several nets and overlap dense work, so summing call
+	// durations would count time the request never waited.
+	if len(perNetWait) == 0 && b.RPCCalls == 0 {
 		b.EmbeddedPortion = b.SparseOpsLocal
 	} else {
-		var bounding Span
-		for _, s := range perNetBound {
-			b.EmbeddedPortion += s.Dur
-			if s.Dur > bounding.Dur {
-				bounding = s
-			}
+		for _, d := range perNetWait {
+			b.EmbeddedPortion += d
 		}
 		b.BoundOutstanding = bounding.Dur
 		// Attribute inside the bounding call using the callee's spans.

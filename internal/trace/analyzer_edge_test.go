@@ -100,6 +100,81 @@ func TestAnalyzeMissingNetOverheadSpan(t *testing.T) {
 	}
 }
 
+// One call per shard serves every net of a request and overlaps dense
+// work, so call durations say nothing about what the request waited: the
+// embedded portion is what each net's batches actually blocked for (the
+// longest Wait span per net, summed over the sequential nets), while the
+// bound stack and the call count still describe the calls themselves.
+func TestAnalyzeCallSpanningNets(t *testing.T) {
+	base := time.Now()
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	spans := []Span{
+		{TraceID: 5, Shard: "main", Layer: LayerRequest, Start: base, Dur: ms(60)},
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Dense", Net: "net1", Name: "fc", Start: base, Dur: ms(25)},
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Dense", Net: "net2", Name: "fc", Start: base, Dur: ms(20)},
+		// Two calls issued at admission, each covering both nets.
+		{TraceID: 5, CallID: 31, Shard: "main", Layer: LayerRPCCall, Net: "net1+net2", Start: base, Dur: ms(18)},
+		{TraceID: 5, CallID: 32, Shard: "main", Layer: LayerRPCCall, Net: "net1+net2", Start: base, Dur: ms(14)},
+		// net1's two batches blocked 9 and 6 ms behind their bottom MLPs;
+		// by net2 the rows had long arrived.
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net1", Name: "wait_net1", Start: base, Dur: ms(9)},
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net1", Name: "wait_net1", Start: base, Dur: ms(6)},
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net2", Name: "wait_net2", Start: base, Dur: 0},
+		{TraceID: 5, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net2", Name: "wait_net2", Start: base, Dur: 0},
+		{TraceID: 5, CallID: 31, Shard: "sparse1", Layer: LayerRequest, Start: base, Dur: ms(11)},
+		{TraceID: 5, CallID: 31, Shard: "sparse1", Layer: LayerOp, Kind: "Sparse", Net: "net1", Name: "sls_sparse1", Start: base, Dur: ms(4)},
+		{TraceID: 5, CallID: 31, Shard: "sparse1", Layer: LayerOp, Kind: "Sparse", Net: "net2", Name: "sls_sparse1", Start: base, Dur: ms(3)},
+	}
+	bs := Analyze(spans, "main")
+	if len(bs) != 1 {
+		t.Fatalf("got %d breakdowns, want 1", len(bs))
+	}
+	b := bs[0]
+	if b.EmbeddedPortion != ms(9) {
+		t.Errorf("EmbeddedPortion = %v, want 9ms (net1's longest wait; the 32ms of calls overlap dense work)", b.EmbeddedPortion)
+	}
+	if b.RPCCalls != 2 || b.BoundOutstanding != ms(18) || b.BoundShard != "sparse1" {
+		t.Errorf("calls %d, bound %s %v; want 2, sparse1 18ms", b.RPCCalls, b.BoundShard, b.BoundOutstanding)
+	}
+	if b.BoundNetwork != ms(7) || b.BoundSparseOps != ms(7) {
+		t.Errorf("bound network %v ops %v; want 7ms 7ms", b.BoundNetwork, b.BoundSparseOps)
+	}
+	if got := b.PerShardNetOpTime["sparse1"]; got["net1"] != ms(4) || got["net2"] != ms(3) {
+		t.Errorf("shard op time by net = %v", got)
+	}
+	if stack := b.DenseOps + b.EmbeddedPortion + b.MainSerDe + b.MainService + b.MainNetOverhead; stack > b.E2E {
+		t.Errorf("latency stack %v exceeds E2E %v", stack, b.E2E)
+	}
+}
+
+// A call fully hidden behind dense work leaves nothing to wait for: the
+// embedded portion is zero — not the call's duration, and never the
+// negative of anything — though the call is still counted and bounded.
+func TestAnalyzeCallHiddenBehindDenseWork(t *testing.T) {
+	base := time.Now()
+	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
+	spans := []Span{
+		{TraceID: 6, Shard: "main", Layer: LayerRequest, Start: base, Dur: ms(30)},
+		{TraceID: 6, Shard: "main", Layer: LayerOp, Kind: "Dense", Net: "net1", Name: "fc", Start: base, Dur: ms(28)},
+		{TraceID: 6, CallID: 41, Shard: "main", Layer: LayerRPCCall, Net: "net1", Start: base, Dur: ms(12)},
+		{TraceID: 6, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net1", Name: "wait_net1", Start: base, Dur: 0},
+	}
+	bs := Analyze(spans, "main")
+	if len(bs) != 1 {
+		t.Fatalf("got %d breakdowns, want 1", len(bs))
+	}
+	b := bs[0]
+	if b.EmbeddedPortion != 0 {
+		t.Errorf("EmbeddedPortion = %v, want 0", b.EmbeddedPortion)
+	}
+	if b.RPCCalls != 1 || b.BoundOutstanding != ms(12) {
+		t.Errorf("calls %d bound %v; want 1, 12ms", b.RPCCalls, b.BoundOutstanding)
+	}
+	if stack := b.DenseOps + b.EmbeddedPortion + b.MainSerDe + b.MainService + b.MainNetOverhead; stack > b.E2E {
+		t.Errorf("latency stack %v exceeds E2E %v", stack, b.E2E)
+	}
+}
+
 func TestAnalyzeOne(t *testing.T) {
 	spans := buildTrace(7, false)
 	b, ok := AnalyzeOne(spans, "main")

@@ -137,6 +137,10 @@ func buildTrace(traceID uint64, skewed bool) []Span {
 		{TraceID: traceID, CallID: 12, Shard: "main", Layer: LayerRPCCall, Net: "net1", Start: base, Dur: ms(10)},
 		// One call in net2 (sequential net): adds to embedded portion.
 		{TraceID: traceID, CallID: 13, Shard: "main", Layer: LayerRPCCall, Net: "net2", Start: base, Dur: ms(8)},
+		// What each net's batches blocked for: the embedded portion.
+		{TraceID: traceID, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net1", Name: "wait_net1", Start: base, Dur: ms(30)},
+		{TraceID: traceID, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net1", Name: "wait_net1", Start: base, Dur: ms(12)},
+		{TraceID: traceID, Shard: "main", Layer: LayerOp, Kind: "Wait", Net: "net2", Name: "wait_net2", Start: base, Dur: ms(8)},
 		// Bounding sparse shard (call 11), possibly skewed clock.
 		{TraceID: traceID, CallID: 11, Shard: "sparse1", Layer: LayerRequest, Start: sparseStart, Dur: ms(22)},
 		{TraceID: traceID, CallID: 11, Shard: "sparse1", Layer: LayerSerDe, Start: sparseStart, Dur: ms(4)},
@@ -165,7 +169,7 @@ func TestAnalyzeDistributedRequest(t *testing.T) {
 		if b.DenseOps != ms(40) {
 			t.Errorf("DenseOps = %v", b.DenseOps)
 		}
-		// Embedded = net1 bounding (30) + net2 bounding (8).
+		// Embedded = net1's longest wait (30) + net2's (8).
 		if b.EmbeddedPortion != ms(38) {
 			t.Errorf("EmbeddedPortion = %v, want 38ms", b.EmbeddedPortion)
 		}
