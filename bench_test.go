@@ -189,32 +189,82 @@ func denseOperands(m, k, n int) (a, b *tensor.Matrix) {
 	return a, b
 }
 
-// BenchmarkDenseGEMM measures the blocked GEMM on a coalesced-batch
-// serving shape (64 rows through DRM1's 418->256 top layer). The
-// serial/parallel pair runs whatever kernel auto-dispatch resolves;
-// the generic/vector pair pins each kernel family explicitly so the
-// bench gate can assert the vectorized micro-kernel actually beats the
-// scalar one (benchcheck -assert-faster), and the *-tail pair repeats
-// the comparison on a deliberately awkward shape (61x419x253: row,
-// column, and k tails all non-empty) where the SIMD kernels hand the
-// leftovers to their scalar epilogues. Every arm must produce bitwise
-// identical outputs; only the wall clock may differ.
+// sparsify zeroes a fraction of a's values the way the server's GEMM
+// inputs are zero: block > 0 clears whole runs of `block` columns per row
+// (pooled embeddings of the few tables an item looked up, out of many),
+// block == 0 clears single values at random (ReLU outputs).
+func sparsify(a *tensor.Matrix, frac float64, block int) {
+	rng := rand.New(rand.NewSource(99))
+	if block == 0 {
+		for i := range a.Data {
+			if rng.Float64() < frac {
+				a.Data[i] = 0
+			}
+		}
+		return
+	}
+	for r := 0; r < a.Rows; r++ {
+		row := a.Row(r)
+		for p := 0; p < len(row); p += block {
+			if rng.Float64() < frac {
+				for q := p; q < p+block && q < len(row); q++ {
+					row[q] = 0
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDenseGEMM measures the GEMM on a coalesced-batch serving
+// shape (64 rows through DRM1's 418->256 top layer). The serial/parallel
+// pair runs whatever kernel auto-dispatch resolves; the generic/vector
+// pair pins each kernel family explicitly so the bench gate can assert
+// the register-tiled kernel actually beats the scalar one (benchcheck
+// -assert-faster), and the *-tail pair repeats the comparison on a
+// deliberately awkward shape (61x419x253: row, column, and k tails all
+// non-empty, no b row vector-aligned) that the tile covers with lane
+// masks and a one-row group. The remaining arms are the shapes the
+// server runs rather than the dense one: one engine batch of 16 items
+// through a ReLU-fed layer (half the inputs zero), through the embedding
+// projection (per-item blocks of 16 pooled values, 91 % or 10 % of them
+// empty), and through an n = 1 scoring layer. Every arm must produce
+// bitwise identical outputs; only the wall clock may differ.
 func BenchmarkDenseGEMM(b *testing.B) {
 	a, w := denseOperands(64, 418, 256)
 	at, wt := denseOperands(61, 419, 253)
-	for _, tc := range []struct {
+	type arm struct {
 		name string
 		par  int
 		kern tensor.Kernel
 		a, w *tensor.Matrix
-	}{
+	}
+	arms := []arm{
 		{"serial", 1, tensor.KernelAuto, a, w},
 		{"parallel", 0, tensor.KernelAuto, a, w},
 		{"generic", 1, tensor.KernelGeneric, a, w},
 		{"vector", 1, tensor.KernelVector, a, w},
 		{"generic-tail", 1, tensor.KernelGeneric, at, wt},
 		{"vector-tail", 1, tensor.KernelVector, at, wt},
+	}
+	for _, sh := range []struct {
+		name    string
+		m, k, n int
+		frac    float64
+		block   int
+	}{
+		{"relu-16x439x256", 16, 439, 256, 0.5, 0},
+		{"relu-16x256x128", 16, 256, 128, 0.5, 0},
+		{"embproj-16x2960x256", 16, 2960, 256, 0.91, 16},
+		{"embproj-16x576x256", 16, 576, 256, 0.10, 16},
+		{"out1-16x256x1", 16, 256, 1, 0.5, 0},
 	} {
+		sa, sw := denseOperands(sh.m, sh.k, sh.n)
+		sparsify(sa, sh.frac, sh.block)
+		arms = append(arms,
+			arm{sh.name + "/generic", 1, tensor.KernelGeneric, sa, sw},
+			arm{sh.name + "/vector", 1, tensor.KernelVector, sa, sw})
+	}
+	for _, tc := range arms {
 		b.Run(tc.name, func(b *testing.B) {
 			m, k, n := tc.a.Rows, tc.a.Cols, tc.w.Cols
 			out := tensor.New(m, n)

@@ -11,45 +11,59 @@ import (
 
 // resetDispatch restores every tensor knob the sweeps touch.
 func resetDispatch() {
+	gemmLanes = hostLanes
 	tensor.SetKernel(tensor.KernelAuto)
 	tensor.SetParallelism(0)
 	tensor.SetBlockRows(0)
 }
 
+// sweepSettings runs fn under every dispatch × parallelism × block-rows
+// setting: block rows 1 and 7 under three workers hand the kernels row
+// ranges [i0, i1) that start and end off the four-row tile grid.
+func sweepSettings(ds []dispatch, fn func(desc string)) {
+	for _, d := range ds {
+		for _, par := range []int{1, 3} {
+			for _, block := range []int{0, 1, 7} {
+				d.set()
+				tensor.SetParallelism(par)
+				tensor.SetBlockRows(block)
+				fn(fmt.Sprintf("%v par=%d block=%d", d, par, block))
+			}
+		}
+	}
+}
+
 // TestGEMMDifferential is the core differential property: for every
 // adversarial shape × payload class, MatMul under every kernel ×
-// parallelism × block-rows setting is bitwise identical to the
-// harness oracle. The special payload class carries distinct-payload
-// NaNs, ±Inf, subnormals, and -0, so an asm kernel whose multiply or
-// add operand order differs from the generic kernel's fails here.
+// parallelism × block-rows setting, at every lane width the host has,
+// is bitwise identical to the harness oracle. The special payload class
+// carries distinct-payload NaNs, ±Inf, subnormals, and -0, so an asm
+// kernel whose multiply or add operand order differs from the generic
+// kernel's fails here; the relu-sparse and block-sparse classes put
+// NaN, ±Inf and subnormal b entries under zero a values, so a kernel
+// that multiplies where the generic kernel skips fails here.
 func TestGEMMDifferential(t *testing.T) {
 	defer resetDispatch()
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(1234))
 	for _, p := range Payloads() {
 		for _, s := range GEMMShapes() {
 			a := RandMatrix(rng, s.M, s.K, p)
-			b := RandMatrix(rng, s.K, s.N, p)
+			b := RandMatrix(rng, s.K, s.N, p.B())
 			want := tensor.New(s.M, s.N)
 			RefMatMul(want, a, b)
-			for _, kern := range Kernels() {
-				for _, par := range []int{1, 3} {
-					for _, block := range []int{0, 1, 7} {
-						tensor.SetKernel(kern)
-						tensor.SetParallelism(par)
-						tensor.SetBlockRows(block)
-						got := tensor.New(s.M, s.N)
-						for i := range got.Data {
-							got.Data[i] = float32(math.NaN()) // dirty dst
-						}
-						tensor.MatMul(got, a, b)
-						if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-							t.Fatalf("payload=%s shape=%dx%dx%d kern=%v par=%d block=%d: element %d = %08x, want %08x",
-								p.Name, s.M, s.K, s.N, kern, par, block, i,
-								math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-						}
-					}
+			sweepSettings(ds, func(desc string) {
+				got := tensor.New(s.M, s.N)
+				for i := range got.Data {
+					got.Data[i] = float32(math.NaN()) // dirty dst
 				}
-			}
+				tensor.MatMul(got, a, b)
+				if i := DiffFloat32(got.Data, want.Data); i >= 0 {
+					t.Fatalf("payload=%s shape=%dx%dx%d %s: element %d = %08x, want %08x",
+						p.Name, s.M, s.K, s.N, desc, i,
+						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			})
 		}
 	}
 }
@@ -57,68 +71,98 @@ func TestGEMMDifferential(t *testing.T) {
 // TestGEMMDifferentialUnaligned re-runs the differential on operands
 // whose backing slices start at odd element offsets, so the vector
 // kernels see base pointers with every 4-byte-aligned misalignment
-// class relative to 16/32-byte vector widths.
+// class relative to the 32/64-byte vector widths — through a masked
+// column tail (21 columns) and through full strips plus a tail (5×81).
 func TestGEMMDifferentialUnaligned(t *testing.T) {
 	defer resetDispatch()
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(77))
 	p := Payloads()[2] // special values
 	for _, off := range []int{1, 2, 3, 5, 7} {
-		s := Shape{M: 9, K: 23, N: 21}
-		a := UnalignedMatrix(rng, s.M, s.K, off, p)
-		b := UnalignedMatrix(rng, s.K, s.N, off, p)
-		want := tensor.New(s.M, s.N)
-		RefMatMul(want, a, b)
-		for _, kern := range Kernels() {
-			tensor.SetKernel(kern)
-			got := UnalignedMatrix(rng, s.M, s.N, off, p) // dirty, unaligned dst
-			tensor.MatMul(got, a, b)
-			if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-				t.Fatalf("off=%d kern=%v: element %d = %08x, want %08x",
-					off, kern, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+		for _, s := range []Shape{{9, 23, 21}, {5, 19, 81}} {
+			a := UnalignedMatrix(rng, s.M, s.K, off, p)
+			b := UnalignedMatrix(rng, s.K, s.N, off, p)
+			want := tensor.New(s.M, s.N)
+			RefMatMul(want, a, b)
+			for _, d := range ds {
+				d.set()
+				got := UnalignedMatrix(rng, s.M, s.N, off, p) // dirty, unaligned dst
+				tensor.MatMul(got, a, b)
+				if i := DiffFloat32(got.Data, want.Data); i >= 0 {
+					t.Fatalf("off=%d shape=%dx%dx%d %v: element %d = %08x, want %08x",
+						off, s.M, s.K, s.N, d, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
 			}
 		}
 	}
 }
 
-// TestGEMMEpilogueDifferential checks the fused-epilogue entry point
-// under both kernels: epilogue fusion must not change the GEMM bits it
-// runs on, and the epilogue must observe fully-written rows.
+// epilogueShapes are the shapes the fused-epilogue differential runs:
+// every store path of the register tile (narrow, masked tail, whole
+// strips through the row kernel, strips plus tail) under short and full
+// row groups, k = 0 (dst is the epilogue of zero), and one parallel-path
+// size.
+var epilogueShapes = []Shape{
+	{1, 7, 1}, {5, 0, 19}, {3, 9, 15}, {4, 13, 64}, {7, 13, 65},
+	{2, 21, 256}, {17, 29, 96}, {16, 40, 257}, {33, 29, 27}, {64, 96, 130},
+}
+
+// TestGEMMEpilogueDifferential checks the fused bias + ReLU epilogue —
+// bias nil and non-nil × ReLU off and on — against the oracle's separate
+// passes, for every payload class (so sums that are NaN, ±Inf and
+// subnormal meet biases that are too, and −Inf and NaN meet the ReLU),
+// into a dirty, unaligned dst. It also pins the lemma the 8-lane masked
+// add rests on at the harness level: no GEMM sum is ever −0.
 func TestGEMMEpilogueDifferential(t *testing.T) {
 	defer resetDispatch()
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(31))
-	p := Payloads()[1]
-	a := RandMatrix(rng, 33, 29, p)
-	b := RandMatrix(rng, 29, 27, p)
-	bias := make([]float32, 27)
-	p.Fill(rng, bias)
-
-	want := tensor.New(33, 27)
-	RefMatMul(want, a, b)
-	for r := 0; r < 33; r++ {
-		row := want.Row(r)
-		for c := range row {
-			row[c] += bias[c]
-		}
-	}
-
-	for _, kern := range Kernels() {
-		for _, par := range []int{1, 4} {
-			tensor.SetKernel(kern)
-			tensor.SetParallelism(par)
-			got := tensor.New(33, 27)
-			tensor.MatMulEpilogue(got, a, b, func(i0, i1 int) {
-				for r := i0; r < i1; r++ {
-					row := got.Row(r)
-					for c := range row {
-						row[c] += bias[c]
-					}
+	for _, p := range Payloads() {
+		for _, s := range epilogueShapes {
+			a := RandMatrix(rng, s.M, s.K, p)
+			b := RandMatrix(rng, s.K, s.N, p.B())
+			bias := make([]float32, s.N)
+			p.B().Fill(rng, bias)
+			sums := tensor.New(s.M, s.N)
+			RefMatMul(sums, a, b)
+			for i, v := range sums.Data {
+				if math.Float32bits(v) == 0x80000000 {
+					t.Fatalf("payload=%s shape=%dx%dx%d: sum %d is -0", p.Name, s.M, s.K, s.N, i)
 				}
-			})
-			if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-				t.Fatalf("kern=%v par=%d: element %d = %08x, want %08x",
-					kern, par, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+			for _, relu := range []bool{false, true} {
+				for _, bs := range [][]float32{nil, bias} {
+					want := sums.Clone()
+					RefEpilogue(want, bs, relu)
+					sweepSettings(ds, func(desc string) {
+						got := UnalignedMatrix(rng, s.M, s.N, 3, p) // dirty, unaligned dst
+						tensor.MatMulEpilogue(got, a, b, bs, relu)
+						if i := DiffFloat32(got.Data, want.Data); i >= 0 {
+							t.Fatalf("payload=%s shape=%dx%dx%d bias=%v relu=%v %s: element %d = %08x, want %08x",
+								p.Name, s.M, s.K, s.N, bs != nil, relu, desc, i,
+								math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+						}
+					})
+				}
 			}
 		}
+	}
+}
+
+// TestRefEpilogueMatchesTensorOps ties the oracle's epilogue to the
+// unfused tensor passes it stands for, on values where no operand-order
+// accident can separate them (at most one NaN per sum).
+func TestRefEpilogueMatchesTensorOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := RandMatrix(rng, 9, 37, Payloads()[2])
+	bias := make([]float32, 37)
+	Payloads()[0].Fill(rng, bias)
+	want := m.Clone()
+	tensor.AddBiasRows(want, bias)
+	tensor.ReLUSlice(want.Data)
+	RefEpilogue(m, bias, true)
+	if i := DiffFloat32(m.Data, want.Data); i >= 0 {
+		t.Fatalf("element %d = %08x, want %08x", i, math.Float32bits(m.Data[i]), math.Float32bits(want.Data[i]))
 	}
 }
 
@@ -127,6 +171,7 @@ func TestGEMMEpilogueDifferential(t *testing.T) {
 // tail-length regression in the micro-kernel dispatch seams.
 func TestGEMMCrossKernelSweep(t *testing.T) {
 	defer resetDispatch()
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(6))
 	p := Payloads()[2]
 	for m := 1; m <= 6; m++ {
@@ -134,16 +179,17 @@ func TestGEMMCrossKernelSweep(t *testing.T) {
 			for n := 1; n <= 10; n++ {
 				a := RandMatrix(rng, m, k, p)
 				b := RandMatrix(rng, k, n, p)
-				tensor.SetKernel(tensor.KernelGeneric)
+				ds[0].set() // the generic family
 				want := tensor.New(m, n)
 				tensor.MatMul(want, a, b)
-				tensor.SetKernel(tensor.KernelVector)
-				got := tensor.New(m, n)
-				tensor.MatMul(got, a, b)
-				if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-					t.Fatalf("%s: element %d = %08x, want %08x",
-						fmt.Sprintf("%dx%dx%d", m, k, n), i,
-						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				for _, d := range ds[1:] {
+					d.set()
+					got := tensor.New(m, n)
+					tensor.MatMul(got, a, b)
+					if i := DiffFloat32(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%dx%dx%d %v: element %d = %08x, want %08x", m, k, n, d, i,
+							math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+					}
 				}
 			}
 		}

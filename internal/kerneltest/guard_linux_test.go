@@ -57,31 +57,37 @@ func guardedMatrix(t *testing.T, rng *rand.Rand, rows, cols int, p Payload) *ten
 }
 
 // TestGEMMGuardPaged runs the full adversarial shape sweep with every
-// operand — a, b, and dst — flush against a guard page, under both
-// kernels and both the serial and parallel paths. A vector body or tail
-// that loads past a row end faults here; results are still checked
-// against the oracle so short reads (not just over-reads) show up too.
+// operand — a, b, bias and dst — flush against a guard page, under both
+// kernels, the serial and parallel paths, and every lane width, with
+// the fused epilogue on. The register tile's column tails are masked
+// loads and stores: a masked-out lane that touched memory, or a live one
+// placed past a row end, faults here (the last row of b, the bias and
+// the last row of dst all end at the page); results are still checked
+// against the oracle so short reads and dropped lanes show up too.
 func TestGEMMGuardPaged(t *testing.T) {
 	defer resetDispatch()
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(99))
 	p := Payloads()[0]
 	for _, s := range GEMMShapes() {
 		a := guardedMatrix(t, rng, s.M, s.K, p)
 		b := guardedMatrix(t, rng, s.K, s.N, p)
+		bias := guardedMatrix(t, rng, 1, s.N, p).Data
 		want := tensor.New(s.M, s.N)
 		RefMatMul(want, a, b)
+		RefEpilogue(want, bias, true)
 		dst := guardedMatrix(t, rng, s.M, s.N, p)
-		for _, kern := range Kernels() {
+		for _, d := range ds {
 			for _, par := range []int{1, 3} {
-				tensor.SetKernel(kern)
+				d.set()
 				tensor.SetParallelism(par)
 				for i := range dst.Data {
 					dst.Data[i] = float32(math.NaN()) // dirty dst
 				}
-				tensor.MatMul(dst, a, b)
+				tensor.MatMulEpilogue(dst, a, b, bias, true)
 				if i := DiffFloat32(dst.Data, want.Data); i >= 0 {
-					t.Fatalf("shape=%dx%dx%d kern=%v par=%d: element %d = %08x, want %08x",
-						s.M, s.K, s.N, kern, par, i,
+					t.Fatalf("shape=%dx%dx%d %v par=%d: element %d = %08x, want %08x",
+						s.M, s.K, s.N, d, par, i,
 						math.Float32bits(dst.Data[i]), math.Float32bits(want.Data[i]))
 				}
 			}

@@ -28,29 +28,71 @@ import (
 type Shape struct{ M, K, N int }
 
 // GEMMShapes returns the adversarial shape sweep. Alongside ordinary
-// sizes it covers every boundary class the blocked engine has: zero
-// dimensions (empty dst, and the k=0 case where dst must still be
-// zeroed), single elements, primes that straddle the 4-row micro-kernel
-// and 8/4-wide axpy bodies with every tail length, exact tile and panel
-// boundaries, and one size large enough to take the parallel path.
+// sizes it covers every boundary class the engine has: zero dimensions
+// (empty dst, and the k=0 case where dst must still be zeroed), single
+// elements, primes with every tail length, exact row-tile and
+// parallel-path boundaries — and everything the register tile branches
+// on: row groups of 1–4 and 4+1, outputs narrower than one vector
+// (n = 1, 15), one vector and one 64-column strip ± 1, whole numbers of
+// strips (96 … 256, the row kernel's widths) and strips plus a masked
+// tail (257, 513), at a short k, and the long EmbProj k on a handful.
 func GEMMShapes() []Shape {
-	return []Shape{
+	shapes := []Shape{
 		{0, 4, 4}, {4, 0, 4}, {4, 4, 0}, {0, 0, 0},
 		{1, 1, 1}, {1, 2, 1}, {2, 1, 2},
 		{3, 5, 7}, {5, 7, 3}, {7, 3, 5},
-		{4, 4, 8}, {4, 4, 9}, {5, 4, 8}, // micro-kernel row groups ± 1
+		{4, 4, 8}, {4, 4, 9}, {5, 4, 8}, // row groups ± 1
 		{13, 17, 11}, {17, 31, 13}, // primes, all tails
 		{16, 64, 64}, {17, 64, 65}, // one tile, one tile + 1
-		{8, 16, 512}, {8, 16, 513}, // column-panel boundary ± 1
-		{6, 512, 16}, {6, 515, 16}, // k-panel boundary ± 3
-		{64, 96, 33}, // parallel path, odd columns
+		{8, 16, 512}, {8, 16, 513}, // generic column-panel boundary ± 1
+		{6, 512, 16}, {6, 515, 16}, // generic k-panel boundary ± 3
+		{64, 96, 33},                         // parallel path, odd columns
+		{5, 0, 65}, {4, 1, 256}, {17, 1, 17}, // k = 0 and 1 across strips
+		{4, 2960, 256}, {5, 2960, 257}, {16, 2960, 256}, {17, 2960, 96}, {3, 2960, 64}, {2, 2960, 1},
 	}
+	for _, m := range []int{1, 2, 3, 4, 5, 16, 17} {
+		for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 96, 192, 256, 257, 513} {
+			shapes = append(shapes, Shape{m, 13, n})
+		}
+	}
+	return shapes
 }
 
 // Payload names one float32 fill strategy for differential inputs.
+// Fill fills the a operand (and anything else a test builds); FillB,
+// when set, fills the b operand differently.
 type Payload struct {
-	Name string
-	Fill func(rng *rand.Rand, dst []float32)
+	Name  string
+	Fill  func(rng *rand.Rand, dst []float32)
+	FillB func(rng *rand.Rand, dst []float32)
+}
+
+// B returns the payload that fills a b operand.
+func (p Payload) B() Payload {
+	if p.FillB != nil {
+		p.Fill = p.FillB
+	}
+	return p
+}
+
+// fillRareSpecials is the b side of the zero-skip payloads: mostly
+// ordinary values with a NaN, ±Inf or subnormal every few entries, so
+// some of them sit under a zero a value — where 0·b would be NaN rather
+// than nothing, and a kernel that multiplies before it masks shows — and
+// the rest reach the sums through a nonzero one.
+func fillRareSpecials(rng *rand.Rand, dst []float32) {
+	for i := range dst {
+		switch rng.Intn(24) {
+		case 0:
+			dst[i] = math.Float32frombits(0x7fc00000 | uint32(rng.Intn(1<<20)))
+		case 1:
+			dst[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		case 2:
+			dst[i] = math.Float32frombits(uint32(rng.Intn(1<<23-1) + 1))
+		default:
+			dst[i] = float32(rng.NormFloat64())
+		}
+	}
 }
 
 // Payloads returns the payload classes the differential tests sweep.
@@ -64,7 +106,7 @@ func Payloads() []Payload {
 			for i := range dst {
 				dst[i] = float32(rng.NormFloat64())
 			}
-		}},
+		}, nil},
 		{"sparse", func(rng *rand.Rand, dst []float32) {
 			for i := range dst {
 				if rng.Intn(3) == 0 {
@@ -73,7 +115,7 @@ func Payloads() []Payload {
 					dst[i] = float32(rng.NormFloat64())
 				}
 			}
-		}},
+		}, nil},
 		{"special", func(rng *rand.Rand, dst []float32) {
 			for i := range dst {
 				switch rng.Intn(8) {
@@ -97,7 +139,36 @@ func Payloads() []Payload {
 					dst[i] = float32(rng.NormFloat64())
 				}
 			}
-		}},
+		}, nil},
+		// ReLU output: about half the values +0, a few −0 — the tile's
+		// masked add, and the row kernel's mispredicted skips.
+		{"relu-sparse", func(rng *rand.Rand, dst []float32) {
+			for i := range dst {
+				switch r := rng.Intn(16); {
+				case r == 0:
+					dst[i] = math.Float32frombits(0x80000000)
+				case r < 8:
+					dst[i] = 0
+				default:
+					dst[i] = float32(math.Abs(rng.NormFloat64()))
+				}
+			}
+		}, fillRareSpecials},
+		// Pooled embeddings of a few tables out of many: runs of 16 zero
+		// columns, about 91% of them, so whole k steps are zero in every
+		// row of a tile (the all-zero-step skip) and the row kernel is
+		// chosen.
+		{"block-sparse", func(rng *rand.Rand, dst []float32) {
+			for i := 0; i < len(dst); i += 16 {
+				live := rng.Intn(11) == 0
+				for j := i; j < i+16 && j < len(dst); j++ {
+					dst[j] = 0
+					if live {
+						dst[j] = float32(rng.NormFloat64())
+					}
+				}
+			}
+		}, fillRareSpecials},
 	}
 }
 
@@ -165,6 +236,26 @@ func RefMatMul(dst, a, b *tensor.Matrix) {
 			for j := range brow {
 				drow[j] = refAcc(drow[j], refMul(av, brow[j]))
 			}
+		}
+	}
+}
+
+// RefEpilogue is the oracle for the fused epilogue, applied to a finished
+// RefMatMul result: bias added to every row (nil for none) and then, when
+// relu is set, v < 0 → +0 — which leaves NaN and −0 as they are. As with
+// refAcc, the both-NaN sum is spelled out: the kernels add bias to the
+// accumulator, so the accumulator's payload wins.
+func RefEpilogue(dst *tensor.Matrix, bias []float32, relu bool) {
+	for i := 0; i < dst.Rows; i++ {
+		row := dst.Row(i)
+		for c, v := range row {
+			if bias != nil && !(v != v && bias[c] != bias[c]) {
+				v += bias[c]
+			}
+			if relu && v < 0 {
+				v = 0
+			}
+			row[c] = v
 		}
 	}
 }

@@ -71,13 +71,13 @@ func applyAct(f ActivationFunc, xs []float32) error {
 	return nil
 }
 
-// FusedFC is a fully-connected layer with the bias addition and
-// activation fused into the GEMM epilogue: Output = act(Input·W + B),
-// computed tile by tile inside the parallel GEMM workers with no extra
-// pass over the output and no intermediate blob. Results are bitwise
-// identical to the FC → Activation pair it replaces (the epilogue applies
-// the same elementwise ops to each finished row). Output storage draws
-// from the workspace arena when scheduled.
+// FusedFC is a fully-connected layer with the bias addition and ReLU
+// fused into the GEMM's tile store: Output = act(Input·W + B), with no
+// extra pass over the output and no intermediate blob. Sigmoid — an exp
+// per element, on the one-column scoring layers — stays a pass over the
+// finished output. Results are bitwise identical to the FC → Activation
+// pair it replaces. Output storage draws from the workspace arena when
+// scheduled.
 type FusedFC struct {
 	OpName        string
 	W             *tensor.Matrix // In×Out
@@ -104,24 +104,14 @@ func (o *FusedFC) Run(ws *Workspace) error {
 	if o.B != nil && len(o.B) != o.W.Cols {
 		return fmt.Errorf("%s: bias length %d != output cols %d", o.OpName, len(o.B), o.W.Cols)
 	}
-	// Reject an invalid Act up front: the epilogue below discards
-	// applyAct's error (workers have nowhere to report it), so it must
-	// be impossible by the time tiles run.
 	if !o.Act.valid() {
 		return fmt.Errorf("%s: unknown activation %d", o.OpName, o.Act)
 	}
 	out := ws.AllocBlob(o.Output, in.Rows, o.W.Cols)
-	tensor.MatMulEpilogue(out, in, o.W, func(i0, i1 int) {
-		for r := i0; r < i1; r++ {
-			row := out.Row(r)
-			if o.B != nil {
-				for c := range row {
-					row[c] += o.B[c]
-				}
-			}
-			_ = applyAct(o.Act, row)
-		}
-	})
+	tensor.MatMulEpilogue(out, in, o.W, o.B, o.Act == ActReLU)
+	if o.Act == ActSigmoid {
+		tensor.SigmoidSlice(out.Data)
+	}
 	ws.SetBlob(o.Output, out)
 	return nil
 }

@@ -6,7 +6,7 @@ package quant
 // codes) unpack from one word load through PUNPCKLBW zero-extension and
 // CVTDQ2PS conversion, then vector scale*code + bias into the
 // accumulator. SSE2-only — guaranteed on every amd64, so unlike the
-// GEMM axpy kernels no CPUID gate is needed. Per lane the operation
+// GEMM register tile no CPUID gate is needed. Per lane the operation
 // sequence (convert, multiply by scale, add bias, add into acc — with
 // the same x86 first-source operands the compiled scalar kernels use,
 // established empirically per width by internal/kerneltest) matches

@@ -9,7 +9,7 @@ import (
 )
 
 // Kernel dispatch: every hot arithmetic loop in the tree (the GEMM
-// micro-kernel here, the word-wide quantized row decode in
+// kernel here, the word-wide quantized row decode in
 // internal/quant) exists in two implementations — a portable generic
 // kernel and a hand-vectorized one — selected through this table. The
 // contract that makes swapping them safe is bitwise identity: a
@@ -29,8 +29,8 @@ const (
 	KernelAuto Kernel = iota
 	// KernelGeneric forces the portable reference kernels everywhere.
 	KernelGeneric
-	// KernelVector requests the hand-vectorized kernels (register-blocked
-	// GEMM micro-kernel, word-wide unsafe row decode). On hosts where the
+	// KernelVector requests the hand-vectorized kernels (register-tiled
+	// GEMM, word-wide unsafe row decode). On hosts where the
 	// vector kernels are ineligible it resolves to KernelGeneric — forcing
 	// a kernel never makes results wrong, at worst slower.
 	KernelVector

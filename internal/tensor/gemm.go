@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,10 @@ func BlockRows() int {
 // completions, so Wait returns only when every tile is written.
 type gemmJob struct {
 	dst, a, b *Matrix
-	epi       func(i0, i1 int)
+	bias      []float32
+	relu      bool
 	block     int
-	vec       bool
+	lanes     int
 	tiles     int32
 	next      atomic.Int32
 	wg        sync.WaitGroup
@@ -100,10 +102,7 @@ func (j *gemmJob) run() {
 		if i1 > j.dst.Rows {
 			i1 = j.dst.Rows
 		}
-		gemmRows(j.dst, j.a, j.b, i0, i1, j.vec)
-		if j.epi != nil {
-			j.epi(i0, i1)
-		}
+		gemmRows(j.dst, j.a, j.b, i0, i1, j.lanes, j.bias, j.relu)
 		j.wg.Done()
 	}
 }
@@ -133,29 +132,36 @@ func gemmPool() chan *gemmJob {
 	return gemmWorkers.jobs
 }
 
-// matmul runs the shared kernel serially or tiled, with an optional
-// per-row-range epilogue (bias/activation fusion) applied by whichever
-// goroutine finished the tile. The epilogue sees disjoint row ranges
-// covering [0, dst.Rows) exactly once.
-func matmul(dst, a, b *Matrix, epi func(i0, i1 int)) {
+// gemmLanes is the register tile's lane width on this host: 16, 8, or
+// 0 for no assembly tile. Probed once at init; only tests assign it
+// afterwards, to run the narrower widths on a wide host.
+var gemmLanes = hostLanes()
+
+// matmul computes dst = relu?(a×b + bias) serially or tiled across the
+// worker pool. bias may be nil. The epilogue is part of each row range's
+// kernel call, applied by whichever goroutine owns the range.
+func matmul(dst, a, b *Matrix, bias []float32, relu bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(shapeErr("MatMul", dst, a, b))
+	}
+	if bias != nil && len(bias) != dst.Cols {
+		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), dst.Cols))
 	}
 	block := BlockRows()
 	work := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
 	workers := Parallelism()
 	// Resolve kernel dispatch once per MatMul so every tile of one call
 	// runs the same kernel even if SetKernel races the call.
-	vec := ActiveKernel() == KernelVector
+	lanes := 0
+	if ActiveKernel() == KernelVector {
+		lanes = gemmLanes
+	}
 	if workers <= 1 || dst.Rows <= block || work < gemmSerialWork {
-		gemmRows(dst, a, b, 0, dst.Rows, vec)
-		if epi != nil && dst.Rows > 0 {
-			epi(0, dst.Rows)
-		}
+		gemmRows(dst, a, b, 0, dst.Rows, lanes, bias, relu)
 		return
 	}
 
-	job := &gemmJob{dst: dst, a: a, b: b, epi: epi, block: block, vec: vec}
+	job := &gemmJob{dst: dst, a: a, b: b, bias: bias, relu: relu, block: block, lanes: lanes}
 	job.tiles = int32((dst.Rows + block - 1) / block)
 	job.wg.Add(int(job.tiles))
 	// Post at most workers-1 claim handles (the submitter is a worker
@@ -178,19 +184,31 @@ posting:
 	job.wg.Wait()
 }
 
-// gemmRows computes rows [i0, i1) of dst = a×b with the kernel selected
-// at matmul entry: the register-blocked micro-kernel (gemm_vector.go) or
-// the generic streaming kernel below. Per element the accumulation runs
-// over k strictly ascending with the same zero-skip on every path — the
-// bitwise-determinism contract — so the kernels are interchangeable
-// bit for bit. (The j traversal order is free: each output element is a
-// single independent accumulator.)
-func gemmRows(dst, a, b *Matrix, i0, i1 int, vec bool) {
-	if vec {
-		gemmRowsVector(dst, a, b, i0, i1)
+// gemmRows computes rows [i0, i1) of dst = relu?(a×b + bias) with the
+// kernel selected at matmul entry: the register tile at the given lane
+// width (gemm_tile_amd64.go), which fuses the epilogue into its store,
+// or — lanes 0 — the generic streaming kernel below followed by the
+// same epilogue as a pass over the finished rows. Per element the
+// accumulation runs over k strictly ascending with the same zero-skip
+// on every path — the bitwise-determinism contract — so the kernels are
+// interchangeable bit for bit. (The j traversal order is free: each
+// output element is a single independent accumulator.)
+func gemmRows(dst, a, b *Matrix, i0, i1, lanes int, bias []float32, relu bool) {
+	if lanes > 0 && a.Cols > 0 && b.Cols > 0 {
+		gemmRowsTile(dst, a, b, i0, i1, lanes, bias, relu)
 		return
 	}
 	gemmRowsGeneric(dst, a, b, i0, i1)
+	n := dst.Cols
+	for i := i0; i < i1; i++ {
+		row := dst.Data[i*n : (i+1)*n]
+		if bias != nil {
+			addBias(row, bias)
+		}
+		if relu {
+			ReLUSlice(row)
+		}
+	}
 }
 
 // gemmRowsGeneric is the portable reference kernel: one output row at a

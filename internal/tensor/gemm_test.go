@@ -83,16 +83,19 @@ func TestMatMulBitwiseMatchesReference(t *testing.T) {
 		{129, 97, 33},                                    // enough work to go parallel
 		{256, 512, 256},                                  // batch>=64 serving shape
 	}
+	defer func(w int) { gemmLanes = w }(gemmLanes)
+	ds := dispatches(t)
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range shapes {
 		a := randMatrix(rng, s.m, s.k)
 		b := randMatrix(rng, s.k, s.n)
 		want := New(s.m, s.n)
 		refMatMul(want, a, b)
-		for _, kern := range []Kernel{KernelGeneric, KernelVector} {
+		for _, d := range ds {
 			for _, par := range []int{1, 2, 3, 8} {
 				for _, block := range []int{0, 1, 5, 64} {
-					SetKernel(kern)
+					SetKernel(d.kern)
+					gemmLanes = d.lanes
 					SetParallelism(par)
 					SetBlockRows(block)
 					got := New(s.m, s.n)
@@ -101,46 +104,21 @@ func TestMatMulBitwiseMatchesReference(t *testing.T) {
 						got.Data[i] = float32(math.NaN())
 					}
 					MatMul(got, a, b)
-					bitsEqual(t, fmt.Sprintf("%dx%dx%d kern=%v par=%d block=%d", s.m, s.k, s.n, kern, par, block), got, want)
+					bitsEqual(t, fmt.Sprintf("%dx%dx%d %+v par=%d block=%d", s.m, s.k, s.n, d, par, block), got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestMatMulEpilogueCoversAllRowsOnce checks the fused-epilogue contract:
-// disjoint ranges covering every row exactly once, on both the serial and
-// parallel paths.
-func TestMatMulEpilogueCoversAllRowsOnce(t *testing.T) {
-	defer SetParallelism(0)
-	for _, par := range []int{1, 4} {
-		SetParallelism(par)
-		const rows = 70
-		a := randMatrix(rand.New(rand.NewSource(7)), rows, 40)
-		b := randMatrix(rand.New(rand.NewSource(8)), 40, 50)
-		dst := New(rows, 50)
-		mu := make(chan struct{}, 1)
-		mu <- struct{}{}
-		seen := make([]int, rows)
-		MatMulEpilogue(dst, a, b, func(i0, i1 int) {
-			<-mu
-			for r := i0; r < i1; r++ {
-				seen[r]++
-			}
-			mu <- struct{}{}
-		})
-		for r, c := range seen {
-			if c != 1 {
-				t.Fatalf("par=%d: row %d visited %d times", par, r, c)
-			}
-		}
-	}
-}
-
 // TestMatMulEpilogueFusionIdentity checks that fusing bias+ReLU into the
-// GEMM epilogue is bitwise identical to running them as separate passes.
+// GEMM is bitwise identical to running them as separate passes, for
+// every epilogue combination, on the serial and parallel paths of both
+// kernel families at every lane width — and that a dirty dst is fully
+// overwritten (each row stored exactly once, none accumulated into).
 func TestMatMulEpilogueFusionIdentity(t *testing.T) {
 	defer SetParallelism(0)
+	defer SetKernel(KernelAuto)
 	rng := rand.New(rand.NewSource(99))
 	a := randMatrix(rng, 67, 33)
 	b := randMatrix(rng, 33, 29)
@@ -148,25 +126,95 @@ func TestMatMulEpilogueFusionIdentity(t *testing.T) {
 	for i := range bias {
 		bias[i] = float32(rng.NormFloat64())
 	}
-
-	SetParallelism(1)
-	want := New(67, 29)
-	MatMul(want, a, b)
-	AddBiasRows(want, bias)
-	ReLU(want)
-
-	SetParallelism(4)
-	got := New(67, 29)
-	MatMulEpilogue(got, a, b, func(i0, i1 int) {
-		for r := i0; r < i1; r++ {
-			row := got.Row(r)
-			for c := range row {
-				row[c] += bias[c]
-			}
-			ReLUSlice(row)
+	defer func(w int) { gemmLanes = w }(gemmLanes)
+	ds := dispatches(t)
+	for _, tc := range []struct {
+		bias []float32
+		relu bool
+	}{{nil, false}, {nil, true}, {bias, false}, {bias, true}} {
+		want := New(67, 29)
+		refMatMul(want, a, b)
+		if tc.bias != nil {
+			AddBiasRows(want, tc.bias)
 		}
-	})
-	bitsEqual(t, "fused bias+relu", got, want)
+		if tc.relu {
+			ReLU(want)
+		}
+		for _, d := range ds {
+			for _, par := range []int{1, 4} {
+				SetKernel(d.kern)
+				gemmLanes = d.lanes
+				SetParallelism(par)
+				got := New(67, 29)
+				for i := range got.Data {
+					got.Data[i] = float32(math.NaN())
+				}
+				MatMulEpilogue(got, a, b, tc.bias, tc.relu)
+				bitsEqual(t, fmt.Sprintf("bias=%v relu=%v %+v par=%d", tc.bias != nil, tc.relu, d, par), got, want)
+			}
+		}
+	}
+}
+
+// TestMatMulEpilogueBiasLength pins the bias-length panic.
+func TestMatMulEpilogueBiasLength(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("short bias did not panic")
+		}
+	}()
+	MatMulEpilogue(New(2, 3), New(2, 4), New(4, 3), make([]float32, 2), false)
+}
+
+// dispatch is one kernel selection the identity tests run under: a
+// kernel family and, for the vector family, the register-tile width.
+type dispatch struct {
+	kern  Kernel
+	lanes int
+}
+
+// dispatches returns the generic family plus the vector family at each
+// tile width this host supports — 16, 8, and 0, the Go fallback used
+// where there is no assembly tile — logging any width the host lacks.
+// Callers restore gemmLanes (and the kernel) themselves.
+func dispatches(t *testing.T) []dispatch {
+	t.Helper()
+	ds := []dispatch{{KernelGeneric, gemmLanes}}
+	for _, w := range []int{16, 8, 0} {
+		if w > gemmLanes {
+			t.Logf("lanes=%d skipped: host register tile is %d lanes wide", w, gemmLanes)
+			continue
+		}
+		ds = append(ds, dispatch{KernelVector, w})
+	}
+	return ds
+}
+
+// TestAccumulatorNeverNegativeZero pins the lemma the 8-lane tile's
+// masked add rests on (gemm_tile_amd64.go): under round-to-nearest a sum
+// is −0 only when both addends are −0, so an accumulator that starts at
+// +0 never becomes −0 and adding +0 to it changes no bits — for finite
+// values, ±Inf and quiet NaNs alike.
+func TestAccumulatorNeverNegativeZero(t *testing.T) {
+	negZero := math.Float32frombits(0x80000000)
+	vals := []float32{0, negZero, 1, -1, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc12345)}
+	for _, x := range vals {
+		for _, y := range vals {
+			sum := x + y
+			if math.Float32bits(sum) == 0x80000000 && !(math.Float32bits(x) == 0x80000000 && math.Float32bits(y) == 0x80000000) {
+				t.Errorf("%v + %v = -0", x, y)
+			}
+		}
+		if math.Float32bits(x) == 0x80000000 {
+			continue // the one value an accumulator never holds
+		}
+		var zero float32
+		if got := x + zero; math.Float32bits(got) != math.Float32bits(x) {
+			t.Errorf("%08x + 0 = %08x", math.Float32bits(x), math.Float32bits(got))
+		}
+	}
 }
 
 // TestGEMMKnobs pins the knob semantics: zero restores defaults and the

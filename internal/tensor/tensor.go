@@ -5,9 +5,10 @@
 // The paper's models run on Caffe2's CPU operators; float32 everywhere
 // (Section V-A: "All parameters were uncompressed as single-precision
 // floating point"). We match that: float32 storage, float32 accumulation
-// for elementwise ops, and float32 GEMM with a small amount of register
-// blocking — enough that dense-layer cost dominates the per-request compute
-// profile the way Fig. 4 reports, without pulling in cgo or assembly.
+// for elementwise ops, and a float32 GEMM whose cost scales with m·k·n, so
+// dense-layer cost dominates the per-request compute profile the way
+// Fig. 4 reports — a portable Go kernel, with a register-tiled assembly
+// twin behind tensor.SetKernel, and no cgo.
 package tensor
 
 import "fmt"
@@ -62,23 +63,21 @@ func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 4 }
 func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols) }
 
 // MatMul computes dst = a × b for a (m×k) and b (k×n). dst must be m×n and
-// may not alias a or b. It panics on shape mismatch. The cache-blocked
-// kernel (gemm.go) tiles rows of a across a GOMAXPROCS-sized worker pool
-// above a size threshold and runs inline below it; per-element accumulation
-// order is fixed, so results are bitwise identical at every parallelism
-// and block-size setting. For the matrix sizes used by the recommendation
-// MLPs this is within a small factor of what a tuned BLAS achieves, and
-// more importantly its cost scales with m·k·n so relative compute
+// may not alias a or b. It panics on shape mismatch. The engine (gemm.go)
+// tiles rows of a across a GOMAXPROCS-sized worker pool above a size
+// threshold and runs inline below it; per-element accumulation order is
+// fixed, so results are bitwise identical at every parallelism, block-size
+// and kernel setting. Its cost scales with m·k·n, so relative compute
 // attributions are faithful.
-func MatMul(dst, a, b *Matrix) { matmul(dst, a, b, nil) }
+func MatMul(dst, a, b *Matrix) { matmul(dst, a, b, nil, false) }
 
-// MatMulEpilogue is MatMul with a fused epilogue: after a row tile of dst
-// is fully accumulated, epi(i0, i1) runs on it — still inside the worker
-// that owns the tile, so bias addition and activations fuse into the GEMM
-// without an extra pass over dst. The epilogue is called with disjoint
-// row ranges covering [0, dst.Rows) exactly once and must touch only
-// those rows.
-func MatMulEpilogue(dst, a, b *Matrix, epi func(i0, i1 int)) { matmul(dst, a, b, epi) }
+// MatMulEpilogue computes dst = a × b + bias, then max(0, ·) when relu
+// is set, as one operation: the register-tiled kernel adds the bias and
+// applies the ReLU to each tile while it is still in registers, so dst
+// is written once and never re-read. bias has length dst.Cols, or is nil
+// for none. Results are bitwise identical to MatMul followed by
+// AddBiasRows and ReLU.
+func MatMulEpilogue(dst, a, b *Matrix, bias []float32, relu bool) { matmul(dst, a, b, bias, relu) }
 
 // shapeErr formats the MatMul shape-mismatch panic.
 func shapeErr(op string, dst, a, b *Matrix) string {
@@ -92,10 +91,15 @@ func AddBiasRows(m *Matrix, bias []float32) {
 		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), m.Cols))
 	}
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] += bias[c]
-		}
+		addBias(m.Row(r), bias)
+	}
+}
+
+// addBias adds bias to one row in place: the single loop behind
+// AddBiasRows and the generic GEMM epilogue.
+func addBias(row, bias []float32) {
+	for c := range row {
+		row[c] += bias[c]
 	}
 }
 
