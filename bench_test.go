@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/embedding"
 	"repro/internal/experiments"
 	"repro/internal/frontend"
 	"repro/internal/model"
@@ -351,6 +352,72 @@ func BenchmarkEngineDistributedDRM1(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(calls.Load()-before)/float64(b.N), "calls/op")
+}
+
+// shardCallOperands builds what sparse shard 1 of a 4-shard load-balanced
+// DRM1 deployment pools for each of n requests: per request the shard's
+// entries — its ≈ 64 tables with the request's hashed bags, ≈ 28 % of
+// them non-empty, ≈ 1 900 lookups — net by net, over the model's own
+// 194 MiB of tables, so that cycling through the requests reads rows
+// that have left the cache.
+func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lookups int) {
+	cfg := model.ByName("DRM1")
+	m := model.Build(cfg)
+	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewGenerator(cfg, 1)
+	for r := 0; r < n; r++ {
+		req := gen.Next()
+		hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
+		for _, t := range cfg.Tables {
+			hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: req.Bags[t.ID]}
+		}
+		if err := hash.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+		var nets [][]embedding.PoolEntry
+		for _, ns := range cfg.Nets {
+			var entries []embedding.PoolEntry
+			for _, id := range plan.Shards[0].Tables {
+				if cfg.Tables[id].Net != ns.Name {
+					continue
+				}
+				bags := hash.Entries[id].Out
+				lookups += embedding.TotalLookups(bags)
+				entries = append(entries, embedding.PoolEntry{
+					Table: m.Tables[id], Bags: bags, Out: make([]float32, embedding.PresentBags(bags)*cfg.Tables[id].Dim),
+				})
+			}
+			nets = append(nets, entries)
+		}
+		calls = append(calls, nets)
+	}
+	return calls, lookups
+}
+
+// BenchmarkPoolShardCall measures the pooling of one sparse.run call as
+// the shard runs it — one embedding.Pool per net, into packed regions —
+// under each kernel family: the vector family sums fp32 rows in AVX
+// registers and prefetches across the call's tables, the generic one is
+// the Go loop. ns/lookup is the figure to compare across hosts.
+func BenchmarkPoolShardCall(b *testing.B) {
+	const requests = 256
+	calls, lookups := shardCallOperands(b, requests)
+	for _, kern := range []tensor.Kernel{tensor.KernelVector, tensor.KernelGeneric} {
+		b.Run(kern.String(), func(b *testing.B) {
+			tensor.SetKernel(kern)
+			defer tensor.SetKernel(tensor.KernelAuto)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, entries := range calls[i%requests] {
+					embedding.Pool(entries)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(lookups)/requests), "ns/lookup")
+		})
+	}
 }
 
 // nopExec is a zero-cost executor isolating the serving frontend's own

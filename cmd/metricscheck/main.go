@@ -2,7 +2,10 @@
 // fetches /metrics.json from the given base URL and checks the document
 // against the export schema — a parseable RFC3339Nano timestamp, integer
 // counters and gauges, and histogram summaries whose quantiles are
-// ordered (p50 <= p95 <= p99 <= max). CI boots a deployment with
+// ordered (p50 <= p95 <= p99 <= max), and a sparse shard's bag counters
+// consistent (sparse.bags_present never above sparse.bags: a shard pools
+// and ships a row only for a bag it was asked about). CI boots a
+// deployment with
 // -metrics-addr and runs this against it, so a schema drift in the obs
 // exporter fails the build rather than a downstream dashboard.
 //
@@ -104,6 +107,13 @@ func validate(d doc) error {
 	for name, c := range d.Counters {
 		if c < 0 {
 			return fmt.Errorf("counter %s = %d is negative", name, c)
+		}
+		// "<shard>.sparse.bags_present" counts the non-empty ones among
+		// "<shard>.sparse.bags"; the shard adds to the total first.
+		if shard, ok := strings.CutSuffix(name, ".sparse.bags_present"); ok {
+			if bags, ok := d.Counters[shard+".sparse.bags"]; !ok || c > bags {
+				return fmt.Errorf("counter %s = %d without a %s.sparse.bags at least as large (%d, present=%v)", name, c, shard, bags, ok)
+			}
 		}
 	}
 	for name, h := range d.Histograms {

@@ -150,6 +150,21 @@ func TestValidateInvariants(t *testing.T) {
 		t.Error("unordered quantiles accepted")
 	}
 
+	// A shard's non-empty-bag count needs its total, at least as large.
+	fill := sampleDoc()
+	fill.Counters["sparse1.sparse.bags"], fill.Counters["sparse1.sparse.bags_present"] = 900, 250
+	if err := validate(fill); err != nil {
+		t.Errorf("consistent bag counters rejected: %v", err)
+	}
+	fill.Counters["sparse1.sparse.bags_present"] = 901
+	if err := validate(fill); err == nil {
+		t.Error("more non-empty bags than bags accepted")
+	}
+	delete(fill.Counters, "sparse1.sparse.bags")
+	if err := validate(fill); err == nil {
+		t.Error("sparse.bags_present without sparse.bags accepted")
+	}
+
 	// An empty histogram skips the quantile checks entirely.
 	empty := sampleDoc()
 	empty.Histograms["frontend.e2e_ns"] = histDoc{}

@@ -42,8 +42,11 @@ type SparseRequest struct {
 	Entries []SparseEntry
 }
 
-// PooledEntry is one pooled (or partially pooled) result: a bags×dim
-// matrix for the table.
+// PooledEntry is one pooled (or partially pooled) result, packed: Rows
+// bags were asked about, and Data holds one Cols-wide row for each of
+// them that had any index, in bag order — nothing for an empty bag. How
+// many rows that is travels as the float count; which bags they belong
+// to the requester knows from the bag list it sent.
 type PooledEntry struct {
 	TableID   int32
 	PartIndex int32
@@ -305,8 +308,8 @@ func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
 type pooledSlot struct {
 	TableID, PartIndex int32
 	Rows, Cols         int32
-	// n is how many floats the entry carries: Rows×Cols in every
-	// response a shard builds and in every one a decoder accepts.
+	// n is how many floats the entry carries: Cols for each of the Rows
+	// bags that was not empty.
 	n int
 	// off is the byte offset of those floats in the body.
 	off int
@@ -315,17 +318,23 @@ type pooledSlot struct {
 // pooledHeader is an entry's fixed part: four ids and the float count.
 const pooledHeader = 20
 
-// layoutSparseResponse allocates a response body for the given entry
-// shapes — once, exactly sized, 4-byte aligned, float regions zeroed —
-// writes the entry count and every entry header in place, and records
-// each slot's region offset. The shard pools straight into the regions
-// (handleRun); EncodeSparseResponse copies into them.
-func layoutSparseResponse(slots []pooledSlot) []byte {
-	size := 4
+// sparseResponseSize is the body size of a response with the given
+// entries.
+func sparseResponseSize(slots []pooledSlot) int64 {
+	size := int64(4)
 	for i := range slots {
-		size += pooledHeader + 4*slots[i].n
+		size += pooledHeader + 4*int64(slots[i].n)
 	}
-	body := alignedBytes(size)
+	return size
+}
+
+// layoutSparseResponse allocates a response body for the given entry
+// shapes — once, exactly sized, 4-byte aligned — writes the entry count
+// and every entry header in place, and records each slot's region
+// offset. The shard pools straight into the regions, writing each
+// exactly once (handleRun); EncodeSparseResponse copies into them.
+func layoutSparseResponse(slots []pooledSlot) []byte {
+	body := alignedBytes(int(sparseResponseSize(slots)))
 	binary.LittleEndian.PutUint32(body, uint32(len(slots)))
 	off := 4
 	for i := range slots {
@@ -379,8 +388,9 @@ func (p *pooledReader) next() (pooledSlot, []byte, error) {
 		return pooledSlot{}, nil, err
 	}
 	s.n = len(region) / 4
-	// 64-bit: a hostile rows×cols must not wrap into a match.
-	if s.Rows < 0 || s.Cols < 0 || int64(s.n) != int64(s.Rows)*int64(s.Cols) {
+	// Whole rows, no more of them than bags. 64-bit: a hostile rows×cols
+	// must not wrap into a fit.
+	if s.Rows < 0 || s.Cols < 0 || int64(s.n) > int64(s.Rows)*int64(s.Cols) || (s.n > 0 && s.n%int(s.Cols) != 0) {
 		return pooledSlot{}, nil, fmt.Errorf("core: pooled entry has %d values for %dx%d", s.n, s.Rows, s.Cols)
 	}
 	p.left--

@@ -19,8 +19,10 @@ import (
 // decode to return it, so the exploration covers well-formed messages
 // the mutator would rarely assemble by chance. The hostile seeds live in
 // testdata/fuzz: a 4-byte body demanding 2^32 of something, counts the
-// body cannot hold at each nesting level, and a 65536×65536 pooled entry
-// (0 values in 32-bit arithmetic) carrying none.
+// body cannot hold at each nesting level, and pooled entries whose value
+// count is not whole rows (under a 65536×65536 shape, 0 values in 32-bit
+// arithmetic), exceeds their bags, or comes with no columns — beside the
+// well-formed packed shapes: fewer rows than bags, none, no columns.
 
 // fuzzBags turns input bytes into a bag list: each byte's low bits give
 // a bag's length, the following bytes its indices.
@@ -99,7 +101,7 @@ func FuzzSparseResponse(f *testing.F) {
 		if resp, err := DecodeSparseResponse(b); err == nil {
 			total := 0
 			for _, e := range resp.Entries {
-				if int64(len(e.Data)) != int64(e.Rows)*int64(e.Cols) {
+				if n := int64(len(e.Data)); e.Rows < 0 || e.Cols < 0 || n > int64(e.Rows)*int64(e.Cols) || (n > 0 && n%int64(e.Cols) != 0) {
 					t.Fatalf("decoder accepted %d values for %dx%d", len(e.Data), e.Rows, e.Cols)
 				}
 				total += len(e.Data)
@@ -117,7 +119,7 @@ func FuzzSparseResponse(f *testing.F) {
 			}
 			for _, e := range resp.Entries {
 				s, rows, err := p.next()
-				if err != nil || s.TableID != e.TableID || s.Rows != e.Rows || s.Cols != e.Cols || !bytes.Equal(rows, appendF32s(nil, e.Data)) {
+				if err != nil || s.TableID != e.TableID || s.Rows != e.Rows || s.Cols != e.Cols || s.n != len(e.Data) || !bytes.Equal(rows, appendF32s(nil, e.Data)) {
 					t.Fatalf("in-place walk disagrees with the decoder on entry %+v: %+v, %v", e, s, err)
 				}
 			}
@@ -128,8 +130,8 @@ func FuzzSparseResponse(f *testing.F) {
 			vals[i] = float32(int8(b[i])) / 4
 		}
 		resp := &SparseResponse{Entries: []PooledEntry{
-			{TableID: int32(len(b)), Rows: int32(len(vals) / 2), Cols: 2, Data: vals},
-			{TableID: 1, PartIndex: 2, Rows: 0, Cols: 8},
+			{TableID: int32(len(b)), Rows: int32(len(vals)/2 + len(b)%3), Cols: 2, Data: vals},
+			{TableID: 1, PartIndex: 2, Rows: int32(len(b)), Cols: 8},
 		}}
 		got, err := DecodeSparseResponse(EncodeSparseResponse(resp))
 		if err != nil {

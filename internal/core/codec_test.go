@@ -176,11 +176,24 @@ func TestSparseRequestPropertyRoundTrip(t *testing.T) {
 }
 
 func TestPooledEntryShapeValidation(t *testing.T) {
-	resp := &SparseResponse{Entries: []PooledEntry{{Rows: 2, Cols: 2, Data: []float32{1, 2, 3, 4}}}}
-	buf := EncodeSparseResponse(resp)
-	// Corrupt the Rows field (offset: 4 count + 4 tid + 4 part = 12).
-	buf[12] = 9
-	if _, err := DecodeSparseResponse(buf); err == nil {
-		t.Error("shape mismatch should be rejected")
+	resp := &SparseResponse{Entries: []PooledEntry{{Rows: 3, Cols: 2, Data: []float32{1, 2, 3, 4}}}}
+	// Header offsets: 4 count + 4 tid + 4 part = 12 (Rows), 16 (Cols).
+	for _, tc := range []struct {
+		name   string
+		off    int
+		val    byte
+		reject bool
+	}{
+		{"as sent: 2 of 3 bags present", 12, 3, false},
+		{"every bag present", 12, 2, false},
+		{"more rows than bags", 12, 1, true},
+		{"not whole rows", 16, 3, true},
+		{"values but no columns", 16, 0, true},
+	} {
+		buf := EncodeSparseResponse(resp)
+		buf[tc.off] = tc.val
+		if _, err := DecodeSparseResponse(buf); (err != nil) != tc.reject {
+			t.Errorf("%s: err = %v, want rejected=%v", tc.name, err, tc.reject)
+		}
 	}
 }

@@ -27,39 +27,45 @@ func tinyConfig() model.Config {
 	return cfg
 }
 
-// wireF32s is pooled rows as a collector receives them: the wire bytes of
-// a float matrix.
-func wireF32s(vals ...float32) []byte { return appendF32s(nil, vals) }
+// packedRows is a contribution as a collector receives it: one bag per
+// item — non-empty where present is set — and the wire bytes of one row
+// per present item.
+func packedRows(present []bool, vals ...float32) partial {
+	bags := make([]embedding.Bag, len(present))
+	for i, p := range present {
+		if p {
+			bags[i].Indices = []int32{int32(i)}
+		}
+	}
+	return partial{rows: appendF32s(nil, vals), bags: bags}
+}
 
 func TestCollectorSingleSourceIntoEmb(t *testing.T) {
-	asm := newEmbAssembler(2, 5, 1)
-	inter := nn.NewFuture()
-	c := newCollector(1, 2, 3, asm, 1, inter)
-	m := tensor.FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	c.deliver(0, wireF32s(m.Data...), nil)
+	asm := newEmbAssembler(3, 5, 1)
+	c := newCollector(1, 3, asm, 1)
+	c.deliver(0, packedRows([]bool{true, false, true}, 1, 2, 3, 4, 5, 6), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Columns [1,4) of each row must hold the pooled values.
-	if emb.At(0, 1) != 1 || emb.At(0, 3) != 3 || emb.At(1, 2) != 5 {
-		t.Fatalf("emb = %v", emb.Data)
+	// Columns [1,4) of the present items' rows hold the pooled values;
+	// the absent item's row and every other column stay zero.
+	want := []float32{
+		0, 1, 2, 3, 0,
+		0, 0, 0, 0, 0,
+		0, 4, 5, 6, 0,
 	}
-	if emb.At(0, 0) != 0 || emb.At(0, 4) != 0 {
-		t.Fatal("columns outside the table range must stay zero")
-	}
-	got, err := inter.Wait()
-	if err != nil || got.Rows != m.Rows || got.Cols != m.Cols || !slices.Equal(got.Data, m.Data) {
-		t.Fatalf("interact future: %v, %v", got, err)
+	if !slices.Equal(emb.Data, want) {
+		t.Fatalf("emb = %v, want %v", emb.Data, want)
 	}
 }
 
 func TestCollectorMergesPartials(t *testing.T) {
 	asm := newEmbAssembler(1, 2, 1)
-	c := newCollector(3, 1, 2, asm, 0, nil)
-	c.deliver(2, wireF32s(1, 10), nil)
-	c.deliver(0, nil, nil) // skipped source contributes zeros
-	c.deliver(1, wireF32s(2, 20), nil)
+	c := newCollector(3, 2, asm, 0)
+	c.deliver(2, packedRows([]bool{true}, 1, 10), nil)
+	c.deliver(0, partial{}, nil) // a source that was not asked contributes nothing
+	c.deliver(1, packedRows([]bool{true}, 2, 20), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +77,9 @@ func TestCollectorMergesPartials(t *testing.T) {
 
 func TestCollectorAllSkippedZeroFills(t *testing.T) {
 	asm := newEmbAssembler(3, 4, 1)
-	c := newCollector(2, 3, 4, asm, 0, nil)
-	c.deliver(0, nil, nil)
-	c.deliver(1, nil, nil)
+	c := newCollector(2, 4, asm, 0)
+	c.deliver(0, partial{}, nil)
+	c.deliver(1, packedRows([]bool{false, false, false}), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -87,38 +93,25 @@ func TestCollectorAllSkippedZeroFills(t *testing.T) {
 
 func TestCollectorErrorWins(t *testing.T) {
 	asm := newEmbAssembler(1, 1, 1)
-	inter := nn.NewFuture()
-	c := newCollector(2, 1, 1, asm, 0, inter)
-	c.deliver(0, nil, errors.New("shard down"))
-	c.deliver(1, wireF32s(0), nil) // late success ignored
+	c := newCollector(2, 1, asm, 0)
+	c.deliver(0, partial{}, errors.New("shard down"))
+	c.deliver(1, packedRows([]bool{true}, 0), nil) // late success ignored
 	if _, err := asm.future.Wait(); err == nil {
 		t.Fatal("error should propagate to the emb future")
-	}
-	if _, err := inter.Wait(); err == nil {
-		t.Fatal("error should propagate to the interact future")
-	}
-}
-
-func TestCollectorShapeMismatch(t *testing.T) {
-	asm := newEmbAssembler(1, 2, 1)
-	c := newCollector(2, 1, 2, asm, 0, nil)
-	c.deliver(0, wireF32s(0, 0, 0), nil)
-	if _, err := asm.future.Wait(); err == nil {
-		t.Fatal("shape mismatch should fail")
 	}
 }
 
 func TestEmbAssemblerWaitsForAllTables(t *testing.T) {
 	asm := newEmbAssembler(1, 4, 2)
-	c1 := newCollector(1, 1, 2, asm, 0, nil)
-	c2 := newCollector(1, 1, 2, asm, 2, nil)
-	c1.deliver(0, wireF32s(1, 2), nil)
+	c1 := newCollector(1, 2, asm, 0)
+	c2 := newCollector(1, 2, asm, 2)
+	c1.deliver(0, packedRows([]bool{true}, 1, 2), nil)
 	select {
 	case <-futureDone(asm.future):
 		t.Fatal("emb future completed before all tables delivered")
 	default:
 	}
-	c2.deliver(0, wireF32s(3, 4), nil)
+	c2.deliver(0, packedRows([]bool{true}, 3, 4), nil)
 	emb, err := asm.future.Wait()
 	if err != nil {
 		t.Fatal(err)

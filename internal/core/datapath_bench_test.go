@@ -113,8 +113,8 @@ func TestCodecAllocCeilings(t *testing.T) {
 	sreqBytes := EncodeSparseRequest(sreq)
 	sresp := &SparseResponse{}
 	for id, bags := range c.bags {
-		data := make([]float32, len(bags)*drm1Dim)
-		embedding.SLS(data, c.tables[id], bags)
+		data := make([]float32, embedding.PresentBags(bags)*drm1Dim)
+		embedding.Pool([]embedding.PoolEntry{{Table: c.tables[id], Bags: bags, Out: data}})
 		sresp.Entries = append(sresp.Entries, PooledEntry{TableID: int32(id), Rows: drm1Batch, Cols: drm1Dim, Data: data})
 	}
 	srespBytes := EncodeSparseResponse(sresp)

@@ -130,6 +130,10 @@ type netProgram struct {
 	tables []netTable // this net's tables, ID order
 	// embCols is the width of the fused embedding matrix.
 	embCols int
+	// interactCols are the column offsets in it of the tables joining the
+	// pairwise interaction, each interactDim wide.
+	interactCols []int
+	interactDim  int
 	// call is the sparse call plan covering this net under a distributed
 	// plan, and callPos the net's position in it.
 	call    *callPlan
@@ -151,9 +155,6 @@ type netTable struct {
 	// colOff is where the table's columns start in the fused embedding
 	// matrix.
 	colOff int
-	// pooled names the table's standalone pooled blob; set only for tables
-	// joining the pairwise interaction.
-	pooled string
 	// sources counts pooling contributors (1 for a whole table, NumParts
 	// for a partitioned one).
 	sources int
@@ -277,11 +278,10 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 		specs := m.Config.NetTables(ns.Name)
 		interact := pickInteract(specs, ns.InteractFeatures)
 		for _, t := range specs {
-			nt := netTable{TableSpec: t, colOff: np.embCols}
 			if slices.Contains(interact, t.ID) {
-				nt.pooled = fmt.Sprintf("pooled_%s_%d", ns.Name, t.ID)
+				np.interactCols, np.interactDim = append(np.interactCols, np.embCols), t.Dim
 			}
-			np.tables = append(np.tables, nt)
+			np.tables = append(np.tables, netTable{TableSpec: t, colOff: np.embCols})
 			np.embCols += t.Dim
 		}
 		e.compileOps(plan, np, prevOut)
@@ -420,13 +420,9 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 		})
 		sls := &nn.FusedSLS{OpName: "sls_" + netName, Output: np.embBlob, Cols: np.embCols}
 		for _, t := range np.tables {
-			entry := nn.FusedSLSEntry{
-				Table:     e.model.Tables[t.ID],
-				InputBags: e.hashedNames[t.ID],
-				ColOffset: t.colOff,
-				CopyOut:   t.pooled,
-			}
-			sls.Entries = append(sls.Entries, entry)
+			sls.Entries = append(sls.Entries, nn.FusedSLSEntry{
+				Table: e.model.Tables[t.ID], InputBags: e.hashedNames[t.ID], ColOffset: t.colOff,
+			})
 		}
 		np.slsOp = sls
 	}
@@ -437,13 +433,10 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	// pairs they replace), and outputs draw from the workspace arena. ---
 	var post []nn.Op
 	post = append(post, &nn.FusedFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
-	inter := &nn.Interaction{OpName: "interact_" + netName, Passthrough: bottom, Output: "int_" + netName}
-	for _, t := range np.tables {
-		if t.pooled != "" {
-			inter.Features = append(inter.Features, t.pooled)
-		}
-	}
-	post = append(post, inter)
+	post = append(post, &nn.Interaction{
+		OpName: "interact_" + netName, Emb: np.embBlob, FeatureCols: np.interactCols, FeatureDim: np.interactDim,
+		Passthrough: bottom, Output: "int_" + netName,
+	})
 	post = append(post, &nn.ConcatOp{
 		OpName: "concat_top_" + netName, Inputs: []string{"proj_" + netName, "int_" + netName}, Output: "top0_" + netName,
 	})

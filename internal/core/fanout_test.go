@@ -275,6 +275,29 @@ func (c *failingCaller) Go(req *rpc.Request) *rpc.Call {
 	return call
 }
 
+// resizeEntry rewrites a sparse response so that its first entry holding
+// some rows, but not one for every bag, carries delta rows more (zeros
+// appended) or fewer than the shard sent. Every entry still decodes.
+func resizeEntry(b []byte, delta int) []byte {
+	off := 4
+	for i := uint32(0); i < binary.LittleEndian.Uint32(b); i++ {
+		rows, cols, n := binary.LittleEndian.Uint32(b[off+8:]), binary.LittleEndian.Uint32(b[off+12:]), binary.LittleEndian.Uint32(b[off+16:])
+		end := off + pooledHeader + 4*int(n)
+		if n > 0 && n < rows*cols {
+			out := append([]byte(nil), b[:end]...)
+			if delta < 0 {
+				out = out[:end-4*int(cols)]
+			} else {
+				out = append(out, make([]byte, 4*cols)...)
+			}
+			binary.LittleEndian.PutUint32(out[off+16:], uint32(int(n)+delta*int(cols)))
+			return append(out, b[end:]...)
+		}
+		off = end
+	}
+	panic("fixture: no partly filled entry to resize")
+}
+
 // settle waits for the goroutine count to fall back to base: no call's
 // completion goroutine and no batch may outlive its request.
 func settle(t *testing.T, base int) {
@@ -289,8 +312,9 @@ func settle(t *testing.T, base int) {
 }
 
 // TestShardFailureFailsTheRequestOnce: one shard erroring, or answering
-// with an entry of the wrong shape, fails the whole request with one
-// error naming that shard; every batch returns, nothing is left waiting
+// with an entry of the wrong shape — or one row more or fewer than the
+// bags it was sent imply — fails the whole request with one error naming
+// that shard; every batch returns, nothing is left waiting
 // on a future, and the engine serves the next request.
 func TestShardFailureFailsTheRequestOnce(t *testing.T) {
 	cfg := smallModel("DRM1")
@@ -312,6 +336,8 @@ func TestShardFailureFailsTheRequestOnce(t *testing.T) {
 			return out
 		}}},
 		{"truncated", failingCaller{mangle: func(b []byte) []byte { return b[:len(b)/2] }}},
+		{"one row too few", failingCaller{mangle: func(b []byte) []byte { return resizeEntry(b, -1) }}},
+		{"one row too many", failingCaller{mangle: func(b []byte) []byte { return resizeEntry(b, +1) }}},
 	} {
 		for _, paper := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/paper=%v", tc.name, paper), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
@@ -310,10 +311,14 @@ func TestStageProtocolErrors(t *testing.T) {
 
 // TestSparseLoadAccounting checks the shard's mergeable summary: lookup
 // counts match the request, service time lands on the pooled tables,
-// and the wire collection round-trips with reset semantics.
+// and the wire collection round-trips with reset semantics. The bag
+// counters — the fill ratio that sets the packed response's size — count
+// the same request's bags as received.
 func TestSparseLoadAccounting(t *testing.T) {
 	f := newMigrationFixture(t)
 	src := f.shards[0]
+	reg := obs.NewRegistry()
+	src.SetObs(reg)
 	ctx := trace.Context{TraceID: 9}
 	body := f.runRequest(t, 7)
 	req, err := DecodeSparseRequest(body)
@@ -321,18 +326,23 @@ func TestSparseLoadAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLookups := make(map[sharding.TableLoadKey]int64)
-	var total int64
+	var total, bags, present int64
 	for _, e := range req.Entries {
 		n := int64(embedding.TotalLookups(e.Bags))
 		wantLookups[sharding.TableLoadKey{TableID: int(e.TableID)}] += n
 		total += n
+		bags += int64(len(e.Bags))
+		present += int64(embedding.PresentBags(e.Bags))
 	}
-	if total == 0 {
-		t.Fatal("fixture request has no lookups")
+	if total == 0 || present == bags {
+		t.Fatalf("fixture request has %d lookups, %d of %d bags non-empty", total, present, bags)
 	}
 
 	if _, err := src.Handle(ctx, MethodSparseRun, body); err != nil {
 		t.Fatal(err)
+	}
+	if got, gotPresent := reg.Counter("sparse1.sparse.bags").Load(), reg.Counter("sparse1.sparse.bags_present").Load(); got != bags || gotPresent != present {
+		t.Errorf("sparse.bags = %d, sparse.bags_present = %d; want %d, %d", got, gotPresent, bags, present)
 	}
 	out, err := src.Handle(ctx, MethodSparseLoad, encodeMsg(&LoadRequest{Reset: true}))
 	if err != nil {

@@ -55,54 +55,65 @@ func (a *embAssembler) fail(err error) {
 	a.future.Complete(nil, err)
 }
 
-// collector merges pooled contributions for one table. Contributions
-// arrive as the wire bytes of a rows×cols float matrix, still inside the
-// sparse response that carried them. A whole table has one source and
-// its rows are decoded straight into the table's columns of the fetch's
-// fused embedding matrix — the only copy they see on the main shard. A
-// row-partitioned table has one source per part; the parts are held (as
-// views, nothing is copied) until the last one lands and then summed in
-// ascending part order, so the float32 result does not depend on which
-// shard answered first. Interaction features additionally complete the
-// table's standalone pooled future with a view of the same bytes.
+// collector places one table's pooled rows in the table's columns of the
+// fetch's fused embedding matrix. A contribution is packed, and still
+// inside the sparse response that carried it: the wire bytes of one
+// cols-wide row per non-empty bag of the bag list that was sent, which is
+// what says whose rows they are — row k belongs to the k-th non-empty
+// bag's item. The matrix starts zeroed, so an item whose bag was empty
+// already holds the +0 row a dense response would have carried.
+//
+// A whole table has one source and its rows are decoded straight into
+// place — the only copy they see on the main shard. A row-partitioned
+// table has one source per part; the parts are held (as views, nothing
+// is copied) until the last one lands and then every present row is
+// added onto the zeroed columns in ascending part order, so the float32
+// result does not depend on which shard answered first.
+//
+// That sum has the bits of "copy the first part, add the rest" over
+// dense rows of zeros, which is what it replaced: a pooled value is a sum
+// that started at +0, so it is never −0 (under round-to-nearest x + y is
+// −0 only when both are) and never a signalling NaN, and for every other
+// v both (+0) + v and v + (+0) have the bits of v. Adding a part's
+// present row onto +0 is therefore the copy, skipping its absent row is
+// the add of +0, and a part that was never asked — none of its bags had
+// a lookup — is a part of absent rows
+// (TestCollectorSumsPartsInPartOrder).
 type collector struct {
-	rows, cols int
-	asm        *embAssembler
-	colOff     int
-	// interact is the per-table pooled blob future; nil unless the table
-	// joins the pairwise interaction.
-	interact *nn.Future
+	cols   int
+	asm    *embAssembler
+	colOff int
 
 	mu      sync.Mutex
 	pending int
-	// parts holds a partitioned table's contributions by part index (nil:
-	// none yet, or a source with no hits); unused with a single source.
-	parts  [][]byte
+	// parts holds a partitioned table's contributions by part index;
+	// unused with a single source.
+	parts  []partial
 	failed bool
 }
 
-func newCollector(sources, rows, cols int, asm *embAssembler, colOff int, interact *nn.Future) collector {
-	var parts [][]byte
-	if sources > 1 {
-		parts = make([][]byte, sources)
-	}
-	return collector{
-		rows: rows, cols: cols, asm: asm, colOff: colOff, interact: interact,
-		pending: sources, parts: parts,
-	}
+// partial is one source's contribution: packed rows in wire form and the
+// bags they answer. Both nil: the source was not asked.
+type partial struct {
+	rows []byte
+	bags []embedding.Bag
 }
 
-// deliver merges part's contribution: pooled is rows×cols floats in wire
-// form, or nil with a nil error for "no hits on this source" (a skipped
-// empty call), which contributes zeros.
-func (c *collector) deliver(part int, pooled []byte, err error) {
+func newCollector(sources, cols int, asm *embAssembler, colOff int) collector {
+	var parts []partial
+	if sources > 1 {
+		parts = make([]partial, sources)
+	}
+	return collector{cols: cols, asm: asm, colOff: colOff, pending: sources, parts: parts}
+}
+
+// deliver merges part's contribution. The caller has checked that p.rows
+// holds exactly one row per non-empty bag of p.bags.
+func (c *collector) deliver(part int, p partial, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed {
 		return
-	}
-	if err == nil && pooled != nil && len(pooled) != 4*c.rows*c.cols {
-		err = fmt.Errorf("core: partial pool of %d bytes, want %dx%d floats", len(pooled), c.rows, c.cols)
 	}
 	if err == nil && c.parts != nil && (part < 0 || part >= len(c.parts)) {
 		err = fmt.Errorf("core: partial pool for part %d of %d", part, len(c.parts))
@@ -110,13 +121,10 @@ func (c *collector) deliver(part int, pooled []byte, err error) {
 	if err != nil {
 		c.failed = true
 		c.asm.fail(err)
-		if c.interact != nil {
-			c.interact.Complete(nil, err)
-		}
 		return
 	}
 	if c.parts != nil {
-		c.parts[part] = pooled
+		c.parts[part] = p
 	}
 	c.pending--
 	if c.pending > 0 {
@@ -124,57 +132,38 @@ func (c *collector) deliver(part int, pooled []byte, err error) {
 	}
 	// Column ranges are disjoint across collectors, so writing without
 	// the assembler's lock is safe; completion ordering is serialized by
-	// tableDone. The matrix starts zeroed: a table nobody hit is done.
-	emb := c.asm.emb
-	var m *tensor.Matrix // the table's own pooled matrix, for the interaction
-	switch {
-	case c.parts != nil:
-		c.sumParts(emb)
-	case pooled != nil:
-		stride := 4 * c.cols
-		for b := 0; b < c.rows; b++ {
-			getF32s(emb.Row(b)[c.colOff:c.colOff+c.cols], pooled[b*stride:])
-		}
-		if c.interact != nil {
-			m = tensor.FromSlice(c.rows, c.cols, viewF32s(pooled))
-		}
+	// tableDone.
+	if c.parts == nil {
+		c.place(p, false)
 	}
-	if c.interact != nil {
-		if m == nil {
-			// Summed from parts, or all zeros: read the columns back.
-			m = tensor.New(c.rows, c.cols)
-			for b := 0; b < c.rows; b++ {
-				copy(m.Row(b), emb.Row(b)[c.colOff:c.colOff+c.cols])
-			}
-		}
-		c.interact.Complete(m, nil)
+	for _, p := range c.parts {
+		c.place(p, true)
 	}
 	c.asm.tableDone()
 }
 
-// sumParts adds the held partial pools into the table's columns in
-// ascending part order (sum pooling distributes over row partitions, so
-// the merge is exact up to float32 rounding, and the fixed order makes
-// that rounding the same on every run).
-func (c *collector) sumParts(emb *tensor.Matrix) {
-	first := true
-	for _, part := range c.parts {
-		if part == nil {
+// place moves p's rows to their items' columns: row k to the k-th
+// non-empty bag's, stored, or added to what is there.
+func (c *collector) place(p partial, add bool) {
+	emb, rows := c.asm.emb, p.rows
+	var vals []float32
+	if add {
+		vals = viewF32s(rows)
+	}
+	for b := range p.bags {
+		if len(p.bags[b].Indices) == 0 {
 			continue
 		}
-		vals := viewF32s(part)
-		for b := 0; b < c.rows; b++ {
-			dst := emb.Row(b)[c.colOff : c.colOff+c.cols]
-			src := vals[b*c.cols : (b+1)*c.cols]
-			if first {
-				copy(dst, src)
-				continue
-			}
-			for i, v := range src {
+		dst := emb.Row(b)[c.colOff : c.colOff+c.cols]
+		if add {
+			for i, v := range vals[:c.cols] {
 				dst[i] += v
 			}
+			vals = vals[c.cols:]
+		} else {
+			getF32s(dst, rows)
+			rows = rows[4*c.cols:]
 		}
-		first = false
 	}
 }
 
@@ -215,11 +204,7 @@ func (x *execution) newFetch(plan *callPlan, start, end int) *sparseFetch {
 		asm := newEmbAssembler(f.rows, np.embCols, len(np.tables))
 		asm.collectors = make([]collector, len(np.tables))
 		for slot, t := range np.tables {
-			var interact *nn.Future
-			if t.pooled != "" {
-				interact = nn.NewFuture()
-			}
-			asm.collectors[slot] = newCollector(t.sources, f.rows, t.Dim, asm, t.colOff, interact)
+			asm.collectors[slot] = newCollector(t.sources, t.Dim, asm, t.colOff)
 		}
 		f.nets[i] = asm
 	}
@@ -279,7 +264,7 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		// No lookups route to this shard (e.g. DRM3's partitioned user
 		// table: only one part matches the request's user). Skip the call
 		// entirely — the paper's "only two shards would be accessed" —
-		// and satisfy collectors with zero contributions.
+		// and satisfy collectors with empty contributions.
 		o.deliverAll(nil)
 		return nil
 	}
@@ -297,6 +282,7 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 	met.rpcCalls.Inc()
 	x.calls.Add(1)
 	x.inflight.Add(1)
+	sent := sreq.Entries // the bags say which items the answer's rows belong to
 	go func() {
 		defer x.inflight.Done()
 		<-call.Done
@@ -315,7 +301,7 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		// in place and move each entry's rows from the response bytes to
 		// the embedding matrix — no decoded intermediate.
 		decStart := rec.Now()
-		o.scatter(call.Resp.Body)
+		o.scatter(call.Resp.Body, sent)
 		rec.Record(trace.Span{
 			TraceID: x.ctx.TraceID, CallID: callID, Layer: trace.LayerSerDe, Net: f.plan.label,
 			Name: o.g.op + "/decode", Start: decStart, Dur: rec.Now().Sub(decStart),
@@ -330,18 +316,22 @@ func (o *rpcOp) collector(e *groupEntry) *collector {
 }
 
 // deliverAll hands every entry's collector the same outcome: an error,
-// or (nil) a zero contribution.
+// or (nil) the contribution of a source that was not asked.
 func (o *rpcOp) deliverAll(err error) {
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
-		o.collector(e).deliver(e.partIndex, nil, err)
+		o.collector(e).deliver(e.partIndex, partial{}, err)
 	}
 }
 
-// scatter delivers a sparse response's entries to their collectors. An
-// entry that does not answer what was asked fails its own table; a
-// response that cannot be walked fails every table not yet delivered.
-func (o *rpcOp) scatter(resp []byte) {
+// scatter delivers a sparse response's entries to their collectors. sent
+// is the request's entries, in the order asked. The response is trusted
+// for nothing but its floats: an entry must name the table, part, bag
+// count and width that were asked for and carry exactly one row per
+// non-empty bag sent — counted here, from the main shard's own bag list
+// — or it fails its own table; a response that cannot be walked fails
+// every table not yet delivered.
+func (o *rpcOp) scatter(resp []byte, sent []SparseEntry) {
 	pooled, err := readPooled(resp)
 	if err == nil && pooled.left != len(o.g.entries) {
 		err = fmt.Errorf("%d entries for %d requested", pooled.left, len(o.g.entries))
@@ -354,17 +344,18 @@ func (o *rpcOp) scatter(resp []byte) {
 			got, rows, err = pooled.next()
 		}
 		if err != nil {
-			o.collector(e).deliver(e.partIndex, nil, fmt.Errorf("core: response of %s: %w", o.g.service, err))
+			o.collector(e).deliver(e.partIndex, partial{}, fmt.Errorf("core: response of %s: %w", o.g.service, err))
 			continue
 		}
 		t := &o.f.plan.nets[e.net].tables[e.slot]
-		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim {
-			o.collector(e).deliver(e.partIndex, nil, fmt.Errorf(
-				"core: %s entry %d mismatched (table %d part %d rows %d cols %d; want %d/%d/%d/%d)",
-				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, t.ID, e.partIndex, o.f.rows, t.Dim))
+		present := embedding.PresentBags(sent[i].Bags)
+		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != present*t.Dim {
+			o.collector(e).deliver(e.partIndex, partial{}, fmt.Errorf(
+				"core: %s entry %d mismatched (table %d part %d rows %d cols %d values %d; want %d/%d/%d/%d/%d)",
+				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.partIndex, o.f.rows, t.Dim, present*t.Dim))
 			continue
 		}
-		o.collector(e).deliver(e.partIndex, rows, nil)
+		o.collector(e).deliver(e.partIndex, partial{rows: rows, bags: sent[i].Bags}, nil)
 	}
 }
 
@@ -400,12 +391,13 @@ func localizeBags(bags []embedding.Bag, part, numParts int) []embedding.Bag {
 
 // waitOp blocks a batch on one net's asynchronous pooled results and
 // installs the batch's row range of them — rows [from, from+rows) of the
-// fetch's matrices, contiguous in a row-major matrix, so views, not
-// copies — as the net's embedding and interaction blobs. It sits before
-// the first dense consumer so the wait lands in a dedicated KindWait
-// span instead of silently inflating the consumer operator's span: that
-// span is the time the request really blocked on sparse results — the
-// analyzer's embedded portion — and must not count as operator compute.
+// fetch's matrix, contiguous in a row-major matrix, so a view, not a
+// copy — as the net's embedding blob (the interaction reads its features
+// as column ranges of the same blob). It sits before the first dense
+// consumer so the wait lands in a dedicated KindWait span instead of
+// silently inflating the consumer operator's span: that span is the time
+// the request really blocked on sparse results — the analyzer's embedded
+// portion — and must not count as operator compute.
 type waitOp struct {
 	name       string
 	np         *netProgram
@@ -421,24 +413,11 @@ func (o *waitOp) Kind() nn.OpKind { return nn.KindWait }
 
 // Run implements nn.Op.
 func (o *waitOp) Run(ws *nn.Workspace) error {
-	view := func(blob string, f *nn.Future) error {
-		m, err := f.Wait()
-		if err != nil {
-			return fmt.Errorf("%s: %w", o.name, err)
-		}
-		ws.SetBlob(blob, tensor.FromSlice(o.rows, m.Cols, m.Data[o.from*m.Cols:(o.from+o.rows)*m.Cols]))
-		return nil
+	m, err := o.asm.future.Wait()
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.name, err)
 	}
-	if err := view(o.np.embBlob, o.asm.future); err != nil {
-		return err
-	}
-	for slot, t := range o.np.tables {
-		if t.pooled != "" {
-			if err := view(t.pooled, o.asm.collectors[slot].interact); err != nil {
-				return err
-			}
-		}
-	}
+	ws.SetBlob(o.np.embBlob, tensor.FromSlice(o.rows, m.Cols, m.Data[o.from*m.Cols:(o.from+o.rows)*m.Cols]))
 	return nil
 }
 

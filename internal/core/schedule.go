@@ -12,9 +12,9 @@ import (
 // statically-shaped dense blob the op index that defines it and the last
 // index that reads it, and lets the interval packer overlap dead blobs.
 //
-// Blobs whose shape or producer is not static — the fused embedding and
-// per-table pooled blobs delivered by RPC futures in distributed plans —
-// simply never enter the schedule; the ops that consume them are
+// Blobs whose shape or producer is not static — the fused embedding
+// delivered by an RPC future in distributed plans — simply never enter
+// the schedule; the ops that consume them are
 // unaffected, and any op whose output cannot be scheduled falls back to
 // a fresh allocation at run time.
 func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
@@ -94,18 +94,11 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 			define(o.Output, o.Cols)
 		case *nn.FusedSLS:
 			use(o.Output)
-			for i := range o.Entries {
-				if e := &o.Entries[i]; e.CopyOut != "" {
-					define(e.CopyOut, e.Table.Dim())
-				}
-			}
 		case *nn.Interaction:
-			for _, f := range o.Features {
-				use(f)
-			}
+			use(o.Emb)
 			use(o.Passthrough)
 			if pc := colsOf(o.Passthrough); pc >= 0 {
-				f := len(o.Features)
+				f := len(o.FeatureCols)
 				define(o.Output, pc+f*(f-1)/2)
 			}
 		case *renameOp:

@@ -122,6 +122,8 @@ func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 // "<shard>." namespace. All handles are nil (free no-ops) before SetObs.
 type shardMetrics struct {
 	runCalls *obs.Counter   // sparse.run requests served
+	bags     *obs.Counter   // bags those requests asked about (local + forwarded entries)
+	present  *obs.Counter   // of them, non-empty: the rows pooled and shipped
 	runNs    *obs.Histogram // full handleRun duration (decode → encode)
 	opNs     *obs.Histogram // local pooling-net execution time
 	forwards *obs.Counter   // forward calls issued to destination shards
@@ -140,6 +142,8 @@ func (s *SparseShard) SetObs(reg *obs.Registry) {
 	p := s.ShardName + "."
 	s.met = shardMetrics{
 		runCalls:   reg.Counter(p + "sparse.calls"),
+		bags:       reg.Counter(p + "sparse.bags"),
+		present:    reg.Counter(p + "sparse.bags_present"),
 		runNs:      reg.Histogram(p + "sparse.run_ns"),
 		opNs:       reg.Histogram(p + "sparse.op_ns"),
 		forwards:   reg.Counter(p + "sparse.forwards"),
@@ -333,18 +337,21 @@ func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]b
 type runEntry struct {
 	table   embedding.Table // non-nil → pool locally
 	forward *forwardTarget  // used when table is nil
-	out     []float32       // local entries: where the pooled rows accumulate
-	lookups int             // local entries: rows read, for load accounting
+	out     []float32       // local entries: where the pooled rows are written
+	lookups int             // indices in the entry's bags as received, for load accounting
 }
 
 // handleRun serves one sparse.run call — by default a whole request's
-// worth of this shard's tables, every net's. The response body is laid
-// out once, from the request's entry shapes, before any pooling: entry
-// headers are written in place and each net's SLS operator accumulates
-// straight into its entries' float regions, so the pooled rows are never
-// copied or re-encoded on their way to the rpc layer. The body crosses the
-// rpc.Handler boundary and is therefore a plain garbage-collected
-// allocation nothing here touches again.
+// worth of this shard's tables, every net's. The response carries one
+// row per non-empty bag and nothing for an empty one, so its size and
+// the work behind it follow the lookups, not tables × items. The body is
+// laid out once, from the request's entry shapes and bag lists, before
+// any pooling: entry headers are written in place and each net's SLS
+// operator writes every row of its entries' float regions exactly once,
+// so the pooled rows are never zeroed first, copied or re-encoded on
+// their way to the rpc layer. The body crosses the rpc.Handler boundary
+// and is therefore a plain garbage-collected allocation nothing here
+// touches again.
 func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) {
 	s.met.runCalls.Inc()
 	runStart := time.Now() //lint:allow determinism stage latency histogram; never reaches response bytes
@@ -363,11 +370,11 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 
 	// Resolve every entry against one consistent snapshot of the table
 	// set: a cutover landing mid-request flips routing for the *next*
-	// request, never within one.
+	// request, never within one. A forwarded entry's slot is sized like a
+	// local one, from the bags about to be forwarded.
 	run := make([]runEntry, len(req.Entries))
 	slots := make([]pooledSlot, len(req.Entries))
-	var nLocal int
-	var floats int64
+	var nLocal, bags, present int
 	s.mu.RLock()
 	for i := range req.Entries {
 		e := &req.Entries[i]
@@ -382,17 +389,27 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
 		}
+		// One walk of the bags as received sizes the entry's packed region
+		// and counts its lookups for the load summary.
+		rows := 0
+		for _, bag := range e.Bags {
+			if n := len(bag.Indices); n > 0 {
+				rows++
+				run[i].lookups += n
+			}
+		}
 		slots[i] = pooledSlot{
 			TableID: e.TableID, PartIndex: e.PartIndex,
-			Rows: int32(len(e.Bags)), Cols: int32(dim), n: len(e.Bags) * dim,
+			Rows: int32(len(e.Bags)), Cols: int32(dim), n: rows * dim,
 		}
-		floats += int64(len(e.Bags)) * int64(dim)
+		bags, present = bags+len(e.Bags), present+rows
 	}
 	s.mu.RUnlock()
-	if 4*floats > rpc.MaxFrameSize {
-		// A few request bytes per empty bag buy dim×4 response bytes;
-		// refuse what could never be framed before allocating it.
-		return nil, fmt.Errorf("core: %s: pooling %d values exceeds the frame limit", s.ShardName, floats)
+	s.met.bags.Add(int64(bags))
+	s.met.present.Add(int64(present))
+	if size := sparseResponseSize(slots); size > rpc.MaxFrameSize {
+		// Refuse what could never be framed before allocating it.
+		return nil, fmt.Errorf("core: %s: a response of %d bytes exceeds the frame limit", s.ShardName, size)
 	}
 
 	// Lay the response out (RPC Ser/De at the sparse shard): all that is
@@ -415,7 +432,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		// exactly like the main shard's, net by net.
 		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
 		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
-		entries := make([]nn.SLSEntry, 0, nLocal)
+		entries := make([]embedding.PoolEntry, 0, nLocal)
 		for k, name := range req.Nets {
 			first := len(entries)
 			for i := range run {
@@ -423,7 +440,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 					continue
 				}
 				run[i].out = floatsOver(slots[i].region(out))
-				entries = append(entries, nn.SLSEntry{Table: run[i].table, Bags: req.Entries[i].Bags, Out: run[i].out})
+				entries = append(entries, embedding.PoolEntry{Table: run[i].table, Bags: req.Entries[i].Bags, Out: run[i].out})
 			}
 			if len(entries) == first {
 				continue
@@ -470,7 +487,6 @@ func (s *SparseShard) accountLoad(entries []SparseEntry, run []runEntry, opDur t
 	total := 0
 	for i := range run {
 		if run[i].table != nil {
-			run[i].lookups = embedding.TotalLookups(entries[i].Bags)
 			total += run[i].lookups
 		}
 	}
@@ -493,7 +509,8 @@ func (s *SparseShard) accountLoad(entries []SparseEntry, run []runEntry, opDur t
 
 // issueForwards sends the request's forwarded entries to the shards that
 // now hold their tables and returns a wait function that copies each
-// answer's pooled rows — still wire bytes — into its region of out.
+// answer's packed rows — still wire bytes, as many as the forwarded bags
+// imply or the answer is refused — into its region of out.
 func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run []runEntry, slots []pooledSlot, out []byte) func() error {
 	// Group entries per destination caller so one straggler batch costs
 	// one hop per destination.
@@ -553,10 +570,10 @@ func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run [
 					return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, err)
 				}
 				want := &slots[i]
-				if got.TableID != want.TableID || got.PartIndex != want.PartIndex || got.Rows != want.Rows || got.Cols != want.Cols {
-					return fmt.Errorf("core: %s forward to %s answered table %d part %d as %dx%d, want table %d part %d as %dx%d",
-						s.ShardName, g.target.service, got.TableID, got.PartIndex, got.Rows, got.Cols,
-						want.TableID, want.PartIndex, want.Rows, want.Cols)
+				if got.TableID != want.TableID || got.PartIndex != want.PartIndex || got.Rows != want.Rows || got.Cols != want.Cols || got.n != want.n {
+					return fmt.Errorf("core: %s forward to %s answered table %d part %d as %d values of %dx%d, want table %d part %d as %d of %dx%d",
+						s.ShardName, g.target.service, got.TableID, got.PartIndex, got.n, got.Rows, got.Cols,
+						want.TableID, want.PartIndex, want.n, want.Rows, want.Cols)
 				}
 				copy(want.region(out), rows)
 			}

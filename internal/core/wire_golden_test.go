@@ -17,11 +17,14 @@ import (
 // buffer encoders this package no longer has). The wire format is a
 // contract with every deployed peer: the encoders must reproduce those
 // bytes exactly and the flat decoders must read them, on the in-place and
-// the conversion path. sparse_request.bin alone was regenerated since,
-// deliberately: the request-level sparse.run call names its nets up front
-// and tags every entry with one (a net count and names where the single
-// net name was, a fourth id per entry) — a format change, written out
-// field by field from that layout, not by the encoder under test.
+// the conversion path. The two sparse.run goldens were regenerated since,
+// deliberately, each for a format change and each written out field by
+// field from the new layout, not by the encoder under test:
+// sparse_request.bin when the request-level call began naming its nets up
+// front and tagging every entry with one (a net count and names where the
+// single net name was, a fourth id per entry); sparse_response.bin when
+// pooled rows became packed (an entry's float count is Cols × its
+// non-empty bags, no longer Rows × Cols).
 
 func goldenBags(spec ...[]int32) []embedding.Bag {
 	out := make([]embedding.Bag, len(spec))
@@ -45,9 +48,10 @@ func goldenSparseResponse() *SparseResponse {
 	tiny := math.Float32frombits(1) // smallest denormal
 	negZero := math.Float32frombits(0x80000000)
 	return &SparseResponse{Entries: []PooledEntry{
-		{TableID: 3, PartIndex: 0, Rows: 3, Cols: 2, Data: []float32{1, -2.5, negZero, tiny, float32(math.Inf(1)), 3.4028235e38}},
-		{TableID: 9, PartIndex: 2, Rows: 3, Cols: 1, Data: []float32{0, 0, 0}},
+		{TableID: 3, PartIndex: 0, Rows: 3, Cols: 2, Data: []float32{1, -2.5, negZero, tiny}}, // 2 of 3 bags present
+		{TableID: 9, PartIndex: 2, Rows: 3, Cols: 1, Data: nil},                               // none present
 		{TableID: 256, PartIndex: 0, Rows: 0, Cols: 4, Data: nil},
+		{TableID: 7, PartIndex: 1, Rows: 2, Cols: 2, Data: []float32{float32(math.Inf(1)), 3.4028235e38, 0, 3}}, // all present
 	}}
 }
 

@@ -270,3 +270,110 @@ func TestMergePartialPanicsOnLength(t *testing.T) {
 	}()
 	MergePartial(make([]float32, 4), [][]float32{make([]float32, 3)})
 }
+
+// poolReference is Pool's contract in the plainest terms: per non-empty
+// bag one row, AccumulateRow by AccumulateRow into zeros.
+func poolReference(table Table, bags []Bag) []float32 {
+	var out []float32
+	for _, bag := range bags {
+		if len(bag.Indices) == 0 {
+			continue
+		}
+		acc := make([]float32, table.Dim())
+		for _, idx := range bag.Indices {
+			table.AccumulateRow(acc, int(idx))
+		}
+		out = append(out, acc...)
+	}
+	return out
+}
+
+// TestPoolPackedAndStrided: one call over several backends and widths —
+// enough Dense bags to turn the prefetch chunks over several times —
+// packs exactly the non-empty bags' rows, and the strided layout puts the
+// same rows at their bags' positions with zeros for the empty ones,
+// leaving the columns between entries alone.
+func TestPoolPackedAndStrided(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	dense8 := NewDenseRandom(rng, 300, 8, 1)
+	dense5 := NewDenseRandom(rng, 40, 5, 1)
+	tables := []Table{dense8, dense5, dense8.Quantize(quant.Bits8), NewTiered(dense5.ToFP16(), 8)}
+	const items = 120
+	var packed, strided []PoolEntry
+	cols := 0
+	for _, tab := range tables {
+		cols += tab.Dim() + 1 // a spare column after every entry
+	}
+	matrix := make([]float32, items*cols)
+	for i := range matrix {
+		matrix[i] = -1
+	}
+	off := 0
+	for _, tab := range tables {
+		bags := make([]Bag, items)
+		for b := range bags {
+			for k := rng.Intn(4) * rng.Intn(3); k > 0; k-- {
+				bags[b].Indices = append(bags[b].Indices, int32(rng.Intn(tab.NumRows())))
+			}
+		}
+		packed = append(packed, PoolEntry{Table: tab, Bags: bags, Out: make([]float32, PresentBags(bags)*tab.Dim())})
+		strided = append(strided, PoolEntry{Table: tab, Bags: bags, Out: matrix[off:], Stride: cols})
+		off += tab.Dim() + 1
+	}
+	Pool(packed)
+	Pool(strided)
+	off = 0
+	for i, e := range packed {
+		dim := e.Table.Dim()
+		want := poolReference(e.Table, e.Bags)
+		if len(want) == 0 || len(want) == items*dim {
+			t.Fatalf("fixture: entry %d has %d of %d bags non-empty", i, len(want)/dim, items)
+		}
+		for j := range want {
+			if math.Float32bits(e.Out[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("entry %d: packed value %d = %v, want %v", i, j, e.Out[j], want[j])
+			}
+		}
+		k := 0
+		for b, bag := range e.Bags {
+			row := matrix[b*cols+off : b*cols+off+dim+1]
+			for c := 0; c < dim; c++ {
+				var w float32
+				if len(bag.Indices) > 0 {
+					w = want[k*dim+c]
+				}
+				if math.Float32bits(row[c]) != math.Float32bits(w) {
+					t.Fatalf("entry %d bag %d column %d = %v, want %v", i, b, c, row[c], w)
+				}
+			}
+			if row[dim] != -1 {
+				t.Fatalf("entry %d bag %d: the column after the entry was written", i, b)
+			}
+			if len(bag.Indices) > 0 {
+				k++
+			}
+		}
+		off += dim + 1
+	}
+}
+
+func TestPoolPanicsOnMisfitOut(t *testing.T) {
+	tab := NewDense(4, 2)
+	bags := []Bag{{Indices: []int32{1}}, {}, {Indices: []int32{2, 3}}}
+	for name, e := range map[string]PoolEntry{
+		"packed too short":  {Table: tab, Bags: bags, Out: make([]float32, 2)},
+		"packed too long":   {Table: tab, Bags: bags, Out: make([]float32, 6)},
+		"stride under dim":  {Table: tab, Bags: bags, Out: make([]float32, 6), Stride: 1},
+		"strided too short": {Table: tab, Bags: bags, Out: make([]float32, 7), Stride: 3},
+		"table under shape": {Table: &Dense{RowsN: 4, DimN: 2, Data: make([]float32, 7)}, Bags: bags, Out: make([]float32, 4)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			Pool([]PoolEntry{e})
+		}()
+	}
+}

@@ -21,34 +21,19 @@ type Bag struct {
 
 // SLS executes SparseLengthsSum over a table: for each bag, it sums the
 // indexed rows into one output vector of length table.Dim(). out must be
-// len(bags)*dim long (row-major, one row per bag). Rows are pre-zeroed.
+// len(bags)*dim long (row-major, one row per bag); every row is
+// overwritten, an empty bag's with zeros.
 //
 // This mirrors Caffe2's SparseLengthsSum, the operator family the paper
-// reports as "SLS" and which dominates sparse-shard compute.
+// reports as "SLS" and which dominates sparse-shard compute. It is Pool
+// over one table in the dense layout, so it shares Pool's row-sum
+// kernels, prefetch and panics.
 func SLS(out []float32, table Table, bags []Bag) {
 	dim := table.Dim()
 	if len(out) != len(bags)*dim {
 		panic(fmt.Sprintf("embedding: SLS out length %d != %d bags × dim %d", len(out), len(bags), dim))
 	}
-	for i := range out {
-		out[i] = 0
-	}
-	if ba, ok := table.(BagAccumulator); ok {
-		for b, bag := range bags {
-			ba.AccumulateBag(out[b*dim:(b+1)*dim], bag.Indices)
-		}
-		return
-	}
-	rows := table.NumRows()
-	for b, bag := range bags {
-		acc := out[b*dim : (b+1)*dim]
-		for _, idx := range bag.Indices {
-			if idx < 0 || int(idx) >= rows {
-				panic(fmt.Sprintf("embedding: SLS index %d out of range [0,%d)", idx, rows))
-			}
-			table.AccumulateRow(acc, int(idx))
-		}
-	}
+	Pool([]PoolEntry{{Table: table, Bags: bags, Out: out, Stride: dim}})
 }
 
 // SLSMean is the mean-pooled variant: each output vector is the average of

@@ -95,6 +95,43 @@ func TestGEMMGuardPaged(t *testing.T) {
 	}
 }
 
+// TestSLSPackedGuardPaged runs the pooling sweep with every table and
+// every packed output flush against a guard page, at every row width and
+// lane width: the assembly row-sum loads and stores whole vectors, so a
+// block that ran past a row's — or the packed region's — last element
+// faults here; and the prefetch cursor, which runs ahead of the sums and
+// past the end of each table's bag list, must touch nothing it was not
+// given. Results are still checked against the oracle.
+func TestSLSPackedGuardPaged(t *testing.T) {
+	defer resetDispatch()
+	ds := dispatches(t)
+	rng := rand.New(rand.NewSource(31))
+	guarded := func(n int) []float32 {
+		g, data := GuardedFloat32(n)
+		t.Cleanup(g.Free)
+		return data
+	}
+	for _, dims := range slsDims {
+		c := newSLSCall(rng, dims, Payloads()[0], guarded)
+		for i, tab := range c.tables {
+			// Every table's last row — the one that ends at the page — is
+			// read, and read last.
+			if last := len(c.bags[i]) - 1; i != 1 {
+				c.bags[i][last].Indices = []int32{0, int32(tab.RowsN - 1)}
+			}
+		}
+		for _, d := range ds {
+			d.set()
+			got := c.pool(guarded)
+			for i, tab := range c.tables {
+				if j := DiffFloat32(got[i], refPool(tab, c.bags[i])); j >= 0 {
+					t.Fatalf("dims=%v %v entry %d: element %d differs from the oracle", dims, d, i, j)
+				}
+			}
+		}
+	}
+}
+
 // TestQuantGuardPaged runs the decode sweep with the packed codes, the
 // fp16 headers, and the caller-provided accumulator all guard-paged,
 // for both widths across every vector-body/tail split. The int4 path is

@@ -51,7 +51,7 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 
 	b.Run("per-table+concat", func(b *testing.B) {
 		ws := mkWS()
-		sls := &MultiSLS{OpName: "multi", Entries: make([]SLSEntry, nTables)}
+		sls := &MultiSLS{OpName: "multi", Entries: make([]embedding.PoolEntry, nTables)}
 		concat := &ConcatOp{OpName: "concat", Output: "emb"}
 		for ti := 0; ti < nTables; ti++ {
 			concat.Inputs = append(concat.Inputs, fmt.Sprintf("pooled_%d", ti))
@@ -62,7 +62,7 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 			for ti := range sls.Entries {
 				bagSet, _ := ws.Bags(fmt.Sprintf("bags_%d", ti))
 				out := tensor.New(bags, dim)
-				sls.Entries[ti] = SLSEntry{Table: tables[ti], Bags: bagSet, Out: out.Data}
+				sls.Entries[ti] = embedding.PoolEntry{Table: tables[ti], Bags: bagSet, Out: out.Data, Stride: dim}
 				ws.SetBlob(concat.Inputs[ti], out)
 			}
 			if err := sls.Run(ws); err != nil {

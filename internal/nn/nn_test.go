@@ -250,32 +250,43 @@ func TestSLSOp(t *testing.T) {
 }
 
 // TestMultiSLSPoolsIntoCallerStorage: the op overwrites the storage it is
-// handed (stale contents must not leak into the sums), needs no
-// workspace, and a net turns its operand faults into errors.
+// handed (stale contents must not leak into the sums) — one row per
+// non-empty bag when packed, every bag's row in the strided layout —
+// needs no workspace, and a net turns its operand faults into errors.
 func TestMultiSLSPoolsIntoCallerStorage(t *testing.T) {
 	tab := embedding.NewDense(4, 2)
 	copy(tab.Data, []float32{1, 1, 2, 2, 3, 3, 4, 4})
-	out := []float32{9, 9, 9, 9, 9, 9}
-	op := &MultiSLS{OpName: "multi", Entries: []SLSEntry{{
-		Table: tab, Out: out,
-		Bags: []embedding.Bag{{Indices: []int32{0, 3}}, {}, {Indices: []int32{2}}},
-	}}}
+	bags := []embedding.Bag{{Indices: []int32{0, 3}}, {}, {Indices: []int32{2}}}
+	packed := []float32{9, 9, 9, 9}
+	strided := []float32{9, 9, 9, 9, 9, 9, 9, 9}
+	op := &MultiSLS{OpName: "multi", Entries: []embedding.PoolEntry{
+		{Table: tab, Bags: bags, Out: packed},
+		{Table: tab, Bags: bags, Out: strided, Stride: 3},
+	}}
 	net := &Net{NetName: "n", Ops: []Op{op}}
 	if err := net.Run(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if want := []float32{5, 5, 0, 0, 3, 3}; !slices.Equal(out, want) {
-		t.Errorf("pooled = %v, want %v", out, want)
+	if want := []float32{5, 5, 3, 3}; !slices.Equal(packed, want) {
+		t.Errorf("packed = %v, want %v", packed, want)
+	}
+	if want := []float32{5, 5, 9, 0, 0, 9, 3, 3}; !slices.Equal(strided, want) {
+		t.Errorf("strided = %v, want %v", strided, want)
 	}
 	if op.Kind() != KindSparse {
 		t.Error("MultiSLS kind should be Sparse")
 	}
-	op.Entries[0].Out = out[:4]
+	op.Entries[0].Out = packed[:2]
 	if err := net.Run(nil, nil); err == nil || !strings.Contains(err.Error(), "multi") {
 		t.Errorf("short output storage: err = %v, want the operator's failure", err)
 	}
-	op.Entries[0].Out = out
-	op.Entries[0].Bags[1].Indices = []int32{4}
+	op.Entries[0].Out = packed
+	op.Entries[1].Out = strided[:7]
+	if err := net.Run(nil, nil); err == nil {
+		t.Error("strided storage short of the last row must fail the net")
+	}
+	op.Entries[1].Out = strided
+	op.Entries[1].Bags = []embedding.Bag{{Indices: []int32{4}}}
 	if err := net.Run(nil, nil); err == nil {
 		t.Error("out-of-range index must fail the net")
 	}
@@ -297,17 +308,53 @@ func TestConcatOp(t *testing.T) {
 
 func TestInteraction(t *testing.T) {
 	ws := NewWorkspace()
-	ws.SetBlob("e1", tensor.FromSlice(1, 2, []float32{1, 0}))
-	ws.SetBlob("e2", tensor.FromSlice(1, 2, []float32{0, 1}))
-	ws.SetBlob("bottom", tensor.FromSlice(1, 2, []float32{5, 6}))
-	op := &Interaction{OpName: "int", Features: []string{"e1", "e2"}, Passthrough: "bottom", Output: "top_in"}
+	// Two examples; features are columns [1,3) and [4,6) of a 6-wide matrix.
+	ws.SetBlob("emb", tensor.FromSlice(2, 6, []float32{
+		9, 1, 0, 9, 0, 1,
+		9, 2, 3, 9, 4, 5,
+	}))
+	ws.SetBlob("bottom", tensor.FromSlice(2, 2, []float32{5, 6, 7, 8}))
+	op := &Interaction{OpName: "int", Emb: "emb", FeatureCols: []int{1, 4}, FeatureDim: 2, Passthrough: "bottom", Output: "top_in"}
 	if err := op.Run(ws); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := ws.Blob("top_in")
-	// bottom (2 cols) + 1 pairwise dot = 3 cols; dot(e1,e2)=0.
-	if m.Cols != 3 || m.Data[0] != 5 || m.Data[2] != 0 {
-		t.Errorf("interaction out = %v", m.Data)
+	// bottom (2 cols) + 1 pairwise dot = 3 cols: 1·0+0·1 = 0, 2·4+3·5 = 23.
+	if want := []float32{5, 6, 0, 7, 8, 23}; m.Cols != 3 || !slices.Equal(m.Data, want) {
+		t.Errorf("interaction out = %v, want %v", m.Data, want)
+	}
+	op.FeatureCols = []int{1, 5}
+	if err := op.Run(ws); err == nil {
+		t.Error("a feature past the matrix's last column should error")
+	}
+}
+
+// TestFusedSLSPoolsColumnRanges: every entry's rows land in its column
+// range of the fused matrix, an empty bag's columns are zero even in a
+// dirty preallocated output, and a bad index fails the net.
+func TestFusedSLSPoolsColumnRanges(t *testing.T) {
+	t1 := embedding.NewDense(3, 1)
+	copy(t1.Data, []float32{1, 2, 3})
+	t2 := embedding.NewDense(2, 2)
+	copy(t2.Data, []float32{10, 20, 30, 40})
+	ws := NewWorkspace()
+	ws.SetBags("b1", []embedding.Bag{{Indices: []int32{0, 2}}, {}})
+	ws.SetBags("b2", []embedding.Bag{{}, {Indices: []int32{1, 1}}})
+	ws.SetBlob("emb", tensor.FromSlice(2, 3, []float32{9, 9, 9, 9, 9, 9}))
+	op := &FusedSLS{OpName: "fused", Output: "emb", Cols: 3, Entries: []FusedSLSEntry{
+		{Table: t1, InputBags: "b1", ColOffset: 0}, {Table: t2, InputBags: "b2", ColOffset: 1},
+	}}
+	net := &Net{NetName: "n", Ops: []Op{op}}
+	if err := net.Run(ws, nil); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := ws.Blob("emb")
+	if want := []float32{4, 0, 0, 0, 60, 80}; !slices.Equal(m.Data, want) {
+		t.Errorf("fused = %v, want %v", m.Data, want)
+	}
+	ws.SetBags("b2", []embedding.Bag{{}, {Indices: []int32{2}}})
+	if err := net.Run(ws, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range index: err = %v", err)
 	}
 }
 

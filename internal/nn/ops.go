@@ -314,11 +314,16 @@ func (o *ConcatOp) Run(ws *Workspace) error {
 }
 
 // Interaction computes the DLRM pairwise-dot feature interaction over a
-// set of equal-shaped feature blobs and concatenates the result with the
+// set of equal-width features and concatenates the result with the
 // Passthrough blob (the bottom-MLP output), producing the top-MLP input.
+// The features are column ranges of the net's fused embedding matrix —
+// feature i is Emb's columns [FeatureCols[i], FeatureCols[i]+FeatureDim)
+// — read in place: no per-table pooled blob exists.
 type Interaction struct {
 	OpName      string
-	Features    []string
+	Emb         string
+	FeatureCols []int
+	FeatureDim  int
 	Passthrough string
 	Output      string
 }
@@ -331,34 +336,36 @@ func (o *Interaction) Kind() OpKind { return KindFeatureTransform }
 
 // Run implements Op.
 func (o *Interaction) Run(ws *Workspace) error {
-	feats := make([]*tensor.Matrix, len(o.Features))
-	for i, name := range o.Features {
-		m, err := ws.WaitBlob(name)
-		if err != nil {
-			return fmt.Errorf("%s: %w", o.OpName, err)
-		}
-		feats[i] = m
+	emb, err := ws.WaitBlob(o.Emb)
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
 	pass, err := ws.WaitBlob(o.Passthrough)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
-	// Write the passthrough columns and the pairwise dots straight into
-	// the output (arena-drawn when scheduled) — no intermediate dots or
-	// concat blob. The dots share tensor.PairwiseDotRow with PairwiseDot,
-	// so results are bitwise identical to the unfused Dot+Concat form.
-	f := len(feats)
-	dotCols := f * (f - 1) / 2
-	for _, m := range feats {
-		if m.Rows != pass.Rows || m.Cols != feats[0].Cols {
-			return fmt.Errorf("%s: feature shape %dx%d inconsistent", o.OpName, m.Rows, m.Cols)
+	if emb.Rows != pass.Rows {
+		return fmt.Errorf("%s: %d embedding rows for %d passthrough rows", o.OpName, emb.Rows, pass.Rows)
+	}
+	for _, off := range o.FeatureCols {
+		if off < 0 || o.FeatureDim < 0 || off+o.FeatureDim > emb.Cols {
+			return fmt.Errorf("%s: feature columns [%d, %d) outside %d", o.OpName, off, off+o.FeatureDim, emb.Cols)
 		}
 	}
-	out := ws.AllocBlob(o.Output, pass.Rows, pass.Cols+dotCols)
+	// Write the passthrough columns and the pairwise dots straight into
+	// the output (arena-drawn when scheduled) — no intermediate dots or
+	// concat blob. The dots share tensor.PairwiseDotVecs with PairwiseDot,
+	// so results are bitwise identical to the unfused Dot+Concat form.
+	f := len(o.FeatureCols)
+	vecs := make([][]float32, f)
+	out := ws.AllocBlob(o.Output, pass.Rows, pass.Cols+f*(f-1)/2)
 	for r := 0; r < pass.Rows; r++ {
-		row := out.Row(r)
+		row, embRow := out.Row(r), emb.Row(r)
 		copy(row[:pass.Cols], pass.Row(r))
-		tensor.PairwiseDotRow(row[pass.Cols:], feats, r)
+		for i, off := range o.FeatureCols {
+			vecs[i] = embRow[off : off+o.FeatureDim]
+		}
+		tensor.PairwiseDotVecs(row[pass.Cols:], vecs)
 	}
 	ws.SetBlob(o.Output, out)
 	return nil

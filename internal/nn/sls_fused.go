@@ -13,10 +13,6 @@ type FusedSLSEntry struct {
 	InputBags string
 	// ColOffset is the table's column range start in the fused output.
 	ColOffset int
-	// CopyOut, when non-empty, additionally materializes the table's
-	// pooled rows as a standalone blob (needed by the pairwise
-	// interaction, which consumes per-feature matrices).
-	CopyOut string
 }
 
 // FusedSLS pools every entry's lookups directly into one pre-concatenated
@@ -24,7 +20,9 @@ type FusedSLSEntry struct {
 // following Concat that optimized CPU serving stacks perform: it touches
 // one output allocation instead of one per table, so its cost tracks the
 // pooling work (the paper's operative quantity) rather than allocator
-// overhead.
+// overhead. It is one embedding.Pool call whose entries are column
+// ranges of the matrix, so the singular engine sums a bag with the very
+// kernel a sparse shard does.
 type FusedSLS struct {
 	OpName string
 	// Output receives the bags×Cols fused matrix.
@@ -40,7 +38,9 @@ func (o *FusedSLS) Name() string { return o.OpName }
 // Kind implements Op.
 func (o *FusedSLS) Kind() OpKind { return KindSparse }
 
-// Run implements Op.
+// Run implements Op. An out-of-range index panics inside embedding.Pool
+// with nothing pooled; the net scheduler turns that into the request's
+// error.
 func (o *FusedSLS) Run(ws *Workspace) error {
 	if len(o.Entries) == 0 {
 		return fmt.Errorf("%s: no entries", o.OpName)
@@ -65,6 +65,7 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 	} else {
 		emb = tensor.New(rows, o.Cols)
 	}
+	pool := make([]embedding.PoolEntry, 0, len(o.Entries))
 	for i := range o.Entries {
 		e := &o.Entries[i]
 		bags, err := ws.Bags(e.InputBags)
@@ -74,31 +75,14 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 		if len(bags) != rows {
 			return fmt.Errorf("%s[%d]: %d bags, want %d", o.OpName, i, len(bags), rows)
 		}
-		dim := e.Table.Dim()
-		if e.ColOffset < 0 || e.ColOffset+dim > o.Cols {
+		if dim := e.Table.Dim(); e.ColOffset < 0 || e.ColOffset+dim > o.Cols {
 			return fmt.Errorf("%s[%d]: column range [%d, %d) outside %d", o.OpName, i, e.ColOffset, e.ColOffset+dim, o.Cols)
 		}
-		nRows := e.Table.NumRows()
-		for b := range bags {
-			if len(bags[b].Indices) == 0 {
-				continue
-			}
-			acc := emb.Row(b)[e.ColOffset : e.ColOffset+dim]
-			for _, idx := range bags[b].Indices {
-				if idx < 0 || int(idx) >= nRows {
-					return fmt.Errorf("%s[%d]: index %d out of range [0,%d)", o.OpName, i, idx, nRows)
-				}
-				e.Table.AccumulateRow(acc, int(idx))
-			}
-		}
-		if e.CopyOut != "" {
-			small := ws.AllocBlob(e.CopyOut, rows, dim)
-			for b := 0; b < rows; b++ {
-				copy(small.Row(b), emb.Row(b)[e.ColOffset:e.ColOffset+dim])
-			}
-			ws.SetBlob(e.CopyOut, small)
+		if rows > 0 {
+			pool = append(pool, embedding.PoolEntry{Table: e.Table, Bags: bags, Out: emb.Data[e.ColOffset:], Stride: o.Cols})
 		}
 	}
+	embedding.Pool(pool)
 	ws.SetBlob(o.Output, emb)
 	return nil
 }
@@ -127,8 +111,8 @@ func (o *AllocEmb) Run(ws *Workspace) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
-	// The SLS pools += into this blob, so it must start zeroed even when
-	// drawn from a dirty arena slab.
+	// Zeroed even when drawn from a dirty arena slab: FusedSLS writes its
+	// entries' column ranges and nothing between them.
 	ws.SetBlob(o.Output, ws.AllocBlobZero(o.Output, len(bags), o.Cols))
 	return nil
 }

@@ -6,23 +6,16 @@ import (
 	"repro/internal/embedding"
 )
 
-// SLSEntry is one table's lookup inside a MultiSLS op: the bags to pool
-// and the len(Bags)×Dim floats the pooled rows are written to.
-type SLSEntry struct {
-	Table embedding.Table
-	Bags  []embedding.Bag
-	Out   []float32
-}
-
 // MultiSLS executes SparseLengthsSum for a group of tables in one
 // operator, recording a single trace span so span volume tracks operator
 // *groups* rather than the 257 tables of DRM1. Sparse shards run one per
-// request, and hand it bags and output storage directly instead of
-// through named workspace blobs: the outputs are regions of the response
-// being built, so pooling writes the wire bytes' final resting place.
+// net of a request, and hand it bags and output storage directly instead
+// of through named workspace blobs: the outputs are the packed regions
+// of the response being built — one row per non-empty bag — so pooling
+// writes the wire bytes' final resting place and nothing else.
 type MultiSLS struct {
 	OpName  string
-	Entries []SLSEntry
+	Entries []embedding.PoolEntry
 }
 
 // Name implements Op.
@@ -32,13 +25,10 @@ func (o *MultiSLS) Name() string { return o.OpName }
 func (o *MultiSLS) Kind() OpKind { return KindSparse }
 
 // Run implements Op. A wrongly sized Out or an out-of-range index panics
-// inside embedding.SLS; the net scheduler turns that into the request's
-// error.
+// inside embedding.Pool, before anything is pooled; the net scheduler
+// turns that into the request's error.
 func (o *MultiSLS) Run(*Workspace) error {
-	for i := range o.Entries {
-		e := &o.Entries[i]
-		embedding.SLS(e.Out, e.Table, e.Bags)
-	}
+	embedding.Pool(o.Entries)
 	return nil
 }
 

@@ -137,6 +137,16 @@ func gemmPool() chan *gemmJob {
 // afterwards, to run the narrower widths on a wide host.
 var gemmLanes = hostLanes()
 
+// VectorLanes resolves kernel dispatch for one operation: the float32
+// lane count the vector family's assembly may use on this host (16 or
+// 8), or 0 when the generic family is active or the host has no AVX.
+func VectorLanes() int {
+	if ActiveKernel() != KernelVector {
+		return 0
+	}
+	return gemmLanes
+}
+
 // matmul computes dst = relu?(a×b + bias) serially or tiled across the
 // worker pool. bias may be nil. The epilogue is part of each row range's
 // kernel call, applied by whichever goroutine owns the range.
@@ -152,10 +162,7 @@ func matmul(dst, a, b *Matrix, bias []float32, relu bool) {
 	workers := Parallelism()
 	// Resolve kernel dispatch once per MatMul so every tile of one call
 	// runs the same kernel even if SetKernel races the call.
-	lanes := 0
-	if ActiveKernel() == KernelVector {
-		lanes = gemmLanes
-	}
+	lanes := VectorLanes()
 	if workers <= 1 || dst.Rows <= block || work < gemmSerialWork {
 		gemmRows(dst, a, b, 0, dst.Rows, lanes, bias, relu)
 		return

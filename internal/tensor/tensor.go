@@ -214,25 +214,29 @@ func PairwiseDotInto(dst *Matrix, feats []*Matrix) {
 	if dst.Rows != rows || dst.Cols != f*(f-1)/2 {
 		panic(fmt.Sprintf("tensor: PairwiseDotInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, rows, f*(f-1)/2))
 	}
+	vecs := make([][]float32, f)
 	for r := 0; r < rows; r++ {
-		PairwiseDotRow(dst.Row(r), feats, r)
+		for i, m := range feats {
+			vecs[i] = m.Row(r)
+		}
+		PairwiseDotVecs(dst.Row(r), vecs)
 	}
 }
 
-// PairwiseDotRow writes row r's f·(f−1)/2 upper-triangular pairwise dot
-// products into dst, which may be any slice of at least that length
-// (e.g. a column range of a wider row). It is the single accumulation
-// loop behind PairwiseDot and the engine's fused interaction op, so the
-// bitwise accumulation order cannot drift between them.
-func PairwiseDotRow(dst []float32, feats []*Matrix, r int) {
+// PairwiseDotVecs writes one example's f·(f−1)/2 upper-triangular
+// pairwise dot products of its f equal-length feature vectors into dst,
+// which may be any slice of at least that length (e.g. a column range of
+// a wider row). It is the single accumulation loop behind PairwiseDot
+// and the engine's fused interaction op, so the bitwise accumulation
+// order cannot drift between them.
+func PairwiseDotVecs(dst []float32, vecs [][]float32) {
 	k := 0
-	for i := 0; i < len(feats); i++ {
-		ri := feats[i].Row(r)
-		for j := i + 1; j < len(feats); j++ {
-			rj := feats[j].Row(r)
+	for i, vi := range vecs {
+		for _, vj := range vecs[i+1:] {
+			vj = vj[:len(vi)]
 			var acc float32
-			for c := range ri {
-				acc += ri[c] * rj[c]
+			for c := range vi {
+				acc += vi[c] * vj[c]
 			}
 			dst[k] = acc
 			k++
