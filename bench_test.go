@@ -369,10 +369,11 @@ func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lo
 	}
 	gen := workload.NewGenerator(cfg, 1)
 	for r := 0; r < n; r++ {
-		req := gen.Next()
+		req := core.FromWorkload(gen.Next())
 		hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
 		for _, t := range cfg.Tables {
-			hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: req.Bags[t.ID]}
+			l, _ := req.BagsOf(int32(t.ID))
+			hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: l.Indices}
 		}
 		if err := hash.Run(nil); err != nil {
 			b.Fatal(err)
@@ -384,10 +385,11 @@ func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lo
 				if cfg.Tables[id].Net != ns.Name {
 					continue
 				}
-				bags := hash.Entries[id].Out
-				lookups += embedding.TotalLookups(bags)
+				l, _ := req.BagsOf(int32(id))
+				l.Indices = hash.Entries[id].Out
+				lookups += len(l.Indices)
 				entries = append(entries, embedding.PoolEntry{
-					Table: m.Tables[id], Bags: bags, Out: make([]float32, embedding.PresentBags(bags)*cfg.Tables[id].Dim),
+					Table: m.Tables[id], Lens: l.Lens, Indices: l.Indices, Out: make([]float32, l.Present()*cfg.Tables[id].Dim),
 				})
 			}
 			nets = append(nets, entries)

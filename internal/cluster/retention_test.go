@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,9 +91,15 @@ func (c *retainCaller) Close() error {
 // loopback deployment (netsim links on, each sparse shard a hedged
 // replica pair) keep every buffer of 200 rank requests and their
 // sparse.run fan-out; afterwards every one must hold exactly what it
-// held when captured, and still decode. A frame buffer recycled while a
-// retained body aliases it, or pooled rows scattered through a view into
-// a response, would show here.
+// held when captured, and still decode. That covers the request
+// direction, which is read in place: the rank body the client sent and
+// the one the main shard's handler was given (whose bag lists the engine
+// hashes *from*, never into), and every sparse.run body — as the rpcOp
+// built it, as each replica was sent it (twice, unchanged, when the call
+// was hedged) and as each shard's handler pooled from it. A frame buffer
+// recycled while a retained body aliases it, a hash written through a
+// view of the request, or pooled rows scattered through a view into a
+// response, would show here.
 func TestRetainedBuffersNeverChange(t *testing.T) {
 	cfg := smallModel()
 	m := model.Build(cfg)
@@ -210,10 +217,33 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 	sparseCalls := 0
 	keep.mu.Lock()
 	defer keep.mu.Unlock()
+	kinds := make(map[string]int)
 	for _, b := range keep.bufs {
 		if !bytes.Equal(b.kept, b.then) {
 			t.Fatalf("%s (%d bytes) changed after it was handed over", b.what, len(b.kept))
 		}
+		switch {
+		case b.what == "client rank Request.Body", b.what == "main rank request body":
+			kinds[b.what]++
+		case strings.HasSuffix(b.what, " hedged sparse.run Request.Body"):
+			kinds["sparse.run body issued"]++
+		case strings.HasSuffix(b.what, " replica sparse.run Request.Body"):
+			kinds["sparse.run body sent to a replica"]++
+		case strings.HasSuffix(b.what, " sparse.run request body"):
+			kinds["sparse.run body handled"]++
+		}
+	}
+	// Every request body of the run was among the buffers just compared:
+	// both ends of each rank call, and each sparse.run body where it was
+	// issued, at every replica it went to — more sends than calls, since
+	// hedges fired — and at every handler that read it.
+	if kinds["client rank Request.Body"] != len(reqs) || kinds["main rank request body"] != len(reqs) {
+		t.Errorf("kept %d rank bodies at the client and %d at the main shard, want %d each",
+			kinds["client rank Request.Body"], kinds["main rank request body"], len(reqs))
+	}
+	issued, sent, handled := kinds["sparse.run body issued"], kinds["sparse.run body sent to a replica"], kinds["sparse.run body handled"]
+	if issued < len(reqs) || sent != issued+int(fired) || handled != sent {
+		t.Errorf("sparse.run bodies: %d issued, %d sent to replicas, %d handled; want sent = issued + %d hedges = handled", issued, sent, handled, fired)
 	}
 	for _, b := range keep.bufs {
 		var err error

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -58,9 +59,9 @@ func (e *Engine) ExecuteBatch(items []BatchItem) ([][]float32, error) {
 	dur := e.cfg.Recorder.Now().Sub(start)
 	e.met.executeNs.Observe(int64(dur))
 	// The execution is over and nothing below retains the combined
-	// request's tensors or bag slices, so its buffers can back the next
+	// request's tensors or bag lists, so its buffers can back the next
 	// coalesced batch.
-	defer e.putCombined(bufs)
+	defer e.combined.Put(bufs)
 	// Demux the execution span per request: every coalesced request rode
 	// the same engine execution, so each one's trace shows the full
 	// coalesced service time under its own trace id.
@@ -92,39 +93,32 @@ func (e *Engine) ExecuteBatch(items []BatchItem) ([][]float32, error) {
 }
 
 // combinedBufs holds one recyclable coalesced request: the request
-// struct itself (with its maps and matrix headers) plus the dense slabs
-// backing its tensors. Only the capacities and map keys matter across
-// uses; contents are rewritten every batch.
+// struct itself (with its map, matrix headers and table list) plus the
+// slabs backing its tensors and its bag lists. Only the capacities and
+// map keys matter across uses; contents are rewritten every batch, and
+// nothing in them refers to the requests they were copied from.
 type combinedBufs struct {
 	req   RankingRequest
 	dense map[string][]float32
-}
-
-// putCombined parks bufs for reuse, first dropping the Bag structs so a
-// parked pool entry does not pin the previous batch's requests (their
-// Indices arrays) until the next burst. The dense slabs are pool-owned
-// floats with no outside references and are kept as-is.
-func (e *Engine) putCombined(bufs *combinedBufs) {
-	for tid, bags := range bufs.req.Bags {
-		clear(bags[:cap(bags)])
-		bufs.req.Bags[tid] = bags[:0]
-	}
-	e.combined.Put(bufs)
+	// lens and idx back every table's combined bag list.
+	lens, idx []int32
 }
 
 // coalesce concatenates the items' validated requests into one combined
 // request of `total` items, in item order, drawing the request, its
-// maps and headers, and its backing buffers from the engine's pool so
-// steady-state batching does not reallocate the combined tensors. The
-// caller returns bufs to the pool once the execution has fully
-// completed.
+// map and headers, and its backing buffers from the engine's pool so
+// steady-state batching does not reallocate the combined tensors. A
+// table's combined bag list is its lists' lengths, then their indices,
+// each moved with one copy per request. The caller returns bufs to the
+// pool once the execution has fully completed.
 func (e *Engine) coalesce(items []BatchItem, total int) (*RankingRequest, *combinedBufs) {
+	tables := e.model.Config.Tables
 	bufs, _ := e.combined.Get().(*combinedBufs)
 	if bufs == nil {
 		bufs = &combinedBufs{
 			req: RankingRequest{
 				Dense: make(map[string]*tensor.Matrix, len(e.model.Config.Nets)),
-				Bags:  make(map[int32][]embedding.Bag, len(e.model.Config.Tables)),
+				Bags:  make([]TableBags, len(tables)),
 			},
 			dense: make(map[string][]float32, len(e.model.Config.Nets)),
 		}
@@ -153,13 +147,24 @@ func (e *Engine) coalesce(items []BatchItem, total int) (*RankingRequest, *combi
 		}
 		m.Rows, m.Cols, m.Data = total, ns.DenseDim, buf
 	}
-	for _, t := range e.model.Config.Tables {
-		tid := int32(t.ID)
-		bags := combined.Bags[tid][:0]
-		for _, it := range items {
-			bags = append(bags, it.Req.Bags[tid]...)
+	indices := 0
+	for _, it := range items {
+		for _, t := range tables {
+			l, _ := it.Req.BagsOf(int32(t.ID))
+			indices += len(l.Indices)
 		}
-		combined.Bags[tid] = bags
 	}
+	lens, idx := slices.Grow(bufs.lens[:0], total*len(tables)), slices.Grow(bufs.idx[:0], indices)
+	for i, t := range tables {
+		l0, i0 := len(lens), len(idx)
+		for _, it := range items {
+			l, _ := it.Req.BagsOf(int32(t.ID))
+			lens, idx = append(lens, l.Lens...), append(idx, l.Indices...)
+		}
+		combined.Bags[i] = TableBags{TableID: int32(t.ID), BagList: embedding.BagList{
+			Lens: lens[l0:len(lens):len(lens)], Indices: idx[i0:len(idx):len(idx)],
+		}}
+	}
+	bufs.lens, bufs.idx = lens, idx
 	return combined, bufs
 }

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,6 +27,12 @@ import (
 // sparse RPC, together with the bags to pool. Net indexes the request's
 // Nets. PartIndex/NumParts are (0, 1) for whole tables; for partitions,
 // bag indices are already localized (logical/NumParts) by the caller.
+//
+// SparseRequest and SparseEntry are the authoring form of a sparse.run
+// body — tests, tools and the benchmark's replay read and write them
+// through EncodeSparseRequest / DecodeSparseRequest. The serving path
+// never builds one: the main shard lays a body out from flat bag lists
+// (rpcOp.layout) and a shard walks it in place (sparseReader).
 type SparseEntry struct {
 	Net       int32
 	TableID   int32
@@ -61,15 +68,38 @@ type SparseResponse struct {
 	Entries []PooledEntry
 }
 
-// RankingRequest is the wire form of a workload request hitting the main
-// shard: per-net dense features plus per-table raw sparse ID bags.
+// TableBags is one table's raw sparse IDs in a ranking request: one bag
+// per item, in flat form.
+type TableBags struct {
+	TableID int32
+	embedding.BagList
+}
+
+// RankingRequest is a workload request as the main shard serves it:
+// per-net dense features plus per-table raw sparse ID bags, the bags in
+// the flat form they have on the wire. A decoded request's bag lists are
+// views of the body it was decoded from and are only ever read.
 type RankingRequest struct {
 	ID    uint64
 	Items int32
 	// Dense holds one matrix per net, keyed by net name.
 	Dense map[string]*tensor.Matrix
-	// Bags holds raw sparse IDs per table ID.
-	Bags map[int32][]embedding.Bag
+	// Bags holds one entry per table, in ascending TableID, no ID twice.
+	Bags []TableBags
+}
+
+// BagsOf returns table id's bag list.
+func (r *RankingRequest) BagsOf(id int32) (embedding.BagList, bool) {
+	// A request that carries tables 0..n-1 — every one a client of this
+	// repository builds — has table id at position id.
+	if i := int(id); i >= 0 && i < len(r.Bags) && r.Bags[i].TableID == id {
+		return r.Bags[i].BagList, true
+	}
+	i, ok := slices.BinarySearchFunc(r.Bags, id, func(t TableBags, id int32) int { return cmp.Compare(t.TableID, id) })
+	if !ok {
+		return embedding.BagList{}, false
+	}
+	return r.Bags[i].BagList, true
 }
 
 // RankingResponse carries one score per item.
@@ -82,8 +112,14 @@ var errTruncated = errors.New("core: truncated payload")
 // Every encoder below computes its message's size first and fills one
 // buffer of exactly that capacity, so the append helpers never grow it;
 // every decoder bounds each wire count by the bytes left before it
-// allocates, and decodes all of a message's bags into one flat index
-// array behind one header slice.
+// sizes anything by it.
+//
+// A bag list is written n, len[0..n), idx[0..Σlen): the bag count, every
+// bag's length, then every bag's indices back to back. Lengths and
+// indices are two arrays of 32-bit values, which on a little-endian host
+// is how a BagList already sits in memory — so a list moves into a body
+// with two memmoves, is read out of one as two slices over the body's
+// bytes, and is at no hop turned into per-bag structures.
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
@@ -91,20 +127,17 @@ func appendStr(b []byte, s string) []byte {
 	return append(appendU32(b, uint32(len(s))), s...)
 }
 
-func bagsSize(bags []embedding.Bag) int {
-	return 4 + 4*len(bags) + 4*embedding.TotalLookups(bags)
-}
+// bagListSize is the wire size of a list of n bags holding k indices.
+func bagListSize(n, k int) int { return 4 + 4*n + 4*k }
 
-// appendBags writes indices one at a time: bags average under one index,
-// so a bulk copy per bag would cost more than it moves.
-func appendBags(b []byte, bags []embedding.Bag) []byte {
-	b = appendU32(b, uint32(len(bags)))
-	for _, bag := range bags {
-		b = appendU32(b, uint32(len(bag.Indices)))
-		for _, idx := range bag.Indices {
-			b = appendU32(b, uint32(idx))
-		}
-	}
+// appendBagList writes l in wire form: its count, then two memmoves. b
+// has the room (every encoder sizes its buffer first).
+func appendBagList(b []byte, l embedding.BagList) []byte {
+	b = appendU32(b, uint32(len(l.Lens)))
+	at := len(b)
+	b = b[:at+4*(len(l.Lens)+len(l.Indices))]
+	putI32s(b[at:], l.Lens)
+	putI32s(b[at+4*len(l.Lens):], l.Indices)
 	return b
 }
 
@@ -167,138 +200,230 @@ func (r *reader) f32Region() ([]byte, error) {
 	return r.take(4 * n), nil
 }
 
-// skipBags walks one bag list without decoding it and reports how many
-// bags and indices it holds.
-func (r *reader) skipBags() (bags, indices int, err error) {
-	if bags, err = r.count(4); err != nil {
-		return 0, 0, err
-	}
-	for i := 0; i < bags; i++ {
-		k, err := r.count(4)
-		if err != nil {
-			return 0, 0, err
+// sumLens adds up a bag list's lengths and counts the non-zero ones. The
+// sum is taken in 64 bits, so no set of lengths can wrap into one that
+// fits; ok is false when some length has its top bit set — 2³¹ or more on
+// the wire, negative in memory.
+func sumLens(lens []int32) (sum uint64, present int, ok bool) {
+	var top int32
+	for _, k := range lens {
+		top |= k
+		sum += uint64(uint32(k))
+		if k != 0 {
+			present++
 		}
-		r.b = r.b[4*k:]
-		indices += k
 	}
-	return bags, indices, nil
+	return sum, present, top >= 0
 }
 
-// bagSlab backs every bag a message decodes: one header slice and one
-// flat index array, handed out as capacity-capped sub-slices so no bag
-// can grow into its neighbour.
-type bagSlab struct {
-	bags []embedding.Bag
-	idx  []int32
-}
-
-func newBagSlab(bags, indices int) bagSlab {
-	return bagSlab{bags: make([]embedding.Bag, bags), idx: make([]int32, indices)}
-}
-
-// decode reads one bag list — already measured by skipBags, so counts
-// fit the slab — leaving empty bags with nil indices.
-func (s *bagSlab) decode(r *reader) ([]embedding.Bag, error) {
+// bagList reads one bag list in place — the one reader of the layout,
+// under every decoder and the shard's handler: the list comes back as
+// views of the payload where the host can read it there (viewI32s), and
+// with it how many of its bags are non-empty. The bag count is bounded by
+// the bytes left before the lengths are looked at, and their sum (sumLens)
+// before the indices are.
+func (r *reader) bagList() (l embedding.BagList, present int, err error) {
 	n, err := r.count(4)
-	if err != nil || n > len(s.bags) {
-		return nil, errTruncated
+	if err != nil {
+		return l, 0, err
 	}
-	out := s.bags[:n:n]
-	s.bags = s.bags[n:]
-	for i := range out {
-		k, err := r.count(4)
-		if err != nil || k > len(s.idx) {
-			return nil, errTruncated
-		}
-		if k == 0 {
-			continue
-		}
-		dst := s.idx[:k:k]
-		s.idx = s.idx[k:]
-		for j := range dst {
-			dst[j] = int32(binary.LittleEndian.Uint32(r.b[4*j:]))
-		}
-		r.b = r.b[4*k:]
-		out[i].Indices = dst
+	l.Lens = viewI32s(r.take(4 * n))
+	sum, present, ok := sumLens(l.Lens)
+	if !ok {
+		return l, 0, errors.New("core: bag length of 2³¹ or more")
 	}
-	return out, nil
-}
-
-// EncodeSparseRequest serializes a sparse RPC request.
-func EncodeSparseRequest(req *SparseRequest) []byte {
-	size := 4 + 4
-	for _, net := range req.Nets {
-		size += 4 + len(net)
+	if sum > uint64(len(r.b)/4) {
+		return l, 0, errTruncated
 	}
-	for i := range req.Entries {
-		size += sparseEntryHeader + bagsSize(req.Entries[i].Bags)
-	}
-	b := appendU32(make([]byte, 0, size), uint32(len(req.Nets)))
-	for _, net := range req.Nets {
-		b = appendStr(b, net)
-	}
-	b = appendU32(b, uint32(len(req.Entries)))
-	for i := range req.Entries {
-		e := &req.Entries[i]
-		b = appendU32(b, uint32(e.Net))
-		b = appendU32(b, uint32(e.TableID))
-		b = appendU32(b, uint32(e.PartIndex))
-		b = appendU32(b, uint32(e.NumParts))
-		b = appendBags(b, e.Bags)
-	}
-	return b
+	l.Indices = viewI32s(r.take(4 * int(sum)))
+	return l, present, nil
 }
 
 // sparseEntryHeader is an entry's fixed part, four ids; with its bag
 // count that is the least an entry occupies.
 const sparseEntryHeader = 16
 
-// DecodeSparseRequest parses a sparse RPC request.
-func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
-	r := reader{b: b}
-	nets, err := r.count(4)
-	if err != nil {
-		return nil, fmt.Errorf("core: sparse request nets: %w", err)
+// A sparse request body is built like every other message — sized, then
+// filled by appends into one allocation, 4-byte aligned so that whoever
+// is handed it in process can read it in place: its head (the net table
+// and the entry count), then per entry its ids and its bag list, a whole
+// table's moved in by appendBagList, a row partition's filtered in by
+// appendPart. rpcOp.layout and EncodeSparseRequest are the two builders.
+
+func sparseHeadSize(nets []string) int {
+	size := 4 + 4
+	for _, net := range nets {
+		size += 4 + len(net)
 	}
-	out := &SparseRequest{Nets: make([]string, nets)}
-	for i := range out.Nets {
-		if out.Nets[i], err = r.str(); err != nil {
-			return nil, fmt.Errorf("core: sparse request nets: %w", err)
+	return size
+}
+
+func appendSparseHead(b []byte, nets []string, entries int) []byte {
+	b = appendU32(b, uint32(len(nets)))
+	for _, net := range nets {
+		b = appendStr(b, net)
+	}
+	return appendU32(b, uint32(entries))
+}
+
+func appendEntryIDs(b []byte, net, table, part, numParts int) []byte {
+	for _, id := range [...]int{net, table, part, numParts} {
+		b = appendU32(b, uint32(id))
+	}
+	return b
+}
+
+// countPart counts the indices that fall in one modulus partition.
+func countPart(indices []int32, part, numParts int) int {
+	n := 0
+	for _, idx := range indices {
+		if int(idx)%numParts == part {
+			n++
 		}
 	}
-	n, err := r.count(sparseEntryHeader + 4)
+	return n
+}
+
+// appendPart writes the bag list that l becomes when filtered to one
+// modulus partition and rebased to the partition's local rows — n indices,
+// by countPart — and returns the lengths it wrote: per bag, how many of
+// its indices were the part's.
+func appendPart(b []byte, l embedding.BagList, part, numParts, n int) ([]byte, []int32) {
+	lens := make([]int32, len(l.Lens))
+	b = appendU32(b, uint32(len(lens)))
+	at := len(b)
+	b = b[:at+4*(len(lens)+n)]
+	idx, pos := b[at+4*len(lens):], 0
+	for bag, k := range l.Lens {
+		for _, x := range l.Indices[pos : pos+int(k)] {
+			if int(x)%numParts == part {
+				binary.LittleEndian.PutUint32(idx, uint32(x/int32(numParts)))
+				idx = idx[4:]
+				lens[bag]++
+			}
+		}
+		pos += int(k)
+	}
+	putI32s(b[at:], lens)
+	return b, lens
+}
+
+// EncodeSparseRequest serializes a sparse RPC request.
+func EncodeSparseRequest(req *SparseRequest) []byte {
+	size := sparseHeadSize(req.Nets)
+	for i := range req.Entries {
+		size += sparseEntryHeader + bagListSize(len(req.Entries[i].Bags), embedding.TotalLookups(req.Entries[i].Bags))
+	}
+	b := appendSparseHead(alignedBytes(size)[:0], req.Nets, len(req.Entries))
+	for i := range req.Entries {
+		e := &req.Entries[i]
+		b = appendU32(appendEntryIDs(b, int(e.Net), int(e.TableID), int(e.PartIndex), int(e.NumParts)), uint32(len(e.Bags)))
+		for _, bag := range e.Bags {
+			b = appendU32(b, uint32(len(bag.Indices)))
+		}
+		for _, bag := range e.Bags {
+			for _, x := range bag.Indices {
+				b = appendU32(b, uint32(x))
+			}
+		}
+	}
+	return b
+}
+
+// sparseReader walks a sparse request's entries in place: each next
+// yields one entry's ids and its bag list as views of the body, so a
+// shard pools straight from the bytes the rpc layer handed it and
+// forwards an entry by copying its bytes.
+type sparseReader struct {
+	nets []string
+	// head is the body up to the entry count: the net table, as sent.
+	head []byte
+	r    reader
+	// left is how many entries remain.
+	left int
+}
+
+// sparseEntryView is one entry read in place.
+type sparseEntryView struct {
+	Net, TableID, PartIndex, NumParts int32
+	embedding.BagList
+	// present counts the entry's non-empty bags.
+	present int
+	// wire is the entry's own bytes, ids through indices.
+	wire []byte
+}
+
+func readSparse(b []byte) (sparseReader, error) {
+	p := sparseReader{r: reader{b: b}}
+	nets, err := p.r.count(4)
+	if err != nil {
+		return p, fmt.Errorf("core: sparse request nets: %w", err)
+	}
+	p.nets = make([]string, nets)
+	for i := range p.nets {
+		if p.nets[i], err = p.r.str(); err != nil {
+			return p, fmt.Errorf("core: sparse request nets: %w", err)
+		}
+	}
+	p.head = b[:len(b)-len(p.r.b)]
+	p.left, err = p.r.count(sparseEntryHeader + 4)
+	return p, err
+}
+
+func (p *sparseReader) next() (sparseEntryView, error) {
+	if len(p.r.b) < sparseEntryHeader {
+		return sparseEntryView{}, errTruncated
+	}
+	start := p.r.b
+	e := sparseEntryView{
+		Net:       int32(binary.LittleEndian.Uint32(start)),
+		TableID:   int32(binary.LittleEndian.Uint32(start[4:])),
+		PartIndex: int32(binary.LittleEndian.Uint32(start[8:])),
+		NumParts:  int32(binary.LittleEndian.Uint32(start[12:])),
+	}
+	p.r.b = start[sparseEntryHeader:]
+	if uint32(e.Net) >= uint32(len(p.nets)) {
+		return e, fmt.Errorf("core: sparse request entry of table %d names net %d of %d", e.TableID, e.Net, len(p.nets))
+	}
+	var err error
+	if e.BagList, e.present, err = p.r.bagList(); err != nil {
+		return e, err
+	}
+	e.wire = start[:len(start)-len(p.r.b)]
+	p.left--
+	return e, nil
+}
+
+// spliceSparseRequest builds a request body out of pieces of one that
+// was read in place: its net table and some of its entries, byte for
+// byte — how a shard forwards the entries of a table it no longer holds.
+func spliceSparseRequest(head []byte, entries [][]byte) []byte {
+	size := len(head) + 4
+	for _, e := range entries {
+		size += len(e)
+	}
+	b := appendU32(append(alignedBytes(size)[:0], head...), uint32(len(entries)))
+	for _, e := range entries {
+		b = append(b, e...)
+	}
+	return b
+}
+
+// DecodeSparseRequest parses a sparse RPC request into the authoring
+// form; the result shares nothing with b.
+func DecodeSparseRequest(b []byte) (*SparseRequest, error) {
+	p, err := readSparse(b)
 	if err != nil {
 		return nil, err
 	}
-	// Measure, then decode into exactly-sized slabs.
-	measure := r
-	var bags, indices int
-	for i := 0; i < n; i++ {
-		if len(measure.b) < sparseEntryHeader {
-			return nil, errTruncated
-		}
-		measure.b = measure.b[sparseEntryHeader:]
-		nb, ni, err := measure.skipBags()
+	out := &SparseRequest{Nets: p.nets, Entries: make([]SparseEntry, p.left)}
+	for i := range out.Entries {
+		e, err := p.next()
 		if err != nil {
 			return nil, err
 		}
-		bags, indices = bags+nb, indices+ni
-	}
-	slab := newBagSlab(bags, indices)
-	out.Entries = make([]SparseEntry, n)
-	for i := range out.Entries {
-		e := &out.Entries[i]
-		e.Net = int32(binary.LittleEndian.Uint32(r.b))
-		e.TableID = int32(binary.LittleEndian.Uint32(r.b[4:]))
-		e.PartIndex = int32(binary.LittleEndian.Uint32(r.b[8:]))
-		e.NumParts = int32(binary.LittleEndian.Uint32(r.b[12:]))
-		r.b = r.b[sparseEntryHeader:]
-		if uint32(e.Net) >= uint32(nets) {
-			return nil, fmt.Errorf("core: sparse request entry %d names net %d of %d", i, e.Net, nets)
-		}
-		if e.Bags, err = slab.decode(&r); err != nil {
-			return nil, err
-		}
+		own := embedding.BagList{Lens: e.Lens, Indices: slices.Clone(e.Indices)}
+		out.Entries[i] = SparseEntry{Net: e.Net, TableID: e.TableID, PartIndex: e.PartIndex, NumParts: e.NumParts, Bags: own.Bags()}
 	}
 	return out, nil
 }
@@ -437,15 +562,16 @@ func DecodeSparseResponse(b []byte) (*SparseResponse, error) {
 	return out, nil
 }
 
-// EncodeRankingRequest serializes a ranking request.
+// EncodeRankingRequest serializes a ranking request, its tables in the
+// order req.Bags holds them.
 func EncodeRankingRequest(req *RankingRequest) []byte {
-	nets, tids := sortedKeys(req.Dense), sortedBagKeys(req.Bags)
+	nets := sortedKeys(req.Dense)
 	size := 8 + 4 + 4 + 4
 	for _, name := range nets {
 		size += 4 + len(name) + 12 + 4*len(req.Dense[name].Data)
 	}
-	for _, tid := range tids {
-		size += 4 + bagsSize(req.Bags[tid])
+	for i := range req.Bags {
+		size += 4 + bagListSize(len(req.Bags[i].Lens), len(req.Bags[i].Indices))
 	}
 	b := binary.LittleEndian.AppendUint64(make([]byte, 0, size), req.ID)
 	b = appendU32(b, uint32(req.Items))
@@ -458,10 +584,10 @@ func EncodeRankingRequest(req *RankingRequest) []byte {
 		b = appendU32(b, uint32(len(m.Data)))
 		b = appendF32s(b, m.Data)
 	}
-	b = appendU32(b, uint32(len(tids)))
-	for _, tid := range tids {
-		b = appendU32(b, uint32(tid))
-		b = appendBags(b, req.Bags[tid])
+	b = appendU32(b, uint32(len(req.Bags)))
+	for i := range req.Bags {
+		b = appendU32(b, uint32(req.Bags[i].TableID))
+		b = appendBagList(b, req.Bags[i].BagList)
 	}
 	return b
 }
@@ -473,7 +599,12 @@ const (
 	rankTableMin = 8
 )
 
-// DecodeRankingRequest parses a ranking request.
+// DecodeRankingRequest parses a ranking request. The bag lists of the
+// result are views of b wherever the host can read them in place, so b
+// must stay as it is while the request is in use — which the rpc layer
+// promises of every body it hands over. A net or a table named twice is
+// refused: silently serving the later one would score a request its
+// sender did not mean.
 func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 	r := reader{b: b}
 	id, err := r.u64()
@@ -509,6 +640,9 @@ func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 		if uint64(len(region)/4) != uint64(rows)*uint64(cols) {
 			return nil, fmt.Errorf("core: dense %q has %d values for %dx%d", name, len(region)/4, rows, cols)
 		}
+		if _, dup := out.Dense[name]; dup {
+			return nil, fmt.Errorf("core: ranking request names dense net %q twice", name)
+		}
 		data := make([]float32, len(region)/4)
 		getF32s(data, region)
 		out.Dense[name] = tensor.FromSlice(int(rows), int(cols), data)
@@ -517,27 +651,28 @@ func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	measure := r
-	var bags, indices int
-	for i := 0; i < nb; i++ {
-		if _, err := measure.u32(); err != nil {
-			return nil, err
-		}
-		n, k, err := measure.skipBags()
-		if err != nil {
-			return nil, err
-		}
-		bags, indices = bags+n, indices+k
-	}
-	slab := newBagSlab(bags, indices)
-	out.Bags = make(map[int32][]embedding.Bag, nb)
-	for i := 0; i < nb; i++ {
+	out.Bags = make([]TableBags, nb)
+	ascending := true
+	for i := range out.Bags {
 		tid, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if out.Bags[int32(tid)], err = slab.decode(&r); err != nil {
+		t := &out.Bags[i]
+		t.TableID = int32(tid)
+		if t.BagList, _, err = r.bagList(); err != nil {
 			return nil, err
+		}
+		ascending = ascending && (i == 0 || out.Bags[i-1].TableID < t.TableID)
+	}
+	if !ascending {
+		// A sender may list its tables in any order; BagsOf searches, so
+		// they are put in order here, which also brings a repeat together.
+		slices.SortStableFunc(out.Bags, func(a, b TableBags) int { return cmp.Compare(a.TableID, b.TableID) })
+		for i := 1; i < len(out.Bags); i++ {
+			if out.Bags[i].TableID == out.Bags[i-1].TableID {
+				return nil, fmt.Errorf("core: ranking request names table %d twice", out.Bags[i].TableID)
+			}
 		}
 	}
 	return out, nil
@@ -563,15 +698,6 @@ func DecodeRankingResponse(b []byte) (*RankingResponse, error) {
 
 func sortedKeys(m map[string]*tensor.Matrix) []string {
 	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func sortedBagKeys(m map[int32][]embedding.Bag) []int32 {
-	out := make([]int32, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}

@@ -19,10 +19,14 @@ import (
 // decode to return it, so the exploration covers well-formed messages
 // the mutator would rarely assemble by chance. The hostile seeds live in
 // testdata/fuzz: a 4-byte body demanding 2^32 of something, counts the
-// body cannot hold at each nesting level, and pooled entries whose value
-// count is not whole rows (under a 65536×65536 shape, 0 values in 32-bit
-// arithmetic), exceeds their bags, or comes with no columns — beside the
-// well-formed packed shapes: fewer rows than bags, none, no columns.
+// body cannot hold at each nesting level, bag lists whose lengths run past
+// the indices sent, add up to a fit only in 32 bits, or have their top bit
+// set, a ranking request naming a table or a net twice, and pooled
+// entries whose value count is not whole rows (under a 65536×65536 shape,
+// 0 values in 32-bit arithmetic), exceeds their bags, or comes with no
+// columns — beside the well-formed shapes: no bags, only empty bags, one
+// bag holding every index, tables out of order; packed rows fewer than
+// bags, none, no columns (TestRequestFuzzSeeds says which seed is which).
 
 // fuzzBags turns input bytes into a bag list: each byte's low bits give
 // a bag's length, the following bytes its indices.
@@ -48,6 +52,22 @@ func bagCounts(t *testing.T, bags []embedding.Bag, input []byte) {
 	}
 }
 
+// listCounts is bagCounts for a list read in place, whose lengths must
+// also be what its indices add up to.
+func listCounts(t *testing.T, l embedding.BagList, input []byte) {
+	t.Helper()
+	sum := 0
+	for _, n := range l.Lens {
+		if n < 0 {
+			t.Fatalf("decoder accepted a bag of length %d", n)
+		}
+		sum += int(n)
+	}
+	if sum != len(l.Indices) || 4*(len(l.Lens)+len(l.Indices)) > len(input) {
+		t.Fatalf("decoded %d bags of %d indices over %d, from %d bytes", len(l.Lens), sum, len(l.Indices), len(input))
+	}
+}
+
 func FuzzSparseRequest(f *testing.F) {
 	f.Add(EncodeSparseRequest(goldenSparseRequest()))
 	f.Add([]byte{})
@@ -70,6 +90,24 @@ func FuzzSparseRequest(f *testing.F) {
 			// re-encoding must give back exactly the bytes consumed.
 			if enc := EncodeSparseRequest(req); !bytes.HasPrefix(b, enc) {
 				t.Fatalf("decode → encode changed the bytes:\n%x\n%x", b, enc)
+			}
+			// The in-place walk a shard serves from must agree, and a body
+			// spliced from all of its pieces must be the body.
+			p, err := readSparse(b)
+			if err != nil || p.left != len(req.Entries) {
+				t.Fatalf("readSparse: %d entries, %v; decoder saw %d", p.left, err, len(req.Entries))
+			}
+			var wires [][]byte
+			for _, e := range req.Entries {
+				v, err := p.next()
+				if err != nil || v.TableID != e.TableID || v.present != embedding.Flatten(e.Bags).Present() || !bagsEqual(v.Bags(), e.Bags) {
+					t.Fatalf("in-place walk disagrees with the decoder on entry %+v: %+v, %v", e, v, err)
+				}
+				listCounts(t, v.BagList, b)
+				wires = append(wires, v.wire)
+			}
+			if enc := spliceSparseRequest(p.head, wires); !bytes.HasPrefix(b, enc) {
+				t.Fatalf("splicing every entry back changed the bytes:\n%x\n%x", b, enc)
 			}
 		}
 
@@ -159,12 +197,16 @@ func FuzzRankingRequest(f *testing.F) {
 					t.Fatalf("dense %q: %d values for %dx%d from %d bytes", name, len(m.Data), m.Rows, m.Cols, len(b))
 				}
 			}
-			for _, bags := range req.Bags {
-				bagCounts(t, bags, b)
+			for i, tb := range req.Bags {
+				listCounts(t, tb.BagList, b)
+				if i > 0 && req.Bags[i-1].TableID >= tb.TableID {
+					t.Fatalf("decoder left table %d after table %d", tb.TableID, req.Bags[i-1].TableID)
+				}
 			}
-			// Repeated names and ids collapse in the maps, so the input
-			// bytes need not come back — but the message's own must
-			// (compared as bytes: the dense floats may be NaNs).
+			// Nets are written in name order and tables in id order
+			// whatever order they came in, so the input bytes need not come
+			// back — but the message's own must (compared as bytes: the
+			// dense floats may be NaNs).
 			enc := EncodeRankingRequest(req)
 			again, err := DecodeRankingRequest(enc)
 			if err != nil || !bytes.Equal(EncodeRankingRequest(again), enc) {
@@ -180,14 +222,16 @@ func FuzzRankingRequest(f *testing.F) {
 		req := &RankingRequest{
 			ID: uint64(len(b)) << 33, Items: int32(len(bags)),
 			Dense: map[string]*tensor.Matrix{"net1": tensor.FromSlice(len(bags), 2, dense)},
-			Bags:  map[int32][]embedding.Bag{0: bags, 9: bags},
+			Bags:  []TableBags{{TableID: 0, BagList: embedding.Flatten(bags)}, {TableID: 9, BagList: embedding.Flatten(bags)}},
 		}
 		got, err := DecodeRankingRequest(EncodeRankingRequest(req))
 		if err != nil {
 			t.Fatalf("round trip of %+v: %v", req, err)
 		}
+		got0, _ := got.BagsOf(0)
+		got9, _ := got.BagsOf(9)
 		if got.ID != req.ID || got.Items != req.Items || !sameBits(got.Dense["net1"].Data, dense) ||
-			!bagsEqual(got.Bags[0], bags) || !bagsEqual(got.Bags[9], bags) {
+			len(got.Bags) != 2 || !bagsEqual(got0.Bags(), bags) || !bagsEqual(got9.Bags(), bags) {
 			t.Fatalf("round trip: %+v -> %+v", req, got)
 		}
 	})

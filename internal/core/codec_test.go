@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,10 +95,11 @@ func TestRankingRequestRoundTrip(t *testing.T) {
 	for i := range dense.Data {
 		dense.Data[i] = rng.Float32()
 	}
+	bags0, bags5 := randomBags(rng, 3), randomBags(rng, 3)
 	req := &RankingRequest{
 		ID: 77, Items: 3,
 		Dense: map[string]*tensor.Matrix{"net1": dense},
-		Bags:  map[int32][]embedding.Bag{0: randomBags(rng, 3), 5: randomBags(rng, 3)},
+		Bags:  []TableBags{{TableID: 0, BagList: embedding.Flatten(bags0)}, {TableID: 5, BagList: embedding.Flatten(bags5)}},
 	}
 	got, err := DecodeRankingRequest(EncodeRankingRequest(req))
 	if err != nil {
@@ -111,8 +117,13 @@ func TestRankingRequestRoundTrip(t *testing.T) {
 			t.Fatal("dense data mismatch")
 		}
 	}
-	if !bagsEqual(got.Bags[0], req.Bags[0]) || !bagsEqual(got.Bags[5], req.Bags[5]) {
+	got0, ok0 := got.BagsOf(0)
+	got5, ok5 := got.BagsOf(5)
+	if !ok0 || !ok5 || !bagsEqual(got0.Bags(), bags0) || !bagsEqual(got5.Bags(), bags5) {
 		t.Error("bags mismatch")
+	}
+	if _, ok := got.BagsOf(3); ok {
+		t.Error("a table the request does not carry was found")
 	}
 }
 
@@ -194,6 +205,96 @@ func TestPooledEntryShapeValidation(t *testing.T) {
 		buf[tc.off] = tc.val
 		if _, err := DecodeSparseResponse(buf); (err != nil) != tc.reject {
 			t.Errorf("%s: err = %v, want rejected=%v", tc.name, err, tc.reject)
+		}
+	}
+}
+
+// TestDecodeRejectsDuplicates: a ranking request that names a table or a
+// dense net twice is refused with an error naming it — silently serving
+// the later occurrence would score a request its sender did not mean —
+// while tables merely out of order are put in order.
+func TestDecodeRejectsDuplicates(t *testing.T) {
+	one := embedding.Flatten([]embedding.Bag{{Indices: []int32{3}}})
+	req := &RankingRequest{
+		ID: 1, Items: 1,
+		Dense: map[string]*tensor.Matrix{"net1": tensor.New(1, 1)},
+		Bags:  []TableBags{{TableID: 4, BagList: one}, {TableID: 2, BagList: one}},
+	}
+	got, err := DecodeRankingRequest(EncodeRankingRequest(req))
+	if err != nil || len(got.Bags) != 2 || got.Bags[0].TableID != 2 || got.Bags[1].TableID != 4 {
+		t.Fatalf("tables out of order: %+v, %v; want them accepted and sorted", got, err)
+	}
+	for _, ids := range [][]int32{{4, 4}, {4, 2, 4}, {2, 4, 2}} {
+		req.Bags = nil
+		for _, id := range ids {
+			req.Bags = append(req.Bags, TableBags{TableID: id, BagList: one})
+		}
+		if _, err := DecodeRankingRequest(EncodeRankingRequest(req)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("table %d twice", ids[len(ids)-1])) {
+			t.Errorf("tables %v: err = %v, want the repeated table named", ids, err)
+		}
+	}
+	// A repeated net cannot be authored through the map; splice its bytes
+	// in: id, items, the net count, then the one net's encoding twice.
+	req.Bags = nil
+	b := EncodeRankingRequest(req)
+	net := b[16 : len(b)-4]
+	dup := append(append(append(append([]byte(nil), b[:12]...), 2, 0, 0, 0), net...), net...)
+	dup = append(dup, 0, 0, 0, 0)
+	if _, err := DecodeRankingRequest(dup); err == nil || !strings.Contains(err.Error(), `"net1" twice`) {
+		t.Errorf("net named twice: err = %v, want it named", err)
+	}
+}
+
+// TestRequestFuzzSeeds holds every committed seed of the two request
+// fuzzers to its intent: the hostile ones are refused by the typed
+// decoder and by the in-place reader the serving path uses, the
+// well-formed ones decode.
+func TestRequestFuzzSeeds(t *testing.T) {
+	hostile := map[string]bool{
+		"seed-huge-count": true, "seed-huge-net-count": true, "seed-huge-table-count": true,
+		"seed-huge-entry-count": true, "seed-huge-bag-count": true, "seed-net-out-of-range": true,
+		"seed-lens-past-end": true, "seed-lens-sum-wraps": true, "seed-len-top-bit": true, "seed-bag-count-past-end": true,
+		"seed-table-twice": true, "seed-table-twice-unsorted": true, "seed-net-twice": true,
+	}
+	for target, decode := range map[string]func([]byte) error{
+		"FuzzRankingRequest": func(b []byte) error { _, err := DecodeRankingRequest(b); return err },
+		"FuzzSparseRequest": func(b []byte) error {
+			_, typedErr := DecodeSparseRequest(b)
+			_, _, err := readRun(b)
+			if (typedErr == nil) != (err == nil) {
+				t.Errorf("typed decoder: %v; in-place reader: %v", typedErr, err)
+			}
+			return err
+		},
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		seeds, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected := 0
+		for _, seed := range seeds {
+			text, err := os.ReadFile(filepath.Join(dir, seed.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(strings.TrimSpace(string(text)), "go test fuzz v1\n[]byte(")
+			if !ok {
+				t.Fatalf("%s/%s is not a one-argument []byte seed", target, seed.Name())
+			}
+			body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", target, seed.Name(), err)
+			}
+			if err := decode([]byte(body)); (err != nil) != hostile[seed.Name()] {
+				t.Errorf("%s/%s: err = %v, want rejected=%v", target, seed.Name(), err, hostile[seed.Name()])
+			}
+			if hostile[seed.Name()] {
+				rejected++
+			}
+		}
+		if rejected < 6 || len(seeds)-rejected < 4 {
+			t.Errorf("%s: %d hostile and %d well-formed seeds found; the corpus has gone missing", target, rejected, len(seeds)-rejected)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -27,17 +26,17 @@ func tinyConfig() model.Config {
 	return cfg
 }
 
-// packedRows is a contribution as a collector receives it: one bag per
-// item — non-empty where present is set — and the wire bytes of one row
-// per present item.
+// packedRows is a contribution as a collector receives it: one bag
+// length per item — non-zero where present is set — and the wire bytes of
+// one row per present item.
 func packedRows(present []bool, vals ...float32) partial {
-	bags := make([]embedding.Bag, len(present))
+	lens := make([]int32, len(present))
 	for i, p := range present {
 		if p {
-			bags[i].Indices = []int32{int32(i)}
+			lens[i] = int32(1 + i%3)
 		}
 	}
-	return partial{rows: appendF32s(nil, vals), bags: bags}
+	return partial{rows: appendF32s(nil, vals), lens: lens}
 }
 
 func TestCollectorSingleSourceIntoEmb(t *testing.T) {
@@ -134,20 +133,28 @@ func futureDone(f *nn.Future) <-chan struct{} {
 	return ch
 }
 
-func TestLocalizeBags(t *testing.T) {
-	bags := []embedding.Bag{
+func TestAppendPart(t *testing.T) {
+	l := embedding.Flatten([]embedding.Bag{
 		{Indices: []int32{0, 1, 2, 3, 4, 5}},
+		{},
 		{Indices: []int32{7}},
+	})
+	// Indices ≡ 1 mod 3: 1, 4 and 7, at local rows 0, 1 and 2.
+	n := countPart(l.Indices, 1, 3)
+	if n != 3 {
+		t.Fatalf("countPart = %d, want 3", n)
 	}
-	out := localizeBags(bags, 1, 3) // indices ≡1 mod 3: 1, 4, 7
-	if len(out) != 2 {
-		t.Fatal("bag count changed")
+	b, sent := appendPart(make([]byte, 0, bagListSize(3, n)), l, 1, 3, n)
+	r := reader{b: b}
+	got, present, err := r.bagList()
+	if err != nil || len(r.b) != 0 || present != 2 {
+		t.Fatalf("read back %+v, %d present, %d bytes over, %v", got, present, len(r.b), err)
 	}
-	if got := out[0].Indices; len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("bag0 = %v (want local [0 1] from 1,4)", got)
+	if want := []int32{2, 0, 1}; !slices.Equal(sent, want) || !slices.Equal(got.Lens, want) {
+		t.Errorf("lengths %v, written %v, want %v", sent, got.Lens, want)
 	}
-	if got := out[1].Indices; len(got) != 1 || got[0] != 2 {
-		t.Errorf("bag1 = %v (want [2] from 7)", got)
+	if want := []int32{0, 1, 2}; !slices.Equal(got.Indices, want) {
+		t.Errorf("local indices %v, want %v", got.Indices, want)
 	}
 }
 
@@ -199,6 +206,37 @@ func TestSparseShardHandle(t *testing.T) {
 	}
 	if !sawSerde || !sawOp {
 		t.Error("missing serde/op spans")
+	}
+}
+
+// TestSparseShardServesRepeatedEntry: a sparse.run that names one
+// (table, part) in two entries is served as asked — each entry pooled
+// from its own bag list into its own region, both counted — which is what
+// handleRun documents; the main shard never sends one.
+func TestSparseShardServesRepeatedEntry(t *testing.T) {
+	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1024))
+	tab := embedding.NewDense(8, 1)
+	for r := 0; r < 8; r++ {
+		tab.Row(r)[0] = float32(r)
+	}
+	sh.AddTable(5, tab)
+	req := &SparseRequest{Nets: []string{"net1"}, Entries: []SparseEntry{
+		{TableID: 5, NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{1, 2}}, {}}},
+		{TableID: 5, NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{7}}, {Indices: []int32{4, 4}}}},
+	}}
+	out, err := sh.Handle(trace.Context{}, MethodSparseRun, EncodeSparseRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeSparseResponse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Entries) != 2 || !slices.Equal(resp.Entries[0].Data, []float32{3}) || !slices.Equal(resp.Entries[1].Data, []float32{7, 8}) {
+		t.Fatalf("entries %+v, want [3] and [7 8]", resp.Entries)
+	}
+	if l := sh.LoadSnapshot(false).Tables[tableKey{id: 5}.loadKey()]; l.Lookups != 5 || l.Calls != 2 {
+		t.Errorf("load %+v, want both entries' 5 lookups as 2 calls", l)
 	}
 }
 
@@ -337,9 +375,26 @@ func TestEngineRejectsMalformedRequests(t *testing.T) {
 	}
 	// Bags length mismatch.
 	bad3 := *good
-	bad3.Bags = map[int32][]embedding.Bag{}
+	bad3.Bags = nil
 	if _, err := eng.Execute(trace.Context{TraceID: 3}, &bad3); err == nil {
 		t.Error("missing bags should fail")
+	}
+	// Bag lengths that do not add up to the indices carried: one short,
+	// one over, one negative with the sum kept.
+	for _, edit := range []func(l *embedding.BagList){
+		func(l *embedding.BagList) { l.Indices = l.Indices[:len(l.Indices)-1] },
+		func(l *embedding.BagList) { l.Indices = append(slices.Clone(l.Indices), 1) },
+		func(l *embedding.BagList) {
+			l.Lens = slices.Clone(l.Lens)
+			l.Lens[0], l.Lens[1] = -1, l.Lens[0]+l.Lens[1]+1
+		},
+	} {
+		bad4 := *good
+		bad4.Bags = slices.Clone(good.Bags)
+		edit(&bad4.Bags[1].BagList)
+		if _, err := eng.Execute(trace.Context{TraceID: 4}, &bad4); err == nil || !strings.Contains(err.Error(), "do not add up") {
+			t.Errorf("inconsistent bag lengths: err = %v", err)
+		}
 	}
 }
 
@@ -426,8 +481,17 @@ func TestFromWorkload(t *testing.T) {
 	if len(wire.Bags) != len(req.Bags) {
 		t.Fatal("bags mismatch")
 	}
-	rng := rand.New(rand.NewSource(1))
-	_ = rng
+	for i, tb := range wire.Bags {
+		if i > 0 && wire.Bags[i-1].TableID >= tb.TableID {
+			t.Fatalf("tables out of order: %d after %d", tb.TableID, wire.Bags[i-1].TableID)
+		}
+		if !bagsEqual(tb.Bags(), req.Bags[int(tb.TableID)]) {
+			t.Errorf("table %d: flattened bags differ from the generated ones", tb.TableID)
+		}
+		if got, _ := wire.BagsOf(tb.TableID); !slices.Equal(got.Indices, tb.Indices) {
+			t.Errorf("BagsOf(%d) is not table %d's list", tb.TableID, tb.TableID)
+		}
+	}
 }
 
 func TestServiceName(t *testing.T) {

@@ -5,13 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/rpc"
+	"repro/internal/sharding"
+	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // referenceSparseResponse is what a shard must answer a request with,
@@ -47,16 +54,130 @@ func referenceSparseResponse(t *testing.T, m *model.Model, body []byte) []byte {
 	return out
 }
 
-// TestSparseRunBytesOnBothPaths: a shard that pools straight into its
-// response body (the host's path) and one that pools aside and converts
-// (a big-endian host's) must both answer with exactly the reference
-// bytes — for locally held entries and for entries forwarded to the
-// shard that now holds the table.
+// referenceSparseRequest is a sparse.run body written one field at a time
+// from the layout, with none of this package's layout code: the net
+// table, then per entry the four ids and its bag list as n, every length,
+// every index.
+func referenceSparseRequest(req *SparseRequest) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(req.Nets)))
+	for _, net := range req.Nets {
+		out = append(binary.LittleEndian.AppendUint32(out, uint32(len(net))), net...)
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(req.Entries)))
+	for _, e := range req.Entries {
+		for _, v := range []int32{e.Net, e.TableID, e.PartIndex, e.NumParts, int32(len(e.Bags))} {
+			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		}
+		for _, bag := range e.Bags {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(bag.Indices)))
+		}
+		for _, bag := range e.Bags {
+			for _, idx := range bag.Indices {
+				out = binary.LittleEndian.AppendUint32(out, uint32(idx))
+			}
+		}
+	}
+	return out
+}
+
+// bodyKeeper keeps the sparse.run bodies that pass through it.
+type bodyKeeper struct {
+	rpc.Caller
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (c *bodyKeeper) Go(req *rpc.Request) *rpc.Call {
+	c.mu.Lock()
+	c.bodies = append(c.bodies, req.Body)
+	c.mu.Unlock()
+	return c.Caller.Go(req)
+}
+
+// TestSparseRunBytesOnBothPaths pins both directions of a sparse.run call
+// to bytes written field by field, on the host's path (bodies read and
+// pooled into in place) and on the one a big-endian host takes (decoded
+// copies, a conversion pass).
+//
+// Request side: the body an rpcOp lays out from the request's flat bag
+// lists — whole tables by memmove, a row partition by its filter pass —
+// and the body a shard splices together to forward entries are each the
+// reference encoding of what they carry, which is the request's bags,
+// hashed, and for a partition localized, as the authoring-form code
+// computes them.
+//
+// Response side: a shard answers with exactly the reference bytes for
+// locally held entries and for entries forwarded to the shard that now
+// holds the table.
 func TestSparseRunBytesOnBothPaths(t *testing.T) {
+	t.Run("request", func(t *testing.T) {
+		cfg := smallModel("DRM3")
+		m := model.Build(cfg)
+		plan, err := sharding.NSBP(&cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wreq := workload.NewGenerator(cfg, 3).Next()
+		// What every table's bags hash to, in the authoring form.
+		hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
+		for _, tab := range cfg.Tables {
+			hash.Entries[tab.ID] = nn.HashEntry{Buckets: int32(tab.Rows), In: embedding.Flatten(wreq.Bags[tab.ID]).Indices}
+		}
+		if err := hash.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		hashed := func(id int) []embedding.Bag {
+			return embedding.BagList{Lens: embedding.Flatten(wreq.Bags[id]).Lens, Indices: hash.Entries[id].Out}.Bags()
+		}
+		bothWirePaths(t, func(t *testing.T) {
+			keepers := make(map[string]*bodyKeeper)
+			f := newShardedFixture(t, m, plan, EngineConfig{}, func(svc string, c rpc.Caller) rpc.Caller {
+				keepers[svc] = &bodyKeeper{Caller: c}
+				return keepers[svc]
+			})
+			if _, err := f.eng.Execute(trace.Context{TraceID: 1}, FromWorkload(wreq)); err != nil {
+				t.Fatal(err)
+			}
+			entries, parts := 0, 0
+			for svc, k := range keepers {
+				for _, body := range k.bodies {
+					got, err := DecodeSparseRequest(body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := referenceSparseRequest(got); !bytes.Equal(body, want) {
+						t.Fatalf("%s: the body laid out differs from the reference bytes of what it decodes to\n%x\n%x", svc, body, want)
+					}
+					for _, e := range got.Entries {
+						want := hashed(int(e.TableID))
+						if e.NumParts > 1 {
+							want = oldLocalizeBags(want, int(e.PartIndex), int(e.NumParts))
+							parts++
+						}
+						if !bagsEqual(e.Bags, want) {
+							t.Fatalf("%s: table %d part %d/%d carries %v, want %v", svc, e.TableID, e.PartIndex, e.NumParts, e.Bags, want)
+						}
+						entries++
+					}
+				}
+			}
+			if entries < len(cfg.Tables) || parts == 0 {
+				t.Fatalf("fixture: %d entries (%d of a partition) sent for %d tables", entries, parts, len(cfg.Tables))
+			}
+		})
+	})
+
 	f := newMigrationFixture(t)
 	src := f.shards[0]
 	ctx := trace.Context{TraceID: 31}
 	body := f.runRequest(t, 77)
+	sent, err := DecodeSparseRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := referenceSparseRequest(sent); !bytes.Equal(body, ref) {
+		t.Fatalf("EncodeSparseRequest differs from the reference bytes\n%x\n%x", body, ref)
+	}
 	want := referenceSparseResponse(t, f.m, body)
 
 	check := func(t *testing.T, what string) {
@@ -68,15 +189,36 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: response differs from the reference bytes", what)
 		}
+		// A body that does not start on a 4-byte boundary cannot be read in
+		// place: the views fall back to copies, and the answer is the same.
+		odd := append(make([]byte, 1, 1+len(body)), body...)[1:]
+		if got, err := src.Handle(ctx, MethodSparseRun, odd); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: a mis-aligned body was answered differently (err %v)", what, err)
+		}
 	}
 	bothWirePaths(t, func(t *testing.T) { check(t, "all entries local") })
 
-	// Move one table away and forward it: that entry's rows now arrive
-	// as wire bytes from the destination and are copied into place.
+	// Move one table away and forward it: that entry's bytes are spliced
+	// into a body for the destination, and its rows arrive as wire bytes
+	// and are copied into place.
 	id := f.plan.Shards[0].Tables[0]
 	f.migrateTable(t, id, 7)
-	src.BeginForward(id, 0, "sparse2", f.calls[1], true)
-	bothWirePaths(t, func(t *testing.T) { check(t, "one entry forwarded") })
+	fwd := &bodyKeeper{Caller: f.calls[1]}
+	src.BeginForward(id, 0, "sparse2", fwd, true)
+	bothWirePaths(t, func(t *testing.T) {
+		fwd.bodies = nil
+		check(t, "one entry forwarded")
+		moved := &SparseRequest{Nets: sent.Nets}
+		for _, e := range sent.Entries {
+			if int(e.TableID) == id {
+				moved.Entries = append(moved.Entries, e)
+			}
+		}
+		ref := referenceSparseRequest(moved)
+		if len(fwd.bodies) != 2 || !bytes.Equal(fwd.bodies[0], ref) || !bytes.Equal(fwd.bodies[1], ref) {
+			t.Fatalf("forwarded %d bodies %x, want the reference bytes of the moved entry %x, twice", len(fwd.bodies), fwd.bodies, ref)
+		}
+	})
 }
 
 func sameBits(a, b []float32) bool {
@@ -179,7 +321,7 @@ func TestPooledSumIsNeverNegativeZero(t *testing.T) {
 	copy(tab.Data, []float32{negZero, tiny, -tiny, 0, 1.5, -1.5})
 	for _, indices := range [][]int32{{0}, {0, 0}, {1, 2}, {2, 1}, {3, 0}, {0, 3}, {4, 5}, {5, 4}, {0, 4, 5, 0}} {
 		out := []float32{negZero}
-		embedding.Pool([]embedding.PoolEntry{{Table: tab, Bags: []embedding.Bag{{Indices: indices}}, Out: out}})
+		embedding.Pool([]embedding.PoolEntry{{Table: tab, Lens: []int32{int32(len(indices))}, Indices: indices, Out: out}})
 		if math.Float32bits(out[0]) == 0x80000000 {
 			t.Errorf("rows %v pooled to -0", indices)
 		}
@@ -218,7 +360,9 @@ func TestSparseRunRefusesUnframeableResponse(t *testing.T) {
 func TestSparseRunAllEmptyBagsIsHeadersOnly(t *testing.T) {
 	const tables, items, dim = 12, 1024, 64
 	sh := NewSparseShard("s", trace.NewRecorder("s", 64))
-	req := &SparseRequest{Nets: []string{"n"}}
+	// A net name of whole words, as every model's are: one that is not
+	// leaves the entries off 4-byte boundaries, and they are copied out.
+	req := &SparseRequest{Nets: []string{"net1"}}
 	for id := 0; id < tables; id++ {
 		sh.AddTable(id, embedding.NewDense(4, dim))
 		req.Entries = append(req.Entries, SparseEntry{TableID: int32(id), NumParts: 1, Bags: make([]embedding.Bag, items)})
@@ -243,9 +387,10 @@ func TestSparseRunAllEmptyBagsIsHeadersOnly(t *testing.T) {
 			t.Errorf("entry %d: %d values for %dx%d, want none", i, len(e.Data), e.Rows, e.Cols)
 		}
 	}
-	// The decoded bag headers (24 bytes a bag) are the request's own size
-	// class; the dense rows would have been 256 bytes a bag.
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(tables*items*32+tables*1024); got > limit {
+	// The request is read in place, so what serving it allocates does not
+	// even grow with its bags (the parent built a 24-byte header per bag);
+	// the dense rows would have been 256 bytes a bag.
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(tables*1024); wireNative && got > limit {
 		t.Errorf("serving allocated %d bytes, want at most %d (dense rows alone were %d)", got, limit, tables*items*dim*4)
 	}
 }
@@ -273,6 +418,56 @@ func TestSparseRunSpanNames(t *testing.T) {
 	} {
 		if seen[want] != 1 {
 			t.Errorf("span %s recorded %d times, want 1 (all: %v)", want, seen[want], seen)
+		}
+	}
+}
+
+// TestBatchRowRangePoolsLikeTheWhole: a batch's row range of a table's
+// bag list, cut through the offsets admission derived (execution.bags),
+// pools to exactly the rows the whole list pools to — bit for bit, on
+// every table backend and under both kernel families — for batch sizes
+// that divide the request, do not, and exceed it.
+func TestBatchRowRangePoolsLikeTheWhole(t *testing.T) {
+	defer tensor.SetKernel(tensor.KernelAuto)
+	rng := rand.New(rand.NewSource(12))
+	const rows, dim, items = 200, 24, 37
+	dense := embedding.NewDenseRandom(rng, rows, dim, 1)
+	tables := []embedding.Table{
+		dense, dense.Quantize(quant.Bits8), dense.Quantize(quant.Bits4), dense.ToFP16(),
+		embedding.NewTiered(dense.Quantize(quant.Bits8), 16),
+	}
+	req := &RankingRequest{Items: items}
+	hash := &nn.HashAllBags{}
+	for id := range tables {
+		bags := make([]embedding.Bag, items)
+		for b := range bags {
+			for k := rng.Intn(4) * rng.Intn(3); k > 0; k-- {
+				bags[b].Indices = append(bags[b].Indices, int32(rng.Intn(rows)))
+			}
+		}
+		l := embedding.Flatten(bags)
+		req.Bags = append(req.Bags, TableBags{TableID: int32(id), BagList: l})
+		hash.Entries = append(hash.Entries, nn.HashEntry{Out: l.Indices})
+	}
+	for _, kern := range []tensor.Kernel{tensor.KernelGeneric, tensor.KernelVector} {
+		tensor.SetKernel(kern)
+		for _, batch := range []int{1, 6, 37, 64} {
+			x := &execution{req: req, hash: hash, batch: batch}
+			x.cutBatches(items)
+			for id, tab := range tables {
+				all := x.bags(id, 0, items)
+				whole := make([]float32, items*dim)
+				embedding.Pool([]embedding.PoolEntry{{Table: tab, Lens: all.Lens, Indices: all.Indices, Out: whole, Stride: dim}})
+				for start := 0; start < items; start += batch {
+					end := min(start+batch, items)
+					l := x.bags(id, start, end)
+					got := make([]float32, (end-start)*dim)
+					embedding.Pool([]embedding.PoolEntry{{Table: tab, Lens: l.Lens, Indices: l.Indices, Out: got, Stride: dim}})
+					if !sameBits(got, whole[start*dim:end*dim]) {
+						t.Fatalf("%v batch %d table %d: items [%d, %d) pooled alone differ from the whole pooled, then sliced", kern, batch, id, start, end)
+					}
+				}
+			}
 		}
 	}
 }

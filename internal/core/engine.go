@@ -465,15 +465,34 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	np.postOps = post
 }
 
-// FromWorkload converts a generated workload request to its wire form.
+// FromWorkload converts a generated workload request to the form the
+// engine serves: every table's authored bags flattened, once, into one
+// array shared by all the tables — every length, then every index — the
+// whole of what an in-process caller pays for not arriving over the wire.
 func FromWorkload(req *workload.Request) *RankingRequest {
+	ids := make([]int, 0, len(req.Bags))
+	bags, indices := 0, 0
+	for tid, tb := range req.Bags {
+		ids = append(ids, tid)
+		bags += len(tb)
+		indices += embedding.TotalLookups(tb)
+	}
+	slices.Sort(ids)
 	out := &RankingRequest{
 		ID: req.ID, Items: int32(req.Items),
 		Dense: req.Dense,
-		Bags:  make(map[int32][]embedding.Bag, len(req.Bags)),
+		Bags:  make([]TableBags, len(ids)),
 	}
-	for tid, bags := range req.Bags {
-		out.Bags[int32(tid)] = bags
+	flat := make([]int32, bags+indices)
+	lens, idx := flat[:bags:bags], flat[bags:]
+	for i, tid := range ids {
+		tb, n := req.Bags[tid], 0
+		for b, bag := range tb {
+			lens[b] = int32(len(bag.Indices))
+			n += copy(idx[n:], bag.Indices)
+		}
+		out.Bags[i] = TableBags{TableID: int32(tid), BagList: embedding.BagList{Lens: lens[:len(tb):len(tb)], Indices: idx[:n:n]}}
+		lens, idx = lens[len(tb):], idx[n:]
 	}
 	return out
 }
@@ -505,8 +524,15 @@ func (e *Engine) Validate(req *RankingRequest) error {
 		}
 	}
 	for _, t := range e.model.Config.Tables {
-		if bags := req.Bags[int32(t.ID)]; len(bags) != items {
-			return fmt.Errorf("core: request %d has %d bags for table %d (want %d)", req.ID, len(bags), t.ID, items)
+		l, _ := req.BagsOf(int32(t.ID))
+		if len(l.Lens) != items {
+			return fmt.Errorf("core: request %d has %d bags for table %d (want %d)", req.ID, len(l.Lens), t.ID, items)
+		}
+		// A decoded request has this by construction; one built in process
+		// is held to it here, so that everything after admission can move
+		// lengths and indices without looking at them.
+		if sum, _, ok := sumLens(l.Lens); !ok || sum != uint64(len(l.Indices)) {
+			return fmt.Errorf("core: request %d table %d: bag lengths do not add up to its %d indices", req.ID, t.ID, len(l.Indices))
 		}
 	}
 	return nil
@@ -532,8 +558,16 @@ type execution struct {
 	ctx  trace.Context
 	req  *RankingRequest
 	obs  *trace.NetObserver
-	// hash.Entries[tid].Out is table tid's hashed bags, one per item.
+	// hash.Entries[tid].Out is table tid's hashed indices, every item's
+	// back to back; the bag lengths over them are the request's own
+	// (hashing leaves the bag structure alone).
 	hash *nn.HashAllBags
+	// batch is the items per batch, and cuts[tid*(nb+1)+k] is where batch
+	// k's indices start among table tid's (k = nb: where they end). Only an
+	// execution whose batches pool or fetch for themselves — a singular
+	// plan, PaperSchedule — has cuts.
+	batch int
+	cuts  []int32
 	// admitted is the request-level sparse fetch; nil for a singular plan
 	// and under PaperSchedule, where each batch fetches for itself.
 	admitted *sparseFetch
@@ -549,14 +583,14 @@ func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]flo
 	// One program load per request: every call and batch of this request
 	// routes under the same plan generation even if Reroute lands
 	// mid-flight.
-	x := &execution{e: e, prog: e.prog.Load(), ctx: ctx, req: req, obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
+	x := &execution{e: e, prog: e.prog.Load(), ctx: ctx, req: req, batch: e.BatchSize(), obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
 	// Scores or an error, no call's goroutine outlives the request.
 	defer x.inflight.Wait()
 	items := int(req.Items)
 	if err := x.admit(items); err != nil {
 		return nil, fmt.Errorf("core: request %d: %w", req.ID, err)
 	}
-	b := e.BatchSize()
+	b := x.batch
 	nb := (items + b - 1) / b
 	scores := make([]float32, items)
 	errs := make([]error, nb)
@@ -581,22 +615,57 @@ func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]flo
 }
 
 // admit runs the request-level work ahead of the batches: every table's
-// bags are hashed once, into one slab, and — bags being request inputs
-// that wait on no dense compute — the request's sparse calls are issued
-// right away, so the round trip overlaps every net's dense work up to
-// its first consumer of pooled rows.
+// indices are hashed once, into one flat array, and — bags being request
+// inputs that wait on no dense compute — the request's sparse calls are
+// issued right away, so the round trip overlaps every net's dense work up
+// to its first consumer of pooled rows.
 func (x *execution) admit(items int) error {
 	tables := x.e.model.Config.Tables
 	x.hash = &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(tables))}
 	for _, t := range tables {
-		x.hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: x.req.Bags[int32(t.ID)]}
+		l, _ := x.req.BagsOf(int32(t.ID))
+		x.hash.Entries[t.ID] = nn.HashEntry{Buckets: int32(t.Rows), In: l.Indices}
 	}
 	ops := []nn.Op{x.hash}
 	if x.prog.plan.IsDistributed() && !x.e.cfg.PaperSchedule {
 		x.admitted = x.newFetch(x.prog.nets[0].call, 0, items)
 		ops = append(ops, x.admitted.ops()...)
+	} else {
+		x.cutBatches(items)
 	}
 	return (&nn.Net{NetName: "admit", Ops: ops}).Run(nil, x.obs)
+}
+
+// cutBatches finds, in one pass over every table's lengths, where each
+// batch's indices start, so that a batch's row range of a bag list is two
+// slice expressions (bags).
+func (x *execution) cutBatches(items int) {
+	nb := (items + x.batch - 1) / x.batch
+	x.cuts = make([]int32, len(x.hash.Entries)*(nb+1))
+	for tid := range x.hash.Entries {
+		l, _ := x.req.BagsOf(int32(tid))
+		cuts, at := x.cuts[tid*(nb+1):][:nb+1], int32(0)
+		for k := 0; k < nb; k++ {
+			cuts[k] = at
+			for _, n := range l.Lens[k*x.batch : min((k+1)*x.batch, items)] {
+				at += n
+			}
+		}
+		cuts[nb] = at
+	}
+}
+
+// bags returns items [start, end) of table tid's hashed bag list: the
+// whole request, or one batch of it.
+func (x *execution) bags(tid, start, end int) embedding.BagList {
+	l, _ := x.req.BagsOf(int32(tid))
+	idx := x.hash.Entries[tid].Out
+	if start == 0 && end == len(l.Lens) {
+		return embedding.BagList{Lens: l.Lens, Indices: idx}
+	}
+	nb := (len(l.Lens) + x.batch - 1) / x.batch
+	cuts := x.cuts[tid*(nb+1)+start/x.batch:]
+	return embedding.BagList{Lens: l.Lens[start:end], Indices: idx[cuts[0]:cuts[1]]}
 }
 
 // runBatch executes one batch (items [start, start+len(scores)) of the
@@ -625,7 +694,7 @@ func (x *execution) runBatch(scores []float32, start int) error {
 	}
 	if !prog.plan.IsDistributed() {
 		for tid, name := range e.hashedNames {
-			ws.SetBags(name, x.hash.Entries[tid].Out[start:end])
+			ws.SetBags(name, x.bags(tid, start, end))
 		}
 	}
 

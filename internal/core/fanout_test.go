@@ -171,7 +171,8 @@ func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req
 	t.Helper()
 	hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
 	for _, tab := range cfg.Tables {
-		hash.Entries[tab.ID] = nn.HashEntry{Buckets: int32(tab.Rows), In: req.Bags[int32(tab.ID)]}
+		l, _ := req.BagsOf(int32(tab.ID))
+		hash.Entries[tab.ID] = nn.HashEntry{Buckets: int32(tab.Rows), In: l.Indices}
 	}
 	if err := hash.Run(nil); err != nil {
 		t.Fatal(err)
@@ -180,16 +181,14 @@ func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req
 	for _, a := range plan.Shards {
 		svc := ServiceName(a.Shard)
 		for _, id := range a.Tables {
-			if embedding.TotalLookups(hash.Entries[id].Out) > 0 {
+			if len(hash.Entries[id].Out) > 0 {
 				hit[svc] = true
 			}
 		}
 		for _, pr := range a.Parts {
-			for _, bag := range hash.Entries[pr.TableID].Out {
-				for _, idx := range bag.Indices {
-					if int(idx)%pr.NumParts == pr.PartIndex {
-						hit[svc] = true
-					}
+			for _, idx := range hash.Entries[pr.TableID].Out {
+				if int(idx)%pr.NumParts == pr.PartIndex {
+					hit[svc] = true
 				}
 			}
 		}
@@ -505,8 +504,8 @@ func TestRerouteMidRequestChangesNoCall(t *testing.T) {
 	}
 }
 
-// oldLocalizeBags is localizeBags as it was before it filled one flat
-// index array: an append per matching index.
+// oldLocalizeBags filters bags to one modulus partition, rebased to the
+// partition's local rows, the plainest way: an append per matching index.
 func oldLocalizeBags(bags []embedding.Bag, part, numParts int) []embedding.Bag {
 	out := make([]embedding.Bag, len(bags))
 	for b, bag := range bags {
@@ -519,10 +518,11 @@ func oldLocalizeBags(bags []embedding.Bag, part, numParts int) []embedding.Bag {
 	return out
 }
 
-// TestLocalizeBagsMatchesAppendVersion: the flat localizeBags returns
-// what the per-bag-append version did, empty bags keep nil indices, and
-// no bag can grow into its neighbour.
-func TestLocalizeBagsMatchesAppendVersion(t *testing.T) {
+// TestAppendPartMatchesAppendVersion: the count pass and the filter pass
+// that write a partition's bag list straight into a request body produce
+// the list the per-bag-append version does, and fill the bytes they were
+// sized to exactly.
+func TestAppendPartMatchesAppendVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, numParts := range []int{2, 3, 7} {
 		for trial := 0; trial < 50; trial++ {
@@ -532,18 +532,18 @@ func TestLocalizeBagsMatchesAppendVersion(t *testing.T) {
 					bags[b].Indices = append(bags[b].Indices, int32(rng.Intn(1<<20)))
 				}
 			}
+			l := embedding.Flatten(bags)
 			for part := 0; part < numParts; part++ {
-				got, want := localizeBags(bags, part, numParts), oldLocalizeBags(bags, part, numParts)
-				if len(got) != len(want) {
-					t.Fatalf("%d bags, want %d", len(got), len(want))
+				want := oldLocalizeBags(bags, part, numParts)
+				n := countPart(l.Indices, part, numParts)
+				if n != embedding.TotalLookups(want) {
+					t.Fatalf("parts %d part %d: counted %d indices, want %d", numParts, part, n, embedding.TotalLookups(want))
 				}
-				for b := range want {
-					if (got[b].Indices == nil) != (want[b].Indices == nil) || !slices.Equal(got[b].Indices, want[b].Indices) {
-						t.Fatalf("parts %d part %d bag %d: %v, want %v", numParts, part, b, got[b].Indices, want[b].Indices)
-					}
-					if cap(got[b].Indices) != len(got[b].Indices) {
-						t.Fatalf("bag %d can grow into its neighbour (len %d cap %d)", b, len(got[b].Indices), cap(got[b].Indices))
-					}
+				b, sent := appendPart(make([]byte, 0, bagListSize(len(bags), n)), l, part, numParts, n)
+				r := reader{b: b}
+				got, _, err := r.bagList()
+				if err != nil || len(b) != cap(b) || len(r.b) != 0 || !slices.Equal(sent, got.Lens) || !bagsEqual(got.Bags(), want) {
+					t.Fatalf("parts %d part %d: wrote %v (%d of %d bytes, err %v), want %v", numParts, part, got, len(b), cap(b), err, want)
 				}
 			}
 		}

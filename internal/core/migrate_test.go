@@ -332,7 +332,7 @@ func TestSparseLoadAccounting(t *testing.T) {
 		wantLookups[sharding.TableLoadKey{TableID: int(e.TableID)}] += n
 		total += n
 		bags += int64(len(e.Bags))
-		present += int64(embedding.PresentBags(e.Bags))
+		present += int64(embedding.Flatten(e.Bags).Present())
 	}
 	if total == 0 || present == bags {
 		t.Fatalf("fixture request has %d lookups, %d of %d bags non-empty", total, present, bags)

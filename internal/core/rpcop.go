@@ -58,10 +58,11 @@ func (a *embAssembler) fail(err error) {
 // collector places one table's pooled rows in the table's columns of the
 // fetch's fused embedding matrix. A contribution is packed, and still
 // inside the sparse response that carried it: the wire bytes of one
-// cols-wide row per non-empty bag of the bag list that was sent, which is
-// what says whose rows they are — row k belongs to the k-th non-empty
-// bag's item. The matrix starts zeroed, so an item whose bag was empty
-// already holds the +0 row a dense response would have carried.
+// cols-wide row per non-empty bag of the bag list that was sent, whose
+// lengths are what says whose rows they are — row k belongs to the k-th
+// bag of non-zero length, that is, to that bag's item. The matrix starts
+// zeroed, so an item whose bag was empty already holds the +0 row a dense
+// response would have carried.
 //
 // A whole table has one source and its rows are decoded straight into
 // place — the only copy they see on the main shard. A row-partitioned
@@ -93,10 +94,11 @@ type collector struct {
 }
 
 // partial is one source's contribution: packed rows in wire form and the
-// bags they answer. Both nil: the source was not asked.
+// lengths of the bags they answer, as they were sent. Both nil: the
+// source was not asked.
 type partial struct {
 	rows []byte
-	bags []embedding.Bag
+	lens []int32
 }
 
 func newCollector(sources, cols int, asm *embAssembler, colOff int) collector {
@@ -108,7 +110,7 @@ func newCollector(sources, cols int, asm *embAssembler, colOff int) collector {
 }
 
 // deliver merges part's contribution. The caller has checked that p.rows
-// holds exactly one row per non-empty bag of p.bags.
+// holds exactly one row per non-zero length of p.lens.
 func (c *collector) deliver(part int, p partial, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,8 +152,8 @@ func (c *collector) place(p partial, add bool) {
 	if add {
 		vals = viewF32s(rows)
 	}
-	for b := range p.bags {
-		if len(p.bags[b].Indices) == 0 {
+	for b, n := range p.lens {
+		if n == 0 {
 			continue
 		}
 		dst := emb.Row(b)[c.colOff : c.colOff+c.cols]
@@ -239,28 +241,57 @@ func (o *rpcOp) Name() string { return o.g.op }
 // Kind implements nn.Op.
 func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 
-// Run implements nn.Op. It takes this shard's row range of the request's
-// hashed bags and serializes it synchronously, then leaves waiting for
-// the response and moving its pooled rows into place to a goroutine.
-func (o *rpcOp) Run(*nn.Workspace) error {
+// layout builds this shard's body from the fetch's row range of the
+// request's bag lists — exactly sized, every length and every hashed index
+// moved into it once: a whole table's with one memmove each, a partition's
+// by a count pass and a filter pass. It also returns, per entry, the
+// lengths that went out: they say which items the answer's rows belong
+// to. A nil body means no lookup routes to the shard.
+func (o *rpcOp) layout() (body []byte, sent [][]int32) {
 	f, x := o.f, o.f.x
-	sreq := &SparseRequest{Nets: f.plan.names, Entries: make([]SparseEntry, len(o.g.entries))}
-	anyHits := false
-	for i, e := range o.g.entries {
+	list := func(e *groupEntry) (int, embedding.BagList) {
 		id := f.plan.nets[e.net].tables[e.slot].ID
-		bags := x.hash.Entries[id].Out[f.start : f.start+f.rows]
+		return id, x.bags(id, f.start, f.start+f.rows)
+	}
+	// indices[i] is how many indices entry i sends.
+	indices := make([]int, len(o.g.entries))
+	size, lookups := sparseHeadSize(f.plan.names), 0
+	for i := range o.g.entries {
+		e := &o.g.entries[i]
+		_, l := list(e)
+		indices[i] = len(l.Indices)
 		if e.numParts > 1 {
-			bags = localizeBags(bags, e.partIndex, e.numParts)
+			indices[i] = countPart(l.Indices, e.partIndex, e.numParts)
 		}
-		if !anyHits && embedding.TotalLookups(bags) > 0 {
-			anyHits = true
-		}
-		sreq.Entries[i] = SparseEntry{
-			Net: int32(e.net), TableID: int32(id), PartIndex: int32(e.partIndex), NumParts: int32(e.numParts), Bags: bags,
+		size += sparseEntryHeader + bagListSize(len(l.Lens), indices[i])
+		lookups += indices[i]
+	}
+	if lookups == 0 {
+		return nil, nil
+	}
+	body = appendSparseHead(alignedBytes(size)[:0], f.plan.names, len(o.g.entries))
+	sent = make([][]int32, len(o.g.entries))
+	for i := range o.g.entries {
+		e := &o.g.entries[i]
+		id, l := list(e)
+		body = appendEntryIDs(body, e.net, id, e.partIndex, e.numParts)
+		if e.numParts > 1 {
+			body, sent[i] = appendPart(body, l, e.partIndex, e.numParts, indices[i])
+		} else {
+			body, sent[i] = appendBagList(body, l), l.Lens
 		}
 	}
+	return body, sent
+}
 
-	if !anyHits {
+// Run implements nn.Op. It serializes synchronously — on the scheduling
+// thread, so the cost is counted in this op's span, which the analyzer
+// books as RPC Ser/De — issues the call, then leaves waiting for the
+// response and moving its pooled rows into place to a goroutine.
+func (o *rpcOp) Run(*nn.Workspace) error {
+	f, x := o.f, o.f.x
+	body, sent := o.layout()
+	if body == nil {
 		// No lookups route to this shard (e.g. DRM3's partitioned user
 		// table: only one part matches the request's user). Skip the call
 		// entirely — the paper's "only two shards would be accessed" —
@@ -268,10 +299,6 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		o.deliverAll(nil)
 		return nil
 	}
-
-	// Serialize on the scheduling thread (counted in this op's span,
-	// which the analyzer books as RPC Ser/De), then issue.
-	body := EncodeSparseRequest(sreq)
 	rec, met := x.e.cfg.Recorder, &x.e.met
 	callID := rec.NextID()
 	issue := rec.Now()
@@ -282,7 +309,6 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 	met.rpcCalls.Inc()
 	x.calls.Add(1)
 	x.inflight.Add(1)
-	sent := sreq.Entries // the bags say which items the answer's rows belong to
 	go func() {
 		defer x.inflight.Done()
 		<-call.Done
@@ -325,13 +351,13 @@ func (o *rpcOp) deliverAll(err error) {
 }
 
 // scatter delivers a sparse response's entries to their collectors. sent
-// is the request's entries, in the order asked. The response is trusted
-// for nothing but its floats: an entry must name the table, part, bag
-// count and width that were asked for and carry exactly one row per
-// non-empty bag sent — counted here, from the main shard's own bag list
-// — or it fails its own table; a response that cannot be walked fails
-// every table not yet delivered.
-func (o *rpcOp) scatter(resp []byte, sent []SparseEntry) {
+// is the bag lengths of the request's entries, in the order asked. The
+// response is trusted for nothing but its floats: an entry must name the
+// table, part, bag count and width that were asked for and carry exactly
+// one row per non-zero length sent — counted here, from the main shard's
+// own lengths — or it fails its own table; a response that cannot be
+// walked fails every table not yet delivered.
+func (o *rpcOp) scatter(resp []byte, sent [][]int32) {
 	pooled, err := readPooled(resp)
 	if err == nil && pooled.left != len(o.g.entries) {
 		err = fmt.Errorf("%d entries for %d requested", pooled.left, len(o.g.entries))
@@ -348,45 +374,15 @@ func (o *rpcOp) scatter(resp []byte, sent []SparseEntry) {
 			continue
 		}
 		t := &o.f.plan.nets[e.net].tables[e.slot]
-		present := embedding.PresentBags(sent[i].Bags)
+		_, present, _ := sumLens(sent[i])
 		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != present*t.Dim {
 			o.collector(e).deliver(e.partIndex, partial{}, fmt.Errorf(
 				"core: %s entry %d mismatched (table %d part %d rows %d cols %d values %d; want %d/%d/%d/%d/%d)",
 				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.partIndex, o.f.rows, t.Dim, present*t.Dim))
 			continue
 		}
-		o.collector(e).deliver(e.partIndex, partial{rows: rows, bags: sent[i].Bags}, nil)
+		o.collector(e).deliver(e.partIndex, partial{rows: rows, lens: sent[i]}, nil)
 	}
-}
-
-// localizeBags filters bag indices to one modulus partition and rebases
-// them to the partition's local row space. It measures, then fills one
-// header slice and one flat index array (capacity-capped sub-slices;
-// empty bags keep nil indices, as bagSlab does).
-func localizeBags(bags []embedding.Bag, part, numParts int) []embedding.Bag {
-	n := 0
-	for _, bag := range bags {
-		for _, idx := range bag.Indices {
-			if int(idx)%numParts == part {
-				n++
-			}
-		}
-	}
-	out := make([]embedding.Bag, len(bags))
-	flat := make([]int32, n)
-	for b, bag := range bags {
-		k := 0
-		for _, idx := range bag.Indices {
-			if int(idx)%numParts == part {
-				flat[k] = idx / int32(numParts)
-				k++
-			}
-		}
-		if k > 0 {
-			out[b].Indices, flat = flat[:k:k], flat[k:]
-		}
-	}
-	return out
 }
 
 // waitOp blocks a batch on one net's asynchronous pooled results and

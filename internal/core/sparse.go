@@ -331,35 +331,43 @@ func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]b
 	return nil, fmt.Errorf("core: %s: unknown method %q", s.ShardName, method)
 }
 
-// runEntry is one sparse-request entry resolved against the shard's
-// current table set: pooled locally, or by the shard that now holds the
-// table.
+// runEntry is one sparse-request entry — read in place, its bag list a
+// view of the request body — resolved against the shard's current table
+// set: pooled locally, or by the shard that now holds the table.
 type runEntry struct {
+	sparseEntryView
 	table   embedding.Table // non-nil → pool locally
 	forward *forwardTarget  // used when table is nil
 	out     []float32       // local entries: where the pooled rows are written
-	lookups int             // indices in the entry's bags as received, for load accounting
 }
 
 // handleRun serves one sparse.run call — by default a whole request's
-// worth of this shard's tables, every net's. The response carries one
-// row per non-empty bag and nothing for an empty one, so its size and
-// the work behind it follow the lookups, not tables × items. The body is
-// laid out once, from the request's entry shapes and bag lists, before
-// any pooling: entry headers are written in place and each net's SLS
-// operator writes every row of its entries' float regions exactly once,
-// so the pooled rows are never zeroed first, copied or re-encoded on
-// their way to the rpc layer. The body crosses the rpc.Handler boundary
-// and is therefore a plain garbage-collected allocation nothing here
-// touches again.
+// worth of this shard's tables, every net's. The request is read in
+// place: the pooling kernel walks an entry's lengths and indices where
+// the rpc layer put them, and nothing per bag is built. The response
+// carries one row per non-empty bag and nothing for an empty one, so its
+// size and the work behind it follow the lookups, not tables × items. It
+// is laid out once, from the request's entry shapes and bag lengths,
+// before any pooling: entry headers are written in place and each net's
+// SLS operator writes every row of its entries' float regions exactly
+// once, so the pooled rows are never zeroed first, copied or re-encoded
+// on their way to the rpc layer. The body crosses the rpc.Handler
+// boundary and is therefore a plain garbage-collected allocation nothing
+// here touches again.
+//
+// Entries naming one (table, part) twice are served as asked — each
+// pooled from its own bag list into its own region, each counted in the
+// load summary; answers match entries by position, so nothing downstream
+// confuses them. The main shard never sends such a list.
 func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) {
 	s.met.runCalls.Inc()
 	runStart := time.Now() //lint:allow determinism stage latency histogram; never reaches response bytes
 	defer func() { s.met.runNs.Observe(int64(time.Since(runStart))) }()
 
-	// Deserialize (RPC Ser/De at the sparse shard).
+	// Deserialize (RPC Ser/De at the sparse shard): one walk bounds every
+	// count and counts every entry's non-empty bags.
 	desStart := s.rec.Now()
-	req, err := DecodeSparseRequest(body)
+	req, run, err := readRun(body)
 	s.rec.Record(trace.Span{
 		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerSerDe,
 		Net: "", Name: "sparse/decode", Start: desStart, Dur: s.rec.Now().Sub(desStart),
@@ -371,38 +379,28 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	// Resolve every entry against one consistent snapshot of the table
 	// set: a cutover landing mid-request flips routing for the *next*
 	// request, never within one. A forwarded entry's slot is sized like a
-	// local one, from the bags about to be forwarded.
-	run := make([]runEntry, len(req.Entries))
-	slots := make([]pooledSlot, len(req.Entries))
+	// local one, from the lengths about to be forwarded.
+	slots := make([]pooledSlot, len(run))
 	var nLocal, bags, present int
 	s.mu.RLock()
-	for i := range req.Entries {
-		e := &req.Entries[i]
+	for i := range run {
+		e := &run[i]
 		key := tableKey{id: int(e.TableID), part: int(e.PartIndex)}
 		var dim int
 		if tab, ok := s.tables[key]; ok {
-			run[i].table, dim = tab, tab.Dim()
+			e.table, dim = tab, tab.Dim()
 			nLocal++
 		} else if fwd, ok := s.forwards[key]; ok && fwd.dim > 0 {
-			run[i].forward, dim = fwd, fwd.dim
+			e.forward, dim = fwd, fwd.dim
 		} else {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
 		}
-		// One walk of the bags as received sizes the entry's packed region
-		// and counts its lookups for the load summary.
-		rows := 0
-		for _, bag := range e.Bags {
-			if n := len(bag.Indices); n > 0 {
-				rows++
-				run[i].lookups += n
-			}
-		}
 		slots[i] = pooledSlot{
 			TableID: e.TableID, PartIndex: e.PartIndex,
-			Rows: int32(len(e.Bags)), Cols: int32(dim), n: rows * dim,
+			Rows: int32(len(e.Lens)), Cols: int32(dim), n: e.present * dim,
 		}
-		bags, present = bags+len(e.Bags), present+rows
+		bags, present = bags+len(e.Lens), present+e.present
 	}
 	s.mu.RUnlock()
 	s.met.bags.Add(int64(bags))
@@ -422,7 +420,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	// shard runs its local net.
 	var fwdWait func() error
 	if nLocal < len(run) {
-		fwdWait = s.issueForwards(ctx, req, run, slots, out)
+		fwdWait = s.issueForwards(ctx, req.head, run, slots, out)
 	}
 
 	if nLocal > 0 {
@@ -433,14 +431,15 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
 		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
 		entries := make([]embedding.PoolEntry, 0, nLocal)
-		for k, name := range req.Nets {
+		for k, name := range req.nets {
 			first := len(entries)
 			for i := range run {
-				if run[i].table == nil || int(req.Entries[i].Net) != k {
+				e := &run[i]
+				if e.table == nil || int(e.Net) != k {
 					continue
 				}
-				run[i].out = floatsOver(slots[i].region(out))
-				entries = append(entries, embedding.PoolEntry{Table: run[i].table, Bags: req.Entries[i].Bags, Out: run[i].out})
+				e.out = floatsOver(slots[i].region(out))
+				entries = append(entries, embedding.PoolEntry{Table: e.table, Lens: e.Lens, Indices: e.Indices, Out: e.out})
 			}
 			if len(entries) == first {
 				continue
@@ -455,7 +454,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 		}
 		opDur := time.Since(opStart) //lint:allow determinism measured latency goes to histograms and load accounting only
 		s.met.opNs.Observe(int64(opDur))
-		s.accountLoad(req.Entries, run, opDur)
+		s.accountLoad(run, opDur)
 
 		if !wireNative {
 			// The conversion pass a host of the other byte order owes.
@@ -481,13 +480,29 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	return out, nil
 }
 
+// readRun walks a sparse.run body once, in place, into the entries
+// handleRun resolves.
+func readRun(body []byte) (sparseReader, []runEntry, error) {
+	req, err := readSparse(body)
+	if err != nil {
+		return req, nil, err
+	}
+	run := make([]runEntry, req.left)
+	for i := range run {
+		if run[i].sparseEntryView, err = req.next(); err != nil {
+			return req, nil, err
+		}
+	}
+	return req, run, nil
+}
+
 // accountLoad folds one call's locally served entries into the live load
 // summary, apportioning the call's sparse-op time by lookup share.
-func (s *SparseShard) accountLoad(entries []SparseEntry, run []runEntry, opDur time.Duration) {
+func (s *SparseShard) accountLoad(run []runEntry, opDur time.Duration) {
 	total := 0
 	for i := range run {
 		if run[i].table != nil {
-			total += run[i].lookups
+			total += len(run[i].Indices)
 		}
 	}
 	s.loadMu.Lock()
@@ -496,22 +511,24 @@ func (s *SparseShard) accountLoad(entries []SparseEntry, run []runEntry, opDur t
 		if run[i].table == nil {
 			continue
 		}
+		lookups := len(run[i].Indices)
 		var svc time.Duration
 		if total > 0 {
-			svc = time.Duration(float64(opDur) * float64(run[i].lookups) / float64(total))
+			svc = time.Duration(float64(opDur) * float64(lookups) / float64(total))
 		}
-		key := tableKey{id: int(entries[i].TableID), part: int(entries[i].PartIndex)}
+		key := tableKey{id: int(run[i].TableID), part: int(run[i].PartIndex)}
 		s.load.Add(key.loadKey(), sharding.TableLoad{
-			Lookups: int64(run[i].lookups), ServiceTime: svc, Calls: 1,
+			Lookups: int64(lookups), ServiceTime: svc, Calls: 1,
 		})
 	}
 }
 
 // issueForwards sends the request's forwarded entries to the shards that
-// now hold their tables and returns a wait function that copies each
-// answer's packed rows — still wire bytes, as many as the forwarded bags
-// imply or the answer is refused — into its region of out.
-func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run []runEntry, slots []pooledSlot, out []byte) func() error {
+// now hold their tables — a body spliced from the request's own net table
+// (head) and the entries' own bytes — and returns a wait function that
+// copies each answer's packed rows — still wire bytes, as many as the
+// forwarded bags imply or the answer is refused — into its region of out.
+func (s *SparseShard) issueForwards(ctx trace.Context, head []byte, run []runEntry, slots []pooledSlot, out []byte) func() error {
 	// Group entries per destination caller so one straggler batch costs
 	// one hop per destination.
 	type group struct {
@@ -536,14 +553,14 @@ func (s *SparseShard) issueForwards(ctx trace.Context, req *SparseRequest, run [
 		g.idx = append(g.idx, i)
 	}
 	for _, g := range groups {
-		sreq := &SparseRequest{Nets: req.Nets, Entries: make([]SparseEntry, len(g.idx))}
+		entries := make([][]byte, len(g.idx))
 		for k, i := range g.idx {
-			sreq.Entries[k] = req.Entries[i]
+			entries[k] = run[i].wire
 		}
 		g.issue = s.rec.Now()
 		g.call = g.target.caller.Go(&rpc.Request{
 			Method: MethodSparseRun, TraceID: ctx.TraceID, CallID: s.rec.NextID(),
-			Body: EncodeSparseRequest(sreq),
+			Body: spliceSparseRequest(head, entries),
 		})
 		s.met.forwards.Inc()
 	}

@@ -24,7 +24,10 @@ import (
 // front and tagging every entry with one (a net count and names where the
 // single net name was, a fourth id per entry); sparse_response.bin when
 // pooled rows became packed (an entry's float count is Cols × its
-// non-empty bags, no longer Rows × Cols).
+// non-empty bags, no longer Rows × Cols); and sparse_request.bin again,
+// with ranking_request.bin, when a bag list's bytes were regrouped from
+// interleaved (n, then a length and its indices per bag) to flat (n, every
+// length, then every index) — the same size, read in place.
 
 func goldenBags(spec ...[]int32) []embedding.Bag {
 	out := make([]embedding.Bag, len(spec))
@@ -62,10 +65,10 @@ func goldenRankingRequest() *RankingRequest {
 			"net2": tensor.FromSlice(3, 1, []float32{0.5, -0.25, 8}),
 			"net1": tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6}),
 		},
-		Bags: map[int32][]embedding.Bag{
-			5: goldenBags([]int32{1, 2, 3}, nil, []int32{4}),
-			0: goldenBags(nil, nil, nil),
-			2: goldenBags([]int32{9}, []int32{8, 7}, []int32{6, 5, 4}),
+		Bags: []TableBags{
+			{TableID: 0, BagList: embedding.Flatten(goldenBags(nil, nil, nil))},
+			{TableID: 2, BagList: embedding.Flatten(goldenBags([]int32{9}, []int32{8, 7}, []int32{6, 5, 4}))},
+			{TableID: 5, BagList: embedding.Flatten(goldenBags([]int32{1, 2, 3}, nil, []int32{4}))},
 		},
 	}
 }

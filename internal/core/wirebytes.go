@@ -82,9 +82,43 @@ func floatsOver(b []byte) []float32 {
 	return make([]float32, len(b)/4)
 }
 
-// alignedBytes returns n zeroed bytes (n a multiple of 4) starting on a
-// 4-byte boundary, as one allocation: the backing store is a []uint32.
+// alignedBytes returns n zeroed bytes starting on a 4-byte boundary, as
+// one allocation: the backing store is a []uint32.
 func alignedBytes(n int) []byte {
-	words := make([]uint32, n/4)
+	words := make([]uint32, (n+3)/4)
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+}
+
+// i32Bytes views xs as its in-memory bytes.
+func i32Bytes(xs []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
+}
+
+// putI32s stores xs in wire order at the front of dst: one memmove on a
+// wire-native host — how bag lengths and hashed indices enter a request
+// body.
+func putI32s(dst []byte, xs []int32) {
+	if wireNative {
+		copy(dst[:4*len(xs)], i32Bytes(xs))
+		return
+	}
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+	}
+}
+
+// viewI32s returns the int32s encoded in b (len(b) a multiple of 4)
+// without copying when the host can read them in place — wire-native and
+// 4-byte aligned, which the rpc server arranges for request bodies and
+// alignedBytes for the ones built here — and as a decoded copy otherwise.
+// The result may alias b: read-only.
+func viewI32s(b []byte) []int32 {
+	if wireNative && aligned4(b) {
+		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+	}
+	out := make([]int32, len(b)/4)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
 }

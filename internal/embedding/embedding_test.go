@@ -101,6 +101,43 @@ func TestTotalLookups(t *testing.T) {
 	}
 }
 
+// TestBagListRoundTrip: Flatten and Bags are inverses (an empty bag comes
+// back with nil indices, no bag can grow into its neighbour), Present
+// counts the non-empty bags, and Bags refuses lengths that do not add up
+// to the indices.
+func TestBagListRoundTrip(t *testing.T) {
+	bags := []Bag{{Indices: []int32{1, 2}}, {}, {Indices: []int32{3}}, {}}
+	l := Flatten(bags)
+	if len(l.Lens) != 4 || len(l.Indices) != 3 || l.Present() != 2 {
+		t.Fatalf("Flatten = %+v, %d present", l, l.Present())
+	}
+	back := l.Bags()
+	for b := range bags {
+		if len(back[b].Indices) != len(bags[b].Indices) || cap(back[b].Indices) != len(back[b].Indices) || (len(bags[b].Indices) == 0) != (back[b].Indices == nil) {
+			t.Errorf("bag %d came back as %v (cap %d), want %v", b, back[b].Indices, cap(back[b].Indices), bags[b].Indices)
+		}
+		for i := range back[b].Indices {
+			if back[b].Indices[i] != bags[b].Indices[i] {
+				t.Errorf("bag %d index %d = %d, want %d", b, i, back[b].Indices[i], bags[b].Indices[i])
+			}
+		}
+	}
+	for name, bad := range map[string]BagList{
+		"short":    {Lens: []int32{2, 2}, Indices: []int32{1, 2, 3}},
+		"over":     {Lens: []int32{1}, Indices: []int32{1, 2}},
+		"negative": {Lens: []int32{-1, 2}, Indices: []int32{1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			bad.Bags()
+		}()
+	}
+}
+
 func TestQuantizedTableMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := NewDenseRandom(rng, 50, 16, 1)
@@ -174,27 +211,26 @@ func TestPartitionMorePartsThanRows(t *testing.T) {
 	}
 }
 
-func TestSplitBagsPreservesPositions(t *testing.T) {
-	bags := []Bag{
-		{Indices: []int32{0, 1, 2, 3}},
-		{Indices: []int32{5}},
+// splitBags routes each bag's logical indices to per-part bags with local
+// indices, preserving bag positions — the ID-splitting step the RPC
+// operator performs on a partitioned table, in its plainest form.
+func splitBags(bags []Bag, numParts int) [][]Bag {
+	out := make([][]Bag, numParts)
+	for p := range out {
+		out[p] = make([]Bag, len(bags))
 	}
-	split := SplitBags(bags, 2)
-	if len(split) != 2 || len(split[0]) != 2 || len(split[1]) != 2 {
-		t.Fatalf("split shape wrong: %v", split)
+	for b, bag := range bags {
+		for _, idx := range bag.Indices {
+			p := int(idx) % numParts
+			out[p][b].Indices = append(out[p][b].Indices, idx/int32(numParts))
+		}
 	}
-	// Part 0 gets even indices with local = idx/2.
-	if got := split[0][0].Indices; len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("part0 bag0 = %v", got)
-	}
-	if got := split[1][1].Indices; len(got) != 1 || got[0] != 2 {
-		t.Errorf("part1 bag1 = %v (want local index 5/2=2)", got)
-	}
+	return out
 }
 
 // TestShardedSLSEquivalence is the core invariant of row-sharding: SLS on
 // the full table equals the sum of per-part SLS results routed through
-// SplitBags. This is what makes modulus partitioning transparent.
+// splitBags. This is what makes modulus partitioning transparent.
 func TestShardedSLSEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := NewDenseRandom(rng, 64, 8, 1)
@@ -210,7 +246,7 @@ func TestShardedSLSEquivalence(t *testing.T) {
 
 	for _, numParts := range []int{1, 2, 3, 7} {
 		parts := PartitionRows(src, numParts)
-		split := SplitBags(bags, numParts)
+		split := splitBags(bags, numParts)
 		partials := make([][]float32, numParts)
 		for p := 0; p < numParts; p++ {
 			partials[p] = make([]float32, len(bags)*8)
@@ -242,7 +278,7 @@ func TestShardedSLSEquivalenceProperty(t *testing.T) {
 		full := make([]float32, len(bags)*dim)
 		SLS(full, src, bags)
 		parts := PartitionRows(src, numParts)
-		split := SplitBags(bags, numParts)
+		split := splitBags(bags, numParts)
 		partials := make([][]float32, numParts)
 		for p := range parts {
 			partials[p] = make([]float32, len(bags)*dim)
@@ -300,6 +336,7 @@ func TestPoolPackedAndStrided(t *testing.T) {
 	tables := []Table{dense8, dense5, dense8.Quantize(quant.Bits8), NewTiered(dense5.ToFP16(), 8)}
 	const items = 120
 	var packed, strided []PoolEntry
+	var authored [][]Bag
 	cols := 0
 	for _, tab := range tables {
 		cols += tab.Dim() + 1 // a spare column after every entry
@@ -316,8 +353,10 @@ func TestPoolPackedAndStrided(t *testing.T) {
 				bags[b].Indices = append(bags[b].Indices, int32(rng.Intn(tab.NumRows())))
 			}
 		}
-		packed = append(packed, PoolEntry{Table: tab, Bags: bags, Out: make([]float32, PresentBags(bags)*tab.Dim())})
-		strided = append(strided, PoolEntry{Table: tab, Bags: bags, Out: matrix[off:], Stride: cols})
+		l := Flatten(bags)
+		authored = append(authored, bags)
+		packed = append(packed, PoolEntry{Table: tab, Lens: l.Lens, Indices: l.Indices, Out: make([]float32, l.Present()*tab.Dim())})
+		strided = append(strided, PoolEntry{Table: tab, Lens: l.Lens, Indices: l.Indices, Out: matrix[off:], Stride: cols})
 		off += tab.Dim() + 1
 	}
 	Pool(packed)
@@ -325,7 +364,7 @@ func TestPoolPackedAndStrided(t *testing.T) {
 	off = 0
 	for i, e := range packed {
 		dim := e.Table.Dim()
-		want := poolReference(e.Table, e.Bags)
+		want := poolReference(e.Table, authored[i])
 		if len(want) == 0 || len(want) == items*dim {
 			t.Fatalf("fixture: entry %d has %d of %d bags non-empty", i, len(want)/dim, items)
 		}
@@ -335,7 +374,7 @@ func TestPoolPackedAndStrided(t *testing.T) {
 			}
 		}
 		k := 0
-		for b, bag := range e.Bags {
+		for b, bag := range authored[i] {
 			row := matrix[b*cols+off : b*cols+off+dim+1]
 			for c := 0; c < dim; c++ {
 				var w float32
@@ -359,13 +398,16 @@ func TestPoolPackedAndStrided(t *testing.T) {
 
 func TestPoolPanicsOnMisfitOut(t *testing.T) {
 	tab := NewDense(4, 2)
-	bags := []Bag{{Indices: []int32{1}}, {}, {Indices: []int32{2, 3}}}
+	lens, idx := []int32{1, 0, 2}, []int32{1, 2, 3}
 	for name, e := range map[string]PoolEntry{
-		"packed too short":  {Table: tab, Bags: bags, Out: make([]float32, 2)},
-		"packed too long":   {Table: tab, Bags: bags, Out: make([]float32, 6)},
-		"stride under dim":  {Table: tab, Bags: bags, Out: make([]float32, 6), Stride: 1},
-		"strided too short": {Table: tab, Bags: bags, Out: make([]float32, 7), Stride: 3},
-		"table under shape": {Table: &Dense{RowsN: 4, DimN: 2, Data: make([]float32, 7)}, Bags: bags, Out: make([]float32, 4)},
+		"packed too short":     {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 2)},
+		"packed too long":      {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6)},
+		"stride under dim":     {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6), Stride: 1},
+		"strided too short":    {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 7), Stride: 3},
+		"table under shape":    {Table: &Dense{RowsN: 4, DimN: 2, Data: make([]float32, 7)}, Lens: lens, Indices: idx, Out: make([]float32, 4)},
+		"negative length":      {Table: tab, Lens: []int32{1, -1, 2}, Indices: idx, Out: make([]float32, 4)},
+		"lengths past the end": {Table: tab, Lens: []int32{1, 0, 3}, Indices: idx, Out: make([]float32, 4)},
+		"indices left over":    {Table: tab, Lens: []int32{1, 0, 1}, Indices: idx, Out: make([]float32, 4)},
 	} {
 		func() {
 			defer func() {

@@ -6,30 +6,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// PoolEntry is one table's lookups in a Pool call: the bags to pool and
-// where their pooled rows go.
+// PoolEntry is one table's lookups in a Pool call: the bags to pool, in
+// flat form, and where their pooled rows go.
 type PoolEntry struct {
 	Table Table
-	Bags  []Bag
+	// Lens and Indices are the bags (see BagList): bag b pools the next
+	// Lens[b] of Indices. Pool only reads them — they may be views of a
+	// received frame.
+	Lens    []int32
+	Indices []int32
 	// Out receives the pooled rows, Dim floats each. With Stride 0 they
 	// are packed: one row per non-empty bag, in bag order, and nothing at
-	// all for an empty bag, so len(Out) is PresentBags(Bags)×Dim. With a
+	// all for an empty bag, so len(Out) is (non-empty bags)×Dim. With a
 	// positive Stride bag b's row starts at Out[b*Stride] and an empty
-	// bag's row is zeroed (Stride == Dim is the dense len(Bags)×Dim
+	// bag's row is zeroed (Stride == Dim is the dense len(Lens)×Dim
 	// matrix; a wider stride is a column range of a wider matrix).
 	Out    []float32
 	Stride int
-}
-
-// PresentBags counts the non-empty bags: the rows a packed entry holds.
-func PresentBags(bags []Bag) int {
-	n := 0
-	for i := range bags {
-		if len(bags[i].Indices) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Pool executes SparseLengthsSum for a group of tables: every non-empty
@@ -38,10 +31,11 @@ func PresentBags(bags []Bag) int {
 // tables × bags: an empty bag of a packed entry is neither written nor
 // zeroed, and the bags are walked once.
 //
-// A bag's indices are validated before any of them is turned into an
-// address: an out-of-range index, a table shorter than its shape or an
-// Out that does not fit its bags panics, with earlier bags possibly
-// already pooled (the caller discards Out with the request).
+// A bag's length and indices are validated before any of them is turned
+// into an address: a negative length, lengths that overrun Indices (or
+// leave some of it over), an out-of-range index, a table shorter than its
+// shape or an Out that does not fit its bags panics, with earlier bags
+// possibly already pooled (the caller discards Out with the request).
 //
 // Kernels. An fp32 Dense bag is summed by one row-sum: under the vector
 // family on an AVX host, for a Dim that is a multiple of 8, an assembly
@@ -79,12 +73,16 @@ func Pool(entries []PoolEntry) {
 		}
 		bagAcc, _ := e.Table.(BagAccumulator)
 		asm := havePoolAsm && lanes >= 8 && dim%8 == 0
-		off := 0
-		for b := range e.Bags {
-			indices := e.Bags[b].Indices
-			if len(indices) == 0 && e.Stride == 0 {
+		off, pos := 0, 0
+		for b, n := range e.Lens {
+			if n == 0 && e.Stride == 0 {
 				continue // a packed entry holds nothing for an empty bag
 			}
+			if n < 0 || int(n) > len(e.Indices)-pos {
+				panic(fmt.Sprintf("embedding: bag %d of length %d at index %d of %d", b, n, pos, len(e.Indices)))
+			}
+			indices := e.Indices[pos : pos+int(n)]
+			pos += int(n)
 			if e.Stride > 0 {
 				off = b * e.Stride
 			}
@@ -116,6 +114,9 @@ func Pool(entries []PoolEntry) {
 					e.Table.AccumulateRow(dst, int(idx))
 				}
 			}
+		}
+		if pos != len(e.Indices) {
+			panic(fmt.Sprintf("embedding: bags hold %d indices of %d", pos, len(e.Indices)))
 		}
 		if e.Stride == 0 && off != len(e.Out) {
 			panic(fmt.Sprintf("embedding: packed out length %d != %d non-empty bags × dim %d", len(e.Out), off/dim, dim))

@@ -55,26 +55,6 @@ func (p *Part) LocalRow(logical int) int {
 	return logical / p.NumParts
 }
 
-// SplitBags routes each bag's logical indices to per-part bags with local
-// indices, preserving bag positions so per-part SLS outputs align. The
-// returned slice has numParts entries, each with len(bags) bags (possibly
-// empty). This is the ID-splitting step the RPC operator performs before
-// fanning out to the shards that hold a partitioned table.
-func SplitBags(bags []Bag, numParts int) [][]Bag {
-	out := make([][]Bag, numParts)
-	for p := range out {
-		out[p] = make([]Bag, len(bags))
-	}
-	for b, bag := range bags {
-		for _, idx := range bag.Indices {
-			p := int(idx) % numParts
-			local := idx / int32(numParts)
-			out[p][b].Indices = append(out[p][b].Indices, local)
-		}
-	}
-	return out
-}
-
 // MergePartial sums per-part SLS outputs into one pooled result. Each
 // partial must be len(out) long; parts with no hits contribute zeros.
 func MergePartial(out []float32, partials [][]float32) {

@@ -33,12 +33,12 @@ func benchBags(rng *rand.Rand, rows, bags, pooling int, zipf bool) []Bag {
 func benchPooling(b *testing.B, table Table, zipf bool) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	bags := benchBags(rng, table.NumRows(), 64, 24, zipf)
-	out := make([]float32, len(bags)*table.Dim())
+	l := Flatten(benchBags(rng, table.NumRows(), 64, 24, zipf))
+	entries := []PoolEntry{{Table: table, Lens: l.Lens, Indices: l.Indices, Out: make([]float32, len(l.Lens)*table.Dim()), Stride: table.Dim()}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SLS(out, table, bags)
+		Pool(entries)
 	}
 }
 

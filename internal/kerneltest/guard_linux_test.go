@@ -95,8 +95,9 @@ func TestGEMMGuardPaged(t *testing.T) {
 	}
 }
 
-// TestSLSPackedGuardPaged runs the pooling sweep with every table and
-// every packed output flush against a guard page, at every row width and
+// TestSLSPackedGuardPaged runs the pooling sweep with every table, every
+// entry's lengths and indices and every packed output flush against a
+// guard page, at every row width and
 // lane width: the assembly row-sum loads and stores whole vectors, so a
 // block that ran past a row's — or the packed region's — last element
 // faults here; and the prefetch cursor, which runs ahead of the sums and
@@ -111,6 +112,11 @@ func TestSLSPackedGuardPaged(t *testing.T) {
 		t.Cleanup(g.Free)
 		return data
 	}
+	guardedInts := func(n int) []int32 {
+		g, data := GuardedOf[int32](n)
+		t.Cleanup(g.Free)
+		return data
+	}
 	for _, dims := range slsDims {
 		c := newSLSCall(rng, dims, Payloads()[0], guarded)
 		for i, tab := range c.tables {
@@ -122,7 +128,7 @@ func TestSLSPackedGuardPaged(t *testing.T) {
 		}
 		for _, d := range ds {
 			d.set()
-			got := c.pool(guarded)
+			got := c.pool(guarded, guardedInts)
 			for i, tab := range c.tables {
 				if j := DiffFloat32(got[i], refPool(tab, c.bags[i])); j >= 0 {
 					t.Fatalf("dims=%v %v entry %d: element %d differs from the oracle", dims, d, i, j)

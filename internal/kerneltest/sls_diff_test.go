@@ -78,7 +78,8 @@ func slsBags(rng *rand.Rand, rows, n int) []embedding.Bag {
 
 // slsCall is one Pool call's operands: a few tables, of the given widths
 // in turn, with their bag lists, including an entry whose bags are all
-// empty.
+// empty. The lists are authored as bags — what SLS and the oracle take —
+// and flattened for Pool when the call is made.
 type slsCall struct {
 	tables []*embedding.Dense
 	bags   [][]embedding.Bag
@@ -108,16 +109,21 @@ func newSLSCall(rng *rand.Rand, dims []int, p Payload, alloc func(n int) []float
 }
 
 // pool runs the call through embedding.Pool, packed, and returns each
-// entry's rows. out provides every entry's storage (so a test can guard
-// it); it is filled with NaNs first, so a row the kernel skipped shows.
-func (c slsCall) pool(out func(n int) []float32) [][]float32 {
+// entry's rows. out provides every entry's storage and ints its lengths
+// and indices (so a test can guard them); the rows are filled with NaNs
+// first, so one the kernel skipped shows.
+func (c slsCall) pool(out func(n int) []float32, ints func(n int) []int32) [][]float32 {
 	entries := make([]embedding.PoolEntry, len(c.tables))
 	for i, tab := range c.tables {
-		o := out(embedding.PresentBags(c.bags[i]) * tab.DimN)
+		l := embedding.Flatten(c.bags[i])
+		o := out(l.Present() * tab.DimN)
 		for j := range o {
 			o[j] = float32(math.NaN())
 		}
-		entries[i] = embedding.PoolEntry{Table: tab, Bags: c.bags[i], Out: o}
+		lens, idx := ints(len(l.Lens)), ints(len(l.Indices))
+		copy(lens, l.Lens)
+		copy(idx, l.Indices)
+		entries[i] = embedding.PoolEntry{Table: tab, Lens: lens, Indices: idx, Out: o}
 	}
 	embedding.Pool(entries)
 	res := make([][]float32, len(entries))
@@ -128,6 +134,8 @@ func (c slsCall) pool(out func(n int) []float32) [][]float32 {
 }
 
 func heap(n int) []float32 { return make([]float32, n) }
+
+func heapInts(n int) []int32 { return make([]int32, n) }
 
 // TestSLSPackedDifferential: embedding.Pool under the generic family,
 // and under the vector family at every lane width the host has, writes
@@ -147,7 +155,7 @@ func TestSLSPackedDifferential(t *testing.T) {
 				c := newSLSCall(rng, dims, p, alloc)
 				for _, d := range ds {
 					d.set()
-					got := c.pool(heap)
+					got := c.pool(heap, heapInts)
 					for i, tab := range c.tables {
 						dim := tab.DimN
 						name := fmt.Sprintf("dims=%v payload=%s offset=%d %v entry %d", dims, p.Name, offset, d, i)
@@ -208,8 +216,9 @@ func TestSLSPackedBackends(t *testing.T) {
 			d.set()
 			want := make([]float32, len(bags)*dim)
 			embedding.SLS(want, table, bags)
-			got := make([]float32, embedding.PresentBags(bags)*dim)
-			embedding.Pool([]embedding.PoolEntry{{Table: table, Bags: bags, Out: got}})
+			l := embedding.Flatten(bags)
+			got := make([]float32, l.Present()*dim)
+			embedding.Pool([]embedding.PoolEntry{{Table: table, Lens: l.Lens, Indices: l.Indices, Out: got}})
 			k := 0
 			for b, bag := range bags {
 				if len(bag.Indices) == 0 {
@@ -227,7 +236,9 @@ func TestSLSPackedBackends(t *testing.T) {
 // TestSLSRejectsBadIndex: an out-of-range index fails the call with SLS's
 // message wherever it sits, and a bag is validated whole before any of
 // its indices becomes an address — to sum or to prefetch: with the bad
-// index in the call's first bag, nothing at all has been written.
+// index in the call's first bag, nothing at all has been written. A
+// negative bag length, or lengths that run past the indices, fail the
+// same way before the bag is even sliced.
 func TestSLSRejectsBadIndex(t *testing.T) {
 	defer resetDispatch()
 	rng := rand.New(rand.NewSource(2))
@@ -249,7 +260,7 @@ func TestSLSRejectsBadIndex(t *testing.T) {
 					c.pool(func(n int) []float32 {
 						outs = append(outs, make([]float32, n))
 						return outs[len(outs)-1]
-					})
+					}, heapInts)
 					return ""
 				}()
 				want := fmt.Sprintf("embedding: SLS index %d out of range [0,%d)", bad, c.tables[entry].RowsN)
@@ -263,6 +274,30 @@ func TestSLSRejectsBadIndex(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	tab := embedding.NewDense(4, 16)
+	for name, e := range map[string]embedding.PoolEntry{
+		"negative length":      {Table: tab, Lens: []int32{-1, 2}, Indices: []int32{1, 2}, Out: make([]float32, 32)},
+		"lengths past the end": {Table: tab, Lens: []int32{1, 2}, Indices: []int32{1, 2}, Out: make([]float32, 32)},
+	} {
+		for _, d := range dispatches(t) {
+			d.set()
+			out := e.Out
+			for j := range out {
+				out[j] = float32(math.NaN())
+			}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				embedding.Pool([]embedding.PoolEntry{e})
+				return ""
+			}()
+			if !strings.Contains(msg, "embedding: bag") {
+				t.Fatalf("%s %v: panic %q, want the bag's length refused", name, d, msg)
+			}
+			if name == "negative length" && out[0] == out[0] {
+				t.Fatalf("%s %v: a row was written before the call was rejected", name, d)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 					bagSet[bi].Indices = append(bagSet[bi].Indices, int32(rng.Intn(rows)))
 				}
 			}
-			ws.SetBags(fmt.Sprintf("bags_%d", ti), bagSet)
+			ws.SetBags(fmt.Sprintf("bags_%d", ti), embedding.Flatten(bagSet))
 		}
 		return ws
 	}
@@ -62,7 +62,7 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 			for ti := range sls.Entries {
 				bagSet, _ := ws.Bags(fmt.Sprintf("bags_%d", ti))
 				out := tensor.New(bags, dim)
-				sls.Entries[ti] = embedding.PoolEntry{Table: tables[ti], Bags: bagSet, Out: out.Data, Stride: dim}
+				sls.Entries[ti] = embedding.PoolEntry{Table: tables[ti], Lens: bagSet.Lens, Indices: bagSet.Indices, Out: out.Data, Stride: dim}
 				ws.SetBlob(concat.Inputs[ti], out)
 			}
 			if err := sls.Run(ws); err != nil {

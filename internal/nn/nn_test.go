@@ -33,9 +33,9 @@ func TestWorkspaceBags(t *testing.T) {
 	if _, err := ws.Bags("f"); err == nil {
 		t.Error("missing bags should error")
 	}
-	ws.SetBags("f", []embedding.Bag{{Indices: []int32{1}}})
+	ws.SetBags("f", embedding.BagList{Lens: []int32{1}, Indices: []int32{1}})
 	b, err := ws.Bags("f")
-	if err != nil || len(b) != 1 {
+	if err != nil || len(b.Lens) != 1 {
 		t.Errorf("Bags = %v, %v", b, err)
 	}
 }
@@ -178,41 +178,46 @@ func TestScaleClip(t *testing.T) {
 	}
 }
 
-func TestHashBagsDeterministicAndInRange(t *testing.T) {
-	ws := NewWorkspace()
-	ws.SetBags("raw", []embedding.Bag{{Indices: []int32{12345, 67890, -5}}})
-	op := &HashBags{OpName: "hash", Buckets: 100, Input: "raw", Output: "hashed"}
-	if err := op.Run(ws); err != nil {
+// TestHashAllBags: every index is hashed into its entry's bucket range,
+// deterministically, into a capacity-capped range of one flat array; the
+// raw input — possibly a view of a frame — is left as it was.
+func TestHashAllBags(t *testing.T) {
+	raw := []int32{12345, 67890, -5}
+	op := &HashAllBags{OpName: "hash", Entries: []HashEntry{
+		{Buckets: 100, In: raw}, {Buckets: 7}, {Buckets: 3, In: []int32{1 << 30, 0}},
+	}}
+	if err := op.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := ws.Bags("hashed")
-	for _, idx := range got[0].Indices {
-		if idx < 0 || idx >= 100 {
-			t.Errorf("hashed index %d out of range", idx)
+	if !slices.Equal(raw, []int32{12345, 67890, -5}) {
+		t.Errorf("hashing wrote its input: %v", raw)
+	}
+	first := make([][]int32, len(op.Entries))
+	for i, e := range op.Entries {
+		if len(e.Out) != len(e.In) || cap(e.Out) != len(e.Out) {
+			t.Errorf("entry %d: %d hashed (cap %d) for %d raw", i, len(e.Out), cap(e.Out), len(e.In))
 		}
+		for _, idx := range e.Out {
+			if idx < 0 || idx >= e.Buckets {
+				t.Errorf("entry %d: hashed index %d outside [0,%d)", i, idx, e.Buckets)
+			}
+		}
+		first[i] = e.Out
 	}
-	// Determinism.
-	if err := op.Run(ws); err != nil {
+	if err := op.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	again, _ := ws.Bags("hashed")
-	for i := range got[0].Indices {
-		if got[0].Indices[i] != again[0].Indices[i] {
+	for i, e := range op.Entries {
+		if !slices.Equal(e.Out, first[i]) {
 			t.Error("hashing should be deterministic")
 		}
 	}
-}
-
-func TestHashBagsValidation(t *testing.T) {
-	ws := NewWorkspace()
-	ws.SetBags("raw", []embedding.Bag{})
-	op := &HashBags{OpName: "hash", Buckets: 0, Input: "raw", Output: "h"}
-	if err := op.Run(ws); err == nil {
-		t.Error("zero buckets should error")
+	if op.Kind() != KindHash {
+		t.Error("kind wrong")
 	}
-	op2 := &HashBags{OpName: "hash", Buckets: 10, Input: "missing", Output: "h"}
-	if err := op2.Run(ws); err == nil {
-		t.Error("missing input should error")
+	op.Entries[1].Buckets = 0
+	if err := op.Run(nil); err == nil {
+		t.Error("zero buckets should error")
 	}
 }
 
@@ -228,27 +233,6 @@ func TestFill(t *testing.T) {
 	}
 }
 
-func TestSLSOp(t *testing.T) {
-	tab := embedding.NewDense(4, 2)
-	copy(tab.Data, []float32{1, 1, 2, 2, 3, 3, 4, 4})
-	ws := NewWorkspace()
-	ws.SetBags("f", []embedding.Bag{{Indices: []int32{0, 3}}, {Indices: []int32{2}}})
-	op := &SLSOp{OpName: "sls", Table: tab, InputBags: "f", Output: "pooled"}
-	if err := op.Run(ws); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := ws.Blob("pooled")
-	if m.Rows != 2 || m.Cols != 2 {
-		t.Fatalf("pooled shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(0, 0) != 5 || m.At(1, 0) != 3 {
-		t.Errorf("pooled = %v", m.Data)
-	}
-	if op.Kind() != KindSparse {
-		t.Error("SLS kind should be Sparse")
-	}
-}
-
 // TestMultiSLSPoolsIntoCallerStorage: the op overwrites the storage it is
 // handed (stale contents must not leak into the sums) — one row per
 // non-empty bag when packed, every bag's row in the strided layout —
@@ -256,12 +240,12 @@ func TestSLSOp(t *testing.T) {
 func TestMultiSLSPoolsIntoCallerStorage(t *testing.T) {
 	tab := embedding.NewDense(4, 2)
 	copy(tab.Data, []float32{1, 1, 2, 2, 3, 3, 4, 4})
-	bags := []embedding.Bag{{Indices: []int32{0, 3}}, {}, {Indices: []int32{2}}}
+	lens, idx := []int32{2, 0, 1}, []int32{0, 3, 2}
 	packed := []float32{9, 9, 9, 9}
 	strided := []float32{9, 9, 9, 9, 9, 9, 9, 9}
 	op := &MultiSLS{OpName: "multi", Entries: []embedding.PoolEntry{
-		{Table: tab, Bags: bags, Out: packed},
-		{Table: tab, Bags: bags, Out: strided, Stride: 3},
+		{Table: tab, Lens: lens, Indices: idx, Out: packed},
+		{Table: tab, Lens: lens, Indices: idx, Out: strided, Stride: 3},
 	}}
 	net := &Net{NetName: "n", Ops: []Op{op}}
 	if err := net.Run(nil, nil); err != nil {
@@ -286,9 +270,14 @@ func TestMultiSLSPoolsIntoCallerStorage(t *testing.T) {
 		t.Error("strided storage short of the last row must fail the net")
 	}
 	op.Entries[1].Out = strided
-	op.Entries[1].Bags = []embedding.Bag{{Indices: []int32{4}}}
+	op.Entries[1].Indices = []int32{0, 4, 2}
 	if err := net.Run(nil, nil); err == nil {
 		t.Error("out-of-range index must fail the net")
+	}
+	op.Entries[1].Indices = idx
+	op.Entries[1].Lens = []int32{2, -1, 1}
+	if err := net.Run(nil, nil); err == nil {
+		t.Error("negative bag length must fail the net")
 	}
 }
 
@@ -338,8 +327,8 @@ func TestFusedSLSPoolsColumnRanges(t *testing.T) {
 	t2 := embedding.NewDense(2, 2)
 	copy(t2.Data, []float32{10, 20, 30, 40})
 	ws := NewWorkspace()
-	ws.SetBags("b1", []embedding.Bag{{Indices: []int32{0, 2}}, {}})
-	ws.SetBags("b2", []embedding.Bag{{}, {Indices: []int32{1, 1}}})
+	ws.SetBags("b1", embedding.BagList{Lens: []int32{2, 0}, Indices: []int32{0, 2}})
+	ws.SetBags("b2", embedding.BagList{Lens: []int32{0, 2}, Indices: []int32{1, 1}})
 	ws.SetBlob("emb", tensor.FromSlice(2, 3, []float32{9, 9, 9, 9, 9, 9}))
 	op := &FusedSLS{OpName: "fused", Output: "emb", Cols: 3, Entries: []FusedSLSEntry{
 		{Table: t1, InputBags: "b1", ColOffset: 0}, {Table: t2, InputBags: "b2", ColOffset: 1},
@@ -352,7 +341,7 @@ func TestFusedSLSPoolsColumnRanges(t *testing.T) {
 	if want := []float32{4, 0, 0, 0, 60, 80}; !slices.Equal(m.Data, want) {
 		t.Errorf("fused = %v, want %v", m.Data, want)
 	}
-	ws.SetBags("b2", []embedding.Bag{{}, {Indices: []int32{2}}})
+	ws.SetBags("b2", embedding.BagList{Lens: []int32{0, 1}, Indices: []int32{2}})
 	if err := net.Run(ws, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range index: err = %v", err)
 	}

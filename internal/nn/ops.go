@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
 
@@ -172,42 +171,6 @@ func (o *ScaleClip) Run(ws *Workspace) error {
 	return nil
 }
 
-// HashBags transforms raw sparse-feature IDs into embedding-table indices
-// by hashing them into [0, Buckets) — the "sparse inputs are transformed
-// into a list of access IDs, or hash indices" step of Section II-1 and the
-// "Hash" group of Fig. 4.
-type HashBags struct {
-	OpName        string
-	Buckets       int32
-	Input, Output string
-}
-
-// Name implements Op.
-func (o *HashBags) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *HashBags) Kind() OpKind { return KindHash }
-
-// Run implements Op.
-func (o *HashBags) Run(ws *Workspace) error {
-	in, err := ws.Bags(o.Input)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	if o.Buckets <= 0 {
-		return fmt.Errorf("%s: buckets %d <= 0", o.OpName, o.Buckets)
-	}
-	out := make([]embedding.Bag, len(in))
-	for b, bag := range in {
-		out[b].Indices = make([]int32, len(bag.Indices))
-		for i, id := range bag.Indices {
-			out[b].Indices[i] = hash32(id) % o.Buckets
-		}
-	}
-	ws.SetBags(o.Output, out)
-	return nil
-}
-
 // hash32 is a Murmur-style finalizer: cheap, deterministic, well mixed.
 func hash32(x int32) int32 {
 	h := uint32(x)
@@ -243,36 +206,6 @@ func (o *Fill) Run(ws *Workspace) error {
 		}
 	}
 	ws.SetBlob(o.Output, m)
-	return nil
-}
-
-// SLSOp executes SparseLengthsSum: pooled embedding lookup of one sparse
-// feature against one table. In the singular model these ops run in-line
-// on the main shard; sharding moves them to sparse shards behind RPC ops.
-type SLSOp struct {
-	OpName string
-	Table  embedding.Table
-	// InputBags names the hashed index bags; Output receives a
-	// len(bags)×dim pooled matrix.
-	InputBags, Output string
-}
-
-// Name implements Op.
-func (o *SLSOp) Name() string { return o.OpName }
-
-// Kind implements Op.
-func (o *SLSOp) Kind() OpKind { return KindSparse }
-
-// Run implements Op.
-func (o *SLSOp) Run(ws *Workspace) error {
-	bags, err := ws.Bags(o.InputBags)
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.OpName, err)
-	}
-	dim := o.Table.Dim()
-	out := tensor.New(len(bags), dim)
-	embedding.SLS(out.Data, o.Table, bags)
-	ws.SetBlob(o.Output, out)
 	return nil
 }
 

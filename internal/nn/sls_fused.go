@@ -49,7 +49,7 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
-	rows := len(first)
+	rows := len(first.Lens)
 	var emb *tensor.Matrix
 	if ws.HasBlob(o.Output) {
 		// Output blob pre-materialized by an AllocEmb (Fill) operator —
@@ -72,14 +72,14 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 		if err != nil {
 			return fmt.Errorf("%s[%d]: %w", o.OpName, i, err)
 		}
-		if len(bags) != rows {
-			return fmt.Errorf("%s[%d]: %d bags, want %d", o.OpName, i, len(bags), rows)
+		if len(bags.Lens) != rows {
+			return fmt.Errorf("%s[%d]: %d bags, want %d", o.OpName, i, len(bags.Lens), rows)
 		}
 		if dim := e.Table.Dim(); e.ColOffset < 0 || e.ColOffset+dim > o.Cols {
 			return fmt.Errorf("%s[%d]: column range [%d, %d) outside %d", o.OpName, i, e.ColOffset, e.ColOffset+dim, o.Cols)
 		}
 		if rows > 0 {
-			pool = append(pool, embedding.PoolEntry{Table: e.Table, Bags: bags, Out: emb.Data[e.ColOffset:], Stride: o.Cols})
+			pool = append(pool, embedding.PoolEntry{Table: e.Table, Lens: bags.Lens, Indices: bags.Indices, Out: emb.Data[e.ColOffset:], Stride: o.Cols})
 		}
 	}
 	embedding.Pool(pool)
@@ -113,6 +113,6 @@ func (o *AllocEmb) Run(ws *Workspace) error {
 	}
 	// Zeroed even when drawn from a dirty arena slab: FusedSLS writes its
 	// entries' column ranges and nothing between them.
-	ws.SetBlob(o.Output, ws.AllocBlobZero(o.Output, len(bags), o.Cols))
+	ws.SetBlob(o.Output, ws.AllocBlobZero(o.Output, len(bags.Lens), o.Cols))
 	return nil
 }

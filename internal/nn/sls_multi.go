@@ -9,10 +9,11 @@ import (
 // MultiSLS executes SparseLengthsSum for a group of tables in one
 // operator, recording a single trace span so span volume tracks operator
 // *groups* rather than the 257 tables of DRM1. Sparse shards run one per
-// net of a request, and hand it bags and output storage directly instead
-// of through named workspace blobs: the outputs are the packed regions
-// of the response being built — one row per non-empty bag — so pooling
-// writes the wire bytes' final resting place and nothing else.
+// net of a request, and hand it flat bag lists — views of the request
+// body — and output storage directly instead of through named workspace
+// blobs: the outputs are the packed regions of the response being built
+// — one row per non-empty bag — so pooling reads the wire bytes where
+// they arrived and writes the wire bytes' final resting place.
 type MultiSLS struct {
 	OpName  string
 	Entries []embedding.PoolEntry
@@ -32,23 +33,25 @@ func (o *MultiSLS) Run(*Workspace) error {
 	return nil
 }
 
-// HashAllBags hashes a group of raw-ID bag inputs into table-bucket
-// index bags, one table per entry, in a single fused operator (same
-// span-volume rationale as MultiSLS). Like MultiSLS it is handed its
-// operands directly: the engine runs one per request, at admission,
-// before any batch workspace exists, and every batch reads row ranges of
-// the result.
+// HashAllBags hashes a group of raw-ID inputs into table-bucket indices,
+// one table per entry, in a single fused operator (same span-volume
+// rationale as MultiSLS). Hashing is index by index and leaves the bag
+// structure alone, so the op sees flat index arrays only: a bag list's
+// lengths serve its raw and its hashed indices alike. Like MultiSLS it is
+// handed its operands directly: the engine runs one per request, at
+// admission, before any batch workspace exists, and every batch reads
+// row ranges of the result.
 type HashAllBags struct {
 	OpName  string
 	Entries []HashEntry
 }
 
 // HashEntry is one feature's hashing task: In's raw IDs hashed into
-// [0, Buckets). Run sets Out to len(In) bags; empty bags keep nil
-// indices.
+// [0, Buckets). In is only read — it may be a view of the request's
+// frame; Run sets Out to len(In) fresh indices.
 type HashEntry struct {
 	Buckets int32
-	In, Out []embedding.Bag
+	In, Out []int32
 }
 
 // Name implements Op.
@@ -57,34 +60,26 @@ func (o *HashAllBags) Name() string { return o.OpName }
 // Kind implements Op.
 func (o *HashAllBags) Kind() OpKind { return KindHash }
 
-// Run implements Op. Every entry's output shares one header slice and
-// one flat index array, handed out as capacity-capped sub-slices: the
-// op runs over every table of every request, so an allocation per table
-// (let alone per bag) would dominate its cost.
+// Run implements Op. Every entry's output is a capacity-capped range of
+// one flat array: the op runs over every table of every request, so an
+// allocation per table would dominate its cost, and each index is
+// written exactly once.
 func (o *HashAllBags) Run(*Workspace) error {
-	bags, indices := 0, 0
+	indices := 0
 	for i := range o.Entries {
 		e := &o.Entries[i]
 		if e.Buckets <= 0 {
 			return fmt.Errorf("%s[%d]: buckets %d <= 0", o.OpName, i, e.Buckets)
 		}
-		bags += len(e.In)
-		indices += embedding.TotalLookups(e.In)
+		indices += len(e.In)
 	}
-	out := make([]embedding.Bag, bags)
 	flat := make([]int32, indices)
 	for i := range o.Entries {
 		e := &o.Entries[i]
-		e.Out, out = out[:len(e.In):len(e.In)], out[len(e.In):]
-		for b, bag := range e.In {
-			k := len(bag.Indices)
-			if k == 0 {
-				continue
-			}
-			e.Out[b].Indices, flat = flat[:k:k], flat[k:]
-			for j, id := range bag.Indices {
-				e.Out[b].Indices[j] = hash32(id) % e.Buckets
-			}
+		k := len(e.In)
+		e.Out, flat = flat[:k:k], flat[k:]
+		for j, id := range e.In {
+			e.Out[j] = hash32(id) % e.Buckets
 		}
 	}
 	return nil

@@ -19,12 +19,13 @@ import (
 )
 
 // Workspace holds the named state one net execution operates on: dense
-// blobs (matrices), sparse inputs (bags of embedding indices per feature),
+// blobs (matrices), sparse inputs (flat bag lists of embedding indices per
+// feature),
 // and in-flight futures registered by asynchronous operators. A Workspace
 // is not safe for concurrent mutation; each inference batch gets its own.
 type Workspace struct {
 	blobs   map[string]*tensor.Matrix
-	bags    map[string][]embedding.Bag
+	bags    map[string]embedding.BagList
 	futures map[string]*Future
 	// arena, when set, backs scheduled output blobs so steady-state
 	// execution allocates nothing; see AllocBlob.
@@ -35,7 +36,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		blobs:   make(map[string]*tensor.Matrix),
-		bags:    make(map[string][]embedding.Bag),
+		bags:    make(map[string]embedding.BagList),
 		futures: make(map[string]*Future),
 	}
 }
@@ -84,14 +85,14 @@ func (ws *Workspace) Blob(name string) (*tensor.Matrix, error) {
 // HasBlob reports whether a dense blob exists.
 func (ws *Workspace) HasBlob(name string) bool { _, ok := ws.blobs[name]; return ok }
 
-// SetBags stores sparse input bags under name.
-func (ws *Workspace) SetBags(name string, bags []embedding.Bag) { ws.bags[name] = bags }
+// SetBags stores a sparse input — one bag per row — under name.
+func (ws *Workspace) SetBags(name string, bags embedding.BagList) { ws.bags[name] = bags }
 
-// Bags fetches sparse input bags by name.
-func (ws *Workspace) Bags(name string) ([]embedding.Bag, error) {
+// Bags fetches a sparse input by name.
+func (ws *Workspace) Bags(name string) (embedding.BagList, error) {
 	b, ok := ws.bags[name]
 	if !ok {
-		return nil, fmt.Errorf("nn: bags %q not found", name)
+		return embedding.BagList{}, fmt.Errorf("nn: bags %q not found", name)
 	}
 	return b, nil
 }

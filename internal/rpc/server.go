@@ -176,7 +176,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var writeMu sync.Mutex
 	br := newFrameReader(conn)
 	for {
-		payload, err := readFrame(br, 0)
+		payload, err := readRequestFrame(br)
 		if err != nil {
 			return // connection closed or corrupt
 		}

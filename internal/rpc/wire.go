@@ -104,6 +104,16 @@ func sendFrame(w io.Writer, frame *[]byte) error {
 // floats it carries in place.
 const responseBodyPad = 1
 
+// requestHeader is a request message up to its method name: type tag,
+// trace id, call id and the method's length.
+const requestHeader = 19
+
+// requestBodyPad is the same slack for a request message whose method
+// name is mlen bytes: its body starts requestHeader + mlen + 4 bytes in
+// (27 for "rank", 33 for "sparse.run"), and the handler reads the bag
+// lists it carries in place.
+func requestBodyPad(mlen int) int { return -(requestHeader + mlen + 4) & 3 }
+
 // frameReader reads a connection's frames: headers through a buffer, so
 // the read that fetches a header usually brings a small frame with it,
 // and whatever of a body that read did not bring straight from the
@@ -122,15 +132,49 @@ func newFrameReader(conn io.Reader) *frameReader {
 // (the caller hands sub-slices of it to code that may keep them), pad
 // bytes into that allocation.
 func readFrame(r io.Reader, pad int) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	return readFrameMsg(r, n, pad)
+}
+
+// readRequestFrame is readFrame for the server's side of a connection:
+// the pad follows from the method length in the frame's own header, which
+// it looks at before sizing the message. A frame too short to hold a
+// request header is read unpadded and left to DecodeRequest to refuse.
+func readRequestFrame(fr *frameReader) ([]byte, error) {
+	n, err := readFrameLen(fr)
+	if err != nil {
+		return nil, err
+	}
+	pad := 0
+	if n >= requestHeader {
+		hdr, err := fr.Peek(requestHeader)
+		if err != nil {
+			return nil, err
+		}
+		pad = requestBodyPad(int(binary.LittleEndian.Uint16(hdr[requestHeader-2:])))
+	}
+	return readFrameMsg(fr, n, pad)
+}
+
+// readFrameLen reads a frame's length prefix.
+func readFrameLen(r io.Reader) (int, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	msg := make([]byte, pad+int(n))[pad:]
+	return int(n), nil
+}
+
+// readFrameMsg reads the n-byte message that follows a length prefix.
+func readFrameMsg(r io.Reader, n, pad int) ([]byte, error) {
+	msg := make([]byte, pad+n)[pad:]
 	rest := msg
 	if fr, ok := r.(*frameReader); ok {
 		// Buffered bytes are copied out without touching the connection;
@@ -158,7 +202,7 @@ func requestWireSize(req *Request) (int, error) {
 	if len(req.Method) > 0xffff {
 		return 0, fmt.Errorf("rpc: method name too long (%d bytes)", len(req.Method))
 	}
-	n := 1 + 8 + 8 + 2 + len(req.Method) + 4 + len(req.Body)
+	n := requestHeader + len(req.Method) + 4 + len(req.Body)
 	if n > MaxFrameSize {
 		return 0, ErrFrameTooLarge
 	}

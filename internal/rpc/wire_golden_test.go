@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -115,6 +116,48 @@ func TestResponseBodyAligned(t *testing.T) {
 		}
 		if at := uintptr(unsafe.Pointer(&resp.Body[0])); at%4 != 0 {
 			t.Errorf("%d-byte response body at %#x, not 4-byte aligned", n, at)
+		}
+	}
+}
+
+// TestRequestBodyAligned: whatever its method's length — the pad follows
+// from it — a request's body reaches the handler on a 4-byte boundary,
+// small frames that arrive with their header's read and large ones read
+// straight from the connection alike, which is what lets the main shard
+// and the sparse shards read the bag lists inside it in place.
+func TestRequestBodyAligned(t *testing.T) {
+	var mu sync.Mutex
+	at := make(map[string]uintptr)
+	s, err := NewServer("127.0.0.1:0", HandlerFunc(func(_ trace.Context, method string, body []byte) ([]byte, error) {
+		mu.Lock()
+		at[method] = uintptr(unsafe.Pointer(&body[0]))
+		mu.Unlock()
+		return nil, nil
+	}), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := DialPool(s.Addr(), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := uint64(0)
+	for _, method := range []string{"rank", "sparse.run", "rank@DRM1", "a", "ab", "abc", "abcd"} {
+		for _, n := range []int{1, 7, 100 << 10} {
+			id++
+			if _, err := c.CallSync(&Request{Method: method, CallID: id, Body: make([]byte, n)}); err != nil {
+				t.Fatal(err)
+			}
+			if at[method]%4 != 0 {
+				t.Errorf("%d-byte body of a %q request at %#x, not 4-byte aligned", n, method, at[method])
+			}
+		}
+	}
+	for mlen, want := range map[int]int{4: 1, 10: 3, 1: 0, 2: 3, 3: 2} {
+		if got := requestBodyPad(mlen); got != want {
+			t.Errorf("requestBodyPad(%d) = %d, want %d", mlen, got, want)
 		}
 	}
 }
