@@ -166,11 +166,6 @@ func BenchmarkReshardOnline(b *testing.B) { runExperiment(b, "reshard") }
 // the migration identity check with the hot-row cache enabled.
 func BenchmarkTieredStorage(b *testing.B) { runExperiment(b, "tiered") }
 
-// BenchmarkDenseEngine regenerates the dense-engine sweep: blocked GEMM
-// GFLOP/s across batch × parallelism × MLP shape with the bitwise
-// serial/parallel identity check, plus e2e latency at both settings.
-func BenchmarkDenseEngine(b *testing.B) { runExperiment(b, "dense") }
-
 // BenchmarkFaultTolerance regenerates the replica-failure sweep: kills ×
 // replica count × hedge delay with health ejection on/off, the SLA and
 // rebuild/rejoin timings, and the degraded-fleet score-identity check.
@@ -217,8 +212,7 @@ func sparsify(a *tensor.Matrix, frac float64, block int) {
 }
 
 // BenchmarkDenseGEMM measures the GEMM on a coalesced-batch serving
-// shape (64 rows through DRM1's 418->256 top layer). The serial/parallel
-// pair runs whatever kernel auto-dispatch resolves; the generic/vector
+// shape (64 rows through DRM1's 418->256 top layer). The generic/vector
 // pair pins each kernel family explicitly so the bench gate can assert
 // the register-tiled kernel actually beats the scalar one (benchcheck
 // -assert-faster), and the *-tail pair repeats the comparison on a
@@ -235,17 +229,14 @@ func BenchmarkDenseGEMM(b *testing.B) {
 	at, wt := denseOperands(61, 419, 253)
 	type arm struct {
 		name string
-		par  int
 		kern tensor.Kernel
 		a, w *tensor.Matrix
 	}
 	arms := []arm{
-		{"serial", 1, tensor.KernelAuto, a, w},
-		{"parallel", 0, tensor.KernelAuto, a, w},
-		{"generic", 1, tensor.KernelGeneric, a, w},
-		{"vector", 1, tensor.KernelVector, a, w},
-		{"generic-tail", 1, tensor.KernelGeneric, at, wt},
-		{"vector-tail", 1, tensor.KernelVector, at, wt},
+		{"generic", tensor.KernelGeneric, a, w},
+		{"vector", tensor.KernelVector, a, w},
+		{"generic-tail", tensor.KernelGeneric, at, wt},
+		{"vector-tail", tensor.KernelVector, at, wt},
 	}
 	for _, sh := range []struct {
 		name    string
@@ -262,16 +253,14 @@ func BenchmarkDenseGEMM(b *testing.B) {
 		sa, sw := denseOperands(sh.m, sh.k, sh.n)
 		sparsify(sa, sh.frac, sh.block)
 		arms = append(arms,
-			arm{sh.name + "/generic", 1, tensor.KernelGeneric, sa, sw},
-			arm{sh.name + "/vector", 1, tensor.KernelVector, sa, sw})
+			arm{sh.name + "/generic", tensor.KernelGeneric, sa, sw},
+			arm{sh.name + "/vector", tensor.KernelVector, sa, sw})
 	}
 	for _, tc := range arms {
 		b.Run(tc.name, func(b *testing.B) {
 			m, k, n := tc.a.Rows, tc.a.Cols, tc.w.Cols
 			out := tensor.New(m, n)
-			tensor.SetParallelism(tc.par)
 			tensor.SetKernel(tc.kern)
-			defer tensor.SetParallelism(0)
 			defer tensor.SetKernel(tensor.KernelAuto)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -525,7 +514,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig3", "fig4", "fig5", "tab2", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tab3",
-		"repl", "front", "reshard", "tiered", "dense", "fault", "coserve",
+		"repl", "front", "reshard", "tiered", "fault", "coserve",
 		"fresh",
 	}
 	all := experiments.All()

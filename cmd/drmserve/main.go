@@ -34,7 +34,6 @@ import (
 	"repro/internal/replication"
 	"repro/internal/rpc"
 	"repro/internal/sharding"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,13 +85,6 @@ func main() {
 		coldPrec  = flag.String("cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
 		errBudget = flag.Float64("error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
 
-		// Dense compute engine (main role runs the MLP stacks): per-GEMM
-		// worker fan-out and row-tile height. Outputs are bitwise
-		// identical at every setting.
-		densePar   = flag.Int("dense-par", 0, "dense GEMM workers per multiply: 0 = GOMAXPROCS, 1 = serial")
-		gemmBlock  = flag.Int("gemm-block", 0, "dense GEMM row-tile height per worker claim (0 = default)")
-		kernelName = flag.String("kernel", "", "compute kernel: auto, generic, or vector (default auto; REPRO_KERNEL env sets the same)")
-
 		// Multi-model co-serving (coserve role): every -model becomes one
 		// hosted tenant behind a shared front door, with an elastic
 		// scheduler moving replica capacity between them.
@@ -110,15 +102,6 @@ func main() {
 	)
 	flag.Var(&models, "model", "model to serve: DRM1, DRM2, DRM3; -role coserve takes repeated tenant specs NAME[=MODEL][:key=val,...] (keys: sla, shards, strategy, replicas, slots, min, max, queue, batch-wait, batch-reqs)")
 	flag.Parse()
-	tensor.SetParallelism(*densePar)
-	tensor.SetBlockRows(*gemmBlock)
-	if *kernelName != "" {
-		k, err := tensor.KernelFromString(*kernelName)
-		if err != nil {
-			fatal(err)
-		}
-		tensor.SetKernel(k)
-	}
 
 	scaleModel, scaleTo, err := parseScale(*scale)
 	if err != nil {

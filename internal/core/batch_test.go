@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -140,4 +141,62 @@ func TestBlobScheduleBuiltAndPacked(t *testing.T) {
 		t.Fatal("arena pool returned nil")
 	}
 	prog.arenas.Put(a)
+}
+
+// TestEveryExecutionIsCutIntoDefaultBatches pins the traffic fact
+// tensor.MatMul's single-goroutine design rests on: whatever reaches the
+// engine — a frontend-coalesced execution or one request — runs as
+// ⌈items/BatchSize()⌉ batches of at most DefaultBatch (16, 16, 24) items,
+// so no served GEMM is taller than that and dense parallelism is per
+// batch. A change that hands the GEMM taller matrices has to edit this
+// test, and re-open row-parallel GEMM with a benchmark workload on that
+// side.
+func TestEveryExecutionIsCutIntoDefaultBatches(t *testing.T) {
+	batches := func(reg *obs.Registry) int64 { return reg.Snapshot().Counter("engine.batches") }
+	for name, batch := range map[string]int{"DRM1": 16, "DRM2": 16, "DRM3": 24} {
+		cfg := smallModel(name)
+		reg := obs.NewRegistry()
+		eng, err := NewEngine(model.Build(cfg), sharding.Singular(&cfg), EngineConfig{Recorder: trace.NewRecorder("main", 1<<16), Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.BatchSize() != batch {
+			t.Fatalf("%s: BatchSize() = %d, want %d", name, eng.BatchSize(), batch)
+		}
+		gen := workload.NewGenerator(cfg, 5)
+		var items []BatchItem
+		total := 0
+		for i := 0; i < 4; i++ {
+			req := FromWorkload(gen.Next())
+			total += int(req.Items)
+			items = append(items, BatchItem{Ctx: trace.Context{TraceID: uint64(i + 1)}, Req: req})
+		}
+		if _, err := eng.ExecuteBatch(items); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := batches(reg), int64((total+batch-1)/batch); got != want {
+			t.Errorf("%s: %d coalesced items ran as %d batches, want %d", name, total, got, want)
+		}
+
+		if name != "DRM3" {
+			continue
+		}
+		// A DRM3 request of 17–24 items is one batch: the tallest GEMM any
+		// served request reaches.
+		for _, n := range []int{17, 24} {
+			one := cfg
+			one.MeanItems, one.ItemsSigma = n, 0
+			req := FromWorkload(workload.NewGenerator(one, 9).Next())
+			if int(req.Items) != n {
+				t.Fatalf("generated %d items, want %d", req.Items, n)
+			}
+			before := batches(reg)
+			if _, err := eng.Execute(trace.Context{TraceID: 99}, req); err != nil {
+				t.Fatal(err)
+			}
+			if got := batches(reg) - before; got != 1 {
+				t.Errorf("DRM3: a %d-item request ran as %d batches, want 1", n, got)
+			}
+		}
+	}
 }

@@ -52,7 +52,7 @@ type TableDelta struct {
 }
 
 // DeltaSet is one atomic publish: embedding row deltas plus an optional
-// dense-parameter swap, all activating at Version.
+// swap of the dense parameters, all activating at Version.
 type DeltaSet struct {
 	Version uint64
 	Tables  []TableDelta

@@ -40,7 +40,6 @@ func All() []Experiment {
 		{"front", "SLA serving frontier (batch window × QPS)", func(r *Runner, w io.Writer) error { return r.Frontier(w) }},
 		{"reshard", "Online resharding under load drift (skew × move budget)", func(r *Runner, w io.Writer) error { return r.Reshard(w) }},
 		{"tiered", "Tiered embedding storage (cache × precision × skew)", func(r *Runner, w io.Writer) error { return r.Tiered(w) }},
-		{"dense", "Dense engine (batch × parallelism × MLP shape, GEMM GFLOP/s + e2e)", func(r *Runner, w io.Writer) error { return r.Dense(w) }},
 		{"fault", "Fault tolerance (replica kills × count × hedge delay, SLA + rebuild)", func(r *Runner, w io.Writer) error { return r.Fault(w) }},
 		{"coserve", "Multi-model co-serving (elastic vs static capacity at equal hardware)", func(r *Runner, w io.Writer) error { return r.CoServe(w) }},
 		{"fresh", "Online model freshness (update rate × QPS, mmap boot, byte identity)", func(r *Runner, w io.Writer) error { return r.Fresh(w) }},

@@ -1,7 +1,6 @@
 package kerneltest
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,35 +12,17 @@ import (
 func resetDispatch() {
 	gemmLanes = hostLanes
 	tensor.SetKernel(tensor.KernelAuto)
-	tensor.SetParallelism(0)
-	tensor.SetBlockRows(0)
-}
-
-// sweepSettings runs fn under every dispatch × parallelism × block-rows
-// setting: block rows 1 and 7 under three workers hand the kernels row
-// ranges [i0, i1) that start and end off the four-row tile grid.
-func sweepSettings(ds []dispatch, fn func(desc string)) {
-	for _, d := range ds {
-		for _, par := range []int{1, 3} {
-			for _, block := range []int{0, 1, 7} {
-				d.set()
-				tensor.SetParallelism(par)
-				tensor.SetBlockRows(block)
-				fn(fmt.Sprintf("%v par=%d block=%d", d, par, block))
-			}
-		}
-	}
 }
 
 // TestGEMMDifferential is the core differential property: for every
-// adversarial shape × payload class, MatMul under every kernel ×
-// parallelism × block-rows setting, at every lane width the host has,
-// is bitwise identical to the harness oracle. The special payload class
-// carries distinct-payload NaNs, ±Inf, subnormals, and -0, so an asm
-// kernel whose multiply or add operand order differs from the generic
-// kernel's fails here; the relu-sparse and block-sparse classes put
-// NaN, ±Inf and subnormal b entries under zero a values, so a kernel
-// that multiplies where the generic kernel skips fails here.
+// adversarial shape × payload class, MatMul under every kernel, at
+// every lane width the host has, is bitwise identical to the harness
+// oracle. The special payload class carries distinct-payload NaNs,
+// ±Inf, subnormals, and -0, so an asm kernel whose multiply or add
+// operand order differs from the generic kernel's fails here; the
+// relu-sparse and block-sparse classes put NaN, ±Inf and subnormal b
+// entries under zero a values, so a kernel that multiplies where the
+// generic kernel skips fails here.
 func TestGEMMDifferential(t *testing.T) {
 	defer resetDispatch()
 	ds := dispatches(t)
@@ -52,18 +33,19 @@ func TestGEMMDifferential(t *testing.T) {
 			b := RandMatrix(rng, s.K, s.N, p.B())
 			want := tensor.New(s.M, s.N)
 			RefMatMul(want, a, b)
-			sweepSettings(ds, func(desc string) {
+			for _, d := range ds {
+				d.set()
 				got := tensor.New(s.M, s.N)
 				for i := range got.Data {
 					got.Data[i] = float32(math.NaN()) // dirty dst
 				}
 				tensor.MatMul(got, a, b)
 				if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-					t.Fatalf("payload=%s shape=%dx%dx%d %s: element %d = %08x, want %08x",
-						p.Name, s.M, s.K, s.N, desc, i,
+					t.Fatalf("payload=%s shape=%dx%dx%d %v: element %d = %08x, want %08x",
+						p.Name, s.M, s.K, s.N, d, i,
 						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
 				}
-			})
+			}
 		}
 	}
 }
@@ -100,8 +82,7 @@ func TestGEMMDifferentialUnaligned(t *testing.T) {
 // epilogueShapes are the shapes the fused-epilogue differential runs:
 // every store path of the register tile (narrow, masked tail, whole
 // strips through the row kernel, strips plus tail) under short and full
-// row groups, k = 0 (dst is the epilogue of zero), and one parallel-path
-// size.
+// row groups, k = 0 (dst is the epilogue of zero), and one 64-row size.
 var epilogueShapes = []Shape{
 	{1, 7, 1}, {5, 0, 19}, {3, 9, 15}, {4, 13, 64}, {7, 13, 65},
 	{2, 21, 256}, {17, 29, 96}, {16, 40, 257}, {33, 29, 27}, {64, 96, 130},
@@ -134,15 +115,16 @@ func TestGEMMEpilogueDifferential(t *testing.T) {
 				for _, bs := range [][]float32{nil, bias} {
 					want := sums.Clone()
 					RefEpilogue(want, bs, relu)
-					sweepSettings(ds, func(desc string) {
+					for _, d := range ds {
+						d.set()
 						got := UnalignedMatrix(rng, s.M, s.N, 3, p) // dirty, unaligned dst
 						tensor.MatMulEpilogue(got, a, b, bs, relu)
 						if i := DiffFloat32(got.Data, want.Data); i >= 0 {
-							t.Fatalf("payload=%s shape=%dx%dx%d bias=%v relu=%v %s: element %d = %08x, want %08x",
-								p.Name, s.M, s.K, s.N, bs != nil, relu, desc, i,
+							t.Fatalf("payload=%s shape=%dx%dx%d bias=%v relu=%v %v: element %d = %08x, want %08x",
+								p.Name, s.M, s.K, s.N, bs != nil, relu, d, i,
 								math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
 						}
-					})
+					}
 				}
 			}
 		}

@@ -58,12 +58,12 @@ func guardedMatrix(t *testing.T, rng *rand.Rand, rows, cols int, p Payload) *ten
 
 // TestGEMMGuardPaged runs the full adversarial shape sweep with every
 // operand — a, b, bias and dst — flush against a guard page, under both
-// kernels, the serial and parallel paths, and every lane width, with
-// the fused epilogue on. The register tile's column tails are masked
-// loads and stores: a masked-out lane that touched memory, or a live one
-// placed past a row end, faults here (the last row of b, the bias and
-// the last row of dst all end at the page); results are still checked
-// against the oracle so short reads and dropped lanes show up too.
+// kernels and every lane width, with the fused epilogue on. The register
+// tile's column tails are masked loads and stores: a masked-out lane
+// that touched memory, or a live one placed past a row end, faults here
+// (the last row of b, the bias and the last row of dst all end at the
+// page); results are still checked against the oracle so short reads
+// and dropped lanes show up too.
 func TestGEMMGuardPaged(t *testing.T) {
 	defer resetDispatch()
 	ds := dispatches(t)
@@ -78,18 +78,15 @@ func TestGEMMGuardPaged(t *testing.T) {
 		RefEpilogue(want, bias, true)
 		dst := guardedMatrix(t, rng, s.M, s.N, p)
 		for _, d := range ds {
-			for _, par := range []int{1, 3} {
-				d.set()
-				tensor.SetParallelism(par)
-				for i := range dst.Data {
-					dst.Data[i] = float32(math.NaN()) // dirty dst
-				}
-				tensor.MatMulEpilogue(dst, a, b, bias, true)
-				if i := DiffFloat32(dst.Data, want.Data); i >= 0 {
-					t.Fatalf("shape=%dx%dx%d %v par=%d: element %d = %08x, want %08x",
-						s.M, s.K, s.N, d, par, i,
-						math.Float32bits(dst.Data[i]), math.Float32bits(want.Data[i]))
-				}
+			d.set()
+			for i := range dst.Data {
+				dst.Data[i] = float32(math.NaN()) // dirty dst
+			}
+			tensor.MatMulEpilogue(dst, a, b, bias, true)
+			if i := DiffFloat32(dst.Data, want.Data); i >= 0 {
+				t.Fatalf("shape=%dx%dx%d %v: element %d = %08x, want %08x",
+					s.M, s.K, s.N, d, i,
+					math.Float32bits(dst.Data[i]), math.Float32bits(want.Data[i]))
 			}
 		}
 	}

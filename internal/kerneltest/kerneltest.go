@@ -7,9 +7,9 @@
 // zero-size operands, unaligned slice offsets, and NaN/Inf/denormal
 // payloads whose propagation depends on exact instruction operand order
 // — plus independent reference implementations to compare against. The
-// tests in this package sweep the full parallelism × block × dispatch
-// cross-product; CI additionally re-runs the kernel-owning packages
-// once per forced REPRO_KERNEL setting.
+// tests in this package sweep every dispatch (kernel family × lane
+// width); CI additionally re-runs the kernel-owning packages once per
+// forced REPRO_KERNEL setting.
 //
 // The harness keeps its own GEMM oracle (RefMatMul) rather than
 // importing one from internal/tensor, so a bug introduced into the
@@ -30,8 +30,8 @@ type Shape struct{ M, K, N int }
 // GEMMShapes returns the adversarial shape sweep. Alongside ordinary
 // sizes it covers every boundary class the engine has: zero dimensions
 // (empty dst, and the k=0 case where dst must still be zeroed), single
-// elements, primes with every tail length, exact row-tile and
-// parallel-path boundaries — and everything the register tile branches
+// elements, primes with every tail length, row counts on and off the
+// four-row tile grid — and everything the register tile branches
 // on: row groups of 1–4 and 4+1, outputs narrower than one vector
 // (n = 1, 15), one vector and one 64-column strip ± 1, whole numbers of
 // strips (96 … 256, the row kernel's widths) and strips plus a masked
@@ -43,10 +43,10 @@ func GEMMShapes() []Shape {
 		{3, 5, 7}, {5, 7, 3}, {7, 3, 5},
 		{4, 4, 8}, {4, 4, 9}, {5, 4, 8}, // row groups ± 1
 		{13, 17, 11}, {17, 31, 13}, // primes, all tails
-		{16, 64, 64}, {17, 64, 65}, // one tile, one tile + 1
-		{8, 16, 512}, {8, 16, 513}, // generic column-panel boundary ± 1
-		{6, 512, 16}, {6, 515, 16}, // generic k-panel boundary ± 3
-		{64, 96, 33},                         // parallel path, odd columns
+		{16, 64, 64}, {17, 64, 65}, // whole row groups and strips, each + 1
+		{8, 16, 512}, {8, 16, 513}, // eight strips, eight strips + 1
+		{6, 512, 16}, {6, 515, 16}, // long k over a short row group
+		{64, 96, 33},                         // many row groups, odd columns
 		{5, 0, 65}, {4, 1, 256}, {17, 1, 17}, // k = 0 and 1 across strips
 		{4, 2960, 256}, {5, 2960, 257}, {16, 2960, 256}, {17, 2960, 96}, {3, 2960, 64}, {2, 2960, 1},
 	}

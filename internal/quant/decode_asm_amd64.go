@@ -17,8 +17,6 @@ package quant
 // groups; the Go wrappers in decode_vector.go run the remaining tail
 // through the same scalar code the generic kernel uses.
 
-const haveDecodeASM = true
-
 //go:noescape
 func accum8ptr(acc *float32, src *byte, n int, scale, bias float32)
 

@@ -2,13 +2,10 @@
 
 package quant
 
-// Stubs for architectures without the SIMD decode assembly: the
-// word-wide pure-Go paths in decode_vector.go carry the vector kernel
-// alone. The stubs are never called — haveDecodeASM is a compile-time
-// constant, so the calls are dead-code-eliminated — but must exist to
-// typecheck.
-
-const haveDecodeASM = false
+// Stubs for architectures without the SIMD decode assembly. They are
+// never called — tensor.ActiveKernel resolves to the generic family
+// off amd64, so vectorActive is false and the scalar decoders run —
+// but must exist to typecheck.
 
 func accum8ptr(acc *float32, src *byte, n int, scale, bias float32)   { panic("no decode asm") }
 func dequant8ptr(dst *float32, src *byte, n int, scale, bias float32) { panic("no decode asm") }

@@ -1,38 +1,26 @@
 package quant
 
-import (
-	"unsafe"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// Word-wide quantized-row decode: the vectorized arm of the kernel
-// dispatch table (tensor.SetKernel / REPRO_KERNEL). The scalar decoders
-// in quant.go load one packed byte per element; these decode 8 (int8)
-// or 16 (int4) codes per step. On amd64 the full-group body runs in
-// SIMD assembly (decode_amd64.s) — byte unpack, integer→float convert,
-// and the scale*code + bias accumulate all vector-wide; elsewhere a
-// single unaligned word load unpacks the codes in integer registers,
-// eliminating per-element bounds checks and loop overhead. Per element
-// the arithmetic is exactly the scalar kernel's — the same
-// uint8→float32 conversion feeding the same scale*code + bias
-// expression — so accumulation results are bitwise identical, a
-// property the differential tests and the FuzzWordWideRowDecode target
-// in decode_fuzz_test.go pin down on arbitrary row bytes, lengths, and
-// slice offsets.
+// SIMD quantized-row decode: the vectorized arm of the kernel dispatch
+// table (tensor.SetKernel / REPRO_KERNEL). The scalar decoders in
+// quant.go load one packed byte per element; these run full groups of 8
+// (int8) or 16 (int4) codes through the amd64 assembly (decode_amd64.s)
+// — byte unpack, integer→float convert, and the scale*code + bias
+// accumulate all vector-wide — and the remaining tail through the
+// scalar expression. Per element the arithmetic is exactly the scalar
+// kernel's — the same uint8→float32 conversion feeding the same
+// scale*code + bias expression — so accumulation results are bitwise
+// identical, a property the differential tests and the
+// FuzzWordWideRowDecode target in decode_fuzz_test.go pin down on
+// arbitrary row bytes, lengths, and slice offsets.
 //
-// Eligibility is resolved by the tensor dispatch table: the unaligned
-// word load assumes a 64-bit little-endian host (amd64/arm64), and
-// tensor.ActiveKernel only returns KernelVector on one.
+// Eligibility is resolved by the tensor dispatch table:
+// tensor.ActiveKernel only returns KernelVector on amd64, so on every
+// other architecture these are never called and the scalar reference
+// decoders carry both families.
 
-// load64 reads 8 little-endian bytes starting at b[off] as one word.
-// The caller must guarantee off+8 <= len(b); &b[off] keeps the single
-// leading bounds check, the unsafe cast removes the other seven.
-func load64(b []byte, off int) uint64 {
-	return *(*uint64)(unsafe.Pointer(&b[off]))
-}
-
-// vectorActive reports whether the word-wide decoders should run. A
+// vectorActive reports whether the SIMD decoders should run. A
 // plain helper so every quant entry point resolves dispatch the same
 // way (and exactly once per row or bag, not per element).
 func vectorActive() bool { return tensor.ActiveKernel() == tensor.KernelVector }
@@ -41,25 +29,10 @@ func vectorActive() bool { return tensor.ActiveKernel() == tensor.KernelVector }
 // into acc[0:n], 8 codes per step.
 func accumulateRow8Vec(acc []float32, src []byte, scale, bias float32, n int) {
 	c := 0
-	if haveDecodeASM {
-		if m := n &^ 7; m > 0 {
-			a, s := acc[:m], src[:m]
-			accum8ptr(&a[0], &s[0], m, scale, bias)
-			c = m
-		}
-	} else {
-		for ; c+8 <= n; c += 8 {
-			w := load64(src, c)
-			a := acc[c : c+8 : c+8]
-			a[0] += scale*float32(uint8(w)) + bias
-			a[1] += scale*float32(uint8(w>>8)) + bias
-			a[2] += scale*float32(uint8(w>>16)) + bias
-			a[3] += scale*float32(uint8(w>>24)) + bias
-			a[4] += scale*float32(uint8(w>>32)) + bias
-			a[5] += scale*float32(uint8(w>>40)) + bias
-			a[6] += scale*float32(uint8(w>>48)) + bias
-			a[7] += scale*float32(uint8(w>>56)) + bias
-		}
+	if m := n &^ 7; m > 0 {
+		a, s := acc[:m], src[:m]
+		accum8ptr(&a[0], &s[0], m, scale, bias)
+		c = m
 	}
 	for ; c < n; c++ {
 		acc[c] += scale*float32(src[c]) + bias
@@ -70,25 +43,10 @@ func accumulateRow8Vec(acc []float32, src []byte, scale, bias float32, n int) {
 // into dst[0:n], 8 codes per step.
 func dequantizeRow8Vec(dst []float32, src []byte, scale, bias float32, n int) {
 	c := 0
-	if haveDecodeASM {
-		if m := n &^ 7; m > 0 {
-			d, s := dst[:m], src[:m]
-			dequant8ptr(&d[0], &s[0], m, scale, bias)
-			c = m
-		}
-	} else {
-		for ; c+8 <= n; c += 8 {
-			w := load64(src, c)
-			d := dst[c : c+8 : c+8]
-			d[0] = scale*float32(uint8(w)) + bias
-			d[1] = scale*float32(uint8(w>>8)) + bias
-			d[2] = scale*float32(uint8(w>>16)) + bias
-			d[3] = scale*float32(uint8(w>>24)) + bias
-			d[4] = scale*float32(uint8(w>>32)) + bias
-			d[5] = scale*float32(uint8(w>>40)) + bias
-			d[6] = scale*float32(uint8(w>>48)) + bias
-			d[7] = scale*float32(uint8(w>>56)) + bias
-		}
+	if m := n &^ 7; m > 0 {
+		d, s := dst[:m], src[:m]
+		dequant8ptr(&d[0], &s[0], m, scale, bias)
+		c = m
 	}
 	for ; c < n; c++ {
 		dst[c] = scale*float32(src[c]) + bias
@@ -100,33 +58,10 @@ func dequantizeRow8Vec(dst []float32, src []byte, scale, bias float32, n int) {
 // matches the scalar decoder: low nibble is the even column.
 func accumulateRow4Vec(acc []float32, src []byte, scale, bias float32, n int) {
 	c := 0
-	if haveDecodeASM {
-		if m := n &^ 15; m > 0 {
-			a, s := acc[:m], src[:m/2]
-			accum4ptr(&a[0], &s[0], m, scale, bias)
-			c = m
-		}
-	} else {
-		for ; c+16 <= n; c += 16 {
-			w := load64(src, c/2)
-			a := acc[c : c+16 : c+16]
-			a[0] += scale*float32(uint8(w)&0x0f) + bias
-			a[1] += scale*float32(uint8(w>>4)&0x0f) + bias
-			a[2] += scale*float32(uint8(w>>8)&0x0f) + bias
-			a[3] += scale*float32(uint8(w>>12)&0x0f) + bias
-			a[4] += scale*float32(uint8(w>>16)&0x0f) + bias
-			a[5] += scale*float32(uint8(w>>20)&0x0f) + bias
-			a[6] += scale*float32(uint8(w>>24)&0x0f) + bias
-			a[7] += scale*float32(uint8(w>>28)&0x0f) + bias
-			a[8] += scale*float32(uint8(w>>32)&0x0f) + bias
-			a[9] += scale*float32(uint8(w>>36)&0x0f) + bias
-			a[10] += scale*float32(uint8(w>>40)&0x0f) + bias
-			a[11] += scale*float32(uint8(w>>44)&0x0f) + bias
-			a[12] += scale*float32(uint8(w>>48)&0x0f) + bias
-			a[13] += scale*float32(uint8(w>>52)&0x0f) + bias
-			a[14] += scale*float32(uint8(w>>56)&0x0f) + bias
-			a[15] += scale*float32(uint8(w>>60)&0x0f) + bias
-		}
+	if m := n &^ 15; m > 0 {
+		a, s := acc[:m], src[:m/2]
+		accum4ptr(&a[0], &s[0], m, scale, bias)
+		c = m
 	}
 	for ; c < n; c++ {
 		b := src[c/2]
@@ -144,33 +79,10 @@ func accumulateRow4Vec(acc []float32, src []byte, scale, bias float32, n int) {
 // two per byte in src into dst[0:n], 16 codes per step.
 func dequantizeRow4Vec(dst []float32, src []byte, scale, bias float32, n int) {
 	c := 0
-	if haveDecodeASM {
-		if m := n &^ 15; m > 0 {
-			d, s := dst[:m], src[:m/2]
-			dequant4ptr(&d[0], &s[0], m, scale, bias)
-			c = m
-		}
-	} else {
-		for ; c+16 <= n; c += 16 {
-			w := load64(src, c/2)
-			d := dst[c : c+16 : c+16]
-			d[0] = scale*float32(uint8(w)&0x0f) + bias
-			d[1] = scale*float32(uint8(w>>4)&0x0f) + bias
-			d[2] = scale*float32(uint8(w>>8)&0x0f) + bias
-			d[3] = scale*float32(uint8(w>>12)&0x0f) + bias
-			d[4] = scale*float32(uint8(w>>16)&0x0f) + bias
-			d[5] = scale*float32(uint8(w>>20)&0x0f) + bias
-			d[6] = scale*float32(uint8(w>>24)&0x0f) + bias
-			d[7] = scale*float32(uint8(w>>28)&0x0f) + bias
-			d[8] = scale*float32(uint8(w>>32)&0x0f) + bias
-			d[9] = scale*float32(uint8(w>>36)&0x0f) + bias
-			d[10] = scale*float32(uint8(w>>40)&0x0f) + bias
-			d[11] = scale*float32(uint8(w>>44)&0x0f) + bias
-			d[12] = scale*float32(uint8(w>>48)&0x0f) + bias
-			d[13] = scale*float32(uint8(w>>52)&0x0f) + bias
-			d[14] = scale*float32(uint8(w>>56)&0x0f) + bias
-			d[15] = scale*float32(uint8(w>>60)&0x0f) + bias
-		}
+	if m := n &^ 15; m > 0 {
+		d, s := dst[:m], src[:m/2]
+		dequant4ptr(&d[0], &s[0], m, scale, bias)
+		c = m
 	}
 	for ; c < n; c++ {
 		b := src[c/2]

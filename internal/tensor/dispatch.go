@@ -5,13 +5,12 @@ import (
 	"os"
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Kernel dispatch: every hot arithmetic loop in the tree (the GEMM
-// kernel here, the word-wide quantized row decode in
-// internal/quant) exists in two implementations — a portable generic
-// kernel and a hand-vectorized one — selected through this table. The
+// kernel here, the quantized row decode in internal/quant) exists in
+// two implementations — a portable generic kernel and a
+// hand-vectorized one — selected through this table. The
 // contract that makes swapping them safe is bitwise identity: a
 // vectorized kernel keeps the generic kernel's per-element accumulation
 // order and zero-skip semantics exactly, so dispatch never changes
@@ -30,8 +29,8 @@ const (
 	// KernelGeneric forces the portable reference kernels everywhere.
 	KernelGeneric
 	// KernelVector requests the hand-vectorized kernels (register-tiled
-	// GEMM, word-wide unsafe row decode). On hosts where the
-	// vector kernels are ineligible it resolves to KernelGeneric — forcing
+	// GEMM, SIMD row decode). On hosts where the vector
+	// kernels are ineligible it resolves to KernelGeneric — forcing
 	// a kernel never makes results wrong, at worst slower.
 	KernelVector
 )
@@ -51,7 +50,7 @@ func (k Kernel) String() string {
 }
 
 // KernelFromString parses a kernel name as accepted by the REPRO_KERNEL
-// environment variable and the drmserve -kernel flag.
+// environment variable.
 func KernelFromString(s string) (Kernel, error) {
 	switch s {
 	case "", "auto":
@@ -69,19 +68,9 @@ func KernelFromString(s string) (Kernel, error) {
 var kernelCfg atomic.Int32
 
 // vectorEligible reports whether the hand-vectorized kernels may run on
-// this host. They assume a 64-bit little-endian machine that tolerates
-// unaligned word loads (the unsafe row decode reads 8 bytes at arbitrary
-// byte offsets), which amd64 and arm64 guarantee; elsewhere dispatch
-// resolves to the generic kernels.
-var vectorEligible = (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") &&
-	hostLittleEndian() && unsafe.Sizeof(uintptr(0)) == 8
-
-// hostLittleEndian probes byte order at runtime rather than trusting an
-// arch list: a future port that lies about endianness fails safe here.
-func hostLittleEndian() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
+// this host: they are amd64 assembly, so elsewhere dispatch resolves to
+// the generic kernels.
+const vectorEligible = runtime.GOARCH == "amd64"
 
 // VectorSupported reports whether the vectorized kernels are eligible on
 // this host (independent of the configured selection).

@@ -68,15 +68,3 @@ func TestKernelString(t *testing.T) {
 		}
 	}
 }
-
-// TestHostLittleEndian sanity-checks the runtime byte-order probe on
-// the host the tests run on (all supported hosts are little-endian; a
-// big-endian port would legitimately change this).
-func TestHostLittleEndian(t *testing.T) {
-	if !hostLittleEndian() {
-		t.Skip("big-endian host: vector kernels ineligible by design")
-	}
-	if VectorSupported() != vectorEligible {
-		t.Error("VectorSupported disagrees with vectorEligible")
-	}
-}

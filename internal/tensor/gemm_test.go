@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // refMatMul is the original serial kernel, kept verbatim as the
 // determinism oracle: per element it accumulates over k ascending with
-// the same zero-skip, so the blocked/parallel engine must match it
-// bitwise.
+// the same zero-skip, so every kernel family must match it bitwise.
 func refMatMul(dst, a, b *Matrix) {
 	n := b.Cols
 	k := a.Cols
@@ -62,26 +62,24 @@ func bitsEqual(t *testing.T, name string, got, want *Matrix) {
 }
 
 // TestMatMulBitwiseMatchesReference sweeps odd shapes, zero-row/col
-// degenerate cases, and exact tile/block boundary sizes, checking the
-// engine against the reference kernel bitwise at several parallelism,
-// block-row, and kernel-dispatch settings.
+// degenerate cases, and exact register-tile boundary sizes, checking
+// MatMul against the reference kernel bitwise under every kernel family
+// and lane width.
 func TestMatMulBitwiseMatchesReference(t *testing.T) {
-	defer SetParallelism(0)
-	defer SetBlockRows(0)
 	defer SetKernel(KernelAuto)
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
-		{3, 5, 7},                      // odd everything
-		{17, 31, 13},                   // odd, spans unroll tail
-		{0, 8, 8},                      // zero rows
-		{8, 0, 8},                      // zero inner dim: dst must zero
-		{8, 8, 0},                      // zero cols
-		{defaultBlockRows, 64, 64},     // exactly one tile
-		{defaultBlockRows + 1, 64, 64}, // one tile + 1 row
-		{4 * defaultBlockRows, gemmKBlock, gemmColBlock}, // exact block boundaries
-		{64, gemmKBlock + 3, gemmColBlock + 5},           // just past block boundaries
-		{129, 97, 33},                                    // enough work to go parallel
-		{256, 512, 256},                                  // batch>=64 serving shape
+		{3, 5, 7},       // odd everything
+		{17, 31, 13},    // odd, spans unroll tail
+		{0, 8, 8},       // zero rows
+		{8, 0, 8},       // zero inner dim: dst must zero
+		{8, 8, 0},       // zero cols
+		{16, 64, 64},    // whole 4-row groups, whole column strips
+		{17, 64, 64},    // row groups + a 1-row tail
+		{64, 512, 512},  // whole strips, several row-kernel spans wide
+		{64, 515, 517},  // just past those boundaries
+		{129, 97, 33},   // row tail and masked column tail together
+		{256, 512, 256}, // exactly one 256-row chunk of the tile loop
 	}
 	defer func(w int) { gemmLanes = w }(gemmLanes)
 	ds := dispatches(t)
@@ -92,32 +90,25 @@ func TestMatMulBitwiseMatchesReference(t *testing.T) {
 		want := New(s.m, s.n)
 		refMatMul(want, a, b)
 		for _, d := range ds {
-			for _, par := range []int{1, 2, 3, 8} {
-				for _, block := range []int{0, 1, 5, 64} {
-					SetKernel(d.kern)
-					gemmLanes = d.lanes
-					SetParallelism(par)
-					SetBlockRows(block)
-					got := New(s.m, s.n)
-					// Dirty dst: the kernel must fully overwrite, not accumulate.
-					for i := range got.Data {
-						got.Data[i] = float32(math.NaN())
-					}
-					MatMul(got, a, b)
-					bitsEqual(t, fmt.Sprintf("%dx%dx%d %+v par=%d block=%d", s.m, s.k, s.n, d, par, block), got, want)
-				}
+			SetKernel(d.kern)
+			gemmLanes = d.lanes
+			got := New(s.m, s.n)
+			// Dirty dst: the kernel must fully overwrite, not accumulate.
+			for i := range got.Data {
+				got.Data[i] = float32(math.NaN())
 			}
+			MatMul(got, a, b)
+			bitsEqual(t, fmt.Sprintf("%dx%dx%d %+v", s.m, s.k, s.n, d), got, want)
 		}
 	}
 }
 
 // TestMatMulEpilogueFusionIdentity checks that fusing bias+ReLU into the
 // GEMM is bitwise identical to running them as separate passes, for
-// every epilogue combination, on the serial and parallel paths of both
-// kernel families at every lane width — and that a dirty dst is fully
-// overwritten (each row stored exactly once, none accumulated into).
+// every epilogue combination, under both kernel families at every lane
+// width — and that a dirty dst is fully overwritten (each row stored
+// exactly once, none accumulated into).
 func TestMatMulEpilogueFusionIdentity(t *testing.T) {
-	defer SetParallelism(0)
 	defer SetKernel(KernelAuto)
 	rng := rand.New(rand.NewSource(99))
 	a := randMatrix(rng, 67, 33)
@@ -141,17 +132,14 @@ func TestMatMulEpilogueFusionIdentity(t *testing.T) {
 			ReLU(want)
 		}
 		for _, d := range ds {
-			for _, par := range []int{1, 4} {
-				SetKernel(d.kern)
-				gemmLanes = d.lanes
-				SetParallelism(par)
-				got := New(67, 29)
-				for i := range got.Data {
-					got.Data[i] = float32(math.NaN())
-				}
-				MatMulEpilogue(got, a, b, tc.bias, tc.relu)
-				bitsEqual(t, fmt.Sprintf("bias=%v relu=%v %+v par=%d", tc.bias != nil, tc.relu, d, par), got, want)
+			SetKernel(d.kern)
+			gemmLanes = d.lanes
+			got := New(67, 29)
+			for i := range got.Data {
+				got.Data[i] = float32(math.NaN())
 			}
+			MatMulEpilogue(got, a, b, tc.bias, tc.relu)
+			bitsEqual(t, fmt.Sprintf("bias=%v relu=%v %+v", tc.bias != nil, tc.relu, d), got, want)
 		}
 	}
 }
@@ -217,26 +205,24 @@ func TestAccumulatorNeverNegativeZero(t *testing.T) {
 	}
 }
 
-// TestGEMMKnobs pins the knob semantics: zero restores defaults and the
-// getters report effective values.
-func TestGEMMKnobs(t *testing.T) {
-	defer SetParallelism(0)
-	defer SetBlockRows(0)
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Errorf("Parallelism() = %d, want 3", Parallelism())
-	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Errorf("default Parallelism() = %d, want >= 1", Parallelism())
-	}
-	SetBlockRows(5)
-	if BlockRows() != 5 {
-		t.Errorf("BlockRows() = %d, want 5", BlockRows())
-	}
-	SetBlockRows(-2)
-	if BlockRows() != defaultBlockRows {
-		t.Errorf("BlockRows() = %d, want default %d", BlockRows(), defaultBlockRows)
+// TestMatMulStartsNoGoroutines pins that a MatMul runs wholly on its
+// caller: a coalesced-batch-sized multiply under each kernel family
+// adds nothing to the goroutine count (the test binary's own goroutines
+// may exit meanwhile, so only a rise fails). Dense parallelism is per
+// batch, in core.Engine; nothing in this package starts a goroutine.
+func TestMatMulStartsNoGoroutines(t *testing.T) {
+	defer SetKernel(KernelAuto)
+	rng := rand.New(rand.NewSource(11))
+	a := randMatrix(rng, 256, 418)
+	b := randMatrix(rng, 418, 256)
+	dst := New(256, 256)
+	before := runtime.NumGoroutine()
+	for _, k := range []Kernel{KernelGeneric, KernelVector} {
+		SetKernel(k)
+		MatMul(dst, a, b)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%v: %d goroutines before MatMul, %d after", k, before, after)
+		}
 	}
 }
 

@@ -102,11 +102,11 @@ func gemmRow16(a, b, d, bias *float32, k, ldb, strips, relu int)
 //go:noescape
 func gemmRow8(a, b, d, bias *float32, k, ldb, strips, relu int)
 
-// gemmRowsTile computes rows [i0, i1) of dst = relu?(a×b + bias) with
-// the register tile at the given lane width. The caller has checked
-// shapes and that k and n are nonzero.
-func gemmRowsTile(dst, a, b *Matrix, i0, i1, lanes int, bias []float32, relu bool) {
-	k, n := a.Cols, b.Cols
+// gemmRowsTile computes dst = relu?(a×b + bias) with the register tile
+// at the given lane width. The caller has checked shapes and that k and
+// n are nonzero.
+func gemmRowsTile(dst, a, b *Matrix, lanes int, bias []float32, relu bool) {
+	m, k, n := dst.Rows, a.Cols, b.Cols
 	tile, row, strip := gemmTile16, gemmRow16, 64 // strip: columns per tile
 	if lanes == 8 {
 		tile, row, strip = gemmTile8, gemmRow8, 16
@@ -125,8 +125,8 @@ func gemmRowsTile(dst, a, b *Matrix, i0, i1, lanes int, bias []float32, relu boo
 	// groups' shape choices. Within a chunk the tile loop runs column
 	// strips outermost: a strip's b panel (k × 256 bytes) is then read
 	// from memory once and re-read from cache by every other row group.
-	for c0 := i0; c0 < i1; c0 += 256 {
-		c1 := min(i1, c0+256)
+	for c0 := 0; c0 < m; c0 += 256 {
+		c1 := min(m, c0+256)
 		var rowBits uint64
 		for g, i := 0, c0; i < c1 && n >= strip; g, i = g+1, i+4 {
 			rows := min(4, c1-i)

@@ -63,12 +63,11 @@ func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 4 }
 func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols) }
 
 // MatMul computes dst = a × b for a (m×k) and b (k×n). dst must be m×n and
-// may not alias a or b. It panics on shape mismatch. The engine (gemm.go)
-// tiles rows of a across a GOMAXPROCS-sized worker pool above a size
-// threshold and runs inline below it; per-element accumulation order is
-// fixed, so results are bitwise identical at every parallelism, block-size
-// and kernel setting. Its cost scales with m·k·n, so relative compute
-// attributions are faithful.
+// may not alias a or b. It panics on shape mismatch. The whole multiply
+// runs on the caller's goroutine (gemm.go); per-element accumulation
+// order is fixed, so results are bitwise identical under every kernel
+// setting. Its cost scales with m·k·n, so relative compute attributions
+// are faithful.
 func MatMul(dst, a, b *Matrix) { matmul(dst, a, b, nil, false) }
 
 // MatMulEpilogue computes dst = a × b + bias, then max(0, ·) when relu
