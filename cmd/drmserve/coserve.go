@@ -21,9 +21,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/frontend"
 	"repro/internal/model"
-	"repro/internal/obs"
+	"repro/internal/sharding"
 	"repro/internal/workload"
 )
 
@@ -48,90 +47,86 @@ func (m modelFlags) primary() string {
 	return strings.TrimSpace(name)
 }
 
-// tenantFlagSpec is one parsed -model tenant spec. The zero keys of a
-// spec inherit the process-wide flags (-sla, -max-queue, -batch-wait,
-// -batch-reqs, -shards, -strategy), so common tuning is written once.
+// tenantFlagSpec is one -model tenant spec being parsed: the TenantSpec
+// it fills, plus the keys that only pick its plan. The zero
+// keys of a spec inherit the process-wide flags (-sla, -max-queue,
+// -batch-wait, -batch-reqs, -shards, -strategy), so common tuning is
+// written once.
 type tenantFlagSpec struct {
-	name, model string
-	sla         time.Duration
-	queue       int
-	batchWait   time.Duration
-	batchReqs   int
-	shards      int
-	strategy    string
-	replicas    int
-	slots       int
-	min, max    int
+	cluster.TenantSpec
+	strategy string
+	shards   int
 }
 
-// parseTenantSpec parses "NAME[=MODEL][:key=val,...]" over defaults d.
-// NAME names the tenant (the rank@NAME route and model= obs label) and,
-// without =MODEL, doubles as the model; NAME=MODEL hosts a tenant copy
-// of MODEL under its own name.
-func parseTenantSpec(s string, d tenantFlagSpec) (tenantFlagSpec, error) {
+// parseTenantSpec parses "NAME[=MODEL][:key=val,...]" over defaults d and
+// derives the tenant's plan (run builds its model). NAME names the
+// tenant (the rank@NAME route and model= obs label) and, without =MODEL,
+// doubles as the model; NAME=MODEL hosts a tenant copy of MODEL under its
+// own name.
+func parseTenantSpec(s string, d tenantFlagSpec) (cluster.TenantSpec, error) {
 	out := d
 	head, opts, hasOpts := strings.Cut(s, ":")
 	head = strings.TrimSpace(head)
-	if name, mod, ok := strings.Cut(head, "="); ok {
-		out.name, out.model = strings.TrimSpace(name), strings.TrimSpace(mod)
-	} else {
-		out.name, out.model = head, head
+	name, mod, ok := strings.Cut(head, "=")
+	if !ok {
+		mod = head
 	}
-	if out.name == "" {
-		return out, fmt.Errorf("tenant spec %q has no name", s)
+	if out.Name = strings.TrimSpace(name); out.Name == "" {
+		return out.TenantSpec, fmt.Errorf("tenant spec %q has no name", s)
 	}
-	if !knownModel(out.model) {
-		return out, fmt.Errorf("tenant spec %q: unknown model %q (want %s)", s, out.model, strings.Join(model.Names(), ", "))
+	cfg, err := modelConfig(strings.TrimSpace(mod))
+	if err != nil {
+		return out.TenantSpec, fmt.Errorf("tenant spec %q: %w", s, err)
 	}
-	if !hasOpts {
-		return out, nil
-	}
-	for _, kv := range strings.Split(opts, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || v == "" {
-			return out, fmt.Errorf("tenant spec %q: bad option %q (want key=val)", s, kv)
-		}
-		var err error
-		switch k {
-		case "sla":
-			out.sla, err = time.ParseDuration(v)
-		case "batch-wait":
-			out.batchWait, err = time.ParseDuration(v)
-		case "queue":
-			out.queue, err = strconv.Atoi(v)
-		case "batch-reqs":
-			out.batchReqs, err = strconv.Atoi(v)
-		case "shards":
-			out.shards, err = strconv.Atoi(v)
-		case "strategy":
-			out.strategy = v
-		case "replicas":
-			out.replicas, err = strconv.Atoi(v)
-		case "slots":
-			out.slots, err = strconv.Atoi(v)
-		case "min":
-			out.min, err = strconv.Atoi(v)
-		case "max":
-			out.max, err = strconv.Atoi(v)
-		default:
-			return out, fmt.Errorf("tenant spec %q: unknown option %q", s, k)
-		}
-		if err != nil {
-			return out, fmt.Errorf("tenant spec %q: option %q: %w", s, kv, err)
+	if hasOpts {
+		for _, kv := range strings.Split(opts, ",") {
+			if err := out.set(kv); err != nil {
+				return out.TenantSpec, fmt.Errorf("tenant spec %q: %w", s, err)
+			}
 		}
 	}
-	return out, nil
+	out.Plan, err = sharding.ByStrategy(&cfg, out.strategy, out.shards, workload.DeploymentPooling(cfg))
+	if err != nil {
+		return out.TenantSpec, fmt.Errorf("tenant %s: %w", out.Name, err)
+	}
+	return out.TenantSpec, nil
 }
 
-// knownModel reports whether name is a buildable model (model.ByName
-// panics on unknown names, so specs are validated first).
-func knownModel(name string) bool {
-	for _, n := range model.Names() {
-		if strings.EqualFold(n, name) {
-			return true
-		}
+// set applies one key=val option of a tenant spec.
+func (t *tenantFlagSpec) set(kv string) error {
+	k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
+	if !ok || v == "" {
+		return fmt.Errorf("bad option %q (want key=val)", kv)
 	}
-	return false
+	var err error
+	switch k {
+	case "sla":
+		t.Frontend.Budget, err = time.ParseDuration(v)
+	case "batch-wait":
+		t.Frontend.BatchWait, err = time.ParseDuration(v)
+	case "queue":
+		t.Frontend.MaxQueue, err = strconv.Atoi(v)
+	case "batch-reqs":
+		t.Frontend.MaxBatchRequests, err = strconv.Atoi(v)
+	case "shards":
+		t.shards, err = strconv.Atoi(v)
+	case "strategy":
+		t.strategy = v
+	case "replicas":
+		t.InitialReplicas, err = strconv.Atoi(v)
+	case "slots":
+		t.SlotReplicas, err = strconv.Atoi(v)
+	case "min":
+		t.MinReplicas, err = strconv.Atoi(v)
+	case "max":
+		t.MaxReplicas, err = strconv.Atoi(v)
+	default:
+		return fmt.Errorf("unknown option %q", k)
+	}
+	if err != nil {
+		return fmt.Errorf("option %q: %w", kv, err)
+	}
+	return nil
 }
 
 // parseScale parses the -scale flag's "MODEL=N" ("", 0 when unset).
@@ -168,74 +163,26 @@ func forceScaleAfter(fl *cluster.Fleet, name string, to int, after time.Duration
 		ev.Model, ev.From, ev.To, ev.RebuildBytes, ev.Took.Round(time.Microsecond))
 }
 
-// coserveOptions carries the coserve role's fleet-wide tuning.
-type coserveOptions struct {
-	listen      string
-	capacity    float64
-	every       time.Duration
-	hedge       time.Duration
-	healthFails int
-	healthProbe time.Duration
-	maxInFlight int
-	obs         *obs.Registry
-}
-
-func serveCoserve(specArgs []string, defaults tenantFlagSpec, opts coserveOptions) (*cluster.Fleet, error) {
-	if len(specArgs) == 0 {
-		return nil, fmt.Errorf("-role coserve needs at least one -model tenant spec")
+// serveCoserve builds every tenant's model and boots the fleet.
+func serveCoserve(c *config) (*cluster.Fleet, error) {
+	for i := range c.tenants {
+		c.tenants[i].Model = model.Build(model.ByName(c.tenants[i].Plan.ModelName))
 	}
-	specs := make([]cluster.TenantSpec, 0, len(specArgs))
-	for _, arg := range specArgs {
-		ts, err := parseTenantSpec(arg, defaults)
-		if err != nil {
-			return nil, err
-		}
-		cfg := model.ByName(ts.model)
-		pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
-		plan, err := buildPlan(&cfg, ts.strategy, ts.shards, pooling)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", ts.name, err)
-		}
-		specs = append(specs, cluster.TenantSpec{
-			Name:  ts.name,
-			Model: model.Build(cfg),
-			Plan:  plan,
-			Frontend: frontend.Config{
-				BatchWait:        ts.batchWait,
-				MaxBatchRequests: ts.batchReqs,
-				MaxQueue:         ts.queue,
-				Budget:           ts.sla,
-			},
-			InitialReplicas: ts.replicas,
-			SlotReplicas:    ts.slots,
-			MinReplicas:     ts.min,
-			MaxReplicas:     ts.max,
-		})
-	}
-	fl, err := cluster.BootFleet(specs, cluster.FleetOptions{
-		Capacity:         opts.capacity,
-		Interval:         opts.every,
-		HedgeDelay:       opts.hedge,
-		HealthFails:      opts.healthFails,
-		HealthProbe:      opts.healthProbe,
-		FrontMaxInFlight: opts.maxInFlight,
-		Listen:           opts.listen,
-		Obs:              opts.obs,
-	})
+	fl, err := cluster.BootFleet(c.tenants, c.fleet)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range fl.Names() {
-		cl := fl.TenantCluster(name)
+		cl, spec := fl.TenantCluster(name), c.tenants[i]
 		fmt.Printf("drmserve: tenant %s serves %s (%s): %d/%d replicas active, sla=%v\n",
-			name, specs[i].Model.Config.Name, specs[i].Plan.Name(),
-			cl.ActiveReplicas(), cl.ReplicaSlots(), specs[i].Frontend.Budget)
+			name, spec.Plan.ModelName, spec.Plan.Name(),
+			cl.ActiveReplicas(), cl.ReplicaSlots(), spec.Frontend.Budget)
 	}
 	elastic := "elastic scheduler off"
-	if opts.every > 0 {
-		elastic = fmt.Sprintf("elastic every %v", opts.every)
+	if c.fleet.Interval > 0 {
+		elastic = fmt.Sprintf("elastic every %v", c.fleet.Interval)
 	}
 	fmt.Printf("drmserve: coserve front door on %s hosting %d models (%s)\n",
-		fl.Addr(), len(specs), elastic)
+		fl.Addr(), len(c.tenants), elastic)
 	return fl, nil
 }

@@ -1,6 +1,8 @@
 // Command drmserve runs one shard of a distributed recommendation
 // inference deployment as a standalone process: either the main shard
 // (dense layers + RPC fan-out) or one sparse shard (embedding tables).
+// Each role is assembled by internal/cluster — the same code cluster.Boot
+// composes in-process — so this file is flags → cluster.Options → role.
 //
 // Every process derives the identical sharding plan from the same flags
 // (models and pooling estimation are deterministic), so a deployment is
@@ -25,231 +27,193 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/embedding"
 	"repro/internal/frontend"
 	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/replication"
-	"repro/internal/rpc"
 	"repro/internal/sharding"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// config is a parsed command line: what run assembles and serves.
+type config struct {
+	role   string
+	listen string
+	netsim bool
+
+	// The single-model roles' model (built, or loaded from modelFile, by
+	// run), its plan, the sparse role's shard number and the main role's
+	// -peers bindings in flag order (a service's first address is its
+	// primary, the rest hedge replicas).
+	model     model.Config
+	modelFile string
+	plan      *sharding.Plan
+	shard     int
+	peers     map[string][]string
+	// opts goes to the role assemblers as parsed; run adds Obs.
+	opts cluster.Options
+
+	// The main role's control loop.
+	rebalanceEvery, publishEvery time.Duration
+	moveBudget, publishRows      int
+
+	// The coserve role: tenants carry their plans; run builds the models.
+	fleet      cluster.FleetOptions
+	tenants    []cluster.TenantSpec
+	scaleModel string
+	scaleTo    int
+	scaleAfter time.Duration
+
+	metricsAddr string
+	metricsLog  time.Duration
+}
+
 func main() {
-	var models modelFlags
+	c, err := parse(os.Args[1:])
+	if err == nil {
+		err = run(c)
+	}
+	if err != nil && err != flag.ErrHelp {
+		fmt.Fprintln(os.Stderr, "drmserve:", err)
+		os.Exit(1)
+	}
+}
+
+// parse turns a command line into a config, refusing what no role could
+// serve. It builds no model and opens nothing.
+func parse(args []string) (*config, error) {
+	c := &config{}
 	var (
-		role      = flag.String("role", "main", "shard role: main, sparse, or coserve")
-		shardNum  = flag.Int("shard", 1, "sparse shard number (1-based)")
-		strategy  = flag.String("strategy", "load-bal", "sharding strategy")
-		shards    = flag.Int("shards", 2, "sparse shard count")
-		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
-		modelFile = flag.String("model-file", "", "load a serialized model (from shardtool -save-model) instead of building")
-		shardFile = flag.String("shard-file", "", "sparse role: serve directly from one shard file, mmap-backed (shardtool -export-shards)")
-		shardDir  = flag.String("shard-dir", "", "sparse role: serve from the v2 shard file <dir>/<model>.shardN, mmap-backed (shardtool export-v2)")
-		peers     = flag.String("peers", "", "main role: comma-separated sparseN=host:port bindings; repeat a name to add hedge replicas")
-		netDelay  = flag.Bool("netsim", false, "inject data-center link latency")
-
-		// SLA-aware frontend (main role). Any of
-		// -batch-wait/-batch-reqs/-max-queue/-sla enables it; all unset,
-		// the main shard serves one request per call.
-		batchWait = flag.Duration("batch-wait", 0, "dynamic batching window (enables the serving frontend)")
-		batchReqs = flag.Int("batch-reqs", 0, "max requests coalesced per engine execution, default 16 (enables the serving frontend)")
-		maxQueue  = flag.Int("max-queue", 0, "bounded admission queue depth (enables the serving frontend)")
-		slaBudget = flag.Duration("sla", 0, "per-request SLA budget for admission control (enables the serving frontend)")
-		hedge     = flag.Duration("hedge", 0, "hedge sparse RPCs against a peer replica after this delay (needs repeated -peers names)")
-		maxInFly  = flag.Int("max-inflight", 0, "main role: reject requests beyond this many in flight (0 = unbounded)")
-
-		// Health-aware replica management (main role, with hedge
-		// replicas): eject a replica from the rotation after consecutive
-		// failures, re-admit it through probation probes.
-		healthFails = flag.Int("health-fails", 0, "eject a hedge replica after this many consecutive failures (0 disables; needs repeated -peers names)")
-		healthProbe = flag.Duration("health-probe", 0, "probation probe interval for ejected replicas (default 250ms)")
-
-		// Online resharding (main role): periodically collect the sparse
-		// shards' measured load and migrate tables live toward balance.
-		rebalEvery = flag.Duration("rebalance-every", 0, "main role: run a capacity-driven rebalance pass at this interval (0 disables)")
-		moveBudget = flag.Int("move-budget", 4, "max table moves per rebalance pass")
-
-		// Online model freshness (main role): periodically publish a
-		// versioned delta set to every sparse peer as a staged
-		// transaction.
-		publishEvery = flag.Duration("publish-every", 0, "main role: publish an identity delta set (freshness load, no score impact) at this interval (0 disables)")
-		publishRows  = flag.Int("publish-rows", 16, "rows republished per table per publish tick")
-
-		// Tiered embedding storage (sparse role): a hot-row cache byte
-		// budget in front of a quantized cold tier.
-		cacheMB   = flag.Float64("cache-mb", 0, "sparse role: hot-row cache budget in MiB, apportioned across tables by measured load (0 disables)")
-		coldPrec  = flag.String("cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
-		errBudget = flag.Float64("error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
-
-		// Multi-model co-serving (coserve role): every -model becomes one
-		// hosted tenant behind a shared front door, with an elastic
-		// scheduler moving replica capacity between them.
-		capacity     = flag.Float64("capacity", 0, "coserve role: fleet hardware in units (sparse servers); 0 = exactly the sum of initial allocations")
-		elasticEvery = flag.Duration("elastic-every", 0, "coserve role: elastic scheduler tick (0 disables autonomous reallocation)")
-		scale        = flag.String("scale", "", "coserve role: force MODEL=N serving replicas after -scale-after (the CI smoke's forced scale-up)")
-		scaleAfter   = flag.Duration("scale-after", 2*time.Second, "coserve role: delay before applying -scale")
-
-		// Live telemetry: the obs registry aggregates per-stage counters
-		// and latency histograms; sampled request tracing adds end-to-end
-		// stage breakdowns for one of every -trace-sample requests.
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics over HTTP: /metrics (text), /metrics.json, /traces, /debug/pprof/ (empty disables)")
-		traceSample = flag.Int("trace-sample", 0, "main role: live-sample one of every N requests into a stage-breakdown trace (0 disables; deadline misses always sampled)")
-		metricsLog  = flag.Duration("metrics-log", 0, "log a metrics snapshot diff to stderr at this interval (0 disables)")
+		models                         modelFlags
+		fe                             frontend.Config
+		strategy, coldPrec, peers, scl string
+		shards                         int
+		cacheMB, errBudget             float64
 	)
-	flag.Var(&models, "model", "model to serve: DRM1, DRM2, DRM3; -role coserve takes repeated tenant specs NAME[=MODEL][:key=val,...] (keys: sla, shards, strategy, replicas, slots, min, max, queue, batch-wait, batch-reqs)")
-	flag.Parse()
+	fs := flag.NewFlagSet("drmserve", flag.ContinueOnError)
+	fs.StringVar(&c.role, "role", "main", "shard role: main, sparse, or coserve")
+	fs.IntVar(&c.shard, "shard", 1, "sparse shard number (1-based)")
+	fs.StringVar(&strategy, "strategy", "load-bal", "sharding strategy")
+	fs.IntVar(&shards, "shards", 2, "sparse shard count")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "listen address")
+	fs.StringVar(&c.modelFile, "model-file", "", "load a serialized model (from shardtool -save-model) instead of building")
+	fs.StringVar(&c.opts.ShardDir, "shard-dir", "", "sparse role: serve from the v2 shard file <dir>/<model>.shardN, mmap-backed (shardtool export-v2)")
+	fs.StringVar(&peers, "peers", "", "main role: comma-separated sparseN=host:port bindings; repeat a name to add hedge replicas")
+	fs.BoolVar(&c.netsim, "netsim", false, "inject data-center link latency")
 
-	scaleModel, scaleTo, err := parseScale(*scale)
-	if err != nil {
-		fatal(err)
+	// SLA-aware frontend (main role). Any of
+	// -batch-wait/-batch-reqs/-max-queue/-sla enables it; all unset, the
+	// main shard serves one request per call.
+	fs.DurationVar(&fe.BatchWait, "batch-wait", 0, "dynamic batching window (enables the serving frontend)")
+	fs.IntVar(&fe.MaxBatchRequests, "batch-reqs", 0, "max requests coalesced per engine execution, default 16 (enables the serving frontend)")
+	fs.IntVar(&fe.MaxQueue, "max-queue", 0, "bounded admission queue depth (enables the serving frontend)")
+	fs.DurationVar(&fe.Budget, "sla", 0, "per-request SLA budget for admission control (enables the serving frontend)")
+	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedge sparse RPCs against a peer replica after this delay (needs repeated -peers names)")
+	fs.IntVar(&c.opts.MainMaxInFlight, "max-inflight", 0, "main role: reject requests beyond this many in flight (0 = unbounded)")
+
+	// Health-aware replica management (main role, with hedge replicas):
+	// eject a replica from the rotation after consecutive failures,
+	// re-admit it through probation probes.
+	fs.IntVar(&c.opts.HealthFails, "health-fails", 0, "eject a hedge replica after this many consecutive failures (0 disables; needs repeated -peers names)")
+	fs.DurationVar(&c.opts.HealthProbe, "health-probe", 0, "probation probe interval for ejected replicas (default 250ms)")
+
+	// Online resharding (main role): periodically collect the sparse
+	// shards' measured load and migrate tables live toward balance.
+	fs.DurationVar(&c.rebalanceEvery, "rebalance-every", 0, "main role: run a capacity-driven rebalance pass at this interval (0 disables)")
+	fs.IntVar(&c.moveBudget, "move-budget", 4, "max table moves per rebalance pass")
+
+	// Online model freshness (main role): periodically publish a versioned
+	// delta set to every sparse peer as a staged transaction.
+	fs.DurationVar(&c.publishEvery, "publish-every", 0, "main role: publish an identity delta set (freshness load, no score impact) at this interval (0 disables)")
+	fs.IntVar(&c.publishRows, "publish-rows", 16, "rows republished per table per publish tick")
+
+	// Tiered embedding storage (sparse role): a hot-row cache byte budget
+	// in front of a quantized cold tier.
+	fs.Float64Var(&cacheMB, "cache-mb", 0, "sparse role: hot-row cache budget in MiB, apportioned across tables by measured load (0 disables)")
+	fs.StringVar(&coldPrec, "cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
+	fs.Float64Var(&errBudget, "error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
+
+	// Multi-model co-serving (coserve role): every -model becomes one
+	// hosted tenant behind a shared front door, with an elastic scheduler
+	// moving replica capacity between them.
+	fs.Float64Var(&c.fleet.Capacity, "capacity", 0, "coserve role: fleet hardware in units (sparse servers); 0 = exactly the sum of initial allocations")
+	fs.DurationVar(&c.fleet.Interval, "elastic-every", 0, "coserve role: elastic scheduler tick (0 disables autonomous reallocation)")
+	fs.StringVar(&scl, "scale", "", "coserve role: force MODEL=N serving replicas after -scale-after (the CI smoke's forced scale-up)")
+	fs.DurationVar(&c.scaleAfter, "scale-after", 2*time.Second, "coserve role: delay before applying -scale")
+
+	// Live telemetry: the obs registry aggregates per-stage counters and
+	// latency histograms; sampled request tracing adds end-to-end stage
+	// breakdowns for one of every -trace-sample requests.
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live metrics over HTTP: /metrics (text), /metrics.json, /traces, /debug/pprof/ (empty disables)")
+	fs.IntVar(&c.opts.TraceSample, "trace-sample", 0, "main role: live-sample one of every N requests into a stage-breakdown trace (0 disables; deadline misses always sampled)")
+	fs.DurationVar(&c.metricsLog, "metrics-log", 0, "log a metrics snapshot diff to stderr at this interval (0 disables)")
+	fs.Var(&models, "model", "model to serve: DRM1, DRM2, DRM3; -role coserve takes repeated tenant specs NAME[=MODEL][:key=val,...] (keys: sla, shards, strategy, replicas, slots, min, max, queue, batch-wait, batch-reqs)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
-	// The single-model roles derive one model and plan from the flags;
-	// coserve builds a model and plan per tenant spec instead.
-	var m *model.Model
-	var plan *sharding.Plan
-	var tier *core.TierConfig
-	modelName := models.primary()
-	if *role != "coserve" {
-		if *modelFile != "" {
-			f, err := os.Open(*modelFile)
-			if err != nil {
-				fatal(err)
-			}
-			m, err = model.Load(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			if m.Config.Name != modelName {
-				fatal(fmt.Errorf("model file holds %s, flag says %s", m.Config.Name, modelName))
-			}
-		}
-		cfg := model.ByName(modelName)
-		if m != nil {
-			cfg = m.Config
-		}
-		pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
-		plan, err = buildPlan(&cfg, *strategy, *shards, pooling)
-		if err != nil {
-			fatal(err)
-		}
-		if m == nil {
-			m = model.Build(cfg)
-		}
-		tier, err = buildTier(&cfg, *cacheMB, *coldPrec, *errBudget)
-		if err != nil {
-			fatal(err)
-		}
+	if err := c.opts.Validate(); err != nil {
+		return nil, fmt.Errorf("-health-fails without -hedge: %w", err)
 	}
-
-	// The registry only pays for itself when something reads it; with no
-	// exporter and no tracing it discards, and every instrumented path in
-	// the process degrades to a nil-handle branch.
-	reg := obs.Discard()
-	if *metricsAddr != "" || *metricsLog > 0 || *traceSample > 0 {
-		reg = obs.NewRegistry()
+	var err error
+	if c.scaleModel, c.scaleTo, err = parseScale(scl); err != nil {
+		return nil, err
 	}
-	var tracer *obs.Tracer
-	if *traceSample > 0 {
-		tracer = obs.NewTracer(reg, obs.TracerConfig{SampleEvery: *traceSample, OnDeadlineMiss: true})
-	}
-
-	var srv *rpc.Server
-	shutdown := func() {}
-	switch *role {
-	case "sparse":
-		if *shardDir != "" {
-			srv, shutdown, err = serveSparseFromFile(core.ShardFilePath(*shardDir, modelName, *shardNum), *shardNum, *listen, *netDelay, tier, reg)
-			break
+	switch c.role {
+	case "main", "sparse":
+		// One model and plan from the flags.
+		if c.model, err = modelConfig(models.primary()); err != nil {
+			return nil, err
 		}
-		if *shardFile != "" {
-			srv, shutdown, err = serveSparseFromFile(*shardFile, 0, *listen, *netDelay, tier, reg)
-			break
+		if c.plan, err = sharding.ByStrategy(&c.model, strategy, shards, workload.DeploymentPooling(c.model)); err != nil {
+			return nil, err
 		}
-		srv, err = serveSparse(m, plan, *shardNum, *listen, *netDelay, tier, reg)
-	case "main":
-		opts := mainOptions{
-			batchWait:      *batchWait,
-			batchReqs:      *batchReqs,
-			maxQueue:       *maxQueue,
-			sla:            *slaBudget,
-			hedge:          *hedge,
-			maxInFlight:    *maxInFly,
-			healthFails:    *healthFails,
-			healthProbe:    *healthProbe,
-			rebalanceEvery: *rebalEvery,
-			moveBudget:     *moveBudget,
-			publishEvery:   *publishEvery,
-			publishRows:    *publishRows,
-			obs:            reg,
-			tracer:         tracer,
+		if c.opts.Tier, err = buildTier(&c.model, cacheMB, coldPrec, errBudget); err != nil {
+			return nil, err
 		}
-		srv, shutdown, err = serveMain(m, plan, *listen, *peers, *netDelay, opts)
+		if c.peers, err = parsePeers(peers); err != nil {
+			return nil, err
+		}
+		if fe != (frontend.Config{}) {
+			c.opts.Frontend = &fe
+		}
+		if c.role == "main" {
+			err = c.checkControlPeers()
+		}
 	case "coserve":
-		defaults := tenantFlagSpec{
-			sla: *slaBudget, queue: *maxQueue,
-			batchWait: *batchWait, batchReqs: *batchReqs,
-			shards: *shards, strategy: *strategy,
+		// A model and plan per tenant spec; the process-wide flags are the
+		// specs' defaults.
+		c.fleet.HedgeDelay, c.fleet.HealthFails, c.fleet.HealthProbe = c.opts.HedgeDelay, c.opts.HealthFails, c.opts.HealthProbe
+		c.fleet.FrontMaxInFlight, c.fleet.Listen = c.opts.MainMaxInFlight, c.listen
+		if len(models) == 0 {
+			return nil, fmt.Errorf("-role coserve needs at least one -model tenant spec")
 		}
-		var fl *cluster.Fleet
-		fl, err = serveCoserve([]string(models), defaults, coserveOptions{
-			listen: *listen, capacity: *capacity, every: *elasticEvery,
-			hedge: *hedge, healthFails: *healthFails, healthProbe: *healthProbe,
-			maxInFlight: *maxInFly, obs: reg,
-		})
-		if err == nil {
-			shutdown = fl.Close
-			if scaleModel != "" {
-				go forceScaleAfter(fl, scaleModel, scaleTo, *scaleAfter)
+		defaults := tenantFlagSpec{TenantSpec: cluster.TenantSpec{Frontend: fe}, shards: shards, strategy: strategy}
+		for _, arg := range models {
+			ts, err := parseTenantSpec(arg, defaults)
+			if err != nil {
+				return nil, err
 			}
+			c.tenants = append(c.tenants, ts)
 		}
 	default:
-		err = fmt.Errorf("unknown role %q", *role)
+		err = fmt.Errorf("unknown role %q", c.role)
 	}
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if *metricsAddr != "" {
-		bound, stopHTTP, merr := obs.Serve(*metricsAddr, reg, tracer)
-		if merr != nil {
-			if srv != nil {
-				srv.Close()
-			}
-			shutdown()
-			fatal(merr)
-		}
-		fmt.Printf("drmserve: metrics on http://%s/metrics (/metrics.json, /traces, /debug/pprof/)\n", bound)
-		prev := shutdown
-		shutdown = func() { stopHTTP(); prev() }
-	}
-	if *metricsLog > 0 {
-		stopLog := obs.StartLogger(reg, os.Stderr, *metricsLog)
-		prev := shutdown
-		shutdown = func() { stopLog(); prev() }
-	}
-	switch {
-	case *role == "coserve":
-		// serveCoserve already printed the fleet banner.
-	case *shardDir != "":
-		fmt.Printf("drmserve: sparse shard (mmap from %s) on %s\n", *shardDir, srv.Addr())
-	case *shardFile != "":
-		fmt.Printf("drmserve: sparse shard (from %s) on %s\n", *shardFile, srv.Addr())
-	default:
-		fmt.Printf("drmserve: %s shard serving %s (%s) on %s\n", *role, modelName, plan.Name(), srv.Addr())
-	}
+	return c, nil
+}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	if srv != nil {
-		srv.Close()
+// modelConfig resolves a -model name, in any letter case.
+func modelConfig(name string) (model.Config, error) {
+	for _, n := range model.Names() {
+		if strings.EqualFold(n, name) {
+			return model.ByName(n), nil
+		}
 	}
-	shutdown()
+	return model.Config{}, fmt.Errorf("unknown model %q (want %s)", name, strings.Join(model.Names(), ", "))
 }
 
 // buildTier translates the tiered-storage flags into a shard tier
@@ -271,299 +235,213 @@ func buildTier(cfg *model.Config, cacheMB float64, coldPrec string, errBudget fl
 	}, nil
 }
 
-// serveSparseFromFile boots a sparse shard straight from its shard file,
-// serving lookups out of mmap-backed storage where the format and
-// platform allow — the paper's publish-then-load flow: the shard never
-// materializes the rest of the model. A nonzero want must match the
-// shard number in the file. The returned shutdown releases the mapping
-// (after the server).
-func serveSparseFromFile(path string, want int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, func(), error) {
-	name := "sparse"
-	if want != 0 {
-		name = core.ServiceName(want)
+// parsePeers parses -peers: name=addr bindings, in order; a repeated
+// name adds hedge replicas for that service (first binding is the
+// primary).
+func parsePeers(s string) (map[string][]string, error) {
+	peers := make(map[string][]string)
+	if s == "" {
+		return peers, nil
 	}
-	rec := trace.NewRecorder(name, 1<<16)
-	sh, shard, closer, err := core.OpenShardFile(path, rec)
-	if err != nil {
-		return nil, nil, err
+	for _, binding := range strings.Split(s, ",") {
+		name, addr, ok := strings.Cut(strings.TrimSpace(binding), "=")
+		if !ok {
+			return nil, fmt.Errorf("bad peer binding %q (want name=addr)", binding)
+		}
+		peers[name] = append(peers[name], addr)
 	}
-	if want != 0 && shard != want {
-		sh.Close()
-		closer.Close()
-		return nil, nil, fmt.Errorf("%s holds shard %d, -shard says %d", path, shard, want)
-	}
-	if tier != nil {
-		sh.SetTier(tier)
-	}
-	sh.SetObs(reg)
-	cfg := rpc.ServerConfig{Recorder: rec, BoilerplateCost: platform.BaseBoilerplate}
-	if sim {
-		cfg.ResponseLink = platform.SCLarge().Network(int64(shard)).Response
-	}
-	fmt.Printf("drmserve: %s loaded from %s: %d tables/parts, %.1f MiB\n",
-		sh.ShardName, path, sh.NumTables(), float64(sh.Bytes())/(1<<20))
-	srv, err := rpc.NewServer(listen, sh, cfg)
-	if err != nil {
-		sh.Close()
-		closer.Close()
-		return nil, nil, err
-	}
-	return srv, func() { closer.Close() }, nil
+	return peers, nil
 }
 
-func serveSparse(m *model.Model, plan *sharding.Plan, shard int, listen string, sim bool, tier *core.TierConfig, reg *obs.Registry) (*rpc.Server, error) {
-	if !plan.IsDistributed() {
-		return nil, fmt.Errorf("singular plans have no sparse shards")
+// checkControlPeers refuses a control loop the -peers bindings cannot
+// carry.
+func (c *config) checkControlPeers() error {
+	if !c.plan.IsDistributed() {
+		return nil
 	}
-	if shard < 1 || shard > plan.NumShards {
-		return nil, fmt.Errorf("shard %d outside [1, %d]", shard, plan.NumShards)
+	for i := 1; i <= c.plan.NumShards; i++ {
+		name := core.ServiceName(i)
+		switch addrs := c.peers[name]; {
+		case c.rebalanceEvery > 0 && len(addrs) == 0:
+			return fmt.Errorf("-rebalance-every needs every shard in -peers; %s missing", name)
+		case c.publishEvery > 0 && len(addrs) == 0:
+			return fmt.Errorf("-publish-every needs every shard in -peers; %s missing", name)
+		case c.rebalanceEvery > 0 && len(addrs) > 1:
+			// Standalone replicas are separate processes with separate table
+			// stores; migrating only the primary would leave the replicas
+			// stale and turn every hedge into a miss. (The in-process cluster
+			// is exempt: its replicas share one store.)
+			return fmt.Errorf("-rebalance-every does not support hedge replicas yet (%s has %d addresses)", name, len(addrs))
+		}
 	}
-	recs := make([]*trace.Recorder, plan.NumShards)
-	for i := range recs {
-		recs[i] = trace.NewRecorder(core.ServiceName(i+1), 1<<16)
+	return nil
+}
+
+// run assembles the configured role, serves until SIGINT/SIGTERM, and
+// tears down.
+func run(c *config) error {
+	// The registry only pays for itself when something reads it; with no
+	// exporter and no tracing it discards, and every instrumented path in
+	// the process degrades to a nil-handle branch.
+	reg := obs.Discard()
+	if c.metricsAddr != "" || c.metricsLog > 0 || c.opts.TraceSample > 0 {
+		reg = obs.NewRegistry()
 	}
-	all, err := core.MaterializeShardsTiered(m, plan, recs, tier)
+	c.opts.Obs, c.fleet.Obs = reg, reg
+
+	var tracer *obs.Tracer
+	var shutdown func()
+	switch c.role {
+	case "sparse":
+		// A shard-file boot is publish-then-load: the shard never
+		// materializes the rest of the model.
+		var m *model.Model
+		if c.opts.ShardDir == "" {
+			var err error
+			if m, err = c.loadModel(); err != nil {
+				return err
+			}
+		}
+		var link *netsim.Link
+		if c.netsim {
+			link = platform.SCLarge().Network(int64(c.shard)).Response
+		}
+		s, err := cluster.ServeSparse(m, c.plan, c.shard, c.listen, link, c.opts)
+		if err != nil {
+			return err
+		}
+		shutdown = s.Close
+		ts := s.Store.TierSnapshot()
+		fmt.Printf("drmserve: %s holds %d tables/parts (%d fp32 / %d fp16 / %d int8), %.1f MiB\n",
+			s.Store.ShardName, ts.Tables, ts.FP32, ts.FP16, ts.Int8, float64(s.Store.Bytes())/(1<<20))
+		fmt.Printf("drmserve: sparse shard serving %s (%s) on %s\n", c.model.Name, c.plan.Name(), s.Server.Addr())
+	case "main":
+		m, err := c.loadModel()
+		if err != nil {
+			return err
+		}
+		var link *netsim.Link
+		if c.netsim {
+			link = platform.SCLarge().Network(7).Request
+		}
+		mn, err := cluster.StartMain(m, c.plan, c.listen, c.peers, link, c.opts)
+		if err != nil {
+			return err
+		}
+		stopControl, err := c.startControl(m, mn)
+		if err != nil {
+			mn.Close()
+			return err
+		}
+		tracer = mn.Tracer
+		shutdown = func() { stopControl(); mn.Close() }
+		if fe := c.opts.Frontend; fe != nil {
+			fmt.Printf("drmserve: SLA frontend enabled (wait=%v queue=%d budget=%v)\n", fe.BatchWait, fe.MaxQueue, fe.Budget)
+		}
+		fmt.Printf("drmserve: main shard serving %s (%s) on %s\n", c.model.Name, c.plan.Name(), mn.Server.Addr())
+	case "coserve":
+		fl, err := serveCoserve(c)
+		if err != nil {
+			return err
+		}
+		shutdown = fl.Close
+		if c.scaleModel != "" {
+			go forceScaleAfter(fl, c.scaleModel, c.scaleTo, c.scaleAfter)
+		}
+	}
+	defer shutdown()
+
+	if c.metricsAddr != "" {
+		bound, stopHTTP, err := obs.Serve(c.metricsAddr, reg, tracer)
+		if err != nil {
+			return err
+		}
+		defer stopHTTP()
+		fmt.Printf("drmserve: metrics on http://%s/metrics (/metrics.json, /traces, /debug/pprof/)\n", bound)
+	}
+	if c.metricsLog > 0 {
+		defer obs.StartLogger(reg, os.Stderr, c.metricsLog)()
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	return nil
+}
+
+// loadModel builds the single-model roles' model, or loads it from
+// -model-file. Either way the plan was derived from the named model's
+// config, as in every other process of the deployment.
+func (c *config) loadModel() (*model.Model, error) {
+	if c.modelFile == "" {
+		return model.Build(c.model), nil
+	}
+	f, err := os.Open(c.modelFile)
 	if err != nil {
 		return nil, err
 	}
-	sh := all[shard-1]
-	sh.SetObs(reg)
-	cfg := rpc.ServerConfig{Recorder: recs[shard-1], BoilerplateCost: platform.BaseBoilerplate}
-	if sim {
-		cfg.ResponseLink = platform.SCLarge().Network(int64(shard)).Response
-	}
-	fmt.Printf("drmserve: %s holds %d tables/parts, %.1f MiB\n", sh.ShardName, sh.NumTables(), float64(sh.Bytes())/(1<<20))
-	if tier != nil {
-		ts := sh.TierSnapshot()
-		fmt.Printf("drmserve: tiered store: %d fp32 / %d fp16 / %d int8 tables, %.1f MiB cold, %.1f MiB cache budget\n",
-			ts.FP32, ts.FP16, ts.Int8, float64(ts.ColdBytes)/(1<<20), tier.CacheMB)
-	}
-	return rpc.NewServer(listen, sh, cfg)
-}
-
-// mainOptions carries the main role's serving-frontend tuning.
-type mainOptions struct {
-	batchWait      time.Duration
-	batchReqs      int
-	maxQueue       int
-	sla            time.Duration
-	hedge          time.Duration
-	maxInFlight    int
-	healthFails    int
-	healthProbe    time.Duration
-	rebalanceEvery time.Duration
-	moveBudget     int
-	publishEvery   time.Duration
-	publishRows    int
-	obs            *obs.Registry
-	tracer         *obs.Tracer
-}
-
-// frontendEnabled reports whether any SLA-frontend flag was set.
-func (o mainOptions) frontendEnabled() bool {
-	return o.batchWait > 0 || o.maxQueue > 0 || o.sla > 0 || o.batchReqs > 0
-}
-
-func serveMain(m *model.Model, plan *sharding.Plan, listen, peers string, sim bool, opts mainOptions) (*rpc.Server, func(), error) {
-	// Peer bindings, in order; a repeated name adds hedge replicas for
-	// that service (first binding is the primary).
-	peerAddrs := make(map[string][]string)
-	if peers != "" {
-		for _, binding := range strings.Split(peers, ",") {
-			name, addr, ok := strings.Cut(strings.TrimSpace(binding), "=")
-			if !ok {
-				return nil, nil, fmt.Errorf("bad peer binding %q (want name=addr)", binding)
-			}
-			peerAddrs[name] = append(peerAddrs[name], addr)
-		}
-	}
-	if opts.healthFails > 0 && opts.hedge <= 0 {
-		// A silent replica produces no error to count; the breaker's
-		// slow strikes (and its bounded waits) hang off the hedge timer.
-		return nil, nil, fmt.Errorf("-health-fails requires -hedge > 0")
-	}
-	rec := trace.NewRecorder("main", 1<<18)
-	if opts.tracer != nil {
-		rec.SetSink(opts.tracer)
-	}
-	clients := make(map[string]rpc.Caller)
-	eng, err := core.NewEngine(m, plan, core.EngineConfig{
-		Recorder: rec,
-		Obs:      opts.obs,
-		ClientFor: func(service string) (rpc.Caller, error) {
-			if c, ok := clients[service]; ok {
-				return c, nil
-			}
-			addrs := peerAddrs[service]
-			if len(addrs) == 0 {
-				return nil, fmt.Errorf("service %q not bound by -peers", service)
-			}
-			var link *netsim.Link
-			if sim {
-				link = platform.SCLarge().Network(7).Request
-			}
-			callers := make([]rpc.Caller, 0, len(addrs))
-			for _, addr := range addrs {
-				c, err := rpc.Dial(addr, link)
-				if err != nil {
-					return nil, err
-				}
-				callers = append(callers, c)
-			}
-			var caller rpc.Caller = callers[0]
-			if len(callers) > 1 {
-				h, err := replication.NewHedged(callers, opts.hedge)
-				if err != nil {
-					return nil, err
-				}
-				if opts.healthFails > 0 {
-					// Health-aware rotation: repeatedly failing replicas
-					// are ejected and re-admitted via probation probes.
-					h.Health = replication.NewHealthTracker(len(callers), replication.HealthConfig{
-						FailThreshold: opts.healthFails,
-						ProbeEvery:    opts.healthProbe,
-					})
-				}
-				h.RegisterMetrics(opts.obs, "replication."+service+".")
-				caller = h
-			}
-			clients[service] = caller
-			return caller, nil
-		},
-	})
+	defer f.Close()
+	m, err := model.Load(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	var handler rpc.Handler = &core.MainService{Engine: eng, Rec: rec, Tracer: opts.tracer}
-	shutdown := func() {}
-	if opts.frontendEnabled() {
-		fe := frontend.New(eng, frontend.Config{
-			BatchWait:        opts.batchWait,
-			MaxBatchRequests: opts.batchReqs,
-			MaxQueue:         opts.maxQueue,
-			Budget:           opts.sla,
-			Obs:              opts.obs,
-			Tracer:           opts.tracer,
-		})
-		handler = &frontend.Service{F: fe, Rec: rec}
-		shutdown = fe.Close
-		fmt.Printf("drmserve: SLA frontend enabled (wait=%v queue=%d budget=%v)\n",
-			opts.batchWait, opts.maxQueue, opts.sla)
+	if m.Config.Name != c.model.Name {
+		return nil, fmt.Errorf("model file holds %s, flag says %s", m.Config.Name, c.model.Name)
 	}
-	srv, err := rpc.NewServer(listen, handler, rpc.ServerConfig{
-		Recorder: rec, BoilerplateCost: platform.BaseBoilerplate,
-		MaxInFlight: opts.maxInFlight,
-	})
-	if err != nil {
-		shutdown()
-		return nil, nil, err
-	}
-	opts.obs.RegisterProbeGroup(func(emit func(string, int64)) {
-		s := srv.Stats()
-		emit("rpc.main.inflight", s.InFlight)
-		emit("rpc.main.peak_inflight", s.PeakInFlight)
-		emit("rpc.main.overloads", s.Overloads)
-	})
-
-	// The control-plane drivers both change shard table sets in several
-	// wire steps, so they run from one loop and never interleave: a
-	// publish landing between a migration's reads and its cutover would
-	// be missing from the moved copy.
-	var mg *core.Migrator
-	var pub *core.Publisher
-	if opts.rebalanceEvery > 0 && plan.IsDistributed() {
-		mg = &core.Migrator{Engine: eng, Rec: rec, Shards: make(map[int]core.ShardEndpoint)}
-		for i := 1; i <= plan.NumShards; i++ {
-			name := core.ServiceName(i)
-			addrs := peerAddrs[name]
-			if len(addrs) == 0 {
-				shutdown()
-				srv.Close()
-				return nil, nil, fmt.Errorf("-rebalance-every needs every shard in -peers; %s missing", name)
-			}
-			if len(addrs) > 1 {
-				// Standalone replicas are separate processes with separate
-				// table stores; migrating only the primary would leave the
-				// replicas stale and turn every hedge into a miss. (The
-				// in-process cluster is exempt: its replicas share one
-				// store.)
-				shutdown()
-				srv.Close()
-				return nil, nil, fmt.Errorf("-rebalance-every does not support hedge replicas yet (%s has %d addresses)", name, len(addrs))
-			}
-			// Control-plane calls go over a dedicated plain connection to
-			// the primary: the serving caller may be hedged, and hedging a
-			// stage.commit would re-issue it against the same store.
-			ctrl, err := rpc.DialPool(addrs[0], nil, 1)
-			if err != nil {
-				shutdown()
-				srv.Close()
-				return nil, nil, err
-			}
-			mg.Shards[i] = core.ShardEndpoint{Service: name, Addr: addrs[0], Caller: ctrl}
-		}
-		fmt.Printf("drmserve: online resharding every %v (move budget %d)\n", opts.rebalanceEvery, opts.moveBudget)
-	}
-
-	if opts.publishEvery > 0 && plan.IsDistributed() {
-		pub = &core.Publisher{Engine: eng, Rec: rec, Obs: opts.obs, Shards: make(map[int][]core.ShardEndpoint)}
-		for i := 1; i <= plan.NumShards; i++ {
-			name := core.ServiceName(i)
-			addrs := peerAddrs[name]
-			if len(addrs) == 0 {
-				shutdown()
-				srv.Close()
-				return nil, nil, fmt.Errorf("-publish-every needs every shard in -peers; %s missing", name)
-			}
-			// Every address gets its own delta stream: standalone replicas
-			// are separate processes with separate table stores, and a
-			// publish must make all of them fresh. Connections are
-			// dedicated and plain — hedging a stage.commit would
-			// re-issue it against a store that already took the version.
-			for _, addr := range addrs {
-				ctrl, err := rpc.DialPool(addr, nil, 1)
-				if err != nil {
-					shutdown()
-					srv.Close()
-					return nil, nil, err
-				}
-				pub.Shards[i] = append(pub.Shards[i], core.ShardEndpoint{Service: name, Addr: addr, Caller: ctrl})
-			}
-		}
-		fmt.Printf("drmserve: publishing identity deltas every %v (%d rows/table)\n", opts.publishEvery, opts.publishRows)
-	}
-	if mg != nil || pub != nil {
-		stop := make(chan struct{})
-		go controlLoop(stop, mg, pub, m, opts)
-		prev := shutdown
-		shutdown = func() { close(stop); prev() }
-	}
-	return srv, shutdown, nil
+	return m, nil
 }
 
-// controlLoop runs the periodic control-plane drivers — rebalance passes
-// and identity-delta publishes — one at a time until stop closes. A nil
-// driver's ticker channel stays nil and never fires.
-func controlLoop(stop <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m *model.Model, opts mainOptions) {
+// startControl starts the main role's periodic control-plane drivers —
+// rebalance passes and identity-delta publishes — and returns their
+// stop. Both change shard table sets in several wire steps, so they run
+// from one loop and never interleave: a publish landing between a
+// migration's reads and its cutover would be missing from the moved copy.
+func (c *config) startControl(m *model.Model, mn *cluster.Main) (stop func(), err error) {
+	if !c.plan.IsDistributed() || (c.rebalanceEvery <= 0 && c.publishEvery <= 0) {
+		return func() {}, nil
+	}
+	// Every -peers address is its own table store: standalone replicas are
+	// separate processes, and a publish must make all of them fresh.
+	stores := make([][]string, c.plan.NumShards)
+	for i := range stores {
+		stores[i] = c.peers[core.ServiceName(i+1)]
+	}
+	cp := &cluster.ControlPlane{}
+	mg, pub, err := cp.Drivers(mn, stores)
+	if err != nil {
+		cp.Close()
+		return nil, err
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.controlLoop(quit, mg, pub, m)
+	}()
+	return func() { close(quit); <-done; cp.Close() }, nil
+}
+
+// controlLoop runs the control-plane drivers one at a time until quit
+// closes. A disabled driver's ticker channel stays nil and never fires.
+func (c *config) controlLoop(quit <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m *model.Model) {
 	var rebalance, publish <-chan time.Time
-	if mg != nil {
-		t := time.NewTicker(opts.rebalanceEvery)
+	if c.rebalanceEvery > 0 {
+		fmt.Printf("drmserve: online resharding every %v (move budget %d)\n", c.rebalanceEvery, c.moveBudget)
+		t := time.NewTicker(c.rebalanceEvery)
 		defer t.Stop()
 		rebalance = t.C
 	}
-	if pub != nil {
-		t := time.NewTicker(opts.publishEvery)
+	if c.publishEvery > 0 {
+		fmt.Printf("drmserve: publishing identity deltas every %v (%d rows/table)\n", c.publishEvery, c.publishRows)
+		t := time.NewTicker(c.publishEvery)
 		defer t.Stop()
 		publish = t.C
 	}
 	version := uint64(0)
 	for {
 		select {
-		case <-stop:
+		case <-quit:
 			return
 		case <-rebalance:
-			report, err := mg.Rebalance(sharding.RebalanceOptions{MoveBudget: opts.moveBudget})
+			report, err := mg.Rebalance(sharding.RebalanceOptions{MoveBudget: c.moveBudget})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "drmserve: rebalance:", err)
 				continue
@@ -571,7 +449,7 @@ func controlLoop(stop <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m
 			fmt.Println("drmserve:", report)
 		case <-publish:
 			version++
-			report, err := pub.Publish(identityDelta(m, version, opts.publishRows))
+			report, err := pub.Publish(core.IdentityDelta(m, nil, version, c.publishRows))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "drmserve: publish:", err)
 				continue
@@ -579,55 +457,4 @@ func controlLoop(stop <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m
 			fmt.Println("drmserve:", report)
 		}
 	}
-}
-
-// identityDelta builds a delta set that republishes rows already being
-// served — synthetic freshness load whose commit provably cannot change
-// scores. Each version samples a different contiguous row window.
-func identityDelta(m *model.Model, version uint64, rowsPer int) *core.DeltaSet {
-	ds := &core.DeltaSet{Version: version}
-	if rowsPer <= 0 {
-		rowsPer = 16
-	}
-	for id, tab := range m.Tables {
-		dense, ok := tab.(*embedding.Dense)
-		if !ok {
-			continue
-		}
-		n := rowsPer
-		if n > dense.RowsN {
-			n = dense.RowsN
-		}
-		start := int(version*2654435761) % dense.RowsN
-		rows := make([]int32, 0, n)
-		data := make([]float32, 0, n*dense.DimN)
-		for k := 0; k < n; k++ {
-			r := (start + k) % dense.RowsN
-			rows = append(rows, int32(r))
-			data = append(data, dense.Data[r*dense.DimN:(r+1)*dense.DimN]...)
-		}
-		ds.Tables = append(ds.Tables, core.TableDelta{TableID: id, Rows: rows, Data: data})
-	}
-	return ds
-}
-
-func buildPlan(cfg *model.Config, strategy string, n int, pooling map[int]float64) (*sharding.Plan, error) {
-	switch strategy {
-	case sharding.StrategySingular:
-		return sharding.Singular(cfg), nil
-	case sharding.StrategyOneShard:
-		return sharding.OneShard(cfg), nil
-	case sharding.StrategyCapacity:
-		return sharding.CapacityBalanced(cfg, n)
-	case sharding.StrategyLoad:
-		return sharding.LoadBalanced(cfg, n, pooling)
-	case sharding.StrategyNSBP, "nsbp":
-		return sharding.NSBP(cfg, n)
-	}
-	return nil, fmt.Errorf("unknown strategy %q", strategy)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "drmserve:", err)
-	os.Exit(1)
 }

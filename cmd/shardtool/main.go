@@ -13,7 +13,6 @@
 // Freshness subcommands (persistent v2 shard files):
 //
 //	shardtool export-v2 -model DRM2 -strategy NSBP -shards 4 -dir out/ -cold-precision int8
-//	shardtool convert -in old.shard1 -out new.shard1
 //	shardtool delta-diff old.shard1 new.shard1
 package main
 
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sharding"
 	"repro/internal/workload"
@@ -43,7 +41,6 @@ func main() {
 		samples   = flag.Int("samples", 200, "requests sampled for pooling estimation")
 		verbose   = flag.Bool("v", false, "list per-shard table assignments")
 		saveModel = flag.String("save-model", "", "serialize the built model to this file (paper §III-C publishing step)")
-		exportPfx = flag.String("export-shards", "", "write per-shard files <prefix>.shardN for the selected plan (§III-A1 resharding)")
 	)
 	flag.Parse()
 
@@ -95,33 +92,11 @@ func main() {
 		}
 		plans = ps
 	} else {
-		p, err := buildPlan(&cfg, *strategy, *shards, pooling)
+		p, err := sharding.ByStrategy(&cfg, *strategy, *shards, pooling)
 		if err != nil {
 			fatal(err)
 		}
 		plans = []*sharding.Plan{p}
-	}
-
-	if *exportPfx != "" {
-		if len(plans) != 1 || !plans[0].IsDistributed() {
-			fatal(fmt.Errorf("-export-shards needs a single distributed plan (not -all/singular)"))
-		}
-		m := model.Build(cfg)
-		for shard := 1; shard <= plans[0].NumShards; shard++ {
-			path := fmt.Sprintf("%s.shard%d", *exportPfx, shard)
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := core.ExportShardV2(m, plans[0], shard, f, nil); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
 	}
 
 	fmt.Print(sharding.Report(&cfg, plans, pooling))
@@ -142,22 +117,6 @@ func main() {
 			}
 		}
 	}
-}
-
-func buildPlan(cfg *model.Config, strategy string, n int, pooling map[int]float64) (*sharding.Plan, error) {
-	switch strategy {
-	case sharding.StrategySingular:
-		return sharding.Singular(cfg), nil
-	case sharding.StrategyOneShard, "one-shard":
-		return sharding.OneShard(cfg), nil
-	case sharding.StrategyCapacity:
-		return sharding.CapacityBalanced(cfg, n)
-	case sharding.StrategyLoad:
-		return sharding.LoadBalanced(cfg, n, pooling)
-	case sharding.StrategyNSBP, "nsbp":
-		return sharding.NSBP(cfg, n)
-	}
-	return nil, fmt.Errorf("unknown strategy %q", strategy)
 }
 
 func fatal(err error) {

@@ -23,7 +23,7 @@ func main() {
 
 	// 1. Profile: the advisor needs per-table pooling estimates (the
 	// paper's sampled-request methodology).
-	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
+	pooling := workload.DeploymentPooling(cfg)
 
 	// 2. Advise under constraints: shards must fit an SC-Small-sized
 	// memory budget, and compute overhead is weighted against latency.

@@ -22,7 +22,7 @@ import (
 func main() {
 	cfg := model.DRM1()
 	m := model.Build(cfg)
-	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
+	pooling := workload.DeploymentPooling(cfg)
 	plan, err := sharding.LoadBalanced(&cfg, 2, pooling)
 	if err != nil {
 		log.Fatal(err)

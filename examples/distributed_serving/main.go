@@ -23,7 +23,7 @@ import (
 func main() {
 	cfg := model.DRM1()
 	m := model.Build(cfg)
-	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
+	pooling := workload.DeploymentPooling(cfg)
 	plan, err := sharding.LoadBalanced(&cfg, 8, pooling)
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cl.Close()
-	fmt.Printf("registry: %v\n", cl.Registry.Services())
+	fmt.Printf("main shard on %s, sparse shards on %v\n", cl.MainAddr(), cl.SparseAddrs())
 
 	client, err := cl.DialMain()
 	if err != nil {

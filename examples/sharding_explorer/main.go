@@ -20,7 +20,7 @@ func main() {
 
 		// Pooling factors are estimated the way the paper does: sample
 		// requests and count lookups per table (Section III-B2).
-		pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), 200)
+		pooling := workload.DeploymentPooling(cfg)
 
 		plans, err := sharding.AllConfigurations(&cfg, pooling, false)
 		if err != nil {

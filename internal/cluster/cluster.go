@@ -9,7 +9,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,52 +111,32 @@ type sparseReplica struct {
 	client  rpc.Caller  // nil while killed
 }
 
-// Cluster is a running deployment.
+// Cluster is a running deployment: the main role (promoted: Obs, Tracer,
+// MainRec, Engine, Frontend) over loopback sparse roles.
 type Cluster struct {
+	*Main
 	Model     *model.Model
 	Plan      *sharding.Plan
-	Registry  *rpc.Registry
 	Collector *trace.Collector
-	MainRec   *trace.Recorder
 
-	// Obs is the deployment's metrics registry (obs.Discard() when
-	// Options.Obs was nil, so reads are always safe).
-	Obs *obs.Registry
-	// Tracer holds sampled live request traces when Options.TraceSample
-	// was > 0 (nil otherwise).
-	Tracer *obs.Tracer
-
-	Engine *core.Engine
-	// Frontend is non-nil when Options.Frontend fronted the main shard.
-	Frontend *frontend.Frontend
 	// Hedged holds the per-service hedged callers when SparseReplicas > 1
-	// (keyed like Registry services: "sparse1", ...).
+	// (keyed by service name: "sparse1", ...).
 	Hedged map[string]*replication.Hedged
 
-	mainServer *rpc.Server
 	// replicas holds every sparse serving replica, per shard.
 	replicas [][]*sparseReplica
 	// rebuilt tracks replacement table stores created by ReplaceReplica,
 	// closed with the cluster (the original shared stores live in shards).
 	rebuilt []*core.SparseShard
 	shards  []*core.SparseShard
-	clients map[string]rpc.Caller
-	// ctrlClients are plain (never hedged) connections the rebalancer's
-	// control plane uses: hedging a stage.commit would re-issue it to a
-	// replica sharing the same table store and trip the protocol's
-	// commit-without-begin guard.
-	ctrlClients map[string]*rpc.Client
-	// pubClients are plain (never hedged) connections the publisher's
-	// control plane uses, keyed by server address because freshness
-	// deltas address every distinct table store, not just each shard's
-	// registered primary. Guarded by replicaMu.
-	pubClients map[string]*rpc.Client
-	// shardClosers releases mmap-backed shard-file storage when the
-	// cluster booted from Options.ShardDir; closed after the shards that
-	// serve views into it.
-	shardClosers []io.Closer
+	// ctrl dials the control-plane drivers' connections. Guarded by
+	// replicaMu.
+	ctrl ControlPlane
+	// mappings holds the mmap-backed shard-file storage when the cluster
+	// booted from Options.ShardDir; closed after the shards that serve
+	// views into it.
+	mappings []io.Closer
 
-	plat platform.Platform
 	opts Options
 	// active is how many replica slots per shard currently serve (the
 	// rest are parked). Guarded by replicaMu.
@@ -184,25 +163,10 @@ type Cluster struct {
 	pubEvents []core.PublishEvent
 }
 
-// gcTuneOnce relaxes the collector for measurement runs: the request
-// path allocates several MB per request against a modest live heap, and
-// default GOGC triggers collections frequently enough that GC assists
-// visibly stretch operator spans. This is a measurement-harness decision,
-// applied once per process at first cluster boot.
-var gcTuneOnce sync.Once
-
-// Boot materializes shards, starts all servers, connects all clients,
-// and compiles the main-shard engine. Call Close to tear down.
+// Boot materializes shards, starts every sparse role and the main role
+// over loopback, and connects them. Call Close to tear down.
 func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
-	gcTuneOnce.Do(func() { debug.SetGCPercent(400) })
-	if opts.SpanCapacity == 0 {
-		opts.SpanCapacity = 1 << 18
-	}
-	plat := platform.SCLarge()
-	if opts.SparsePlatform != nil {
-		plat = *opts.SparsePlatform
-	}
-
+	opts = opts.withDefaults()
 	replicas := opts.SparseReplicas
 	if replicas < 1 {
 		replicas = 1
@@ -214,43 +178,17 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 	if active < 1 || active > replicas {
 		return nil, fmt.Errorf("cluster: ActiveReplicas %d out of range [1,%d]", opts.ActiveReplicas, replicas)
 	}
-	if opts.HealthFails > 0 && opts.HedgeDelay <= 0 {
-		// Slow-strike detection hangs off the hedge timer: without it a
-		// silent replica produces no signal to count, and the breaker's
-		// wait bounds (multiples of the delay) vanish.
-		return nil, fmt.Errorf("cluster: HealthFails requires HedgeDelay > 0 (health ejection needs the hedge timer to detect silence)")
-	}
 
 	c := &Cluster{
-		Model:       m,
-		Plan:        plan,
-		Registry:    rpc.NewRegistry(),
-		Collector:   trace.NewCollector(),
-		clients:     make(map[string]rpc.Caller),
-		ctrlClients: make(map[string]*rpc.Client),
-		pubClients:  make(map[string]*rpc.Client),
-		Hedged:      make(map[string]*replication.Hedged),
-		plat:        plat,
-		opts:        opts,
-		active:      active,
+		Main:      newMain(opts),
+		Model:     m,
+		Plan:      plan,
+		Collector: trace.NewCollector(),
+		Hedged:    make(map[string]*replication.Hedged),
+		opts:      opts,
+		active:    active,
 	}
-	c.Obs = opts.Obs
-	if c.Obs == nil {
-		c.Obs = obs.Discard()
-	}
-	if opts.TraceSample > 0 {
-		c.Tracer = obs.NewTracer(c.Obs, obs.TracerConfig{
-			SampleEvery:    opts.TraceSample,
-			OnDeadlineMiss: true,
-		})
-	}
-	c.MainRec = trace.NewRecorder("main", opts.SpanCapacity)
 	c.Collector.Attach(c.MainRec)
-	if c.Tracer != nil {
-		c.MainRec.SetSink(c.Tracer)
-	}
-	skew := skewFor(opts, 0)
-	c.MainRec.SetClockSkew(skew)
 
 	ok := false
 	defer func() {
@@ -259,27 +197,18 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 		}
 	}()
 
+	callers := make(map[string]rpc.Caller)
 	if plan.IsDistributed() {
 		recs := make([]*trace.Recorder, plan.NumShards)
 		for i := range recs {
-			recs[i] = trace.NewRecorder(core.ServiceName(i+1), opts.SpanCapacity)
-			recs[i].SetClockSkew(skewFor(opts, i+1))
+			recs[i] = newRecorder(core.ServiceName(i+1), i+1, opts, c.Tracer)
 			c.Collector.Attach(recs[i])
-			if c.Tracer != nil {
-				recs[i].SetSink(c.Tracer)
-			}
 		}
-		var shards []*core.SparseShard
-		var err error
-		if opts.ShardDir != "" {
-			shards, err = c.openShardDir(m, plan, recs, opts)
-		} else {
-			shards, err = core.MaterializeShardsTiered(m, plan, recs, opts.Tier)
-		}
+		shards, mappings, err := sparseStores(m, plan, recs, opts)
 		if err != nil {
 			return nil, err
 		}
-		c.shards = shards
+		c.shards, c.mappings = shards, mappings
 		// Freshness probe: published high water vs the slowest shared
 		// store. Atomic reads only — replica-private rebuilt stores are
 		// covered by their own <shard>.model_version gauges.
@@ -295,77 +224,45 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 			emit("publish.lag", int64(pv-min))
 		})
 		c.replicas = make([][]*sparseReplica, len(shards))
-		// A replica's measured call latency includes the hedge bound's
-		// worth of patience: an observer still waiting past this gives up
-		// and books the call as lost (replicas swapped for Unresponsive()
-		// by failure injection would otherwise pin observer goroutines).
-		callBound := 8 * opts.HedgeDelay
-		if callBound < 250*time.Millisecond {
-			callBound = 250 * time.Millisecond
-		}
 		for i, sh := range shards {
-			sh.OpComputeScale = plat.OpComputeScale
-			sh.SetObs(c.Obs)
 			// Replica servers share the shard's table store and recorder:
 			// sparse shards are stateless, so a replica is just another
 			// front door to identical data. Each sits behind a swappable
 			// Slot so failure injection and recovery can tear a server
 			// down and splice a replacement in without touching the
-			// hedged caller above it.
-			callers := make([]rpc.Caller, 0, replicas)
+			// hedged caller above it — which therefore wraps the slots,
+			// not the dialed clients, and its latency accounting follows
+			// the replica identity across ReplaceReplica swaps.
+			slots := make([]rpc.Caller, 0, replicas)
 			for r := 0; r < replicas; r++ {
 				rep := &sparseReplica{
 					shard: i, idx: r, store: sh, rec: recs[i],
-					profile: plat.Network(opts.Seed + int64(i)*7919 + int64(r)*104729),
+					profile: opts.sparsePlatform().Network(opts.Seed + int64(i)*7919 + int64(r)*104729),
 				}
+				// Parked headroom (r >= active) runs no server and its slot
+				// stays unresponsive; the replica index is also disabled in
+				// the hedged rotation below, so nothing routes there until
+				// SetActiveReplicas activates it.
+				rep.slot = replication.NewSlot(replication.Unresponsive())
+				c.replicas[i] = append(c.replicas[i], rep)
 				if r < active {
 					if err := c.startReplica(rep); err != nil {
 						return nil, err
 					}
-					rep.slot = replication.NewSlot(rep.client)
-				} else {
-					// Parked headroom: no server runs and the slot goes
-					// unresponsive; the replica index is also disabled in
-					// the hedged rotation below, so nothing routes here
-					// until SetActiveReplicas activates it.
-					rep.slot = replication.NewSlot(replication.Unresponsive())
 				}
-				c.replicas[i] = append(c.replicas[i], rep)
-				if r == 0 {
-					c.Registry.Register(sh.ShardName, rep.srv.Addr())
-				}
-				caller := rpc.Caller(rep.slot)
-				if replicas > 1 {
-					// Wrap the slot, not the dialed client, so latency
-					// accounting follows the replica identity across
-					// ReplaceReplica swaps.
-					svcPrefix := fmt.Sprintf("replication.%s.replica%d.", sh.ShardName, r)
-					caller = replication.ObserveCaller(caller,
-						c.Obs.Histogram(svcPrefix+"call_ns"),
-						c.Obs.Counter(svcPrefix+"lost"), callBound)
-				}
-				callers = append(callers, caller)
+				slots = append(slots, rep.slot)
 			}
-			if replicas == 1 {
-				c.clients[sh.ShardName] = callers[0]
-				continue
-			}
-			h, err := replication.NewHedged(callers, opts.HedgeDelay)
+			caller, h, err := serviceCaller(sh.ShardName, slots, opts)
 			if err != nil {
 				return nil, err
 			}
-			for r := active; r < replicas; r++ {
-				h.SetEnabled(r, false)
+			callers[sh.ShardName] = caller
+			if h != nil {
+				for r := active; r < replicas; r++ {
+					h.SetEnabled(r, false)
+				}
+				c.Hedged[sh.ShardName] = h
 			}
-			if opts.HealthFails > 0 {
-				h.Health = replication.NewHealthTracker(len(callers), replication.HealthConfig{
-					FailThreshold: opts.HealthFails,
-					ProbeEvery:    opts.HealthProbe,
-				})
-			}
-			h.RegisterMetrics(c.Obs, "replication."+sh.ShardName+".")
-			c.Hedged[sh.ShardName] = h
-			c.clients[sh.ShardName] = h
 		}
 	}
 
@@ -381,97 +278,19 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 		}
 	}
 
-	eng, err := core.NewEngine(m, plan, core.EngineConfig{
-		BatchSize:     opts.BatchSize,
-		PaperSchedule: opts.PaperSchedule,
-		Recorder:      c.MainRec,
-		Obs:           c.Obs,
-		ClientFor: func(service string) (rpc.Caller, error) {
-			cl, ok := c.clients[service]
-			if !ok {
-				return nil, fmt.Errorf("cluster: no client for %s", service)
-			}
-			return cl, nil
-		},
-	})
-	if err != nil {
+	if err := c.start(m, plan, "127.0.0.1:0", callers, opts); err != nil {
 		return nil, err
 	}
-	c.Engine = eng
-
-	var mainHandler rpc.Handler = &core.MainService{Engine: eng, Rec: c.MainRec, Tracer: c.Tracer}
-	if opts.Frontend != nil {
-		fcfg := *opts.Frontend
-		fcfg.Obs = c.Obs
-		fcfg.Tracer = c.Tracer
-		c.Frontend = frontend.New(eng, fcfg)
-		mainHandler = &frontend.Service{F: c.Frontend, Rec: c.MainRec}
-	}
-	mainSrv, err := rpc.NewServer("127.0.0.1:0", mainHandler, rpc.ServerConfig{
-		Recorder:        c.MainRec,
-		BoilerplateCost: platform.BaseBoilerplate,
-		MaxInFlight:     opts.MainMaxInFlight,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: starting main shard: %w", err)
-	}
-	c.mainServer = mainSrv
-	c.Registry.Register("main", mainSrv.Addr())
-	c.Obs.RegisterProbeGroup(func(emit func(string, int64)) {
-		s := mainSrv.Stats()
-		emit("rpc.main.inflight", s.InFlight)
-		emit("rpc.main.peak_inflight", s.PeakInFlight)
-		emit("rpc.main.overloads", s.Overloads)
-	})
 	ok = true
 	return c, nil
 }
 
-// openShardDir boots every sparse shard from its persistent v2 shard
-// file — the paper's "serialized from parameter servers" artifact —
-// serving embedding reads straight out of mmap-backed storage where the
-// platform allows. Lookups are bit-identical to a MaterializeShardsTiered
-// boot from the same model under the same tier plan.
-func (c *Cluster) openShardDir(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, opts Options) ([]*core.SparseShard, error) {
-	shards := make([]*core.SparseShard, 0, plan.NumShards)
-	fail := func(err error) ([]*core.SparseShard, error) {
-		for _, sh := range shards {
-			sh.Close()
-		}
-		return nil, err
-	}
-	for i := 0; i < plan.NumShards; i++ {
-		path := core.ShardFilePath(opts.ShardDir, m.Config.Name, i+1)
-		sh, shard, closer, err := core.OpenShardFile(path, recs[i])
-		if err != nil {
-			return fail(fmt.Errorf("cluster: booting shard %d from %s: %w", i+1, path, err))
-		}
-		// The closer outlives the shard (tables may be views into the
-		// mapping); Close releases them after the shards.
-		c.shardClosers = append(c.shardClosers, closer)
-		if shard != i+1 {
-			sh.Close()
-			return fail(fmt.Errorf("cluster: %s holds shard %d, want %d", path, shard, i+1))
-		}
-		if opts.Tier != nil {
-			sh.SetTier(opts.Tier)
-		}
-		shards = append(shards, sh)
-	}
-	return shards, nil
-}
-
-// startReplica boots a server for the replica's store and dials its
-// client; the caller owns splicing the client into the replica's slot.
+// startReplica boots a server for the replica's store, dials its client
+// and splices it into the replica's slot.
 func (c *Cluster) startReplica(rep *sparseReplica) error {
-	srv, err := rpc.NewServer("127.0.0.1:0", rep.store, rpc.ServerConfig{
-		Recorder:        rep.rec,
-		ResponseLink:    rep.profile.Response,
-		BoilerplateCost: platform.BaseBoilerplate,
-		ComputeScale:    c.plat.BoilerplateScale,
-	})
+	srv, err := startSparse("127.0.0.1:0", rep.store, rep.rec, rep.profile.Response, c.opts.sparsePlatform())
 	if err != nil {
-		return fmt.Errorf("cluster: starting %s replica %d: %w", rep.store.ShardName, rep.idx, err)
+		return err
 	}
 	client, err := rpc.Dial(srv.Addr(), rep.profile.Request)
 	if err != nil {
@@ -479,7 +298,17 @@ func (c *Cluster) startReplica(rep *sparseReplica) error {
 		return fmt.Errorf("cluster: dialing %s replica %d: %w", rep.store.ShardName, rep.idx, err)
 	}
 	rep.srv, rep.client = srv, client
+	rep.slot.Swap(client)
 	return nil
+}
+
+// stopReplica tears a replica's server and client down and forgets the
+// control-plane connection to it. Caller holds replicaMu.
+func (c *Cluster) stopReplica(rep *sparseReplica) {
+	c.ctrl.drop(rep.srv.Addr())
+	rep.srv.Close() // waits for in-flight handlers
+	rep.client.Close()
+	rep.srv, rep.client = nil, nil
 }
 
 // touchTable walks a table's backing storage to fault it in.
@@ -509,7 +338,7 @@ func skewFor(opts Options, shard int) time.Duration {
 }
 
 // MainAddr returns the main shard's serving address.
-func (c *Cluster) MainAddr() string { return c.mainServer.Addr() }
+func (c *Cluster) MainAddr() string { return c.Server.Addr() }
 
 // DialMain connects a replayer client to the main shard.
 func (c *Cluster) DialMain() (*rpc.Client, error) {
@@ -523,83 +352,72 @@ func (c *Cluster) ResetTraces() { c.Collector.Reset() }
 // tests and the rebalancer introspect epochs and load summaries.
 func (c *Cluster) Shards() []*core.SparseShard { return c.shards }
 
-// Migrator builds the online-resharding driver for this deployment,
-// addressing every sparse shard's primary server.
-func (c *Cluster) Migrator() (*core.Migrator, error) {
-	if !c.Plan.IsDistributed() {
-		return nil, fmt.Errorf("cluster: singular deployments have nothing to reshard")
+// storeAddrs lists, per shard, the address of one live server per
+// distinct table store, in replica order: replicas sharing a store are
+// reached through its first live one, a replica rebuilt from a peer has
+// its own. A killed replica holding a private store is not listed
+// (nothing serves it): it returns stale, and its staleness shows in its
+// <shard>.model_version gauge until the next publish or rebuild. Caller
+// holds replicaMu.
+func (c *Cluster) storeAddrs() [][]string {
+	out := make([][]string, len(c.replicas))
+	for si, reps := range c.replicas {
+		seen := make(map[*core.SparseShard]bool)
+		for _, rep := range reps {
+			if rep.srv != nil && !seen[rep.store] {
+				seen[rep.store] = true
+				out[si] = append(out[si], rep.srv.Addr())
+			}
+		}
 	}
-	mg := &core.Migrator{Engine: c.Engine, Rec: c.MainRec, Shards: make(map[int]core.ShardEndpoint)}
+	return out
+}
+
+// SparseAddrs lists each sparse shard's serving address, in shard order:
+// its first live replica's ("" while a shard is dark).
+func (c *Cluster) SparseAddrs() []string {
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
-	// Online resharding commits table moves into one store per shard. A
-	// replica replaced after a failure serves its own rebuilt store, so
-	// a migration would update only one copy and the replicas would stop
-	// answering identically — refuse, exactly as drmserve refuses
-	// -rebalance-every with standalone hedge replicas.
+	addrs := make([]string, len(c.replicas))
+	for i, stores := range c.storeAddrs() {
+		if len(stores) > 0 {
+			addrs[i] = stores[0]
+		}
+	}
+	return addrs
+}
+
+// drivers builds the control-plane drivers over the deployment's live
+// servers — per pass: replicas killed, revived, or replaced since the
+// last one changed which endpoints cover the store set. A publish
+// welcomes a heterogeneous replica fleet (its point is to make every
+// distinct store fresh); online resharding commits table moves into one
+// store per shard, so with homogeneous set a replica serving its own
+// rebuilt store — which a migration would leave behind, and the replicas
+// would stop answering identically — is refused, exactly as drmserve
+// refuses -rebalance-every with standalone hedge replicas.
+func (c *Cluster) drivers(homogeneous bool) (*core.Migrator, *core.Publisher, error) {
+	if !c.Plan.IsDistributed() {
+		return nil, nil, fmt.Errorf("cluster: singular deployments hold no sparse shards to reshard or publish to (swap dense weights via Engine.SwapDense)")
+	}
+	c.replicaMu.Lock()
+	defer c.replicaMu.Unlock()
 	for si, reps := range c.replicas {
 		for _, rep := range reps {
-			if rep.store != c.shards[si] {
-				return nil, fmt.Errorf("cluster: %s replica %d serves a store rebuilt from a peer; online resharding needs a homogeneous replica fleet", rep.store.ShardName, rep.idx)
+			if homogeneous && rep.store != c.shards[si] {
+				return nil, nil, fmt.Errorf("cluster: %s replica %d serves a store rebuilt from a peer; online resharding needs a homogeneous replica fleet", rep.store.ShardName, rep.idx)
 			}
 		}
 	}
-	for i := 0; i < c.Plan.NumShards; i++ {
-		name := core.ServiceName(i + 1)
-		addr, err := c.Registry.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		caller, ok := c.ctrlClients[name]
-		if !ok {
-			caller, err = rpc.DialPool(addr, nil, 1)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: dialing control plane for %s: %w", name, err)
-			}
-			c.ctrlClients[name] = caller
-		}
-		mg.Shards[i+1] = core.ShardEndpoint{Service: name, Addr: addr, Caller: caller}
-	}
-	return mg, nil
+	return c.ctrl.Drivers(c.Main, c.storeAddrs())
 }
 
-// dropCtrlClient invalidates the cached control-plane connection for a
-// shard whose primary server changed (killed, revived, replaced): the
-// next Migrator build re-dials the registry's current address. Caller
-// holds replicaMu.
-func (c *Cluster) dropCtrlClient(name string) {
-	if cc, ok := c.ctrlClients[name]; ok {
-		cc.Close()
-		delete(c.ctrlClients, name)
-	}
-}
-
-// refreshRegistry keeps a shard's registered (control-plane) address on
-// a live server: when the current registration matches no live replica,
-// the first live one is registered and the cached control client
-// invalidated, so migration stays available through dead windows no
-// matter which replica died. A fully dark shard keeps its stale
-// registration. Caller holds replicaMu.
-func (c *Cluster) refreshRegistry(shard int) {
-	name := c.shards[shard].ShardName
-	cur, err := c.Registry.Lookup(name)
-	live := ""
-	for _, p := range c.replicas[shard] {
-		if p.srv == nil {
-			continue
-		}
-		if err == nil && p.srv.Addr() == cur {
-			return // already registered to a live server
-		}
-		if live == "" {
-			live = p.srv.Addr()
-		}
-	}
-	if live == "" {
-		return
-	}
-	c.Registry.Register(name, live)
-	c.dropCtrlClient(name)
+// Migrator builds the online-resharding driver for this deployment,
+// addressing every sparse shard's first live server — so migration stays
+// available through dead windows no matter which replica died.
+func (c *Cluster) Migrator() (*core.Migrator, error) {
+	mg, _, err := c.drivers(true)
+	return mg, err
 }
 
 // Rebalance runs one observe→plan→migrate→cutover pass against the
@@ -643,53 +461,27 @@ func (c *Cluster) ResidentBytes() int64 {
 }
 
 // MainStats snapshots the main server's backpressure gauges.
-func (c *Cluster) MainStats() rpc.ServerStats {
-	if c.mainServer == nil {
-		return rpc.ServerStats{}
-	}
-	return c.mainServer.Stats()
-}
+func (c *Cluster) MainStats() rpc.ServerStats { return c.Server.Stats() }
 
-// Close tears down the deployment; safe on partially built clusters.
-// Order matters once a frontend is in play: stop admitting at the main
-// server, drain the frontend's queue (its executions still need the
-// sparse clients), then drop connections and sparse servers.
+// Close tears down the deployment; safe on partially built clusters:
+// the main role first (it drains while the sparse callers still work),
+// then connections, sparse servers, table stores and, last, the mappings
+// the stores view.
 func (c *Cluster) Close() {
-	if c.mainServer != nil {
-		c.mainServer.Close()
-	}
-	if c.Frontend != nil {
-		c.Frontend.Close()
-	}
-	for _, cl := range c.clients {
-		cl.Close()
-	}
+	c.Main.Close()
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
-	for _, cl := range c.ctrlClients {
-		cl.Close()
-	}
-	for _, cl := range c.pubClients {
-		cl.Close()
-	}
+	c.ctrl.Close()
 	for _, reps := range c.replicas {
 		for _, rep := range reps {
-			if rep.srv != nil {
-				rep.srv.Close()
-			}
 			if rep.client != nil {
 				rep.client.Close()
 			}
+			if rep.srv != nil {
+				rep.srv.Close()
+			}
 		}
 	}
-	for _, sh := range c.rebuilt {
-		sh.Close()
-	}
-	for _, sh := range c.shards {
-		sh.Close()
-	}
-	// After the shards: mmap-backed tables are views into these mappings.
-	for _, cl := range c.shardClosers {
-		cl.Close()
-	}
+	closeStores(c.rebuilt, nil)
+	closeStores(c.shards, c.mappings)
 }

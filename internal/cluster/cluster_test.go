@@ -248,7 +248,7 @@ func TestBatchSizeOverride(t *testing.T) {
 	}
 }
 
-func TestRegistryPopulated(t *testing.T) {
+func TestServingAddresses(t *testing.T) {
 	cfg := smallModel()
 	m := model.Build(cfg)
 	plan, err := sharding.CapacityBalanced(&cfg, 2)
@@ -260,9 +260,16 @@ func TestRegistryPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	svcs := cl.Registry.Services()
-	if len(svcs) != 3 { // main + 2 sparse
-		t.Fatalf("services = %v", svcs)
+	addrs := append(cl.SparseAddrs(), cl.MainAddr()) // main + 2 sparse
+	seen := make(map[string]bool)
+	for _, a := range addrs {
+		if a == "" || seen[a] {
+			t.Fatalf("addresses = %v", addrs)
+		}
+		seen[a] = true
+	}
+	if len(addrs) != 3 {
+		t.Fatalf("addresses = %v", addrs)
 	}
 }
 

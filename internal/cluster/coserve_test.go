@@ -198,10 +198,20 @@ func TestFleetElasticStepReallocates(t *testing.T) {
 	rep := serve.NewReplayerFor(client, "beta")
 	stream := workload.NewGenerator(cfg, 5).GenerateBatch(160)
 
-	done := make(chan struct{})
+	// The flood repeats until the planner has acted: one pass of the
+	// stream lasts 40 ms, less than a single Step that first reclaims the
+	// idle tenant (a 50 ms drain grace).
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		rep.RunOpenLoop(stream, 4000)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rep.RunOpenLoop(stream, 4000)
+			}
+		}
 	}()
 	grown := false
 	deadline := time.Now().Add(5 * time.Second)
@@ -213,6 +223,7 @@ func TestFleetElasticStepReallocates(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	close(stop)
 	<-done
 	if !grown {
 		t.Fatalf("elastic step never grew the hot tenant: timeline %+v", fl.Timeline())

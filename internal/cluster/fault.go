@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replication"
-	"repro/internal/rpc"
 )
 
 // Failure injection and recovery orchestration: the cluster-level hooks
@@ -49,13 +48,7 @@ func (c *Cluster) KillReplica(shard, idx int) error {
 		return fmt.Errorf("cluster: %s replica %d is already dead", core.ServiceName(shard+1), idx)
 	}
 	rep.slot.Swap(replication.Unresponsive())
-	rep.srv.Close()
-	rep.client.Close()
-	rep.srv, rep.client = nil, nil
-	// If the control plane was registered at the dead server, move it to
-	// a surviving replica (same shared store) so migration stays
-	// available through the dead window.
-	c.refreshRegistry(shard)
+	c.stopReplica(rep)
 	return nil
 }
 
@@ -73,12 +66,7 @@ func (c *Cluster) ReviveReplica(shard, idx int) error {
 	if rep.srv != nil {
 		return fmt.Errorf("cluster: %s replica %d is alive", core.ServiceName(shard+1), idx)
 	}
-	if err := c.startReplica(rep); err != nil {
-		return err
-	}
-	rep.slot.Swap(rep.client)
-	c.refreshRegistry(shard)
-	return nil
+	return c.startReplica(rep)
 }
 
 // ReplaceReplica stands up a replacement for a killed replica whose
@@ -109,12 +97,7 @@ func (c *Cluster) ReplaceReplica(shard, idx int) (core.RebuildStats, error) {
 	if err != nil {
 		return st, err
 	}
-	if err := c.startReplica(rep); err != nil {
-		return st, err
-	}
-	rep.slot.Swap(rep.client)
-	c.refreshRegistry(shard)
-	return st, nil
+	return st, c.startReplica(rep)
 }
 
 // rebuildFromPeer streams a fresh, private table store for rep from a
@@ -123,32 +106,23 @@ func (c *Cluster) ReplaceReplica(shard, idx int) (core.RebuildStats, error) {
 // Caller holds ctrlMu and replicaMu.
 func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildStats, error) {
 	var st core.RebuildStats
-	var peer *sparseReplica
-	for _, p := range c.replicas[shard] {
-		if p != rep && p.srv != nil {
-			peer = p
-			break
-		}
-	}
-	if peer == nil {
+	// Any live server of the shard can seed the rebuild (rep itself is
+	// down, so it is not among them), over the control plane's connection:
+	// a rebuild must stream from one consistent peer, not a serving caller.
+	peers := c.storeAddrs()[shard]
+	if len(peers) == 0 {
 		return st, fmt.Errorf("cluster: %s has no healthy peer to rebuild from", core.ServiceName(shard+1))
 	}
 
 	fresh := core.NewSparseShard(rep.store.ShardName, rep.rec)
-	fresh.OpComputeScale = c.plat.OpComputeScale
+	fresh.OpComputeScale = c.opts.sparsePlatform().OpComputeScale
 	if c.opts.Tier != nil {
 		fresh.SetTier(c.opts.Tier)
 	}
-	// Rebuild over a plain control-plane connection to the peer — the
-	// serving callers may be hedged, and a rebuild must stream from one
-	// consistent peer.
-	ctrl, err := rpc.DialPool(peer.srv.Addr(), nil, 1)
-	if err != nil {
-		fresh.Close()
-		return st, fmt.Errorf("cluster: dialing rebuild peer for %s: %w", rep.store.ShardName, err)
+	ep, err := c.ctrl.endpoint(rep.store.ShardName, peers[0])
+	if err == nil {
+		st, err = fresh.RebuildFromPeer(ep.Caller)
 	}
-	st, err = fresh.RebuildFromPeer(ctrl)
-	ctrl.Close()
 	if err != nil {
 		fresh.Close()
 		return st, err
@@ -193,14 +167,11 @@ func (c *Cluster) KillSparse(i int) {
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
 	n := 0
-	for shard, reps := range c.replicas {
+	for _, reps := range c.replicas {
 		for _, rep := range reps {
 			if n == i {
 				if rep.srv != nil {
-					rep.srv.Close()
-					rep.client.Close()
-					rep.srv, rep.client = nil, nil
-					c.refreshRegistry(shard)
+					c.stopReplica(rep)
 				}
 				return
 			}

@@ -97,7 +97,6 @@ func (c *Cluster) growTo(n int) ([]core.RebuildStats, error) {
 			if err := c.startReplica(rep); err != nil {
 				return stats, err
 			}
-			rep.slot.Swap(rep.client)
 			if h := c.Hedged[rep.store.ShardName]; h != nil {
 				// Clear any breaker state left from the slot's previous
 				// tour of duty, then re-admit it to the rotation.
@@ -149,9 +148,7 @@ func (c *Cluster) shrinkTo(n int) error {
 			rep := c.replicas[shard][idx]
 			rep.slot.Swap(replication.Unresponsive())
 			if rep.srv != nil {
-				rep.srv.Close() // waits for in-flight handlers
-				rep.client.Close()
-				rep.srv, rep.client = nil, nil
+				c.stopReplica(rep)
 			}
 			if rep.store != c.shards[shard] {
 				c.removeRebuilt(rep.store)
@@ -159,7 +156,6 @@ func (c *Cluster) shrinkTo(n int) error {
 				rep.store = c.shards[shard]
 			}
 		}
-		c.refreshRegistry(shard)
 	}
 	return nil
 }

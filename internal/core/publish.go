@@ -61,6 +61,43 @@ type DeltaSet struct {
 	Dense []model.NetParams
 }
 
+// IdentityDelta builds a delta set that republishes rows already being
+// served — real update traffic whose commit provably cannot change
+// scores. It takes rowsPer rows (default 16) from each of the model's
+// fp32 tables named in tables (nil = every table); each version samples
+// a different contiguous row window.
+func IdentityDelta(m *model.Model, tables []int, version uint64, rowsPer int) *DeltaSet {
+	ds := &DeltaSet{Version: version}
+	if rowsPer <= 0 {
+		rowsPer = 16
+	}
+	if tables == nil {
+		for id := range m.Tables {
+			tables = append(tables, id)
+		}
+	}
+	for _, id := range tables {
+		dense, ok := m.Tables[id].(*embedding.Dense)
+		if !ok {
+			continue
+		}
+		n := rowsPer
+		if n > dense.RowsN {
+			n = dense.RowsN
+		}
+		start := int(version*2654435761) % dense.RowsN
+		rows := make([]int32, 0, n)
+		data := make([]float32, 0, n*dense.DimN)
+		for k := 0; k < n; k++ {
+			r := (start + k) % dense.RowsN
+			rows = append(rows, int32(r))
+			data = append(data, dense.Data[r*dense.DimN:(r+1)*dense.DimN]...)
+		}
+		ds.Tables = append(ds.Tables, TableDelta{TableID: id, Rows: rows, Data: data})
+	}
+	return ds
+}
+
 // PublishEvent is one endpoint's slice of a publish — the freshness
 // timeline, mirroring the migration MoveEvent style.
 type PublishEvent struct {

@@ -2,21 +2,18 @@ package core
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/sharding"
 )
 
-// FuzzImportShard hammers the shard-file importers — both the v1
-// row-stream format and the v2 page-aligned persistent format — with
-// arbitrary bytes. Any input must either be rejected with an error or
-// parse into tables that are fully servable: no panics, no unbounded
-// allocations, no table whose lookup path crashes. The seed corpus
-// (testdata/fuzz/FuzzImportShard) commits real exports of both
-// versions so exploration starts from deep inside the format; v1 has no
-// writer any more, so its in-code seed is the committed fixture.
+// FuzzImportShard hammers the shard-file importer with arbitrary bytes.
+// Any input must either be rejected with an error or parse into tables
+// that are fully servable: no panics, no unbounded allocations, no table
+// whose lookup path crashes. The seed corpus
+// (testdata/fuzz/FuzzImportShard) commits real exports so exploration
+// starts from deep inside the format.
 func FuzzImportShard(f *testing.F) {
 	// Shrink far below tinyConfig: seed inputs bound mutation cost, and
 	// the format's structure is fully represented at this size.
@@ -31,10 +28,6 @@ func FuzzImportShard(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := os.ReadFile(v1PartFixture)
-	if err != nil {
-		f.Fatal(err)
-	}
 	var v2, v2q bytes.Buffer
 	if err := ExportShardV2(m, plan, 1, &v2, nil); err != nil {
 		f.Fatal(err)
@@ -45,7 +38,6 @@ func FuzzImportShard(f *testing.F) {
 	if err := ExportShardV2(m, plan, 2, &v2q, tier); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1)
 	f.Add(v2.Bytes())
 	f.Add(v2q.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2]) // mid-section truncation

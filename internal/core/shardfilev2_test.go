@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/embedding"
@@ -50,24 +53,6 @@ func compareShards(t *testing.T, cfg *model.Config, a *sharding.Assignment, got,
 			t.Fatalf("table %d part %d: lookup differs between boot paths", pr.TableID, pr.PartIndex)
 		}
 	}
-}
-
-// The committed v1 fixtures (testdata/shardv1): shards 1 (whole tables)
-// and 4 (one row-partition) of v1FixtureConfig under NSBP×4, written by
-// the v1 exporter before it was deleted. v1 has no writer any more, so
-// these files are the only way tests exercise the v1 read path.
-const (
-	v1TablesFixture = "testdata/shardv1/DRM3.shard1"
-	v1PartFixture   = "testdata/shardv1/DRM3.shard4"
-)
-
-func v1FixtureConfig() model.Config {
-	cfg := model.DRM3()
-	cfg.Tables[0].Rows = 64
-	for i := 1; i < len(cfg.Tables); i++ {
-		cfg.Tables[i].Rows = 4
-	}
-	return cfg
 }
 
 func bitsEqual(a, b []float32) bool {
@@ -131,7 +116,7 @@ func TestExportImportShardV2Identity(t *testing.T) {
 }
 
 // TestOpenShardFileMmap proves the zero-copy mmap boot path serves the
-// same bytes as the heap import, for both file versions.
+// same bytes as the heap import.
 func TestOpenShardFileMmap(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
@@ -168,61 +153,6 @@ func TestOpenShardFileMmap(t *testing.T) {
 		t.Fatalf("opened shard %d, want 1", shard)
 	}
 	compareShards(t, &cfg, &plan.Shards[0], sh, heap.NewShard(trace.NewRecorder("x", 64)))
-
-	// v1 files open through the same entry point (heap decode) and serve
-	// what materializing the same model and plan serves — whole tables
-	// and a row partition alike.
-	v1cfg := v1FixtureConfig()
-	v1plan, err := sharding.NSBP(&v1cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]*trace.Recorder, v1plan.NumShards)
-	for i := range recs {
-		recs[i] = trace.NewRecorder(ServiceName(i+1), 64)
-	}
-	want, err := MaterializeShards(model.Build(v1cfg), v1plan, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for path, wantShard := range map[string]int{v1TablesFixture: 1, v1PartFixture: 4} {
-		shV1, shardV1, closerV1, err := OpenShardFile(path, trace.NewRecorder("x", 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer closerV1.Close()
-		a := &v1plan.Shards[wantShard-1]
-		if shardV1 != wantShard || shV1.NumTables() != sharding.ShardTableCount(a) {
-			t.Fatalf("%s: opened shard %d with %d tables, want shard %d with %d",
-				path, shardV1, shV1.NumTables(), wantShard, sharding.ShardTableCount(a))
-		}
-		compareShards(t, &v1cfg, a, shV1, want[wantShard-1])
-	}
-	if len(v1plan.Shards[3].Parts) == 0 || len(v1plan.Shards[0].Tables) == 0 {
-		t.Fatal("v1 fixtures no longer cover both a partition and whole tables")
-	}
-}
-
-// TestShardFileV1RejectsCorruption: the v1 reader refuses a bad magic
-// and every truncation (header, entry meta, row data).
-func TestShardFileV1RejectsCorruption(t *testing.T) {
-	full, err := os.ReadFile(v1TablesFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardFile(full); err != nil {
-		t.Fatalf("pristine fixture rejected: %v", err)
-	}
-	bad := append([]byte(nil), full...)
-	bad[0] = 'X'
-	if _, err := LoadShardFile(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-	for _, cut := range []int{4, 15, 40, len(full) - 7} {
-		if _, err := LoadShardFile(full[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
 }
 
 func TestExportShardV2Errors(t *testing.T) {
@@ -278,49 +208,11 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-}
-
-// TestLoadShardFileVersions checks the tooling loader reads both
-// versions into the same structured form: each committed v1 fixture
-// against a v2 export of the same model, plan and shard.
-func TestLoadShardFileVersions(t *testing.T) {
-	cfg := v1FixtureConfig()
-	m := model.Build(cfg)
-	plan, err := sharding.NSBP(&cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for path, shard := range map[string]int{v1TablesFixture: 1, v1PartFixture: 4} {
-		v1, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v2 bytes.Buffer
-		if err := ExportShardV2(m, plan, shard, &v2, nil); err != nil {
-			t.Fatal(err)
-		}
-		a, err := LoadShardFile(v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := LoadShardFile(v2.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Shard != b.Shard || len(a.Tables) != len(b.Tables) {
-			t.Fatalf("v1 %d tables shard %d, v2 %d tables shard %d", len(a.Tables), a.Shard, len(b.Tables), b.Shard)
-		}
-		for i := range a.Tables {
-			ta, tb := a.Tables[i], b.Tables[i]
-			if ta.TableID != tb.TableID || ta.PartIndex != tb.PartIndex || ta.NumParts != tb.NumParts ||
-				ta.Rows != tb.Rows || ta.Dim != tb.Dim || ta.Enc != tb.Enc {
-				t.Fatalf("entry %d differs: %+v vs %+v", i, ta, tb)
-			}
-			da := ta.Table.(*embedding.Dense)
-			db := tb.Table.(*embedding.Dense)
-			if !bitsEqual(da.Data, db.Data) {
-				t.Fatalf("entry %d rows differ between versions", i)
-			}
-		}
+	// A version-1 image (the row-stream format nothing writes or reads any
+	// more) is refused by version, whatever follows its header.
+	v1 := append([]byte(nil), full...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if _, err := LoadShardFile(v1); !errors.Is(err, errBadShardFile) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("v1 image: err = %v, want %v: unsupported version 1", err, errBadShardFile)
 	}
 }

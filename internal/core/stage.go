@@ -260,7 +260,7 @@ func (s *SparseShard) ModelVersion() uint64 { return s.modelVersion.Load() }
 // ShardEndpoint addresses one sparse shard's server for control-plane
 // drivers.
 type ShardEndpoint struct {
-	// Service is the registry name ("sparse3").
+	// Service is the shard's service name ("sparse3").
 	Service string
 	// Addr is the server's dialable address, handed to migration sources
 	// so they can forward straggler lookups to destinations.

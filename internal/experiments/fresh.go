@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -192,7 +191,7 @@ func (r *Runner) freshCell(m *model.Model, plan *sharding.Plan, tier *core.TierC
 				case <-ticker.C:
 					version++
 					t0 := time.Now()
-					if _, err := cl.Publish(freshDelta(m, plan, version, rowsPer)); err != nil {
+					if _, err := cl.Publish(core.IdentityDelta(m, deltaTables(plan), version, rowsPer)); err != nil {
 						pubErr = err
 						return
 					}
@@ -245,33 +244,6 @@ func deltaTables(plan *sharding.Plan) []int {
 		}
 	}
 	return ids
-}
-
-// freshDelta republishes a sliding window of currently-served rows from
-// one table per shard: real update traffic with provably no score
-// effect.
-func freshDelta(m *model.Model, plan *sharding.Plan, version uint64, rowsPer int) *core.DeltaSet {
-	ds := &core.DeltaSet{Version: version}
-	for _, id := range deltaTables(plan) {
-		dense, ok := m.Tables[id].(*embedding.Dense)
-		if !ok {
-			continue
-		}
-		n := rowsPer
-		if n > dense.RowsN {
-			n = dense.RowsN
-		}
-		start := int(version*2654435761) % dense.RowsN
-		rows := make([]int32, 0, n)
-		data := make([]float32, 0, n*dense.DimN)
-		for k := 0; k < n; k++ {
-			row := (start + k) % dense.RowsN
-			rows = append(rows, int32(row))
-			data = append(data, dense.Data[row*dense.DimN:(row+1)*dense.DimN]...)
-		}
-		ds.Tables = append(ds.Tables, core.TableDelta{TableID: id, Rows: rows, Data: data})
-	}
-	return ds
 }
 
 // scoresEqual compares two score sets bitwise.

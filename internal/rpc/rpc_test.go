@@ -301,31 +301,6 @@ func TestNetsimLatencyInjection(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Lookup("a"); err == nil {
-		t.Error("lookup of missing service should fail")
-	}
-	r.Register("b", "addr2")
-	r.Register("a", "addr1")
-	addr, err := r.Lookup("a")
-	if err != nil || addr != "addr1" {
-		t.Errorf("Lookup = %q, %v", addr, err)
-	}
-	if got := r.Services(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Services = %v", got)
-	}
-	r.Register("a", "addr3") // re-register replaces
-	addr, _ = r.Lookup("a")
-	if addr != "addr3" {
-		t.Errorf("re-register should replace: %q", addr)
-	}
-	r.Deregister("a")
-	if _, err := r.Lookup("a"); err == nil {
-		t.Error("deregistered service should be gone")
-	}
-}
-
 func TestNetsimLinkDeterministic(t *testing.T) {
 	l1 := netsim.NewLink(time.Millisecond, time.Millisecond, 1e9, 7)
 	l2 := netsim.NewLink(time.Millisecond, time.Millisecond, 1e9, 7)

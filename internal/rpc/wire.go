@@ -1,9 +1,10 @@
 // Package rpc is the Thrift-like remote procedure call framework the
 // distributed inference runtime is built on: a length-framed binary
 // protocol over TCP, a multiplexing client with synchronous and
-// asynchronous calls, a concurrent server, and an in-process service
-// registry standing in for the paper's "universal service discovery
-// protocol" (Section III-C).
+// asynchronous calls, and a concurrent server. Service discovery — the
+// paper's "universal service discovery protocol" (Section III-C) — is the
+// deployment's business: whoever assembles it hands each caller its
+// addresses (internal/cluster).
 //
 // Trace metadata (trace id, call id) rides in every request header, the
 // analogue of propagating Thrift's RequestContext for distributed tracing

@@ -111,25 +111,19 @@ func AutoShard(cfg *model.Config, pooling map[int]float64, cm CostModel, cons Co
 	return out, nil
 }
 
+// buildCandidate is ByStrategy under the sweep's feasibility rules: the
+// 1-shard plan is the capacity strategy's n = 1 case only, and NSBP needs
+// a shard per net.
 func buildCandidate(cfg *model.Config, strategy string, n int, pooling map[int]float64) (*Plan, error) {
-	switch strategy {
-	case StrategyCapacity:
-		if n == 1 {
-			return OneShard(cfg), nil
-		}
-		return CapacityBalanced(cfg, n)
-	case StrategyLoad:
-		if n == 1 {
-			return nil, fmt.Errorf("sharding: 1-shard covered by capacity strategy")
-		}
-		return LoadBalanced(cfg, n, pooling)
-	case StrategyNSBP:
-		if n < len(cfg.Nets) {
-			return nil, fmt.Errorf("sharding: NSBP needs ≥ %d shards", len(cfg.Nets))
-		}
-		return NSBP(cfg, n)
+	switch {
+	case strategy == StrategyCapacity && n == 1:
+		strategy = StrategyOneShard
+	case strategy == StrategyLoad && n == 1:
+		return nil, fmt.Errorf("sharding: 1-shard covered by capacity strategy")
+	case strategy == StrategyNSBP && n < len(cfg.Nets):
+		return nil, fmt.Errorf("sharding: NSBP needs ≥ %d shards", len(cfg.Nets))
 	}
-	return nil, fmt.Errorf("sharding: unknown strategy %q", strategy)
+	return ByStrategy(cfg, strategy, n, pooling)
 }
 
 // score estimates a plan's latency and compute overheads with the cost

@@ -7,6 +7,26 @@ import (
 	"repro/internal/model"
 )
 
+// ByStrategy builds the n-shard plan the named strategy (a Strategy*
+// constant, as the commands' -strategy flags spell it) gives cfg; the
+// singular and 1-shard strategies ignore n, and only load-bal reads
+// pooling. Every process of a deployment derives its plan here.
+func ByStrategy(cfg *model.Config, name string, n int, pooling map[int]float64) (*Plan, error) {
+	switch name {
+	case StrategySingular:
+		return Singular(cfg), nil
+	case StrategyOneShard, "one-shard":
+		return OneShard(cfg), nil
+	case StrategyCapacity:
+		return CapacityBalanced(cfg, n)
+	case StrategyLoad:
+		return LoadBalanced(cfg, n, pooling)
+	case StrategyNSBP, "nsbp":
+		return NSBP(cfg, n)
+	}
+	return nil, fmt.Errorf("sharding: unknown strategy %q", name)
+}
+
 // Singular returns the non-distributed configuration: the whole model on
 // one server, no sparse shards (Table I's baseline).
 func Singular(cfg *model.Config) *Plan {

@@ -257,3 +257,12 @@ func EstimatePooling(g *Generator, n int) map[int]float64 {
 	}
 	return counts
 }
+
+// DeploymentPooling is the pooling estimate every process of a deployment
+// derives its sharding plan from (load-bal packs by it): the exported
+// shard files, the sparse servers and the main shard agree on table
+// placement only because each samples the same 200 requests of the same
+// generator.
+func DeploymentPooling(cfg model.Config) map[int]float64 {
+	return EstimatePooling(NewGenerator(cfg, 991), 200)
+}
