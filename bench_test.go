@@ -508,6 +508,60 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkRecorderRecord prices one span at the recorder: the operator
+// spans of a DRM1 request (its kinds, nets and names, in rotation) into
+// a recorder with room (`empty`: kept; it is rewound when it fills, as a
+// harness rewinds it between configurations), into one at capacity
+// (`full`: dropped and counted, where a long-serving role spends its
+// life), and from every P at once (`parallel`). allocs/op is gated at 0
+// by cmd/benchcheck: a span must not cost the heap anything.
+func BenchmarkRecorderRecord(b *testing.B) {
+	const capacity = 1 << 18
+	start := time.Now()
+	spans := []trace.Span{
+		{Layer: trace.LayerOp, Kind: "Dense", Net: "net1", Name: "net1_bottom_fc0"},
+		{Layer: trace.LayerOp, Kind: "Sparse", Net: "net1", Name: "sparse1/sparse.run"},
+		{Layer: trace.LayerOp, Kind: "Memory Transformations", Net: "net2", Name: "net2_concat"},
+		{Layer: trace.LayerOp, Kind: "Feature Transforms", Net: "net2", Name: "net2_interact"},
+		{Layer: trace.LayerNetOverhead, Net: "net2", Name: "net-overhead"},
+		{Layer: trace.LayerRPCCall, Net: "net1+net2", Name: "sparse3/sparse.run"},
+		{Layer: trace.LayerSerDe, Name: "rank/decode"},
+		{Layer: trace.LayerOp, Kind: "Dense", Net: "net2", Name: "net2_top_fc2"},
+	}
+	for i := range spans {
+		spans[i].TraceID, spans[i].CallID = 7, uint64(i)
+		spans[i].Start, spans[i].Dur = start.Add(time.Duration(i)*time.Microsecond), 40*time.Microsecond
+	}
+	b.Run("empty", func(b *testing.B) {
+		rec := trace.NewRecorder("main", capacity)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec.Record(spans[i%len(spans)])
+			if i%capacity == capacity-1 {
+				rec.Reset()
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		rec := trace.NewRecorder("main", 1)
+		rec.Record(spans[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.Record(spans[i%len(spans)])
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		rec := trace.NewRecorder("main", capacity)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				rec.Record(spans[i%len(spans)])
+			}
+		})
+	})
+}
+
 // TestExperimentRegistryComplete pins the experiment inventory to the
 // paper's artifact list so a new figure cannot silently go missing.
 func TestExperimentRegistryComplete(t *testing.T) {

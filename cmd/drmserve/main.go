@@ -178,6 +178,9 @@ func parse(args []string) (*config, error) {
 		if fe != (frontend.Config{}) {
 			c.opts.Frontend = &fe
 		}
+		// Nothing in this process reads a recorder's store (/traces is fed
+		// by the sink tee, ahead of it): keep no spans.
+		c.opts.SpanCapacity = 1
 		if c.role == "main" {
 			err = c.checkControlPeers()
 		}

@@ -31,6 +31,7 @@ func TestParseSingleModelRoles(t *testing.T) {
 		HealthProbe:     time.Second,
 		MainMaxInFlight: 64,
 		TraceSample:     10,
+		SpanCapacity:    1, // run never reads a recorder back
 	}
 	if !reflect.DeepEqual(c.opts, wantOpts) {
 		t.Errorf("opts = %+v (frontend %+v)\nwant %+v", c.opts, c.opts.Frontend, wantOpts)
@@ -52,7 +53,7 @@ func TestParseSingleModelRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.shard != 2 || !c.netsim || c.opts.ShardDir != "/tmp/shards" || c.opts.Frontend != nil || c.model.Name != "DRM3" {
+	if c.shard != 2 || !c.netsim || c.opts.ShardDir != "/tmp/shards" || c.opts.Frontend != nil || c.model.Name != "DRM3" || c.opts.SpanCapacity != 1 {
 		t.Errorf("config = %+v", c)
 	}
 	if c.opts.Tier == nil || c.opts.Tier.CacheMB != 4 || c.opts.Tier.Plan == nil {
@@ -65,7 +66,7 @@ func TestParseSingleModelRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.role != "main" || c.model.Name != "DRM1" || c.plan.Strategy != sharding.StrategyLoad || c.plan.NumShards != 2 ||
-		!reflect.DeepEqual(c.opts, cluster.Options{}) || len(c.peers) != 0 {
+		!reflect.DeepEqual(c.opts, cluster.Options{SpanCapacity: 1}) || len(c.peers) != 0 {
 		t.Errorf("default config = %+v", c)
 	}
 }

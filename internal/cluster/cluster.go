@@ -36,7 +36,8 @@ type Options struct {
 	// SparsePlatform selects the sparse shards' server class; defaults to
 	// SC-Large as in the paper's apples-to-apples runs.
 	SparsePlatform *platform.Platform
-	// SpanCapacity sizes each recorder's span slab (default 1<<18).
+	// SpanCapacity is how many spans each recorder keeps before it drops
+	// (default 1<<18); a recorder holds memory only for what it recorded.
 	SpanCapacity int
 	// Seed drives network jitter and clock-skew simulation.
 	Seed int64

@@ -161,10 +161,11 @@ type netTable struct {
 }
 
 type remoteGroupSpec struct {
-	service string
-	op      string // the group's RPC operator and span name
-	client  rpc.Caller
-	entries []groupEntry
+	service  string
+	op       string // the group's RPC operator and span name
+	decodeOp string // op + "/decode", the span name of its response scatter
+	client   rpc.Caller
+	entries  []groupEntry
 }
 
 // NewEngine compiles a model + plan into an executable engine, resolving
@@ -370,7 +371,8 @@ func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string)
 		if err != nil {
 			return fmt.Errorf("core: resolving %s: %w", svc, err)
 		}
-		cp.groups = append(cp.groups, remoteGroupSpec{service: svc, op: "rpc_" + cp.label + "_" + svc, client: client, entries: entries})
+		op := "rpc_" + cp.label + "_" + svc
+		cp.groups = append(cp.groups, remoteGroupSpec{service: svc, op: op, decodeOp: op + "/decode", client: client, entries: entries})
 	}
 	for _, np := range nets {
 		for _, t := range np.tables {

@@ -330,7 +330,7 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		o.scatter(call.Resp.Body, sent)
 		rec.Record(trace.Span{
 			TraceID: x.ctx.TraceID, CallID: callID, Layer: trace.LayerSerDe, Net: f.plan.label,
-			Name: o.g.op + "/decode", Start: decStart, Dur: rec.Now().Sub(decStart),
+			Name: o.g.decodeOp, Start: decStart, Dur: rec.Now().Sub(decStart),
 		})
 	}()
 	return nil

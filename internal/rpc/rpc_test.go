@@ -28,6 +28,29 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// A connection's frames name few methods: decoding one that names the
+// method of the frame before it allocates the Request and nothing else,
+// and a frame naming another is still decoded as itself.
+func TestDecodeRequestSharesRepeatedMethod(t *testing.T) {
+	buf, err := EncodeRequest(&Request{Method: "sparse.run", CallID: 7, Body: []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		last   string
+		allocs float64
+	}{{"sparse.run", 1}, {"stage.begin", 2}, {"sparse.ru", 2}, {"", 2}} {
+		var got *Request
+		allocs := testing.AllocsPerRun(100, func() { got, err = decodeRequest(buf, tc.last) })
+		if err != nil || got.Method != "sparse.run" || got.CallID != 7 || string(got.Body) != "payload" {
+			t.Fatalf("after %q: decoded %+v, %v", tc.last, got, err)
+		}
+		if allocs != tc.allocs {
+			t.Errorf("after %q: %v allocations, want %v", tc.last, allocs, tc.allocs)
+		}
+	}
+}
+
 func TestRequestCodecRoundTripProperty(t *testing.T) {
 	f := func(method string, traceID, callID uint64, body []byte) bool {
 		if len(method) > 0xffff {

@@ -175,34 +175,35 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	var writeMu sync.Mutex
 	br := newFrameReader(conn)
+	var method string // the last Method decoded: a connection names few, so frames share the string
 	for {
 		payload, err := readRequestFrame(br)
 		if err != nil {
 			return // connection closed or corrupt
 		}
+		req, err := decodeRequest(payload, method)
+		if err != nil {
+			log.Printf("rpc: dropping malformed request: %v", err)
+			continue
+		}
+		method = req.Method
 		s.wg.Add(1)
-		go func(payload []byte) {
+		go func() {
 			defer s.wg.Done()
-			s.dispatch(conn, &writeMu, payload)
-		}(payload)
+			s.dispatch(conn, &writeMu, req)
+		}()
 	}
 }
 
-// dispatch decodes, handles, and answers one request, recording the
+// dispatch handles and answers one decoded request, recording the
 // paper's service-layer spans around the application handler.
-func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, payload []byte) {
+func (s *Server) dispatch(conn net.Conn, writeMu *sync.Mutex, req *Request) {
 	rec := s.cfg.Recorder
 	var reqStart time.Time
 	if rec != nil {
 		reqStart = rec.Now()
 	}
 	svcStart := time.Now()
-
-	req, err := DecodeRequest(payload)
-	if err != nil {
-		log.Printf("rpc: dropping malformed request: %v", err)
-		return
-	}
 	ctx := trace.Context{TraceID: req.TraceID, CallID: req.CallID}
 
 	// Admission at the transport: beyond MaxInFlight the server sheds

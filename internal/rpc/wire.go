@@ -224,7 +224,12 @@ func encodeRequestInto(buf []byte, req *Request) []byte {
 }
 
 // DecodeRequest parses a frame payload into a Request.
-func DecodeRequest(buf []byte) (*Request, error) {
+func DecodeRequest(buf []byte) (*Request, error) { return decodeRequest(buf, "") }
+
+// decodeRequest is DecodeRequest handed the previous frame's Method: a
+// frame naming the same method shares that string instead of allocating
+// its own.
+func decodeRequest(buf []byte, last string) (*Request, error) {
 	if len(buf) < 23 || buf[0] != msgRequest {
 		return nil, fmt.Errorf("rpc: malformed request frame (%d bytes)", len(buf))
 	}
@@ -236,7 +241,10 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	if len(buf) < 19+mlen+4 {
 		return nil, errors.New("rpc: truncated request method")
 	}
-	req.Method = string(buf[19 : 19+mlen])
+	req.Method = last
+	if m := buf[19 : 19+mlen]; string(m) != last {
+		req.Method = string(m)
+	}
 	off := 19 + mlen
 	blen := int(binary.LittleEndian.Uint32(buf[off:]))
 	if len(buf) != off+4+blen {

@@ -7,7 +7,8 @@
 // Design points taken from the paper:
 //   - "At each trace point, metadata specific to the layer and a
 //     wall-clock timestamp are logged to a lock-free buffer" — Recorder
-//     appends spans through an atomic cursor into a preallocated slab.
+//     appends spans through an atomic cursor into pointer-free chunks
+//     allocated as they are reached (store.go).
 //   - "Wall-clock time is desirable because its ordering helps achieve a
 //     useful trace visualization ... most spans are small and sequential,
 //     enabling wall-clock time as a proxy for CPU time."
@@ -112,16 +113,25 @@ type SpanSink interface {
 type sinkBox struct{ sink SpanSink }
 
 // Recorder collects spans for one shard. Appends go through an atomic
-// cursor into a fixed slab — no locks on the hot path, matching the
-// paper's lock-free trace buffer. When the slab fills, further spans are
-// dropped and counted; sizing the slab is the harness's job.
+// cursor into the span store — no locks on the hot path, matching the
+// paper's lock-free trace buffer. When the store holds its capacity,
+// further spans are dropped and counted; sizing it is the harness's job.
 type Recorder struct {
-	shard  string
-	slab   []Span
-	cursor atomic.Int64
-	drops  atomic.Int64
+	shard string
+	// epoch is what stored start times count from.
+	epoch time.Time
+	// chunks has one entry per chunkSpans of capacity, nil until reached.
+	chunks   []atomic.Pointer[chunk]
+	capacity int64
+	cursor   atomic.Int64
+	drops    atomic.Int64
+	// lap counts Resets (from 1): a slot holds a span only if its meta
+	// carries the current lap, so a rewind leaves nothing to clear.
+	lap     atomic.Uint64
+	names   atomic.Pointer[nameTable]
+	namesMu sync.Mutex // serialises new names
 	// sink, when set, sees every span Record accepts — including ones
-	// the full slab drops, so live tracing keeps working after the
+	// the full store drops, so live tracing keeps working after the
 	// offline buffer is exhausted.
 	sink atomic.Pointer[sinkBox]
 	// skew is added to recorded timestamps to simulate an unsynchronized
@@ -136,7 +146,13 @@ func NewRecorder(shard string, n int) *Recorder {
 	if n < 1 {
 		n = 1
 	}
-	return &Recorder{shard: shard, slab: make([]Span, n)}
+	r := &Recorder{
+		shard: shard, epoch: time.Now(), capacity: int64(n),
+		chunks: make([]atomic.Pointer[chunk], (n+chunkSpans-1)/chunkSpans),
+	}
+	r.lap.Store(1)
+	r.names.Store(noNames)
+	return r
 }
 
 // SetClockSkew configures the simulated clock skew applied to Start
@@ -158,12 +174,15 @@ func (r *Recorder) Record(s Span) {
 	if b := r.sink.Load(); b != nil {
 		b.sink.ConsumeSpan(s)
 	}
-	idx := r.cursor.Add(1) - 1
-	if int(idx) >= len(r.slab) {
-		r.drops.Add(1)
-		return
+	// A full store is where a long-serving role spends its life: loading
+	// the cursor first makes a drop cost one atomic add, not two.
+	if r.cursor.Load() < r.capacity {
+		if idx := r.cursor.Add(1) - 1; idx < r.capacity {
+			r.put(idx, &s)
+			return
+		}
 	}
-	r.slab[idx] = s
+	r.drops.Add(1)
 }
 
 // SetSink installs (or, with nil, removes) a live span tee. Swaps are
@@ -180,28 +199,22 @@ func (r *Recorder) SetSink(s SpanSink) {
 // call-id generation. IDs are never zero.
 func (r *Recorder) NextID() uint64 { return r.idCounter.Add(1) }
 
-// Drops returns how many spans were discarded due to a full slab.
+// Drops returns how many spans were discarded because the store was full.
 func (r *Recorder) Drops() int64 { return r.drops.Load() }
 
 // Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	n := int(r.cursor.Load())
-	if n > len(r.slab) {
-		n = len(r.slab)
-	}
-	return n
-}
+func (r *Recorder) Len() int { return int(min(r.cursor.Load(), r.capacity)) }
 
-// Spans returns a copy of all recorded spans.
-func (r *Recorder) Spans() []Span {
-	n := r.Len()
-	out := make([]Span, n)
-	copy(out, r.slab[:n])
-	return out
-}
+// Spans returns all recorded spans, rebuilt from the store. Like
+// AppendSpans it may run beside Record, and then may miss spans whose
+// Record has not returned.
+func (r *Recorder) Spans() []Span { return r.AppendSpans(make([]Span, 0, r.Len())) }
 
-// Reset discards all recorded spans (drops counter included).
+// Reset discards all recorded spans (drops counter included) and keeps
+// the chunks and names they used. Call it on a recorder nothing is
+// recording into or reading.
 func (r *Recorder) Reset() {
+	r.lap.Add(1)
 	r.cursor.Store(0)
 	r.drops.Store(0)
 }
@@ -246,9 +259,13 @@ func (c *Collector) Attach(r *Recorder) {
 func (c *Collector) Gather() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Span
+	n := 0
 	for _, r := range c.recorders {
-		out = append(out, r.Spans()...)
+		n += r.Len()
+	}
+	out := make([]Span, 0, n)
+	for _, r := range c.recorders {
+		out = r.AppendSpans(out)
 	}
 	return out
 }

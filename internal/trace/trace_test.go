@@ -38,29 +38,52 @@ func TestRecorderDropsWhenFull(t *testing.T) {
 	}
 }
 
+// Eight writers offer three chunks' worth each to a recorder whose
+// capacity ends mid-chunk: every span is kept or counted, no slot is
+// clobbered, and the chunk table ends exactly as full as the capacity.
 func TestRecorderConcurrentAppend(t *testing.T) {
-	const n = 64
-	r := NewRecorder("s", n*8)
+	const (
+		writers  = 8
+		each     = 3 * chunkSpans
+		capacity = 20*chunkSpans + 100
+	)
+	r := NewRecorder("s", capacity)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
-				r.Record(Span{TraceID: uint64(g*n + i)})
+			for i := 0; i < each; i++ {
+				r.Record(testSpan(uint64(g*each + i + 1)))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if r.Len() != n*8 || r.Drops() != 0 {
-		t.Fatalf("Len=%d Drops=%d", r.Len(), r.Drops())
+	if r.Len() != capacity || int(r.Drops()) != writers*each-capacity {
+		t.Fatalf("Len=%d Drops=%d of %d offered to capacity %d", r.Len(), r.Drops(), writers*each, capacity)
+	}
+	spans := r.Spans()
+	if len(spans) != capacity {
+		t.Fatalf("Spans returned %d of %d", len(spans), capacity)
 	}
 	seen := make(map[uint64]bool)
-	for _, s := range r.Spans() {
+	for _, s := range spans {
 		if seen[s.TraceID] {
 			t.Fatalf("duplicate span %d — racing appends clobbered slots", s.TraceID)
 		}
 		seen[s.TraceID] = true
+		if want := testSpan(s.TraceID); !sameSpan(s, want, "s") {
+			t.Fatalf("span %d came back as %+v", s.TraceID, s)
+		}
+	}
+	installed := 0
+	for i := range r.chunks {
+		if r.chunks[i].Load() != nil {
+			installed++
+		}
+	}
+	if want := (capacity + chunkSpans - 1) / chunkSpans; installed != want || len(r.chunks) != want {
+		t.Errorf("%d of %d chunks installed, want %d", installed, len(r.chunks), want)
 	}
 }
 
