@@ -185,28 +185,13 @@ func denseOperands(m, k, n int) (a, b *tensor.Matrix) {
 	return a, b
 }
 
-// sparsify zeroes a fraction of a's values the way the server's GEMM
-// inputs are zero: block > 0 clears whole runs of `block` columns per row
-// (pooled embeddings of the few tables an item looked up, out of many),
-// block == 0 clears single values at random (ReLU outputs).
-func sparsify(a *tensor.Matrix, frac float64, block int) {
+// sparsify zeroes a fraction of a's values at random, the way a ReLU-fed
+// layer's inputs are zero.
+func sparsify(a *tensor.Matrix, frac float64) {
 	rng := rand.New(rand.NewSource(99))
-	if block == 0 {
-		for i := range a.Data {
-			if rng.Float64() < frac {
-				a.Data[i] = 0
-			}
-		}
-		return
-	}
-	for r := 0; r < a.Rows; r++ {
-		row := a.Row(r)
-		for p := 0; p < len(row); p += block {
-			if rng.Float64() < frac {
-				for q := p; q < p+block && q < len(row); q++ {
-					row[q] = 0
-				}
-			}
+	for i := range a.Data {
+		if rng.Float64() < frac {
+			a.Data[i] = 0
 		}
 	}
 }
@@ -218,12 +203,12 @@ func sparsify(a *tensor.Matrix, frac float64, block int) {
 // -assert-faster), and the *-tail pair repeats the comparison on a
 // deliberately awkward shape (61x419x253: row, column, and k tails all
 // non-empty, no b row vector-aligned) that the tile covers with lane
-// masks and a one-row group. The remaining arms are the shapes the
-// server runs rather than the dense one: one engine batch of 16 items
-// through a ReLU-fed layer (half the inputs zero), through the embedding
-// projection (per-item blocks of 16 pooled values, 91 % or 10 % of them
-// empty), and through an n = 1 scoring layer. Every arm must produce
-// bitwise identical outputs; only the wall clock may differ.
+// masks and a one-row group. The remaining arms are dense shapes the
+// server runs rather than the square-ish one: one engine batch of 16
+// items through a ReLU-fed layer (half the inputs zero) and through an
+// n = 1 scoring layer; the embedding projection, whose input is a block
+// table and not a matrix, is BenchmarkProjectionBlocks. Every arm must
+// produce bitwise identical outputs; only the wall clock may differ.
 func BenchmarkDenseGEMM(b *testing.B) {
 	a, w := denseOperands(64, 418, 256)
 	at, wt := denseOperands(61, 419, 253)
@@ -241,17 +226,13 @@ func BenchmarkDenseGEMM(b *testing.B) {
 	for _, sh := range []struct {
 		name    string
 		m, k, n int
-		frac    float64
-		block   int
 	}{
-		{"relu-16x439x256", 16, 439, 256, 0.5, 0},
-		{"relu-16x256x128", 16, 256, 128, 0.5, 0},
-		{"embproj-16x2960x256", 16, 2960, 256, 0.91, 16},
-		{"embproj-16x576x256", 16, 576, 256, 0.10, 16},
-		{"out1-16x256x1", 16, 256, 1, 0.5, 0},
+		{"relu-16x439x256", 16, 439, 256},
+		{"relu-16x256x128", 16, 256, 128},
+		{"out1-16x256x1", 16, 256, 1},
 	} {
 		sa, sw := denseOperands(sh.m, sh.k, sh.n)
-		sparsify(sa, sh.frac, sh.block)
+		sparsify(sa, 0.5)
 		arms = append(arms,
 			arm{sh.name + "/generic", tensor.KernelGeneric, sa, sw},
 			arm{sh.name + "/vector", tensor.KernelVector, sa, sw})
@@ -268,6 +249,86 @@ func BenchmarkDenseGEMM(b *testing.B) {
 			}
 			flops := 2 * m * k * n
 			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// capturedBlocks builds one net's pooled embeddings for the first `rows`
+// items of a seed-1 request of the named model as the main shard holds
+// them: a block table over packed rows, a handle where the item's bag for
+// that table had a lookup. The values are arbitrary; which blocks exist is
+// the workload's.
+func capturedBlocks(modelName, net string, rows int) *tensor.Blocks {
+	cfg := model.ByName(modelName)
+	gen := workload.NewGenerator(cfg, 1)
+	req := gen.Next()
+	for req.Items < rows {
+		req = gen.Next()
+	}
+	rng := rand.New(rand.NewSource(7))
+	tables := cfg.NetTables(net)
+	out := &tensor.Blocks{Rows: rows, Stride: rows, Slots: make([]tensor.BlockSlot, len(tables)), Handles: make([]uint32, len(tables)*rows)}
+	for s, t := range tables {
+		var packed []float32
+		for r, bag := range req.Bags[t.ID][:rows] {
+			if len(bag.Indices) == 0 {
+				continue
+			}
+			out.Handles[s*rows+r] = uint32(len(packed)) + 1
+			for c := 0; c < t.Dim; c++ {
+				packed = append(packed, rng.Float32()*2-1)
+			}
+		}
+		out.Slots[s] = tensor.BlockSlot{Data: packed, Col: int32(out.Cols), Width: int32(t.Dim)}
+		out.Cols += t.Dim
+	}
+	return out
+}
+
+// BenchmarkProjectionBlocks is the embedding projection (fc_proj) of one
+// engine batch over the block presence a served request has: DRM1's net2
+// (185 tables, ≈ 9 % of an item's bags non-empty), its net1 (72 tables,
+// most bags non-empty) and DRM3 (39 tables of two widths). blocks reads
+// the pooled rows where they lie, through the handle table; dense is what
+// that replaced — a zeroed rows × ΣDim matrix, every present row copied
+// into its columns, and the dense GEMM over it. The bench gate holds
+// blocks ahead of dense on all three (cmd/benchcheck -assert-faster):
+// where most blocks are absent, and where most are present too — if the
+// tile in block mode lost there, the exact count would be sending the
+// net to the wrong kernel.
+func BenchmarkProjectionBlocks(b *testing.B) {
+	for _, tc := range []struct {
+		name, model, net string
+		rows             int
+	}{
+		{"drm1_net2", "DRM1", "net2", 16},
+		{"drm1_net1", "DRM1", "net1", 16},
+		{"drm3", "DRM3", "net1", 16},
+	} {
+		blocks := capturedBlocks(tc.model, tc.net, tc.rows)
+		_, w := denseOperands(1, blocks.Cols, 256)
+		bias := make([]float32, 256)
+		out := tensor.New(tc.rows, 256)
+		b.Run(tc.name+"/blocks", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulBlocks(out, blocks, w, bias, false)
+			}
+		})
+		b.Run(tc.name+"/dense", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emb := tensor.New(tc.rows, blocks.Cols)
+				for r := 0; r < tc.rows; r++ {
+					row := emb.Row(r)
+					for s := range blocks.Slots {
+						if blocks.Handles[s*blocks.Stride+r] != 0 {
+							copy(row[blocks.Slots[s].Col:], blocks.Block(r, s))
+						}
+					}
+				}
+				tensor.MatMulEpilogue(out, emb, w, bias, false)
+			}
 		})
 	}
 }

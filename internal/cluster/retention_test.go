@@ -96,9 +96,16 @@ func (c *retainCaller) Close() error {
 // the one the main shard's handler was given (whose bag lists the engine
 // hashes *from*, never into), and every sparse.run body — as the rpcOp
 // built it, as each replica was sent it (twice, unchanged, when the call
-// was hedged) and as each shard's handler pooled from it. A frame buffer
+// was hedged) and as each shard's handler pooled from it. It covers the
+// response direction the same way, which the main shard reads in place
+// too: a fetch's block tables point into Call.Resp.Body from the moment
+// the call finishes until the execution returns, so every sparse.run
+// response — as the hedged caller handed it to the rpcOp and as each
+// replica produced it, the hedge's loser included, which answers after
+// the winner's rows are already being multiplied — must hold at the end
+// of the run what it held when its call finished. A frame buffer
 // recycled while a retained body aliases it, a hash written through a
-// view of the request, or pooled rows scattered through a view into a
+// view of the request, or anything written through a view into a
 // response, would show here.
 func TestRetainedBuffersNeverChange(t *testing.T) {
 	cfg := smallModel()
@@ -231,6 +238,10 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 			kinds["sparse.run body sent to a replica"]++
 		case strings.HasSuffix(b.what, " sparse.run request body"):
 			kinds["sparse.run body handled"]++
+		case strings.HasSuffix(b.what, " hedged sparse.run Call.Resp.Body"):
+			kinds["sparse.run response read by the engine"]++
+		case strings.HasSuffix(b.what, " replica sparse.run Call.Resp.Body"):
+			kinds["sparse.run response from a replica"]++
 		}
 	}
 	// Every request body of the run was among the buffers just compared:
@@ -244,6 +255,12 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 	issued, sent, handled := kinds["sparse.run body issued"], kinds["sparse.run body sent to a replica"], kinds["sparse.run body handled"]
 	if issued < len(reqs) || sent != issued+int(fired) || handled != sent {
 		t.Errorf("sparse.run bodies: %d issued, %d sent to replicas, %d handled; want sent = issued + %d hedges = handled", issued, sent, handled, fired)
+	}
+	// And every response: the one each issued call's rows were read from,
+	// in place, until its execution returned, and one per send — the
+	// winner's and the late loser's of every hedged call.
+	if read, answered := kinds["sparse.run response read by the engine"], kinds["sparse.run response from a replica"]; read != issued || answered != sent {
+		t.Errorf("sparse.run responses: %d read by the engine, %d answered by replicas; want %d and %d", read, answered, issued, sent)
 	}
 	for _, b := range keep.bufs {
 		var err error

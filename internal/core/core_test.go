@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -26,7 +25,7 @@ func tinyConfig() model.Config {
 	return cfg
 }
 
-// packedRows is a contribution as a collector receives it: one bag
+// packedRows is a contribution as an assembler receives it: one bag
 // length per item — non-zero where present is set — and the wire bytes of
 // one row per present item.
 func packedRows(present []bool, vals ...float32) partial {
@@ -39,98 +38,118 @@ func packedRows(present []bool, vals ...float32) partial {
 	return partial{rows: appendF32s(nil, vals), lens: lens}
 }
 
-func TestCollectorSingleSourceIntoEmb(t *testing.T) {
-	asm := newEmbAssembler(3, 5, 1)
-	c := newCollector(1, 3, asm, 1)
-	c.deliver(0, packedRows([]bool{true, false, true}, 1, 2, 3, 4, 5, 6), nil)
-	emb, err := asm.future.Wait()
+// testTables lays out tables of the given widths back to back, as compile
+// does, each with the given number of sources.
+func testTables(sources int, dims ...int) []netTable {
+	tables, col := make([]netTable, len(dims)), 0
+	for i, dim := range dims {
+		tables[i] = netTable{TableSpec: model.TableSpec{ID: i, Dim: dim}, colOff: col, sources: sources}
+		col += dim
+	}
+	return tables
+}
+
+func TestAssemblerSingleSourceIntoBlocks(t *testing.T) {
+	asm := newEmbAssembler(3, testTables(1, 1, 3, 1))
+	asm.place(0, 0, partial{})
+	asm.place(2, 0, partial{})
+	p := packedRows([]bool{true, false, true}, 1, 2, 3, 4, 5, 6)
+	asm.place(1, 0, p)
+	asm.delivered(3)
+	emb, err := asm.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Columns [1,4) of the present items' rows hold the pooled values;
-	// the absent item's row and every other column stay zero.
+	// the absent item's row and every other column read as zero.
 	want := []float32{
 		0, 1, 2, 3, 0,
 		0, 0, 0, 0, 0,
 		0, 4, 5, 6, 0,
 	}
-	if !slices.Equal(emb.Data, want) {
-		t.Fatalf("emb = %v, want %v", emb.Data, want)
+	if got := emb.Dense().Data; !slices.Equal(got, want) {
+		t.Fatalf("emb = %v, want %v", got, want)
+	}
+	// Nothing was copied: the slot reads the contribution where it lies
+	// (a wire-native host views the response bytes in place).
+	if data := emb.Slots[1].Data; wireNative && &data[0] != &viewF32s(p.rows)[0] {
+		t.Error("the slot's storage is not the contribution's own bytes")
+	}
+	if want := []uint32{0, 0, 0, 1, 0, 4, 0, 0, 0}; !slices.Equal(emb.Handles, want) {
+		t.Errorf("handles = %v, want %v", emb.Handles, want)
 	}
 }
 
-func TestCollectorMergesPartials(t *testing.T) {
-	asm := newEmbAssembler(1, 2, 1)
-	c := newCollector(3, 2, asm, 0)
-	c.deliver(2, packedRows([]bool{true}, 1, 10), nil)
-	c.deliver(0, partial{}, nil) // a source that was not asked contributes nothing
-	c.deliver(1, packedRows([]bool{true}, 2, 20), nil)
-	emb, err := asm.future.Wait()
+func TestAssemblerMergesPartials(t *testing.T) {
+	asm := newEmbAssembler(1, testTables(3, 2))
+	asm.place(0, 2, packedRows([]bool{true}, 1, 10))
+	asm.place(0, 0, partial{}) // a source that was not asked contributes nothing
+	asm.place(0, 1, packedRows([]bool{true}, 2, 20))
+	asm.delivered(3)
+	emb, err := asm.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if emb.Data[0] != 3 || emb.Data[1] != 30 {
-		t.Errorf("merged = %v", emb.Data)
+	if got := emb.Dense().Data; got[0] != 3 || got[1] != 30 {
+		t.Errorf("merged = %v", got)
 	}
 }
 
-func TestCollectorAllSkippedZeroFills(t *testing.T) {
-	asm := newEmbAssembler(3, 4, 1)
-	c := newCollector(2, 4, asm, 0)
-	c.deliver(0, partial{}, nil)
-	c.deliver(1, packedRows([]bool{false, false, false}), nil)
-	emb, err := asm.future.Wait()
+func TestAssemblerAllSkippedIsAllAbsent(t *testing.T) {
+	asm := newEmbAssembler(3, testTables(2, 4))
+	asm.place(0, 0, partial{})
+	asm.place(0, 1, packedRows([]bool{false, false, false}))
+	asm.delivered(2)
+	emb, err := asm.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range emb.Data {
+	for _, h := range emb.Handles {
+		if h != 0 {
+			t.Fatalf("handles = %v: no bag had a lookup", emb.Handles)
+		}
+	}
+	for _, v := range emb.Dense().Data {
 		if v != 0 {
-			t.Fatal("zero-fill should be zeros")
+			t.Fatal("absent blocks should read as zeros")
 		}
 	}
 }
 
-func TestCollectorErrorWins(t *testing.T) {
-	asm := newEmbAssembler(1, 1, 1)
-	c := newCollector(2, 1, asm, 0)
-	c.deliver(0, partial{}, errors.New("shard down"))
-	c.deliver(1, packedRows([]bool{true}, 0), nil) // late success ignored
-	if _, err := asm.future.Wait(); err == nil {
-		t.Fatal("error should propagate to the emb future")
+func TestAssemblerErrorWins(t *testing.T) {
+	asm := newEmbAssembler(1, testTables(2, 1))
+	asm.fail(errors.New("shard down"))
+	asm.place(0, 1, packedRows([]bool{true}, 0)) // late success ignored
+	asm.delivered(1)
+	asm.fail(errors.New("second failure"))
+	if _, err := asm.wait(); err == nil || err.Error() != "shard down" {
+		t.Fatalf("err = %v; the first error should resolve the net's pooled embeddings", err)
+	}
+	asm = newEmbAssembler(1, testTables(2, 1))
+	asm.place(0, 2, packedRows([]bool{true}, 0))
+	if _, err := asm.wait(); err == nil {
+		t.Fatal("a part index past the table's parts should fail it")
 	}
 }
 
-func TestEmbAssemblerWaitsForAllTables(t *testing.T) {
-	asm := newEmbAssembler(1, 4, 2)
-	c1 := newCollector(1, 2, asm, 0)
-	c2 := newCollector(1, 2, asm, 2)
-	c1.deliver(0, packedRows([]bool{true}, 1, 2), nil)
+func TestAssemblerWaitsForAllSources(t *testing.T) {
+	asm := newEmbAssembler(1, testTables(1, 2, 2))
+	asm.place(0, 0, packedRows([]bool{true}, 1, 2))
+	asm.delivered(1)
 	select {
-	case <-futureDone(asm.future):
-		t.Fatal("emb future completed before all tables delivered")
+	case <-asm.done:
+		t.Fatal("pooled embeddings completed before all tables delivered")
 	default:
 	}
-	c2.deliver(0, packedRows([]bool{true}, 3, 4), nil)
-	emb, err := asm.future.Wait()
+	asm.place(1, 0, packedRows([]bool{true}, 3, 4))
+	asm.delivered(1)
+	emb, err := asm.wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float32{1, 2, 3, 4}
-	for i, w := range want {
-		if emb.Data[i] != w {
-			t.Fatalf("emb = %v", emb.Data)
-		}
+	if got, want := emb.Dense().Data, []float32{1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("emb = %v", got)
 	}
-}
-
-// futureDone adapts Future.Wait into a selectable channel.
-func futureDone(f *nn.Future) <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		f.Wait()
-		close(ch)
-	}()
-	return ch
 }
 
 func TestAppendPart(t *testing.T) {

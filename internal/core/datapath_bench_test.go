@@ -60,7 +60,7 @@ func (c *drm1Call) request() *SparseRequest {
 // hop chain for one call over loopback TCP: the main shard's RPC
 // operator lays the body out from the flat bag lists and issues the call,
 // the shard walks it in place, pools and answers, and the operator's
-// goroutine moves the pooled rows into the fetch's embedding matrix. allocs/op is the gated number
+// goroutine points the fetch's block table at the pooled rows. allocs/op is the gated number
 // (cmd/benchcheck): every hop is meant to make one allocation.
 func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	c := newDRM1Call()
@@ -93,7 +93,7 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	}
 	plan.groups = []remoteGroupSpec{group}
 	eng := &Engine{cfg: EngineConfig{Recorder: trace.NewRecorder("main", 1<<10)}}
-	var sink *tensor.Matrix
+	var sink *tensor.Blocks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,7 +102,7 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 		if err := f.ops()[0].Run(nil); err != nil {
 			b.Fatal(err)
 		}
-		if sink, err = f.nets[0].future.Wait(); err != nil {
+		if sink, err = f.nets[0].wait(); err != nil {
 			b.Fatal(err)
 		}
 		x.inflight.Wait()

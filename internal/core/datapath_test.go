@@ -281,11 +281,10 @@ func TestCollectorSumsPartsInPartOrder(t *testing.T) {
 			}
 			distinct[arrival] = true
 
-			asm := newEmbAssembler(4, 3, 1)
-			c := newCollector(3, 3, asm, 0)
+			asm := newEmbAssembler(4, testTables(3, 3))
 			for _, p := range order {
 				if p == 2 && !askPart2 {
-					c.deliver(p, partial{}, nil)
+					asm.place(0, p, partial{})
 					continue
 				}
 				present := make([]bool, 4)
@@ -294,14 +293,19 @@ func TestCollectorSumsPartsInPartOrder(t *testing.T) {
 					present[item] = row != nil
 					vals = append(vals, row...)
 				}
-				c.deliver(p, packedRows(present, vals...), nil)
+				asm.place(0, p, packedRows(present, vals...))
 			}
-			emb, err := asm.future.Wait()
+			asm.delivered(3)
+			emb, err := asm.wait()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameBits(emb.Data, want) {
-				t.Errorf("part 2 asked=%v, arrival order %v: summed to %v, want %v", askPart2, order, emb.Data, want)
+			if got := emb.Dense().Data; !sameBits(got, want) {
+				t.Errorf("part 2 asked=%v, arrival order %v: summed to %v, want %v", askPart2, order, got, want)
+			}
+			// Item 3 has a row in no part: the packed sums hold three rows.
+			if n := len(emb.Slots[0].Data); n != 3*3 {
+				t.Errorf("%d summed values, want 9", n)
 			}
 		}
 		if len(distinct) < 2 {

@@ -123,17 +123,16 @@ type engineProgram struct {
 // operators (dense layers, in-line SLS) are built once and shared across
 // batches — they are stateless against the workspace; the hash and the
 // asynchronous RPC operators are constructed per request because they
-// carry its bags, trace context and collectors.
+// carry its bags, trace context and block tables.
 type netProgram struct {
 	spec   model.NetSpec
 	params model.NetParams
 	tables []netTable // this net's tables, ID order
-	// embCols is the width of the fused embedding matrix.
+	// embCols is the width of the net's pooled embeddings: ΣDim.
 	embCols int
-	// interactCols are the column offsets in it of the tables joining the
-	// pairwise interaction, each interactDim wide.
-	interactCols []int
-	interactDim  int
+	// interactSlots are the slots (indexes in tables) of the tables joining
+	// the pairwise interaction, all of one Dim.
+	interactSlots []int
 	// call is the sparse call plan covering this net under a distributed
 	// plan, and callPos the net's position in it.
 	call    *callPlan
@@ -152,8 +151,8 @@ type netProgram struct {
 // netTable is one of a net's tables as the program lays it out.
 type netTable struct {
 	model.TableSpec
-	// colOff is where the table's columns start in the fused embedding
-	// matrix.
+	// colOff is where the table's columns start among the net's pooled
+	// embeddings.
 	colOff int
 	// sources counts pooling contributors (1 for a whole table, NumParts
 	// for a partitioned one).
@@ -278,9 +277,9 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 		}
 		specs := m.Config.NetTables(ns.Name)
 		interact := pickInteract(specs, ns.InteractFeatures)
-		for _, t := range specs {
+		for slot, t := range specs {
 			if slices.Contains(interact, t.ID) {
-				np.interactCols, np.interactDim = append(np.interactCols, np.embCols), t.Dim
+				np.interactSlots = append(np.interactSlots, slot)
 			}
 			np.tables = append(np.tables, netTable{TableSpec: t, colOff: np.embCols})
 			np.embCols += t.Dim
@@ -434,9 +433,9 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	// workers' tile epilogues (bitwise identical to the FC → Activation
 	// pairs they replace), and outputs draw from the workspace arena. ---
 	var post []nn.Op
-	post = append(post, &nn.FusedFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
+	post = append(post, &nn.EmbFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
 	post = append(post, &nn.Interaction{
-		OpName: "interact_" + netName, Emb: np.embBlob, FeatureCols: np.interactCols, FeatureDim: np.interactDim,
+		OpName: "interact_" + netName, Emb: np.embBlob, FeatureSlots: np.interactSlots,
 		Passthrough: bottom, Output: "int_" + netName,
 	})
 	post = append(post, &nn.ConcatOp{

@@ -12,64 +12,27 @@ import (
 	"repro/internal/trace"
 )
 
-// embAssembler completes one net's fused embedding matrix for a sparse
-// fetch (the bags×ΣDim concatenation the dense layers consume, over the
-// fetch's items): each table's collector writes its pooled columns in,
-// and the matrix's future resolves when every table has delivered.
-type embAssembler struct {
-	future *nn.Future
-	emb    *tensor.Matrix
-	// collectors are the net's, one per table in the net's table order.
-	collectors []collector
-	mu         sync.Mutex
-	pending    int
-	failed     bool
-}
-
-func newEmbAssembler(rows, cols, tables int) *embAssembler {
-	return &embAssembler{future: nn.NewFuture(), emb: tensor.New(rows, cols), pending: tables}
-}
-
-// tableDone marks one table's columns written; the last one completes
-// the future.
-func (a *embAssembler) tableDone() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.failed {
-		return
-	}
-	a.pending--
-	if a.pending == 0 {
-		a.future.Complete(a.emb, nil)
-	}
-}
-
-// fail resolves the future with the first error.
-func (a *embAssembler) fail(err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.failed {
-		return
-	}
-	a.failed = true
-	a.future.Complete(nil, err)
-}
-
-// collector places one table's pooled rows in the table's columns of the
-// fetch's fused embedding matrix. A contribution is packed, and still
-// inside the sparse response that carried it: the wire bytes of one
-// cols-wide row per non-empty bag of the bag list that was sent, whose
-// lengths are what says whose rows they are — row k belongs to the k-th
-// bag of non-zero length, that is, to that bag's item. The matrix starts
-// zeroed, so an item whose bag was empty already holds the +0 row a dense
-// response would have carried.
+// embAssembler completes one net's pooled embeddings for a sparse fetch:
+// the block table the dense layers consume, one row per item of the
+// fetch and one slot per table of the net, resolved once every source of
+// every table has delivered.
 //
-// A whole table has one source and its rows are decoded straight into
-// place — the only copy they see on the main shard. A row-partitioned
-// table has one source per part; the parts are held (as views, nothing
-// is copied) until the last one lands and then every present row is
-// added onto the zeroed columns in ascending part order, so the float32
-// result does not depend on which shard answered first.
+// A contribution is packed, and stays inside the sparse response that
+// carried it: the wire bytes of one Dim-wide row per non-empty bag of the
+// bag list that was sent, whose lengths are what says whose rows they are
+// — row k belongs to the k-th bag of non-zero length, that is, to that
+// bag's item. Nothing is copied: a whole table has one source, the slot's
+// storage is that response's own row region (read in place, viewF32s), an
+// item whose bag had a lookup gets the handle of its row there, and one
+// whose bag was empty keeps handle 0 — the +0 row a dense response would
+// have carried. The fetch therefore owns the response bodies until its
+// execution returns.
+//
+// A row-partitioned table has one source per part; the parts are held (as
+// views) until the last one lands and then every present row is added, in
+// ascending part order, onto a zeroed packed scratch — one row per item
+// with a lookup in any part — so the float32 result does not depend on
+// which shard answered first.
 //
 // That sum has the bits of "copy the first part, add the rest" over
 // dense rows of zeros, which is what it replaced: a pooled value is a sum
@@ -80,17 +43,26 @@ func (a *embAssembler) fail(err error) {
 // the add of +0, and a part that was never asked — none of its bags had
 // a lookup — is a part of absent rows
 // (TestCollectorSumsPartsInPartOrder).
-type collector struct {
-	cols   int
-	asm    *embAssembler
-	colOff int
+type embAssembler struct {
+	blocks tensor.Blocks
+	// done is closed once blocks is complete, or err is set.
+	done chan struct{}
+	err  error
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending counts the sources still to deliver, over all tables.
 	pending int
-	// parts holds a partitioned table's contributions by part index;
-	// unused with a single source.
-	parts  []partial
-	failed bool
+	failed  bool
+	// parts[slot] collects a partitioned table's contributions; nil for a
+	// whole table, and nil altogether when the net has none partitioned.
+	parts []*partSet
+}
+
+// partSet is a partitioned table's contributions by part index, and how
+// many have yet to land.
+type partSet struct {
+	parts []partial
+	left  int
 }
 
 // partial is one source's contribution: packed rows in wire form and the
@@ -101,72 +73,123 @@ type partial struct {
 	lens []int32
 }
 
-func newCollector(sources, cols int, asm *embAssembler, colOff int) collector {
-	var parts []partial
-	if sources > 1 {
-		parts = make([]partial, sources)
+func newEmbAssembler(rows int, tables []netTable) *embAssembler {
+	a := &embAssembler{done: make(chan struct{})}
+	a.blocks = tensor.Blocks{
+		Rows: rows, Stride: rows,
+		Slots: make([]tensor.BlockSlot, len(tables)), Handles: make([]uint32, len(tables)*rows),
 	}
-	return collector{cols: cols, asm: asm, colOff: colOff, pending: sources, parts: parts}
-}
-
-// deliver merges part's contribution. The caller has checked that p.rows
-// holds exactly one row per non-zero length of p.lens.
-func (c *collector) deliver(part int, p partial, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.failed {
-		return
-	}
-	if err == nil && c.parts != nil && (part < 0 || part >= len(c.parts)) {
-		err = fmt.Errorf("core: partial pool for part %d of %d", part, len(c.parts))
-	}
-	if err != nil {
-		c.failed = true
-		c.asm.fail(err)
-		return
-	}
-	if c.parts != nil {
-		c.parts[part] = p
-	}
-	c.pending--
-	if c.pending > 0 {
-		return
-	}
-	// Column ranges are disjoint across collectors, so writing without
-	// the assembler's lock is safe; completion ordering is serialized by
-	// tableDone.
-	if c.parts == nil {
-		c.place(p, false)
-	}
-	for _, p := range c.parts {
-		c.place(p, true)
-	}
-	c.asm.tableDone()
-}
-
-// place moves p's rows to their items' columns: row k to the k-th
-// non-empty bag's, stored, or added to what is there.
-func (c *collector) place(p partial, add bool) {
-	emb, rows := c.asm.emb, p.rows
-	var vals []float32
-	if add {
-		vals = viewF32s(rows)
-	}
-	for b, n := range p.lens {
-		if n == 0 {
-			continue
+	for slot, t := range tables {
+		a.blocks.Slots[slot] = tensor.BlockSlot{Col: int32(t.colOff), Width: int32(t.Dim)}
+		a.blocks.Cols += t.Dim
+		a.pending += t.sources
+		if t.sources > 1 {
+			if a.parts == nil {
+				a.parts = make([]*partSet, len(tables))
+			}
+			a.parts[slot] = &partSet{parts: make([]partial, t.sources), left: t.sources}
 		}
-		dst := emb.Row(b)[c.colOff : c.colOff+c.cols]
-		if add {
-			for i, v := range vals[:c.cols] {
+	}
+	return a
+}
+
+// wait blocks until the table is complete or a source has failed.
+func (a *embAssembler) wait() (*tensor.Blocks, error) {
+	<-a.done
+	return &a.blocks, a.err
+}
+
+// place takes one source's contribution to the table at slot; the caller
+// has checked that p.rows holds exactly one row per non-zero length of
+// p.lens, and reports it with delivered once placed. A whole table's slot
+// is written without the lock — slots are disjoint and it has the one
+// source; the parts of a partitioned table meet under it.
+func (a *embAssembler) place(slot, part int, p partial) {
+	s := &a.blocks.Slots[slot]
+	handles := a.blocks.Handles[slot*a.blocks.Stride:][:a.blocks.Rows]
+	if a.parts == nil || a.parts[slot] == nil {
+		s.Data = viewF32s(p.rows)
+		storeHandles(handles, p.lens, s.Width)
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ps := a.parts[slot]
+	if part < 0 || part >= len(ps.parts) {
+		a.failLocked(fmt.Errorf("core: partial pool for part %d of %d", part, len(ps.parts)))
+		return
+	}
+	ps.parts[part] = p
+	if ps.left--; ps.left == 0 {
+		s.Data = sumParts(handles, ps.parts, int(s.Width))
+	}
+}
+
+// delivered counts n sources placed; the last one completes the table.
+func (a *embAssembler) delivered(n int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.failed || n == 0 {
+		return
+	}
+	if a.pending -= n; a.pending == 0 {
+		close(a.done)
+	}
+}
+
+// fail resolves the table with the first error.
+func (a *embAssembler) fail(err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.failLocked(err)
+}
+
+func (a *embAssembler) failLocked(err error) {
+	if a.failed {
+		return
+	}
+	a.failed, a.err = true, err
+	close(a.done)
+}
+
+// storeHandles gives every item whose bag had a lookup the handle of its
+// row among packed width-wide rows — the k-th such item, row k — and
+// returns how many there were.
+func storeHandles(handles []uint32, lens []int32, width int32) (present int) {
+	for b, n := range lens {
+		if n != 0 {
+			handles[b] = uint32(present)*uint32(width) + 1
+			present++
+		}
+	}
+	return present
+}
+
+// sumParts adds a partitioned table's parts, in part order, into fresh
+// packed rows — one per item with a row in any part, whose handle it
+// stores — and returns them.
+func sumParts(handles []uint32, parts []partial, width int) []float32 {
+	hit := make([]int32, len(handles)) // non-zero: some part has a row for the item
+	for _, p := range parts {
+		for b, n := range p.lens {
+			hit[b] |= n
+		}
+	}
+	sums := make([]float32, storeHandles(handles, hit, int32(width))*width)
+	for _, p := range parts {
+		vals := viewF32s(p.rows)
+		for b, n := range p.lens {
+			if n == 0 {
+				continue
+			}
+			dst := sums[handles[b]-1:][:width]
+			for i, v := range vals[:width] {
 				dst[i] += v
 			}
-			vals = vals[c.cols:]
-		} else {
-			getF32s(dst, rows)
-			rows = rows[4*c.cols:]
+			vals = vals[width:]
 		}
 	}
+	return sums
 }
 
 // groupEntry is one (net, table, part) a shard's group covers.
@@ -190,8 +213,8 @@ type callPlan struct {
 // sparseFetch is one sparse round trip at the main shard: the pooled
 // embeddings of a plan's nets for items [start, start+rows) of a request
 // — by default every net over the whole request, issued at admission.
-// Each net's results land in a rows×embCols matrix of its own; a batch
-// is a row range of it.
+// Each net's results become a rows-tall block table of its own, over the
+// response bodies where they arrived; a batch is a row range of it.
 type sparseFetch struct {
 	x     *execution
 	plan  *callPlan
@@ -203,12 +226,7 @@ type sparseFetch struct {
 func (x *execution) newFetch(plan *callPlan, start, end int) *sparseFetch {
 	f := &sparseFetch{x: x, plan: plan, start: start, rows: end - start, nets: make([]*embAssembler, len(plan.nets))}
 	for i, np := range plan.nets {
-		asm := newEmbAssembler(f.rows, np.embCols, len(np.tables))
-		asm.collectors = make([]collector, len(np.tables))
-		for slot, t := range np.tables {
-			asm.collectors[slot] = newCollector(t.sources, t.Dim, asm, t.colOff)
-		}
-		f.nets[i] = asm
+		f.nets[i] = newEmbAssembler(f.rows, np.tables)
 	}
 	return f
 }
@@ -244,10 +262,9 @@ func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 // layout builds this shard's body from the fetch's row range of the
 // request's bag lists — exactly sized, every length and every hashed index
 // moved into it once: a whole table's with one memmove each, a partition's
-// by a count pass and a filter pass. It also returns, per entry, the
-// lengths that went out: they say which items the answer's rows belong
-// to. A nil body means no lookup routes to the shard.
-func (o *rpcOp) layout() (body []byte, sent [][]int32) {
+// by a count pass and a filter pass. It also returns, per entry, what was
+// sent. A nil body means no lookup routes to the shard.
+func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	f, x := o.f, o.f.x
 	list := func(e *groupEntry) (int, embedding.BagList) {
 		id := f.plan.nets[e.net].tables[e.slot].ID
@@ -270,24 +287,38 @@ func (o *rpcOp) layout() (body []byte, sent [][]int32) {
 		return nil, nil
 	}
 	body = appendSparseHead(alignedBytes(size)[:0], f.plan.names, len(o.g.entries))
-	sent = make([][]int32, len(o.g.entries))
+	sent = make([]sentBags, len(o.g.entries))
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
 		id, l := list(e)
 		body = appendEntryIDs(body, e.net, id, e.partIndex, e.numParts)
 		if e.numParts > 1 {
-			body, sent[i] = appendPart(body, l, e.partIndex, e.numParts, indices[i])
+			body, sent[i].lens = appendPart(body, l, e.partIndex, e.numParts, indices[i])
 		} else {
-			body, sent[i] = appendBagList(body, l), l.Lens
+			body, sent[i].lens = appendBagList(body, l), l.Lens
+		}
+		for _, n := range sent[i].lens {
+			if n != 0 {
+				sent[i].present++
+			}
 		}
 	}
 	return body, sent
 }
 
+// sentBags is what an entry's answer is read against: the bag lengths
+// that went out — they say which items the answer's rows belong to — and
+// how many of them are not zero: how many rows it must hold.
+type sentBags struct {
+	lens    []int32
+	present int
+}
+
 // Run implements nn.Op. It serializes synchronously — on the scheduling
 // thread, so the cost is counted in this op's span, which the analyzer
 // books as RPC Ser/De — issues the call, then leaves waiting for the
-// response and moving its pooled rows into place to a goroutine.
+// response and pointing the fetch's block tables at its pooled rows to a
+// goroutine.
 func (o *rpcOp) Run(*nn.Workspace) error {
 	f, x := o.f, o.f.x
 	body, sent := o.layout()
@@ -295,7 +326,7 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		// No lookups route to this shard (e.g. DRM3's partitioned user
 		// table: only one part matches the request's user). Skip the call
 		// entirely — the paper's "only two shards would be accessed" —
-		// and satisfy collectors with empty contributions.
+		// and count every entry as answered with no row.
 		o.deliverAll(nil)
 		return nil
 	}
@@ -324,8 +355,8 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 		}
 
 		// Deserialize (RPC Ser/De at the main shard): walk the response
-		// in place and move each entry's rows from the response bytes to
-		// the embedding matrix — no decoded intermediate.
+		// in place and hand each entry's rows, where they lie, to the
+		// entry's slot of the block table — nothing is decoded or moved.
 		decStart := rec.Now()
 		o.scatter(call.Resp.Body, sent)
 		rec.Record(trace.Span{
@@ -336,64 +367,72 @@ func (o *rpcOp) Run(*nn.Workspace) error {
 	return nil
 }
 
-// collector returns the collector an entry's pooled rows go to.
-func (o *rpcOp) collector(e *groupEntry) *collector {
-	return &o.f.nets[e.net].collectors[e.slot]
-}
-
-// deliverAll hands every entry's collector the same outcome: an error,
-// or (nil) the contribution of a source that was not asked.
-func (o *rpcOp) deliverAll(err error) {
+// deliver places what read makes of each entry, in the order asked, in
+// the entry's net — or fails the net with read's error — and then counts
+// the placed ones in.
+func (o *rpcOp) deliver(read func(i int, e *groupEntry) (partial, error)) {
+	placed := make([]int, len(o.f.nets))
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
-		o.collector(e).deliver(e.partIndex, partial{}, err)
+		p, err := read(i, e)
+		if err != nil {
+			o.f.nets[e.net].fail(err)
+			continue
+		}
+		o.f.nets[e.net].place(e.slot, e.partIndex, p)
+		placed[e.net]++
+	}
+	for net, n := range placed {
+		o.f.nets[net].delivered(n)
 	}
 }
 
-// scatter delivers a sparse response's entries to their collectors. sent
-// is the bag lengths of the request's entries, in the order asked. The
-// response is trusted for nothing but its floats: an entry must name the
-// table, part, bag count and width that were asked for and carry exactly
-// one row per non-zero length sent — counted here, from the main shard's
-// own lengths — or it fails its own table; a response that cannot be
-// walked fails every table not yet delivered.
-func (o *rpcOp) scatter(resp []byte, sent [][]int32) {
+// deliverAll gives every entry the same outcome: an error, or (nil) the
+// contribution of a source that was not asked — no row.
+func (o *rpcOp) deliverAll(err error) {
+	o.deliver(func(int, *groupEntry) (partial, error) { return partial{}, err })
+}
+
+// scatter hands a sparse response's entries to their nets' block tables.
+// sent is what the request's entries asked, in the order asked. The
+// response is trusted for nothing but its floats: an entry must name the table, part, bag count
+// and width that were asked for and carry exactly one row per non-zero
+// length sent — counted by layout, from the main shard's own lengths — or
+// it fails its net's table, as does every entry from the point where a
+// response stops being walkable.
+func (o *rpcOp) scatter(resp []byte, sent []sentBags) {
 	pooled, err := readPooled(resp)
 	if err == nil && pooled.left != len(o.g.entries) {
 		err = fmt.Errorf("%d entries for %d requested", pooled.left, len(o.g.entries))
 	}
-	for i := range o.g.entries {
-		e := &o.g.entries[i]
+	o.deliver(func(i int, e *groupEntry) (partial, error) {
 		var got pooledSlot
 		var rows []byte
 		if err == nil {
 			got, rows, err = pooled.next()
 		}
 		if err != nil {
-			o.collector(e).deliver(e.partIndex, partial{}, fmt.Errorf("core: response of %s: %w", o.g.service, err))
-			continue
+			return partial{}, fmt.Errorf("core: response of %s: %w", o.g.service, err)
 		}
 		t := &o.f.plan.nets[e.net].tables[e.slot]
-		_, present, _ := sumLens(sent[i])
-		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != present*t.Dim {
-			o.collector(e).deliver(e.partIndex, partial{}, fmt.Errorf(
+		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != sent[i].present*t.Dim {
+			return partial{}, fmt.Errorf(
 				"core: %s entry %d mismatched (table %d part %d rows %d cols %d values %d; want %d/%d/%d/%d/%d)",
-				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.partIndex, o.f.rows, t.Dim, present*t.Dim))
-			continue
+				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.partIndex, o.f.rows, t.Dim, sent[i].present*t.Dim)
 		}
-		o.collector(e).deliver(e.partIndex, partial{rows: rows, lens: sent[i]}, nil)
-	}
+		return partial{rows: rows, lens: sent[i].lens}, nil
+	})
 }
 
 // waitOp blocks a batch on one net's asynchronous pooled results and
 // installs the batch's row range of them — rows [from, from+rows) of the
-// fetch's matrix, contiguous in a row-major matrix, so a view, not a
-// copy — as the net's embedding blob (the interaction reads its features
-// as column ranges of the same blob). It sits before the first dense
-// consumer so the wait lands in a dedicated KindWait span instead of
-// silently inflating the consumer operator's span: that span is the time
-// the request really blocked on sparse results — the analyzer's embedded
-// portion — and must not count as operator compute.
+// fetch's block table, which shares the table's slots and handles: a
+// view, not a copy — as the net's pooled embeddings (the projection and
+// the interaction both read them through the handles). It sits before the
+// first dense consumer so the wait lands in a dedicated KindWait span
+// instead of silently inflating the consumer operator's span: that span
+// is the time the request really blocked on sparse results — the
+// analyzer's embedded portion — and must not count as operator compute.
 type waitOp struct {
 	name       string
 	np         *netProgram
@@ -409,11 +448,11 @@ func (o *waitOp) Kind() nn.OpKind { return nn.KindWait }
 
 // Run implements nn.Op.
 func (o *waitOp) Run(ws *nn.Workspace) error {
-	m, err := o.asm.future.Wait()
+	blocks, err := o.asm.wait()
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.name, err)
 	}
-	ws.SetBlob(o.np.embBlob, tensor.FromSlice(o.rows, m.Cols, m.Data[o.from*m.Cols:(o.from+o.rows)*m.Cols]))
+	ws.SetBlocks(o.np.embBlob, blocks.RowRange(o.from, o.rows))
 	return nil
 }
 

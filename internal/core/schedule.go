@@ -12,11 +12,13 @@ import (
 // statically-shaped dense blob the op index that defines it and the last
 // index that reads it, and lets the interval packer overlap dead blobs.
 //
-// Blobs whose shape or producer is not static — the fused embedding
-// delivered by an RPC future in distributed plans — simply never enter
-// the schedule; the ops that consume them are
-// unaffected, and any op whose output cannot be scheduled falls back to
-// a fresh allocation at run time.
+// A net's pooled embeddings are a block table, not a blob: under a
+// distributed plan they live in the sparse responses and never enter the
+// schedule; under a singular one the table stands over the in-line SLS's
+// matrix, which is scheduled and must stay alive until the table's last
+// reader — the table carries the matrix's name, so a use of one is a use
+// of the other. Any op whose output cannot be scheduled falls back to a
+// fresh allocation at run time.
 func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 	type binfo struct {
 		cols, def, last int
@@ -74,6 +76,9 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 		case *nn.FusedFC:
 			use(o.Input)
 			define(o.Output, o.W.Cols)
+		case *nn.EmbFC:
+			use(o.Input)
+			define(o.Output, o.W.Cols)
 		case *nn.ConcatOp:
 			cols := 0
 			for _, in := range o.Inputs {
@@ -98,7 +103,7 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 			use(o.Emb)
 			use(o.Passthrough)
 			if pc := colsOf(o.Passthrough); pc >= 0 {
-				f := len(o.FeatureCols)
+				f := len(o.FeatureSlots)
 				define(o.Output, pc+f*(f-1)/2)
 			}
 		case *renameOp:
@@ -118,9 +123,8 @@ func buildSchedule(prog *engineProgram) (*nn.BlobSchedule, error) {
 			scan(np.slsOp)
 		} else {
 			// The sparse stage — the wait op, behind the batch's own RPC ops
-			// under PaperSchedule — installs future-backed blobs the
-			// schedule ignores; one index keeps pre- and post-op intervals
-			// apart.
+			// under PaperSchedule — installs a block table the schedule
+			// ignores; one index keeps pre- and post-op intervals apart.
 			idx++
 		}
 		for _, op := range np.postOps {

@@ -92,6 +92,39 @@ func TestGEMMGuardPaged(t *testing.T) {
 	}
 }
 
+// TestGEMMBlocksGuardPaged runs block-addressed GEMMs with everything the
+// kernels read flush against a guard page: the slot array, the handle
+// table — whose last slot's last row is its last word, so a short tile
+// that loaded a fourth row's handle, or a walk that looked one slot too
+// far, faults — every slot's packed storage (a block read one value too
+// long faults), b, the bias and dst. Rows run 1–24 so every row-tail
+// length meets the end of the table; results are still checked against
+// the oracle.
+func TestGEMMBlocksGuardPaged(t *testing.T) {
+	defer resetDispatch()
+	ds := dispatches(t)
+	rng := rand.New(rand.NewSource(41))
+	p := Payloads()[0]
+	guarded := func(n int) []float32 {
+		g, data := GuardedFloat32(n)
+		t.Cleanup(g.Free)
+		return data
+	}
+	for _, n := range []int{1, 96, 256, 300} {
+		for m := 1; m <= 24; m++ {
+			widths := blockWidths(rng, 8*(1+rng.Intn(12)))
+			gh, handles := GuardedOf[uint32](len(widths) * m)
+			t.Cleanup(gh.Free)
+			gs, slots := GuardedOf[tensor.BlockSlot](len(widths))
+			t.Cleanup(gs.Free)
+			c := newBlockCase(rng, m, widths, []float64{0.09, 0.5, 1}[m%3], p, guarded, handles, slots)
+			b := guardedMatrix(t, rng, c.dense.Cols, n, p)
+			bias := guardedMatrix(t, rng, 1, n, p).Data
+			checkBlocks(t, ds, c, b, bias, guardedMatrix(t, rng, m, n, p), "guarded")
+		}
+	}
+}
+
 // TestSLSPackedGuardPaged runs the pooling sweep with every table, every
 // entry's lengths and indices and every packed output flush against a
 // guard page, at every row width and

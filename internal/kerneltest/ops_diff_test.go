@@ -78,3 +78,55 @@ func TestFusedFCCrossKernelIdentity(t *testing.T) {
 			i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
 	}
 }
+
+// TestPairwiseDotVecsDifferential holds tensor.PairwiseDotVecs — which
+// runs four dots of a feature at a time, each in its own accumulator — to
+// the single-accumulator loop it replaced, bit for bit: every feature
+// count that leaves a different last group (0, 1, 2, 5, 6 and the models'
+// 12), both embedding widths and two odd ones, and every payload class,
+// so sums that pass through ±0, subnormals, ±Inf and NaN must come out
+// the same. One thing is not pinned because the compiled Go loop never
+// fixed it: when two NaNs meet in one multiply or add, which payload
+// survives is the register allocator's choice at that site (it differs
+// between this loop's plain and -race builds), so a dot in which that
+// happened must be a NaN and no more.
+func TestPairwiseDotVecsDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	isNaN := func(v float32) bool { return v != v }
+	for _, p := range Payloads() {
+		for _, f := range []int{0, 1, 2, 5, 6, 12} {
+			for _, dim := range []int{1, 7, 8, 16} {
+				vecs := make([][]float32, f)
+				for i := range vecs {
+					vecs[i] = make([]float32, dim)
+					p.Fill(rng, vecs[i])
+				}
+				var want []float32
+				var twoNaNs []bool
+				for i, vi := range vecs {
+					for _, vj := range vecs[i+1:] {
+						var acc float32
+						met := false
+						for c := range vi {
+							prod := vi[c] * vj[c]
+							met = met || (isNaN(vi[c]) && isNaN(vj[c])) || (isNaN(acc) && isNaN(prod))
+							acc += prod
+						}
+						want, twoNaNs = append(want, acc), append(twoNaNs, met)
+					}
+				}
+				got := make([]float32, f*(f-1)/2)
+				tensor.PairwiseDotVecs(got, vecs)
+				for i := range want {
+					if twoNaNs[i] && isNaN(got[i]) {
+						continue
+					}
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("payload=%s f=%d dim=%d: dot %d = %08x, want %08x",
+							p.Name, f, dim, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -295,26 +297,89 @@ func TestConcatOp(t *testing.T) {
 	}
 }
 
+// blocksOver is m as a block table with slots of the given widths, a
+// block absent where present says so (nil: all present).
+func blocksOver(m *tensor.Matrix, widths []int, present func(r, s int) bool) *tensor.Blocks {
+	b := &tensor.Blocks{Rows: m.Rows, Cols: m.Cols, Stride: m.Rows, Slots: make([]tensor.BlockSlot, len(widths)), Handles: make([]uint32, len(widths)*m.Rows)}
+	col := 0
+	for s, w := range widths {
+		b.Slots[s] = tensor.BlockSlot{Data: m.Data, Col: int32(col), Width: int32(w)}
+		for r := 0; r < m.Rows; r++ {
+			if present == nil || present(r, s) {
+				b.Handles[s*m.Rows+r] = uint32(r*m.Cols+col) + 1
+			}
+		}
+		col += w
+	}
+	return b
+}
+
 func TestInteraction(t *testing.T) {
 	ws := NewWorkspace()
-	// Two examples; features are columns [1,3) and [4,6) of a 6-wide matrix.
-	ws.SetBlob("emb", tensor.FromSlice(2, 6, []float32{
+	// Three examples; features are slots 1 and 3 — columns [1,3) and [4,6)
+	// of a 6-wide matrix. The last example's second feature is an empty
+	// bag: no handle, and whatever sits in the matrix there is not read.
+	emb := tensor.FromSlice(3, 6, []float32{
 		9, 1, 0, 9, 0, 1,
 		9, 2, 3, 9, 4, 5,
-	}))
-	ws.SetBlob("bottom", tensor.FromSlice(2, 2, []float32{5, 6, 7, 8}))
-	op := &Interaction{OpName: "int", Emb: "emb", FeatureCols: []int{1, 4}, FeatureDim: 2, Passthrough: "bottom", Output: "top_in"}
+		9, 6, 7, 9, 8, 8,
+	})
+	ws.SetBlocks("emb", blocksOver(emb, []int{1, 2, 1, 2}, func(r, s int) bool { return r != 2 || s != 3 }))
+	ws.SetBlob("bottom", tensor.FromSlice(3, 2, []float32{5, 6, 7, 8, 1, 2}))
+	op := &Interaction{OpName: "int", Emb: "emb", FeatureSlots: []int{1, 3}, Passthrough: "bottom", Output: "top_in"}
 	if err := op.Run(ws); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := ws.Blob("top_in")
-	// bottom (2 cols) + 1 pairwise dot = 3 cols: 1·0+0·1 = 0, 2·4+3·5 = 23.
-	if want := []float32{5, 6, 0, 7, 8, 23}; m.Cols != 3 || !slices.Equal(m.Data, want) {
+	// bottom (2 cols) + 1 pairwise dot = 3 cols: 1·0+0·1 = 0, 2·4+3·5 = 23,
+	// (6, 7)·(0, 0) = 0.
+	if want := []float32{5, 6, 0, 7, 8, 23, 1, 2, 0}; m.Cols != 3 || !slices.Equal(m.Data, want) {
 		t.Errorf("interaction out = %v, want %v", m.Data, want)
 	}
-	op.FeatureCols = []int{1, 5}
+	op.FeatureSlots = []int{1, 4}
 	if err := op.Run(ws); err == nil {
-		t.Error("a feature past the matrix's last column should error")
+		t.Error("a feature past the last slot should error")
+	}
+	op.FeatureSlots = []int{1, 2}
+	if err := op.Run(ws); err == nil {
+		t.Error("features of different widths should error")
+	}
+}
+
+// TestEmbFCMatchesFusedFC: the projection over a block table is the fused
+// FC over the table's dense form, bit for bit, whatever is absent.
+func TestEmbFCMatchesFusedFC(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	randM := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = float32(rng.NormFloat64())
+		}
+		return m
+	}
+	w, bias := randM(40, 70), randM(1, 70).Data
+	widths := []int{8, 8, 16, 8}
+	blocks := blocksOver(randM(9, 40), widths, func(r, s int) bool { return (r+s)%3 != 0 })
+	ws := NewWorkspace()
+	ws.SetBlocks("emb", blocks)
+	ws.SetBlob("dense", blocks.Dense())
+	for _, op := range []Op{
+		&EmbFC{OpName: "proj", W: w, B: bias, Input: "emb", Output: "got"},
+		&FusedFC{OpName: "ref", W: w, B: bias, Input: "dense", Output: "want"},
+	} {
+		if err := op.Run(ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := ws.Blob("got")
+	want, _ := ws.Blob("want")
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("element %d = %v, want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	if err := (&EmbFC{OpName: "proj", W: randM(39, 70), Input: "emb", Output: "got"}).Run(ws); err == nil {
+		t.Error("a weight matrix of the wrong height should error")
 	}
 }
 
@@ -340,6 +405,15 @@ func TestFusedSLSPoolsColumnRanges(t *testing.T) {
 	m, _ := ws.Blob("emb")
 	if want := []float32{4, 0, 0, 0, 60, 80}; !slices.Equal(m.Data, want) {
 		t.Errorf("fused = %v, want %v", m.Data, want)
+	}
+	// What the layers above read is a block table over the matrix: a
+	// handle per non-empty bag, slot-major, none for an empty one.
+	b, err := ws.Blocks("emb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{1, 0, 0, 5}; !slices.Equal(b.Handles, want) || !slices.Equal(b.Dense().Data, m.Data) {
+		t.Errorf("published handles %v (want %v) standing for %v", b.Handles, want, b.Dense().Data)
 	}
 	ws.SetBags("b2", embedding.BagList{Lens: []int32{0, 1}, Indices: []int32{2}})
 	if err := net.Run(ws, nil); err == nil || !strings.Contains(err.Error(), "out of range") {

@@ -115,6 +115,42 @@ func (o *FusedFC) Run(ws *Workspace) error {
 	return nil
 }
 
+// EmbFC is the fully-connected layer over a net's pooled embeddings (the
+// models' fc_proj): Output = Input·W + B, where Input is a block table —
+// one slot per embedding table, a handle per bag — and an empty bag's
+// block is neither stored nor multiplied. Results are bitwise identical to
+// a FusedFC over the table's dense form.
+type EmbFC struct {
+	OpName        string
+	W             *tensor.Matrix // ΣDim×Out
+	B             []float32      // len Out, nil for no bias
+	Input, Output string
+}
+
+// Name implements Op.
+func (o *EmbFC) Name() string { return o.OpName }
+
+// Kind implements Op.
+func (o *EmbFC) Kind() OpKind { return KindDense }
+
+// Run implements Op.
+func (o *EmbFC) Run(ws *Workspace) error {
+	in, err := ws.Blocks(o.Input)
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.OpName, err)
+	}
+	if in.Cols != o.W.Rows {
+		return fmt.Errorf("%s: input cols %d != weight rows %d", o.OpName, in.Cols, o.W.Rows)
+	}
+	if o.B != nil && len(o.B) != o.W.Cols {
+		return fmt.Errorf("%s: bias length %d != output cols %d", o.OpName, len(o.B), o.W.Cols)
+	}
+	out := ws.AllocBlob(o.Output, in.Rows, o.W.Cols)
+	tensor.MatMulBlocks(out, in, o.W, o.B, false)
+	ws.SetBlob(o.Output, out)
+	return nil
+}
+
 // Activation applies a nonlinearity in place on a blob.
 type Activation struct {
 	OpName string
@@ -249,16 +285,15 @@ func (o *ConcatOp) Run(ws *Workspace) error {
 // Interaction computes the DLRM pairwise-dot feature interaction over a
 // set of equal-width features and concatenates the result with the
 // Passthrough blob (the bottom-MLP output), producing the top-MLP input.
-// The features are column ranges of the net's fused embedding matrix —
-// feature i is Emb's columns [FeatureCols[i], FeatureCols[i]+FeatureDim)
-// — read in place: no per-table pooled blob exists.
+// The features are slots of the net's pooled embeddings — feature i is
+// slot FeatureSlots[i] of Emb — read in place through their handles, an
+// empty bag's as a block of zeros: no per-table pooled blob exists.
 type Interaction struct {
-	OpName      string
-	Emb         string
-	FeatureCols []int
-	FeatureDim  int
-	Passthrough string
-	Output      string
+	OpName       string
+	Emb          string
+	FeatureSlots []int
+	Passthrough  string
+	Output       string
 }
 
 // Name implements Op.
@@ -269,7 +304,7 @@ func (o *Interaction) Kind() OpKind { return KindFeatureTransform }
 
 // Run implements Op.
 func (o *Interaction) Run(ws *Workspace) error {
-	emb, err := ws.WaitBlob(o.Emb)
+	emb, err := ws.Blocks(o.Emb)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -280,23 +315,26 @@ func (o *Interaction) Run(ws *Workspace) error {
 	if emb.Rows != pass.Rows {
 		return fmt.Errorf("%s: %d embedding rows for %d passthrough rows", o.OpName, emb.Rows, pass.Rows)
 	}
-	for _, off := range o.FeatureCols {
-		if off < 0 || o.FeatureDim < 0 || off+o.FeatureDim > emb.Cols {
-			return fmt.Errorf("%s: feature columns [%d, %d) outside %d", o.OpName, off, off+o.FeatureDim, emb.Cols)
+	for _, s := range o.FeatureSlots {
+		if s < 0 || s >= len(emb.Slots) {
+			return fmt.Errorf("%s: feature slot %d of %d", o.OpName, s, len(emb.Slots))
+		}
+		if w, w0 := emb.Slots[s].Width, emb.Slots[o.FeatureSlots[0]].Width; w != w0 {
+			return fmt.Errorf("%s: feature slot %d is %d wide, slot %d is %d", o.OpName, s, w, o.FeatureSlots[0], w0)
 		}
 	}
 	// Write the passthrough columns and the pairwise dots straight into
 	// the output (arena-drawn when scheduled) — no intermediate dots or
 	// concat blob. The dots share tensor.PairwiseDotVecs with PairwiseDot,
 	// so results are bitwise identical to the unfused Dot+Concat form.
-	f := len(o.FeatureCols)
+	f := len(o.FeatureSlots)
 	vecs := make([][]float32, f)
 	out := ws.AllocBlob(o.Output, pass.Rows, pass.Cols+f*(f-1)/2)
 	for r := 0; r < pass.Rows; r++ {
-		row, embRow := out.Row(r), emb.Row(r)
+		row := out.Row(r)
 		copy(row[:pass.Cols], pass.Row(r))
-		for i, off := range o.FeatureCols {
-			vecs[i] = embRow[off : off+o.FeatureDim]
+		for i, s := range o.FeatureSlots {
+			vecs[i] = emb.Block(r, s)
 		}
 		tensor.PairwiseDotVecs(row[pass.Cols:], vecs)
 	}

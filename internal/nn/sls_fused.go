@@ -22,10 +22,15 @@ type FusedSLSEntry struct {
 // pooling work (the paper's operative quantity) rather than allocator
 // overhead. It is one embedding.Pool call whose entries are column
 // ranges of the matrix, so the singular engine sums a bag with the very
-// kernel a sparse shard does.
+// kernel a sparse shard does. What it publishes for the layers above is a
+// block table over that matrix — a handle where a bag had a lookup, none
+// where it was empty — the form a distributed fetch delivers, so the
+// projection and the interaction have one input kind under every plan.
+// Entries must be in ascending, back-to-back column order.
 type FusedSLS struct {
 	OpName string
-	// Output receives the bags×Cols fused matrix.
+	// Output receives the bags×Cols fused matrix, and the block table
+	// over it.
 	Output string
 	// Cols is the sum of entry dims.
 	Cols    int
@@ -50,6 +55,9 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
 	rows := len(first.Lens)
+	if uint64(rows)*uint64(o.Cols) >= 1<<32 {
+		return fmt.Errorf("%s: %d×%d pooled values are too many for 32-bit block handles", o.OpName, rows, o.Cols)
+	}
 	var emb *tensor.Matrix
 	if ws.HasBlob(o.Output) {
 		// Output blob pre-materialized by an AllocEmb (Fill) operator —
@@ -66,6 +74,10 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 		emb = tensor.New(rows, o.Cols)
 	}
 	pool := make([]embedding.PoolEntry, 0, len(o.Entries))
+	blocks := &tensor.Blocks{
+		Rows: rows, Cols: o.Cols, Stride: rows,
+		Slots: make([]tensor.BlockSlot, len(o.Entries)), Handles: make([]uint32, len(o.Entries)*rows),
+	}
 	for i := range o.Entries {
 		e := &o.Entries[i]
 		bags, err := ws.Bags(e.InputBags)
@@ -81,9 +93,16 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 		if rows > 0 {
 			pool = append(pool, embedding.PoolEntry{Table: e.Table, Lens: bags.Lens, Indices: bags.Indices, Out: emb.Data[e.ColOffset:], Stride: o.Cols})
 		}
+		blocks.Slots[i] = tensor.BlockSlot{Data: emb.Data, Col: int32(e.ColOffset), Width: int32(e.Table.Dim())}
+		for r, n := range bags.Lens {
+			if n != 0 {
+				blocks.Handles[i*rows+r] = uint32(r*o.Cols+e.ColOffset) + 1
+			}
+		}
 	}
 	embedding.Pool(pool)
 	ws.SetBlob(o.Output, emb)
+	ws.SetBlocks(o.Output, blocks)
 	return nil
 }
 

@@ -19,12 +19,13 @@ import (
 )
 
 // Workspace holds the named state one net execution operates on: dense
-// blobs (matrices), sparse inputs (flat bag lists of embedding indices per
-// feature),
-// and in-flight futures registered by asynchronous operators. A Workspace
-// is not safe for concurrent mutation; each inference batch gets its own.
+// blobs (matrices), pooled embeddings (block tables), sparse inputs (flat
+// bag lists of embedding indices per feature), and in-flight futures
+// registered by asynchronous operators. A Workspace is not safe for
+// concurrent mutation; each inference batch gets its own.
 type Workspace struct {
 	blobs   map[string]*tensor.Matrix
+	blocks  map[string]*tensor.Blocks
 	bags    map[string]embedding.BagList
 	futures map[string]*Future
 	// arena, when set, backs scheduled output blobs so steady-state
@@ -36,6 +37,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		blobs:   make(map[string]*tensor.Matrix),
+		blocks:  make(map[string]*tensor.Blocks),
 		bags:    make(map[string]embedding.BagList),
 		futures: make(map[string]*Future),
 	}
@@ -84,6 +86,21 @@ func (ws *Workspace) Blob(name string) (*tensor.Matrix, error) {
 
 // HasBlob reports whether a dense blob exists.
 func (ws *Workspace) HasBlob(name string) bool { _, ok := ws.blobs[name]; return ok }
+
+// SetBlocks stores a net's pooled embeddings — one row per item, one
+// slot per table — under name. Whoever pooled them publishes them in this
+// one form: the in-line SLS over its matrix, the sparse fetch over the
+// response bodies.
+func (ws *Workspace) SetBlocks(name string, b *tensor.Blocks) { ws.blocks[name] = b }
+
+// Blocks fetches pooled embeddings by name.
+func (ws *Workspace) Blocks(name string) (*tensor.Blocks, error) {
+	b, ok := ws.blocks[name]
+	if !ok {
+		return nil, fmt.Errorf("nn: pooled embeddings %q not found", name)
+	}
+	return b, nil
+}
 
 // SetBags stores a sparse input — one bag per row — under name.
 func (ws *Workspace) SetBags(name string, bags embedding.BagList) { ws.bags[name] = bags }

@@ -243,3 +243,30 @@ func TestConcatIntoAndPairwiseDotInto(t *testing.T) {
 	PairwiseDotInto(gotDots, feats)
 	bitsEqual(t, "pairwise", gotDots, wantDots)
 }
+
+// BenchmarkPairwiseDotVecs is one item's feature interaction at the
+// models' shape — 12 features, 66 dots — at both embedding widths. It
+// must not allocate (cmd/benchcheck gates allocs/op); BENCH_baseline.json
+// holds the parent's single-accumulator loop over the same operands.
+func BenchmarkPairwiseDotVecs(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		dim  int
+	}{{"dim8", 8}, {"dim16", 16}} {
+		rng := rand.New(rand.NewSource(5))
+		vecs := make([][]float32, 12)
+		for i := range vecs {
+			vecs[i] = make([]float32, tc.dim)
+			for c := range vecs[i] {
+				vecs[i][c] = rng.Float32()*2 - 1
+			}
+		}
+		dst := make([]float32, 66)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PairwiseDotVecs(dst, vecs)
+			}
+		})
+	}
+}

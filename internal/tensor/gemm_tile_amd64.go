@@ -17,15 +17,26 @@ package tensor
 //     wide (the n = 1 scoring layers) runs a one-accumulator-per-row loop.
 //   - the row kernel (gemmRow16 / gemmRow8): one dst row × up to four
 //     full strips (1 × 256 at 16 lanes), the whole output row in
-//     registers, an a value of ±0 skipped by a branch (and a run of them
-//     by one vector compare). It re-reads b once per row, so it pays only
-//     where most of a tile's work would be masked off; rowShape decides
-//     from the a rows themselves.
+//     registers, an a value of ±0 skipped by a branch. It re-reads b once
+//     per row, so it pays only where most of a tile's work would be
+//     masked off: a short row group, or four rows of pooled embeddings
+//     whose present blocks are mostly alone in their slots (sparseGroup).
+//
+// Both read a through a block table (Blocks): they walk the slots in
+// ascending column order and run their k loop over each block that is
+// there — b's rows Col … Col+Width−1 against the block's values. The row
+// kernel passes over a slot whose handle is 0; the tile passes over a
+// slot absent in all four rows by one test, and where only some are
+// absent points those rows at a block of zeros, which its "a is not ±0"
+// mask then skips step by step. A dense a is the table with one slot and
+// every handle set, so there is one loop, not a dense one and a blocked
+// one.
 //
 // Bitwise contract. Per dst element both kernels perform the generic
 // kernel's operations in the generic kernel's order: one accumulator
 // starting at +0, k ascending, t = a·b then acc = acc + t, and nothing
-// at all for an a value of ±0. The tile cannot branch per row, so its
+// at all for an a value of ±0 — an absent block being Width such values
+// in a row, passed over together. The tile cannot branch per row, so its
 // skipped step is a masked add instead (a k step whose four a values are
 // all ±0 is skipped whole, by one integer test):
 //
@@ -44,8 +55,6 @@ package tensor
 // Lane width is a property of the host, probed once (hostLanes): 16 with
 // AVX-512F and OS-saved opmask/ZMM state, 8 with AVX, otherwise 0 — no
 // assembly tile; the vector family's GEMM is then the generic Go kernel.
-
-import "math"
 
 // cpuid executes CPUID for the given leaf/subleaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -81,35 +90,55 @@ func hostLanes() int {
 }
 
 // gemmTile16 and gemmTile8 compute a tile of `rows` (1–4) dst rows by up
-// to 64 (16 at 8 lanes) columns over k steps. a, b, d and bias point at
-// the first a row, the first b column, the first dst element and the
-// first bias element (bias may be nil); astride, ldb and dstride are the
-// byte strides of a, b and dst rows. Bit i of cmask is set when column i
-// is live: dead lanes are never loaded or stored. relu is 0 or 1.
+// to 64 (16 at 8 lanes) columns. The a rows are read through nslots block
+// slots and their handles: h points at the first row's handle for the
+// first slot, the next row's is one uint32 on and the next slot's hstride
+// uint32s on (a short tile reads no handle past its last row). b, d and
+// bias point at the first b column, the first dst element and the first
+// bias element (bias may be nil); ldb and dstride are the byte strides of
+// b and dst rows. Bit i of cmask is set when column i is live: dead lanes
+// are never loaded or stored. relu is 0 or 1.
 //
 //go:noescape
-func gemmTile16(a, b, d, bias *float32, k, astride, ldb, dstride, rows int, cmask uint64, relu int)
+func gemmTile16(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, dstride, rows int, cmask uint64, relu int)
 
 //go:noescape
-func gemmTile8(a, b, d, bias *float32, k, astride, ldb, dstride, rows int, cmask uint64, relu int)
+func gemmTile8(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, dstride, rows int, cmask uint64, relu int)
 
 // gemmRow16 and gemmRow8 compute one dst row by `strips` (1–4) full
 // 64-column (16 at 8 lanes) strips; the other arguments are as above.
 //
 //go:noescape
-func gemmRow16(a, b, d, bias *float32, k, ldb, strips, relu int)
+func gemmRow16(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, strips, relu int)
 
 //go:noescape
-func gemmRow8(a, b, d, bias *float32, k, ldb, strips, relu int)
+func gemmRow8(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, strips, relu int)
 
 // gemmRowsTile computes dst = relu?(a×b + bias) with the register tile
 // at the given lane width. The caller has checked shapes and that k and
 // n are nonzero.
-func gemmRowsTile(dst, a, b *Matrix, lanes int, bias []float32, relu bool) {
-	m, k, n := dst.Rows, a.Cols, b.Cols
-	tile, row, strip := gemmTile16, gemmRow16, 64 // strip: columns per tile
+func gemmRowsTile(dst *Matrix, a *Blocks, b *Matrix, lanes int, bias []float32, relu bool) {
+	m, n := dst.Rows, b.Cols
+	strip := 64 // columns per tile
 	if lanes == 8 {
-		tile, row, strip = gemmTile8, gemmRow8, 16
+		strip = 16
+	}
+	// The kernels are called by name, not through a func value: a call the
+	// compiler can see through keeps a — and a dense caller's one slot and
+	// handles — on the stack.
+	tile := func(h *uint32, b, d, bias *float32, rows int, cmask uint64, relu int) {
+		if lanes == 8 {
+			gemmTile8(&a.Slots[0], len(a.Slots), h, a.Stride, b, d, bias, 4*n, 4*n, rows, cmask, relu)
+		} else {
+			gemmTile16(&a.Slots[0], len(a.Slots), h, a.Stride, b, d, bias, 4*n, 4*n, rows, cmask, relu)
+		}
+	}
+	row := func(h *uint32, b, d, bias *float32, strips, relu int) {
+		if lanes == 8 {
+			gemmRow8(&a.Slots[0], len(a.Slots), h, a.Stride, b, d, bias, 4*n, strips, relu)
+		} else {
+			gemmRow16(&a.Slots[0], len(a.Slots), h, a.Stride, b, d, bias, 4*n, strips, relu)
+		}
 	}
 	r := 0
 	if relu {
@@ -128,16 +157,16 @@ func gemmRowsTile(dst, a, b *Matrix, lanes int, bias []float32, relu bool) {
 	for c0 := 0; c0 < m; c0 += 256 {
 		c1 := min(m, c0+256)
 		var rowBits uint64
-		for g, i := 0, c0; i < c1 && n >= strip; g, i = g+1, i+4 {
+		for g, i := 0, c0; i < c1; g, i = g+1, i+4 {
 			rows := min(4, c1-i)
 			// A short group has too few rows to share b with.
-			if rows == 4 && !rowShape(a.Data[i*k:(i+4)*k], k) {
+			if sparse := a.sparseGroup(i, rows); n < strip || (rows == 4 && !sparse) {
 				continue
 			}
 			rowBits |= 1 << g
 			for ri := i; ri < i+rows; ri++ {
 				for j := 0; n-j >= strip; j += 4 * strip {
-					row(&a.Data[ri*k], &b.Data[j], &dst.Data[ri*n+j], biasAt(j), k, 4*n, min(4, (n-j)/strip), r)
+					row(&a.Handles[ri], &b.Data[j], &dst.Data[ri*n+j], biasAt(j), min(4, (n-j)/strip), r)
 				}
 			}
 		}
@@ -147,43 +176,25 @@ func gemmRowsTile(dst, a, b *Matrix, lanes int, bias []float32, relu bool) {
 				if n-j >= strip && rowBits>>g&1 != 0 {
 					continue // the row kernel did this group's full strips
 				}
-				tile(&a.Data[i*k], &b.Data[j], &dst.Data[i*n+j], biasAt(j), k, 4*k, 4*n, 4*n, min(4, c1-i), cmask, r)
+				tile(&a.Handles[i], &b.Data[j], &dst.Data[i*n+j], biasAt(j), min(4, c1-i), cmask, r)
 			}
 		}
 	}
 }
 
-// rowShape chooses the kernel for a group of four a rows (4·k values)
-// from what their values say about the work. The tile pays for all four
-// rows on every k step at which any of them is nonzero; the row kernel
-// pays only for each row's own nonzero values, but re-reads b once per
-// row and takes a data-dependent branch per k step. So the row kernel
-// wins when a step's nonzero values are mostly alone in it — long inputs
-// made of per-item blocks of pooled embeddings, most of them empty — and
-// loses on dense or randomly ReLU-sparse rows.
-func rowShape(rows []float32, k int) bool {
-	// Counting is branch-free: on ReLU outputs a test per value would
-	// mispredict half the time and cost more than the loads.
-	nz := func(v float32) uint32 {
-		x := math.Float32bits(v) << 1 // drop the sign: ±0 → 0
-		return (x | -x) >> 31
-	}
-	r0, r1, r2, r3 := rows[:k], rows[k:2*k], rows[2*k:3*k], rows[3*k:4*k]
-	// live counts sampled k steps with a nonzero value in any row, sum the
-	// nonzero values themselves. Up to 32 evenly spaced steps are enough:
-	// a wrong call near the break-even point costs little, and either
-	// kernel computes the same bits.
-	var live, sum uint32
-	for p, step := 0, max(1, k/32); p < k; p += step {
-		c := nz(r0[p]) + nz(r1[p]) + nz(r2[p]) + nz(r3[p])
-		sum += c
-		live += (c + 3) >> 2
-	}
-	// The tile does 4·live row steps of work where the row kernel does
-	// sum, but a row step costs the row kernel more — about 1.4× when its
-	// skips come in predictable runs, nearly 2× when they are random (b
-	// re-read per row, mispredicted branches) — so random half-zero ReLU
-	// outputs (sum ≈ 2.1·live) stay with the tile and mostly-empty blocks
-	// (sum ≈ 1.2·live at 91 %) go to the row kernel.
-	return 2*sum <= 3*live
+// sparseGroup chooses the kernel for a group of four rows of a, [i,
+// i+rows) — true for the row kernel — by an exact count of their blocks
+// (which also vets every handle the kernels will follow, a short group's
+// too, whose answer is not used). The tile pays for all four rows
+// in every slot where any of them has a block; the row kernel pays only
+// for each row's own blocks, but re-reads b once per row and takes a
+// data-dependent branch per k step. So the row kernel wins when a slot's
+// blocks are mostly alone in it — long inputs made of per-item blocks of
+// pooled embeddings, most of them empty — and loses on a dense a, the
+// one-slot table that is live in every row. The break-even point is the
+// one measured for the zero-skipping dense form this replaced: 1.5 blocks
+// per live slot.
+func (a *Blocks) sparseGroup(i, rows int) bool {
+	present, live := a.presence(i, rows)
+	return 2*present <= 3*live
 }

@@ -102,26 +102,100 @@ NOBIAS: \
 	VPXORD Z15, Z15, Z15; \
 	VPXORD Z31, Z31, Z31
 
-// AROWS points R8, R10, R11, R12 at the a rows of a tile: row s of the
-// `rows` present ones is astride·s bytes past a; absent rows alias row
-// 0, so the k loop needs no row count (their sums are never stored).
-#define AROWS \
-	MOVQ a+0(FP), R8; \
-	MOVQ astride+40(FP), SI; \
-	MOVQ rows+64(FP), DX; \
-	MOVQ R8, R10; \
-	MOVQ R8, R11; \
-	MOVQ R8, R12; \
-	CMPQ DX, $2; \
-	JL   aset; \
-	LEAQ (R8)(SI*1), R10; \
-	CMPQ DX, $3; \
-	JL   aset; \
-	LEAQ (R10)(SI*1), R11; \
-	CMPQ DX, $4; \
-	JL   aset; \
-	LEAQ (R11)(SI*1), R12; \
-aset:
+// BLOCKPTR turns the handle in R into the address of its block: the
+// slot's storage is at SI and handle h names the value at index h−1; an
+// absent block (h = 0) reads the block of zeros at CX.
+#define BLOCKPTR(R) \
+	TESTL   R, R; \
+	LEAQ    -4(SI)(R*4), R; \
+	CMOVQEQ CX, R
+
+// TILESLOT starts a tile's next slot. AX is the slot cursor (the nslots
+// argument's place holds its end), DI points at the first row's handle
+// for the slot and hstride has been scaled to bytes. It loads the rows'
+// handles — an absent row of a short tile aliases row 0, so the k loop
+// needs no row count (its sums are never stored) — and goes to SKIP when
+// no row has a block in this slot, to STORE past the last slot. Else it
+// leaves the four a block pointers in R8, R10, R11, R12, the slot's first
+// b row in BX, and the k loop's bounds in CX = 0 and DX = Width.
+#define TILESLOT(SKIP, STORE, HSET) \
+	CMPQ  AX, nslots+8(FP); \
+	JGE   STORE; \
+	MOVL  (DI), R8; \
+	MOVL  R8, R10; \
+	MOVL  R8, R11; \
+	MOVL  R8, R12; \
+	CMPQ  rows+72(FP), $2; \
+	JL    HSET; \
+	MOVL  4(DI), R10; \
+	CMPQ  rows+72(FP), $3; \
+	JL    HSET; \
+	MOVL  8(DI), R11; \
+	CMPQ  rows+72(FP), $4; \
+	JL    HSET; \
+	MOVL  12(DI), R12; \
+HSET: \
+	MOVL  R8, SI; \
+	ORL   R10, SI; \
+	ORL   R11, SI; \
+	ORL   R12, SI; \
+	JZ    SKIP; \
+	MOVQ  (AX), SI; \
+	LEAQ  ·zeroBlock(SB), CX; \
+	BLOCKPTR(R8); \
+	BLOCKPTR(R10); \
+	BLOCKPTR(R11); \
+	BLOCKPTR(R12); \
+	MOVL  24(AX), BX; \
+	IMULQ R13, BX; \
+	ADDQ  b+32(FP), BX; \
+	MOVL  28(AX), DX; \
+	XORQ  CX, CX
+
+// TILESLOTS sets up the slot walk of a tile: the slot cursor and its end,
+// the handle cursor, and hstride in bytes.
+#define TILESLOTS \
+	MOVQ slots+0(FP), AX; \
+	MOVQ nslots+8(FP), SI; \
+	SHLQ $5, SI; \
+	ADDQ AX, SI; \
+	MOVQ SI, nslots+8(FP); \
+	SHLQ $2, hstride+24(FP); \
+	MOVQ h+16(FP), DI
+
+// NEXTSLOT moves the cursors of a tile's slot walk on by one slot.
+#define NEXTSLOT \
+	ADDQ $32, AX; \
+	ADDQ hstride+24(FP), DI
+
+// ROWSLOT is TILESLOT for the row kernel, whose one row skips a slot it
+// has no block in: AX and R11 are the slot cursor and its end, DI the
+// handle cursor, R9 the first b column; the block's address is left in
+// R8.
+#define ROWSLOT(SKIP, STORE) \
+	CMPQ  AX, R11; \
+	JGE   STORE; \
+	MOVL  (DI), SI; \
+	TESTL SI, SI; \
+	JZ    SKIP; \
+	MOVQ  (AX), R8; \
+	LEAQ  -4(R8)(SI*4), R8; \
+	MOVL  24(AX), BX; \
+	IMULQ R13, BX; \
+	ADDQ  R9, BX; \
+	MOVL  28(AX), DX; \
+	XORQ  CX, CX
+
+// ROWSLOTS sets up the row kernel's slot walk; R12 is hstride in bytes.
+#define ROWSLOTS \
+	MOVQ slots+0(FP), AX; \
+	MOVQ nslots+8(FP), R11; \
+	SHLQ $5, R11; \
+	ADDQ AX, R11; \
+	MOVQ hstride+24(FP), R12; \
+	SHLQ $2, R12; \
+	MOVQ h+16(FP), DI; \
+	MOVQ b+32(FP), R9
 
 // ALLZERO skips to NEXT when the tile's four a values of this k step
 // are all ±0: OR their bit patterns and shift the sign bit out.
@@ -133,16 +207,14 @@ aset:
 	ADDL SI, SI; \
 	JZ   NEXT
 
-// func gemmTile16(a, b, d, bias *float32, k, astride, ldb, dstride, rows int, cmask uint64, relu int)
+// func gemmTile16(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, dstride, rows int, cmask uint64, relu int)
 //
 // A tile of `rows` (1–4) dst rows × up to 64 columns (bit i of cmask
 // set: column i is live). Each b vector is loaded once per k step and
 // shared by the rows.
-TEXT ·gemmTile16(SB), NOSPLIT, $0-88
-	AROWS
-	MOVQ  b+8(FP), BX
-	MOVQ  ldb+48(FP), R13
-	MOVQ  cmask+72(FP), SI
+TEXT ·gemmTile16(SB), NOSPLIT, $0-96
+	MOVQ  ldb+56(FP), R13
+	MOVQ  cmask+80(FP), SI
 	KMOVW SI, K4
 	SHRQ  $16, SI
 	KMOVW SI, K5
@@ -151,12 +223,14 @@ TEXT ·gemmTile16(SB), NOSPLIT, $0-88
 	SHRQ  $16, SI
 	KMOVW SI, K7
 	ZERO16
-	XORQ  CX, CX
-	MOVQ  k+32(FP), DX
+	TILESLOTS
 	KORTESTW K5, K5
-	JZ    nloop
+	JZ    nslot
 	MOVQ  R13, R9
 	SHLQ  $4, R9
+
+slot:
+	TILESLOT(skip, store, hset)
 
 loop:
 	ALLZERO(next)
@@ -181,7 +255,13 @@ next:
 	INCQ CX
 	CMPQ CX, DX
 	JLT  loop
-	JMP  store
+
+skip:
+	NEXTSLOT
+	JMP  slot
+
+nslot:
+	TILESLOT(nskip, store, nhset)
 
 nloop:
 	ALLZERO(nnext)
@@ -197,15 +277,19 @@ nnext:
 	CMPQ CX, DX
 	JLT  nloop
 
+nskip:
+	NEXTSLOT
+	JMP  nslot
+
 store:
-	MOVQ  d+16(FP), DI
-	MOVQ  bias+24(FP), R9
+	MOVQ  d+40(FP), DI
+	MOVQ  bias+48(FP), R9
 	MOVQ  R9, SI
-	MOVQ  dstride+56(FP), R10
-	MOVQ  relu+80(FP), DX
+	MOVQ  dstride+64(FP), R10
+	MOVQ  relu+88(FP), DX
 	NEGQ  DX
 	KMOVW DX, K3
-	MOVQ  rows+64(FP), DX
+	MOVQ  rows+72(FP), DX
 	STORE16(Z0, Z1, Z2, Z3, nb0)
 	CMPQ  DX, $2
 	JL    done
@@ -224,44 +308,24 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemmRow16(a, b, d, bias *float32, k, ldb, strips, relu int)
+// func gemmRow16(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, strips, relu int)
 //
 // One dst row × `strips` (1–4) full 64-column strips: the whole output
 // row in registers, and a k step whose a value is ±0 skipped by a
 // branch — exactly the generic kernel's loop.
-TEXT ·gemmRow16(SB), NOSPLIT, $0-64
-	MOVQ a+0(FP), R8
-	MOVQ b+8(FP), BX
-	MOVQ ldb+40(FP), R13
-	MOVQ strips+48(FP), R10
+TEXT ·gemmRow16(SB), NOSPLIT, $0-80
+	MOVQ ldb+56(FP), R13
+	MOVQ strips+64(FP), R10
 	ZERO16
-	XORQ CX, CX
-	MOVQ k+32(FP), DX
-	MOVQ R13, R9
-	SHLQ $4, R9
+	ROWSLOTS
+
+slot:
+	ROWSLOT(skip, store)
 
 loop:
 	MOVL (R8)(CX*4), SI
 	ADDL SI, SI
-	JNZ  step
-
-	// A zero a value. Pooled-embedding inputs are zero in runs of a whole
-	// table's width, so look ahead: when the next 16 values are all ±0
-	// skip their 16 k steps at once.
-	LEAQ     16(CX), SI
-	CMPQ     SI, DX
-	JGT      next
-	VMOVUPS  (R8)(CX*4), Z20
-	VCMPPS   $4, Z31, Z20, K1
-	KORTESTW K1, K1
-	JNZ      next
-	ADDQ     R9, BX
-	MOVQ     SI, CX
-	CMPQ     CX, DX
-	JLT      loop
-	JMP      store
-
-step:
+	JZ   next
 	VBROADCASTSS (R8)(CX*4), Z20
 	STRIP16(0, Z0, Z1, Z2, Z3)
 	CMPQ R10, $2
@@ -280,11 +344,16 @@ next:
 	CMPQ CX, DX
 	JLT  loop
 
+skip:
+	ADDQ $32, AX
+	ADDQ R12, DI
+	JMP  slot
+
 store:
-	MOVQ   d+16(FP), DI
-	MOVQ   bias+24(FP), R9
+	MOVQ   d+40(FP), DI
+	MOVQ   bias+48(FP), R9
 	MOVQ   R9, SI
-	MOVQ   relu+56(FP), DX
+	MOVQ   relu+72(FP), DX
 	NEGQ   DX
 	KMOVW  DX, K3
 	KXNORW K4, K4, K4
@@ -396,13 +465,13 @@ NOBIAS: \
 	LEAQ    laneMask8<>(SB), AX; \
 	VMOVDQU 32(AX)(DX*1), Y11
 
-// func gemmTile8(a, b, d, bias *float32, k, astride, ldb, dstride, rows int, cmask uint64, relu int)
+// func gemmTile8(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, dstride, rows int, cmask uint64, relu int)
 //
 // gemmTile16 at 8 lanes: `rows` (1–4) dst rows × up to 16 columns.
-TEXT ·gemmTile8(SB), NOSPLIT, $0-88
+TEXT ·gemmTile8(SB), NOSPLIT, $0-96
 	// Column masks: w = live columns (cmask is 1–16 contiguous low bits);
 	// vector 0 gets min(w, 8) lanes and vector 1 the rest.
-	MOVQ    cmask+72(FP), SI
+	MOVQ    cmask+80(FP), SI
 	BSRQ    SI, SI
 	INCQ    SI
 	MOVQ    $8, DX
@@ -414,16 +483,16 @@ TEXT ·gemmTile8(SB), NOSPLIT, $0-88
 	LEAQ    laneMask8<>(SB), AX
 	VMOVDQU 32(AX)(DX*4), Y13
 	VMOVDQU 32(AX)(SI*4), Y14
-	AROWS
-	MOVQ    b+8(FP), BX
-	MOVQ    ldb+48(FP), R13
+	MOVQ    ldb+56(FP), R13
 	ZERO8
-	XORQ    CX, CX
-	MOVQ    k+32(FP), DX
-	CMPQ    cmask+72(FP), $0x100
-	JLT     nloop
+	TILESLOTS
+	CMPQ    cmask+80(FP), $0x100
+	JLT     nslot
 	MOVQ    R13, R9
 	SHLQ    $4, R9
+
+slot:
+	TILESLOT(skip, store, hset)
 
 loop:
 	ALLZERO(next)
@@ -440,7 +509,13 @@ next:
 	INCQ CX
 	CMPQ CX, DX
 	JLT  loop
-	JMP  store
+
+skip:
+	NEXTSLOT
+	JMP  slot
+
+nslot:
+	TILESLOT(nskip, store, nhset)
 
 nloop:
 	ALLZERO(nnext)
@@ -456,14 +531,18 @@ nnext:
 	CMPQ CX, DX
 	JLT  nloop
 
+nskip:
+	NEXTSLOT
+	JMP  nslot
+
 store:
-	MOVQ d+16(FP), DI
-	MOVQ bias+24(FP), R9
+	MOVQ d+40(FP), DI
+	MOVQ bias+48(FP), R9
 	MOVQ R9, SI
-	MOVQ dstride+56(FP), R10
-	MOVQ relu+80(FP), DX
+	MOVQ dstride+64(FP), R10
+	MOVQ relu+88(FP), DX
 	RELUMASK8
-	MOVQ rows+64(FP), DX
+	MOVQ rows+72(FP), DX
 	STORE8(Y0, Y1, nb0)
 	CMPQ DX, $2
 	JL   done
@@ -482,42 +561,23 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemmRow8(a, b, d, bias *float32, k, ldb, strips, relu int)
+// func gemmRow8(slots *BlockSlot, nslots int, h *uint32, hstride int, b, d, bias *float32, ldb, strips, relu int)
 //
 // gemmRow16 at 8 lanes: one dst row × `strips` (1–4) full 16-column
 // strips.
-TEXT ·gemmRow8(SB), NOSPLIT, $0-64
-	MOVQ a+0(FP), R8
-	MOVQ b+8(FP), BX
-	MOVQ ldb+40(FP), R13
-	MOVQ strips+48(FP), R10
+TEXT ·gemmRow8(SB), NOSPLIT, $0-80
+	MOVQ ldb+56(FP), R13
+	MOVQ strips+64(FP), R10
 	ZERO8
-	XORQ CX, CX
-	MOVQ k+32(FP), DX
-	MOVQ R13, R9
-	SHLQ $3, R9
+	ROWSLOTS
+
+slot:
+	ROWSLOT(skip, store)
 
 loop:
 	MOVL (R8)(CX*4), SI
 	ADDL SI, SI
-	JNZ  step
-
-	// As in gemmRow16: skip a run of 8 zero a values at once.
-	LEAQ      8(CX), SI
-	CMPQ      SI, DX
-	JGT       next
-	VMOVUPS   (R8)(CX*4), Y10
-	VCMPPS    $4, Y15, Y10, Y11
-	VMOVMSKPS Y11, AX
-	TESTL     AX, AX
-	JNZ       next
-	ADDQ      R9, BX
-	MOVQ      SI, CX
-	CMPQ      CX, DX
-	JLT       loop
-	JMP       store
-
-step:
+	JZ   next
 	VBROADCASTSS (R8)(CX*4), Y10
 	STRIP8(0, Y0, Y1)
 	CMPQ R10, $2
@@ -536,11 +596,16 @@ next:
 	CMPQ CX, DX
 	JLT  loop
 
+skip:
+	ADDQ $32, AX
+	ADDQ R12, DI
+	JMP  slot
+
 store:
-	MOVQ    d+16(FP), DI
-	MOVQ    bias+24(FP), R9
+	MOVQ    d+40(FP), DI
+	MOVQ    bias+48(FP), R9
 	MOVQ    R9, SI
-	MOVQ    relu+56(FP), DX
+	MOVQ    relu+72(FP), DX
 	RELUMASK8
 	VMOVDQU (AX), Y13
 	VMOVDQU (AX), Y14

@@ -7,6 +7,6 @@ package tensor
 func hostLanes() int { return 0 }
 
 // gemmRowsTile is never reached when hostLanes is 0.
-func gemmRowsTile(dst, a, b *Matrix, lanes int, bias []float32, relu bool) {
+func gemmRowsTile(dst *Matrix, a *Blocks, b *Matrix, lanes int, bias []float32, relu bool) {
 	panic("tensor: no register tile on this architecture")
 }

@@ -228,10 +228,38 @@ func PairwiseDotInto(dst *Matrix, feats []*Matrix) {
 // a wider row). It is the single accumulation loop behind PairwiseDot
 // and the engine's fused interaction op, so the bitwise accumulation
 // order cannot drift between them.
+//
+// A dot is one chain of dependent adds, an add's latency per element, so
+// for a fixed i four j run together (then two, then one), each in its own
+// accumulator and each still summed over c ascending: the same bits, with
+// the chains in flight together.
 func PairwiseDotVecs(dst []float32, vecs [][]float32) {
 	k := 0
 	for i, vi := range vecs {
-		for _, vj := range vecs[i+1:] {
+		rest := vecs[i+1:]
+		for ; len(rest) >= 4; rest = rest[4:] {
+			v0, v1, v2, v3 := rest[0][:len(vi)], rest[1][:len(vi)], rest[2][:len(vi)], rest[3][:len(vi)]
+			var a0, a1, a2, a3 float32
+			for c, x := range vi {
+				a0 += x * v0[c]
+				a1 += x * v1[c]
+				a2 += x * v2[c]
+				a3 += x * v3[c]
+			}
+			dst[k], dst[k+1], dst[k+2], dst[k+3] = a0, a1, a2, a3
+			k += 4
+		}
+		if len(rest) >= 2 {
+			v0, v1 := rest[0][:len(vi)], rest[1][:len(vi)]
+			var a0, a1 float32
+			for c, x := range vi {
+				a0 += x * v0[c]
+				a1 += x * v1[c]
+			}
+			dst[k], dst[k+1] = a0, a1
+			k, rest = k+2, rest[2:]
+		}
+		for _, vj := range rest {
 			vj = vj[:len(vi)]
 			var acc float32
 			for c := range vi {

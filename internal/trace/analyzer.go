@@ -214,7 +214,7 @@ func analyzeTrace(id uint64, spans []Span, mainShard string) (RequestBreakdown, 
 		}
 		// Network time is outstanding − callee E2E, and only meaningful
 		// when the callee's request span actually arrived: with it missing
-		// (dropped slab, partial trace) the subtraction would book the
+		// (full store, partial trace) the subtraction would book the
 		// whole outstanding window as network.
 		if sawCalleeE2E {
 			if net := bounding.Dur - calleeE2E; net > 0 {

@@ -39,8 +39,8 @@ func TestAnalyzeZeroRPCTraceIsZeroBreakdown(t *testing.T) {
 	}
 }
 
-// When the bounding call's callee-side request span is missing (dropped
-// slab, partial trace), the analyzer cannot separate network time from
+// When the bounding call's callee-side request span is missing (full
+// store, partial trace), the analyzer cannot separate network time from
 // callee service time — it must report BoundNetwork 0, not book the
 // entire outstanding window as network.
 func TestAnalyzeMissingCalleeRequestSpan(t *testing.T) {
@@ -77,7 +77,7 @@ func TestAnalyzeMissingNetOverheadSpan(t *testing.T) {
 	spans := []Span{
 		{TraceID: 4, Shard: "main", Layer: LayerRequest, Start: base, Dur: ms(50)},
 		{TraceID: 4, Shard: "main", Layer: LayerOp, Kind: "Dense", Net: "net1", Name: "fc", Start: base, Dur: ms(48)},
-		// No LayerNetOverhead span anywhere — e.g. the slab filled after
+		// No LayerNetOverhead span anywhere — e.g. the store filled after
 		// the operator spans were recorded.
 	}
 	bs := Analyze(spans, "main")
@@ -205,9 +205,9 @@ func TestRecorderSinkTee(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Record(Span{TraceID: uint64(i + 1), Layer: LayerOp})
 	}
-	// The slab drops past capacity 2; the sink sees everything.
+	// The store drops past capacity 2; the sink sees everything.
 	if r.Len() != 2 || r.Drops() != 2 {
-		t.Fatalf("slab len=%d drops=%d", r.Len(), r.Drops())
+		t.Fatalf("store len=%d drops=%d", r.Len(), r.Drops())
 	}
 	if len(sink.spans) != 4 {
 		t.Fatalf("sink saw %d spans, want 4", len(sink.spans))

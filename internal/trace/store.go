@@ -14,7 +14,10 @@ import (
 // collector never scans a chunk, and chunks are allocated as the cursor
 // first reaches them: a recorder costs what was recorded into it.
 
-// chunkSpans is the records per chunk (160 KiB).
+// chunkSpans is the records per chunk (160 KiB). A recorder's last chunk
+// holds only what is left of its capacity, so one sized for a single span
+// — a serving role's, which keeps spans for its sink alone — allocates 40
+// bytes of store, not a chunk.
 const chunkSpans = 4096
 
 // record is one stored span. The four plain words are written first and
@@ -28,7 +31,7 @@ type record struct {
 	meta    atomic.Uint64 // lap:20 | layer:8 | kind:12 | net:12 | name:12
 }
 
-type chunk [chunkSpans]record
+type chunk []record
 
 // Name ids are 12 bits: maxNames bounds the name table, so no caller can
 // grow a recorder through the strings it passes. Id 0 is the empty
@@ -91,12 +94,12 @@ func (r *Recorder) put(idx int64, s *Span) {
 	slot := &r.chunks[idx/chunkSpans]
 	c := slot.Load()
 	if c == nil {
-		c = new(chunk)
-		if !slot.CompareAndSwap(nil, c) {
+		fresh := make(chunk, min(chunkSpans, r.capacity-idx/chunkSpans*chunkSpans))
+		if c = &fresh; !slot.CompareAndSwap(nil, c) {
 			c = slot.Load()
 		}
 	}
-	rec := &c[idx%chunkSpans]
+	rec := &(*c)[idx%chunkSpans]
 	rec.traceID, rec.callID = s.TraceID, s.CallID
 	// A zero Start saturates to MinInt64, which AppendSpans reads back
 	// as zero.
@@ -123,8 +126,8 @@ func (r *Recorder) AppendSpans(dst []Span) []Span {
 		if c == nil {
 			continue // reserved, not yet installed
 		}
-		for i := range c[:min(chunkSpans, n-base)] {
-			rec := &c[i]
+		for i := range (*c)[:min(chunkSpans, n-base)] {
+			rec := &(*c)[i]
 			m := rec.meta.Load()
 			if m>>lapShift != lap {
 				continue // reserved, not yet written

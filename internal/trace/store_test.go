@@ -170,6 +170,31 @@ func TestResetKeepsChunks(t *testing.T) {
 	}
 }
 
+// A chunk holds what is left of the capacity: the 1-span recorder of a
+// serving role stores 40 bytes, not a 4 096-record chunk, and a capacity
+// that ends mid-chunk ends its last chunk there.
+func TestLastChunkIsSizedToCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 7, chunkSpans, chunkSpans + 5} {
+		r := NewRecorder("s", capacity)
+		for i := 0; i < capacity+3; i++ {
+			r.Record(testSpan(uint64(i + 1)))
+		}
+		if r.Len() != capacity || r.Drops() != 3 {
+			t.Fatalf("capacity %d: kept %d, dropped %d", capacity, r.Len(), r.Drops())
+		}
+		stored := 0
+		for i := range r.chunks {
+			stored += len(*r.chunks[i].Load())
+		}
+		if stored != capacity {
+			t.Errorf("capacity %d: %d records allocated", capacity, stored)
+		}
+		if spans := r.Spans(); len(spans) != capacity || !sameSpan(spans[capacity-1], testSpan(uint64(capacity)), "s") {
+			t.Errorf("capacity %d: read back %d spans", capacity, len(spans))
+		}
+	}
+}
+
 // The collector skips what it need not scan: a chunk is noscan only
 // while the record holds nothing pointer-shaped.
 func TestSpanRecordHasNoPointers(t *testing.T) {
