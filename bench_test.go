@@ -8,9 +8,6 @@
 // Measurement runs are memoized within the process (figures share
 // configuration replays exactly as the paper's analysis shares traces),
 // so the first iteration of each benchmark carries the real cost.
-//
-// Environment knobs: REPRO_BENCH_REQUESTS overrides the per-configuration
-// request count (default 48).
 package repro
 
 import (
@@ -18,8 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,138 +33,37 @@ import (
 	"repro/internal/workload"
 )
 
+// benchRunner is shared by every experiment (and every -count pass) so
+// configuration replays are measured once; benchPrinted remembers which
+// artifacts this process has already written to stdout.
 var (
-	benchMu      sync.Mutex
-	benchRunner  *experiments.Runner
+	benchRunner = experiments.NewRunner(experiments.Params{
+		Requests: 48, Warmup: 6, Seed: 12345,
+	})
 	benchPrinted = map[string]bool{}
 )
 
-func runner() *experiments.Runner {
-	if benchRunner == nil {
-		requests := 48
-		if v := os.Getenv("REPRO_BENCH_REQUESTS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				requests = n
+// BenchmarkExperiments regenerates every registered artifact — Figs. 1–16,
+// Tables II–III, the replication economics and the six extension sweeps —
+// one sub-benchmark per experiment id, so a new experiment cannot be left
+// out. The first execution in the process prints the rendered artifact.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var out io.Writer = io.Discard
+			if !benchPrinted[e.ID] {
+				benchPrinted[e.ID] = true
+				out = os.Stdout
 			}
-		}
-		benchRunner = experiments.NewRunner(experiments.Params{
-			Requests: requests, Warmup: 6, Seed: 12345,
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(benchRunner, out); err != nil {
+					b.Fatal(err)
+				}
+				out = io.Discard
+			}
 		})
 	}
-	return benchRunner
 }
-
-// runExperiment executes one experiment; the first execution in the
-// process prints the rendered artifact.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var out io.Writer = io.Discard
-	if !benchPrinted[id] {
-		benchPrinted[id] = true
-		out = os.Stdout
-	}
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(runner(), out); err != nil {
-			b.Fatal(err)
-		}
-		out = io.Discard
-	}
-}
-
-// BenchmarkFig1ModelGrowth regenerates Fig. 1 (historical model growth,
-// synthetic trend per DESIGN.md's substitution table).
-func BenchmarkFig1ModelGrowth(b *testing.B) { runExperiment(b, "fig1") }
-
-// BenchmarkFig3ExampleTrace regenerates Fig. 3 (an example distributed
-// trace rendered as a shard-sliced timeline).
-func BenchmarkFig3ExampleTrace(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkFig4OperatorAttribution regenerates Fig. 4 (operator compute
-// attribution for DRM1/DRM2/DRM3 under the singular configuration).
-func BenchmarkFig4OperatorAttribution(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFig5TableSizes regenerates Fig. 5 (embedding-table size
-// distributions).
-func BenchmarkFig5TableSizes(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkTable2ShardingResults regenerates Table II (per-shard
-// capacity / table count / pooling under every sharding configuration).
-func BenchmarkTable2ShardingResults(b *testing.B) { runExperiment(b, "tab2") }
-
-// BenchmarkFig6Overheads regenerates Fig. 6 (P50/P90/P99 latency and
-// compute overheads vs singular for DRM1 and DRM2, serial requests).
-func BenchmarkFig6Overheads(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7DRM3Overheads regenerates Fig. 7 (DRM3 overheads:
-// sharding does not help a single-dominating-table model).
-func BenchmarkFig7DRM3Overheads(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8LatencyStacks regenerates Fig. 8 (P50 E2E latency stacks
-// and embedded-portion stacks by configuration).
-func BenchmarkFig8LatencyStacks(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9CPUStacks regenerates Fig. 9 (P50 aggregate CPU stacks).
-func BenchmarkFig9CPUStacks(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10PerShardByNet regenerates Fig. 10 (DRM1 per-shard
-// operator latency by net: load-balanced vs NSBP at 8 shards).
-func BenchmarkFig10PerShardByNet(b *testing.B) { runExperiment(b, "fig10") }
-
-// BenchmarkFig11DRM3PerShard regenerates Fig. 11 (DRM3 per-shard
-// latencies and embedded stacks).
-func BenchmarkFig11DRM3PerShard(b *testing.B) { runExperiment(b, "fig11") }
-
-// BenchmarkFig12PerShardByStrategy regenerates Fig. 12 (DRM1 per-shard
-// operator latency under all strategies at 8 shards).
-func BenchmarkFig12PerShardByStrategy(b *testing.B) { runExperiment(b, "fig12") }
-
-// BenchmarkFig13BatchingLatency regenerates Fig. 13 (default- vs
-// single-batch latency stacks).
-func BenchmarkFig13BatchingLatency(b *testing.B) { runExperiment(b, "fig13") }
-
-// BenchmarkFig14BatchingCPU regenerates Fig. 14 (default- vs
-// single-batch CPU stacks).
-func BenchmarkFig14BatchingCPU(b *testing.B) { runExperiment(b, "fig14") }
-
-// BenchmarkFig15PlatformEfficiency regenerates Fig. 15 (per-shard
-// operator latency on SC-Large vs SC-Small).
-func BenchmarkFig15PlatformEfficiency(b *testing.B) { runExperiment(b, "fig15") }
-
-// BenchmarkFig16HighQPS regenerates Fig. 16 (DRM1 overheads under
-// open-loop high-QPS load).
-func BenchmarkFig16HighQPS(b *testing.B) { runExperiment(b, "fig16") }
-
-// BenchmarkTable3Compression regenerates Table III (quantization and
-// pruning on DRM1).
-func BenchmarkTable3Compression(b *testing.B) { runExperiment(b, "tab3") }
-
-// BenchmarkReplicationEconomics regenerates the Section VII-C analysis
-// (fleet sizing and memory at equal QPS, singular vs distributed).
-func BenchmarkReplicationEconomics(b *testing.B) { runExperiment(b, "repl") }
-
-// BenchmarkFrontierServing sweeps the SLA-aware serving frontend's batch
-// window against offered QPS (throughput/P99/fallback frontier).
-func BenchmarkFrontierServing(b *testing.B) { runExperiment(b, "front") }
-
-// BenchmarkReshardOnline regenerates the online-resharding sweep: load
-// drift × move budget, with the mid-migration score-identity check.
-func BenchmarkReshardOnline(b *testing.B) { runExperiment(b, "reshard") }
-
-// BenchmarkTieredStorage regenerates the tiered-storage sweep: cache
-// budget × cold precision × row skew, the paired equal-QPS verdict, and
-// the migration identity check with the hot-row cache enabled.
-func BenchmarkTieredStorage(b *testing.B) { runExperiment(b, "tiered") }
-
-// BenchmarkFaultTolerance regenerates the replica-failure sweep: kills ×
-// replica count × hedge delay with health ejection on/off, the SLA and
-// rebuild/rejoin timings, and the degraded-fleet score-identity check.
-func BenchmarkFaultTolerance(b *testing.B) { runExperiment(b, "fault") }
 
 // denseOperands builds deterministic GEMM operands for the dense-path
 // benchmarks.

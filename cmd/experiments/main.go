@@ -7,8 +7,9 @@
 //	experiments -list           # list experiment ids
 //	experiments -requests 100   # tighter quantiles (slower)
 //
-// Output is a textual rendering of each table/figure; see EXPERIMENTS.md
-// for the expected shapes and the paper-vs-measured discussion.
+// Output is a textual rendering of each table/figure, ending with one
+// line per claim the sweeps judged; see DESIGN.md "Experiments" for the
+// expected shapes and what is asserted in tests instead.
 package main
 
 import (
@@ -54,20 +55,31 @@ func main() {
 		Requests: *requests, Warmup: *warmup, Seed: *seed, QPS: *qps,
 	})
 
-	start := time.Now()
-	if *runIDs == "" {
-		if err := experiments.RunAll(r, out); err != nil {
-			fatal(err)
-		}
-	} else {
+	selected := experiments.All()
+	if *runIDs != "" {
+		selected = nil
 		for _, id := range strings.Split(*runIDs, ",") {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
 				fatal(err)
 			}
-			if err := e.Run(r, out); err != nil {
-				fatal(fmt.Errorf("%s: %w", e.ID, err))
-			}
+			selected = append(selected, e)
+		}
+	}
+	// One shared runner, so configuration runs are reused across figures;
+	// the first failure stops the run.
+	start := time.Now()
+	for _, e := range selected {
+		if err := e.Run(r, out); err != nil {
+			fatal(fmt.Errorf("%s: %w", e.ID, err))
+		}
+	}
+	// Timing verdicts are reported, not enforced: the exit status stays 0.
+	// An identity mismatch or a dropped span is an error above.
+	if vs := r.Verdicts(); len(vs) > 0 {
+		fmt.Fprintln(out, "\nverdicts:")
+		for _, v := range vs {
+			fmt.Fprintf(out, "  - %s\n", v)
 		}
 	}
 	fmt.Fprintf(out, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/serve"
-	"repro/internal/sharding"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -20,41 +18,29 @@ import (
 // spans sit inside those windows after skew realignment.
 func (r *Runner) Fig3(w io.Writer) error {
 	writeHeader(w, "Fig. 3 — Example trace of distributed inference (DRM1, load-bal 2 shards)")
-	m := r.Model("DRM1")
-	plan, err := sharding.LoadBalanced(&m.Config, 2, r.Pooling("DRM1"))
+	m, plan, err := r.drm1LoadBalanced(2)
 	if err != nil {
 		return err
 	}
 	// Deliberate clock skew proves the visualizer's realignment.
-	cl, err := cluster.Boot(m, plan, cluster.Options{PaperSchedule: true, Seed: r.P.Seed, ClockSkew: true})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	client, err := cl.DialMain()
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
 	gen := workload.NewGenerator(m.Config, r.P.Seed)
-	rep := serve.NewReplayer(client)
-	if res := rep.RunSerial(gen.GenerateBatch(3)); res.Failed() > 0 {
-		return res.Errors[0]
+	s, err := r.deploy(m, plan, cluster.Options{PaperSchedule: true, ClockSkew: true}, gen.GenerateBatch(3))
+	if err != nil {
+		return err
 	}
-	cl.ResetTraces()
-	if res := rep.RunSerial(gen.GenerateBatch(1)); res.Failed() > 0 {
-		return res.Errors[0]
+	defer s.Close()
+	if _, err := s.replay(gen.GenerateBatch(1), 0); err != nil {
+		return err
 	}
-
-	spans := cl.Collector.Gather()
+	_, spans, err := s.breakdowns()
+	if err != nil {
+		return err
+	}
 	// The replayer allocates trace ids from 1; after reset the measured
 	// request is the highest id present.
 	var traceID uint64
-	for _, s := range spans {
-		if s.TraceID > traceID {
-			traceID = s.TraceID
-		}
+	for _, sp := range spans {
+		traceID = max(traceID, sp.TraceID)
 	}
 	tl, err := trace.BuildTimeline(spans, traceID, "main")
 	if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -53,26 +52,31 @@ func findPlan(plans []*sharding.Plan, strategy string, n int) *sharding.Plan {
 	return nil
 }
 
+// perShardAt8 renders DRM1's per-shard operator latency at 8 shards under
+// each strategy.
+func (r *Runner) perShardAt8(w io.Writer, byNet bool, strategies ...string) error {
+	plans, err := r.Plans("DRM1")
+	if err != nil {
+		return err
+	}
+	for _, strategy := range strategies {
+		res, err := r.Run("DRM1", findPlan(plans, strategy, 8), runMode{})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, perShardOpLatency(res, byNet).Render())
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
 // Fig10 shows DRM1 per-shard operator latencies by net at 8 shards,
 // load-balanced vs NSBP: only NSBP confines each net's pooling to its
 // own shards, producing the strongly unbalanced profile the paper uses
 // to explain NSBP's latency/compute trade-off.
 func (r *Runner) Fig10(w io.Writer) error {
 	writeHeader(w, "Fig. 10 — DRM1 per-shard operator latency by net (8 shards)")
-	plans, err := r.Plans("DRM1")
-	if err != nil {
-		return err
-	}
-	for _, strategy := range []string{sharding.StrategyLoad, sharding.StrategyNSBP} {
-		p := findPlan(plans, strategy, 8)
-		res, err := r.Run("DRM1", p, runMode{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, perShardOpLatency(res, true).Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.perShardAt8(w, true, sharding.StrategyLoad, sharding.StrategyNSBP)
 }
 
 // Fig11 shows DRM3 per-shard operator latencies (NSBP 8) and the
@@ -113,20 +117,7 @@ func (r *Runner) Fig11(w io.Writer) error {
 // similar; NSBP is unbalanced by design.
 func (r *Runner) Fig12(w io.Writer) error {
 	writeHeader(w, "Fig. 12 — DRM1 per-shard operator latency by strategy (8 shards)")
-	plans, err := r.Plans("DRM1")
-	if err != nil {
-		return err
-	}
-	for _, strategy := range []string{sharding.StrategyLoad, sharding.StrategyCapacity, sharding.StrategyNSBP} {
-		p := findPlan(plans, strategy, 8)
-		res, err := r.Run("DRM1", p, runMode{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, perShardOpLatency(res, false).Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.perShardAt8(w, false, sharding.StrategyLoad, sharding.StrategyCapacity, sharding.StrategyNSBP)
 }
 
 // Fig15 re-runs DRM1 load-balanced 8-shard on the SC-Small platform:
@@ -148,15 +139,14 @@ func (r *Runner) Fig15(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g := stats.NewStackGroup("mean per-shard operator time, ms (absolute, NOT normalized)")
+	// Absolute, not normalized: the figure compares the platforms' latencies.
+	fmt.Fprintln(w, "mean per-shard operator time, ms (absolute, NOT normalized)")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "shard", "SC-Large", "SC-Small")
 	for shard := 1; shard <= p.NumShards; shard++ {
 		svc := core.ServiceName(shard)
-		st := stats.NewStack(fmt.Sprintf("shard %d", shard))
-		st.Set("SC-Large", meanShardOpMs(large.breakdowns, svc))
-		st.Set("SC-Small", meanShardOpMs(small.breakdowns, svc))
-		g.Append(st)
+		fmt.Fprintf(w, "%-12s %12.5f %12.5f\n", fmt.Sprintf("shard %d", shard),
+			meanShardOpMs(large.breakdowns, svc), meanShardOpMs(small.breakdowns, svc))
 	}
-	fmt.Fprint(w, renderAbsolute(g))
 	return nil
 }
 
@@ -166,34 +156,4 @@ func meanShardOpMs(bs []trace.RequestBreakdown, svc string) float64 {
 		total += bs[i].PerShardOpTime[svc]
 	}
 	return float64(total) / float64(len(bs)) / float64(time.Millisecond)
-}
-
-// renderAbsolute prints a stack group without normalization (Fig. 15
-// compares absolute per-platform latencies).
-func renderAbsolute(g *stats.StackGroup) string {
-	out := g.Title + "\n"
-	var comps []string
-	seen := map[string]bool{}
-	for _, s := range g.Stacks {
-		for _, c := range s.Components() {
-			if !seen[c] {
-				seen[c] = true
-				comps = append(comps, c)
-			}
-		}
-	}
-	sort.Strings(comps)
-	out += fmt.Sprintf("%-12s", "shard")
-	for _, c := range comps {
-		out += fmt.Sprintf(" %12s", c)
-	}
-	out += "\n"
-	for _, s := range g.Stacks {
-		out += fmt.Sprintf("%-12s", s.Label)
-		for _, c := range comps {
-			out += fmt.Sprintf(" %12.5f", s.Get(c))
-		}
-		out += "\n"
-	}
-	return out
 }

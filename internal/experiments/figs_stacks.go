@@ -55,6 +55,57 @@ func cpuStack(label string, bs []trace.RequestBreakdown) *stats.Stack {
 	return st
 }
 
+// stackView is one stack group of a figure: its title (taking the model
+// name) and how a run's breakdowns reduce to one stack in it.
+type stackView struct {
+	title string
+	build func(label string, bs []trace.RequestBreakdown) *stats.Stack
+}
+
+// arm is one measurement mode a figure shows per configuration.
+type arm struct {
+	suffix string
+	mode   runMode
+}
+
+var (
+	defaultArm = []arm{{"", runMode{}}}
+	// batchArms contrasts the default batch size with the whole request
+	// in one batch (Section VI-F).
+	batchArms = []arm{{"", runMode{}}, {" [1batch]", runMode{batchOverride: 1 << 20}}}
+)
+
+// stackFigure renders, per model, each view's stacks over every
+// configuration × arm.
+func (r *Runner) stackFigure(w io.Writer, models []string, arms []arm, views ...stackView) error {
+	for _, name := range models {
+		plans, err := r.Plans(name)
+		if err != nil {
+			return err
+		}
+		groups := make([]*stats.StackGroup, len(views))
+		for i, v := range views {
+			groups[i] = stats.NewStackGroup(fmt.Sprintf(v.title, name))
+		}
+		for _, p := range plans {
+			for _, a := range arms {
+				res, err := r.Run(name, p, a.mode)
+				if err != nil {
+					return err
+				}
+				for i, v := range views {
+					groups[i].Append(v.build(p.Name()+a.suffix, res.breakdowns))
+				}
+			}
+		}
+		for _, g := range groups {
+			fmt.Fprint(w, g.Render())
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
+}
+
 // Fig8 renders the P50 latency attribution by sharding strategy for all
 // three models: the full E2E stack (8a) and the embedded-portion stack of
 // the bounding shard (8b).
@@ -65,27 +116,9 @@ func cpuStack(label string, bs []trace.RequestBreakdown) *stats.Stack {
 // and ~32% at 1-shard.
 func (r *Runner) Fig8(w io.Writer) error {
 	writeHeader(w, "Fig. 8 — P50 latency attribution by sharding configuration")
-	for _, name := range []string{"DRM1", "DRM2", "DRM3"} {
-		plans, err := r.Plans(name)
-		if err != nil {
-			return err
-		}
-		e2e := stats.NewStackGroup(fmt.Sprintf("%s — 8a: E2E latency stack (normalized)", name))
-		emb := stats.NewStackGroup(fmt.Sprintf("%s — 8b: embedded-portion stack (normalized)", name))
-		for _, p := range plans {
-			res, err := r.Run(name, p, runMode{})
-			if err != nil {
-				return err
-			}
-			e2e.Append(latencyStack(p.Name(), res.breakdowns))
-			emb.Append(embeddedStack(p.Name(), res.breakdowns))
-		}
-		fmt.Fprint(w, e2e.Render())
-		fmt.Fprintln(w)
-		fmt.Fprint(w, emb.Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.stackFigure(w, []string{"DRM1", "DRM2", "DRM3"}, defaultArm,
+		stackView{"%s — 8a: E2E latency stack (normalized)", latencyStack},
+		stackView{"%s — 8b: embedded-portion stack (normalized)", embeddedStack})
 }
 
 // Fig9 renders the P50 aggregate CPU time stack (all shards) per
@@ -93,23 +126,8 @@ func (r *Runner) Fig8(w io.Writer) error {
 // NSBP has the least because each shard serves one net.
 func (r *Runner) Fig9(w io.Writer) error {
 	writeHeader(w, "Fig. 9 — P50 aggregate CPU time by sharding configuration")
-	for _, name := range []string{"DRM1", "DRM2", "DRM3"} {
-		plans, err := r.Plans(name)
-		if err != nil {
-			return err
-		}
-		g := stats.NewStackGroup(fmt.Sprintf("%s — CPU time stack (normalized, all shards)", name))
-		for _, p := range plans {
-			res, err := r.Run(name, p, runMode{})
-			if err != nil {
-				return err
-			}
-			g.Append(cpuStack(p.Name(), res.breakdowns))
-		}
-		fmt.Fprint(w, g.Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.stackFigure(w, []string{"DRM1", "DRM2", "DRM3"}, defaultArm,
+		stackView{"%s — CPU time stack (normalized, all shards)", cpuStack})
 }
 
 // Fig13 contrasts default-batch and single-batch latency stacks for DRM1
@@ -117,34 +135,9 @@ func (r *Runner) Fig9(w io.Writer) error {
 // operators have enough work for 8-shard configurations to beat singular.
 func (r *Runner) Fig13(w io.Writer) error {
 	writeHeader(w, "Fig. 13 — Latency stacks: default vs single batch (DRM1, DRM2)")
-	const singleBatch = 1 << 20
-	for _, name := range []string{"DRM1", "DRM2"} {
-		plans, err := r.Plans(name)
-		if err != nil {
-			return err
-		}
-		e2e := stats.NewStackGroup(fmt.Sprintf("%s — E2E latency stacks", name))
-		emb := stats.NewStackGroup(fmt.Sprintf("%s — embedded-portion stacks", name))
-		for _, p := range plans {
-			def, err := r.Run(name, p, runMode{})
-			if err != nil {
-				return err
-			}
-			single, err := r.Run(name, p, runMode{batchOverride: singleBatch})
-			if err != nil {
-				return err
-			}
-			e2e.Append(latencyStack(p.Name(), def.breakdowns))
-			e2e.Append(latencyStack(p.Name()+" [1batch]", single.breakdowns))
-			emb.Append(embeddedStack(p.Name(), def.breakdowns))
-			emb.Append(embeddedStack(p.Name()+" [1batch]", single.breakdowns))
-		}
-		fmt.Fprint(w, e2e.Render())
-		fmt.Fprintln(w)
-		fmt.Fprint(w, emb.Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.stackFigure(w, []string{"DRM1", "DRM2"}, batchArms,
+		stackView{"%s — E2E latency stacks", latencyStack},
+		stackView{"%s — embedded-portion stacks", embeddedStack})
 }
 
 // Fig14 contrasts default-batch and single-batch CPU stacks: each batch
@@ -152,27 +145,6 @@ func (r *Runner) Fig13(w io.Writer) error {
 // count and single-batch shrinks the marginal cost of sharding.
 func (r *Runner) Fig14(w io.Writer) error {
 	writeHeader(w, "Fig. 14 — CPU stacks: default vs single batch (DRM1, DRM2)")
-	const singleBatch = 1 << 20
-	for _, name := range []string{"DRM1", "DRM2"} {
-		plans, err := r.Plans(name)
-		if err != nil {
-			return err
-		}
-		g := stats.NewStackGroup(fmt.Sprintf("%s — CPU stacks (all shards)", name))
-		for _, p := range plans {
-			def, err := r.Run(name, p, runMode{})
-			if err != nil {
-				return err
-			}
-			single, err := r.Run(name, p, runMode{batchOverride: singleBatch})
-			if err != nil {
-				return err
-			}
-			g.Append(cpuStack(p.Name(), def.breakdowns))
-			g.Append(cpuStack(p.Name()+" [1batch]", single.breakdowns))
-		}
-		fmt.Fprint(w, g.Render())
-		fmt.Fprintln(w)
-	}
-	return nil
+	return r.stackFigure(w, []string{"DRM1", "DRM2"}, batchArms,
+		stackView{"%s — CPU stacks (all shards)", cpuStack})
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/model"
@@ -96,9 +98,19 @@ func (r *Runner) Fig5(w io.Writer) error {
 		fmt.Fprintf(w, "\n%s: %d tables, %.1f MiB total, largest %.1f MiB (%.1f%% of capacity)\n",
 			name, len(cfg.Tables), float64(total)/(1<<20), float64(largest)/(1<<20),
 			100*float64(largest)/float64(total))
-		h := stats.NewLogHistogram(1, float64(largest)/1024*1.01, 12)
-		h.AddAll(sizes)
-		fmt.Fprint(w, h.Render(40))
+		// Twelve log-spaced buckets from 1 KiB to just past the largest
+		// table: the sizes span four orders of magnitude.
+		const buckets = 12
+		top := math.Log(float64(largest) / 1024 * 1.01)
+		edge := func(i int) float64 { return math.Exp(float64(i) / buckets * top) }
+		var counts [buckets]int
+		for _, kib := range sizes {
+			first := sort.Search(buckets+1, func(i int) bool { return edge(i) > kib })
+			counts[min(max(first-1, 0), buckets-1)]++
+		}
+		for i, c := range counts {
+			fmt.Fprintf(w, "[%10.3g, %10.3g) %6d %s\n", edge(i), edge(i+1), c, strings.Repeat("#", c*40/slices.Max(counts[:])))
+		}
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -12,11 +12,39 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/sharding"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// freshCell is one cell of the sweep: how often identity deltas are
+// published (0 = never) while requests arrive open loop at qps.
+type freshCell struct {
+	every time.Duration
+	qps   float64
+}
+
+var freshGrid = []freshCell{
+	{0, 100}, {20 * time.Millisecond, 100}, {5 * time.Millisecond, 100},
+	{0, 400}, {20 * time.Millisecond, 400}, {5 * time.Millisecond, 400},
+}
+
+type freshRow struct {
+	freshCell
+	p50, p99   float64
+	versions   uint64
+	rowsPerPub int
+	pubMeanMs  float64
+	lag        int64
+}
+
+type freshResult struct {
+	files, n                     int
+	fileBytes                    int64
+	exportDur, regenDur, mmapDur time.Duration
+	rows                         []freshRow
+	verdicts
+}
 
 // Fresh evaluates the model-freshness machinery end to end: a DRM1
 // deployment boots from persistent v2 shard files (mmap-backed tables,
@@ -27,208 +55,159 @@ import (
 // deltas are identity rows — byte-identity of every score across update
 // epochs.
 func (r *Runner) Fresh(w io.Writer) error {
-	writeHeader(w, "Model freshness: persistent shard tables + delta publishing (DRM1, load-bal 4 shards, int8 cold tier)")
-	m := r.Model("DRM1")
-	cfg := m.Config
-	plan, err := sharding.LoadBalanced(&cfg, 4, r.Pooling("DRM1"))
+	res, err := r.measureFresh(freshGrid)
+	return r.present(w, "fresh", res, err)
+}
+
+func (r *Runner) measureFresh(cells []freshCell) (*freshResult, error) {
+	m, plan, err := r.drm1LoadBalanced(4)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tier := &core.TierConfig{
-		Plan: sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: sharding.PrecisionInt8}),
-	}
-	n := r.P.Requests
+	cfg := m.Config
+	tier := &core.TierConfig{Plan: tierPlan(&cfg, sharding.PrecisionInt8)}
+	stream := workload.NewGenerator(cfg, r.P.Seed+31).GenerateBatch(r.P.Requests)
+	res := &freshResult{files: plan.NumShards, n: len(stream)}
 
 	// ---- Part 1: boot from persistent shard files vs regeneration ----
 	dir, err := os.MkdirTemp("", "fresh-shards-")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	exportStart := time.Now()
-	var fileBytes int64
-	for shard := 1; shard <= plan.NumShards; shard++ {
-		path := core.ShardFilePath(dir, cfg.Name, shard)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := core.ExportShardV2(m, plan, shard, f, tier.Plan); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		fileBytes += st.Size()
+	if res.fileBytes, err = exportShards(m, plan, tier.Plan, dir); err != nil {
+		return nil, err
 	}
-	exportDur := time.Since(exportStart)
+	res.exportDur = time.Since(exportStart)
 
-	boot := func(shardDir string, reg *obs.Registry) (*cluster.Cluster, *serve.Replayer, func(), time.Duration, error) {
-		t0 := time.Now()
-		cl, err := cluster.Boot(m, plan, cluster.Options{Seed: r.P.Seed, Tier: tier, ShardDir: shardDir, Obs: reg})
-		bootDur := time.Since(t0)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		client, err := cl.DialMain()
-		if err != nil {
-			cl.Close()
-			return nil, nil, nil, 0, err
-		}
-		stop := func() { client.Close(); cl.Close() }
-		return cl, serve.NewReplayer(client), stop, bootDur, nil
-	}
-
-	stream := workload.NewGenerator(cfg, r.P.Seed+31).GenerateBatch(n)
-	_, repRegen, stopRegen, regenDur, err := boot("", nil)
+	// The regenerating boot is the control: every other deployment here
+	// boots from the files and must score the stream exactly as it did.
+	ctl, err := r.control("fresh", m, plan, cluster.Options{Tier: tier}, nil, stream)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	wantScores, res := repRegen.RunSerialScored(stream)
-	stopRegen()
-	if res.Failed() > 0 {
-		return fmt.Errorf("fresh regen replay: %v", res.Errors[0])
-	}
-	_, repMmap, stopMmap, mmapDur, err := boot(dir, nil)
+	res.regenDur = ctl.boot
+	mapped, err := r.deploy(m, plan, cluster.Options{Tier: tier, ShardDir: dir}, nil)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("fresh mmap boot: %w", err)
 	}
-	gotScores, res := repMmap.RunSerialScored(stream)
-	stopMmap()
-	if res.Failed() > 0 {
-		return fmt.Errorf("fresh mmap replay: %v", res.Errors[0])
+	res.mmapDur = mapped.boot
+	p, err := mapped.replay(stream, 0)
+	mapped.Close()
+	if err == nil {
+		err = sameScores(ctl.scores, p.scores)
 	}
-	bootVerdict := "byte-identical"
-	if !scoresEqual(wantScores, gotScores) {
-		bootVerdict = "MISMATCH"
+	if err != nil {
+		return nil, fmt.Errorf("fresh mmap boot: %w", err)
 	}
-	fmt.Fprintf(w, "shard files: %d files, %.1f MiB, exported in %v\n",
-		plan.NumShards, float64(fileBytes)/(1<<20), exportDur.Round(time.Millisecond))
-	fmt.Fprintf(w, "boot: regenerate %v  vs  shard-file mmap %v  (%.1fx)\n",
-		regenDur.Round(time.Millisecond), mmapDur.Round(time.Millisecond),
-		float64(regenDur)/float64(mmapDur))
-	fmt.Fprintf(w, "scores across boot paths: %s over %d requests\n\n", bootVerdict, n)
+	res.claim("the shard-file boot serves the bytes the regenerating boot encodes", true, "byte-identical over %d requests", res.n)
+	res.claim("and boots faster: the encode cost was paid once at export", res.mmapDur < res.regenDur,
+		"regenerate %v vs mmap %v (%.1fx)", res.regenDur.Round(time.Millisecond), res.mmapDur.Round(time.Millisecond), float64(res.regenDur)/float64(res.mmapDur))
 
 	// ---- Part 2: publish rate x request rate ----
 	// Identity deltas republish currently-served rows, so any score drift
 	// across the version cutovers is a bug; the interesting outputs are
 	// the serving-latency impact and the freshness cadence sustained.
-	fmt.Fprintf(w, "%-12s %-8s %-9s %-9s %-10s %-10s %-10s %-6s %s\n",
-		"publish", "qps", "e2e p50", "e2e p99", "versions", "rows/pub", "pub mean", "lag", "scores")
-	intervals := []time.Duration{0, 20 * time.Millisecond, 5 * time.Millisecond}
-	for _, qps := range []float64{100, 400} {
-		for _, every := range intervals {
-			cell, err := r.freshCell(m, plan, tier, dir, stream, wantScores, every, qps)
-			if err != nil {
-				return fmt.Errorf("fresh publish %v qps %g: %w", every, qps, err)
-			}
-			label := "off"
-			if every > 0 {
-				label = every.String()
-			}
-			fmt.Fprintf(w, "%-12s %-8g %-9s %-9s %-10d %-10d %-10s %-6d %s\n",
-				label, qps,
-				fmt.Sprintf("%.2fms", cell.p50*1e3), fmt.Sprintf("%.2fms", cell.p99*1e3),
-				cell.versions, cell.rowsPerPub,
-				fmt.Sprintf("%.2fms", cell.pubMeanMs), cell.lag, cell.verdict)
+	// Each cell is an open-loop replay against a shard-file-booted
+	// deployment while a publisher goroutine streams identity deltas.
+	cell := func(c freshCell) (*freshRow, error) {
+		reg := obs.NewRegistry()
+		s, err := r.deploy(m, plan, cluster.Options{Tier: tier, ShardDir: dir, Obs: reg}, stream[:r.P.Warmup])
+		if err != nil {
+			return nil, err
 		}
-	}
-	fmt.Fprintln(w, "\nReading: the mmap boot serves the same bytes the regenerating boot\nencodes, in a fraction of the time — the encode cost was paid once at\nexport. Publishing rides the serving path: row deltas stage on table\nclones and cut over atomically, so even a publish every few\nmilliseconds leaves every score byte-identical while the deployment's\nmodel version climbs; the latency tax shows up in the p99 column and\nthe freshness lag stays zero once the last publish commits.")
-	return nil
-}
+		defer s.Close()
 
-type freshCell struct {
-	p50, p99   float64
-	versions   uint64
-	rowsPerPub int
-	pubMeanMs  float64
-	lag        int64
-	verdict    string
-}
-
-// freshCell measures one (publish interval, qps) cell: an open-loop
-// replay against a shard-file-booted deployment while a publisher
-// goroutine streams identity deltas at the given cadence.
-func (r *Runner) freshCell(m *model.Model, plan *sharding.Plan, tier *core.TierConfig, dir string, stream []*workload.Request, want [][]float32, every time.Duration, qps float64) (*freshCell, error) {
-	reg := obs.NewRegistry()
-	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: r.P.Seed, Tier: tier, ShardDir: dir, Obs: reg})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	client, err := cl.DialMain()
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	rep := serve.NewReplayer(client)
-	if warm := rep.RunSerial(stream[:r.P.Warmup]); warm.Failed() > 0 {
-		return nil, warm.Errors[0]
-	}
-
-	const rowsPer = 64
-	cell := &freshCell{rowsPerPub: rowsPer * len(deltaTables(plan))}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var pubDur time.Duration
-	var pubErr error
-	if every > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ticker := time.NewTicker(every)
-			defer ticker.Stop()
-			version := uint64(0)
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					version++
+		const rowsPer = 64
+		row := &freshRow{freshCell: c, rowsPerPub: rowsPer * len(deltaTables(plan))}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		var pubDur time.Duration
+		var pubErr error
+		if c.every > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ticker := time.NewTicker(c.every)
+				defer ticker.Stop()
+				for version := uint64(1); ; version++ {
+					select {
+					case <-stop:
+						return
+					case <-ticker.C:
+					}
 					t0 := time.Now()
-					if _, err := cl.Publish(core.IdentityDelta(m, deltaTables(plan), version, rowsPer)); err != nil {
+					if _, err := s.cl.Publish(core.IdentityDelta(m, deltaTables(plan), version, rowsPer)); err != nil {
 						pubErr = err
 						return
 					}
 					pubDur += time.Since(t0)
-					cell.versions = version
+					row.versions = version
 				}
-			}
-		}()
-	}
-	res := rep.RunOpenLoop(stream, qps)
-	close(stop)
-	wg.Wait()
-	if pubErr != nil {
-		return nil, pubErr
-	}
-	if res.Failed() > 0 {
-		return nil, res.Errors[0]
-	}
-	sample := stats.NewDurationSample(res.ClientE2E)
-	cell.p50, cell.p99 = sample.P50(), sample.Quantile(0.99)
-	if cell.versions > 0 {
-		cell.pubMeanMs = pubDur.Seconds() * 1e3 / float64(cell.versions)
-	}
-	cell.lag = reg.Snapshot().Gauge("publish.lag")
+			}()
+		}
+		p, err := s.replay(stream, c.qps)
+		close(stop)
+		wg.Wait()
+		if err = errors.Join(pubErr, err); err != nil {
+			return nil, err
+		}
+		sample := stats.NewDurationSample(p.ClientE2E)
+		row.p50, row.p99 = sample.P50(), sample.Quantile(0.99)
+		if row.versions > 0 {
+			row.pubMeanMs = pubDur.Seconds() * 1e3 / float64(row.versions)
+		}
+		row.lag = reg.Snapshot().Gauge("publish.lag")
 
-	// Inter-epoch byte identity: the post-sweep deployment, having cut
-	// over up to `versions` epochs, must still score the stream exactly
-	// as the never-published control did.
-	got, sres := rep.RunSerialScored(stream)
-	if sres.Failed() > 0 {
-		return nil, sres.Errors[0]
+		// Inter-epoch byte identity: the post-sweep deployment, having cut
+		// over up to `versions` epochs, must still score the stream exactly
+		// as the never-published control did.
+		scored, err := s.replay(stream, 0)
+		if err == nil {
+			err = sameScores(ctl.scores, scored.scores)
+		}
+		return row, err
 	}
-	cell.verdict = "identical"
-	if !scoresEqual(want, got) {
-		cell.verdict = "MISMATCH"
+	for _, c := range cells {
+		row, err := cell(c)
+		if err != nil {
+			return nil, fmt.Errorf("fresh publish %v qps %g: %w", c.every, c.qps, err)
+		}
+		res.rows = append(res.rows, *row)
 	}
-	return cell, nil
+	claimEvery(&res.verdicts, "publishing while serving leaves every score byte-identical as the version climbs", res.rows,
+		func(row freshRow) bool { return row.every > 0 }, func(row freshRow) bool { return row.versions >= 1 },
+		"publishing cells committed at least one version; every cell re-scored identical to the never-published control")
+	claimEvery(&res.verdicts, "freshness lag is zero once the last publish commits", res.rows,
+		func(freshRow) bool { return true }, func(row freshRow) bool { return row.lag == 0 }, "cells ended with publish.lag = 0")
+	return res, nil
+}
+
+// exportShards writes every shard's v2 file under dir and returns their
+// total size.
+func exportShards(m *model.Model, plan *sharding.Plan, tp *sharding.TierPlan, dir string) (int64, error) {
+	var total int64
+	for shard := 1; shard <= plan.NumShards; shard++ {
+		path := core.ShardFilePath(dir, m.Config.Name, shard)
+		f, err := os.Create(path)
+		if err != nil {
+			return 0, err
+		}
+		if err := core.ExportShardV2(m, plan, shard, f, tp); err != nil {
+			f.Close()
+			return 0, err
+		}
+		if err := f.Close(); err != nil {
+			return 0, err
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			return 0, err
+		}
+		total += st.Size()
+	}
+	return total, nil
 }
 
 // deltaTables picks one table per shard — enough to touch every shard's
@@ -246,20 +225,29 @@ func deltaTables(plan *sharding.Plan) []int {
 	return ids
 }
 
-// scoresEqual compares two score sets bitwise.
-func scoresEqual(want, got [][]float32) bool {
-	if len(want) != len(got) {
-		return false
-	}
-	for i := range want {
-		if len(want[i]) != len(got[i]) {
-			return false
+func (res *freshResult) render(w io.Writer) {
+	writeHeader(w, "Model freshness: persistent shard tables + delta publishing (DRM1, load-bal 4 shards, int8 cold tier)")
+	fmt.Fprintf(w, "shard files: %d files, %.1f MiB, exported in %v\n",
+		res.files, float64(res.fileBytes)/(1<<20), res.exportDur.Round(time.Millisecond))
+	fmt.Fprintf(w, "boot: regenerate %v  vs  shard-file mmap %v  (%.1fx)\n",
+		res.regenDur.Round(time.Millisecond), res.mmapDur.Round(time.Millisecond),
+		float64(res.regenDur)/float64(res.mmapDur))
+	fmt.Fprintf(w, "scores across boot paths: byte-identical over %d requests\n\n", res.n)
+
+	fmt.Fprintf(w, "%-12s %-8s %-9s %-9s %-10s %-10s %-10s %-6s %s\n",
+		"publish", "qps", "e2e p50", "e2e p99", "versions", "rows/pub", "pub mean", "lag", "scores")
+	for _, row := range res.rows {
+		label := "off"
+		if row.every > 0 {
+			label = row.every.String()
 		}
-		for j := range want[i] {
-			if math.Float32bits(want[i][j]) != math.Float32bits(got[i][j]) {
-				return false
-			}
-		}
+		fmt.Fprintf(w, "%-12s %-8g %-9s %-9s %-10d %-10d %-10s %-6d %s\n",
+			label, row.qps,
+			fmt.Sprintf("%.2fms", row.p50*1e3), fmt.Sprintf("%.2fms", row.p99*1e3),
+			row.versions, row.rowsPerPub,
+			fmt.Sprintf("%.2fms", row.pubMeanMs), row.lag, "identical")
 	}
-	return true
+	fmt.Fprintln(w)
+	res.print(w)
+	fmt.Fprintln(w, "\nReading: the mmap boot maps the bytes the regenerating boot would\nencode — that cost was paid once at export. Publishing rides the\nserving path: row deltas stage on table clones and cut over\natomically, so a publish every few milliseconds changes the model\nversion and no score; the latency tax shows up in the p99 column.\nWhat this run measured of each is in the verdict lines above; a score\nthat differs from the never-published control stops the experiment\nwith an error.")
 }

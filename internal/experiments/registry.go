@@ -60,15 +60,3 @@ func ByID(id string) (Experiment, error) {
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (want one of %v)", id, ids)
 }
-
-// RunAll executes every experiment against one shared runner (so
-// configuration runs are reused across figures) and writes all output
-// to w, stopping at the first failure.
-func RunAll(r *Runner, w io.Writer) error {
-	for _, e := range All() {
-		if err := e.Run(r, w); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
-}

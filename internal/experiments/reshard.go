@@ -1,46 +1,76 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/serve"
 	"repro/internal/sharding"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// reshardCell is one cell of the sweep: how hard the hot-feature
+// distribution drifts onto shard 1's tables (clamped to the strongest
+// drift the plan allows) and how many table moves the rebalance may make.
+type reshardCell struct {
+	skew   float64
+	budget int
+}
+
+var reshardGrid = []reshardCell{{2, 0}, {2, 2}, {2, 8}, {3.5, 0}, {3.5, 2}, {3.5, 8}}
+
+type reshardRow struct {
+	reshardCell
+	moves int
+	bytes int64
+	// planBefore/planAfter are the imbalance ratio's deterministic input:
+	// max/mean of the shards' drifted pooling under the placement before
+	// and after the moves (which tables move follows measured service
+	// time, so moves and KiB vary run to run; this does not, given them).
+	planBefore, planAfter float64
+	pre, post             float64 // bounding-shard op-time P50 per phase, seconds
+	preImb                float64 // shard imbalance ratio P50 per phase
+	duringImb, postImb    float64
+	e2eP50                float64 // post-phase client E2E P50, seconds
+}
+
+type reshardResult struct {
+	hotTables int
+	hotShare  float64
+	rows      []reshardRow
+	verdicts
+}
+
 // Reshard evaluates online resharding under load drift: a DRM1
 // load-balanced deployment is driven with its design workload, then the
 // hot-feature distribution drifts onto one shard's tables (total pooling
 // held constant, so a perfect rebalance can fully recover), and a
 // live rebalance pass — bounded by a move budget — migrates tables
-// between serving shards. The sweep reports P99 before drift, during
-// drift, and after rebalance for each (skew, budget) cell, then replays
-// one stream *through* a migration and checks the scores are
-// byte-identical to a non-migrating control deployment.
+// between serving shards. The sweep reports the imbalance before drift,
+// during drift, and after rebalance for each (skew, budget) cell. That
+// scores stay byte-identical through a migration is internal/cluster's
+// TestClusterRebalanceLive, not re-checked here.
 func (r *Runner) Reshard(w io.Writer) error {
-	writeHeader(w, "Online resharding: load drift x move budget (DRM1, load-bal 4 shards)")
-	m := r.Model("DRM1")
-	cfg := m.Config
-	pooling := r.Pooling("DRM1")
-	basePlan, err := sharding.LoadBalanced(&cfg, 4, pooling)
+	res, err := r.measureReshard(reshardGrid)
+	return r.present(w, "reshard", res, err)
+}
+
+func (r *Runner) measureReshard(cells []reshardCell) (*reshardResult, error) {
+	m, plan, err := r.drm1LoadBalanced(4)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n := r.P.Requests
+	cfg, pooling := m.Config, r.Pooling("DRM1")
 
 	// Drift concentrates heat on the tables the plan placed on one shard,
 	// scaling the remaining tables down so total pooling stays constant:
 	// the workload's *distribution* drifts, not its volume, and the
-	// pre-drift P99 is the recovery target.
-	hotShard := &basePlan.Shards[0]
+	// pre-drift figures are the recovery target.
+	hotShard := &plan.Shards[0]
 	var hotPool, totalPool float64
 	for _, id := range hotShard.Tables {
 		hotPool += pooling[id]
@@ -48,18 +78,52 @@ func (r *Runner) Reshard(w io.Writer) error {
 	for _, p := range pooling {
 		totalPool += p
 	}
-	hotShare := hotPool / totalPool
+	res := &reshardResult{hotTables: len(hotShard.Tables), hotShare: hotPool / totalPool}
 	// The strongest feasible drift leaves cold tables a sliver of their
 	// pooling (cold scale ≥ 0: skew ≤ 1/hotShare).
-	maxSkew := 0.95 / hotShare
-	skews := []float64{2}
-	if maxSkew > 3.5 {
-		skews = append(skews, 3.5)
-	} else if maxSkew > 2.4 {
-		skews = append(skews, maxSkew)
+	maxSkew := 0.95 / res.hotShare
+
+	for _, c := range cells {
+		c.skew = min(c.skew, maxSkew)
+		drift := driftSkew(&cfg, hotShard.Tables, hotPool, totalPool, c.skew)
+		drifted := make(map[int]float64, len(drift))
+		for id, f := range drift {
+			drifted[id] = f * pooling[id]
+		}
+		row, err := r.reshardCell(m, plan, drift, drifted, c)
+		if err != nil {
+			return nil, fmt.Errorf("reshard skew %.3g budget %d: %w", c.skew, c.budget, err)
+		}
+		res.rows = append(res.rows, *row)
+	}
+
+	claimEvery(&res.verdicts, "budget 0 moves nothing", res.rows,
+		func(row reshardRow) bool { return row.budget == 0 }, func(row reshardRow) bool { return row.moves == 0 },
+		"budget-0 cells made no move")
+	claimEvery(&res.verdicts, "a live rebalance lowers the drifted shard imbalance", res.rows,
+		func(row reshardRow) bool { return row.moves > 0 }, func(row reshardRow) bool { return row.postImb < row.duringImb },
+		"cells that moved tables ended below their drifted imbalance")
+	top := res.rows[0]
+	for _, row := range res.rows {
+		if row.budget >= top.budget {
+			top = row
+		}
+	}
+	res.claim("at the largest budget the bounding shard's op time is back within 15% of its pre-drift baseline", top.post <= 1.15*top.pre,
+		"skew %.3g budget %d: bound p/p %.2f, imbalance %.2f -> %.2f -> %.2f", top.skew, top.budget, top.post/top.pre, top.preImb, top.duringImb, top.postImb)
+	return res, nil
+}
+
+func (res *reshardResult) render(w io.Writer) {
+	writeHeader(w, "Online resharding: load drift x move budget (DRM1, load-bal 4 shards)")
+	var skews []float64
+	for _, row := range res.rows {
+		if len(skews) == 0 || skews[len(skews)-1] != row.skew {
+			skews = append(skews, row.skew)
+		}
 	}
 	fmt.Fprintf(w, "hot shard 1 holds %d tables, %.0f%% of pooling; drift scales them x{%.3g} with cold tables compensating\n\n",
-		len(hotShard.Tables), 100*hotShare, skews)
+		res.hotTables, 100*res.hotShare, skews)
 
 	// Two trace-derived views of every phase: the bounding shard's
 	// sparse-op time (the absolute quantity a balanced placement
@@ -70,42 +134,21 @@ func (r *Runner) Reshard(w io.Writer) error {
 	// that one scheduler hiccup on a shared host dominates.
 	fmt.Fprintf(w, "%-6s %-8s %-7s %-11s %-11s %-11s %-10s %-11s %-9s %s\n",
 		"skew", "budget", "moves", "imb pre", "imb drift", "imb post", "bound p/p", "e2e p50", "KiB", "")
-	for _, skew := range skews {
-		drift := driftSkew(&cfg, basePlan, pooling, skew)
-		for _, budget := range []int{0, 2, 8} {
-			row, err := r.reshardCell(m, basePlan, drift, budget, n)
-			if err != nil {
-				return fmt.Errorf("reshard skew %.3g budget %d: %w", skew, budget, err)
-			}
-			note := ""
-			if row.moves == 0 {
-				note = "(no moves)"
-			}
-			fmt.Fprintf(w, "%-6.3g %-8d %-7d %-11.2f %-11.2f %-11.2f %-10.2f %-11s %-9.0f %s\n",
-				skew, budget, row.moves,
-				row.preImb, row.duringImb, row.postImb,
-				row.post/row.pre,
-				fmt.Sprintf("%.2fms", row.e2eP50*1e3),
-				float64(row.bytes)/1024, note)
+	for _, row := range res.rows {
+		note := ""
+		if row.moves == 0 {
+			note = "(no moves)"
 		}
+		fmt.Fprintf(w, "%-6.3g %-8d %-7d %-11.2f %-11.2f %-11.2f %-10.2f %-11s %-9.0f %s\n",
+			row.skew, row.budget, row.moves,
+			row.preImb, row.duringImb, row.postImb,
+			row.post/row.pre,
+			fmt.Sprintf("%.2fms", row.e2eP50*1e3),
+			float64(row.bytes)/1024, note)
 	}
-
-	// Correctness under live migration: replay one deterministic stream
-	// while a rebalance runs mid-stream, against a control deployment
-	// that never migrates. Scores must match bit for bit.
-	drift := driftSkew(&cfg, basePlan, pooling, skews[len(skews)-1])
-	identical, total, duringMig, err := r.reshardIdentity(m, basePlan, drift, n, cluster.Options{Seed: r.P.Seed})
-	if err != nil {
-		return fmt.Errorf("reshard identity: %w", err)
-	}
-	verdict := "byte-identical"
-	if !identical {
-		verdict = "MISMATCH"
-	}
-	fmt.Fprintf(w, "\nmigration identity: %d requests replayed, %d completed while rows streamed: scores %s vs control\n",
-		total, duringMig, verdict)
-	fmt.Fprintln(w, "\nReading: budget 0 is the knob's off position — the drifted imbalance\npersists untouched. A small budget moves the few hottest tables and\nbuys most of the recovery; larger budgets walk the imbalance back\ntoward the pre-drift ~1.1 and the bounding shard's op time back to\nwithin ~15% of its pre-drift baseline (bound p/p ≈ 1) — all while\nserving, with mid-migration lookups byte-identical to the control.")
-	return nil
+	fmt.Fprintln(w)
+	res.print(w)
+	fmt.Fprintln(w, "\nReading: budget 0 is the knob's off position — the drifted imbalance\npersists untouched. A small budget moves the few hottest tables;\nlarger budgets move more, toward the pre-drift imbalance (imb pre) and\na bounding shard whose op time is back at its pre-drift baseline\n(bound p/p = 1) — all while serving. How far this run got is in the\nverdict lines above.")
 }
 
 // boundShardOps extracts one request's bounding sparse-shard operator
@@ -141,86 +184,62 @@ func shardImbalance(b *trace.RequestBreakdown) float64 {
 	return float64(bound) * float64(count) / float64(sum)
 }
 
-type reshardRow struct {
-	moves              int
-	bytes              int64
-	pre                float64 // bounding-shard op-time P50, seconds
-	during             float64
-	post               float64
-	preImb             float64 // shard imbalance ratio P50 per phase
-	duringImb, postImb float64
-	e2eP50             float64 // post-phase client E2E P50, seconds
-}
-
 // reshardCell measures one (drift, budget) cell: baseline replay, drift
 // replay, live rebalance, post replay — one cluster, no restarts.
-func (r *Runner) reshardCell(m *model.Model, plan *sharding.Plan, drift map[int]float64, budget, n int) (*reshardRow, error) {
-	cl, err := cluster.Boot(m, clonePlan(plan), cluster.Options{Seed: r.P.Seed})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	client, err := cl.DialMain()
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	rep := serve.NewReplayer(client)
+func (r *Runner) reshardCell(m *model.Model, plan *sharding.Plan, drift, drifted map[int]float64, c reshardCell) (*reshardRow, error) {
 	gen := workload.NewGenerator(m.Config, r.P.Seed)
-	if warm := rep.RunSerial(gen.GenerateBatch(r.P.Warmup)); warm.Failed() > 0 {
-		return nil, fmt.Errorf("warmup: %v", warm.Errors[0])
+	s, err := r.deploy(m, plan, cluster.Options{}, gen.GenerateBatch(r.P.Warmup))
+	if err != nil {
+		return nil, err
 	}
+	defer s.Close()
 
 	// One fixed trace per cell: the drift phases replay the *same*
-	// requests with bags reshaped, so phase-to-phase P99 deltas come from
+	// requests with bags reshaped, so phase-to-phase deltas come from
 	// placement, not from fresh draws of the lognormal size tail.
-	base := gen.GenerateBatch(n)
+	base := gen.GenerateBatch(r.P.Requests)
 	skewed := workload.ApplySkew(base, drift)
 
-	// phase replays one stream with fresh traces and returns the
-	// bounding-shard op-time P50, the imbalance-ratio P50, and the
-	// client E2E P50.
+	// phase replays one stream and returns the bounding-shard op-time
+	// P50, the imbalance-ratio P50, and the client E2E P50.
 	phase := func(reqs []*workload.Request) (float64, float64, float64, error) {
-		cl.ResetTraces()
-		res := rep.RunSerial(reqs)
-		if res.Failed() > 0 {
-			return 0, 0, 0, res.Errors[0]
+		p, bs, err := s.replayTraced(reqs, 0)
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		bs := trace.Analyze(cl.Collector.Gather(), "main")
-		bound := componentQuantile(bs, boundShardOps, 0.50)
 		imbs := make([]float64, len(bs))
 		for i := range bs {
 			imbs[i] = shardImbalance(&bs[i])
 		}
-		imb := stats.NewSample(imbs).Quantile(0.50)
-		e2eP50 := stats.NewDurationSample(res.ClientE2E).P50()
-		return bound, imb, e2eP50, nil
+		return componentQuantile(bs, boundShardOps, 0.50), stats.NewSample(imbs).Quantile(0.50),
+			stats.NewDurationSample(p.ClientE2E).P50(), nil
 	}
 
-	row := &reshardRow{}
+	row := &reshardRow{reshardCell: c}
 	if row.pre, row.preImb, _, err = phase(base); err != nil {
 		return nil, err
 	}
 
 	// Drift starts; the accounting window resets with it so the
 	// rebalancer plans from drifted load only.
-	mg, err := cl.Migrator()
+	mg, err := s.cl.Migrator()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := mg.CollectLoad(true); err != nil {
 		return nil, err
 	}
-	if row.during, row.duringImb, _, err = phase(skewed); err != nil {
+	if _, row.duringImb, _, err = phase(skewed); err != nil {
 		return nil, err
 	}
 
-	report, err := cl.Rebalance(sharding.RebalanceOptions{MoveBudget: budget})
+	row.planBefore = plannedImbalance(s.cl.Plan, drifted)
+	report, err := s.cl.Rebalance(sharding.RebalanceOptions{MoveBudget: c.budget})
 	if err != nil {
 		return nil, err
 	}
-	row.moves = len(report.Plan.Moves)
-	row.bytes = report.BytesMoved
+	row.moves, row.bytes = len(report.Plan.Moves), report.BytesMoved
+	row.planAfter = plannedImbalance(s.cl.Plan, drifted)
 
 	if row.post, row.postImb, row.e2eP50, err = phase(skewed); err != nil {
 		return nil, err
@@ -228,142 +247,27 @@ func (r *Runner) reshardCell(m *model.Model, plan *sharding.Plan, drift map[int]
 	return row, nil
 }
 
-// reshardIdentity replays the same drifted stream through a migrating
-// deployment and a static control, with the rebalance racing the middle
-// of the replay, and compares scores bitwise. Both deployments boot with
-// the same options, so the check also covers tiered configurations (the
-// tiered experiment passes a Tier config to prove cache coherence across
-// a cutover).
-func (r *Runner) reshardIdentity(m *model.Model, plan *sharding.Plan, drift map[int]float64, n int, opts cluster.Options) (identical bool, total, duringMig int, err error) {
-	stream := func() []*workload.Request {
-		gen := workload.NewGenerator(m.Config, r.P.Seed+42)
-		return workload.ApplySkew(gen.GenerateBatch(2*n), drift)
+// plannedImbalance is max/mean of per-shard pooling under a placement.
+func plannedImbalance(p *sharding.Plan, pooling map[int]float64) float64 {
+	var bound, sum float64
+	for i := range p.Shards {
+		pl := sharding.ShardPooling(&p.Shards[i], pooling)
+		bound, sum = max(bound, pl), sum+pl
 	}
-
-	replay := func(migrate bool) ([][]float32, int, error) {
-		cl, err := cluster.Boot(m, clonePlan(plan), opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer cl.Close()
-		client, err := cl.DialMain()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer client.Close()
-		rep := serve.NewReplayer(client)
-		reqs := stream()
-		// First half builds the measured load the rebalancer will act on.
-		half := reqs[:n]
-		scores, res := rep.RunSerialScored(half)
-		if res.Failed() > 0 {
-			return nil, 0, res.Errors[0]
-		}
-		rebalDone := make(chan error, 1)
-		if migrate {
-			go func() {
-				_, err := cl.Rebalance(sharding.RebalanceOptions{MoveBudget: 8})
-				rebalDone <- err
-			}()
-		} else {
-			rebalDone <- nil
-		}
-		overlapped := 0
-		migrating := migrate
-		for _, req := range reqs[n:] {
-			s, _, err := rep.Send(req)
-			if err != nil {
-				return nil, 0, err
-			}
-			scores = append(scores, s)
-			if migrating {
-				select {
-				case err := <-rebalDone:
-					if err != nil {
-						return nil, 0, err
-					}
-					migrating = false
-				default:
-					overlapped++
-				}
-			}
-		}
-		if migrating {
-			if err := <-rebalDone; err != nil {
-				return nil, 0, err
-			}
-		}
-		return scores, overlapped, nil
-	}
-
-	control, _, err := replay(false)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	migrated, overlapped, err := replay(true)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	identical = len(control) == len(migrated)
-	if identical {
-		for i := range control {
-			if !bytes.Equal(float32Bytes(control[i]), float32Bytes(migrated[i])) {
-				identical = false
-				break
-			}
-		}
-	}
-	return identical, len(migrated), overlapped, nil
+	return bound * float64(len(p.Shards)) / sum
 }
 
-// driftSkew builds the per-table pooling multipliers: shard 1's tables
-// get the skew factor, every other table a compensating factor chosen so
-// total expected pooling is unchanged.
-func driftSkew(cfg *model.Config, plan *sharding.Plan, pooling map[int]float64, skew float64) map[int]float64 {
-	hot := make(map[int]bool)
-	var hotPool, totalPool float64
-	for _, id := range plan.Shards[0].Tables {
-		hot[id] = true
-		hotPool += pooling[id]
-	}
-	for _, p := range pooling {
-		totalPool += p
-	}
-	cold := (totalPool - skew*hotPool) / (totalPool - hotPool)
-	if cold < 0 {
-		cold = 0
-	}
+// driftSkew builds the per-table pooling multipliers: the hot shard's
+// tables get the skew factor, every other table a compensating factor
+// chosen so total expected pooling is unchanged.
+func driftSkew(cfg *model.Config, hotTables []int, hotPool, totalPool, skew float64) map[int]float64 {
+	cold := max((totalPool-skew*hotPool)/(totalPool-hotPool), 0)
 	out := make(map[int]float64, len(cfg.Tables))
 	for _, t := range cfg.Tables {
-		if hot[t.ID] {
-			out[t.ID] = skew
-		} else {
-			out[t.ID] = cold
-		}
+		out[t.ID] = cold
 	}
-	return out
-}
-
-// clonePlan deep-copies a plan so a rebalanced cluster cannot alias the
-// caller's (shared, memoized) plan value.
-func clonePlan(p *sharding.Plan) *sharding.Plan {
-	out := &sharding.Plan{ModelName: p.ModelName, Strategy: p.Strategy, NumShards: p.NumShards}
-	out.Shards = make([]sharding.Assignment, len(p.Shards))
-	for i, a := range p.Shards {
-		out.Shards[i] = sharding.Assignment{
-			Shard:  a.Shard,
-			Tables: append([]int(nil), a.Tables...),
-			Parts:  append([]sharding.PartRef(nil), a.Parts...),
-		}
-	}
-	return out
-}
-
-func float32Bytes(xs []float32) []byte {
-	out := make([]byte, 0, 4*len(xs))
-	for _, x := range xs {
-		b := math.Float32bits(x)
-		out = append(out, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
+	for _, id := range hotTables {
+		out[id] = skew
 	}
 	return out
 }

@@ -2,8 +2,8 @@
 // evaluation (Sections V–VII) on the scaled synthetic models: each
 // experiment boots the relevant cluster configurations, replays the
 // model's deterministic request stream, analyzes the cross-layer traces,
-// and renders the same rows/series the paper reports. See DESIGN.md for
-// the experiment index and EXPERIMENTS.md for measured-vs-paper results.
+// and renders the same rows/series the paper reports. See DESIGN.md
+// "Experiments" for the harness, what tier-1 asserts and what is reported.
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/platform"
-	"repro/internal/serve"
 	"repro/internal/sharding"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -60,11 +59,17 @@ type runResult struct {
 // Runner memoizes models, plans, and measurement runs so figures that
 // share configurations (6/8/9/10/12) reuse one replay.
 type Runner struct {
-	P       Params
-	models  map[string]*model.Model
-	pooling map[string]map[int]float64
-	runs    map[string]*runResult
+	P        Params
+	models   map[string]*model.Model
+	pooling  map[string]map[int]float64
+	runs     map[string]*runResult
+	controls map[string]*pass
+	verdicts []Verdict
 }
+
+// Verdicts returns every claim the sweeps run so far have judged, in run
+// order, each named "<experiment id>: <claim>".
+func (r *Runner) Verdicts() []Verdict { return r.verdicts }
 
 // NewRunner returns a runner with the given params.
 func NewRunner(p Params) *Runner {
@@ -78,10 +83,11 @@ func NewRunner(p Params) *Runner {
 		p.Seed = DefaultParams().Seed
 	}
 	return &Runner{
-		P:       p,
-		models:  make(map[string]*model.Model),
-		pooling: make(map[string]map[int]float64),
-		runs:    make(map[string]*runResult),
+		P:        p,
+		models:   make(map[string]*model.Model),
+		pooling:  make(map[string]map[int]float64),
+		runs:     make(map[string]*runResult),
+		controls: make(map[string]*pass),
 	}
 }
 
@@ -114,6 +120,14 @@ func (r *Runner) Plans(name string) ([]*sharding.Plan, error) {
 	return sharding.AllConfigurations(&cfg, r.Pooling(name), false)
 }
 
+// drm1LoadBalanced returns DRM1 and its k-shard load-balanced plan: the
+// deployment the extension sweeps disturb.
+func (r *Runner) drm1LoadBalanced(k int) (*model.Model, *sharding.Plan, error) {
+	m := r.Model("DRM1")
+	plan, err := sharding.LoadBalanced(&m.Config, k, r.Pooling("DRM1"))
+	return m, plan, err
+}
+
 // Run measures one (model, plan, mode) configuration, memoized.
 func (r *Runner) Run(name string, plan *sharding.Plan, mode runMode) (*runResult, error) {
 	key := fmt.Sprintf("%s|%s|b%d|q%g|s%v", name, plan.Name(), mode.batchOverride, mode.qps, mode.smallPlatform)
@@ -135,56 +149,35 @@ func (r *Runner) measure(name string, plan *sharding.Plan, mode runMode) (*runRe
 		// The figures measured here vary the RPC count with the batch
 		// size and the net split, as the paper's per-batch calls do.
 		PaperSchedule: true,
-		Seed:          r.P.Seed,
 		ClockSkew:     true,
 	}
 	if mode.smallPlatform {
 		p := platform.SCSmall()
 		opts.SparsePlatform = &p
 	}
-	cl, err := cluster.Boot(m, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	client, err := cl.DialMain()
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-
 	// One deterministic request stream per model: every configuration
 	// replays the identical trace, as the paper's replayer does.
 	gen := workload.NewGenerator(m.Config, r.P.Seed)
-	rep := serve.NewReplayer(client)
-	if warm := rep.RunSerial(gen.GenerateBatch(r.P.Warmup)); warm.Failed() > 0 {
-		return nil, fmt.Errorf("warmup failed: %v", warm.Errors[0])
+	s, err := r.deploy(m, plan, opts, gen.GenerateBatch(r.P.Warmup))
+	if err != nil {
+		return nil, err
 	}
-	cl.ResetTraces()
-
-	reqs := gen.GenerateBatch(r.P.Requests)
-	var result *serve.Result
-	if mode.qps > 0 {
-		result = rep.RunOpenLoop(reqs, mode.qps)
-	} else {
-		result = rep.RunSerial(reqs)
+	defer s.Close()
+	if _, err := s.replay(gen.GenerateBatch(r.P.Requests), mode.qps); err != nil {
+		return nil, err
 	}
-	if result.Failed() > 0 {
-		return nil, fmt.Errorf("%d/%d requests failed: %v", result.Failed(), result.Sent, result.Errors[0])
-	}
-
-	spans := cl.Collector.Gather()
-	if drops := cl.Collector.TotalDrops(); drops > 0 {
-		return nil, fmt.Errorf("%d spans dropped; raise SpanCapacity", drops)
+	bs, spans, err := s.breakdowns()
+	if err != nil {
+		return nil, err
 	}
 	res := &runResult{
 		plan:       plan,
-		breakdowns: trace.Analyze(spans, "main"),
+		breakdowns: bs,
 		kindOpTime: make(map[string]time.Duration),
 	}
-	for _, s := range spans {
-		if s.Layer == trace.LayerOp && s.Kind != "Wait" {
-			res.kindOpTime[s.Kind] += s.Dur
+	for _, sp := range spans {
+		if sp.Layer == trace.LayerOp && sp.Kind != "Wait" {
+			res.kindOpTime[sp.Kind] += sp.Dur
 		}
 	}
 	if len(res.breakdowns) != r.P.Requests {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
-	"repro/internal/serve"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -21,7 +20,7 @@ import (
 // Paper shapes: ~5.56× smaller; latency and CPU within a few percent of
 // uncompressed. The exact ratio here is bounded by the per-row fp16
 // header at this reproduction's small embedding dimensions (see
-// EXPERIMENTS.md).
+// DESIGN.md "Experiments").
 func (r *Runner) Table3(w io.Writer) error {
 	writeHeader(w, "Table III — Quantization and pruning on DRM1 (singular)")
 	m := r.Model("DRM1")
@@ -66,25 +65,12 @@ func (r *Runner) Table3(w io.Writer) error {
 // build; unlike Runner.Run it does not memoize (the compressed model is
 // not part of the standard sweep).
 func (r *Runner) runCompressed(m *model.Model, label string) ([]trace.RequestBreakdown, error) {
-	plan := sharding.Singular(&m.Config)
-	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: r.P.Seed})
+	gen := workload.NewGenerator(m.Config, r.P.Seed)
+	s, err := r.deploy(m, sharding.Singular(&m.Config), cluster.Options{}, gen.GenerateBatch(r.P.Warmup))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: table3 %s: %w", label, err)
 	}
-	defer cl.Close()
-	client, err := cl.DialMain()
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	gen := workload.NewGenerator(m.Config, r.P.Seed)
-	rep := serve.NewReplayer(client)
-	if warm := rep.RunSerial(gen.GenerateBatch(r.P.Warmup)); warm.Failed() > 0 {
-		return nil, warm.Errors[0]
-	}
-	cl.ResetTraces()
-	if res := rep.RunSerial(gen.GenerateBatch(r.P.Requests)); res.Failed() > 0 {
-		return nil, res.Errors[0]
-	}
-	return trace.Analyze(cl.Collector.Gather(), "main"), nil
+	defer s.Close()
+	_, bs, err := s.replayTraced(gen.GenerateBatch(r.P.Requests), 0)
+	return bs, err
 }

@@ -13,8 +13,7 @@ import (
 // value — tighter than the run-to-run noise of anything it measures.
 //
 // Buckets are plain atomics with no locks; snapshots (HistSnapshot) are
-// mergeable and subtractable, sharing quantile semantics with the
-// offline internal/stats.Histogram.
+// mergeable and subtractable.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64

@@ -35,7 +35,7 @@ type CostModel struct {
 }
 
 // DefaultCostModel returns constants calibrated on this reproduction's
-// measured traces (see EXPERIMENTS.md); replace with fresh profiling
+// measured traces (see DESIGN.md "Experiments"); replace with fresh profiling
 // numbers when the serving substrate changes.
 func DefaultCostModel() CostModel {
 	return CostModel{
