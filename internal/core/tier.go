@@ -2,6 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/embedding"
 	"repro/internal/quant"
@@ -144,14 +148,12 @@ func tableOf(rows rowStore) (embedding.Table, error) {
 }
 
 // SetTier enables tiered storage, re-wrapping any already-installed
-// tables (drmserve's shard-file path imports first, tiers second) and
-// apportioning the cache budget.
+// tables (drmserve's shard-file path imports first, tiers second) on
+// GOMAXPROCS workers (wrapAll) and apportioning the cache budget.
 func (s *SparseShard) SetTier(cfg *TierConfig) {
 	s.mu.Lock()
 	s.tier = cfg
-	for key, tab := range s.tables {
-		s.tables[key] = s.tierWrap(key.id, tab)
-	}
+	s.wrapAll()
 	s.mu.Unlock()
 	s.retier()
 }
@@ -177,6 +179,37 @@ func (s *SparseShard) tierWrap(id int, t embedding.Table) embedding.Table {
 		return cold
 	}
 	return embedding.NewTiered(cold, 0)
+}
+
+// wrapAll applies tierWrap to every held table on runtime.GOMAXPROCS(0)
+// workers, largest table first so the last one a worker takes is a small
+// one. Encodings do not depend on which worker ran them. Callers hold mu.
+func (s *SparseShard) wrapAll() {
+	if s.tier == nil {
+		return
+	}
+	keys := sortedTableKeys(s.tables)
+	sort.SliceStable(keys, func(i, j int) bool { return s.tables[keys[i]].Bytes() > s.tables[keys[j]].Bytes() })
+	out := make([]embedding.Table, len(keys))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(keys) {
+					return
+				}
+				out[i] = s.tierWrap(keys[i].id, s.tables[keys[i]])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, key := range keys {
+		s.tables[key] = out[i]
+	}
 }
 
 // retier re-apportions the shard's cache byte budget across its tiered

@@ -89,24 +89,47 @@ func BenchmarkAccumulateBagByKernel(b *testing.B) {
 	}
 }
 
-// Ablation: encode throughput by width (the model-publishing cost).
+// Ablation: encode throughput by width — the cost of building a tiered
+// shard's cold tier at boot, of Table III's compression and of an int8
+// publish. Each arm encodes 65 536 values: the plain arms 4096 rows of 16
+// uniform in [0, 1), the drm-d8 and drm-d16 arms rows of a DRM table's
+// width with N(0, 0.1) values, as model.Build draws them. Each has a -ref
+// twin running the reference encoder the kernels replaced, so the
+// benchcheck faster-than assertion holds the encoder ahead of it within
+// one run.
 func BenchmarkQuantizeRowsByWidth(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	const rows, cols = 4096, 16
-	data := make([]float32, rows*cols)
-	for i := range data {
-		data[i] = rng.Float32()
+	const values = 65536
+	uniform := make([]float32, values)
+	for i := range uniform {
+		uniform[i] = rng.Float32()
 	}
-	for _, bits := range []Bits{Bits8, Bits4} {
-		name := "int8"
-		if bits == Bits4 {
-			name = "int4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				QuantizeRows(data, rows, cols, bits)
+	drm := make([]float32, values)
+	for i := range drm {
+		drm[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	for _, shape := range []struct {
+		prefix string
+		cols   int
+		data   []float32
+	}{{"", 16, uniform}, {"drm-d8/", 8, drm}, {"drm-d16/", 16, drm}} {
+		rows := values / shape.cols
+		for _, bits := range []Bits{Bits8, Bits4} {
+			name := shape.prefix + "int8"
+			if bits == Bits4 {
+				name = shape.prefix + "int4"
 			}
-			b.SetBytes(int64(len(data)) * 4)
-		})
+			for _, arm := range []struct {
+				suffix string
+				encode func([]float32, int, int, Bits) *RowQuantized
+			}{{"", QuantizeRows}, {"-ref", quantizeRowsRef}} {
+				b.Run(name+arm.suffix, func(b *testing.B) {
+					b.SetBytes(values * 4)
+					for i := 0; i < b.N; i++ {
+						arm.encode(shape.data, rows, shape.cols, bits)
+					}
+				})
+			}
+		}
 	}
 }

@@ -9,7 +9,8 @@ import "math"
 // float32→float16 and exact float16→float32.
 
 // f32to16 converts a float32 to IEEE 754 binary16 with round-to-nearest-
-// even, clamping overflow to ±Inf.
+// even, clamping overflow to ±Inf. Every NaN becomes the canonical quiet
+// NaN with its sign: 0x7e00 or 0xfe00.
 func f32to16(f float32) uint16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
@@ -18,9 +19,9 @@ func f32to16(f float32) uint16 {
 
 	switch {
 	case exp >= 0x1f:
-		// Overflow (or Inf/NaN input): keep NaN payloads, clamp to Inf.
+		// Overflow, Inf or NaN: a NaN's payload is dropped, not kept.
 		if int32(b>>23&0xff) == 0xff && mant != 0 {
-			return sign | 0x7e00 // quiet NaN
+			return sign | 0x7e00
 		}
 		return sign | 0x7c00
 	case exp <= 0:

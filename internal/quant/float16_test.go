@@ -42,6 +42,19 @@ func TestFloat16NaN(t *testing.T) {
 	if got := f16to32(f32to16(nan)); !math.IsNaN(float64(got)) {
 		t.Errorf("NaN should round-trip as NaN, got %v", got)
 	}
+	// Every NaN, whatever its payload or quietness, encodes as the
+	// canonical quiet NaN with its sign: an encoder header is these bits.
+	for _, c := range []struct {
+		bits uint32
+		want uint16
+	}{
+		{0x7fc00000, 0x7e00}, {0x7fc01234, 0x7e00}, {0x7f800001, 0x7e00}, {0x7fffffff, 0x7e00},
+		{0xffc00000, 0xfe00}, {0xffc00001, 0xfe00}, {0xff800001, 0xfe00}, {0xffffffff, 0xfe00},
+	} {
+		if got := f32to16(math.Float32frombits(c.bits)); got != c.want {
+			t.Errorf("f32to16(%#08x) = %#04x, want %#04x", c.bits, got, c.want)
+		}
+	}
 }
 
 func TestFloat16Subnormals(t *testing.T) {

@@ -15,6 +15,8 @@ package quant
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // Bits is the quantization width of an encoded table.
@@ -57,6 +59,17 @@ func rowStrideFor(cols int, b Bits) int {
 
 // QuantizeRows encodes a rows×cols float32 table (row-major) with row-wise
 // linear quantization at the given width.
+//
+// Per row: lo is the least of MaxFloat32 and the row's non-NaN values,
+// hi the greatest of −MaxFloat32 and them (of a −0 and a +0, the one met
+// first), the header is scale = (hi−lo)/levels
+// (1 when 0) and bias = lo, both rounded to fp16, and each value v is
+// encoded against the rounded header as x = (v−bias)/scale in float32,
+// then the code is 0 for x < 0.5 or NaN, levels for x ≥ levels + 0.5,
+// and floor(x + 0.5) between — math.Round of x clamped to [0, levels].
+// The vector family's kernel (encode_amd64.s) and the generic loop
+// below write the same bytes for every input; the package's tests hold
+// both to the reference encoder they replaced.
 func QuantizeRows(data []float32, rows, cols int, bits Bits) *RowQuantized {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), rows, cols))
@@ -69,43 +82,64 @@ func QuantizeRows(data []float32, rows, cols int, bits Bits) *RowQuantized {
 		Packed:    make([]byte, rows*stride),
 		rowStride: stride,
 	}
-	levels := float32(int(1)<<bits - 1)
-	for r := 0; r < rows; r++ {
-		row := data[r*cols : (r+1)*cols]
-		lo, hi := minMax(row)
-		scale := (hi - lo) / levels
-		if scale == 0 {
-			// Constant row: encode all-zero codes with bias = lo.
-			scale = 1
-		}
-		// Encode against the fp16-rounded header values so decode uses
-		// exactly the parameters the codes were computed with.
-		q.Scales[r] = f32to16(scale)
-		q.Biases[r] = f32to16(lo)
-		scale = f16to32(q.Scales[r])
-		if scale == 0 {
-			scale = 1
-			q.Scales[r] = f32to16(1)
-		}
-		bias := f16to32(q.Biases[r])
-		dst := q.Packed[r*stride : (r+1)*stride]
-		for c, v := range row {
-			code := uint8(clampRound((v-bias)/scale, levels))
-			switch bits {
-			case Bits8:
-				dst[c] = code
-			case Bits4:
-				if c%2 == 0 {
-					dst[c/2] = code
-				} else {
-					dst[c/2] |= code << 4
-				}
-			}
-		}
+	if tensor.VectorLanes() > 0 && len(data) > 0 {
+		q.encodeVec(data)
+	} else {
+		q.encodeScalar(data)
 	}
 	return q
 }
 
+// levels is the largest code at the table's width.
+func (q *RowQuantized) levels() float32 { return float32(int(1)<<q.Bits - 1) }
+
+// header writes row r's fp16 (scale, bias) for the range [lo, hi] and
+// returns the float32 values the row's codes are computed against: the
+// rounded ones, so decode uses exactly the parameters the codes were
+// computed with.
+func (q *RowQuantized) header(r int, lo, hi, levels float32) (scale, bias float32) {
+	scale = (hi - lo) / levels
+	if scale == 0 {
+		// Constant row: encode all-zero codes with bias = lo.
+		scale = 1
+	}
+	q.Scales[r] = f32to16(scale)
+	q.Biases[r] = f32to16(lo)
+	scale = f16to32(q.Scales[r])
+	if scale == 0 {
+		scale = 1
+		q.Scales[r] = f32to16(1)
+	}
+	return scale, f16to32(q.Biases[r])
+}
+
+// encodeScalar is the generic family's encoder.
+func (q *RowQuantized) encodeScalar(data []float32) {
+	levels := q.levels()
+	for r := 0; r < q.Rows; r++ {
+		row := data[r*q.Cols : (r+1)*q.Cols]
+		lo, hi := minMax(row)
+		scale, bias := q.header(r, lo, hi, levels)
+		dst := q.Packed[r*q.rowStride : (r+1)*q.rowStride]
+		if q.Bits == Bits8 {
+			for c, v := range row {
+				dst[c] = code(v, scale, bias, levels)
+			}
+			continue
+		}
+		c := 0
+		for ; c+1 < len(row); c += 2 {
+			dst[c/2] = code(row[c], scale, bias, levels) | code(row[c+1], scale, bias, levels)<<4
+		}
+		if c < len(row) {
+			dst[c/2] = code(row[c], scale, bias, levels)
+		}
+	}
+}
+
+// minMax is the reference range scan: each strictly smaller (greater)
+// value replaces the running bound, so NaNs are skipped and the first of
+// equal values is kept.
 func minMax(xs []float32) (lo, hi float32) {
 	lo, hi = math.MaxFloat32, -math.MaxFloat32
 	for _, v := range xs {
@@ -119,15 +153,19 @@ func minMax(xs []float32) (lo, hi float32) {
 	return lo, hi
 }
 
-func clampRound(x, max float32) float32 {
-	v := float32(math.Round(float64(x)))
-	if v < 0 {
+// code encodes one value: math.Round((v−bias)/scale) clamped to [0,
+// levels], without the round trip through math.Round. A float32 x ≥ 0.5
+// plus 0.5 is exact in float64, so the truncation is floor(x + 0.5),
+// which is math.Round for a positive x.
+func code(v, scale, bias, levels float32) uint8 {
+	x := (v - bias) / scale
+	switch {
+	case !(x >= 0.5):
 		return 0
+	case x >= levels+0.5:
+		return uint8(levels)
 	}
-	if v > max {
-		return max
-	}
-	return v
+	return uint8(float64(x) + 0.5)
 }
 
 // NewFromParts reconstructs a RowQuantized table from its serialized
