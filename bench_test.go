@@ -27,6 +27,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/quant"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -299,19 +300,14 @@ func BenchmarkEngineDistributedDRM1(b *testing.B) {
 }
 
 // shardCallOperands builds what sparse shard 1 of a 4-shard load-balanced
-// DRM1 deployment pools for each of n requests: per request the shard's
-// entries — its ≈ 64 tables with the request's hashed bags, ≈ 28 % of
-// them non-empty, ≈ 1 900 lookups — net by net, over the model's own
-// 194 MiB of tables, so that cycling through the requests reads rows
-// that have left the cache.
-func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lookups int) {
-	cfg := model.ByName("DRM1")
-	m := model.Build(cfg)
+// deployment of cfg pools for each of n requests drawn from gen: per
+// request the shard's entries over tables (indexed by table id) with the
+// request's hashed bags, net by net, into packed regions.
+func shardCallOperands(b *testing.B, cfg model.Config, gen *workload.Generator, tables []embedding.Table, n int) (calls [][][]embedding.PoolEntry, lookups int) {
 	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := workload.NewGenerator(cfg, 1)
 	for r := 0; r < n; r++ {
 		req := core.FromWorkload(gen.Next())
 		hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
@@ -333,7 +329,7 @@ func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lo
 				l.Indices = hash.Entries[id].Out
 				lookups += len(l.Indices)
 				entries = append(entries, embedding.PoolEntry{
-					Table: m.Tables[id], Lens: l.Lens, Indices: l.Indices, Out: make([]float32, l.Present()*cfg.Tables[id].Dim),
+					Table: tables[id], Lens: l.Lens, Indices: l.Indices, Out: make([]float32, l.Present()*cfg.Tables[id].Dim),
 				})
 			}
 			nets = append(nets, entries)
@@ -343,27 +339,99 @@ func shardCallOperands(b *testing.B, n int) (calls [][][]embedding.PoolEntry, lo
 	return calls, lookups
 }
 
+// drm2Int8Tables builds the tables shard 1 of a 4-shard load-balanced
+// DRM2 deployment serves under the burst_front_skew tier: each in the
+// cold tier sharding.PlanTiers gives it at int8 (int8, or fp32 under the
+// planner's size floor), indexed by table id, nil off the shard.
+func drm2Int8Tables(b *testing.B, cfg model.Config) []embedding.Table {
+	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tier := sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: sharding.PrecisionInt8})
+	m := model.Build(cfg)
+	tables := make([]embedding.Table, len(cfg.Tables))
+	for _, id := range plan.Shards[0].Tables {
+		tables[id] = m.Tables[id]
+		if tier.Precision(id) == sharding.PrecisionInt8 {
+			tables[id] = m.Tables[id].(*embedding.Dense).Quantize(quant.Bits8)
+		}
+	}
+	return tables
+}
+
 // BenchmarkPoolShardCall measures the pooling of one sparse.run call as
 // the shard runs it — one embedding.Pool per net, into packed regions —
-// under each kernel family: the vector family sums fp32 rows in AVX
-// registers and prefetches across the call's tables, the generic one is
-// the Go loop. ns/lookup is the figure to compare across hosts.
+// under each kernel family. The plain arms are DRM1's shard 1 over the
+// model's own 194 MiB of fp32 tables, ≈ 64 tables and ≈ 1 900 lookups a
+// call, so that cycling through 256 requests reads rows that have left
+// the cache: the vector family sums fp32 rows in AVX registers and
+// prefetches across the call's tables, the generic one is the Go loop.
+// The drm2-int8 arms are DRM2's shard 1 under the burst_front_skew tier
+// (int8 cold tier, Zipf(1.2) rows): vector and generic pool the bare
+// tier, cached the same tier behind warmed TieredTables sharing the
+// workload's 8 MiB budget by cold bytes — what a shard ran before a
+// quantized tier was served uncached. ns/lookup is the figure to compare
+// across hosts.
 func BenchmarkPoolShardCall(b *testing.B) {
 	const requests = 256
-	calls, lookups := shardCallOperands(b, requests)
-	for _, kern := range []tensor.Kernel{tensor.KernelVector, tensor.KernelGeneric} {
-		b.Run(kern.String(), func(b *testing.B) {
-			tensor.SetKernel(kern)
-			defer tensor.SetKernel(tensor.KernelAuto)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, entries := range calls[i%requests] {
-					embedding.Pool(entries)
-				}
+	run := func(b *testing.B, kern tensor.Kernel, calls [][][]embedding.PoolEntry, lookups int) {
+		tensor.SetKernel(kern)
+		defer tensor.SetKernel(tensor.KernelAuto)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, entries := range calls[i%requests] {
+				embedding.Pool(entries)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(lookups)/requests), "ns/lookup")
-		})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(lookups)/requests), "ns/lookup")
 	}
+
+	drm1 := model.ByName("DRM1")
+	m := model.Build(drm1)
+	calls, lookups := shardCallOperands(b, drm1, workload.NewGenerator(drm1, 1), m.Tables, requests)
+	for _, kern := range []tensor.Kernel{tensor.KernelVector, tensor.KernelGeneric} {
+		b.Run(kern.String(), func(b *testing.B) { run(b, kern, calls, lookups) })
+	}
+	m, calls = nil, nil // DRM1's tables go before DRM2's are built
+
+	b.Run("drm2-int8", func(b *testing.B) {
+		drm2 := model.ByName("DRM2")
+		tables := drm2Int8Tables(b, drm2)
+		gen := workload.NewGenerator(drm2, 1)
+		gen.EnableRowSkew(1.2)
+		calls, lookups := shardCallOperands(b, drm2, gen, tables, requests)
+		for _, kern := range []tensor.Kernel{tensor.KernelVector, tensor.KernelGeneric} {
+			b.Run(kern.String(), func(b *testing.B) { run(b, kern, calls, lookups) })
+		}
+
+		// The cached arm: every table of the shard behind a TieredTable, the
+		// budget split by cold bytes, warmed by one pass over the requests.
+		const budget = 8 << 20
+		var coldBytes int64
+		for _, t := range tables {
+			if t != nil {
+				coldBytes += t.Bytes()
+			}
+		}
+		tiered := make(map[embedding.Table]embedding.Table)
+		for _, t := range tables {
+			if t != nil {
+				rows := int(budget * t.Bytes() / coldBytes / int64(4*t.Dim()))
+				tiered[t] = embedding.NewTiered(t, min(rows, t.NumRows()))
+			}
+		}
+		for _, nets := range calls {
+			for _, entries := range nets {
+				for i := range entries {
+					entries[i].Table = tiered[entries[i].Table]
+				}
+				embedding.Pool(entries)
+			}
+		}
+		b.Run("cached", func(b *testing.B) { run(b, tensor.KernelVector, calls, lookups) })
+	})
 }
 
 // nopExec is a zero-cost executor isolating the serving frontend's own

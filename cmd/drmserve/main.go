@@ -130,7 +130,7 @@ func parse(args []string) (*config, error) {
 
 	// Tiered embedding storage (sparse role): a hot-row cache byte budget
 	// in front of a quantized cold tier.
-	fs.Float64Var(&cacheMB, "cache-mb", 0, "sparse role: hot-row cache budget in MiB, apportioned across tables by measured load (0 disables)")
+	fs.Float64Var(&cacheMB, "cache-mb", 0, "sparse role: hot-row cache budget in MiB over the fp32/fp16 cold tiers, apportioned across those tables by measured load (0 disables; an int8 tier is never cached)")
 	fs.StringVar(&coldPrec, "cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
 	fs.Float64Var(&errBudget, "error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
 

@@ -121,7 +121,7 @@ func waitGoroutines(t *testing.T, before int) {
 // a clean close, and goroutines settled — for a plain deployment, one
 // with a repeated peer name under hedging and health ejection, and one
 // whose sparse roles boot from an exported shard-file directory under an
-// int8 cold tier.
+// fp16 cold tier behind hot-row caches.
 func TestStandaloneRolesMatchBoot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -135,7 +135,7 @@ func TestStandaloneRolesMatchBoot(t *testing.T) {
 	reqs := workload.NewGenerator(cfg, 77).GenerateBatch(12)
 	tier := &core.TierConfig{
 		CacheMB: 0.05,
-		Plan:    sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1}),
+		Plan:    sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: sharding.PrecisionFP16, MinTableBytes: 1}),
 	}
 	dir := t.TempDir()
 	for shard := 1; shard <= plan.NumShards; shard++ {

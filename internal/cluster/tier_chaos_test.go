@@ -13,13 +13,14 @@ import (
 )
 
 // tierFor enables the tiered store on the small test model: every table
-// int8-quantized (the model's tables are far below the planner's default
-// size floor, so the floor is lowered) behind a modest hot-row cache.
+// encoded to fp16 (the model's tables are far below the planner's default
+// size floor, so the floor is lowered) behind a modest hot-row cache —
+// the cold tier a shard caches; an int8 one it serves bare.
 func tierFor(cfg *model.Config) *core.TierConfig {
 	return &core.TierConfig{
 		CacheMB: 0.5,
 		Plan: sharding.PlanTiers(cfg, sharding.TierOptions{
-			ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1,
+			ColdPrecision: sharding.PrecisionFP16, MinTableBytes: 1,
 		}),
 	}
 }
@@ -46,10 +47,10 @@ func bootTiered(t *testing.T, cfg model.Config, m *model.Model) (*cluster.Cluste
 }
 
 // TestTieredRebalanceChaosIdentity is the cluster-level chaos check for
-// the tiered store's coherence contract: two identical int8+cache
+// the tiered store's coherence contract: two identical fp16+cache
 // deployments replay the same skewed scored stream from multiple
 // concurrent clients while one of them runs a live Rebalance mid-replay
-// — quantized rows streaming between shards, caches dying with their
+// — fp16 rows streaming between shards, caches dying with their
 // table copies, budgets re-apportioning — and every request's scores
 // must stay byte-identical to the undisturbed control. Run under -race
 // in CI, it doubles as the data-race sweep over the cache's lock-free
@@ -161,7 +162,7 @@ func TestTieredRebalanceChaosIdentity(t *testing.T) {
 	}
 
 	// The tier stayed live through the migration: caches exist on both
-	// deployments and the moved tables kept their int8 encoding.
+	// deployments and the moved tables kept their fp16 encoding.
 	var hits int64
 	fp32Tables := 0
 	for _, st := range chaos.TierStats() {
@@ -172,7 +173,7 @@ func TestTieredRebalanceChaosIdentity(t *testing.T) {
 		t.Fatal("chaos deployment served no cache hits")
 	}
 	if fp32Tables != 0 {
-		t.Fatalf("%d tables lost their quantized encoding across migration", fp32Tables)
+		t.Fatalf("%d tables lost their fp16 encoding across migration", fp32Tables)
 	}
 
 	// Sanity on the identity harness itself: control and chaos really ran

@@ -119,19 +119,19 @@ func TestRebuildFromPeerFP32(t *testing.T) {
 	}
 }
 
-// TestRebuildFromPeerEncodedTiers rebuilds a tiered (int8 cold tier +
+// TestRebuildFromPeerEncodedTiers rebuilds a tiered (fp16 cold tier +
 // hot-row cache) shard: encoded rows must stream verbatim and the
 // replacement must rejoin cold-cached.
 func TestRebuildFromPeerEncodedTiers(t *testing.T) {
-	f := newTieredMigrationFixture(t, sharding.PrecisionInt8, 0.25)
+	f := newTieredMigrationFixture(t, sharding.PrecisionFP16, 0.25)
 	src := f.shards[0]
 	cfg := tinyConfig()
-	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionInt8, 0.25))
+	rebuilt, _ := rebuildFromShard(t, src, tierConfigFor(&cfg, sharding.PrecisionFP16, 0.25))
 	requireShardsByteIdentical(t, src, rebuilt)
 
 	ts := rebuilt.TierSnapshot()
-	if ts.Int8 != ts.Tables || ts.Tables == 0 {
-		t.Fatalf("rebuilt tier snapshot = %+v, want all-int8", ts)
+	if ts.FP16 != ts.Tables || ts.Tables == 0 || ts.CacheCapBytes == 0 {
+		t.Fatalf("rebuilt tier snapshot = %+v, want all-fp16 behind caches", ts)
 	}
 	if ts.CacheBytes != 0 || ts.Hits != 0 {
 		t.Fatalf("replacement must start cold-cached: %+v", ts)

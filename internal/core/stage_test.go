@@ -85,7 +85,8 @@ func TestCloneIdentityDelta(t *testing.T) {
 		{"fp32", sharding.PrecisionFP32, 0},
 		{"fp16", sharding.PrecisionFP16, 0},
 		{"int8", sharding.PrecisionInt8, 0},
-		{"int8-cached", sharding.PrecisionInt8, 1},
+		{"fp16-cached", sharding.PrecisionFP16, 1},
+		{"int8-cached", sharding.PrecisionInt8, 1}, // the budget leaves an int8 tier bare
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, plan, shards := twoShards(t, func(cfg *model.Config) *TierConfig {

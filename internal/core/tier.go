@@ -13,10 +13,11 @@ import (
 )
 
 // Tiered embedding storage inside the sparse serving path: each shard can
-// keep a bounded hot-row cache in front of a quantized cold tier. The
-// capacity planner (sharding.PlanTiers) decides per-table precision; the
-// shard-side controller here owns the cache byte budget, apportioning it
-// across the shard's tables by their *measured* load share — the same
+// encode its tables to a smaller cold tier and keep a bounded hot-row
+// cache in front of the fp32 and fp16 ones. The capacity planner
+// (sharding.PlanTiers) decides per-table precision; the shard-side
+// controller here owns the cache byte budget, apportioning it across the
+// shard's cached tables by their *measured* load share — the same
 // LoadSummary accounting the online rebalancer plans from — and
 // re-apportioning whenever the table set changes (install, migration
 // commit, forward, release).
@@ -33,8 +34,9 @@ import (
 
 // TierConfig enables tiered storage on a sparse shard.
 type TierConfig struct {
-	// CacheMB is the shard-wide hot-row cache byte budget (0 disables
-	// caching; cold-tier encoding still applies).
+	// CacheMB is the shard-wide hot-row cache byte budget over the fp32
+	// and fp16 cold tiers (0 disables caching; cold-tier encoding still
+	// applies). An int8/int4 cold tier is never cached.
 	CacheMB float64
 	// Plan assigns per-table cold precisions; nil keeps every table fp32
 	// (cache-only tiering).
@@ -160,8 +162,11 @@ func (s *SparseShard) SetTier(cfg *TierConfig) {
 
 // tierWrap applies the shard's tier config to a table about to be
 // installed: encode a dense cold tier to the planned precision, then
-// front it with a (initially empty) hot-row cache when a budget exists.
-// Already-encoded tables (staged-commit output) keep their encoding.
+// front an fp32 or fp16 one with a (initially empty) hot-row cache when a
+// budget exists. A quantized cold tier is installed bare: it pools
+// through embedding.Pool's prefetched walk, which costs less than the
+// cache's hit did. Already-encoded tables (staged-commit output) keep
+// their encoding.
 func (s *SparseShard) tierWrap(id int, t embedding.Table) embedding.Table {
 	if s.tier == nil {
 		return t
@@ -175,7 +180,7 @@ func (s *SparseShard) tierWrap(id int, t embedding.Table) embedding.Table {
 			cold = d.Quantize(quant.Bits8)
 		}
 	}
-	if s.tier.CacheMB <= 0 {
+	if _, quantized := cold.(*embedding.Quantized); quantized || s.tier.CacheMB <= 0 {
 		return cold
 	}
 	return embedding.NewTiered(cold, 0)

@@ -65,11 +65,11 @@ func newTieredMigrationFixture(t *testing.T, prec sharding.Precision, cacheMB fl
 	return f
 }
 
-// TestTieredMigrationIdentity walks an encoded (int8 + cached) table
-// through the cutover states and requires byte-identical pooled results
-// throughout: encoded rows stream verbatim, the committed copy starts
-// with a cold cache, and the double-read window serves from the
-// retained tiered copy.
+// TestTieredMigrationIdentity walks a tiered table — fp32 or fp16 behind
+// a cache, int8 bare — through the cutover states and requires
+// byte-identical pooled results throughout: encoded rows stream verbatim,
+// a committed cached copy starts with a cold cache, and the double-read
+// window serves from the retained copy.
 func TestTieredMigrationIdentity(t *testing.T) {
 	for _, prec := range []sharding.Precision{sharding.PrecisionFP32, sharding.PrecisionFP16, sharding.PrecisionInt8} {
 		t.Run(string(prec), func(t *testing.T) {
@@ -170,8 +170,37 @@ func TestTieredShardMatchesPlainFP32(t *testing.T) {
 	}
 }
 
+// TestQuantizedTierIsUncached: under a cache budget an int8 cold tier is
+// installed bare — no cache capacity is apportioned to it — and serves
+// exactly the bytes the same tier without a budget does.
+func TestQuantizedTierIsUncached(t *testing.T) {
+	cached := newTieredMigrationFixture(t, sharding.PrecisionInt8, 1)
+	bare := newTieredMigrationFixture(t, sharding.PrecisionInt8, 0)
+	for i, sh := range cached.shards {
+		if st := sh.TierSnapshot(); st.Int8 != st.Tables || st.CacheCapBytes != 0 {
+			t.Fatalf("shard %d under a 1 MiB budget: %+v, want every table int8 and no cache", i, st)
+		}
+	}
+	ctx := trace.Context{}
+	for seed := int64(1); seed <= 3; seed++ {
+		body := cached.runRequest(t, seed)
+		want, err := bare.shards[0].Handle(ctx, MethodSparseRun, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cached.shards[0].Handle(ctx, MethodSparseRun, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("request %d: the int8 tier under a cache budget pooled other bytes", seed)
+		}
+	}
+}
+
 // TestSetTierWrapsImportedTables covers drmserve's shard-file path:
-// import plain fp32 tables, then SetTier encodes and caches them.
+// import plain fp32 tables, then SetTier encodes them to fp16 and caches
+// them.
 func TestSetTierWrapsImportedTables(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
@@ -180,10 +209,10 @@ func TestSetTierWrapsImportedTables(t *testing.T) {
 		sh.AddTable(id, tab)
 	}
 	before := sh.Bytes()
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionInt8, 0.01))
+	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.01))
 	st := sh.TierSnapshot()
-	if st.Int8 != len(m.Tables) {
-		t.Fatalf("SetTier quantized %d of %d tables", st.Int8, len(m.Tables))
+	if st.FP16 != len(m.Tables) {
+		t.Fatalf("SetTier encoded %d of %d tables to fp16", st.FP16, len(m.Tables))
 	}
 	if st.ColdBytes >= before {
 		t.Fatalf("tiering did not shrink cold bytes: %d -> %d", before, st.ColdBytes)
@@ -205,7 +234,7 @@ func TestRetierFollowsLoad(t *testing.T) {
 	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
 	// A deliberately scarce budget: the apportionment must choose, so the
 	// hot table's share visibly beats a cold one's.
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionInt8, 0.002))
+	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.002))
 	for id, tab := range m.Tables {
 		sh.AddTable(id, tab)
 	}
@@ -246,7 +275,7 @@ func TestRetierFloorSeedsNewcomer(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
 	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionInt8, 0.05))
+	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.05))
 	for id, tab := range m.Tables {
 		sh.AddTable(id, tab)
 	}
@@ -279,7 +308,7 @@ func TestRetierDeterministic(t *testing.T) {
 	build := func() map[int]int {
 		m := model.Build(cfg)
 		sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
-		sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionInt8, 0.002))
+		sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.002))
 		for id, tab := range m.Tables {
 			sh.AddTable(id, tab)
 		}

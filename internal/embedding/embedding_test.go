@@ -399,15 +399,18 @@ func TestPoolPackedAndStrided(t *testing.T) {
 func TestPoolPanicsOnMisfitOut(t *testing.T) {
 	tab := NewDense(4, 2)
 	lens, idx := []int32{1, 0, 2}, []int32{1, 2, 3}
+	short := tab.Quantize(quant.Bits8)
+	short.Encoding().Biases = short.Encoding().Biases[:3]
 	for name, e := range map[string]PoolEntry{
-		"packed too short":     {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 2)},
-		"packed too long":      {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6)},
-		"stride under dim":     {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6), Stride: 1},
-		"strided too short":    {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 7), Stride: 3},
-		"table under shape":    {Table: &Dense{RowsN: 4, DimN: 2, Data: make([]float32, 7)}, Lens: lens, Indices: idx, Out: make([]float32, 4)},
-		"negative length":      {Table: tab, Lens: []int32{1, -1, 2}, Indices: idx, Out: make([]float32, 4)},
-		"lengths past the end": {Table: tab, Lens: []int32{1, 0, 3}, Indices: idx, Out: make([]float32, 4)},
-		"indices left over":    {Table: tab, Lens: []int32{1, 0, 1}, Indices: idx, Out: make([]float32, 4)},
+		"quantized under shape": {Table: short, Lens: lens, Indices: idx, Out: make([]float32, 4)},
+		"packed too short":      {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 2)},
+		"packed too long":       {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6)},
+		"stride under dim":      {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 6), Stride: 1},
+		"strided too short":     {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 7), Stride: 3},
+		"table under shape":     {Table: &Dense{RowsN: 4, DimN: 2, Data: make([]float32, 7)}, Lens: lens, Indices: idx, Out: make([]float32, 4)},
+		"negative length":       {Table: tab, Lens: []int32{1, -1, 2}, Indices: idx, Out: make([]float32, 4)},
+		"lengths past the end":  {Table: tab, Lens: []int32{1, 0, 3}, Indices: idx, Out: make([]float32, 4)},
+		"indices left over":     {Table: tab, Lens: []int32{1, 0, 1}, Indices: idx, Out: make([]float32, 4)},
 	} {
 		func() {
 			defer func() {

@@ -2,7 +2,9 @@ package embedding
 
 import (
 	"fmt"
+	"unsafe"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -44,18 +46,22 @@ type PoolEntry struct {
 // loop zeroes the row and adds into it. Both perform, per element,
 // the same float32 additions in the same order, and when an add meets
 // two NaNs the accumulator's payload survives in both, so they agree bit
-// for bit (internal/kerneltest's TestSLSPackedDifferential). Other
-// backends pool through AccumulateBag / AccumulateRow into a zeroed row,
-// as they always have.
+// for bit (internal/kerneltest's TestSLSPackedDifferential). A quantized
+// bag (int8 or int4) is summed by quant's RowQuantized.AccumulateBag into
+// the cleared row: index order, the per-width vector or scalar decode. A
+// tiered table pools through its own AccumulateBag and any other backend
+// row by row through AccumulateRow, both into a zeroed row.
 //
 // Prefetch. A shard's call reads a few random rows from each of many
 // tables — about three per table, every one a cache miss and most a TLB
 // miss — so no per-table loop can look ahead. Under the vector family a
-// Dense bag is therefore not summed when the walk reaches it: it joins a
-// chunk of bags worth about prefetchDistance lookups, across table
-// boundaries. When a chunk fills, all its rows are prefetched in one
-// burst — back to back, so the misses and the page walks under them
-// overlap — and the previous chunk, prefetched a chunk ago, is summed.
+// Dense or quantized bag is therefore not summed when the walk reaches
+// it: it joins a chunk of bags worth about prefetchDistance lookups,
+// across table boundaries. When a chunk fills, every line its rows will
+// read — an fp32 row's values; a quantized row's fp16 scale, fp16 bias
+// and codes — is prefetched in one burst, back to back, so the misses and
+// the page walks under them overlap, and the previous chunk, prefetched a
+// chunk ago, is summed.
 func Pool(entries []PoolEntry) {
 	// Dispatch is resolved once per call, so a SetKernel racing it never
 	// splits a call across families.
@@ -64,15 +70,11 @@ func Pool(entries []PoolEntry) {
 	for i := range entries {
 		e := &entries[i]
 		rows, dim := e.Table.NumRows(), e.Table.Dim()
-		dense, _ := e.Table.(*Dense)
-		if dense != nil && len(dense.Data) < rows*dim {
-			panic(fmt.Sprintf("embedding: dense table holds %d values for %dx%d", len(dense.Data), rows, dim))
-		}
 		if e.Stride != 0 && e.Stride < dim {
 			panic(fmt.Sprintf("embedding: out stride %d < dim %d", e.Stride, dim))
 		}
-		bagAcc, _ := e.Table.(BagAccumulator)
-		asm := havePoolAsm && lanes >= 8 && dim%8 == 0
+		job, queued := jobFor(e.Table, rows, dim, lanes)
+		tiered, _ := e.Table.(*TieredTable)
 		off, pos := 0, 0
 		for b, n := range e.Lens {
 			if n == 0 && e.Stride == 0 {
@@ -103,11 +105,12 @@ func Pool(entries []PoolEntry) {
 				}
 			}
 			switch {
-			case dense != nil:
-				q.push(sumJob{table: dense, indices: indices, dst: dst}, asm)
-			case bagAcc != nil:
+			case queued:
+				job.indices, job.dst = indices, dst
+				q.push(&job)
+			case tiered != nil:
 				clear(dst)
-				bagAcc.AccumulateBag(dst, indices)
+				tiered.AccumulateBag(dst, indices)
 			default:
 				clear(dst)
 				for _, idx := range indices {
@@ -131,12 +134,62 @@ func Pool(entries []PoolEntry) {
 // the pooled rate is flat from 16 to 128 on the reference host.
 const prefetchDistance = 64
 
-// sumJob is one Dense bag with validated indices, waiting to be summed.
-// The assembly kernels read its fields (go_asm.h).
+// sumJob is one Dense or quantized bag with validated indices, waiting to
+// be summed. The assembly kernels read its fields (go_asm.h).
 type sumJob struct {
-	table   *Dense
 	indices []int32
 	dst     []float32 // len(dst) is the table's Dim
+	// The storage the prefetch reads: row r's fp32 values, or its codes,
+	// start stride bytes apart from rows, and a quantized row's fp16 scale
+	// and bias are scales[r] and biases[r] (nil for an fp32 table).
+	rows           unsafe.Pointer
+	stride         int
+	scales, biases *uint16
+	// What sums the bag: the fp32 table — by the assembly row-sum when avx
+	// — or the quantized one.
+	dense *Dense
+	quant *quant.RowQuantized
+	avx   bool
+}
+
+// jobFor returns the job every bag of a Dense or quantized table queues
+// as, its indices and dst unset, once the table's storage is checked to
+// hold every row of its shape. queued is false for any other backend.
+func jobFor(t Table, rows, dim, lanes int) (j sumJob, queued bool) {
+	switch t := t.(type) {
+	case *Dense:
+		if len(t.Data) < rows*dim {
+			panic(fmt.Sprintf("embedding: dense table holds %d values for %dx%d", len(t.Data), rows, dim))
+		}
+		return sumJob{
+			rows: unsafe.Pointer(unsafe.SliceData(t.Data)), stride: 4 * dim,
+			dense: t, avx: havePoolAsm && lanes >= 8 && dim%8 == 0,
+		}, true
+	case *Quantized:
+		enc := t.enc
+		stride := enc.CodeStride()
+		if len(enc.Scales) < rows || len(enc.Biases) < rows || len(enc.Packed) < rows*stride {
+			panic(fmt.Sprintf("embedding: quantized table holds %d scales, %d biases and %d code bytes for %d rows of %d",
+				len(enc.Scales), len(enc.Biases), len(enc.Packed), rows, stride))
+		}
+		return sumJob{
+			rows: unsafe.Pointer(unsafe.SliceData(enc.Packed)), stride: stride,
+			scales: unsafe.SliceData(enc.Scales), biases: unsafe.SliceData(enc.Biases),
+			quant: enc,
+		}, true
+	}
+	return sumJob{}, false
+}
+
+// sum pools the job's bag by Go code: the generic row-sum for an fp32
+// bag, the quantized decode from +0 for a quantized one.
+func (j *sumJob) sum() {
+	if j.quant != nil {
+		clear(j.dst)
+		j.quant.AccumulateBag(j.dst, j.indices)
+		return
+	}
+	j.dense.sumRows(j.dst, j.indices)
 }
 
 // sumQueue is Pool's look-ahead: the chunk being filled and the one
@@ -145,47 +198,49 @@ type sumQueue struct {
 	prefetch bool
 	chunk    [2][32]sumJob
 	n        [2]int
-	goSum    [2]bool // some job of the chunk cannot take the assembly row-sum
-	cur      int     // the chunk being filled
-	lookups  int     // in it
+	cur      int // the chunk being filled
+	lookups  int // in it
 }
 
 // push sums j at once when there is nothing to prefetch with; otherwise
-// it adds j to the current chunk and turns the chunks over when that one
-// is full.
-func (q *sumQueue) push(j sumJob, asm bool) {
+// it adds a copy of j to the current chunk and turns the chunks over when
+// that one is full.
+func (q *sumQueue) push(j *sumJob) {
 	if !q.prefetch {
-		j.table.sumRows(j.dst, j.indices)
+		j.sum()
 		return
 	}
 	c := q.cur
-	q.chunk[c][q.n[c]] = j
+	q.chunk[c][q.n[c]] = *j
 	q.n[c]++
-	q.goSum[c] = q.goSum[c] || !asm
 	q.lookups += len(j.indices)
 	if q.n[c] == len(q.chunk[c]) || q.lookups >= prefetchDistance {
 		q.turn()
 	}
 }
 
-// turn prefetches the current chunk's rows, sums the previous chunk, and
-// makes that one, now empty, current.
+// turn prefetches the current chunk's rows, sums the previous chunk —
+// each run of jobs the assembly row-sum takes in one call, every other
+// job by its Go loop — and makes that one, now empty, current.
 func (q *sumQueue) turn() {
 	c, p := q.cur, 1-q.cur
 	if q.n[c] > 0 {
 		prefetchJobs(&q.chunk[c][0], q.n[c])
 	}
-	switch {
-	case q.n[p] == 0:
-	case q.goSum[p]:
-		for i := range q.chunk[p][:q.n[p]] {
-			j := &q.chunk[p][i]
-			j.table.sumRows(j.dst, j.indices)
+	for jobs := q.chunk[p][:q.n[p]]; len(jobs) > 0; {
+		n := 0
+		for n < len(jobs) && jobs[n].avx {
+			n++
 		}
-	default:
-		sumJobsAVX(&q.chunk[p][0], q.n[p])
+		if n > 0 {
+			sumJobsAVX(&jobs[0], n)
+		} else {
+			jobs[0].sum()
+			n = 1
+		}
+		jobs = jobs[n:]
 	}
-	q.n[p], q.goSum[p] = 0, false
+	q.n[p] = 0
 	q.cur, q.lookups = p, 0
 }
 

@@ -6,13 +6,14 @@ package embedding
 // this architecture.
 const havePoolAsm = true
 
-// sumJobsAVX row-sums each of the n ≥ 1 jobs at jobs (every Dim a multiple
-// of 8, every bag non-empty) in AVX registers.
+// sumJobsAVX row-sums each of the n ≥ 1 jobs at jobs (fp32 bags, every
+// Dim a multiple of 8, every bag non-empty) in AVX registers.
 //
 //go:noescape
 func sumJobsAVX(jobs *sumJob, n int)
 
-// prefetchJobs prefetches every row the n ≥ 1 jobs at jobs will read.
+// prefetchJobs prefetches every line the rows of the n ≥ 1 jobs at jobs
+// will read.
 //
 //go:noescape
 func prefetchJobs(jobs *sumJob, n int)

@@ -1,7 +1,8 @@
 // Row-sum and row-prefetch kernels of the vector family's pooling path
 // (pool.go has the contract and the Go driver). Both take a chunk of
-// sumJob values — Dense bags whose indices the driver has validated —
-// and read them through the offsets go_asm.h generates.
+// sumJob values — bags whose indices Pool has validated: fp32 bags
+// for the row-sum, fp32 and quantized ones for the prefetch — and read
+// them through the offsets go_asm.h generates.
 //
 // Operand-order note: every add is acc = acc + row with the accumulator
 // as the first source (Go syntax lists sources last-first): x86 returns
@@ -14,17 +15,16 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// LOADJOB unpacks the job at R12: DI = its output row, BX = the table's
-// first row, SI/CX = its indices, DX = floats per row, R8 = bytes per row.
+// LOADJOB unpacks the job at R12: DI = its output row, DX = floats per
+// row, BX = the table's first row (of values, or of codes), R8 = bytes
+// from one row to the next, SI/CX = its indices.
 #define LOADJOB \
 	MOVQ sumJob_dst(R12), DI; \
 	MOVQ sumJob_dst+8(R12), DX; \
-	MOVQ sumJob_table(R12), AX; \
-	MOVQ Dense_Data(AX), BX; \
+	MOVQ sumJob_rows(R12), BX; \
+	MOVQ sumJob_stride(R12), R8; \
 	MOVQ sumJob_indices(R12), SI; \
-	MOVQ sumJob_indices+8(R12), CX; \
-	MOVQ DX, R8; \
-	SHLQ $2, R8
+	MOVQ sumJob_indices+8(R12), CX
 
 // ROWOFF loads index R10 and turns it into the row's byte offset from the
 // (column-advanced) table base BX.
@@ -115,21 +115,31 @@ next:
 
 // func prefetchJobs(jobs *sumJob, n int)
 //
-// Issues PREFETCHT0 for every cache line of every row the n jobs will
+// Issues PREFETCHT0 for every cache line the rows of the n jobs will
 // read, back to back, so the misses (and the page walks under them)
-// overlap. A prefetch never faults and changes no architectural state:
-// this is a hint and nothing else.
+// overlap: an fp32 row's values; a quantized row's fp16 scale, fp16 bias
+// and every line of its codes. A prefetch never faults and changes no
+// architectural state: this is a hint and nothing else.
 TEXT ·prefetchJobs(SB), NOSPLIT, $0-16
 	MOVQ jobs+0(FP), R12
 	MOVQ n+8(FP), R13
 
 pjob:
 	LOADJOB
+	MOVQ sumJob_scales(R12), AX // nil for an fp32 job
+	MOVQ sumJob_biases(R12), DX
 	XORQ R10, R10
 
 prow:
-	ROWOFF
-	ADDQ BX, R9
+	MOVLQSX    (SI)(R10*4), R9
+	TESTQ      AX, AX
+	JZ         pvalues
+	PREFETCHT0 (AX)(R9*2)
+	PREFETCHT0 (DX)(R9*2)
+
+pvalues:
+	IMULQ R8, R9
+	ADDQ  BX, R9
 	LEAQ -1(R9)(R8*1), R11 // the row's last byte
 	ANDQ $-64, R9
 

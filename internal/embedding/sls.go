@@ -2,15 +2,6 @@ package embedding
 
 import "fmt"
 
-// BagAccumulator is implemented by table backends with an amortized
-// whole-bag pooling path (the tiered store: one lock pair per bag
-// instead of per row). Implementations must pool in strict index order
-// and bounds-check like SLS does, so swapping a backend in or out never
-// changes results or panics.
-type BagAccumulator interface {
-	AccumulateBag(acc []float32, indices []int32)
-}
-
 // Bag is one pooled lookup: a set of row indices in a table whose
 // embedding vectors are summed (the paper's pooling operation). One
 // inference example contributes one bag per sparse feature; the number of

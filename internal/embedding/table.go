@@ -182,21 +182,6 @@ func (t *Quantized) AccumulateRow(acc []float32, idx int) {
 	t.enc.AccumulateRow(acc, idx)
 }
 
-// AccumulateBag implements BagAccumulator: the whole bag pools through
-// one quant call that resolves kernel dispatch (scalar vs word-wide
-// decode) once instead of per row. Index order and per-element
-// arithmetic match the per-row path exactly, so results are bitwise
-// identical to SLS's generic loop.
-func (t *Quantized) AccumulateBag(acc []float32, indices []int32) {
-	rows := t.enc.Rows
-	for _, idx := range indices {
-		if idx < 0 || int(idx) >= rows {
-			panic(fmt.Sprintf("embedding: SLS index %d out of range [0,%d)", idx, rows))
-		}
-	}
-	t.enc.AccumulateBag(acc, indices)
-}
-
 // Bytes implements Table.
 func (t *Quantized) Bytes() int64 { return t.enc.Bytes() }
 

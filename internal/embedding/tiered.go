@@ -11,8 +11,10 @@ import (
 // tier (fp32 Dense, fp16, or row-wise int8/int4 storage). The paper's
 // scale-out is capacity-driven — tables are sharded because they do not
 // fit one node — so shrinking resident bytes (quantized cold tier) and
-// dodging repeated dequantization of skewed-hot rows (the cache) both
-// attack the quantity that sets shard count.
+// dodging repeated decodes of skewed-hot rows (the cache) both attack the
+// quantity that sets shard count. A sparse shard fronts only fp32 and
+// fp16 cold tiers with it: a resident int8/int4 bag pools through Pool's
+// prefetched walk for less than a cache hit costs.
 //
 // The cache is direct-mapped with all row storage inline in one flat
 // backing array: a hit is an array index, an int compare, and the add.

@@ -364,6 +364,16 @@ func TestReshardCells(t *testing.T) {
 	}
 }
 
+// TestTieredGridSkipsCachedInt8: a shard serves an int8 tier uncached, so
+// a cell with an int8 tier and a cache budget would boot int8 × 0 again.
+func TestTieredGridSkipsCachedInt8(t *testing.T) {
+	for _, c := range tieredGrid {
+		if c.prec == sharding.PrecisionInt8 && c.cacheMB > 0 {
+			t.Errorf("cell %+v repeats the uncached int8 cell", c)
+		}
+	}
+}
+
 func TestTieredCells(t *testing.T) {
 	liveCluster(t)
 	res, err := sweeps.measureTiered([]tieredCell{{0, sharding.PrecisionFP32, 0}, {0, sharding.PrecisionInt8, 0}})

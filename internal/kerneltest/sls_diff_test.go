@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/quant"
+	"repro/internal/tensor"
 )
 
 // slsDims are the row widths the pooling sweeps run: below one vector,
@@ -40,6 +41,58 @@ func refPool(table *embedding.Dense, bags []embedding.Bag) []float32 {
 		out = append(out, acc...)
 	}
 	return out
+}
+
+// quantPool is the oracle for a packed entry over a quantized table: per
+// non-empty bag one row, AccumulateRow by AccumulateRow from +0 under the
+// generic family — the scalar decode every pooling path must match bit
+// for bit. It leaves the generic family dispatched.
+func quantPool(table *embedding.Quantized, bags []embedding.Bag) []float32 {
+	tensor.SetKernel(tensor.KernelGeneric)
+	var out []float32
+	for _, bag := range bags {
+		if len(bag.Indices) == 0 {
+			continue
+		}
+		acc := make([]float32, table.Dim())
+		for _, idx := range bag.Indices {
+			table.AccumulateRow(acc, int(idx))
+		}
+		out = append(out, acc...)
+	}
+	return out
+}
+
+// ordinaryHeaders are fp16 (scale, bias) pairs an encoder writes for
+// everyday rows: 0.1 and −0.2, 1/256 and −1.
+var ordinaryHeaders = [][2]uint16{{0x2e66, 0xb266}, {0x1c00, 0xbc00}}
+
+// quantAt builds a rows×dim table at width bits over storage the caller
+// provides: random codes, and per row an fp16 (scale, bias) that is, as
+// often as not, one of adversarialHeaders — NaN payloads, ±Inf,
+// subnormals, signed zeros — and otherwise an ordinary one.
+func quantAt(rng *rand.Rand, rows, dim int, bits quant.Bits, u16 func(n int) []uint16, codes func(n int) []byte) *embedding.Quantized {
+	stride := dim
+	if bits == quant.Bits4 {
+		stride = (dim + 1) / 2
+	}
+	scales, biases, packed := u16(rows), u16(rows), codes(rows*stride)
+	hdrs := adversarialHeaders()
+	for r := range rows {
+		h := ordinaryHeaders[rng.Intn(len(ordinaryHeaders))]
+		if rng.Intn(2) == 0 {
+			h = hdrs[rng.Intn(len(hdrs))]
+		}
+		scales[r], biases[r] = h[0], h[1]
+	}
+	for i := range packed {
+		packed[i] = byte(rng.Intn(256))
+	}
+	q, err := embedding.QuantizedFromEncoding(rows, dim, int(bits), scales, biases, packed)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }
 
 // slsBags builds one entry's bag list over a table of `rows` rows:
@@ -81,7 +134,7 @@ func slsBags(rng *rand.Rand, rows, n int) []embedding.Bag {
 // empty. The lists are authored as bags — what SLS and the oracle take —
 // and flattened for Pool when the call is made.
 type slsCall struct {
-	tables []*embedding.Dense
+	tables []embedding.Table
 	bags   [][]embedding.Bag
 }
 
@@ -102,10 +155,43 @@ func newSLSCall(rng *rand.Rand, dims []int, p Payload, alloc func(n int) []float
 	// Forty single lookups: more bags than one prefetch chunk holds.
 	singles := make([]embedding.Bag, 40)
 	for b := range singles {
-		singles[b].Indices = []int32{int32(rng.Intn(c.tables[0].RowsN))}
+		singles[b].Indices = []int32{int32(rng.Intn(c.tables[0].NumRows()))}
 	}
 	c.tables, c.bags = append(c.tables, c.tables[0]), append(c.bags, singles)
 	return c
+}
+
+// interleaveQuantized puts a quantized entry of width dim after each of
+// c's entries — int8 and int4 in turn, as many rows as the entry before
+// it, storage from u16 and codes — so one prefetch chunk holds fp32 and
+// quantized bags together.
+func (c *slsCall) interleaveQuantized(rng *rand.Rand, dim int, u16 func(n int) []uint16, codes func(n int) []byte) {
+	var tables []embedding.Table
+	var bags [][]embedding.Bag
+	for i, tab := range c.tables {
+		bits := []quant.Bits{quant.Bits8, quant.Bits4}[i%2]
+		rows := tab.NumRows()
+		tables = append(tables, tab, quantAt(rng, rows, dim, bits, u16, codes))
+		bags = append(bags, c.bags[i], slsBags(rng, rows, 9+4*i))
+	}
+	c.tables, c.bags = tables, bags
+}
+
+// oracle returns what each packed entry of the call must hold: refPool's
+// rows over a dense table, quantPool's over a quantized one.
+func (c slsCall) oracle() [][]float32 {
+	want := make([][]float32, len(c.tables))
+	for i, tab := range c.tables {
+		switch tab := tab.(type) {
+		case *embedding.Dense:
+			want[i] = refPool(tab, c.bags[i])
+		case *embedding.Quantized:
+			want[i] = quantPool(tab, c.bags[i])
+		default:
+			panic(fmt.Sprintf("kerneltest: no pooling oracle for %T", tab))
+		}
+	}
+	return want
 }
 
 // pool runs the call through embedding.Pool, packed, and returns each
@@ -116,7 +202,7 @@ func (c slsCall) pool(out func(n int) []float32, ints func(n int) []int32) [][]f
 	entries := make([]embedding.PoolEntry, len(c.tables))
 	for i, tab := range c.tables {
 		l := embedding.Flatten(c.bags[i])
-		o := out(l.Present() * tab.DimN)
+		o := out(l.Present() * tab.Dim())
 		for j := range o {
 			o[j] = float32(math.NaN())
 		}
@@ -137,6 +223,10 @@ func heap(n int) []float32 { return make([]float32, n) }
 
 func heapInts(n int) []int32 { return make([]int32, n) }
 
+func heapU16(n int) []uint16 { return make([]uint16, n) }
+
+func heapBytes(n int) []byte { return make([]byte, n) }
+
 // TestSLSPackedDifferential: embedding.Pool under the generic family,
 // and under the vector family at every lane width the host has, writes
 // the oracle's bits into a packed entry — for every row width, on
@@ -144,6 +234,10 @@ func heapInts(n int) []int32 { return make([]int32, n) }
 // −0, subnormals: which NaN survives an add of two is part of the
 // contract), with the tables at 32-byte-aligned and at odd bases — and
 // SLS, the dense layout of the same kernel, agrees with it row for row.
+// A second sweep interleaves int8 and int4 entries with the dense ones
+// in one call, so a prefetch chunk holds both kinds, at every width 1–33
+// (every decode body/tail split) and with fp16 headers that are NaN
+// payloads, ±Inf and subnormals.
 func TestSLSPackedDifferential(t *testing.T) {
 	defer resetDispatch()
 	ds := dispatches(t)
@@ -153,39 +247,54 @@ func TestSLSPackedDifferential(t *testing.T) {
 			for _, offset := range []int{0, 1, 3} {
 				alloc := func(n int) []float32 { return make([]float32, n+offset)[offset:] }
 				c := newSLSCall(rng, dims, p, alloc)
-				for _, d := range ds {
-					d.set()
-					got := c.pool(heap, heapInts)
-					for i, tab := range c.tables {
-						dim := tab.DimN
-						name := fmt.Sprintf("dims=%v payload=%s offset=%d %v entry %d", dims, p.Name, offset, d, i)
-						want := refPool(tab, c.bags[i])
-						if j := DiffFloat32(got[i], want); j >= 0 {
-							t.Fatalf("%s: packed element %d = %08x, want %08x", name, j, bitsAt(got[i], j), bitsAt(want, j))
-						}
-						dense := make([]float32, len(c.bags[i])*dim)
-						for j := range dense {
-							dense[j] = float32(math.NaN())
-						}
-						embedding.SLS(dense, tab, c.bags[i])
-						k := 0
-						for b, bag := range c.bags[i] {
-							row := dense[b*dim : (b+1)*dim]
-							if len(bag.Indices) == 0 {
-								for _, v := range row {
-									if math.Float32bits(v) != 0 {
-										t.Fatalf("%s: SLS left %08x in empty bag %d's row", name, math.Float32bits(v), b)
-									}
-								}
-								continue
-							}
-							if j := DiffFloat32(row, want[k*dim:(k+1)*dim]); j >= 0 {
-								t.Fatalf("%s: SLS bag %d element %d = %08x, want %08x", name, b, j, bitsAt(row, j), bitsAt(want, k*dim+j))
-							}
-							k++
+				checkSLS(t, ds, c, fmt.Sprintf("dims=%v payload=%s offset=%d", dims, p.Name, offset))
+			}
+		}
+	}
+	for dim := 1; dim <= 33; dim++ {
+		for _, p := range Payloads()[:3] {
+			c := newSLSCall(rng, []int{dim}, p, heap)
+			c.interleaveQuantized(rng, dim, heapU16, heapBytes)
+			checkSLS(t, ds, c, fmt.Sprintf("interleaved dim=%d payload=%s", dim, p.Name))
+		}
+	}
+}
+
+// checkSLS runs the call under every dispatch and holds each entry to the
+// oracle — packed through Pool, and in the dense layout through SLS.
+func checkSLS(t *testing.T, ds []dispatch, c slsCall, label string) {
+	t.Helper()
+	wants := c.oracle()
+	for _, d := range ds {
+		d.set()
+		got := c.pool(heap, heapInts)
+		for i, tab := range c.tables {
+			dim := tab.Dim()
+			name := fmt.Sprintf("%s %v entry %d (%T)", label, d, i, tab)
+			want := wants[i]
+			if j := DiffFloat32(got[i], want); j >= 0 {
+				t.Fatalf("%s: packed element %d = %08x, want %08x", name, j, bitsAt(got[i], j), bitsAt(want, j))
+			}
+			dense := make([]float32, len(c.bags[i])*dim)
+			for j := range dense {
+				dense[j] = float32(math.NaN())
+			}
+			embedding.SLS(dense, tab, c.bags[i])
+			k := 0
+			for b, bag := range c.bags[i] {
+				row := dense[b*dim : (b+1)*dim]
+				if len(bag.Indices) == 0 {
+					for _, v := range row {
+						if math.Float32bits(v) != 0 {
+							t.Fatalf("%s: SLS left %08x in empty bag %d's row", name, math.Float32bits(v), b)
 						}
 					}
+					continue
 				}
+				if j := DiffFloat32(row, want[k*dim:(k+1)*dim]); j >= 0 {
+					t.Fatalf("%s: SLS bag %d element %d = %08x, want %08x", name, b, j, bitsAt(row, j), bitsAt(want, k*dim+j))
+				}
+				k++
 			}
 		}
 	}
@@ -234,22 +343,31 @@ func TestSLSPackedBackends(t *testing.T) {
 }
 
 // TestSLSRejectsBadIndex: an out-of-range index fails the call with SLS's
-// message wherever it sits, and a bag is validated whole before any of
-// its indices becomes an address — to sum or to prefetch: with the bad
-// index in the call's first bag, nothing at all has been written. A
-// negative bag length, or lengths that run past the indices, fail the
-// same way before the bag is even sliced.
+// message wherever it sits, in a dense entry or a quantized one, and a
+// bag is validated whole before any of its indices becomes an address —
+// to sum or to prefetch: with the bad index in the call's first bag,
+// nothing at all has been written. A negative bag length, or lengths that
+// run past the indices, fail the same way before the bag is even sliced.
 func TestSLSRejectsBadIndex(t *testing.T) {
 	defer resetDispatch()
 	rng := rand.New(rand.NewSource(2))
 	for _, bad := range []int32{-1, 37, math.MaxInt32, math.MinInt32} {
-		for _, first := range []bool{true, false} {
+		for _, where := range []string{"first", "last", "quantized first"} {
 			for _, d := range dispatches(t) {
 				d.set()
 				c := newSLSCall(rng, []int{16}, Payloads()[0], heap)
-				entry := len(c.bags) - 1
+				c.interleaveQuantized(rng, 16, heapU16, heapBytes)
+				entry := 0
+				switch where {
+				case "last":
+					entry = len(c.bags) - 1
+				case "quantized first":
+					// The int8 entry behind the first dense one leads the call.
+					c.tables[0], c.tables[1] = c.tables[1], c.tables[0]
+					c.bags[0], c.bags[1] = c.bags[1], c.bags[0]
+				}
+				first := entry == 0
 				if first {
-					entry = 0
 					c.bags[0] = append([]embedding.Bag{{Indices: []int32{0, bad}}}, c.bags[0]...)
 				} else {
 					c.bags[entry] = append(c.bags[entry], embedding.Bag{Indices: []int32{0, bad}})
@@ -263,14 +381,14 @@ func TestSLSRejectsBadIndex(t *testing.T) {
 					}, heapInts)
 					return ""
 				}()
-				want := fmt.Sprintf("embedding: SLS index %d out of range [0,%d)", bad, c.tables[entry].RowsN)
+				want := fmt.Sprintf("embedding: SLS index %d out of range [0,%d)", bad, c.tables[entry].NumRows())
 				if !strings.Contains(msg, want) {
-					t.Fatalf("bad index %d %v: panic %q, want %q", bad, d, msg, want)
+					t.Fatalf("bad index %d %s %v: panic %q, want %q", bad, where, d, msg, want)
 				}
 				for i, o := range outs {
 					for j, v := range o {
 						if first && v == v {
-							t.Fatalf("bad index %d %v: entry %d element %d was written before the call was rejected", bad, d, i, j)
+							t.Fatalf("bad index %d %s %v: entry %d element %d was written before the call was rejected", bad, where, d, i, j)
 						}
 					}
 				}

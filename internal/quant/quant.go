@@ -209,6 +209,10 @@ func NewRowQuantizedEmpty(rows, cols int, bits Bits) *RowQuantized {
 // ranges: the fp16 (scale, bias) header plus the packed codes.
 func (q *RowQuantized) RowRangeStride() int { return 4 + q.rowStride }
 
+// CodeStride returns the packed code bytes per row: row r's codes are
+// Packed[r*CodeStride() : (r+1)*CodeStride()].
+func (q *RowQuantized) CodeStride() int { return q.rowStride }
+
 // AppendRowRange appends rows [lo, hi) in the wire layout (per row:
 // little-endian fp16 scale, fp16 bias, then packed codes) — the encoded
 // row stream the migration protocol moves so a transferred table stays

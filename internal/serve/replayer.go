@@ -93,7 +93,11 @@ func (r *Result) record(d time.Duration, err error) {
 // deployments (the resharding identity check) on top of timing.
 func (rp *Replayer) Send(req *workload.Request) ([]float32, time.Duration, error) {
 	body := core.EncodeRankingRequest(core.FromWorkload(req))
-	start := time.Now()
+	return rp.call(req, body, time.Now())
+}
+
+// call sends body, waits for its response, and times it from start.
+func (rp *Replayer) call(req *workload.Request, body []byte, start time.Time) ([]float32, time.Duration, error) {
 	resp, err := rp.client.CallSync(&rpc.Request{
 		Method:  rp.method,
 		TraceID: rp.ids.NewTraceID(),
@@ -157,6 +161,11 @@ func (rp *Replayer) RunSerialScored(reqs []*workload.Request) ([][]float32, *Res
 // target QPS regardless of response completion (an open-loop load model,
 // as a production replayer sending live traffic behaves). It waits for
 // all responses before returning.
+//
+// A request is timed from when it was due, not from when it was sent: a
+// stall that holds up the sends behind it — the replayer's own process
+// descheduled, or the host's one CPU busy producing a slow response — is
+// latency those requests would have seen, and is charged to them.
 func (rp *Replayer) RunOpenLoop(reqs []*workload.Request, qps float64) *Result {
 	if qps <= 0 {
 		return rp.RunSerial(reqs)
@@ -169,13 +178,14 @@ func (rp *Replayer) RunOpenLoop(reqs []*workload.Request, qps float64) *Result {
 	for i, req := range reqs {
 		// Pace against the absolute schedule so response stalls do not
 		// slow the arrival process.
-		if wait := time.Duration(i)*interval - time.Since(start); wait > 0 {
+		due := start.Add(time.Duration(i) * interval)
+		if wait := time.Until(due); wait > 0 {
 			time.Sleep(wait)
 		}
 		wg.Add(1)
 		go func(req *workload.Request) {
 			defer wg.Done()
-			d, err := rp.send(req)
+			_, d, err := rp.call(req, core.EncodeRankingRequest(core.FromWorkload(req)), due)
 			mu.Lock()
 			defer mu.Unlock()
 			res.record(d, err)
