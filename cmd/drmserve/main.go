@@ -42,15 +42,14 @@ type config struct {
 	listen string
 	netsim bool
 
-	// The single-model roles' model (built, or loaded from modelFile, by
-	// run), its plan, the sparse role's shard number and the main role's
-	// -peers bindings in flag order (a service's first address is its
-	// primary, the rest hedge replicas).
-	model     model.Config
-	modelFile string
-	plan      *sharding.Plan
-	shard     int
-	peers     map[string][]string
+	// The single-model roles' model (built by run), its plan, the sparse
+	// role's shard number and the main role's -peers bindings in flag
+	// order (a service's first address is its primary, the rest hedge
+	// replicas).
+	model model.Config
+	plan  *sharding.Plan
+	shard int
+	peers map[string][]string
 	// opts goes to the role assemblers as parsed; run adds Obs.
 	opts cluster.Options
 
@@ -97,7 +96,6 @@ func parse(args []string) (*config, error) {
 	fs.StringVar(&strategy, "strategy", "load-bal", "sharding strategy")
 	fs.IntVar(&shards, "shards", 2, "sparse shard count")
 	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "listen address")
-	fs.StringVar(&c.modelFile, "model-file", "", "load a serialized model (from shardtool -save-model) instead of building")
 	fs.StringVar(&c.opts.ShardDir, "shard-dir", "", "sparse role: serve from the v2 shard file <dir>/<model>.shardN, mmap-backed (shardtool export-v2)")
 	fs.StringVar(&peers, "peers", "", "main role: comma-separated sparseN=host:port bindings; repeat a name to add hedge replicas")
 	fs.BoolVar(&c.netsim, "netsim", false, "inject data-center link latency")
@@ -300,10 +298,7 @@ func run(c *config) error {
 		// materializes the rest of the model.
 		var m *model.Model
 		if c.opts.ShardDir == "" {
-			var err error
-			if m, err = c.loadModel(); err != nil {
-				return err
-			}
+			m = model.Build(c.model)
 		}
 		var link *netsim.Link
 		if c.netsim {
@@ -319,10 +314,7 @@ func run(c *config) error {
 			s.Store.ShardName, ts.Tables, ts.FP32, ts.FP16, ts.Int8, float64(s.Store.Bytes())/(1<<20))
 		fmt.Printf("drmserve: sparse shard serving %s (%s) on %s\n", c.model.Name, c.plan.Name(), s.Server.Addr())
 	case "main":
-		m, err := c.loadModel()
-		if err != nil {
-			return err
-		}
+		m := model.Build(c.model)
 		var link *netsim.Link
 		if c.netsim {
 			link = platform.SCLarge().Network(7).Request
@@ -369,28 +361,6 @@ func run(c *config) error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	return nil
-}
-
-// loadModel builds the single-model roles' model, or loads it from
-// -model-file. Either way the plan was derived from the named model's
-// config, as in every other process of the deployment.
-func (c *config) loadModel() (*model.Model, error) {
-	if c.modelFile == "" {
-		return model.Build(c.model), nil
-	}
-	f, err := os.Open(c.modelFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	m, err := model.Load(f)
-	if err != nil {
-		return nil, err
-	}
-	if m.Config.Name != c.model.Name {
-		return nil, fmt.Errorf("model file holds %s, flag says %s", m.Config.Name, c.model.Name)
-	}
-	return m, nil
 }
 
 // startControl starts the main role's periodic control-plane drivers —

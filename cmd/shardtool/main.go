@@ -40,7 +40,6 @@ func main() {
 		capBytes  = flag.Int64("max-shard-bytes", 0, "auto mode: per-shard memory capacity (0 = unlimited)")
 		samples   = flag.Int("samples", 200, "requests sampled for pooling estimation")
 		verbose   = flag.Bool("v", false, "list per-shard table assignments")
-		saveModel = flag.String("save-model", "", "serialize the built model to this file (paper §III-C publishing step)")
 	)
 	flag.Parse()
 
@@ -55,22 +54,6 @@ func main() {
 	}
 	cfg := model.ByName(*modelName)
 	pooling := workload.EstimatePooling(workload.NewGenerator(cfg, 991), *samples)
-
-	if *saveModel != "" {
-		f, err := os.Create(*saveModel)
-		if err != nil {
-			fatal(err)
-		}
-		m := model.Build(cfg)
-		if err := model.Save(f, m); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("serialized %s (%.1f MiB) to %s\n", cfg.Name, float64(m.TotalBytes())/(1<<20), *saveModel)
-	}
 
 	if *auto {
 		cs, err := sharding.AutoShard(&cfg, pooling, sharding.DefaultCostModel(), sharding.Constraints{

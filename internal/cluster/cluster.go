@@ -124,12 +124,11 @@ type Cluster struct {
 	// (keyed by service name: "sparse1", ...).
 	Hedged map[string]*replication.Hedged
 
-	// replicas holds every sparse serving replica, per shard.
+	// replicas holds every sparse serving replica, per shard. A replica
+	// whose store is not its shard's shared one in shards owns that
+	// private store (rebuilt from a peer) and closes it.
 	replicas [][]*sparseReplica
-	// rebuilt tracks replacement table stores created by ReplaceReplica,
-	// closed with the cluster (the original shared stores live in shards).
-	rebuilt []*core.SparseShard
-	shards  []*core.SparseShard
+	shards   []*core.SparseShard
 	// ctrl dials the control-plane drivers' connections. Guarded by
 	// replicaMu.
 	ctrl ControlPlane
@@ -473,7 +472,7 @@ func (c *Cluster) Close() {
 	c.replicaMu.Lock()
 	defer c.replicaMu.Unlock()
 	c.ctrl.Close()
-	for _, reps := range c.replicas {
+	for si, reps := range c.replicas {
 		for _, rep := range reps {
 			if rep.client != nil {
 				rep.client.Close()
@@ -481,8 +480,10 @@ func (c *Cluster) Close() {
 			if rep.srv != nil {
 				rep.srv.Close()
 			}
+			if rep.store != c.shards[si] {
+				rep.store.Close()
+			}
 		}
 	}
-	closeStores(c.rebuilt, nil)
 	closeStores(c.shards, c.mappings)
 }

@@ -101,9 +101,10 @@ func (c *Cluster) ReplaceReplica(shard, idx int) (core.RebuildStats, error) {
 }
 
 // rebuildFromPeer streams a fresh, private table store for rep from a
-// live peer replica of the same shard and installs it as rep's store
-// (tracked in c.rebuilt). The caller owns starting a server over it.
-// Caller holds ctrlMu and replicaMu.
+// live peer replica of the same shard and installs it as rep's store,
+// closing the private store it supersedes (rep is down, so nothing
+// serves that one). The caller owns starting a server over it. Caller
+// holds ctrlMu and replicaMu.
 func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildStats, error) {
 	var st core.RebuildStats
 	// Any live server of the shard can seed the rebuild (rep itself is
@@ -128,8 +129,10 @@ func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildSt
 		return st, err
 	}
 
+	if rep.store != c.shards[shard] {
+		rep.store.Close()
+	}
 	rep.store = fresh
-	c.rebuilt = append(c.rebuilt, fresh)
 	return st, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/sharding"
@@ -213,6 +214,55 @@ func TestReviveReplicaRejoins(t *testing.T) {
 			t.Fatalf("revived replica never rejoined: %+v", chaos.HealthSnapshots()["sparse2"])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReplacedTwiceDropsFirstRebuild: a replica replaced twice closes
+// and forgets the private store its second rebuild supersedes, so the
+// first rebuilt store becomes unreachable while the cluster still runs
+// instead of living until Close.
+func TestReplacedTwiceDropsFirstRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	cfg := smallModel()
+	m := model.Build(cfg)
+	chaos, _ := bootFault(t, m, cfg)
+	defer chaos.Close()
+
+	replace := func() {
+		t.Helper()
+		if err := chaos.KillReplica(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chaos.ReplaceReplica(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace()
+	freed := make(chan struct{})
+	func() {
+		first, err := chaos.ReplicaStore(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(first, func(*core.SparseShard) { close(freed) })
+	}()
+	replace()
+
+	// Finalizers run after the collection that finds the object dead, and
+	// a closed server's connections unwind asynchronously: settle-loop.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first rebuilt store is still reachable after a second replace")
+		}
 	}
 }
 

@@ -151,23 +151,10 @@ func (c *Cluster) shrinkTo(n int) error {
 				c.stopReplica(rep)
 			}
 			if rep.store != c.shards[shard] {
-				c.removeRebuilt(rep.store)
 				rep.store.Close()
 				rep.store = c.shards[shard]
 			}
 		}
 	}
 	return nil
-}
-
-// removeRebuilt drops a reclaimed private store from the
-// close-with-cluster list (the shrink path closes it now). Caller holds
-// replicaMu.
-func (c *Cluster) removeRebuilt(s *core.SparseShard) {
-	for i, sh := range c.rebuilt {
-		if sh == s {
-			c.rebuilt = append(c.rebuilt[:i], c.rebuilt[i+1:]...)
-			return
-		}
-	}
 }

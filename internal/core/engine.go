@@ -750,7 +750,7 @@ func (o *renameOp) Kind() nn.OpKind { return nn.KindMemoryTransform }
 
 // Run implements nn.Op.
 func (o *renameOp) Run(ws *nn.Workspace) error {
-	m, err := ws.WaitBlob(o.from)
+	m, err := ws.Blob(o.from)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.name, err)
 	}

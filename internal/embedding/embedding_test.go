@@ -79,21 +79,6 @@ func TestSLSPanicsOnBadOutLen(t *testing.T) {
 	SLS(make([]float32, 3), tab, []Bag{{}})
 }
 
-func TestSLSMean(t *testing.T) {
-	tab := NewDense(2, 2)
-	copy(tab.Data, []float32{2, 4, 6, 8})
-	out := make([]float32, 2)
-	SLSMean(out, tab, []Bag{{Indices: []int32{0, 1}}})
-	if out[0] != 4 || out[1] != 6 {
-		t.Errorf("SLSMean = %v, want [4 6]", out)
-	}
-	// Single-index and empty bags are unscaled.
-	SLSMean(out, tab, []Bag{{Indices: []int32{1}}})
-	if out[0] != 6 || out[1] != 8 {
-		t.Errorf("SLSMean single = %v", out)
-	}
-}
-
 func TestTotalLookups(t *testing.T) {
 	bags := []Bag{{Indices: []int32{1, 2}}, {}, {Indices: []int32{3}}}
 	if got := TotalLookups(bags); got != 3 {

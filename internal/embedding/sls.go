@@ -85,24 +85,6 @@ func SLS(out []float32, table Table, bags []Bag) {
 	Pool([]PoolEntry{{Table: table, Lens: l.Lens, Indices: l.Indices, Out: out, Stride: dim}})
 }
 
-// SLSMean is the mean-pooled variant: each output vector is the average of
-// the indexed rows (empty bags produce zero vectors).
-func SLSMean(out []float32, table Table, bags []Bag) {
-	SLS(out, table, bags)
-	dim := table.Dim()
-	for b, bag := range bags {
-		n := len(bag.Indices)
-		if n <= 1 {
-			continue
-		}
-		inv := 1 / float32(n)
-		acc := out[b*dim : (b+1)*dim]
-		for i := range acc {
-			acc[i] *= inv
-		}
-	}
-}
-
 // TotalLookups returns the total pooling work (number of row accesses)
 // across bags — the quantity the load-balanced sharding strategy budgets.
 func TotalLookups(bags []Bag) int {

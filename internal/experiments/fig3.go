@@ -48,6 +48,5 @@ func (r *Runner) Fig3(w io.Writer) error {
 	}
 	fmt.Fprint(w, tl.Render(96))
 	fmt.Fprintln(w, "\nlegend: = operator   ~ ser/de   > RPC outstanding window   - request/service   . net overhead")
-	fmt.Fprintln(w, "(export the same trace as Chrome trace-event JSON via trace.Timeline.ExportChromeTrace)")
 	return nil
 }

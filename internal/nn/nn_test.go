@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -39,64 +37,6 @@ func TestWorkspaceBags(t *testing.T) {
 	b, err := ws.Bags("f")
 	if err != nil || len(b.Lens) != 1 {
 		t.Errorf("Bags = %v, %v", b, err)
-	}
-}
-
-func TestFutureResolution(t *testing.T) {
-	ws := NewWorkspace()
-	f := NewFuture()
-	ws.RegisterFuture("out", f)
-	if ws.Pending() != 1 {
-		t.Fatalf("Pending = %d", ws.Pending())
-	}
-	want := tensor.New(2, 2)
-	go f.Complete(want, nil)
-	got, err := ws.WaitBlob("out")
-	if err != nil || got != want {
-		t.Fatalf("WaitBlob = %v, %v", got, err)
-	}
-	if ws.Pending() != 0 {
-		t.Errorf("future should be consumed")
-	}
-	// Resolved blob is now a plain blob.
-	if _, err := ws.Blob("out"); err != nil {
-		t.Errorf("resolved blob should be readable: %v", err)
-	}
-}
-
-func TestFutureError(t *testing.T) {
-	ws := NewWorkspace()
-	f := NewFuture()
-	ws.RegisterFuture("out", f)
-	f.Complete(nil, errors.New("boom"))
-	if _, err := ws.WaitBlob("out"); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("error should propagate, got %v", err)
-	}
-}
-
-func TestDuplicateFuturePanics(t *testing.T) {
-	ws := NewWorkspace()
-	ws.RegisterFuture("out", NewFuture())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	ws.RegisterFuture("out", NewFuture())
-}
-
-func TestWaitAllCollectsErrors(t *testing.T) {
-	ws := NewWorkspace()
-	f1, f2 := NewFuture(), NewFuture()
-	ws.RegisterFuture("a", f1)
-	ws.RegisterFuture("b", f2)
-	f1.Complete(tensor.New(1, 1), nil)
-	f2.Complete(nil, errors.New("late failure"))
-	if err := ws.WaitAll(); err == nil {
-		t.Error("WaitAll should surface the failure")
-	}
-	if ws.Pending() != 0 {
-		t.Error("WaitAll should drain all futures")
 	}
 }
 
@@ -485,73 +425,6 @@ func TestNetRunStopsOnError(t *testing.T) {
 	}
 	if ws.HasBlob("should-not-run") {
 		t.Error("ops after a failure must not run")
-	}
-}
-
-// asyncOp is a test double for the RPC op: it launches a goroutine and
-// registers a future.
-type asyncOp struct {
-	name  string
-	out   string
-	delay time.Duration
-	fail  bool
-}
-
-func (a *asyncOp) Name() string { return a.name }
-func (a *asyncOp) Kind() OpKind { return KindRPC }
-func (a *asyncOp) Run(ws *Workspace) error {
-	f := NewFuture()
-	ws.RegisterFuture(a.out, f)
-	go func() {
-		time.Sleep(a.delay)
-		if a.fail {
-			f.Complete(nil, fmt.Errorf("%s: remote failure", a.name))
-			return
-		}
-		f.Complete(tensor.FromSlice(1, 1, []float32{42}), nil)
-	}()
-	return nil
-}
-
-func TestNetRunAsyncOpResolvedByConsumer(t *testing.T) {
-	ws := NewWorkspace()
-	net := &Net{NetName: "n", Ops: []Op{
-		&asyncOp{name: "rpc1", out: "remote", delay: time.Millisecond},
-		&FC{OpName: "fc", W: tensor.FromSlice(1, 1, []float32{2}), Input: "remote", Output: "out"},
-	}}
-	if err := net.Run(ws, nil); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := ws.Blob("out")
-	if m.Data[0] != 84 {
-		t.Errorf("async consumer got %v, want 84", m.Data[0])
-	}
-}
-
-func TestNetRunAsyncFailurePropagates(t *testing.T) {
-	ws := NewWorkspace()
-	net := &Net{NetName: "n", Ops: []Op{
-		&asyncOp{name: "rpc1", out: "remote", fail: true},
-	}}
-	if err := net.Run(ws, nil); err == nil || !strings.Contains(err.Error(), "remote failure") {
-		t.Errorf("async failure should propagate: %v", err)
-	}
-	if ws.Pending() != 0 {
-		t.Error("futures must be drained after failure")
-	}
-}
-
-func TestNetRunDrainsAsyncOnSyncError(t *testing.T) {
-	ws := NewWorkspace()
-	net := &Net{NetName: "n", Ops: []Op{
-		&asyncOp{name: "rpc1", out: "remote", delay: 5 * time.Millisecond},
-		&FC{OpName: "fc", W: tensor.New(2, 2), Input: "missing", Output: "out"},
-	}}
-	if err := net.Run(ws, nil); err == nil {
-		t.Fatal("expected error")
-	}
-	if ws.Pending() != 0 {
-		t.Error("async futures must be drained on sync failure")
 	}
 }
 

@@ -51,8 +51,8 @@ func (k OpKind) String() string {
 }
 
 // Op is one operator in a net. Run executes synchronously against the
-// workspace; asynchronous operators (the RPC op) launch work inside Run
-// and register a Future for their output blob instead of blocking.
+// workspace; an operator that launches asynchronous work leaves its
+// completion to its owner (see the package doc), never to the net.
 type Op interface {
 	// Name identifies the operator instance for traces.
 	Name() string
@@ -83,10 +83,9 @@ type Net struct {
 	Ops []Op
 }
 
-// Run executes all operators in order against ws, then resolves any
-// outstanding asynchronous futures. Per-op wall time is reported to obs
-// when non-nil; the residual (total − Σop) is the net scheduling overhead
-// the paper attributes to the ML framework layer.
+// Run executes all operators in order against ws. Per-op wall time is
+// reported to obs when non-nil; the residual (total − Σop) is the net
+// scheduling overhead the paper attributes to the ML framework layer.
 //
 // Operator panics (index corruption, storage faults) are converted to
 // errors: one bad request must fail its own RPC, not take down a serving
@@ -103,14 +102,8 @@ func (n *Net) Run(ws *Workspace, obs Observer) error {
 			obs.OpExecuted(n.NetName, op, start, dur)
 		}
 		if err != nil {
-			// Drain async work before surfacing the failure so no
-			// goroutine outlives the run.
-			_ = ws.WaitAll()
 			return err
 		}
-	}
-	if err := ws.WaitAll(); err != nil {
-		return err
 	}
 	if obs != nil {
 		obs.NetFinished(n.NetName, netStart, time.Since(netStart), opTime)

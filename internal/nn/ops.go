@@ -25,7 +25,7 @@ func (o *FC) Kind() OpKind { return KindDense }
 
 // Run implements Op.
 func (o *FC) Run(ws *Workspace) error {
-	in, err := ws.WaitBlob(o.Input)
+	in, err := ws.Blob(o.Input)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -93,7 +93,7 @@ func (o *FusedFC) Kind() OpKind { return KindDense }
 
 // Run implements Op.
 func (o *FusedFC) Run(ws *Workspace) error {
-	in, err := ws.WaitBlob(o.Input)
+	in, err := ws.Blob(o.Input)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -166,7 +166,7 @@ func (o *Activation) Kind() OpKind { return KindActivation }
 
 // Run implements Op.
 func (o *Activation) Run(ws *Workspace) error {
-	m, err := ws.WaitBlob(o.Blob)
+	m, err := ws.Blob(o.Blob)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -198,7 +198,7 @@ func (o *ScaleClip) Kind() OpKind { return KindScaleClip }
 
 // Run implements Op.
 func (o *ScaleClip) Run(ws *Workspace) error {
-	m, err := ws.WaitBlob(o.Blob)
+	m, err := ws.Blob(o.Blob)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -264,7 +264,7 @@ func (o *ConcatOp) Run(ws *Workspace) error {
 	ms := make([]*tensor.Matrix, len(o.Inputs))
 	rows, cols := 0, 0
 	for i, name := range o.Inputs {
-		m, err := ws.WaitBlob(name)
+		m, err := ws.Blob(name)
 		if err != nil {
 			return fmt.Errorf("%s: %w", o.OpName, err)
 		}
@@ -308,7 +308,7 @@ func (o *Interaction) Run(ws *Workspace) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
-	pass, err := ws.WaitBlob(o.Passthrough)
+	pass, err := ws.Blob(o.Passthrough)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
@@ -359,7 +359,7 @@ func (o *SplitBlob) Kind() OpKind { return KindMemoryTransform }
 
 // Run implements Op.
 func (o *SplitBlob) Run(ws *Workspace) error {
-	in, err := ws.WaitBlob(o.Input)
+	in, err := ws.Blob(o.Input)
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}

@@ -2,13 +2,17 @@
 // blob workspace, the operator inventory of the recommendation models
 // (fully-connected stacks, activations, scale/clip, hashing, embedding
 // lookups, memory transforms, feature interaction), and a sequential net
-// scheduler with support for asynchronous operators.
+// scheduler.
 //
 // The design follows the Caffe2 execution model the paper builds on:
 // operators read and write named blobs in a workspace; a net is an ordered
 // operator list; "operators are scheduled to execute sequentially — unless
 // specifically asynchronous like the RPC ops — because other cores are
-// utilized via request- and batch-level parallelism" (Section IV-A).
+// utilized via request- and batch-level parallelism" (Section IV-A). A net
+// knows nothing of in-flight work: an operator that launches some (core's
+// RPC op) is synchronized by its owner — core's waitOp blocks on the
+// pooled results, the engine's execution bounds the goroutines — and the
+// workspace holds only resolved values.
 package nn
 
 import (
@@ -19,15 +23,13 @@ import (
 )
 
 // Workspace holds the named state one net execution operates on: dense
-// blobs (matrices), pooled embeddings (block tables), sparse inputs (flat
-// bag lists of embedding indices per feature), and in-flight futures
-// registered by asynchronous operators. A Workspace is not safe for
-// concurrent mutation; each inference batch gets its own.
+// blobs (matrices), pooled embeddings (block tables) and sparse inputs
+// (flat bag lists of embedding indices per feature). A Workspace is not
+// safe for concurrent mutation; each inference batch gets its own.
 type Workspace struct {
-	blobs   map[string]*tensor.Matrix
-	blocks  map[string]*tensor.Blocks
-	bags    map[string]embedding.BagList
-	futures map[string]*Future
+	blobs  map[string]*tensor.Matrix
+	blocks map[string]*tensor.Blocks
+	bags   map[string]embedding.BagList
 	// arena, when set, backs scheduled output blobs so steady-state
 	// execution allocates nothing; see AllocBlob.
 	arena *Arena
@@ -36,10 +38,9 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
 	return &Workspace{
-		blobs:   make(map[string]*tensor.Matrix),
-		blocks:  make(map[string]*tensor.Blocks),
-		bags:    make(map[string]embedding.BagList),
-		futures: make(map[string]*Future),
+		blobs:  make(map[string]*tensor.Matrix),
+		blocks: make(map[string]*tensor.Blocks),
+		bags:   make(map[string]embedding.BagList),
 	}
 }
 
@@ -112,82 +113,4 @@ func (ws *Workspace) Bags(name string) (embedding.BagList, error) {
 		return embedding.BagList{}, fmt.Errorf("nn: bags %q not found", name)
 	}
 	return b, nil
-}
-
-// RegisterFuture records an in-flight asynchronous result that will
-// eventually produce the named blob. Registering a second future for the
-// same blob is a wiring bug and panics.
-func (ws *Workspace) RegisterFuture(blob string, f *Future) {
-	if _, dup := ws.futures[blob]; dup {
-		panic(fmt.Sprintf("nn: duplicate future for blob %q", blob))
-	}
-	ws.futures[blob] = f
-}
-
-// WaitBlob resolves the named blob: if a future is registered it blocks
-// until completion, installs the result, and returns it; otherwise it
-// behaves like Blob.
-func (ws *Workspace) WaitBlob(name string) (*tensor.Matrix, error) {
-	if f, ok := ws.futures[name]; ok {
-		delete(ws.futures, name)
-		m, err := f.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("nn: async producer of %q failed: %w", name, err)
-		}
-		ws.blobs[name] = m
-		return m, nil
-	}
-	return ws.Blob(name)
-}
-
-// WaitAll resolves every outstanding future, returning the first error.
-// The scheduler calls this at net exit so no goroutine leaks past a run.
-// A nil workspace — a net whose operators carry their own operands — has
-// none.
-func (ws *Workspace) WaitAll() error {
-	if ws == nil {
-		return nil
-	}
-	var firstErr error
-	for name, f := range ws.futures {
-		m, err := f.Wait()
-		delete(ws.futures, name)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("nn: async producer of %q failed: %w", name, err)
-			}
-			continue
-		}
-		ws.blobs[name] = m
-	}
-	return firstErr
-}
-
-// Pending returns the number of unresolved futures (for tests).
-func (ws *Workspace) Pending() int { return len(ws.futures) }
-
-// Future is a single-assignment asynchronous result produced by an async
-// operator (the RPC op). The producing goroutine calls Complete exactly
-// once; consumers call Wait.
-type Future struct {
-	done chan struct{}
-	m    *tensor.Matrix
-	err  error
-}
-
-// NewFuture returns an unresolved future.
-func NewFuture() *Future { return &Future{done: make(chan struct{})} }
-
-// Complete resolves the future with a result or error. Calling it twice
-// panics (by closing a closed channel), which is the desired loud failure
-// for a protocol bug.
-func (f *Future) Complete(m *tensor.Matrix, err error) {
-	f.m, f.err = m, err
-	close(f.done)
-}
-
-// Wait blocks until the future resolves.
-func (f *Future) Wait() (*tensor.Matrix, error) {
-	<-f.done
-	return f.m, f.err
 }

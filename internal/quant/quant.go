@@ -393,28 +393,3 @@ func PruneMagnitude(data []float32, threshold float32) int {
 	}
 	return n
 }
-
-// PruneRowsByNorm zeroes entire rows whose L2 norm falls below threshold,
-// modeling the paper's row-granular pruning of rarely-updated embedding
-// rows. It returns the number of rows pruned.
-func PruneRowsByNorm(data []float32, rows, cols int, threshold float32) int {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), rows, cols))
-	}
-	pruned := 0
-	th2 := float64(threshold) * float64(threshold)
-	for r := 0; r < rows; r++ {
-		row := data[r*cols : (r+1)*cols]
-		var ss float64
-		for _, v := range row {
-			ss += float64(v) * float64(v)
-		}
-		if ss < th2 {
-			for i := range row {
-				row[i] = 0
-			}
-			pruned++
-		}
-	}
-	return pruned
-}

@@ -183,30 +183,6 @@ func TestPruneMagnitude(t *testing.T) {
 	}
 }
 
-func TestPruneRowsByNorm(t *testing.T) {
-	// Row 0 has norm 0.1, row 1 has norm 5.
-	data := []float32{0.1, 0, 5, 0}
-	n := PruneRowsByNorm(data, 2, 2, 1)
-	if n != 1 {
-		t.Errorf("pruned %d rows, want 1", n)
-	}
-	if data[0] != 0 || data[1] != 0 {
-		t.Errorf("row 0 should be zeroed: %v", data[:2])
-	}
-	if data[2] != 5 {
-		t.Errorf("row 1 should survive: %v", data[2:])
-	}
-}
-
-func TestPruneRowsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PruneRowsByNorm(make([]float32, 3), 2, 2, 1)
-}
-
 func TestPruneIdempotentProperty(t *testing.T) {
 	f := func(xs []float32, th float32) bool {
 		if math.IsNaN(float64(th)) {

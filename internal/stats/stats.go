@@ -113,21 +113,6 @@ func (s *Sample) P90() float64 { return s.Quantile(0.90) }
 // P99 returns the 99th percentile.
 func (s *Sample) P99() float64 { return s.Quantile(0.99) }
 
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.sorted)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.sorted {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantiles is the paper's standard quantile triple.
 type Quantiles struct {
 	P50, P90, P99 float64

@@ -165,16 +165,6 @@ func TestOverheadZeroBase(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	s := NewSample([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got := s.StdDev(); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := NewSample(nil).StdDev(); got != 0 {
-		t.Errorf("empty StdDev = %v, want 0", got)
-	}
-}
-
 func TestDurationSample(t *testing.T) {
 	s := NewDurationSample([]time.Duration{time.Second, 3 * time.Second})
 	if got := s.Mean(); !almostEqual(got, 2, 1e-12) {

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -194,42 +192,4 @@ func truncateName(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-// chromeEvent is one Chrome trace-event ("Trace Event Format") entry.
-type chromeEvent struct {
-	Name  string `json:"name"`
-	Cat   string `json:"cat"`
-	Phase string `json:"ph"`
-	TS    int64  `json:"ts"`  // microseconds
-	Dur   int64  `json:"dur"` // microseconds
-	PID   int    `json:"pid"`
-	TID   int    `json:"tid"`
-}
-
-// ExportChromeTrace writes the timeline in Chrome's trace-event JSON
-// format (load via chrome://tracing or Perfetto) — the "useful trace
-// visualization" the paper built its wall-clock ordering for. Each shard
-// becomes a thread lane.
-func (t *Timeline) ExportChromeTrace(w io.Writer) error {
-	tids := make(map[string]int)
-	var events []chromeEvent
-	for _, r := range t.rows {
-		tid, ok := tids[r.shard]
-		if !ok {
-			tid = len(tids) + 1
-			tids[r.shard] = tid
-		}
-		events = append(events, chromeEvent{
-			Name:  r.name,
-			Cat:   r.layer.String(),
-			Phase: "X",
-			TS:    r.start.Sub(t.start).Microseconds(),
-			Dur:   r.dur.Microseconds(),
-			PID:   1,
-			TID:   tid,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
 }

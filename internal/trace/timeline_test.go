@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -102,41 +100,5 @@ func TestBuildTimelineErrors(t *testing.T) {
 	spans := []Span{{TraceID: 1, Shard: "sparse1", Layer: LayerRequest, Dur: time.Millisecond}}
 	if _, err := BuildTimeline(spans, 1, "main"); err == nil {
 		t.Error("trace without main-shard spans should error")
-	}
-}
-
-func TestExportChromeTrace(t *testing.T) {
-	tl, err := BuildTimeline(timelineSpans(0), 1, "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tl.ExportChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string `json:"name"`
-			Phase string `json:"ph"`
-			TS    int64  `json:"ts"`
-			Dur   int64  `json:"dur"`
-			TID   int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("%d events, want 5", len(doc.TraceEvents))
-	}
-	tids := map[int]bool{}
-	for _, e := range doc.TraceEvents {
-		if e.Phase != "X" || e.Dur <= 0 || e.TS < 0 {
-			t.Errorf("bad event %+v", e)
-		}
-		tids[e.TID] = true
-	}
-	if len(tids) != 2 {
-		t.Errorf("expected 2 shard lanes, got %d", len(tids))
 	}
 }
