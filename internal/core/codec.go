@@ -332,12 +332,9 @@ func EncodeSparseRequest(req *SparseRequest) []byte {
 
 // sparseReader walks a sparse request's entries in place: each next
 // yields one entry's ids and its bag list as views of the body, so a
-// shard pools straight from the bytes the rpc layer handed it and
-// forwards an entry by copying its bytes.
+// shard pools straight from the bytes the rpc layer handed it.
 type sparseReader struct {
 	nets []string
-	// head is the body up to the entry count: the net table, as sent.
-	head []byte
 	r    reader
 	// left is how many entries remain.
 	left int
@@ -349,8 +346,6 @@ type sparseEntryView struct {
 	embedding.BagList
 	// present counts the entry's non-empty bags.
 	present int
-	// wire is the entry's own bytes, ids through indices.
-	wire []byte
 }
 
 func readSparse(b []byte) (sparseReader, error) {
@@ -365,7 +360,6 @@ func readSparse(b []byte) (sparseReader, error) {
 			return p, fmt.Errorf("core: sparse request nets: %w", err)
 		}
 	}
-	p.head = b[:len(b)-len(p.r.b)]
 	p.left, err = p.r.count(sparseEntryHeader + 4)
 	return p, err
 }
@@ -389,24 +383,8 @@ func (p *sparseReader) next() (sparseEntryView, error) {
 	if e.BagList, e.present, err = p.r.bagList(); err != nil {
 		return e, err
 	}
-	e.wire = start[:len(start)-len(p.r.b)]
 	p.left--
 	return e, nil
-}
-
-// spliceSparseRequest builds a request body out of pieces of one that
-// was read in place: its net table and some of its entries, byte for
-// byte — how a shard forwards the entries of a table it no longer holds.
-func spliceSparseRequest(head []byte, entries [][]byte) []byte {
-	size := len(head) + 4
-	for _, e := range entries {
-		size += len(e)
-	}
-	b := appendU32(append(alignedBytes(size)[:0], head...), uint32(len(entries)))
-	for _, e := range entries {
-		b = append(b, e...)
-	}
-	return b
 }
 
 // DecodeSparseRequest parses a sparse RPC request into the authoring
@@ -482,8 +460,7 @@ func (s *pooledSlot) region(body []byte) []byte {
 
 // pooledReader walks a sparse response's entries in place: each next
 // yields one header and the undecoded wire bytes of its pooled rows, so
-// the main shard moves them from the response to the embedding matrix
-// in one copy (rpcOp) and a forwarding shard into its own response.
+// the main shard reads them where the response put them (rpcOp).
 type pooledReader struct {
 	r reader
 	// left is how many entries remain.

@@ -101,14 +101,12 @@ func (c *bodyKeeper) Go(req *rpc.Request) *rpc.Call {
 //
 // Request side: the body an rpcOp lays out from the request's flat bag
 // lists — whole tables by memmove, a row partition by its filter pass —
-// and the body a shard splices together to forward entries are each the
-// reference encoding of what they carry, which is the request's bags,
-// hashed, and for a partition localized, as the authoring-form code
+// is the reference encoding of what it carries, which is the request's
+// bags, hashed, and for a partition localized, as the authoring-form code
 // computes them.
 //
-// Response side: a shard answers with exactly the reference bytes for
-// locally held entries and for entries forwarded to the shard that now
-// holds the table.
+// Response side: a shard answers with exactly the reference bytes, and so
+// does the shard a table migrated to, once the source has released it.
 func TestSparseRunBytesOnBothPaths(t *testing.T) {
 	t.Run("request", func(t *testing.T) {
 		cfg := smallModel("DRM3")
@@ -198,27 +196,13 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 	}
 	bothWirePaths(t, func(t *testing.T) { check(t, "all entries local") })
 
-	// Move one table away and forward it: that entry's bytes are spliced
-	// into a body for the destination, and its rows arrive as wire bytes
-	// and are copied into place.
+	// Move one table and release it at the source: the source refuses it,
+	// and the destination answers with the reference bytes.
 	id := f.plan.Shards[0].Tables[0]
+	moved := f.tableRequest(t, 77, id)
 	f.migrateTable(t, id, 7)
-	fwd := &bodyKeeper{Caller: f.calls[1]}
-	src.BeginForward(id, 0, "sparse2", fwd, true)
-	bothWirePaths(t, func(t *testing.T) {
-		fwd.bodies = nil
-		check(t, "one entry forwarded")
-		moved := &SparseRequest{Nets: sent.Nets}
-		for _, e := range sent.Entries {
-			if int(e.TableID) == id {
-				moved.Entries = append(moved.Entries, e)
-			}
-		}
-		ref := referenceSparseRequest(moved)
-		if len(fwd.bodies) != 2 || !bytes.Equal(fwd.bodies[0], ref) || !bytes.Equal(fwd.bodies[1], ref) {
-			t.Fatalf("forwarded %d bodies %x, want the reference bytes of the moved entry %x, twice", len(fwd.bodies), fwd.bodies, ref)
-		}
-	})
+	releaseTable(t, src, handleCall(src), id)
+	bothWirePaths(t, func(t *testing.T) { requireMoved(t, src, f.shards[1], moved, referenceSparseResponse(t, f.m, moved)) })
 }
 
 func sameBits(a, b []float32) bool {
@@ -374,12 +358,21 @@ func TestSparseRunAllEmptyBagsIsHeadersOnly(t *testing.T) {
 		req.Entries = append(req.Entries, SparseEntry{TableID: int32(id), NumParts: 1, Bags: make([]embedding.Bag, items)})
 	}
 	body := EncodeSparseRequest(req)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	resp, err := sh.Handle(trace.Context{}, MethodSparseRun, body)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		t.Fatal(err)
+	// TotalAlloc is process-wide: goroutines of earlier tests still winding
+	// down add to it, never take from it, so the least of several calls is
+	// what one call allocates.
+	var resp []byte
+	allocated := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		var err error
+		runtime.ReadMemStats(&m0)
+		resp, err = sh.Handle(trace.Context{}, MethodSparseRun, body)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated = min(allocated, m1.TotalAlloc-m0.TotalAlloc)
 	}
 	if want := 4 + pooledHeader*tables; len(resp) != want {
 		t.Fatalf("response of %d bytes, want %d: headers only", len(resp), want)
@@ -396,8 +389,8 @@ func TestSparseRunAllEmptyBagsIsHeadersOnly(t *testing.T) {
 	// The request is read in place, so what serving it allocates does not
 	// even grow with its bags (the parent built a 24-byte header per bag);
 	// the dense rows would have been 256 bytes a bag.
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(tables*1024); wireNative && got > limit {
-		t.Errorf("serving allocated %d bytes, want at most %d (dense rows alone were %d)", got, limit, tables*items*dim*4)
+	if limit := uint64(tables * 1024); wireNative && allocated > limit {
+		t.Errorf("serving allocated %d bytes, want at most %d (dense rows alone were %d)", allocated, limit, tables*items*dim*4)
 	}
 }
 

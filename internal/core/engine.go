@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
@@ -96,6 +97,9 @@ type Engine struct {
 	// atomically under rerouteMu.
 	prog      atomic.Pointer[engineProgram]
 	rerouteMu sync.Mutex
+	// retired holds the running counts of the plans Reroute swapped out
+	// whose executions have not all finished. Guarded by rerouteMu.
+	retired []*atomic.Int64
 	// hashedNames[tid] names table tid's hashed bags in a singular batch's
 	// workspace, precomputed so per-batch setup does no string formatting.
 	hashedNames []string
@@ -117,6 +121,10 @@ type engineProgram struct {
 	plan   *sharding.Plan
 	nets   []*netProgram
 	arenas *nn.ArenaPool
+	// running counts the executions routed under plan. SwapDense
+	// recompiles share it: they keep the plan, so their executions call
+	// the same shards for the same tables.
+	running *atomic.Int64
 }
 
 // netProgram is the compiled form of one net under the plan. Static
@@ -186,11 +194,15 @@ func NewEngine(m *model.Model, plan *sharding.Plan, cfg EngineConfig) (*Engine, 
 	return e, nil
 }
 
-// Reroute recompiles the engine against a new sharding plan and swaps it
-// in atomically — the main-shard half of an online-resharding cutover.
-// Requests already executing keep the old routing; the shards they hit
-// double-read or forward during the migration grace window, so no
-// request observes a torn placement.
+// drainBound caps how long Reroute waits for the executions routed under
+// earlier plans. Tests lower it.
+var drainBound = 10 * time.Second
+
+// Reroute recompiles the engine against a new sharding plan, swaps it in
+// atomically — the main-shard half of an online-resharding cutover — and
+// returns once no execution routed under an earlier plan is still
+// running, so the migration sources may then drop their old copies. A
+// drain that outlasts drainBound is an error; the new plan stays in.
 func (e *Engine) Reroute(plan *sharding.Plan) error {
 	e.rerouteMu.Lock()
 	defer e.rerouteMu.Unlock()
@@ -198,8 +210,17 @@ func (e *Engine) Reroute(plan *sharding.Plan) error {
 	if err != nil {
 		return fmt.Errorf("core: reroute: %w", err)
 	}
-	e.prog.Store(prog)
-	return nil
+	e.retired = append(e.retired, e.prog.Swap(prog).running)
+	for waited := time.Duration(0); ; waited += time.Millisecond {
+		e.retired = slices.DeleteFunc(e.retired, func(n *atomic.Int64) bool { return n.Load() == 0 })
+		if len(e.retired) == 0 {
+			return nil
+		}
+		if waited >= drainBound {
+			return fmt.Errorf("core: reroute: requests routed under an earlier plan still running after %v", drainBound)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // SwapDense atomically replaces the dense-layer parameters (bottom/top
@@ -219,13 +240,14 @@ func (e *Engine) SwapDense(params []model.NetParams) error {
 			return fmt.Errorf("core: swap dense: net %d: %w", i, err)
 		}
 	}
-	old := e.params
+	old, cur := e.params, e.prog.Load()
 	e.params = params
-	prog, err := e.compile(e.prog.Load().plan)
+	prog, err := e.compile(cur.plan)
 	if err != nil {
 		e.params = old
 		return fmt.Errorf("core: swap dense: %w", err)
 	}
+	prog.running = cur.running
 	e.prog.Store(prog)
 	return nil
 }
@@ -265,7 +287,7 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 	if err := plan.Validate(&m.Config); err != nil {
 		return nil, fmt.Errorf("core: invalid plan: %w", err)
 	}
-	prog := &engineProgram{plan: plan}
+	prog := &engineProgram{plan: plan, running: new(atomic.Int64)}
 	prevOut := ""
 	for i, ns := range m.Config.Nets {
 		np := &netProgram{
@@ -578,14 +600,30 @@ type execution struct {
 	inflight sync.WaitGroup
 }
 
+// enter counts an execution under the current program and returns it.
+// The recheck closes the race with Reroute: a count taken on a program
+// swapped out meanwhile is backed out and retried, so once Reroute has
+// swapped and then read a zero count, nothing can join the old plan.
+func (e *Engine) enter() *engineProgram {
+	for {
+		p := e.prog.Load()
+		p.running.Add(1)
+		if e.prog.Load() == p {
+			return p
+		}
+		p.running.Add(-1)
+	}
+}
+
 // executeValidated is Execute after shape validation.
 func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]float32, error) {
 	e.met.requests.Inc()
-	// One program load per request: every call and batch of this request
-	// routes under the same plan generation even if Reroute lands
-	// mid-flight.
-	x := &execution{e: e, prog: e.prog.Load(), ctx: ctx, req: req, batch: e.BatchSize(), obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
-	// Scores or an error, no call's goroutine outlives the request.
+	// One program per request: every call and batch of this request routes
+	// under the same plan generation even if Reroute lands mid-flight.
+	x := &execution{e: e, prog: e.enter(), ctx: ctx, req: req, batch: e.BatchSize(), obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
+	// Scores or an error, no call's goroutine outlives the request — and
+	// only then does the request stop counting against its plan's drain.
+	defer x.prog.running.Add(-1)
 	defer x.inflight.Wait()
 	items := int(req.Items)
 	if err := x.admit(items); err != nil {

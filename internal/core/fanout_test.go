@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,7 +428,9 @@ func (c *recordingCaller) Go(req *rpc.Request) *rpc.Call {
 // TestRerouteMidRequestChangesNoCall: a request reads the routing
 // program once, at admission, so a Reroute landing while its calls are
 // still being issued changes none of them; the next request routes under
-// the new plan.
+// the new plan. Reroute itself does not return until that request has:
+// the migration sources the old plan routes to may drop their copies as
+// soon as it does.
 func TestRerouteMidRequestChangesNoCall(t *testing.T) {
 	cfg := smallModel("DRM2")
 	m := model.Build(cfg)
@@ -468,7 +471,8 @@ func TestRerouteMidRequestChangesNoCall(t *testing.T) {
 		}
 		a1, a2 := tablesOf("sparse1"), tablesOf("sparse2")
 
-		// Hold the request's first call to sparse1, reroute, release.
+		// Hold the request's first call to sparse1, reroute on a goroutine
+		// of its own, let the request go.
 		gate, seen := make(chan struct{}), make(chan struct{})
 		callers["sparse1"].gate, callers["sparse1"].seen = gate, seen
 		done := make(chan error, 1)
@@ -479,12 +483,32 @@ func TestRerouteMidRequestChangesNoCall(t *testing.T) {
 			done <- err
 		}()
 		<-seen
-		if err := f.eng.Reroute(planB); err != nil {
-			t.Fatal(err)
+		var requestDone atomic.Bool
+		rerouted := make(chan error, 1)
+		go func() {
+			err := f.eng.Reroute(planB)
+			if err == nil && !requestDone.Load() {
+				err = errors.New("Reroute returned while a request routed under the old plan was still running")
+			}
+			rerouted <- err
+		}()
+		// Once the new plan is in, give a Reroute that did not wait time
+		// enough to return.
+		for f.eng.Plan() != planB {
+			runtime.Gosched()
 		}
+		select {
+		case err := <-rerouted:
+			t.Fatalf("paper=%v: Reroute returned (%v) while the request was held", paper, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		requestDone.Store(true)
 		close(gate)
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+		if err := <-rerouted; err != nil {
+			t.Fatalf("paper=%v: %v", paper, err)
 		}
 		if !sameBits(got, want) {
 			t.Errorf("paper=%v: rerouted mid-request scores differ", paper)

@@ -13,10 +13,10 @@ import (
 // collects measured load summaries from every sparse shard, asks the
 // rebalancer for an incremental migration plan, copies each move's table
 // from source to destination in a staged transaction of its own
-// (stage.go) while both keep serving, swaps the engine's routing, and
-// finally installs forwards at the sources so requests compiled against
-// the old plan stay correct. Because every step is a wire call, the same
-// driver reshards an in-process cluster and a fleet of standalone
+// (stage.go) while both keep serving, swaps the engine's routing, waits
+// for the requests routed under the old plan to finish, and only then
+// releases the sources' copies. Because every step is a wire call, the
+// same driver reshards an in-process cluster and a fleet of standalone
 // drmserve processes.
 type Migrator struct {
 	// Engine is the main shard's engine, rerouted at cutover.
@@ -37,7 +37,7 @@ type RebalanceReport struct {
 	Plan *sharding.MigrationPlan
 	// BytesMoved is the row data streamed across shards.
 	BytesMoved int64
-	// Duration covers collection through final forward installation.
+	// Duration covers collection through the last source release.
 	Duration time.Duration
 }
 
@@ -105,23 +105,17 @@ func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport,
 		}
 	}
 
-	// Phase 2: cutover. The engine swaps routing first — new requests go
-	// to the destinations, which are live as of commit. Then sources
-	// install forwards (releasing their copies) so requests still
-	// executing under the old program are answered by forwarding; the
-	// window between commit and forward is covered by the source's
-	// retained copy, which is byte-identical because storage is
-	// immutable.
+	// Phase 2: cutover. The engine swaps routing — new requests go to the
+	// destinations, live as of commit — and returns once no request routed
+	// under the old plan is running; until then the sources serve their
+	// retained copies, byte-identical because storage is immutable. Only
+	// then are those copies released; a drain that fails releases nothing.
 	if err := mg.Engine.Reroute(mp.Target); err != nil {
 		return nil, err
 	}
 	for _, mv := range mp.Moves {
-		src, dst := mg.Shards[mv.From], mg.Shards[mv.To]
-		fwd := &TableForward{
-			TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex),
-			Service: dst.Service, Addr: dst.Addr, Release: true,
-		}
-		if _, err := src.call(mg.Rec)(MethodTableForward, encodeMsg(fwd)); err != nil {
+		rel := &TableRelease{TableID: int32(mv.TableID), PartIndex: int32(mv.PartIndex)}
+		if _, err := mg.Shards[mv.From].call(mg.Rec)(MethodTableRelease, encodeMsg(rel)); err != nil {
 			return nil, err
 		}
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
@@ -147,18 +149,63 @@ func (f *migrationFixture) migrateTable(t *testing.T, id, chunkRows int) {
 	}
 }
 
+// tableRequest builds a sparse request for one whole table from a
+// deterministic workload draw.
+func (f *migrationFixture) tableRequest(t *testing.T, seed int64, id int) []byte {
+	t.Helper()
+	spec := f.m.Config.Tables[id]
+	bags := hashBags(workload.NewGenerator(f.m.Config, seed).Next().Bags[id], spec.Rows)
+	return EncodeSparseRequest(&SparseRequest{Nets: []string{spec.Net}, Entries: []SparseEntry{{TableID: int32(id), NumParts: 1, Bags: bags}}})
+}
+
+// releaseTable sends table.release for a whole table through shard, as
+// the Migrator does, and requires the ack to report the dropped copy at
+// the shard's advanced epoch.
+func releaseTable(t *testing.T, sh *SparseShard, shard shardCall, id int) {
+	t.Helper()
+	epoch := sh.Epoch()
+	out, err := shard(MethodTableRelease, encodeMsg(&TableRelease{TableID: int32(id)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := decodeMsg[CutoverAck](out); err != nil || ack.Tables != 1 || ack.Epoch <= epoch || ack.Epoch != sh.Epoch() {
+		t.Fatalf("release ack %+v (err %v), want one table dropped past epoch %d", ack, err, epoch)
+	}
+}
+
+// requireMoved checks the end state of a migration: the source refuses
+// body, a request for the moved table, and the destination answers it
+// with want, the source's answer from before the release.
+func requireMoved(t *testing.T, src, dst *SparseShard, body, want []byte) {
+	t.Helper()
+	if _, err := src.Handle(trace.Context{}, MethodSparseRun, body); err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("source after release: %v, want a refusal", err)
+	}
+	got, err := dst.Handle(trace.Context{}, MethodSparseRun, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the destination answers the moved table differently from the source before release")
+	}
+}
+
 // TestMigrationMidCutoverIdentity walks one table through every cutover
-// state — pre-migration, staged-but-uncommitted, committed with the
-// source double-reading, and released with the source forwarding — and
+// state — pre-migration, committed at the destination with the source
+// still serving its retained copy, and released at the source — and
 // requires byte-identical pooled results throughout.
 func TestMigrationMidCutoverIdentity(t *testing.T) {
 	f := newMigrationFixture(t)
 	src, dst := f.shards[0], f.shards[1]
 	id := f.plan.Shards[0].Tables[0]
 	ctx := trace.Context{TraceID: 7}
-	body := f.runRequest(t, 99)
+	body, moved := f.runRequest(t, 99), f.tableRequest(t, 99, id)
 
 	before, err := src.Handle(ctx, MethodSparseRun, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	movedBefore, err := src.Handle(ctx, MethodSparseRun, moved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,73 +216,244 @@ func TestMigrationMidCutoverIdentity(t *testing.T) {
 		t.Fatal("commit must advance the destination epoch")
 	}
 
-	// Committed at the destination, source still authoritative for its
-	// in-flight traffic: the retained copy double-reads identically.
+	// Committed at the destination, the source still serves requests
+	// routed under the old plan from its retained copy, identically.
 	during, err := src.Handle(ctx, MethodSparseRun, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, during) {
-		t.Fatal("double-read during cutover diverged from pre-migration result")
+		t.Fatal("the retained copy's answer diverged from the pre-migration result")
 	}
 
-	// Source releases and forwards: lookups still land at the source
-	// (stale routing) but are answered by the destination.
-	srcEpoch := src.Epoch()
-	src.BeginForward(id, 0, "sparse2", f.calls[1], true)
-	if src.Epoch() <= srcEpoch {
-		t.Fatal("forward must advance the source epoch")
-	}
-	after, err := src.Handle(ctx, MethodSparseRun, body)
+	releaseTable(t, src, handleCall(src), id)
+	requireMoved(t, src, dst, moved, movedBefore)
+}
+
+// TestMigrationForwardOverWire moves a table the way the Migrator does
+// between processes: every step of the copy, the commit and the release
+// travels a real rpc connection to each shard. (The name dates from when
+// the cutover installed a forward at the source; that step is now
+// table.release.) The destination then answers the moved table as the
+// source did, and a second release finds nothing to drop.
+func TestMigrationForwardOverWire(t *testing.T) {
+	f := newMigrationFixture(t)
+	src, dst := f.shards[0], f.shards[1]
+	id := f.plan.Shards[0].Tables[0]
+	body := f.tableRequest(t, 123, id)
+	before, err := src.Handle(trace.Context{TraceID: 8}, MethodSparseRun, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("forwarded lookup diverged from pre-migration result")
-	}
 
-	// The destination also serves the table directly (new routing).
-	direct, err := dst.Handle(ctx, MethodSparseRun, body)
-	if err == nil {
-		_ = direct
-	} else if !strings.Contains(err.Error(), "does not hold") {
-		// Other tables of the request still live on the source, so a
-		// direct full-request hit on the destination correctly rejects;
-		// anything else is a protocol bug.
-		t.Fatalf("unexpected destination error: %v", err)
+	rec := trace.NewRecorder("main", 64)
+	wire := ShardEndpoint{Service: src.ShardName, Caller: f.calls[0]}.call(rec)
+	dstWire := ShardEndpoint{Service: dst.ShardName, Caller: f.calls[1]}.call(rec)
+	shape := heldShape(t, src, id, 0)
+	txn := anonTxn | uint64(id+1)
+	if _, err := copyTable(wire, dstWire, txn, shape, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := commitTxn(dstWire, txn); err != nil {
+		t.Fatal(err)
+	}
+	releaseTable(t, src, wire, id)
+	requireMoved(t, src, dst, body, before)
+
+	epoch := src.Epoch()
+	out, err := wire(MethodTableRelease, encodeMsg(&TableRelease{TableID: int32(id)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := decodeMsg[CutoverAck](out); err != nil || ack.Tables != 0 || src.Epoch() != epoch {
+		t.Fatalf("second release ack %+v (err %v), epoch %d -> %d: want a no-op", ack, err, epoch, src.Epoch())
 	}
 }
 
-// TestMigrationForwardOverWire installs the forward via the RPC control
-// plane (dial-by-address), as the Migrator does between processes.
-func TestMigrationForwardOverWire(t *testing.T) {
-	f := newMigrationFixture(t)
-	src := f.shards[0]
-	id := f.plan.Shards[0].Tables[0]
-	ctx := trace.Context{TraceID: 8}
-	body := f.runRequest(t, 123)
+// rebalanceFixture is an engine over four in-process shards whose calls
+// to sparse1 can be held, the Migrator over the same shards, and a stream
+// skewed onto sparse1's tables — measured load a rebalance moves tables
+// off sparse1 for — with each request's scores under the first plan.
+type rebalanceFixture struct {
+	*shardedFixture
+	mg      *Migrator
+	hold    *recordingCaller
+	reqs    []*RankingRequest
+	control [][]float32
+}
 
-	before, err := src.Handle(ctx, MethodSparseRun, body)
+func newRebalanceFixture(t *testing.T) *rebalanceFixture {
+	t.Helper()
+	cfg := smallModel("DRM1")
+	m := model.Build(cfg)
+	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.migrateTable(t, id, 7)
-	out, err := src.Handle(ctx, MethodTableForward, encodeMsg(&TableForward{
-		TableID: int32(id), Service: "sparse2", Addr: f.srvs[1].Addr(), Release: true,
-	}))
-	if err != nil {
+	f := &rebalanceFixture{}
+	f.shardedFixture = newShardedFixture(t, m, plan, EngineConfig{}, func(svc string, c rpc.Caller) rpc.Caller {
+		if svc != "sparse1" {
+			return c
+		}
+		f.hold = &recordingCaller{Caller: c}
+		return f.hold
+	})
+	f.mg = &Migrator{Engine: f.eng, Rec: trace.NewRecorder("control", 1<<10), Shards: make(map[int]ShardEndpoint)}
+	for i, sh := range f.shards {
+		f.mg.Shards[i+1] = ShardEndpoint{Service: sh.ShardName, Caller: &localCaller{h: sh}}
+	}
+	skew := make(map[int]float64)
+	for _, id := range plan.Shards[0].Tables {
+		skew[id] = 6
+	}
+	for _, w := range workload.ApplySkew(workload.NewGenerator(cfg, 23).GenerateBatch(12), skew) {
+		req := FromWorkload(w)
+		scores, err := f.eng.Execute(trace.Context{TraceID: 1}, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.reqs, f.control = append(f.reqs, req), append(f.control, scores)
+	}
+	return f
+}
+
+// listed is every shard's table.list answer, as a set per shard.
+func (f *rebalanceFixture) listed(t *testing.T) []map[tableKey]bool {
+	t.Helper()
+	out := make([]map[tableKey]bool, len(f.shards))
+	for i, sh := range f.shards {
+		shapes, err := listTables(handleCall(sh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = make(map[tableKey]bool)
+		for _, shape := range shapes {
+			out[i][shape.key()] = true
+		}
+	}
+	return out
+}
+
+// requireStillListed fails if a shard stopped listing a table it listed
+// in before.
+func requireStillListed(t *testing.T, before, now []map[tableKey]bool) {
+	t.Helper()
+	for i := range before {
+		for key := range before[i] {
+			if !now[i][key] {
+				t.Fatalf("sparse%d dropped table %d part %d while a request routed under the old plan was running", i+1, key.id, key.part)
+			}
+		}
+	}
+}
+
+// holdRequest starts f.reqs[0] and returns once its call to sparse1 is
+// held, with the channels that release it and deliver its outcome.
+func (f *rebalanceFixture) holdRequest() (release chan struct{}, done chan []float32, failed chan error) {
+	release, seen := make(chan struct{}), make(chan struct{})
+	f.hold.gate, f.hold.seen = release, seen
+	done, failed = make(chan []float32, 1), make(chan error, 1)
+	go func() {
+		scores, err := f.eng.Execute(trace.Context{TraceID: 2}, f.reqs[0])
+		if err != nil {
+			failed <- err
+			return
+		}
+		done <- scores
+	}()
+	<-seen
+	return release, done, failed
+}
+
+// heldScores releases a held request and requires the control's scores.
+func (f *rebalanceFixture) heldScores(t *testing.T, release chan struct{}, done chan []float32, failed chan error) {
+	t.Helper()
+	close(release)
+	select {
+	case err := <-failed:
+		t.Fatalf("the held request failed: %v", err)
+	case got := <-done:
+		if !sameBits(got, f.control[0]) {
+			t.Fatal("the held request's scores differ from the control's")
+		}
+	}
+}
+
+// TestRebalanceWaitsForOldPlanRequest holds a request mid-call under the
+// old plan across a whole Migrator.Rebalance: the pass commits its moves
+// and swaps the plan, then waits; every source still lists every table it
+// held until the request returns, with the control's scores. Only then
+// are the moved tables released, and the stream scores the same under
+// the new plan.
+func TestRebalanceWaitsForOldPlanRequest(t *testing.T) {
+	f := newRebalanceFixture(t)
+	before, planA := f.listed(t), f.eng.Plan()
+	release, done, failed := f.holdRequest()
+
+	var report *RebalanceReport
+	rebalanced := make(chan error, 1)
+	go func() {
+		var err error
+		report, err = f.mg.Rebalance(sharding.RebalanceOptions{MoveBudget: 6})
+		rebalanced <- err
+	}()
+	// Once the plan is swapped, give a pass that did not wait time enough
+	// to release its sources.
+	for f.eng.Plan() == planA {
+		select {
+		case err := <-rebalanced:
+			t.Fatalf("Rebalance returned (%v) without swapping the plan", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	select {
+	case err := <-rebalanced:
+		t.Fatalf("Rebalance returned (%v) while a request routed under the old plan was held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	requireStillListed(t, before, f.listed(t))
+
+	f.heldScores(t, release, done, failed)
+	if err := <-rebalanced; err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := decodeMsg[CutoverAck](out); err != nil || ack.Epoch == 0 {
-		t.Fatalf("forward ack = %v, %v", ack, err)
+	if !report.Moved() {
+		t.Fatal("a 6x skew onto sparse1 moved nothing")
 	}
-	after, err := src.Handle(ctx, MethodSparseRun, body)
-	if err != nil {
-		t.Fatal(err)
+	after := f.listed(t)
+	for _, mv := range report.Plan.Moves {
+		key := tableKey{id: mv.TableID, part: mv.PartIndex}
+		if after[mv.From-1][key] || !after[mv.To-1][key] {
+			t.Errorf("after %v: sparse%d lists it %v, sparse%d %v", mv, mv.From, after[mv.From-1][key], mv.To, after[mv.To-1][key])
+		}
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("wire-forwarded lookup diverged from pre-migration result")
+	for i, req := range f.reqs {
+		got, err := f.eng.Execute(trace.Context{TraceID: 3}, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, f.control[i]) {
+			t.Fatalf("request %d scores differently under the new plan", i)
+		}
 	}
+}
+
+// TestRebalanceStuckRequestReleasesNothing: a request routed under the
+// old plan that outlasts the drain bound makes Rebalance fail, and every
+// source keeps its copy — so the request, once it moves again, is still
+// answered, with the control's scores.
+func TestRebalanceStuckRequestReleasesNothing(t *testing.T) {
+	defer func(b time.Duration) { drainBound = b }(drainBound)
+	drainBound = 30 * time.Millisecond
+	f := newRebalanceFixture(t)
+	before := f.listed(t)
+	release, done, failed := f.holdRequest()
+	if _, err := f.mg.Rebalance(sharding.RebalanceOptions{MoveBudget: 6}); err == nil || !strings.Contains(err.Error(), "still running") {
+		t.Fatalf("Rebalance with a stuck request: %v, want a drain error", err)
+	}
+	requireStillListed(t, before, f.listed(t))
+	f.heldScores(t, release, done, failed)
 }
 
 // TestStageProtocolErrors pins the control plane's failure modes.

@@ -42,26 +42,15 @@ func sortedTableKeys[V any](m map[tableKey]V) []tableKey {
 	return keys
 }
 
-// forwardTarget routes lookups for a migrated-away table to the shard
-// that now holds it.
-type forwardTarget struct {
-	service string
-	caller  rpc.Caller
-	// dim is the moved table's row width, kept from the copy the shard
-	// held when the forward began: a response is laid out before the
-	// destination answers, so a forwarded entry's shape must be known
-	// here. 0 means the shard never held the table.
-	dim int
-}
-
 // SparseShard serves pooled embedding lookups for the tables (and table
 // partitions) a sharding plan assigns to it. Table storage is immutable
 // once installed — the property Section III-A1 requires so shards can be
 // replicated and restarted freely — but the *set* of tables a shard
 // holds changes through staged transactions (stage.go): a driver fills
-// shadow copies and commits them at a new forwarding epoch, and a
-// migration source either double-reads its retained copy or forwards
-// stragglers, so lookups in flight across a cutover are never wrong.
+// shadow copies and commits them at a new epoch, and a migration source
+// keeps its retained copy until every request routed under the old plan
+// has drained, so lookups in flight across a cutover are never wrong. A
+// shard is a leaf: it answers calls and issues none.
 type SparseShard struct {
 	// ShardName labels spans ("sparse3").
 	ShardName string
@@ -71,22 +60,15 @@ type SparseShard struct {
 	// OpComputeScale stretches sparse-op time to model slower platforms
 	// (burned as real CPU); 0 or 1 means no scaling.
 	OpComputeScale float64
-	// DialForward overrides how the shard connects to a forward
-	// destination (tests inject in-process callers); nil uses rpc.Dial.
-	DialForward func(addr string) (rpc.Caller, error)
 
 	mu     sync.RWMutex
 	tables map[tableKey]embedding.Table
 	// staging holds every open transaction's shadow copies, committed or
 	// aborted as a set (stage.go).
-	staging  map[uint64]map[tableKey]*stagedTable
-	forwards map[tableKey]*forwardTarget
+	staging map[uint64]map[tableKey]*stagedTable
 	// tier, when non-nil, enables the tiered store: tables install behind
 	// a hot-row cache over a (possibly quantized) cold tier. Guarded by mu.
 	tier *TierConfig
-	// fwdClients caches dialed forward callers per address so N moved
-	// tables to one destination share one connection pool.
-	fwdClients map[string]rpc.Caller
 
 	epoch atomic.Uint64
 	// modelVersion is the highest committed model-version transaction —
@@ -107,14 +89,12 @@ type SparseShard struct {
 // NewSparseShard returns an empty shard recording to rec.
 func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 	return &SparseShard{
-		ShardName:  name,
-		slsName:    "sls_" + name,
-		rec:        rec,
-		tables:     make(map[tableKey]embedding.Table),
-		staging:    make(map[uint64]map[tableKey]*stagedTable),
-		forwards:   make(map[tableKey]*forwardTarget),
-		fwdClients: make(map[string]rpc.Caller),
-		load:       sharding.NewLoadSummary(),
+		ShardName: name,
+		slsName:   "sls_" + name,
+		rec:       rec,
+		tables:    make(map[tableKey]embedding.Table),
+		staging:   make(map[uint64]map[tableKey]*stagedTable),
+		load:      sharding.NewLoadSummary(),
 	}
 }
 
@@ -122,11 +102,10 @@ func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 // "<shard>." namespace. All handles are nil (free no-ops) before SetObs.
 type shardMetrics struct {
 	runCalls *obs.Counter   // sparse.run requests served
-	bags     *obs.Counter   // bags those requests asked about (local + forwarded entries)
+	bags     *obs.Counter   // bags those requests asked about
 	present  *obs.Counter   // of them, non-empty: the rows pooled and shipped
 	runNs    *obs.Histogram // full handleRun duration (decode → encode)
-	opNs     *obs.Histogram // local pooling-net execution time
-	forwards *obs.Counter   // forward calls issued to destination shards
+	opNs     *obs.Histogram // pooling-net execution time
 
 	// served counts control-plane calls per method, for the methods the
 	// method table gives a counter name.
@@ -146,7 +125,6 @@ func (s *SparseShard) SetObs(reg *obs.Registry) {
 		present:    reg.Counter(p + "sparse.bags_present"),
 		runNs:      reg.Histogram(p + "sparse.run_ns"),
 		opNs:       reg.Histogram(p + "sparse.op_ns"),
-		forwards:   reg.Counter(p + "sparse.forwards"),
 		served:     make(map[string]*obs.Counter),
 		stageBytes: reg.Counter(p + "stage.bytes"),
 	}
@@ -179,61 +157,38 @@ func (s *SparseShard) AddPart(id, part int, t embedding.Table) {
 	s.InstallTable(id, part, t)
 }
 
-// InstallTable activates table storage under (id, part), clears any
-// forward for the key (this shard is authoritative again), and bumps the
-// forwarding epoch. Under a tier config the table is wrapped on the way
-// in (cold-tier encoding plus a fresh, empty hot-row cache) and the
-// shard's cache budget is re-apportioned.
+// InstallTable activates table storage under (id, part) and bumps the
+// epoch. Under a tier config the table is wrapped on the way in
+// (cold-tier encoding plus a fresh, empty hot-row cache) and the shard's
+// cache budget is re-apportioned.
 func (s *SparseShard) InstallTable(id, part int, t embedding.Table) {
 	s.mu.Lock()
-	key := tableKey{id: id, part: part}
-	s.tables[key] = s.tierWrap(id, t)
-	delete(s.forwards, key)
+	s.tables[tableKey{id: id, part: part}] = s.tierWrap(id, t)
 	s.mu.Unlock()
 	s.epoch.Add(1)
 	s.retier()
 }
 
-// BeginForward routes future lookups for (id, part) to caller (serving
-// the named destination shard). When release is set the local copy is
-// dropped immediately; otherwise the shard keeps double-reading its
-// retained copy — byte-identical to the destination's, since storage is
-// immutable — until ReleaseTable.
-func (s *SparseShard) BeginForward(id, part int, service string, caller rpc.Caller, release bool) {
-	s.mu.Lock()
+// ReleaseTable drops the shard's copy of (id, part) — a migration
+// source's last step, once no request routed to it under the old plan is
+// running — and reports whether it held one. The copy's cache dies with
+// it; the rest of the budget redistributes over the tables still held.
+func (s *SparseShard) ReleaseTable(id, part int) bool {
 	key := tableKey{id: id, part: part}
-	fwd := &forwardTarget{service: service, caller: caller}
-	if t, ok := s.tables[key]; ok {
-		fwd.dim = t.Dim()
-	} else if prev, ok := s.forwards[key]; ok {
-		fwd.dim = prev.dim // re-pointing a forward for a copy already released
-	}
-	s.forwards[key] = fwd
-	if release {
-		delete(s.tables, key)
-	}
+	s.mu.Lock()
+	_, held := s.tables[key]
+	delete(s.tables, key)
 	s.mu.Unlock()
-	s.epoch.Add(1)
-	if release {
-		// The released copy's cache died with it; what remains of the
-		// budget redistributes over the tables still held.
+	if held {
+		s.epoch.Add(1)
 		s.retier()
 	}
+	return held
 }
 
-// ReleaseTable drops the local copy of (id, part), leaving any forward
-// in place — the end of a double-read grace window.
-func (s *SparseShard) ReleaseTable(id, part int) {
-	s.mu.Lock()
-	delete(s.tables, tableKey{id: id, part: part})
-	s.mu.Unlock()
-	s.epoch.Add(1)
-	s.retier()
-}
-
-// Epoch returns the shard's forwarding epoch: it advances on every
-// install, forward, and release, so two reads bracketing a lookup prove
-// no cutover interleaved.
+// Epoch returns the shard's table-set epoch: it advances on every
+// install, commit and release, so two reads bracketing a lookup prove no
+// cutover interleaved.
 func (s *SparseShard) Epoch() uint64 { return s.epoch.Load() }
 
 // NumTables reports how many tables/parts the shard holds.
@@ -269,15 +224,12 @@ func (s *SparseShard) LoadSnapshot(reset bool) *sharding.LoadSummary {
 	return out
 }
 
-// Close releases any forward-client connections the shard dialed.
+// Close drops any open staging: a transaction its driver never ended
+// holds table-sized buffers.
 func (s *SparseShard) Close() {
 	s.mu.Lock()
-	clients := s.fwdClients
-	s.fwdClients = make(map[string]rpc.Caller)
+	clear(s.staging)
 	s.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
-	}
 }
 
 // shardMethod is one row of the shard's wire surface.
@@ -303,7 +255,7 @@ var shardMethods = []shardMethod{
 	{MethodStageAbort, (*SparseShard).handleStageAbort, true, ""},
 	{MethodTableList, (*SparseShard).handleTableList, true, ""},
 	{MethodTableRead, (*SparseShard).handleTableRead, true, "table.reads"},
-	{MethodTableForward, (*SparseShard).handleTableForward, true, ""},
+	{MethodTableRelease, (*SparseShard).handleTableRelease, true, "table.releases"},
 }
 
 // Handle implements rpc.Handler by dispatching through shardMethods.
@@ -333,12 +285,11 @@ func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]b
 
 // runEntry is one sparse-request entry — read in place, its bag list a
 // view of the request body — resolved against the shard's current table
-// set: pooled locally, or by the shard that now holds the table.
+// set.
 type runEntry struct {
 	sparseEntryView
-	table   embedding.Table // non-nil → pool locally
-	forward *forwardTarget  // used when table is nil
-	out     []float32       // local entries: where the pooled rows are written
+	table embedding.Table
+	out   []float32 // where the pooled rows are written
 }
 
 // handleRun serves one sparse.run call — by default a whole request's
@@ -377,25 +328,20 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	}
 
 	// Resolve every entry against one consistent snapshot of the table
-	// set: a cutover landing mid-request flips routing for the *next*
-	// request, never within one. A forwarded entry's slot is sized like a
-	// local one, from the lengths about to be forwarded.
+	// set: a cutover landing mid-request changes what the *next* request
+	// sees, never this one.
 	slots := make([]pooledSlot, len(run))
-	var nLocal, bags, present int
+	var bags, present int
 	s.mu.RLock()
 	for i := range run {
 		e := &run[i]
-		key := tableKey{id: int(e.TableID), part: int(e.PartIndex)}
-		var dim int
-		if tab, ok := s.tables[key]; ok {
-			e.table, dim = tab, tab.Dim()
-			nLocal++
-		} else if fwd, ok := s.forwards[key]; ok && fwd.dim > 0 {
-			e.forward, dim = fwd, fwd.dim
-		} else {
+		tab, ok := s.tables[tableKey{id: int(e.TableID), part: int(e.PartIndex)}]
+		if !ok {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
 		}
+		e.table = tab
+		dim := tab.Dim()
 		slots[i] = pooledSlot{
 			TableID: e.TableID, PartIndex: e.PartIndex,
 			Rows: int32(len(e.Lens)), Cols: int32(dim), n: e.present * dim,
@@ -416,62 +362,45 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	out := layoutSparseResponse(slots)
 	encDur := s.rec.Now().Sub(encStart)
 
-	// Issue forwarded entries first so the destination pools while this
-	// shard runs its local net.
-	var fwdWait func() error
-	if nLocal < len(run) {
-		fwdWait = s.issueForwards(ctx, req.head, run, slots, out)
-	}
-
-	if nLocal > 0 {
-		// Build and run the pooling nets: per net named in the request,
-		// one fused SLS over its locally held entries, executed through
-		// the framework so Net Overhead and operator spans are attributed
-		// exactly like the main shard's, net by net.
-		netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
-		opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
-		entries := make([]embedding.PoolEntry, 0, nLocal)
-		for k, name := range req.nets {
-			first := len(entries)
-			for i := range run {
-				e := &run[i]
-				if e.table == nil || int(e.Net) != k {
-					continue
-				}
-				e.out = floatsOver(slots[i].region(out))
-				entries = append(entries, embedding.PoolEntry{Table: e.table, Lens: e.Lens, Indices: e.Indices, Out: e.out})
-			}
-			if len(entries) == first {
+	// Build and run the pooling nets: per net named in the request, one
+	// fused SLS over its entries, executed through the framework so Net
+	// Overhead and operator spans are attributed exactly like the main
+	// shard's, net by net.
+	netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
+	opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
+	entries := make([]embedding.PoolEntry, 0, len(run))
+	for k, name := range req.nets {
+		first := len(entries)
+		for i := range run {
+			e := &run[i]
+			if int(e.Net) != k {
 				continue
 			}
-			sls := &nn.MultiSLS{OpName: s.slsName, Entries: entries[first:]}
-			if err := (&nn.Net{NetName: name, Ops: []nn.Op{sls}}).Run(nil, netObs); err != nil {
-				return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
-			}
+			e.out = floatsOver(slots[i].region(out))
+			entries = append(entries, embedding.PoolEntry{Table: e.table, Lens: e.Lens, Indices: e.Indices, Out: e.out})
 		}
-		if s.OpComputeScale > 1 {
-			burnFor(time.Duration(float64(time.Since(opStart)) * (s.OpComputeScale - 1))) //lint:allow determinism scaled burn models a slower platform; results unchanged
+		if len(entries) == first {
+			continue
 		}
-		opDur := time.Since(opStart) //lint:allow determinism measured latency goes to histograms and load accounting only
-		s.met.opNs.Observe(int64(opDur))
-		s.accountLoad(run, opDur)
-
-		if !wireNative {
-			// The conversion pass a host of the other byte order owes.
-			convStart := s.rec.Now()
-			for i := range run {
-				if run[i].table != nil {
-					putF32s(slots[i].region(out), run[i].out)
-				}
-			}
-			encDur += s.rec.Now().Sub(convStart)
+		sls := &nn.MultiSLS{OpName: s.slsName, Entries: entries[first:]}
+		if err := (&nn.Net{NetName: name, Ops: []nn.Op{sls}}).Run(nil, netObs); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", s.ShardName, err)
 		}
 	}
+	if s.OpComputeScale > 1 {
+		burnFor(time.Duration(float64(time.Since(opStart)) * (s.OpComputeScale - 1))) //lint:allow determinism scaled burn models a slower platform; results unchanged
+	}
+	opDur := time.Since(opStart) //lint:allow determinism measured latency goes to histograms and load accounting only
+	s.met.opNs.Observe(int64(opDur))
+	s.accountLoad(run, opDur)
 
-	if fwdWait != nil {
-		if err := fwdWait(); err != nil {
-			return nil, err
+	if !wireNative {
+		// The conversion pass a host of the other byte order owes.
+		convStart := s.rec.Now()
+		for i := range run {
+			putF32s(slots[i].region(out), run[i].out)
 		}
+		encDur += s.rec.Now().Sub(convStart)
 	}
 	s.rec.Record(trace.Span{
 		TraceID: ctx.TraceID, CallID: ctx.CallID, Layer: trace.LayerSerDe,
@@ -496,21 +425,16 @@ func readRun(body []byte) (sparseReader, []runEntry, error) {
 	return req, run, nil
 }
 
-// accountLoad folds one call's locally served entries into the live load
-// summary, apportioning the call's sparse-op time by lookup share.
+// accountLoad folds one call's entries into the live load summary,
+// apportioning the call's sparse-op time by lookup share.
 func (s *SparseShard) accountLoad(run []runEntry, opDur time.Duration) {
 	total := 0
 	for i := range run {
-		if run[i].table != nil {
-			total += len(run[i].Indices)
-		}
+		total += len(run[i].Indices)
 	}
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	for i := range run {
-		if run[i].table == nil {
-			continue
-		}
 		lookups := len(run[i].Indices)
 		var svc time.Duration
 		if total > 0 {
@@ -520,82 +444,6 @@ func (s *SparseShard) accountLoad(run []runEntry, opDur time.Duration) {
 		s.load.Add(key.loadKey(), sharding.TableLoad{
 			Lookups: int64(lookups), ServiceTime: svc, Calls: 1,
 		})
-	}
-}
-
-// issueForwards sends the request's forwarded entries to the shards that
-// now hold their tables — a body spliced from the request's own net table
-// (head) and the entries' own bytes — and returns a wait function that
-// copies each answer's packed rows — still wire bytes, as many as the
-// forwarded bags imply or the answer is refused — into its region of out.
-func (s *SparseShard) issueForwards(ctx trace.Context, head []byte, run []runEntry, slots []pooledSlot, out []byte) func() error {
-	// Group entries per destination caller so one straggler batch costs
-	// one hop per destination.
-	type group struct {
-		target *forwardTarget
-		idx    []int // positions in the request
-		call   *rpc.Call
-		issue  time.Time
-	}
-	var groups []*group
-	byCaller := make(map[rpc.Caller]*group)
-	for i := range run {
-		fwd := run[i].forward
-		if fwd == nil {
-			continue
-		}
-		g := byCaller[fwd.caller]
-		if g == nil {
-			g = &group{target: fwd}
-			byCaller[fwd.caller] = g
-			groups = append(groups, g)
-		}
-		g.idx = append(g.idx, i)
-	}
-	for _, g := range groups {
-		entries := make([][]byte, len(g.idx))
-		for k, i := range g.idx {
-			entries[k] = run[i].wire
-		}
-		g.issue = s.rec.Now()
-		g.call = g.target.caller.Go(&rpc.Request{
-			Method: MethodSparseRun, TraceID: ctx.TraceID, CallID: s.rec.NextID(),
-			Body: spliceSparseRequest(head, entries),
-		})
-		s.met.forwards.Inc()
-	}
-	return func() error {
-		for _, g := range groups {
-			<-g.call.Done
-			s.rec.Record(trace.Span{
-				TraceID: ctx.TraceID, CallID: g.call.Req.CallID, Layer: trace.LayerMigration,
-				Name: "forward/" + g.target.service, Start: g.issue, Dur: s.rec.Now().Sub(g.issue),
-			})
-			if g.call.Err != nil {
-				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, g.call.Err)
-			}
-			pooled, err := readPooled(g.call.Resp.Body)
-			if err != nil {
-				return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, err)
-			}
-			if pooled.left != len(g.idx) {
-				return fmt.Errorf("core: %s forward returned %d entries for %d", s.ShardName, pooled.left, len(g.idx))
-			}
-			for _, i := range g.idx {
-				got, rows, err := pooled.next()
-				if err != nil {
-					return fmt.Errorf("core: %s forwarding to %s: %w", s.ShardName, g.target.service, err)
-				}
-				want := &slots[i]
-				if got.TableID != want.TableID || got.PartIndex != want.PartIndex || got.Rows != want.Rows || got.Cols != want.Cols || got.n != want.n {
-					return fmt.Errorf("core: %s forward to %s answered table %d part %d as %d values of %dx%d, want table %d part %d as %d of %dx%d",
-						s.ShardName, g.target.service, got.TableID, got.PartIndex, got.n, got.Rows, got.Cols,
-						want.TableID, want.PartIndex, want.n, want.Rows, want.Cols)
-				}
-				copy(want.region(out), rows)
-			}
-		}
-		return nil
 	}
 }
 
@@ -613,37 +461,6 @@ func (s *SparseShard) handleLoad(_ trace.Context, body []byte) ([]byte, error) {
 		s.retier()
 	}
 	return out, nil
-}
-
-// forwardCaller returns a cached (or freshly dialed) caller for a
-// forward destination address. The dial happens outside s.mu: an
-// unreachable destination must stall only this control-plane call, not
-// every sparse.run blocked behind the table lock.
-func (s *SparseShard) forwardCaller(addr string) (rpc.Caller, error) {
-	s.mu.RLock()
-	c, ok := s.fwdClients[addr]
-	s.mu.RUnlock()
-	if ok {
-		return c, nil
-	}
-	dial := s.DialForward
-	if dial == nil {
-		dial = func(a string) (rpc.Caller, error) { return rpc.Dial(a, nil) }
-	}
-	fresh, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if c, ok := s.fwdClients[addr]; ok {
-		// Lost the dial race; keep the first connection.
-		s.mu.Unlock()
-		fresh.Close()
-		return c, nil
-	}
-	s.fwdClients[addr] = fresh
-	s.mu.Unlock()
-	return fresh, nil
 }
 
 // MaterializeShards builds the sparse shards' table storage from a model

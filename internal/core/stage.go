@@ -21,6 +21,7 @@ import (
 //	                                under one lock hold and one epoch
 //	                                bump, or discard them
 //	table.list / table.read         what a shard holds, and its rows
+//	table.release(table)            drop a copy a migration moved away
 //
 // Rows travel in one form, the cold tier's encoded bytes. Readers in
 // flight keep the old copy; the next request sees the new one. The
@@ -168,11 +169,6 @@ func (s *SparseShard) handleStageCommit(_ trace.Context, body []byte) ([]byte, e
 		// an empty one (a cache belongs to one table copy) and keeps the
 		// staged encoding as-is.
 		s.tables[key] = s.tierWrap(key.id, tab)
-		if txn[key].base == nil {
-			// A table filled from empty arrived here to stay: this shard
-			// is authoritative for the key again.
-			delete(s.forwards, key)
-		}
 	}
 	s.mu.Unlock()
 	epoch := s.epoch.Add(1)
@@ -240,17 +236,16 @@ func (s *SparseShard) handleTableRead(_ trace.Context, body []byte) ([]byte, err
 	return encodeMsg(&TableRows{Shape: shape, Rows: rows.AppendRowRange(nil, lo, hi)}), nil
 }
 
-func (s *SparseShard) handleTableForward(_ trace.Context, body []byte) ([]byte, error) {
-	m, err := decodeMsg[TableForward](body)
+func (s *SparseShard) handleTableRelease(_ trace.Context, body []byte) ([]byte, error) {
+	m, err := decodeMsg[TableRelease](body)
 	if err != nil {
 		return nil, err
 	}
-	caller, err := s.forwardCaller(m.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("dialing forward %s (%s): %w", m.Service, m.Addr, err)
+	var dropped int32
+	if s.ReleaseTable(int(m.TableID), int(m.PartIndex)) {
+		dropped = 1
 	}
-	s.BeginForward(int(m.TableID), int(m.PartIndex), m.Service, caller, m.Release)
-	return encodeMsg(&CutoverAck{Epoch: s.Epoch(), Version: s.ModelVersion()}), nil
+	return encodeMsg(&CutoverAck{Epoch: s.Epoch(), Version: s.ModelVersion(), Tables: dropped}), nil
 }
 
 // ModelVersion returns the highest committed model version (0 before any
@@ -262,8 +257,8 @@ func (s *SparseShard) ModelVersion() uint64 { return s.modelVersion.Load() }
 type ShardEndpoint struct {
 	// Service is the shard's service name ("sparse3").
 	Service string
-	// Addr is the server's dialable address, handed to migration sources
-	// so they can forward straggler lookups to destinations.
+	// Addr is the server's dialable address, reported in control-plane
+	// events.
 	Addr string
 	// Caller issues control-plane RPCs to the shard. It must be a plain
 	// connection, never hedged: hedging a stage.commit would re-issue it

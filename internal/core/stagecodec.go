@@ -28,7 +28,7 @@ const (
 	MethodStageAbort   = "stage.abort"
 	MethodTableList    = "table.list"
 	MethodTableRead    = "table.read"
-	MethodTableForward = "table.forward"
+	MethodTableRelease = "table.release"
 )
 
 // LoadRequest asks a shard for its load summary; Reset additionally
@@ -111,10 +111,10 @@ type StageEnd struct {
 	Txn uint64
 }
 
-// CutoverAck reports a table-set cutover (stage.commit, table.forward):
-// the shard's new forwarding epoch, its model version, and how many
-// staged tables a commit installed (clones of tables migrated away since
-// begin are skipped).
+// CutoverAck reports a table-set cutover (stage.commit, table.release):
+// the shard's new epoch, its model version, and how many tables a commit
+// installed (clones of tables released since begin are skipped) or a
+// release dropped (0 if the shard did not hold it).
 type CutoverAck struct {
 	Epoch   uint64
 	Version uint64
@@ -143,23 +143,20 @@ type TableRows struct {
 	Rows  []byte
 }
 
-// TableForward tells a migration source the destination is authoritative:
-// the source installs a forwarding entry (dialing Addr for service
-// Service) and, when Release is set, drops its local copy. Until
-// released, the source keeps double-reading its retained copy —
-// byte-identical to the destination's, since table storage is immutable.
-type TableForward struct {
+// TableRelease tells a migration source to drop its copy of a table the
+// destination now serves. The driver sends it only once the main shard
+// has drained every request routed under the old plan; until then the
+// source serves its retained copy, byte-identical to the destination's
+// since table storage is immutable.
+type TableRelease struct {
 	TableID   int32
 	PartIndex int32
-	Service   string
-	Addr      string
-	Release   bool
 }
 
 // wireMsg is a control-plane message. It lists pointers to its fields
 // once, in wire order; encodeMsg and decodeMsg below are the one codec
-// every message goes through. Field types: uint64, int32, bool, string,
-// []byte, []TableShape, and nested messages.
+// every message goes through. Field types: uint64, int32, bool, []byte,
+// []TableShape, and nested messages.
 type wireMsg interface {
 	fields() []any
 }
@@ -185,8 +182,6 @@ func appendMsg(b []byte, m wireMsg) []byte {
 			} else {
 				b = appendU32(b, 0)
 			}
-		case *string:
-			b = appendStr(b, *f)
 		case *[]byte:
 			b = append(appendU32(b, uint32(len(*f))), *f...)
 		case *[]TableShape:
@@ -230,8 +225,6 @@ func (r *reader) msg(m wireMsg) error {
 			var v uint32
 			v, err = r.u32()
 			*f = v != 0
-		case *string:
-			*f, err = r.str()
 		case *[]byte:
 			// count bounds the length prefix by what is left to read.
 			var n int
@@ -324,8 +317,13 @@ func (m *TableRows) check() error {
 	return nil
 }
 
-func (m *TableForward) fields() []any {
-	return []any{&m.TableID, &m.PartIndex, &m.Service, &m.Addr, &m.Release}
+func (m *TableRelease) fields() []any { return []any{&m.TableID, &m.PartIndex} }
+
+func (m *TableRelease) check() error {
+	if m.TableID < 0 || m.PartIndex < 0 {
+		return fmt.Errorf("core: release of table %d part %d", m.TableID, m.PartIndex)
+	}
+	return nil
 }
 
 // EncodeLoadSummary serializes a load summary in deterministic key

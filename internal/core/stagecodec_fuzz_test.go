@@ -163,15 +163,18 @@ func FuzzTableRows(f *testing.F) {
 	})
 }
 
-func FuzzTableForward(f *testing.F) {
-	f.Add(encodeMsg(&TableForward{TableID: 7, PartIndex: 1, Service: "sparse2", Addr: "127.0.0.1:7102", Release: true}))
-	f.Add(encodeMsg(&TableForward{}))
+func FuzzTableRelease(f *testing.F) {
+	f.Add(encodeMsg(&TableRelease{TableID: 7, PartIndex: 1}))
+	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeMsg[TableForward](b)
+		m, err := decodeMsg[TableRelease](b)
 		if err != nil {
 			return
 		}
-		again, err := decodeMsg[TableForward](encodeMsg(m))
+		if m.TableID < 0 || m.PartIndex < 0 {
+			t.Fatalf("decoder accepted %+v", m)
+		}
+		again, err := decodeMsg[TableRelease](encodeMsg(m))
 		if err != nil || *again != *m {
 			t.Fatalf("round trip: %+v -> %+v (err %v)", m, again, err)
 		}
@@ -202,20 +205,19 @@ func FuzzLoadSummaryRoundTrip(f *testing.F) {
 // FuzzShardControlPlane throws arbitrary bodies at every control-plane
 // method of a live shard that holds one small table per encoding and has
 // one transaction open: whatever arrives, the shard answers or refuses —
-// it never panics — and keeps serving the tables it held.
+// it never panics — and every table it still holds stays servable.
 func FuzzShardControlPlane(f *testing.F) {
 	shape := TableShape{TableID: 1, Rows: 4, Dim: 3, Enc: TierEncInt8}
-	f.Add(uint8(2), encodeMsg(&StageBegin{Txn: 5, Shape: shape, Base: StageClone}))
-	f.Add(uint8(3), encodeMsg(&StagePut{Txn: 9, TableID: 0, RowStart: 3, Rows: make([]byte, 24)}))
-	f.Add(uint8(4), encodeMsg(&StageEnd{Txn: 9}))
-	f.Add(uint8(7), encodeMsg(&TableRead{TableID: 3, RowStart: 3, RowCount: 2}))
-	f.Add(uint8(6), []byte{})
-	f.Add(uint8(1), []byte{1})
+	// method b calls shardMethods[1+b%8]: stage.begin is 1, table.release 7.
+	f.Add(uint8(1), encodeMsg(&StageBegin{Txn: 5, Shape: shape, Base: StageClone}))
+	f.Add(uint8(2), encodeMsg(&StagePut{Txn: 9, TableID: 0, RowStart: 3, Rows: make([]byte, 24)}))
+	f.Add(uint8(3), encodeMsg(&StageEnd{Txn: 9}))
+	f.Add(uint8(6), encodeMsg(&TableRead{TableID: 3, RowStart: 3, RowCount: 2}))
+	f.Add(uint8(7), encodeMsg(&TableRelease{TableID: 2}))
+	f.Add(uint8(5), []byte{})
+	f.Add(uint8(0), []byte{1})
 	f.Fuzz(func(t *testing.T, method uint8, body []byte) {
 		m := shardMethods[1+int(method)%(len(shardMethods)-1)] // everything but sparse.run
-		if m.name == MethodTableForward {
-			return // dials whatever address the body names
-		}
 		if b, err := decodeMsg[StageBegin](body); m.name == MethodStageBegin && err == nil && int64(b.Shape.Rows)*int64(b.Shape.Dim) > 1<<16 {
 			// A valid begin is a request to allocate the table it
 			// declares (up to the format's shape caps): the protocol

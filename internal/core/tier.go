@@ -20,17 +20,17 @@ import (
 // shard's cached tables by their *measured* load share — the same
 // LoadSummary accounting the online rebalancer plans from — and
 // re-apportioning whenever the table set changes (install, migration
-// commit, forward, release).
+// commit, release).
 //
 // Coherence rules under live migration: a hot-row cache belongs to one
 // table *copy* and dies with it. A table committed from migration staging
-// starts with a cold cache (nothing stale can survive the transfer); a
-// source that releases its copy drops the cache with it; the double-read
-// grace window keeps serving from the retained copy's cache, which stays
-// valid because table storage is immutable. Encoded (fp16/int8) tables
+// starts with a cold cache (nothing stale can survive the transfer); the
+// source's retained copy keeps serving the old plan's requests from its
+// own cache, which stays valid because table storage is immutable, until
+// table.release drops copy and cache together. Encoded (fp16/int8) tables
 // stream their cold-tier bytes verbatim (table.read → stage.put), so a
-// moved table is bit-identical to the source's — the PR-2 double-read
-// identity guarantee holds with tiering enabled.
+// moved table is bit-identical to the source's and the cutover identity
+// guarantee holds with tiering enabled.
 
 // TierConfig enables tiered storage on a sparse shard.
 type TierConfig struct {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// localCaller adapts a Handler into an in-process rpc.Caller so forward
-// hops in these tests need no TCP server.
+// localCaller adapts a Handler into an in-process rpc.Caller so shard
+// calls in these tests need no TCP server.
 type localCaller struct{ h rpc.Handler }
 
 func (l *localCaller) Go(req *rpc.Request) *rpc.Call {
@@ -68,8 +68,9 @@ func newTieredMigrationFixture(t *testing.T, prec sharding.Precision, cacheMB fl
 // TestTieredMigrationIdentity walks a tiered table — fp32 or fp16 behind
 // a cache, int8 bare — through the cutover states and requires
 // byte-identical pooled results throughout: encoded rows stream verbatim,
-// a committed cached copy starts with a cold cache, and the double-read
-// window serves from the retained copy.
+// a committed cached copy starts with a cold cache, the source serves
+// from its retained copy until it releases it, and the destination then
+// answers as the source did.
 func TestTieredMigrationIdentity(t *testing.T) {
 	for _, prec := range []sharding.Precision{sharding.PrecisionFP32, sharding.PrecisionFP16, sharding.PrecisionInt8} {
 		t.Run(string(prec), func(t *testing.T) {
@@ -77,11 +78,15 @@ func TestTieredMigrationIdentity(t *testing.T) {
 			src, dst := f.shards[0], f.shards[1]
 			id := f.plan.Shards[0].Tables[0]
 			ctx := trace.Context{TraceID: 11}
-			body := f.runRequest(t, 42)
+			body, moved := f.runRequest(t, 42), f.tableRequest(t, 42, id)
 
 			// Warm the source cache so migration must cope with live
 			// cached state.
 			before, err := src.Handle(ctx, MethodSparseRun, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			movedBefore, err := src.Handle(ctx, MethodSparseRun, moved)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,25 +110,18 @@ func TestTieredMigrationIdentity(t *testing.T) {
 			}
 			_ = srcStats
 
-			// Double-read window: source still serves identically.
+			// Until released, the source still serves identically.
 			during, err := src.Handle(ctx, MethodSparseRun, body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(before, during) {
-				t.Fatal("double-read during cutover diverged")
+				t.Fatal("the retained copy's answer diverged during cutover")
 			}
 
-			// Source forwards to the destination; results still identical.
-			caller := &localCaller{h: dst}
-			src.BeginForward(id, 0, "sparse2", caller, true)
-			after, err := src.Handle(ctx, MethodSparseRun, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Fatal("forwarded result diverged from pre-migration result")
-			}
+			// Released at the source; the destination answers as it did.
+			releaseTable(t, src, handleCall(src), id)
+			requireMoved(t, src, dst, moved, movedBefore)
 		})
 	}
 }

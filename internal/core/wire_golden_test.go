@@ -28,6 +28,8 @@ import (
 // with ranking_request.bin, when a bag list's bytes were regrouped from
 // interleaved (n, then a length and its indices per bag) to flat (n, every
 // length, then every index) — the same size, read in place.
+// table_release.bin, the one control-plane golden, was written the same
+// way when table.release replaced table.forward.
 
 func goldenBags(spec ...[]int32) []embedding.Bag {
 	out := make([]embedding.Bag, len(spec))
@@ -147,4 +149,17 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("ranking response decodes to %+v, want %+v", rresp, want)
 		}
 	})
+}
+
+// TestTableReleaseGolden: a table.release body is the table and the part
+// as two little-endian u32 values, nothing else.
+func TestTableReleaseGolden(t *testing.T) {
+	golden := readGolden(t, "table_release.bin")
+	msg := TableRelease{TableID: 0x201, PartIndex: 3}
+	if got := encodeMsg(&msg); !bytes.Equal(got, golden) {
+		t.Errorf("table release encodes to %x, want %x", got, golden)
+	}
+	if got, err := decodeMsg[TableRelease](golden); err != nil || *got != msg {
+		t.Errorf("table release decodes to %+v (err %v), want %+v", got, err, msg)
+	}
 }

@@ -241,7 +241,7 @@ func TestBudgetShedsAtAdmission(t *testing.T) {
 func TestDeadlineShedsAtDispatch(t *testing.T) {
 	// A request that exhausts its whole budget waiting in the queue is
 	// dropped at dispatch without touching the executor.
-	exec := &fakeExec{gate: make(chan struct{})}
+	exec := &fakeExec{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	f := New(exec, Config{Budget: 10 * time.Millisecond})
 	defer f.Close()
 
@@ -250,9 +250,9 @@ func TestDeadlineShedsAtDispatch(t *testing.T) {
 		_, err := f.Submit(trace.Context{TraceID: 1}, fakeReq(1))
 		first <- err
 	}()
-	// Let the dispatcher pick up request 1 and block on the gate, then
-	// queue request 2 behind it and let its budget lapse.
-	time.Sleep(2 * time.Millisecond)
+	// Wait for the dispatcher to pick up request 1 and block on the gate,
+	// then queue request 2 behind it and let its budget lapse.
+	<-exec.entered
 	second := make(chan error, 1)
 	go func() {
 		_, err := f.Submit(trace.Context{TraceID: 2}, fakeReq(2))
