@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -30,16 +31,32 @@ type BatchItem struct {
 // validation or execution — fails the whole batch: the requests shared
 // the execution. Callers that need per-request fault isolation (the
 // serving frontend) must Validate each request before coalescing it.
+// ExecuteBatch is Admit followed at once by the admission's Execute.
 func (e *Engine) ExecuteBatch(items []BatchItem) ([][]float32, error) {
+	a, err := e.Admit(items)
+	if a == nil {
+		return nil, err
+	}
+	return a.Execute()
+}
+
+// Admission is an execution admitted and not yet run: requests validated
+// and coalesced, plan entered, bags hashed, sparse calls issued. It holds
+// its plan and its response bodies until Execute or Release returns;
+// exactly one of the two must be called, once.
+type Admission struct {
+	items []BatchItem
+	x     *execution
+	bufs  *combinedBufs // backs the coalesced request; nil for a lone one
+	start time.Time     // admission: where each rank/coalesced span starts
+}
+
+// Admit is the first half of ExecuteBatch (no requests: nil, nil):
+// everything before the dense work, so that a caller with more to wait
+// for — the frontend's gather window — has the round trip run under it.
+func (e *Engine) Admit(items []BatchItem) (*Admission, error) {
 	if len(items) == 0 {
 		return nil, nil
-	}
-	if len(items) == 1 {
-		out, err := e.Execute(items[0].Ctx, items[0].Req)
-		if err != nil {
-			return nil, err
-		}
-		return [][]float32{out}, nil
 	}
 	total := 0
 	for _, it := range items {
@@ -48,28 +65,54 @@ func (e *Engine) ExecuteBatch(items []BatchItem) ([][]float32, error) {
 		}
 		total += int(it.Req.Items)
 	}
-	e.met.batchRequests.Observe(int64(len(items)))
-	e.met.batchItems.Observe(int64(total))
+	a := &Admission{items: items}
+	req := items[0].Req
+	if len(items) > 1 {
+		e.met.batchRequests.Observe(int64(len(items)))
+		e.met.batchItems.Observe(int64(total))
+		coalesceStart := e.cfg.Recorder.Now()
+		req, a.bufs = e.coalesce(items, total)
+		a.start = e.cfg.Recorder.Now()
+		e.met.coalesceNs.Observe(int64(a.start.Sub(coalesceStart)))
+	}
+	a.x = e.begin(items[0].Ctx, req)
+	return a, nil
+}
 
-	coalesceStart := e.cfg.Recorder.Now()
-	combined, bufs := e.coalesce(items, total)
-	start := e.cfg.Recorder.Now()
-	e.met.coalesceNs.Observe(int64(start.Sub(coalesceStart)))
-	scores, err := e.executeValidated(items[0].Ctx, combined)
-	dur := e.cfg.Recorder.Now().Sub(start)
+// Release ends an admission that will never execute: it waits for the
+// admission's calls, then releases its plan and buffers.
+func (a *Admission) Release() {
+	a.x.release()
+	if a.bufs != nil {
+		a.x.e.combined.Put(a.bufs)
+	}
+}
+
+// Execute runs the admitted execution's batches and demuxes its scores
+// per request.
+func (a *Admission) Execute() ([][]float32, error) {
+	e, items := a.x.e, a.items
+	scores, err := a.x.run()
+	if a.bufs == nil {
+		if err != nil {
+			return nil, err
+		}
+		return [][]float32{scores}, nil
+	}
+	dur := e.cfg.Recorder.Now().Sub(a.start)
 	e.met.executeNs.Observe(int64(dur))
 	// The execution is over and nothing below retains the combined
 	// request's tensors or bag lists, so its buffers can back the next
 	// coalesced batch.
-	defer e.combined.Put(bufs)
+	e.combined.Put(a.bufs)
 	// Demux the execution span per request: every coalesced request rode
 	// the same engine execution, so each one's trace shows the full
-	// coalesced service time under its own trace id.
+	// coalesced service time, from admission, under its own trace id.
 	for _, it := range items {
 		e.cfg.Recorder.Record(trace.Span{
 			TraceID: it.Ctx.TraceID, CallID: it.Ctx.CallID,
 			Layer: trace.LayerRequest, Name: "rank/coalesced",
-			Start: start, Dur: dur,
+			Start: a.start, Dur: dur,
 		})
 	}
 	if err != nil {

@@ -53,7 +53,7 @@ type engineMetrics struct {
 	batches  *obs.Counter // sub-batch executions (runBatch calls)
 
 	coalesceNs    *obs.Histogram // assembling the combined request
-	executeNs     *obs.Histogram // coalesced engine execution
+	executeNs     *obs.Histogram // coalesced engine execution, admission to scores
 	demuxNs       *obs.Histogram // splitting scores back per request
 	batchRequests *obs.Histogram // requests per coalesced execution
 	batchItems    *obs.Histogram // items per coalesced execution
@@ -103,8 +103,8 @@ type Engine struct {
 	// hashedNames[tid] names table tid's hashed bags in a singular batch's
 	// workspace, precomputed so per-batch setup does no string formatting.
 	hashedNames []string
-	// combined recycles the coalesced-request buffers ExecuteBatch
-	// assembles (batch.go); shapes depend only on the model, so the pool
+	// combined recycles the coalesced-request buffers Admit assembles
+	// (batch.go); shapes depend only on the model, so the pool
 	// survives reroutes.
 	combined sync.Pool
 	// met holds the engine's metric handles (nil no-ops without a
@@ -570,7 +570,7 @@ func (e *Engine) Execute(ctx trace.Context, req *RankingRequest) ([]float32, err
 	if err := e.Validate(req); err != nil {
 		return nil, err
 	}
-	return e.executeValidated(ctx, req)
+	return e.begin(ctx, req).run()
 }
 
 // execution is what the batches of one (possibly coalesced) request
@@ -598,6 +598,7 @@ type execution struct {
 	// goroutines.
 	calls    atomic.Int64
 	inflight sync.WaitGroup
+	err      error // admission's, reported by run
 }
 
 // enter counts an execution under the current program and returns it.
@@ -615,20 +616,32 @@ func (e *Engine) enter() *engineProgram {
 	}
 }
 
-// executeValidated is Execute after shape validation.
-func (e *Engine) executeValidated(ctx trace.Context, req *RankingRequest) ([]float32, error) {
+// begin enters the current program — one per request: its calls and
+// batches route under one plan even if Reroute lands mid-flight — and
+// admits the validated request, which counts against the plan's drain
+// until run or release returns.
+func (e *Engine) begin(ctx trace.Context, req *RankingRequest) *execution {
 	e.met.requests.Inc()
-	// One program per request: every call and batch of this request routes
-	// under the same plan generation even if Reroute lands mid-flight.
 	x := &execution{e: e, prog: e.enter(), ctx: ctx, req: req, batch: e.BatchSize(), obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}
-	// Scores or an error, no call's goroutine outlives the request — and
-	// only then does the request stop counting against its plan's drain.
-	defer x.prog.running.Add(-1)
-	defer x.inflight.Wait()
-	items := int(req.Items)
-	if err := x.admit(items); err != nil {
-		return nil, fmt.Errorf("core: request %d: %w", req.ID, err)
+	x.err = x.admit(int(req.Items))
+	return x
+}
+
+// release waits until no call's goroutine is left, and only then stops
+// the request counting against its plan's drain.
+func (x *execution) release() {
+	x.inflight.Wait()
+	x.prog.running.Add(-1)
+}
+
+// run executes an admitted request's batches and releases it: scores or
+// an error, no call's goroutine outlives it.
+func (x *execution) run() ([]float32, error) {
+	defer x.release()
+	if x.err != nil {
+		return nil, fmt.Errorf("core: request %d: %w", x.req.ID, x.err)
 	}
+	e, items := x.e, int(x.req.Items)
 	b := x.batch
 	nb := (items + b - 1) / b
 	scores := make([]float32, items)

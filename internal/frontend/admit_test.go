@@ -1,0 +1,307 @@
+package frontend
+
+import (
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/rpc"
+	"repro/internal/sharding"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// Tests of early admission: under a real engine, the dispatcher issues a
+// group's sparse calls as it takes the group off the queue, and the
+// gather window delays only the dense work.
+
+// admitFixture is a real distributed engine over in-process sparse shards
+// whose calls the test sees and can hold.
+type admitFixture struct {
+	eng *core.Engine
+	reg *obs.Registry
+	// calls receives each sparse.run as it is issued, buffered past the
+	// calls any test here issues so that issuing never blocks on it; hold,
+	// until it is closed, keeps every call unanswered.
+	calls chan issued
+	hold  chan struct{}
+	reqs  []*core.RankingRequest
+	want  [][]float32 // the singular engine's scores of reqs
+}
+
+// issued is one sparse.run: the shard it went to and the trace of the
+// execution that issued it (its first request's).
+type issued struct {
+	svc   string
+	trace uint64
+}
+
+// shardCaller answers one shard's calls in process, on a goroutine of the
+// call's own once the fixture's hold is closed — a call outstanding on a
+// real connection.
+type shardCaller struct {
+	fx  *admitFixture
+	svc string
+	h   rpc.Handler
+}
+
+func (c *shardCaller) Go(req *rpc.Request) *rpc.Call {
+	c.fx.calls <- issued{c.svc, req.TraceID}
+	call := &rpc.Call{Req: req, Done: make(chan struct{})}
+	go func() {
+		<-c.fx.hold
+		body, err := c.h.Handle(trace.Context{TraceID: req.TraceID, CallID: req.CallID}, req.Method, req.Body)
+		if err != nil {
+			call.Err = err
+		} else {
+			call.Resp = &rpc.Response{CallID: req.CallID, Body: body}
+		}
+		close(call.Done)
+	}()
+	return call
+}
+
+func (c *shardCaller) Close() error { return nil }
+
+func newAdmitFixture(t *testing.T, n int) *admitFixture {
+	t.Helper()
+	cfg := tinyConfig()
+	m := model.Build(cfg)
+	plan, err := sharding.LoadBalanced(&cfg, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*trace.Recorder, plan.NumShards)
+	for i := range recs {
+		recs[i] = trace.NewRecorder(core.ServiceName(i+1), 1<<10)
+	}
+	shards, err := core.MaterializeShards(m, plan, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &admitFixture{reg: obs.NewRegistry(), calls: make(chan issued, 256), hold: make(chan struct{})}
+	callers := make(map[string]rpc.Caller)
+	for _, sh := range shards {
+		callers[sh.ShardName] = &shardCaller{fx: fx, svc: sh.ShardName, h: sh}
+	}
+	fx.eng, err = core.NewEngine(m, plan, core.EngineConfig{
+		Recorder:  trace.NewRecorder("main", 1<<14),
+		Obs:       fx.reg,
+		ClientFor: func(svc string) (rpc.Caller, error) { return callers[svc], nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := core.NewEngine(m, sharding.Singular(&cfg), core.EngineConfig{Recorder: trace.NewRecorder("control", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(cfg, 3)
+	for i := 0; i < n; i++ {
+		req := core.FromWorkload(gen.Next())
+		want, err := control.Execute(trace.Context{TraceID: uint64(i + 1)}, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.reqs, fx.want = append(fx.reqs, req), append(fx.want, want)
+	}
+	return fx
+}
+
+type result struct {
+	scores []float32
+	err    error
+}
+
+// submit sends request i through f on a goroutine of its own.
+func (fx *admitFixture) submit(f *Frontend, i int) <-chan result {
+	ch := make(chan result, 1)
+	go func() {
+		scores, err := f.Submit(trace.Context{TraceID: uint64(i + 1)}, fx.reqs[i])
+		ch <- result{scores, err}
+	}()
+	return ch
+}
+
+// called waits for the next sparse.run to be issued.
+func (fx *admitFixture) called(t *testing.T) issued {
+	t.Helper()
+	select {
+	case c := <-fx.calls:
+		return c
+	case <-time.After(5 * time.Second):
+		t.Fatal("no sparse call issued")
+		return issued{}
+	}
+}
+
+// scored requires request i's result to be the singular engine's scores,
+// bit for bit.
+func (fx *admitFixture) scored(t *testing.T, i int, r result) {
+	t.Helper()
+	if r.err != nil {
+		t.Fatalf("request %d: %v", i, r.err)
+	}
+	if len(r.scores) != len(fx.want[i]) {
+		t.Fatalf("request %d: %d scores, want %d", i, len(r.scores), len(fx.want[i]))
+	}
+	for j := range r.scores {
+		if math.Float32bits(r.scores[j]) != math.Float32bits(fx.want[i][j]) {
+			t.Fatalf("request %d item %d: %v, singular engine %v", i, j, r.scores[j], fx.want[i][j])
+		}
+	}
+}
+
+func (fx *admitFixture) counter(name string) int64 { return fx.reg.Snapshot().Counter(name) }
+
+// settle waits for the goroutine count to fall back to base.
+func settle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSparseCallsIssueInsideGatherWindow: with a 1 s gather window, a
+// request's sparse.run is issued while the window is still open — no
+// batch dispatched, no gather finished — and a second arrival is a group
+// of its own. Close, which ends the window, executes both admitted
+// groups: each request scores as the singular engine does.
+func TestSparseCallsIssueInsideGatherWindow(t *testing.T) {
+	fx := newAdmitFixture(t, 2)
+	close(fx.hold)
+	f := New(fx.eng, Config{BatchWait: time.Second, Obs: fx.reg})
+	first := fx.submit(f, 0)
+	fx.called(t)
+	snap := fx.reg.Snapshot()
+	if gathers, _ := snap.Hist("frontend.gather_ns"); f.Stats().Batches != 0 || gathers.Count != 0 {
+		t.Fatalf("sparse.run issued after the gather window closed (batches %d, gathers %d)", f.Stats().Batches, gathers.Count)
+	}
+	second := fx.submit(f, 1)
+	// Request 0's other calls may come first; wait for request 1's.
+	for c := fx.called(t); c.trace != 2; c = fx.called(t) {
+	}
+	f.Close()
+	fx.scored(t, 0, <-first)
+	fx.scored(t, 1, <-second)
+	if st := f.Stats(); st.Batches != 1 || st.BatchedRequests != 2 || st.Completed != 2 {
+		t.Errorf("stats = %+v, want both requests in one batch", st)
+	}
+	if n := fx.counter("engine.requests"); n != 2 {
+		t.Errorf("%d engine executions, want one per group (2)", n)
+	}
+}
+
+// TestBacklogIsOneGroup: requests queued while the dispatcher is busy are
+// one group when it wakes — one execution and at most one sparse.run per
+// shard for all of them, as coalescing was without early admission.
+func TestBacklogIsOneGroup(t *testing.T) {
+	fx := newAdmitFixture(t, 4)
+	f := New(fx.eng, Config{})
+	defer f.Close()
+	// Request 0's calls are held, so the dispatcher sits in its execution
+	// while the rest queue up behind it.
+	first := fx.submit(f, 0)
+	perShard := map[string]int{fx.called(t).svc: 1}
+	rest := []<-chan result{fx.submit(f, 1), fx.submit(f, 2), fx.submit(f, 3)}
+	for f.QueueDepth() < len(rest) {
+		runtime.Gosched()
+	}
+	close(fx.hold)
+	fx.scored(t, 0, <-first)
+	for i, ch := range rest {
+		fx.scored(t, i+1, <-ch)
+	}
+	if n := fx.counter("engine.requests"); n != 2 {
+		t.Errorf("%d engine executions, want 2: the backlog must be one group", n)
+	}
+	for len(fx.calls) > 0 {
+		perShard[(<-fx.calls).svc]++
+	}
+	for svc, n := range perShard {
+		if n > 2 {
+			t.Errorf("%s got %d calls: one for request 0 and one for the backlog at most", svc, n)
+		}
+	}
+	if st := f.Stats(); st.Batches != 2 || st.MaxBatchRequests != 3 {
+		t.Errorf("stats = %+v, want batches of 1 and 3", st)
+	}
+}
+
+// TestShedGroupIsReleased: a group whose every member sheds at dispatch
+// is released, not executed — no dense work runs, its outstanding calls
+// are awaited before the dispatcher moves on, and no goroutine outlives
+// the frontend.
+func TestShedGroupIsReleased(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fx := newAdmitFixture(t, 1)
+	// The window alone is over the budget, so every request is over it at
+	// Submit: all but one in probeEvery shed there, and the probe queues,
+	// is admitted, and sheds at dispatch with its deadline long gone.
+	f := New(fx.eng, Config{BatchWait: time.Hour, Budget: time.Nanosecond, Obs: fx.reg})
+	for i := 1; i < probeEvery; i++ {
+		if _, err := f.Submit(trace.Context{TraceID: 100}, fx.reqs[0]); !errors.Is(err, ErrShed) {
+			t.Fatalf("over-budget request %d: %v, want a shed at Submit", i, err)
+		}
+	}
+	probe := fx.submit(f, 0)
+	fx.called(t)
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	if r := <-probe; !errors.Is(r.err, ErrShed) {
+		t.Fatalf("probe past its deadline: %v, want a shed at dispatch", r.err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("the dispatcher finished while the released group's calls were outstanding")
+	default:
+	}
+	close(fx.hold)
+	<-closed
+	if n := fx.counter("engine.batches"); n != 0 {
+		t.Errorf("%d dense batches ran for a group that shed whole", n)
+	}
+	calls := fx.counter("engine.rpc.calls")
+	if out, _ := fx.reg.Snapshot().Hist("engine.rpc.outstanding_ns"); calls == 0 || out.Count != calls {
+		t.Errorf("%d of %d calls completed when the frontend closed", out.Count, calls)
+	}
+	if st := f.Stats(); st.ShedDeadline != 1 || st.Batches != 0 || st.Completed != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+	settle(t, base)
+}
+
+// TestGatedTenantAdmitsOnlyWhenEntitled: a co-served tenant waits out its
+// drain-gate entitlement before a batch's first sparse call, so no sparse
+// work runs unmetered.
+func TestGatedTenantAdmitsOnlyWhenEntitled(t *testing.T) {
+	fx := newAdmitFixture(t, 1)
+	close(fx.hold)
+	m := NewMulti(1, 10*time.Millisecond)
+	defer m.Close()
+	f, err := m.Add("t", fx.eng, Config{Obs: fx.reg}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 25 ms charged against 10 ms of credit at half the executor: the next
+	// batch waits about 30 ms for its entitlement.
+	m.gate.charge("t", 25*time.Millisecond)
+	res := fx.submit(f, 0)
+	fx.called(t)
+	if waits, _ := fx.reg.Snapshot().Hist("frontend.gate_wait_ns"); waits.Count != 1 {
+		t.Fatalf("sparse.run issued before the tenant's gate wait ended (%d waits observed)", waits.Count)
+	}
+	fx.scored(t, 0, <-res)
+}

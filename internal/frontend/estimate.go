@@ -101,8 +101,9 @@ type Stats struct {
 	// Probes are over-budget requests admitted anyway to keep the
 	// service-time estimator learning.
 	Probes uint64
-	// ExecBusyNs is cumulative executor busy time (nanoseconds spent in
-	// ExecuteBatch) — the utilization signal the elastic scheduler turns
+	// ExecBusyNs is cumulative executor busy time (nanoseconds executing
+	// dispatched batches; a sparse wait hidden under the gather window is
+	// not in it) — the utilization signal the elastic scheduler turns
 	// into a busy fraction by differencing across its interval.
 	ExecBusyNs uint64
 }

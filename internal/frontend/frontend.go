@@ -48,7 +48,7 @@ import (
 // Executor runs coalesced batches; *core.Engine is the real
 // implementation. Validate lets the frontend reject a malformed request
 // at admission, before it can be coalesced with — and fail alongside —
-// healthy neighbors.
+// healthy neighbors. One that has Admit too is admitted as it gathers.
 type Executor interface {
 	Validate(req *core.RankingRequest) error
 	ExecuteBatch(items []core.BatchItem) ([][]float32, error)
@@ -161,7 +161,7 @@ type frontendMetrics struct {
 	queueWaitNs   *obs.Histogram // Submit enqueue → dispatch decision
 	gatherNs      *obs.Histogram // batch opener dequeued → dispatch
 	gateWaitNs    *obs.Histogram // drain-gate entitlement wait (co-serving)
-	execNs        *obs.Histogram // coalesced ExecuteBatch latency
+	execNs        *obs.Histogram // a batch's execution, after its gather window
 	batchRequests *obs.Histogram // requests per dispatched batch
 	batchItems    *obs.Histogram // items per dispatched batch
 }
