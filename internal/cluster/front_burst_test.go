@@ -17,8 +17,8 @@ import (
 // TestFrontedBurstIdentity runs the benchmark's fronted deployment at test
 // scale — DRM2 over four load-balanced shards with an int8 cold tier,
 // Zipf-skewed rows, a 2 ms gather window, one caller sending bursts of
-// four — where the frontend admits each group's sparse calls while it
-// gathers and runs the groups' dense work side by side: every score must
+// four — where the frontend executes each group the moment it is
+// admitted, side by side with the batch's other groups: every score must
 // be byte-identical to a serial, unfronted control. CI runs it under
 // -race.
 func TestFrontedBurstIdentity(t *testing.T) {

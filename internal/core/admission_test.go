@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -16,9 +15,9 @@ import (
 
 // TestAdmissionHoldsItsPlan: an Admission holds the plan it entered —
 // Reroute on another goroutine does not return until the admission's
-// Execute (or Release) has — and one executed after the plan changed
-// under it scores byte-identically to the control, as does the next
-// execution, under the new plan.
+// Execute has — and one executed after the plan changed under it scores
+// byte-identically to the control, as does the next execution, under the
+// new plan.
 func TestAdmissionHoldsItsPlan(t *testing.T) {
 	cfg := smallModel("DRM2")
 	m := model.Build(cfg)
@@ -44,60 +43,54 @@ func TestAdmissionHoldsItsPlan(t *testing.T) {
 			}
 		}
 	}
-	for _, release := range []bool{false, true} {
-		f := newShardedFixture(t, m, planA, EngineConfig{}, nil)
-		for _, sh := range f.shards {
-			for id, tab := range m.Tables {
-				sh.AddTable(id, tab)
-			}
+	f := newShardedFixture(t, m, planA, EngineConfig{}, nil)
+	for _, sh := range f.shards {
+		for id, tab := range m.Tables {
+			sh.AddTable(id, tab)
 		}
-		want, err := f.eng.ExecuteBatch(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		a, err := f.eng.Admit(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ended atomic.Bool
-		rerouted := make(chan error, 1)
-		go func() {
-			err := f.eng.Reroute(planB)
-			if err == nil && !ended.Load() {
-				err = errors.New("Reroute returned while an admission under the old plan was outstanding")
-			}
-			rerouted <- err
-		}()
-		// Once the new plan is in, give a Reroute that did not wait time
-		// enough to return.
-		for f.eng.Plan() != planB {
-			runtime.Gosched()
-		}
-		select {
-		case err := <-rerouted:
-			t.Fatalf("release=%v: Reroute returned (%v) while the admission was held", release, err)
-		case <-time.After(20 * time.Millisecond):
-		}
-		ended.Store(true)
-		if release {
-			a.Release()
-		} else {
-			got, err := a.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			same("admitted under the old plan", got, want)
-		}
-		if err := <-rerouted; err != nil {
-			t.Fatalf("release=%v: %v", release, err)
-		}
-		got, err := f.eng.ExecuteBatch(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same("after the reroute", got, want)
 	}
+	want, err := f.eng.ExecuteBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := f.eng.Admit(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ended atomic.Bool
+	rerouted := make(chan error, 1)
+	go func() {
+		err := f.eng.Reroute(planB)
+		if err == nil && !ended.Load() {
+			err = errors.New("Reroute returned while an admission under the old plan was outstanding")
+		}
+		rerouted <- err
+	}()
+	// Once the new plan is in, give a Reroute that did not wait time
+	// enough to return.
+	for f.eng.Plan() != planB {
+		runtime.Gosched()
+	}
+	select {
+	case err := <-rerouted:
+		t.Fatalf("Reroute returned (%v) while the admission was held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	ended.Store(true)
+	got, err := a.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("admitted under the old plan", got, want)
+	if err := <-rerouted; err != nil {
+		t.Fatal(err)
+	}
+	got, err = f.eng.ExecuteBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("after the reroute", got, want)
 }
 
 // TestCoalescedSpanStartsAtAdmission: a coalesced request's
@@ -162,55 +155,4 @@ func TestCoalescedSpanStartsAtAdmission(t *testing.T) {
 	if b.DenseOps == 0 || b.DenseOps+b.EmbeddedPortion > b.E2E {
 		t.Errorf("dense %v + embedded %v, against the request's %v", b.DenseOps, b.EmbeddedPortion, b.E2E)
 	}
-}
-
-// heldCaller issues its shard's calls and leaves them outstanding until
-// gate is closed.
-type heldCaller struct {
-	rpc.Caller
-	gate chan struct{}
-}
-
-func (c *heldCaller) Go(req *rpc.Request) *rpc.Call {
-	call := &rpc.Call{Req: req, Done: make(chan struct{})}
-	go func() {
-		<-c.gate
-		answer := c.Caller.Go(req)
-		<-answer.Done
-		call.Resp, call.Err = answer.Resp, answer.Err
-		close(call.Done)
-	}()
-	return call
-}
-
-// TestReleaseAwaitsItsCalls: Release does not return while a call its
-// admission issued is outstanding — the response is the admission's until
-// then — and leaves no goroutine behind.
-func TestReleaseAwaitsItsCalls(t *testing.T) {
-	cfg := smallModel("DRM1")
-	m := model.Build(cfg)
-	plan, err := sharding.LoadBalanced(&cfg, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	f := newShardedFixture(t, m, plan, EngineConfig{}, func(_ string, c rpc.Caller) rpc.Caller { return &heldCaller{Caller: c, gate: gate} })
-	base := runtime.NumGoroutine()
-	a, err := f.eng.Admit([]BatchItem{{Req: FromWorkload(workload.NewGenerator(cfg, 9).Next())}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	released := make(chan struct{})
-	go func() {
-		a.Release()
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("Release returned while its calls were outstanding")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(gate)
-	<-released
-	settle(t, base)
 }

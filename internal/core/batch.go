@@ -42,8 +42,8 @@ func (e *Engine) ExecuteBatch(items []BatchItem) ([][]float32, error) {
 
 // Admission is an execution admitted and not yet run: requests validated
 // and coalesced, plan entered, bags hashed, sparse calls issued. It holds
-// its plan and its response bodies until Execute or Release returns;
-// exactly one of the two must be called, once.
+// its plan and its response bodies until Execute returns, which must be
+// called exactly once.
 type Admission struct {
 	items []BatchItem
 	x     *execution
@@ -52,8 +52,9 @@ type Admission struct {
 }
 
 // Admit is the first half of ExecuteBatch (no requests: nil, nil):
-// everything before the dense work, so that a caller with more to wait
-// for — the frontend's gather window — has the round trip run under it.
+// everything before the dense work, so that a caller can admit in one
+// place and execute in another — the frontend admits its groups in
+// arrival order on its dispatcher and executes each on a goroutine.
 func (e *Engine) Admit(items []BatchItem) (*Admission, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -77,15 +78,6 @@ func (e *Engine) Admit(items []BatchItem) (*Admission, error) {
 	}
 	a.x = e.begin(items[0].Ctx, req)
 	return a, nil
-}
-
-// Release ends an admission that will never execute: it waits for the
-// admission's calls, then releases its plan and buffers.
-func (a *Admission) Release() {
-	a.x.release()
-	if a.bufs != nil {
-		a.x.e.combined.Put(a.bufs)
-	}
 }
 
 // Execute runs the admitted execution's batches and demuxes its scores

@@ -619,7 +619,7 @@ func (e *Engine) enter() *engineProgram {
 // begin enters the current program — one per request: its calls and
 // batches route under one plan even if Reroute lands mid-flight — and
 // admits the validated request, which counts against the plan's drain
-// until run or release returns.
+// until run returns.
 func (e *Engine) begin(ctx trace.Context, req *RankingRequest) *execution {
 	e.met.requests.Inc()
 	x := &execution{e: e, prog: e.enter(), ctx: ctx, req: req, batch: e.BatchSize(), obs: &trace.NetObserver{R: e.cfg.Recorder, Ctx: ctx}}

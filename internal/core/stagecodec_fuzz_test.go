@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,7 +212,8 @@ func FuzzLoadSummaryRoundTrip(f *testing.F) {
 // it never panics — and every table it still holds stays servable.
 func FuzzShardControlPlane(f *testing.F) {
 	shape := TableShape{TableID: 1, Rows: 4, Dim: 3, Enc: TierEncInt8}
-	// method b calls shardMethods[1+b%8]: stage.begin is 1, table.release 7.
+	// method b calls controlMethod(b): 1 stage.begin, 2 stage.put, 3
+	// stage.commit, 6 table.read, 7 table.release.
 	f.Add(uint8(1), encodeMsg(&StageBegin{Txn: 5, Shape: shape, Base: StageClone}))
 	f.Add(uint8(2), encodeMsg(&StagePut{Txn: 9, TableID: 0, RowStart: 3, Rows: make([]byte, 24)}))
 	f.Add(uint8(3), encodeMsg(&StageEnd{Txn: 9}))
@@ -217,7 +222,7 @@ func FuzzShardControlPlane(f *testing.F) {
 	f.Add(uint8(5), []byte{})
 	f.Add(uint8(0), []byte{1})
 	f.Fuzz(func(t *testing.T, method uint8, body []byte) {
-		m := shardMethods[1+int(method)%(len(shardMethods)-1)] // everything but sparse.run
+		m := controlMethod(method)
 		if b, err := decodeMsg[StageBegin](body); m.name == MethodStageBegin && err == nil && int64(b.Shape.Rows)*int64(b.Shape.Dim) > 1<<16 {
 			// A valid begin is a request to allocate the table it
 			// declares (up to the format's shape caps): the protocol
@@ -256,4 +261,64 @@ func FuzzShardControlPlane(f *testing.F) {
 			}
 		}
 	})
+}
+
+// controlMethod is FuzzShardControlPlane's index rule: method byte b
+// reaches every shard method but sparse.run, b = 1 stage.begin.
+func controlMethod(b uint8) shardMethod {
+	return shardMethods[1+int(b)%(len(shardMethods)-1)]
+}
+
+// TestControlPlaneSeedsNameTheirMethod: each committed
+// FuzzShardControlPlane seed's method byte reaches, through the target's
+// own index rule, the method its file name says — a seed one method off
+// fuzzes a handler with a body written for its neighbour.
+func TestControlPlaneSeedsNameTheirMethod(t *testing.T) {
+	want := map[string]string{
+		"seed-clone-begin":     MethodStageBegin,
+		"seed-put-past-end":    MethodStagePut,
+		"seed-commit-open-txn": MethodStageCommit,
+		"seed-read-past-end":   MethodTableRead,
+		"seed-release-held":    MethodTableRelease,
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzShardControlPlane", "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d committed seeds, %d on record here", len(files), len(want))
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		method, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no method on record for this seed", name)
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus format: a version line, then one Go literal per
+		// argument — the method byte first, as byte('…').
+		lines := strings.Split(string(data), "\n")
+		if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+			t.Errorf("%s: not a fuzz corpus file", name)
+			continue
+		}
+		lit, ok := strings.CutPrefix(lines[1], "byte('")
+		lit, ok2 := strings.CutSuffix(lit, "')")
+		if !ok || !ok2 {
+			t.Errorf("%s: no method byte on line 2", name)
+			continue
+		}
+		b, _, tail, err := strconv.UnquoteChar(lit, '\'')
+		if err != nil || tail != "" || b > 0xff {
+			t.Errorf("%s: method byte %q does not decode (%v)", name, lit, err)
+			continue
+		}
+		if got := controlMethod(uint8(b)).name; got != method {
+			t.Errorf("%s: method byte %d reaches %s, its name says %s", name, b, got, method)
+		}
+	}
 }

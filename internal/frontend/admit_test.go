@@ -16,9 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Tests of early admission: under a real engine, the dispatcher issues a
-// group's sparse calls as it takes the group off the queue, and the
-// gather window delays only the dense work.
+// Tests of early admission: under a real engine, the dispatcher admits a
+// group as it takes it off the queue and executes it at once, so the
+// gather window delays no answer.
 
 // admitFixture is a real distributed engine over in-process sparse shards
 // whose calls the test sees and can hold.
@@ -173,31 +173,51 @@ func settle(t *testing.T, base int) {
 
 // TestSparseCallsIssueInsideGatherWindow: with a 1 s gather window, a
 // request's sparse.run is issued while the window is still open — no
-// batch dispatched, no gather finished — and a second arrival is a group
-// of its own. Close, which ends the window, executes both admitted
-// groups: each request scores as the singular engine does.
+// batch dispatched, no gather finished — and its scores arrive before the
+// window closes. A second arrival is a group of its own and is answered
+// inside the window too. Close, which ends the window, books both groups
+// as one batch; each request scores as the singular engine does.
 func TestSparseCallsIssueInsideGatherWindow(t *testing.T) {
 	fx := newAdmitFixture(t, 2)
 	close(fx.hold)
 	f := New(fx.eng, Config{BatchWait: time.Second, Obs: fx.reg})
+	inWindow := func(what string) {
+		t.Helper()
+		if gathers, _ := fx.reg.Snapshot().Hist("frontend.gather_ns"); f.Stats().Batches != 0 || gathers.Count != 0 {
+			t.Fatalf("%s after the gather window closed (batches %d, gathers %d)", what, f.Stats().Batches, gathers.Count)
+		}
+	}
 	first := fx.submit(f, 0)
 	fx.called(t)
-	snap := fx.reg.Snapshot()
-	if gathers, _ := snap.Hist("frontend.gather_ns"); f.Stats().Batches != 0 || gathers.Count != 0 {
-		t.Fatalf("sparse.run issued after the gather window closed (batches %d, gathers %d)", f.Stats().Batches, gathers.Count)
-	}
+	inWindow("sparse.run issued")
+	fx.scored(t, 0, <-first)
+	inWindow("request 0 answered")
 	second := fx.submit(f, 1)
 	// Request 0's other calls may come first; wait for request 1's.
 	for c := fx.called(t); c.trace != 2; c = fx.called(t) {
 	}
-	f.Close()
-	fx.scored(t, 0, <-first)
 	fx.scored(t, 1, <-second)
+	inWindow("request 1 answered")
+	f.Close()
 	if st := f.Stats(); st.Batches != 1 || st.BatchedRequests != 2 || st.Completed != 2 {
 		t.Errorf("stats = %+v, want both requests in one batch", st)
 	}
 	if n := fx.counter("engine.requests"); n != 2 {
 		t.Errorf("%d engine executions, want one per group (2)", n)
+	}
+}
+
+// TestWindowNotPricedForAdmitter: an executor that can Admit answers
+// inside the gather window, so Submit does not price the window in — an
+// hour-long window under a one-second budget still admits and scores.
+func TestWindowNotPricedForAdmitter(t *testing.T) {
+	fx := newAdmitFixture(t, 1)
+	close(fx.hold)
+	f := New(fx.eng, Config{BatchWait: time.Hour, Budget: time.Second, Obs: fx.reg})
+	defer f.Close()
+	fx.scored(t, 0, <-fx.submit(f, 0))
+	if st := f.Stats(); st.ShedBudget != 0 || st.Probes != 0 {
+		t.Errorf("stats = %+v, want the request admitted on its own estimate", st)
 	}
 }
 
@@ -232,50 +252,29 @@ func TestBacklogIsOneGroup(t *testing.T) {
 			t.Errorf("%s got %d calls: one for request 0 and one for the backlog at most", svc, n)
 		}
 	}
+	f.Close() // a batch is booked once its last member is answered
 	if st := f.Stats(); st.Batches != 2 || st.MaxBatchRequests != 3 {
 		t.Errorf("stats = %+v, want batches of 1 and 3", st)
 	}
 }
 
-// TestShedGroupIsReleased: a group whose every member sheds at dispatch
-// is released, not executed — no dense work runs, its outstanding calls
-// are awaited before the dispatcher moves on, and no goroutine outlives
-// the frontend.
-func TestShedGroupIsReleased(t *testing.T) {
+// TestShedRequestIssuesNoCall: a request whose deadline passes in the
+// queue sheds when its group is taken off it, before admission — no
+// sparse call, no engine execution — and no goroutine outlives the
+// frontend.
+func TestShedRequestIssuesNoCall(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fx := newAdmitFixture(t, 1)
-	// The window alone is over the budget, so every request is over it at
-	// Submit: all but one in probeEvery shed there, and the probe queues,
-	// is admitted, and sheds at dispatch with its deadline long gone.
-	f := New(fx.eng, Config{BatchWait: time.Hour, Budget: time.Nanosecond, Obs: fx.reg})
-	for i := 1; i < probeEvery; i++ {
-		if _, err := f.Submit(trace.Context{TraceID: 100}, fx.reqs[0]); !errors.Is(err, ErrShed) {
-			t.Fatalf("over-budget request %d: %v, want a shed at Submit", i, err)
-		}
-	}
-	probe := fx.submit(f, 0)
-	fx.called(t)
-	closed := make(chan struct{})
-	go func() {
-		f.Close()
-		close(closed)
-	}()
-	if r := <-probe; !errors.Is(r.err, ErrShed) {
-		t.Fatalf("probe past its deadline: %v, want a shed at dispatch", r.err)
-	}
-	select {
-	case <-closed:
-		t.Fatal("the dispatcher finished while the released group's calls were outstanding")
-	default:
-	}
 	close(fx.hold)
-	<-closed
-	if n := fx.counter("engine.batches"); n != 0 {
-		t.Errorf("%d dense batches ran for a group that shed whole", n)
+	// Nothing is learned yet, so Submit's estimate is zero and the request
+	// queues; its nanosecond budget is gone by the time it is dequeued.
+	f := New(fx.eng, Config{BatchWait: time.Hour, Budget: time.Nanosecond, Obs: fx.reg})
+	if r := <-fx.submit(f, 0); !errors.Is(r.err, ErrShed) {
+		t.Fatalf("request past its deadline: %v, want a shed", r.err)
 	}
-	calls := fx.counter("engine.rpc.calls")
-	if out, _ := fx.reg.Snapshot().Hist("engine.rpc.outstanding_ns"); calls == 0 || out.Count != calls {
-		t.Errorf("%d of %d calls completed when the frontend closed", out.Count, calls)
+	f.Close()
+	if calls, execs := fx.counter("engine.rpc.calls"), fx.counter("engine.requests"); calls != 0 || execs != 0 {
+		t.Errorf("%d sparse calls and %d engine executions for a shed request", calls, execs)
 	}
 	if st := f.Stats(); st.ShedDeadline != 1 || st.Batches != 0 || st.Completed != 0 {
 		t.Errorf("stats = %+v", st)

@@ -9,28 +9,34 @@ import (
 )
 
 // admitter is an Executor that splits an execution in two, as
-// *core.Engine does: Admit issues a group's sparse calls; the admission's
-// Execute runs its dense work, or Release drops it.
+// *core.Engine does: Admit issues a group's sparse calls and the
+// admission's Execute runs its dense work.
 type admitter interface {
 	Admit(items []core.BatchItem) (*core.Admission, error)
 }
 
-// group is the requests the dispatcher took off the queue at one wake-up,
-// admitted together; under an Executor that cannot admit, a batch is one
-// group. live are the members not shed at dispatch.
-type group struct {
-	ps, live []*pending
-	adm      *core.Admission
-	err      error // the admission failed
+// batch is what the dispatcher opens at one wake-up: the requests it
+// kept, over one or more groups, and the wall span their executions
+// covered.
+type batch struct {
+	ps       []*pending
+	items    int
+	gateWait time.Duration // the drain-gate wait the batch opened with
+	first    time.Time     // the first execution's start
+	span     atomicMax     // ns from first to the last scores
+	wg       sync.WaitGroup
 }
 
 // run is the dispatcher: it gathers queued requests into deadline-bounded
-// batches and executes them. One goroutine owns the loop, so while the
-// executor runs, new arrivals accumulate in the queue and the next batch
+// batches and executes them. One goroutine owns the loop, so while a
+// batch executes, new arrivals accumulate in the queue and the next batch
 // is naturally larger — the classic adaptive-batching feedback.
 //
-// Each group is admitted as it is taken off the queue: its sparse round
-// trip runs under the gather window, which delays only the dense work.
+// Under an executor that can Admit, each group — the requests taken off
+// the queue at one wake-up — is re-checked, admitted and set executing
+// the moment it is taken, and its members are answered as soon as their
+// scores exist: the window only bounds how long a batch keeps opening
+// groups. Otherwise the batch is one ExecuteBatch at window close.
 //
 // The item cap is clamped immediately after every append: the moment an
 // arrival crosses MaxBatchItems the batch ends, locally and explicitly,
@@ -41,7 +47,6 @@ type group struct {
 // allocated once and Reset per batch rather than allocated per batch.
 func (f *Frontend) run() {
 	defer f.wg.Done()
-	adm, _ := f.exec.(admitter)
 	var timer *time.Timer
 	if f.cfg.BatchWait > 0 {
 		timer = time.NewTimer(f.cfg.BatchWait)
@@ -54,19 +59,19 @@ func (f *Frontend) run() {
 		}
 		// In a co-served deployment, wait out the tenant's drain-gate
 		// entitlement before anything else, the batch's sparse calls
-		// included. The wait consumes the batch's SLA budget, so the
-		// estimator observation includes it: admission then prices the
-		// tenant's real, entitlement-limited service rate, and an
-		// over-allocated backlog sheds instead of queueing unboundedly.
-		var gateWait time.Duration
+		// included. The wait consumes the SLA budget of the requests it
+		// held, so the estimator observation of the execution that serves
+		// them includes it: admission then prices the tenant's real,
+		// entitlement-limited service rate, and an over-allocated backlog
+		// sheds instead of queueing unboundedly.
+		b := &batch{}
 		if f.cfg.gate != nil {
 			t0 := time.Now()
 			f.cfg.gate.wait(f.cfg.tenant)
-			gateWait = time.Since(t0)
-			f.met.gateWaitNs.Observe(int64(gateWait))
+			b.gateWait = time.Since(t0)
+			f.met.gateWaitNs.Observe(int64(b.gateWait))
 		}
 		gatherStart := time.Now()
-		var groups []*group
 		n, items := 0, 0
 		full := func() bool { return n >= f.cfg.MaxBatchRequests || items >= f.cfg.MaxBatchItems }
 		window := timer != nil && int(p.item.Req.Items) < f.cfg.MaxBatchItems
@@ -74,12 +79,9 @@ func (f *Frontend) run() {
 			timer.Reset(f.cfg.BatchWait)
 		}
 		for p != nil {
-			if adm != nil || groups == nil {
-				groups = append(groups, &group{})
-			}
-			g := groups[len(groups)-1]
+			var g []*pending
 			for p != nil {
-				g.ps = append(g.ps, p)
+				g = append(g, p)
 				n, items, p = n+1, items+int(p.item.Req.Items), nil
 				if !full() {
 					select {
@@ -88,8 +90,10 @@ func (f *Frontend) run() {
 					}
 				}
 			}
-			if adm != nil {
-				g.adm, g.err = adm.Admit(batchItems(g.ps))
+			if f.adm != nil {
+				f.start(b, g)
+			} else {
+				b.ps = append(b.ps, g...)
 			}
 			if !window || full() {
 				break
@@ -105,7 +109,12 @@ func (f *Frontend) run() {
 			timer.Stop()
 		}
 		f.met.gatherNs.Observe(int64(time.Since(gatherStart)))
-		f.dispatch(groups, items, gateWait)
+		if f.adm == nil {
+			f.dispatch(b)
+			continue
+		}
+		b.wg.Wait()
+		f.record(b)
 	}
 }
 
@@ -117,101 +126,115 @@ func batchItems(ps []*pending) []core.BatchItem {
 	return out
 }
 
-// dispatch re-checks each gathered request's remaining budget against the
-// estimated execution time (late admission control: queueing and the
-// gather window have consumed budget since Submit), sheds the hopeless
-// ones, and executes the groups side by side (group.execute).
-func (f *Frontend) dispatch(groups []*group, items int, gateWait time.Duration) {
+// shed re-checks each request's remaining budget against the estimated
+// execution (late admission control: queueing, and for a batch run at
+// window close the window too, has consumed budget since Submit), answers
+// the hopeless ones with a shed, and returns the rest and their items.
+func (f *Frontend) shed(ps []*pending) ([]*pending, int) {
 	now := time.Now()
-	kept := 0
-	for _, g := range groups {
-		for _, p := range g.ps {
-			f.met.queueWaitNs.Observe(int64(now.Sub(p.enq)))
-			// Re-price the batch after every shed: a dropped large request
-			// shrinks the execution the survivors actually face, and judging
-			// them against the stale pre-shed estimate would cascade sheds
-			// through requests that now comfortably fit.
-			est := f.est.batch(items)
-			// Probes ignore the (possibly stale) estimate: they exist to
-			// re-measure it. A hard-expired deadline still sheds them.
-			cutoff := now.Add(est)
-			if p.probe {
-				cutoff = now
-			}
-			if !p.deadline.IsZero() && cutoff.After(p.deadline) {
-				f.stats.shedDeadline.Add(1)
-				p.err = fmt.Errorf("%w: %v of budget left, execution needs ~%v",
-					ErrShed, time.Until(p.deadline).Round(time.Microsecond), est.Round(time.Microsecond))
-				close(p.done)
-				items -= int(p.item.Req.Items)
-				continue
-			}
-			g.live = append(g.live, p)
+	items := 0
+	for _, p := range ps {
+		items += int(p.item.Req.Items)
+	}
+	live := ps[:0]
+	for _, p := range ps {
+		f.met.queueWaitNs.Observe(int64(now.Sub(p.enq)))
+		// Re-price after every shed: a dropped large request shrinks the
+		// execution the survivors actually face, and judging them against
+		// the stale pre-shed estimate would cascade sheds through requests
+		// that now comfortably fit.
+		est := f.est.batch(items)
+		// Probes ignore the (possibly stale) estimate: they exist to
+		// re-measure it. A hard-expired deadline still sheds them.
+		cutoff := now.Add(est)
+		if p.probe {
+			cutoff = now
 		}
-		kept += len(g.live)
+		if !p.deadline.IsZero() && cutoff.After(p.deadline) {
+			f.stats.shedDeadline.Add(1)
+			p.err = fmt.Errorf("%w: %v of budget left, execution needs ~%v",
+				ErrShed, time.Until(p.deadline).Round(time.Microsecond), est.Round(time.Microsecond))
+			close(p.done)
+			items -= int(p.item.Req.Items)
+			continue
+		}
+		live = append(live, p)
 	}
+	return live, items
+}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.execute(f.exec)
-		}()
+// start sheds a group's hopeless requests, admits the rest on the
+// dispatcher — groups coalesce in arrival order — and executes them on a
+// goroutine of their own, which answers them as soon as their scores
+// exist.
+func (f *Frontend) start(b *batch, g []*pending) {
+	live, items := f.shed(g)
+	if len(live) == 0 {
+		return
 	}
-	groups[0].execute(f.exec)
-	wg.Wait()
+	t0 := time.Now()
+	var waited time.Duration // the gate held the first group only
+	if b.ps == nil {
+		b.first, waited = t0, b.gateWait
+	}
+	b.ps, b.items = append(b.ps, live...), b.items+items
+	a, err := f.adm.Admit(batchItems(live))
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		var outs [][]float32
+		if err == nil {
+			outs, err = a.Execute()
+		}
+		end := time.Now()
+		b.span.max(uint64(end.Sub(b.first)))
+		f.est.observe(waited+end.Sub(t0), items)
+		f.answer(live, outs, err)
+	}()
+}
+
+// dispatch executes a non-admitting executor's batch as one ExecuteBatch
+// of the requests its deadline re-check keeps.
+func (f *Frontend) dispatch(b *batch) {
+	t0 := time.Now()
+	if b.ps, b.items = f.shed(b.ps); len(b.ps) == 0 {
+		return
+	}
+	b.first = time.Now()
+	outs, err := f.exec.ExecuteBatch(batchItems(b.ps))
+	b.span.max(uint64(time.Since(b.first)))
+	f.est.observe(b.gateWait+time.Since(t0), b.items)
+	f.record(b)
+	f.answer(b.ps, outs, err)
+}
+
+// record books a finished batch: its wall span as executor busy time,
+// charged to a co-served tenant's gate, and its size.
+func (f *Frontend) record(b *batch) {
+	kept := len(b.ps)
 	if kept == 0 {
 		return
 	}
-	execDur := time.Since(start)
-	f.cfg.gate.charge(f.cfg.tenant, execDur)
-	f.est.observe(gateWait+time.Since(now), items)
-
-	f.stats.execBusyNs.Add(uint64(execDur))
-	f.met.execNs.Observe(int64(execDur))
+	span := time.Duration(b.span.v.Load())
+	f.cfg.gate.charge(f.cfg.tenant, span)
+	f.stats.execBusyNs.Add(uint64(span))
+	f.met.execNs.Observe(int64(span))
 	f.met.batchRequests.Observe(int64(kept))
-	f.met.batchItems.Observe(int64(items))
+	f.met.batchItems.Observe(int64(b.items))
 	f.stats.batches.Add(1)
 	f.stats.batchedRequests.Add(uint64(kept))
-	f.stats.batchedItems.Add(uint64(items))
+	f.stats.batchedItems.Add(uint64(b.items))
 	f.stats.maxBatch.max(uint64(kept))
-	for _, g := range groups {
-		for _, p := range g.live {
-			if p.err == nil {
-				f.stats.completed.Add(1)
-			}
-			close(p.done)
-		}
-	}
 }
 
-// execute runs the group for its live members and leaves each its scores
-// or error — or releases an admission none of them is left to use.
-func (g *group) execute(exec Executor) {
-	// outs is parallel to ps: an admission executes every member, and the
-	// ones shed at dispatch were answered already.
-	ps, outs, err := g.live, [][]float32(nil), g.err
-	switch {
-	case err != nil:
-	case len(ps) == 0:
-		if g.adm != nil {
-			g.adm.Release()
-		}
-	case g.adm != nil:
-		ps = g.ps
-		outs, err = g.adm.Execute()
-	default:
-		outs, err = exec.ExecuteBatch(batchItems(ps))
-	}
+// answer leaves each request its scores (outs is parallel to ps) or the
+// execution's error, and releases its Submit.
+func (f *Frontend) answer(ps []*pending, outs [][]float32, err error) {
 	for i, p := range ps {
-		switch {
-		case p.err != nil: // shed at dispatch
-		case err != nil:
-			p.err = err
-		default:
+		if p.err = err; err == nil {
 			p.scores = outs[i]
+			f.stats.completed.Add(1)
 		}
+		close(p.done)
 	}
 }

@@ -93,7 +93,8 @@ type Stats struct {
 	// with real scores.
 	Submitted, Completed uint64
 	// Batches executed, the requests and items coalesced into them, and
-	// the largest coalesced request count observed.
+	// the largest coalesced request count observed. A batch is counted
+	// once its last group has answered, so these can trail Completed.
 	Batches, BatchedRequests, BatchedItems, MaxBatchRequests uint64
 	// Sheds by cause: queue full at admission, budget short at admission,
 	// budget exhausted at dispatch.
@@ -101,10 +102,10 @@ type Stats struct {
 	// Probes are over-budget requests admitted anyway to keep the
 	// service-time estimator learning.
 	Probes uint64
-	// ExecBusyNs is cumulative executor busy time (nanoseconds executing
-	// dispatched batches; a sparse wait hidden under the gather window is
-	// not in it) — the utilization signal the elastic scheduler turns
-	// into a busy fraction by differencing across its interval.
+	// ExecBusyNs is cumulative executor busy time: each batch's wall span,
+	// from its first execution's start (an admission) to its last scores —
+	// the utilization signal the elastic scheduler turns into a busy
+	// fraction by differencing across its interval.
 	ExecBusyNs uint64
 }
 

@@ -12,11 +12,13 @@
 // The frontend supplies the three production mechanisms that prevent the
 // collapse:
 //
-//   - dynamic batching: concurrent ranking requests are coalesced into
-//     one engine execution (core.Engine.ExecuteBatch), bounded by a max
-//     request/item count and a deadline window tuned against the SLA
-//     budget, amortizing per-execution overheads exactly as the paper's
-//     batch-level parallelism amortizes per-batch overheads;
+//   - dynamic batching: ranking requests queued together are coalesced
+//     into one engine execution (core.Engine.Admit, then the admission's
+//     Execute), amortizing per-execution overheads exactly as the paper's
+//     batch-level parallelism amortizes per-batch overheads. A batch is
+//     bounded by a max request/item count and a gather window; each group
+//     taken off the queue inside the window executes at once, side by
+//     side with the batch's other groups;
 //
 //   - admission control: a bounded queue sheds arrivals when full, and
 //     requests whose remaining SLA budget cannot cover the estimated
@@ -48,7 +50,7 @@ import (
 // Executor runs coalesced batches; *core.Engine is the real
 // implementation. Validate lets the frontend reject a malformed request
 // at admission, before it can be coalesced with — and fail alongside —
-// healthy neighbors. One that has Admit too is admitted as it gathers.
+// healthy neighbors. One that has Admit too runs each group as it gathers.
 type Executor interface {
 	Validate(req *core.RankingRequest) error
 	ExecuteBatch(items []core.BatchItem) ([][]float32, error)
@@ -72,11 +74,14 @@ type Config struct {
 	// stops once the batch reaches it (default 1024).
 	MaxBatchItems int
 	// BatchWait is the deadline-bounded gather window: after the first
-	// request of a batch arrives, the batcher waits at most this long for
-	// more before dispatching. 0 dispatches immediately, still coalescing
-	// whatever is already queued — pure backlog coalescing with no added
-	// latency. Tune against the SLA budget (a window the budget cannot
-	// absorb sheds everything).
+	// request of a batch arrives, the batcher keeps taking arrivals for at
+	// most this long. An executor that can Admit (*core.Engine) runs each
+	// group of arrivals as it is taken, so the window delays no answer: it
+	// bounds how long a batch keeps opening groups before the dispatcher
+	// waits for them. Any other executor runs the batch once the window
+	// closes, so there the window is latency the SLA budget must absorb.
+	// 0 dispatches immediately, still coalescing whatever is already
+	// queued — pure backlog coalescing with no added latency.
 	BatchWait time.Duration
 	// MaxQueue bounds the admission queue (default 256). Arrivals beyond
 	// it are shed immediately.
@@ -140,6 +145,7 @@ const probeEvery = 16
 type Frontend struct {
 	cfg   Config
 	exec  Executor
+	adm   admitter // exec, when it can Admit
 	queue chan *pending
 
 	mu     sync.Mutex
@@ -158,10 +164,10 @@ type Frontend struct {
 // counters struct — admission pricing reads them — and are exported to
 // the registry as snapshot-time probes instead of being duplicated.
 type frontendMetrics struct {
-	queueWaitNs   *obs.Histogram // Submit enqueue → dispatch decision
-	gatherNs      *obs.Histogram // batch opener dequeued → dispatch
+	queueWaitNs   *obs.Histogram // Submit enqueue → deadline re-check
+	gatherNs      *obs.Histogram // batch opener dequeued → window close
 	gateWaitNs    *obs.Histogram // drain-gate entitlement wait (co-serving)
-	execNs        *obs.Histogram // a batch's execution, after its gather window
+	execNs        *obs.Histogram // a batch's wall span: first execution start → last scores
 	batchRequests *obs.Histogram // requests per dispatched batch
 	batchItems    *obs.Histogram // items per dispatched batch
 }
@@ -169,6 +175,7 @@ type frontendMetrics struct {
 // New starts a frontend over exec. Call Close to drain and stop.
 func New(exec Executor, cfg Config) *Frontend {
 	f := &Frontend{cfg: cfg.withDefaults(), exec: exec, tracer: cfg.Tracer}
+	f.adm, _ = exec.(admitter)
 	f.queue = make(chan *pending, f.cfg.MaxQueue)
 	reg := f.cfg.Obs
 	f.met = frontendMetrics{
@@ -234,7 +241,11 @@ func (f *Frontend) Submit(ctx trace.Context, req *core.RankingRequest) ([]float3
 		// bite under overload: a request that would fit an idle system
 		// still sheds when seconds of queue stand ahead of it. One in
 		// probeEvery over-budget requests is admitted as a probe instead.
-		est := f.est.request(int(req.Items)) + f.cfg.BatchWait
+		// Only a non-admitting executor holds an answer for the window.
+		est := f.est.request(int(req.Items))
+		if f.adm == nil {
+			est += f.cfg.BatchWait
+		}
 		if queued := len(f.queue); queued > 0 {
 			est += f.est.batch(queued * f.meanRequestItems(int(req.Items)))
 		}
