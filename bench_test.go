@@ -435,7 +435,10 @@ func BenchmarkPoolShardCall(b *testing.B) {
 }
 
 // nopExec is a zero-cost executor isolating the serving frontend's own
-// hot path (queue, gather, admission, demux) from engine time.
+// hot path (queue, gather, admission, demux) from engine time. The
+// frontend runs each group of submits on a goroutine of its own, as it
+// does over *core.Engine, so the benchmarks below price that hand-off
+// too: one goroutine start and one wake-up per group.
 type nopExec struct{}
 
 func (nopExec) Validate(*core.RankingRequest) error { return nil }

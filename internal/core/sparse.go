@@ -569,7 +569,7 @@ func SplitRankMethod(method string) (model string, ok bool) {
 // unfronted deployments record identical serde attribution.
 func HandleRank(rec *trace.Recorder, ctx trace.Context, method string, body []byte,
 	run func(trace.Context, *RankingRequest) ([]float32, error)) ([]byte, error) {
-	if method != "rank" {
+	if method != RankMethod {
 		return nil, fmt.Errorf("core: main shard: unknown method %q", method)
 	}
 	desStart := rec.Now()

@@ -207,17 +207,48 @@ func TestSparseCallsIssueInsideGatherWindow(t *testing.T) {
 	}
 }
 
-// TestWindowNotPricedForAdmitter: an executor that can Admit answers
-// inside the gather window, so Submit does not price the window in — an
-// hour-long window under a one-second budget still admits and scores.
-func TestWindowNotPricedForAdmitter(t *testing.T) {
+// TestWindowNotPriced: every executor answers inside the gather window,
+// so Submit does not price the window in — under a one-second window and
+// a 500 ms budget the request is admitted on its own estimate and
+// answered before the window closes, over the engine and over a plain
+// ExecuteBatch alike.
+func TestWindowNotPriced(t *testing.T) {
 	fx := newAdmitFixture(t, 1)
 	close(fx.hold)
-	f := New(fx.eng, Config{BatchWait: time.Hour, Budget: time.Second, Obs: fx.reg})
-	defer f.Close()
-	fx.scored(t, 0, <-fx.submit(f, 0))
-	if st := f.Stats(); st.ShedBudget != 0 || st.Probes != 0 {
-		t.Errorf("stats = %+v, want the request admitted on its own estimate", st)
+	req := fx.reqs[0]
+	byID := make([]float32, req.Items) // fakeExec scores each item with its request's ID
+	for i := range byID {
+		byID[i] = float32(req.ID)
+	}
+	for _, tc := range []struct {
+		name string
+		exec Executor
+		want []float32
+	}{
+		{"engine", fx.eng, fx.want[0]},
+		{"ExecuteBatch", &fakeExec{}, byID},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{BatchWait: time.Second, Budget: 500 * time.Millisecond}
+			f := New(tc.exec, cfg)
+			defer f.Close()
+			start := time.Now()
+			r := <-fx.submit(f, 0)
+			if took := time.Since(start); took >= cfg.Budget {
+				t.Errorf("Submit took %v, want under the %v budget", took, cfg.Budget)
+			}
+			if st := f.Stats(); st.Batches != 0 || st.ShedBudget != 0 || st.Probes != 0 {
+				t.Errorf("stats = %+v, want the request admitted on its own estimate and answered inside the window", st)
+			}
+			if r.err != nil || len(r.scores) != len(tc.want) {
+				t.Fatalf("scores %v, err %v; want %v", r.scores, r.err, tc.want)
+			}
+			for i := range tc.want {
+				if math.Float32bits(r.scores[i]) != math.Float32bits(tc.want[i]) {
+					t.Fatalf("item %d: %v, want %v", i, r.scores[i], tc.want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -15,11 +15,11 @@ type admitter interface {
 	Admit(items []core.BatchItem) (*core.Admission, error)
 }
 
-// batch is what the dispatcher opens at one wake-up: the requests it
+// batch is what the dispatcher opens at one wake-up: how many requests it
 // kept, over one or more groups, and the wall span their executions
 // covered.
 type batch struct {
-	ps       []*pending
+	n        int // requests kept
 	items    int
 	gateWait time.Duration // the drain-gate wait the batch opened with
 	first    time.Time     // the first execution's start
@@ -32,11 +32,10 @@ type batch struct {
 // batch executes, new arrivals accumulate in the queue and the next batch
 // is naturally larger — the classic adaptive-batching feedback.
 //
-// Under an executor that can Admit, each group — the requests taken off
-// the queue at one wake-up — is re-checked, admitted and set executing
-// the moment it is taken, and its members are answered as soon as their
-// scores exist: the window only bounds how long a batch keeps opening
-// groups. Otherwise the batch is one ExecuteBatch at window close.
+// Each group — the requests taken off the queue at one wake-up — is
+// re-checked and set executing the moment it is taken, and its members
+// are answered as soon as their scores exist: the window only bounds how
+// long a batch keeps opening groups.
 //
 // The item cap is clamped immediately after every append: the moment an
 // arrival crosses MaxBatchItems the batch ends, locally and explicitly,
@@ -90,11 +89,7 @@ func (f *Frontend) run() {
 					}
 				}
 			}
-			if f.adm != nil {
-				f.start(b, g)
-			} else {
-				b.ps = append(b.ps, g...)
-			}
+			f.start(b, g)
 			if !window || full() {
 				break
 			}
@@ -109,10 +104,6 @@ func (f *Frontend) run() {
 			timer.Stop()
 		}
 		f.met.gatherNs.Observe(int64(time.Since(gatherStart)))
-		if f.adm == nil {
-			f.dispatch(b)
-			continue
-		}
 		b.wg.Wait()
 		f.record(b)
 	}
@@ -127,9 +118,9 @@ func batchItems(ps []*pending) []core.BatchItem {
 }
 
 // shed re-checks each request's remaining budget against the estimated
-// execution (late admission control: queueing, and for a batch run at
-// window close the window too, has consumed budget since Submit), answers
-// the hopeless ones with a shed, and returns the rest and their items.
+// execution (late admission control: queueing has consumed budget since
+// Submit), answers the hopeless ones with a shed, and returns the rest and
+// their items.
 func (f *Frontend) shed(ps []*pending) ([]*pending, int) {
 	now := time.Now()
 	items := 0
@@ -163,10 +154,10 @@ func (f *Frontend) shed(ps []*pending) ([]*pending, int) {
 	return live, items
 }
 
-// start sheds a group's hopeless requests, admits the rest on the
-// dispatcher — groups coalesce in arrival order — and executes them on a
+// start sheds a group's hopeless requests and executes the rest on a
 // goroutine of their own, which answers them as soon as their scores
-// exist.
+// exist. An executor that can Admit admits them first, on the dispatcher,
+// so groups coalesce in arrival order.
 func (f *Frontend) start(b *batch, g []*pending) {
 	live, items := f.shed(g)
 	if len(live) == 0 {
@@ -174,18 +165,24 @@ func (f *Frontend) start(b *batch, g []*pending) {
 	}
 	t0 := time.Now()
 	var waited time.Duration // the gate held the first group only
-	if b.ps == nil {
+	if b.n == 0 {
 		b.first, waited = t0, b.gateWait
 	}
-	b.ps, b.items = append(b.ps, live...), b.items+items
-	a, err := f.adm.Admit(batchItems(live))
+	b.n, b.items = b.n+len(live), b.items+items
+	execute := func() ([][]float32, error) { return f.exec.ExecuteBatch(batchItems(live)) }
+	if f.adm != nil {
+		a, err := f.adm.Admit(batchItems(live))
+		execute = func() ([][]float32, error) {
+			if err != nil {
+				return nil, err
+			}
+			return a.Execute()
+		}
+	}
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		var outs [][]float32
-		if err == nil {
-			outs, err = a.Execute()
-		}
+		outs, err := execute()
 		end := time.Now()
 		b.span.max(uint64(end.Sub(b.first)))
 		f.est.observe(waited+end.Sub(t0), items)
@@ -193,38 +190,22 @@ func (f *Frontend) start(b *batch, g []*pending) {
 	}()
 }
 
-// dispatch executes a non-admitting executor's batch as one ExecuteBatch
-// of the requests its deadline re-check keeps.
-func (f *Frontend) dispatch(b *batch) {
-	t0 := time.Now()
-	if b.ps, b.items = f.shed(b.ps); len(b.ps) == 0 {
-		return
-	}
-	b.first = time.Now()
-	outs, err := f.exec.ExecuteBatch(batchItems(b.ps))
-	b.span.max(uint64(time.Since(b.first)))
-	f.est.observe(b.gateWait+time.Since(t0), b.items)
-	f.record(b)
-	f.answer(b.ps, outs, err)
-}
-
 // record books a finished batch: its wall span as executor busy time,
 // charged to a co-served tenant's gate, and its size.
 func (f *Frontend) record(b *batch) {
-	kept := len(b.ps)
-	if kept == 0 {
+	if b.n == 0 {
 		return
 	}
 	span := time.Duration(b.span.v.Load())
 	f.cfg.gate.charge(f.cfg.tenant, span)
 	f.stats.execBusyNs.Add(uint64(span))
 	f.met.execNs.Observe(int64(span))
-	f.met.batchRequests.Observe(int64(kept))
+	f.met.batchRequests.Observe(int64(b.n))
 	f.met.batchItems.Observe(int64(b.items))
 	f.stats.batches.Add(1)
-	f.stats.batchedRequests.Add(uint64(kept))
+	f.stats.batchedRequests.Add(uint64(b.n))
 	f.stats.batchedItems.Add(uint64(b.items))
-	f.stats.maxBatch.max(uint64(kept))
+	f.stats.maxBatch.max(uint64(b.n))
 }
 
 // answer leaves each request its scores (outs is parallel to ps) or the

@@ -59,9 +59,12 @@ func testGatherClamp(t *testing.T, wait time.Duration) {
 	defer f.Close()
 	defer close(exec.gate)
 
-	// Batch 1: a lone opener; hold it at the executor while the real
-	// test traffic queues up in order behind it.
-	a := push(f, 1, 1)
+	// Batch 1: a lone opener at the cap, so it opens no gather window and
+	// the dispatcher waits on its execution, held at the executor, while
+	// the real test traffic queues up in order behind it. (A smaller
+	// opener's window would take each push as it lands, possibly as a
+	// group of its own.)
+	a := push(f, 1, 8)
 	waitEntered(t, exec)
 	b := push(f, 2, 3)
 	c := push(f, 3, 100) // oversized: crosses the cap on append

@@ -52,9 +52,6 @@ func (e *estimator) perItem() float64 {
 	return tmp[e.n/2]
 }
 
-// request estimates serving one request of n items in its own batch.
-func (e *estimator) request(n int) time.Duration { return e.batch(n) }
-
 // batch estimates executing a batch of n total items.
 func (e *estimator) batch(n int) time.Duration {
 	return time.Duration(e.perItem() * float64(n) * float64(time.Second))

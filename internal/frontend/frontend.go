@@ -50,7 +50,9 @@ import (
 // Executor runs coalesced batches; *core.Engine is the real
 // implementation. Validate lets the frontend reject a malformed request
 // at admission, before it can be coalesced with — and fail alongside —
-// healthy neighbors. One that has Admit too runs each group as it gathers.
+// healthy neighbors. Each group runs on a goroutine of its own as one
+// ExecuteBatch or, where the executor also has Admit, as the admission's
+// Execute after an Admit on the dispatcher.
 type Executor interface {
 	Validate(req *core.RankingRequest) error
 	ExecuteBatch(items []core.BatchItem) ([][]float32, error)
@@ -75,11 +77,9 @@ type Config struct {
 	MaxBatchItems int
 	// BatchWait is the deadline-bounded gather window: after the first
 	// request of a batch arrives, the batcher keeps taking arrivals for at
-	// most this long. An executor that can Admit (*core.Engine) runs each
-	// group of arrivals as it is taken, so the window delays no answer: it
-	// bounds how long a batch keeps opening groups before the dispatcher
-	// waits for them. Any other executor runs the batch once the window
-	// closes, so there the window is latency the SLA budget must absorb.
+	// most this long. Each group of arrivals executes as it is taken, so
+	// the window delays no answer: it bounds how long a batch keeps
+	// opening groups before the dispatcher waits for them.
 	// 0 dispatches immediately, still coalescing whatever is already
 	// queued — pure backlog coalescing with no added latency.
 	BatchWait time.Duration
@@ -87,8 +87,8 @@ type Config struct {
 	// it are shed immediately.
 	MaxQueue int
 	// Budget is the per-request SLA budget counted from Submit. Requests
-	// that cannot complete inside it — at admission or when their batch
-	// dispatches — are shed. 0 disables deadline-based shedding.
+	// that cannot complete inside it — at admission or when their group is
+	// taken off the queue — are shed. 0 disables deadline-based shedding.
 	Budget time.Duration
 	// Obs receives the frontend's live metrics (frontend.* namespace):
 	// the admission/batching counters as snapshot-time probes plus
@@ -241,11 +241,7 @@ func (f *Frontend) Submit(ctx trace.Context, req *core.RankingRequest) ([]float3
 		// bite under overload: a request that would fit an idle system
 		// still sheds when seconds of queue stand ahead of it. One in
 		// probeEvery over-budget requests is admitted as a probe instead.
-		// Only a non-admitting executor holds an answer for the window.
-		est := f.est.request(int(req.Items))
-		if f.adm == nil {
-			est += f.cfg.BatchWait
-		}
+		est := f.est.batch(int(req.Items))
 		if queued := len(f.queue); queued > 0 {
 			est += f.est.batch(queued * f.meanRequestItems(int(req.Items)))
 		}

@@ -88,7 +88,6 @@ func TestCoalescesUnderConcurrency(t *testing.T) {
 	// routed back to it.
 	exec := &fakeExec{delay: time.Millisecond}
 	f := New(exec, Config{BatchWait: 5 * time.Millisecond, MaxBatchRequests: 8})
-	defer f.Close()
 
 	const n = 24
 	var wg sync.WaitGroup
@@ -113,6 +112,7 @@ func TestCoalescesUnderConcurrency(t *testing.T) {
 			t.Fatalf("request %d: %v", i+1, err)
 		}
 	}
+	f.Close() // a batch is booked once its last member is answered
 	st := f.Stats()
 	if exec.numBatches() >= n {
 		t.Errorf("%d batches for %d requests: no coalescing", exec.numBatches(), n)
