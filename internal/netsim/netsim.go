@@ -10,7 +10,12 @@
 // propagation/switching term, bounded jitter, and a bytes/bandwidth
 // serialization term. Sender-side injection before the frame write models
 // the in-kernel packet processing and forwarding time the paper includes
-// in its network attribution.
+// in its network attribution: the rpc layer hands each frame write to
+// AfterFunc with the link's Delay, and a nil link delays nothing, so
+// unconfigured paths run at raw loopback speed. The delays are delivered
+// by one process-wide timer wheel (wheel.go) because time.Sleep
+// overshoots by a millisecond or more, which would swamp the
+// tens-to-hundreds of microseconds an intra-DC hop takes.
 package netsim
 
 import (
@@ -57,20 +62,6 @@ func (l *Link) Delay(n int) time.Duration {
 		d += time.Duration(float64(n) / l.BytesPerSec * float64(time.Second))
 	}
 	return d
-}
-
-// Apply delays the caller for the link's latency for a message of n
-// bytes, standing in for the time the packet would spend in the NIC,
-// switches, and the kernel stack. A nil link applies nothing, so
-// unconfigured paths run at raw loopback speed. Delays are delivered by
-// the process-wide timer wheel (see wheel.go): kernel timer granularity
-// makes time.Sleep overshoot by a millisecond or more, which would swamp
-// the tens-to-hundreds of microseconds an intra-DC hop takes.
-func (l *Link) Apply(n int) {
-	if l == nil {
-		return
-	}
-	Wait(l.Delay(n))
 }
 
 // Profile bundles the per-direction links of one shard-to-shard path.

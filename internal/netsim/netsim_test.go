@@ -33,7 +33,6 @@ func TestNilLink(t *testing.T) {
 	if l.Delay(100) != 0 {
 		t.Error("nil link should have zero delay")
 	}
-	l.Apply(100) // must not panic
 }
 
 func TestWheelWaitAccuracy(t *testing.T) {
@@ -41,20 +40,20 @@ func TestWheelWaitAccuracy(t *testing.T) {
 	// wheel's reason to exist.
 	for _, d := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond} {
 		start := time.Now()
-		Wait(d)
+		<-After(d)
 		elapsed := time.Since(start)
 		if elapsed < d {
-			t.Errorf("Wait(%v) returned early after %v", d, elapsed)
+			t.Errorf("After(%v) fired early, after %v", d, elapsed)
 		}
 		if elapsed > d+800*time.Microsecond {
-			t.Errorf("Wait(%v) overshot to %v", d, elapsed)
+			t.Errorf("After(%v) overshot to %v", d, elapsed)
 		}
 	}
 }
 
 func TestWheelZeroAndNegative(t *testing.T) {
-	Wait(0)
-	Wait(-time.Second)
+	<-After(0)
+	<-After(-time.Second)
 	done := make(chan struct{})
 	AfterFunc(0, func() { close(done) })
 	select {
@@ -96,7 +95,7 @@ func TestWheelConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			Wait(time.Duration(50+i%200) * time.Microsecond)
+			<-After(time.Duration(50+i%200) * time.Microsecond)
 			fired.Add(1)
 		}(i)
 	}

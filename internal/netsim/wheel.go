@@ -2,26 +2,37 @@ package netsim
 
 import (
 	"container/heap"
-	"runtime"
 	"sync"
 	"time"
 )
 
-// Wheel delivers microsecond-precision delays with a single dedicated
-// dispatcher goroutine. Naive per-message busy-waiting oversubscribes the
-// host when dozens of messages are in flight (8 shards × several batches
-// × 2 directions), which inflates the simulated latency exactly when the
-// experiment sweeps to higher shard counts — the wheel burns at most one
-// core regardless of in-flight count. Kernel timer granularity on this
-// class of host is ~1.5ms, so the dispatcher sleeps only while the next
-// deadline is comfortably far and spins the final stretch.
+// Wheel delivers microsecond-precision delays from one dispatcher
+// goroutine that parks between deadlines on a clock the Go runtime's
+// poller watches (a timerfd on Linux, see clock_linux.go). The kernel
+// wakes the poller at the deadline with hrtimer precision, so a pending
+// delay costs wall time and no CPU. The runtime's own timers cannot do
+// this: an idle scheduler sleeps in the poller with millisecond
+// granularity, which would stretch a 100 µs hop to a millisecond. Due
+// events fire inline on the dispatcher in deadline order, FIFO among
+// equal deadlines.
 type Wheel struct {
 	mu     sync.Mutex
 	events eventHeap
 	seq    uint64
-	wake   chan struct{}
-	fire   chan event
-	once   sync.Once
+	// armed is the deadline the clock is set to wake the dispatcher at;
+	// zero once the dispatcher has woken and found nothing pending.
+	armed time.Time
+	clock clock
+	once  sync.Once
+}
+
+// clock is what the dispatcher parks on: arm sets the single pending
+// wake-up to d from now, replacing any earlier setting; wait blocks until
+// a wake-up has passed. A wake-up may be spurious — the dispatcher
+// re-reads the heap after every one.
+type clock interface {
+	arm(d time.Duration)
+	wait()
 }
 
 type event struct {
@@ -54,7 +65,7 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-var defaultWheel = &Wheel{wake: make(chan struct{}, 1)}
+var defaultWheel = &Wheel{}
 
 // After returns a channel closed once d has elapsed, scheduled on the
 // process-wide wheel.
@@ -67,14 +78,6 @@ func After(d time.Duration) <-chan struct{} { return defaultWheel.After(d) }
 // of microseconds under sandboxed kernels — which is exactly the path a
 // simulated NIC's transmit completion takes.
 func AfterFunc(d time.Duration, fn func()) { defaultWheel.AfterFunc(d, fn) }
-
-// Wait blocks for d with microsecond precision.
-func Wait(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	<-After(d)
-}
 
 // After schedules a delay on this wheel.
 func (w *Wheel) After(d time.Duration) <-chan struct{} {
@@ -98,106 +101,69 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) {
 
 func (w *Wheel) schedule(e event) {
 	w.once.Do(func() {
-		w.fire = make(chan event, 1024)
-		go w.runFired()
+		if w.clock == nil {
+			w.clock = newClock()
+		}
 		go w.loop()
 	})
 	w.mu.Lock()
 	w.seq++
 	e.seq = w.seq
 	heap.Push(&w.events, e)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	if w.armed.IsZero() || e.at.Before(w.armed) {
+		w.arm(e.at)
 	}
+	w.mu.Unlock()
 }
 
-// sleepSlack is how much earlier than a deadline the dispatcher stops
-// sleeping and starts spinning, covering worst-case sleep overshoot.
-const sleepSlack = 2 * time.Millisecond
+// arm sets the clock to wake the dispatcher at at. Called with w.mu held.
+func (w *Wheel) arm(at time.Time) {
+	w.armed = at
+	w.clock.arm(time.Until(at))
+}
 
+// loop is the dispatcher: park until the clock wakes it, take everything
+// due, set the clock for the next deadline, then fire what was taken, in
+// order, outside the lock — so a callback's frame write cannot deadlock
+// against a scheduler inserting new events. A callback that blocks (a
+// frame write to a full socket) delays later events; every peer in this
+// system keeps a draining read loop, so it does not block for long.
 func (w *Wheel) loop() {
+	var due []event
 	for {
+		w.clock.wait()
 		w.mu.Lock()
-		if len(w.events) == 0 {
-			w.mu.Unlock()
-			<-w.wake
-			continue
-		}
-		next := w.events[0].at
 		now := time.Now()
-		if !next.After(now) {
-			// Fire everything due. Callback events run inline (outside
-			// the lock) so a frame write cannot deadlock against a
-			// scheduler that inserts new events.
-			var due []event
-			for len(w.events) > 0 && !w.events[0].at.After(now) {
-				due = append(due, heap.Pop(&w.events).(event))
-			}
-			w.mu.Unlock()
-			// Hand the burst to the single ordered worker. Spawning a
-			// goroutine per event (or per burst) would give ordering to the
-			// Go scheduler, which runs the most recent spawn first — and on
-			// a single-P host the spawns starve behind the spin loop below,
-			// firing out of order and late. The trade-off is deliberate:
-			// deadline ordering is the simulation's contract, and it costs
-			// serializing callbacks through one worker. A callback that
-			// blocks (a frame write to a full socket) delays later timer
-			// events — tolerable here because every peer in this system
-			// keeps a draining read loop — and the dispatcher itself only
-			// stalls if the worker wedges past the fire buffer's slack.
-			for _, e := range due {
-				w.fire <- e
-			}
-			continue
+		for len(w.events) > 0 && !w.events[0].at.After(now) {
+			due = append(due, heap.Pop(&w.events).(event))
+		}
+		w.armed = time.Time{}
+		if len(w.events) > 0 {
+			w.arm(w.events[0].at)
 		}
 		w.mu.Unlock()
-
-		if wait := next.Sub(now); wait > sleepSlack {
-			// Far out: sleep coarsely, but wake early for new events.
-			t := time.NewTimer(wait - sleepSlack)
-			select {
-			case <-t.C:
-			case <-w.wake:
-				t.Stop()
-			}
-			continue
-		}
-		// Close in: spin, still noticing earlier insertions. Yield each
-		// pass so the spin cannot starve runnable goroutines (the request
-		// path itself) when GOMAXPROCS is small.
-		for time.Now().Before(next) {
-			select {
-			case <-w.wake:
-				// A new event may now be earliest; recompute.
-				next = w.earliest(next)
-			default:
-				runtime.Gosched()
+		for _, e := range due {
+			if e.fn != nil {
+				e.fn()
+			} else {
+				close(e.ch)
 			}
 		}
+		clear(due)
+		due = due[:0]
 	}
 }
 
-// runFired executes fired events in FIFO (deadline) order. fn must be
-// short (a frame write, a channel send); long callbacks delay later
-// events, not the dispatcher.
-func (w *Wheel) runFired() {
-	for e := range w.fire {
-		if e.fn != nil {
-			e.fn()
-		} else {
-			close(e.ch)
-		}
-	}
+// timerClock parks on a runtime timer: correct everywhere, but an idle
+// process oversleeps a sub-millisecond deadline to the poller's
+// millisecond tick. It stands in where no kernel timer can be polled.
+type timerClock struct{ t *time.Timer }
+
+func newTimerClock() *timerClock {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &timerClock{t: t}
 }
 
-// earliest returns the sooner of cur and the heap head.
-func (w *Wheel) earliest(cur time.Time) time.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.events) > 0 && w.events[0].at.Before(cur) {
-		return w.events[0].at
-	}
-	return cur
-}
+func (c *timerClock) arm(d time.Duration) { c.t.Reset(d) }
+func (c *timerClock) wait()               { <-c.t.C }

@@ -339,7 +339,6 @@ func TestNetsimNilLink(t *testing.T) {
 	if l.Delay(100) != 0 {
 		t.Error("nil link should have zero delay")
 	}
-	l.Apply(100) // must not panic
 }
 
 func TestNetsimBandwidthTerm(t *testing.T) {
