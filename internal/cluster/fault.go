@@ -13,10 +13,9 @@ import (
 // slot — in-flight calls fail promptly (failover rescues them) and new
 // calls to that replica go silent, the failure mode a partitioned or
 // hung server presents and the one health ejection exists for. Recovery
-// is either a revive (a new server over the shard's shared store — the
-// process restarted) or a replace (a fresh, empty store rebuilt
-// byte-identically from a healthy peer in one staged transaction — the
-// machine was lost).
+// is a replace: a fresh, empty store rebuilt byte-identically from a
+// healthy peer in one staged transaction — the machine was lost. The
+// tests' hooks (a revive, an abrupt kill) are in export_test.go.
 
 // replica validates indices and returns the addressed replica. Caller
 // holds replicaMu.
@@ -50,23 +49,6 @@ func (c *Cluster) KillReplica(shard, idx int) error {
 	rep.slot.Swap(replication.Unresponsive())
 	c.stopReplica(rep)
 	return nil
-}
-
-// ReviveReplica restarts a killed replica over its existing table store
-// (the shared shard store, or a previously rebuilt one): a new server
-// boots, a fresh client splices into the slot, and the next health
-// probe re-admits the replica to the rotation.
-func (c *Cluster) ReviveReplica(shard, idx int) error {
-	c.replicaMu.Lock()
-	defer c.replicaMu.Unlock()
-	rep, err := c.replica(shard, idx)
-	if err != nil {
-		return err
-	}
-	if rep.srv != nil {
-		return fmt.Errorf("cluster: %s replica %d is alive", core.ServiceName(shard+1), idx)
-	}
-	return c.startReplica(rep)
 }
 
 // ReplaceReplica stands up a replacement for a killed replica whose
@@ -136,19 +118,6 @@ func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildSt
 	return st, nil
 }
 
-// ReplicaStore exposes the table store replica (shard, idx) currently
-// serves — the shared shard store, or its private rebuilt one — for
-// tests and experiments that assert on rebuild results.
-func (c *Cluster) ReplicaStore(shard, idx int) (*core.SparseShard, error) {
-	c.replicaMu.Lock()
-	defer c.replicaMu.Unlock()
-	rep, err := c.replica(shard, idx)
-	if err != nil {
-		return nil, err
-	}
-	return rep.store, nil
-}
-
 // HealthSnapshots reports every hedged service's replica-breaker state
 // (empty when replication or health tracking is off).
 func (c *Cluster) HealthSnapshots() map[string]replication.HealthSnapshot {
@@ -157,28 +126,4 @@ func (c *Cluster) HealthSnapshots() map[string]replication.HealthSnapshot {
 		out[name] = h.HealthSnapshot()
 	}
 	return out
-}
-
-// KillSparse abruptly stops the i-th sparse server in boot order
-// (0-based, shard-major across replicas), for failure-injection tests
-// that want prompt connection failures: in a serving fleet shards "may
-// fail and need to restart". Unlike KillReplica it leaves the replica's
-// slot pointing at the dead client, so callers see errors, not silence.
-// The replica is marked dead like any other kill — Revive/Replace and
-// the peer scans treat it consistently.
-func (c *Cluster) KillSparse(i int) {
-	c.replicaMu.Lock()
-	defer c.replicaMu.Unlock()
-	n := 0
-	for _, reps := range c.replicas {
-		for _, rep := range reps {
-			if n == i {
-				if rep.srv != nil {
-					c.stopReplica(rep)
-				}
-				return
-			}
-			n++
-		}
-	}
 }

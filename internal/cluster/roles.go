@@ -369,12 +369,10 @@ func serviceCaller(service string, replicas []rpc.Caller, opts Options) (rpc.Cal
 
 // ControlPlane dials the connections control-plane drivers (Migrator,
 // Publisher, RebuildFromPeer) reach sparse servers over, cached by
-// address. They are plain single connections, never the serving callers:
-// those may be hedged, and hedging a stage.commit would re-issue it to a
-// replica sharing the same table store — or to a store that already
-// consumed the transaction — and trip the protocol's commit-without-begin
-// guard. Not safe for concurrent use (a Cluster guards its own with
-// replicaMu).
+// address. They are plain single connections, never the serving callers,
+// which may be hedged: core's method descriptor (shardMethod.plane) says
+// why a control-plane call never is. Not safe for concurrent use (a
+// Cluster guards its own with replicaMu).
 type ControlPlane struct {
 	conns map[string]*rpc.Client
 }

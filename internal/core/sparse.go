@@ -232,40 +232,58 @@ func (s *SparseShard) Close() {
 	s.mu.Unlock()
 }
 
-// shardMethod is one row of the shard's wire surface.
+// shardMethod is one row of the shard's method descriptor.
 type shardMethod struct {
 	name   string
 	handle func(*SparseShard, trace.Context, []byte) ([]byte, error)
-	// control marks control-plane methods: Handle wraps them in a
-	// LayerMigration span named after the method and prefixes their
-	// errors. The serving path records its own serde and operator spans.
-	control bool
+	// plane is the side of the shard the method serves. The serving plane
+	// (sparse.run) records its own serde and operator spans, and callers
+	// may hedge it: a duplicate call pools the same rows twice. Handle
+	// wraps a control-plane call in a LayerMigration span named after the
+	// method and prefixes its errors. A control-plane call is never
+	// hedged: a driver reads or changes a table set in steps, and a hedged
+	// stage.commit would re-issue against a store that already consumed
+	// the transaction and trip the commit-without-begin guard. So
+	// control-plane drivers reach a shard only over plain connections of
+	// their own (ShardEndpoint.Caller, cluster.ControlPlane), never over a
+	// serving caller.
+	plane methodPlane
 	// counter names the per-shard counter of served calls ("" = none).
 	counter string
 }
 
-// shardMethods is everything a sparse shard serves: the serving path,
-// load collection, and the staged table-set transaction.
+// methodPlane is a shard method's side: see shardMethod.plane.
+type methodPlane uint8
+
+const (
+	servingPlane methodPlane = iota
+	controlPlane
+)
+
+// shardMethods is the sparse role's method descriptor, the one place a
+// method is stated: the serving path first (Handle walks it in order),
+// then load collection and the staged table-set transaction. DESIGN.md's
+// method table and the control-plane fuzz corpus are tested against it.
 var shardMethods = []shardMethod{
-	{MethodSparseRun, (*SparseShard).handleRun, false, ""},
-	{MethodSparseLoad, (*SparseShard).handleLoad, true, ""},
-	{MethodStageBegin, (*SparseShard).handleStageBegin, true, "stage.begins"},
-	{MethodStagePut, (*SparseShard).handleStagePut, true, "stage.puts"},
-	{MethodStageCommit, (*SparseShard).handleStageCommit, true, "stage.commits"},
-	{MethodStageAbort, (*SparseShard).handleStageAbort, true, ""},
-	{MethodTableList, (*SparseShard).handleTableList, true, ""},
-	{MethodTableRead, (*SparseShard).handleTableRead, true, "table.reads"},
-	{MethodTableRelease, (*SparseShard).handleTableRelease, true, "table.releases"},
+	{name: MethodSparseRun, handle: (*SparseShard).handleRun, plane: servingPlane},
+	{name: MethodSparseLoad, handle: (*SparseShard).handleLoad, plane: controlPlane},
+	{name: MethodStageBegin, handle: (*SparseShard).handleStageBegin, plane: controlPlane, counter: "stage.begins"},
+	{name: MethodStagePut, handle: (*SparseShard).handleStagePut, plane: controlPlane, counter: "stage.puts"},
+	{name: MethodStageCommit, handle: (*SparseShard).handleStageCommit, plane: controlPlane, counter: "stage.commits"},
+	{name: MethodStageAbort, handle: (*SparseShard).handleStageAbort, plane: controlPlane},
+	{name: MethodTableList, handle: (*SparseShard).handleTableList, plane: controlPlane},
+	{name: MethodTableRead, handle: (*SparseShard).handleTableRead, plane: controlPlane, counter: "table.reads"},
+	{name: MethodTableRelease, handle: (*SparseShard).handleTableRelease, plane: controlPlane, counter: "table.releases"},
 }
 
-// Handle implements rpc.Handler by dispatching through shardMethods.
+// Handle implements rpc.Handler by a static walk of shardMethods.
 func (s *SparseShard) Handle(ctx trace.Context, method string, body []byte) ([]byte, error) {
 	for i := range shardMethods {
 		m := &shardMethods[i]
 		if m.name != method {
 			continue
 		}
-		if !m.control {
+		if m.plane == servingPlane {
 			return m.handle(s, ctx, body)
 		}
 		start := s.rec.Now()

@@ -261,8 +261,7 @@ type ShardEndpoint struct {
 	// events.
 	Addr string
 	// Caller issues control-plane RPCs to the shard. It must be a plain
-	// connection, never hedged: hedging a stage.commit would re-issue it
-	// against a store that already consumed the transaction.
+	// connection, never hedged (shardMethod.plane says why).
 	Caller rpc.Caller
 }
 

@@ -209,21 +209,22 @@ func FuzzLoadSummaryRoundTrip(f *testing.F) {
 // FuzzShardControlPlane throws arbitrary bodies at every control-plane
 // method of a live shard that holds one small table per encoding and has
 // one transaction open: whatever arrives, the shard answers or refuses —
-// it never panics — and every table it still holds stays servable.
+// it never panics — and every table it still holds stays servable. The
+// method is picked by name; the serving row is left to FuzzSparseRequest.
 func FuzzShardControlPlane(f *testing.F) {
 	shape := TableShape{TableID: 1, Rows: 4, Dim: 3, Enc: TierEncInt8}
-	// method b calls controlMethod(b): 1 stage.begin, 2 stage.put, 3
-	// stage.commit, 6 table.read, 7 table.release.
-	f.Add(uint8(1), encodeMsg(&StageBegin{Txn: 5, Shape: shape, Base: StageClone}))
-	f.Add(uint8(2), encodeMsg(&StagePut{Txn: 9, TableID: 0, RowStart: 3, Rows: make([]byte, 24)}))
-	f.Add(uint8(3), encodeMsg(&StageEnd{Txn: 9}))
-	f.Add(uint8(6), encodeMsg(&TableRead{TableID: 3, RowStart: 3, RowCount: 2}))
-	f.Add(uint8(7), encodeMsg(&TableRelease{TableID: 2}))
-	f.Add(uint8(5), []byte{})
-	f.Add(uint8(0), []byte{1})
-	f.Fuzz(func(t *testing.T, method uint8, body []byte) {
-		m := controlMethod(method)
-		if b, err := decodeMsg[StageBegin](body); m.name == MethodStageBegin && err == nil && int64(b.Shape.Rows)*int64(b.Shape.Dim) > 1<<16 {
+	f.Add(MethodStageBegin, encodeMsg(&StageBegin{Txn: 5, Shape: shape, Base: StageClone}))
+	f.Add(MethodStagePut, encodeMsg(&StagePut{Txn: 9, TableID: 0, RowStart: 3, Rows: make([]byte, 24)}))
+	f.Add(MethodStageCommit, encodeMsg(&StageEnd{Txn: 9}))
+	f.Add(MethodTableRead, encodeMsg(&TableRead{TableID: 3, RowStart: 3, RowCount: 2}))
+	f.Add(MethodTableRelease, encodeMsg(&TableRelease{TableID: 2}))
+	f.Add(MethodTableList, []byte{})
+	f.Add(MethodSparseLoad, []byte{1})
+	f.Fuzz(func(t *testing.T, method string, body []byte) {
+		if m, ok := methodRow(method); ok && m.plane != controlPlane {
+			return
+		}
+		if b, err := decodeMsg[StageBegin](body); method == MethodStageBegin && err == nil && int64(b.Shape.Rows)*int64(b.Shape.Dim) > 1<<16 {
 			// A valid begin is a request to allocate the table it
 			// declares (up to the format's shape caps): the protocol
 			// working, not a decoder bug, and no business of a fuzzer.
@@ -245,16 +246,16 @@ func FuzzShardControlPlane(f *testing.F) {
 		if _, err := sh.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: 9, Shape: TableShape{Rows: 4, Dim: 2}})); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = sh.Handle(ctx, m.name, body)
+		_, _ = sh.Handle(ctx, method, body)
 		if _, err := sh.Handle(ctx, MethodTableList, nil); err != nil {
-			t.Fatalf("shard cannot list its tables after %s: %v", m.name, err)
+			t.Fatalf("shard cannot list its tables after %q: %v", method, err)
 		}
 		acc := make([]float32, 3)
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		for key, tab := range sh.tables {
 			if tab.NumRows() <= 0 || tab.Dim() <= 0 {
-				t.Fatalf("table %v became unservable after %s", key, m.name)
+				t.Fatalf("table %v became unservable after %q", key, method)
 			}
 			if tab.Dim() == len(acc) {
 				tab.AccumulateRow(acc, tab.NumRows()-1)
@@ -263,62 +264,49 @@ func FuzzShardControlPlane(f *testing.F) {
 	})
 }
 
-// controlMethod is FuzzShardControlPlane's index rule: method byte b
-// reaches every shard method but sparse.run, b = 1 stage.begin.
-func controlMethod(b uint8) shardMethod {
-	return shardMethods[1+int(b)%(len(shardMethods)-1)]
+// methodRow looks a method up in the shard's descriptor.
+func methodRow(name string) (shardMethod, bool) {
+	for _, m := range shardMethods {
+		if m.name == name {
+			return m, true
+		}
+	}
+	return shardMethod{}, false
 }
 
 // TestControlPlaneSeedsNameTheirMethod: each committed
-// FuzzShardControlPlane seed's method byte reaches, through the target's
-// own index rule, the method its file name says — a seed one method off
-// fuzzes a handler with a body written for its neighbour.
+// FuzzShardControlPlane seed names, as its first argument, a
+// control-plane row of the shard's method descriptor.
 func TestControlPlaneSeedsNameTheirMethod(t *testing.T) {
-	want := map[string]string{
-		"seed-clone-begin":     MethodStageBegin,
-		"seed-put-past-end":    MethodStagePut,
-		"seed-commit-open-txn": MethodStageCommit,
-		"seed-read-past-end":   MethodTableRead,
-		"seed-release-held":    MethodTableRelease,
-	}
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzShardControlPlane", "seed-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != len(want) {
-		t.Errorf("%d committed seeds, %d on record here", len(files), len(want))
+	if len(files) == 0 {
+		t.Fatal("no committed seeds")
 	}
 	for _, path := range files {
 		name := filepath.Base(path)
-		method, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no method on record for this seed", name)
-			continue
-		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The corpus format: a version line, then one Go literal per
-		// argument — the method byte first, as byte('…').
+		// argument — the method first, as string("…").
 		lines := strings.Split(string(data), "\n")
 		if len(lines) < 2 || lines[0] != "go test fuzz v1" {
 			t.Errorf("%s: not a fuzz corpus file", name)
 			continue
 		}
-		lit, ok := strings.CutPrefix(lines[1], "byte('")
-		lit, ok2 := strings.CutSuffix(lit, "')")
-		if !ok || !ok2 {
-			t.Errorf("%s: no method byte on line 2", name)
+		lit, ok := strings.CutPrefix(lines[1], "string(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		method, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Errorf("%s: no method name on line 2: %q", name, lines[1])
 			continue
 		}
-		b, _, tail, err := strconv.UnquoteChar(lit, '\'')
-		if err != nil || tail != "" || b > 0xff {
-			t.Errorf("%s: method byte %q does not decode (%v)", name, lit, err)
-			continue
-		}
-		if got := controlMethod(uint8(b)).name; got != method {
-			t.Errorf("%s: method byte %d reaches %s, its name says %s", name, b, got, method)
+		if m, ok := methodRow(method); !ok || m.plane != controlPlane {
+			t.Errorf("%s: names %q, not a control-plane method", name, method)
 		}
 	}
 }

@@ -274,9 +274,3 @@ func DiffFloat32(got, want []float32) int {
 	}
 	return -1
 }
-
-// Kernels returns both forced dispatch settings, the axis every
-// differential test sweeps.
-func Kernels() []tensor.Kernel {
-	return []tensor.Kernel{tensor.KernelGeneric, tensor.KernelVector}
-}

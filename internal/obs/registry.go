@@ -155,13 +155,6 @@ var discardRegistry = &Registry{discard: true}
 // baseline arm uses.
 func Discard() *Registry { return discardRegistry }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, for callers with no
-// deployment registry in hand. Library code should prefer an injected
-// registry — experiments boot many deployments per process.
-func Default() *Registry { return defaultRegistry }
-
 // Discarding reports whether this registry drops everything.
 func (r *Registry) Discarding() bool { return r == nil || r.discard }
 
