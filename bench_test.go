@@ -515,7 +515,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				Obs: tc.reg,
 			}
 			if tc.sample > 0 {
-				cfg.Tracer = obs.NewTracer(tc.reg, obs.TracerConfig{SampleEvery: tc.sample})
+				cfg.Tracer = obs.NewTracer(tc.reg, tc.sample)
 			}
 			f := frontend.New(nopExec{}, cfg)
 			defer f.Close()

@@ -32,6 +32,17 @@ func smallModel() model.Config {
 	return cfg
 }
 
+// uniformTiers plans every table of cfg at prec. The small test model's
+// tables all sit below PlanTiers' 16 KiB floor, so tests that tier it
+// build the plan directly.
+func uniformTiers(cfg *model.Config, prec sharding.Precision) *sharding.TierPlan {
+	tp := &sharding.TierPlan{Precisions: make(map[int]sharding.Precision, len(cfg.Tables))}
+	for _, t := range cfg.Tables {
+		tp.Precisions[t.ID] = prec
+	}
+	return tp
+}
+
 // execDirect runs requests through an engine without RPC (plan singular)
 // and returns the scores, the ground truth for distributed equivalence.
 func execDirect(t *testing.T, m *model.Model, reqs []*workload.Request) [][]float32 {

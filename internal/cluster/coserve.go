@@ -52,14 +52,11 @@ type TenantSpec struct {
 type FleetOptions struct {
 	// Capacity is the fleet's total hardware in units (sparse servers).
 	// 0 sizes it to exactly the sum of initial allocations — no free
-	// pool, so growth must be paired with a donor's shrink.
+	// pool, so a claim waits for an idle model's reclaim to free a step.
 	Capacity float64
-	// Elastic tunes the planner; Interval is the scheduler tick (0
-	// disables the background loop — Step and ForceScale still work).
-	Elastic  ElasticConfig
+	// Interval is the elastic scheduler tick (0 disables the background
+	// loop — Step and ForceScale still work).
 	Interval time.Duration
-	// Burst bounds each tenant's banked drain-gate credit (0 = default).
-	Burst time.Duration
 	// Seed, HedgeDelay, HealthFails, HealthProbe, Tier pass through to
 	// every tenant cluster.
 	Seed        int64
@@ -113,14 +110,12 @@ type Fleet struct {
 	capacity float64
 	frontSrv *rpc.Server
 	frontRec *trace.Recorder
-	opts     FleetOptions
 	moves    *obs.Counter
 
 	// mu serializes planner passes, manual scales, and Close against
 	// each other; the per-tenant signal cursors live under it.
 	mu        sync.Mutex
 	timeline  []MoveEvent
-	cooldown  map[string]int
 	lastSheds map[string]uint64
 	lastBusy  map[string]uint64
 	lastTick  time.Time
@@ -156,9 +151,7 @@ func BootFleet(specs []TenantSpec, opts FleetOptions) (*Fleet, error) {
 		Multi:     nil, // set below (needs capacity)
 		Obs:       reg,
 		tenants:   make(map[string]*fleetTenant, len(specs)),
-		opts:      opts,
 		moves:     reg.Counter("coserve.moves"),
-		cooldown:  make(map[string]int),
 		lastSheds: make(map[string]uint64),
 		lastBusy:  make(map[string]uint64),
 		stop:      make(chan struct{}),
@@ -215,7 +208,7 @@ func BootFleet(specs []TenantSpec, opts FleetOptions) (*Fleet, error) {
 		capacity = opts.Capacity
 	}
 	fl.capacity = capacity
-	fl.Multi = frontend.NewMulti(capacity, opts.Burst)
+	fl.Multi = frontend.NewMulti(capacity)
 
 	for i, b := range boots {
 		spec, weight := b.spec, b.weight
@@ -356,10 +349,6 @@ func (fl *Fleet) Step() []Move {
 				unhealthy = e
 			}
 		}
-		cd := fl.cooldown[name]
-		if cd > 0 {
-			fl.cooldown[name] = cd - 1
-		}
 		min, max := t.spec.MinReplicas, t.spec.MaxReplicas
 		if !t.spec.Plan.IsDistributed() {
 			min, max = active, active // frozen: nothing to reallocate
@@ -374,26 +363,19 @@ func (fl *Fleet) Step() []Move {
 			BusyFrac:   float64(busyDelta) / float64(window),
 			ShedDelta:  shedDelta,
 			Unhealthy:  unhealthy,
-			Cooldown:   cd,
 		})
 	}
 
-	moves := PlanElastic(loads, fl.capacity-allocated, fl.opts.Elastic)
-	// Shrinks first: a paired reallocation must free the donor's servers
-	// before the claimant's rebuild occupies them (PlanElastic already
-	// orders each claim's shrinks before its grow; this is belt and
-	// braces for the free pool accounting).
-	executed := moves[:0]
+	moves := PlanElastic(loads, fl.capacity-allocated)
 	for _, mv := range moves {
 		if err := fl.applyLocked(mv); err != nil {
 			// A failed move (e.g. no healthy rebuild peer appeared by
 			// apply time) is dropped; the next pass replans from fresh
 			// signals.
-			continue
+			return nil
 		}
-		executed = append(executed, mv)
 	}
-	return executed
+	return moves
 }
 
 // ForceScale manually moves model name to n serving replicas through
@@ -430,7 +412,6 @@ func (fl *Fleet) applyLocked(mv Move) error {
 		return err
 	}
 	fl.Multi.SetUnits(mv.Model, float64(mv.To)*t.weight)
-	fl.cooldown[mv.Model] = fl.opts.Elastic.withDefaults().Cooldown
 	var bytes int64
 	for _, st := range stats {
 		bytes += st.Bytes

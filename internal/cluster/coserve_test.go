@@ -229,8 +229,8 @@ func TestFleetElasticStepReallocates(t *testing.T) {
 		t.Fatalf("elastic step never grew the hot tenant: timeline %+v", fl.Timeline())
 	}
 
-	// With traffic gone, repeated passes (cooldowns expiring in between)
-	// must reclaim beta back toward its floor.
+	// With traffic gone, repeated passes must reclaim beta back toward
+	// its floor.
 	deadline = time.Now().Add(5 * time.Second)
 	for fl.TenantCluster("beta").ActiveReplicas() > 1 {
 		if time.Now().After(deadline) {

@@ -1,53 +1,22 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The elastic capacity planner: a pure decision function mapping one
-// observation window's per-model load signals to a bounded set of
-// replica-set moves. Keeping it free of clocks, locks, and I/O makes
-// the hysteresis and budget behavior table-testable; the Fleet owns
-// gathering the signals and executing the moves (snapshot rebuilds on
-// the way up, drain-and-reclaim on the way down).
+// observation window's per-model load signals to at most one replica-set
+// move. Keeping it free of clocks, locks, and I/O makes the hysteresis
+// table-testable; the Fleet owns gathering the signals and executing the
+// move (a snapshot rebuild on the way up, drain-and-reclaim on the way
+// down).
 
-// ElasticConfig tunes the planner. Zero values take the documented
-// defaults.
-type ElasticConfig struct {
-	// ScaleUpAt is the pressure at or above which a model claims another
-	// replica step (default 0.75).
-	ScaleUpAt float64
-	// ScaleDownAt is the pressure at or below which a model may donate a
-	// replica step (default 0.25). The dead band between the thresholds
-	// is the hysteresis that keeps noisy load from thrashing capacity.
-	ScaleDownAt float64
-	// MoveBudget caps replica-step moves (grows plus shrinks) per pass
-	// (default 1): each move is a snapshot rebuild or a drain, and a
-	// pass that reshapes the whole fleet at once trades a long
-	// disruption for signals that were only ever one window old.
-	MoveBudget int
-	// Cooldown is how many passes a model sits out after moving
-	// (default 1): a fresh replica needs at least one full window to
-	// show up in the signals before it can justify the next move.
-	Cooldown int
-}
-
-func (c ElasticConfig) withDefaults() ElasticConfig {
-	if c.ScaleUpAt <= 0 {
-		c.ScaleUpAt = 0.75
-	}
-	if c.ScaleDownAt <= 0 {
-		c.ScaleDownAt = 0.25
-	}
-	if c.MoveBudget <= 0 {
-		c.MoveBudget = 1
-	}
-	if c.Cooldown < 0 {
-		c.Cooldown = 1
-	}
-	return c
-}
+// Pressure thresholds. A model at or above scaleUpAt claims another
+// replica step; one at or below scaleDownAt may return a step to the
+// free pool. The dead band between them is the hysteresis that keeps
+// noisy load from thrashing capacity.
+const (
+	scaleUpAt   = 0.75
+	scaleDownAt = 0.25
+)
 
 // TenantLoad is one model's observation for a planning pass.
 type TenantLoad struct {
@@ -72,9 +41,6 @@ type TenantLoad struct {
 	// Unhealthy counts the model's ejected replicas; a model with no
 	// healthy replica cannot seed a snapshot rebuild and is skipped.
 	Unhealthy int
-	// Cooldown is how many passes of sit-out the model still owes from
-	// its last move; positive means frozen this pass.
-	Cooldown int
 }
 
 // Pressure is the planner's scalar demand signal for one model.
@@ -94,7 +60,7 @@ type Move struct {
 	Model    string
 	From, To int
 	// Reason is a short operator-facing note ("pressure 1.00 >= 0.75",
-	// "donated to DRM1", "idle reclaim").
+	// "idle reclaim (pressure 0.05 <= 0.25)").
 	Reason string
 }
 
@@ -105,148 +71,48 @@ func (m Move) String() string {
 	return fmt.Sprintf("%s %d->%d (%s)", m.Model, m.From, m.To, m.Reason)
 }
 
-// PlanElastic maps one window's loads to at most MoveBudget replica
-// moves. freeUnits is the fleet capacity (servers) not currently
-// assigned to any model. Claims are served hottest-first: from the free
-// pool when it covers the claimant's step cost, otherwise by shrinking
-// the coldest donors until it does (every shrink spends budget, so a
-// paired reallocation costs at least two moves). Leftover budget then
-// reclaims idle models' excess steps into the free pool. No model plans
-// below max(1, Min), above Max, more than one step per pass, or while
-// cooling down.
-func PlanElastic(loads []TenantLoad, freeUnits float64, cfg ElasticConfig) []Move {
-	cfg = cfg.withDefaults()
-	budget := cfg.MoveBudget
-
-	// Work on a copy: planning mutates Active/freeUnits bookkeeping.
-	ls := make([]TenantLoad, len(loads))
-	copy(ls, loads)
-	for i := range ls {
-		if ls[i].UnitWeight <= 0 {
-			ls[i].UnitWeight = 1
+// PlanElastic maps one window's loads to at most one replica move:
+// each move is a snapshot rebuild or a drain, and a pass that reshapes
+// the fleet at once trades a long disruption for signals that were only
+// ever one window old. freeUnits is the fleet capacity (servers) not
+// currently assigned to any model. The hottest claimant whose step the
+// free pool covers grows by one step. With no such claim, the coldest
+// idle model returns one step to the pool, so a later pass can grant a
+// claim the pool could not cover. No model plans below max(1, Min) or
+// above Max.
+func PlanElastic(loads []TenantLoad, freeUnits float64) []Move {
+	var claim, idle *TenantLoad
+	var claimP, idleP float64
+	for i := range loads {
+		l := &loads[i]
+		p := Pressure(*l)
+		weight := l.UnitWeight
+		if weight <= 0 {
+			weight = 1
+		}
+		// A claimant needs room under Max, a healthy peer to seed the
+		// rebuild, and a free pool that covers its step.
+		if p >= scaleUpAt && (l.Max <= 0 || l.Active < l.Max) && l.Unhealthy < l.Active &&
+			weight-freeUnits <= 1e-9 &&
+			(claim == nil || p > claimP || p == claimP && l.Name < claim.Name) {
+			claim, claimP = l, p
+		}
+		if p <= scaleDownAt && l.Active > max(1, l.Min) &&
+			(idle == nil || p < idleP || p == idleP && l.Name < idle.Name) {
+			idle, idleP = l, p
 		}
 	}
-	moved := make(map[string]bool, len(ls))
-	floor := func(l TenantLoad) int {
-		if l.Min > 1 {
-			return l.Min
-		}
-		return 1
+	switch {
+	case claim != nil:
+		return []Move{{
+			Model: claim.Name, From: claim.Active, To: claim.Active + 1,
+			Reason: fmt.Sprintf("pressure %.2f >= %.2f", claimP, scaleUpAt),
+		}}
+	case idle != nil:
+		return []Move{{
+			Model: idle.Name, From: idle.Active, To: idle.Active - 1,
+			Reason: fmt.Sprintf("idle reclaim (pressure %.2f <= %.2f)", idleP, scaleDownAt),
+		}}
 	}
-	canDonate := func(l TenantLoad) bool {
-		return !moved[l.Name] && l.Cooldown == 0 &&
-			Pressure(l) <= cfg.ScaleDownAt && l.Active > floor(l)
-	}
-
-	// Hottest claimants first; coldest donors first. Sort indices so the
-	// donor loop can mutate the shared slice.
-	order := make([]int, len(ls))
-	for i := range order {
-		order[i] = i
-	}
-	claimOrder := append([]int(nil), order...)
-	sort.SliceStable(claimOrder, func(a, b int) bool {
-		pa, pb := Pressure(ls[claimOrder[a]]), Pressure(ls[claimOrder[b]])
-		if pa != pb {
-			return pa > pb
-		}
-		return ls[claimOrder[a]].Name < ls[claimOrder[b]].Name
-	})
-	donorOrder := append([]int(nil), order...)
-	sort.SliceStable(donorOrder, func(a, b int) bool {
-		pa, pb := Pressure(ls[donorOrder[a]]), Pressure(ls[donorOrder[b]])
-		if pa != pb {
-			return pa < pb
-		}
-		return ls[donorOrder[a]].Name < ls[donorOrder[b]].Name
-	})
-
-	var moves []Move
-	for _, ci := range claimOrder {
-		c := &ls[ci]
-		p := Pressure(*c)
-		if p < cfg.ScaleUpAt || c.Cooldown > 0 || moved[c.Name] {
-			continue
-		}
-		if c.Max > 0 && c.Active >= c.Max {
-			continue
-		}
-		if c.Unhealthy >= c.Active {
-			continue // no healthy peer to seed the rebuild
-		}
-		if budget < 1 {
-			break
-		}
-		// Shrink donors until the free pool covers the claim. A claim
-		// costs one move and every donor shrink another, so the whole
-		// reallocation must fit the remaining budget before any of it
-		// is emitted.
-		var shrinks []Move
-		var donors []*TenantLoad
-		need := c.UnitWeight - freeUnits
-		spend := 1
-		for _, di := range donorOrder {
-			if need <= 1e-9 {
-				break
-			}
-			d := &ls[di]
-			if di == ci || !canDonate(*d) {
-				continue
-			}
-			if spend+1 > budget {
-				break
-			}
-			shrinks = append(shrinks, Move{
-				Model: d.Name, From: d.Active, To: d.Active - 1,
-				Reason: fmt.Sprintf("donated to %s (pressure %.2f <= %.2f)", c.Name, Pressure(*d), cfg.ScaleDownAt),
-			})
-			donors = append(donors, d)
-			d.Active--
-			moved[d.Name] = true
-			need -= d.UnitWeight
-			spend++
-		}
-		if need > 1e-9 {
-			// Unaffordable claim: roll the tentative donor shrinks back so
-			// those donors stay eligible for later claimants and the idle
-			// reclaim below.
-			for _, d := range donors {
-				d.Active++
-				moved[d.Name] = false
-			}
-			continue
-		}
-		moves = append(moves, shrinks...)
-		// need = weight - (original free + donor-freed units), so the
-		// pool after paying the claim is exactly its negation.
-		freeUnits = -need
-		moves = append(moves, Move{
-			Model: c.Name, From: c.Active, To: c.Active + 1,
-			Reason: fmt.Sprintf("pressure %.2f >= %.2f", p, cfg.ScaleUpAt),
-		})
-		c.Active++
-		moved[c.Name] = true
-		budget -= spend
-	}
-
-	// Idle reclaim: leftover budget returns cold models' excess steps to
-	// the free pool so the next pass can grant claims without waiting on
-	// a paired donor.
-	for _, di := range donorOrder {
-		if budget < 1 {
-			break
-		}
-		d := &ls[di]
-		if !canDonate(*d) {
-			continue
-		}
-		moves = append(moves, Move{
-			Model: d.Name, From: d.Active, To: d.Active - 1,
-			Reason: fmt.Sprintf("idle reclaim (pressure %.2f <= %.2f)", Pressure(*d), cfg.ScaleDownAt),
-		})
-		d.Active--
-		moved[d.Name] = true
-		budget--
-	}
-	return moves
+	return nil
 }

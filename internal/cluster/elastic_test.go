@@ -20,13 +20,12 @@ func cold(l *cluster.TenantLoad) { l.BusyFrac = 0.05 }
 func warm(l *cluster.TenantLoad) { l.BusyFrac = 0.5 }
 
 // TestPlanElasticTable pins the decision function: hysteresis bounds,
-// budget exhaustion, pairing, floors, caps, cooldowns, health gating.
+// the one move per pass, affordability, floors, caps, health gating.
 func TestPlanElasticTable(t *testing.T) {
 	cases := []struct {
 		name  string
 		loads []cluster.TenantLoad
 		free  float64
-		cfg   cluster.ElasticConfig
 		want  []cluster.Move // compared on Model/From/To only
 	}{
 		{
@@ -56,20 +55,12 @@ func TestPlanElasticTable(t *testing.T) {
 			want: []cluster.Move{{Model: "a", From: 1, To: 2}},
 		},
 		{
-			name:  "empty pool pairs claimant with coldest donor",
-			loads: []cluster.TenantLoad{load("a", 1, hot), load("b", 2, cold)},
-			free:  0,
-			cfg:   cluster.ElasticConfig{MoveBudget: 2},
-			want:  []cluster.Move{{Model: "b", From: 2, To: 1}, {Model: "a", From: 1, To: 2}},
-		},
-		{
 			name:  "budget one cannot afford a paired reallocation",
 			loads: []cluster.TenantLoad{load("a", 1, hot), load("b", 2, cold)},
 			free:  0,
-			cfg:   cluster.ElasticConfig{MoveBudget: 1},
-			// The claim is unaffordable this pass; the leftover budget
-			// still reclaims the idle donor into the pool, so the next
-			// pass can grant the claim for one move.
+			// The claim is unaffordable this pass; the pass reclaims the
+			// idle donor into the pool instead, so the next pass can grant
+			// the claim.
 			want: []cluster.Move{{Model: "b", From: 2, To: 1}},
 		},
 		{
@@ -80,14 +71,12 @@ func TestPlanElasticTable(t *testing.T) {
 				load("c", 1, func(l *cluster.TenantLoad) { l.BusyFrac = 0.90 }),
 			},
 			free: 3,
-			cfg:  cluster.ElasticConfig{MoveBudget: 2},
-			want: []cluster.Move{{Model: "b", From: 1, To: 2}, {Model: "c", From: 1, To: 2}},
+			want: []cluster.Move{{Model: "b", From: 1, To: 2}},
 		},
 		{
 			name:  "never below one serving replica",
 			loads: []cluster.TenantLoad{load("a", 1, hot), load("b", 1, cold)},
 			free:  0,
-			cfg:   cluster.ElasticConfig{MoveBudget: 4},
 			want:  nil,
 		},
 		{
@@ -97,7 +86,6 @@ func TestPlanElasticTable(t *testing.T) {
 				load("b", 2, cold, func(l *cluster.TenantLoad) { l.Min = 2 }),
 			},
 			free: 0,
-			cfg:  cluster.ElasticConfig{MoveBudget: 4},
 			want: nil,
 		},
 		{
@@ -106,16 +94,6 @@ func TestPlanElasticTable(t *testing.T) {
 				load("a", 2, hot, func(l *cluster.TenantLoad) { l.Max = 2 }),
 			},
 			free: 2,
-			want: nil,
-		},
-		{
-			name: "cooldown freezes both sides",
-			loads: []cluster.TenantLoad{
-				load("a", 1, hot, func(l *cluster.TenantLoad) { l.Cooldown = 1 }),
-				load("b", 2, cold, func(l *cluster.TenantLoad) { l.Cooldown = 2 }),
-			},
-			free: 1,
-			cfg:  cluster.ElasticConfig{MoveBudget: 4},
 			want: nil,
 		},
 		{
@@ -133,44 +111,40 @@ func TestPlanElasticTable(t *testing.T) {
 			want:  []cluster.Move{{Model: "a", From: 3, To: 2}},
 		},
 		{
-			name: "heavy claimant needs two light donors",
-			loads: []cluster.TenantLoad{
-				load("a", 1, hot, func(l *cluster.TenantLoad) { l.UnitWeight = 2 }),
-				load("b", 2, cold),
-				load("c", 2, cold),
-			},
-			free: 0,
-			cfg:  cluster.ElasticConfig{MoveBudget: 3},
-			want: []cluster.Move{
-				{Model: "b", From: 2, To: 1},
-				{Model: "c", From: 2, To: 1},
-				{Model: "a", From: 1, To: 2},
-			},
+			name:  "one step per tenant per pass",
+			loads: []cluster.TenantLoad{load("a", 1, hot)},
+			free:  4,
+			want:  []cluster.Move{{Model: "a", From: 1, To: 2}},
 		},
 		{
-			name: "heavy claimant starves on budget two, donors untouched",
+			name:  "an affordable claim beats a reclaim",
+			loads: []cluster.TenantLoad{load("a", 1, hot), load("b", 3, cold)},
+			free:  1,
+			want:  []cluster.Move{{Model: "a", From: 1, To: 2}},
+		},
+		{
+			name: "an unaffordable claim yields a reclaim",
 			loads: []cluster.TenantLoad{
 				load("a", 1, hot, func(l *cluster.TenantLoad) { l.UnitWeight = 2 }),
 				load("b", 2, cold),
 				load("c", 2, warm),
 			},
-			free: 0,
-			cfg:  cluster.ElasticConfig{MoveBudget: 2},
-			// The claim is unaffordable (needs two moves of shrink plus
-			// one grow); leftover budget still reclaims the idle donor.
+			free: 1,
 			want: []cluster.Move{{Model: "b", From: 2, To: 1}},
 		},
 		{
-			name:  "one step per tenant per pass",
-			loads: []cluster.TenantLoad{load("a", 1, hot)},
-			free:  4,
-			cfg:   cluster.ElasticConfig{MoveBudget: 4},
-			want:  []cluster.Move{{Model: "a", From: 1, To: 2}},
+			name: "a cooler affordable claim beats a hotter unaffordable one",
+			loads: []cluster.TenantLoad{
+				load("a", 1, hot, func(l *cluster.TenantLoad) { l.UnitWeight = 2 }),
+				load("b", 1, func(l *cluster.TenantLoad) { l.BusyFrac = 0.8 }),
+			},
+			free: 1,
+			want: []cluster.Move{{Model: "b", From: 1, To: 2}},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := cluster.PlanElastic(tc.loads, tc.free, tc.cfg)
+			got := cluster.PlanElastic(tc.loads, tc.free)
 			if len(got) != len(tc.want) {
 				t.Fatalf("PlanElastic = %v, want %v", got, tc.want)
 			}

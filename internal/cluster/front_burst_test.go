@@ -32,9 +32,7 @@ func TestFrontedBurstIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := &core.TierConfig{Plan: sharding.PlanTiers(&cfg, sharding.TierOptions{
-		ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1,
-	})}
+	tier := &core.TierConfig{Plan: uniformTiers(&cfg, sharding.PrecisionInt8)}
 	const bursts, burst = 12, 4
 	gen := workload.NewGenerator(cfg, 31)
 	gen.EnableRowSkew(1.2)

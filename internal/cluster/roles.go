@@ -103,10 +103,7 @@ func newMain(opts Options) *Main {
 	tuneGC()
 	mn := &Main{Obs: opts.Obs}
 	if opts.TraceSample > 0 {
-		mn.Tracer = obs.NewTracer(mn.Obs, obs.TracerConfig{
-			SampleEvery:    opts.TraceSample,
-			OnDeadlineMiss: true,
-		})
+		mn.Tracer = obs.NewTracer(mn.Obs, opts.TraceSample)
 	}
 	mn.MainRec = newRecorder("main", 0, opts, mn.Tracer)
 	return mn

@@ -135,7 +135,7 @@ func TestStandaloneRolesMatchBoot(t *testing.T) {
 	reqs := workload.NewGenerator(cfg, 77).GenerateBatch(12)
 	tier := &core.TierConfig{
 		CacheMB: 0.05,
-		Plan:    sharding.PlanTiers(&cfg, sharding.TierOptions{ColdPrecision: sharding.PrecisionFP16, MinTableBytes: 1}),
+		Plan:    uniformTiers(&cfg, sharding.PrecisionFP16),
 	}
 	dir := t.TempDir()
 	for shard := 1; shard <= plan.NumShards; shard++ {

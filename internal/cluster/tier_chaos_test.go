@@ -13,16 +13,10 @@ import (
 )
 
 // tierFor enables the tiered store on the small test model: every table
-// encoded to fp16 (the model's tables are far below the planner's default
-// size floor, so the floor is lowered) behind a modest hot-row cache —
-// the cold tier a shard caches; an int8 one it serves bare.
+// encoded to fp16 behind a modest hot-row cache — the cold tier a shard
+// caches; an int8 one it serves bare.
 func tierFor(cfg *model.Config) *core.TierConfig {
-	return &core.TierConfig{
-		CacheMB: 0.5,
-		Plan: sharding.PlanTiers(cfg, sharding.TierOptions{
-			ColdPrecision: sharding.PrecisionFP16, MinTableBytes: 1,
-		}),
-	}
+	return &core.TierConfig{CacheMB: 0.5, Plan: uniformTiers(cfg, sharding.PrecisionFP16)}
 }
 
 // bootTiered boots a 4-shard deployment with the tiered store enabled.

@@ -25,8 +25,6 @@ type Migrator struct {
 	Shards map[int]ShardEndpoint
 	// Rec allocates call ids and records LayerMigration spans.
 	Rec *trace.Recorder
-	// ChunkRows bounds rows per streamed chunk (default 4096).
-	ChunkRows int
 }
 
 // RebalanceReport summarizes one rebalance pass.
@@ -148,7 +146,7 @@ func (mg *Migrator) move(mv sharding.Move) (int64, error) {
 		return 0, fmt.Errorf("core: move %v: %s does not hold the table", mv, srcEp.Service)
 	}
 	txn := anonTxn | mg.Rec.NextID()
-	moved, err := copyTable(src, dst, txn, shape, mg.ChunkRows)
+	moved, err := copyTable(src, dst, txn, shape)
 	if err == nil {
 		_, err = commitTxn(dst, txn)
 	}

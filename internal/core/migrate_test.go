@@ -122,17 +122,27 @@ func heldShape(t *testing.T, sh *SparseShard, id, part int) TableShape {
 	return shape
 }
 
+// lowerChunkRows sets chunkRows to n for the rest of the test, so a
+// small table streams in several chunks.
+func lowerChunkRows(t *testing.T, n int) {
+	t.Helper()
+	old := chunkRows
+	chunkRows = n
+	t.Cleanup(func() { chunkRows = old })
+}
+
 // migrateTable drives the full wire protocol for one whole table from
 // shard 1 to shard 2 in a transaction of its own — table.list probe,
-// stage.begin(empty), table.read → stage.put in chunkRows-row chunks
-// (pick a non-divisor of Rows), stage.commit — carrying the source's
-// cold-tier encoding.
-func (f *migrationFixture) migrateTable(t *testing.T, id, chunkRows int) {
+// stage.begin(empty), table.read → stage.put in rows-row chunks (pick a
+// non-divisor of Rows), stage.commit — carrying the source's cold-tier
+// encoding.
+func (f *migrationFixture) migrateTable(t *testing.T, id, rows int) {
 	t.Helper()
+	lowerChunkRows(t, rows)
 	src, dst := handleCall(f.shards[0]), handleCall(f.shards[1])
 	shape := heldShape(t, f.shards[0], id, 0)
 	txn := anonTxn | uint64(id+1)
-	moved, err := copyTable(src, dst, txn, shape, chunkRows)
+	moved, err := copyTable(src, dst, txn, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,8 @@ func TestMigrationForwardOverWire(t *testing.T) {
 	dstWire := ShardEndpoint{Service: dst.ShardName, Caller: f.calls[1]}.call(rec)
 	shape := heldShape(t, src, id, 0)
 	txn := anonTxn | uint64(id+1)
-	if _, err := copyTable(wire, dstWire, txn, shape, 7); err != nil {
+	lowerChunkRows(t, 7)
+	if _, err := copyTable(wire, dstWire, txn, shape); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := commitTxn(dstWire, txn); err != nil {

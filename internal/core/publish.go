@@ -33,8 +33,6 @@ type Publisher struct {
 	Shards map[int][]ShardEndpoint
 	// Rec allocates call IDs for the control-plane RPCs.
 	Rec *trace.Recorder
-	// ChunkRows bounds rows per stage.put call (default 4096).
-	ChunkRows int
 	// Obs, when non-nil, receives publish gauges: publish.version (high
 	// water), publish.count, publish.rows, publish.bytes.
 	Obs *obs.Registry
@@ -346,10 +344,6 @@ func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint6
 // putUnit sends one unit's delta rows as runs of consecutive local rows,
 // re-encoded into the endpoint's cold-tier encoding.
 func (p *Publisher) putUnit(call shardCall, version uint64, u *deltaUnit, enc int32, ev *PublishEvent) error {
-	chunkRows := p.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
 	i := 0
 	for i < len(u.localRows) {
 		// Extend the run while local rows stay consecutive.

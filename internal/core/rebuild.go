@@ -55,7 +55,7 @@ func (s *SparseShard) RebuildFromPeer(peer rpc.Caller) (RebuildStats, error) {
 	rebuildStart := s.rec.Now()
 	txn := anonTxn | s.rec.NextID()
 	for _, shape := range held {
-		n, err := copyTable(src, dst, txn, shape, 0)
+		n, err := copyTable(src, dst, txn, shape)
 		st.Bytes += n
 		if err != nil {
 			abortTxn(dst, txn)

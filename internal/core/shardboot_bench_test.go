@@ -27,9 +27,7 @@ func BenchmarkShardBoot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tier := &TierConfig{Plan: sharding.PlanTiers(&cfg, sharding.TierOptions{
-		ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1,
-	})}
+	tier := &TierConfig{Plan: uniformTiers(&cfg, sharding.PrecisionInt8)}
 	path := filepath.Join(b.TempDir(), "bench.shard1")
 	f, err := os.Create(path)
 	if err != nil {

@@ -32,9 +32,7 @@ func FuzzImportShard(f *testing.F) {
 	if err := ExportShardV2(m, plan, 1, &v2, nil); err != nil {
 		f.Fatal(err)
 	}
-	tier := sharding.PlanTiers(&cfg, sharding.TierOptions{
-		ColdPrecision: sharding.PrecisionInt8, MinTableBytes: 1,
-	})
+	tier := uniformTiers(&cfg, sharding.PrecisionInt8)
 	if err := ExportShardV2(m, plan, 2, &v2q, tier); err != nil {
 		f.Fatal(err)
 	}

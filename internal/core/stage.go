@@ -36,9 +36,10 @@ import (
 // publisher's staging at the same shard.
 const anonTxn = uint64(1) << 63
 
-// defaultChunkRows bounds rows per table.read / stage.put call when the
-// driver does not say.
-const defaultChunkRows = 4096
+// chunkRows bounds rows per table.read / stage.put call, for the row
+// copy and the publisher alike. Tests lower it to cut a small table into
+// several chunks.
+var chunkRows = 4096
 
 // stagedTable is one table's shadow copy inside a transaction.
 type stagedTable struct {
@@ -322,10 +323,7 @@ func abortTxn(shard shardCall, txn uint64) {
 // stage.put), returning the bytes streamed. The caller commits or
 // aborts. This is the only row-copy loop: migration runs it between two
 // shards, rebuild runs it from a peer into the local shard.
-func copyTable(src, dst shardCall, txn uint64, shape TableShape, chunkRows int) (int64, error) {
-	if chunkRows <= 0 {
-		chunkRows = defaultChunkRows
-	}
+func copyTable(src, dst shardCall, txn uint64, shape TableShape) (int64, error) {
 	step := int32(min(chunkRows, int(shape.Rows)))
 	stride, err := tierEncStride(shape.Enc, shape.Dim)
 	if err != nil {

@@ -31,14 +31,21 @@ func (l *localCaller) Go(req *rpc.Request) *rpc.Call {
 
 func (l *localCaller) Close() error { return nil }
 
-// tierConfigFor builds a shard tier config that quantizes every table of
-// the tiny model (whose tables are all below the planner's default
-// MinTableBytes) at the given precision.
-func tierConfigFor(cfg *model.Config, prec sharding.Precision, cacheMB float64) *TierConfig {
-	return &TierConfig{
-		CacheMB: cacheMB,
-		Plan:    sharding.PlanTiers(cfg, sharding.TierOptions{ColdPrecision: prec, MinTableBytes: 1}),
+// uniformTiers plans every table of cfg at prec. The tiny test models'
+// tables all sit below PlanTiers' 16 KiB floor, so tests that tier them
+// build the plan directly.
+func uniformTiers(cfg *model.Config, prec sharding.Precision) *sharding.TierPlan {
+	tp := &sharding.TierPlan{Precisions: make(map[int]sharding.Precision, len(cfg.Tables))}
+	for _, t := range cfg.Tables {
+		tp.Precisions[t.ID] = prec
 	}
+	return tp
+}
+
+// tierConfigFor builds a shard tier config that stores every table of
+// the tiny model at the given precision.
+func tierConfigFor(cfg *model.Config, prec sharding.Precision, cacheMB float64) *TierConfig {
+	return &TierConfig{CacheMB: cacheMB, Plan: uniformTiers(cfg, prec)}
 }
 
 // newTieredMigrationFixture is newMigrationFixture with the tiered store

@@ -319,7 +319,8 @@ func TestShedRequestIssuesNoCall(t *testing.T) {
 func TestGatedTenantAdmitsOnlyWhenEntitled(t *testing.T) {
 	fx := newAdmitFixture(t, 1)
 	close(fx.hold)
-	m := NewMulti(1, 10*time.Millisecond)
+	lowerGateBurst(t, 10*time.Millisecond)
+	m := NewMulti(1)
 	defer m.Close()
 	f, err := m.Add("t", fx.eng, Config{Obs: fx.reg}, 0.5)
 	if err != nil {

@@ -38,7 +38,7 @@ type batch struct {
 // long a batch keeps opening groups.
 //
 // The item cap is clamped immediately after every append: the moment an
-// arrival crosses MaxBatchItems the batch ends, locally and explicitly,
+// arrival crosses maxBatchItems the batch ends, locally and explicitly,
 // rather than by falling back to the loop-head recheck — and an opener
 // already at the cap skips arming the gather window it could never use.
 // (An overshoot of a single request is inherent: a dequeued request must
@@ -72,8 +72,8 @@ func (f *Frontend) run() {
 		}
 		gatherStart := time.Now()
 		n, items := 0, 0
-		full := func() bool { return n >= f.cfg.MaxBatchRequests || items >= f.cfg.MaxBatchItems }
-		window := timer != nil && int(p.item.Req.Items) < f.cfg.MaxBatchItems
+		full := func() bool { return n >= f.cfg.MaxBatchRequests || items >= maxBatchItems }
+		window := timer != nil && int(p.item.Req.Items) < maxBatchItems
 		if window {
 			timer.Reset(f.cfg.BatchWait)
 		}

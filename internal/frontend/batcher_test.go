@@ -42,7 +42,7 @@ func waitEntered(t *testing.T, exec *fakeExec) {
 
 // TestGatherStopsAtItemCapCrossing is the item-cap clamp regression, in
 // both gather modes (windowed and pure drain): the arrival that crosses
-// MaxBatchItems must end the batch — requests queued behind it belong
+// maxBatchItems must end the batch — requests queued behind it belong
 // to the next execution, and the overshoot is bounded to that single
 // arrival.
 func TestGatherStopsAtItemCapCrossing(t *testing.T) {
@@ -55,7 +55,7 @@ func TestGatherStopsAtItemCapCrossing(t *testing.T) {
 
 func testGatherClamp(t *testing.T, wait time.Duration) {
 	exec := &fakeExec{gate: make(chan struct{}, 8), entered: make(chan struct{}, 1)}
-	f := New(exec, Config{BatchWait: wait, MaxBatchItems: 8, MaxBatchRequests: 100, MaxQueue: 64})
+	f := New(exec, Config{BatchWait: wait, MaxBatchRequests: 100, MaxQueue: 64})
 	defer f.Close()
 	defer close(exec.gate)
 
@@ -64,10 +64,10 @@ func testGatherClamp(t *testing.T, wait time.Duration) {
 	// the real test traffic queues up in order behind it. (A smaller
 	// opener's window would take each push as it lands, possibly as a
 	// group of its own.)
-	a := push(f, 1, 8)
+	a := push(f, 1, maxBatchItems)
 	waitEntered(t, exec)
-	b := push(f, 2, 3)
-	c := push(f, 3, 100) // oversized: crosses the cap on append
+	b := push(f, 2, maxBatchItems/4)
+	c := push(f, 3, maxBatchItems) // crosses the cap on append
 	d := push(f, 4, 1)
 	e := push(f, 5, 1)
 	exec.gate <- struct{}{} // release batch 1
@@ -104,9 +104,9 @@ func testGatherClamp(t *testing.T, wait time.Duration) {
 // window it cannot use.
 func TestOversizedOpenerSkipsGatherWindow(t *testing.T) {
 	exec := &fakeExec{entered: make(chan struct{}, 1)}
-	f := New(exec, Config{BatchWait: 5 * time.Second, MaxBatchItems: 8, MaxQueue: 64})
+	f := New(exec, Config{BatchWait: 5 * time.Second, MaxQueue: 64})
 	defer f.Close()
-	p := push(f, 1, 20)
+	p := push(f, 1, maxBatchItems+1)
 	select {
 	case <-exec.entered:
 	case <-time.After(time.Second):

@@ -67,14 +67,15 @@ var ErrShed = errors.New(rpc.ShedMsgPrefix + " request dropped for SLA fallback"
 // ErrClosed reports a Submit against a closed frontend.
 var ErrClosed = errors.New("frontend: closed")
 
+// maxBatchItems soft-caps the total items per execution: gathering stops
+// once the batch reaches it.
+const maxBatchItems = 1024
+
 // Config tunes the frontend. Zero values take the documented defaults.
 type Config struct {
 	// MaxBatchRequests caps how many requests coalesce into one engine
 	// execution (default 16).
 	MaxBatchRequests int
-	// MaxBatchItems soft-caps the total items per execution: gathering
-	// stops once the batch reaches it (default 1024).
-	MaxBatchItems int
 	// BatchWait is the deadline-bounded gather window: after the first
 	// request of a batch arrives, the batcher keeps taking arrivals for at
 	// most this long. Each group of arrivals executes as it is taken, so
@@ -109,9 +110,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatchRequests <= 0 {
 		c.MaxBatchRequests = 16
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 1024
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256

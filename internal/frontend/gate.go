@@ -27,8 +27,6 @@ import (
 // unbounded catch-up time) and to a bounded debt floor (so one
 // pathologically long execution cannot stall its tenant forever).
 type drainGate struct {
-	burst time.Duration
-
 	mu      sync.Mutex
 	tenants map[string]*gateTenant
 }
@@ -40,18 +38,16 @@ type gateTenant struct {
 	last   time.Time
 }
 
-// gateDefaultBurst bounds banked credit when the caller passes zero.
-const gateDefaultBurst = 50 * time.Millisecond
+// gateBurst is the credit ceiling: how much idle entitlement a tenant
+// may bank. Tests lower it to keep their waits short.
+var gateBurst = 50 * time.Millisecond
 
 // gatePollCap bounds one wait's sleep so share increases (a scale-up
 // mid-wait) take effect promptly instead of after a stale long sleep.
 const gatePollCap = 5 * time.Millisecond
 
-func newDrainGate(burst time.Duration) *drainGate {
-	if burst <= 0 {
-		burst = gateDefaultBurst
-	}
-	return &drainGate{burst: burst, tenants: make(map[string]*gateTenant)}
+func newDrainGate() *drainGate {
+	return &drainGate{tenants: make(map[string]*gateTenant)}
 }
 
 // add registers a tenant at the given share. Credit starts at the burst
@@ -59,7 +55,7 @@ func newDrainGate(burst time.Duration) *drainGate {
 func (g *drainGate) add(name string, share float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tenants[name] = &gateTenant{share: share, credit: float64(g.burst), last: time.Now()}
+	g.tenants[name] = &gateTenant{share: share, credit: float64(gateBurst), last: time.Now()}
 }
 
 // setShare re-prices a tenant's entitlement (a scale event). Credit
@@ -79,7 +75,7 @@ func (g *drainGate) setShare(name string, share float64) {
 func (g *drainGate) refill(t *gateTenant, now time.Time) {
 	if elapsed := now.Sub(t.last); elapsed > 0 {
 		t.credit += t.share * float64(elapsed)
-		if ceil := float64(g.burst); t.credit > ceil {
+		if ceil := float64(gateBurst); t.credit > ceil {
 			t.credit = ceil
 		}
 	}
@@ -138,7 +134,7 @@ func (g *drainGate) charge(name string, busy time.Duration) {
 	}
 	g.refill(t, time.Now())
 	t.credit -= float64(busy)
-	if floor := -4 * float64(g.burst); t.credit < floor {
+	if floor := -4 * float64(gateBurst); t.credit < floor {
 		t.credit = floor
 	}
 }

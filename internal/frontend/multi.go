@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpc"
@@ -32,14 +31,13 @@ type Multi struct {
 }
 
 // NewMulti builds an empty multi-tenant frontend. capacity is the
-// fleet's total capacity in units; burst bounds how much idle
-// entitlement a tenant may bank (0 = default).
-func NewMulti(capacity float64, burst time.Duration) *Multi {
+// fleet's total capacity in units.
+func NewMulti(capacity float64) *Multi {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	return &Multi{
-		gate:     newDrainGate(burst),
+		gate:     newDrainGate(),
 		tenants:  make(map[string]*Frontend),
 		units:    make(map[string]float64),
 		capacity: capacity,

@@ -10,8 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
+// lowerGateBurst sets gateBurst to d for the rest of the test, to keep
+// its gate waits short.
+func lowerGateBurst(t *testing.T, d time.Duration) {
+	t.Helper()
+	old := gateBurst
+	gateBurst = d
+	t.Cleanup(func() { gateBurst = old })
+}
+
 func TestDrainGateCreditLedger(t *testing.T) {
-	g := newDrainGate(40 * time.Millisecond)
+	lowerGateBurst(t, 40*time.Millisecond)
+	g := newDrainGate()
 	g.add("a", 0.5)
 
 	// Fresh tenants start with a full burst of credit: runnable.
@@ -47,7 +57,8 @@ func TestDrainGateCreditLedger(t *testing.T) {
 }
 
 func TestDrainGateDebtIsBounded(t *testing.T) {
-	g := newDrainGate(10 * time.Millisecond)
+	lowerGateBurst(t, 10*time.Millisecond)
+	g := newDrainGate()
 	g.add("a", 0.25)
 	// One pathological execution must not stall the tenant open-endedly:
 	// debt floors at 4 bursts, so the wait is at most 4*burst/share.
@@ -58,7 +69,8 @@ func TestDrainGateDebtIsBounded(t *testing.T) {
 }
 
 func TestDrainGateCreditCapsAtBurst(t *testing.T) {
-	g := newDrainGate(10 * time.Millisecond)
+	lowerGateBurst(t, 10*time.Millisecond)
+	g := newDrainGate()
 	g.add("a", 1.0)
 	gt := g.tenants["a"]
 	// Pretend the tenant idled for a long time: refill must clamp.
@@ -73,7 +85,7 @@ func TestDrainGateCreditCapsAtBurst(t *testing.T) {
 }
 
 func TestMultiRoutesPerTenant(t *testing.T) {
-	m := NewMulti(4, 0)
+	m := NewMulti(4)
 	execA, execB := &fakeExec{}, &fakeExec{}
 	if _, err := m.Add("a", execA, Config{}, 2); err != nil {
 		t.Fatal(err)
@@ -108,7 +120,7 @@ func TestMultiRoutesPerTenant(t *testing.T) {
 }
 
 func TestMultiServiceMethodRouting(t *testing.T) {
-	m := NewMulti(2, 0)
+	m := NewMulti(2)
 	exec := &fakeExec{}
 	if _, err := m.Add("drm1", exec, Config{}, 2); err != nil {
 		t.Fatal(err)
@@ -172,7 +184,8 @@ func TestMultiWeightedDrainLimitsShare(t *testing.T) {
 	// dispatchers with equal offered load: completed work must track the
 	// entitlement, not the offered load — the non-work-conserving drain
 	// that makes replica allocation mean something.
-	m := NewMulti(4, 10*time.Millisecond)
+	lowerGateBurst(t, 10*time.Millisecond)
+	m := NewMulti(4)
 	mk := func(name string, units float64) *fakeExec {
 		exec := &fakeExec{delay: 2 * time.Millisecond}
 		if _, err := m.Add(name, exec, Config{MaxBatchRequests: 1}, units); err != nil {

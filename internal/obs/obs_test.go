@@ -266,7 +266,7 @@ func TestSnapshotWriteText(t *testing.T) {
 
 func TestTracerSampling(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 16})
+	tr := NewTracer(r, 16)
 	if tr.Sampled(0) {
 		t.Error("trace id 0 must never sample")
 	}
@@ -276,13 +276,13 @@ func TestTracerSampling(t *testing.T) {
 	if tr.Sampled(2) || tr.Sampled(16) {
 		t.Error("ids 2 and 16 should not sample at every=16")
 	}
-	all := NewTracer(r, TracerConfig{SampleEvery: 1})
+	all := NewTracer(r, 1)
 	for id := uint64(1); id < 10; id++ {
 		if !all.Sampled(id) {
 			t.Errorf("every=1 must sample id %d", id)
 		}
 	}
-	off := NewTracer(r, TracerConfig{SampleEvery: 0})
+	off := NewTracer(r, 0)
 	if off.Sampled(1) {
 		t.Error("every=0 must disable sampling")
 	}
@@ -309,7 +309,7 @@ func TestNilTracerSafe(t *testing.T) {
 
 func TestTracerFinishProducesBreakdown(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1})
+	tr := NewTracer(r, 1)
 	rec := trace.NewRecorder("main", 64)
 	rec.SetSink(tr)
 	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
@@ -337,7 +337,7 @@ func TestTracerFinishProducesBreakdown(t *testing.T) {
 
 func TestTracerDeadlineMissOnly(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1000, OnDeadlineMiss: true})
+	tr := NewTracer(r, 1000)
 	tr.Finish(2, time.Millisecond, true)  // unsampled, missed → summary
 	tr.Finish(3, time.Millisecond, false) // unsampled, ok → dropped
 	sums := tr.Summaries()
@@ -351,11 +351,11 @@ func TestTracerDeadlineMissOnly(t *testing.T) {
 
 func TestTracerEviction(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1, MaxPending: 2})
-	for id := uint64(1); id <= 4; id++ {
+	tr := NewTracer(r, 1)
+	for id := uint64(1); id <= maxPending+2; id++ {
 		tr.ConsumeSpan(trace.Span{TraceID: id, Layer: trace.LayerOp})
 	}
-	// ids 1 and 2 must have been evicted to admit 3 and 4.
+	// ids 1 and 2 must have been evicted to admit the last two.
 	if got := r.Snapshot().Counter("trace.evicted"); got != 2 {
 		t.Fatalf("evicted = %d, want 2", got)
 	}
@@ -377,16 +377,47 @@ func TestTracerEviction(t *testing.T) {
 
 func TestTracerSpanOverflow(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1, MaxSpans: 3})
-	for i := 0; i < 10; i++ {
+	tr := NewTracer(r, 1)
+	for i := 0; i < maxSpans+7; i++ {
 		tr.ConsumeSpan(trace.Span{TraceID: 1, Layer: trace.LayerOp})
 	}
 	if got := r.Snapshot().Counter("trace.span_overflow"); got != 7 {
 		t.Errorf("overflow = %d, want 7", got)
 	}
 	tr.Finish(1, time.Millisecond, false)
-	if s := tr.Summaries()[0]; s.Spans != 3 {
-		t.Errorf("buffered spans = %d, want 3", s.Spans)
+	if s := tr.Summaries()[0]; s.Spans != maxSpans {
+		t.Errorf("buffered spans = %d, want %d", s.Spans, maxSpans)
+	}
+}
+
+// TestTracerWriteText pins the /traces rendering: one line per summary,
+// oldest first, naming its status, with the breakdown when the spans
+// allowed one.
+func TestTracerWriteText(t *testing.T) {
+	tr := NewTracer(NewRegistry(), 1)
+	// One more pending trace than the bound evicts the first, id 10.
+	for id := uint64(10); id <= 10+maxPending; id++ {
+		tr.ConsumeSpan(trace.Span{TraceID: id, Shard: mainShard, Layer: trace.LayerOp, Kind: "Dense", Net: "net1", Dur: time.Millisecond})
+	}
+	tr.Finish(11, 2*time.Millisecond, false)
+	tr.Finish(2, 3*time.Millisecond, true) // sampled, but no span buffered
+	var sb strings.Builder
+	if err := tr.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	want := []string{
+		"trace 10 evicted e2e=0s spans=1",
+		"trace 11 ok e2e=2ms spans=1 dense=1ms ",
+		"trace 2 miss e2e=3ms spans=0",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("WriteText wrote %d lines, want %d:\n%s", len(lines), len(want), sb.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i]+" ", w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
 	}
 }
 
@@ -397,17 +428,18 @@ func TestTracerNilSafe(t *testing.T) {
 
 func TestSummariesRingOrder(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1000, OnDeadlineMiss: true, MaxSummaries: 3})
-	for id := uint64(2); id <= 6; id++ { // ids chosen unsampled (every=1000)
+	tr := NewTracer(r, 0) // unsampled: deadline misses only
+	for id := uint64(1); id <= maxSummaries+2; id++ {
 		tr.Finish(id, time.Duration(id), true)
 	}
 	sums := tr.Summaries()
-	if len(sums) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(sums))
+	if len(sums) != maxSummaries {
+		t.Fatalf("ring holds %d, want %d", len(sums), maxSummaries)
 	}
-	for i, want := range []uint64{4, 5, 6} {
-		if sums[i].TraceID != want {
-			t.Errorf("ring[%d] = %d, want %d (oldest first)", i, sums[i].TraceID, want)
+	// The two oldest were overwritten; the rest read oldest first.
+	for i, s := range sums {
+		if want := uint64(i + 3); s.TraceID != want {
+			t.Fatalf("ring[%d] = %d, want %d (oldest first)", i, s.TraceID, want)
 		}
 	}
 }
@@ -448,7 +480,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func BenchmarkTracerConsumeUnsampled(b *testing.B) {
 	r := NewRegistry()
-	tr := NewTracer(r, TracerConfig{SampleEvery: 1024})
+	tr := NewTracer(r, 1024)
 	s := trace.Span{TraceID: 2, Layer: trace.LayerOp} // 2%1024 != 1 → unsampled
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

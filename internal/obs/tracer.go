@@ -9,44 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// TracerConfig tunes sampled live request tracing.
-type TracerConfig struct {
-	// SampleEvery samples one trace in every SampleEvery by trace ID
-	// (deterministic modulo, so every shard samples the same traces
-	// without coordination — trace IDs propagate on the wire). 1 samples
-	// everything; 0 disables periodic sampling.
-	SampleEvery int
-	// OnDeadlineMiss also records a (spanless, unless sampled) summary
-	// for every request that missed its deadline or was shed.
-	OnDeadlineMiss bool
-	// MainShard names the shard whose clock anchors breakdowns
-	// (default "main").
-	MainShard string
-	// MaxPending bounds in-flight sampled traces; the oldest is evicted
-	// unfinished when a new one would exceed it (default 64).
-	MaxPending int
-	// MaxSpans bounds spans buffered per sampled trace; excess spans are
-	// dropped and counted (default 512).
-	MaxSpans int
-	// MaxSummaries bounds the finished-trace ring (default 256).
-	MaxSummaries int
-}
-
-func (c TracerConfig) withDefaults() TracerConfig {
-	if c.MainShard == "" {
-		c.MainShard = "main"
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 64
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
-	}
-	if c.MaxSummaries <= 0 {
-		c.MaxSummaries = 256
-	}
-	return c
-}
+// Tracer bounds and anchor.
+const (
+	// mainShard names the shard whose clock anchors breakdowns.
+	mainShard = "main"
+	// maxPending bounds in-flight sampled traces; the oldest is evicted
+	// unfinished when a new one would exceed it.
+	maxPending = 64
+	// maxSpans bounds spans buffered per sampled trace; excess spans are
+	// dropped and counted.
+	maxSpans = 512
+	// maxSummaries bounds the finished-trace ring.
+	maxSummaries = 256
+)
 
 // TraceSummary is one finished (or evicted) live-traced request.
 type TraceSummary struct {
@@ -71,7 +46,7 @@ type TraceSummary struct {
 // attribution with bounded buffers. Attach with Recorder.SetSink; one
 // Tracer serves all of a deployment's recorders.
 type Tracer struct {
-	cfg TracerConfig
+	sampleEvery int
 
 	sampled  *Counter // traces that buffered at least one span
 	finished *Counter // summaries recorded via Finish
@@ -93,16 +68,21 @@ type pendingTrace struct {
 
 // NewTracer builds a tracer and registers its own health counters
 // (trace.sampled, trace.finished, trace.missed, trace.evicted,
-// trace.span_overflow) on reg.
-func NewTracer(reg *Registry, cfg TracerConfig) *Tracer {
+// trace.span_overflow) on reg. It samples one trace in every
+// sampleEvery by trace ID (a deterministic modulo, so every shard
+// samples the same traces without coordination — trace IDs propagate on
+// the wire); 1 samples everything, 0 disables periodic sampling. Every
+// request that missed its deadline or was shed also gets a summary,
+// spanless unless sampled.
+func NewTracer(reg *Registry, sampleEvery int) *Tracer {
 	t := &Tracer{
-		cfg:      cfg.withDefaults(),
-		sampled:  reg.Counter("trace.sampled"),
-		finished: reg.Counter("trace.finished"),
-		missed:   reg.Counter("trace.missed"),
-		evicted:  reg.Counter("trace.evicted"),
-		overflow: reg.Counter("trace.span_overflow"),
-		pending:  make(map[uint64]*pendingTrace),
+		sampleEvery: sampleEvery,
+		sampled:     reg.Counter("trace.sampled"),
+		finished:    reg.Counter("trace.finished"),
+		missed:      reg.Counter("trace.missed"),
+		evicted:     reg.Counter("trace.evicted"),
+		overflow:    reg.Counter("trace.span_overflow"),
+		pending:     make(map[uint64]*pendingTrace),
 	}
 	return t
 }
@@ -112,7 +92,7 @@ func (t *Tracer) Sampled(traceID uint64) bool {
 	if t == nil {
 		return false
 	}
-	e := t.cfg.SampleEvery
+	e := t.sampleEvery
 	if e <= 0 || traceID == 0 {
 		return false
 	}
@@ -132,14 +112,14 @@ func (t *Tracer) ConsumeSpan(s trace.Span) {
 	t.mu.Lock()
 	p := t.pending[s.TraceID]
 	if p == nil {
-		if len(t.pending) >= t.cfg.MaxPending {
+		if len(t.pending) >= maxPending {
 			t.evictOldestLocked()
 		}
 		p = &pendingTrace{}
 		t.pending[s.TraceID] = p
 		t.order = append(t.order, s.TraceID)
 	}
-	if len(p.spans) < t.cfg.MaxSpans {
+	if len(p.spans) < maxSpans {
 		p.spans = append(p.spans, s)
 	} else {
 		t.mu.Unlock()
@@ -170,12 +150,12 @@ func (t *Tracer) evictOldestLocked() {
 
 // pushLocked appends a summary to the bounded ring. Caller holds t.mu.
 func (t *Tracer) pushLocked(s TraceSummary) {
-	if len(t.ring) < t.cfg.MaxSummaries {
+	if len(t.ring) < maxSummaries {
 		t.ring = append(t.ring, s)
 		return
 	}
 	t.ring[t.next] = s
-	t.next = (t.next + 1) % t.cfg.MaxSummaries
+	t.next = (t.next + 1) % maxSummaries
 	t.filled = true
 }
 
@@ -183,13 +163,13 @@ func (t *Tracer) pushLocked(s TraceSummary) {
 // calls it with the request's end-to-end latency and whether its
 // deadline was missed (shed or served late). Sampled traces get a full
 // breakdown from their buffered spans; unsampled deadline misses are
-// recorded as spanless summaries when the policy asks for them.
+// recorded as spanless summaries.
 func (t *Tracer) Finish(traceID uint64, e2e time.Duration, deadlineMiss bool) {
 	if t == nil {
 		return
 	}
 	sampled := t.Sampled(traceID)
-	if !sampled && !(deadlineMiss && t.cfg.OnDeadlineMiss) {
+	if !sampled && !deadlineMiss {
 		return
 	}
 	var spans []trace.Span
@@ -201,7 +181,7 @@ func (t *Tracer) Finish(traceID uint64, e2e time.Duration, deadlineMiss bool) {
 		}
 		// The order slice accumulates stale entries as traces finish;
 		// compact it once it outgrows the pending set by enough to matter.
-		if len(t.order) > 4*t.cfg.MaxPending {
+		if len(t.order) > 4*maxPending {
 			live := t.order[:0]
 			for _, id := range t.order {
 				if _, ok := t.pending[id]; ok {
@@ -223,18 +203,18 @@ func (t *Tracer) Finish(traceID uint64, e2e time.Duration, deadlineMiss bool) {
 		// e2e when it is missing — the analyzer needs it as the anchor.
 		hasMain := false
 		for _, s := range spans {
-			if s.Layer == trace.LayerRequest && s.Shard == t.cfg.MainShard {
+			if s.Layer == trace.LayerRequest && s.Shard == mainShard {
 				hasMain = true
 				break
 			}
 		}
 		if !hasMain {
 			spans = append(spans, trace.Span{
-				TraceID: traceID, Shard: t.cfg.MainShard,
+				TraceID: traceID, Shard: mainShard,
 				Layer: trace.LayerRequest, Name: "request", Dur: e2e,
 			})
 		}
-		if b, ok := trace.AnalyzeOne(spans, t.cfg.MainShard); ok {
+		if b, ok := trace.AnalyzeOne(spans, mainShard); ok {
 			sum.Breakdown = b
 			sum.HasBreakdown = true
 		}

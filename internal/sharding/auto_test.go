@@ -3,7 +3,6 @@ package sharding
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -87,21 +86,6 @@ func TestAutoShardCapacityConstraint(t *testing.T) {
 	}
 	if !cs[0].Feasible {
 		t.Error("best candidate should be feasible when any is")
-	}
-}
-
-func TestAutoShardLatencyBudget(t *testing.T) {
-	cfg, pooling := autoInputs(t)
-	cs, err := AutoShard(&cfg, pooling, DefaultCostModel(), Constraints{
-		MaxShards: 4, LatencyBudget: time.Nanosecond, // nothing passes
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cs {
-		if c.Feasible {
-			t.Errorf("%s should violate a 1ns budget", c.Plan.Name())
-		}
 	}
 }
 

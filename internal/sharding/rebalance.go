@@ -57,11 +57,12 @@ type RebalanceOptions struct {
 	// nothing: the plan is always a no-op (the knob's off position, not a
 	// default — callers wanting "unbounded" pass a large budget).
 	MoveBudget int
-	// MinGain is the minimum relative reduction of the bounding shard's
-	// load a single move must deliver to be worth its bandwidth
-	// (default 1%). Guards against churn on an already-balanced plan.
-	MinGain float64
 }
+
+// minGain is the minimum relative reduction of the bounding shard's load
+// a single move must deliver to be worth its bandwidth. Guards against
+// churn on an already-balanced plan.
+const minGain = 0.01
 
 // Rebalance plans an incremental migration from cur toward load balance
 // under the measured summary. It is deterministic for a fixed (cfg, cur,
@@ -70,9 +71,6 @@ type RebalanceOptions struct {
 func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOptions) (*MigrationPlan, error) {
 	if err := cur.Validate(cfg); err != nil {
 		return nil, fmt.Errorf("sharding: rebalance of invalid plan: %w", err)
-	}
-	if opts.MinGain <= 0 {
-		opts.MinGain = 0.01
 	}
 	mp := &MigrationPlan{Current: cur, Target: cur}
 	if cur.NumShards < 2 || load == nil {
@@ -155,7 +153,7 @@ func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOp
 		if after := loads[lo] + w; after > newHi {
 			newHi = after
 		}
-		if newHi >= loads[hi]*(1-opts.MinGain) {
+		if newHi >= loads[hi]*(1-minGain) {
 			break // the move doesn't buy enough to be worth the bytes
 		}
 		u := units[hi][best]

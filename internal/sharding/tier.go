@@ -57,10 +57,11 @@ type TierOptions struct {
 	// 0 defaults to 1/250 — just above the int8 bound, so int8 is
 	// admissible by default and a slightly tighter budget forces fp16.
 	ErrorBudget float64
-	// MinTableBytes keeps tables below this fp32 size at fp32: the decode
-	// cost of a tiny table buys back almost no bytes (default 16 KiB).
-	MinTableBytes int64
 }
+
+// minTableBytes keeps tables below this fp32 size at fp32: the decode
+// cost of a tiny table buys back almost no bytes.
+const minTableBytes = 16 << 10
 
 func (o TierOptions) withDefaults() TierOptions {
 	if o.ColdPrecision == "" {
@@ -68,9 +69,6 @@ func (o TierOptions) withDefaults() TierOptions {
 	}
 	if o.ErrorBudget <= 0 {
 		o.ErrorBudget = 1.0 / 250
-	}
-	if o.MinTableBytes <= 0 {
-		o.MinTableBytes = 16 << 10
 	}
 	return o
 }
@@ -107,7 +105,7 @@ func PlanTiers(cfg *model.Config, opts TierOptions) *TierPlan {
 // pickPrecision chooses one table's encoding: candidates ordered by
 // resident bytes ascending, first one whose estimated error fits.
 func pickPrecision(t model.TableSpec, opts TierOptions) Precision {
-	if opts.ColdPrecision == PrecisionFP32 || t.Bytes() < opts.MinTableBytes {
+	if opts.ColdPrecision == PrecisionFP32 || t.Bytes() < minTableBytes {
 		return PrecisionFP32
 	}
 	type cand struct {

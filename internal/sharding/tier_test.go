@@ -9,7 +9,7 @@ import (
 
 func tierTestConfig() model.Config {
 	cfg := model.DRM2()
-	// Mix of sizes so MinTableBytes has something to exempt.
+	// Mix of sizes so minTableBytes has something to exempt.
 	for i := range cfg.Tables {
 		if i%5 == 0 {
 			cfg.Tables[i].Rows = 32 // tiny: stays fp32
@@ -39,10 +39,10 @@ func TestPlanTiersPrecisionSelection(t *testing.T) {
 		t.Fatal("no tables quantized to int8 under the default budget")
 	}
 	if counts[PrecisionFP32] == 0 {
-		t.Fatal("tiny tables should stay fp32 under MinTableBytes")
+		t.Fatal("tiny tables should stay fp32 under minTableBytes")
 	}
 	for _, ts := range cfg.Tables {
-		if ts.Bytes() < (TierOptions{}).withDefaults().MinTableBytes {
+		if ts.Bytes() < minTableBytes {
 			if p := tp.Precision(ts.ID); p != PrecisionFP32 {
 				t.Fatalf("tiny table %d planned %s", ts.ID, p)
 			}
