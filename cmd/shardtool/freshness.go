@@ -75,15 +75,7 @@ func runExportV2(args []string) {
 	m := model.Build(cfg)
 	for shard := 1; shard <= plan.NumShards; shard++ {
 		path := core.ShardFilePath(*dir, cfg.Name, shard)
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := core.ExportShardV2(m, plan, shard, f, tier); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := core.WriteShardFile(path, m, plan, shard, tier); err != nil {
 			fatal(err)
 		}
 		st, err := os.Stat(path)

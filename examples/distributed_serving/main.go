@@ -30,7 +30,7 @@ func main() {
 	}
 
 	fmt.Printf("booting %s under %s: main shard + %d sparse shards...\n", cfg.Name, plan.Name(), plan.NumShards)
-	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: 7, ClockSkew: true})
+	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: 7, ClockSkew: true, SpanCapacity: 1 << 18})
 	if err != nil {
 		log.Fatal(err)
 	}

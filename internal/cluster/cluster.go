@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +36,8 @@ type Options struct {
 	// SC-Large as in the paper's apples-to-apples runs.
 	SparsePlatform *platform.Platform
 	// SpanCapacity is how many spans each recorder keeps before it drops
-	// (default 1<<18); a recorder holds memory only for what it recorded.
+	// (default 1: set it to read spans back; TraceSample's tee needs none).
+	// A recorder holds memory only for what it recorded.
 	SpanCapacity int
 	// Seed drives network jitter and clock-skew simulation.
 	Seed int64
@@ -132,10 +132,6 @@ type Cluster struct {
 	// ctrl dials the control-plane drivers' connections. Guarded by
 	// replicaMu.
 	ctrl ControlPlane
-	// mappings holds the mmap-backed shard-file storage when the cluster
-	// booted from Options.ShardDir; closed after the shards that serve
-	// views into it.
-	mappings []io.Closer
 
 	opts Options
 	// active is how many replica slots per shard currently serve (the
@@ -204,11 +200,11 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 			recs[i] = newRecorder(core.ServiceName(i+1), i+1, opts, c.Tracer)
 			c.Collector.Attach(recs[i])
 		}
-		shards, mappings, err := sparseStores(m, plan, recs, opts)
+		shards, err := sparseStores(m, plan, recs, opts)
 		if err != nil {
 			return nil, err
 		}
-		c.shards, c.mappings = shards, mappings
+		c.shards = shards
 		// Freshness probe: published high water vs the slowest shared
 		// store. Atomic reads only — replica-private rebuilt stores are
 		// covered by their own <shard>.model_version gauges.
@@ -465,8 +461,8 @@ func (c *Cluster) MainStats() rpc.ServerStats { return c.Server.Stats() }
 
 // Close tears down the deployment; safe on partially built clusters:
 // the main role first (it drains while the sparse callers still work),
-// then connections, sparse servers, table stores and, last, the mappings
-// the stores view.
+// then connections, sparse servers and, last, the table stores, each
+// releasing the mapping its tables view.
 func (c *Cluster) Close() {
 	c.Main.Close()
 	c.replicaMu.Lock()
@@ -485,5 +481,5 @@ func (c *Cluster) Close() {
 			}
 		}
 	}
-	closeStores(c.shards, c.mappings)
+	closeStores(c.shards)
 }

@@ -133,7 +133,7 @@ func TestReplayerSerialOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: 3})
+	cl, err := cluster.Boot(m, plan, cluster.Options{Seed: 3, SpanCapacity: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}

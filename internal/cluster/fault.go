@@ -100,7 +100,7 @@ func (c *Cluster) rebuildFromPeer(rep *sparseReplica, shard int) (core.RebuildSt
 	fresh := core.NewSparseShard(rep.store.ShardName, rep.rec)
 	fresh.OpComputeScale = c.opts.sparsePlatform().OpComputeScale
 	if c.opts.Tier != nil {
-		fresh.SetTier(c.opts.Tier)
+		fresh.SetTier(c.opts.Tier) // an empty store has nothing to refuse
 	}
 	ep, err := c.ctrl.endpoint(rep.store.ShardName, peers[0])
 	if err == nil {

@@ -24,8 +24,9 @@ func heapLive() uint64 {
 // TestRecordersCostWhatTheyRecord: a role's DRAM is the paper's scarce
 // resource, so a deployment's five recorders hold memory for the spans
 // they were given and no more — 50 requests' worth after 50 requests
-// (the parent held 150 MiB from boot), and a main recorder driven to its
-// default capacity of 1<<18 spans under 13 MiB (the parent: 30 MiB).
+// (the parent held 150 MiB from boot), and a main recorder driven to a
+// capacity of 1<<18 spans under 13 MiB (the parent: 30 MiB). Boot keeps
+// one span by default; a caller that reads spans back asks for more.
 func TestRecordersCostWhatTheyRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots DRM1")
@@ -35,7 +36,7 @@ func TestRecordersCostWhatTheyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.Boot(model.Build(cfg), plan, cluster.Options{Seed: 1})
+	cl, err := cluster.Boot(model.Build(cfg), plan, cluster.Options{Seed: 1, SpanCapacity: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRecordersCostWhatTheyRecord(t *testing.T) {
 		mainRec.Record(span)
 	}
 	if mainRec.Len() != 1<<18 {
-		t.Fatalf("main recorder full at %d spans, want the default 1<<18", mainRec.Len())
+		t.Fatalf("main recorder full at %d spans, want its capacity 1<<18", mainRec.Len())
 	}
 	full := heapLive()
 	runtime.KeepAlive(recorders)

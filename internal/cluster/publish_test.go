@@ -202,14 +202,7 @@ func TestPublishMutationMatchesDirect(t *testing.T) {
 func exportShardDir(t *testing.T, m *model.Model, plan *sharding.Plan, tier *sharding.TierPlan, dir string) {
 	t.Helper()
 	for s := 1; s <= plan.NumShards; s++ {
-		f, err := os.Create(core.ShardFilePath(dir, m.Config.Name, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.ExportShardV2(m, plan, s, f, tier); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := core.WriteShardFile(core.ShardFilePath(dir, m.Config.Name, s), m, plan, s, tier); err != nil {
 			t.Fatal(err)
 		}
 	}

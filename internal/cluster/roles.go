@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -49,7 +48,7 @@ func (o Options) Validate() error {
 
 func (o Options) withDefaults() Options {
 	if o.SpanCapacity == 0 {
-		o.SpanCapacity = 1 << 18
+		o.SpanCapacity = 1
 	}
 	if o.Obs == nil {
 		o.Obs = obs.Discard()
@@ -207,15 +206,15 @@ func (mn *Main) Close() {
 
 // sparseStores builds the table store of every shard this process serves
 // — recs[i] records shard i+1, a nil entry is a shard served elsewhere —
-// from its v2 shard file under opts.ShardDir, or else from the model.
-// Only served shards are tiered: fp32 tables are views of the model, so
-// the unserved remainder of a materialized plan costs nothing, while
-// encoding a cold tier is a full pass over a shard's rows. The returned
-// mappings back file-booted stores and close after them.
-func sparseStores(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, opts Options) (stores []*core.SparseShard, mappings []io.Closer, err error) {
+// from its v2 shard file under opts.ShardDir, or else from the model
+// (core.MaterializeShardsTiered: a mapped image of its tables when the
+// tier plan encodes any). Either way a table stored in another encoding
+// than the tier plan's fails the boot. A store owns the mapping its
+// tables view and releases it at Close.
+func sparseStores(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, opts Options) (stores []*core.SparseShard, err error) {
 	if opts.ShardDir == "" {
-		if stores, err = core.MaterializeShardsTiered(m, plan, recs, nil); err != nil {
-			return nil, nil, err
+		if stores, err = core.MaterializeShardsTiered(m, plan, recs, opts.Tier); err != nil {
+			return nil, err
 		}
 	} else {
 		stores = make([]*core.SparseShard, plan.NumShards)
@@ -225,42 +224,37 @@ func sparseStores(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, o
 			}
 			path := core.ShardFilePath(opts.ShardDir, plan.ModelName, i+1)
 			sh, shard, mapping, err := core.OpenShardFile(path, rec)
-			if err == nil && shard != i+1 {
-				sh.Close()
-				mapping.Close()
-				err = fmt.Errorf("file holds shard %d", shard)
+			if err == nil {
+				stores[i] = sh
+				sh.OwnImage(mapping)
+				if shard != i+1 {
+					err = fmt.Errorf("file holds shard %d", shard)
+				} else if opts.Tier != nil {
+					err = sh.SetTier(opts.Tier)
+				}
 			}
 			if err != nil {
-				closeStores(stores, mappings)
-				return nil, nil, fmt.Errorf("cluster: booting shard %d from %s: %w", i+1, path, err)
+				closeStores(stores)
+				return nil, fmt.Errorf("cluster: booting shard %d from %s: %w", i+1, path, err)
 			}
-			stores[i], mappings = sh, append(mappings, mapping)
 		}
 	}
-	for i, sh := range stores {
-		if recs[i] == nil {
-			stores[i] = nil
-			continue
+	for _, sh := range stores {
+		if sh != nil {
+			sh.OpComputeScale = opts.sparsePlatform().OpComputeScale
+			sh.SetObs(opts.Obs)
 		}
-		if opts.Tier != nil {
-			sh.SetTier(opts.Tier)
-		}
-		sh.OpComputeScale = opts.sparsePlatform().OpComputeScale
-		sh.SetObs(opts.Obs)
 	}
-	return stores, mappings, nil
+	return stores, nil
 }
 
-// closeStores releases table stores, then the mappings their tables may
-// be views into.
-func closeStores(stores []*core.SparseShard, mappings []io.Closer) {
+// closeStores releases table stores, and with them the mappings their
+// tables view.
+func closeStores(stores []*core.SparseShard) {
 	for _, sh := range stores {
 		if sh != nil {
 			sh.Close()
 		}
-	}
-	for _, mp := range mappings {
-		mp.Close()
 	}
 }
 
@@ -285,8 +279,6 @@ func startSparse(listen string, store *core.SparseShard, rec *trace.Recorder, re
 type Sparse struct {
 	Store  *core.SparseShard
 	Server *rpc.Server
-
-	mappings []io.Closer
 }
 
 // ServeSparse assembles the sparse role for shard number `shard`
@@ -303,11 +295,11 @@ func ServeSparse(m *model.Model, plan *sharding.Plan, shard int, listen string, 
 	opts = opts.withDefaults()
 	recs := make([]*trace.Recorder, plan.NumShards)
 	recs[shard-1] = newRecorder(core.ServiceName(shard), shard, opts, nil)
-	stores, mappings, err := sparseStores(m, plan, recs, opts)
+	stores, err := sparseStores(m, plan, recs, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sparse{Store: stores[shard-1], mappings: mappings}
+	s := &Sparse{Store: stores[shard-1]}
 	if s.Server, err = startSparse(listen, s.Store, recs[shard-1], response, opts.sparsePlatform()); err != nil {
 		s.Close()
 		return nil, err
@@ -321,7 +313,7 @@ func (s *Sparse) Close() {
 	if s.Server != nil {
 		s.Server.Close()
 	}
-	closeStores([]*core.SparseShard{s.Store}, s.mappings)
+	closeStores([]*core.SparseShard{s.Store})
 }
 
 // serviceCaller builds the engine's caller for one sparse service over

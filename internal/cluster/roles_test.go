@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -138,18 +137,7 @@ func TestStandaloneRolesMatchBoot(t *testing.T) {
 		Plan:    uniformTiers(&cfg, sharding.PrecisionFP16),
 	}
 	dir := t.TempDir()
-	for shard := 1; shard <= plan.NumShards; shard++ {
-		f, err := os.Create(core.ShardFilePath(dir, cfg.Name, shard))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.ExportShardV2(m, plan, shard, f, tier.Plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	exportShardDir(t, m, plan, tier.Plan, dir)
 
 	cases := []struct {
 		name     string
@@ -282,8 +270,12 @@ func TestSparseRoleTiersOnlyItsShard(t *testing.T) {
 		for i := range recs {
 			recs[i] = trace.NewRecorder(fmt.Sprint(i), 1)
 		}
-		if _, err := core.MaterializeShardsTiered(m, plan, recs, tier); err != nil {
+		shards, err := core.MaterializeShardsTiered(m, plan, recs, tier)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, sh := range shards {
+			sh.Close()
 		}
 	})
 	var role *cluster.Sparse
@@ -334,14 +326,7 @@ func TestRoleRefusals(t *testing.T) {
 	if err := serve(plan, 1, cluster.Options{ShardDir: dir}); err == nil {
 		t.Error("a missing shard file served")
 	}
-	f, err := os.Create(core.ShardFilePath(dir, cfg.Name, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.ExportShardV2(m, plan, 2, f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := core.WriteShardFile(core.ShardFilePath(dir, cfg.Name, 1), m, plan, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := serve(plan, 1, cluster.Options{ShardDir: dir}); err == nil || !strings.Contains(err.Error(), "holds shard 2") {

@@ -46,7 +46,7 @@ func TestAdmissionHoldsItsPlan(t *testing.T) {
 	f := newShardedFixture(t, m, planA, EngineConfig{}, nil)
 	for _, sh := range f.shards {
 		for id, tab := range m.Tables {
-			sh.AddTable(id, tab)
+			sh.InstallTable(id, 0, tab)
 		}
 	}
 	want, err := f.eng.ExecuteBatch(items)

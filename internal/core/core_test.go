@@ -184,7 +184,7 @@ func TestSparseShardHandle(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		tab.Row(r)[0] = float32(r)
 	}
-	sh.AddTable(5, tab)
+	sh.InstallTable(5, 0, tab)
 	if sh.NumTables() != 1 || sh.Bytes() != tab.Bytes() {
 		t.Fatal("shard accounting wrong")
 	}
@@ -238,7 +238,7 @@ func TestSparseShardServesRepeatedEntry(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		tab.Row(r)[0] = float32(r)
 	}
-	sh.AddTable(5, tab)
+	sh.InstallTable(5, 0, tab)
 	req := &SparseRequest{Nets: []string{"net1"}, Entries: []SparseEntry{
 		{TableID: 5, NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{1, 2}}, {}}},
 		{TableID: 5, NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{7}}, {Indices: []int32{4, 4}}}},

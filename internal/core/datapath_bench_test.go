@@ -67,7 +67,7 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	rec := trace.NewRecorder("sparse1", 1<<10)
 	sh := NewSparseShard("sparse1", rec)
 	for id, tab := range c.tables {
-		sh.AddTable(id, tab)
+		sh.InstallTable(id, 0, tab)
 	}
 	srv, err := rpc.NewServer("127.0.0.1:0", sh, rpc.ServerConfig{})
 	if err != nil {

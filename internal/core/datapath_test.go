@@ -326,7 +326,7 @@ func TestPooledSumIsNeverNegativeZero(t *testing.T) {
 // carry; the shard must refuse before allocating it.
 func TestSparseRunRefusesUnframeableResponse(t *testing.T) {
 	sh := NewSparseShard("s", trace.NewRecorder("s", 64))
-	sh.AddTable(1, embedding.NewDense(4, 4096))
+	sh.InstallTable(1, 0, embedding.NewDense(4, 4096))
 	bags := make([]embedding.Bag, rpc.MaxFrameSize/(4*4096)+1)
 	for i := range bags {
 		bags[i].Indices = []int32{int32(i % 4)}
@@ -354,7 +354,7 @@ func TestSparseRunAllEmptyBagsIsHeadersOnly(t *testing.T) {
 	// leaves the entries off 4-byte boundaries, and they are copied out.
 	req := &SparseRequest{Nets: []string{"net1"}}
 	for id := 0; id < tables; id++ {
-		sh.AddTable(id, embedding.NewDense(4, dim))
+		sh.InstallTable(id, 0, embedding.NewDense(4, dim))
 		req.Entries = append(req.Entries, SparseEntry{TableID: int32(id), NumParts: 1, Bags: make([]embedding.Bag, items)})
 	}
 	body := EncodeSparseRequest(req)
@@ -401,7 +401,7 @@ func TestSparseRunSpanNames(t *testing.T) {
 	rec := trace.NewRecorder("sparse1", 1<<10)
 	sh := NewSparseShard("sparse1", rec)
 	id := f.plan.Shards[0].Tables[0]
-	sh.AddTable(id, f.m.Tables[id])
+	sh.InstallTable(id, 0, f.m.Tables[id])
 	req := &SparseRequest{Nets: []string{"net1"}, Entries: []SparseEntry{{TableID: int32(id), NumParts: 1, Bags: []embedding.Bag{{Indices: []int32{1}}}}}}
 	if _, err := sh.Handle(trace.Context{TraceID: 1, CallID: 2}, MethodSparseRun, EncodeSparseRequest(req)); err != nil {
 		t.Fatal(err)

@@ -453,7 +453,7 @@ func TestRerouteMidRequestChangesNoCall(t *testing.T) {
 		})
 		for _, sh := range f.shards {
 			for id, tab := range m.Tables {
-				sh.AddTable(id, tab)
+				sh.InstallTable(id, 0, tab)
 			}
 		}
 		want, err := f.eng.Execute(trace.Context{TraceID: 1}, req)

@@ -97,7 +97,7 @@ func TestMethodCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh.AddTable(held, tab)
+			sh.InstallTable(held, 0, tab)
 			ctx := trace.Context{}
 			if _, err := sh.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: 9, Shape: stagedShape})); err != nil {
 				t.Fatal(err)

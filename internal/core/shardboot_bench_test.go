@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -29,29 +28,22 @@ func BenchmarkShardBoot(b *testing.B) {
 	}
 	tier := &TierConfig{Plan: uniformTiers(&cfg, sharding.PrecisionInt8)}
 	path := filepath.Join(b.TempDir(), "bench.shard1")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ExportShardV2(m, plan, 1, f, tier.Plan); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteShardFile(path, m, plan, 1, tier.Plan); err != nil {
 		b.Fatal(err)
 	}
 
 	b.Run("regen", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The regenerate path pays model materialization plus the
-			// per-shard tier encode — what a shard server does today when
-			// it boots without a shard file.
+			// per-shard image: encode, write and map — what a shard server
+			// does when it boots without a shard file.
 			fresh := model.Build(cfg)
 			recs := []*trace.Recorder{trace.NewRecorder("bench", 64), trace.NewRecorder("bench", 64)}
 			shards, err := MaterializeShardsTiered(fresh, plan, recs, tier)
 			if err != nil {
 				b.Fatal(err)
 			}
-			_ = shards
+			closeShards(shards)
 		}
 	})
 

@@ -2,13 +2,19 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/embedding"
 	"repro/internal/mmapfile"
@@ -83,7 +89,7 @@ func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]shardUnit, err
 	for _, id := range a.Tables {
 		dense, ok := m.Tables[id].(*embedding.Dense)
 		if !ok {
-			return nil, fmt.Errorf("core: table %d is not fp32 dense; export quantized models whole", id)
+			return nil, fmt.Errorf("core: table %d is not fp32 dense; serve quantized models singular", id)
 		}
 		units = append(units, shardUnit{tableID: id, partIndex: 0, numParts: 1, dense: dense})
 	}
@@ -92,28 +98,19 @@ func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]shardUnit, err
 		if !ok {
 			return nil, fmt.Errorf("core: table %d is not fp32 dense; cannot partition", pr.TableID)
 		}
-		parts := embedding.PartitionRows(dense, pr.NumParts)
 		units = append(units, shardUnit{
 			tableID: pr.TableID, partIndex: pr.PartIndex, numParts: pr.NumParts,
-			dense: parts[pr.PartIndex].Local,
+			dense: embedding.PartRows(dense, pr.NumParts, pr.PartIndex),
 		})
 	}
 	return units, nil
 }
 
 // encodeUnit serializes one unit's rows in the encoding a tier plan
-// assigns its table — the same ToFP16/Quantize transforms tierWrap
-// applies at install time, so file bytes match in-memory serving bytes.
+// assigns its table — the transforms of Dense.ToFP16 and
+// Dense.Quantize, so file bytes match in-memory encoded bytes.
 func encodeUnit(u shardUnit, tier *sharding.TierPlan) (enc int32, hdr, data []byte) {
-	enc = TierEncFP32
-	if tier != nil {
-		switch tier.Precision(u.tableID) {
-		case sharding.PrecisionFP16:
-			enc = TierEncFP16
-		case sharding.PrecisionInt8:
-			enc = TierEncInt8
-		}
-	}
+	enc = planEnc(tier, u.tableID)
 	d := u.dense
 	switch enc {
 	case TierEncFP16:
@@ -144,6 +141,9 @@ func encodeUnit(u shardUnit, tier *sharding.TierPlan) (enc int32, hdr, data []by
 // ExportShardV2 writes shard number `shard` (1-based) of the plan to w in
 // the version-2 mmap-able format. A nil tier keeps every table fp32; with
 // one, each table section is stored in its planned cold-tier precision.
+// Sections encode on runtime.GOMAXPROCS(0) workers, largest first so the
+// last one a worker takes is a small one; the bytes do not depend on
+// which worker encoded them.
 func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, tier *sharding.TierPlan) error {
 	units, err := planUnits(m, plan, shard)
 	if err != nil {
@@ -157,18 +157,34 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 		hdrCRC, dataCRC uint32
 	}
 	secs := make([]section, len(units))
+	order := make([]int, len(units))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return len(units[order[i]].dense.Data) > len(units[order[j]].dense.Data) })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(units)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+				s := &secs[order[k]]
+				s.u = units[order[k]]
+				s.enc, s.hdr, s.data = encodeUnit(s.u, tier)
+				s.hdrCRC, s.dataCRC = crc32.ChecksumIEEE(s.hdr), crc32.ChecksumIEEE(s.data)
+			}
+		}()
+	}
+	wg.Wait()
 	off := alignUp(int64(16 + shardDirEntrySize*len(units)))
-	for i, u := range units {
+	for i := range secs {
 		s := &secs[i]
-		s.u = u
-		s.enc, s.hdr, s.data = encodeUnit(u, tier)
 		if len(s.hdr) > 0 {
 			s.hdrOff = off
-			s.hdrCRC = crc32.ChecksumIEEE(s.hdr)
 			off = alignUp(off + int64(len(s.hdr)))
 		}
 		s.dataOff = off
-		s.dataCRC = crc32.ChecksumIEEE(s.data)
 		off = alignUp(off + int64(len(s.data)))
 	}
 
@@ -241,6 +257,20 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 
 var zeroPage [shardAlign]byte
 
+// WriteShardFile exports shard `shard` of the plan (ExportShardV2) to a
+// new file at path.
+func WriteShardFile(path string, m *model.Model, plan *sharding.Plan, shard int, tier *sharding.TierPlan) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = ExportShardV2(m, plan, shard, f, tier)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // ShardTable is one parsed shard-file table: placement metadata plus a
 // serving-ready embedding table (possibly backed by mapped file bytes).
 type ShardTable struct {
@@ -261,11 +291,7 @@ type ShardFileData struct {
 func (sf *ShardFileData) NewShard(rec *trace.Recorder) *SparseShard {
 	sh := NewSparseShard(ServiceName(sf.Shard), rec)
 	for _, t := range sf.Tables {
-		if t.NumParts == 1 {
-			sh.AddTable(t.TableID, t.Table)
-		} else {
-			sh.AddPart(t.TableID, t.PartIndex, t.Table)
-		}
+		sh.InstallTable(t.TableID, t.PartIndex, t.Table) // untiered: nothing to refuse
 	}
 	return sh
 }
@@ -368,19 +394,15 @@ func fileSection(data []byte, off, n int64, sum uint32) ([]byte, error) {
 // zero-copy views over the file bytes when views is set (mmap serving),
 // heap decodes otherwise.
 func buildTable(t ShardTable, hdr, data []byte, views bool) (embedding.Table, error) {
-	views = views && mmapfile.ViewsUsable()
+	f32, u16, codes := mmapfile.DecodeF32, mmapfile.DecodeU16, bytes.Clone
+	if views && mmapfile.ViewsUsable() {
+		f32, u16, codes = mmapfile.Float32s, mmapfile.Uint16s, func(b []byte) []byte { return b }
+	}
 	switch t.Enc {
 	case TierEncFP32:
-		if views {
-			return &embedding.Dense{RowsN: t.Rows, DimN: t.Dim, Data: mmapfile.Float32s(data)}, nil
-		}
-		return &embedding.Dense{RowsN: t.Rows, DimN: t.Dim, Data: mmapfile.DecodeF32(data)}, nil
+		return &embedding.Dense{RowsN: t.Rows, DimN: t.Dim, Data: f32(data)}, nil
 	case TierEncFP16:
-		vals := mmapfile.DecodeU16(data)
-		if views {
-			vals = mmapfile.Uint16s(data)
-		}
-		enc, err := quant.FP16FromParts(t.Rows, t.Dim, vals)
+		enc, err := quant.FP16FromParts(t.Rows, t.Dim, u16(data))
 		if err != nil {
 			return nil, err
 		}
@@ -390,15 +412,7 @@ func buildTable(t ShardTable, hdr, data []byte, views bool) (embedding.Table, er
 		if t.Enc == TierEncInt4 {
 			bits = 4
 		}
-		scales := mmapfile.DecodeU16(hdr[:2*t.Rows])
-		biases := mmapfile.DecodeU16(hdr[2*t.Rows:])
-		packed := append([]byte(nil), data...)
-		if views {
-			scales = mmapfile.Uint16s(hdr[:2*t.Rows])
-			biases = mmapfile.Uint16s(hdr[2*t.Rows:])
-			packed = data
-		}
-		return embedding.QuantizedFromEncoding(t.Rows, t.Dim, bits, scales, biases, packed)
+		return embedding.QuantizedFromEncoding(t.Rows, t.Dim, bits, u16(hdr[:2*t.Rows]), u16(hdr[2*t.Rows:]), codes(data))
 	}
 	return nil, fmt.Errorf("unknown encoding %d", t.Enc)
 }

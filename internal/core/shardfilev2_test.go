@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/quant"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -67,9 +68,35 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// TestExportImportShardV2Identity proves a v2 import serves bitwise the
-// same lookups as in-memory materialization at every cold precision,
-// over both whole tables and row partitions.
+// transformedShard builds shard `shard`'s tables in memory: the model's
+// fp32 rows, whole or partitioned, through Dense.ToFP16 or
+// Dense.Quantize — the transforms an image's bytes must equal.
+func transformedShard(m *model.Model, plan *sharding.Plan, shard int, prec sharding.Precision) *SparseShard {
+	encode := func(d *embedding.Dense) embedding.Table {
+		switch prec {
+		case sharding.PrecisionFP16:
+			return d.ToFP16()
+		case sharding.PrecisionInt8:
+			return d.Quantize(quant.Bits8)
+		}
+		return d
+	}
+	sh := NewSparseShard(ServiceName(shard), trace.NewRecorder("want", 64))
+	a := &plan.Shards[shard-1]
+	for _, id := range a.Tables {
+		sh.InstallTable(id, 0, encode(m.Tables[id].(*embedding.Dense)))
+	}
+	for _, pr := range a.Parts {
+		parts := embedding.PartitionRows(m.Tables[pr.TableID].(*embedding.Dense), pr.NumParts)
+		sh.InstallTable(pr.TableID, pr.PartIndex, encode(parts[pr.PartIndex].Local))
+	}
+	return sh
+}
+
+// TestExportImportShardV2Identity proves a v2 image serves bitwise the
+// same lookups as the in-memory transforms at every cold precision, over
+// both whole tables and row partitions: imported into the heap, and
+// mapped by a tiered MaterializeShardsTiered.
 func TestExportImportShardV2Identity(t *testing.T) {
 	cfg := model.DRM3()
 	cfg.Tables[0].Rows = 512
@@ -88,10 +115,11 @@ func TestExportImportShardV2Identity(t *testing.T) {
 			for i := range recs {
 				recs[i] = trace.NewRecorder(ServiceName(i+1), 64)
 			}
-			want, err := MaterializeShardsTiered(m, plan, recs, tier)
+			mapped, err := MaterializeShardsTiered(m, plan, recs, tier)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer closeShards(mapped)
 			for shard := 1; shard <= plan.NumShards; shard++ {
 				var buf bytes.Buffer
 				if err := ExportShardV2(m, plan, shard, &buf, tier.Plan); err != nil {
@@ -109,7 +137,9 @@ func TestExportImportShardV2Identity(t *testing.T) {
 				if sh.NumTables() != sharding.ShardTableCount(a) {
 					t.Fatalf("shard %d holds %d tables, want %d", shard, sh.NumTables(), sharding.ShardTableCount(a))
 				}
-				compareShards(t, &cfg, a, sh, want[shard-1])
+				want := transformedShard(m, plan, shard, prec)
+				compareShards(t, &cfg, a, sh, want)
+				compareShards(t, &cfg, a, mapped[shard-1], want)
 			}
 		})
 	}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,6 +72,9 @@ type SparseShard struct {
 	// tier, when non-nil, enables the tiered store: tables install behind
 	// a hot-row cache over a (possibly quantized) cold tier. Guarded by mu.
 	tier *TierConfig
+	// image is the mapped shard image the booted tables view (OwnImage);
+	// Close releases it. Guarded by mu.
+	image io.Closer
 
 	epoch atomic.Uint64
 	// modelVersion is the highest committed model-version transaction —
@@ -147,26 +153,24 @@ func (s *SparseShard) SetObs(reg *obs.Registry) {
 	})
 }
 
-// AddTable installs a whole table.
-func (s *SparseShard) AddTable(id int, t embedding.Table) {
-	s.InstallTable(id, 0, t)
-}
-
-// AddPart installs one row-partition of a table.
-func (s *SparseShard) AddPart(id, part int, t embedding.Table) {
-	s.InstallTable(id, part, t)
-}
-
-// InstallTable activates table storage under (id, part) and bumps the
-// epoch. Under a tier config the table is wrapped on the way in
-// (cold-tier encoding plus a fresh, empty hot-row cache) and the shard's
-// cache budget is re-apportioned.
-func (s *SparseShard) InstallTable(id, part int, t embedding.Table) {
+// InstallTable activates table storage under (id, part) — part 0 of a
+// whole table, or one row-partition — and bumps the epoch. Under a tier
+// config the table must be stored in its planned encoding; it is wrapped
+// on the way in (a fresh, empty hot-row cache) and the shard's cache
+// budget is re-apportioned.
+func (s *SparseShard) InstallTable(id, part int, t embedding.Table) error {
 	s.mu.Lock()
-	s.tables[tableKey{id: id, part: part}] = s.tierWrap(id, t)
+	t, err := s.tierWrap(id, t)
+	if err == nil {
+		s.tables[tableKey{id: id, part: part}] = t
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	s.epoch.Add(1)
 	s.retier()
+	return nil
 }
 
 // ReleaseTable drops the shard's copy of (id, part) — a migration
@@ -224,12 +228,26 @@ func (s *SparseShard) LoadSnapshot(reset bool) *sharding.LoadSummary {
 	return out
 }
 
-// Close drops any open staging: a transaction its driver never ended
-// holds table-sized buffers.
+// OwnImage hands the shard the mapping its tables view (OpenShardFile's
+// closer): Close releases it with them.
+func (s *SparseShard) OwnImage(image io.Closer) {
+	s.mu.Lock()
+	s.image = image
+	s.mu.Unlock()
+}
+
+// Close drops any open staging — a transaction its driver never ended
+// holds table-sized buffers — and releases the shard's image, with the
+// tables that view it. Call it once no server serves the shard.
 func (s *SparseShard) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	clear(s.staging)
-	s.mu.Unlock()
+	if s.image != nil {
+		clear(s.tables)
+		s.image.Close()
+		s.image = nil
+	}
 }
 
 // shardMethod is one row of the shard's method descriptor.
@@ -482,18 +500,20 @@ func (s *SparseShard) handleLoad(_ trace.Context, body []byte) ([]byte, error) {
 }
 
 // MaterializeShards builds the sparse shards' table storage from a model
-// and a distributed plan. Row-partitioned tables are partitioned once and
-// the parts handed to their shards. Only fp32 Dense tables can be
-// partitioned (quantized models are served whole-table, as in the paper's
-// compression experiment which is singular-only).
+// and a distributed plan: each shard's whole tables and row-partitions of
+// the model's fp32 Dense tables (quantized models are served whole, by a
+// singular plan, as in the paper's compression experiment).
 func MaterializeShards(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder) ([]*SparseShard, error) {
 	return MaterializeShardsTiered(m, plan, recs, nil)
 }
 
-// MaterializeShardsTiered is MaterializeShards with a tiered-store
-// config: each shard encodes its tables' cold tier to the planned
-// precision at install and fronts them with hot-row caches under the
-// shard-wide byte budget. A nil tier keeps plain fp32 serving.
+// MaterializeShardsTiered is MaterializeShards with a tiered-store config
+// (a nil recorder is a shard served elsewhere, left nil). A plan that
+// encodes no table serves the model's rows; otherwise each shard boots
+// from a v2 image of its tables in their planned encodings, written to a
+// private temporary directory, mapped as OpenShardFile maps one and
+// unlinked: the rows stay off the Go heap, and the shard owns the
+// mapping until Close.
 func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, tier *TierConfig) ([]*SparseShard, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: cannot materialize shards for a singular plan")
@@ -501,54 +521,60 @@ func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.
 	if len(recs) != plan.NumShards {
 		return nil, fmt.Errorf("core: %d recorders for %d shards", len(recs), plan.NumShards)
 	}
+	dir := ""
+	if tier != nil && slices.ContainsFunc(m.Config.Tables, func(t model.TableSpec) bool { return planEnc(tier.Plan, t.ID) != TierEncFP32 }) {
+		var err error
+		if dir, err = os.MkdirTemp("", "shard-image-"); err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+	}
 	shards := make([]*SparseShard, plan.NumShards)
-	for i := range shards {
-		shards[i] = NewSparseShard(ServiceName(i+1), recs[i])
-	}
-	// Partition each split table exactly once.
-	var partsMu sync.Mutex
-	parts := make(map[int][]*embedding.Part)
-	partsOf := func(id, numParts int) ([]*embedding.Part, error) {
-		partsMu.Lock()
-		defer partsMu.Unlock()
-		if p, ok := parts[id]; ok {
-			if p[0].NumParts != numParts {
-				return nil, fmt.Errorf("core: table %d partitioned twice with different counts", id)
+	for i, rec := range recs {
+		var err error
+		switch {
+		case rec == nil:
+			continue
+		case dir != "":
+			shards[i], err = imageShard(dir, m, plan, i+1, rec, tier.Plan)
+		default:
+			var units []shardUnit
+			if units, err = planUnits(m, plan, i+1); err == nil {
+				shards[i] = NewSparseShard(ServiceName(i+1), rec)
+				for _, u := range units {
+					shards[i].InstallTable(u.tableID, u.partIndex, u.dense) // untiered: nothing to refuse
+				}
 			}
-			return p, nil
 		}
-		dense, ok := m.Tables[id].(*embedding.Dense)
-		if !ok {
-			return nil, fmt.Errorf("core: table %d is not fp32 dense; cannot row-partition", id)
+		// Tier after the full install: one wrap and budget split a shard.
+		if err == nil && tier != nil {
+			err = shards[i].SetTier(tier)
 		}
-		p := embedding.PartitionRows(dense, numParts)
-		parts[id] = p
-		return p, nil
-	}
-	for i := range plan.Shards {
-		a := &plan.Shards[i]
-		sh := shards[a.Shard-1]
-		for _, id := range a.Tables {
-			sh.AddTable(id, m.Tables[id])
-		}
-		for _, pr := range a.Parts {
-			p, err := partsOf(pr.TableID, pr.NumParts)
-			if err != nil {
-				return nil, err
+		if err != nil {
+			for _, sh := range shards {
+				if sh != nil {
+					sh.Close()
+				}
 			}
-			sh.AddPart(pr.TableID, pr.PartIndex, p[pr.PartIndex].Local)
-		}
-	}
-	if tier != nil {
-		// Tier after the full install, not per table: SetTier wraps the
-		// whole set and apportions the cache budget once, instead of T
-		// re-apportionments (each a table-set scan plus cache resizes)
-		// while the set is still filling.
-		for _, sh := range shards {
-			sh.SetTier(tier)
+			return nil, err
 		}
 	}
 	return shards, nil
+}
+
+// imageShard boots shard `shard` from an image of its tables written
+// under dir; the shard owns the mapping.
+func imageShard(dir string, m *model.Model, plan *sharding.Plan, shard int, rec *trace.Recorder, tier *sharding.TierPlan) (*SparseShard, error) {
+	path := ShardFilePath(dir, plan.ModelName, shard)
+	if err := WriteShardFile(path, m, plan, shard, tier); err != nil {
+		return nil, err
+	}
+	sh, _, image, err := OpenShardFile(path, rec)
+	if err != nil {
+		return nil, err
+	}
+	sh.OwnImage(image)
+	return sh, nil
 }
 
 // RankMethod is the main shard's scoring method name. A co-served

@@ -160,16 +160,20 @@ func (s *SparseShard) handleStageCommit(_ trace.Context, body []byte) ([]byte, e
 				return nil, fmt.Errorf("table %d part %d was replaced since txn %d cloned it; retry", key.id, key.part, m.Txn)
 			}
 		}
-		if installs[key], err = tableOf(st.rows); err != nil {
+		// The new copy starts with a cold cache: tierWrap fronts it with
+		// an empty one (a cache belongs to one table copy).
+		tab, err := tableOf(st.rows)
+		if err == nil {
+			tab, err = s.tierWrap(key.id, tab)
+		}
+		if err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
+		installs[key] = tab
 	}
 	for key, tab := range installs {
-		// The new copy starts with a cold cache: tierWrap fronts it with
-		// an empty one (a cache belongs to one table copy) and keeps the
-		// staged encoding as-is.
-		s.tables[key] = s.tierWrap(key.id, tab)
+		s.tables[key] = tab
 	}
 	s.mu.Unlock()
 	epoch := s.epoch.Add(1)

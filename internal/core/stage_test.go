@@ -66,6 +66,7 @@ func twoShards(t *testing.T, tier func(*model.Config) *TierConfig) (model.Config
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { closeShards(shards) })
 	if len(plan.Shards[0].Tables) < 2 {
 		t.Fatal("shard 1 holds fewer than two whole tables")
 	}

@@ -240,7 +240,7 @@ func FuzzShardControlPlane(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh.AddTable(int(enc), tab)
+			sh.InstallTable(int(enc), 0, tab)
 		}
 		ctx := trace.Context{}
 		if _, err := sh.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: 9, Shape: TableShape{Rows: 4, Dim: 2}})); err != nil {

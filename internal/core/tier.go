@@ -2,10 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/embedding"
 	"repro/internal/quant"
@@ -149,72 +145,70 @@ func tableOf(rows rowStore) (embedding.Table, error) {
 	return nil, fmt.Errorf("core: no table over %T", rows)
 }
 
-// SetTier enables tiered storage, re-wrapping any already-installed
-// tables (drmserve's shard-file path imports first, tiers second) on
-// GOMAXPROCS workers (wrapAll) and apportioning the cache budget.
-func (s *SparseShard) SetTier(cfg *TierConfig) {
+// SetTier enables tiered storage over the installed tables (a shard
+// boots its tables first, tiers second) and apportions the cache budget.
+// A table stored in another encoding than the plan's fails it, leaving
+// the shard untiered.
+func (s *SparseShard) SetTier(cfg *TierConfig) error {
 	s.mu.Lock()
 	s.tier = cfg
-	s.wrapAll()
+	err := s.wrapAll()
+	if err != nil {
+		s.tier = nil
+	}
 	s.mu.Unlock()
-	s.retier()
+	if err == nil {
+		s.retier()
+	}
+	return err
+}
+
+// planEnc is the cold-tier encoding a tier plan assigns table id.
+func planEnc(tier *sharding.TierPlan, id int) int32 {
+	switch tier.Precision(id) {
+	case sharding.PrecisionFP16:
+		return TierEncFP16
+	case sharding.PrecisionInt8:
+		return TierEncInt8
+	}
+	return TierEncFP32
 }
 
 // tierWrap applies the shard's tier config to a table about to be
-// installed: encode a dense cold tier to the planned precision, then
-// front an fp32 or fp16 one with a (initially empty) hot-row cache when a
-// budget exists. A quantized cold tier is installed bare: it pools
-// through embedding.Pool's prefetched walk, which costs less than the
-// cache's hit did. Already-encoded tables (staged-commit output) keep
-// their encoding.
-func (s *SparseShard) tierWrap(id int, t embedding.Table) embedding.Table {
+// installed. The table arrives in its planned encoding — from a shard
+// image, a staged commit or a rebuild stream — and any other is refused:
+// a shard never encodes. An fp32 or fp16 cold tier is fronted with an
+// (initially empty) hot-row cache when a budget exists. A quantized one
+// is installed bare: it pools through embedding.Pool's prefetched walk,
+// which costs less than the cache's hit did.
+func (s *SparseShard) tierWrap(id int, t embedding.Table) (embedding.Table, error) {
 	if s.tier == nil {
-		return t
+		return t, nil
 	}
 	cold := coldOf(t)
-	if d, ok := cold.(*embedding.Dense); ok {
-		switch s.tier.Plan.Precision(id) {
-		case sharding.PrecisionFP16:
-			cold = d.ToFP16()
-		case sharding.PrecisionInt8:
-			cold = d.Quantize(quant.Bits8)
-		}
+	_, enc, err := rowsOf(cold)
+	if err == nil && enc != planEnc(s.tier.Plan, id) {
+		err = fmt.Errorf("core: table %d is stored in encoding %d, its tier plan says %d", id, enc, planEnc(s.tier.Plan, id))
 	}
-	if _, quantized := cold.(*embedding.Quantized); quantized || s.tier.CacheMB <= 0 {
-		return cold
+	if err != nil || enc >= TierEncInt8 || s.tier.CacheMB <= 0 {
+		return cold, err
 	}
-	return embedding.NewTiered(cold, 0)
+	return embedding.NewTiered(cold, 0), nil
 }
 
-// wrapAll applies tierWrap to every held table on runtime.GOMAXPROCS(0)
-// workers, largest table first so the last one a worker takes is a small
-// one. Encodings do not depend on which worker ran them. Callers hold mu.
-func (s *SparseShard) wrapAll() {
-	if s.tier == nil {
-		return
+// wrapAll applies tierWrap to every held table, or to none when one is
+// refused. Callers hold mu.
+func (s *SparseShard) wrapAll() error {
+	wrapped := make(map[tableKey]embedding.Table, len(s.tables))
+	for _, key := range sortedTableKeys(s.tables) {
+		t, err := s.tierWrap(key.id, s.tables[key])
+		if err != nil {
+			return fmt.Errorf("%w (part %d)", err, key.part)
+		}
+		wrapped[key] = t
 	}
-	keys := sortedTableKeys(s.tables)
-	sort.SliceStable(keys, func(i, j int) bool { return s.tables[keys[i]].Bytes() > s.tables[keys[j]].Bytes() })
-	out := make([]embedding.Table, len(keys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(keys)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
-					return
-				}
-				out[i] = s.tierWrap(keys[i].id, s.tables[keys[i]])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, key := range keys {
-		s.tables[key] = out[i]
-	}
+	s.tables = wrapped
+	return nil
 }
 
 // retier re-apportions the shard's cache byte budget across its tiered

@@ -203,24 +203,46 @@ func TestQuantizedTierIsUncached(t *testing.T) {
 	}
 }
 
-// TestSetTierWrapsImportedTables covers drmserve's shard-file path:
-// import plain fp32 tables, then SetTier encodes them to fp16 and caches
-// them.
+// fp16Tables is the tiny model's tables in fp16, as an fp16 shard image
+// holds them.
+func fp16Tables(m *model.Model) []embedding.Table {
+	out := make([]embedding.Table, len(m.Tables))
+	for id, tab := range m.Tables {
+		out[id] = tab.(*embedding.Dense).ToFP16()
+	}
+	return out
+}
+
+// TestSetTierWrapsImportedTables covers the shard-file path: import fp16
+// tables, then SetTier keeps their encoding and fronts them with caches.
+// It never encodes: fp32 tables under the same plan are refused, and the
+// shard stays untiered.
 func TestSetTierWrapsImportedTables(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
-	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
+	tier := tierConfigFor(&cfg, sharding.PrecisionFP16, 0.01)
+	plain := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
 	for id, tab := range m.Tables {
-		sh.AddTable(id, tab)
+		plain.InstallTable(id, 0, tab)
+	}
+	if err := plain.SetTier(tier); err == nil || !strings.Contains(err.Error(), "tier plan says") {
+		t.Fatalf("fp32 tables under an fp16 plan: err %v", err)
+	}
+	if st := plain.TierSnapshot(); st.FP32 != len(m.Tables) || st.CacheCapBytes != 0 {
+		t.Fatalf("a refused SetTier changed the shard: %+v", st)
+	}
+
+	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
+	for id, tab := range fp16Tables(m) {
+		sh.InstallTable(id, 0, tab)
 	}
 	before := sh.Bytes()
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.01))
-	st := sh.TierSnapshot()
-	if st.FP16 != len(m.Tables) {
-		t.Fatalf("SetTier encoded %d of %d tables to fp16", st.FP16, len(m.Tables))
+	if err := sh.SetTier(tier); err != nil {
+		t.Fatal(err)
 	}
-	if st.ColdBytes >= before {
-		t.Fatalf("tiering did not shrink cold bytes: %d -> %d", before, st.ColdBytes)
+	st := sh.TierSnapshot()
+	if st.FP16 != len(m.Tables) || st.ColdBytes != before {
+		t.Fatalf("SetTier changed the imported fp16 tables: %+v, %d bytes before", st, before)
 	}
 	if st.CacheCapBytes == 0 {
 		t.Fatal("cache budget not apportioned")
@@ -240,8 +262,10 @@ func TestRetierFollowsLoad(t *testing.T) {
 	// A deliberately scarce budget: the apportionment must choose, so the
 	// hot table's share visibly beats a cold one's.
 	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.002))
-	for id, tab := range m.Tables {
-		sh.AddTable(id, tab)
+	for id, tab := range fp16Tables(m) {
+		if err := sh.InstallTable(id, 0, tab); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Fold skewed measured load straight into the accumulator: table 0
 	// carries 100× the lookups of the rest.
@@ -281,8 +305,10 @@ func TestRetierFloorSeedsNewcomer(t *testing.T) {
 	m := model.Build(cfg)
 	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
 	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.05))
-	for id, tab := range m.Tables {
-		sh.AddTable(id, tab)
+	for id, tab := range fp16Tables(m) {
+		if err := sh.InstallTable(id, 0, tab); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Existing tables carry measured load; the newcomer will not.
 	sh.loadMu.Lock()
@@ -292,7 +318,9 @@ func TestRetierFloorSeedsNewcomer(t *testing.T) {
 	sh.loadMu.Unlock()
 
 	newcomer := len(m.Tables)
-	sh.InstallTable(newcomer, 0, embedding.NewDense(64, 16))
+	if err := sh.InstallTable(newcomer, 0, embedding.NewDense(64, 16)); err != nil {
+		t.Fatal(err)
+	}
 	sh.mu.RLock()
 	tt, ok := sh.tables[tableKey{id: newcomer}].(*embedding.TieredTable)
 	sh.mu.RUnlock()
@@ -314,8 +342,10 @@ func TestRetierDeterministic(t *testing.T) {
 		m := model.Build(cfg)
 		sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
 		sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.002))
-		for id, tab := range m.Tables {
-			sh.AddTable(id, tab)
+		for id, tab := range fp16Tables(m) {
+			if err := sh.InstallTable(id, 0, tab); err != nil {
+				t.Fatal(err)
+			}
 		}
 		sh.loadMu.Lock()
 		for id := range m.Tables {

@@ -28,22 +28,26 @@ func PartitionRows(src *Dense, numParts int) []*Part {
 		panic(fmt.Sprintf("embedding: numParts %d <= 0", numParts))
 	}
 	parts := make([]*Part, numParts)
-	rows, dim := src.NumRows(), src.Dim()
-	for p := 0; p < numParts; p++ {
-		localRows := rows / numParts
-		if p < rows%numParts {
-			localRows++
-		}
-		if localRows == 0 {
-			localRows = 1 // keep backend valid for parts with no rows
-		}
-		parts[p] = &Part{Index: p, NumParts: numParts, Local: NewDense(localRows, dim)}
-	}
-	for r := 0; r < rows; r++ {
-		p := r % numParts
-		copy(parts[p].Local.Row(r/numParts), src.Row(r))
+	for p := range parts {
+		parts[p] = &Part{Index: p, NumParts: numParts, Local: PartRows(src, numParts, p)}
 	}
 	return parts
+}
+
+// PartRows copies part p of PartitionRows(src, numParts) alone: logical
+// row r%numParts == p at local row r/numParts.
+func PartRows(src *Dense, numParts, p int) *Dense {
+	rows := src.NumRows()
+	localRows := rows / numParts
+	if p < rows%numParts {
+		localRows++
+	}
+	// A part with no rows keeps one, so its backend stays valid.
+	local := NewDense(max(localRows, 1), src.Dim())
+	for r := p; r < rows; r += numParts {
+		copy(local.Row(r/numParts), src.Row(r))
+	}
+	return local
 }
 
 // LocalRow converts a logical row index into this part's local index. It
@@ -80,7 +84,7 @@ func NewDenseRandomRows(rng *rand.Rand, rows, dim int) *Dense {
 		base := rng.Float32()
 		row := t.Row(r)
 		for c := range row {
-			row[c] = base + float32(r)*1e-4 + float32(c)*1e-6
+			row[c] = base + float32(float32(r)*1e-4) + float32(float32(c)*1e-6)
 		}
 	}
 	return t

@@ -34,6 +34,9 @@ type subject struct {
 // gives its cluster a new one (sharding.ApplyMoves copies).
 func (r *Runner) deploy(m *model.Model, plan *sharding.Plan, opts cluster.Options, warm []*workload.Request) (*subject, error) {
 	opts.Seed = r.P.Seed
+	if opts.SpanCapacity == 0 {
+		opts.SpanCapacity = 1 << 18 // breakdowns reads every span back
+	}
 	t0 := time.Now()
 	cl, err := cluster.Boot(m, plan, opts)
 	if err != nil {

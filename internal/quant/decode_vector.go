@@ -35,7 +35,7 @@ func accumulateRow8Vec(acc []float32, src []byte, scale, bias float32, n int) {
 		c = m
 	}
 	for ; c < n; c++ {
-		acc[c] += scale*float32(src[c]) + bias
+		acc[c] += float32(scale*float32(src[c])) + bias
 	}
 }
 
@@ -49,7 +49,7 @@ func dequantizeRow8Vec(dst []float32, src []byte, scale, bias float32, n int) {
 		c = m
 	}
 	for ; c < n; c++ {
-		dst[c] = scale*float32(src[c]) + bias
+		dst[c] = float32(scale*float32(src[c])) + bias
 	}
 }
 
@@ -71,7 +71,7 @@ func accumulateRow4Vec(acc []float32, src []byte, scale, bias float32, n int) {
 		} else {
 			code = b >> 4
 		}
-		acc[c] += scale*float32(code) + bias
+		acc[c] += float32(scale*float32(code)) + bias
 	}
 }
 
@@ -92,6 +92,6 @@ func dequantizeRow4Vec(dst []float32, src []byte, scale, bias float32, n int) {
 		} else {
 			code = b >> 4
 		}
-		dst[c] = scale*float32(code) + bias
+		dst[c] = float32(scale*float32(code)) + bias
 	}
 }

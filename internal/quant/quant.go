@@ -280,7 +280,7 @@ func (q *RowQuantized) dequantizeRowScalar(dst []float32, src []byte, scale, bia
 	switch q.Bits {
 	case Bits8:
 		for c := 0; c < q.Cols; c++ {
-			dst[c] = scale*float32(src[c]) + bias
+			dst[c] = float32(scale*float32(src[c])) + bias
 		}
 	case Bits4:
 		for c := 0; c < q.Cols; c++ {
@@ -291,7 +291,7 @@ func (q *RowQuantized) dequantizeRowScalar(dst []float32, src []byte, scale, bia
 			} else {
 				code = b >> 4
 			}
-			dst[c] = scale*float32(code) + bias
+			dst[c] = float32(scale*float32(code)) + bias
 		}
 	}
 }
@@ -344,7 +344,7 @@ func (q *RowQuantized) accumulateRowScalar(acc []float32, src []byte, scale, bia
 	switch q.Bits {
 	case Bits8:
 		for c := 0; c < q.Cols; c++ {
-			acc[c] += scale*float32(src[c]) + bias
+			acc[c] += float32(scale*float32(src[c])) + bias
 		}
 	case Bits4:
 		for c := 0; c < q.Cols; c++ {
@@ -355,7 +355,7 @@ func (q *RowQuantized) accumulateRowScalar(acc []float32, src []byte, scale, bia
 			} else {
 				code = b >> 4
 			}
-			acc[c] += scale*float32(code) + bias
+			acc[c] += float32(scale*float32(code)) + bias
 		}
 	}
 }

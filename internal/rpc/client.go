@@ -69,8 +69,8 @@ const DefaultPoolSize = 4
 type Client struct {
 	subs []*clientConn
 	next atomic.Uint64
-	// closed is read on every Go — 21 times per request on the sparse
-	// fan-out — so it is a flag, not a lock.
+	// closed is read on every Go — once per shard a request on the default
+	// schedule's sparse fan-out — so it is a flag, not a lock.
 	closed atomic.Bool
 }
 

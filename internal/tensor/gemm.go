@@ -106,7 +106,7 @@ func gemmRowsGeneric(dst *Matrix, a *Blocks, b *Matrix) {
 				if av != 0 {
 					brow := b.Data[p*n : (p+1)*n]
 					for j, bv := range brow {
-						drow[j] += av * bv
+						drow[j] += float32(av * bv)
 					}
 				}
 				p++

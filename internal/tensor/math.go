@@ -31,7 +31,7 @@ func Clip(m *Matrix, lo, hi float32) {
 func AXPY(dst []float32, a float32, x []float32) {
 	_ = dst[len(x)-1] // bounds-check hint
 	for i, v := range x {
-		dst[i] += a * v
+		dst[i] += float32(a * v)
 	}
 }
 
@@ -48,7 +48,7 @@ func Dot(a, b []float32) float32 {
 	var acc float32
 	_ = b[len(a)-1]
 	for i, v := range a {
-		acc += v * b[i]
+		acc += float32(v * b[i])
 	}
 	return acc
 }

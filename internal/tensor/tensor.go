@@ -241,10 +241,10 @@ func PairwiseDotVecs(dst []float32, vecs [][]float32) {
 			v0, v1, v2, v3 := rest[0][:len(vi)], rest[1][:len(vi)], rest[2][:len(vi)], rest[3][:len(vi)]
 			var a0, a1, a2, a3 float32
 			for c, x := range vi {
-				a0 += x * v0[c]
-				a1 += x * v1[c]
-				a2 += x * v2[c]
-				a3 += x * v3[c]
+				a0 += float32(x * v0[c])
+				a1 += float32(x * v1[c])
+				a2 += float32(x * v2[c])
+				a3 += float32(x * v3[c])
 			}
 			dst[k], dst[k+1], dst[k+2], dst[k+3] = a0, a1, a2, a3
 			k += 4
@@ -253,8 +253,8 @@ func PairwiseDotVecs(dst []float32, vecs [][]float32) {
 			v0, v1 := rest[0][:len(vi)], rest[1][:len(vi)]
 			var a0, a1 float32
 			for c, x := range vi {
-				a0 += x * v0[c]
-				a1 += x * v1[c]
+				a0 += float32(x * v0[c])
+				a1 += float32(x * v1[c])
 			}
 			dst[k], dst[k+1] = a0, a1
 			k, rest = k+2, rest[2:]
@@ -263,7 +263,7 @@ func PairwiseDotVecs(dst []float32, vecs [][]float32) {
 			vj = vj[:len(vi)]
 			var acc float32
 			for c := range vi {
-				acc += vi[c] * vj[c]
+				acc += float32(vi[c] * vj[c])
 			}
 			dst[k] = acc
 			k++

@@ -159,7 +159,7 @@ func (g *Generator) drawItems() int {
 	if g.diurnal {
 		// One "day" per 1000 requests; ±30% swing.
 		phase := 2 * math.Pi * float64(g.seq%1000) / 1000
-		mean *= 1 + 0.3*math.Sin(phase)
+		mean *= 1 + float64(0.3*math.Sin(phase))
 	}
 	sigma := g.cfg.ItemsSigma
 	// Lognormal with median = mean (so the tail stretches upward).
@@ -212,7 +212,7 @@ func (g *Generator) poisson(mean float64) int {
 		return 0
 	}
 	if mean > 30 {
-		n := int(math.Round(mean + math.Sqrt(mean)*g.rng.NormFloat64()))
+		n := int(math.Round(mean + float64(math.Sqrt(mean)*g.rng.NormFloat64())))
 		if n < 0 {
 			n = 0
 		}
