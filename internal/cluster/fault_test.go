@@ -19,8 +19,9 @@ func faultOptions() cluster.Options {
 	return cluster.Options{
 		Seed:           11,
 		SparseReplicas: 2,
-		// The delay must sit well above per-call service time (the health
-		// race bounds are multiples of it), including under -race.
+		// The delay must sit well above per-call service time (the hedged
+		// caller's strikes and timeouts are multiples of it), including
+		// under -race.
 		HedgeDelay:  25 * time.Millisecond,
 		HealthFails: 2,
 		HealthProbe: 60 * time.Millisecond,

@@ -133,13 +133,20 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 	}()
 	hedged := make(map[string]rpc.Caller)
 	var hedges []*replication.Hedged
+	const hedgeDelay = 10 * time.Millisecond
 	for i, sh := range shards {
-		// Two servers over one store: the replicas of a hedged pair. A
-		// hedge delay well under the link latency makes most calls go to
-		// both, so one Request is framed twice and the loser answers late.
+		// Two servers over one store: the replicas of a hedged pair. The
+		// primary's request link is slower than the hedge delay, so every
+		// call goes to both, one Request is framed twice and the primary
+		// — the loser — answers late. The delay stays far above the other
+		// replica's round trip: a call whose attempts are all silent
+		// 4×Delay past the hedge times out.
 		var replicas []rpc.Caller
 		for r := 0; r < 2; r++ {
 			links := netsim.DataCenter(int64(100*i + r))
+			if r == 0 {
+				links.Request.Base += 3 * hedgeDelay
+			}
 			srv, err := rpc.NewServer("127.0.0.1:0", &retainHandler{r: keep, name: sh.ShardName, next: sh},
 				rpc.ServerConfig{Recorder: recs[i], ResponseLink: links.Response})
 			if err != nil {
@@ -154,7 +161,7 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 			callers = append(callers, rc)
 			replicas = append(replicas, rc)
 		}
-		h, err := replication.NewHedged(replicas, 20*time.Microsecond)
+		h, err := replication.NewHedged(replicas, hedgeDelay)
 		if err != nil {
 			t.Fatal(err)
 		}

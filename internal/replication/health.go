@@ -16,9 +16,9 @@ import (
 // probe interval.
 //
 // Failures are whatever the caller reports: prompt transport errors, or
-// a "slow strike" when a delay-triggered hedge answered while the
-// replica was still silent (a hung server produces no error to count —
-// losing the race it was given a head start in is the failure signal).
+// strikes against a silent replica — one still silent 2×Delay after its
+// call was issued, or when a later-issued call answered first (a hung
+// server produces no error to count; see Hedged).
 type HealthTracker struct {
 	cfg HealthConfig
 	mu  sync.Mutex

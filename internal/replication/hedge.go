@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -12,18 +13,30 @@ import (
 // Hedged issues each RPC to a primary replica and, when the response has
 // not arrived within Delay, re-issues it to another replica — the classic
 // tail-latency hedge over the replica sets this package's Advise sizes.
-// The first response wins; a failed primary fails over to a replica
-// immediately. Sparse shards are stateless (Section III-A1), so replicas
-// answer identically and duplicated work is the only cost.
+// Sparse shards are stateless (Section III-A1), so replicas answer
+// identically and duplicated work is the only cost.
 //
-// With a HealthTracker attached, replica selection is health-aware:
-// ejected replicas are skipped by the primary pick, the hedge rotation,
-// and the failover walk, and are only offered the occasional probation
-// probe — so a dead replica costs one hedge delay per probe interval
-// instead of one per request. A delay-triggered hedge that wins while
-// the primary is still silent counts as a failure strike against the
-// primary: a hung server never returns an error to count, so losing the
-// race it was given a head start in is the signal.
+// Each call is one loop over its attempts (one replica call each), and
+// the same five rules hold with or without a HealthTracker:
+//
+//  1. Issue: the primary first, then the next rotation candidate when
+//     the newest attempt fails (a failover) or has been silent for Delay
+//     (a hedge). The rotation tries health-filtered replicas first, then
+//     the rest, never a disabled or already-tried one.
+//  2. Answer: the first success from any attempt answers the call.
+//  3. Book: every outcome goes to the tracker. An attempt is struck (one
+//     failure) once it has been silent for 2×Delay since its issue, or
+//     when a later-issued attempt succeeds while it is still silent — a
+//     hung server returns no error to count. A struck attempt that later
+//     succeeds still books the success.
+//  4. Give up: with no candidate left, the call returns the primary's
+//     error once every attempt has failed, and a timeout once the newest
+//     attempt has been silent for 4×Delay. When the newest has failed
+//     while an older attempt is still out, that attempt gets 16×Delay
+//     from the newest issue — the primary's own error outranks a
+//     timeout. A call that never found a second candidate waits on its
+//     primary as an unreplicated caller does.
+//  5. With Delay <= 0 there is no hedge, no strike and no timeout.
 //
 // Hedged implements rpc.Caller, so the engine's RPC operators hedge
 // without knowing: cluster wiring hands the engine a Hedged instead of a
@@ -32,13 +45,13 @@ type Hedged struct {
 	// Replicas are callers to identical servers; Replicas[0] is the
 	// preferred primary.
 	Replicas []rpc.Caller
-	// Delay is how long to wait on the primary before hedging. <= 0
-	// disables hedging (failover still applies).
+	// Delay is how long an attempt may stay silent before the call
+	// hedges; strikes and timeouts are multiples of it. <= 0 disables all
+	// three (failover still applies).
 	Delay time.Duration
 	// Health, when non-nil, ejects repeatedly failing replicas from the
 	// rotation (see HealthTracker). Set before the first call, and only
-	// with Delay > 0: slow-strike detection and the breaker's bounded
-	// waits both hang off the hedge timer.
+	// with Delay > 0: without it no silence is ever struck.
 	Health *HealthTracker
 
 	next             atomic.Uint64 // rotates the hedge/failover target
@@ -118,34 +131,29 @@ func (h *Hedged) Hedges() int64 { return h.hedges.Load() }
 // successes are counted separately (Failovers), not here.
 func (h *Hedged) Wins() int64 { return h.wins.Load() }
 
-// Failovers reports how many calls entered the failover path because the
-// primary (and any racing hedge) failed outright.
+// Failovers reports how many calls made at least one failover re-issue
+// (an issue triggered by the newest attempt failing outright).
 func (h *Hedged) Failovers() int64 { return h.failovers.Load() }
 
-// FailoverAttempts reports how many replica re-issues the failover walks
-// made — ≥ Failovers, since one failover rotates through every untried
-// replica until one answers.
+// FailoverAttempts reports how many failover re-issues calls made — ≥
+// Failovers, since one call fails over through every untried replica
+// until one answers.
 func (h *Hedged) FailoverAttempts() int64 { return h.failoverAttempts.Load() }
 
 // HealthSnapshot reports the replica set's breaker state (zero value
 // when no tracker is attached).
-func (h *Hedged) HealthSnapshot() HealthSnapshot {
-	if h.Health == nil {
-		return HealthSnapshot{}
-	}
-	return h.Health.Snapshot()
-}
+func (h *Hedged) HealthSnapshot() HealthSnapshot { return h.Health.Snapshot() }
 
 // Go implements rpc.Caller.
 func (h *Hedged) Go(req *rpc.Request) *rpc.Call {
 	if len(h.Replicas) == 1 {
 		return h.Replicas[0].Go(req)
 	}
-	pi := h.pickPrimary()
-	primary := h.Replicas[pi].Go(req)
-	out := &rpc.Call{Req: req, Done: make(chan struct{})}
-	go h.race(req, pi, primary, out)
-	return out
+	c := &hedgedCall{h: h, req: req, out: &rpc.Call{Req: req, Done: make(chan struct{})}}
+	c.add(h.pickPrimary(), false)
+	//lint:allow goroutinelifecycle run waits on its attempts' Done channels through reflect.Select and returns once each has answered or been struck
+	go c.run()
+	return c.out
 }
 
 // pickPrimary returns the first enabled in-rotation replica, preferring
@@ -162,7 +170,7 @@ func (h *Hedged) pickPrimary() int {
 		if first < 0 {
 			first = i
 		}
-		if h.Health == nil || h.Health.Allow(i) {
+		if h.Health.Allow(i) {
 			return i
 		}
 	}
@@ -176,243 +184,6 @@ func (h *Hedged) pickPrimary() int {
 	return 0
 }
 
-// race resolves out with the first usable response from the primary or a
-// hedge replica. Using one call id on two connections is safe: pending
-// call tables are per connection.
-func (h *Hedged) race(req *rpc.Request, pi int, primary *rpc.Call, out *rpc.Call) {
-	var hedgeAfter <-chan struct{} // nil never fires: failover-only mode
-	if h.Delay > 0 {
-		hedgeAfter = netsim.After(h.Delay)
-	}
-	select {
-	case <-primary.Done:
-		h.report(pi, primary.Err == nil)
-		if primary.Err == nil {
-			finish(out, primary)
-			return
-		}
-		// Primary failed outright: fail over without waiting for Delay,
-		// rotating through each remaining replica until one answers. If
-		// every replica fails, the primary's error surfaces (the
-		// primary's diagnosis names the authoritative shard; replica
-		// errors are secondary).
-		h.failovers.Add(1)
-		if h.failover(req, pi, -1, out) {
-			return
-		}
-		finish(out, primary)
-		return
-	case <-hedgeAfter:
-	}
-
-	hi, hedge := h.issueHedge(req, pi)
-	if hedge == nil {
-		// No hedge candidate: the primary is the only enabled replica
-		// (the elastic scheduler parked the rest). The health-filtered
-		// walk alone cannot land here — it degrades to an unfiltered
-		// rotation — so this is the single-active-replica path: wait on
-		// the primary like an unreplicated caller would.
-		<-primary.Done
-		h.report(pi, primary.Err == nil)
-		finish(out, primary)
-		return
-	}
-
-	// Both in flight: first success wins. With health tracking the race
-	// itself is bounded: two unresponsive racers (a multi-replica
-	// failure) must strike and fail over, not park the request forever.
-	var raceBound <-chan struct{}
-	if h.Health != nil {
-		raceBound = netsim.After(2 * h.Delay)
-	}
-	select {
-	case <-raceBound:
-		h.report(pi, false)
-		h.report(hi, false)
-		h.failovers.Add(1)
-		if h.failover(req, pi, hi, out) {
-			return
-		}
-		// Nothing else answered either; fall back to whichever racer
-		// speaks first — a struck racer may only have been slow.
-		h.awaitEither(pi, primary, hi, hedge, out)
-	case <-primary.Done:
-		h.report(pi, primary.Err == nil)
-		if primary.Err == nil {
-			// The hedge is abandoned, but its outcome must still be
-			// booked — a probation probe left unresolved would block
-			// every future probe for that replica.
-			h.resolveAbandoned(hi, hedge)
-			finish(out, primary)
-			return
-		}
-		// Primary errored mid-race: this is a failover (the primary
-		// answered first, so no tail latency was cut — a rescue here
-		// must not inflate Wins), with the already-issued hedge as the
-		// first candidate, then the rest of the rotation. This path must
-		// not give up after the hedge — the immediate-failover path
-		// above rotates through every replica, and the two must agree.
-		h.failovers.Add(1)
-		if h.awaitCall(hi, hedge) && hedge.Err == nil {
-			finish(out, hedge)
-			return
-		}
-		if h.failover(req, pi, hi, out) {
-			return
-		}
-		finish(out, primary)
-	case <-hedge.Done:
-		h.report(hi, hedge.Err == nil)
-		if hedge.Err == nil {
-			h.wins.Add(1)
-			h.strikeIfSilent(pi, primary)
-			finish(out, hedge)
-			return
-		}
-		// Hedge failed while the primary is still out: continue the
-		// failover through the untried replicas instead of parking on a
-		// possibly hung primary. The abandoned primary's outcome must
-		// still resolve — if it holds a probation probe, leaving it
-		// unreported would block every future probe for that replica.
-		h.failovers.Add(1)
-		if h.failover(req, pi, hi, out) {
-			h.resolveAbandoned(pi, primary)
-			return
-		}
-		h.await(pi, primary, out, hedge.Err)
-	}
-}
-
-// failover walks the rotation once, re-issuing req to every in-rotation
-// replica except pi (the failed primary) and skip (an already-tried
-// hedge), finishing out with the first success. The shared cursor is
-// read once and the walk continues from it locally, so concurrent
-// failovers cannot interleave increments and revisit the same dead
-// replica.
-func (h *Hedged) failover(req *rpc.Request, pi, skip int, out *rpc.Call) bool {
-	n := len(h.Replicas)
-	// Reduce the counter modulo n in uint64 space before the int
-	// conversion: converting a counter past MaxInt64 first would go
-	// negative and index out of range.
-	base := h.next.Add(1)
-	tried := make([]bool, n)
-	// Pass 0 honors health ejection; pass 1 (health only) retries the
-	// ejected leftovers — health steers routing, it must never be the
-	// reason a request fails when an out-of-rotation replica might still
-	// answer.
-	for pass := 0; pass < 2; pass++ {
-		for a := 0; a < n; a++ {
-			idx := int((base + uint64(a)) % uint64(n))
-			if idx == pi || idx == skip || tried[idx] || !h.Enabled(idx) {
-				continue
-			}
-			if pass == 0 && h.Health != nil && !h.Health.Allow(idx) {
-				continue
-			}
-			tried[idx] = true
-			h.failoverAttempts.Add(1)
-			call := h.Replicas[idx].Go(req)
-			if !h.awaitCall(idx, call) {
-				continue
-			}
-			if call.Err == nil {
-				finish(out, call)
-				return true
-			}
-		}
-		if h.Health == nil {
-			break
-		}
-	}
-	return false
-}
-
-// awaitCall waits for one replica call and reports its outcome. With a
-// health tracker and hedging enabled the wait is bounded by the hedge
-// delay — a hung replica must cost a strike, not a hung request; without
-// one, transport failures are prompt and the wait is plain.
-func (h *Hedged) awaitCall(idx int, call *rpc.Call) bool {
-	if h.Health != nil && h.Delay > 0 {
-		select {
-		case <-call.Done:
-		case <-netsim.After(h.Delay):
-			h.report(idx, false)
-			return false
-		}
-	} else {
-		<-call.Done
-	}
-	h.report(idx, call.Err == nil)
-	return true
-}
-
-// awaitEither resolves out from whichever racer answers first after the
-// bounded race and the failover walk both came up empty: the first
-// success wins, two failures surface the primary's error, and (with
-// health tracking) total silence surfaces a bounded timeout instead of
-// hanging the request. Both racers were already struck when the race
-// bound fired, so only successes are re-reported here — re-booking the
-// same failed call would double-count one bad request as two
-// consecutive-failure strikes.
-func (h *Hedged) awaitEither(pi int, primary *rpc.Call, hi int, hedge *rpc.Call, out *rpc.Call) {
-	var bound <-chan struct{}
-	if h.Health != nil && h.Delay > 0 {
-		bound = netsim.After(4 * h.Delay)
-	}
-	pDone, hDone := false, false
-	for !pDone || !hDone {
-		var pCh, hCh <-chan struct{}
-		if !pDone {
-			pCh = primary.Done
-		}
-		if !hDone {
-			hCh = hedge.Done
-		}
-		select {
-		case <-pCh:
-			pDone = true
-			if primary.Err == nil {
-				h.report(pi, true)
-				finish(out, primary)
-				return
-			}
-		case <-hCh:
-			hDone = true
-			if hedge.Err == nil {
-				h.report(hi, true)
-				finish(out, hedge)
-				return
-			}
-		case <-bound:
-			out.Err = fmt.Errorf("replication: no replica answered (waited a further %v after the bounded race)", 4*h.Delay)
-			close(out.Done)
-			return
-		}
-	}
-	// Both failed: the primary's error is authoritative.
-	finish(out, primary)
-}
-
-// await resolves out from the primary alone after every alternative has
-// been exhausted: the primary's answer (or error) is authoritative when
-// it arrives. With health tracking the wait is bounded — a hung primary
-// surfaces fallback instead of hanging the request.
-func (h *Hedged) await(pi int, primary *rpc.Call, out *rpc.Call, fallback error) {
-	var bound <-chan struct{}
-	if h.Health != nil && h.Delay > 0 {
-		bound = netsim.After(h.Delay)
-	}
-	select {
-	case <-primary.Done:
-		h.report(pi, primary.Err == nil)
-		finish(out, primary)
-	case <-bound:
-		h.report(pi, false)
-		out.Err = fallback
-		close(out.Done)
-	}
-}
-
 // CallSync issues req and blocks for the (possibly hedged) response.
 func (h *Hedged) CallSync(req *rpc.Request) (*rpc.Response, error) {
 	call := h.Go(req)
@@ -420,37 +191,8 @@ func (h *Hedged) CallSync(req *rpc.Request) (*rpc.Response, error) {
 	return call.Resp, call.Err
 }
 
-// issueHedge sends req to the next in-rotation replica after pi. When
-// every alternative is ejected the walk degrades to the unfiltered
-// rotation — losing hedge protection because the breaker is pessimistic
-// would be worse than hedging against a suspect replica.
-func (h *Hedged) issueHedge(req *rpc.Request, pi int) (int, *rpc.Call) {
-	n := len(h.Replicas)
-	base := h.next.Add(1)
-	for pass := 0; pass < 2; pass++ {
-		for a := 0; a < n; a++ {
-			idx := int((base + uint64(a)) % uint64(n))
-			if idx == pi || !h.Enabled(idx) {
-				continue
-			}
-			if pass == 0 && h.Health != nil && !h.Health.Allow(idx) {
-				continue
-			}
-			h.hedges.Add(1)
-			return idx, h.Replicas[idx].Go(req)
-		}
-		if h.Health == nil {
-			break
-		}
-	}
-	return -1, nil
-}
-
-// report books a call outcome with the health tracker, when present.
+// report books a call outcome with the health tracker, if any.
 func (h *Hedged) report(idx int, ok bool) {
-	if h.Health == nil {
-		return
-	}
 	if ok {
 		h.Health.ReportSuccess(idx)
 	} else {
@@ -458,62 +200,201 @@ func (h *Hedged) report(idx int, ok bool) {
 	}
 }
 
-// strikeIfSilent books a failure strike against the primary when a
-// delay-triggered hedge won and the primary still has not answered — a
-// hung server produces no error to count, and a primary that cannot
-// beat its own head start is not serving. The check is non-blocking: if
-// the primary answered in the meantime its real outcome is booked.
-func (h *Hedged) strikeIfSilent(pi int, primary *rpc.Call) {
-	if h.Health == nil {
-		return
-	}
-	select {
-	case <-primary.Done:
-		h.report(pi, primary.Err == nil)
-	default:
-		// The primary had a full hedge delay of head start plus the
-		// hedge's service time and is still silent: strike now.
-		h.report(pi, false)
-	}
+// hedgedCall is one call's state, owned by the goroutine running it.
+type hedgedCall struct {
+	h        *Hedged
+	req      *rpc.Request
+	out      *rpc.Call
+	atts     []*attempt // in issue order; atts[0] is the primary
+	base     uint64     // the call's rotation cursor
+	answered bool       // out is done
+	drained  bool       // no candidate is left
+	failed   bool       // a failover re-issue was made
 }
 
-// resolveAbandoned books an outcome for a just-issued hedge the race no
-// longer waits on (the primary answered first). A completed call
-// reports its real result; a still-silent one gets one hedge delay —
-// off the request path — to answer before it is booked as a failure
-// strike. The grace window matters for probation probes issued as
-// hedges: the primary often answers moments after the hedge was issued,
-// and striking the probe instantly would mean a recovered replica could
-// never prove itself. The extra goroutine is bounded by the delay
-// timer, so an unresponsive replica cannot pin it.
-func (h *Hedged) resolveAbandoned(idx int, call *rpc.Call) {
-	if h.Health == nil {
-		return
-	}
-	select {
-	case <-call.Done:
-		h.report(idx, call.Err == nil)
-		return
-	default:
-	}
-	if h.Delay <= 0 {
-		h.report(idx, false)
-		return
-	}
-	bound := netsim.After(h.Delay)
-	go func() {
-		select {
-		case <-call.Done:
-			h.report(idx, call.Err == nil)
-		case <-bound:
-			h.report(idx, false)
+// attempt is one replica call a hedged call issued. Using one call id on
+// several connections is safe: pending call tables are per connection.
+type attempt struct {
+	idx          int
+	call         *rpc.Call
+	issued       time.Time
+	hedge        bool // issued because the newest attempt was silent
+	done, struck bool
+}
+
+func (c *hedgedCall) add(idx int, hedge bool) {
+	c.atts = append(c.atts, &attempt{idx: idx, hedge: hedge, issued: time.Now(), call: c.h.Replicas[idx].Go(c.req)})
+}
+
+// run applies the five rules (see Hedged) until out is answered and
+// every attempt still out has either answered or been struck, so that a
+// probation probe always has its outcome booked.
+func (c *hedgedCall) run() {
+	d := c.h.Delay
+	for {
+		now := time.Now()
+		var wake time.Time
+		// due reports whether at has passed; otherwise at becomes a
+		// candidate for the next wake-up. Nothing is due without a delay.
+		due := func(at time.Time) bool {
+			if d <= 0 {
+				return false
+			}
+			if now.Before(at) {
+				if wake.IsZero() || at.Before(wake) {
+					wake = at
+				}
+				return false
+			}
+			return true
 		}
-	}()
+		waiting := 0 // attempts out that may still answer or be struck
+		for _, a := range c.atts {
+			if a.done {
+				continue
+			}
+			if !a.struck && due(a.issued.Add(2*d)) {
+				c.strike(a)
+			}
+			if !c.answered || !a.struck {
+				waiting++
+			}
+		}
+		if newest := c.atts[len(c.atts)-1]; !c.answered {
+			limit := 4 * d
+			if newest.done {
+				limit = 16 * d
+			}
+			switch {
+			case !newest.done && !c.drained && due(newest.issued.Add(d)):
+				c.issue(true)
+				continue
+			case c.drained && waiting == 0:
+				c.finish(c.atts[0].call.Resp, c.atts[0].call.Err)
+			case c.drained && len(c.atts) > 1 && due(newest.issued.Add(limit)):
+				c.finish(nil, fmt.Errorf("replication: no replica answered within %v of the last attempt", limit))
+				continue // every attempt still out is struck by now
+			}
+		}
+		if waiting == 0 {
+			return
+		}
+		if a := c.await(wake); a != nil {
+			c.settle(a)
+		}
+	}
 }
 
-func finish(out *rpc.Call, from *rpc.Call) {
-	out.Resp, out.Err = from.Resp, from.Err
-	close(out.Done)
+// issue re-issues the call to the next candidate — the rotation walk
+// from the call's cursor, health-filtered first, then unfiltered, never
+// a disabled or already-tried replica — or marks the call drained. The
+// unfiltered pass exists because health only steers routing: it must
+// never be the reason a request fails while a suspect replica might
+// still answer.
+func (c *hedgedCall) issue(hedge bool) {
+	h := c.h
+	if len(c.atts) == 1 {
+		// One shared-cursor read per call, walked on locally: concurrent
+		// calls cannot interleave increments and revisit a dead replica.
+		c.base = h.next.Add(1)
+	}
+	n := uint64(len(h.Replicas))
+	for pass := 0; pass < 2; pass++ {
+		for a := uint64(0); a < n; a++ {
+			// Reduce in uint64 space: a cursor past MaxInt64 converted
+			// first would go negative.
+			idx := int((c.base + a) % n)
+			if c.tried(idx) || !h.Enabled(idx) || pass == 0 && !h.Health.Allow(idx) {
+				continue
+			}
+			if hedge {
+				h.hedges.Add(1)
+			} else {
+				h.failoverAttempts.Add(1)
+				if !c.failed {
+					c.failed = true
+					h.failovers.Add(1)
+				}
+			}
+			c.add(idx, hedge)
+			return
+		}
+	}
+	c.drained = true
+}
+
+func (c *hedgedCall) tried(idx int) bool {
+	for _, a := range c.atts {
+		if a.idx == idx {
+			return true
+		}
+	}
+	return false
+}
+
+// await blocks until an attempt still out completes, returning it, or
+// until wake passes (nil). It is the only wait on a replica call: the
+// set of attempts grows as the call runs, so the select is built here.
+func (c *hedgedCall) await(wake time.Time) *attempt {
+	var live []*attempt
+	var cases []reflect.SelectCase
+	for _, a := range c.atts {
+		if !a.done {
+			live = append(live, a)
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(a.call.Done)})
+		}
+	}
+	if !wake.IsZero() {
+		timer := netsim.After(time.Until(wake))
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer)})
+	}
+	i, _, _ := reflect.Select(cases)
+	if i == len(live) {
+		return nil
+	}
+	live[i].done = true
+	return live[i]
+}
+
+// settle books a completed attempt: a failure of the newest attempt
+// fails over; a success answers the call (if nothing has yet) and
+// strikes every earlier attempt still silent.
+func (c *hedgedCall) settle(a *attempt) {
+	if a.call.Err != nil {
+		if !a.struck { // a struck attempt's failure is already booked
+			c.h.report(a.idx, false)
+		}
+		if !c.answered && a == c.atts[len(c.atts)-1] {
+			c.issue(false)
+		}
+		return
+	}
+	c.h.report(a.idx, true)
+	for _, b := range c.atts {
+		if b == a {
+			break
+		}
+		if !b.done && !b.struck {
+			c.strike(b)
+		}
+	}
+	if !c.answered {
+		if a.hedge && !c.atts[0].done {
+			c.h.wins.Add(1)
+		}
+		c.finish(a.call.Resp, nil)
+	}
+}
+
+func (c *hedgedCall) strike(a *attempt) {
+	a.struck = true
+	c.h.report(a.idx, false)
+}
+
+func (c *hedgedCall) finish(resp *rpc.Response, err error) {
+	c.answered = true
+	c.out.Resp, c.out.Err = resp, err
+	close(c.out.Done)
 }
 
 // Close implements rpc.Caller, closing every replica connection.

@@ -2,6 +2,8 @@ package replication
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -417,5 +419,209 @@ func BenchmarkHealthTracker(b *testing.B) {
 			b.Fatal("healthy replica disallowed")
 		}
 		tr.ReportSuccess(i % 3)
+	}
+}
+
+// TestSilentSetTimesOut: a replica set that never answers must end the
+// call with an error in bounded time, whether or not a health tracker is
+// attached — a request that parks forever is neither a score, a shed nor
+// a fallback.
+func TestSilentSetTimesOut(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	for _, tracked := range []bool{false, true} {
+		h := hedged(t, delay, Unresponsive(), Unresponsive())
+		if tracked {
+			h.Health = NewHealthTracker(2, HealthConfig{})
+		}
+		start := time.Now()
+		call := h.Go(&rpc.Request{Method: "m", CallID: 7})
+		// 10×Delay is the contract; the rest is slack for a loaded host.
+		select {
+		case <-call.Done:
+		case <-time.After(10*delay + 200*time.Millisecond):
+			t.Fatalf("tracker=%v: call still parked after %v", tracked, time.Since(start))
+		}
+		if call.Err == nil {
+			t.Fatalf("tracker=%v: a silent set answered: %+v", tracked, call.Resp)
+		}
+		if elapsed := time.Since(start); elapsed > 10*delay+50*time.Millisecond {
+			t.Errorf("tracker=%v: timed out after %v, want within %v", tracked, elapsed, 10*delay)
+		}
+	}
+}
+
+var (
+	errPrimary = errors.New("primary down")
+	errReplica = errors.New("replica down")
+)
+
+// errKind names an outcome for the ordering table.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, errPrimary):
+		return "primary"
+	case errors.Is(err, errReplica):
+		return "replica"
+	}
+	return "timeout"
+}
+
+// TestHedgeEventOrders pins one hedged call per event order: which
+// replica answers, with what error, the four counters, and every
+// replica's booked successes and failures. Every scripted event sits at
+// least Delay/4 from the next, so the order is fixed on a loaded host.
+// Rows whose values differ from the caller the attempt loop replaced
+// (seven wait paths, strikes and bounds that only ran with a tracker)
+// say which rule of the loop (see Hedged) changes them, and what the
+// old values were.
+func TestHedgeEventOrders(t *testing.T) {
+	const d = 60 * time.Millisecond
+	at := func(m float64) time.Duration { return time.Duration(m * float64(d)) }
+	ok := func(tag byte, m float64) rpc.Caller { return &fakeCaller{tag: tag, delay: at(m)} }
+	fail := func(tag byte, m float64, err error) rpc.Caller {
+		return &fakeCaller{tag: tag, delay: at(m), err: err}
+	}
+	rows := []struct {
+		name                              string
+		replicas                          []rpc.Caller
+		setup                             func(h *Hedged)
+		tag                               byte   // answering replica, 0 when the call errs
+		err                               string // errKind of the call's error
+		hedges, wins, failovers, attempts int64
+		succ, fails                       []int64
+	}{
+		{name: "fast primary",
+			replicas: []rpc.Caller{ok(1, 0), ok(2, 0)},
+			tag:      1, succ: []int64{1, 0}, fails: []int64{0, 0}},
+		{name: "slow primary beaten by the hedge",
+			replicas: []rpc.Caller{ok(1, 3), ok(2, 0)},
+			tag:      2, hedges: 1, wins: 1, succ: []int64{0, 1}, fails: []int64{1, 0}},
+		{name: "prompt primary failure",
+			replicas: []rpc.Caller{fail(1, 0, errPrimary), ok(2, 0)},
+			tag:      2, failovers: 1, attempts: 1, succ: []int64{0, 1}, fails: []int64{1, 0}},
+		// Rule 1: only the newest attempt's failure re-issues, so the
+		// primary failing mid-race makes no failover (was failovers=1).
+		{name: "primary failure mid-race",
+			replicas: []rpc.Caller{fail(1, 1.25, errPrimary), ok(2, 0.5)},
+			tag:      2, hedges: 1, succ: []int64{0, 1}, fails: []int64{1, 0}},
+		// Rule 1: the hedge's failure finds no candidate, so nothing is
+		// re-issued and no failover is counted (was failovers=1).
+		{name: "hedge failure mid-race",
+			replicas: []rpc.Caller{ok(1, 1.5), fail(2, 0.25, errReplica)},
+			tag:      1, hedges: 1, succ: []int64{1, 0}, fails: []int64{0, 1}},
+		// Rules 3 and 4: each racer is struck 2×Delay after its own issue
+		// and the call times out 4×Delay after the hedge, at 5×Delay
+		// (was both struck at 3×Delay, counted as a failover with nothing
+		// to issue — failovers=1 — and a timeout at 7×Delay).
+		{name: "both racers silent",
+			replicas: []rpc.Caller{Unresponsive(), Unresponsive()},
+			err:      "timeout", hedges: 1, succ: []int64{0, 0}, fails: []int64{1, 1}},
+		// Rule 1: the silent hedge is itself hedged after Delay, a second
+		// hedge, which answers at 2×Delay and wins; rule 3 strikes the
+		// primary and the first hedge, still silent (was answered by the
+		// primary at 2.5×Delay: tag=1 hedges=1 wins=0 succ=[1 0 0]
+		// fails=[0 1 0]).
+		{name: "three replicas with a silent hedge",
+			replicas: []rpc.Caller{ok(1, 2.5), Unresponsive(), ok(3, 0)},
+			setup:    func(h *Hedged) { h.next.Store(0) }, // the hedge lands on the silent replica
+			tag:      3, hedges: 2, wins: 1, succ: []int64{0, 0, 1}, fails: []int64{1, 1, 0}},
+		{name: "probation probe issued as a hedge",
+			replicas: []rpc.Caller{ok(1, 1.25), ok(2, 1.5)},
+			setup: func(h *Hedged) {
+				h.Health = NewHealthTracker(2, HealthConfig{FailThreshold: 1, ProbeEvery: time.Nanosecond})
+				h.Health.ReportFailure(1) // ejected, its probe due at once
+			},
+			// Rule 3: the probe's strike falls 2×Delay after its own issue
+			// (3×Delay), so its answer at 2.5×Delay books a success and the
+			// replica recovers (was struck one Delay after the primary
+			// answered, at 2.25×Delay: succ=[1 0] fails=[0 2]).
+			tag: 1, hedges: 1, succ: []int64{1, 1}, fails: []int64{0, 1}},
+		// Rule 1: the silent failover attempt is hedged after Delay and
+		// stays out, instead of being struck and abandoned at Delay for
+		// a second failover attempt (was hedges=0 attempts=2).
+		{name: "silent failover target",
+			replicas: []rpc.Caller{fail(1, 0, errPrimary), Unresponsive(), ok(3, 0)},
+			setup:    func(h *Hedged) { h.next.Store(0) }, // the failover lands on the silent replica
+			tag:      3, hedges: 1, failovers: 1, attempts: 1, succ: []int64{0, 0, 1}, fails: []int64{1, 1, 0}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			h := hedged(t, d, row.replicas...)
+			h.Health = NewHealthTracker(len(row.replicas), HealthConfig{})
+			if row.setup != nil {
+				row.setup(h)
+			}
+			resp, err := h.CallSync(&rpc.Request{Method: "m", CallID: 7})
+			var tag byte
+			if err == nil {
+				tag = resp.Body[0]
+			}
+			// Let every booking land: the loop books nothing later than
+			// 2×Delay past its last issue, which precedes the answer.
+			time.Sleep(3 * d)
+			snap := h.HealthSnapshot()
+			succ, fails := make([]int64, len(snap.Replicas)), make([]int64, len(snap.Replicas))
+			for i, r := range snap.Replicas {
+				succ[i], fails[i] = r.Successes, r.Failures
+			}
+			got := fmt.Sprintf("tag=%d err=%q hedges=%d wins=%d failovers=%d attempts=%d succ=%v fails=%v",
+				tag, errKind(err), h.Hedges(), h.Wins(), h.Failovers(), h.FailoverAttempts(), succ, fails)
+			want := fmt.Sprintf("tag=%d err=%q hedges=%d wins=%d failovers=%d attempts=%d succ=%v fails=%v",
+				row.tag, row.err, row.hedges, row.wins, row.failovers, row.attempts, row.succ, row.fails)
+			if got != want {
+				t.Errorf("\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestHedgedCallsLeaveNoGoroutines: every goroutine a hedged call starts
+// ends within 4×Delay of its answer, against a set whose replicas are
+// silent, slow and failing — with and without a health tracker.
+func TestHedgedCallsLeaveNoGoroutines(t *testing.T) {
+	const delay = 10 * time.Millisecond
+	for _, tracked := range []bool{false, true} {
+		h := hedged(t, delay, Unresponsive(),
+			&fakeCaller{tag: 2, delay: delay * 3 / 2},
+			&fakeCaller{tag: 3, err: errReplica})
+		if tracked {
+			h.Health = NewHealthTracker(3, HealthConfig{})
+		}
+		if _, err := h.CallSync(&rpc.Request{Method: "m", CallID: 1}); err != nil {
+			t.Fatal(err) // warms the timer wheel's dispatcher
+		}
+		time.Sleep(4 * delay)
+		base := runtime.NumGoroutine()
+
+		const calls, workers = 200, 8
+		var mu sync.Mutex
+		var last time.Time
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < calls; i += workers {
+					resp, err := h.CallSync(&rpc.Request{Method: "m", CallID: uint64(i + 2)})
+					if err != nil || resp.Body[0] != 2 {
+						t.Errorf("tracker=%v call %d: resp = %+v, %v", tracked, i, resp, err)
+					}
+					mu.Lock()
+					last = time.Now()
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		n := runtime.NumGoroutine()
+		for deadline := last.Add(4 * delay); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Errorf("tracker=%v: %d goroutines 4×Delay after the last answer, %d before the calls", tracked, n, base)
+		}
 	}
 }

@@ -39,9 +39,6 @@ func (s *Slot) Swap(c rpc.Caller) rpc.Caller {
 	return s.cur.Swap(&callerBox{c: c}).c
 }
 
-// Current returns the occupant without swapping.
-func (s *Slot) Current() rpc.Caller { return s.cur.Load().c }
-
 var _ rpc.Caller = (*Slot)(nil)
 
 // Unresponsive returns a caller that models a hung or partitioned
