@@ -594,8 +594,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig3", "fig4", "fig5", "tab2", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tab3",
-		"repl", "front", "reshard", "tiered", "fault", "coserve",
-		"fresh",
+		"repl", "front", "reshard", "tiered", "fault", "fresh",
 	}
 	all := experiments.All()
 	if len(all) != len(want) {

@@ -57,13 +57,6 @@ type config struct {
 	rebalanceEvery, publishEvery time.Duration
 	moveBudget, publishRows      int
 
-	// The coserve role: tenants carry their plans; run builds the models.
-	fleet      cluster.FleetOptions
-	tenants    []cluster.TenantSpec
-	scaleModel string
-	scaleTo    int
-	scaleAfter time.Duration
-
 	metricsAddr string
 	metricsLog  time.Duration
 }
@@ -84,14 +77,13 @@ func main() {
 func parse(args []string) (*config, error) {
 	c := &config{}
 	var (
-		models                         modelFlags
-		fe                             frontend.Config
-		strategy, coldPrec, peers, scl string
-		shards                         int
-		cacheMB, errBudget             float64
+		fe                                   frontend.Config
+		modelName, strategy, coldPrec, peers string
+		shards                               int
+		cacheMB, errBudget                   float64
 	)
 	fs := flag.NewFlagSet("drmserve", flag.ContinueOnError)
-	fs.StringVar(&c.role, "role", "main", "shard role: main, sparse, or coserve")
+	fs.StringVar(&c.role, "role", "main", "shard role: main or sparse")
 	fs.IntVar(&c.shard, "shard", 1, "sparse shard number (1-based)")
 	fs.StringVar(&strategy, "strategy", "load-bal", "sharding strategy")
 	fs.IntVar(&shards, "shards", 2, "sparse shard count")
@@ -132,21 +124,13 @@ func parse(args []string) (*config, error) {
 	fs.StringVar(&coldPrec, "cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
 	fs.Float64Var(&errBudget, "error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
 
-	// Multi-model co-serving (coserve role): every -model becomes one
-	// hosted tenant behind a shared front door, with an elastic scheduler
-	// moving replica capacity between them.
-	fs.Float64Var(&c.fleet.Capacity, "capacity", 0, "coserve role: fleet hardware in units (sparse servers); 0 = exactly the sum of initial allocations")
-	fs.DurationVar(&c.fleet.Interval, "elastic-every", 0, "coserve role: elastic scheduler tick (0 disables autonomous reallocation)")
-	fs.StringVar(&scl, "scale", "", "coserve role: force MODEL=N serving replicas after -scale-after (the CI smoke's forced scale-up)")
-	fs.DurationVar(&c.scaleAfter, "scale-after", 2*time.Second, "coserve role: delay before applying -scale")
-
 	// Live telemetry: the obs registry aggregates per-stage counters and
 	// latency histograms; sampled request tracing adds end-to-end stage
 	// breakdowns for one of every -trace-sample requests.
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live metrics over HTTP: /metrics (text), /metrics.json, /traces, /debug/pprof/ (empty disables)")
 	fs.IntVar(&c.opts.TraceSample, "trace-sample", 0, "main role: live-sample one of every N requests into a stage-breakdown trace (0 disables; deadline misses always sampled)")
 	fs.DurationVar(&c.metricsLog, "metrics-log", 0, "log a metrics snapshot diff to stderr at this interval (0 disables)")
-	fs.Var(&models, "model", "model to serve: DRM1, DRM2, DRM3; -role coserve takes repeated tenant specs NAME[=MODEL][:key=val,...] (keys: sla, shards, strategy, replicas, slots, min, max, queue, batch-wait, batch-reqs)")
+	fs.StringVar(&modelName, "model", "DRM1", "model to serve: DRM1, DRM2, DRM3")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -154,55 +138,32 @@ func parse(args []string) (*config, error) {
 	if err := c.opts.Validate(); err != nil {
 		return nil, fmt.Errorf("-health-fails without -hedge: %w", err)
 	}
+	if c.role != "main" && c.role != "sparse" {
+		return nil, fmt.Errorf("unknown role %q", c.role)
+	}
 	var err error
-	if c.scaleModel, c.scaleTo, err = parseScale(scl); err != nil {
+	if c.model, err = modelConfig(modelName); err != nil {
 		return nil, err
 	}
-	switch c.role {
-	case "main", "sparse":
-		// One model and plan from the flags.
-		if c.model, err = modelConfig(models.primary()); err != nil {
-			return nil, err
-		}
-		if c.plan, err = sharding.ByStrategy(&c.model, strategy, shards, workload.DeploymentPooling(c.model)); err != nil {
-			return nil, err
-		}
-		if c.opts.Tier, err = buildTier(&c.model, cacheMB, coldPrec, errBudget); err != nil {
-			return nil, err
-		}
-		if c.peers, err = parsePeers(peers); err != nil {
-			return nil, err
-		}
-		if fe != (frontend.Config{}) {
-			c.opts.Frontend = &fe
-		}
-		// Nothing in this process reads a recorder's store (/traces is fed
-		// by the sink tee, ahead of it): keep no spans.
-		c.opts.SpanCapacity = 1
-		if c.role == "main" {
-			err = c.checkControlPeers()
-		}
-	case "coserve":
-		// A model and plan per tenant spec; the process-wide flags are the
-		// specs' defaults.
-		c.fleet.HedgeDelay, c.fleet.HealthFails, c.fleet.HealthProbe = c.opts.HedgeDelay, c.opts.HealthFails, c.opts.HealthProbe
-		c.fleet.FrontMaxInFlight, c.fleet.Listen = c.opts.MainMaxInFlight, c.listen
-		if len(models) == 0 {
-			return nil, fmt.Errorf("-role coserve needs at least one -model tenant spec")
-		}
-		defaults := tenantFlagSpec{TenantSpec: cluster.TenantSpec{Frontend: fe}, shards: shards, strategy: strategy}
-		for _, arg := range models {
-			ts, err := parseTenantSpec(arg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			c.tenants = append(c.tenants, ts)
-		}
-	default:
-		err = fmt.Errorf("unknown role %q", c.role)
-	}
-	if err != nil {
+	if c.plan, err = sharding.ByStrategy(&c.model, strategy, shards, workload.DeploymentPooling(c.model)); err != nil {
 		return nil, err
+	}
+	if c.opts.Tier, err = buildTier(&c.model, cacheMB, coldPrec, errBudget); err != nil {
+		return nil, err
+	}
+	if c.peers, err = parsePeers(peers); err != nil {
+		return nil, err
+	}
+	if fe != (frontend.Config{}) {
+		c.opts.Frontend = &fe
+	}
+	// Nothing in this process reads a recorder's store (/traces is fed
+	// by the sink tee, ahead of it): keep no spans.
+	c.opts.SpanCapacity = 1
+	if c.role == "main" {
+		if err := c.checkControlPeers(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -288,7 +249,7 @@ func run(c *config) error {
 	if c.metricsAddr != "" || c.metricsLog > 0 || c.opts.TraceSample > 0 {
 		reg = obs.NewRegistry()
 	}
-	c.opts.Obs, c.fleet.Obs = reg, reg
+	c.opts.Obs = reg
 
 	var tracer *obs.Tracer
 	var shutdown func()
@@ -334,15 +295,6 @@ func run(c *config) error {
 			fmt.Printf("drmserve: SLA frontend enabled (wait=%v queue=%d budget=%v)\n", fe.BatchWait, fe.MaxQueue, fe.Budget)
 		}
 		fmt.Printf("drmserve: main shard serving %s (%s) on %s\n", c.model.Name, c.plan.Name(), mn.Server.Addr())
-	case "coserve":
-		fl, err := serveCoserve(c)
-		if err != nil {
-			return err
-		}
-		shutdown = fl.Close
-		if c.scaleModel != "" {
-			go forceScaleAfter(fl, c.scaleModel, c.scaleTo, c.scaleAfter)
-		}
 	}
 	defer shutdown()
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sharding"
 )
 
-// args splits a command line; tenant specs and peers hold no spaces.
+// args splits a command line; peers hold no spaces.
 func args(s string) []string { return strings.Fields(s) }
 
 // TestParseSingleModelRoles: argv → the cluster.Options, plan and peers
@@ -71,74 +71,23 @@ func TestParseSingleModelRoles(t *testing.T) {
 	}
 }
 
-// TestParseCoserve: argv → cluster.FleetOptions and []cluster.TenantSpec;
-// a spec's unset keys inherit the process-wide flags.
-func TestParseCoserve(t *testing.T) {
-	c, err := parse([]string{"-role", "coserve",
-		"-model", "drm3a=DRM3:shards=4,strategy=NSBP,replicas=2,slots=3,min=1,max=3,sla=6ms",
-		"-model", "DRM3:queue=32,batch-wait=2ms,batch-reqs=4",
-		"-strategy", "1-shard", "-sla", "1s", "-batch-wait", "1ms", "-capacity", "10", "-elastic-every", "500ms",
-		"-hedge", "50ms", "-health-fails", "2", "-max-inflight", "9", "-listen", "127.0.0.1:7200",
-		"-scale", "drm3a=3", "-scale-after", "3s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFleet := cluster.FleetOptions{
-		Capacity: 10, Interval: 500 * time.Millisecond,
-		HedgeDelay: 50 * time.Millisecond, HealthFails: 2,
-		FrontMaxInFlight: 9, Listen: "127.0.0.1:7200",
-	}
-	if !reflect.DeepEqual(c.fleet, wantFleet) {
-		t.Errorf("fleet = %+v\nwant %+v", c.fleet, wantFleet)
-	}
-	if c.scaleModel != "drm3a" || c.scaleTo != 3 || c.scaleAfter != 3*time.Second {
-		t.Errorf("scale = %s=%d after %v", c.scaleModel, c.scaleTo, c.scaleAfter)
-	}
-	if len(c.tenants) != 2 {
-		t.Fatalf("tenants = %+v", c.tenants)
-	}
-	a, b := c.tenants[0], c.tenants[1]
-	wantA := cluster.TenantSpec{
-		Name: "drm3a", Plan: a.Plan,
-		Frontend:        frontend.Config{BatchWait: time.Millisecond, Budget: 6 * time.Millisecond},
-		InitialReplicas: 2, SlotReplicas: 3, MinReplicas: 1, MaxReplicas: 3,
-	}
-	if !reflect.DeepEqual(a, wantA) || a.Plan.ModelName != "DRM3" || a.Plan.Strategy != sharding.StrategyNSBP || a.Plan.NumShards != 4 {
-		t.Errorf("tenant a = %+v (plan %+v)", a, a.Plan)
-	}
-	wantB := cluster.TenantSpec{
-		Name: "DRM3", Plan: b.Plan,
-		Frontend: frontend.Config{BatchWait: 2 * time.Millisecond, MaxBatchRequests: 4, MaxQueue: 32, Budget: time.Second},
-	}
-	if !reflect.DeepEqual(b, wantB) || b.Plan.Strategy != sharding.StrategyOneShard || b.Plan.NumShards != 1 {
-		t.Errorf("tenant b = %+v (plan %+v)", b, b.Plan)
-	}
-}
-
 // TestParseRefusals: every command line no role could serve is refused
 // before anything is built or dialled.
 func TestParseRefusals(t *testing.T) {
 	const peers4 = "-model DRM3 -strategy NSBP -shards 4 -peers sparse1=a:1,sparse2=b:2,sparse3=c:3"
 	for _, tc := range []struct{ argv, want string }{
 		{"-health-fails 2", "-health-fails without -hedge"},
-		{"-role coserve -model DRM3 -health-fails 2", "-health-fails without -hedge"},
+		{"-model DRM3 -health-fails 2", "-health-fails without -hedge"},
 		{"-model DRM3 -strategy NSBP -shards 4 -peers sparse1", `bad peer binding "sparse1"`},
 		{peers4 + " -rebalance-every 1s", "-rebalance-every needs every shard in -peers; sparse4 missing"},
 		{peers4 + " -publish-every 1s", "-publish-every needs every shard in -peers; sparse4 missing"},
 		{peers4 + ",sparse4=d:4,sparse2=e:5 -rebalance-every 1s", "-rebalance-every does not support hedge replicas yet (sparse2 has 2 addresses)"},
 		{"-model DRM3 -strategy hash", `unknown strategy "hash"`},
 		{"-model DRM9", `unknown model "DRM9"`},
-		{"-role coserve -model t=DRM9", `unknown model "DRM9"`},
-		{"-role coserve -model DRM3:strategy=hash", `unknown strategy "hash"`},
-		{"-role coserve -model DRM3:color=red", `unknown option "color"`},
-		{"-role coserve -model DRM3:sla", `bad option "sla"`},
-		{"-role coserve -model =DRM3", "has no name"},
-		{"-role coserve", "needs at least one -model"},
 		{"-model DRM3 -strategy 1-shard -cold-precision int3", `unknown precision "int3"`},
 		{"-model DRM3 -strategy 1-shard -cache-mb -1", "-cache-mb -1 < 0"},
-		{"-role coserve -model DRM3 -scale DRM3", `-scale "DRM3": want MODEL=N`},
-		{"-role coserve -model DRM3 -scale DRM3=0", "bad replica count"},
 		{"-role frontdoor", `unknown role "frontdoor"`},
+		{"-role coserve", `unknown role "coserve"`},
 		{"-shard-file x.shard1", "flag provided but not defined"},
 	} {
 		c, err := parse(args(tc.argv))

@@ -12,12 +12,12 @@
 // -require takes comma-separated requirements; each is a metric name
 // (counter, gauge, or histogram) that must be present, optionally with
 // a ">=N" floor on its value (histograms compare their observation
-// count). Labeled metrics are plain names here — commas inside {...}
-// label sets do not split:
+// count). A name carrying a {k=v,...} label set is a plain name here —
+// commas inside the braces do not split:
 //
 //	metricscheck http://127.0.0.1:9100
 //	metricscheck -require engine.requests http://127.0.0.1:9100
-//	metricscheck -require 'frontend.completed{model=drm1a}>=100,coserve.moves>=1' http://127.0.0.1:9100
+//	metricscheck -require 'frontend.completed>=100,engine.rpc.calls_per_request>=30' http://127.0.0.1:9100
 package main
 
 import (

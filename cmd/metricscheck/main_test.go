@@ -14,11 +14,11 @@ func sampleDoc() doc {
 	return doc{
 		At: "2026-08-07T12:00:00.000000001Z",
 		Counters: map[string]int64{
-			"coserve.moves": 3,
+			"engine.requests": 3,
 		},
 		Gauges: map[string]int64{
-			"frontend.completed{model=drm1a}":      48,
-			"coserve.active_replicas{model=drm2b}": 2,
+			"frontend.completed{model=drm1a}": 48,
+			"frontend.queue_depth":            2,
 		},
 		Histograms: map[string]histDoc{
 			"frontend.e2e_ns": {Count: 48, Mean: 5, P50: 4, P95: 6, P99: 7, Max: 9},
@@ -35,10 +35,10 @@ func TestParseRequirement(t *testing.T) {
 		wantErr bool
 	}{
 		{in: "engine.requests", name: "engine.requests"},
-		{in: "coserve.moves>=1", name: "coserve.moves", min: 1, hasMin: true},
+		{in: "engine.requests>=1", name: "engine.requests", min: 1, hasMin: true},
 		{in: " frontend.completed{model=drm1a}>=100 ", name: "frontend.completed{model=drm1a}", min: 100, hasMin: true},
-		{in: "coserve.moves>=", wantErr: true},
-		{in: "coserve.moves>=abc", wantErr: true},
+		{in: "engine.requests>=", wantErr: true},
+		{in: "engine.requests>=abc", wantErr: true},
 		{in: ">=3", wantErr: true},
 	}
 	for _, tc := range cases {
@@ -80,7 +80,7 @@ func TestSplitRequirementsBraceAware(t *testing.T) {
 func TestValueAcrossFamilies(t *testing.T) {
 	d := sampleDoc()
 	for name, want := range map[string]int64{
-		"coserve.moves":                   3,  // counter
+		"engine.requests":                 3,  // counter
 		"frontend.completed{model=drm1a}": 48, // labeled gauge
 		"frontend.e2e_ns":                 48, // histogram -> count
 	} {
@@ -99,11 +99,11 @@ func TestRequirementCheck(t *testing.T) {
 		spec    string
 		wantErr string
 	}{
-		{spec: "coserve.moves"},
-		{spec: "coserve.moves>=3"},
-		{spec: "coserve.moves>=4", wantErr: "want >= 4"},
+		{spec: "engine.requests"},
+		{spec: "engine.requests>=3"},
+		{spec: "engine.requests>=4", wantErr: "want >= 4"},
 		{spec: "frontend.completed{model=drm1a}>=48"},
-		{spec: "coserve.active_replicas{model=drm2b}>=2"},
+		{spec: "frontend.queue_depth>=2"},
 		{spec: "frontend.e2e_ns>=48"},
 		{spec: "absent.metric", wantErr: "absent"},
 		{spec: "absent.metric>=1", wantErr: "absent"},
@@ -139,7 +139,7 @@ func TestValidateInvariants(t *testing.T) {
 	}
 
 	bad = sampleDoc()
-	bad.Counters["coserve.moves"] = -1
+	bad.Counters["engine.requests"] = -1
 	if err := validate(bad); err == nil {
 		t.Error("negative counter accepted")
 	}

@@ -6,7 +6,6 @@
 //
 //	replayer -addr 127.0.0.1:7100 -model DRM1 -n 200                 # serial
 //	replayer -addr 127.0.0.1:7100 -model DRM1 -n 500 -qps 150        # open loop
-//	replayer -addr 127.0.0.1:7100 -model DRM1 -tenant drm1a -n 200   # coserve tenant
 package main
 
 import (
@@ -25,7 +24,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7100", "main shard address")
 		modelName = flag.String("model", "DRM1", "model the server is serving")
-		tenant    = flag.String("tenant", "", "co-serving tenant to address (routes rank@<tenant> at a coserve front door; empty = the plain single-model method)")
 		n         = flag.Int("n", 100, "requests to send")
 		warmup    = flag.Int("warmup", 5, "warmup requests (excluded from stats)")
 		qps       = flag.Float64("qps", 0, "open-loop arrival rate; 0 = serial blocking")
@@ -48,9 +46,6 @@ func main() {
 		gen.EnableDiurnal()
 	}
 	rep := serve.NewReplayer(client)
-	if *tenant != "" {
-		rep = serve.NewReplayerFor(client, *tenant)
-	}
 	if *warmup > 0 {
 		if res := rep.RunSerial(gen.GenerateBatch(*warmup)); res.Failed() > 0 {
 			fatal(fmt.Errorf("warmup failed: %v", res.Errors[0]))

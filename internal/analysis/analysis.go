@@ -4,7 +4,7 @@
 // built on `go list -export` and the standard library's gc importer.
 //
 // The repo's correctness story — byte-identical scores across
-// resharding, tiering, kernel switches, and co-serving — rests on
+// resharding, tiering, kernel switches, and publishing — rests on
 // conventions that reviews used to enforce by hand: no map-order-
 // dependent output in deterministic packages, no wall clock or global
 // rand in scoring paths, nil-receiver-safe obs handles, no registry

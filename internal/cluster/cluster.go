@@ -52,13 +52,6 @@ type Options struct {
 	// servers (default 1). Sparse shards are stateless, so replicas share
 	// one table store and one recorder.
 	SparseReplicas int
-	// ActiveReplicas, with SparseReplicas > 1, boots only the first N
-	// replica slots of every shard serving; the rest boot parked — no
-	// server, an unresponsive slot, and disabled in the hedged rotation —
-	// as reclaimable headroom the elastic scheduler can activate later
-	// via SetActiveReplicas (a snapshot rebuild from a healthy peer). 0
-	// boots every slot serving.
-	ActiveReplicas int
 	// HedgeDelay, with SparseReplicas > 1, hedges sparse RPCs against a
 	// replica once the primary has been outstanding this long.
 	HedgeDelay time.Duration
@@ -134,15 +127,12 @@ type Cluster struct {
 	ctrl ControlPlane
 
 	opts Options
-	// active is how many replica slots per shard currently serve (the
-	// rest are parked). Guarded by replicaMu.
-	active int
 
 	// replicaMu serializes failure injection and recovery against each
 	// other and against Close.
 	replicaMu sync.Mutex
 	// ctrlMu serializes the control-plane drivers that change shard table
-	// sets — Rebalance, Publish, ReplaceReplica, SetActiveReplicas — each
+	// sets — Rebalance, Publish, ReplaceReplica — each
 	// of which reads a table set in one step and commits against it in a
 	// later one: a publish landing between a migration's reads and its
 	// cutover would be missing from the moved copy, a rebuild mid-pass
@@ -167,13 +157,6 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	active := opts.ActiveReplicas
-	if active == 0 {
-		active = replicas
-	}
-	if active < 1 || active > replicas {
-		return nil, fmt.Errorf("cluster: ActiveReplicas %d out of range [1,%d]", opts.ActiveReplicas, replicas)
-	}
 
 	c := &Cluster{
 		Main:      newMain(opts),
@@ -182,7 +165,6 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 		Collector: trace.NewCollector(),
 		Hedged:    make(map[string]*replication.Hedged),
 		opts:      opts,
-		active:    active,
 	}
 	c.Collector.Attach(c.MainRec)
 
@@ -235,16 +217,10 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 					shard: i, idx: r, store: sh, rec: recs[i],
 					profile: opts.sparsePlatform().Network(opts.Seed + int64(i)*7919 + int64(r)*104729),
 				}
-				// Parked headroom (r >= active) runs no server and its slot
-				// stays unresponsive; the replica index is also disabled in
-				// the hedged rotation below, so nothing routes there until
-				// SetActiveReplicas activates it.
 				rep.slot = replication.NewSlot(replication.Unresponsive())
 				c.replicas[i] = append(c.replicas[i], rep)
-				if r < active {
-					if err := c.startReplica(rep); err != nil {
-						return nil, err
-					}
+				if err := c.startReplica(rep); err != nil {
+					return nil, err
 				}
 				slots = append(slots, rep.slot)
 			}
@@ -254,9 +230,6 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 			}
 			callers[sh.ShardName] = caller
 			if h != nil {
-				for r := active; r < replicas; r++ {
-					h.SetEnabled(r, false)
-				}
 				c.Hedged[sh.ShardName] = h
 			}
 		}

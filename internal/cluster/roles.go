@@ -21,7 +21,7 @@ import (
 // Deployment assembly: one assembler per role. A deployment is a main
 // role (dense nets + the engine's sparse callers) over N sparse roles
 // (one table store behind one RPC server each). Boot composes them over
-// loopback with replica slots, parking and simulated links; cmd/drmserve
+// loopback with replica slots and simulated links; cmd/drmserve
 // composes the same assemblers over -listen/-peers, one role per
 // process. Everything here runs at boot: the request path never calls
 // back into this file.

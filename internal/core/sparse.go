@@ -577,34 +577,8 @@ func imageShard(dir string, m *model.Model, plan *sharding.Plan, shard int, rec 
 	return sh, nil
 }
 
-// RankMethod is the main shard's scoring method name. A co-served
-// deployment routes per model with RankMethodFor; HandleRank itself
-// always sees the bare method (the router strips the suffix).
+// RankMethod is the main shard's scoring method name.
 const RankMethod = "rank"
-
-// RankMethodFor returns the wire method addressing one model of a
-// multi-model deployment ("rank@DRM1"). An empty model yields the bare
-// method, so single-model callers need no special case.
-func RankMethodFor(model string) string {
-	if model == "" {
-		return RankMethod
-	}
-	return RankMethod + "@" + model
-}
-
-// SplitRankMethod parses a rank method into its model selector: bare
-// "rank" yields ("", true), "rank@m" yields ("m", true), anything else
-// is not a rank method.
-func SplitRankMethod(method string) (model string, ok bool) {
-	if method == RankMethod {
-		return "", true
-	}
-	const pfx = RankMethod + "@"
-	if len(method) > len(pfx) && method[:len(pfx)] == pfx {
-		return method[len(pfx):], true
-	}
-	return "", false
-}
 
 // HandleRank is the shared wire handling for the "rank" method: decode
 // and encode with the serde spans the paper attributes to the main

@@ -431,27 +431,6 @@ func TestFreshCell(t *testing.T) {
 	}
 }
 
-func TestCoServeStaticDeployment(t *testing.T) {
-	liveCluster(t)
-	res, err := sweeps.measureCoServe(coserveGrid[:1]) // identical per tenant, or an error
-	if err != nil {
-		t.Fatal(err)
-	}
-	logVerdicts(t, res)
-	if len(res.rows) != 4 {
-		t.Fatalf("%d rows, want 2 phases x 2 tenants", len(res.rows))
-	}
-	for _, row := range res.rows {
-		if row.served == 0 || row.rep.Total == 0 {
-			t.Errorf("%+v: nothing served", row)
-		}
-	}
-	where := flipControl(t, "coserve")
-	if _, err := sweeps.measureCoServe(coserveGrid[:1]); err == nil || !strings.Contains(err.Error(), where) {
-		t.Errorf("against a corrupted control: err = %v, want a mismatch at %s", err, where)
-	}
-}
-
 func TestFrontCell(t *testing.T) {
 	liveCluster(t)
 	res, err := sweeps.measureFront([]frontCell{{2 * time.Millisecond, []float64{2}}})

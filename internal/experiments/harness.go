@@ -63,45 +63,6 @@ func (s *subject) Close() {
 	s.cl.Close()
 }
 
-// fleet is the co-serving flavour: one front door, one subject per tenant
-// (each tenant's cluster belongs to the fleet, so only the fleet closes).
-type fleet struct {
-	*cluster.Fleet
-	tenants map[string]*subject
-	up      time.Time // when the fleet finished booting
-}
-
-// deployFleet boots the tenants behind one door and warms each in turn.
-func (r *Runner) deployFleet(specs []cluster.TenantSpec, opts cluster.FleetOptions, warm []*workload.Request) (*fleet, error) {
-	opts.Seed = r.P.Seed
-	fl, err := cluster.BootFleet(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	f := &fleet{Fleet: fl, tenants: map[string]*subject{}, up: time.Now()}
-	for _, spec := range specs {
-		client, err := fl.DialFront()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		s := &subject{cl: fl.TenantCluster(spec.Name), client: client, rep: serve.NewReplayerFor(client, spec.Name)}
-		f.tenants[spec.Name] = s
-		if _, err := s.replay(warm, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s warmup: %w", spec.Name, err)
-		}
-	}
-	return f, nil
-}
-
-func (f *fleet) Close() {
-	for _, s := range f.tenants {
-		s.client.Close()
-	}
-	f.Fleet.Close()
-}
-
 // at runs fn just before request i of a serial replay is sent: how a sweep
 // injects a replica kill, a rebuild or a control-plane pass mid-stream.
 type at struct {

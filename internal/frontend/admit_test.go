@@ -312,27 +312,3 @@ func TestShedRequestIssuesNoCall(t *testing.T) {
 	}
 	settle(t, base)
 }
-
-// TestGatedTenantAdmitsOnlyWhenEntitled: a co-served tenant waits out its
-// drain-gate entitlement before a batch's first sparse call, so no sparse
-// work runs unmetered.
-func TestGatedTenantAdmitsOnlyWhenEntitled(t *testing.T) {
-	fx := newAdmitFixture(t, 1)
-	close(fx.hold)
-	lowerGateBurst(t, 10*time.Millisecond)
-	m := NewMulti(1)
-	defer m.Close()
-	f, err := m.Add("t", fx.eng, Config{Obs: fx.reg}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 25 ms charged against 10 ms of credit at half the executor: the next
-	// batch waits about 30 ms for its entitlement.
-	m.gate.charge("t", 25*time.Millisecond)
-	res := fx.submit(f, 0)
-	fx.called(t)
-	if waits, _ := fx.reg.Snapshot().Hist("frontend.gate_wait_ns"); waits.Count != 1 {
-		t.Fatalf("sparse.run issued before the tenant's gate wait ended (%d waits observed)", waits.Count)
-	}
-	fx.scored(t, 0, <-res)
-}

@@ -19,12 +19,11 @@ type admitter interface {
 // kept, over one or more groups, and the wall span their executions
 // covered.
 type batch struct {
-	n        int // requests kept
-	items    int
-	gateWait time.Duration // the drain-gate wait the batch opened with
-	first    time.Time     // the first execution's start
-	span     atomicMax     // ns from first to the last scores
-	wg       sync.WaitGroup
+	n     int // requests kept
+	items int
+	first time.Time // the first execution's start
+	span  atomicMax // ns from first to the last scores
+	wg    sync.WaitGroup
 }
 
 // run is the dispatcher: it gathers queued requests into deadline-bounded
@@ -56,20 +55,7 @@ func (f *Frontend) run() {
 		if !ok {
 			return
 		}
-		// In a co-served deployment, wait out the tenant's drain-gate
-		// entitlement before anything else, the batch's sparse calls
-		// included. The wait consumes the SLA budget of the requests it
-		// held, so the estimator observation of the execution that serves
-		// them includes it: admission then prices the tenant's real,
-		// entitlement-limited service rate, and an over-allocated backlog
-		// sheds instead of queueing unboundedly.
 		b := &batch{}
-		if f.cfg.gate != nil {
-			t0 := time.Now()
-			f.cfg.gate.wait(f.cfg.tenant)
-			b.gateWait = time.Since(t0)
-			f.met.gateWaitNs.Observe(int64(b.gateWait))
-		}
 		gatherStart := time.Now()
 		n, items := 0, 0
 		full := func() bool { return n >= f.cfg.MaxBatchRequests || items >= maxBatchItems }
@@ -164,9 +150,8 @@ func (f *Frontend) start(b *batch, g []*pending) {
 		return
 	}
 	t0 := time.Now()
-	var waited time.Duration // the gate held the first group only
 	if b.n == 0 {
-		b.first, waited = t0, b.gateWait
+		b.first = t0
 	}
 	b.n, b.items = b.n+len(live), b.items+items
 	execute := func() ([][]float32, error) { return f.exec.ExecuteBatch(batchItems(live)) }
@@ -185,19 +170,18 @@ func (f *Frontend) start(b *batch, g []*pending) {
 		outs, err := execute()
 		end := time.Now()
 		b.span.max(uint64(end.Sub(b.first)))
-		f.est.observe(waited+end.Sub(t0), items)
+		f.est.observe(end.Sub(t0), items)
 		f.answer(live, outs, err)
 	}()
 }
 
 // record books a finished batch: its wall span as executor busy time,
-// charged to a co-served tenant's gate, and its size.
+// and its size.
 func (f *Frontend) record(b *batch) {
 	if b.n == 0 {
 		return
 	}
 	span := time.Duration(b.span.v.Load())
-	f.cfg.gate.charge(f.cfg.tenant, span)
 	f.stats.execBusyNs.Add(uint64(span))
 	f.met.execNs.Observe(int64(span))
 	f.met.batchRequests.Observe(int64(b.n))

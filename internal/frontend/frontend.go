@@ -99,12 +99,6 @@ type Config struct {
 	// Tracer, when set, finishes each submitted request's live trace with
 	// its measured frontend latency; sheds finish as deadline misses.
 	Tracer *obs.Tracer
-
-	// gate/tenant wire a co-served frontend into its Multi's weighted
-	// drain (set by Multi.Add; a standalone frontend leaves them zero and
-	// dispatches unmetered).
-	gate   *drainGate
-	tenant string
 }
 
 func (c Config) withDefaults() Config {
@@ -164,7 +158,6 @@ type Frontend struct {
 type frontendMetrics struct {
 	queueWaitNs   *obs.Histogram // Submit enqueue → deadline re-check
 	gatherNs      *obs.Histogram // batch opener dequeued → window close
-	gateWaitNs    *obs.Histogram // drain-gate entitlement wait (co-serving)
 	execNs        *obs.Histogram // a batch's wall span: first execution start → last scores
 	batchRequests *obs.Histogram // requests per dispatched batch
 	batchItems    *obs.Histogram // items per dispatched batch
@@ -179,7 +172,6 @@ func New(exec Executor, cfg Config) *Frontend {
 	f.met = frontendMetrics{
 		queueWaitNs:   reg.Histogram("frontend.queue_wait_ns"),
 		gatherNs:      reg.Histogram("frontend.gather_ns"),
-		gateWaitNs:    reg.Histogram("frontend.gate_wait_ns"),
 		execNs:        reg.Histogram("frontend.exec_ns"),
 		batchRequests: reg.Histogram("frontend.batch_requests"),
 		batchItems:    reg.Histogram("frontend.batch_items"),
@@ -279,10 +271,6 @@ func (f *Frontend) Submit(ctx trace.Context, req *core.RankingRequest) ([]float3
 // QueueDepth reports how many requests are waiting for a batch — the
 // backpressure gauge operators (and tests) read.
 func (f *Frontend) QueueDepth() int { return len(f.queue) }
-
-// QueueCap reports the admission queue's bound after defaulting — the
-// denominator for queue-occupancy signals.
-func (f *Frontend) QueueCap() int { return f.cfg.MaxQueue }
 
 // meanRequestItems estimates items per queued request from history,
 // falling back to the current request's size before any batch ran.

@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -393,6 +395,45 @@ func TestTracerSpanOverflow(t *testing.T) {
 // TestTracerWriteText pins the /traces rendering: one line per summary,
 // oldest first, naming its status, with the breakdown when the spans
 // allowed one.
+// TestHandlerServesEndpoints drives the telemetry mux in process: the
+// text and JSON snapshots, the trace summaries, and the 404 a deployment
+// without a tracer answers on /traces.
+func TestHandlerServesEndpoints(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("reqs").Add(3)
+	r.Gauge("depth").Add(2)
+	r.Histogram("lat_ns").Observe(4000)
+	tr := NewTracer(r, 1)
+	tr.Finish(1, time.Millisecond, false)
+
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w
+	}
+	h := Handler(r, tr)
+	if w := get(h, "/metrics"); w.Code != http.StatusOK ||
+		!strings.Contains(w.Body.String(), "counter reqs 3") || !strings.Contains(w.Body.String(), "gauge depth 2") {
+		t.Errorf("/metrics = %d:\n%s", w.Code, w.Body)
+	}
+	w := get(h, "/metrics.json")
+	var decoded struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &decoded); err != nil || decoded.Counters["reqs"] != 3 {
+		t.Errorf("/metrics.json = %d %v:\n%s", w.Code, err, w.Body)
+	}
+	if w := get(h, "/traces"); w.Code != http.StatusOK || !strings.HasPrefix(w.Body.String(), "trace 1 ok") {
+		t.Errorf("/traces = %d:\n%s", w.Code, w.Body)
+	}
+	if w := get(Handler(r, nil), "/traces"); w.Code != http.StatusNotFound {
+		t.Errorf("/traces without a tracer = %d, want 404", w.Code)
+	}
+	if q := r.Snapshot().Quantile("lat_ns", 0.5); q <= 0 {
+		t.Errorf("Quantile(lat_ns, 0.5) = %v, want > 0", q)
+	}
+}
+
 func TestTracerWriteText(t *testing.T) {
 	tr := NewTracer(NewRegistry(), 1)
 	// One more pending trace than the bound evicts the first, id 10.
@@ -487,73 +528,4 @@ func BenchmarkTracerConsumeUnsampled(b *testing.B) {
 			tr.ConsumeSpan(s)
 		}
 	})
-}
-
-func TestLabeledRegistryScopesNames(t *testing.T) {
-	r := NewRegistry()
-	a := r.Labeled("model=a")
-	b := r.Labeled("model=b")
-
-	r.Counter("reqs").Add(1)
-	a.Counter("reqs").Add(2)
-	b.Counter("reqs").Add(3)
-	a.Gauge("depth").Set(7)
-	a.Histogram("lat").Observe(100)
-	a.RegisterProbe("probe", func() int64 { return 11 })
-	b.RegisterProbeGroup(func(emit func(name string, v int64)) {
-		emit("group.x", 13)
-	})
-
-	// Views write into the underlying registry under rewritten names;
-	// snapshotting a view sees the whole registry.
-	for _, s := range []Snapshot{r.Snapshot(), a.Snapshot()} {
-		if got := s.Counters["reqs"]; got != 1 {
-			t.Errorf("reqs = %d, want 1", got)
-		}
-		if got := s.Counters["reqs{model=a}"]; got != 2 {
-			t.Errorf("reqs{model=a} = %d, want 2", got)
-		}
-		if got := s.Counters["reqs{model=b}"]; got != 3 {
-			t.Errorf("reqs{model=b} = %d, want 3", got)
-		}
-		if got := s.Gauges["depth{model=a}"]; got != 7 {
-			t.Errorf("depth{model=a} = %d, want 7", got)
-		}
-		if got := s.Gauges["probe{model=a}"]; got != 11 {
-			t.Errorf("probe{model=a} = %d, want 11", got)
-		}
-		if got := s.Gauges["group.x{model=b}"]; got != 13 {
-			t.Errorf("group.x{model=b} = %d, want 13", got)
-		}
-		if got := s.Hists["lat{model=a}"].Count; got != 1 {
-			t.Errorf("lat{model=a} count = %d, want 1", got)
-		}
-	}
-
-	// Same name through the same view resolves to the same handle.
-	if a.Counter("reqs") != a.Counter("reqs") {
-		t.Error("labeled view did not memoize the handle")
-	}
-
-	// Nested labels compose.
-	if got := a.Labeled("tier=hot").Counter("hits"); got == nil {
-		t.Fatal("nested labeled counter is nil")
-	}
-	a.Labeled("tier=hot").Counter("hits").Add(1)
-	if got := r.Snapshot().Counters["hits{model=a,tier=hot}"]; got != 1 {
-		t.Errorf("hits{model=a,tier=hot} = %d, want 1", got)
-	}
-}
-
-func TestLabeledRegistryDiscardAndNil(t *testing.T) {
-	if got := Discard().Labeled("model=a"); !got.Discarding() {
-		t.Error("Labeled on Discard lost the discard property")
-	}
-	var nilReg *Registry
-	if got := nilReg.Labeled("model=a"); got != nil {
-		t.Error("Labeled on nil registry should stay nil")
-	}
-	if Discard().Labeled("model=a").Counter("x") != nil {
-		t.Error("discard labeled view handed out a live handle")
-	}
 }

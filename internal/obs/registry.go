@@ -120,12 +120,6 @@ func (g *Gauge) Load() int64 {
 type Registry struct {
 	discard bool
 
-	// root/labels make this a labeled view (see Labeled): every handle
-	// and probe registration is delegated to root with "{labels}"
-	// appended to the metric name. A plain registry has root == nil.
-	root   *Registry
-	labels string
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -158,56 +152,18 @@ func Discard() *Registry { return discardRegistry }
 // Discarding reports whether this registry drops everything.
 func (r *Registry) Discarding() bool { return r == nil || r.discard }
 
-// Labeled returns a view of this registry that appends "{labels}" to
-// every metric name it hands out ("engine.requests" becomes
-// "engine.requests{model=DRM1}"), so co-located deployments — the
-// multi-model fleet hosts one cluster per tenant in one process — share
-// one exported endpoint without their metrics bleeding together.
-// Handles and probes live in the underlying registry; nesting composes
-// ("a=1" then "b=2" yields "{a=1,b=2}"). Snapshot on a view captures
-// the whole underlying registry. A nil or Discard registry returns
-// itself, preserving the nil-handle contract.
-func (r *Registry) Labeled(labels string) *Registry {
-	if r.Discarding() || labels == "" {
-		return r
-	}
-	root := r
-	if r.root != nil {
-		root = r.root
-		labels = r.labels + "," + labels
-	}
-	return &Registry{root: root, labels: labels}
-}
-
-// base resolves the registry that owns the metric maps.
-func (r *Registry) base() *Registry {
-	if r.root != nil {
-		return r.root
-	}
-	return r
-}
-
-// scope rewrites name with this view's labels, if any.
-func (r *Registry) scope(name string) string {
-	if r.root == nil {
-		return name
-	}
-	return name + "{" + r.labels + "}"
-}
-
 // Counter returns the named counter, creating it on first use. Returns
 // nil (a no-op handle) on a nil or Discard registry.
 func (r *Registry) Counter(name string) *Counter {
 	if r.Discarding() {
 		return nil
 	}
-	b, name := r.base(), r.scope(name)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c := b.counters[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
-		b.counters[name] = c
+		r.counters[name] = c
 	}
 	return c
 }
@@ -218,13 +174,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r.Discarding() {
 		return nil
 	}
-	b, name := r.base(), r.scope(name)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g := b.gauges[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
-		b.gauges[name] = g
+		r.gauges[name] = g
 	}
 	return g
 }
@@ -235,13 +190,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r.Discarding() {
 		return nil
 	}
-	b, name := r.base(), r.scope(name)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	h := b.hists[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{}
-		b.hists[name] = h
+		r.hists[name] = h
 	}
 	return h
 }
@@ -252,10 +206,9 @@ func (r *Registry) RegisterProbe(name string, fn func() int64) {
 	if r.Discarding() || fn == nil {
 		return
 	}
-	b, name := r.base(), r.scope(name)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probes = append(b.probes, probeEntry{name: name, fn: fn})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.probes = append(r.probes, probeEntry{name: name, fn: fn})
 }
 
 // RegisterProbeGroup adds a pull-style source that emits several gauges
@@ -266,17 +219,9 @@ func (r *Registry) RegisterProbeGroup(fn func(emit func(name string, v int64))) 
 	if r.Discarding() || fn == nil {
 		return
 	}
-	b := r.base()
-	if b != r {
-		// Rewrite every name the group emits with this view's labels.
-		view, inner := r, fn
-		fn = func(emit func(name string, v int64)) {
-			inner(func(name string, v int64) { emit(view.scope(name), v) })
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.groups = append(b.groups, fn)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.groups = append(r.groups, fn)
 }
 
 // sortedNames returns map keys in deterministic order.

@@ -23,10 +23,6 @@ type Snapshot struct {
 // itself take locks (health trackers, tier stores) without ordering
 // hazards against metric creation.
 func (r *Registry) Snapshot() Snapshot {
-	if r != nil && r.root != nil {
-		// A labeled view owns no metrics; snapshot the registry under it.
-		return r.root.Snapshot()
-	}
 	s := Snapshot{
 		At:       time.Now(),
 		Counters: make(map[string]int64),

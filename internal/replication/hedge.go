@@ -22,7 +22,7 @@ import (
 //  1. Issue: the primary first, then the next rotation candidate when
 //     the newest attempt fails (a failover) or has been silent for Delay
 //     (a hedge). The rotation tries health-filtered replicas first, then
-//     the rest, never a disabled or already-tried one.
+//     the rest, never an already-tried one.
 //  2. Answer: the first success from any attempt answers the call.
 //  3. Book: every outcome goes to the tracker. An attempt is struck (one
 //     failure) once it has been silent for 2×Delay since its issue, or
@@ -34,8 +34,9 @@ import (
 //     attempt has been silent for 4×Delay. When the newest has failed
 //     while an older attempt is still out, that attempt gets 16×Delay
 //     from the newest issue — the primary's own error outranks a
-//     timeout. A call that never found a second candidate waits on its
-//     primary as an unreplicated caller does.
+//     timeout. Only a one-replica set never finds a second candidate,
+//     and its calls go straight to that replica, waiting on it as an
+//     unreplicated caller does.
 //  5. With Delay <= 0 there is no hedge, no strike and no timeout.
 //
 // Hedged implements rpc.Caller, so the engine's RPC operators hedge
@@ -59,58 +60,6 @@ type Hedged struct {
 	wins             atomic.Int64
 	failovers        atomic.Int64
 	failoverAttempts atomic.Int64
-
-	// disabled is a bitmask of administratively parked replicas (see
-	// SetEnabled). Unlike health ejection — a guess that a replica is
-	// sick, softened by probation probes and unfiltered-rotation
-	// fallbacks — a disabled replica is definitively out of service (no
-	// server, no table store), so every selection path skips it
-	// unconditionally and it is never offered a probe.
-	disabled atomic.Uint64
-}
-
-// maxReplicas bounds the replica set so the admin mask fits one word.
-const maxReplicas = 64
-
-// SetEnabled administratively adds or removes replica i from the
-// rotation. The elastic capacity scheduler parks replicas it has
-// reclaimed (and replicas that boot without a server) this way;
-// re-enabling happens only after a fresh store is rebuilt and a server
-// is serving again. Out-of-range indices are ignored.
-func (h *Hedged) SetEnabled(i int, on bool) {
-	if i < 0 || i >= len(h.Replicas) || i >= maxReplicas {
-		return
-	}
-	bit := uint64(1) << uint(i)
-	for {
-		cur := h.disabled.Load()
-		next := cur | bit
-		if on {
-			next = cur &^ bit
-		}
-		if cur == next || h.disabled.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// Enabled reports whether replica i is administratively in rotation.
-func (h *Hedged) Enabled(i int) bool {
-	if i < 0 || i >= len(h.Replicas) {
-		return false
-	}
-	return i >= maxReplicas || h.disabled.Load()&(1<<uint(i)) == 0
-}
-
-// EnabledReplicas counts replicas administratively in rotation.
-func (h *Hedged) EnabledReplicas() int {
-	n := 0
-	for i := range h.Replicas {
-		if h.Enabled(i) {
-			n++
-		}
-	}
-	return n
 }
 
 // NewHedged builds a hedged caller; it requires at least one replica.
@@ -156,31 +105,17 @@ func (h *Hedged) Go(req *rpc.Request) *rpc.Call {
 	return c.out
 }
 
-// pickPrimary returns the first enabled in-rotation replica, preferring
-// the configured primary — ejected replicas are not retried on every
-// call, they wait for their probation probe. Disabled replicas are
-// checked before the health tracker so a parked replica never consumes
-// a probe grant.
+// pickPrimary returns the first in-rotation replica, preferring the
+// configured primary — ejected replicas are not retried on every call,
+// they wait for their probation probe.
 func (h *Hedged) pickPrimary() int {
-	first := -1
 	for i := range h.Replicas {
-		if !h.Enabled(i) {
-			continue
-		}
-		if first < 0 {
-			first = i
-		}
 		if h.Health.Allow(i) {
 			return i
 		}
 	}
-	if first >= 0 {
-		// Everything enabled is ejected and no probe due: someone has to
-		// take the call.
-		return first
-	}
-	// Everything administratively disabled (a scheduler mid-transition):
-	// fall back to the configured primary rather than fail outright.
+	// Everything is ejected and no probe due: someone has to take the
+	// call.
 	return 0
 }
 
@@ -271,7 +206,7 @@ func (c *hedgedCall) run() {
 				continue
 			case c.drained && waiting == 0:
 				c.finish(c.atts[0].call.Resp, c.atts[0].call.Err)
-			case c.drained && len(c.atts) > 1 && due(newest.issued.Add(limit)):
+			case c.drained && due(newest.issued.Add(limit)):
 				c.finish(nil, fmt.Errorf("replication: no replica answered within %v of the last attempt", limit))
 				continue // every attempt still out is struck by now
 			}
@@ -287,7 +222,7 @@ func (c *hedgedCall) run() {
 
 // issue re-issues the call to the next candidate — the rotation walk
 // from the call's cursor, health-filtered first, then unfiltered, never
-// a disabled or already-tried replica — or marks the call drained. The
+// an already-tried replica — or marks the call drained. The
 // unfiltered pass exists because health only steers routing: it must
 // never be the reason a request fails while a suspect replica might
 // still answer.
@@ -304,7 +239,7 @@ func (c *hedgedCall) issue(hedge bool) {
 			// Reduce in uint64 space: a cursor past MaxInt64 converted
 			// first would go negative.
 			idx := int((c.base + a) % n)
-			if c.tried(idx) || !h.Enabled(idx) || pass == 0 && !h.Health.Allow(idx) {
+			if c.tried(idx) || pass == 0 && !h.Health.Allow(idx) {
 				continue
 			}
 			if hedge {

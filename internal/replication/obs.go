@@ -19,7 +19,6 @@ func (h *Hedged) RegisterMetrics(reg *obs.Registry, prefix string) {
 		emit(prefix+"wins", h.Wins())
 		emit(prefix+"failovers", h.Failovers())
 		emit(prefix+"failover_attempts", h.FailoverAttempts())
-		emit(prefix+"enabled", int64(h.EnabledReplicas()))
 		hs := h.HealthSnapshot()
 		emit(prefix+"ejected", int64(hs.Ejected))
 		var ejections, recoveries, probes, successes, failures int64

@@ -223,7 +223,21 @@ func TestClientConcurrentCalls(t *testing.T) {
 }
 
 func TestClientDuplicateCallID(t *testing.T) {
-	s := startTestServer(t, ServerConfig{BoilerplateCost: 5 * time.Millisecond})
+	// The handler holds call 1 until call 2 has been refused, so call 1 is
+	// still pending when call 2 is issued however late the host runs this
+	// goroutine.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	s, err := NewServer("127.0.0.1:0", HandlerFunc(func(ctx trace.Context, method string, body []byte) ([]byte, error) {
+		<-release
+		return echoHandler(ctx, method, body)
+	}), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	t.Cleanup(unblock) // runs first: Close waits for held handlers
 	// Pool size 1 so both calls share a connection and the duplicate is
 	// detectable.
 	c, err := DialPool(s.Addr(), nil, 1)
@@ -233,11 +247,20 @@ func TestClientDuplicateCallID(t *testing.T) {
 	defer c.Close()
 	c1 := c.Go(&Request{Method: "run", CallID: 1})
 	c2 := c.Go(&Request{Method: "run", CallID: 1})
+	select {
+	case <-c2.Done:
+	case <-time.After(5 * time.Second): // sent instead of refused: held like call 1
+	}
+	unblock()
 	<-c2.Done
 	if c2.Err == nil || !strings.Contains(c2.Err.Error(), "duplicate") {
 		t.Errorf("duplicate call id should fail fast: %v", c2.Err)
 	}
-	<-c1.Done
+	select {
+	case <-c1.Done:
+	case <-time.After(5 * time.Second): // its pending entry was taken by call 2
+		t.Fatal("original call never answered")
+	}
 	if c1.Err != nil {
 		t.Errorf("original call should succeed: %v", c1.Err)
 	}

@@ -22,7 +22,6 @@ import (
 type Replayer struct {
 	client *rpc.Client
 	ids    trace.IDAllocator
-	method string
 
 	// Optional obs handles (nil no-ops): the client's vantage point on
 	// the deployment, alongside the server-side stage metrics.
@@ -32,14 +31,7 @@ type Replayer struct {
 
 // NewReplayer wraps a connected client to the main shard.
 func NewReplayer(client *rpc.Client) *Replayer {
-	return &Replayer{client: client, method: core.RankMethod}
-}
-
-// NewReplayerFor wraps a connected client to a co-serving front door,
-// addressing every request at one hosted model ("rank@<model>"; an
-// empty model is the plain single-model method).
-func NewReplayerFor(client *rpc.Client, model string) *Replayer {
-	return &Replayer{client: client, method: core.RankMethodFor(model)}
+	return &Replayer{client: client}
 }
 
 // Instrument folds every Send into reg: client.e2e_ns takes the
@@ -99,7 +91,7 @@ func (rp *Replayer) Send(req *workload.Request) ([]float32, time.Duration, error
 // call sends body, waits for its response, and times it from start.
 func (rp *Replayer) call(req *workload.Request, body []byte, start time.Time) ([]float32, time.Duration, error) {
 	resp, err := rp.client.CallSync(&rpc.Request{
-		Method:  rp.method,
+		Method:  core.RankMethod,
 		TraceID: rp.ids.NewTraceID(),
 		CallID:  req.ID,
 		Body:    body,
