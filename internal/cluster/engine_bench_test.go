@@ -13,7 +13,8 @@ import (
 // BenchmarkEngineSingularDRM1 measures raw engine throughput (no RPC
 // front door): one full DRM1 ranking request per iteration, each
 // converted from its generated form once, before the clock starts, as an
-// in-process caller converts it.
+// in-process caller converts it. allocs/op is gated by cmd/benchcheck: a
+// dense path that stops reusing its workspace storage shows there.
 func BenchmarkEngineSingularDRM1(b *testing.B) {
 	cfg := model.ByName("DRM1")
 	m := model.Build(cfg)
@@ -24,6 +25,7 @@ func BenchmarkEngineSingularDRM1(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = core.FromWorkload(gen.Next())
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(trace.Context{TraceID: uint64(i + 1)}, reqs[i%20]); err != nil {

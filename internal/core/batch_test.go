@@ -55,12 +55,12 @@ func TestExecuteBatchResponsesIndependentlyMutable(t *testing.T) {
 	}
 }
 
-// TestArenaReuseNoLiveAliasing runs consecutive (and concurrent)
+// TestPooledWorkspacesNoLiveAliasing runs consecutive (and concurrent)
 // executions through one engine: scores returned by an earlier execution
-// must not change when later executions reuse the pooled arenas — the
-// no-live-blob-aliasing contract, and a -race target for the arena
-// lifecycle.
-func TestArenaReuseNoLiveAliasing(t *testing.T) {
+// must not change when later executions reuse the pooled workspaces —
+// the no-live-blob-aliasing contract, and a -race target for the
+// workspace lifecycle.
+func TestPooledWorkspacesNoLiveAliasing(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
 	rec := trace.NewRecorder("main", 1<<16)
@@ -84,12 +84,12 @@ func TestArenaReuseNoLiveAliasing(t *testing.T) {
 	}
 	for i := range first {
 		if first[i] != snapshot[i] {
-			t.Fatalf("score %d changed from %v to %v after later executions reused the arena",
+			t.Fatalf("score %d changed from %v to %v after later executions reused the pooled workspaces",
 				i, snapshot[i], first[i])
 		}
 	}
 
-	// Concurrent executions each draw their own arena from the pool.
+	// Concurrent executions each take their own workspace from the pool.
 	var wg sync.WaitGroup
 	results := make([][]float32, 8)
 	for g := 0; g < len(results); g++ {
@@ -112,35 +112,6 @@ func TestArenaReuseNoLiveAliasing(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBlobScheduleBuiltAndPacked pins that compilation produces an arena
-// schedule covering the dense stack (packing behavior itself is covered
-// by the nn arena tests).
-func TestBlobScheduleBuiltAndPacked(t *testing.T) {
-	cfg := tinyConfig()
-	m := model.Build(cfg)
-	rec := trace.NewRecorder("main", 1<<14)
-	eng, err := NewEngine(m, sharding.Singular(&cfg), EngineConfig{Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := eng.prog.Load()
-	if prog.arenas == nil {
-		t.Fatal("compiled program has no arena pool")
-	}
-	sched, err := buildSchedule(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Slots() < 5 {
-		t.Errorf("schedule covers %d blobs; expected the dense stack (>=5)", sched.Slots())
-	}
-	a := prog.arenas.Get(4)
-	if a == nil {
-		t.Fatal("arena pool returned nil")
-	}
-	prog.arenas.Put(a)
 }
 
 // TestEveryExecutionIsCutIntoDefaultBatches pins the traffic fact

@@ -182,7 +182,7 @@ func TestDistributedExecutionAllocatesNoEmbMatrix(t *testing.T) {
 			}
 		}
 	}
-	run(10) // arenas and pools warm
+	run(10) // workspaces and pools warm
 	const runs = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -113,14 +113,14 @@ type Engine struct {
 }
 
 // engineProgram is one compiled routing generation: the plan and its
-// per-net programs, swapped as a unit, plus the workspace-arena pool
-// built from the program's dense-blob liveness (schedule.go) — batches
-// executing under this generation draw their dense output blobs from
-// recycled slabs instead of allocating.
+// per-net programs, swapped as a unit, plus a pool of recycled
+// workspaces — batches executing under this generation reuse the dense
+// output storage an earlier batch left under each blob name instead of
+// allocating.
 type engineProgram struct {
-	plan   *sharding.Plan
-	nets   []*netProgram
-	arenas *nn.ArenaPool
+	plan       *sharding.Plan
+	nets       []*netProgram
+	workspaces sync.Pool
 	// running counts the executions routed under plan. SwapDense
 	// recompiles share it: they keep the plan, so their executions call
 	// the same shards for the same tables.
@@ -325,11 +325,6 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 			}
 		}
 	}
-	sched, err := buildSchedule(prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: blob schedule: %w", err)
-	}
-	prog.arenas = nn.NewArenaPool(sched)
 	return prog, nil
 }
 
@@ -453,7 +448,7 @@ func (e *Engine) compileOps(plan *sharding.Plan, np *netProgram, prevOut string)
 	// --- postOps: projection, interaction, top MLP, output head. The FC
 	// stacks compile to FusedFC: bias and activation run inside the GEMM
 	// workers' tile epilogues (bitwise identical to the FC → Activation
-	// pairs they replace), and outputs draw from the workspace arena. ---
+	// pairs they replace), and outputs reuse the workspace's storage. ---
 	var post []nn.Op
 	post = append(post, &nn.EmbFC{OpName: "fc_proj_" + netName, W: np.params.Proj.W, B: np.params.Proj.B, Input: np.embBlob, Output: "proj_" + netName})
 	post = append(post, &nn.Interaction{
@@ -724,21 +719,23 @@ func (x *execution) bags(tid, start, end int) embedding.BagList {
 // request) through all nets sequentially, writing its scores.
 func (x *execution) runBatch(scores []float32, start int) error {
 	e, prog, end := x.e, x.prog, start+len(scores)
-	ws := nn.NewWorkspace()
-
-	// One pooled arena per batch backs every scheduled dense blob; it is
-	// recycled after the scores are copied out, so steady-state dense
-	// execution allocates nothing. Nothing drawn from the arena may
-	// escape this function.
-	if arena := prog.arenas.Get(len(scores)); arena != nil {
-		ws.SetArena(arena)
-		defer prog.arenas.Put(arena)
+	// One pooled workspace per batch: its dense outputs reuse the storage
+	// an earlier batch left under the same names, and it is recycled
+	// after the scores are copied out. Nothing drawn from it may escape
+	// this function.
+	ws, _ := prog.workspaces.Get().(*nn.Workspace)
+	if ws == nil {
+		ws = nn.NewWorkspace()
 	}
+	defer func() {
+		ws.Recycle()
+		prog.workspaces.Put(ws)
+	}()
 
 	for _, ns := range e.model.Config.Nets {
 		m := x.req.Dense[ns.Name]
-		// ScaleClip mutates in place; copy this batch's rows (into the
-		// arena when scheduled) so concurrent batches do not stomp the
+		// ScaleClip mutates in place; copy this batch's rows (into
+		// recycled storage) so concurrent batches do not stomp the
 		// shared request tensor.
 		dst := ws.AllocBlob("dense_"+ns.Name, len(scores), m.Cols)
 		copy(dst.Data, m.Data[start*m.Cols:end*m.Cols])

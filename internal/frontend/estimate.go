@@ -100,9 +100,9 @@ type Stats struct {
 	// service-time estimator learning.
 	Probes uint64
 	// ExecBusyNs is cumulative executor busy time: each batch's wall span,
-	// from its first execution's start (an admission) to its last scores —
-	// the utilization signal the elastic scheduler turns into a busy
-	// fraction by differencing across its interval.
+	// from its first execution's start (an admission) to its last scores.
+	// The frontend.exec_busy_ns probe exports it, and the benchmark's
+	// frontend.exec_busy_pct differences it over a run's wall time.
 	ExecBusyNs uint64
 }
 

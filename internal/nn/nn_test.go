@@ -28,6 +28,73 @@ func TestWorkspaceBlobLifecycle(t *testing.T) {
 	}
 }
 
+// TestWorkspaceRecycle pins the pooled workspace's contract: storage is
+// reused by name only after Recycle, AllocBlobZero clears what it reuses,
+// storage passed in with SetBlob never becomes spare, and Recycle drops
+// every blob, block table and bag list.
+func TestWorkspaceRecycle(t *testing.T) {
+	same := func(a, b *tensor.Matrix) bool { return &a.Data[0] == &b.Data[0] }
+	ws := NewWorkspace()
+	first := ws.AllocBlob("a", 2, 3)
+	a := ws.AllocBlob("a", 2, 3)
+	if same(first, a) {
+		t.Error("a name allocated twice in one run shares storage")
+	}
+	for i := range a.Data {
+		a.Data[i] = float32(i + 1)
+	}
+	ws.SetBlob("a", a)
+	in := tensor.New(2, 3)
+	ws.SetBlob("in", in)
+	ws.SetBlocks("emb", &tensor.Blocks{Rows: 2})
+	ws.SetBags("f", embedding.BagList{Lens: []int32{1}, Indices: []int32{1}})
+
+	ws.Recycle()
+	if ws.HasBlob("a") || ws.HasBlob("in") {
+		t.Error("blobs survive Recycle")
+	}
+	if _, err := ws.Blocks("emb"); err == nil {
+		t.Error("block table survives Recycle")
+	}
+	if _, err := ws.Bags("f"); err == nil {
+		t.Error("bags survive Recycle")
+	}
+	if got := ws.AllocBlob("in", 2, 3); same(got, in) {
+		t.Error("SetBlob storage was handed out again")
+	}
+	got := ws.AllocBlob("a", 2, 3)
+	if !same(got, a) {
+		t.Fatal("AllocBlob after Recycle did not reuse the name's storage")
+	}
+	if got.Data[5] != 6 {
+		t.Errorf("reused storage = %v, want the last run's values (AllocBlob does not clear)", got.Data)
+	}
+	again := ws.AllocBlob("a", 2, 3)
+	if same(again, got) {
+		t.Error("storage handed out twice in one run")
+	}
+	for i := range again.Data {
+		again.Data[i] = 9
+	}
+
+	ws.Recycle()
+	z := ws.AllocBlobZero("a", 2, 3)
+	if !same(z, again) {
+		t.Fatal("AllocBlobZero after Recycle did not reuse the name's last storage")
+	}
+	for i, v := range z.Data {
+		if v != 0 {
+			t.Fatalf("AllocBlobZero left reused element %d = %v", i, v)
+		}
+	}
+
+	// Storage too small for the new shape is replaced, not overrun.
+	ws.Recycle()
+	if big := ws.AllocBlob("a", 4, 3); len(big.Data) != 12 || same(big, z) {
+		t.Errorf("grown blob has %d elements over the old storage", len(big.Data))
+	}
+}
+
 func TestWorkspaceBags(t *testing.T) {
 	ws := NewWorkspace()
 	if _, err := ws.Bags("f"); err == nil {
@@ -361,6 +428,48 @@ func TestFusedSLSPoolsColumnRanges(t *testing.T) {
 	}
 }
 
+// TestAllocEmbClearsRecycledStorage runs the in-line SLS (AllocEmb then
+// FusedSLS) twice through one workspace across a Recycle: the second run
+// reuses the first's dirty matrix, and the column no entry writes must
+// read zero again.
+func TestAllocEmbClearsRecycledStorage(t *testing.T) {
+	t1 := embedding.NewDense(3, 1)
+	copy(t1.Data, []float32{1, 2, 3})
+	t2 := embedding.NewDense(2, 1)
+	copy(t2.Data, []float32{10, 20})
+	net := &Net{NetName: "n", Ops: []Op{
+		&AllocEmb{OpName: "alloc", RowsFrom: "b1", Cols: 3, Output: "emb"},
+		&FusedSLS{OpName: "sls", Output: "emb", Cols: 3, Entries: []FusedSLSEntry{
+			{Table: t1, InputBags: "b1", ColOffset: 0}, {Table: t2, InputBags: "b2", ColOffset: 2},
+		}},
+	}}
+	ws := NewWorkspace()
+	var first *tensor.Matrix
+	for run := 0; run < 2; run++ {
+		ws.SetBags("b1", embedding.BagList{Lens: []int32{2, 1}, Indices: []int32{0, 2, 1}})
+		ws.SetBags("b2", embedding.BagList{Lens: []int32{1, 0}, Indices: []int32{1}})
+		if err := net.Run(ws, nil); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := ws.Blob("emb")
+		if want := []float32{4, 0, 20, 2, 0, 0}; !slices.Equal(m.Data, want) {
+			t.Fatalf("run %d: emb = %v, want %v", run, m.Data, want)
+		}
+		if run == 0 {
+			first = m
+			for i := range m.Data {
+				m.Data[i] = 7 // what a later layer could leave behind
+			}
+		} else if &m.Data[0] != &first.Data[0] {
+			t.Error("the second run did not reuse the first run's storage")
+		}
+		ws.Recycle()
+	}
+	if err := net.Run(ws, nil); err == nil || !strings.Contains(err.Error(), `"b1"`) {
+		t.Errorf("AllocEmb without its bags: err = %v", err)
+	}
+}
+
 func TestSplitBlob(t *testing.T) {
 	ws := NewWorkspace()
 	ws.SetBlob("x", tensor.FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6}))
@@ -453,5 +562,81 @@ func TestNetRunConvertsPanicsToErrors(t *testing.T) {
 	err := net.Run(ws, nil)
 	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "storage fault") {
 		t.Fatalf("panic should surface as an error naming the op: %v", err)
+	}
+}
+
+// TestFusedFCMatchesUnfused checks the fused op against the FC →
+// Activation pair bitwise, with and without bias, for both activations
+// and ActNone.
+func TestFusedFCMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	w := tensor.New(12, 9)
+	for i := range w.Data {
+		w.Data[i] = float32(rng.NormFloat64())
+	}
+	bias := make([]float32, 9)
+	for i := range bias {
+		bias[i] = float32(rng.NormFloat64())
+	}
+	in := tensor.New(21, 12)
+	for i := range in.Data {
+		in.Data[i] = float32(rng.NormFloat64())
+	}
+
+	for _, tc := range []struct {
+		name string
+		act  ActivationFunc
+		b    []float32
+	}{
+		{"relu+bias", ActReLU, bias},
+		{"sigmoid+bias", ActSigmoid, bias},
+		{"none+bias", ActNone, bias},
+		{"relu-nobias", ActReLU, nil},
+	} {
+		wsA := NewWorkspace()
+		wsA.SetBlob("in", in.Clone())
+		fc := &FC{OpName: "fc", W: w, B: tc.b, Input: "in", Output: "out"}
+		if err := fc.Run(wsA); err != nil {
+			t.Fatal(err)
+		}
+		if tc.act != ActNone {
+			act := &Activation{OpName: "act", Func: tc.act, Blob: "out"}
+			if err := act.Run(wsA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, _ := wsA.Blob("out")
+
+		wsB := NewWorkspace()
+		wsB.SetBlob("in", in.Clone())
+		fused := &FusedFC{OpName: "ffc", W: w, B: tc.b, Act: tc.act, Input: "in", Output: "out"}
+		if err := fused.Run(wsB); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := wsB.Blob("out")
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: element %d differs: %v vs %v", tc.name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+func TestFusedFCValidates(t *testing.T) {
+	w := tensor.New(4, 3)
+	ws := NewWorkspace()
+	ws.SetBlob("in", tensor.New(2, 5)) // cols mismatch
+	if err := (&FusedFC{OpName: "f", W: w, Input: "in", Output: "o"}).Run(ws); err == nil {
+		t.Error("input/weight mismatch must error")
+	}
+	ws.SetBlob("in", tensor.New(2, 4))
+	if err := (&FusedFC{OpName: "f", W: w, B: make([]float32, 7), Input: "in", Output: "o"}).Run(ws); err == nil {
+		t.Error("bias length mismatch must error")
+	}
+	if err := (&FusedFC{OpName: "f", W: w, Act: ActivationFunc(99), Input: "in", Output: "o"}).Run(ws); err == nil {
+		t.Error("unknown activation must error")
+	}
+	if err := (&FusedFC{OpName: "f", W: w, Input: "in", Output: "missing-in"}).Run(NewWorkspace()); err == nil {
+		t.Error("missing input must error")
 	}
 }

@@ -75,8 +75,8 @@ func applyAct(f ActivationFunc, xs []float32) error {
 // extra pass over the output and no intermediate blob. Sigmoid — an exp
 // per element, on the one-column scoring layers — stays a pass over the
 // finished output. Results are bitwise identical to the FC → Activation
-// pair it replaces. Output storage draws from the workspace arena when
-// scheduled.
+// pair it replaces. Output storage is the workspace's, reused across
+// runs by name.
 type FusedFC struct {
 	OpName        string
 	W             *tensor.Matrix // In×Out
@@ -324,7 +324,7 @@ func (o *Interaction) Run(ws *Workspace) error {
 		}
 	}
 	// Write the passthrough columns and the pairwise dots straight into
-	// the output (arena-drawn when scheduled) — no intermediate dots or
+	// the output (reused workspace storage) — no intermediate dots or
 	// concat blob. The dots share tensor.PairwiseDotVecs with PairwiseDot,
 	// so results are bitwise identical to the unfused Dot+Concat form.
 	f := len(o.FeatureSlots)

@@ -130,7 +130,7 @@ func (o *AllocEmb) Run(ws *Workspace) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.OpName, err)
 	}
-	// Zeroed even when drawn from a dirty arena slab: FusedSLS writes its
+	// Zeroed even when the workspace reuses dirty storage: FusedSLS writes its
 	// entries' column ranges and nothing between them.
 	ws.SetBlob(o.Output, ws.AllocBlobZero(o.Output, len(bags.Lens), o.Cols))
 	return nil

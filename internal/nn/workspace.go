@@ -26,13 +26,19 @@ import (
 // blobs (matrices), pooled embeddings (block tables) and sparse inputs
 // (flat bag lists of embedding indices per feature). A Workspace is not
 // safe for concurrent mutation; each inference batch gets its own.
+//
+// A workspace that is reused across runs keeps the storage AllocBlob
+// handed out under each name: Recycle ends a run and turns that storage
+// into spare for the next run's AllocBlob of the same name, so steady
+// state reuses the dense outputs' storage instead of allocating it.
 type Workspace struct {
 	blobs  map[string]*tensor.Matrix
 	blocks map[string]*tensor.Blocks
 	bags   map[string]embedding.BagList
-	// arena, when set, backs scheduled output blobs so steady-state
-	// execution allocates nothing; see AllocBlob.
-	arena *Arena
+	// owned holds the storage AllocBlob handed out this run, by name;
+	// spare holds what earlier runs left for AllocBlob to take back.
+	owned map[string][]float32
+	spare map[string][]float32
 }
 
 // NewWorkspace returns an empty workspace.
@@ -41,38 +47,63 @@ func NewWorkspace() *Workspace {
 		blobs:  make(map[string]*tensor.Matrix),
 		blocks: make(map[string]*tensor.Blocks),
 		bags:   make(map[string]embedding.BagList),
+		owned:  make(map[string][]float32),
+		spare:  make(map[string][]float32),
 	}
 }
 
 // SetBlob stores a dense blob under name, replacing any previous value.
+// Storage passed in here never becomes spare unless AllocBlob handed it
+// out.
 func (ws *Workspace) SetBlob(name string, m *tensor.Matrix) { ws.blobs[name] = m }
 
-// SetArena attaches a buffer arena for the run. Matrices drawn from it
-// are valid only until the arena returns to its pool; the engine owns
-// that lifecycle.
-func (ws *Workspace) SetArena(a *Arena) { ws.arena = a }
-
-// AllocBlob returns writable rows×cols output storage for name: from the
-// arena's blob schedule when one covers the name at this shape, else a
-// fresh zeroed allocation. Arena storage is dirty — the caller must
-// fully overwrite it. The blob is NOT yet registered; call SetBlob once
-// it is filled.
+// AllocBlob returns writable rows×cols output storage for name: the
+// storage an earlier run used under this name when it is large enough,
+// else a fresh zeroed allocation. Reused storage is dirty — the caller
+// must fully overwrite it. Within a run no two calls share storage. The
+// blob is NOT yet registered; call SetBlob once it is filled.
 func (ws *Workspace) AllocBlob(name string, rows, cols int) *tensor.Matrix {
-	if m := ws.arena.Blob(name, rows, cols); m != nil {
-		return m
-	}
-	return tensor.New(rows, cols)
+	m, _ := ws.alloc(name, rows, cols)
+	return m
 }
 
 // AllocBlobZero is AllocBlob for producers that accumulate instead of
-// overwrite: arena storage is cleared before return, fresh allocations
+// overwrite: reused storage is cleared before return, fresh allocations
 // are already zero.
 func (ws *Workspace) AllocBlobZero(name string, rows, cols int) *tensor.Matrix {
-	if m := ws.arena.Blob(name, rows, cols); m != nil {
+	m, reused := ws.alloc(name, rows, cols)
+	if reused {
 		clear(m.Data)
-		return m
 	}
-	return tensor.New(rows, cols)
+	return m
+}
+
+func (ws *Workspace) alloc(name string, rows, cols int) (*tensor.Matrix, bool) {
+	n := rows * cols
+	buf, reused := ws.spare[name]
+	if reused && cap(buf) >= n {
+		delete(ws.spare, name)
+		buf = buf[:n]
+	} else {
+		buf, reused = make([]float32, n), false
+	}
+	ws.owned[name] = buf
+	return tensor.FromSlice(rows, cols, buf), reused
+}
+
+// Recycle ends a run: every blob, block table and bag list is forgotten,
+// and the storage AllocBlob handed out becomes spare for the next run.
+// Nothing drawn from the workspace may be used after Recycle. Block
+// tables and bag lists are dropped rather than kept so a pooled
+// workspace never pins the buffers they stand over.
+func (ws *Workspace) Recycle() {
+	for name, buf := range ws.owned {
+		ws.spare[name] = buf
+	}
+	clear(ws.owned)
+	clear(ws.blobs)
+	clear(ws.blocks)
+	clear(ws.bags)
 }
 
 // Blob fetches a dense blob; it returns an error naming the blob if absent
