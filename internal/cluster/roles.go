@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/frontend"
@@ -320,7 +319,7 @@ func (s *Sparse) Close() {
 // its replicas' callers: the sole replica itself, or a hedged rotation
 // (first caller is the primary) with health ejection when
 // opts.HealthFails asks for it, registered under replication.<service>.
-// and with per-replica call_ns/lost observers.
+// with per-replica call_ns/lost.
 func serviceCaller(service string, replicas []rpc.Caller, opts Options) (rpc.Caller, *replication.Hedged, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
@@ -328,26 +327,12 @@ func serviceCaller(service string, replicas []rpc.Caller, opts Options) (rpc.Cal
 	if len(replicas) == 1 {
 		return replicas[0], nil, nil
 	}
-	// A replica's measured call latency includes the hedge bound's worth
-	// of patience: an observer still waiting past this gives up and books
-	// the call as lost (replicas swapped for Unresponsive() by failure
-	// injection would otherwise pin observer goroutines).
-	callBound := 8 * opts.HedgeDelay
-	if callBound < 250*time.Millisecond {
-		callBound = 250 * time.Millisecond
-	}
-	observed := make([]rpc.Caller, len(replicas))
-	for r, caller := range replicas {
-		prefix := fmt.Sprintf("replication.%s.replica%d.", service, r)
-		observed[r] = replication.ObserveCaller(caller,
-			opts.Obs.Histogram(prefix+"call_ns"), opts.Obs.Counter(prefix+"lost"), callBound)
-	}
-	h, err := replication.NewHedged(observed, opts.HedgeDelay)
+	h, err := replication.NewHedged(replicas, opts.HedgeDelay)
 	if err != nil {
 		return nil, nil, err
 	}
 	if opts.HealthFails > 0 {
-		h.Health = replication.NewHealthTracker(len(observed), replication.HealthConfig{
+		h.Health = replication.NewHealthTracker(len(replicas), replication.HealthConfig{
 			FailThreshold: opts.HealthFails,
 			ProbeEvery:    opts.HealthProbe,
 		})

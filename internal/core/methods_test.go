@@ -93,11 +93,7 @@ func TestMethodCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := tableOf(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh.InstallTable(held, 0, tab)
+			sh.InstallTable(held, 0, rows)
 			ctx := trace.Context{}
 			if _, err := sh.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: 9, Shape: stagedShape})); err != nil {
 				t.Fatal(err)

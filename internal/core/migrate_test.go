@@ -146,7 +146,7 @@ func (f *migrationFixture) migrateTable(t *testing.T, id, rows int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride, _ := tierEncStride(shape.Enc, shape.Dim)
+	stride, _, _ := rowLayout(shape.Enc, int(shape.Dim))
 	if want := int64(shape.Rows) * int64(stride); moved != want {
 		t.Fatalf("copied %d bytes of table %d, want %d", moved, id, want)
 	}

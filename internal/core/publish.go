@@ -8,7 +8,6 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/quant"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -146,8 +145,13 @@ type deltaUnit struct {
 // planUnitsFor maps each table delta onto the plan's placement units,
 // returning per-shard work lists. Modulus partitioning puts logical row
 // r at (part r%numParts, local row r/numParts) — the same mapping
-// embedding.PartitionRows uses.
-func planUnitsFor(plan *sharding.Plan, deltas []TableDelta) (map[int][]*deltaUnit, error) {
+// embedding.PartitionRows uses — so a row outside the table would match
+// no part, or a wrong one, and is refused here, before any shard is
+// called.
+func planUnitsFor(plan *sharding.Plan, cfg *model.Config, deltas []TableDelta) (map[int][]*deltaUnit, error) {
+	if len(deltas) == 0 {
+		return nil, nil // a dense-only delta set routes nothing
+	}
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: publish: singular plans hold no sparse shards")
 	}
@@ -177,6 +181,11 @@ func planUnitsFor(plan *sharding.Plan, deltas []TableDelta) (map[int][]*deltaUni
 		places, ok := where[d.TableID]
 		if !ok {
 			return nil, fmt.Errorf("core: publish: table %d is not placed by the current plan", d.TableID)
+		}
+		for _, r := range d.Rows {
+			if n := cfg.Tables[d.TableID].Rows; r < 0 || int(r) >= n {
+				return nil, fmt.Errorf("core: publish: table %d row %d outside its %d rows", d.TableID, r, n)
+			}
 		}
 		for _, pl := range places {
 			u := &deltaUnit{
@@ -220,21 +229,16 @@ func (s byLocalRow) Swap(i, j int) {
 	s.u.srcRows[i], s.u.srcRows[j] = s.u.srcRows[j], s.u.srcRows[i]
 }
 
-// encodeDeltaRows re-encodes a contiguous run of fp32 rows into a
-// table's cold-tier wire encoding. Row-wise codecs are independent per
-// row, so the bytes match a full-table encode of the same values.
-func encodeDeltaRows(enc int32, rows []float32, n, dim int) ([]byte, error) {
-	switch enc {
-	case TierEncFP32:
-		return (&embedding.Dense{RowsN: n, DimN: dim, Data: rows}).AppendRowRange(nil, 0, n), nil
-	case TierEncFP16:
-		return quant.EncodeFP16Rows(rows, n, dim).AppendRowRange(nil, 0, n), nil
-	case TierEncInt8:
-		return quant.QuantizeRows(rows, n, dim, quant.Bits8).AppendRowRange(nil, 0, n), nil
-	case TierEncInt4:
-		return quant.QuantizeRows(rows, n, dim, quant.Bits4).AppendRowRange(nil, 0, n), nil
+// encodeDeltaRows encodes a run of fp32 rows in an encoding's wire form:
+// encodeRows' bytes, so a republished row is bit-identical to the same
+// row in a full export.
+func encodeDeltaRows(enc int32, vals []float32, n, dim int) ([]byte, error) {
+	hdr, data := encodeRows(enc, vals, n, dim)
+	rows, err := buildTable(enc, n, dim, hdr, data, false)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: publish: unknown encoding %d", enc)
+	return rows.AppendRowRange(nil, 0, n), nil
 }
 
 // Publish streams one delta set to every endpoint of every affected
@@ -249,7 +253,7 @@ func (p *Publisher) Publish(ds *DeltaSet) (*PublishReport, error) {
 		return nil, fmt.Errorf("core: publish: version %d outside the model-version id space", ds.Version)
 	}
 	report := &PublishReport{Version: ds.Version}
-	byShard, err := p.unitsForCurrentPlan(ds)
+	byShard, err := planUnitsFor(p.Engine.Plan(), p.Engine.Config(), ds.Tables)
 	if err != nil {
 		return nil, err
 	}
@@ -288,15 +292,6 @@ func (p *Publisher) Publish(ds *DeltaSet) (*PublishReport, error) {
 		p.Obs.Counter("publish.bytes").Add(report.Bytes)
 	}
 	return report, nil
-}
-
-// unitsForCurrentPlan routes the delta set through the engine's live
-// plan. Dense-only delta sets produce an empty routing.
-func (p *Publisher) unitsForCurrentPlan(ds *DeltaSet) (map[int][]*deltaUnit, error) {
-	if len(ds.Tables) == 0 {
-		return nil, nil
-	}
-	return planUnitsFor(p.Engine.Plan(), ds.Tables)
 }
 
 // publishToEndpoint stages every unit's table as a clone in one

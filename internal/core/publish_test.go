@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rpc"
+	"repro/internal/sharding"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -145,7 +147,7 @@ func TestPublisherStreamsAndCommits(t *testing.T) {
 // guards: unplaced tables, ragged payloads, out-of-range rows, and dim
 // mismatches must all fail without committing a version.
 func TestPublisherRejectsMalformedDeltas(t *testing.T) {
-	f, _, pub, _ := publisherFixture(t)
+	f, eng, pub, _ := publisherFixture(t)
 	id := f.plan.Shards[0].Tables[0]
 	dim := f.m.Tables[id].Dim()
 	cases := []struct {
@@ -173,6 +175,22 @@ func TestPublisherRejectsMalformedDeltas(t *testing.T) {
 		if _, err := pub.Publish(tc.ds); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: got %v, want %q", tc.name, err, tc.want)
 		}
+	}
+	// Split the table across both shards: under modulus routing a
+	// negative row matches no part, and must be refused rather than
+	// dropped while the rest of the delta commits.
+	split := *f.plan
+	split.Shards = slices.Clone(f.plan.Shards)
+	split.Shards[0].Tables = slices.DeleteFunc(slices.Clone(split.Shards[0].Tables), func(t int) bool { return t == id })
+	for p := range split.Shards {
+		split.Shards[p].Parts = append(slices.Clone(split.Shards[p].Parts), sharding.PartRef{TableID: id, PartIndex: p, NumParts: 2})
+	}
+	if err := eng.Reroute(&split); err != nil {
+		t.Fatal(err)
+	}
+	ds := &DeltaSet{Version: 9, Tables: []TableDelta{{TableID: id, Rows: []int32{-3, 4}, Data: make([]float32, 2*dim)}}}
+	if _, err := pub.Publish(ds); err == nil || !strings.Contains(err.Error(), "row -3 outside") {
+		t.Fatalf("negative row on a partitioned plan: got %v, want row -3 outside", err)
 	}
 	for _, sh := range f.shards {
 		if sh.ModelVersion() != 0 {

@@ -38,6 +38,7 @@ func FuzzImportShard(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 	f.Add(v2q.Bytes())
+	f.Add(asInt4(v2q.Bytes()))            // an int4 entry: no shard table has that encoding
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2]) // mid-section truncation
 	f.Add([]byte("DRSH"))
 	f.Add([]byte{})

@@ -106,21 +106,28 @@ func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]shardUnit, err
 	return units, nil
 }
 
-// encodeUnit serializes one unit's rows in the encoding a tier plan
-// assigns its table — the transforms of Dense.ToFP16 and
-// Dense.Quantize, so file bytes match in-memory encoded bytes.
-func encodeUnit(u shardUnit, tier *sharding.TierPlan) (enc int32, hdr, data []byte) {
-	enc = planEnc(tier, u.tableID)
-	d := u.dense
+// encodeRows encodes rows×dim fp32 values in a cold-tier encoding, as
+// the shard-file sections of that encoding: the transforms of
+// Dense.ToFP16 and Dense.Quantize, so file bytes match in-memory encoded
+// bytes. Row-wise codecs are independent per row, so a run of rows
+// encodes to the bytes those rows have in a whole-table encode — the
+// publisher re-encodes delta rows through here too. The encoding is
+// one a tier plan or a checked shape names.
+func encodeRows(enc int32, vals []float32, rows, dim int) (hdr, data []byte) {
 	switch enc {
+	case TierEncFP32:
+		data = make([]byte, 4*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
+		}
 	case TierEncFP16:
-		e := quant.EncodeFP16Rows(d.Data, d.RowsN, d.DimN)
+		e := quant.EncodeFP16Rows(vals, rows, dim)
 		data = make([]byte, 2*len(e.Data))
 		for i, v := range e.Data {
 			binary.LittleEndian.PutUint16(data[2*i:], v)
 		}
 	case TierEncInt8:
-		q := quant.QuantizeRows(d.Data, d.RowsN, d.DimN, quant.Bits8)
+		q := quant.QuantizeRows(vals, rows, dim, quant.Bits8)
 		hdr = make([]byte, 4*q.Rows)
 		for i, v := range q.Scales {
 			binary.LittleEndian.PutUint16(hdr[2*i:], v)
@@ -130,12 +137,9 @@ func encodeUnit(u shardUnit, tier *sharding.TierPlan) (enc int32, hdr, data []by
 		}
 		data = q.Packed
 	default:
-		data = make([]byte, 4*len(d.Data))
-		for i, v := range d.Data {
-			binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
-		}
+		panic(fmt.Sprintf("core: encodeRows in unknown encoding %d", enc))
 	}
-	return enc, hdr, data
+	return hdr, data
 }
 
 // ExportShardV2 writes shard number `shard` (1-based) of the plan to w in
@@ -171,7 +175,9 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
 				s := &secs[order[k]]
 				s.u = units[order[k]]
-				s.enc, s.hdr, s.data = encodeUnit(s.u, tier)
+				d := s.u.dense
+				s.enc = planEnc(tier, s.u.tableID)
+				s.hdr, s.data = encodeRows(s.enc, d.Data, d.RowsN, d.DimN)
 				s.hdrCRC, s.dataCRC = crc32.ChecksumIEEE(s.hdr), crc32.ChecksumIEEE(s.data)
 			}
 		}()
@@ -335,10 +341,11 @@ func parseShardV2(data []byte, views bool) (*ShardFileData, error) {
 		if !validTableShape(t.Rows, t.Dim) || t.NumParts < 1 || t.PartIndex < 0 || t.PartIndex >= t.NumParts {
 			return nil, fmt.Errorf("%w: entry %d shape %dx%d part %d/%d", errBadShardFile, i, t.Rows, t.Dim, t.PartIndex, t.NumParts)
 		}
-		wantHdr, wantData, err := sectionSizes(t.Enc, t.Rows, t.Dim)
+		stride, rowHdr, err := rowLayout(t.Enc, t.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", errBadShardFile, i, err)
 		}
+		wantHdr, wantData := int64(t.Rows)*int64(rowHdr), int64(t.Rows)*int64(stride-rowHdr)
 		if hdrLen != wantHdr || dataLen != wantData {
 			return nil, fmt.Errorf("%w: entry %d section sizes %d/%d, want %d/%d", errBadShardFile, i, hdrLen, dataLen, wantHdr, wantData)
 		}
@@ -350,28 +357,12 @@ func parseShardV2(data []byte, views bool) (*ShardFileData, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d data: %v", errBadShardFile, i, err)
 		}
-		if t.Table, err = buildTable(t, hdrSec, dataSec, views); err != nil {
+		if t.Table, err = buildTable(t.Enc, t.Rows, t.Dim, hdrSec, dataSec, views); err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", errBadShardFile, i, err)
 		}
 		out.Tables = append(out.Tables, t)
 	}
 	return out, nil
-}
-
-// sectionSizes returns the exact hdr/data byte lengths an encoding
-// requires at the given shape.
-func sectionSizes(enc int32, rows, dim int) (hdr, data int64, err error) {
-	switch enc {
-	case TierEncFP32:
-		return 0, 4 * int64(rows) * int64(dim), nil
-	case TierEncFP16:
-		return 0, 2 * int64(rows) * int64(dim), nil
-	case TierEncInt8:
-		return 4 * int64(rows), int64(rows) * int64(dim), nil
-	case TierEncInt4:
-		return 4 * int64(rows), int64(rows) * int64((dim+1)/2), nil
-	}
-	return 0, 0, fmt.Errorf("unknown encoding %d", enc)
 }
 
 // fileSection bounds-checks, alignment-checks, and CRC-verifies one
@@ -390,31 +381,23 @@ func fileSection(data []byte, off, n int64, sum uint32) ([]byte, error) {
 	return sec, nil
 }
 
-// buildTable materializes one parsed section pair as a serving table:
-// zero-copy views over the file bytes when views is set (mmap serving),
-// heap decodes otherwise.
-func buildTable(t ShardTable, hdr, data []byte, views bool) (embedding.Table, error) {
+// buildTable materializes one encoding's section pair as a serving
+// table: zero-copy views over the bytes when views is set (mmap
+// serving), heap decodes otherwise.
+func buildTable(enc int32, rows, dim int, hdr, data []byte, views bool) (rowStore, error) {
 	f32, u16, codes := mmapfile.DecodeF32, mmapfile.DecodeU16, bytes.Clone
 	if views && mmapfile.ViewsUsable() {
 		f32, u16, codes = mmapfile.Float32s, mmapfile.Uint16s, func(b []byte) []byte { return b }
 	}
-	switch t.Enc {
+	switch enc {
 	case TierEncFP32:
-		return &embedding.Dense{RowsN: t.Rows, DimN: t.Dim, Data: f32(data)}, nil
+		return &embedding.Dense{RowsN: rows, DimN: dim, Data: f32(data)}, nil
 	case TierEncFP16:
-		enc, err := quant.FP16FromParts(t.Rows, t.Dim, u16(data))
-		if err != nil {
-			return nil, err
-		}
-		return embedding.FP16FromEncoding(enc), nil
-	case TierEncInt8, TierEncInt4:
-		bits := 8
-		if t.Enc == TierEncInt4 {
-			bits = 4
-		}
-		return embedding.QuantizedFromEncoding(t.Rows, t.Dim, bits, u16(hdr[:2*t.Rows]), u16(hdr[2*t.Rows:]), codes(data))
+		return quant.FP16FromParts(rows, dim, u16(data))
+	case TierEncInt8:
+		return quant.NewFromParts(rows, dim, quant.Bits8, u16(hdr[:2*rows]), u16(hdr[2*rows:]), codes(data))
 	}
-	return nil, fmt.Errorf("unknown encoding %d", t.Enc)
+	return nil, fmt.Errorf("unknown encoding %d", enc)
 }
 
 // LoadShardFile parses a shard file entirely into the heap — the tooling

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -238,6 +239,15 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
+	// An entry in encoding 3 is refused by its code alone: its sections
+	// are int4-sized and correctly checksummed.
+	var int8Image bytes.Buffer
+	if err := ExportShardV2(m, plan, 1, &int8Image, uniformTiers(&cfg, sharding.PrecisionInt8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardFile(asInt4(int8Image.Bytes())); !errors.Is(err, errBadShardFile) || !strings.Contains(err.Error(), "unknown cold-tier encoding 3") {
+		t.Errorf("encoding-3 entry: err = %v, want %v: unknown cold-tier encoding 3", err, errBadShardFile)
+	}
 	// A version-1 image (the row-stream format nothing writes or reads any
 	// more) is refused by version, whatever follows its header.
 	v1 := append([]byte(nil), full...)
@@ -245,4 +255,18 @@ func TestShardFileV2RejectsCorruption(t *testing.T) {
 	if _, err := LoadShardFile(v1); !errors.Is(err, errBadShardFile) || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Errorf("v1 image: err = %v, want %v: unsupported version 1", err, errBadShardFile)
 	}
+}
+
+// asInt4 rewrites an int8 image's first directory entry to encoding 3
+// with int4-sized sections (dim+1)/2 code bytes a row, the data checksum
+// redone, so only the encoding code can refuse it.
+func asInt4(int8Image []byte) []byte {
+	img := bytes.Clone(int8Image)
+	ent := img[16:]
+	rows, dim := uint64(binary.LittleEndian.Uint32(ent[12:])), uint64(binary.LittleEndian.Uint32(ent[16:]))
+	off, n := binary.LittleEndian.Uint64(ent[32:]), rows*((dim+1)/2)
+	binary.LittleEndian.PutUint32(ent[20:], 3)
+	binary.LittleEndian.PutUint64(ent[48:], n)
+	binary.LittleEndian.PutUint32(ent[60:], crc32.ChecksumIEEE(img[off:off+n]))
+	return img
 }

@@ -56,10 +56,9 @@ func shapeOf(key tableKey, t embedding.Table) (TableShape, rowStore, error) {
 	if err != nil {
 		return TableShape{}, nil, fmt.Errorf("table %d part %d: %w", key.id, key.part, err)
 	}
-	cold := coldOf(t)
 	return TableShape{
 		TableID: int32(key.id), PartIndex: int32(key.part),
-		Rows: int32(cold.NumRows()), Dim: int32(cold.Dim()), Enc: enc,
+		Rows: int32(rows.NumRows()), Dim: int32(rows.Dim()), Enc: enc,
 	}, rows, nil
 }
 
@@ -162,10 +161,7 @@ func (s *SparseShard) handleStageCommit(_ trace.Context, body []byte) ([]byte, e
 		}
 		// The new copy starts with a cold cache: tierWrap fronts it with
 		// an empty one (a cache belongs to one table copy).
-		tab, err := tableOf(st.rows)
-		if err == nil {
-			tab, err = s.tierWrap(key.id, tab)
-		}
+		tab, err := s.tierWrap(key.id, st.rows)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
@@ -329,7 +325,7 @@ func abortTxn(shard shardCall, txn uint64) {
 // shards, rebuild runs it from a peer into the local shard.
 func copyTable(src, dst shardCall, txn uint64, shape TableShape) (int64, error) {
 	step := int32(min(chunkRows, int(shape.Rows)))
-	stride, err := tierEncStride(shape.Enc, shape.Dim)
+	stride, _, err := rowLayout(shape.Enc, int(shape.Dim))
 	if err != nil {
 		return 0, err
 	}

@@ -278,7 +278,7 @@ func TestTransactionsAreIsolated(t *testing.T) {
 	net := cfg.Tables[id].Net
 	current := readTableRows(t, sh, id, 0)
 	shape := current.Shape
-	stride, _ := tierEncStride(shape.Enc, shape.Dim)
+	stride, _, _ := rowLayout(shape.Enc, int(shape.Dim))
 	call := handleCall(sh)
 
 	// Migration txn: an empty stage of the same key, filled with rows that

@@ -40,7 +40,7 @@ type LoadRequest struct {
 
 // TableShape identifies one table (or row-partition) and the shape of
 // its cold tier: Rows×Dim in encoding Enc (TierEnc*). Rows of a table
-// travel as Rows·tierEncStride(Enc, Dim) encoded bytes.
+// travel as encoded bytes, rowLayout(Enc, Dim) of them per row.
 type TableShape struct {
 	TableID   int32
 	PartIndex int32
@@ -69,7 +69,7 @@ func (sh *TableShape) check() error {
 	if sh.TableID < 0 || sh.PartIndex < 0 || !validTableShape(int(sh.Rows), int(sh.Dim)) {
 		return fmt.Errorf("core: table %d part %d with shape %dx%d", sh.TableID, sh.PartIndex, sh.Rows, sh.Dim)
 	}
-	_, err := tierEncStride(sh.Enc, sh.Dim)
+	_, _, err := rowLayout(sh.Enc, int(sh.Dim))
 	return err
 }
 
@@ -310,7 +310,7 @@ func (m *TableRead) check() error {
 func (m *TableRows) fields() []any { return []any{&m.Shape, &m.Rows} }
 
 func (m *TableRows) check() error {
-	stride, _ := tierEncStride(m.Shape.Enc, m.Shape.Dim)
+	stride, _, _ := rowLayout(m.Shape.Enc, int(m.Shape.Dim))
 	if len(m.Rows)%stride != 0 || len(m.Rows)/stride > int(m.Shape.Rows) {
 		return fmt.Errorf("core: table rows carry %d bytes for %d rows of stride %d", len(m.Rows), m.Shape.Rows, stride)
 	}

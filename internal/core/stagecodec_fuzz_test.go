@@ -34,6 +34,7 @@ func FuzzStageBegin(f *testing.F) {
 	f.Add(encodeMsg(&StageBegin{Txn: 7, Shape: TableShape{TableID: 3, PartIndex: 1, Rows: 100, Dim: 16, Enc: TierEncInt8}, Base: StageClone}))
 	f.Add(encodeMsg(&StageBegin{Txn: anonTxn | 1, Shape: TableShape{Rows: 1, Dim: 1}}))
 	f.Add(encodeMsg(&StageBegin{Shape: TableShape{Rows: 1 << 30, Dim: 1 << 30, Enc: 9}, Base: 5}))
+	f.Add(encodeMsg(&StageBegin{Txn: 2, Shape: TableShape{Rows: 4, Dim: 3, Enc: 3}})) // int4: no shard table has it
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeMsg[StageBegin](b)
@@ -105,7 +106,7 @@ func FuzzCutoverAck(f *testing.F) {
 func FuzzTableList(f *testing.F) {
 	f.Add(encodeMsg(&TableList{Tables: []TableShape{
 		{TableID: 3, Rows: 128, Dim: 16, Enc: TierEncFP32},
-		{TableID: 7, PartIndex: 2, Rows: 64, Dim: 32, Enc: TierEncInt4},
+		{TableID: 7, PartIndex: 2, Rows: 64, Dim: 32, Enc: TierEncInt8},
 	}}))
 	f.Add(encodeMsg(&TableList{}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // a count no input could back
@@ -149,14 +150,14 @@ func FuzzTableRead(f *testing.F) {
 func FuzzTableRows(f *testing.F) {
 	f.Add(encodeMsg(&TableRows{Shape: TableShape{Rows: 10, Dim: 2, Enc: TierEncFP32}, Rows: make([]byte, 16)}))
 	f.Add(encodeMsg(&TableRows{Shape: TableShape{TableID: 1, Rows: 10, Dim: 4, Enc: TierEncFP16}, Rows: []byte{1, 2, 3, 4, 5, 6, 7, 8}}))
-	f.Add(encodeMsg(&TableRows{Shape: TableShape{Rows: 1, Dim: 3, Enc: TierEncInt4}, Rows: make([]byte, 12)})) // two rows of a one-row table
+	f.Add(encodeMsg(&TableRows{Shape: TableShape{Rows: 1, Dim: 3, Enc: TierEncInt8}, Rows: make([]byte, 14)})) // two rows of a one-row table
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeMsg[TableRows](b)
 		if err != nil {
 			return
 		}
 		requireValidShape(t, m.Shape)
-		stride, _ := tierEncStride(m.Shape.Enc, m.Shape.Dim)
+		stride, _, _ := rowLayout(m.Shape.Enc, int(m.Shape.Dim))
 		if len(m.Rows)%stride != 0 || len(m.Rows)/stride > int(m.Shape.Rows) || len(m.Rows) > len(b) {
 			t.Fatalf("decoder accepted %d payload bytes for shape %+v from %d input bytes", len(m.Rows), m.Shape, len(b))
 		}
@@ -231,16 +232,12 @@ func FuzzShardControlPlane(f *testing.F) {
 			return
 		}
 		sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 16))
-		for enc := TierEncFP32; enc <= TierEncInt4; enc++ {
+		for enc := TierEncFP32; enc <= TierEncInt8; enc++ {
 			rows, err := newRowStore(TableShape{Rows: 4, Dim: 3, Enc: enc})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := tableOf(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh.InstallTable(int(enc), 0, tab)
+			sh.InstallTable(int(enc), 0, rows)
 		}
 		ctx := trace.Context{}
 		if _, err := sh.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: 9, Shape: TableShape{Rows: 4, Dim: 2}})); err != nil {

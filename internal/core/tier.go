@@ -32,20 +32,40 @@ import (
 type TierConfig struct {
 	// CacheMB is the shard-wide hot-row cache byte budget over the fp32
 	// and fp16 cold tiers (0 disables caching; cold-tier encoding still
-	// applies). An int8/int4 cold tier is never cached.
+	// applies). An int8 cold tier is never cached.
 	CacheMB float64
 	// Plan assigns per-table cold precisions; nil keeps every table fp32
 	// (cache-only tiering).
 	Plan *sharding.TierPlan
 }
 
-// Cold-tier encodings on the wire (TableShape.Enc).
+// Cold-tier encodings on the wire (TableShape.Enc) and in shard files.
+// Any other code is refused.
 const (
 	TierEncFP32 int32 = 0
 	TierEncFP16 int32 = 1
 	TierEncInt8 int32 = 2
-	TierEncInt4 int32 = 3
 )
+
+// rowLayouts holds each encoding's row layout by code: a row is hdr
+// header bytes (int8's fp16 scale and bias) then width bytes per value.
+// The wire streams rows whole; a shard file keeps the headers in a
+// section of their own.
+var rowLayouts = [...]struct{ hdr, width int }{
+	TierEncFP32: {0, 4},
+	TierEncFP16: {0, 2},
+	TierEncInt8: {4, 1},
+}
+
+// rowLayout returns an encoding's bytes per row at dim and how many of
+// them are the row's header.
+func rowLayout(enc int32, dim int) (stride, hdr int, err error) {
+	if enc < 0 || int(enc) >= len(rowLayouts) {
+		return 0, 0, fmt.Errorf("core: unknown cold-tier encoding %d", enc)
+	}
+	l := rowLayouts[enc]
+	return l.hdr + l.width*dim, l.hdr, nil
+}
 
 // coldOf unwraps a tiered table to its cold-tier backend.
 func coldOf(t embedding.Table) embedding.Table {
@@ -55,43 +75,27 @@ func coldOf(t embedding.Table) embedding.Table {
 	return t
 }
 
-// tierEncStride returns the wire bytes per row of a cold tier at the
-// given dim — fp32 is simply the 4·dim case.
-func tierEncStride(enc, dim int32) (int, error) {
-	switch enc {
-	case TierEncFP32:
-		return 4 * int(dim), nil
-	case TierEncFP16:
-		return 2 * int(dim), nil
-	case TierEncInt8:
-		return 4 + int(dim), nil
-	case TierEncInt4:
-		return 4 + (int(dim)+1)/2, nil
-	}
-	return 0, fmt.Errorf("core: unknown cold-tier encoding %d", enc)
-}
-
-// rowStore is cold-tier storage that reads and writes row ranges in its
-// wire encoding: the one form table rows take between shards, so a
+// rowStore is a cold tier: a serving table whose rows read and write in
+// its wire encoding, the one form table rows take between shards, so a
 // streamed table is bit-identical to its source at every precision.
 type rowStore interface {
+	embedding.Table
 	AppendRowRange(dst []byte, lo, hi int) []byte
 	SetRowRange(lo int, raw []byte) (int, error)
 }
 
-// rowsOf exposes a table's cold tier as a rowStore and classifies its
-// wire encoding.
+// rowsOf returns a table's cold tier and its wire encoding. Of quant's
+// widths only int8 has one: int4 tables are served singular.
 func rowsOf(t embedding.Table) (rowStore, int32, error) {
 	switch cold := coldOf(t).(type) {
 	case *embedding.Dense:
 		return cold, TierEncFP32, nil
-	case *embedding.FP16:
-		return cold.Encoding(), TierEncFP16, nil
-	case *embedding.Quantized:
-		if cold.Encoding().Bits == quant.Bits4 {
-			return cold.Encoding(), TierEncInt4, nil
+	case *quant.FP16Rows:
+		return cold, TierEncFP16, nil
+	case *quant.RowQuantized:
+		if cold.Bits == quant.Bits8 {
+			return cold, TierEncInt8, nil
 		}
-		return cold.Encoding(), TierEncInt8, nil
 	}
 	return nil, 0, fmt.Errorf("core: cannot stream rows of %T", t)
 }
@@ -106,8 +110,6 @@ func newRowStore(sh TableShape) (rowStore, error) {
 		return quant.NewFP16Rows(rows, dim), nil
 	case TierEncInt8:
 		return quant.NewRowQuantizedEmpty(rows, dim, quant.Bits8), nil
-	case TierEncInt4:
-		return quant.NewRowQuantizedEmpty(rows, dim, quant.Bits4), nil
 	}
 	return nil, fmt.Errorf("core: unknown cold-tier encoding %d", sh.Enc)
 }
@@ -130,19 +132,6 @@ func cloneRows(src rowStore) rowStore {
 		return c
 	}
 	panic(fmt.Sprintf("core: cloneRows of %T", src))
-}
-
-// tableOf materializes storage as a serving table.
-func tableOf(rows rowStore) (embedding.Table, error) {
-	switch s := rows.(type) {
-	case *embedding.Dense:
-		return s, nil
-	case *quant.FP16Rows:
-		return embedding.FP16FromEncoding(s), nil
-	case *quant.RowQuantized:
-		return embedding.QuantizedFromEncoding(s.Rows, s.Cols, int(s.Bits), s.Scales, s.Biases, s.Packed)
-	}
-	return nil, fmt.Errorf("core: no table over %T", rows)
 }
 
 // SetTier enables tiered storage over the installed tables (a shard
@@ -185,12 +174,11 @@ func (s *SparseShard) tierWrap(id int, t embedding.Table) (embedding.Table, erro
 	if s.tier == nil {
 		return t, nil
 	}
-	cold := coldOf(t)
-	_, enc, err := rowsOf(cold)
+	cold, enc, err := rowsOf(t)
 	if err == nil && enc != planEnc(s.tier.Plan, id) {
 		err = fmt.Errorf("core: table %d is stored in encoding %d, its tier plan says %d", id, enc, planEnc(s.tier.Plan, id))
 	}
-	if err != nil || enc >= TierEncInt8 || s.tier.CacheMB <= 0 {
+	if err != nil || enc == TierEncInt8 || s.tier.CacheMB <= 0 {
 		return cold, err
 	}
 	return embedding.NewTiered(cold, 0), nil
@@ -293,7 +281,7 @@ func (s *SparseShard) retier() {
 // TierStats aggregates a shard's tiered-storage behavior.
 type TierStats struct {
 	// Tables counts installed tables/parts; FP32/FP16/Int8 split them by
-	// cold-tier encoding (Int8 includes int4).
+	// cold-tier encoding.
 	Tables, FP32, FP16, Int8 int
 	// ColdBytes is the encoded cold-tier footprint; CacheBytes the live
 	// cached-row bytes; CacheCapBytes the apportioned budget ceiling.
@@ -314,19 +302,12 @@ func (ts TierStats) HitRate() float64 {
 func (s *SparseShard) TierSnapshot() TierStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out TierStats
+	out := TierStats{Tables: len(s.tables)}
+	var byEnc [len(rowLayouts)]int
 	for _, tab := range s.tables {
-		out.Tables++
-		cold := coldOf(tab)
-		switch cold.(type) {
-		case *embedding.FP16:
-			out.FP16++
-		case *embedding.Quantized:
-			out.Int8++
-		default:
-			out.FP32++
-		}
-		out.ColdBytes += cold.Bytes()
+		_, enc, _ := rowsOf(tab) // a table with no wire encoding counts as fp32
+		byEnc[enc]++
+		out.ColdBytes += coldOf(tab).Bytes()
 		if tt, ok := tab.(*embedding.TieredTable); ok {
 			st := tt.Stats()
 			out.CacheBytes += int64(st.CachedRows) * int64(tt.Dim()) * 4
@@ -336,5 +317,6 @@ func (s *SparseShard) TierSnapshot() TierStats {
 			out.Admits += st.Admits
 		}
 	}
+	out.FP32, out.FP16, out.Int8 = byEnc[TierEncFP32], byEnc[TierEncFP16], byEnc[TierEncInt8]
 	return out
 }

@@ -378,20 +378,22 @@ func TestRetierDeterministic(t *testing.T) {
 	}
 }
 
-// TestStagedTableErrors covers the staging guards: unknown encodings,
-// and rows whose bytes are not whole rows of the staged encoding — the
-// form an encoding mismatch between driver and stage takes now that
-// rows travel as bytes.
+// TestStagedTableErrors covers the staging guards: unknown encodings
+// (3 among them: no shard table is int4), and rows whose bytes are not whole
+// rows of the staged encoding — the form an encoding mismatch between
+// driver and stage takes now that rows travel as bytes.
 func TestStagedTableErrors(t *testing.T) {
-	if _, err := newRowStore(TableShape{Rows: 4, Dim: 4, Enc: 99}); err == nil {
-		t.Fatal("unknown encoding accepted")
+	for _, enc := range []int32{3, 99, -1} {
+		if _, err := newRowStore(TableShape{Rows: 4, Dim: 4, Enc: enc}); err == nil {
+			t.Fatalf("unknown encoding %d accepted", enc)
+		}
 	}
-	for _, enc := range []int32{TierEncFP32, TierEncFP16, TierEncInt8, TierEncInt4} {
+	for _, enc := range []int32{TierEncFP32, TierEncFP16, TierEncInt8} {
 		st, err := newRowStore(TableShape{Rows: 4, Dim: 6, Enc: enc})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stride, _ := tierEncStride(enc, 6)
+		stride, _, _ := rowLayout(enc, 6)
 		if n, err := st.SetRowRange(1, make([]byte, 2*stride)); err != nil || n != 2 {
 			t.Fatalf("enc %d: two whole rows: %d, %v", enc, n, err)
 		}
@@ -430,9 +432,19 @@ func TestStagedTableErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "held as") {
 		t.Fatalf("clone begin with mismatched encoding accepted (err %v)", err)
 	}
+	// Encoding 3 is refused at decode, on stage.begin and table.rows alike.
+	int4 := TableShape{TableID: int32(id), Rows: 4, Dim: 3, Enc: 3}
+	_, err = dst.Handle(ctx, MethodStageBegin, encodeMsg(&StageBegin{Txn: txn, Shape: int4}))
+	if err == nil || !strings.Contains(err.Error(), "unknown cold-tier encoding 3") {
+		t.Fatalf("stage.begin in encoding 3 accepted (err %v)", err)
+	}
+	if _, err := decodeMsg[TableRows](encodeMsg(&TableRows{Shape: int4, Rows: make([]byte, 6)})); err == nil {
+		t.Fatal("table.rows in encoding 3 accepted")
+	}
 }
 
-// TestTableEncClassification covers the wire encoding classifier.
+// TestTableEncClassification covers the wire encoding classifier and
+// the row layouts.
 func TestTableEncClassification(t *testing.T) {
 	d := embedding.NewDense(4, 4)
 	cases := []struct {
@@ -442,7 +454,6 @@ func TestTableEncClassification(t *testing.T) {
 		{d, TierEncFP32},
 		{d.ToFP16(), TierEncFP16},
 		{d.Quantize(quant.Bits8), TierEncInt8},
-		{d.Quantize(quant.Bits4), TierEncInt4},
 		{embedding.NewTiered(d.Quantize(quant.Bits8), 2), TierEncInt8},
 	}
 	for i, c := range cases {
@@ -450,27 +461,31 @@ func TestTableEncClassification(t *testing.T) {
 		if err != nil || got != c.want {
 			t.Fatalf("case %d: enc %d err %v, want %d", i, got, err, c.want)
 		}
-		// The classified storage round-trips through the wire form and
-		// back into an equivalent serving table.
-		stride, _ := tierEncStride(got, 4)
+		// The classified storage streams whole rows of its layout and
+		// clones into an equivalent serving table.
+		stride, _, _ := rowLayout(got, 4)
 		if wire := rows.AppendRowRange(nil, 0, 4); len(wire) != 4*stride {
 			t.Fatalf("case %d: %d wire bytes for 4 rows of stride %d", i, len(wire), stride)
 		}
-		tab, err := tableOf(cloneRows(rows))
-		if err != nil || tab.NumRows() != 4 || tab.Dim() != 4 {
-			t.Fatalf("case %d: clone materialized as %v, %v", i, tab, err)
+		if cl := cloneRows(rows); cl.NumRows() != 4 || cl.Dim() != 4 {
+			t.Fatalf("case %d: clone is %dx%d", i, cl.NumRows(), cl.Dim())
 		}
 	}
-	if _, _, err := rowsOf(struct{ embedding.Table }{d}); err == nil {
-		t.Fatal("a backend with no wire encoding classified")
+	for _, tab := range []embedding.Table{struct{ embedding.Table }{d}, d.Quantize(quant.Bits4)} {
+		if _, _, err := rowsOf(tab); err == nil {
+			t.Fatalf("%T with no wire encoding classified", tab)
+		}
 	}
-	if s, err := tierEncStride(TierEncFP32, 4); err != nil || s != 16 {
-		t.Fatalf("fp32 stride %d err %v", s, err)
+	for _, c := range []struct{ enc, dim, stride, hdr int32 }{
+		{TierEncFP32, 4, 16, 0}, {TierEncFP16, 5, 10, 0}, {TierEncInt8, 5, 4 + 5, 4},
+	} {
+		if stride, hdr, err := rowLayout(c.enc, int(c.dim)); err != nil || stride != int(c.stride) || hdr != int(c.hdr) {
+			t.Fatalf("encoding %d at dim %d: stride %d hdr %d err %v", c.enc, c.dim, stride, hdr, err)
+		}
 	}
-	if s, err := tierEncStride(TierEncInt4, 5); err != nil || s != 4+3 {
-		t.Fatalf("int4 stride %d err %v", s, err)
-	}
-	if _, err := tierEncStride(99, 4); err == nil {
-		t.Fatal("unknown encoding has a stride")
+	for _, enc := range []int32{3, 99, -1} {
+		if _, _, err := rowLayout(enc, 4); err == nil {
+			t.Fatalf("unknown encoding %d has a layout", enc)
+		}
 	}
 }

@@ -385,7 +385,7 @@ func TestPoolPanicsOnMisfitOut(t *testing.T) {
 	tab := NewDense(4, 2)
 	lens, idx := []int32{1, 0, 2}, []int32{1, 2, 3}
 	short := tab.Quantize(quant.Bits8)
-	short.Encoding().Biases = short.Encoding().Biases[:3]
+	short.Biases = short.Biases[:3]
 	for name, e := range map[string]PoolEntry{
 		"quantized under shape": {Table: short, Lens: lens, Indices: idx, Out: make([]float32, 4)},
 		"packed too short":      {Table: tab, Lens: lens, Indices: idx, Out: make([]float32, 2)},

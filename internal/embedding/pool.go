@@ -165,17 +165,16 @@ func jobFor(t Table, rows, dim, lanes int) (j sumJob, queued bool) {
 			rows: unsafe.Pointer(unsafe.SliceData(t.Data)), stride: 4 * dim,
 			dense: t, avx: havePoolAsm && lanes >= 8 && dim%8 == 0,
 		}, true
-	case *Quantized:
-		enc := t.enc
-		stride := enc.CodeStride()
-		if len(enc.Scales) < rows || len(enc.Biases) < rows || len(enc.Packed) < rows*stride {
+	case *quant.RowQuantized:
+		stride := t.CodeStride()
+		if len(t.Scales) < rows || len(t.Biases) < rows || len(t.Packed) < rows*stride {
 			panic(fmt.Sprintf("embedding: quantized table holds %d scales, %d biases and %d code bytes for %d rows of %d",
-				len(enc.Scales), len(enc.Biases), len(enc.Packed), rows, stride))
+				len(t.Scales), len(t.Biases), len(t.Packed), rows, stride))
 		}
 		return sumJob{
-			rows: unsafe.Pointer(unsafe.SliceData(enc.Packed)), stride: stride,
-			scales: unsafe.SliceData(enc.Scales), biases: unsafe.SliceData(enc.Biases),
-			quant: enc,
+			rows: unsafe.Pointer(unsafe.SliceData(t.Packed)), stride: stride,
+			scales: unsafe.SliceData(t.Scales), biases: unsafe.SliceData(t.Biases),
+			quant: t,
 		}, true
 	}
 	return sumJob{}, false

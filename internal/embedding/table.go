@@ -1,11 +1,11 @@
 // Package embedding implements the sparse-parameter substrate of the
 // recommendation models: embedding tables, the SparseLengthsSum (SLS)
-// family of lookup-and-pool operators, quantized table backends, and
-// row-sharded table views used when a single table is partitioned across
-// multiple sparse shards (paper Section III-A1: "the sparse feature IDs
-// are split and sent to the appropriate RPC operator based on a hashing
-// function ... implemented by partitioning embedding table rows with a
-// simple modulus operator across shards").
+// family of lookup-and-pool operators over fp32 tables and quant's row
+// encodings, and row-sharded table views used when a single table is
+// partitioned across multiple sparse shards (paper Section III-A1: "the
+// sparse feature IDs are split and sent to the appropriate RPC operator
+// based on a hashing function ... implemented by partitioning embedding
+// table rows with a simple modulus operator across shards").
 package embedding
 
 import (
@@ -113,16 +113,16 @@ func (t *Dense) SetRowRange(lo int, raw []byte) (int, error) {
 	return rows, nil
 }
 
-// Quantize returns a quantized backend encoding this table at the given
-// width, leaving the receiver unmodified.
-func (t *Dense) Quantize(bits quant.Bits) *Quantized {
-	return &Quantized{enc: quant.QuantizeRows(t.Data, t.RowsN, t.DimN, bits)}
+// Quantize returns this table encoded row-wise at the given width,
+// leaving the receiver unmodified. The encoding serves lookups itself.
+func (t *Dense) Quantize(bits quant.Bits) *quant.RowQuantized {
+	return quant.QuantizeRows(t.Data, t.RowsN, t.DimN, bits)
 }
 
-// ToFP16 returns a half-precision backend encoding this table, leaving
-// the receiver unmodified — the fp16 cold tier of the tiered store.
-func (t *Dense) ToFP16() *FP16 {
-	return &FP16{enc: quant.EncodeFP16Rows(t.Data, t.RowsN, t.DimN)}
+// ToFP16 returns this table encoded at half precision, leaving the
+// receiver unmodified — the fp16 cold tier of the tiered store.
+func (t *Dense) ToFP16() *quant.FP16Rows {
+	return quant.EncodeFP16Rows(t.Data, t.RowsN, t.DimN)
 }
 
 // RowDecoder is implemented by backends that can materialize one decoded
@@ -137,67 +137,10 @@ type RowDecoder interface {
 // DecodeRow implements RowDecoder.
 func (t *Dense) DecodeRow(dst []float32, idx int) { copy(dst, t.Row(idx)) }
 
-// FP16 is an embedding table backed by half-precision storage. Lookups
-// decode on the fly, fused into pooling.
-type FP16 struct {
-	enc *quant.FP16Rows
-}
-
-// NumRows implements Table.
-func (t *FP16) NumRows() int { return t.enc.Rows }
-
-// Dim implements Table.
-func (t *FP16) Dim() int { return t.enc.Cols }
-
-// AccumulateRow implements Table.
-func (t *FP16) AccumulateRow(acc []float32, idx int) { t.enc.AccumulateRow(acc, idx) }
-
-// DecodeRow implements RowDecoder.
-func (t *FP16) DecodeRow(dst []float32, idx int) { t.enc.DequantizeRowInto(dst, idx) }
-
-// Bytes implements Table.
-func (t *FP16) Bytes() int64 { return t.enc.Bytes() }
-
-// Encoding exposes the underlying fp16 storage (for serialization and
-// migration streaming).
-func (t *FP16) Encoding() *quant.FP16Rows { return t.enc }
-
-// FP16FromEncoding wraps reconstructed fp16 storage as a table.
-func FP16FromEncoding(enc *quant.FP16Rows) *FP16 { return &FP16{enc: enc} }
-
-// Quantized is an embedding table backed by row-wise linear quantized
-// storage. Lookups dequantize on the fly, fused into pooling.
-type Quantized struct {
-	enc *quant.RowQuantized
-}
-
-// NumRows implements Table.
-func (t *Quantized) NumRows() int { return t.enc.Rows }
-
-// Dim implements Table.
-func (t *Quantized) Dim() int { return t.enc.Cols }
-
-// AccumulateRow implements Table.
-func (t *Quantized) AccumulateRow(acc []float32, idx int) {
-	t.enc.AccumulateRow(acc, idx)
-}
-
-// Bytes implements Table.
-func (t *Quantized) Bytes() int64 { return t.enc.Bytes() }
-
-// DecodeRow implements RowDecoder.
-func (t *Quantized) DecodeRow(dst []float32, idx int) { t.enc.DequantizeRowInto(dst, idx) }
-
-// Encoding exposes the underlying row-quantized encoding (for
-// serialization).
-func (t *Quantized) Encoding() *quant.RowQuantized { return t.enc }
-
-// QuantizedFromEncoding reconstructs a quantized table from serialized
-// components.
-func QuantizedFromEncoding(rows, cols, bits int, scales, biases []uint16, packed []byte) (*Quantized, error) {
-	enc, err := quant.NewFromParts(rows, cols, quant.Bits(bits), scales, biases, packed)
-	if err != nil {
-		return nil, err
-	}
-	return &Quantized{enc: enc}, nil
-}
+// The quant encodings are tables in their own right.
+var (
+	_ Table      = (*quant.FP16Rows)(nil)
+	_ RowDecoder = (*quant.FP16Rows)(nil)
+	_ Table      = (*quant.RowQuantized)(nil)
+	_ RowDecoder = (*quant.RowQuantized)(nil)
+)

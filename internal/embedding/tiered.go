@@ -107,7 +107,7 @@ const maxAdmitPerBag = 4
 const missSample = 16
 
 // NewTiered wraps cold with a hot-row cache of capacity rows. The cold
-// backend must implement RowDecoder (Dense, FP16, and Quantized all do).
+// backend must implement RowDecoder (Dense and the quant encodings do).
 // A capacity of 0 disables caching until SetCapacity raises it.
 func NewTiered(cold Table, capacity int) *TieredTable {
 	dec, ok := cold.(RowDecoder)

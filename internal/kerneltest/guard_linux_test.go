@@ -196,7 +196,7 @@ func TestSLSQuantizedGuardPaged(t *testing.T) {
 		c := newSLSCall(rng, []int{dim}, Payloads()[0], heap)
 		c.interleaveQuantized(rng, dim, guardedU16, guardedBytes)
 		for i, tab := range c.tables {
-			if _, ok := tab.(*embedding.Quantized); ok {
+			if _, ok := tab.(*quant.RowQuantized); ok {
 				c.bags[i] = append(c.bags[i], embedding.Bag{Indices: []int32{0, int32(tab.NumRows() - 1)}})
 			}
 		}
@@ -253,7 +253,7 @@ func TestQuantGuardPaged(t *testing.T) {
 				var res result
 				gd, deq := GuardedFloat32(cols)
 				defer gd.Free()
-				q.DequantizeRowInto(deq, rows-1)
+				q.DecodeRow(deq, rows-1)
 				res.deq = append([]float32(nil), deq...)
 				ga, acc := GuardedFloat32(cols)
 				defer ga.Free()

@@ -81,7 +81,7 @@ func TestQuantDecodeDifferential(t *testing.T) {
 					tensor.SetKernel(k)
 					var res result
 					res.deq = make([]float32, cols)
-					q.DequantizeRowInto(res.deq, rows-1)
+					q.DecodeRow(res.deq, rows-1)
 					res.accRow = append([]float32(nil), seed...)
 					for r := 0; r < rows; r++ {
 						q.AccumulateRow(res.accRow, r)

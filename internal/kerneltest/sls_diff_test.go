@@ -47,7 +47,7 @@ func refPool(table *embedding.Dense, bags []embedding.Bag) []float32 {
 // non-empty bag one row, AccumulateRow by AccumulateRow from +0 under the
 // generic family — the scalar decode every pooling path must match bit
 // for bit. It leaves the generic family dispatched.
-func quantPool(table *embedding.Quantized, bags []embedding.Bag) []float32 {
+func quantPool(table *quant.RowQuantized, bags []embedding.Bag) []float32 {
 	tensor.SetKernel(tensor.KernelGeneric)
 	var out []float32
 	for _, bag := range bags {
@@ -71,7 +71,7 @@ var ordinaryHeaders = [][2]uint16{{0x2e66, 0xb266}, {0x1c00, 0xbc00}}
 // provides: random codes, and per row an fp16 (scale, bias) that is, as
 // often as not, one of adversarialHeaders — NaN payloads, ±Inf,
 // subnormals, signed zeros — and otherwise an ordinary one.
-func quantAt(rng *rand.Rand, rows, dim int, bits quant.Bits, u16 func(n int) []uint16, codes func(n int) []byte) *embedding.Quantized {
+func quantAt(rng *rand.Rand, rows, dim int, bits quant.Bits, u16 func(n int) []uint16, codes func(n int) []byte) *quant.RowQuantized {
 	stride := dim
 	if bits == quant.Bits4 {
 		stride = (dim + 1) / 2
@@ -88,7 +88,7 @@ func quantAt(rng *rand.Rand, rows, dim int, bits quant.Bits, u16 func(n int) []u
 	for i := range packed {
 		packed[i] = byte(rng.Intn(256))
 	}
-	q, err := embedding.QuantizedFromEncoding(rows, dim, int(bits), scales, biases, packed)
+	q, err := quant.NewFromParts(rows, dim, bits, scales, biases, packed)
 	if err != nil {
 		panic(err)
 	}
@@ -185,7 +185,7 @@ func (c slsCall) oracle() [][]float32 {
 		switch tab := tab.(type) {
 		case *embedding.Dense:
 			want[i] = refPool(tab, c.bags[i])
-		case *embedding.Quantized:
+		case *quant.RowQuantized:
 			want[i] = quantPool(tab, c.bags[i])
 		default:
 			panic(fmt.Sprintf("kerneltest: no pooling oracle for %T", tab))

@@ -36,7 +36,7 @@ func fuzzQuantized(packed []byte, scale, bias uint16, cols int, bits Bits) *RowQ
 	return q
 }
 
-// FuzzWordWideRowDecode drives AccumulateRow and DequantizeRowInto
+// FuzzWordWideRowDecode drives AccumulateRow and DecodeRow
 // through both dispatch settings on fuzzer-shaped rows and asserts
 // bitwise-identical outputs, with the accumulator pre-seeded from fuzz
 // bytes so the acc-add sees arbitrary prior values (NaNs included).
@@ -65,7 +65,7 @@ func FuzzWordWideRowDecode(f *testing.F) {
 			}
 			q.AccumulateRow(acc, 0)
 			dst := make([]float32, cols)
-			q.DequantizeRowInto(dst, 0)
+			q.DecodeRow(dst, 0)
 			return acc, dst
 		}
 		accG, dstG := run(tensor.KernelGeneric)

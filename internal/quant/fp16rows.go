@@ -6,7 +6,8 @@ import (
 )
 
 // FP16Rows is an embedding table stored as IEEE 754 binary16 values —
-// the half-precision cold tier of the serving path's tiered store. Unlike
+// the half-precision cold tier of the serving path's tiered store. It
+// serves lookups itself (embedding.Table), decoding on the fly. Unlike
 // the row-wise linear encodings (RowQuantized), fp16 needs no per-row
 // header and its reconstruction error is relative (≤ 2^-11 of the value
 // magnitude for normal-range values), so it is the conservative choice
@@ -65,8 +66,14 @@ func NewFP16Rows(rows, cols int) *FP16Rows {
 	return &FP16Rows{Rows: rows, Cols: cols, Data: make([]uint16, rows*cols)}
 }
 
-// DequantizeRowInto decodes row r into dst, which must have length Cols.
-func (f *FP16Rows) DequantizeRowInto(dst []float32, r int) {
+// NumRows returns the table's row count.
+func (f *FP16Rows) NumRows() int { return f.Rows }
+
+// Dim returns the table's row width.
+func (f *FP16Rows) Dim() int { return f.Cols }
+
+// DecodeRow decodes row r into dst, which must have length Cols.
+func (f *FP16Rows) DecodeRow(dst []float32, r int) {
 	if len(dst) != f.Cols {
 		panic(fmt.Sprintf("quant: dst length %d != cols %d", len(dst), f.Cols))
 	}

@@ -15,7 +15,7 @@ func TestFP16RoundTripErrorBound(t *testing.T) {
 	enc := EncodeFP16Rows(data, 64, 17)
 	dst := make([]float32, 17)
 	for r := 0; r < 64; r++ {
-		enc.DequantizeRowInto(dst, r)
+		enc.DecodeRow(dst, r)
 		for c, got := range dst {
 			want := data[r*17+c]
 			bound := MaxErrorFP16(float32(math.Abs(float64(want))))
@@ -141,6 +141,45 @@ func TestRowQuantizedRowRangeCodec(t *testing.T) {
 		}
 		if _, err := dst.SetRowRange(0, make([]byte, 3)); err == nil {
 			t.Fatal("misaligned raw accepted")
+		}
+	}
+}
+
+// TestEncodingsServeAsTables holds the lookup surface both encodings
+// serve as tables: the shape, and rows that pool to exactly their
+// decoded values (a cache that stores DecodeRow must add what
+// AccumulateRow adds).
+func TestEncodingsServeAsTables(t *testing.T) {
+	const rows, cols = 5, 7
+	rng := rand.New(rand.NewSource(9))
+	data := make([]float32, rows*cols)
+	for i := range data {
+		data[i] = rng.Float32()*2 - 1
+	}
+	type table interface {
+		NumRows() int
+		Dim() int
+		DecodeRow(dst []float32, r int)
+		AccumulateRow(acc []float32, r int)
+	}
+	for name, tab := range map[string]table{
+		"fp16": EncodeFP16Rows(data, rows, cols),
+		"int8": QuantizeRows(data, rows, cols, Bits8),
+		"int4": QuantizeRows(data, rows, cols, Bits4),
+	} {
+		if tab.NumRows() != rows || tab.Dim() != cols {
+			t.Fatalf("%s: shape %dx%d, want %dx%d", name, tab.NumRows(), tab.Dim(), rows, cols)
+		}
+		dec, acc := make([]float32, cols), make([]float32, cols)
+		for r := range rows {
+			clear(acc)
+			tab.DecodeRow(dec, r)
+			tab.AccumulateRow(acc, r)
+			for c := range dec {
+				if math.Float32bits(dec[c]) != math.Float32bits(acc[c]) {
+					t.Fatalf("%s row %d col %d: decoded %g, pooled %g", name, r, c, dec[c], acc[c])
+				}
+			}
 		}
 	}
 }

@@ -33,7 +33,8 @@ const (
 // quantization: each row stores packed unsigned integers plus a float16
 // (scale, bias) pair such that value ≈ scale*q + bias. Headers are fp16,
 // as in production embedding quantization, so they do not dominate
-// small-dimension rows.
+// small-dimension rows. It serves lookups itself (embedding.Table),
+// dequantizing on the fly.
 type RowQuantized struct {
 	Rows, Cols int
 	Bits       Bits
@@ -252,12 +253,18 @@ func (q *RowQuantized) SetRowRange(lo int, raw []byte) (int, error) {
 	return rows, nil
 }
 
-// DequantizeRowInto decodes row r into dst, which must have length Cols.
+// NumRows returns the table's row count.
+func (q *RowQuantized) NumRows() int { return q.Rows }
+
+// Dim returns the table's row width.
+func (q *RowQuantized) Dim() int { return q.Cols }
+
+// DecodeRow decodes row r into dst, which must have length Cols.
 // This is the hot path used by quantized SLS lookups and the tiered
 // store's cache fills. Dispatches between the scalar decoders below and
 // the word-wide ones in decode_vector.go; both produce bitwise-identical
 // values, so a cached row never depends on which kernel filled it.
-func (q *RowQuantized) DequantizeRowInto(dst []float32, r int) {
+func (q *RowQuantized) DecodeRow(dst []float32, r int) {
 	if len(dst) != q.Cols {
 		panic(fmt.Sprintf("quant: dst length %d != cols %d", len(dst), q.Cols))
 	}
@@ -298,7 +305,7 @@ func (q *RowQuantized) dequantizeRowScalar(dst []float32, src []byte, scale, bia
 
 // AccumulateRow adds row r (dequantized on the fly) into acc, fusing the
 // dequantize with the SLS pooling sum so no temporary row is
-// materialized. Kernel-dispatched like DequantizeRowInto.
+// materialized. Kernel-dispatched like DecodeRow.
 func (q *RowQuantized) AccumulateRow(acc []float32, r int) {
 	scale, bias := f16to32(q.Scales[r]), f16to32(q.Biases[r])
 	src := q.Packed[r*q.rowStride : (r+1)*q.rowStride]

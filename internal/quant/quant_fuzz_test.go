@@ -52,7 +52,7 @@ func FuzzFP16RoundTrip(f *testing.F) {
 		}
 		enc := EncodeFP16Rows(xs, 1, len(xs))
 		dst := make([]float32, len(xs))
-		enc.DequantizeRowInto(dst, 0)
+		enc.DecodeRow(dst, 0)
 		for i, want := range xs {
 			got := dst[i]
 			if math.IsNaN(float64(want)) {
@@ -112,7 +112,7 @@ func FuzzQuantizeRowsErrorBound(f *testing.F) {
 		}
 		q := QuantizeRows(xs, 1, len(xs), bits)
 		dst := make([]float32, len(xs))
-		q.DequantizeRowInto(dst, 0)
+		q.DecodeRow(dst, 0)
 
 		lo, hi := minMax(xs)
 		scale := float64(f16to32(q.Scales[0]))

@@ -25,7 +25,7 @@ func TestQuantizeRoundTrip8(t *testing.T) {
 	q := QuantizeRows(data, rows, cols, Bits8)
 	dst := make([]float32, cols)
 	for r := 0; r < rows; r++ {
-		q.DequantizeRowInto(dst, r)
+		q.DecodeRow(dst, r)
 		row := data[r*cols : (r+1)*cols]
 		lo, hi := minMax(row)
 		bound := fp16Bound(lo, hi, Bits8)
@@ -47,7 +47,7 @@ func TestQuantizeRoundTrip4(t *testing.T) {
 	q := QuantizeRows(data, rows, cols, Bits4)
 	dst := make([]float32, cols)
 	for r := 0; r < rows; r++ {
-		q.DequantizeRowInto(dst, r)
+		q.DecodeRow(dst, r)
 		row := data[r*cols : (r+1)*cols]
 		lo, hi := minMax(row)
 		bound := fp16Bound(lo, hi, Bits4)
@@ -63,7 +63,7 @@ func TestQuantizeConstantRow(t *testing.T) {
 	data := []float32{3.5, 3.5, 3.5, 3.5}
 	q := QuantizeRows(data, 1, 4, Bits8)
 	dst := make([]float32, 4)
-	q.DequantizeRowInto(dst, 0)
+	q.DecodeRow(dst, 0)
 	for _, v := range dst {
 		if v != 3.5 {
 			t.Fatalf("constant row should reconstruct exactly, got %v", v)
@@ -107,11 +107,11 @@ func TestAccumulateRowMatchesDequant(t *testing.T) {
 		q.AccumulateRow(acc, 3)
 		want := make([]float32, cols)
 		tmp := make([]float32, cols)
-		q.DequantizeRowInto(tmp, 1)
+		q.DecodeRow(tmp, 1)
 		for i := range want {
 			want[i] += tmp[i]
 		}
-		q.DequantizeRowInto(tmp, 3)
+		q.DecodeRow(tmp, 3)
 		for i := range want {
 			want[i] += tmp[i]
 		}
@@ -133,7 +133,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		}
 		q := QuantizeRows(row, 1, cols, Bits8)
 		dst := make([]float32, cols)
-		q.DequantizeRowInto(dst, 0)
+		q.DecodeRow(dst, 0)
 		lo, hi := minMax(row)
 		bound := fp16Bound(lo, hi, Bits8)
 		for c := range dst {
@@ -154,7 +154,7 @@ func TestQuantizePanics(t *testing.T) {
 		func() { QuantizeRows(make([]float32, 4), 2, 2, Bits(3)) },
 		func() {
 			q := QuantizeRows(make([]float32, 4), 2, 2, Bits8)
-			q.DequantizeRowInto(make([]float32, 1), 0)
+			q.DecodeRow(make([]float32, 1), 0)
 		},
 	}
 	for i, fn := range cases {

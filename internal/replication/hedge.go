@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/rpc"
 )
 
@@ -54,6 +55,10 @@ type Hedged struct {
 	// rotation (see HealthTracker). Set before the first call, and only
 	// with Delay > 0: without it no silence is ever struck.
 	Health *HealthTracker
+
+	// Per-replica instruments set by RegisterMetrics (nil without it).
+	callNs []*obs.Histogram
+	lost   []*obs.Counter
 
 	next             atomic.Uint64 // rotates the hedge/failover target
 	hedges           atomic.Int64
@@ -212,6 +217,11 @@ func (c *hedgedCall) run() {
 			}
 		}
 		if waiting == 0 {
+			for _, a := range c.atts {
+				if !a.done && c.h.lost != nil {
+					c.h.lost[a.idx].Inc()
+				}
+			}
 			return
 		}
 		if a := c.await(wake); a != nil {
@@ -291,10 +301,13 @@ func (c *hedgedCall) await(wake time.Time) *attempt {
 	return live[i]
 }
 
-// settle books a completed attempt: a failure of the newest attempt
-// fails over; a success answers the call (if nothing has yet) and
-// strikes every earlier attempt still silent.
+// settle books a completed attempt: its latency; a failure of the
+// newest attempt fails over; a success answers the call (if nothing has
+// yet) and strikes every earlier attempt still silent.
 func (c *hedgedCall) settle(a *attempt) {
+	if c.h.callNs != nil {
+		c.h.callNs[a.idx].Observe(int64(time.Since(a.issued)))
+	}
 	if a.call.Err != nil {
 		if !a.struck { // a struck attempt's failure is already booked
 			c.h.report(a.idx, false)

@@ -1,19 +1,26 @@
 package replication
 
 import (
-	"time"
+	"fmt"
 
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 )
 
 // RegisterMetrics exports the hedged caller's counters and its replica
 // set's breaker state to reg as snapshot-time probes under prefix
-// (e.g. "replication.sparse1."). The serving path is untouched: the
-// probes read the same atomics and health snapshot the accessors
-// expose, once per registry snapshot.
+// (e.g. "replication.sparse1."): the probes read the same atomics and
+// health snapshot the accessors expose, once per registry snapshot. Per
+// replica N, the call loop books each attempt's latency from issue to
+// answer into replicaN.call_ns, and counts into replicaN.lost each
+// attempt a call stopped waiting for (struck and never answered). Call
+// it before the first call.
 func (h *Hedged) RegisterMetrics(reg *obs.Registry, prefix string) {
+	h.callNs = make([]*obs.Histogram, len(h.Replicas))
+	h.lost = make([]*obs.Counter, len(h.Replicas))
+	for r := range h.Replicas {
+		h.callNs[r] = reg.Histogram(fmt.Sprintf("%sreplica%d.call_ns", prefix, r))
+		h.lost[r] = reg.Counter(fmt.Sprintf("%sreplica%d.lost", prefix, r))
+	}
 	reg.RegisterProbeGroup(func(emit func(string, int64)) {
 		emit(prefix+"hedges", h.Hedges())
 		emit(prefix+"wins", h.Wins())
@@ -36,48 +43,3 @@ func (h *Hedged) RegisterMetrics(reg *obs.Registry, prefix string) {
 		emit(prefix+"call_failures", failures)
 	})
 }
-
-// ObserveCaller wraps c so every call's completion latency is folded
-// into hist. A call still outstanding after bound is counted into lost
-// and abandoned by the observer: failure injection swaps Unresponsive()
-// callers into slots, and an observer goroutine parked on a Done that
-// never closes would outlive Close (the chaos tests assert goroutine
-// settle). Waiting on Done from a side goroutine is safe — completion
-// closes the channel, so every waiter wakes.
-//
-// With a nil hist and lost (a discarding registry) c is returned
-// unwrapped, so the uninstrumented path spawns nothing.
-func ObserveCaller(c rpc.Caller, hist *obs.Histogram, lost *obs.Counter, bound time.Duration) rpc.Caller {
-	if hist == nil && lost == nil {
-		return c
-	}
-	if bound <= 0 {
-		bound = time.Second
-	}
-	return &observedCaller{inner: c, hist: hist, lost: lost, bound: bound}
-}
-
-type observedCaller struct {
-	inner rpc.Caller
-	hist  *obs.Histogram
-	lost  *obs.Counter
-	bound time.Duration
-}
-
-func (o *observedCaller) Go(req *rpc.Request) *rpc.Call {
-	call := o.inner.Go(req)
-	start := time.Now()
-	go func() {
-		select {
-		case <-call.Done:
-			o.hist.Observe(int64(time.Since(start)))
-		case <-netsim.After(o.bound):
-			o.lost.Inc()
-		}
-	}()
-	return call
-}
-
-func (o *observedCaller) Close() error { return o.inner.Close() }
-
-var _ rpc.Caller = (*observedCaller)(nil)

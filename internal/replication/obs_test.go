@@ -123,26 +123,44 @@ func (fastCaller) Go(req *rpc.Request) *rpc.Call {
 
 func (fastCaller) Close() error { return nil }
 
-func TestObserveCaller(t *testing.T) {
+// TestHedgedBooksReplicaLatency: the call loop books the answering
+// replica's latency into its call_ns, and the silent primary it stopped
+// waiting for into its lost — and books nothing, spawning nothing, into
+// a discarding registry.
+func TestHedgedBooksReplicaLatency(t *testing.T) {
 	reg := obs.NewRegistry()
-	hist := reg.Histogram("replica0.call_ns")
-	lost := reg.Counter("replica0.lost")
-
-	c := ObserveCaller(fastCaller{}, hist, lost, 50*time.Millisecond)
-	call := c.Go(&rpc.Request{Method: "x"})
+	h, err := NewHedged([]rpc.Caller{Unresponsive(), fastCaller{}}, 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.RegisterMetrics(reg, "r.")
+	call := h.Go(&rpc.Request{Method: "x"})
 	<-call.Done
-	waitFor(t, func() bool { return hist.Snapshot().Count == 1 })
-
-	// An unresponsive callee counts as lost after the bound, and the
-	// observer goroutine exits rather than pinning the never-closed Done.
-	u := ObserveCaller(Unresponsive(), hist, lost, time.Millisecond)
-	u.Go(&rpc.Request{Method: "x"})
+	if call.Err != nil {
+		t.Fatal(call.Err)
+	}
+	// The primary is struck at 2×Delay; the loop then stops waiting.
+	lost := reg.Counter("r.replica0.lost")
 	waitFor(t, func() bool { return lost.Load() == 1 })
+	if n := reg.Histogram("r.replica1.call_ns").Snapshot().Count; n != 1 {
+		t.Errorf("replica1.call_ns holds %d calls, want the hedge's 1", n)
+	}
+	if n := reg.Histogram("r.replica0.call_ns").Snapshot().Count; n != 0 {
+		t.Errorf("replica0.call_ns holds %d calls of a replica that never answered", n)
+	}
+	if n := reg.Counter("r.replica1.lost").Load(); n != 0 {
+		t.Errorf("replica1.lost = %d for the answering replica", n)
+	}
 
-	// Discarding registries wrap nothing.
-	d := obs.Discard()
-	if got := ObserveCaller(fastCaller{}, d.Histogram("h"), d.Counter("c"), time.Second); got != (fastCaller{}) {
-		t.Error("nil handles should return the caller unwrapped")
+	d, err := NewHedged([]rpc.Caller{Unresponsive(), fastCaller{}}, 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RegisterMetrics(obs.Discard(), "r.")
+	call = d.Go(&rpc.Request{Method: "x"})
+	<-call.Done
+	if call.Err != nil {
+		t.Fatal(call.Err)
 	}
 }
 
