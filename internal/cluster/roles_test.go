@@ -360,3 +360,55 @@ func TestRoleRefusals(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
+
+// TestScoresOutliveTheModel composes a deployment as drmserve does —
+// every role builds a model of its own and a sparse role keeps only the
+// tables its shard serves — then drops every reference the test holds to
+// those models and collects, so the mapped rows of every table no role
+// holds are unmapped. The next 50 scores must equal the 50 taken before,
+// byte for byte.
+func TestScoresOutliveTheModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	cfg := smallModel()
+	plan, err := sharding.NSBP(&cfg, 4) // whole tables and row partitions
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &standalone{peers: make(map[string][]string)}
+	defer d.close()
+	for shard := 1; shard <= plan.NumShards; shard++ {
+		s, err := cluster.ServeSparse(model.Build(cfg), plan, shard, "127.0.0.1:0", nil, cluster.Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.sparse = append(d.sparse, s)
+		d.peers[core.ServiceName(shard)] = []string{s.Server.Addr()}
+	}
+	if d.main, err = cluster.StartMain(model.Build(cfg), plan, "127.0.0.1:0", d.peers, nil, cluster.Options{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if d.client, err = rpc.Dial(d.main.Server.Addr(), nil); err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.NewGenerator(cfg, 31).GenerateBatch(50)
+	want := scoresOf(t, d.client, reqs)
+
+	// Finalizers run on one goroutine after the collection that found
+	// their objects unreachable; a sentinel's shows the queue has run.
+	ran := make(chan struct{})
+	runtime.SetFinalizer(new([64]byte), func(*[64]byte) { close(ran) })
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("finalizers did not run after two collections")
+	}
+
+	got := scoresOf(t, d.client, reqs)
+	for i := range want {
+		requireSameScores(t, want[i], got[i], "after the models were collected", i)
+	}
+}

@@ -160,7 +160,8 @@ func TestBlockTableEqualsScatteredMatrix(t *testing.T) {
 // ≈ 14 KiB an item) were more than half of it. parentBytes is the same
 // loop's figure at the commit before the block table (5fd8184: 610 956
 // and 609 792 in two runs; 291 335 here), on the same model, plan and
-// requests.
+// requests. A -race build allocates for the detector too, so there the
+// figure is only logged.
 func TestDistributedExecutionAllocatesNoEmbMatrix(t *testing.T) {
 	const parentBytes = 610_000
 	cfg := smallModel("DRM1")
@@ -190,6 +191,9 @@ func TestDistributedExecutionAllocatesNoEmbMatrix(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("%.0f bytes allocated per execution (parent %d)", perRun, parentBytes)
+	if raceEnabled {
+		return // 358–393 KB under -race against 283–287 KB without: the bound is the plain build's
+	}
 	if perRun > 0.6*parentBytes {
 		t.Errorf("%.0f bytes allocated per execution, want under 60 %% of the parent's %d", perRun, parentBytes)
 	}

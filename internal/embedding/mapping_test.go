@@ -1,0 +1,110 @@
+package embedding_test
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/embedding"
+	"repro/internal/mmapfile"
+)
+
+// skipUnlessMapped skips where an anonymous region falls back to the
+// heap: there is no region to count.
+func skipUnlessMapped(t *testing.T) {
+	t.Helper()
+	probe := mmapfile.Anon(os.Getpagesize())
+	defer probe.Close()
+	if !probe.Mapped() {
+		t.Skip("anonymous regions fall back to the heap here")
+	}
+}
+
+// settledMappings collects until the live-region count stops moving —
+// every finalizer of garbage made before the call has run — and returns
+// it.
+func settledMappings() int64 {
+	n := embedding.LiveMappings()
+	for {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		m := embedding.LiveMappings()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
+// TestDroppedTableReleasesItsMapping: a table of a page or more owns one
+// anonymous region, a smaller one none; a copy of the table's struct
+// keeps the region mapped after the original is dropped; once neither is
+// reachable a collection unmaps it.
+func TestDroppedTableReleasesItsMapping(t *testing.T) {
+	skipUnlessMapped(t)
+	base := settledMappings()
+	rng := rand.New(rand.NewSource(3))
+	kept := func() embedding.Dense { // the table is dropped here, a copy of its struct kept
+		tab := embedding.NewDenseRandom(rng, 1<<14, 16, 0.1) // 1 MiB
+		if got := embedding.LiveMappings(); got != base+1 {
+			t.Fatalf("a 1 MiB table left %d live regions, want %d", got, base+1)
+		}
+		small := embedding.NewDenseRandom(rng, 16, 4, 0.1)
+		if got := embedding.LiveMappings(); got != base+1 {
+			t.Fatalf("a 256-byte table mapped a region: %d live, want %d", got, base+1)
+		}
+		runtime.KeepAlive(small)
+		return *tab
+	}()
+	want := math.Float32bits(kept.Data[len(kept.Data)-1])
+	if got := settledMappings(); got != base+1 {
+		t.Fatalf("with a copy of the table alive, %d regions are live, want %d", got, base+1)
+	}
+	if got := math.Float32bits(kept.Data[len(kept.Data)-1]); got != want {
+		t.Fatalf("the copy's last value changed: %#x, want %#x", got, want)
+	}
+	runtime.KeepAlive(&kept)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for embedding.LiveMappings() != base {
+		if time.Now().After(deadline) {
+			t.Fatalf("a dropped table's region is still mapped: %d live, want %d", embedding.LiveMappings(), base)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMappedTableMatchesHeapTable: NewDenseRandom draws the same values
+// into a mapped table as into heap rows, and the table serves them
+// through every read path.
+func TestMappedTableMatchesHeapTable(t *testing.T) {
+	const rows, dim = 1 << 10, 8
+	got := embedding.NewDenseRandom(rand.New(rand.NewSource(9)), rows, dim, 0.5)
+	rng := rand.New(rand.NewSource(9))
+	want := embedding.NewDense(rows, dim)
+	for i := range want.Data {
+		want.Data[i] = (rng.Float32()*2 - 1) * 0.5
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("value %d = %v, heap reference %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	row := make([]float32, dim)
+	got.DecodeRow(row, rows-1)
+	acc := make([]float32, dim)
+	got.AccumulateRow(acc, rows-1)
+	last := want.Row(rows - 1)
+	for c := range row {
+		if row[c] != last[c] || acc[c] != row[c] {
+			t.Fatalf("last row col %d: decoded %v, accumulated %v, want %v", c, row[c], acc[c], last[c])
+		}
+	}
+	if string(got.AppendRowRange(nil, 0, rows)) != string(want.AppendRowRange(nil, 0, rows)) {
+		t.Fatal("row-range bytes differ from the heap table's")
+	}
+}

@@ -146,7 +146,8 @@ type sumJob struct {
 	stride         int
 	scales, biases *uint16
 	// What sums the bag: the fp32 table — by the assembly row-sum when avx
-	// — or the quantized one.
+	// — or the quantized one. Holding the table keeps rows valid: a
+	// mapped table's region lives as long as the table does.
 	dense *Dense
 	quant *quant.RowQuantized
 	avx   bool

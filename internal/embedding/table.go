@@ -13,7 +13,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"sync/atomic"
 
+	"repro/internal/mmapfile"
 	"repro/internal/quant"
 )
 
@@ -32,9 +36,20 @@ type Table interface {
 }
 
 // Dense is an uncompressed float32 embedding table.
+//
+// A table NewDenseRandom builds keeps its rows in an anonymous mapping
+// rather than on the Go heap, and the GC does not trace into a mapping.
+// So a view of a model table's Data — a Row, a sub-slice, a pointer into
+// it — is valid while its table is reachable: a function that keeps only
+// a view across a call keeps the table alive past the view's last use
+// (runtime.KeepAlive), as the methods below do.
 type Dense struct {
 	RowsN, DimN int
 	Data        []float32
+	// mapping is the anonymous region Data views, or nil for heap rows.
+	// Copies of the struct share it; its finalizer unmaps the region once
+	// no table refers to it.
+	mapping *mmapfile.File
 }
 
 // NewDense allocates a zeroed rows×dim table.
@@ -46,11 +61,43 @@ func NewDense(rows, dim int) *Dense {
 }
 
 // NewDenseRandom allocates a rows×dim table with values drawn uniformly
-// from [-scale, scale) using rng. Deterministic given the rng seed.
+// from [-scale, scale) using rng. Deterministic given the rng seed. It is
+// the model generator's table constructor, so a table of at least a page
+// is stored in its own anonymous mapping (newDenseMapped): one region per
+// table, so a role that keeps a few of a model's tables frees the rest
+// as they become garbage, as it would heap rows.
 func NewDenseRandom(rng *rand.Rand, rows, dim int, scale float32) *Dense {
-	t := NewDense(rows, dim)
+	t := newDenseMapped(rows, dim)
 	for i := range t.Data {
 		t.Data[i] = (rng.Float32()*2 - 1) * scale
+	}
+	return t
+}
+
+// liveMappings counts the anonymous regions newDenseMapped made that are
+// not yet unmapped.
+var liveMappings atomic.Int64
+
+// newDenseMapped allocates a zeroed rows×dim table whose rows live in an
+// anonymous mapping the table owns, unmapped by a finalizer once no table
+// refers to it. A table smaller than a page stays on the heap (NewDense).
+// Only storage sized by the model belongs here: mapped bytes are outside
+// the GC's pacing, so storage a peer sizes stays on the heap.
+func newDenseMapped(rows, dim int) *Dense {
+	if rows <= 0 || dim <= 0 || rows*dim < os.Getpagesize()/4 {
+		return NewDense(rows, dim)
+	}
+	f := mmapfile.Anon(4 * rows * dim)
+	t := &Dense{RowsN: rows, DimN: dim, Data: mmapfile.Float32s(f.Bytes())}
+	if f.Mapped() { // else the heap fallback's bytes, kept alive by Data
+		t.mapping = f
+		liveMappings.Add(1)
+		runtime.SetFinalizer(f, func(f *mmapfile.File) {
+			if err := f.Close(); err != nil {
+				panic(fmt.Sprintf("embedding: unmapping a table: %v", err))
+			}
+			liveMappings.Add(-1)
+		})
 	}
 	return t
 }
@@ -73,6 +120,7 @@ func (t *Dense) AccumulateRow(acc []float32, idx int) {
 	for i, v := range row {
 		acc[i] += v
 	}
+	runtime.KeepAlive(t)
 }
 
 // Bytes implements Table.
@@ -93,6 +141,7 @@ func (t *Dense) AppendRowRange(dst []byte, lo, hi int) []byte {
 	for i, v := range t.Data[lo*t.DimN : hi*t.DimN] {
 		binary.LittleEndian.PutUint32(dst[off+4*i:], math.Float32bits(v))
 	}
+	runtime.KeepAlive(t)
 	return dst
 }
 
@@ -116,13 +165,17 @@ func (t *Dense) SetRowRange(lo int, raw []byte) (int, error) {
 // Quantize returns this table encoded row-wise at the given width,
 // leaving the receiver unmodified. The encoding serves lookups itself.
 func (t *Dense) Quantize(bits quant.Bits) *quant.RowQuantized {
-	return quant.QuantizeRows(t.Data, t.RowsN, t.DimN, bits)
+	q := quant.QuantizeRows(t.Data, t.RowsN, t.DimN, bits)
+	runtime.KeepAlive(t)
+	return q
 }
 
 // ToFP16 returns this table encoded at half precision, leaving the
 // receiver unmodified — the fp16 cold tier of the tiered store.
 func (t *Dense) ToFP16() *quant.FP16Rows {
-	return quant.EncodeFP16Rows(t.Data, t.RowsN, t.DimN)
+	f := quant.EncodeFP16Rows(t.Data, t.RowsN, t.DimN)
+	runtime.KeepAlive(t)
+	return f
 }
 
 // RowDecoder is implemented by backends that can materialize one decoded
@@ -135,7 +188,10 @@ type RowDecoder interface {
 }
 
 // DecodeRow implements RowDecoder.
-func (t *Dense) DecodeRow(dst []float32, idx int) { copy(dst, t.Row(idx)) }
+func (t *Dense) DecodeRow(dst []float32, idx int) {
+	copy(dst, t.Row(idx))
+	runtime.KeepAlive(t)
+}
 
 // The quant encodings are tables in their own right.
 var (

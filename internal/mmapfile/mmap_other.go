@@ -14,6 +14,15 @@ func Open(path string) (*File, error) {
 	return &File{data: data}, nil
 }
 
+// Anon allocates size zeroed bytes on the heap — the portable fallback
+// for an anonymous mapping.
+func Anon(size int) *File {
+	if size <= 0 {
+		return &File{}
+	}
+	return &File{data: make([]byte, size)}
+}
+
 // Close releases the heap copy.
 func (f *File) Close() error {
 	f.data = nil

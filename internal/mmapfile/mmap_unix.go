@@ -41,6 +41,20 @@ func Open(path string) (*File, error) {
 	return &File{data: data, mapped: true}, nil
 }
 
+// Anon maps size zeroed bytes of private, read-write memory backed by no
+// file. An mmap error (an exhausted map count, say) falls back to a heap
+// allocation, as Open does.
+func Anon(size int) *File {
+	if size <= 0 {
+		return &File{}
+	}
+	data, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return &File{data: make([]byte, size)}
+	}
+	return &File{data: data, mapped: true}
+}
+
 // Close unmaps the file (no-op for heap fallbacks).
 func (f *File) Close() error {
 	if !f.mapped || f.data == nil {

@@ -1,10 +1,15 @@
-// Package mmapfile provides read-only memory-mapped file access for the
-// persistent shard-table format: a shard process serves embedding rows
-// directly from file-backed byte slices instead of regenerating (or
-// heap-copying) its tables at boot. On platforms without mmap — or when
-// the host byte order does not match the little-endian file format — Open
-// transparently falls back to reading the file into the heap, so callers
-// never branch on platform.
+// Package mmapfile provides memory outside the Go heap, in two kinds of
+// mapping. Open maps a file read-only, for the persistent shard-table
+// format: a shard process serves embedding rows directly from
+// file-backed byte slices instead of regenerating (or heap-copying) its
+// tables at boot. Anon maps private, read-write, zeroed memory backed by
+// no file, for the model generator's fp32 tables: their rows count
+// toward the process's resident set but not toward the live heap or the
+// GC's heap goal. On platforms without mmap, or when the mmap call
+// fails, both fall back to the heap transparently, so callers never
+// branch on platform; where the host byte order is not the file format's
+// little-endian, callers decode file bytes (DecodeF32) instead of viewing
+// them.
 package mmapfile
 
 import (
@@ -12,18 +17,20 @@ import (
 	"unsafe"
 )
 
-// File is an open, read-only view of a file's contents: either a live
-// memory mapping or a heap copy (the fallback). Close releases the
-// mapping; any slices derived from Bytes (including the typed views
-// below) are invalid afterwards.
+// File is an open view of a file's contents, read-only, or an anonymous
+// region, read-write: either a live memory mapping or heap memory (the
+// fallback). Close releases the mapping; any slices derived from Bytes
+// (including the typed views below) are invalid afterwards. The GC does
+// not trace into a mapping, so a view keeps nothing alive: whoever holds
+// a view must keep its File open.
 type File struct {
 	data   []byte
 	mapped bool
 }
 
-// Bytes returns the file contents. For a mapped file the slice is backed
-// by the page cache and must not be written to (the mapping is
-// PROT_READ; writes fault).
+// Bytes returns the contents. For a mapped file the slice is backed by
+// the page cache and must not be written to (the mapping is PROT_READ;
+// writes fault); an anonymous region's may be.
 func (f *File) Bytes() []byte { return f.data }
 
 // Mapped reports whether the contents are served from a memory mapping
@@ -39,12 +46,14 @@ func hostLittleEndian() bool {
 }
 
 // ViewsUsable reports whether Float32s/Uint16s views over file bytes
-// decode correctly on this host (little-endian file format).
+// decode correctly on this host (little-endian file format). An
+// anonymous region holds no file format: a view of it is always usable.
 func ViewsUsable() bool { return hostLittleEndian() }
 
 // Float32s views b as a []float32 without copying. The caller must
 // ensure len(b) is a multiple of 4, b is 4-byte aligned (page-aligned
-// file sections are), and ViewsUsable() holds; otherwise use DecodeF32.
+// file sections and anonymous regions are) and, for file bytes,
+// ViewsUsable() holds; otherwise use DecodeF32.
 func Float32s(b []byte) []float32 {
 	if len(b) == 0 {
 		return nil

@@ -197,3 +197,36 @@ func TestViewAfterCloseFaults(t *testing.T) {
 		t.Fatalf("child died but not from the unmapped view: %v\n%s", err, s)
 	}
 }
+
+// TestAnonRegion: an anonymous region is zeroed, writable and holds what
+// is written until Close; a non-positive size maps nothing.
+func TestAnonRegion(t *testing.T) {
+	size := os.Getpagesize() + 12
+	r := Anon(size)
+	t.Logf("mapped: %v", r.Mapped())
+	b := r.Bytes()
+	if len(b) != size {
+		t.Fatalf("len(Bytes) = %d, want %d", len(b), size)
+	}
+	for i, v := range b {
+		if v != 0 {
+			t.Fatalf("byte %d = %#x, want 0", i, v)
+		}
+	}
+	vals := Float32s(b)
+	vals[0], vals[len(vals)-1] = 1.5, -2
+	if got := DecodeF32(b); got[0] != 1.5 || got[len(got)-1] != -2 {
+		t.Errorf("values written through a view read back as %v, %v", got[0], got[len(got)-1])
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Bytes() != nil || r.Mapped() {
+		t.Errorf("after Close: %d bytes, mapped=%v", len(r.Bytes()), r.Mapped())
+	}
+	for _, n := range []int{0, -1} {
+		if e := Anon(n); len(e.Bytes()) != 0 || e.Mapped() {
+			t.Errorf("Anon(%d): %d bytes, mapped=%v", n, len(e.Bytes()), e.Mapped())
+		}
+	}
+}

@@ -428,6 +428,50 @@ func TestFusedSLSPoolsColumnRanges(t *testing.T) {
 	}
 }
 
+// TestFusedSLSReusesItsBlockTable: across a Recycle a FusedSLS publishes
+// its block table in the storage of the run before, with no handle left
+// over for a bag that is empty now, and pools without allocating; Recycle
+// leaves the kept slots and entries pinning nothing.
+func TestFusedSLSReusesItsBlockTable(t *testing.T) {
+	t1 := embedding.NewDense(3, 2)
+	copy(t1.Data, []float32{1, 2, 3, 4, 5, 6})
+	op := &FusedSLS{OpName: "sls", Output: "emb", Cols: 2, Entries: []FusedSLSEntry{{Table: t1, InputBags: "b"}}}
+	ws := NewWorkspace()
+	run := func(lens, idx []int32) *tensor.Blocks {
+		t.Helper()
+		ws.SetBags("b", embedding.BagList{Lens: lens, Indices: idx})
+		ws.SetBlob("emb", ws.AllocBlobZero("emb", len(lens), 2))
+		if err := op.Run(ws); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ws.Blocks("emb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := run([]int32{1, 1}, []int32{0, 2})
+	handles := &first.Handles[0]
+	if want := []uint32{1, 3}; !slices.Equal(first.Handles, want) {
+		t.Fatalf("first run's handles %v, want %v", first.Handles, want)
+	}
+	ws.Recycle()
+	b := ws.sls["emb"]
+	if b.pool[:cap(b.pool)][0].Table != nil || b.blocks.Slots[0].Data != nil {
+		t.Error("Recycle left the kept entries or slots pointing at the run's buffers")
+	}
+	second := run([]int32{0, 1}, []int32{1})
+	if &second.Handles[0] != handles {
+		t.Error("the second run did not reuse the first run's handles")
+	}
+	if want := []uint32{0, 3}; !slices.Equal(second.Handles, want) || !slices.Equal(second.Dense().Data, []float32{0, 0, 3, 4}) {
+		t.Errorf("second run's handles %v (want %v) standing for %v", second.Handles, want, second.Dense().Data)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = op.Run(ws) }); allocs != 0 {
+		t.Errorf("a run over kept scratch allocates %v times, want 0", allocs)
+	}
+}
+
 // TestAllocEmbClearsRecycledStorage runs the in-line SLS (AllocEmb then
 // FusedSLS) twice through one workspace across a Recycle: the second run
 // reuses the first's dirty matrix, and the column no entry writes must

@@ -73,11 +73,7 @@ func (o *FusedSLS) Run(ws *Workspace) error {
 	} else {
 		emb = tensor.New(rows, o.Cols)
 	}
-	pool := make([]embedding.PoolEntry, 0, len(o.Entries))
-	blocks := &tensor.Blocks{
-		Rows: rows, Cols: o.Cols, Stride: rows,
-		Slots: make([]tensor.BlockSlot, len(o.Entries)), Handles: make([]uint32, len(o.Entries)*rows),
-	}
+	pool, blocks := ws.slsScratch(o.Output, len(o.Entries), rows, o.Cols)
 	for i := range o.Entries {
 		e := &o.Entries[i]
 		bags, err := ws.Bags(e.InputBags)

@@ -30,7 +30,9 @@ import (
 // A workspace that is reused across runs keeps the storage AllocBlob
 // handed out under each name: Recycle ends a run and turns that storage
 // into spare for the next run's AllocBlob of the same name, so steady
-// state reuses the dense outputs' storage instead of allocating it.
+// state reuses the dense outputs' storage instead of allocating it. It
+// keeps a FusedSLS's pool entries and block table by output name the
+// same way (slsBufs).
 type Workspace struct {
 	blobs  map[string]*tensor.Matrix
 	blocks map[string]*tensor.Blocks
@@ -39,6 +41,16 @@ type Workspace struct {
 	// spare holds what earlier runs left for AllocBlob to take back.
 	owned map[string][]float32
 	spare map[string][]float32
+	// sls holds, by output name, what each FusedSLS run built besides
+	// its matrix.
+	sls map[string]*slsBufs
+}
+
+// slsBufs is a FusedSLS's per-run scratch: its embedding.Pool entries and
+// the block table it publishes.
+type slsBufs struct {
+	pool   []embedding.PoolEntry
+	blocks tensor.Blocks
 }
 
 // NewWorkspace returns an empty workspace.
@@ -49,6 +61,7 @@ func NewWorkspace() *Workspace {
 		bags:   make(map[string]embedding.BagList),
 		owned:  make(map[string][]float32),
 		spare:  make(map[string][]float32),
+		sls:    make(map[string]*slsBufs),
 	}
 }
 
@@ -91,14 +104,47 @@ func (ws *Workspace) alloc(name string, rows, cols int) (*tensor.Matrix, bool) {
 	return tensor.FromSlice(rows, cols, buf), reused
 }
 
+// slsScratch returns the scratch a FusedSLS run under name fills: an empty
+// pool-entry list with room for entries, and a rows×cols block table of
+// entries slots and zeroed handles; the op sets every slot. A workspace
+// that ran the op before hands back the same storage, so a second run
+// under the same name replaces what the first published even without a
+// Recycle between them.
+func (ws *Workspace) slsScratch(name string, entries, rows, cols int) ([]embedding.PoolEntry, *tensor.Blocks) {
+	b := ws.sls[name]
+	if b == nil {
+		b = &slsBufs{}
+		ws.sls[name] = b
+	}
+	if cap(b.pool) < entries {
+		b.pool = make([]embedding.PoolEntry, 0, entries)
+	}
+	slots, handles := b.blocks.Slots, b.blocks.Handles
+	if cap(slots) < entries {
+		slots = make([]tensor.BlockSlot, entries)
+	}
+	if cap(handles) < entries*rows {
+		handles = make([]uint32, entries*rows)
+	}
+	slots, handles = slots[:entries], handles[:entries*rows]
+	clear(handles)
+	b.blocks = tensor.Blocks{Rows: rows, Cols: cols, Stride: rows, Slots: slots, Handles: handles}
+	return b.pool[:0], &b.blocks
+}
+
 // Recycle ends a run: every blob, block table and bag list is forgotten,
 // and the storage AllocBlob handed out becomes spare for the next run.
 // Nothing drawn from the workspace may be used after Recycle. Block
-// tables and bag lists are dropped rather than kept so a pooled
-// workspace never pins the buffers they stand over.
+// tables and bag lists are dropped rather than kept, and a FusedSLS's
+// kept entries and slots are cleared, so a pooled workspace never pins
+// the buffers they stand over.
 func (ws *Workspace) Recycle() {
 	for name, buf := range ws.owned {
 		ws.spare[name] = buf
+	}
+	for _, b := range ws.sls {
+		clear(b.pool[:cap(b.pool)])
+		clear(b.blocks.Slots)
 	}
 	clear(ws.owned)
 	clear(ws.blobs)
