@@ -6,8 +6,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -102,14 +104,13 @@ func runDeltaDiff(args []string) {
 	if oldSF.Shard != newSF.Shard {
 		fmt.Printf("warning: comparing shard %d against shard %d\n", oldSF.Shard, newSF.Shard)
 	}
-	type key struct{ id, part int }
-	oldTabs := make(map[key]core.ShardTable)
+	oldTabs := make(map[sharding.TableLoadKey]core.ShardTable)
 	for _, t := range oldSF.Tables {
-		oldTabs[key{t.TableID, t.PartIndex}] = t
+		oldTabs[t.Key()] = t
 	}
 	totalRows, totalChanged := 0, 0
 	for _, nt := range newSF.Tables {
-		k := key{nt.TableID, nt.PartIndex}
+		k := nt.Key()
 		ot, ok := oldTabs[k]
 		if !ok {
 			fmt.Printf("table %d part %d: only in %s (%d rows)\n", nt.TableID, nt.PartIndex, fs.Arg(1), nt.Rows)
@@ -129,8 +130,8 @@ func runDeltaDiff(args []string) {
 				nt.TableID, nt.PartIndex, changed, nt.Rows, float64(4*changed*nt.Dim)/1024)
 		}
 	}
-	for k := range oldTabs {
-		fmt.Printf("table %d part %d: only in %s\n", k.id, k.part, fs.Arg(0))
+	for _, k := range slices.SortedFunc(maps.Keys(oldTabs), sharding.TableLoadKey.Compare) {
+		fmt.Printf("table %d part %d: only in %s\n", k.TableID, k.PartIndex, fs.Arg(0))
 	}
 	if totalChanged == 0 && len(oldTabs) == 0 {
 		fmt.Printf("identical: %d rows serve the same values\n", totalRows)

@@ -277,7 +277,7 @@ func appendEntryIDs(b []byte, net, table, part, numParts int) []byte {
 func countPart(indices []int32, part, numParts int) int {
 	n := 0
 	for _, idx := range indices {
-		if int(idx)%numParts == part {
+		if p, _ := embedding.RowPart(int(idx), numParts); p == part {
 			n++
 		}
 	}
@@ -296,8 +296,8 @@ func appendPart(b []byte, l embedding.BagList, part, numParts, n int) ([]byte, [
 	idx, pos := b[at+4*len(lens):], 0
 	for bag, k := range l.Lens {
 		for _, x := range l.Indices[pos : pos+int(k)] {
-			if int(x)%numParts == part {
-				binary.LittleEndian.PutUint32(idx, uint32(x/int32(numParts)))
+			if p, local := embedding.RowPart(int(x), numParts); p == part {
+				binary.LittleEndian.PutUint32(idx, uint32(local))
 				idx = idx[4:]
 				lens[bag]++
 			}

@@ -254,7 +254,7 @@ func TestSparseShardServesRepeatedEntry(t *testing.T) {
 	if len(resp.Entries) != 2 || !slices.Equal(resp.Entries[0].Data, []float32{3}) || !slices.Equal(resp.Entries[1].Data, []float32{7, 8}) {
 		t.Fatalf("entries %+v, want [3] and [7 8]", resp.Entries)
 	}
-	if l := sh.LoadSnapshot(false).Tables[tableKey{id: 5}.loadKey()]; l.Lookups != 5 || l.Calls != 2 {
+	if l := sh.LoadSnapshot(false).Tables[sharding.TableLoadKey{TableID: 5}]; l.Lookups != 5 || l.Calls != 2 {
 		t.Errorf("load %+v, want both entries' 5 lookups as 2 calls", l)
 	}
 }
@@ -327,7 +327,7 @@ func TestMaterializeShardsWithPartitions(t *testing.T) {
 	var partRows int
 	for _, sh := range shards {
 		for key, tab := range shardTables(sh) {
-			if key.id == 0 {
+			if key.TableID == 0 {
 				partRows += tab.NumRows()
 			}
 		}
@@ -338,7 +338,7 @@ func TestMaterializeShardsWithPartitions(t *testing.T) {
 }
 
 // shardTables exposes the private map for the materialization test.
-func shardTables(s *SparseShard) map[tableKey]embedding.Table { return s.tables }
+func shardTables(s *SparseShard) map[sharding.TableLoadKey]embedding.Table { return s.tables }
 
 func TestMaterializeErrors(t *testing.T) {
 	cfg := tinyConfig()

@@ -86,7 +86,7 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	// indices already hashed.
 	req, hash := &RankingRequest{Items: drm1Batch}, &nn.HashAllBags{}
 	for id, bags := range c.bags {
-		group.entries = append(group.entries, groupEntry{slot: id, numParts: 1})
+		group.entries = append(group.entries, groupEntry{slot: id, PartRef: sharding.PartRef{TableID: id, NumParts: 1}})
 		l := embedding.Flatten(bags)
 		req.Bags = append(req.Bags, TableBags{TableID: int32(id), BagList: l})
 		hash.Entries = append(hash.Entries, nn.HashEntry{Out: l.Indices})

@@ -366,17 +366,11 @@ func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string)
 		a := &plan.Shards[i]
 		var entries []groupEntry
 		for pos, np := range nets {
-			add := func(id, partIndex, numParts int) {
-				if slot, ok := slotOf[pos][id]; ok {
-					entries = append(entries, groupEntry{net: pos, slot: slot, partIndex: partIndex, numParts: numParts})
+			for u := range a.Units() {
+				if slot, ok := slotOf[pos][u.TableID]; ok {
+					entries = append(entries, groupEntry{net: pos, slot: slot, PartRef: u})
 					np.tables[slot].sources++
 				}
-			}
-			for _, id := range a.Tables {
-				add(id, 0, 1)
-			}
-			for _, pr := range a.Parts {
-				add(pr.TableID, pr.PartIndex, pr.NumParts)
 			}
 		}
 		if len(entries) == 0 {

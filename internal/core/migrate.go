@@ -141,7 +141,7 @@ func (mg *Migrator) move(mv sharding.Move) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	shape, ok := findShape(held, mv.TableID, mv.PartIndex)
+	shape, ok := findShape(held, mv.Key())
 	if !ok {
 		return 0, fmt.Errorf("core: move %v: %s does not hold the table", mv, srcEp.Service)
 	}

@@ -115,7 +115,7 @@ func heldShape(t *testing.T, sh *SparseShard, id, part int) TableShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape, ok := findShape(held, id, part)
+	shape, ok := findShape(held, sharding.TableLoadKey{TableID: id, PartIndex: part})
 	if !ok {
 		t.Fatalf("%s does not list table %d part %d", sh.ShardName, id, part)
 	}
@@ -329,15 +329,15 @@ func newRebalanceFixture(t *testing.T) *rebalanceFixture {
 }
 
 // listed is every shard's table.list answer, as a set per shard.
-func (f *rebalanceFixture) listed(t *testing.T) []map[tableKey]bool {
+func (f *rebalanceFixture) listed(t *testing.T) []map[sharding.TableLoadKey]bool {
 	t.Helper()
-	out := make([]map[tableKey]bool, len(f.shards))
+	out := make([]map[sharding.TableLoadKey]bool, len(f.shards))
 	for i, sh := range f.shards {
 		shapes, err := listTables(handleCall(sh))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = make(map[tableKey]bool)
+		out[i] = make(map[sharding.TableLoadKey]bool)
 		for _, shape := range shapes {
 			out[i][shape.key()] = true
 		}
@@ -347,12 +347,12 @@ func (f *rebalanceFixture) listed(t *testing.T) []map[tableKey]bool {
 
 // requireStillListed fails if a shard stopped listing a table it listed
 // in before.
-func requireStillListed(t *testing.T, before, now []map[tableKey]bool) {
+func requireStillListed(t *testing.T, before, now []map[sharding.TableLoadKey]bool) {
 	t.Helper()
 	for i := range before {
 		for key := range before[i] {
 			if !now[i][key] {
-				t.Fatalf("sparse%d dropped table %d part %d while a request routed under the old plan was running", i+1, key.id, key.part)
+				t.Fatalf("sparse%d dropped table %d part %d while a request routed under the old plan was running", i+1, key.TableID, key.PartIndex)
 			}
 		}
 	}
@@ -434,7 +434,7 @@ func TestRebalanceWaitsForOldPlanRequest(t *testing.T) {
 	}
 	after := f.listed(t)
 	for _, mv := range report.Plan.Moves {
-		key := tableKey{id: mv.TableID, part: mv.PartIndex}
+		key := mv.Key()
 		if after[mv.From-1][key] || !after[mv.To-1][key] {
 			t.Errorf("after %v: sparse%d lists it %v, sparse%d %v", mv, mv.From, after[mv.From-1][key], mv.To, after[mv.To-1][key])
 		}

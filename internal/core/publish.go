@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -135,19 +136,17 @@ func (r *PublishReport) String() string {
 // staging rows it must overwrite, paired with offsets into the delta's
 // fp32 payload.
 type deltaUnit struct {
-	tableID, partIndex, numParts int
-	localRows                    []int32 // sorted local row indices
-	srcRows                      []int32 // delta payload row offsets, aligned with localRows
-	dim                          int
-	data                         []float32 // the delta's full payload
+	sharding.PartRef
+	localRows []int32 // sorted local row indices
+	srcRows   []int32 // delta payload row offsets, aligned with localRows
+	dim       int
+	data      []float32 // the delta's full payload
 }
 
 // planUnitsFor maps each table delta onto the plan's placement units,
-// returning per-shard work lists. Modulus partitioning puts logical row
-// r at (part r%numParts, local row r/numParts) — the same mapping
-// embedding.PartitionRows uses — so a row outside the table would match
-// no part, or a wrong one, and is refused here, before any shard is
-// called.
+// returning per-shard work lists. A logical row goes to its part's local
+// row by embedding.RowPart, so a row outside the table would match no
+// part, or a wrong one, and is refused here, before any shard is called.
 func planUnitsFor(plan *sharding.Plan, cfg *model.Config, deltas []TableDelta) (map[int][]*deltaUnit, error) {
 	if len(deltas) == 0 {
 		return nil, nil // a dense-only delta set routes nothing
@@ -155,17 +154,10 @@ func planUnitsFor(plan *sharding.Plan, cfg *model.Config, deltas []TableDelta) (
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: publish: singular plans hold no sparse shards")
 	}
-	type placement struct {
-		shard, partIndex, numParts int
-	}
-	where := make(map[int][]placement)
+	placed := make(map[int]bool)
 	for si := range plan.Shards {
-		a := &plan.Shards[si]
-		for _, id := range a.Tables {
-			where[id] = append(where[id], placement{shard: a.Shard, partIndex: 0, numParts: 1})
-		}
-		for _, pr := range a.Parts {
-			where[pr.TableID] = append(where[pr.TableID], placement{shard: a.Shard, partIndex: pr.PartIndex, numParts: pr.NumParts})
+		for u := range plan.Shards[si].Units() {
+			placed[u.TableID] = true
 		}
 	}
 	out := make(map[int][]*deltaUnit)
@@ -177,9 +169,7 @@ func planUnitsFor(plan *sharding.Plan, cfg *model.Config, deltas []TableDelta) (
 		if len(d.Data)%len(d.Rows) != 0 {
 			return nil, fmt.Errorf("core: publish: table %d delta has %d values for %d rows", d.TableID, len(d.Data), len(d.Rows))
 		}
-		dim := len(d.Data) / len(d.Rows)
-		places, ok := where[d.TableID]
-		if !ok {
+		if !placed[d.TableID] {
 			return nil, fmt.Errorf("core: publish: table %d is not placed by the current plan", d.TableID)
 		}
 		for _, r := range d.Rows {
@@ -187,32 +177,29 @@ func planUnitsFor(plan *sharding.Plan, cfg *model.Config, deltas []TableDelta) (
 				return nil, fmt.Errorf("core: publish: table %d row %d outside its %d rows", d.TableID, r, n)
 			}
 		}
-		for _, pl := range places {
-			u := &deltaUnit{
-				tableID: d.TableID, partIndex: pl.partIndex, numParts: pl.numParts,
-				dim: dim, data: d.Data,
-			}
-			for i, r := range d.Rows {
-				if pl.numParts > 1 && int(r)%pl.numParts != pl.partIndex {
+		for si := range plan.Shards {
+			a := &plan.Shards[si]
+			for pr := range a.Units() {
+				if pr.TableID != d.TableID {
 					continue
 				}
-				u.localRows = append(u.localRows, r/int32(pl.numParts))
-				u.srcRows = append(u.srcRows, int32(i))
+				u := &deltaUnit{PartRef: pr, dim: len(d.Data) / len(d.Rows), data: d.Data}
+				for i, r := range d.Rows {
+					if part, local := embedding.RowPart(int(r), pr.NumParts); part == pr.PartIndex {
+						u.localRows = append(u.localRows, int32(local))
+						u.srcRows = append(u.srcRows, int32(i))
+					}
+				}
+				if len(u.localRows) == 0 {
+					continue
+				}
+				sort.Sort(byLocalRow{u})
+				out[a.Shard] = append(out[a.Shard], u)
 			}
-			if len(u.localRows) == 0 {
-				continue
-			}
-			sort.Sort(byLocalRow{u})
-			out[pl.shard] = append(out[pl.shard], u)
 		}
 	}
 	for _, units := range out {
-		sort.Slice(units, func(i, j int) bool {
-			if units[i].tableID != units[j].tableID {
-				return units[i].tableID < units[j].tableID
-			}
-			return units[i].partIndex < units[j].partIndex
-		})
+		slices.SortFunc(units, func(a, b *deltaUnit) int { return a.Key().Compare(b.Key()) })
 	}
 	return out, nil
 }
@@ -307,17 +294,17 @@ func (p *Publisher) publishToEndpoint(ep ShardEndpoint, shard int, version uint6
 		return nil, err
 	}
 	for _, u := range units {
-		shape, ok := findShape(held, u.tableID, u.partIndex)
+		shape, ok := findShape(held, u.Key())
 		if !ok {
-			return nil, fmt.Errorf("core: publish: %s does not hold table %d part %d", ep.Service, u.tableID, u.partIndex)
+			return nil, fmt.Errorf("core: publish: %s does not hold table %d part %d", ep.Service, u.TableID, u.PartIndex)
 		}
 		if int(shape.Dim) != u.dim {
 			return nil, fmt.Errorf("core: publish: table %d part %d dim %d at %s, delta has %d",
-				u.tableID, u.partIndex, shape.Dim, ep.Service, u.dim)
+				u.TableID, u.PartIndex, shape.Dim, ep.Service, u.dim)
 		}
 		if last := u.localRows[len(u.localRows)-1]; last >= shape.Rows {
 			return nil, fmt.Errorf("core: publish: table %d part %d row %d outside %d rows at %s",
-				u.tableID, u.partIndex, last, shape.Rows, ep.Service)
+				u.TableID, u.PartIndex, last, shape.Rows, ep.Service)
 		}
 		if _, err := call(MethodStageBegin, encodeMsg(&StageBegin{Txn: version, Shape: shape, Base: StageClone})); err != nil {
 			return nil, err
@@ -357,7 +344,7 @@ func (p *Publisher) putUnit(call shardCall, version uint64, u *deltaUnit, enc in
 			return err
 		}
 		if _, err := call(MethodStagePut, encodeMsg(&StagePut{
-			Txn: version, TableID: int32(u.tableID), PartIndex: int32(u.partIndex),
+			Txn: version, TableID: int32(u.TableID), PartIndex: int32(u.PartIndex),
 			RowStart: u.localRows[i], Rows: rows,
 		})); err != nil {
 			return err

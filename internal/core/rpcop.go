@@ -8,6 +8,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/nn"
 	"repro/internal/rpc"
+	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -192,12 +193,11 @@ func sumParts(handles []uint32, parts []partial, width int) []float32 {
 	return sums
 }
 
-// groupEntry is one (net, table, part) a shard's group covers.
+// groupEntry is one (net, placement unit) a shard's group covers.
 type groupEntry struct {
-	net       int // position in the call plan's nets: the wire's net index
-	slot      int // the table's index in that net's tables
-	partIndex int
-	numParts  int
+	net  int // position in the call plan's nets: the wire's net index
+	slot int // the table's index in that net's tables
+	sharding.PartRef
 }
 
 // callPlan is the compiled shape of one sparse fetch: the nets it covers
@@ -266,19 +266,16 @@ func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 // sent. A nil body means no lookup routes to the shard.
 func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	f, x := o.f, o.f.x
-	list := func(e *groupEntry) (int, embedding.BagList) {
-		id := f.plan.nets[e.net].tables[e.slot].ID
-		return id, x.bags(id, f.start, f.start+f.rows)
-	}
+	list := func(e *groupEntry) embedding.BagList { return x.bags(e.TableID, f.start, f.start+f.rows) }
 	// indices[i] is how many indices entry i sends.
 	indices := make([]int, len(o.g.entries))
 	size, lookups := sparseHeadSize(f.plan.names), 0
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
-		_, l := list(e)
+		l := list(e)
 		indices[i] = len(l.Indices)
-		if e.numParts > 1 {
-			indices[i] = countPart(l.Indices, e.partIndex, e.numParts)
+		if e.NumParts > 1 {
+			indices[i] = countPart(l.Indices, e.PartIndex, e.NumParts)
 		}
 		size += sparseEntryHeader + bagListSize(len(l.Lens), indices[i])
 		lookups += indices[i]
@@ -290,10 +287,10 @@ func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	sent = make([]sentBags, len(o.g.entries))
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
-		id, l := list(e)
-		body = appendEntryIDs(body, e.net, id, e.partIndex, e.numParts)
-		if e.numParts > 1 {
-			body, sent[i].lens = appendPart(body, l, e.partIndex, e.numParts, indices[i])
+		l := list(e)
+		body = appendEntryIDs(body, e.net, e.TableID, e.PartIndex, e.NumParts)
+		if e.NumParts > 1 {
+			body, sent[i].lens = appendPart(body, l, e.PartIndex, e.NumParts, indices[i])
 		} else {
 			body, sent[i].lens = appendBagList(body, l), l.Lens
 		}
@@ -379,7 +376,7 @@ func (o *rpcOp) deliver(read func(i int, e *groupEntry) (partial, error)) {
 			o.f.nets[e.net].fail(err)
 			continue
 		}
-		o.f.nets[e.net].place(e.slot, e.partIndex, p)
+		o.f.nets[e.net].place(e.slot, e.PartIndex, p)
 		placed[e.net]++
 	}
 	for net, n := range placed {
@@ -415,10 +412,10 @@ func (o *rpcOp) scatter(resp []byte, sent []sentBags) {
 			return partial{}, fmt.Errorf("core: response of %s: %w", o.g.service, err)
 		}
 		t := &o.f.plan.nets[e.net].tables[e.slot]
-		if int(got.TableID) != t.ID || int(got.PartIndex) != e.partIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != sent[i].present*t.Dim {
+		if int(got.TableID) != t.ID || int(got.PartIndex) != e.PartIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != sent[i].present*t.Dim {
 			return partial{}, fmt.Errorf(
 				"core: %s entry %d mismatched (table %d part %d rows %d cols %d values %d; want %d/%d/%d/%d/%d)",
-				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.partIndex, o.f.rows, t.Dim, sent[i].present*t.Dim)
+				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.PartIndex, o.f.rows, t.Dim, sent[i].present*t.Dim)
 		}
 		return partial{rows: rows, lens: sent[i].lens}, nil
 	})

@@ -69,39 +69,26 @@ func ShardFilePath(dir, modelName string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.shard%d", modelName, shard))
 }
 
-// shardUnit is one table (or row-partition) headed for a shard file.
-type shardUnit struct {
-	tableID, partIndex, numParts int
-	dense                        *embedding.Dense
-}
-
-// planUnits lists the placement units shard `shard` serves, with their
-// fp32 source rows, in plan order (whole tables then partitions).
-func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]shardUnit, error) {
+// planUnits lists the placement units shard `shard` serves, in plan
+// order, each with its fp32 rows as a *embedding.Dense: a whole table's
+// are the model's, a row-partition's a copy (PartRows).
+func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]ShardTable, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: singular plans have no shards to export")
 	}
 	if shard < 1 || shard > plan.NumShards {
 		return nil, fmt.Errorf("core: shard %d outside [1, %d]", shard, plan.NumShards)
 	}
-	a := &plan.Shards[shard-1]
-	units := make([]shardUnit, 0, len(a.Tables)+len(a.Parts))
-	for _, id := range a.Tables {
-		dense, ok := m.Tables[id].(*embedding.Dense)
+	var units []ShardTable
+	for u := range plan.Shards[shard-1].Units() {
+		dense, ok := m.Tables[u.TableID].(*embedding.Dense)
 		if !ok {
-			return nil, fmt.Errorf("core: table %d is not fp32 dense; serve quantized models singular", id)
+			return nil, fmt.Errorf("core: table %d is not fp32 dense; serve quantized models singular", u.TableID)
 		}
-		units = append(units, shardUnit{tableID: id, partIndex: 0, numParts: 1, dense: dense})
-	}
-	for _, pr := range a.Parts {
-		dense, ok := m.Tables[pr.TableID].(*embedding.Dense)
-		if !ok {
-			return nil, fmt.Errorf("core: table %d is not fp32 dense; cannot partition", pr.TableID)
+		if u.NumParts > 1 {
+			dense = embedding.PartRows(dense, u.NumParts, u.PartIndex)
 		}
-		units = append(units, shardUnit{
-			tableID: pr.TableID, partIndex: pr.PartIndex, numParts: pr.NumParts,
-			dense: embedding.PartRows(dense, pr.NumParts, pr.PartIndex),
-		})
+		units = append(units, ShardTable{PartRef: u, Rows: dense.RowsN, Dim: dense.DimN, Table: dense})
 	}
 	return units, nil
 }
@@ -154,8 +141,7 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 		return err
 	}
 	type section struct {
-		u               shardUnit
-		enc             int32
+		ShardTable
 		hdr, data       []byte
 		hdrOff, dataOff int64
 		hdrCRC, dataCRC uint32
@@ -165,7 +151,8 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(i, j int) bool { return len(units[order[i]].dense.Data) > len(units[order[j]].dense.Data) })
+	size := func(t ShardTable) int { return t.Rows * t.Dim }
+	sort.SliceStable(order, func(i, j int) bool { return size(units[order[i]]) > size(units[order[j]]) })
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(units)) {
@@ -174,10 +161,9 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
 				s := &secs[order[k]]
-				s.u = units[order[k]]
-				d := s.u.dense
-				s.enc = planEnc(tier, s.u.tableID)
-				s.hdr, s.data = encodeRows(s.enc, d.Data, d.RowsN, d.DimN)
+				s.ShardTable = units[order[k]]
+				s.Enc = planEnc(tier, s.TableID)
+				s.hdr, s.data = encodeRows(s.Enc, s.Table.(*embedding.Dense).Data, s.Rows, s.Dim)
 				s.hdrCRC, s.dataCRC = crc32.ChecksumIEEE(s.hdr), crc32.ChecksumIEEE(s.data)
 			}
 		}()
@@ -206,12 +192,12 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 	ent := make([]byte, shardDirEntrySize)
 	for i := range secs {
 		s := &secs[i]
-		binary.LittleEndian.PutUint32(ent[0:], uint32(s.u.tableID))
-		binary.LittleEndian.PutUint32(ent[4:], uint32(s.u.partIndex))
-		binary.LittleEndian.PutUint32(ent[8:], uint32(s.u.numParts))
-		binary.LittleEndian.PutUint32(ent[12:], uint32(s.u.dense.RowsN))
-		binary.LittleEndian.PutUint32(ent[16:], uint32(s.u.dense.DimN))
-		binary.LittleEndian.PutUint32(ent[20:], uint32(s.enc))
+		binary.LittleEndian.PutUint32(ent[0:], uint32(s.TableID))
+		binary.LittleEndian.PutUint32(ent[4:], uint32(s.PartIndex))
+		binary.LittleEndian.PutUint32(ent[8:], uint32(s.NumParts))
+		binary.LittleEndian.PutUint32(ent[12:], uint32(s.Rows))
+		binary.LittleEndian.PutUint32(ent[16:], uint32(s.Dim))
+		binary.LittleEndian.PutUint32(ent[20:], uint32(s.Enc))
 		binary.LittleEndian.PutUint64(ent[24:], uint64(s.hdrOff))
 		binary.LittleEndian.PutUint64(ent[32:], uint64(s.dataOff))
 		binary.LittleEndian.PutUint64(ent[40:], uint64(len(s.hdr)))
@@ -277,13 +263,13 @@ func WriteShardFile(path string, m *model.Model, plan *sharding.Plan, shard int,
 	return err
 }
 
-// ShardTable is one parsed shard-file table: placement metadata plus a
+// ShardTable is one shard-file table: its placement unit plus a
 // serving-ready embedding table (possibly backed by mapped file bytes).
 type ShardTable struct {
-	TableID, PartIndex, NumParts int
-	Rows, Dim                    int
-	Enc                          int32
-	Table                        embedding.Table
+	sharding.PartRef
+	Rows, Dim int
+	Enc       int32
+	Table     embedding.Table
 }
 
 // ShardFileData is a fully parsed shard file.
@@ -325,12 +311,14 @@ func parseShardV2(data []byte, views bool) (*ShardFileData, error) {
 	for i := 0; i < count; i++ {
 		ent := data[16+shardDirEntrySize*i:]
 		t := ShardTable{
-			TableID:   int(binary.LittleEndian.Uint32(ent[0:])),
-			PartIndex: int(binary.LittleEndian.Uint32(ent[4:])),
-			NumParts:  int(binary.LittleEndian.Uint32(ent[8:])),
-			Rows:      int(binary.LittleEndian.Uint32(ent[12:])),
-			Dim:       int(binary.LittleEndian.Uint32(ent[16:])),
-			Enc:       int32(binary.LittleEndian.Uint32(ent[20:])),
+			PartRef: sharding.PartRef{
+				TableID:   int(binary.LittleEndian.Uint32(ent[0:])),
+				PartIndex: int(binary.LittleEndian.Uint32(ent[4:])),
+				NumParts:  int(binary.LittleEndian.Uint32(ent[8:])),
+			},
+			Rows: int(binary.LittleEndian.Uint32(ent[12:])),
+			Dim:  int(binary.LittleEndian.Uint32(ent[16:])),
+			Enc:  int32(binary.LittleEndian.Uint32(ent[20:])),
 		}
 		hdrOff := int64(binary.LittleEndian.Uint64(ent[24:]))
 		dataOff := int64(binary.LittleEndian.Uint64(ent[32:]))

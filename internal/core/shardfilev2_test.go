@@ -83,13 +83,12 @@ func transformedShard(m *model.Model, plan *sharding.Plan, shard int, prec shard
 		return d
 	}
 	sh := NewSparseShard(ServiceName(shard), trace.NewRecorder("want", 64))
-	a := &plan.Shards[shard-1]
-	for _, id := range a.Tables {
-		sh.InstallTable(id, 0, encode(m.Tables[id].(*embedding.Dense)))
-	}
-	for _, pr := range a.Parts {
-		parts := embedding.PartitionRows(m.Tables[pr.TableID].(*embedding.Dense), pr.NumParts)
-		sh.InstallTable(pr.TableID, pr.PartIndex, encode(parts[pr.PartIndex].Local))
+	for u := range plan.Shards[shard-1].Units() {
+		d := m.Tables[u.TableID].(*embedding.Dense)
+		if u.NumParts > 1 {
+			d = embedding.PartRows(d, u.NumParts, u.PartIndex)
+		}
+		sh.InstallTable(u.TableID, u.PartIndex, encode(d))
 	}
 	return sh
 }

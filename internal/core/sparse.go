@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,30 +19,10 @@ import (
 	"repro/internal/trace"
 )
 
-// tableKey addresses a whole table (part 0 of 1) or one row-partition.
-type tableKey struct {
-	id   int
-	part int
-}
-
-func (k tableKey) loadKey() sharding.TableLoadKey {
-	return sharding.TableLoadKey{TableID: k.id, PartIndex: k.part}
-}
-
-// sortedTableKeys returns m's keys in (id, part) order, for walks whose
-// outcome must not depend on map iteration order.
-func sortedTableKeys[V any](m map[tableKey]V) []tableKey {
-	keys := make([]tableKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
-		}
-		return keys[i].part < keys[j].part
-	})
-	return keys
+// sortedTableKeys returns m's keys in (table, part) order, for walks
+// whose outcome must not depend on map iteration order.
+func sortedTableKeys[V any](m map[sharding.TableLoadKey]V) []sharding.TableLoadKey {
+	return slices.SortedFunc(maps.Keys(m), sharding.TableLoadKey.Compare)
 }
 
 // SparseShard serves pooled embedding lookups for the tables (and table
@@ -65,10 +45,10 @@ type SparseShard struct {
 	OpComputeScale float64
 
 	mu     sync.RWMutex
-	tables map[tableKey]embedding.Table
+	tables map[sharding.TableLoadKey]embedding.Table
 	// staging holds every open transaction's shadow copies, committed or
 	// aborted as a set (stage.go).
-	staging map[uint64]map[tableKey]*stagedTable
+	staging map[uint64]map[sharding.TableLoadKey]*stagedTable
 	// tier, when non-nil, enables the tiered store: tables install behind
 	// a hot-row cache over a (possibly quantized) cold tier. Guarded by mu.
 	tier *TierConfig
@@ -98,8 +78,8 @@ func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 		ShardName: name,
 		slsName:   "sls_" + name,
 		rec:       rec,
-		tables:    make(map[tableKey]embedding.Table),
-		staging:   make(map[uint64]map[tableKey]*stagedTable),
+		tables:    make(map[sharding.TableLoadKey]embedding.Table),
+		staging:   make(map[uint64]map[sharding.TableLoadKey]*stagedTable),
 		load:      sharding.NewLoadSummary(),
 	}
 }
@@ -162,7 +142,7 @@ func (s *SparseShard) InstallTable(id, part int, t embedding.Table) error {
 	s.mu.Lock()
 	t, err := s.tierWrap(id, t)
 	if err == nil {
-		s.tables[tableKey{id: id, part: part}] = t
+		s.tables[sharding.TableLoadKey{TableID: id, PartIndex: part}] = t
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -178,7 +158,7 @@ func (s *SparseShard) InstallTable(id, part int, t embedding.Table) error {
 // running — and reports whether it held one. The copy's cache dies with
 // it; the rest of the budget redistributes over the tables still held.
 func (s *SparseShard) ReleaseTable(id, part int) bool {
-	key := tableKey{id: id, part: part}
+	key := sharding.TableLoadKey{TableID: id, PartIndex: part}
 	s.mu.Lock()
 	_, held := s.tables[key]
 	delete(s.tables, key)
@@ -371,7 +351,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	s.mu.RLock()
 	for i := range run {
 		e := &run[i]
-		tab, ok := s.tables[tableKey{id: int(e.TableID), part: int(e.PartIndex)}]
+		tab, ok := s.tables[sharding.TableLoadKey{TableID: int(e.TableID), PartIndex: int(e.PartIndex)}]
 		if !ok {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("core: %s does not hold table %d part %d", s.ShardName, e.TableID, e.PartIndex)
@@ -476,8 +456,8 @@ func (s *SparseShard) accountLoad(run []runEntry, opDur time.Duration) {
 		if total > 0 {
 			svc = time.Duration(float64(opDur) * float64(lookups) / float64(total))
 		}
-		key := tableKey{id: int(run[i].TableID), part: int(run[i].PartIndex)}
-		s.load.Add(key.loadKey(), sharding.TableLoad{
+		key := sharding.TableLoadKey{TableID: int(run[i].TableID), PartIndex: int(run[i].PartIndex)}
+		s.load.Add(key, sharding.TableLoad{
 			Lookups: int64(lookups), ServiceTime: svc, Calls: 1,
 		})
 	}
@@ -538,12 +518,9 @@ func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.
 		case dir != "":
 			shards[i], err = imageShard(dir, m, plan, i+1, rec, tier.Plan)
 		default:
-			var units []shardUnit
-			if units, err = planUnits(m, plan, i+1); err == nil {
-				shards[i] = NewSparseShard(ServiceName(i+1), rec)
-				for _, u := range units {
-					shards[i].InstallTable(u.tableID, u.partIndex, u.dense) // untiered: nothing to refuse
-				}
+			sf := &ShardFileData{Shard: i + 1}
+			if sf.Tables, err = planUnits(m, plan, i+1); err == nil {
+				shards[i] = sf.NewShard(rec)
 			}
 		}
 		// Tier after the full install: one wrap and budget split a shard.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/rpc"
+	"repro/internal/sharding"
 	"repro/internal/trace"
 )
 
@@ -51,23 +52,23 @@ type stagedTable struct {
 }
 
 // shapeOf describes a held table for the wire.
-func shapeOf(key tableKey, t embedding.Table) (TableShape, rowStore, error) {
+func shapeOf(key sharding.TableLoadKey, t embedding.Table) (TableShape, rowStore, error) {
 	rows, enc, err := rowsOf(t)
 	if err != nil {
-		return TableShape{}, nil, fmt.Errorf("table %d part %d: %w", key.id, key.part, err)
+		return TableShape{}, nil, fmt.Errorf("table %d part %d: %w", key.TableID, key.PartIndex, err)
 	}
 	return TableShape{
-		TableID: int32(key.id), PartIndex: int32(key.part),
+		TableID: int32(key.TableID), PartIndex: int32(key.PartIndex),
 		Rows: int32(rows.NumRows()), Dim: int32(rows.Dim()), Enc: enc,
 	}, rows, nil
 }
 
-func (s *SparseShard) held(key tableKey) (embedding.Table, error) {
+func (s *SparseShard) held(key sharding.TableLoadKey) (embedding.Table, error) {
 	s.mu.RLock()
 	tab, ok := s.tables[key]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("does not hold table %d part %d", key.id, key.part)
+		return nil, fmt.Errorf("does not hold table %d part %d", key.TableID, key.PartIndex)
 	}
 	return tab, nil
 }
@@ -100,7 +101,7 @@ func (s *SparseShard) handleStageBegin(_ trace.Context, body []byte) ([]byte, er
 	s.mu.Lock()
 	txn := s.staging[m.Txn]
 	if txn == nil {
-		txn = make(map[tableKey]*stagedTable)
+		txn = make(map[sharding.TableLoadKey]*stagedTable)
 		s.staging[m.Txn] = txn
 	}
 	txn[key] = st
@@ -114,7 +115,7 @@ func (s *SparseShard) handleStagePut(_ trace.Context, body []byte) ([]byte, erro
 		return nil, err
 	}
 	s.mu.RLock()
-	st := s.staging[m.Txn][tableKey{id: int(m.TableID), part: int(m.PartIndex)}]
+	st := s.staging[m.Txn][sharding.TableLoadKey{TableID: int(m.TableID), PartIndex: int(m.PartIndex)}]
 	s.mu.RUnlock()
 	if st == nil {
 		return nil, fmt.Errorf("put into txn %d table %d part %d without begin", m.Txn, m.TableID, m.PartIndex)
@@ -143,7 +144,7 @@ func (s *SparseShard) handleStageCommit(_ trace.Context, body []byte) ([]byte, e
 	delete(s.staging, m.Txn)
 	// Resolve every stage before touching the table set: a refused commit
 	// installs nothing.
-	installs := make(map[tableKey]embedding.Table, len(txn))
+	installs := make(map[sharding.TableLoadKey]embedding.Table, len(txn))
 	for _, key := range sortedTableKeys(txn) {
 		st := txn[key]
 		if st.base != nil {
@@ -156,12 +157,12 @@ func (s *SparseShard) handleStageCommit(_ trace.Context, body []byte) ([]byte, e
 			}
 			if cur != st.base {
 				s.mu.Unlock()
-				return nil, fmt.Errorf("table %d part %d was replaced since txn %d cloned it; retry", key.id, key.part, m.Txn)
+				return nil, fmt.Errorf("table %d part %d was replaced since txn %d cloned it; retry", key.TableID, key.PartIndex, m.Txn)
 			}
 		}
 		// The new copy starts with a cold cache: tierWrap fronts it with
 		// an empty one (a cache belongs to one table copy).
-		tab, err := s.tierWrap(key.id, st.rows)
+		tab, err := s.tierWrap(key.TableID, st.rows)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
@@ -221,7 +222,7 @@ func (s *SparseShard) handleTableRead(_ trace.Context, body []byte) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	key := tableKey{id: int(m.TableID), part: int(m.PartIndex)}
+	key := sharding.TableLoadKey{TableID: int(m.TableID), PartIndex: int(m.PartIndex)}
 	tab, err := s.held(key)
 	if err != nil {
 		return nil, err
@@ -295,9 +296,9 @@ func listTables(shard shardCall) ([]TableShape, error) {
 }
 
 // findShape picks one table out of a listTables result.
-func findShape(shapes []TableShape, id, part int) (TableShape, bool) {
+func findShape(shapes []TableShape, k sharding.TableLoadKey) (TableShape, bool) {
 	for _, sh := range shapes {
-		if int(sh.TableID) == id && int(sh.PartIndex) == part {
+		if sh.key() == k {
 			return sh, true
 		}
 	}

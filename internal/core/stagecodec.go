@@ -49,8 +49,8 @@ type TableShape struct {
 	Enc       int32
 }
 
-func (sh TableShape) key() tableKey {
-	return tableKey{id: int(sh.TableID), part: int(sh.PartIndex)}
+func (sh TableShape) key() sharding.TableLoadKey {
+	return sharding.TableLoadKey{TableID: int(sh.TableID), PartIndex: int(sh.PartIndex)}
 }
 
 // validTableShape bounds table dimensions the way the shard-file parsers

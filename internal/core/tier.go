@@ -187,11 +187,11 @@ func (s *SparseShard) tierWrap(id int, t embedding.Table) (embedding.Table, erro
 // wrapAll applies tierWrap to every held table, or to none when one is
 // refused. Callers hold mu.
 func (s *SparseShard) wrapAll() error {
-	wrapped := make(map[tableKey]embedding.Table, len(s.tables))
+	wrapped := make(map[sharding.TableLoadKey]embedding.Table, len(s.tables))
 	for _, key := range sortedTableKeys(s.tables) {
-		t, err := s.tierWrap(key.id, s.tables[key])
+		t, err := s.tierWrap(key.TableID, s.tables[key])
 		if err != nil {
-			return fmt.Errorf("%w (part %d)", err, key.part)
+			return fmt.Errorf("%w (part %d)", err, key.PartIndex)
 		}
 		wrapped[key] = t
 	}
@@ -237,7 +237,7 @@ func (s *SparseShard) retier() {
 		if !ok {
 			continue
 		}
-		tabs = append(tabs, cacheTab{tt: tt, weight: load.Weight(key.loadKey()), bytes: float64(tt.Cold().Bytes())})
+		tabs = append(tabs, cacheTab{tt: tt, weight: load.Weight(key), bytes: float64(tt.Cold().Bytes())})
 	}
 	s.mu.RUnlock()
 	var total, totalBytes float64

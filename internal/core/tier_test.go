@@ -283,7 +283,7 @@ func TestRetierFollowsLoad(t *testing.T) {
 	capOf := func(id int) int {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		tt, ok := sh.tables[tableKey{id: id}].(*embedding.TieredTable)
+		tt, ok := sh.tables[sharding.TableLoadKey{TableID: id}].(*embedding.TieredTable)
 		if !ok {
 			t.Fatalf("table %d not tiered", id)
 		}
@@ -322,7 +322,7 @@ func TestRetierFloorSeedsNewcomer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.mu.RLock()
-	tt, ok := sh.tables[tableKey{id: newcomer}].(*embedding.TieredTable)
+	tt, ok := sh.tables[sharding.TableLoadKey{TableID: newcomer}].(*embedding.TieredTable)
 	sh.mu.RUnlock()
 	if !ok {
 		t.Fatal("newcomer not tiered")
@@ -359,7 +359,7 @@ func TestRetierDeterministic(t *testing.T) {
 		defer sh.mu.RUnlock()
 		for key, tab := range sh.tables {
 			if tt, ok := tab.(*embedding.TieredTable); ok {
-				caps[key.id] = tt.Capacity()
+				caps[key.TableID] = tt.Capacity()
 			}
 		}
 		return caps

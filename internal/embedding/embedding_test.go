@@ -146,17 +146,41 @@ func TestQuantizedTableMatchesDense(t *testing.T) {
 	}
 }
 
+// newDenseRandomRows creates a table whose row values encode the row
+// index, making lookup provenance checkable.
+func newDenseRandomRows(rng *rand.Rand, rows, dim int) *Dense {
+	t := NewDense(rows, dim)
+	for r := 0; r < rows; r++ {
+		base := rng.Float32()
+		row := t.Row(r)
+		for c := range row {
+			row[c] = base + float32(float32(r)*1e-4) + float32(float32(c)*1e-6)
+		}
+	}
+	return t
+}
+
+// partTables splits src into its n parts with PartRows.
+func partTables(src *Dense, n int) []*Dense {
+	parts := make([]*Dense, n)
+	for p := range parts {
+		parts[p] = PartRows(src, n, p)
+	}
+	return parts
+}
+
 func TestPartitionRowsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	src := NewDenseRandomRows(rng, 17, 4) // odd row count exercises remainders
-	parts := PartitionRows(src, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
+	src := newDenseRandomRows(rng, 17, 4) // odd row count exercises remainders
+	parts := partTables(src, 4)
+	for p, local := range parts {
+		if want := PartRowCount(17, 4, p); local.NumRows() != want {
+			t.Fatalf("part %d has %d rows, want %d", p, local.NumRows(), want)
+		}
 	}
 	for r := 0; r < src.NumRows(); r++ {
-		p := parts[r%4]
-		local := p.LocalRow(r)
-		got := p.Local.Row(local)
+		p, l := RowPart(r, 4)
+		got := parts[p].Row(l)
 		want := src.Row(r)
 		for c := range want {
 			if got[c] != want[c] {
@@ -166,15 +190,27 @@ func TestPartitionRowsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLocalRowPanicsOnWrongPart(t *testing.T) {
-	src := NewDense(8, 2)
-	parts := PartitionRows(src, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// TestRowPartRule pins the modulus rule: every logical row has exactly
+// one (part, local row), the local rows of a part are dense from 0, and
+// PartRowCount counts them.
+func TestRowPartRule(t *testing.T) {
+	for rows := 1; rows <= 20; rows++ {
+		for n := 1; n <= 6; n++ {
+			count := make([]int, n)
+			for r := 0; r < rows; r++ {
+				p, l := RowPart(r, n)
+				if p < 0 || p >= n || l != count[p] {
+					t.Fatalf("rows %d n %d: row %d at part %d local %d, want local %d", rows, n, r, p, l, count[p])
+				}
+				count[p]++
+			}
+			for p, c := range count {
+				if got := PartRowCount(rows, n, p); got != c {
+					t.Fatalf("rows %d n %d: PartRowCount(part %d) = %d, want %d", rows, n, p, got, c)
+				}
+			}
 		}
-	}()
-	parts[0].LocalRow(3) // 3 % 2 == 1, belongs to part 1
+	}
 }
 
 func TestPartitionPanicsOnBadParts(t *testing.T) {
@@ -183,15 +219,13 @@ func TestPartitionPanicsOnBadParts(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	PartitionRows(NewDense(4, 2), 0)
+	PartRows(NewDense(4, 2), 0, 0)
 }
 
 func TestPartitionMorePartsThanRows(t *testing.T) {
-	src := NewDense(2, 2)
-	parts := PartitionRows(src, 5)
-	for _, p := range parts {
-		if p.Local.NumRows() < 1 {
-			t.Errorf("part %d has no backing rows", p.Index)
+	for p, local := range partTables(NewDense(2, 2), 5) {
+		if local.NumRows() < 1 {
+			t.Errorf("part %d has no backing rows", p)
 		}
 	}
 }
@@ -206,11 +240,26 @@ func splitBags(bags []Bag, numParts int) [][]Bag {
 	}
 	for b, bag := range bags {
 		for _, idx := range bag.Indices {
-			p := int(idx) % numParts
-			out[p][b].Indices = append(out[p][b].Indices, idx/int32(numParts))
+			p, l := RowPart(int(idx), numParts)
+			out[p][b].Indices = append(out[p][b].Indices, int32(l))
 		}
 	}
 	return out
+}
+
+// slsPerPartSum pools each part's split bags on its own and sums the
+// partial results in part order, as the main shard does.
+func slsPerPartSum(src *Dense, bags []Bag, numParts int) []float32 {
+	split := splitBags(bags, numParts)
+	merged := make([]float32, len(bags)*src.Dim())
+	partial := make([]float32, len(merged))
+	for p, local := range partTables(src, numParts) {
+		SLS(partial, local, split[p])
+		for i, v := range partial {
+			merged[i] += v
+		}
+	}
+	return merged
 }
 
 // TestShardedSLSEquivalence is the core invariant of row-sharding: SLS on
@@ -230,15 +279,7 @@ func TestShardedSLSEquivalence(t *testing.T) {
 	SLS(full, src, bags)
 
 	for _, numParts := range []int{1, 2, 3, 7} {
-		parts := PartitionRows(src, numParts)
-		split := splitBags(bags, numParts)
-		partials := make([][]float32, numParts)
-		for p := 0; p < numParts; p++ {
-			partials[p] = make([]float32, len(bags)*8)
-			SLS(partials[p], parts[p].Local, split[p])
-		}
-		merged := make([]float32, len(bags)*8)
-		MergePartial(merged, partials)
+		merged := slsPerPartSum(src, bags, numParts)
 		for i := range full {
 			if diff := math.Abs(float64(full[i] - merged[i])); diff > 1e-4 {
 				t.Fatalf("numParts=%d: sharded SLS diverges at %d: %v vs %v", numParts, i, merged[i], full[i])
@@ -262,15 +303,7 @@ func TestShardedSLSEquivalenceProperty(t *testing.T) {
 		}
 		full := make([]float32, len(bags)*dim)
 		SLS(full, src, bags)
-		parts := PartitionRows(src, numParts)
-		split := splitBags(bags, numParts)
-		partials := make([][]float32, numParts)
-		for p := range parts {
-			partials[p] = make([]float32, len(bags)*dim)
-			SLS(partials[p], parts[p].Local, split[p])
-		}
-		merged := make([]float32, len(bags)*dim)
-		MergePartial(merged, partials)
+		merged := slsPerPartSum(src, bags, numParts)
 		for i := range full {
 			if math.Abs(float64(full[i]-merged[i])) > 1e-3 {
 				return false
@@ -281,15 +314,6 @@ func TestShardedSLSEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMergePartialPanicsOnLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MergePartial(make([]float32, 4), [][]float32{make([]float32, 3)})
 }
 
 // poolReference is Pool's contract in the plainest terms: per non-empty

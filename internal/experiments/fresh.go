@@ -215,11 +215,9 @@ func exportShards(m *model.Model, plan *sharding.Plan, tp *sharding.TierPlan, di
 func deltaTables(plan *sharding.Plan) []int {
 	var ids []int
 	for si := range plan.Shards {
-		a := &plan.Shards[si]
-		if len(a.Tables) > 0 {
-			ids = append(ids, a.Tables[0])
-		} else if len(a.Parts) > 0 {
-			ids = append(ids, a.Parts[0].TableID)
+		for u := range plan.Shards[si].Units() {
+			ids = append(ids, u.TableID)
+			break
 		}
 	}
 	return ids

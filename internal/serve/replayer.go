@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,25 +21,11 @@ import (
 type Replayer struct {
 	client *rpc.Client
 	ids    trace.IDAllocator
-
-	// Optional obs handles (nil no-ops): the client's vantage point on
-	// the deployment, alongside the server-side stage metrics.
-	e2e       *obs.Histogram
-	fallbacks *obs.Counter
 }
 
 // NewReplayer wraps a connected client to the main shard.
 func NewReplayer(client *rpc.Client) *Replayer {
 	return &Replayer{client: client}
-}
-
-// Instrument folds every Send into reg: client.e2e_ns takes the
-// client-observed round-trip latency, client.fallbacks counts shed
-// responses. With a nil or discarding registry the handles are nil and
-// the replay path is untouched.
-func (rp *Replayer) Instrument(reg *obs.Registry) {
-	rp.e2e = reg.Histogram("client.e2e_ns")
-	rp.fallbacks = reg.Counter("client.fallbacks")
 }
 
 // Result summarizes one replay run from the client's vantage point.
@@ -97,11 +82,7 @@ func (rp *Replayer) call(req *workload.Request, body []byte, start time.Time) ([
 		Body:    body,
 	})
 	elapsed := time.Since(start)
-	rp.e2e.Observe(int64(elapsed))
 	if err != nil {
-		if IsFallback(err) {
-			rp.fallbacks.Inc()
-		}
 		return nil, elapsed, err
 	}
 	rr, err := core.DecodeRankingResponse(resp.Body)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -163,42 +162,6 @@ func TestReplayerBooksFallbacksSeparately(t *testing.T) {
 	}
 	if res.Fallbacks != 3 || len(res.ClientE2E) != 3 || res.Sent != 6 {
 		t.Fatalf("result = %+v", res)
-	}
-}
-
-func TestReplayerInstrument(t *testing.T) {
-	shedding := rpc.HandlerFunc(func(ctx trace.Context, method string, body []byte) ([]byte, error) {
-		req, err := core.DecodeRankingRequest(body)
-		if err != nil {
-			return nil, err
-		}
-		if req.ID%3 == 0 {
-			return nil, errors.New("shed: request dropped for SLA fallback")
-		}
-		return core.EncodeRankingResponse(&core.RankingResponse{Scores: make([]float32, req.Items)}), nil
-	})
-	client := startFake(t, shedding)
-	reg := obs.NewRegistry()
-	rp := NewReplayer(client)
-	rp.Instrument(reg)
-	res := rp.RunSerial(smallRequests(6))
-	if res.Failed() != 0 {
-		t.Fatalf("unexpected failures: %v", res.Errors)
-	}
-	snap := reg.Snapshot()
-	h, ok := snap.Hist("client.e2e_ns")
-	if !ok || h.Count != 6 {
-		t.Fatalf("client.e2e_ns count = %d (present %v), want 6", h.Count, ok)
-	}
-	if got := snap.Counter("client.fallbacks"); got != int64(res.Fallbacks) || got == 0 {
-		t.Fatalf("client.fallbacks = %d, want %d (> 0)", got, res.Fallbacks)
-	}
-
-	// Uninstrumented and discard-instrumented replayers stay nil-handled.
-	plain := NewReplayer(client)
-	plain.Instrument(obs.Discard())
-	if r := plain.RunSerial(smallRequests(2)); r.Sent != 2 {
-		t.Fatalf("discard-instrumented replay: %+v", r)
 	}
 }
 

@@ -151,11 +151,12 @@ func score(cfg *model.Config, plan *Plan, pooling map[int]float64, cm CostModel,
 		if b := ShardCapacityBytes(cfg, a); b > maxShardBytes {
 			maxShardBytes = b
 		}
-		for _, net := range ShardNets(cfg, a) {
+		for u := range a.Units() {
+			net := cfg.Tables[u.TableID].Net
 			if perNetShardPooling[net] == nil {
 				perNetShardPooling[net] = make(map[int]float64)
 			}
-			perNetShardPooling[net][a.Shard] += shardNetPooling(cfg, a, net, pooling)
+			perNetShardPooling[net][a.Shard] += pooling[u.TableID] / float64(u.NumParts)
 		}
 	}
 	for _, ns := range cfg.Nets {
@@ -196,22 +197,6 @@ func score(cfg *model.Config, plan *Plan, pooling map[int]float64, cm CostModel,
 		c.Reason = fmt.Sprintf("shard of %d bytes exceeds capacity %d", maxShardBytes, cons.MaxShardBytes)
 	}
 	return c
-}
-
-// shardNetPooling sums the shard's pooling attributable to one net.
-func shardNetPooling(cfg *model.Config, a *Assignment, net string, pooling map[int]float64) float64 {
-	var p float64
-	for _, id := range a.Tables {
-		if cfg.Tables[id].Net == net {
-			p += pooling[id]
-		}
-	}
-	for _, pr := range a.Parts {
-		if cfg.Tables[pr.TableID].Net == net {
-			p += pooling[pr.TableID] / float64(pr.NumParts)
-		}
-	}
-	return p
 }
 
 // RenderCandidates prints the ranked candidates.

@@ -1,7 +1,10 @@
 package sharding
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -19,6 +22,15 @@ import (
 type TableLoadKey struct {
 	TableID   int
 	PartIndex int
+}
+
+// Compare orders keys by table, then part (-1, 0 or +1, as cmp.Compare):
+// the one (table, part) order of every sorted walk over placement units.
+func (k TableLoadKey) Compare(o TableLoadKey) int {
+	if c := cmp.Compare(k.TableID, o.TableID); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.PartIndex, o.PartIndex)
 }
 
 // TableLoad is the mergeable per-table aggregate.
@@ -87,17 +99,7 @@ func (s *LoadSummary) TotalLookups() int64 {
 
 // Keys returns the summary's keys in deterministic (table, part) order.
 func (s *LoadSummary) Keys() []TableLoadKey {
-	out := make([]TableLoadKey, 0, len(s.Tables))
-	for k := range s.Tables {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TableID != out[j].TableID {
-			return out[i].TableID < out[j].TableID
-		}
-		return out[i].PartIndex < out[j].PartIndex
-	})
-	return out
+	return slices.SortedFunc(maps.Keys(s.Tables), TableLoadKey.Compare)
 }
 
 // Weight scalarizes one table's load for balancing: measured service

@@ -9,6 +9,7 @@ package sharding
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/model"
@@ -23,12 +24,18 @@ const (
 	StrategyNSBP     = "NSBP"
 )
 
-// PartRef places one row-partition of a table on a shard: rows r with
-// r % NumParts == PartIndex live here.
+// PartRef is the placement unit: the rows r of one table with
+// r % NumParts == PartIndex (embedding.RowPart). A whole table is
+// {TableID, 0, 1}.
 type PartRef struct {
 	TableID   int
 	PartIndex int
 	NumParts  int
+}
+
+// Key returns the unit's (table, part) key.
+func (u PartRef) Key() TableLoadKey {
+	return TableLoadKey{TableID: u.TableID, PartIndex: u.PartIndex}
 }
 
 // Assignment is the table placement of one sparse shard.
@@ -39,6 +46,23 @@ type Assignment struct {
 	Tables []int
 	// Parts lists row-partitions of huge tables placed here.
 	Parts []PartRef
+}
+
+// Units yields the assignment's placement units in plan order: each
+// whole table as {id, 0, 1}, then the row-partitions.
+func (a *Assignment) Units() iter.Seq[PartRef] {
+	return func(yield func(PartRef) bool) {
+		for _, id := range a.Tables {
+			if !yield(PartRef{TableID: id, NumParts: 1}) {
+				return
+			}
+		}
+		for _, pr := range a.Parts {
+			if !yield(pr) {
+				return
+			}
+		}
+	}
 }
 
 // Plan is a complete sharding configuration for one model.
@@ -70,11 +94,8 @@ func (p *Plan) IsDistributed() bool { return p.NumShards > 0 }
 // partitioned tables contributing proportionally.
 func ShardCapacityBytes(cfg *model.Config, a *Assignment) int64 {
 	var n int64
-	for _, id := range a.Tables {
-		n += cfg.Tables[id].Bytes()
-	}
-	for _, pr := range a.Parts {
-		n += cfg.Tables[pr.TableID].Bytes() / int64(pr.NumParts)
+	for u := range a.Units() {
+		n += cfg.Tables[u.TableID].Bytes() / int64(u.NumParts)
 	}
 	return n
 }
@@ -88,11 +109,8 @@ func ShardTableCount(a *Assignment) int { return len(a.Tables) + len(a.Parts) }
 // tables' pooling evenly across parts.
 func ShardPooling(a *Assignment, pooling map[int]float64) float64 {
 	var p float64
-	for _, id := range a.Tables {
-		p += pooling[id]
-	}
-	for _, pr := range a.Parts {
-		p += pooling[pr.TableID] / float64(pr.NumParts)
+	for u := range a.Units() {
+		p += pooling[u.TableID] / float64(u.NumParts)
 	}
 	return p
 }
@@ -101,28 +119,24 @@ func ShardPooling(a *Assignment, pooling map[int]float64) float64 {
 func ShardNets(cfg *model.Config, a *Assignment) []string {
 	seen := make(map[string]bool)
 	var out []string
-	add := func(id int) {
-		net := cfg.Tables[id].Net
-		if !seen[net] {
+	for u := range a.Units() {
+		if net := cfg.Tables[u.TableID].Net; !seen[net] {
 			seen[net] = true
 			out = append(out, net)
 		}
-	}
-	for _, id := range a.Tables {
-		add(id)
-	}
-	for _, pr := range a.Parts {
-		add(pr.TableID)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Validate checks the plan's serving invariants against the model config:
-// every table covered exactly once (whole, or by a complete part set on
-// distinct shards), no empty shards, shard numbering dense and 1-based.
+// every table covered exactly once (whole, or by a complete set of
+// distinct parts), no empty shards, shard numbering dense and 1-based.
 // NSBP plans additionally must not mix nets within a shard (the property
-// Section III-B3 is built on).
+// Section III-B3 is built on). It does not require a table's parts to sit
+// on distinct shards: Rebalance can move a part onto a sibling part's
+// shard, which leaves scores unchanged because the main shard sums a
+// table's parts in part order wherever they are served.
 func (p *Plan) Validate(cfg *model.Config) error {
 	if p.Strategy == StrategySingular {
 		if len(p.Shards) != 0 || p.NumShards != 0 {

@@ -2,6 +2,7 @@ package sharding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -20,10 +21,7 @@ import (
 // Move relocates one placement unit (a whole table, or one
 // row-partition) from one shard to another.
 type Move struct {
-	TableID   int
-	PartIndex int
-	// NumParts is 1 for whole tables, matching PartRef otherwise.
-	NumParts int
+	PartRef
 	// From and To are 1-based shard numbers.
 	From, To int
 	// Weight is the measured load the move relocates (LoadSummary.Weight
@@ -79,31 +77,18 @@ func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOp
 
 	// Working state: per-shard unit lists and loads.
 	type unit struct {
-		key    TableLoadKey
-		parts  int
+		PartRef
 		weight float64
 	}
 	units := make([][]unit, cur.NumShards) // 0-based shard index
 	loads := make([]float64, cur.NumShards)
 	for i := range cur.Shards {
-		a := &cur.Shards[i]
-		for _, id := range a.Tables {
-			u := unit{key: TableLoadKey{TableID: id}, parts: 1, weight: load.Weight(TableLoadKey{TableID: id})}
+		for pr := range cur.Shards[i].Units() {
+			u := unit{PartRef: pr, weight: load.Weight(pr.Key())}
 			units[i] = append(units[i], u)
 			loads[i] += u.weight
 		}
-		for _, pr := range a.Parts {
-			k := TableLoadKey{TableID: pr.TableID, PartIndex: pr.PartIndex}
-			u := unit{key: k, parts: pr.NumParts, weight: load.Weight(k)}
-			units[i] = append(units[i], u)
-			loads[i] += u.weight
-		}
-		sort.Slice(units[i], func(a, b int) bool {
-			if units[i][a].key.TableID != units[i][b].key.TableID {
-				return units[i][a].key.TableID < units[i][b].key.TableID
-			}
-			return units[i][a].key.PartIndex < units[i][b].key.PartIndex
-		})
+		slices.SortFunc(units[i], func(a, b unit) int { return a.Key().Compare(b.Key()) })
 	}
 	argMax := func() int {
 		best := 0
@@ -157,10 +142,7 @@ func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOp
 			break // the move doesn't buy enough to be worth the bytes
 		}
 		u := units[hi][best]
-		mp.Moves = append(mp.Moves, Move{
-			TableID: u.key.TableID, PartIndex: u.key.PartIndex, NumParts: u.parts,
-			From: hi + 1, To: lo + 1, Weight: w,
-		})
+		mp.Moves = append(mp.Moves, Move{PartRef: u.PartRef, From: hi + 1, To: lo + 1, Weight: w})
 		units[hi] = append(units[hi][:best:best], units[hi][best+1:]...)
 		units[lo] = append(units[lo], u)
 		loads[hi] -= w
@@ -178,10 +160,9 @@ func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOp
 	return mp, nil
 }
 
-// ApplyMoves materializes the target plan a move list produces. The
-// target's strategy is re-labeled load-balanced: whatever strategy built
-// the original placement, the result is now shaped by measured load (and
-// NSBP's no-net-mixing invariant may no longer hold after moves).
+// ApplyMoves materializes the target plan a move list produces. A moved
+// NSBP plan is re-labeled load-balanced, because its no-net-mixing
+// invariant may no longer hold; other strategies keep their label.
 func ApplyMoves(cfg *model.Config, cur *Plan, moves []Move) (*Plan, error) {
 	target := &Plan{
 		ModelName: cur.ModelName,
@@ -202,45 +183,26 @@ func ApplyMoves(cfg *model.Config, cur *Plan, moves []Move) (*Plan, error) {
 	for _, mv := range moves {
 		from, to := &target.Shards[mv.From-1], &target.Shards[mv.To-1]
 		if mv.NumParts <= 1 {
-			idx := -1
-			for i, id := range from.Tables {
-				if id == mv.TableID {
-					idx = i
-					break
-				}
-			}
+			idx := slices.Index(from.Tables, mv.TableID)
 			if idx < 0 {
 				return nil, fmt.Errorf("sharding: move %v: table not on source shard", mv)
 			}
-			from.Tables = append(from.Tables[:idx], from.Tables[idx+1:]...)
+			from.Tables = slices.Delete(from.Tables, idx, idx+1)
 			to.Tables = append(to.Tables, mv.TableID)
 		} else {
-			idx := -1
-			for i, pr := range from.Parts {
-				if pr.TableID == mv.TableID && pr.PartIndex == mv.PartIndex {
-					idx = i
-					break
-				}
-			}
+			idx := slices.IndexFunc(from.Parts, func(pr PartRef) bool { return pr.Key() == mv.Key() })
 			if idx < 0 {
 				return nil, fmt.Errorf("sharding: move %v: part not on source shard", mv)
 			}
-			pr := from.Parts[idx]
-			from.Parts = append(from.Parts[:idx], from.Parts[idx+1:]...)
-			to.Parts = append(to.Parts, pr)
+			to.Parts = append(to.Parts, from.Parts[idx])
+			from.Parts = slices.Delete(from.Parts, idx, idx+1)
 		}
 	}
 	// Keep membership order canonical so equal move sets yield byte-equal
 	// plans regardless of move order.
 	for i := range target.Shards {
 		sort.Ints(target.Shards[i].Tables)
-		sort.Slice(target.Shards[i].Parts, func(a, b int) bool {
-			pa, pb := target.Shards[i].Parts[a], target.Shards[i].Parts[b]
-			if pa.TableID != pb.TableID {
-				return pa.TableID < pb.TableID
-			}
-			return pa.PartIndex < pb.PartIndex
-		})
+		slices.SortFunc(target.Shards[i].Parts, func(a, b PartRef) int { return a.Key().Compare(b.Key()) })
 	}
 	if err := target.Validate(cfg); err != nil {
 		return nil, fmt.Errorf("sharding: migration target invalid: %w", err)

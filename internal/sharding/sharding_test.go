@@ -3,6 +3,8 @@ package sharding
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -409,6 +411,80 @@ func TestReport(t *testing.T) {
 	for _, want := range []string{"singular", "1 shard", "load-bal 8 shards", "NSBP 2 shards", "[8]:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestAssignmentUnits(t *testing.T) {
+	part := func(id, p, n int) PartRef { return PartRef{TableID: id, PartIndex: p, NumParts: n} }
+	for _, tc := range []struct {
+		name string
+		a    Assignment
+		want []PartRef
+	}{
+		{"empty", Assignment{}, nil},
+		{"whole tables in plan order", Assignment{Tables: []int{4, 1, 7}}, []PartRef{part(4, 0, 1), part(1, 0, 1), part(7, 0, 1)}},
+		{"parts only", Assignment{Parts: []PartRef{part(0, 3, 7), part(0, 1, 7)}}, []PartRef{part(0, 3, 7), part(0, 1, 7)}},
+		{"whole tables then parts", Assignment{Tables: []int{9, 2}, Parts: []PartRef{part(5, 1, 2), part(0, 0, 3)}},
+			[]PartRef{part(9, 0, 1), part(2, 0, 1), part(5, 1, 2), part(0, 0, 3)}},
+	} {
+		var got []PartRef
+		for u := range tc.a.Units() {
+			got = append(got, u)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Units() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// Breaking out early stops the walk in either list.
+	a := Assignment{Tables: []int{1, 2}, Parts: []PartRef{part(3, 0, 2), part(3, 1, 2)}}
+	for stop := 1; stop <= 4; stop++ {
+		n := 0
+		for range a.Units() {
+			if n++; n == stop {
+				break
+			}
+		}
+		if n != stop {
+			t.Errorf("break after %d units walked %d", stop, n)
+		}
+	}
+}
+
+// TestTableLoadKeyCompareMatchesPairSort holds the one (table, part)
+// comparator to the hand-written less function every sorted walk over
+// units used before it: table first, then part.
+func TestTableLoadKeyCompareMatchesPairSort(t *testing.T) {
+	less := func(a, b TableLoadKey) bool {
+		if a.TableID != b.TableID {
+			return a.TableID < b.TableID
+		}
+		return a.PartIndex < b.PartIndex
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		keys := make([]TableLoadKey, 1+rng.Intn(40))
+		for i := range keys {
+			keys[i] = TableLoadKey{TableID: rng.Intn(8), PartIndex: rng.Intn(5)}
+		}
+		for _, a := range keys {
+			for _, b := range keys {
+				want := 0
+				if less(a, b) {
+					want = -1
+				} else if less(b, a) {
+					want = 1
+				}
+				if got := a.Compare(b); got != want {
+					t.Fatalf("%v.Compare(%v) = %d, want %d", a, b, got, want)
+				}
+			}
+		}
+		want := slices.Clone(keys)
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		slices.SortFunc(keys, TableLoadKey.Compare)
+		if !slices.Equal(keys, want) {
+			t.Fatalf("sorted %v, want %v", keys, want)
 		}
 	}
 }

@@ -147,11 +147,8 @@ func TierTableBytes(t model.TableSpec, p Precision) int64 {
 // proportionally — the byte-aware sibling of ShardCapacityBytes.
 func (tp *TierPlan) ShardResidentBytes(cfg *model.Config, a *Assignment) int64 {
 	var n int64
-	for _, id := range a.Tables {
-		n += TierTableBytes(cfg.Tables[id], tp.Precision(id))
-	}
-	for _, pr := range a.Parts {
-		n += TierTableBytes(cfg.Tables[pr.TableID], tp.Precision(pr.TableID)) / int64(pr.NumParts)
+	for u := range a.Units() {
+		n += TierTableBytes(cfg.Tables[u.TableID], tp.Precision(u.TableID)) / int64(u.NumParts)
 	}
 	return n
 }
