@@ -33,7 +33,7 @@ func newDRM1Call() *drm1Call {
 	rng := rand.New(rand.NewSource(11))
 	c := &drm1Call{np: &netProgram{spec: model.NetSpec{Name: "net1"}, embCols: drm1Entries * drm1Dim}}
 	for id := 0; id < drm1Entries; id++ {
-		c.tables = append(c.tables, embedding.NewDenseRandom(rng, 4096, drm1Dim, 1))
+		c.tables = append(c.tables, embedding.NewDenseRandom(11, id, 4096, drm1Dim, 1))
 		bags := make([]embedding.Bag, drm1Batch)
 		for b := range bags {
 			for k := rng.Intn(3) * rng.Intn(2); k > 0; k-- {

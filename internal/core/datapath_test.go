@@ -430,7 +430,7 @@ func TestBatchRowRangePoolsLikeTheWhole(t *testing.T) {
 	defer tensor.SetKernel(tensor.KernelAuto)
 	rng := rand.New(rand.NewSource(12))
 	const rows, dim, items = 200, 24, 37
-	dense := embedding.NewDenseRandom(rng, rows, dim, 1)
+	dense := embedding.NewDenseRandom(12, 0, rows, dim, 1)
 	tables := []embedding.Table{
 		dense, dense.Quantize(quant.Bits8), dense.Quantize(quant.Bits4), dense.ToFP16(),
 		embedding.NewTiered(dense.Quantize(quant.Bits8), 16),

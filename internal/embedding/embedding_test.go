@@ -124,8 +124,7 @@ func TestBagListRoundTrip(t *testing.T) {
 }
 
 func TestQuantizedTableMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab := NewDenseRandom(rng, 50, 16, 1)
+	tab := NewDenseRandom(5, 0, 50, 16, 1)
 	qt := tab.Quantize(quant.Bits8)
 	if qt.NumRows() != 50 || qt.Dim() != 16 {
 		t.Fatalf("quantized shape wrong")
@@ -267,7 +266,7 @@ func slsPerPartSum(src *Dense, bags []Bag, numParts int) []float32 {
 // splitBags. This is what makes modulus partitioning transparent.
 func TestShardedSLSEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	src := NewDenseRandom(rng, 64, 8, 1)
+	src := NewDenseRandom(7, 0, 64, 8, 1)
 	bags := make([]Bag, 5)
 	for b := range bags {
 		n := rng.Intn(10)
@@ -294,7 +293,7 @@ func TestShardedSLSEquivalenceProperty(t *testing.T) {
 		rows := 8 + rng.Intn(56)
 		dim := 1 + rng.Intn(8)
 		numParts := 1 + rng.Intn(6)
-		src := NewDenseRandom(rng, rows, dim, 1)
+		src := NewDenseRandom(seed, 0, rows, dim, 1)
 		bags := make([]Bag, 1+rng.Intn(4))
 		for b := range bags {
 			for i, n := 0, rng.Intn(8); i < n; i++ {
@@ -340,8 +339,8 @@ func poolReference(table Table, bags []Bag) []float32 {
 // leaving the columns between entries alone.
 func TestPoolPackedAndStrided(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	dense8 := NewDenseRandom(rng, 300, 8, 1)
-	dense5 := NewDenseRandom(rng, 40, 5, 1)
+	dense8 := NewDenseRandom(4, 0, 300, 8, 1)
+	dense5 := NewDenseRandom(4, 1, 40, 5, 1)
 	tables := []Table{dense8, dense5, dense8.Quantize(quant.Bits8), NewTiered(dense5.ToFP16(), 8)}
 	const items = 120
 	var packed, strided []PoolEntry

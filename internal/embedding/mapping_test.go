@@ -2,7 +2,6 @@ package embedding_test
 
 import (
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -46,13 +45,12 @@ func settledMappings() int64 {
 func TestDroppedTableReleasesItsMapping(t *testing.T) {
 	skipUnlessMapped(t)
 	base := settledMappings()
-	rng := rand.New(rand.NewSource(3))
 	kept := func() embedding.Dense { // the table is dropped here, a copy of its struct kept
-		tab := embedding.NewDenseRandom(rng, 1<<14, 16, 0.1) // 1 MiB
+		tab := embedding.NewDenseRandom(3, 0, 1<<14, 16, 0.1) // 1 MiB
 		if got := embedding.LiveMappings(); got != base+1 {
 			t.Fatalf("a 1 MiB table left %d live regions, want %d", got, base+1)
 		}
-		small := embedding.NewDenseRandom(rng, 16, 4, 0.1)
+		small := embedding.NewDenseRandom(3, 1, 16, 4, 0.1)
 		if got := embedding.LiveMappings(); got != base+1 {
 			t.Fatalf("a 256-byte table mapped a region: %d live, want %d", got, base+1)
 		}
@@ -79,16 +77,13 @@ func TestDroppedTableReleasesItsMapping(t *testing.T) {
 }
 
 // TestMappedTableMatchesHeapTable: NewDenseRandom draws the same values
-// into a mapped table as into heap rows, and the table serves them
-// through every read path.
+// into a mapped table as FillRandom draws into heap rows, and the table
+// serves them through every read path.
 func TestMappedTableMatchesHeapTable(t *testing.T) {
 	const rows, dim = 1 << 10, 8
-	got := embedding.NewDenseRandom(rand.New(rand.NewSource(9)), rows, dim, 0.5)
-	rng := rand.New(rand.NewSource(9))
+	got := embedding.NewDenseRandom(9, 2, rows, dim, 0.5)
 	want := embedding.NewDense(rows, dim)
-	for i := range want.Data {
-		want.Data[i] = (rng.Float32()*2 - 1) * 0.5
-	}
+	want.FillRandom(9, 2, 0.5)
 	for i := range want.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("value %d = %v, heap reference %v", i, got.Data[i], want.Data[i])

@@ -12,9 +12,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/mmapfile"
@@ -60,18 +60,56 @@ func NewDense(rows, dim int) *Dense {
 	return &Dense{RowsN: rows, DimN: dim, Data: make([]float32, rows*dim)}
 }
 
-// NewDenseRandom allocates a rows×dim table with values drawn uniformly
-// from [-scale, scale) using rng. Deterministic given the rng seed. It is
-// the model generator's table constructor, so a table of at least a page
-// is stored in its own anonymous mapping (newDenseMapped): one region per
-// table, so a role that keeps a few of a model's tables frees the rest
-// as they become garbage, as it would heap rows.
-func NewDenseRandom(rng *rand.Rand, rows, dim int, scale float32) *Dense {
+// NewDenseRandom allocates a rows×dim table holding FillRandom's draw of
+// (seed, table). It is the model generator's table constructor, so a
+// table of at least a page is stored in its own anonymous mapping
+// (newDenseMapped): one region per table, so a role that keeps a few of a
+// model's tables frees the rest as they become garbage, as heap rows.
+func NewDenseRandom(seed int64, table, rows, dim int, scale float32) *Dense {
 	t := newDenseMapped(rows, dim)
-	for i := range t.Data {
-		t.Data[i] = (rng.Float32()*2 - 1) * scale
-	}
+	t.FillRandom(seed, table, scale)
 	return t
+}
+
+// FillRandom overwrites the table's values with a uniform draw from
+// [-scale, scale) in which value i is a pure function of (seed, table, i):
+// the top 24 bits of a SplitMix64 hash of a counter, as a signed multiple
+// of scale/2^23. So a table's values depend on no other table, and its
+// chunks are filled on up to GOMAXPROCS goroutines in any order.
+func (t *Dense) FillRandom(seed int64, table int, scale float32) {
+	const drawChunk = 64 << 10 // values a goroutine draws per claim
+	key := mix64(mix64(uint64(seed)) + uint64(table))
+	step := scale / (1 << 23) // exact: a power-of-two quotient
+	chunks := (len(t.Data) + drawChunk - 1) / drawChunk
+	var next atomic.Int64
+	fill := func() {
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			lo := c * drawChunk
+			vals := t.Data[lo:min(lo+drawChunk, len(t.Data))]
+			for i := range vals {
+				z := key + uint64(lo+i+1)*0x9e3779b97f4a7c15
+				vals[i] = float32(int32(mix64(z)>>40)-1<<23) * step
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	fill()
+	wg.Wait()
+	runtime.KeepAlive(t)
+}
+
+// mix64 is SplitMix64's output function.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // liveMappings counts the anonymous regions newDenseMapped made that are

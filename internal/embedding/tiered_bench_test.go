@@ -43,26 +43,26 @@ func benchPooling(b *testing.B, table Table, zipf bool) {
 }
 
 func BenchmarkPoolingDense(b *testing.B) {
-	t := NewDenseRandom(rand.New(rand.NewSource(1)), 1<<16, 64, 0.1)
+	t := NewDenseRandom(1, 0, 1<<16, 64, 0.1)
 	benchPooling(b, t, true)
 }
 
 func BenchmarkPoolingInt8(b *testing.B) {
-	t := NewDenseRandom(rand.New(rand.NewSource(1)), 1<<16, 64, 0.1).Quantize(quant.Bits8)
+	t := NewDenseRandom(1, 0, 1<<16, 64, 0.1).Quantize(quant.Bits8)
 	benchPooling(b, t, true)
 }
 
 func BenchmarkPoolingFP16(b *testing.B) {
-	t := NewDenseRandom(rand.New(rand.NewSource(1)), 1<<16, 64, 0.1).ToFP16()
+	t := NewDenseRandom(1, 0, 1<<16, 64, 0.1).ToFP16()
 	benchPooling(b, t, true)
 }
 
 func BenchmarkPoolingTieredInt8Zipf(b *testing.B) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(1)), 1<<16, 64, 0.1).Quantize(quant.Bits8)
+	cold := NewDenseRandom(1, 0, 1<<16, 64, 0.1).Quantize(quant.Bits8)
 	benchPooling(b, NewTiered(cold, 1<<13), true)
 }
 
 func BenchmarkPoolingTieredInt8Uniform(b *testing.B) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(1)), 1<<16, 64, 0.1).Quantize(quant.Bits8)
+	cold := NewDenseRandom(1, 0, 1<<16, 64, 0.1).Quantize(quant.Bits8)
 	benchPooling(b, NewTiered(cold, 1<<13), false)
 }

@@ -11,8 +11,7 @@ import (
 
 func tieredBackends(t *testing.T) map[string]Table {
 	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	dense := NewDenseRandom(rng, 512, 24, 0.1)
+	dense := NewDenseRandom(42, 0, 512, 24, 0.1)
 	return map[string]Table{
 		"fp32": dense,
 		"fp16": dense.ToFP16(),
@@ -87,7 +86,7 @@ func TestTieredPoolingMatchesCold(t *testing.T) {
 }
 
 func TestTieredAdmissionByFrequency(t *testing.T) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(1)), 256, 8, 0.1)
+	cold := NewDenseRandom(1, 0, 256, 8, 0.1)
 	tt := NewTiered(cold, 64)
 	acc := make([]float32, 8)
 	// A row seen once must not be admitted; seen admitAfter times it must.
@@ -108,7 +107,7 @@ func TestTieredAdmissionByFrequency(t *testing.T) {
 }
 
 func TestTieredSetCapacityAndInvalidate(t *testing.T) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(2)), 256, 8, 0.1)
+	cold := NewDenseRandom(2, 0, 256, 8, 0.1)
 	tt := NewTiered(cold, 100)
 	if got := tt.Capacity(); got != 64 {
 		t.Fatalf("capacity floors to a power of two: got %d, want 64", got)
@@ -150,7 +149,7 @@ func TestTieredSetCapacityAndInvalidate(t *testing.T) {
 }
 
 func TestTieredOutOfRangePanics(t *testing.T) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(3)), 16, 4, 0.1)
+	cold := NewDenseRandom(3, 0, 16, 4, 0.1)
 	tt := NewTiered(cold, 8)
 	defer func() {
 		if recover() == nil {
@@ -163,7 +162,7 @@ func TestTieredOutOfRangePanics(t *testing.T) {
 // TestTieredConcurrentPooling hammers one tiered table from many
 // goroutines (the -race job turns this into the coherence check).
 func TestTieredConcurrentPooling(t *testing.T) {
-	cold := NewDenseRandom(rand.New(rand.NewSource(4)), 1024, 16, 0.1).Quantize(quant.Bits8)
+	cold := NewDenseRandom(4, 0, 1024, 16, 0.1).Quantize(quant.Bits8)
 	tt := NewTiered(cold, 256)
 	want := make([]float32, 16)
 	cold.AccumulateRow(want, 11)

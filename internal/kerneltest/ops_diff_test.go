@@ -19,7 +19,7 @@ func TestSLSCrossKernelIdentity(t *testing.T) {
 	defer tensor.SetKernel(tensor.KernelAuto)
 	rng := rand.New(rand.NewSource(21))
 	const rows, dim = 500, 19
-	dense := embedding.NewDenseRandom(rng, rows, dim, 1)
+	dense := embedding.NewDenseRandom(21, 0, rows, dim, 1)
 	tables := map[string]embedding.Table{
 		"dense": dense,
 		"int8":  dense.Quantize(quant.Bits8),

@@ -315,7 +315,7 @@ func TestSLSPackedBackends(t *testing.T) {
 	defer resetDispatch()
 	rng := rand.New(rand.NewSource(5))
 	const rows, dim = 90, 19
-	dense := embedding.NewDenseRandom(rng, rows, dim, 1)
+	dense := embedding.NewDenseRandom(5, 0, rows, dim, 1)
 	bags := slsBags(rng, rows, 30)
 	for name, table := range map[string]embedding.Table{
 		"int8": dense.Quantize(quant.Bits8), "int4": dense.Quantize(quant.Bits4),

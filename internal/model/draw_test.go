@@ -1,0 +1,72 @@
+package model
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/embedding"
+)
+
+// sameBits fails unless two float slices hold the same bits.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s value %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBuildIgnoresWorkerCount: a model built on one goroutine and on four
+// holds the same bits in every table and every dense parameter. The
+// tables span one to several fill chunks, most with a partial last one.
+func TestBuildIgnoresWorkerCount(t *testing.T) {
+	cfg := DRM2()
+	cfg.Tables = cfg.Tables[:48] // 40 of net1's, 8 of net2's
+	for i := range cfg.Tables {
+		cfg.Tables[i].Rows = 1 + i*2749%30000
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := Build(cfg)
+	runtime.GOMAXPROCS(4)
+	four := Build(cfg)
+	for id := range cfg.Tables {
+		sameBits(t, cfg.Tables[id].Name, four.Tables[id].(*embedding.Dense).Data, one.Tables[id].(*embedding.Dense).Data)
+	}
+	for n := range cfg.Nets {
+		a, b := one.NetParams[n], four.NetParams[n]
+		for l := range a.Bottom {
+			sameBits(t, "bottom W", b.Bottom[l].W.Data, a.Bottom[l].W.Data)
+			sameBits(t, "bottom B", b.Bottom[l].B, a.Bottom[l].B)
+		}
+		sameBits(t, "proj W", b.Proj.W.Data, a.Proj.W.Data)
+		for l := range a.Top {
+			sameBits(t, "top W", b.Top[l].W.Data, a.Top[l].W.Data)
+		}
+	}
+}
+
+// TestTableDrawIgnoresOtherTables: a DRM1 table holds the values it holds
+// when drawn alone from (model seed, table ID), and when the tables before
+// it change shape and those after it are not built.
+func TestTableDrawIgnoresOtherTables(t *testing.T) {
+	cfg := DRM1()
+	m := Build(cfg)
+	last := len(cfg.Tables) - 1
+	for _, id := range []int{0, 1, 100, last} {
+		ts := cfg.Tables[id]
+		alone := embedding.NewDenseRandom(cfg.Seed, ts.ID, ts.Rows, ts.Dim, 0.1)
+		sameBits(t, ts.Name+" in DRM1 against alone", m.Tables[id].(*embedding.Dense).Data, alone.Data)
+	}
+	prefix := cfg
+	prefix.Tables = append([]TableSpec(nil), cfg.Tables[:101]...)
+	for i := range prefix.Tables[:100] {
+		prefix.Tables[i].Rows = 1 + prefix.Tables[i].Rows/3
+	}
+	sameBits(t, "t100 after reshaped tables", Build(prefix).Tables[100].(*embedding.Dense).Data, m.Tables[100].(*embedding.Dense).Data)
+	runtime.KeepAlive(m)
+}

@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -13,8 +12,8 @@ import (
 
 // TestBuildKeepsTablesOffTheHeap: a model whose tables each exceed a page
 // raises the live heap by its dense parameters and bookkeeping — under
-// 1 MiB more — not by its tables, and every table holds the rows a heap
-// build draws from the same seed, bit for bit.
+// 1 MiB more — not by its tables, and every table holds the rows its
+// keyed draw puts in heap storage, bit for bit.
 func TestBuildKeepsTablesOffTheHeap(t *testing.T) {
 	probe := mmapfile.Anon(os.Getpagesize())
 	mapped := probe.Mapped()
@@ -39,14 +38,10 @@ func TestBuildKeepsTablesOffTheHeap(t *testing.T) {
 		t.Errorf("Build raised the live heap by %d bytes, want under %d (dense parameters + 1 MiB)", grew, bound)
 	}
 
-	// The heap reference draws in Build's order: every table, in ID order,
-	// before the dense layers.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// The heap reference is each table's keyed draw into heap rows.
 	for id, ts := range cfg.Tables {
 		ref := embedding.NewDense(ts.Rows, ts.Dim)
-		for i := range ref.Data {
-			ref.Data[i] = (rng.Float32()*2 - 1) * 0.1
-		}
+		ref.FillRandom(cfg.Seed, ts.ID, 0.1)
 		got := m.Tables[id].(*embedding.Dense)
 		for i := range ref.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(ref.Data[i]) {

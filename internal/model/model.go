@@ -175,18 +175,21 @@ func (m *Model) SparseTableBytes() int64 {
 }
 
 // Build materializes a model from a config with deterministic parameters.
+// A table's values are a pure function of (cfg.Seed, its ID, the value's
+// index) (embedding.NewDenseRandom), and the dense nets draw from a stream
+// of their own, so no table depends on which others are built.
 func Build(cfg Config) *Model {
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Config: cfg}
 	m.Tables = make([]embedding.Table, len(cfg.Tables))
 	for i, ts := range cfg.Tables {
 		if ts.ID != i {
 			panic(fmt.Sprintf("model: table %d has ID %d; IDs must be dense and ordered", i, ts.ID))
 		}
-		m.Tables[i] = embedding.NewDenseRandom(rng, ts.Rows, ts.Dim, 0.1)
+		m.Tables[i] = embedding.NewDenseRandom(cfg.Seed, ts.ID, ts.Rows, ts.Dim, 0.1)
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	prevOut := 0
-	for i, ns := range cfg.Nets {
+	for _, ns := range cfg.Nets {
 		inDim := ns.DenseDim + prevOut // later nets consume the prior net's output
 		var np NetParams
 		w := inDim
@@ -210,7 +213,6 @@ func Build(cfg Config) *Model {
 		}
 		m.NetParams = append(m.NetParams, np)
 		prevOut = w
-		_ = i
 	}
 	return m
 }

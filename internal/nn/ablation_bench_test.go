@@ -17,7 +17,7 @@ func BenchmarkSLSFusedVsPerTable(b *testing.B) {
 	const nTables, rows, dim, bags = 64, 2048, 16, 8
 	tables := make([]embedding.Table, nTables)
 	for i := range tables {
-		tables[i] = embedding.NewDenseRandom(rng, rows, dim, 1)
+		tables[i] = embedding.NewDenseRandom(1, i, rows, dim, 1)
 	}
 	mkWS := func() *Workspace {
 		ws := NewWorkspace()
