@@ -64,7 +64,7 @@ func NewDense(rows, dim int) *Dense {
 // (seed, table). It is the model generator's table constructor, so a
 // table of at least a page is stored in its own anonymous mapping
 // (newDenseMapped): one region per table, so a role that keeps a few of a
-// model's tables frees the rest as they become garbage, as heap rows.
+// model's tables frees the rest as they become garbage, like heap rows.
 func NewDenseRandom(seed int64, table, rows, dim int, scale float32) *Dense {
 	t := newDenseMapped(rows, dim)
 	t.FillRandom(seed, table, scale)
