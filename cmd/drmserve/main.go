@@ -3,6 +3,8 @@
 // (dense layers + RPC fan-out) or one sparse shard (embedding tables).
 // Each role is assembled by internal/cluster — the same code cluster.Boot
 // composes in-process — so this file is flags → cluster.Options → role.
+// A role draws only what it serves: a distributed plan's main the dense
+// nets, a sparse role its shard's tables (none under -shard-dir).
 //
 // Every process derives the identical sharding plan from the same flags
 // (models and pooling estimation are deterministic), so a deployment is
@@ -42,7 +44,7 @@ type config struct {
 	listen string
 	netsim bool
 
-	// The single-model roles' model (built by run), its plan, the sparse
+	// The model (each role draws what it serves), its plan, the sparse
 	// role's shard number and the main role's -peers bindings in flag
 	// order (a service's first address is its primary, the rest hedge
 	// replicas).
@@ -255,17 +257,11 @@ func run(c *config) error {
 	var shutdown func()
 	switch c.role {
 	case "sparse":
-		// A shard-file boot is publish-then-load: the shard never
-		// materializes the rest of the model.
-		var m *model.Model
-		if c.opts.ShardDir == "" {
-			m = model.Build(c.model)
-		}
 		var link *netsim.Link
 		if c.netsim {
 			link = platform.SCLarge().Network(int64(c.shard)).Response
 		}
-		s, err := cluster.ServeSparse(m, c.plan, c.shard, c.listen, link, c.opts)
+		s, err := cluster.ServeSparse(c.model, c.plan, c.shard, c.listen, link, c.opts)
 		if err != nil {
 			return err
 		}
@@ -275,16 +271,15 @@ func run(c *config) error {
 			s.Store.ShardName, ts.Tables, ts.FP32, ts.FP16, ts.Int8, float64(s.Store.Bytes())/(1<<20))
 		fmt.Printf("drmserve: sparse shard serving %s (%s) on %s\n", c.model.Name, c.plan.Name(), s.Server.Addr())
 	case "main":
-		m := model.Build(c.model)
 		var link *netsim.Link
 		if c.netsim {
 			link = platform.SCLarge().Network(7).Request
 		}
-		mn, err := cluster.StartMain(m, c.plan, c.listen, c.peers, link, c.opts)
+		mn, err := cluster.StartMain(c.model, c.plan, c.listen, c.peers, link, c.opts)
 		if err != nil {
 			return err
 		}
-		stopControl, err := c.startControl(m, mn)
+		stopControl, err := c.startControl(mn)
 		if err != nil {
 			mn.Close()
 			return err
@@ -320,7 +315,7 @@ func run(c *config) error {
 // stop. Both change shard table sets in several wire steps, so they run
 // from one loop and never interleave: a publish landing between a
 // migration's reads and its cutover would be missing from the moved copy.
-func (c *config) startControl(m *model.Model, mn *cluster.Main) (stop func(), err error) {
+func (c *config) startControl(mn *cluster.Main) (stop func(), err error) {
 	if !c.plan.IsDistributed() || (c.rebalanceEvery <= 0 && c.publishEvery <= 0) {
 		return func() {}, nil
 	}
@@ -339,14 +334,14 @@ func (c *config) startControl(m *model.Model, mn *cluster.Main) (stop func(), er
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		c.controlLoop(quit, mg, pub, m)
+		c.controlLoop(quit, mg, pub)
 	}()
 	return func() { close(quit); <-done; cp.Close() }, nil
 }
 
 // controlLoop runs the control-plane drivers one at a time until quit
 // closes. A disabled driver's ticker channel stays nil and never fires.
-func (c *config) controlLoop(quit <-chan struct{}, mg *core.Migrator, pub *core.Publisher, m *model.Model) {
+func (c *config) controlLoop(quit <-chan struct{}, mg *core.Migrator, pub *core.Publisher) {
 	var rebalance, publish <-chan time.Time
 	if c.rebalanceEvery > 0 {
 		fmt.Printf("drmserve: online resharding every %v (move budget %d)\n", c.rebalanceEvery, c.moveBudget)
@@ -374,7 +369,7 @@ func (c *config) controlLoop(quit <-chan struct{}, mg *core.Migrator, pub *core.
 			fmt.Println("drmserve:", report)
 		case <-publish:
 			version++
-			report, err := pub.Publish(core.IdentityDelta(m, nil, version, c.publishRows))
+			report, err := pub.Publish(core.IdentityDelta(&c.model, nil, version, c.publishRows))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "drmserve: publish:", err)
 				continue

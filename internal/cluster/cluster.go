@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/embedding"
 	"repro/internal/frontend"
 	"repro/internal/model"
 	"repro/internal/netsim"
@@ -109,7 +108,6 @@ type sparseReplica struct {
 // MainRec, Engine, Frontend) over loopback sparse roles.
 type Cluster struct {
 	*Main
-	Model     *model.Model
 	Plan      *sharding.Plan
 	Collector *trace.Collector
 
@@ -160,7 +158,6 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 
 	c := &Cluster{
 		Main:      newMain(opts),
-		Model:     m,
 		Plan:      plan,
 		Collector: trace.NewCollector(),
 		Hedged:    make(map[string]*replication.Hedged),
@@ -235,18 +232,6 @@ func Boot(m *model.Model, plan *sharding.Plan, opts Options) (*Cluster, error) {
 		}
 	}
 
-	// Pre-fault every table's storage so the first measured requests do
-	// not pay page-in costs that later configurations (sharing the warm
-	// process) would not — the moral equivalent of a production loader
-	// touching the model after deserialization. Shard-file boots skip
-	// it: demand paging the mmap'd tables is the point of that path, and
-	// the shards do not serve from the in-memory model anyway.
-	if opts.ShardDir == "" {
-		for _, t := range m.Tables {
-			touchTable(t)
-		}
-	}
-
 	if err := c.start(m, plan, "127.0.0.1:0", callers, opts); err != nil {
 		return nil, err
 	}
@@ -278,20 +263,6 @@ func (c *Cluster) stopReplica(rep *sparseReplica) {
 	rep.srv.Close() // waits for in-flight handlers
 	rep.client.Close()
 	rep.srv, rep.client = nil, nil
-}
-
-// touchTable walks a table's backing storage to fault it in.
-func touchTable(t interface{ Bytes() int64 }) {
-	switch tt := t.(type) {
-	case *embedding.Dense:
-		var sink float32
-		for i := 0; i < len(tt.Data); i += 1024 {
-			sink += tt.Data[i]
-		}
-		_ = sink
-	default:
-		// Quantized backends are built by transformation and already warm.
-	}
 }
 
 // skewFor derives a deterministic per-shard clock offset.

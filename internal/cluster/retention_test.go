@@ -118,7 +118,7 @@ func TestRetainedBuffersNeverChange(t *testing.T) {
 	for i := range recs {
 		recs[i] = trace.NewRecorder(core.ServiceName(i+1), 1<<16)
 	}
-	shards, err := core.MaterializeShards(m, plan, recs)
+	shards, err := core.MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

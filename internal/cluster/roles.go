@@ -107,11 +107,14 @@ func newMain(opts Options) *Main {
 	return mn
 }
 
-// StartMain assembles the main role on listen over remote sparse roles:
-// peers maps each service the plan routes to ("sparse1", ...) to its
-// servers' addresses, primary first; a service bound more than once is
-// hedged. request, when non-nil, injects link latency on outgoing frames.
-func StartMain(m *model.Model, plan *sharding.Plan, listen string, peers map[string][]string, request *netsim.Link, opts Options) (*Main, error) {
+// StartMain assembles the main role of cfg on listen over remote sparse
+// roles: peers maps each service the plan routes to ("sparse1", ...) to
+// its servers' addresses, primary first; a service bound more than once
+// is hedged. request, when non-nil, injects link latency on outgoing
+// frames. The role draws the dense nets, and the tables only under a
+// singular plan: a distributed plan's main looks no row up.
+func StartMain(cfg model.Config, plan *sharding.Plan, listen string, peers map[string][]string, request *netsim.Link, opts Options) (*Main, error) {
+	m := model.BuildServed(cfg, func(int) bool { return !plan.IsDistributed() }, true)
 	opts = opts.withDefaults()
 	mn := newMain(opts)
 	callers := make(map[string]rpc.Caller, len(peers))
@@ -282,14 +285,23 @@ type Sparse struct {
 
 // ServeSparse assembles the sparse role for shard number `shard`
 // (1-based) of plan on listen, from <opts.ShardDir>/<model>.shardN when
-// set (m may then be nil) or from the model. response, when non-nil,
-// injects link latency on reply frames.
-func ServeSparse(m *model.Model, plan *sharding.Plan, shard int, listen string, response *netsim.Link, opts Options) (*Sparse, error) {
+// set, or else from the tables of cfg its shard's units name, the only
+// ones it draws. response, when non-nil, injects link latency on reply
+// frames.
+func ServeSparse(cfg model.Config, plan *sharding.Plan, shard int, listen string, response *netsim.Link, opts Options) (*Sparse, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("cluster: singular plans have no sparse shards")
 	}
 	if shard < 1 || shard > plan.NumShards {
 		return nil, fmt.Errorf("cluster: shard %d outside [1, %d]", shard, plan.NumShards)
+	}
+	var m *model.Model // a shard-file boot reads no model
+	if opts.ShardDir == "" {
+		served := make(map[int]bool)
+		for u := range plan.Shards[shard-1].Units() {
+			served[u.TableID] = true
+		}
+		m = model.BuildServed(cfg, func(id int) bool { return served[id] }, false)
 	}
 	opts = opts.withDefaults()
 	recs := make([]*trace.Recorder, plan.NumShards)

@@ -28,9 +28,9 @@ type standalone struct {
 }
 
 // composeStandalone serves shard s of plan from replicas[s-1] sparse
-// roles (one each when replicas is nil). m may be nil for the sparse
-// roles when opts.ShardDir is set; mainModel always builds the main role.
-func composeStandalone(t *testing.T, mainModel, m *model.Model, plan *sharding.Plan, replicas []int, opts cluster.Options) *standalone {
+// roles (one each when replicas is nil), each role drawing from cfg what
+// it serves.
+func composeStandalone(t *testing.T, cfg model.Config, plan *sharding.Plan, replicas []int, opts cluster.Options) *standalone {
 	t.Helper()
 	d := &standalone{peers: make(map[string][]string)}
 	for shard := 1; shard <= plan.NumShards; shard++ {
@@ -39,7 +39,7 @@ func composeStandalone(t *testing.T, mainModel, m *model.Model, plan *sharding.P
 			n = replicas[shard-1]
 		}
 		for r := 0; r < n; r++ {
-			s, err := cluster.ServeSparse(m, plan, shard, "127.0.0.1:0", nil, opts)
+			s, err := cluster.ServeSparse(cfg, plan, shard, "127.0.0.1:0", nil, opts)
 			if err != nil {
 				d.close()
 				t.Fatal(err)
@@ -50,7 +50,7 @@ func composeStandalone(t *testing.T, mainModel, m *model.Model, plan *sharding.P
 		}
 	}
 	var err error
-	if d.main, err = cluster.StartMain(mainModel, plan, "127.0.0.1:0", d.peers, nil, opts); err != nil {
+	if d.main, err = cluster.StartMain(cfg, plan, "127.0.0.1:0", d.peers, nil, opts); err != nil {
 		d.close()
 		t.Fatal(err)
 	}
@@ -115,8 +115,9 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestStandaloneRolesMatchBoot starts sparse roles and a main role over
-// their addresses through the assemblers cmd/drmserve calls, and requires
-// scores byte-identical to cluster.Boot of the same model, plan and seed,
+// their addresses through the assemblers cmd/drmserve calls — each role
+// drawing from the model's config only what it serves — and requires
+// scores byte-identical to cluster.Boot of the full model, plan and seed,
 // a clean close, and goroutines settled — for a plain deployment, one
 // with a repeated peer name under hedging and health ejection, and one
 // whose sparse roles boot from an exported shard-file directory under an
@@ -143,12 +144,11 @@ func TestStandaloneRolesMatchBoot(t *testing.T) {
 		name     string
 		replicas []int
 		opts     cluster.Options
-		fromFile bool
 	}{
 		{name: "plain", opts: cluster.Options{Seed: 5}},
 		{name: "hedged", replicas: []int{2, 1, 1, 2},
 			opts: cluster.Options{Seed: 5, HedgeDelay: 20 * time.Millisecond, HealthFails: 2}},
-		{name: "shard-dir", fromFile: true, opts: cluster.Options{Seed: 5, Tier: tier, ShardDir: dir}},
+		{name: "shard-dir", opts: cluster.Options{Seed: 5, Tier: tier, ShardDir: dir}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,11 +159,7 @@ func TestStandaloneRolesMatchBoot(t *testing.T) {
 			want := bootScores(t, m, plan, control, reqs)
 
 			before := runtime.NumGoroutine()
-			sparseModel := m
-			if tc.fromFile {
-				sparseModel = nil // publish-then-load: the shard never sees the model
-			}
-			d := composeStandalone(t, m, sparseModel, plan, tc.replicas, tc.opts)
+			d := composeStandalone(t, cfg, plan, tc.replicas, tc.opts)
 			got := scoresOf(t, d.client, reqs)
 			d.close()
 			waitGoroutines(t, before)
@@ -198,7 +194,7 @@ func TestStandaloneControlPlane(t *testing.T) {
 	want := bootScores(t, m, plan, cluster.Options{Seed: 11}, reqs)
 
 	before := runtime.NumGoroutine()
-	d := composeStandalone(t, m, m, plan, nil, cluster.Options{Seed: 11})
+	d := composeStandalone(t, cfg, plan, nil, cluster.Options{Seed: 11})
 	stores := make([][]string, plan.NumShards)
 	for i := range stores {
 		stores[i] = d.peers[core.ServiceName(i+1)]
@@ -210,7 +206,7 @@ func TestStandaloneControlPlane(t *testing.T) {
 	}
 	got := scoresOf(t, d.client, reqs) // also the load the migrator measures
 
-	if _, err := pub.Publish(core.IdentityDelta(m, nil, 1, 4)); err != nil {
+	if _, err := pub.Publish(core.IdentityDelta(&cfg, nil, 1, 4)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range d.sparse {
@@ -280,7 +276,7 @@ func TestSparseRoleTiersOnlyItsShard(t *testing.T) {
 	})
 	var role *cluster.Sparse
 	one := allocated(func() {
-		role, err = cluster.ServeSparse(m, plan, 1, "127.0.0.1:0", nil, cluster.Options{Tier: tier, SpanCapacity: 1})
+		role, err = cluster.ServeSparse(cfg, plan, 1, "127.0.0.1:0", nil, cluster.Options{Tier: tier, SpanCapacity: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +302,7 @@ func TestRoleRefusals(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	serve := func(plan *sharding.Plan, shard int, opts cluster.Options) error {
-		s, err := cluster.ServeSparse(m, plan, shard, "127.0.0.1:0", nil, opts)
+		s, err := cluster.ServeSparse(cfg, plan, shard, "127.0.0.1:0", nil, opts)
 		if err == nil {
 			s.Close()
 		}
@@ -335,13 +331,13 @@ func TestRoleRefusals(t *testing.T) {
 
 	// The main role: an unbound service, an unreachable peer, and health
 	// ejection without the hedge timer it counts silence by.
-	s, err := cluster.ServeSparse(m, plan, 1, "127.0.0.1:0", nil, cluster.Options{})
+	s, err := cluster.ServeSparse(cfg, plan, 1, "127.0.0.1:0", nil, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := s.Server.Addr()
 	start := func(peers map[string][]string, opts cluster.Options) error {
-		mn, err := cluster.StartMain(m, plan, "127.0.0.1:0", peers, nil, opts)
+		mn, err := cluster.StartMain(cfg, plan, "127.0.0.1:0", peers, nil, opts)
 		if err == nil {
 			mn.Close()
 		}
@@ -362,11 +358,11 @@ func TestRoleRefusals(t *testing.T) {
 }
 
 // TestScoresOutliveTheModel composes a deployment as drmserve does —
-// every role builds a model of its own and a sparse role keeps only the
-// tables its shard serves — then drops every reference the test holds to
-// those models and collects, so the mapped rows of every table no role
-// holds are unmapped. The next 50 scores must equal the 50 taken before,
-// byte for byte.
+// every role draws a model of its own, a sparse role only the tables its
+// shard serves, and keeps only the stores it serves from — then collects,
+// so the mapped rows of every table or row-part source no role holds are
+// unmapped. The next 50 scores must equal the 50 taken before, byte for
+// byte.
 func TestScoresOutliveTheModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -379,14 +375,14 @@ func TestScoresOutliveTheModel(t *testing.T) {
 	d := &standalone{peers: make(map[string][]string)}
 	defer d.close()
 	for shard := 1; shard <= plan.NumShards; shard++ {
-		s, err := cluster.ServeSparse(model.Build(cfg), plan, shard, "127.0.0.1:0", nil, cluster.Options{Seed: 5})
+		s, err := cluster.ServeSparse(cfg, plan, shard, "127.0.0.1:0", nil, cluster.Options{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d.sparse = append(d.sparse, s)
 		d.peers[core.ServiceName(shard)] = []string{s.Server.Addr()}
 	}
-	if d.main, err = cluster.StartMain(model.Build(cfg), plan, "127.0.0.1:0", d.peers, nil, cluster.Options{Seed: 5}); err != nil {
+	if d.main, err = cluster.StartMain(cfg, plan, "127.0.0.1:0", d.peers, nil, cluster.Options{Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if d.client, err = rpc.Dial(d.main.Server.Addr(), nil); err != nil {

@@ -283,7 +283,7 @@ func TestMaterializeShards(t *testing.T) {
 	recs := []*trace.Recorder{
 		trace.NewRecorder("sparse1", 8), trace.NewRecorder("sparse2", 8), trace.NewRecorder("sparse3", 8),
 	}
-	shards, err := MaterializeShards(m, plan, recs)
+	shards, err := MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestMaterializeShardsWithPartitions(t *testing.T) {
 	for i := range recs {
 		recs[i] = trace.NewRecorder(ServiceName(i+1), 8)
 	}
-	shards, err := MaterializeShards(m, plan, recs)
+	shards, err := MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +343,11 @@ func shardTables(s *SparseShard) map[sharding.TableLoadKey]embedding.Table { ret
 func TestMaterializeErrors(t *testing.T) {
 	cfg := tinyConfig()
 	m := model.Build(cfg)
-	if _, err := MaterializeShards(m, sharding.Singular(&cfg), nil); err == nil {
+	if _, err := MaterializeShardsTiered(m, sharding.Singular(&cfg), nil, nil); err == nil {
 		t.Error("singular plan should fail")
 	}
 	plan, _ := sharding.CapacityBalanced(&cfg, 2)
-	if _, err := MaterializeShards(m, plan, []*trace.Recorder{trace.NewRecorder("x", 1)}); err == nil {
+	if _, err := MaterializeShardsTiered(m, plan, []*trace.Recorder{trace.NewRecorder("x", 1)}, nil); err == nil {
 		t.Error("recorder count mismatch should fail")
 	}
 }

@@ -287,6 +287,9 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 	if err := plan.Validate(&m.Config); err != nil {
 		return nil, fmt.Errorf("core: invalid plan: %w", err)
 	}
+	if i := slices.Index(m.Tables, nil); i >= 0 && !plan.IsDistributed() {
+		return nil, fmt.Errorf("core: a singular plan serves table %d in-line, and the model did not draw it", i)
+	}
 	prog := &engineProgram{plan: plan, running: new(atomic.Int64)}
 	prevOut := ""
 	for i, ns := range m.Config.Nets {

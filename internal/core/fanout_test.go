@@ -53,7 +53,7 @@ func newShardedFixture(t *testing.T, m *model.Model, plan *sharding.Plan, cfg En
 	for i := range recs {
 		recs[i] = trace.NewRecorder(ServiceName(i+1), 1<<14)
 	}
-	shards, err := MaterializeShards(m, plan, recs)
+	shards, err := MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,5 +571,54 @@ func TestAppendPartMatchesAppendVersion(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEngineServesWithoutTables: the main of a distributed plan looks no
+// row up, so an engine over a model that drew no table scores exactly as
+// one over the full model. A singular plan over such a model, at NewEngine
+// or through Reroute, is refused rather than left to panic at request
+// time, and a refused Reroute leaves the distributed plan serving.
+func TestEngineServesWithoutTables(t *testing.T) {
+	cfg := smallModel("DRM3")
+	full, bare := model.Build(cfg), model.BuildServed(cfg, func(int) bool { return false }, true)
+	plan, err := sharding.NSBP(&cfg, 4) // whole tables and row-parts
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newShardedFixture(t, full, plan, EngineConfig{}, nil)
+	eng, err := NewEngine(bare, plan, EngineConfig{Recorder: trace.NewRecorder("bare", 1), ClientFor: f.eng.cfg.ClientFor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(cfg, 4)
+	score := func(what string) {
+		t.Helper()
+		for i := range 6 {
+			req := FromWorkload(gen.Next())
+			want, err := f.eng.Execute(trace.Context{TraceID: uint64(i + 1)}, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Execute(trace.Context{TraceID: uint64(i + 1)}, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s: request %d scores %v, full model %v", what, i, got, want)
+			}
+		}
+	}
+	score("no tables")
+	singular := sharding.Singular(&cfg)
+	if _, err := NewEngine(bare, singular, EngineConfig{Recorder: trace.NewRecorder("s", 1)}); err == nil || !strings.Contains(err.Error(), "did not draw") {
+		t.Errorf("singular engine over a model without tables: err = %v", err)
+	}
+	if err := eng.Reroute(singular); err == nil || !strings.Contains(err.Error(), "did not draw") {
+		t.Errorf("reroute to singular over a model without tables: err = %v", err)
+	}
+	score("after the refused reroute")
+	for _, sh := range f.shards {
+		sh.Close()
 	}
 }

@@ -36,7 +36,7 @@ func newMigrationFixture(t *testing.T) *migrationFixture {
 		t.Fatal(err)
 	}
 	recs := []*trace.Recorder{trace.NewRecorder("sparse1", 1<<14), trace.NewRecorder("sparse2", 1<<14)}
-	shards, err := MaterializeShards(m, plan, recs)
+	shards, err := MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

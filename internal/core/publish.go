@@ -61,35 +61,32 @@ type DeltaSet struct {
 
 // IdentityDelta builds a delta set that republishes rows already being
 // served — real update traffic whose commit provably cannot change
-// scores. It takes rowsPer rows (default 16) from each of the model's
-// fp32 tables named in tables (nil = every table); each version samples
-// a different contiguous row window.
-func IdentityDelta(m *model.Model, tables []int, version uint64, rowsPer int) *DeltaSet {
+// scores. It takes rowsPer rows (default 16) from each of cfg's tables
+// named in tables (nil = every table); each version samples a different
+// contiguous row window, wrapping at the table's end. The rows are drawn
+// by cfg.TableValues, as every build of the tables draws them, so they
+// equal the served rows with no table at hand — while no delta that
+// changes a row has been committed, as in drmserve's publish loop.
+func IdentityDelta(cfg *model.Config, tables []int, version uint64, rowsPer int) *DeltaSet {
 	ds := &DeltaSet{Version: version}
 	if rowsPer <= 0 {
 		rowsPer = 16
 	}
 	if tables == nil {
-		for id := range m.Tables {
+		for id := range cfg.Tables {
 			tables = append(tables, id)
 		}
 	}
 	for _, id := range tables {
-		dense, ok := m.Tables[id].(*embedding.Dense)
-		if !ok {
-			continue
-		}
-		n := rowsPer
-		if n > dense.RowsN {
-			n = dense.RowsN
-		}
-		start := int(version*2654435761) % dense.RowsN
-		rows := make([]int32, 0, n)
-		data := make([]float32, 0, n*dense.DimN)
-		for k := 0; k < n; k++ {
-			r := (start + k) % dense.RowsN
-			rows = append(rows, int32(r))
-			data = append(data, dense.Data[r*dense.DimN:(r+1)*dense.DimN]...)
+		ts := cfg.Tables[id]
+		n := min(rowsPer, ts.Rows)
+		start := int(version*2654435761) % ts.Rows
+		rows := make([]int32, n)
+		data := make([]float32, n*ts.Dim)
+		for k := range rows {
+			r := (start + k) % ts.Rows
+			rows[k] = int32(r)
+			cfg.TableValues(data[k*ts.Dim:(k+1)*ts.Dim], id, r*ts.Dim)
 		}
 		ds.Tables = append(ds.Tables, TableDelta{TableID: id, Rows: rows, Data: data})
 	}

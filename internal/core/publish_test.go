@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rpc"
@@ -203,4 +206,42 @@ func TestPublisherRejectsMalformedDeltas(t *testing.T) {
 			t.Fatalf("%s still stages %d transactions from rejected deltas", sh.ShardName, open)
 		}
 	}
+}
+
+// TestIdentityDeltaDrawsServedRows: IdentityDelta, drawing from the config
+// alone, republishes exactly the rows model.Build's tables hold, for every
+// table and for windows that wrap past a table's last row.
+func TestIdentityDeltaDrawsServedRows(t *testing.T) {
+	cfg := tinyConfig() // 32 rows a table
+	m := model.Build(cfg)
+	wrapped := false
+	for _, tc := range []struct {
+		version uint64
+		rowsPer int
+	}{{1, 4}, {3, 16}, {5, 0}, {2, 40}} {
+		ds := IdentityDelta(&cfg, nil, tc.version, tc.rowsPer)
+		if ds.Version != tc.version || len(ds.Tables) != len(cfg.Tables) {
+			t.Fatalf("v%d: version %d, %d tables, want %d", tc.version, ds.Version, len(ds.Tables), len(cfg.Tables))
+		}
+		for k, d := range ds.Tables {
+			dense := m.Tables[d.TableID].(*embedding.Dense)
+			want := min(cmp.Or(tc.rowsPer, 16), dense.RowsN)
+			if d.TableID != k || len(d.Rows) != want {
+				t.Fatalf("v%d delta %d: table %d with %d rows, want table %d with %d", tc.version, k, d.TableID, len(d.Rows), k, want)
+			}
+			for j, r := range d.Rows {
+				wrapped = wrapped || j > 0 && r < d.Rows[j-1]
+				if !sameBits(d.Data[j*dense.DimN:(j+1)*dense.DimN], dense.Row(int(r))) {
+					t.Fatalf("v%d table %d row %d: delta holds %v, model %v", tc.version, d.TableID, r, d.Data[j*dense.DimN:(j+1)*dense.DimN], dense.Row(int(r)))
+				}
+			}
+		}
+	}
+	if !wrapped {
+		t.Error("no window wraps; the cases no longer cover a wrap")
+	}
+	if ds := IdentityDelta(&cfg, []int{7}, 9, 2); len(ds.Tables) != 1 || ds.Tables[0].TableID != 7 {
+		t.Errorf("a named table: %+v", ds.Tables)
+	}
+	runtime.KeepAlive(m)
 }

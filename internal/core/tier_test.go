@@ -146,7 +146,7 @@ func TestTieredShardMatchesPlainFP32(t *testing.T) {
 	recs := func() []*trace.Recorder {
 		return []*trace.Recorder{trace.NewRecorder("sparse1", 1<<14), trace.NewRecorder("sparse2", 1<<14)}
 	}
-	plain, err := MaterializeShards(m, plan, recs())
+	plain, err := MaterializeShardsTiered(m, plan, recs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,13 +77,13 @@ func TestDroppedTableReleasesItsMapping(t *testing.T) {
 }
 
 // TestMappedTableMatchesHeapTable: NewDenseRandom draws the same values
-// into a mapped table as FillRandom draws into heap rows, and the table
-// serves them through every read path.
+// into a mapped table, on every core, as one DrawRandom call draws into
+// heap rows, and the table serves them through every read path.
 func TestMappedTableMatchesHeapTable(t *testing.T) {
 	const rows, dim = 1 << 10, 8
 	got := embedding.NewDenseRandom(9, 2, rows, dim, 0.5)
 	want := embedding.NewDense(rows, dim)
-	want.FillRandom(9, 2, 0.5)
+	embedding.DrawRandom(want.Data, 9, 2, 0, 0.5)
 	for i := range want.Data {
 		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("value %d = %v, heap reference %v", i, got.Data[i], want.Data[i])
@@ -102,4 +102,43 @@ func TestMappedTableMatchesHeapTable(t *testing.T) {
 	if string(got.AppendRowRange(nil, 0, rows)) != string(want.AppendRowRange(nil, 0, rows)) {
 		t.Fatal("row-range bytes differ from the heap table's")
 	}
+}
+
+// TestPartRowsAreMapped: a row-part of a page or more lives in an
+// anonymous region of its own and holds, bit for bit, the rows a heap
+// copy of the part holds; a part under a page stays on the heap.
+func TestPartRowsAreMapped(t *testing.T) {
+	skipUnlessMapped(t)
+	const rows, dim, n = 3<<10 + 1, 8, 3 // parts of 1025, 1024 and 1024 rows
+	src := embedding.NewDenseRandom(4, 7, rows, dim, 0.1)
+	base := settledMappings()
+	parts := make([]*embedding.Dense, n) // alive to the end: no finalizer moves the count
+	for p := range n {
+		part := embedding.PartRows(src, n, p)
+		parts[p] = part
+		if got := embedding.LiveMappings(); got != base+int64(p)+1 {
+			t.Fatalf("part %d: %d live regions, want %d", p, got, base+int64(p)+1)
+		}
+		heap := embedding.NewDense(embedding.PartRowCount(rows, n, p), dim)
+		for r := p; r < rows; r += n {
+			_, l := embedding.RowPart(r, n)
+			copy(heap.Row(l), src.Row(r))
+		}
+		if len(part.Data) != len(heap.Data) {
+			t.Fatalf("part %d holds %d values, heap copy %d", p, len(part.Data), len(heap.Data))
+		}
+		for i := range heap.Data {
+			if math.Float32bits(part.Data[i]) != math.Float32bits(heap.Data[i]) {
+				t.Fatalf("part %d value %d = %v, heap copy %v", p, i, part.Data[i], heap.Data[i])
+			}
+		}
+	}
+	mapped := embedding.LiveMappings()
+	small := embedding.PartRows(src, rows, 0) // one row
+	if got := embedding.LiveMappings(); got != mapped {
+		t.Fatalf("a one-row part mapped a region: %d live, want %d", got, mapped)
+	}
+	runtime.KeepAlive(small)
+	runtime.KeepAlive(parts)
+	runtime.KeepAlive(src)
 }

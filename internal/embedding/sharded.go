@@ -19,11 +19,12 @@ func PartRowCount(rows, n, p int) int {
 }
 
 // PartRows copies part p of n of src: each logical row at its local row
-// under RowPart.
+// under RowPart. The plan sizes a part, so a part of a page or more gets
+// an anonymous mapping of its own, as a whole model table does.
 func PartRows(src *Dense, n, p int) *Dense {
 	rows := src.NumRows()
 	// A part with no rows keeps one, so its backend stays valid.
-	local := NewDense(max(PartRowCount(rows, n, p), 1), src.Dim())
+	local := newDenseMapped(max(PartRowCount(rows, n, p), 1), src.Dim())
 	for r := p; r < rows; r += n {
 		_, l := RowPart(r, n)
 		copy(local.Row(l), src.Row(r))

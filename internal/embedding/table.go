@@ -60,36 +60,21 @@ func NewDense(rows, dim int) *Dense {
 	return &Dense{RowsN: rows, DimN: dim, Data: make([]float32, rows*dim)}
 }
 
-// NewDenseRandom allocates a rows×dim table holding FillRandom's draw of
-// (seed, table). It is the model generator's table constructor, so a
-// table of at least a page is stored in its own anonymous mapping
-// (newDenseMapped): one region per table, so a role that keeps a few of a
-// model's tables frees the rest as they become garbage, like heap rows.
+// NewDenseRandom allocates a rows×dim table holding DrawRandom's draw of
+// (seed, table), filled in chunks on up to GOMAXPROCS goroutines in any
+// order. It is the model generator's table constructor, so a table of at
+// least a page is stored in its own anonymous mapping (newDenseMapped):
+// one region per table, so a role that keeps a few of a model's tables
+// frees the rest as they become garbage, like heap rows.
 func NewDenseRandom(seed int64, table, rows, dim int, scale float32) *Dense {
-	t := newDenseMapped(rows, dim)
-	t.FillRandom(seed, table, scale)
-	return t
-}
-
-// FillRandom overwrites the table's values with a uniform draw from
-// [-scale, scale) in which value i is a pure function of (seed, table, i):
-// the top 24 bits of a SplitMix64 hash of a counter, as a signed multiple
-// of scale/2^23. So a table's values depend on no other table, and its
-// chunks are filled on up to GOMAXPROCS goroutines in any order.
-func (t *Dense) FillRandom(seed int64, table int, scale float32) {
 	const drawChunk = 64 << 10 // values a goroutine draws per claim
-	key := mix64(mix64(uint64(seed)) + uint64(table))
-	step := scale / (1 << 23) // exact: a power-of-two quotient
+	t := newDenseMapped(rows, dim)
 	chunks := (len(t.Data) + drawChunk - 1) / drawChunk
 	var next atomic.Int64
 	fill := func() {
 		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
 			lo := c * drawChunk
-			vals := t.Data[lo:min(lo+drawChunk, len(t.Data))]
-			for i := range vals {
-				z := key + uint64(lo+i+1)*0x9e3779b97f4a7c15
-				vals[i] = float32(int32(mix64(z)>>40)-1<<23) * step
-			}
+			DrawRandom(t.Data[lo:min(lo+drawChunk, len(t.Data))], seed, table, lo, scale)
 		}
 	}
 	var wg sync.WaitGroup
@@ -102,7 +87,22 @@ func (t *Dense) FillRandom(seed int64, table int, scale float32) {
 	}
 	fill()
 	wg.Wait()
-	runtime.KeepAlive(t)
+	return t
+}
+
+// DrawRandom writes values [off, off+len(dst)) of the uniform draw from
+// [-scale, scale) in which value i is a pure function of (seed, table, i):
+// the top 24 bits of a SplitMix64 hash of a counter, as a signed multiple
+// of scale/2^23. It is the one place a table value is computed, so a
+// table's values depend on no other table, and any window of a table can
+// be drawn without the rest.
+func DrawRandom(dst []float32, seed int64, table, off int, scale float32) {
+	key := mix64(mix64(uint64(seed)) + uint64(table))
+	step := scale / (1 << 23) // exact: a power-of-two quotient
+	for i := range dst {
+		z := key + uint64(off+i+1)*0x9e3779b97f4a7c15
+		dst[i] = float32(int32(mix64(z)>>40)-1<<23) * step
+	}
 }
 
 // mix64 is SplitMix64's output function.
@@ -119,8 +119,8 @@ var liveMappings atomic.Int64
 // newDenseMapped allocates a zeroed rows×dim table whose rows live in an
 // anonymous mapping the table owns, unmapped by a finalizer once no table
 // refers to it. A table smaller than a page stays on the heap (NewDense).
-// Only storage sized by the model belongs here: mapped bytes are outside
-// the GC's pacing, so storage a peer sizes stays on the heap.
+// Only storage sized by the model or its plan belongs here: mapped bytes
+// are outside the GC's pacing, so storage a peer sizes stays on the heap.
 func newDenseMapped(rows, dim int) *Dense {
 	if rows <= 0 || dim <= 0 || rows*dim < os.Getpagesize()/4 {
 		return NewDense(rows, dim)

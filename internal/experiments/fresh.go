@@ -138,7 +138,7 @@ func (r *Runner) measureFresh(cells []freshCell) (*freshResult, error) {
 					case <-ticker.C:
 					}
 					t0 := time.Now()
-					if _, err := s.cl.Publish(core.IdentityDelta(m, deltaTables(plan), version, rowsPer)); err != nil {
+					if _, err := s.cl.Publish(core.IdentityDelta(&m.Config, deltaTables(plan), version, rowsPer)); err != nil {
 						pubErr = err
 						return
 					}

@@ -80,7 +80,7 @@ func newAdmitFixture(t *testing.T, n int) *admitFixture {
 	for i := range recs {
 		recs[i] = trace.NewRecorder(core.ServiceName(i+1), 1<<10)
 	}
-	shards, err := core.MaterializeShards(m, plan, recs)
+	shards, err := core.MaterializeShardsTiered(m, plan, recs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestTableDrawIgnoresOtherTables(t *testing.T) {
 	last := len(cfg.Tables) - 1
 	for _, id := range []int{0, 1, 100, last} {
 		ts := cfg.Tables[id]
-		alone := embedding.NewDenseRandom(cfg.Seed, ts.ID, ts.Rows, ts.Dim, 0.1)
+		alone := embedding.NewDenseRandom(cfg.Seed, ts.ID, ts.Rows, ts.Dim, tableScale)
 		sameBits(t, ts.Name+" in DRM1 against alone", m.Tables[id].(*embedding.Dense).Data, alone.Data)
 	}
 	prefix := cfg
@@ -69,4 +69,39 @@ func TestTableDrawIgnoresOtherTables(t *testing.T) {
 	}
 	sameBits(t, "t100 after reshaped tables", Build(prefix).Tables[100].(*embedding.Dense).Data, m.Tables[100].(*embedding.Dense).Data)
 	runtime.KeepAlive(m)
+}
+
+// TestBuildServedDrawsOnlyWhatItIsGiven: BuildServed leaves every table it
+// does not serve nil and draws the ones it does with the bits Build gives
+// them; it draws Build's dense nets only when asked.
+func TestBuildServedDrawsOnlyWhatItIsGiven(t *testing.T) {
+	cfg := DRM2()
+	full := Build(cfg)
+	some := BuildServed(cfg, func(id int) bool { return id == 3 || id == 90 }, false)
+	var want int64
+	for id, tab := range some.Tables {
+		switch id {
+		case 3, 90:
+			sameBits(t, cfg.Tables[id].Name, tab.(*embedding.Dense).Data, full.Tables[id].(*embedding.Dense).Data)
+			want += cfg.Tables[id].Bytes()
+		default:
+			if tab != nil {
+				t.Fatalf("table %d drawn, want nil", id)
+			}
+		}
+	}
+	if got := some.SparseTableBytes(); got != want || some.NetParams != nil {
+		t.Errorf("tables only: %d table bytes and %d nets, want %d and none", got, len(some.NetParams), want)
+	}
+	nets := BuildServed(cfg, func(int) bool { return false }, true)
+	for n := range cfg.Nets {
+		last := len(cfg.Nets[n].TopMLP) - 1
+		sameBits(t, "bottom W", nets.NetParams[n].Bottom[0].W.Data, full.NetParams[n].Bottom[0].W.Data)
+		sameBits(t, "proj W", nets.NetParams[n].Proj.W.Data, full.NetParams[n].Proj.W.Data)
+		sameBits(t, "last top B", nets.NetParams[n].Top[last].B, full.NetParams[n].Top[last].B)
+	}
+	if nets.DenseBytes() != full.DenseBytes() || nets.SparseTableBytes() != 0 {
+		t.Errorf("dense only: %d dense and %d table bytes, want %d and 0", nets.DenseBytes(), nets.SparseTableBytes(), full.DenseBytes())
+	}
+	runtime.KeepAlive(full)
 }

@@ -41,7 +41,7 @@ func TestBuildKeepsTablesOffTheHeap(t *testing.T) {
 	// The heap reference is each table's keyed draw into heap rows.
 	for id, ts := range cfg.Tables {
 		ref := embedding.NewDense(ts.Rows, ts.Dim)
-		ref.FillRandom(cfg.Seed, ts.ID, 0.1)
+		cfg.TableValues(ref.Data, ts.ID, 0)
 		got := m.Tables[id].(*embedding.Dense)
 		for i := range ref.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(ref.Data[i]) {

@@ -169,23 +169,47 @@ func (m *Model) TotalBytes() int64 { return m.DenseBytes() + m.SparseTableBytes(
 func (m *Model) SparseTableBytes() int64 {
 	var n int64
 	for _, t := range m.Tables {
-		n += t.Bytes()
+		if t != nil { // a table BuildServed did not draw
+			n += t.Bytes()
+		}
 	}
 	return n
 }
 
-// Build materializes a model from a config with deterministic parameters.
-// A table's values are a pure function of (cfg.Seed, its ID, the value's
-// index) (embedding.NewDenseRandom), and the dense nets draw from a stream
-// of their own, so no table depends on which others are built.
-func Build(cfg Config) *Model {
+// tableScale bounds every table value: each is drawn from
+// [-tableScale, tableScale).
+const tableScale = 0.1
+
+// TableValues writes values [off, off+len(dst)) of table's row-major
+// values into dst: the values every build of the table holds
+// (embedding.DrawRandom).
+func (c *Config) TableValues(dst []float32, table, off int) {
+	embedding.DrawRandom(dst, c.Seed, table, off, tableScale)
+}
+
+// Build materializes a model from a config with deterministic parameters:
+// BuildServed of the dense nets and every table.
+func Build(cfg Config) *Model { return BuildServed(cfg, func(int) bool { return true }, true) }
+
+// BuildServed materializes what one role serves: each table whose ID
+// serves reports, and the dense nets when dense is set. Every other Tables
+// entry stays nil, and NetParams without dense. A table's values are a
+// pure function of (cfg.Seed, its ID, the value's index)
+// (embedding.DrawRandom), and the dense nets draw from a stream of their
+// own, so no table depends on which others are built.
+func BuildServed(cfg Config, serves func(table int) bool, dense bool) *Model {
 	m := &Model{Config: cfg}
 	m.Tables = make([]embedding.Table, len(cfg.Tables))
 	for i, ts := range cfg.Tables {
 		if ts.ID != i {
 			panic(fmt.Sprintf("model: table %d has ID %d; IDs must be dense and ordered", i, ts.ID))
 		}
-		m.Tables[i] = embedding.NewDenseRandom(cfg.Seed, ts.ID, ts.Rows, ts.Dim, 0.1)
+		if serves(i) {
+			m.Tables[i] = embedding.NewDenseRandom(cfg.Seed, i, ts.Rows, ts.Dim, tableScale)
+		}
+	}
+	if !dense {
+		return m
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	prevOut := 0
