@@ -127,11 +127,13 @@ func (c *child) stop() {
 // the main and reads each role's peak resident set. The main holds the
 // dense nets and no table, so it peaks within 64 MiB of their bytes;
 // shard 1 holds its own tables only, so it peaks within 64 MiB of its
-// shard's bytes. A second main then publishes identity deltas, and the
-// scores it gives after two publishes equal the first main's, byte for
-// byte: the rows a main draws from the model's seed are the rows the
-// shards serve. (Shard peaks are read before any publish: a publish
-// stages a heap clone of every table it touches.)
+// shard's bytes. So does a DRM3 role on a 4-shard NSBP plan whose shard
+// is one row-part of the dominating table: it draws its part alone, not
+// the table the part is of. A second main then publishes identity
+// deltas, and the scores it gives after two publishes equal the first
+// main's, byte for byte: the rows a main draws from the model's seed are
+// the rows the shards serve. (Shard peaks are read before any publish: a
+// publish stages a heap clone of every table it touches.)
 func TestRolesHoldOnlyWhatTheyServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -168,7 +170,7 @@ func TestRolesHoldOnlyWhatTheyServe(t *testing.T) {
 		return scores
 	}
 
-	dense := model.BuildServed(cfg.model, func(int) bool { return false }, true).DenseBytes()
+	dense := model.BuildServed(cfg.model, false, true).DenseBytes()
 	shard := sharding.ShardCapacityBytes(&cfg.model, &cfg.plan.Shards[0])
 	// bound fails a role whose peak resident set exceeds what it serves by
 	// over 64 MiB. Under -race it only logs: a DRM1 main read 81 MiB.
@@ -185,6 +187,15 @@ func TestRolesHoldOnlyWhatTheyServe(t *testing.T) {
 	bound("main (dense nets)", mainRole, dense)
 	bound("sparse1 (its shard)", shard1, shard)
 	mainRole.stop()
+
+	const part = "-role sparse -shard 2 -model DRM3 -strategy NSBP -shards 4 -listen 127.0.0.1:0"
+	partCfg, err := parse(args(part))
+	if err != nil {
+		t.Fatal(err)
+	}
+	partRole, _ := startChild(t, part)
+	bound("DRM3 NSBP sparse2 (a row-part)", partRole, sharding.ShardCapacityBytes(&partCfg.model, &partCfg.plan.Shards[1]))
+	partRole.stop()
 
 	publisher, addr := startChild(t, mainArgs+" -publish-every 100ms")
 	publisher.await(t, "publish v2")

@@ -74,7 +74,7 @@ func runExportV2(args []string) {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		fatal(err)
 	}
-	m := model.Build(cfg)
+	m := model.BuildServed(cfg, false, false) // each file draws its own units
 	for shard := 1; shard <= plan.NumShards; shard++ {
 		path := core.ShardFilePath(*dir, cfg.Name, shard)
 		if err := core.WriteShardFile(path, m, plan, shard, tier); err != nil {

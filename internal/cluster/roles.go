@@ -114,7 +114,7 @@ func newMain(opts Options) *Main {
 // frames. The role draws the dense nets, and the tables only under a
 // singular plan: a distributed plan's main looks no row up.
 func StartMain(cfg model.Config, plan *sharding.Plan, listen string, peers map[string][]string, request *netsim.Link, opts Options) (*Main, error) {
-	m := model.BuildServed(cfg, func(int) bool { return !plan.IsDistributed() }, true)
+	m := model.BuildServed(cfg, !plan.IsDistributed(), true)
 	opts = opts.withDefaults()
 	mn := newMain(opts)
 	callers := make(map[string]rpc.Caller, len(peers))
@@ -285,9 +285,9 @@ type Sparse struct {
 
 // ServeSparse assembles the sparse role for shard number `shard`
 // (1-based) of plan on listen, from <opts.ShardDir>/<model>.shardN when
-// set, or else from the tables of cfg its shard's units name, the only
-// ones it draws. response, when non-nil, injects link latency on reply
-// frames.
+// set, or else from its shard's units, each drawn from cfg alone: the
+// stores get a model that holds no table. response, when non-nil, injects
+// link latency on reply frames.
 func ServeSparse(cfg model.Config, plan *sharding.Plan, shard int, listen string, response *netsim.Link, opts Options) (*Sparse, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("cluster: singular plans have no sparse shards")
@@ -295,18 +295,10 @@ func ServeSparse(cfg model.Config, plan *sharding.Plan, shard int, listen string
 	if shard < 1 || shard > plan.NumShards {
 		return nil, fmt.Errorf("cluster: shard %d outside [1, %d]", shard, plan.NumShards)
 	}
-	var m *model.Model // a shard-file boot reads no model
-	if opts.ShardDir == "" {
-		served := make(map[int]bool)
-		for u := range plan.Shards[shard-1].Units() {
-			served[u.TableID] = true
-		}
-		m = model.BuildServed(cfg, func(id int) bool { return served[id] }, false)
-	}
 	opts = opts.withDefaults()
 	recs := make([]*trace.Recorder, plan.NumShards)
 	recs[shard-1] = newRecorder(core.ServiceName(shard), shard, opts, nil)
-	stores, err := sparseStores(m, plan, recs, opts)
+	stores, err := sparseStores(model.BuildServed(cfg, false, false), plan, recs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -581,7 +581,7 @@ func TestAppendPartMatchesAppendVersion(t *testing.T) {
 // time, and a refused Reroute leaves the distributed plan serving.
 func TestEngineServesWithoutTables(t *testing.T) {
 	cfg := smallModel("DRM3")
-	full, bare := model.Build(cfg), model.BuildServed(cfg, func(int) bool { return false }, true)
+	full, bare := model.Build(cfg), model.BuildServed(cfg, false, true)
 	plan, err := sharding.NSBP(&cfg, 4) // whole tables and row-parts
 	if err != nil {
 		t.Fatal(err)

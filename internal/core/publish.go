@@ -80,7 +80,7 @@ func IdentityDelta(cfg *model.Config, tables []int, version uint64, rowsPer int)
 	for _, id := range tables {
 		ts := cfg.Tables[id]
 		n := min(rowsPer, ts.Rows)
-		start := int(version*2654435761) % ts.Rows
+		start := int(version * 2654435761 % uint64(ts.Rows))
 		rows := make([]int32, n)
 		data := make([]float32, n*ts.Dim)
 		for k := range rows {

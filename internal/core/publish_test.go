@@ -210,7 +210,8 @@ func TestPublisherRejectsMalformedDeltas(t *testing.T) {
 
 // TestIdentityDeltaDrawsServedRows: IdentityDelta, drawing from the config
 // alone, republishes exactly the rows model.Build's tables hold, for every
-// table and for windows that wrap past a table's last row.
+// table, for windows that wrap past a table's last row and for a version
+// whose window hash overflows an int.
 func TestIdentityDeltaDrawsServedRows(t *testing.T) {
 	cfg := tinyConfig() // 32 rows a table
 	m := model.Build(cfg)
@@ -218,7 +219,12 @@ func TestIdentityDeltaDrawsServedRows(t *testing.T) {
 	for _, tc := range []struct {
 		version uint64
 		rowsPer int
-	}{{1, 4}, {3, 16}, {5, 0}, {2, 40}} {
+	}{
+		{1, 4}, {3, 16}, {5, 0}, {2, 40},
+		// Hashes past 2^63: the second's is not a multiple of 32, so read
+		// as an int it leaves a negative remainder.
+		{4_000_000_000, 4}, {4_000_000_001, 4},
+	} {
 		ds := IdentityDelta(&cfg, nil, tc.version, tc.rowsPer)
 		if ds.Version != tc.version || len(ds.Tables) != len(cfg.Tables) {
 			t.Fatalf("v%d: version %d, %d tables, want %d", tc.version, ds.Version, len(ds.Tables), len(cfg.Tables))

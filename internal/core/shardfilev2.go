@@ -70,8 +70,9 @@ func ShardFilePath(dir, modelName string, shard int) string {
 }
 
 // planUnits lists the placement units shard `shard` serves, in plan
-// order, each with its fp32 rows as a *embedding.Dense: a whole table's
-// are the model's, a row-partition's a copy (PartRows).
+// order, each with its fp32 rows as a *embedding.Dense: a whole table the
+// model holds is shared, any other unit drawn (model.Config.DrawPart). A
+// held table that is not fp32 is refused.
 func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]ShardTable, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: singular plans have no shards to export")
@@ -82,11 +83,11 @@ func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]ShardTable, er
 	var units []ShardTable
 	for u := range plan.Shards[shard-1].Units() {
 		dense, ok := m.Tables[u.TableID].(*embedding.Dense)
-		if !ok {
+		if !ok && m.Tables[u.TableID] != nil {
 			return nil, fmt.Errorf("core: table %d is not fp32 dense; serve quantized models singular", u.TableID)
 		}
-		if u.NumParts > 1 {
-			dense = embedding.PartRows(dense, u.NumParts, u.PartIndex)
+		if !ok || u.NumParts > 1 {
+			dense = m.Config.DrawPart(u.TableID, u.NumParts, u.PartIndex)
 		}
 		units = append(units, ShardTable{PartRef: u, Rows: dense.RowsN, Dim: dense.DimN, Table: dense})
 	}

@@ -70,7 +70,7 @@ func bitsEqual(a, b []float32) bool {
 }
 
 // transformedShard builds shard `shard`'s tables in memory: the model's
-// fp32 rows, whole or partitioned, through Dense.ToFP16 or
+// fp32 rows, whole or a drawn row-part, through Dense.ToFP16 or
 // Dense.Quantize — the transforms an image's bytes must equal.
 func transformedShard(m *model.Model, plan *sharding.Plan, shard int, prec sharding.Precision) *SparseShard {
 	encode := func(d *embedding.Dense) embedding.Table {
@@ -86,7 +86,7 @@ func transformedShard(m *model.Model, plan *sharding.Plan, shard int, prec shard
 	for u := range plan.Shards[shard-1].Units() {
 		d := m.Tables[u.TableID].(*embedding.Dense)
 		if u.NumParts > 1 {
-			d = embedding.PartRows(d, u.NumParts, u.PartIndex)
+			d = m.Config.DrawPart(u.TableID, u.NumParts, u.PartIndex)
 		}
 		sh.InstallTable(u.TableID, u.PartIndex, encode(d))
 	}

@@ -480,17 +480,15 @@ func (s *SparseShard) handleLoad(_ trace.Context, body []byte) ([]byte, error) {
 }
 
 // MaterializeShardsTiered builds the sparse shards' table storage from a
-// model and a distributed plan: each shard's whole tables and
-// row-partitions of the model's fp32 Dense tables (quantized models are
-// served whole, by a singular plan, as in the paper's compression
-// experiment), tiered by tier when it is non-nil. A nil recorder is a
-// shard served elsewhere, left nil, and the model needs only the tables
-// of the shards served. A plan that encodes no table serves the model's
-// rows; otherwise each shard boots
-// from a v2 image of its tables in their planned encodings, written to a
-// private temporary directory, mapped as OpenShardFile maps one and
-// unlinked: the rows stay off the Go heap, and the shard owns the
-// mapping until Close.
+// model and a distributed plan: each shard's units (planUnits: a whole
+// fp32 table the model holds is shared, any other unit drawn; quantized
+// models are served whole, by a singular plan, as in the paper's
+// compression experiment), tiered by tier when it is non-nil. A nil
+// recorder is a shard served elsewhere, left nil. A plan that encodes no
+// table serves those rows; otherwise each shard boots from a v2 image of
+// its tables in their planned encodings, written to a private temporary
+// directory, mapped as OpenShardFile maps one and unlinked: the rows stay
+// off the Go heap, and the shard owns the mapping until Close.
 func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, tier *TierConfig) ([]*SparseShard, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: cannot materialize shards for a singular plan")

@@ -145,33 +145,18 @@ func TestQuantizedTableMatchesDense(t *testing.T) {
 	}
 }
 
-// newDenseRandomRows creates a table whose row values encode the row
-// index, making lookup provenance checkable.
-func newDenseRandomRows(rng *rand.Rand, rows, dim int) *Dense {
-	t := NewDense(rows, dim)
-	for r := 0; r < rows; r++ {
-		base := rng.Float32()
-		row := t.Row(r)
-		for c := range row {
-			row[c] = base + float32(float32(r)*1e-4) + float32(float32(c)*1e-6)
-		}
-	}
-	return t
-}
-
-// partTables splits src into its n parts with PartRows.
-func partTables(src *Dense, n int) []*Dense {
+// drawParts draws the n parts of the rows×dim table (seed, 0).
+func drawParts(seed int64, rows, dim, n int) []*Dense {
 	parts := make([]*Dense, n)
 	for p := range parts {
-		parts[p] = PartRows(src, n, p)
+		parts[p] = NewDenseRandomPart(seed, 0, rows, dim, n, p, 1)
 	}
 	return parts
 }
 
 func TestPartitionRowsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	src := newDenseRandomRows(rng, 17, 4) // odd row count exercises remainders
-	parts := partTables(src, 4)
+	src := NewDenseRandom(6, 0, 17, 4, 1) // odd row count exercises remainders
+	parts := drawParts(6, 17, 4, 4)
 	for p, local := range parts {
 		if want := PartRowCount(17, 4, p); local.NumRows() != want {
 			t.Fatalf("part %d has %d rows, want %d", p, local.NumRows(), want)
@@ -218,11 +203,11 @@ func TestPartitionPanicsOnBadParts(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	PartRows(NewDense(4, 2), 0, 0)
+	NewDenseRandomPart(1, 0, 4, 2, 0, 0, 1)
 }
 
 func TestPartitionMorePartsThanRows(t *testing.T) {
-	for p, local := range partTables(NewDense(2, 2), 5) {
+	for p, local := range drawParts(1, 2, 2, 5) {
 		if local.NumRows() < 1 {
 			t.Errorf("part %d has no backing rows", p)
 		}
@@ -246,13 +231,14 @@ func splitBags(bags []Bag, numParts int) [][]Bag {
 	return out
 }
 
-// slsPerPartSum pools each part's split bags on its own and sums the
-// partial results in part order, as the main shard does.
-func slsPerPartSum(src *Dense, bags []Bag, numParts int) []float32 {
+// slsPerPartSum pools each drawn part of the table (seed, 0) over its
+// split bags on its own and sums the partial results in part order, as
+// the main shard does.
+func slsPerPartSum(seed int64, src *Dense, bags []Bag, numParts int) []float32 {
 	split := splitBags(bags, numParts)
 	merged := make([]float32, len(bags)*src.Dim())
 	partial := make([]float32, len(merged))
-	for p, local := range partTables(src, numParts) {
+	for p, local := range drawParts(seed, src.NumRows(), src.Dim(), numParts) {
 		SLS(partial, local, split[p])
 		for i, v := range partial {
 			merged[i] += v
@@ -278,7 +264,7 @@ func TestShardedSLSEquivalence(t *testing.T) {
 	SLS(full, src, bags)
 
 	for _, numParts := range []int{1, 2, 3, 7} {
-		merged := slsPerPartSum(src, bags, numParts)
+		merged := slsPerPartSum(7, src, bags, numParts)
 		for i := range full {
 			if diff := math.Abs(float64(full[i] - merged[i])); diff > 1e-4 {
 				t.Fatalf("numParts=%d: sharded SLS diverges at %d: %v vs %v", numParts, i, merged[i], full[i])
@@ -302,7 +288,7 @@ func TestShardedSLSEquivalenceProperty(t *testing.T) {
 		}
 		full := make([]float32, len(bags)*dim)
 		SLS(full, src, bags)
-		merged := slsPerPartSum(src, bags, numParts)
+		merged := slsPerPartSum(seed, src, bags, numParts)
 		for i := range full {
 			if math.Abs(float64(full[i]-merged[i])) > 1e-3 {
 				return false

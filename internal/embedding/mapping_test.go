@@ -1,6 +1,7 @@
 package embedding_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -104,41 +105,66 @@ func TestMappedTableMatchesHeapTable(t *testing.T) {
 	}
 }
 
-// TestPartRowsAreMapped: a row-part of a page or more lives in an
-// anonymous region of its own and holds, bit for bit, the rows a heap
-// copy of the part holds; a part under a page stays on the heap.
-func TestPartRowsAreMapped(t *testing.T) {
-	skipUnlessMapped(t)
-	const rows, dim, n = 3<<10 + 1, 8, 3 // parts of 1025, 1024 and 1024 rows
-	src := embedding.NewDenseRandom(4, 7, rows, dim, 0.1)
-	base := settledMappings()
-	parts := make([]*embedding.Dense, n) // alive to the end: no finalizer moves the count
-	for p := range n {
-		part := embedding.PartRows(src, n, p)
-		parts[p] = part
-		if got := embedding.LiveMappings(); got != base+int64(p)+1 {
-			t.Fatalf("part %d: %d live regions, want %d", p, got, base+int64(p)+1)
+// cutPart is the reference row-part: part p of n cut out of the whole
+// table, each row copied to its local row under RowPart, on the heap; a
+// part with no rows keeps one zero row.
+func cutPart(src *embedding.Dense, n, p int) *embedding.Dense {
+	local := embedding.NewDense(max(embedding.PartRowCount(src.RowsN, n, p), 1), src.DimN)
+	for r := p; r < src.RowsN; r += n {
+		_, l := embedding.RowPart(r, n)
+		copy(local.Row(l), src.Row(r))
+	}
+	return local
+}
+
+// samePart fails unless a drawn part holds the reference cut's shape and
+// bits.
+func samePart(t *testing.T, what string, got, want *embedding.Dense) {
+	t.Helper()
+	if got.RowsN != want.RowsN || got.DimN != want.DimN || len(got.Data) != len(want.Data) {
+		t.Fatalf("%s: %dx%d holding %d values, cut %dx%d holding %d", what, got.RowsN, got.DimN, len(got.Data), want.RowsN, want.DimN, len(want.Data))
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s value %d = %v, cut %v", what, i, got.Data[i], want.Data[i])
 		}
-		heap := embedding.NewDense(embedding.PartRowCount(rows, n, p), dim)
-		for r := p; r < rows; r += n {
-			_, l := embedding.RowPart(r, n)
-			copy(heap.Row(l), src.Row(r))
-		}
-		if len(part.Data) != len(heap.Data) {
-			t.Fatalf("part %d holds %d values, heap copy %d", p, len(part.Data), len(heap.Data))
-		}
-		for i := range heap.Data {
-			if math.Float32bits(part.Data[i]) != math.Float32bits(heap.Data[i]) {
-				t.Fatalf("part %d value %d = %v, heap copy %v", p, i, part.Data[i], heap.Data[i])
+	}
+}
+
+// TestDrawnPartEqualsCut: NewDenseRandomPart draws every part of a table
+// bit for bit as the reference cuts it out of the whole draw — a part
+// past the last row as one zero row — and a part of a page or more lives
+// in an anonymous region of its own, a smaller one on the heap.
+func TestDrawnPartEqualsCut(t *testing.T) {
+	const seed, table, dim, scale = 4, 7, 3, 0.1
+	for rows := 1; rows <= 20; rows++ {
+		whole := embedding.NewDenseRandom(seed, table, rows, dim, scale)
+		for n := 1; n <= 6; n++ {
+			for p := range n {
+				got := embedding.NewDenseRandomPart(seed, table, rows, dim, n, p, scale)
+				samePart(t, fmt.Sprintf("rows %d part %d of %d", rows, p, n), got, cutPart(whole, n, p))
 			}
 		}
 	}
+
+	skipUnlessMapped(t)
+	const rows, wide, n = 3<<10 + 1, 8, 3 // parts of 1025, 1024 and 1024 rows
+	whole := embedding.NewDenseRandom(seed, table, rows, wide, scale)
+	base := settledMappings()
+	parts := make([]*embedding.Dense, n) // alive to the end: no finalizer moves the count
+	for p := range n {
+		parts[p] = embedding.NewDenseRandomPart(seed, table, rows, wide, n, p, scale)
+		if got := embedding.LiveMappings(); got != base+int64(p)+1 {
+			t.Fatalf("part %d: %d live regions, want %d", p, got, base+int64(p)+1)
+		}
+		samePart(t, fmt.Sprintf("mapped part %d", p), parts[p], cutPart(whole, n, p))
+	}
 	mapped := embedding.LiveMappings()
-	small := embedding.PartRows(src, rows, 0) // one row
+	small := embedding.NewDenseRandomPart(seed, table, rows, wide, rows, 0, scale) // one row
 	if got := embedding.LiveMappings(); got != mapped {
 		t.Fatalf("a one-row part mapped a region: %d live, want %d", got, mapped)
 	}
 	runtime.KeepAlive(small)
 	runtime.KeepAlive(parts)
-	runtime.KeepAlive(src)
+	runtime.KeepAlive(whole)
 }

@@ -37,7 +37,7 @@ type Table interface {
 
 // Dense is an uncompressed float32 embedding table.
 //
-// A table NewDenseRandom builds keeps its rows in an anonymous mapping
+// A table NewDenseRandomPart builds keeps its rows in an anonymous mapping
 // rather than on the Go heap, and the GC does not trace into a mapping.
 // So a view of a model table's Data — a Row, a sub-slice, a pointer into
 // it — is valid while its table is reachable: a function that keeps only
@@ -61,20 +61,55 @@ func NewDense(rows, dim int) *Dense {
 }
 
 // NewDenseRandom allocates a rows×dim table holding DrawRandom's draw of
-// (seed, table), filled in chunks on up to GOMAXPROCS goroutines in any
-// order. It is the model generator's table constructor, so a table of at
-// least a page is stored in its own anonymous mapping (newDenseMapped):
-// one region per table, so a role that keeps a few of a model's tables
-// frees the rest as they become garbage, like heap rows.
+// (seed, table): the n = 1 case of NewDenseRandomPart.
 func NewDenseRandom(seed int64, table, rows, dim int, scale float32) *Dense {
+	return NewDenseRandomPart(seed, table, rows, dim, 1, 0, scale)
+}
+
+// A table too large for one shard is split into row-partitions by the
+// paper's "simple modulus operator". Because the pooling operation is a
+// sum, pooling each part's hits independently and summing the partial
+// results reproduces the unsharded pooling exactly; that algebraic
+// identity is what makes modulus row-sharding transparent to the model.
+
+// RowPart is the modulus row rule: logical row r of a table split n ways
+// lives in part r % n, at local row r / n there.
+func RowPart(r, n int) (part, local int) { return r % n, r / n }
+
+// PartRowCount returns how many of a table's rows part p of n holds.
+func PartRowCount(rows, n, p int) int {
+	if p < rows%n {
+		return rows/n + 1
+	}
+	return rows / n
+}
+
+// NewDenseRandomPart allocates part p of n of a rows×dim table (local row
+// l is the table's row l·n+p, RowPart; a part with no rows keeps one zero
+// row) holding DrawRandom's values of (seed, table), filled in chunks of
+// rows on up to GOMAXPROCS goroutines in any order. It makes every model
+// table and sparse unit, so a part of a page or more gets an anonymous
+// mapping of its own (newDenseMapped), freed once the part is garbage.
+func NewDenseRandomPart(seed int64, table, rows, dim, n, p int, scale float32) *Dense {
+	if rows <= 0 || n < 1 || p < 0 || p >= n {
+		panic(fmt.Sprintf("embedding: part %d of %d of a %d-row table", p, n, rows))
+	}
 	const drawChunk = 64 << 10 // values a goroutine draws per claim
-	t := newDenseMapped(rows, dim)
-	chunks := (len(t.Data) + drawChunk - 1) / drawChunk
+	local := PartRowCount(rows, n, p)
+	t := newDenseMapped(max(local, 1), dim)
+	chunkRows := max(drawChunk/dim, 1)
+	chunks := (local + chunkRows - 1) / chunkRows
 	var next atomic.Int64
 	fill := func() {
 		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
-			lo := c * drawChunk
-			DrawRandom(t.Data[lo:min(lo+drawChunk, len(t.Data))], seed, table, lo, scale)
+			lo, hi := c*chunkRows, min((c+1)*chunkRows, local)
+			if n == 1 { // the chunk's rows are contiguous in the table
+				DrawRandom(t.Data[lo*dim:hi*dim], seed, table, lo*dim, scale)
+				continue
+			}
+			for l := lo; l < hi; l++ {
+				DrawRandom(t.Row(l), seed, table, (l*n+p)*dim, scale)
+			}
 		}
 	}
 	var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/embedding"
@@ -22,21 +23,24 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestBuildIgnoresWorkerCount: a model built on one goroutine and on four
-// holds the same bits in every table and every dense parameter. The
-// tables span one to several fill chunks, most with a partial last one.
+// holds the same bits in every table and every dense parameter, and so
+// does a row-part drawn on each. The tables span one to several fill
+// chunks, most with a partial last one.
 func TestBuildIgnoresWorkerCount(t *testing.T) {
 	cfg := DRM2()
 	cfg.Tables = cfg.Tables[:48] // 40 of net1's, 8 of net2's
 	for i := range cfg.Tables {
 		cfg.Tables[i].Rows = 1 + i*2749%30000
 	}
+	const big = 43 // 28 208 rows of 16: its part 1 of 3 spans three chunks
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := Build(cfg)
+	one, onePart := Build(cfg), cfg.DrawPart(big, 3, 1)
 	runtime.GOMAXPROCS(4)
-	four := Build(cfg)
+	four, fourPart := Build(cfg), cfg.DrawPart(big, 3, 1)
 	for id := range cfg.Tables {
 		sameBits(t, cfg.Tables[id].Name, four.Tables[id].(*embedding.Dense).Data, one.Tables[id].(*embedding.Dense).Data)
 	}
+	sameBits(t, "part 1 of 3", fourPart.Data, onePart.Data)
 	for n := range cfg.Nets {
 		a, b := one.NetParams[n], four.NetParams[n]
 		for l := range a.Bottom {
@@ -71,36 +75,27 @@ func TestTableDrawIgnoresOtherTables(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// TestBuildServedDrawsOnlyWhatItIsGiven: BuildServed leaves every table it
-// does not serve nil and draws the ones it does with the bits Build gives
-// them; it draws Build's dense nets only when asked.
+// TestBuildServedDrawsOnlyWhatItIsGiven: BuildServed draws every table
+// with the bits Build gives it, or leaves them all nil; it draws Build's
+// dense nets only when asked.
 func TestBuildServedDrawsOnlyWhatItIsGiven(t *testing.T) {
 	cfg := DRM2()
 	full := Build(cfg)
-	some := BuildServed(cfg, func(id int) bool { return id == 3 || id == 90 }, false)
-	var want int64
-	for id, tab := range some.Tables {
-		switch id {
-		case 3, 90:
-			sameBits(t, cfg.Tables[id].Name, tab.(*embedding.Dense).Data, full.Tables[id].(*embedding.Dense).Data)
-			want += cfg.Tables[id].Bytes()
-		default:
-			if tab != nil {
-				t.Fatalf("table %d drawn, want nil", id)
-			}
-		}
+	tables := BuildServed(cfg, true, false)
+	for id, tab := range tables.Tables {
+		sameBits(t, cfg.Tables[id].Name, tab.(*embedding.Dense).Data, full.Tables[id].(*embedding.Dense).Data)
 	}
-	if got := some.SparseTableBytes(); got != want || some.NetParams != nil {
-		t.Errorf("tables only: %d table bytes and %d nets, want %d and none", got, len(some.NetParams), want)
+	if got := tables.SparseTableBytes(); got != cfg.SparseBytes() || tables.NetParams != nil {
+		t.Errorf("tables only: %d table bytes and %d nets, want %d and none", got, len(tables.NetParams), cfg.SparseBytes())
 	}
-	nets := BuildServed(cfg, func(int) bool { return false }, true)
+	nets := BuildServed(cfg, false, true)
 	for n := range cfg.Nets {
 		last := len(cfg.Nets[n].TopMLP) - 1
 		sameBits(t, "bottom W", nets.NetParams[n].Bottom[0].W.Data, full.NetParams[n].Bottom[0].W.Data)
 		sameBits(t, "proj W", nets.NetParams[n].Proj.W.Data, full.NetParams[n].Proj.W.Data)
 		sameBits(t, "last top B", nets.NetParams[n].Top[last].B, full.NetParams[n].Top[last].B)
 	}
-	if nets.DenseBytes() != full.DenseBytes() || nets.SparseTableBytes() != 0 {
+	if nets.DenseBytes() != full.DenseBytes() || slices.ContainsFunc(nets.Tables, func(tab embedding.Table) bool { return tab != nil }) {
 		t.Errorf("dense only: %d dense and %d table bytes, want %d and 0", nets.DenseBytes(), nets.SparseTableBytes(), full.DenseBytes())
 	}
 	runtime.KeepAlive(full)

@@ -187,25 +187,30 @@ func (c *Config) TableValues(dst []float32, table, off int) {
 	embedding.DrawRandom(dst, c.Seed, table, off, tableScale)
 }
 
-// Build materializes a model from a config with deterministic parameters:
-// BuildServed of the dense nets and every table.
-func Build(cfg Config) *Model { return BuildServed(cfg, func(int) bool { return true }, true) }
+// DrawPart draws part p of n of a table (n = 1: the whole table) with the
+// values every build of it holds (embedding.NewDenseRandomPart).
+func (c *Config) DrawPart(table, n, p int) *embedding.Dense {
+	ts := c.Tables[table]
+	return embedding.NewDenseRandomPart(c.Seed, table, ts.Rows, ts.Dim, n, p, tableScale)
+}
 
-// BuildServed materializes what one role serves: each table whose ID
-// serves reports, and the dense nets when dense is set. Every other Tables
-// entry stays nil, and NetParams without dense. A table's values are a
-// pure function of (cfg.Seed, its ID, the value's index)
-// (embedding.DrawRandom), and the dense nets draw from a stream of their
-// own, so no table depends on which others are built.
-func BuildServed(cfg Config, serves func(table int) bool, dense bool) *Model {
+// Build materializes a model from a config with deterministic parameters:
+// BuildServed of every table and the dense nets.
+func Build(cfg Config) *Model { return BuildServed(cfg, true, true) }
+
+// BuildServed materializes every table when tables is set, and the dense
+// nets when dense is; otherwise Tables holds nils, or NetParams is nil. A
+// value is a pure function of (cfg.Seed, table, index), and the nets draw
+// from a stream of their own, so a role draws any part alone (DrawPart).
+func BuildServed(cfg Config, tables, dense bool) *Model {
 	m := &Model{Config: cfg}
 	m.Tables = make([]embedding.Table, len(cfg.Tables))
 	for i, ts := range cfg.Tables {
 		if ts.ID != i {
 			panic(fmt.Sprintf("model: table %d has ID %d; IDs must be dense and ordered", i, ts.ID))
 		}
-		if serves(i) {
-			m.Tables[i] = embedding.NewDenseRandom(cfg.Seed, i, ts.Rows, ts.Dim, tableScale)
+		if tables {
+			m.Tables[i] = cfg.DrawPart(i, 1, 0)
 		}
 	}
 	if !dense {
