@@ -110,8 +110,8 @@ func parse(args []string) (*config, error) {
 	fs.IntVar(&c.opts.HealthFails, "health-fails", 0, "eject a hedge replica after this many consecutive failures (0 disables; needs repeated -peers names)")
 	fs.DurationVar(&c.opts.HealthProbe, "health-probe", 0, "probation probe interval for ejected replicas (default 250ms)")
 
-	// Online resharding (main role): periodically collect the sparse
-	// shards' measured load and migrate tables live toward balance.
+	// Online resharding (main role): periodically plan on the lookups the
+	// main shard has sent each unit and migrate tables live toward balance.
 	fs.DurationVar(&c.rebalanceEvery, "rebalance-every", 0, "main role: run a capacity-driven rebalance pass at this interval (0 disables)")
 	fs.IntVar(&c.moveBudget, "move-budget", 4, "max table moves per rebalance pass")
 
@@ -122,7 +122,7 @@ func parse(args []string) (*config, error) {
 
 	// Tiered embedding storage (sparse role): a hot-row cache byte budget
 	// in front of a quantized cold tier.
-	fs.Float64Var(&cacheMB, "cache-mb", 0, "sparse role: hot-row cache budget in MiB over the fp32/fp16 cold tiers, apportioned across those tables by measured load (0 disables; an int8 tier is never cached)")
+	fs.Float64Var(&cacheMB, "cache-mb", 0, "sparse role: hot-row cache budget in MiB over the fp32/fp16 cold tiers, split across those tables by their cold-tier bytes (0 disables; an int8 tier is never cached)")
 	fs.StringVar(&coldPrec, "cold-precision", "fp32", "sparse role: cold-tier storage precision: fp32, fp16, or int8")
 	fs.Float64Var(&errBudget, "error-budget", 0, "sparse role: max quantization error as a fraction of value scale (0 = default 1/250)")
 

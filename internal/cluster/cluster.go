@@ -289,7 +289,7 @@ func (c *Cluster) DialMain() (*rpc.Client, error) {
 func (c *Cluster) ResetTraces() { c.Collector.Reset() }
 
 // Shards exposes the sparse shard services (nil for singular plans) —
-// tests and the rebalancer introspect epochs and load summaries.
+// tests introspect their epochs and tiered stores.
 func (c *Cluster) Shards() []*core.SparseShard { return c.shards }
 
 // storeAddrs lists, per shard, the address of one live server per
@@ -361,10 +361,10 @@ func (c *Cluster) Migrator() (*core.Migrator, error) {
 }
 
 // Rebalance runs one observe→plan→migrate→cutover pass against the
-// shards' measured load, usable mid-replay: requests keep flowing while
-// rows stream and the routing swap is atomic. The cluster's Plan field
-// tracks the target so later passes (and introspection) see the current
-// placement.
+// lookups the main shard counted, usable mid-replay: requests keep
+// flowing while rows stream and the routing swap is atomic. The
+// cluster's Plan field tracks the target so later passes (and
+// introspection) see the current placement.
 func (c *Cluster) Rebalance(opts sharding.RebalanceOptions) (*core.RebalanceReport, error) {
 	c.ctrlMu.Lock()
 	defer c.ctrlMu.Unlock()

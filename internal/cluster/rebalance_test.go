@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -98,6 +99,39 @@ func TestClusterRebalanceLive(t *testing.T) {
 	for i := range before {
 		requireSameScores(t, before[i], mid[i], "mid-migration", i)
 		requireSameScores(t, before[i], after[i], "post-migration", i)
+	}
+}
+
+// TestRebalanceReproducible: resharding plans on the lookups the main
+// shard counted, so two deployments of one plan and seed that serve the
+// same skewed stream plan the same pass — equal load summaries, equal
+// moves — however long each lookup took to serve.
+func TestRebalanceReproducible(t *testing.T) {
+	var reports [2]*core.RebalanceReport
+	for i := range reports {
+		cl, rep, cfg := bootRebalanceable(t)
+		skew := make(map[int]float64)
+		for _, id := range cl.Plan.Shards[0].Tables {
+			skew[id] = 6
+		}
+		reqs := workload.ApplySkew(workload.NewGenerator(cfg, 23).GenerateBatch(20), skew)
+		if res := rep.RunSerial(reqs); res.Failed() > 0 {
+			t.Fatal(res.Errors[0])
+		}
+		report, err := cl.Rebalance(sharding.RebalanceOptions{MoveBudget: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = report
+	}
+	if !reports[0].Moved() {
+		t.Fatalf("rebalance against a 6x skew moved nothing: %v", reports[0])
+	}
+	if !reflect.DeepEqual(reports[0].Load, reports[1].Load) {
+		t.Fatalf("load summaries differ:\n%v\n%v", reports[0].Load.Lookups, reports[1].Load.Lookups)
+	}
+	if !reflect.DeepEqual(reports[0].Plan.Moves, reports[1].Plan.Moves) {
+		t.Fatalf("moves differ:\n%v\n%v", reports[0].Plan.Moves, reports[1].Plan.Moves)
 	}
 }
 

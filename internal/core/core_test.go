@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sharding"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -230,10 +231,14 @@ func TestSparseShardHandle(t *testing.T) {
 
 // TestSparseShardServesRepeatedEntry: a sparse.run that names one
 // (table, part) in two entries is served as asked — each entry pooled
-// from its own bag list into its own region, both counted — which is what
-// handleRun documents; the main shard never sends one.
+// from its own bag list into its own region — which is what handleRun
+// documents; the main shard never sends one. The bag counters — the fill
+// ratio that sets the packed response's size — count both entries' bags
+// as received.
 func TestSparseShardServesRepeatedEntry(t *testing.T) {
 	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1024))
+	reg := obs.NewRegistry()
+	sh.SetObs(reg)
 	tab := embedding.NewDense(8, 1)
 	for r := 0; r < 8; r++ {
 		tab.Row(r)[0] = float32(r)
@@ -254,8 +259,8 @@ func TestSparseShardServesRepeatedEntry(t *testing.T) {
 	if len(resp.Entries) != 2 || !slices.Equal(resp.Entries[0].Data, []float32{3}) || !slices.Equal(resp.Entries[1].Data, []float32{7, 8}) {
 		t.Fatalf("entries %+v, want [3] and [7 8]", resp.Entries)
 	}
-	if l := sh.LoadSnapshot(false).Tables[sharding.TableLoadKey{TableID: 5}]; l.Lookups != 5 || l.Calls != 2 {
-		t.Errorf("load %+v, want both entries' 5 lookups as 2 calls", l)
+	if bags, present := reg.Counter("sparse1.sparse.bags").Load(), reg.Counter("sparse1.sparse.bags_present").Load(); bags != 4 || present != 3 {
+		t.Errorf("sparse.bags = %d, sparse.bags_present = %d; want 4, 3", bags, present)
 	}
 }
 

@@ -110,6 +110,12 @@ type Engine struct {
 	// met holds the engine's metric handles (nil no-ops without a
 	// registry).
 	met engineMetrics
+	// lookups counts, per placement unit, the indices the engine's
+	// sparse calls have sent it since the last Load(true). compile adds a
+	// unit's counter the first time a plan names it, so Reroute and
+	// SwapDense recompiles count into the same ones.
+	lookupsMu sync.Mutex
+	lookups   map[sharding.TableLoadKey]*atomic.Int64
 }
 
 // engineProgram is one compiled routing generation: the plan and its
@@ -173,6 +179,8 @@ type remoteGroupSpec struct {
 	decodeOp string // op + "/decode", the span name of its response scatter
 	client   rpc.Caller
 	entries  []groupEntry
+	// lookups[i] is entries[i]'s unit's counter in the engine's ledger.
+	lookups []*atomic.Int64
 }
 
 // NewEngine compiles a model + plan into an executable engine, resolving
@@ -181,7 +189,7 @@ func NewEngine(m *model.Model, plan *sharding.Plan, cfg EngineConfig) (*Engine, 
 	if cfg.Recorder == nil {
 		return nil, fmt.Errorf("core: engine requires a recorder")
 	}
-	e := &Engine{model: m, cfg: cfg, params: m.NetParams, met: newEngineMetrics(cfg.Obs)}
+	e := &Engine{model: m, cfg: cfg, params: m.NetParams, met: newEngineMetrics(cfg.Obs), lookups: make(map[sharding.TableLoadKey]*atomic.Int64)}
 	e.hashedNames = make([]string, len(m.Config.Tables))
 	for i := range m.Config.Tables {
 		e.hashedNames[i] = fmt.Sprintf("hashed_%d", i)
@@ -323,7 +331,7 @@ func (e *Engine) compile(plan *sharding.Plan) (*engineProgram, error) {
 			per = 1
 		}
 		for i := 0; i < len(prog.nets); i += per {
-			if err := compileCall(prog.nets[i:i+per], plan, e.cfg.ClientFor); err != nil {
+			if err := e.compileCall(prog.nets[i:i+per], plan); err != nil {
 				return nil, err
 			}
 		}
@@ -353,7 +361,7 @@ func pickInteract(tables []model.TableSpec, k int) []int {
 
 // compileCall builds the call plan covering nets: per sparse shard, the
 // entries of those nets the shard serves, net by net.
-func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string) (rpc.Caller, error)) error {
+func (e *Engine) compileCall(nets []*netProgram, plan *sharding.Plan) error {
 	cp := &callPlan{nets: nets}
 	slotOf := make([]map[int]int, len(nets)) // per net: table ID → index in np.tables
 	for pos, np := range nets {
@@ -368,10 +376,12 @@ func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string)
 	for i := range plan.Shards {
 		a := &plan.Shards[i]
 		var entries []groupEntry
+		var lookups []*atomic.Int64
 		for pos, np := range nets {
 			for u := range a.Units() {
 				if slot, ok := slotOf[pos][u.TableID]; ok {
 					entries = append(entries, groupEntry{net: pos, slot: slot, PartRef: u})
+					lookups = append(lookups, e.counter(u.Key()))
 					np.tables[slot].sources++
 				}
 			}
@@ -380,12 +390,12 @@ func compileCall(nets []*netProgram, plan *sharding.Plan, clientFor func(string)
 			continue // shard holds no tables of these nets
 		}
 		svc := ServiceName(a.Shard)
-		client, err := clientFor(svc)
+		client, err := e.cfg.ClientFor(svc)
 		if err != nil {
 			return fmt.Errorf("core: resolving %s: %w", svc, err)
 		}
 		op := "rpc_" + cp.label + "_" + svc
-		cp.groups = append(cp.groups, remoteGroupSpec{service: svc, op: op, decodeOp: op + "/decode", client: client, entries: entries})
+		cp.groups = append(cp.groups, remoteGroupSpec{service: svc, op: op, decodeOp: op + "/decode", client: client, entries: entries, lookups: lookups})
 	}
 	for _, np := range nets {
 		for _, t := range np.tables {
@@ -518,6 +528,39 @@ func (e *Engine) BatchSize() int {
 		return e.cfg.BatchSize
 	}
 	return e.model.Config.DefaultBatch
+}
+
+// counter returns placement unit k's lookup counter, adding it on first
+// use.
+func (e *Engine) counter(k sharding.TableLoadKey) *atomic.Int64 {
+	e.lookupsMu.Lock()
+	defer e.lookupsMu.Unlock()
+	c := e.lookups[k]
+	if c == nil {
+		c = new(atomic.Int64)
+		e.lookups[k] = c
+	}
+	return c
+}
+
+// Load returns the lookups the engine's sparse calls have sent each
+// placement unit since the last reset — under every schedule, a hedged
+// call counted once — leaving out units sent none. reset zeroes each
+// counter as it reads it, so no lookup falls between two windows.
+func (e *Engine) Load(reset bool) *sharding.LoadSummary {
+	e.lookupsMu.Lock()
+	defer e.lookupsMu.Unlock()
+	sum := sharding.NewLoadSummary()
+	for k, c := range e.lookups {
+		n := c.Load()
+		if reset {
+			n = c.Swap(0)
+		}
+		if n != 0 {
+			sum.Add(k, n)
+		}
+	}
+	return sum
 }
 
 // Plan returns the engine's current sharding plan.

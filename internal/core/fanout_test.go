@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -166,9 +167,9 @@ func (c *countingCaller) take() int {
 	return n
 }
 
-// shardsWithLookups works out, from the request alone, which shards of
-// plan hold a row the request reads.
-func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req *RankingRequest) map[string]bool {
+// hashedIndices hashes a request's indices as the engine does: per
+// table, every item's back to back.
+func hashedIndices(t *testing.T, cfg *model.Config, req *RankingRequest) [][]int32 {
 	t.Helper()
 	hash := &nn.HashAllBags{OpName: "hash", Entries: make([]nn.HashEntry, len(cfg.Tables))}
 	for _, tab := range cfg.Tables {
@@ -178,16 +179,28 @@ func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req
 	if err := hash.Run(nil); err != nil {
 		t.Fatal(err)
 	}
+	out := make([][]int32, len(cfg.Tables))
+	for tid, e := range hash.Entries {
+		out[tid] = e.Out
+	}
+	return out
+}
+
+// shardsWithLookups works out, from the request alone, which shards of
+// plan hold a row the request reads.
+func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req *RankingRequest) map[string]bool {
+	t.Helper()
+	hashed := hashedIndices(t, cfg, req)
 	hit := make(map[string]bool)
 	for _, a := range plan.Shards {
 		svc := ServiceName(a.Shard)
 		for _, id := range a.Tables {
-			if len(hash.Entries[id].Out) > 0 {
+			if len(hashed[id]) > 0 {
 				hit[svc] = true
 			}
 		}
 		for _, pr := range a.Parts {
-			for _, idx := range hash.Entries[pr.TableID].Out {
+			for _, idx := range hashed[pr.TableID] {
 				if int(idx)%pr.NumParts == pr.PartIndex {
 					hit[svc] = true
 				}
@@ -195,6 +208,94 @@ func shardsWithLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, req
 		}
 	}
 	return hit
+}
+
+// sentLookups counts, from the requests alone, the lookups each unit of
+// plan is sent: a whole table's hashed indices, and of a row-partitioned
+// table those embedding.RowPart assigns the part.
+func sentLookups(t *testing.T, cfg *model.Config, plan *sharding.Plan, reqs []*RankingRequest) *sharding.LoadSummary {
+	t.Helper()
+	want := sharding.NewLoadSummary()
+	for _, req := range reqs {
+		hashed := hashedIndices(t, cfg, req)
+		for _, a := range plan.Shards {
+			for u := range a.Units() {
+				for _, idx := range hashed[u.TableID] {
+					if p, _ := embedding.RowPart(int(idx), u.NumParts); p == u.PartIndex {
+						want.Add(u.Key(), 1)
+					}
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestEngineLoadCountsSentLookups: the engine's ledger is exact. Over an
+// NSBP plan that row-partitions DRM3's dominating table, Load(false)
+// equals the lookups counted from the requests themselves — under the
+// default schedule, under the paper's per-batch one, and for one
+// coalesced execution of three requests — Load(true) returns the same
+// summary, and the window after it is empty.
+func TestEngineLoadCountsSentLookups(t *testing.T) {
+	cfg := smallModel("DRM3")
+	m := model.Build(cfg)
+	plan, err := sharding.NSBP(&cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(plan.Shards, func(a sharding.Assignment) bool { return len(a.Parts) > 0 }) {
+		t.Fatal("fixture: NSBP did not row-partition DRM3's dominating table")
+	}
+	// Each request reads one user row of the split table, so one part;
+	// the three together read every part, and the coalesced call to a
+	// part's shard carries rows of the other parts' users to filter out.
+	gen := workload.NewGenerator(cfg, 5)
+	reqs := make([]*RankingRequest, 3)
+	for i := range reqs {
+		reqs[i] = FromWorkload(gen.Next())
+	}
+	want := sentLookups(t, &cfg, plan, reqs)
+	for _, a := range plan.Shards {
+		for _, u := range a.Parts {
+			if want.Lookups[u.Key()] == 0 {
+				t.Fatalf("fixture: the stream sends part %d of table %d no lookup", u.PartIndex, u.TableID)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		paper     bool
+		coalesced bool
+	}{{"default", false, false}, {"paper", true, false}, {"coalesced", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newShardedFixture(t, m, plan, EngineConfig{BatchSize: 4, PaperSchedule: tc.paper}, nil)
+			items := make([]BatchItem, len(reqs))
+			for i, req := range reqs {
+				items[i] = BatchItem{Ctx: trace.Context{TraceID: uint64(i + 1)}, Req: req}
+			}
+			if tc.coalesced {
+				if _, err := f.eng.ExecuteBatch(items); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, it := range items {
+					if _, err := f.eng.Execute(it.Ctx, it.Req); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := f.eng.Load(false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Load(false) = %v, the requests sent %v", got.Lookups, want.Lookups)
+			}
+			if got := f.eng.Load(true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Load(true) = %v, the requests sent %v", got.Lookups, want.Lookups)
+			}
+			if got := f.eng.Load(false); len(got.Lookups) != 0 {
+				t.Fatalf("the window after a reset holds %v", got.Lookups)
+			}
+		})
+	}
 }
 
 // TestOneCallPerShardPerRequest: whatever the batch size, an execution

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sharding"
@@ -10,7 +9,7 @@ import (
 )
 
 // Migrator drives online resharding over the ordinary RPC channel: it
-// collects measured load summaries from every sparse shard, asks the
+// reads the lookups the engine has sent each placement unit, asks the
 // rebalancer for an incremental migration plan, copies each move's table
 // from source to destination in a staged transaction of its own
 // (stage.go) while both keep serving, swaps the engine's routing, waits
@@ -29,13 +28,13 @@ type Migrator struct {
 
 // RebalanceReport summarizes one rebalance pass.
 type RebalanceReport struct {
-	// Load is the merged measured summary the plan was computed from.
+	// Load is the window of counted lookups the plan was computed from.
 	Load *sharding.LoadSummary
 	// Plan is the migration decision, including Current and Target.
 	Plan *sharding.MigrationPlan
 	// BytesMoved is the row data streamed across shards.
 	BytesMoved int64
-	// Duration covers collection through the last source release.
+	// Duration covers planning through the last source release.
 	Duration time.Duration
 }
 
@@ -53,33 +52,12 @@ func (r *RebalanceReport) String() string {
 		r.Plan.MaxLoadBefore, r.Plan.MaxLoadAfter, r.Duration.Round(time.Millisecond))
 }
 
-// CollectLoad fetches and merges every shard's load summary; reset
-// clears the shards' accumulators so the next window starts fresh.
-func (mg *Migrator) CollectLoad(reset bool) (*sharding.LoadSummary, error) {
-	merged := sharding.NewLoadSummary()
-	body := encodeMsg(&LoadRequest{Reset: reset})
-	for _, shard := range sortedShardNums(mg.Shards) {
-		out, err := mg.Shards[shard].call(mg.Rec)(MethodSparseLoad, body)
-		if err != nil {
-			return nil, err
-		}
-		s, err := DecodeLoadSummary(out)
-		if err != nil {
-			return nil, fmt.Errorf("core: sparse%d load summary: %w", shard, err)
-		}
-		merged.Merge(s)
-	}
-	return merged, nil
-}
-
 // Rebalance runs one full observe→plan→migrate→cutover pass and reports
-// what it did. A pass that plans no moves touches nothing.
+// what it did: it plans on the lookups counted since the last reset and
+// starts the next window. A pass that plans no moves touches nothing.
 func (mg *Migrator) Rebalance(opts sharding.RebalanceOptions) (*RebalanceReport, error) {
 	start := time.Now() //lint:allow determinism rebalance wall time is operator telemetry, not planner input
-	load, err := mg.CollectLoad(true)
-	if err != nil {
-		return nil, err
-	}
+	load := mg.Engine.Load(true)
 	cur := mg.Engine.Plan()
 	mp, err := sharding.Rebalance(mg.Engine.Config(), cur, load, opts)
 	if err != nil {
@@ -160,13 +138,4 @@ func (mg *Migrator) move(mv sharding.Move) (int64, error) {
 		Start: start, Dur: mg.Rec.Now().Sub(start),
 	})
 	return moved, nil
-}
-
-func sortedShardNums(m map[int]ShardEndpoint) []int {
-	out := make([]int, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
 }

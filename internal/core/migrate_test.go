@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/rpc"
 	"repro/internal/sharding"
 	"repro/internal/trace"
@@ -535,76 +534,6 @@ func TestStageProtocolErrors(t *testing.T) {
 	}
 	if n := len(dst.staging); n != 0 {
 		t.Fatalf("%d transactions still staged after abort", n)
-	}
-}
-
-// TestSparseLoadAccounting checks the shard's mergeable summary: lookup
-// counts match the request, service time lands on the pooled tables,
-// and the wire collection round-trips with reset semantics. The bag
-// counters — the fill ratio that sets the packed response's size — count
-// the same request's bags as received.
-func TestSparseLoadAccounting(t *testing.T) {
-	f := newMigrationFixture(t)
-	src := f.shards[0]
-	reg := obs.NewRegistry()
-	src.SetObs(reg)
-	ctx := trace.Context{TraceID: 9}
-	body := f.runRequest(t, 7)
-	req, err := DecodeSparseRequest(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLookups := make(map[sharding.TableLoadKey]int64)
-	var total, bags, present int64
-	for _, e := range req.Entries {
-		n := int64(embedding.TotalLookups(e.Bags))
-		wantLookups[sharding.TableLoadKey{TableID: int(e.TableID)}] += n
-		total += n
-		bags += int64(len(e.Bags))
-		present += int64(embedding.Flatten(e.Bags).Present())
-	}
-	if total == 0 || present == bags {
-		t.Fatalf("fixture request has %d lookups, %d of %d bags non-empty", total, present, bags)
-	}
-
-	if _, err := src.Handle(ctx, MethodSparseRun, body); err != nil {
-		t.Fatal(err)
-	}
-	if got, gotPresent := reg.Counter("sparse1.sparse.bags").Load(), reg.Counter("sparse1.sparse.bags_present").Load(); got != bags || gotPresent != present {
-		t.Errorf("sparse.bags = %d, sparse.bags_present = %d; want %d, %d", got, gotPresent, bags, present)
-	}
-	out, err := src.Handle(ctx, MethodSparseLoad, encodeMsg(&LoadRequest{Reset: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := DecodeLoadSummary(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.TotalLookups(); got != total {
-		t.Fatalf("summary lookups = %d, want %d", got, total)
-	}
-	for k, want := range wantLookups {
-		got := sum.Tables[k]
-		if got.Lookups != want {
-			t.Errorf("table %v lookups = %d, want %d", k, got.Lookups, want)
-		}
-		if want > 0 && got.Calls != 1 {
-			t.Errorf("table %v calls = %d, want 1", k, got.Calls)
-		}
-	}
-
-	// Reset semantics: the next snapshot is empty.
-	out, err = src.Handle(ctx, MethodSparseLoad, encodeMsg(&LoadRequest{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err = DecodeLoadSummary(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.TotalLookups() != 0 {
-		t.Fatalf("post-reset summary still holds %d lookups", sum.TotalLookups())
 	}
 }
 

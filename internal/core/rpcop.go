@@ -263,7 +263,9 @@ func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 // request's bag lists — exactly sized, every length and every hashed index
 // moved into it once: a whole table's with one memmove each, a partition's
 // by a count pass and a filter pass. It also returns, per entry, what was
-// sent. A nil body means no lookup routes to the shard.
+// sent, and counts each entry's indices against its unit: every call is
+// laid out once, whatever the schedule and however it is hedged. A nil
+// body means no lookup routes to the shard.
 func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	f, x := o.f, o.f.x
 	list := func(e *groupEntry) embedding.BagList { return x.bags(e.TableID, f.start, f.start+f.rows) }
@@ -288,6 +290,7 @@ func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
 		l := list(e)
+		o.g.lookups[i].Add(int64(indices[i]))
 		body = appendEntryIDs(body, e.net, e.TableID, e.PartIndex, e.NumParts)
 		if e.NumParts > 1 {
 			body, sent[i].lens = appendPart(body, l, e.PartIndex, e.NumParts, indices[i])

@@ -63,13 +63,6 @@ type SparseShard struct {
 
 	// met holds the shard's metric handles (nil no-ops until SetObs).
 	met shardMetrics
-
-	loadMu sync.Mutex
-	load   *sharding.LoadSummary
-	// lastLoad retains the most recent collected (and reset) window so
-	// the tier controller keeps apportioning the cache budget from a full
-	// window right after a rebalance pass wipes the live accumulator.
-	lastLoad *sharding.LoadSummary
 }
 
 // NewSparseShard returns an empty shard recording to rec.
@@ -80,7 +73,6 @@ func NewSparseShard(name string, rec *trace.Recorder) *SparseShard {
 		rec:       rec,
 		tables:    make(map[sharding.TableLoadKey]embedding.Table),
 		staging:   make(map[uint64]map[sharding.TableLoadKey]*stagedTable),
-		load:      sharding.NewLoadSummary(),
 	}
 }
 
@@ -193,21 +185,6 @@ func (s *SparseShard) Bytes() int64 {
 	return n
 }
 
-// LoadSnapshot returns a copy of the shard's accumulated load summary;
-// reset additionally clears the live accumulator.
-func (s *SparseShard) LoadSnapshot(reset bool) *sharding.LoadSummary {
-	s.loadMu.Lock()
-	defer s.loadMu.Unlock()
-	out := s.load.Clone()
-	if reset {
-		if len(out.Tables) > 0 {
-			s.lastLoad = out
-		}
-		s.load = sharding.NewLoadSummary()
-	}
-	return out
-}
-
 // OwnImage hands the shard the mapping its tables view (OpenShardFile's
 // closer): Close releases it with them.
 func (s *SparseShard) OwnImage(image io.Closer) {
@@ -260,11 +237,10 @@ const (
 
 // shardMethods is the sparse role's method descriptor, the one place a
 // method is stated: the serving path first (Handle walks it in order),
-// then load collection and the staged table-set transaction. DESIGN.md's
-// method table and the control-plane fuzz corpus are tested against it.
+// then the staged table-set transaction. DESIGN.md's method table and the
+// control-plane fuzz corpus are tested against it.
 var shardMethods = []shardMethod{
 	{name: MethodSparseRun, handle: (*SparseShard).handleRun, plane: servingPlane},
-	{name: MethodSparseLoad, handle: (*SparseShard).handleLoad, plane: controlPlane},
 	{name: MethodStageBegin, handle: (*SparseShard).handleStageBegin, plane: controlPlane, counter: "stage.begins"},
 	{name: MethodStagePut, handle: (*SparseShard).handleStagePut, plane: controlPlane, counter: "stage.puts"},
 	{name: MethodStageCommit, handle: (*SparseShard).handleStageCommit, plane: controlPlane, counter: "stage.commits"},
@@ -323,9 +299,9 @@ type runEntry struct {
 // here touches again.
 //
 // Entries naming one (table, part) twice are served as asked — each
-// pooled from its own bag list into its own region, each counted in the
-// load summary; answers match entries by position, so nothing downstream
-// confuses them. The main shard never sends such a list.
+// pooled from its own bag list into its own region; answers match entries
+// by position, so nothing downstream confuses them. The main shard never
+// sends such a list.
 func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) {
 	s.met.runCalls.Inc()
 	runStart := time.Now() //lint:allow determinism stage latency histogram; never reaches response bytes
@@ -383,7 +359,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	// Overhead and operator spans are attributed exactly like the main
 	// shard's, net by net.
 	netObs := &trace.NetObserver{R: s.rec, Ctx: ctx}
-	opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and load stats, not results
+	opStart := time.Now() //lint:allow determinism op wall time feeds compute-scale burn and a histogram, not results
 	entries := make([]embedding.PoolEntry, 0, len(run))
 	for k, name := range req.nets {
 		first := len(entries)
@@ -406,9 +382,7 @@ func (s *SparseShard) handleRun(ctx trace.Context, body []byte) ([]byte, error) 
 	if s.OpComputeScale > 1 {
 		burnFor(time.Duration(float64(time.Since(opStart)) * (s.OpComputeScale - 1))) //lint:allow determinism scaled burn models a slower platform; results unchanged
 	}
-	opDur := time.Since(opStart) //lint:allow determinism measured latency goes to histograms and load accounting only
-	s.met.opNs.Observe(int64(opDur))
-	s.accountLoad(run, opDur)
+	s.met.opNs.Observe(int64(time.Since(opStart))) //lint:allow determinism measured latency goes to a histogram only
 
 	if !wireNative {
 		// The conversion pass a host of the other byte order owes.
@@ -439,44 +413,6 @@ func readRun(body []byte) (sparseReader, []runEntry, error) {
 		}
 	}
 	return req, run, nil
-}
-
-// accountLoad folds one call's entries into the live load summary,
-// apportioning the call's sparse-op time by lookup share.
-func (s *SparseShard) accountLoad(run []runEntry, opDur time.Duration) {
-	total := 0
-	for i := range run {
-		total += len(run[i].Indices)
-	}
-	s.loadMu.Lock()
-	defer s.loadMu.Unlock()
-	for i := range run {
-		lookups := len(run[i].Indices)
-		var svc time.Duration
-		if total > 0 {
-			svc = time.Duration(float64(opDur) * float64(lookups) / float64(total))
-		}
-		key := sharding.TableLoadKey{TableID: int(run[i].TableID), PartIndex: int(run[i].PartIndex)}
-		s.load.Add(key, sharding.TableLoad{
-			Lookups: int64(lookups), ServiceTime: svc, Calls: 1,
-		})
-	}
-}
-
-func (s *SparseShard) handleLoad(_ trace.Context, body []byte) ([]byte, error) {
-	req, err := decodeMsg[LoadRequest](body)
-	if err != nil {
-		return nil, err
-	}
-	out := EncodeLoadSummary(s.LoadSnapshot(req.Reset))
-	if req.Reset {
-		// A reset collection marks a rebalance window boundary: the
-		// just-collected window is the freshest full picture of per-table
-		// heat, so re-apportion the cache budget from it — the periodic
-		// retier that lets a recently migrated-in table earn a real share.
-		s.retier()
-	}
-	return out, nil
 }
 
 // MaterializeShardsTiered builds the sparse shards' table storage from a

@@ -3,13 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/sharding"
 )
 
-// Wire codecs for the sparse shards' control plane: load-summary
-// collection and the staged table-set transaction (stage.go). Same
+// Wire codecs for the sparse shards' control plane: the staged table-set
+// transaction (stage.go). Same
 // minimal little-endian framing as the serving codecs in codec.go — the
 // control plane rides the ordinary RPC channel, so a standalone
 // deployment (drmserve processes) reshards, rebuilds and publishes
@@ -21,7 +20,6 @@ import (
 // Methods served by SparseShard.Handle.
 const (
 	MethodSparseRun    = "sparse.run"
-	MethodSparseLoad   = "sparse.load"
 	MethodStageBegin   = "stage.begin"
 	MethodStagePut     = "stage.put"
 	MethodStageCommit  = "stage.commit"
@@ -30,13 +28,6 @@ const (
 	MethodTableRead    = "table.read"
 	MethodTableRelease = "table.release"
 )
-
-// LoadRequest asks a shard for its load summary; Reset additionally
-// clears the live accumulator so the next collection window starts
-// fresh.
-type LoadRequest struct {
-	Reset bool
-}
 
 // TableShape identifies one table (or row-partition) and the shape of
 // its cold tier: Rows×Dim in encoding Enc (TierEnc*). Rows of a table
@@ -155,7 +146,7 @@ type TableRelease struct {
 
 // wireMsg is a control-plane message. It lists pointers to its fields
 // once, in wire order; encodeMsg and decodeMsg below are the one codec
-// every message goes through. Field types: uint64, int32, bool, []byte,
+// every message goes through. Field types: uint64, int32, []byte,
 // []TableShape, and nested messages.
 type wireMsg interface {
 	fields() []any
@@ -176,12 +167,6 @@ func appendMsg(b []byte, m wireMsg) []byte {
 			b = binary.LittleEndian.AppendUint64(b, *f)
 		case *int32:
 			b = appendU32(b, uint32(*f))
-		case *bool:
-			if *f {
-				b = appendU32(b, 1)
-			} else {
-				b = appendU32(b, 0)
-			}
 		case *[]byte:
 			b = append(appendU32(b, uint32(len(*f))), *f...)
 		case *[]TableShape:
@@ -221,10 +206,6 @@ func (r *reader) msg(m wireMsg) error {
 			var v uint32
 			v, err = r.u32()
 			*f = int32(v)
-		case *bool:
-			var v uint32
-			v, err = r.u32()
-			*f = v != 0
 		case *[]byte:
 			// count bounds the length prefix by what is left to read.
 			var n int
@@ -261,8 +242,6 @@ func (r *reader) msg(m wireMsg) error {
 
 // tableShapeWireSize is the encoded size of one TableShape.
 const tableShapeWireSize = 5 * 4
-
-func (m *LoadRequest) fields() []any { return []any{&m.Reset} }
 
 func (sh *TableShape) fields() []any {
 	return []any{&sh.TableID, &sh.PartIndex, &sh.Rows, &sh.Dim, &sh.Enc}
@@ -324,53 +303,4 @@ func (m *TableRelease) check() error {
 		return fmt.Errorf("core: release of table %d part %d", m.TableID, m.PartIndex)
 	}
 	return nil
-}
-
-// EncodeLoadSummary serializes a load summary in deterministic key
-// order.
-func EncodeLoadSummary(s *sharding.LoadSummary) []byte {
-	keys := s.Keys()
-	b := appendU32(make([]byte, 0, 4+32*len(keys)), uint32(len(keys)))
-	for _, k := range keys {
-		l := s.Tables[k]
-		b = appendU32(b, uint32(k.TableID))
-		b = appendU32(b, uint32(k.PartIndex))
-		b = binary.LittleEndian.AppendUint64(b, uint64(l.Lookups))
-		b = binary.LittleEndian.AppendUint64(b, uint64(l.ServiceTime))
-		b = binary.LittleEndian.AppendUint64(b, uint64(l.Calls))
-	}
-	return b
-}
-
-// DecodeLoadSummary parses a load summary.
-func DecodeLoadSummary(b []byte) (*sharding.LoadSummary, error) {
-	r := reader{b: b}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	out := sharding.NewLoadSummary()
-	for i := uint32(0); i < n; i++ {
-		var tid, part uint32
-		var lookups, svc, calls uint64
-		if tid, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if part, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if lookups, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if svc, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if calls, err = r.u64(); err != nil {
-			return nil, err
-		}
-		out.Add(sharding.TableLoadKey{TableID: int(tid), PartIndex: int(part)}, sharding.TableLoad{
-			Lookups: int64(lookups), ServiceTime: time.Duration(svc), Calls: int64(calls),
-		})
-	}
-	return out, nil
 }

@@ -12,11 +12,9 @@ import (
 // encode its tables to a smaller cold tier and keep a bounded hot-row
 // cache in front of the fp32 and fp16 ones. The capacity planner
 // (sharding.PlanTiers) decides per-table precision; the shard-side
-// controller here owns the cache byte budget, apportioning it across the
-// shard's cached tables by their *measured* load share — the same
-// LoadSummary accounting the online rebalancer plans from — and
-// re-apportioning whenever the table set changes (install, migration
-// commit, release).
+// controller here owns the cache byte budget, splitting it across the
+// shard's cached tables by their cold-tier bytes and re-splitting it
+// whenever the table set changes (install, migration commit, release).
 //
 // Coherence rules under live migration: a hot-row cache belongs to one
 // table *copy* and dies with it. A table committed from migration staging
@@ -199,82 +197,31 @@ func (s *SparseShard) wrapAll() error {
 	return nil
 }
 
-// retier re-apportions the shard's cache byte budget across its tiered
-// tables by measured load share (LoadSummary weight: service seconds, or
-// lookups when timing is absent), falling back to cold-byte share before
-// any load is observed. Called whenever the table set changes; resizing
-// caches never changes results (see embedding.TieredTable), only where
-// the byte budget does the most good.
+// retier splits the shard's cache byte budget across its cached tables
+// in proportion to their cold-tier bytes. Called whenever the table set
+// changes; resizing caches never changes results (see
+// embedding.TieredTable), only where the byte budget does the most good.
+// Each table's share depends only on its bytes and the total, so the
+// split does not depend on map iteration order.
 func (s *SparseShard) retier() {
 	s.mu.RLock()
-	tier := s.tier
-	s.mu.RUnlock()
-	if tier == nil || tier.CacheMB <= 0 {
+	defer s.mu.RUnlock()
+	if s.tier == nil || s.tier.CacheMB <= 0 {
 		return
 	}
-	// Apportion from the live accumulator merged with the last collected
-	// window: a rebalance pass resets the accumulator (CollectLoad(true))
-	// right before the migration installs that trigger retiering, and
-	// budgeting from the near-empty residue would shrink exactly the hot
-	// caches the measured window had earned.
-	s.loadMu.Lock()
-	load := s.load.Clone()
-	load.Merge(s.lastLoad)
-	s.loadMu.Unlock()
-
-	type cacheTab struct {
-		tt     *embedding.TieredTable
-		weight float64
-		bytes  float64
-	}
-	// The budget split below is float arithmetic: apportion in table-key
-	// order so every run of the same table set computes identical sizes
-	// regardless of map iteration order.
-	var tabs []cacheTab
-	s.mu.RLock()
-	for _, key := range sortedTableKeys(s.tables) {
-		tt, ok := s.tables[key].(*embedding.TieredTable)
-		if !ok {
-			continue
+	var tabs []*embedding.TieredTable
+	var total int64
+	for _, t := range s.tables {
+		if tt, ok := t.(*embedding.TieredTable); ok {
+			tabs = append(tabs, tt)
+			total += tt.Cold().Bytes()
 		}
-		tabs = append(tabs, cacheTab{tt: tt, weight: load.Weight(key), bytes: float64(tt.Cold().Bytes())})
 	}
-	s.mu.RUnlock()
-	var total, totalBytes float64
-	for _, ct := range tabs {
-		total += ct.weight
-		totalBytes += ct.bytes
-	}
-	if len(tabs) == 0 || totalBytes <= 0 {
-		return
-	}
-	if total <= 0 {
-		// No load observed yet: split by cold-tier bytes.
-		for i := range tabs {
-			tabs[i].weight = tabs[i].bytes
-		}
-		total = totalBytes
-	} else {
-		// Bytes-proportional floor on top of measured load: a table that
-		// just migrated in has zero measured load *here* — it moved
-		// because it was hot at the source — and a pure load split would
-		// leave it cacheless until the next table-set change. The floor
-		// seeds every table with a slice of ~10% of the budget; the next
-		// load window earns it a real share.
-		const floorFrac = 0.1
-		for i := range tabs {
-			tabs[i].weight += floorFrac * total * tabs[i].bytes / totalBytes
-		}
-		total *= 1 + floorFrac
-	}
-	budget := tier.CacheMB * float64(1<<20)
-	for _, ct := range tabs {
-		rowBytes := float64(ct.tt.Dim() * 4)
-		rows := int(budget * ct.weight / total / rowBytes)
-		if n := ct.tt.NumRows(); rows > n {
-			rows = n
-		}
-		ct.tt.SetCapacity(rows)
+	budget := s.tier.CacheMB * float64(1<<20)
+	for _, tt := range tabs {
+		rowBytes := float64(tt.Dim() * 4)
+		rows := int(budget * float64(tt.Cold().Bytes()) / float64(total) / rowBytes)
+		tt.SetCapacity(min(rows, tt.NumRows()))
 	}
 }
 

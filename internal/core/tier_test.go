@@ -253,89 +253,10 @@ func TestSetTierWrapsImportedTables(t *testing.T) {
 	}
 }
 
-// TestRetierFollowsLoad pins the budget apportionment: after skewed
-// traffic, the hot table's cache capacity must exceed a cold one's.
-func TestRetierFollowsLoad(t *testing.T) {
-	cfg := tinyConfig()
-	m := model.Build(cfg)
-	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
-	// A deliberately scarce budget: the apportionment must choose, so the
-	// hot table's share visibly beats a cold one's.
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.002))
-	for id, tab := range fp16Tables(m) {
-		if err := sh.InstallTable(id, 0, tab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fold skewed measured load straight into the accumulator: table 0
-	// carries 100× the lookups of the rest.
-	sh.loadMu.Lock()
-	for id := range m.Tables {
-		lookups := int64(10)
-		if id == 0 {
-			lookups = 1000
-		}
-		sh.load.Add(sharding.TableLoadKey{TableID: id}, sharding.TableLoad{Lookups: lookups, Calls: 1})
-	}
-	sh.loadMu.Unlock()
-	sh.retier()
-
-	capOf := func(id int) int {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		tt, ok := sh.tables[sharding.TableLoadKey{TableID: id}].(*embedding.TieredTable)
-		if !ok {
-			t.Fatalf("table %d not tiered", id)
-		}
-		return tt.Capacity()
-	}
-	hot, cold := capOf(0), capOf(1)
-	if hot <= cold {
-		t.Fatalf("hot table capacity %d not above cold %d", hot, cold)
-	}
-}
-
-// TestRetierFloorSeedsNewcomer pins the migrated-table case: a table
-// that just arrived has zero measured load on this shard — it moved
-// because it was hot at the *source* — and must still be seeded with a
-// bytes-proportional slice of the cache budget instead of starting (and
-// staying) cacheless.
-func TestRetierFloorSeedsNewcomer(t *testing.T) {
-	cfg := tinyConfig()
-	m := model.Build(cfg)
-	sh := NewSparseShard("sparse1", trace.NewRecorder("sparse1", 1<<14))
-	sh.SetTier(tierConfigFor(&cfg, sharding.PrecisionFP16, 0.05))
-	for id, tab := range fp16Tables(m) {
-		if err := sh.InstallTable(id, 0, tab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Existing tables carry measured load; the newcomer will not.
-	sh.loadMu.Lock()
-	for id := range m.Tables {
-		sh.load.Add(sharding.TableLoadKey{TableID: id}, sharding.TableLoad{Lookups: 500, Calls: 1})
-	}
-	sh.loadMu.Unlock()
-
-	newcomer := len(m.Tables)
-	if err := sh.InstallTable(newcomer, 0, embedding.NewDense(64, 16)); err != nil {
-		t.Fatal(err)
-	}
-	sh.mu.RLock()
-	tt, ok := sh.tables[sharding.TableLoadKey{TableID: newcomer}].(*embedding.TieredTable)
-	sh.mu.RUnlock()
-	if !ok {
-		t.Fatal("newcomer not tiered")
-	}
-	if tt.Capacity() == 0 {
-		t.Fatal("zero-load newcomer received no cache capacity (bytes floor missing)")
-	}
-}
-
-// TestRetierDeterministic pins the cache-budget split to table order:
-// building the same shard with the same measured load must size every
-// cache identically run after run, not drift with map iteration order
-// of the table set.
+// TestRetierDeterministic pins the cache-budget split: building the same
+// shard must size every cache identically run after run, not drift with
+// map iteration order of the table set, and each table's share follows
+// its cold-tier bytes.
 func TestRetierDeterministic(t *testing.T) {
 	cfg := tinyConfig()
 	build := func() map[int]int {
@@ -347,19 +268,25 @@ func TestRetierDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sh.loadMu.Lock()
-		for id := range m.Tables {
-			sh.load.Add(sharding.TableLoadKey{TableID: id},
-				sharding.TableLoad{Lookups: int64(100 * (id + 1)), Calls: 1})
-		}
-		sh.loadMu.Unlock()
-		sh.retier()
 		caps := make(map[int]int)
+		var total int64
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		for key, tab := range sh.tables {
 			if tt, ok := tab.(*embedding.TieredTable); ok {
 				caps[key.TableID] = tt.Capacity()
+				total += tt.Cold().Bytes()
+			}
+		}
+		// The bytes split: a table's rows are its share of the budget
+		// by cold-tier bytes, in its rows' fp32 width, capped at its rows.
+		// Capacity floors that to a power of two, the cache's slot count.
+		for key, tab := range sh.tables {
+			tt := tab.(*embedding.TieredTable)
+			rows := int(0.002 * (1 << 20) * float64(tt.Cold().Bytes()) / float64(total) / float64(tt.Dim()*4))
+			want := embedding.NewTiered(tt.Cold(), min(rows, tt.NumRows())).Capacity()
+			if caps[key.TableID] != want {
+				t.Errorf("table %d capacity %d, its bytes share gives %d", key.TableID, caps[key.TableID], want)
 			}
 		}
 		return caps

@@ -134,9 +134,10 @@ func slotCountFor(capacity int) int {
 
 // SetCapacity resizes the cache to (the floor power of two of) capacity
 // rows, rehashing surviving entries into the new generation. The shard's
-// tier controller calls this when the measured load summary re-apportions
-// the shard-wide cache byte budget; an unchanged slot count is a no-op,
-// so small load drifts do not disturb a warm cache.
+// tier controller calls this when a table-set change re-splits the
+// shard-wide cache byte budget; an unchanged slot count is a no-op, so a
+// split that leaves a table's share in place does not disturb its warm
+// cache.
 func (t *TieredTable) SetCapacity(capacity int) {
 	want := slotCountFor(capacity)
 	t.mu.Lock()

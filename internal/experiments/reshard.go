@@ -222,13 +222,7 @@ func (r *Runner) reshardCell(m *model.Model, plan *sharding.Plan, drift, drifted
 
 	// Drift starts; the accounting window resets with it so the
 	// rebalancer plans from drifted load only.
-	mg, err := s.cl.Migrator()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := mg.CollectLoad(true); err != nil {
-		return nil, err
-	}
+	s.cl.Engine.Load(true)
 	if _, row.duringImb, _, err = phase(skewed); err != nil {
 		return nil, err
 	}

@@ -126,9 +126,8 @@ func (r *Runner) measureTiered(cells []tieredCell) (*tieredResult, error) {
 	return res, nil
 }
 
-// tieredRow measures one cell: warm-up (which also warms the caches and
-// the load accounting the tier controller apportions budgets from), then
-// one measured replay.
+// tieredRow measures one cell: warm-up (which also warms the caches),
+// then one measured replay.
 func (r *Runner) tieredRow(m *model.Model, plan *sharding.Plan, c tieredCell) (*tieredRow, error) {
 	opts := cluster.Options{}
 	if c.prec != sharding.PrecisionFP32 || c.cacheMB > 0 {
@@ -192,7 +191,7 @@ func (r *Runner) tieredPaired(res *tieredResult) error {
 	n := r.P.Requests
 	gen := workload.NewGenerator(cfg, r.P.Seed)
 	gen.EnableRowSkew(1.5)
-	// A long warm-up: it also steadies caches, load accounting, admissions.
+	// A long warm-up: it also steadies caches and admissions.
 	warm := gen.GenerateBatch(n)
 	base, err := r.deploy(m, plan, cluster.Options{}, warm)
 	if err != nil {
@@ -270,6 +269,6 @@ func (res *tieredResult) render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	res.print(w)
-	fmt.Fprintf(w, "\nReading: an int8 row is dim+4 bytes against 4*dim; over DRM1's tables\nthe planner's int8 cold tier is %.0f%% smaller than fp32, and what a\ndeployment provisions — cold tier plus any hot-row caches — is the\nresident figure in the verdict lines above. In a capacity-driven\ndeployment that is shard count, not just memory. The hot-row cache\nfronts fp32 and fp16 tiers only: an int8 row is decoded inside the\npooling walk, prefetched with its neighbours, for less than a cache\nhit costs, so the int8 rows have no cache cells and a 0%% hit rate by\nconstruction, and the sparse-op p99 ratio is what that decode costs in\nthe tail. The cache budget follows measured per-table load, so a\nrebalance re-apportions it; encoded rows migrate as verbatim bytes and\ncommitted copies start with cold caches.\n",
+	fmt.Fprintf(w, "\nReading: an int8 row is dim+4 bytes against 4*dim; over DRM1's tables\nthe planner's int8 cold tier is %.0f%% smaller than fp32, and what a\ndeployment provisions — cold tier plus any hot-row caches — is the\nresident figure in the verdict lines above. In a capacity-driven\ndeployment that is shard count, not just memory. The hot-row cache\nfronts fp32 and fp16 tiers only: an int8 row is decoded inside the\npooling walk, prefetched with its neighbours, for less than a cache\nhit costs, so the int8 rows have no cache cells and a 0%% hit rate by\nconstruction, and the sparse-op p99 ratio is what that decode costs in\nthe tail. A shard splits its cache budget by cold-tier bytes and\nre-splits it when a rebalance changes its tables; encoded rows migrate\nas verbatim bytes and committed copies start with cold caches.\n",
 		100*(1-res.plannedCold))
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Online resharding, planning side: given the plan currently serving and
-// a measured LoadSummary, compute the *incremental* migration — the
+// the lookups counted per unit (LoadSummary), compute the *incremental* migration — the
 // smallest set of table moves, bounded by a move budget, that walks the
 // current placement toward load balance. The paper computes plans
 // offline from priors; in production the hot-row distribution drifts, so
@@ -24,8 +24,8 @@ type Move struct {
 	PartRef
 	// From and To are 1-based shard numbers.
 	From, To int
-	// Weight is the measured load the move relocates (LoadSummary.Weight
-	// units: service seconds, or lookups when timing is absent).
+	// Weight is the load the move relocates, in lookups
+	// (LoadSummary.Weight).
 	Weight float64
 }
 
@@ -63,7 +63,7 @@ type RebalanceOptions struct {
 const minGain = 0.01
 
 // Rebalance plans an incremental migration from cur toward load balance
-// under the measured summary. It is deterministic for a fixed (cfg, cur,
+// under the counted summary. It is deterministic for a fixed (cfg, cur,
 // load, opts): all iteration is in sorted unit order. Plans without at
 // least two shards have nowhere to move load and yield an empty plan.
 func Rebalance(cfg *model.Config, cur *Plan, load *LoadSummary, opts RebalanceOptions) (*MigrationPlan, error) {

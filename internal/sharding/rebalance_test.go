@@ -3,13 +3,12 @@ package sharding
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 )
 
-// rebalanceFixture builds a 4-table, 2-shard plan with a lopsided
-// measured load: tables 0,1 on shard 1 carry nearly all the heat.
+// rebalanceFixture builds a 4-table, 2-shard plan with lopsided
+// counted lookups: tables 0,1 on shard 1 carry nearly all the heat.
 func rebalanceFixture(t *testing.T) (model.Config, *Plan, *LoadSummary) {
 	t.Helper()
 	cfg := model.Config{Name: "toy", Nets: []model.NetSpec{{Name: "net1", DenseDim: 4}}}
@@ -28,11 +27,9 @@ func rebalanceFixture(t *testing.T) (model.Config, *Plan, *LoadSummary) {
 	if err := plan.Validate(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	load := NewLoadSummary()
-	load.Add(TableLoadKey{TableID: 0}, TableLoad{Lookups: 1000, ServiceTime: 10 * time.Millisecond, Calls: 10})
-	load.Add(TableLoadKey{TableID: 1}, TableLoad{Lookups: 800, ServiceTime: 8 * time.Millisecond, Calls: 10})
-	load.Add(TableLoadKey{TableID: 2}, TableLoad{Lookups: 100, ServiceTime: time.Millisecond, Calls: 10})
-	load.Add(TableLoadKey{TableID: 3}, TableLoad{Lookups: 100, ServiceTime: time.Millisecond, Calls: 10})
+	load := &LoadSummary{Lookups: map[TableLoadKey]int64{
+		{TableID: 0}: 1000, {TableID: 1}: 800, {TableID: 2}: 100, {TableID: 3}: 100,
+	}}
 	return cfg, plan, load
 }
 
@@ -46,8 +43,8 @@ func TestRebalanceMovesHotTable(t *testing.T) {
 		t.Fatalf("moves = %v, want exactly 1", mp.Moves)
 	}
 	mv := mp.Moves[0]
-	// Shard 1 holds 18ms, shard 2 holds 2ms; moving table 1 (8ms) lands
-	// closest to halving the 16ms gap.
+	// Shard 1 holds 1800 lookups, shard 2 200; moving table 1 (800)
+	// lands closest to halving the 1600-lookup gap.
 	if mv.TableID != 1 || mv.From != 1 || mv.To != 2 {
 		t.Fatalf("move = %v, want table 1 shard 1 -> 2", mv)
 	}
@@ -83,7 +80,7 @@ func TestRebalanceDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := Rebalance(&cfg, plan, load.Clone(), RebalanceOptions{MoveBudget: 8})
+		again, err := Rebalance(&cfg, plan, load, RebalanceOptions{MoveBudget: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +97,7 @@ func TestRebalanceBalancedPlanIsStable(t *testing.T) {
 	cfg, plan, _ := rebalanceFixture(t)
 	load := NewLoadSummary()
 	for i := 0; i < 4; i++ {
-		load.Add(TableLoadKey{TableID: i}, TableLoad{Lookups: 500, ServiceTime: 5 * time.Millisecond})
+		load.Add(TableLoadKey{TableID: i}, 500)
 	}
 	mp, err := Rebalance(&cfg, plan, load, RebalanceOptions{MoveBudget: 8})
 	if err != nil {
@@ -115,9 +112,7 @@ func TestRebalanceNeverEmptiesShard(t *testing.T) {
 	cfg, plan, _ := rebalanceFixture(t)
 	// All heat on shard 2's two tables; a naive balancer would strip
 	// shard 2 bare, but plans forbid empty shards.
-	load := NewLoadSummary()
-	load.Add(TableLoadKey{TableID: 2}, TableLoad{ServiceTime: 50 * time.Millisecond})
-	load.Add(TableLoadKey{TableID: 3}, TableLoad{ServiceTime: 40 * time.Millisecond})
+	load := &LoadSummary{Lookups: map[TableLoadKey]int64{{TableID: 2}: 5000, {TableID: 3}: 4000}}
 	mp, err := Rebalance(&cfg, plan, load, RebalanceOptions{MoveBudget: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +144,9 @@ func TestRebalancePartsMoveAsUnits(t *testing.T) {
 	if err := plan.Validate(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	load := NewLoadSummary()
-	load.Add(TableLoadKey{TableID: 0, PartIndex: 0}, TableLoad{ServiceTime: 9 * time.Millisecond})
-	load.Add(TableLoadKey{TableID: 1}, TableLoad{ServiceTime: 9 * time.Millisecond})
-	load.Add(TableLoadKey{TableID: 0, PartIndex: 1}, TableLoad{ServiceTime: time.Millisecond})
-	load.Add(TableLoadKey{TableID: 2}, TableLoad{ServiceTime: time.Millisecond})
+	load := &LoadSummary{Lookups: map[TableLoadKey]int64{
+		{TableID: 0, PartIndex: 0}: 900, {TableID: 1}: 900, {TableID: 0, PartIndex: 1}: 100, {TableID: 2}: 100,
+	}}
 	mp, err := Rebalance(&cfg, plan, load, RebalanceOptions{MoveBudget: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -170,21 +163,21 @@ func TestRebalancePartsMoveAsUnits(t *testing.T) {
 	}
 }
 
+// TestLoadSummaryMergeAndCodecRoundTrip: a summary adds lookups per
+// unit, and a unit's weight is its lookups (0 for a unit never counted).
 func TestLoadSummaryMergeAndCodecRoundTrip(t *testing.T) {
-	a := NewLoadSummary()
-	a.Add(TableLoadKey{TableID: 1}, TableLoad{Lookups: 5, ServiceTime: time.Millisecond, Calls: 1})
-	b := NewLoadSummary()
-	b.Add(TableLoadKey{TableID: 1}, TableLoad{Lookups: 7, ServiceTime: 2 * time.Millisecond, Calls: 2})
-	b.Add(TableLoadKey{TableID: 2, PartIndex: 1}, TableLoad{Lookups: 3, Calls: 1})
-	a.Merge(b)
-	got := a.Tables[TableLoadKey{TableID: 1}]
-	if got.Lookups != 12 || got.ServiceTime != 3*time.Millisecond || got.Calls != 3 {
-		t.Fatalf("merged = %+v", got)
+	s := NewLoadSummary()
+	s.Add(TableLoadKey{TableID: 1}, 5)
+	s.Add(TableLoadKey{TableID: 1}, 7)
+	s.Add(TableLoadKey{TableID: 2, PartIndex: 1}, 3)
+	want := map[TableLoadKey]int64{{TableID: 1}: 12, {TableID: 2, PartIndex: 1}: 3}
+	if !reflect.DeepEqual(s.Lookups, want) {
+		t.Fatalf("lookups = %v, want %v", s.Lookups, want)
 	}
-	if a.TotalLookups() != 15 {
-		t.Fatalf("total lookups = %d", a.TotalLookups())
+	if w := s.Weight(TableLoadKey{TableID: 1}); w != 12 {
+		t.Fatalf("weight = %v, want 12", w)
 	}
-	if len(a.Keys()) != 2 {
-		t.Fatalf("keys = %v", a.Keys())
+	if w := s.Weight(TableLoadKey{TableID: 3}); w != 0 {
+		t.Fatalf("uncounted unit weight = %v, want 0", w)
 	}
 }
