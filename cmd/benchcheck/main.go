@@ -21,8 +21,11 @@
 // B/op and allocs/op into the manifest, and allocs/op is gated at
 // baseline × 1.10 whatever -threshold says: an allocation count is a
 // property of the code, not of the runner, so it gets the tight bound.
-// Benchmarks present on only one side are reported but never fail the
-// gate — adding or retiring a benchmark is not a regression.
+// A benchmark new to the run is reported and passes. A baseline key
+// absent from the run fails the gate: a benchmark that panics or stops
+// running must not read as green, so retiring one means deleting its key
+// in the same change. The hand-written reference keys (name@parent-<sha>)
+// never appear in a run and are exempt.
 package main
 
 import (
@@ -136,10 +139,10 @@ func main() {
 
 // compare gates current against base: a benchmark regresses when its
 // ns/op strictly exceeds baseline × threshold (landing exactly on the
-// threshold passes) or, where both sides report it, its allocs/op
-// strictly exceeds baseline × allocsThreshold; it improves when it beats
-// baseline ÷ threshold; and a name present on only one side is reported
-// but never fails the gate.
+// threshold passes), where both sides report it, its allocs/op strictly
+// exceeds baseline × allocsThreshold, or it is in the baseline but not
+// in the run (reference keys excepted); it improves when it beats
+// baseline ÷ threshold; and a name only the run has is reported.
 func compare(current, base map[string]Result, threshold float64) (regressions, improved, onlyOne []string) {
 	for _, name := range sortedNames(current) {
 		cur := current[name]
@@ -162,8 +165,8 @@ func compare(current, base map[string]Result, threshold float64) (regressions, i
 		}
 	}
 	for _, name := range sortedNames(base) {
-		if _, ok := current[name]; !ok {
-			onlyOne = append(onlyOne, name+" (removed)")
+		if _, ok := current[name]; !ok && !strings.Contains(name, "@parent-") {
+			regressions = append(regressions, name+": in the baseline but not in this run (delete its key to retire it)")
 		}
 	}
 	return regressions, improved, onlyOne

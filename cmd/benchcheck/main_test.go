@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,26 +143,49 @@ func TestCompareThresholdSemantics(t *testing.T) {
 	}
 	regressions, improved, onlyOne := compare(current, base, 1.25)
 
-	if len(regressions) != 2 {
-		t.Fatalf("regressions = %v, want BenchmarkOver and BenchmarkJustOver", regressions)
+	// A baseline key the run lacks fails the gate; a new benchmark only
+	// shows.
+	if len(regressions) != 3 {
+		t.Fatalf("regressions = %v, want BenchmarkJustOver, BenchmarkOver and BenchmarkRetired", regressions)
 	}
 	for _, s := range regressions {
-		if !strings.HasPrefix(s, "BenchmarkOver") && !strings.HasPrefix(s, "BenchmarkJustOver") {
+		if !strings.HasPrefix(s, "BenchmarkOver") && !strings.HasPrefix(s, "BenchmarkJustOver") && !strings.HasPrefix(s, "BenchmarkRetired") {
 			t.Fatalf("unexpected regression %q", s)
 		}
 	}
 	if len(improved) != 1 || !strings.HasPrefix(improved[0], "BenchmarkFaster") {
 		t.Fatalf("improved = %v", improved)
 	}
-	// New and retired benchmarks are reported but never fail the gate.
-	wantUnmatched := map[string]bool{"BenchmarkNew (new)": true, "BenchmarkRetired (removed)": true}
-	if len(onlyOne) != len(wantUnmatched) {
+	if len(onlyOne) != 1 || onlyOne[0] != "BenchmarkNew (new)" {
 		t.Fatalf("unmatched = %v", onlyOne)
 	}
-	for _, s := range onlyOne {
-		if !wantUnmatched[s] {
-			t.Fatalf("unexpected unmatched entry %q", s)
-		}
+}
+
+// TestCompareFailsOnBenchmarkThatStoppedRunning: a bench.out with one
+// baseline benchmark missing — the way a panic ends a package's
+// benchmark binary — fails the gate, and a reference key
+// (name@parent-<sha>), which no run holds, does not.
+func TestCompareFailsOnBenchmarkThatStoppedRunning(t *testing.T) {
+	full := `BenchmarkSparseRunRoundTrip-2   	    1000	    433633 ns/op	  92914 B/op	     35 allocs/op
+BenchmarkShardBoot/regen-2      	      20	  41400000 ns/op
+BenchmarkShardBoot/mmap-2       	     500	    280000 ns/op
+`
+	base, err := parse(strings.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base["BenchmarkShardBoot/regen@parent-7191183"] = Result{NsPerOp: 1}
+	cut := strings.Join(slices.Delete(strings.SplitAfter(full, "\n"), 0, 1), "")
+	current, err := parse(strings.NewReader(cut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regressions, _, _ := compare(current, base, 1.25)
+	if len(regressions) != 1 || !strings.HasPrefix(regressions[0], "BenchmarkSparseRunRoundTrip: in the baseline but not in this run") {
+		t.Fatalf("regressions = %v, want the missing BenchmarkSparseRunRoundTrip alone", regressions)
+	}
+	if regressions, _, _ := compare(base, base, 1.25); len(regressions) != 0 {
+		t.Fatalf("a full run regressed: %v", regressions)
 	}
 }
 

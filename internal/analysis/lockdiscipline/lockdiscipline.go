@@ -12,12 +12,13 @@
 //     same-package functions it calls and flags any such call.
 //
 //  2. Canonical acquisition order between named mutex fields. The
-//     sparse shard's accounting lock precedes its table-set lock
-//     (loadMu before mu: CollectLoad holds loadMu while swapping
-//     table state under mu). Acquiring them in the inverted order —
-//     or re-acquiring a lock already held on the same receiver,
-//     directly or through a same-receiver method call — is flagged.
-//     The order is the Order variable; fields not listed are ignored.
+//     cluster's control-plane lock precedes its replica lock (ctrlMu
+//     before replicaMu: ReplaceReplica holds ctrlMu, so no rebalance or
+//     publish interleaves, while it swaps a replica under replicaMu).
+//     Acquiring them in the inverted order — or re-acquiring a lock
+//     already held on the same receiver (mu included), directly or
+//     through a same-receiver method call — is flagged. The order is
+//     the Order variable; fields not listed are ignored.
 package lockdiscipline
 
 import (
@@ -37,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // Order lists mutex field/variable names in canonical acquisition
 // order: a lock may only be taken while every held lock (on the same
 // receiver) appears earlier in this list.
-var Order = []string{"loadMu", "mu"}
+var Order = []string{"ctrlMu", "replicaMu", "mu"}
 
 // lockingRegistryMethods are the Registry methods that acquire the
 // registry mutex (or, for Snapshot, re-enter probe evaluation).

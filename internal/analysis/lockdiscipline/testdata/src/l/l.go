@@ -1,6 +1,6 @@
 // Package l exercises the lockdiscipline analyzer: registry re-entry
-// from snapshot probes, canonical mutex ordering (loadMu before mu),
-// and re-entrant acquisition.
+// from snapshot probes, canonical mutex ordering (ctrlMu before
+// replicaMu), and re-entrant acquisition.
 package l
 
 import "sync"
@@ -37,18 +37,19 @@ func (r *Registry) RegisterProbeGroup(fn func(emit func(string, int64))) {
 	defer r.mu.Unlock()
 }
 
-// Shard is the table-set-plus-accounting shape from core: loadMu is
-// acquired before mu by convention.
-type Shard struct {
-	mu     sync.RWMutex
-	loadMu sync.Mutex
-	tables map[int]string
-	n      int64
+// Cluster is the control-plane-plus-replicas shape from cluster: ctrlMu
+// is acquired before replicaMu by convention; mu guards the table set.
+type Cluster struct {
+	mu        sync.RWMutex
+	ctrlMu    sync.Mutex
+	replicaMu sync.Mutex
+	tables    map[int]string
+	n         int64
 }
 
 // goodProbes resolves its handle at registration time and reads only
 // shard state inside the probe. Not flagged.
-func goodProbes(r *Registry, s *Shard) {
+func goodProbes(r *Registry, s *Cluster) {
 	h := r.Counter("boot")
 	r.RegisterProbe("shard.tables", func() int64 {
 		*h = 1
@@ -59,7 +60,7 @@ func goodProbes(r *Registry, s *Shard) {
 }
 
 // badProbe creates a handle inside the probe: registry lock re-entry.
-func badProbe(r *Registry, s *Shard) {
+func badProbe(r *Registry, s *Cluster) {
 	r.RegisterProbe("shard.n", func() int64 {
 		c := r.Counter("lazy") // want `snapshot probe reaches Registry.Counter`
 		_ = c
@@ -68,7 +69,7 @@ func badProbe(r *Registry, s *Shard) {
 }
 
 // badProbeGroup reaches the registry through a helper.
-func badProbeGroup(r *Registry, s *Shard) {
+func badProbeGroup(r *Registry, s *Cluster) {
 	r.RegisterProbeGroup(func(emit func(string, int64)) {
 		emit("n", lazyCount(r))
 	})
@@ -79,81 +80,82 @@ func lazyCount(r *Registry) int64 {
 	return *r.Counter("lazy") // want `snapshot probe reaches Registry.Counter`
 }
 
-// canonicalOrder takes loadMu, then mu. Not flagged.
-func (s *Shard) canonicalOrder() {
-	s.loadMu.Lock()
-	defer s.loadMu.Unlock()
-	s.mu.Lock()
+// canonicalOrder takes ctrlMu, then replicaMu. Not flagged.
+func (s *Cluster) canonicalOrder() {
+	s.ctrlMu.Lock()
+	defer s.ctrlMu.Unlock()
+	s.replicaMu.Lock()
 	s.tables[0] = "x"
-	s.mu.Unlock()
+	s.replicaMu.Unlock()
 }
 
-// invertedOrder acquires loadMu while holding mu.
-func (s *Shard) invertedOrder() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loadMu.Lock() // want `acquiring s.loadMu while holding s.mu inverts the canonical lock order`
-	s.loadMu.Unlock()
+// invertedOrder acquires ctrlMu while holding replicaMu.
+func (s *Cluster) invertedOrder() {
+	s.replicaMu.Lock()
+	defer s.replicaMu.Unlock()
+	s.ctrlMu.Lock() // want `acquiring s.ctrlMu while holding s.replicaMu inverts the canonical lock order`
+	s.ctrlMu.Unlock()
 }
 
 // sequential holds the locks one after another, never nested. Not
 // flagged.
-func (s *Shard) sequential() {
-	s.mu.RLock()
+func (s *Cluster) sequential() {
+	s.replicaMu.Lock()
 	n := len(s.tables)
-	s.mu.RUnlock()
-	s.loadMu.Lock()
+	s.replicaMu.Unlock()
+	s.ctrlMu.Lock()
 	s.n = int64(n)
-	s.loadMu.Unlock()
+	s.ctrlMu.Unlock()
 }
 
 // reentrant re-acquires a held lock.
-func (s *Shard) reentrant() {
+func (s *Cluster) reentrant() {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.mu.RLock() // want `re-entrant acquisition of s.mu`
 	s.mu.RUnlock()
 }
 
-// accountLocked acquires loadMu on its receiver.
-func (s *Shard) accountLocked() {
-	s.loadMu.Lock()
+// drive acquires ctrlMu on its receiver, as a control-plane driver does.
+func (s *Cluster) drive() {
+	s.ctrlMu.Lock()
 	s.n++
-	s.loadMu.Unlock()
+	s.ctrlMu.Unlock()
 }
 
-// invertedViaCall reaches loadMu through a same-receiver call while mu
-// is held.
-func (s *Shard) invertedViaCall() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.accountLocked() // want `acquiring s.loadMu \(via call to accountLocked\) while holding s.mu`
+// invertedViaCall reaches ctrlMu through a same-receiver call while
+// replicaMu is held.
+func (s *Cluster) invertedViaCall() {
+	s.replicaMu.Lock()
+	defer s.replicaMu.Unlock()
+	s.drive() // want `acquiring s.ctrlMu \(via call to drive\) while holding s.replicaMu`
 }
 
-// callAfterUnlock releases mu before the accounting call. Not flagged.
-func (s *Shard) callAfterUnlock() {
-	s.mu.Lock()
+// callAfterUnlock releases replicaMu before the driver call. Not
+// flagged.
+func (s *Cluster) callAfterUnlock() {
+	s.replicaMu.Lock()
 	s.tables[1] = "y"
-	s.mu.Unlock()
-	s.accountLocked()
+	s.replicaMu.Unlock()
+	s.drive()
 }
 
-// otherShard locks a different receiver's mu: no relation to s's
+// otherCluster locks a different receiver's ctrlMu: no relation to s's
 // locks. Not flagged.
-func (s *Shard) otherShard(o *Shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o.loadMu.Lock()
-	o.loadMu.Unlock()
+func (s *Cluster) otherCluster(o *Cluster) {
+	s.replicaMu.Lock()
+	defer s.replicaMu.Unlock()
+	o.ctrlMu.Lock()
+	o.ctrlMu.Unlock()
 }
 
-// branchScoped takes mu only inside a branch; the accounting call after
-// the branch runs unlocked. Not flagged.
-func (s *Shard) branchScoped(cond bool) {
+// branchScoped takes replicaMu only inside a branch; the driver call
+// after the branch runs unlocked. Not flagged.
+func (s *Cluster) branchScoped(cond bool) {
 	if cond {
-		s.mu.Lock()
+		s.replicaMu.Lock()
 		s.tables[2] = "z"
-		s.mu.Unlock()
+		s.replicaMu.Unlock()
 	}
-	s.accountLocked()
+	s.drive()
 }

@@ -13,23 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// imageMappings counts this process's mappings of files under dir; the
-// test skips where /proc/self/maps cannot be read.
-func imageMappings(t *testing.T, dir string) int {
-	t.Helper()
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		t.Skipf("no mapping table to read: %v", err)
-	}
-	return strings.Count(string(maps), dir+string(os.PathSeparator))
-}
-
 // TestImageMappingsOutliveTheirServers: a tiered boot's shards serve
-// mapped images, and an image is released only once nothing can serve
-// it. A replica replaced by a peer rebuild serves a private store and
-// leaves the shared one, image and all, to the replica still over it;
-// stopping that last server keeps the image too, and Cluster.Close
-// releases every one.
+// images built in anonymous memory (nothing lands under TMPDIR), and an
+// image is released only once nothing can serve it. A replica replaced
+// by a peer rebuild serves a private store and leaves the shared one,
+// image and all, to the replica still over it; stopping that last server
+// keeps the image too, and Cluster.Close releases every one. A store
+// drops its tables when it releases its image, so a store that still
+// holds its tables still holds its image.
 func TestImageMappingsOutliveTheirServers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -54,6 +45,9 @@ func TestImageMappingsOutliveTheirServers(t *testing.T) {
 			cl.Close()
 		}
 	})
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("temp dir holds %v (err %v)", entries, err)
+	}
 	client, err := cl.DialMain()
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +59,16 @@ func TestImageMappingsOutliveTheirServers(t *testing.T) {
 	if res.Failed() > 0 {
 		t.Fatal(res.Errors[0])
 	}
-	mapped := func(when string, n int) {
+	stores := cl.Shards()
+	held := func(when string, want bool) {
 		t.Helper()
-		if got := imageMappings(t, dir); got != n {
-			t.Fatalf("%s: %d image mappings, want %d", when, got, n)
+		for _, st := range stores {
+			if got := st.NumTables() > 0; got != want {
+				t.Fatalf("%s: %s holds its image: %v, want %v", when, st.ShardName, got, want)
+			}
 		}
 	}
-	mapped("after boot", plan.NumShards)
+	held("after boot", true)
 
 	if err := cl.KillReplica(0, 0); err != nil {
 		t.Fatal(err)
@@ -79,10 +76,10 @@ func TestImageMappingsOutliveTheirServers(t *testing.T) {
 	if _, err := cl.ReplaceReplica(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if store, err := cl.ReplicaStore(0, 0); err != nil || store == cl.Shards()[0] {
+	if store, err := cl.ReplicaStore(0, 0); err != nil || store == stores[0] {
 		t.Fatalf("the replacement serves the shared store (err %v)", err)
 	}
-	mapped("after a replace", plan.NumShards)
+	held("after a replace", true)
 	got, res := rep.RunSerialScored(stream)
 	if res.Failed() > 0 {
 		t.Fatal(res.Errors[0])
@@ -94,13 +91,10 @@ func TestImageMappingsOutliveTheirServers(t *testing.T) {
 	if err := cl.KillReplica(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	mapped("with no server over the shared store", plan.NumShards)
+	held("with no server over the shared store", true)
 	cl.Close()
 	closed = true
-	mapped("after Close", 0)
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-		t.Fatalf("temp dir holds %v (err %v)", entries, err)
-	}
+	held("after Close", false)
 }
 
 // TestBootRefusesAnotherEncoding: a shard file whose stored encoding is

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/embedding"
@@ -87,6 +88,7 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	req, hash := &RankingRequest{Items: drm1Batch}, &nn.HashAllBags{}
 	for id, bags := range c.bags {
 		group.entries = append(group.entries, groupEntry{slot: id, PartRef: sharding.PartRef{TableID: id, NumParts: 1}})
+		group.lookups = append(group.lookups, new(atomic.Int64)) // compile gives every entry its unit's counter
 		l := embedding.Flatten(bags)
 		req.Bags = append(req.Bags, TableBags{TableID: int32(id), BagList: l})
 		hash.Entries = append(hash.Entries, nn.HashEntry{Out: l.Indices})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/quant"
 	"repro/internal/sharding"
 	"repro/internal/trace"
 )
@@ -213,16 +214,19 @@ func (s byLocalRow) Swap(i, j int) {
 	s.u.srcRows[i], s.u.srcRows[j] = s.u.srcRows[j], s.u.srcRows[i]
 }
 
-// encodeDeltaRows encodes a run of fp32 rows in an encoding's wire form:
-// encodeRows' bytes, so a republished row is bit-identical to the same
-// row in a full export.
-func encodeDeltaRows(enc int32, vals []float32, n, dim int) ([]byte, error) {
-	hdr, data := encodeRows(enc, vals, n, dim)
-	rows, err := buildTable(enc, n, dim, hdr, data, false)
-	if err != nil {
-		return nil, err
+// encodeDeltaRows encodes a run of fp32 rows in an encoding's wire form,
+// through the encoders a shard image's sections are encoded with
+// (encodeSection): row-wise codecs are independent per row, so a
+// republished row is bit-identical to the same row in a full export.
+func encodeDeltaRows(enc int32, vals []float32, n, dim int) []byte {
+	var rows rowStore = &embedding.Dense{RowsN: n, DimN: dim, Data: vals}
+	switch enc {
+	case TierEncFP16:
+		rows = quant.EncodeFP16Rows(vals, n, dim)
+	case TierEncInt8:
+		rows = quant.QuantizeRows(vals, n, dim, quant.Bits8)
 	}
-	return rows.AppendRowRange(nil, 0, n), nil
+	return rows.AppendRowRange(nil, 0, n)
 }
 
 // Publish streams one delta set to every endpoint of every affected
@@ -336,10 +340,7 @@ func (p *Publisher) putUnit(call shardCall, version uint64, u *deltaUnit, enc in
 			src := int(u.srcRows[i+k]) * u.dim
 			copy(buf[k*u.dim:(k+1)*u.dim], u.data[src:src+u.dim])
 		}
-		rows, err := encodeDeltaRows(enc, buf, n, u.dim)
-		if err != nil {
-			return err
-		}
+		rows := encodeDeltaRows(enc, buf, n, u.dim)
 		if _, err := call(MethodStagePut, encodeMsg(&StagePut{
 			Txn: version, TableID: int32(u.TableID), PartIndex: int32(u.PartIndex),
 			RowStart: u.localRows[i], Rows: rows,

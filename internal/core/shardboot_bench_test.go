@@ -35,8 +35,8 @@ func BenchmarkShardBoot(b *testing.B) {
 	b.Run("regen", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The regenerate path pays model materialization plus the
-			// per-shard image: encode, write and map — what a shard server
-			// does when it boots without a shard file.
+			// per-shard image: build it in memory and parse it — what a
+			// shard server does when it boots without a shard file.
 			fresh := model.Build(cfg)
 			recs := []*trace.Recorder{trace.NewRecorder("bench", 64), trace.NewRecorder("bench", 64)}
 			shards, err := MaterializeShardsTiered(fresh, plan, recs, tier)

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,60 +93,45 @@ func planUnits(m *model.Model, plan *sharding.Plan, shard int) ([]ShardTable, er
 	return units, nil
 }
 
-// encodeRows encodes rows×dim fp32 values in a cold-tier encoding, as
-// the shard-file sections of that encoding: the transforms of
-// Dense.ToFP16 and Dense.Quantize, so file bytes match in-memory encoded
-// bytes. Row-wise codecs are independent per row, so a run of rows
-// encodes to the bytes those rows have in a whole-table encode — the
-// publisher re-encodes delta rows through here too. The encoding is
-// one a tier plan or a checked shape names.
-func encodeRows(enc int32, vals []float32, rows, dim int) (hdr, data []byte) {
-	switch enc {
-	case TierEncFP32:
-		data = make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(data[4*i:], math.Float32bits(v))
-		}
-	case TierEncFP16:
-		e := quant.EncodeFP16Rows(vals, rows, dim)
-		data = make([]byte, 2*len(e.Data))
-		for i, v := range e.Data {
-			binary.LittleEndian.PutUint16(data[2*i:], v)
-		}
-	case TierEncInt8:
-		q := quant.QuantizeRows(vals, rows, dim, quant.Bits8)
-		hdr = make([]byte, 4*q.Rows)
-		for i, v := range q.Scales {
-			binary.LittleEndian.PutUint16(hdr[2*i:], v)
-		}
-		for i, v := range q.Biases {
-			binary.LittleEndian.PutUint16(hdr[2*q.Rows+2*i:], v)
-		}
-		data = q.Packed
-	default:
-		panic(fmt.Sprintf("core: encodeRows in unknown encoding %d", enc))
-	}
-	return hdr, data
-}
+// newImage allocates a zeroed region for a shard image; tests substitute
+// it to watch each image's release.
+var newImage = mmapfile.Anon
 
-// ExportShardV2 writes shard number `shard` (1-based) of the plan to w in
-// the version-2 mmap-able format. A nil tier keeps every table fp32; with
-// one, each table section is stored in its planned cold-tier precision.
-// Sections encode on runtime.GOMAXPROCS(0) workers, largest first so the
-// last one a worker takes is a small one; the bytes do not depend on
-// which worker encoded them.
-func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, tier *sharding.TierPlan) error {
+// buildShardImage builds shard number `shard` (1-based) of the plan as a
+// v2 image in one anonymous region, each table section in its planned
+// cold-tier encoding (a nil tier keeps every table fp32). The directory
+// and the page-aligned sections are laid out from the units' shapes
+// first; then each section is encoded in place and checksummed there, on
+// runtime.GOMAXPROCS(0) workers, largest first so the last one a worker
+// takes is a small one. The region starts zeroed, so padding costs
+// nothing, and the bytes do not depend on which worker encoded them. The
+// caller owns the returned image.
+func buildShardImage(m *model.Model, plan *sharding.Plan, shard int, tier *sharding.TierPlan) (*mmapfile.File, error) {
 	units, err := planUnits(m, plan, shard)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	type section struct {
-		ShardTable
-		hdr, data       []byte
-		hdrOff, dataOff int64
-		hdrCRC, dataCRC uint32
+		hdrOff, hdrLen, dataOff, dataLen int64
+		hdrCRC, dataCRC                  uint32
 	}
 	secs := make([]section, len(units))
+	end := int64(16 + shardDirEntrySize*len(units))
+	for i := range units {
+		u, s := &units[i], &secs[i]
+		u.Enc = planEnc(tier, u.TableID)
+		stride, rowHdr, _ := rowLayout(u.Enc, u.Dim) // planEnc names a known encoding
+		s.hdrLen, s.dataLen = int64(u.Rows*rowHdr), int64(u.Rows*(stride-rowHdr))
+		if s.hdrLen > 0 {
+			s.hdrOff = alignUp(end)
+			end = s.hdrOff + s.hdrLen
+		}
+		s.dataOff = alignUp(end)
+		end = s.dataOff + s.dataLen
+	}
+	img := newImage(int(end))
+	buf := img.Bytes()
+
 	order := make([]int, len(units))
 	for i := range order {
 		order[i] = i
@@ -161,94 +145,81 @@ func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, 
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
-				s := &secs[order[k]]
-				s.ShardTable = units[order[k]]
-				s.Enc = planEnc(tier, s.TableID)
-				s.hdr, s.data = encodeRows(s.Enc, s.Table.(*embedding.Dense).Data, s.Rows, s.Dim)
-				s.hdrCRC, s.dataCRC = crc32.ChecksumIEEE(s.hdr), crc32.ChecksumIEEE(s.data)
+				u, s := &units[order[k]], &secs[order[k]]
+				hdr, data := buf[s.hdrOff:s.hdrOff+s.hdrLen], buf[s.dataOff:s.dataOff+s.dataLen]
+				encodeSection(u.Enc, u.Table.(*embedding.Dense).Data, u.Rows, u.Dim, hdr, data)
+				s.hdrCRC, s.dataCRC = crc32.ChecksumIEEE(hdr), crc32.ChecksumIEEE(data)
 			}
 		}()
 	}
 	wg.Wait()
-	off := alignUp(int64(16 + shardDirEntrySize*len(units)))
-	for i := range secs {
-		s := &secs[i]
-		if len(s.hdr) > 0 {
-			s.hdrOff = off
-			off = alignUp(off + int64(len(s.hdr)))
-		}
-		s.dataOff = off
-		off = alignUp(off + int64(len(s.data)))
-	}
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := make([]byte, 16)
-	copy(hdr, shardMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], shardVersion2)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(shard))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(units)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	ent := make([]byte, shardDirEntrySize)
-	for i := range secs {
-		s := &secs[i]
-		binary.LittleEndian.PutUint32(ent[0:], uint32(s.TableID))
-		binary.LittleEndian.PutUint32(ent[4:], uint32(s.PartIndex))
-		binary.LittleEndian.PutUint32(ent[8:], uint32(s.NumParts))
-		binary.LittleEndian.PutUint32(ent[12:], uint32(s.Rows))
-		binary.LittleEndian.PutUint32(ent[16:], uint32(s.Dim))
-		binary.LittleEndian.PutUint32(ent[20:], uint32(s.Enc))
+	copy(buf, shardMagic)
+	binary.LittleEndian.PutUint32(buf[4:], shardVersion2)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(shard))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(units)))
+	for i := range units {
+		u, s, ent := &units[i], &secs[i], buf[16+shardDirEntrySize*i:]
+		binary.LittleEndian.PutUint32(ent[0:], uint32(u.TableID))
+		binary.LittleEndian.PutUint32(ent[4:], uint32(u.PartIndex))
+		binary.LittleEndian.PutUint32(ent[8:], uint32(u.NumParts))
+		binary.LittleEndian.PutUint32(ent[12:], uint32(u.Rows))
+		binary.LittleEndian.PutUint32(ent[16:], uint32(u.Dim))
+		binary.LittleEndian.PutUint32(ent[20:], uint32(u.Enc))
 		binary.LittleEndian.PutUint64(ent[24:], uint64(s.hdrOff))
 		binary.LittleEndian.PutUint64(ent[32:], uint64(s.dataOff))
-		binary.LittleEndian.PutUint64(ent[40:], uint64(len(s.hdr)))
-		binary.LittleEndian.PutUint64(ent[48:], uint64(len(s.data)))
+		binary.LittleEndian.PutUint64(ent[40:], uint64(s.hdrLen))
+		binary.LittleEndian.PutUint64(ent[48:], uint64(s.dataLen))
 		binary.LittleEndian.PutUint32(ent[56:], s.hdrCRC)
 		binary.LittleEndian.PutUint32(ent[60:], s.dataCRC)
-		if _, err := bw.Write(ent); err != nil {
-			return err
-		}
 	}
-	// Sections in offset order, zero-padded to their aligned starts. The
-	// exporter tracks the written offset instead of seeking, so any
-	// io.Writer (pipes included) can receive a shard file.
-	pos := int64(16 + shardDirEntrySize*len(units))
-	pad := func(to int64) error {
-		for pos < to {
-			n := to - pos
-			if n > int64(len(zeroPage)) {
-				n = int64(len(zeroPage))
-			}
-			if _, err := bw.Write(zeroPage[:n]); err != nil {
-				return err
-			}
-			pos += n
-		}
-		return nil
-	}
-	for i := range secs {
-		s := &secs[i]
-		if len(s.hdr) > 0 {
-			if err := pad(s.hdrOff); err != nil {
-				return err
-			}
-			if _, err := bw.Write(s.hdr); err != nil {
-				return err
-			}
-			pos += int64(len(s.hdr))
-		}
-		if err := pad(s.dataOff); err != nil {
-			return err
-		}
-		if _, err := bw.Write(s.data); err != nil {
-			return err
-		}
-		pos += int64(len(s.data))
-	}
-	return bw.Flush()
+	return img, nil
 }
 
-var zeroPage [shardAlign]byte
+// encodeSection encodes rows×dim fp32 values into an image's section pair
+// in a cold-tier encoding, through quant's own encoders writing to views
+// of the sections — the transforms of Dense.ToFP16 and Dense.Quantize, so
+// image bytes match in-memory encoded bytes. The sections were laid out
+// for this shape.
+func encodeSection(enc int32, vals []float32, rows, dim int, hdr, data []byte) {
+	switch enc {
+	case TierEncFP32:
+		copy(mmapfile.Float32s(data), vals)
+	case TierEncFP16:
+		(&quant.FP16Rows{Rows: rows, Cols: dim, Data: mmapfile.Uint16s(data)}).Encode(vals)
+	case TierEncInt8:
+		q, err := quant.NewFromParts(rows, dim, quant.Bits8, mmapfile.Uint16s(hdr[:2*rows]), mmapfile.Uint16s(hdr[2*rows:]), data)
+		if err != nil {
+			panic(err)
+		}
+		q.Encode(vals)
+	}
+	if !mmapfile.ViewsUsable() { // the views wrote host order; an image is little-endian
+		swapBytes(hdr, 2)
+		swapBytes(data, rowLayouts[enc].width)
+	}
+}
+
+// swapBytes reverses the bytes of each w-byte value in b.
+func swapBytes(b []byte, w int) {
+	for i := 0; i+w <= len(b); i += w {
+		slices.Reverse(b[i : i+w])
+	}
+}
+
+// ExportShardV2 writes shard number `shard` (1-based) of the plan to w in
+// the version-2 mmap-able format (buildShardImage). A nil tier keeps
+// every table fp32; with one, each table section is stored in its planned
+// cold-tier precision.
+func ExportShardV2(m *model.Model, plan *sharding.Plan, shard int, w io.Writer, tier *sharding.TierPlan) error {
+	img, err := buildShardImage(m, plan, shard, tier)
+	if err != nil {
+		return err
+	}
+	defer img.Close()
+	_, err = w.Write(img.Bytes())
+	return err
+}
 
 // WriteShardFile exports shard `shard` of the plan (ExportShardV2) to a
 // new file at path.
@@ -394,8 +365,8 @@ func buildTable(enc int32, rows, dim int, hdr, data []byte, views bool) (rowStor
 // short-lived mapping.
 func LoadShardFile(data []byte) (*ShardFileData, error) { return parseShardV2(data, false) }
 
-// nopCloser is the closer OpenShardFile returns when the shard's tables
-// own their storage (heap decode).
+// nopCloser is the closer bootImage returns when the shard's tables own
+// their storage (heap decode).
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
@@ -409,16 +380,25 @@ func OpenShardFile(path string, rec *trace.Recorder) (sh *SparseShard, shard int
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	return bootImage(mf, rec)
+}
+
+// bootImage boots a serving shard from a v2 image, file-backed or built
+// in memory. The shard's tables view the image, and the returned closer
+// releases it; where views are unusable the tables are heap decodes, the
+// image is released here and the closer does nothing. A malformed image
+// is released and refused.
+func bootImage(img *mmapfile.File, rec *trace.Recorder) (sh *SparseShard, shard int, closer io.Closer, err error) {
 	views := mmapfile.ViewsUsable()
-	sf, err := parseShardV2(mf.Bytes(), views)
+	sf, err := parseShardV2(img.Bytes(), views)
 	if err != nil {
-		mf.Close()
+		img.Close()
 		return nil, 0, nil, err
 	}
 	sh = sf.NewShard(rec)
 	if !views {
-		mf.Close()
+		img.Close()
 		return sh, sf.Shard, nopCloser{}, nil
 	}
-	return sh, sf.Shard, mf, nil
+	return sh, sf.Shard, img, nil
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/embedding"
@@ -28,16 +28,6 @@ func imageFixture(t *testing.T, rows int) (model.Config, *model.Model, *sharding
 	}
 	recs := []*trace.Recorder{trace.NewRecorder("sparse1", 64), trace.NewRecorder("sparse2", 64)}
 	return cfg, model.Build(cfg), plan, recs
-}
-
-// imageMappings counts this process's mappings of files under dir (-1
-// where /proc/self/maps cannot be read).
-func imageMappings(dir string) int {
-	maps, err := os.ReadFile("/proc/self/maps")
-	if err != nil {
-		return -1
-	}
-	return strings.Count(string(maps), dir+string(os.PathSeparator))
 }
 
 func closeShards(shards []*SparseShard) {
@@ -83,35 +73,50 @@ func TestShardImagesLeaveTheHeap(t *testing.T) {
 	}
 }
 
-// TestShardImagesLeaveNoFile: a tiered boot unlinks its images once they
-// are mapped, and a boot that fails midway — the second shard's image
-// cannot be written — also releases the first shard's mapping.
+// TestShardImagesLeaveNoFile: a tiered boot builds each shard's image in
+// anonymous memory, so nothing lands under TMPDIR; the shard holds its
+// image while it lives and releases it at Close, and a boot that fails
+// midway — the second shard's image cannot be built — releases the
+// first shard's. An image's Bytes are nil once it is released.
 func TestShardImagesLeaveNoFile(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("TMPDIR", dir)
+	var images []*mmapfile.File
+	newImage = func(size int) *mmapfile.File {
+		img := mmapfile.Anon(size)
+		images = append(images, img)
+		return img
+	}
+	t.Cleanup(func() { newImage = mmapfile.Anon })
 	cfg, m, plan, recs := imageFixture(t, 32)
 	tier := tierConfigFor(&cfg, sharding.PrecisionInt8, 0)
-	empty := func(when string) {
-		t.Helper()
-		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
-			t.Fatalf("%s: temp dir holds %v (err %v)", when, entries, err)
-		}
-	}
 
 	shards, err := MaterializeShardsTiered(m, plan, recs, tier)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty("after a boot")
-	if n := imageMappings(dir); n != -1 && n != plan.NumShards {
-		t.Errorf("%d image mappings while serving, want %d", n, plan.NumShards)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("temp dir holds %v (err %v)", entries, err)
+	}
+	if len(images) != plan.NumShards {
+		t.Fatalf("%d images built for %d shards", len(images), plan.NumShards)
+	}
+	if mmapfile.ViewsUsable() {
+		for i, sh := range shards {
+			if sh.image != images[i] || images[i].Bytes() == nil {
+				t.Errorf("%s does not hold its image while serving", sh.ShardName)
+			}
+		}
 	}
 	closeShards(shards)
-	if n := imageMappings(dir); n > 0 {
-		t.Errorf("%d image mappings after Close", n)
+	for i, img := range images {
+		if img.Bytes() != nil {
+			t.Errorf("image %d held after Close", i+1)
+		}
 	}
 
-	// A table that is not fp32 cannot be exported: put one on shard 2.
+	// A table that is not fp32 cannot be encoded: put one on shard 2.
+	images = nil
 	bad := *m
 	bad.Tables = slices.Clone(m.Tables)
 	id := plan.Shards[1].Tables[0]
@@ -119,9 +124,39 @@ func TestShardImagesLeaveNoFile(t *testing.T) {
 	if _, err := MaterializeShardsTiered(&bad, plan, recs, tier); err == nil {
 		t.Fatal("a boot over an unexportable table succeeded")
 	}
-	empty("after a failed boot")
-	if n := imageMappings(dir); n > 0 {
-		t.Errorf("a failed boot left %d image mappings", n)
+	if len(images) != 1 {
+		t.Fatalf("a failed boot built %d images, want shard 1's alone", len(images))
+	}
+	if images[0].Bytes() != nil {
+		t.Error("a failed boot left shard 1's image held")
+	}
+}
+
+// TestTieredBootNeedsNoTempDir: an int8-tiered boot from the model writes
+// no file, so it boots with TMPDIR naming a directory that does not
+// exist, and its shards pool the same bytes as the same shards booted
+// from files (WriteShardFile, then OpenShardFile).
+func TestTieredBootNeedsNoTempDir(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	cfg, m, plan, recs := imageFixture(t, 64)
+	tier := tierConfigFor(&cfg, sharding.PrecisionInt8, 0)
+	booted, err := MaterializeShardsTiered(m, plan, recs, tier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeShards(booted)
+	for shard := 1; shard <= plan.NumShards; shard++ {
+		path := ShardFilePath(dir, cfg.Name, shard)
+		if err := WriteShardFile(path, m, plan, shard, tier.Plan); err != nil {
+			t.Fatal(err)
+		}
+		sh, _, image, err := OpenShardFile(path, trace.NewRecorder("file", 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer image.Close()
+		compareShards(t, &cfg, &plan.Shards[shard-1], booted[shard-1], sh)
 	}
 }
 

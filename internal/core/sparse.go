@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/embedding"
+	"repro/internal/mmapfile"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -52,7 +52,7 @@ type SparseShard struct {
 	// tier, when non-nil, enables the tiered store: tables install behind
 	// a hot-row cache over a (possibly quantized) cold tier. Guarded by mu.
 	tier *TierConfig
-	// image is the mapped shard image the booted tables view (OwnImage);
+	// image is the shard image the booted tables view (OwnImage);
 	// Close releases it. Guarded by mu.
 	image io.Closer
 
@@ -185,8 +185,9 @@ func (s *SparseShard) Bytes() int64 {
 	return n
 }
 
-// OwnImage hands the shard the mapping its tables view (OpenShardFile's
-// closer): Close releases it with them.
+// OwnImage hands the shard the image its tables view (OpenShardFile's
+// closer, or a model boot's in-memory image): Close releases it with
+// them.
 func (s *SparseShard) OwnImage(image io.Closer) {
 	s.mu.Lock()
 	s.image = image
@@ -422,9 +423,10 @@ func readRun(body []byte) (sparseReader, []runEntry, error) {
 // compression experiment), tiered by tier when it is non-nil. A nil
 // recorder is a shard served elsewhere, left nil. A plan that encodes no
 // table serves those rows; otherwise each shard boots from a v2 image of
-// its tables in their planned encodings, written to a private temporary
-// directory, mapped as OpenShardFile maps one and unlinked: the rows stay
-// off the Go heap, and the shard owns the mapping until Close.
+// its tables in their planned encodings, built in anonymous memory
+// (buildShardImage) and parsed as OpenShardFile parses a file: the rows
+// stay off the Go heap, no file is written, and the shard owns the image
+// until Close.
 func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.Recorder, tier *TierConfig) ([]*SparseShard, error) {
 	if !plan.IsDistributed() {
 		return nil, fmt.Errorf("core: cannot materialize shards for a singular plan")
@@ -432,22 +434,21 @@ func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.
 	if len(recs) != plan.NumShards {
 		return nil, fmt.Errorf("core: %d recorders for %d shards", len(recs), plan.NumShards)
 	}
-	dir := ""
-	if tier != nil && slices.ContainsFunc(m.Config.Tables, func(t model.TableSpec) bool { return planEnc(tier.Plan, t.ID) != TierEncFP32 }) {
-		var err error
-		if dir, err = os.MkdirTemp("", "shard-image-"); err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-	}
+	encoded := tier != nil && slices.ContainsFunc(m.Config.Tables, func(t model.TableSpec) bool { return planEnc(tier.Plan, t.ID) != TierEncFP32 })
 	shards := make([]*SparseShard, plan.NumShards)
 	for i, rec := range recs {
 		var err error
 		switch {
 		case rec == nil:
 			continue
-		case dir != "":
-			shards[i], err = imageShard(dir, m, plan, i+1, rec, tier.Plan)
+		case encoded:
+			var img *mmapfile.File
+			if img, err = buildShardImage(m, plan, i+1, tier.Plan); err == nil {
+				var image io.Closer
+				if shards[i], _, image, err = bootImage(img, rec); err == nil {
+					shards[i].OwnImage(image)
+				}
+			}
 		default:
 			sf := &ShardFileData{Shard: i + 1}
 			if sf.Tables, err = planUnits(m, plan, i+1); err == nil {
@@ -468,21 +469,6 @@ func MaterializeShardsTiered(m *model.Model, plan *sharding.Plan, recs []*trace.
 		}
 	}
 	return shards, nil
-}
-
-// imageShard boots shard `shard` from an image of its tables written
-// under dir; the shard owns the mapping.
-func imageShard(dir string, m *model.Model, plan *sharding.Plan, shard int, rec *trace.Recorder, tier *sharding.TierPlan) (*SparseShard, error) {
-	path := ShardFilePath(dir, plan.ModelName, shard)
-	if err := WriteShardFile(path, m, plan, shard, tier); err != nil {
-		return nil, err
-	}
-	sh, _, image, err := OpenShardFile(path, rec)
-	if err != nil {
-		return nil, err
-	}
-	sh.OwnImage(image)
-	return sh, nil
 }
 
 // RankMethod is the main shard's scoring method name.

@@ -137,10 +137,7 @@ func TestCloneMutatesRows(t *testing.T) {
 	for i := range newRow {
 		newRow[i] = float32(i) + 0.5
 	}
-	payload, err := encodeDeltaRows(TierEncFP32, newRow, 1, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeDeltaRows(TierEncFP32, newRow, 1, dim)
 	stageClone(t, sh, 3, heldShape(t, sh, id, 0), 0, payload)
 	if _, err := commitTxn(handleCall(sh), 3); err != nil {
 		t.Fatal(err)
@@ -284,7 +281,7 @@ func TestTransactionsAreIsolated(t *testing.T) {
 	// Migration txn: an empty stage of the same key, filled with rows that
 	// are the current ones except row 1 (marked "moved").
 	moved := append([]byte(nil), current.Rows...)
-	movedRow, _ := encodeDeltaRows(shape.Enc, filled(int(shape.Dim), 2), 1, int(shape.Dim))
+	movedRow := encodeDeltaRows(shape.Enc, filled(int(shape.Dim), 2), 1, int(shape.Dim))
 	copy(moved[stride:], movedRow)
 	const migTxn = anonTxn | 77
 	if _, err := call(MethodStageBegin, encodeMsg(&StageBegin{Txn: migTxn, Shape: shape, Base: StageEmpty})); err != nil {
@@ -299,7 +296,7 @@ func TestTransactionsAreIsolated(t *testing.T) {
 	put(migTxn, 0, moved[:stride]) // first half now, the rest after the publish staged
 
 	// Publish txn 4 on the same key: row 0 becomes "fresh".
-	freshRow, _ := encodeDeltaRows(shape.Enc, filled(int(shape.Dim), 1), 1, int(shape.Dim))
+	freshRow := encodeDeltaRows(shape.Enc, filled(int(shape.Dim), 1), 1, int(shape.Dim))
 	stageClone(t, sh, 4, shape, 0, freshRow)
 	put(migTxn, 1, moved[stride:])
 

@@ -211,8 +211,8 @@ func (s *SparseShard) retier() {
 	}
 	var tabs []*embedding.TieredTable
 	var total int64
-	for _, t := range s.tables {
-		if tt, ok := t.(*embedding.TieredTable); ok {
+	for _, k := range sortedTableKeys(s.tables) {
+		if tt, ok := s.tables[k].(*embedding.TieredTable); ok {
 			tabs = append(tabs, tt)
 			total += tt.Cold().Bytes()
 		}

@@ -36,14 +36,20 @@ func f32to16sat(f float32) uint16 {
 // EncodeFP16Rows encodes a rows×cols float32 table (row-major) to fp16
 // with saturation.
 func EncodeFP16Rows(data []float32, rows, cols int) *FP16Rows {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), rows, cols))
-	}
 	out := &FP16Rows{Rows: rows, Cols: cols, Data: make([]uint16, rows*cols)}
-	for i, v := range data {
-		out.Data[i] = f32to16sat(v)
-	}
+	out.Encode(data)
 	return out
+}
+
+// Encode encodes a Rows×Cols float32 table (row-major) to fp16 with
+// saturation into f's storage, over what it held.
+func (f *FP16Rows) Encode(data []float32) {
+	if len(data) != f.Rows*f.Cols {
+		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), f.Rows, f.Cols))
+	}
+	for i, v := range data {
+		f.Data[i] = f32to16sat(v)
+	}
 }
 
 // FP16FromParts reconstructs an FP16Rows table from serialized components,

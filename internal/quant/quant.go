@@ -59,7 +59,23 @@ func rowStrideFor(cols int, b Bits) int {
 }
 
 // QuantizeRows encodes a rows×cols float32 table (row-major) with row-wise
-// linear quantization at the given width.
+// linear quantization at the given width (Encode).
+func QuantizeRows(data []float32, rows, cols int, bits Bits) *RowQuantized {
+	stride := rowStrideFor(cols, bits)
+	q := &RowQuantized{
+		Rows: rows, Cols: cols, Bits: bits,
+		Scales:    make([]uint16, rows),
+		Biases:    make([]uint16, rows),
+		Packed:    make([]byte, rows*stride),
+		rowStride: stride,
+	}
+	q.Encode(data)
+	return q
+}
+
+// Encode encodes a Rows×Cols float32 table (row-major) into q's storage,
+// over what it held, so a table built over borrowed storage
+// (NewFromParts) encodes in place.
 //
 // Per row: lo is the least of MaxFloat32 and the row's non-NaN values,
 // hi the greatest of −MaxFloat32 and them (of a −0 and a +0, the one met
@@ -71,24 +87,15 @@ func rowStrideFor(cols int, b Bits) int {
 // The vector family's kernel (encode_amd64.s) and the generic loop
 // below write the same bytes for every input; the package's tests hold
 // both to the reference encoder they replaced.
-func QuantizeRows(data []float32, rows, cols int, bits Bits) *RowQuantized {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), rows, cols))
-	}
-	stride := rowStrideFor(cols, bits)
-	q := &RowQuantized{
-		Rows: rows, Cols: cols, Bits: bits,
-		Scales:    make([]uint16, rows),
-		Biases:    make([]uint16, rows),
-		Packed:    make([]byte, rows*stride),
-		rowStride: stride,
+func (q *RowQuantized) Encode(data []float32) {
+	if len(data) != q.Rows*q.Cols {
+		panic(fmt.Sprintf("quant: data length %d != %dx%d", len(data), q.Rows, q.Cols))
 	}
 	if tensor.VectorLanes() > 0 && len(data) > 0 {
 		q.encodeVec(data)
 	} else {
 		q.encodeScalar(data)
 	}
-	return q
 }
 
 // levels is the largest code at the table's width.

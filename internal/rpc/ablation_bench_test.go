@@ -51,7 +51,9 @@ func BenchmarkRoundTrip(b *testing.B) {
 }
 
 // Ablation: connection-pool width under concurrent fan-out (the queuing
-// the pooled client exists to relieve).
+// the pooled client exists to relieve). A sub-benchmark name ending in
+// -<digits> would read as a GOMAXPROCS suffix to cmd/benchcheck, whose
+// key would then change with the host's CPU count.
 func BenchmarkPoolWidthFanOut(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0", HandlerFunc(func(ctx trace.Context, m string, body []byte) ([]byte, error) {
 		return body, nil
@@ -62,7 +64,7 @@ func BenchmarkPoolWidthFanOut(b *testing.B) {
 	defer srv.Close()
 	body := make([]byte, 16384)
 	for _, width := range []int{1, 4} {
-		b.Run(fmt.Sprintf("pool-%d", width), func(b *testing.B) {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			c, err := DialPool(srv.Addr(), nil, width)
 			if err != nil {
 				b.Fatal(err)
