@@ -255,6 +255,7 @@ func TestRequestFuzzSeeds(t *testing.T) {
 		"seed-huge-entry-count": true, "seed-huge-bag-count": true, "seed-net-out-of-range": true,
 		"seed-lens-past-end": true, "seed-lens-sum-wraps": true, "seed-len-top-bit": true, "seed-bag-count-past-end": true,
 		"seed-table-twice": true, "seed-table-twice-unsorted": true, "seed-net-twice": true,
+		"seed-len-six-bytes": true, "seed-len-past-end": true, "seed-pad-nonzero": true,
 	}
 	for target, decode := range map[string]func([]byte) error{
 		"FuzzRankingRequest": func(b []byte) error { _, err := DecodeRankingRequest(b); return err },

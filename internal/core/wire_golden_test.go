@@ -27,7 +27,10 @@ import (
 // non-empty bags, no longer Rows × Cols); and sparse_request.bin again,
 // with ranking_request.bin, when a bag list's bytes were regrouped from
 // interleaved (n, then a length and its indices per bag) to flat (n, every
-// length, then every index) — the same size, read in place.
+// length, then every index) — the same size, read in place; and
+// ranking_request.bin alone when a rank bag list's lengths became LEB128
+// varints padded to a multiple of 4 (the fixture gained a table whose bag
+// of 130 indices takes a two-byte length).
 // table_release.bin, the one control-plane golden, was written the same
 // way when table.release replaced table.forward.
 
@@ -37,6 +40,15 @@ func goldenBags(spec ...[]int32) []embedding.Bag {
 		if len(idx) > 0 {
 			out[i].Indices = idx
 		}
+	}
+	return out
+}
+
+// goldenRun is one bag of n indices, 0 to n-1.
+func goldenRun(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
 	}
 	return out
 }
@@ -71,6 +83,7 @@ func goldenRankingRequest() *RankingRequest {
 			{TableID: 0, BagList: embedding.Flatten(goldenBags(nil, nil, nil))},
 			{TableID: 2, BagList: embedding.Flatten(goldenBags([]int32{9}, []int32{8, 7}, []int32{6, 5, 4}))},
 			{TableID: 5, BagList: embedding.Flatten(goldenBags([]int32{1, 2, 3}, nil, []int32{4}))},
+			{TableID: 7, BagList: embedding.Flatten(goldenBags(goldenRun(130), nil))},
 		},
 	}
 }
