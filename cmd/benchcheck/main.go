@@ -12,8 +12,12 @@
 //	    -assert-faster 'BenchmarkDenseGEMM/vector<BenchmarkDenseGEMM/generic'
 //	                                                # gate: fail unless A beats B in this run
 //
-// Comparison keys on ns/op per benchmark name (GOMAXPROCS suffix
-// stripped, so a differently-sized CI runner still matches names).
+// Comparison keys on ns/op per benchmark name, with the GOMAXPROCS
+// suffix stripped so a differently-sized CI runner still matches names.
+// go test appends "-N" to every name of a run, or (at GOMAXPROCS 1) to
+// none, so a suffix is stripped only when every benchmark line of the run
+// ends in the same one: a sub-benchmark named like "width-4" keeps its
+// key on every host.
 // When a name repeats — `go test -bench -count=N` — the best (minimum)
 // ns/op wins: the minimum estimates the workload's true cost, while the
 // other runs mostly measure scheduler noise on a shared CI box.
@@ -42,7 +46,10 @@ import (
 )
 
 // benchLine matches e.g. "BenchmarkFoo-8   123   4567 ns/op   89 B/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op`)
+
+// procsSuffix matches the "-N" that may end a benchmark's name.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
 
 // memFields match the memory columns of a line that has them; custom
 // metrics (MB/s, GFLOP/s) may sit between them and ns/op.
@@ -201,7 +208,11 @@ func assertFaster(current map[string]Result, spec string) (violations []string, 
 }
 
 func parse(f io.Reader) (map[string]Result, error) {
-	out := make(map[string]Result)
+	type line struct {
+		name string
+		r    Result
+	}
+	var lines []line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -214,14 +225,29 @@ func parse(f io.Reader) (map[string]Result, error) {
 		if err != nil {
 			continue
 		}
-		// Best-of-N: -count=N repeats a name; keep the fastest run.
-		if prev, ok := out[m[1]]; ok && prev.NsPerOp <= ns {
-			continue
-		}
-		out[m[1]] = Result{
+		lines = append(lines, line{m[1], Result{
 			Iterations: iters, NsPerOp: ns,
 			BytesPerOp: memField(bytesField, sc.Text()), AllocsPerOp: memField(allocsField, sc.Text()),
+		}})
+	}
+	// The GOMAXPROCS suffix: the one every line ends in, if they all do.
+	suffix := ""
+	for i, l := range lines {
+		if s := procsSuffix.FindString(l.name); i == 0 {
+			suffix = s
+		} else if s != suffix {
+			suffix = ""
+			break
 		}
+	}
+	out := make(map[string]Result)
+	for _, l := range lines {
+		name := strings.TrimSuffix(l.name, suffix)
+		// Best-of-N: -count=N repeats a name; keep the fastest run.
+		if prev, ok := out[name]; ok && prev.NsPerOp <= l.r.NsPerOp {
+			continue
+		}
+		out[name] = l.r
 	}
 	return out, sc.Err()
 }

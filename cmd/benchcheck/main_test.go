@@ -17,7 +17,7 @@ func TestParseBenchOutput(t *testing.T) {
 	out := `
 goos: linux
 BenchmarkFoo-8        123    4567 ns/op    89 B/op
-BenchmarkBar          10     123.5 ns/op
+BenchmarkBar-8        10     123.5 ns/op
 BenchmarkNoMatch      garbage
 PASS
 `
@@ -33,6 +33,34 @@ PASS
 	}
 	if r := got["BenchmarkBar"]; r.NsPerOp != 123.5 {
 		t.Fatalf("BenchmarkBar = %+v", r)
+	}
+}
+
+// TestParseKeepsNamesEndingInDigits: a sub-benchmark whose own name
+// ends in -<digits> keys the same on a 1-CPU host, where go test appends
+// nothing, as on a 2-CPU host, where it appends -2 to every name.
+func TestParseKeepsNamesEndingInDigits(t *testing.T) {
+	dir := t.TempDir()
+	for file, out := range map[string]string{
+		"1cpu.out": "BenchmarkX/width-4    100    500 ns/op\nBenchmarkY    10    900 ns/op\n",
+		"2cpu.out": "BenchmarkX/width-4-2    100    500 ns/op\nBenchmarkY-2    10    900 ns/op\n",
+	} {
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := sortedNames(got); !slices.Equal(names, []string{"BenchmarkX/width-4", "BenchmarkY"}) {
+			t.Errorf("%s: keys %v, want BenchmarkX/width-4 and BenchmarkY", file, names)
+		}
 	}
 }
 

@@ -35,12 +35,28 @@ func (c *exchangeRecorder) Go(req *rpc.Request) *rpc.Call {
 	return call
 }
 
-// scatteredMatrices rebuilds, from recorded exchanges alone, the zeroed
-// items × ΣDim matrix per net that the scatter used to fill: a whole
-// table's packed rows copied to the columns of the items whose bag was
-// not empty, a partitioned table's added there in ascending part order.
-func scatteredMatrices(t *testing.T, nets []*netProgram, items int, seen []exchange) []*tensor.Matrix {
+// scatteredMatrices rebuilds, from recorded exchanges and the request's
+// hashed bags, the zeroed items × ΣDim matrix per net that the scatter
+// used to fill: a whole table's packed rows copied to the columns of the
+// items whose bag was not empty, a partitioned table's added there in
+// ascending part order. A body carries no empty bag, so the item of its
+// k-th bag is the k-th item whose bag holds an index of the part.
+func scatteredMatrices(t *testing.T, x *execution, items int, seen []exchange) []*tensor.Matrix {
 	t.Helper()
+	nets := x.prog.nets
+	itemsOf := func(e SparseEntry) []int {
+		bags := x.bags(int(e.TableID), 0, items).Bags()
+		if e.NumParts > 1 {
+			bags = oldLocalizeBags(bags, int(e.PartIndex), int(e.NumParts))
+		}
+		var out []int
+		for item, bag := range bags {
+			if len(bag.Indices) > 0 {
+				out = append(out, item)
+			}
+		}
+		return out
+	}
 	out := make([]*tensor.Matrix, len(nets))
 	for i, np := range nets {
 		out[i] = tensor.New(items, np.embCols)
@@ -64,11 +80,9 @@ func scatteredMatrices(t *testing.T, nets []*netProgram, items int, seen []excha
 		for e, entry := range sreq.Entries {
 			np := nets[entry.Net]
 			slot := slices.IndexFunc(np.tables, func(nt netTable) bool { return nt.ID == int(entry.TableID) })
-			c := contribution{part: int(entry.PartIndex), rows: sresp.Entries[e].Data, net: int(entry.Net), slot: slot}
-			for item, bag := range entry.Bags {
-				if len(bag.Indices) > 0 {
-					c.bags = append(c.bags, item)
-				}
+			c := contribution{part: int(entry.PartIndex), rows: sresp.Entries[e].Data, net: int(entry.Net), slot: slot, bags: itemsOf(entry)}
+			if len(c.bags) != len(entry.Bags) {
+				t.Fatalf("table %d part %d: %d bags sent for %d items with a lookup", entry.TableID, entry.PartIndex, len(entry.Bags), len(c.bags))
 			}
 			parts = append(parts, c)
 		}
@@ -123,7 +137,7 @@ func TestBlockTableEqualsScatteredMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					x.inflight.Wait()
-					want := scatteredMatrices(t, x.prog.nets, int(req.Items), seen)
+					want := scatteredMatrices(t, x, int(req.Items), seen)
 					for i, np := range x.prog.nets {
 						blocks, err := x.admitted.nets[i].wait()
 						if err != nil {

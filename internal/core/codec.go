@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/embedding"
@@ -114,12 +115,19 @@ var errTruncated = errors.New("core: truncated payload")
 // every decoder bounds each wire count by the bytes left before it
 // sizes anything by it.
 //
-// A bag list is written n, len[0..n), idx[0..Σlen): the bag count, every
-// bag's length, then every bag's indices back to back. Lengths and
-// indices are two arrays of 32-bit values, which on a little-endian host
-// is how a BagList already sits in memory — so a list moves into a body
-// with two memmoves, is read out of one as two slices over the body's
-// bytes, and is at no hop turned into per-bag structures.
+// A sparse.run bag list is written n, len[0..n), idx[0..Σlen): the bag
+// count, every bag's length, then every bag's indices back to back.
+// Lengths and indices are two arrays of 32-bit values, which on a
+// little-endian host is how a BagList already sits in memory — so a
+// list's indices move into a body with one memmove, a list is read out of
+// one as two slices over the body's bytes, and it is at no hop turned into
+// per-bag structures.
+//
+// A rank bag list is written n, then every length as an unsigned LEB128
+// varint, zero bytes to a multiple of 4, then the indices: most bags of
+// a ranking request are empty, and a length under 128 takes one byte. The
+// padding keeps the indices readable in place; the lengths are expanded
+// once per request (DecodeRankingRequest).
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 
@@ -127,17 +135,35 @@ func appendStr(b []byte, s string) []byte {
 	return append(appendU32(b, uint32(len(s))), s...)
 }
 
-// bagListSize is the wire size of a list of n bags holding k indices.
+// bagListSize is the wire size of a sparse.run list of n bags holding k
+// indices.
 func bagListSize(n, k int) int { return 4 + 4*n + 4*k }
 
-// appendBagList writes l in wire form: its count, then two memmoves. b
-// has the room (every encoder sizes its buffer first).
-func appendBagList(b []byte, l embedding.BagList) []byte {
+// varintLensSize is the wire size of lens as rank lengths: one varint
+// each (a length taken as the uint32 it is on the wire), padded to a
+// multiple of 4.
+func varintLensSize(lens []int32) int {
+	n := 0
+	for _, k := range lens {
+		n += (bits.Len32(uint32(k)|1) + 6) / 7
+	}
+	return (n + 3) &^ 3
+}
+
+// appendRankBagList writes l in rank form: its count, its lengths as
+// padded varints, then a memmove of its indices.
+func appendRankBagList(b []byte, l embedding.BagList) []byte {
 	b = appendU32(b, uint32(len(l.Lens)))
 	at := len(b)
-	b = b[:at+4*(len(l.Lens)+len(l.Indices))]
-	putI32s(b[at:], l.Lens)
-	putI32s(b[at+4*len(l.Lens):], l.Indices)
+	for _, k := range l.Lens {
+		b = binary.AppendUvarint(b, uint64(uint32(k)))
+	}
+	for (len(b)-at)%4 != 0 {
+		b = append(b, 0)
+	}
+	at = len(b)
+	b = b[:at+4*len(l.Indices)]
+	putI32s(b[at:], l.Indices)
 	return b
 }
 
@@ -200,6 +226,8 @@ func (r *reader) f32Region() ([]byte, error) {
 	return r.take(4 * n), nil
 }
 
+var errLenTopBit = errors.New("core: bag length of 2³¹ or more")
+
 // sumLens adds up a bag list's lengths and counts the non-zero ones. The
 // sum is taken in 64 bits, so no set of lengths can wrap into one that
 // fits; ok is false when some length has its top bit set — 2³¹ or more on
@@ -216,12 +244,12 @@ func sumLens(lens []int32) (sum uint64, present int, ok bool) {
 	return sum, present, top >= 0
 }
 
-// bagList reads one bag list in place — the one reader of the layout,
-// under every decoder and the shard's handler: the list comes back as
-// views of the payload where the host can read it there (viewI32s), and
-// with it how many of its bags are non-empty. The bag count is bounded by
-// the bytes left before the lengths are looked at, and their sum (sumLens)
-// before the indices are.
+// bagList reads one sparse.run bag list in place — the one reader of that
+// layout, under the typed decoder and the shard's handler: the list comes
+// back as views of the payload where the host can read it there
+// (viewI32s), and with it how many of its bags are non-empty. The bag
+// count is bounded by the bytes left before the lengths are looked at, and
+// their sum (sumLens) before the indices are.
 func (r *reader) bagList() (l embedding.BagList, present int, err error) {
 	n, err := r.count(4)
 	if err != nil {
@@ -230,13 +258,107 @@ func (r *reader) bagList() (l embedding.BagList, present int, err error) {
 	l.Lens = viewI32s(r.take(4 * n))
 	sum, present, ok := sumLens(l.Lens)
 	if !ok {
-		return l, 0, errors.New("core: bag length of 2³¹ or more")
+		return l, 0, errLenTopBit
 	}
 	if sum > uint64(len(r.b)/4) {
 		return l, 0, errTruncated
 	}
 	l.Indices = viewI32s(r.take(4 * int(sum)))
 	return l, present, nil
+}
+
+// uvarints reads n varint lengths from the front of b, writing them to
+// lens when it is not nil, and returns the bytes they took and their sum.
+func uvarints(b []byte, n int, lens []int32) (at int, sum uint64, err error) {
+	for i := 0; i < n; i++ {
+		var v uint64
+		for shift := 0; ; shift += 7 {
+			if shift == 35 {
+				return 0, 0, errors.New("core: bag length varint of more than 5 bytes")
+			}
+			if at == len(b) {
+				return 0, 0, errTruncated
+			}
+			c := b[at]
+			at++
+			v |= uint64(c&0x7f) << shift
+			if c < 0x80 {
+				break
+			}
+		}
+		if v >= 1<<31 {
+			return 0, 0, errLenTopBit
+		}
+		sum += v
+		if lens != nil {
+			lens[i] = int32(v)
+		}
+	}
+	return at, sum, nil
+}
+
+// sumShort adds up b's bytes and reports whether each is under 0x80 —
+// whether b is len(b) one-byte varints — eight bytes to a step.
+func sumShort(b []byte) (sum uint64, short bool) {
+	const lo, hi = 0x00ff00ff00ff00ff, 0x8080808080808080
+	var or uint64
+	for ; len(b) >= 8; b = b[8:] {
+		x := binary.LittleEndian.Uint64(b)
+		or |= x
+		// Four 16-bit lanes of byte pairs, then their sum in the top lane.
+		x = x&lo + x>>8&lo
+		sum += x * 0x0001000100010001 >> 48
+	}
+	for _, c := range b {
+		or |= uint64(c)
+		sum += uint64(c)
+	}
+	return sum, or&hi == 0
+}
+
+// rankBagList reads one rank bag list: its count, bounded at one byte a
+// bag; its varint lengths, each under 2³¹ and at most 5 bytes, written to
+// lens when lens is not nil (the caller sized it by the count, which a
+// first walk returned); the padding, which must be zero; and the indices,
+// whose count — the lengths' sum, taken in 64 bits — is bounded by the
+// bytes left before they are looked at. The indices come back as a view
+// of the payload where the host can read them there, and only when lens
+// is not nil: a walk without it checks and measures.
+func (r *reader) rankBagList(lens []int32) (n int, indices []int32, err error) {
+	if n, err = r.count(1); err != nil {
+		return 0, nil, err
+	}
+	b, at := r.b, n
+	sum, short := sumShort(b[:n])
+	if short {
+		// Every length takes one byte: the common case, checked and summed
+		// eight bytes at a time.
+		if lens != nil {
+			for i, c := range b[:n] {
+				lens[i] = int32(c)
+			}
+		}
+	} else if at, sum, err = uvarints(b, n, lens); err != nil {
+		return 0, nil, err
+	}
+	pad := -at & 3
+	if at+pad > len(b) {
+		return 0, nil, errTruncated
+	}
+	for _, c := range b[at : at+pad] {
+		if c != 0 {
+			return 0, nil, errors.New("core: non-zero padding after bag lengths")
+		}
+	}
+	r.b = b[at+pad:]
+	if sum > uint64(len(r.b)/4) {
+		return 0, nil, errTruncated
+	}
+	idx := r.take(4 * int(sum))
+	if lens != nil {
+		indices = viewI32s(idx)
+	}
+	return n, indices, nil
 }
 
 // sparseEntryHeader is an entry's fixed part, four ids; with its bag
@@ -246,8 +368,10 @@ const sparseEntryHeader = 16
 // A sparse request body is built like every other message — sized, then
 // filled by appends into one allocation, 4-byte aligned so that whoever
 // is handed it in process can read it in place: its head (the net table
-// and the entry count), then per entry its ids and its bag list, a whole
-// table's moved in by appendBagList, a row partition's filtered in by
+// and the entry count), then per entry its ids and its bag list. The main
+// shard sends no empty bag: a whole table's non-empty lengths are
+// filtered in by appendPresent and its indices moved in, a row
+// partition's bags that hold any of the part's indices filtered in by
 // appendPart. rpcOp.layout and EncodeSparseRequest are the two builders.
 
 func sparseHeadSize(nets []string) int {
@@ -273,27 +397,60 @@ func appendEntryIDs(b []byte, net, table, part, numParts int) []byte {
 	return b
 }
 
-// countPart counts the indices that fall in one modulus partition.
-func countPart(indices []int32, part, numParts int) int {
-	n := 0
-	for _, idx := range indices {
-		if p, _ := embedding.RowPart(int(idx), numParts); p == part {
-			n++
+// appendPresent writes the bag list l becomes without its empty bags —
+// present of them, by sumLens: the non-zero lengths, then a memmove of
+// the indices.
+func appendPresent(b []byte, l embedding.BagList, present int) []byte {
+	b = appendU32(b, uint32(present))
+	at := len(b)
+	b = b[:at+4*(present+len(l.Indices))]
+	if present > 0 {
+		// Every length is stored and only a non-zero one kept, with no
+		// branch to mispredict: an empty bag's zero lands on the next
+		// slot, at worst the first index's, which the memmove overwrites.
+		lens, j := b[at:], 0
+		for _, k := range l.Lens {
+			binary.LittleEndian.PutUint32(lens[4*j:], uint32(k))
+			if k != 0 {
+				j++
+			}
 		}
 	}
-	return n
+	putI32s(b[at+4*present:], l.Indices)
+	return b
+}
+
+// countPart counts the indices of l that fall in one modulus partition,
+// and the bags holding any of them.
+func countPart(l embedding.BagList, part, numParts int) (indices, bags int) {
+	pos := 0
+	for _, k := range l.Lens {
+		n := 0
+		for _, x := range l.Indices[pos : pos+int(k)] {
+			if p, _ := embedding.RowPart(int(x), numParts); p == part {
+				n++
+			}
+		}
+		pos += int(k)
+		indices += n
+		if n != 0 {
+			bags++
+		}
+	}
+	return indices, bags
 }
 
 // appendPart writes the bag list that l becomes when filtered to one
-// modulus partition and rebased to the partition's local rows — n indices,
-// by countPart — and returns the lengths it wrote: per bag, how many of
-// its indices were the part's.
-func appendPart(b []byte, l embedding.BagList, part, numParts, n int) ([]byte, []int32) {
+// modulus partition, rebased to the partition's local rows and rid of
+// the bags left empty — n indices in bags bags, by countPart — and
+// returns every bag's length in the part, the empty ones included: per
+// bag of l, how many of its indices were the part's.
+func appendPart(b []byte, l embedding.BagList, part, numParts, n, bags int) ([]byte, []int32) {
 	lens := make([]int32, len(l.Lens))
-	b = appendU32(b, uint32(len(lens)))
+	b = appendU32(b, uint32(bags))
 	at := len(b)
-	b = b[:at+4*(len(lens)+n)]
-	idx, pos := b[at+4*len(lens):], 0
+	b = b[:at+4*(bags+n)]
+	idx, pos := b[at+4*bags:], 0
 	for bag, k := range l.Lens {
 		for _, x := range l.Indices[pos : pos+int(k)] {
 			if p, local := embedding.RowPart(int(x), numParts); p == part {
@@ -304,7 +461,13 @@ func appendPart(b []byte, l embedding.BagList, part, numParts, n int) ([]byte, [
 		}
 		pos += int(k)
 	}
-	putI32s(b[at:], lens)
+	written := b[at:]
+	for _, k := range lens {
+		if k != 0 {
+			binary.LittleEndian.PutUint32(written, uint32(k))
+			written = written[4:]
+		}
+	}
 	return b, lens
 }
 
@@ -548,7 +711,7 @@ func EncodeRankingRequest(req *RankingRequest) []byte {
 		size += 4 + len(name) + 12 + 4*len(req.Dense[name].Data)
 	}
 	for i := range req.Bags {
-		size += 4 + bagListSize(len(req.Bags[i].Lens), len(req.Bags[i].Indices))
+		size += 4 + 4 + varintLensSize(req.Bags[i].Lens) + 4*len(req.Bags[i].Indices)
 	}
 	b := binary.LittleEndian.AppendUint64(make([]byte, 0, size), req.ID)
 	b = appendU32(b, uint32(req.Items))
@@ -564,7 +727,7 @@ func EncodeRankingRequest(req *RankingRequest) []byte {
 	b = appendU32(b, uint32(len(req.Bags)))
 	for i := range req.Bags {
 		b = appendU32(b, uint32(req.Bags[i].TableID))
-		b = appendBagList(b, req.Bags[i].BagList)
+		b = appendRankBagList(b, req.Bags[i].BagList)
 	}
 	return b
 }
@@ -576,12 +739,14 @@ const (
 	rankTableMin = 8
 )
 
-// DecodeRankingRequest parses a ranking request. The bag lists of the
-// result are views of b wherever the host can read them in place, so b
-// must stay as it is while the request is in use — which the rpc layer
-// promises of every body it hands over. A net or a table named twice is
-// refused: silently serving the later one would score a request its
-// sender did not mean.
+// DecodeRankingRequest parses a ranking request. The indices of the
+// result's bag lists are views of b wherever the host can read them in
+// place, so b must stay as it is while the request is in use — which the
+// rpc layer promises of every body it hands over. The lengths of every
+// table are expanded into one []int32, sized by a first walk that checks
+// every table: at least one byte a length, so at most 4 bytes for each
+// byte of them. A net or a table named twice is refused: silently serving
+// the later one would score a request its sender did not mean.
 func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 	r := reader{b: b}
 	id, err := r.u64()
@@ -628,19 +793,26 @@ func DecodeRankingRequest(b []byte) (*RankingRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Bags = make([]TableBags, nb)
-	ascending := true
-	for i := range out.Bags {
-		tid, err := r.u32()
+	tables, bags := r, 0
+	for i := 0; i < nb; i++ {
+		if _, err := r.u32(); err != nil {
+			return nil, err
+		}
+		n, _, err := r.rankBagList(nil)
 		if err != nil {
 			return nil, err
 		}
-		t := &out.Bags[i]
-		t.TableID = int32(tid)
-		if t.BagList, _, err = r.bagList(); err != nil {
-			return nil, err
-		}
-		ascending = ascending && (i == 0 || out.Bags[i-1].TableID < t.TableID)
+		bags += n
+	}
+	r, lens := tables, make([]int32, bags)
+	out.Bags = make([]TableBags, nb)
+	ascending := true
+	for i := range out.Bags {
+		tid, _ := r.u32()
+		n, indices, _ := r.rankBagList(lens) // checked by the first walk
+		out.Bags[i] = TableBags{TableID: int32(tid), BagList: embedding.BagList{Lens: lens[:n:n], Indices: indices}}
+		lens = lens[n:]
+		ascending = ascending && (i == 0 || out.Bags[i-1].TableID < out.Bags[i].TableID)
 	}
 	if !ascending {
 		// A sender may list its tables in any order; BagsOf searches, so

@@ -21,7 +21,9 @@ import (
 // testdata/fuzz: a 4-byte body demanding 2^32 of something, counts the
 // body cannot hold at each nesting level, bag lists whose lengths run past
 // the indices sent, add up to a fit only in 32 bits, or have their top bit
-// set, a ranking request naming a table or a net twice, and pooled
+// set, a rank length in six varint bytes, running off the body or
+// followed by a non-zero pad byte, a ranking request naming a table or a
+// net twice, and pooled
 // entries whose value count is not whole rows (under a 65536×65536 shape,
 // 0 values in 32-bit arithmetic), exceeds their bags, or comes with no
 // columns — beside the well-formed shapes: no bags, only empty bags, one
@@ -53,8 +55,9 @@ func bagCounts(t *testing.T, bags []embedding.Bag, input []byte) {
 }
 
 // listCounts is bagCounts for a list read in place, whose lengths must
-// also be what its indices add up to.
-func listCounts(t *testing.T, l embedding.BagList, input []byte) {
+// also be what its indices add up to; a length takes at least lenBytes
+// of the input (4 in a sparse.run list, 1 as a rank varint).
+func listCounts(t *testing.T, l embedding.BagList, input []byte, lenBytes int) {
 	t.Helper()
 	sum := 0
 	for _, n := range l.Lens {
@@ -63,7 +66,7 @@ func listCounts(t *testing.T, l embedding.BagList, input []byte) {
 		}
 		sum += int(n)
 	}
-	if sum != len(l.Indices) || 4*(len(l.Lens)+len(l.Indices)) > len(input) {
+	if sum != len(l.Indices) || lenBytes*len(l.Lens)+4*len(l.Indices) > len(input) {
 		t.Fatalf("decoded %d bags of %d indices over %d, from %d bytes", len(l.Lens), sum, len(l.Indices), len(input))
 	}
 }
@@ -101,7 +104,7 @@ func FuzzSparseRequest(f *testing.F) {
 				if err != nil || v.TableID != e.TableID || v.present != embedding.Flatten(e.Bags).Present() || !bagsEqual(v.Bags(), e.Bags) {
 					t.Fatalf("in-place walk disagrees with the decoder on entry %+v: %+v, %v", e, v, err)
 				}
-				listCounts(t, v.BagList, b)
+				listCounts(t, v.BagList, b, 4)
 			}
 		}
 
@@ -192,7 +195,7 @@ func FuzzRankingRequest(f *testing.F) {
 				}
 			}
 			for i, tb := range req.Bags {
-				listCounts(t, tb.BagList, b)
+				listCounts(t, tb.BagList, b, 1)
 				if i > 0 && req.Bags[i-1].TableID >= tb.TableID {
 					t.Fatalf("decoder left table %d after table %d", tb.TableID, req.Bags[i-1].TableID)
 				}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -96,10 +99,16 @@ func TestRankingRequestRoundTrip(t *testing.T) {
 		dense.Data[i] = rng.Float32()
 	}
 	bags0, bags5 := randomBags(rng, 3), randomBags(rng, 3)
+	// Lengths read eight to a step, and a run with a two-byte one.
+	short, long := randomBags(rng, 37), randomBags(rng, 37)
+	long[20].Indices = make([]int32, 200)
 	req := &RankingRequest{
 		ID: 77, Items: 3,
 		Dense: map[string]*tensor.Matrix{"net1": dense},
-		Bags:  []TableBags{{TableID: 0, BagList: embedding.Flatten(bags0)}, {TableID: 5, BagList: embedding.Flatten(bags5)}},
+		Bags: []TableBags{
+			{TableID: 0, BagList: embedding.Flatten(bags0)}, {TableID: 5, BagList: embedding.Flatten(bags5)},
+			{TableID: 6, BagList: embedding.Flatten(short)}, {TableID: 7, BagList: embedding.Flatten(long)},
+		},
 	}
 	got, err := DecodeRankingRequest(EncodeRankingRequest(req))
 	if err != nil {
@@ -119,7 +128,9 @@ func TestRankingRequestRoundTrip(t *testing.T) {
 	}
 	got0, ok0 := got.BagsOf(0)
 	got5, ok5 := got.BagsOf(5)
-	if !ok0 || !ok5 || !bagsEqual(got0.Bags(), bags0) || !bagsEqual(got5.Bags(), bags5) {
+	got6, _ := got.BagsOf(6)
+	got7, _ := got.BagsOf(7)
+	if !ok0 || !ok5 || !bagsEqual(got0.Bags(), bags0) || !bagsEqual(got5.Bags(), bags5) || !bagsEqual(got6.Bags(), short) || !bagsEqual(got7.Bags(), long) {
 		t.Error("bags mismatch")
 	}
 	if _, ok := got.BagsOf(3); ok {
@@ -296,6 +307,61 @@ func TestRequestFuzzSeeds(t *testing.T) {
 		}
 		if rejected < 6 || len(seeds)-rejected < 4 {
 			t.Errorf("%s: %d hostile and %d well-formed seeds found; the corpus has gone missing", target, rejected, len(seeds)-rejected)
+		}
+	}
+}
+
+// TestRankDecodeAllocatesAtMostFourTimesItsLengths: a rank body's
+// lengths cost at least one byte each, and the decoder expands them into
+// 4 bytes each only after a first walk has checked every table — so a
+// body that is all lengths (2¹⁶ empty bags) allocates at most 4× their
+// bytes beyond a constant, and one refused at its last length (past the
+// indices sent, a pad byte that is not zero) allocates nothing sized by
+// them. The constant covers the request, its table list, and the runtime
+// rounding a large allocation up to whole 8 KiB pages.
+func TestRankDecodeAllocatesAtMostFourTimesItsLengths(t *testing.T) {
+	const bags, fixed = 1 << 16, 16 << 10
+	// One table of bags+1 bags: bags empty ones, the last of length last,
+	// then three bytes of padding, the first of them pad.
+	body := func(last, pad byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, 1)
+		for _, v := range []uint32{bags + 1, 0, 1, 3, bags + 1} { // items, nets, tables, table id, bag count
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		b = append(b, make([]byte, bags)...)
+		return append(b, last, pad, 0, 0)
+	}
+	// TotalAlloc is process-wide: what other goroutines allocate only adds,
+	// so the least of several decodes is what one decode allocates.
+	allocated := func(b []byte) (uint64, error) {
+		least, err := uint64(math.MaxUint64), error(nil)
+		for i := 0; i < 5; i++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err = DecodeRankingRequest(b)
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least, err
+	}
+	for _, tc := range []struct {
+		name      string
+		body      []byte
+		refused   bool
+		lensBytes uint64
+	}{
+		{"every bag empty", body(0, 0), false, bags + 4},
+		{"the last length runs past the indices", body(1, 0), true, 0},
+		{"a pad byte is not zero", body(0, 1), true, 0},
+	} {
+		got, err := allocated(tc.body)
+		if (err != nil) != tc.refused {
+			t.Fatalf("%s: err = %v, want refused=%v", tc.name, err, tc.refused)
+		}
+		if ceiling := 4*tc.lensBytes + fixed; got > ceiling && !raceEnabled {
+			t.Errorf("%s: %d bytes allocated for %d bytes of lengths, ceiling %d", tc.name, got, tc.lensBytes, ceiling)
+		} else {
+			t.Logf("%s: %d bytes allocated (ceiling %d)", tc.name, got, ceiling)
 		}
 	}
 }

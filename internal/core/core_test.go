@@ -159,19 +159,23 @@ func TestAppendPart(t *testing.T) {
 		{},
 		{Indices: []int32{7}},
 	})
-	// Indices ≡ 1 mod 3: 1, 4 and 7, at local rows 0, 1 and 2.
-	n := countPart(l.Indices, 1, 3)
-	if n != 3 {
-		t.Fatalf("countPart = %d, want 3", n)
+	// Indices ≡ 1 mod 3: 1, 4 and 7, at local rows 0, 1 and 2, in bags 0
+	// and 2 — the middle bag is sent by no one.
+	n, bags := countPart(l, 1, 3)
+	if n != 3 || bags != 2 {
+		t.Fatalf("countPart = %d indices in %d bags, want 3 in 2", n, bags)
 	}
-	b, sent := appendPart(make([]byte, 0, bagListSize(3, n)), l, 1, 3, n)
+	b, sent := appendPart(make([]byte, 0, bagListSize(bags, n)), l, 1, 3, n, bags)
 	r := reader{b: b}
 	got, present, err := r.bagList()
 	if err != nil || len(r.b) != 0 || present != 2 {
 		t.Fatalf("read back %+v, %d present, %d bytes over, %v", got, present, len(r.b), err)
 	}
-	if want := []int32{2, 0, 1}; !slices.Equal(sent, want) || !slices.Equal(got.Lens, want) {
-		t.Errorf("lengths %v, written %v, want %v", sent, got.Lens, want)
+	if want := []int32{2, 0, 1}; !slices.Equal(sent, want) {
+		t.Errorf("lengths kept %v, want %v", sent, want)
+	}
+	if want := []int32{2, 1}; !slices.Equal(got.Lens, want) {
+		t.Errorf("lengths written %v, want %v", got.Lens, want)
 	}
 	if want := []int32{0, 1, 2}; !slices.Equal(got.Indices, want) {
 		t.Errorf("local indices %v, want %v", got.Indices, want)

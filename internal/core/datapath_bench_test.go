@@ -1,9 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/embedding"
@@ -21,7 +21,8 @@ import (
 type drm1Call struct {
 	tables []embedding.Table
 	bags   [][]embedding.Bag
-	np     *netProgram
+	// cfg is a one-net model of those tables, for an engine to compile.
+	cfg model.Config
 }
 
 const (
@@ -32,7 +33,11 @@ const (
 
 func newDRM1Call() *drm1Call {
 	rng := rand.New(rand.NewSource(11))
-	c := &drm1Call{np: &netProgram{spec: model.NetSpec{Name: "net1"}, embCols: drm1Entries * drm1Dim}}
+	c := &drm1Call{cfg: model.Config{
+		Name:      "drm1-call",
+		Nets:      []model.NetSpec{{Name: "net1", DenseDim: 4, BottomMLP: []int{drm1Dim}, EmbProj: 8, TopMLP: []int{4}, InteractFeatures: 2}},
+		MeanItems: drm1Batch, DefaultBatch: drm1Batch, Seed: 11,
+	}}
 	for id := 0; id < drm1Entries; id++ {
 		c.tables = append(c.tables, embedding.NewDenseRandom(11, id, 4096, drm1Dim, 1))
 		bags := make([]embedding.Bag, drm1Batch)
@@ -42,9 +47,7 @@ func newDRM1Call() *drm1Call {
 			}
 		}
 		c.bags = append(c.bags, bags)
-		c.np.tables = append(c.np.tables, netTable{
-			TableSpec: model.TableSpec{ID: id, Rows: 4096, Dim: drm1Dim}, colOff: id * drm1Dim, sources: 1,
-		})
+		c.cfg.Tables = append(c.cfg.Tables, model.TableSpec{ID: id, Name: fmt.Sprintf("t%03d", id), Net: "net1", Rows: 4096, Dim: drm1Dim, PoolingFactor: 0.5})
 	}
 	return c
 }
@@ -81,20 +84,27 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 	}
 	defer client.Close()
 
-	plan := &callPlan{nets: []*netProgram{c.np}, names: []string{"net1"}, label: "net1"}
-	group := remoteGroupSpec{service: "sparse1", op: "rpc_net1_sparse1", client: client}
+	// The call plan as the engine compiles it: a main that holds no table,
+	// over a plan that puts every table on one shard.
+	eng, err := NewEngine(model.BuildServed(c.cfg, false, true), sharding.OneShard(&c.cfg), EngineConfig{
+		Recorder:  trace.NewRecorder("main", 1<<10),
+		ClientFor: func(string) (rpc.Caller, error) { return client, nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := eng.prog.Load().nets[0].call
+	if len(plan.groups) != 1 || len(plan.groups[0].entries) != drm1Entries {
+		b.Fatalf("fixture: %d groups compiled, want one of %d entries", len(plan.groups), drm1Entries)
+	}
 	// The request as admission leaves it: every table's lengths, and its
 	// indices already hashed.
 	req, hash := &RankingRequest{Items: drm1Batch}, &nn.HashAllBags{}
 	for id, bags := range c.bags {
-		group.entries = append(group.entries, groupEntry{slot: id, PartRef: sharding.PartRef{TableID: id, NumParts: 1}})
-		group.lookups = append(group.lookups, new(atomic.Int64)) // compile gives every entry its unit's counter
 		l := embedding.Flatten(bags)
 		req.Bags = append(req.Bags, TableBags{TableID: int32(id), BagList: l})
 		hash.Entries = append(hash.Entries, nn.HashEntry{Out: l.Indices})
 	}
-	plan.groups = []remoteGroupSpec{group}
-	eng := &Engine{cfg: EngineConfig{Recorder: trace.NewRecorder("main", 1<<10)}}
 	var sink *tensor.Blocks
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,7 +130,8 @@ func BenchmarkSparseRunRoundTrip(b *testing.B) {
 // non-empty bags a response is sized from). No table is touched and no
 // response exists; what is left is exactly the work of carrying ≈ 9 000
 // bags, three quarters of them empty, from the client's frame to the
-// pooling kernel's operands. allocs/op is gated (cmd/benchcheck);
+// pooling kernel's operands — the empty ones no further than the main
+// shard. allocs/op is gated (cmd/benchcheck);
 // BENCH_baseline.json also holds the parent's typed path over the same
 // operands.
 func BenchmarkRankAdmission(b *testing.B) {
@@ -149,7 +160,7 @@ func BenchmarkRankAdmission(b *testing.B) {
 		body := EncodeRankingRequest(FromWorkload(gen.Next()))
 		bodies[i] = append(alignedBytes(len(body))[:0], body...)
 	}
-	var bags, present, lookups int
+	var bags, sent, present, lookups int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,12 +187,15 @@ func BenchmarkRankAdmission(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := range run {
-				bags, present, lookups = bags+len(run[i].Lens), present+run[i].present, lookups+len(run[i].Indices)
+				sent, present, lookups = sent+len(run[i].Lens), present+run[i].present, lookups+len(run[i].Indices)
 			}
 		}
+		for _, t := range req.Bags {
+			bags += len(t.Lens)
+		}
 	}
-	if present == 0 || present >= bags || lookups < present {
-		b.Fatalf("fixture: %d bags, %d non-empty, %d lookups", bags, present, lookups)
+	if present == 0 || present != sent || present >= bags || lookups < present {
+		b.Fatalf("fixture: %d bags, %d non-empty, %d sent, %d lookups", bags, present, sent, lookups)
 	}
 	b.ReportMetric(float64(bags)/float64(b.N), "bags/op")
 	b.ReportMetric(float64(lookups)/float64(b.N), "lookups/op")
@@ -189,10 +203,11 @@ func BenchmarkRankAdmission(b *testing.B) {
 
 // TestCodecAllocCeilings holds each serving-path codec to the handful of
 // exactly-sized allocations its message needs, on a DRM1-shaped call. The
-// request direction is read in place: what a decoded ranking request and
-// a sparse.run request walked by a shard allocate follows the number of
-// tables, not of bags — in count and in bytes (the parent's decoders built
-// a 24-byte header per bag, and copied every index).
+// request direction is read in place: what a sparse.run request walked by
+// a shard allocates follows the number of tables, not of bags — in count
+// and in bytes — and a decoded ranking request adds one array of its
+// expanded lengths, 4 bytes a bag (the parent's decoders built a 24-byte
+// header per bag, and copied every index).
 func TestCodecAllocCeilings(t *testing.T) {
 	c := newDRM1Call()
 	sreq := c.request()
@@ -235,9 +250,10 @@ func TestCodecAllocCeilings(t *testing.T) {
 		{"DecodeSparseResponse", 3, 0, func() { DecodeSparseResponse(srespBytes) }},
 		// a sorted key list, the body
 		{"EncodeRankingRequest", 2, 0, func() { EncodeRankingRequest(rreq) }},
-		// request, the table list (56 bytes a table); per net a name, its
+		// request, the table list (56 bytes a table), the lengths (4 bytes
+		// a bag, one allocation for every table); per net a name, its
 		// values and a matrix; and the dense map
-		{"DecodeRankingRequest", 10, drm1Entries*56 + 4096, func() { DecodeRankingRequest(rreqBytes) }},
+		{"DecodeRankingRequest", 11, drm1Entries*56 + drm1Entries*drm1Batch*4 + 4096, func() { DecodeRankingRequest(rreqBytes) }},
 		{"EncodeRankingResponse", 1, 0, func() { EncodeRankingResponse(rresp) }},
 		// response, scores
 		{"DecodeRankingResponse", 2, 0, func() { DecodeRankingResponse(rrespBytes) }},

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -80,18 +81,19 @@ func referenceSparseRequest(req *SparseRequest) []byte {
 	return out
 }
 
-// bodyKeeper keeps the sparse.run bodies that pass through it.
+// bodyKeeper keeps the sparse.run calls that pass through it.
 type bodyKeeper struct {
 	rpc.Caller
-	mu     sync.Mutex
-	bodies [][]byte
+	mu    sync.Mutex
+	calls []*rpc.Call
 }
 
 func (c *bodyKeeper) Go(req *rpc.Request) *rpc.Call {
+	call := c.Caller.Go(req)
 	c.mu.Lock()
-	c.bodies = append(c.bodies, req.Body)
+	c.calls = append(c.calls, call)
 	c.mu.Unlock()
-	return c.Caller.Go(req)
+	return call
 }
 
 // TestSparseRunBytesOnBothPaths pins both directions of a sparse.run call
@@ -100,10 +102,12 @@ func (c *bodyKeeper) Go(req *rpc.Request) *rpc.Call {
 // copies, a conversion pass).
 //
 // Request side: the body an rpcOp lays out from the request's flat bag
-// lists — whole tables by memmove, a row partition by its filter pass —
-// is the reference encoding of what it carries, which is the request's
-// bags, hashed, and for a partition localized, as the authoring-form code
-// computes them.
+// lists — whole tables by a filter pass over the lengths and a memmove,
+// a row partition by its filter pass — is the reference encoding of what
+// it carries, which is the request's non-empty bags, hashed, and for a
+// partition localized, as the authoring-form code computes them, in bag
+// order: the main shard sends no empty bag, and each answer has one row
+// per bag sent.
 //
 // Response side: a shard answers with exactly the reference bytes, and so
 // does the shard a table migrated to, once the source has released it.
@@ -127,6 +131,9 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 		hashed := func(id int) []embedding.Bag {
 			return embedding.BagList{Lens: embedding.Flatten(wreq.Bags[id]).Lens, Indices: hash.Entries[id].Out}.Bags()
 		}
+		nonEmpty := func(bags []embedding.Bag) []embedding.Bag {
+			return slices.DeleteFunc(bags, func(b embedding.Bag) bool { return len(b.Indices) == 0 })
+		}
 		bothWirePaths(t, func(t *testing.T) {
 			keepers := make(map[string]*bodyKeeper)
 			f := newShardedFixture(t, m, plan, EngineConfig{}, func(svc string, c rpc.Caller) rpc.Caller {
@@ -138,7 +145,8 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 			}
 			entries, parts := 0, 0
 			for svc, k := range keepers {
-				for _, body := range k.bodies {
+				for _, call := range k.calls {
+					body := call.Req.Body
 					got, err := DecodeSparseRequest(body)
 					if err != nil {
 						t.Fatal(err)
@@ -146,14 +154,26 @@ func TestSparseRunBytesOnBothPaths(t *testing.T) {
 					if want := referenceSparseRequest(got); !bytes.Equal(body, want) {
 						t.Fatalf("%s: the body laid out differs from the reference bytes of what it decodes to\n%x\n%x", svc, body, want)
 					}
-					for _, e := range got.Entries {
+					resp, err := DecodeSparseResponse(call.Resp.Body)
+					if err != nil || len(resp.Entries) != len(got.Entries) {
+						t.Fatalf("%s: %d answers for %d entries (err %v)", svc, len(resp.Entries), len(got.Entries), err)
+					}
+					for i, e := range got.Entries {
 						want := hashed(int(e.TableID))
 						if e.NumParts > 1 {
 							want = oldLocalizeBags(want, int(e.PartIndex), int(e.NumParts))
 							parts++
 						}
-						if !bagsEqual(e.Bags, want) {
+						if want = nonEmpty(want); !bagsEqual(e.Bags, want) {
 							t.Fatalf("%s: table %d part %d/%d carries %v, want %v", svc, e.TableID, e.PartIndex, e.NumParts, e.Bags, want)
+						}
+						for b, bag := range e.Bags {
+							if len(bag.Indices) == 0 {
+								t.Fatalf("%s: table %d part %d/%d sends bag %d empty", svc, e.TableID, e.PartIndex, e.NumParts, b)
+							}
+						}
+						if int(resp.Entries[i].Rows) != len(e.Bags) {
+							t.Fatalf("%s: table %d part %d/%d answered for %d bags, %d sent", svc, e.TableID, e.PartIndex, e.NumParts, resp.Entries[i].Rows, len(e.Bags))
 						}
 						entries++
 					}

@@ -645,8 +645,9 @@ func oldLocalizeBags(bags []embedding.Bag, part, numParts int) []embedding.Bag {
 
 // TestAppendPartMatchesAppendVersion: the count pass and the filter pass
 // that write a partition's bag list straight into a request body produce
-// the list the per-bag-append version does, and fill the bytes they were
-// sized to exactly.
+// the list the per-bag-append version does, rid of its empty bags, keep
+// every bag's length in the part, and fill the bytes they were sized to
+// exactly.
 func TestAppendPartMatchesAppendVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, numParts := range []int{2, 3, 7} {
@@ -659,15 +660,16 @@ func TestAppendPartMatchesAppendVersion(t *testing.T) {
 			}
 			l := embedding.Flatten(bags)
 			for part := 0; part < numParts; part++ {
-				want := oldLocalizeBags(bags, part, numParts)
-				n := countPart(l.Indices, part, numParts)
-				if n != embedding.TotalLookups(want) {
-					t.Fatalf("parts %d part %d: counted %d indices, want %d", numParts, part, n, embedding.TotalLookups(want))
+				all := oldLocalizeBags(bags, part, numParts)
+				want := slices.DeleteFunc(slices.Clone(all), func(b embedding.Bag) bool { return len(b.Indices) == 0 })
+				n, present := countPart(l, part, numParts)
+				if n != embedding.TotalLookups(want) || present != len(want) {
+					t.Fatalf("parts %d part %d: counted %d indices in %d bags, want %d in %d", numParts, part, n, present, embedding.TotalLookups(want), len(want))
 				}
-				b, sent := appendPart(make([]byte, 0, bagListSize(len(bags), n)), l, part, numParts, n)
+				b, sent := appendPart(make([]byte, 0, bagListSize(present, n)), l, part, numParts, n, present)
 				r := reader{b: b}
 				got, _, err := r.bagList()
-				if err != nil || len(b) != cap(b) || len(r.b) != 0 || !slices.Equal(sent, got.Lens) || !bagsEqual(got.Bags(), want) {
+				if err != nil || len(b) != cap(b) || len(r.b) != 0 || !slices.Equal(sent, embedding.Flatten(all).Lens) || !bagsEqual(got.Bags(), want) {
 					t.Fatalf("parts %d part %d: wrote %v (%d of %d bytes, err %v), want %v", numParts, part, got, len(b), cap(b), err, want)
 				}
 			}

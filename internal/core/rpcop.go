@@ -260,55 +260,54 @@ func (o *rpcOp) Name() string { return o.g.op }
 func (o *rpcOp) Kind() nn.OpKind { return nn.KindRPC }
 
 // layout builds this shard's body from the fetch's row range of the
-// request's bag lists — exactly sized, every length and every hashed index
-// moved into it once: a whole table's with one memmove each, a partition's
-// by a count pass and a filter pass. It also returns, per entry, what was
-// sent, and counts each entry's indices against its unit: every call is
-// laid out once, whatever the schedule and however it is hedged. A nil
-// body means no lookup routes to the shard.
+// request's bag lists — exactly sized, and holding no empty bag: a whole
+// table's non-zero lengths by a filter pass and its hashed indices by one
+// memmove, a partition's by a count pass and a filter pass. It also
+// returns, per entry, what was sent, and counts each entry's indices
+// against its unit: every call is laid out once, whatever the schedule
+// and however it is hedged. A nil body means no lookup routes to the
+// shard.
 func (o *rpcOp) layout() (body []byte, sent []sentBags) {
 	f, x := o.f, o.f.x
 	list := func(e *groupEntry) embedding.BagList { return x.bags(e.TableID, f.start, f.start+f.rows) }
 	// indices[i] is how many indices entry i sends.
 	indices := make([]int, len(o.g.entries))
+	sent = make([]sentBags, len(o.g.entries))
 	size, lookups := sparseHeadSize(f.plan.names), 0
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
 		l := list(e)
-		indices[i] = len(l.Indices)
 		if e.NumParts > 1 {
-			indices[i] = countPart(l.Indices, e.PartIndex, e.NumParts)
+			indices[i], sent[i].present = countPart(l, e.PartIndex, e.NumParts)
+		} else {
+			_, sent[i].present, _ = sumLens(l.Lens)
+			indices[i], sent[i].lens = len(l.Indices), l.Lens
 		}
-		size += sparseEntryHeader + bagListSize(len(l.Lens), indices[i])
+		size += sparseEntryHeader + bagListSize(sent[i].present, indices[i])
 		lookups += indices[i]
 	}
 	if lookups == 0 {
 		return nil, nil
 	}
 	body = appendSparseHead(alignedBytes(size)[:0], f.plan.names, len(o.g.entries))
-	sent = make([]sentBags, len(o.g.entries))
 	for i := range o.g.entries {
 		e := &o.g.entries[i]
 		l := list(e)
 		o.g.lookups[i].Add(int64(indices[i]))
 		body = appendEntryIDs(body, e.net, e.TableID, e.PartIndex, e.NumParts)
 		if e.NumParts > 1 {
-			body, sent[i].lens = appendPart(body, l, e.PartIndex, e.NumParts, indices[i])
+			body, sent[i].lens = appendPart(body, l, e.PartIndex, e.NumParts, indices[i], sent[i].present)
 		} else {
-			body, sent[i].lens = appendBagList(body, l), l.Lens
-		}
-		for _, n := range sent[i].lens {
-			if n != 0 {
-				sent[i].present++
-			}
+			body = appendPresent(body, l, sent[i].present)
 		}
 	}
 	return body, sent
 }
 
-// sentBags is what an entry's answer is read against: the bag lengths
-// that went out — they say which items the answer's rows belong to — and
-// how many of them are not zero: how many rows it must hold.
+// sentBags is what an entry's answer is read against: every bag's length
+// in what went out, the empty ones included — they say which items the
+// answer's rows belong to — and how many of them are not zero: how many
+// bags were sent, and how many rows the answer must hold.
 type sentBags struct {
 	lens    []int32
 	present int
@@ -395,11 +394,12 @@ func (o *rpcOp) deliverAll(err error) {
 
 // scatter hands a sparse response's entries to their nets' block tables.
 // sent is what the request's entries asked, in the order asked. The
-// response is trusted for nothing but its floats: an entry must name the table, part, bag count
-// and width that were asked for and carry exactly one row per non-zero
-// length sent — counted by layout, from the main shard's own lengths — or
-// it fails its net's table, as does every entry from the point where a
-// response stops being walkable.
+// response is trusted for nothing but its floats: an entry must name the
+// table, part and width that were asked for, and the bags that were sent
+// — every one non-empty, counted by layout from the main shard's own
+// lengths — and carry exactly one row per bag, or it fails its net's
+// table, as does every entry from the point where a response stops being
+// walkable.
 func (o *rpcOp) scatter(resp []byte, sent []sentBags) {
 	pooled, err := readPooled(resp)
 	if err == nil && pooled.left != len(o.g.entries) {
@@ -415,10 +415,10 @@ func (o *rpcOp) scatter(resp []byte, sent []sentBags) {
 			return partial{}, fmt.Errorf("core: response of %s: %w", o.g.service, err)
 		}
 		t := &o.f.plan.nets[e.net].tables[e.slot]
-		if int(got.TableID) != t.ID || int(got.PartIndex) != e.PartIndex || int(got.Rows) != o.f.rows || int(got.Cols) != t.Dim || got.n != sent[i].present*t.Dim {
+		if int(got.TableID) != t.ID || int(got.PartIndex) != e.PartIndex || int(got.Rows) != sent[i].present || int(got.Cols) != t.Dim || got.n != sent[i].present*t.Dim {
 			return partial{}, fmt.Errorf(
 				"core: %s entry %d mismatched (table %d part %d rows %d cols %d values %d; want %d/%d/%d/%d/%d)",
-				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.PartIndex, o.f.rows, t.Dim, sent[i].present*t.Dim)
+				o.g.service, i, got.TableID, got.PartIndex, got.Rows, got.Cols, got.n, t.ID, e.PartIndex, sent[i].present, t.Dim, sent[i].present*t.Dim)
 		}
 		return partial{rows: rows, lens: sent[i].lens}, nil
 	})

@@ -24,7 +24,11 @@ import (
 // responses carry pooled vectors; both are bounded in practice, and the
 // cap turns a corrupted length prefix into an error instead of an OOM.
 const (
-	// MaxFrameSize bounds one framed message.
+	// MaxFrameSize bounds one framed message. What a handler makes of a
+	// body is bounded by it in turn: the main shard expands a rank body's
+	// bag lengths, at least one byte each on the wire, into 4 bytes each
+	// (core.DecodeRankingRequest), so one frame makes it allocate at most
+	// 4 × MaxFrameSize of lengths.
 	MaxFrameSize = 64 << 20
 	frameHeader  = 4
 )
